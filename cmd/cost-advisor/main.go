@@ -18,6 +18,7 @@ import (
 
 	"tierbase/internal/compress"
 	"tierbase/internal/core"
+	"tierbase/internal/engine"
 	"tierbase/internal/workload"
 )
 
@@ -137,7 +138,7 @@ func measureConfigs(ds workload.Dataset, refQPS float64) (map[string]core.Measur
 
 // probeOverhead measures physical-per-logical bytes for a compressor.
 func probeOverhead(comp string, samples [][]byte) (float64, error) {
-	var logical, physical int64
+	var logical int64
 	var c compress.Compressor
 	if comp != "" {
 		cc, err := compress.ByName(comp, 0)
@@ -149,15 +150,16 @@ func probeOverhead(comp string, samples [][]byte) (float64, error) {
 		}
 		c = cc
 	}
-	for _, rec := range samples[len(samples)/2:] {
-		logical += int64(len(rec)) + 16 // key bytes
-		body := rec
-		if c != nil {
-			body = c.Compress(rec)
+	// Physical bytes are what the cache engine accounts for the records
+	// (16-byte keys), the same number INFO and the cache budget read.
+	eng := engine.New(engine.Options{Compressor: c})
+	for i, rec := range samples[len(samples)/2:] {
+		logical += int64(len(rec)) + 16
+		if err := eng.Set(fmt.Sprintf("probe%011d", i), rec); err != nil {
+			return 0, err
 		}
-		physical += int64(len(body)) + 16 + 64 // key + item overhead
 	}
-	return float64(physical) / float64(logical), nil
+	return float64(eng.MemUsed()) / float64(logical), nil
 }
 
 func configNames(m map[string]core.Measured) []core.Config {

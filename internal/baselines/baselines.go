@@ -138,8 +138,19 @@ func (r *RedisLike) Delete(key string) error {
 	return err
 }
 
+// redisOverhead is Redis's per-key bookkeeping: a dictEntry (24 B), the
+// value's robj (16 B), two sds headers and allocator rounding, ~64 B. The
+// stand-in stores its data in the TierBase engine but must not report the
+// engine's compact records as Redis's footprint, so it charges this
+// constant per key over the raw key and value bytes (as MemcachedLike
+// charges mcOverhead).
+const redisOverhead = 64
+
 // MemBytes implements System.
-func (r *RedisLike) MemBytes() int64 { return r.eng.MemUsed() }
+func (r *RedisLike) MemBytes() int64 {
+	st := r.eng.Stats()
+	return st.PayloadBytes + redisOverhead*int64(st.Keys)
+}
 
 // DiskBytes implements System: AOF bytes (grows until rewrite; we report
 // the logical write volume as the paper's dual-replica AOF cost does).
@@ -147,7 +158,7 @@ func (r *RedisLike) DiskBytes() int64 {
 	if r.aof == nil {
 		return 0
 	}
-	return r.eng.MemUsed() // post-rewrite AOF ≈ dataset size
+	return r.MemBytes() // post-rewrite AOF ≈ dataset size
 }
 
 // Engine exposes the engine (for replication in cost benches).

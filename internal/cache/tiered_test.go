@@ -475,11 +475,17 @@ func TestEvictionSkipsDirty(t *testing.T) {
 			t.Fatalf("dirty key %d evicted before flush", i)
 		}
 	}
-	// After flushing, eviction can proceed.
+	// After flushing, eviction can proceed: a write to k00's stripe, whose
+	// share of the capacity holds less than one key, pushes k00 out.
 	tr.FlushDirty()
-	tr.Set("trigger", val)
-	if eng.MemUsed() > 4096 {
-		t.Fatalf("eviction still blocked after flush: %d bytes", eng.MemUsed())
+	trigger := "trigger0"
+	for i := 1; eng.ShardIndex(trigger) != eng.ShardIndex("k00"); i++ {
+		trigger = fmt.Sprintf("trigger%d", i)
+	}
+	tr.Set(trigger, val)
+	if eng.Exists("k00") {
+		t.Fatalf("eviction still blocked after flush: k00 resident, stripe holds %d bytes",
+			eng.ShardMemUsed(eng.ShardIndex("k00")))
 	}
 }
 

@@ -3,6 +3,7 @@ package cache
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -432,5 +433,45 @@ func TestWTCoalescingStripesIndependent(t *testing.T) {
 		if !bytes.Equal(cv, sv) {
 			t.Fatalf("%s: cache %q != storage %q", k, cv, sv)
 		}
+	}
+}
+
+// TestDirtyBytesTracksHeap holds DirtyBytes(), which the overload
+// watermark reads, to the heap the write-back dirty set really occupies,
+// for small values and for repl-write sized ones.
+func TestDirtyBytesTracksHeap(t *testing.T) {
+	heapAfterGC := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	const n = 50_000
+	for _, valLen := range []int{16, 128} {
+		tr, err := New(Options{
+			Policy: WriteBack, Engine: engine.New(engine.Options{}), Storage: NewMapStorage(),
+			FlushInterval: time.Hour, FlushBatch: 1 << 30, MaxDirty: 1 << 30,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		val := make([]byte, valLen)
+		before := heapAfterGC()
+		for i := 0; i < n; i++ {
+			key := fmt.Sprintf("user:%09d", i)
+			ds := tr.dirtyStripeFor(key)
+			ds.mu.Lock()
+			tr.setDirtyLocked(ds, key, copyBytes(val), false)
+			ds.mu.Unlock()
+		}
+		heap := heapAfterGC() - before
+		ratio := float64(tr.DirtyBytes()) / float64(heap)
+		t.Logf("val %d B: heap %.1f B/entry, accounted %.1f B/entry, ratio %.2f", valLen,
+			float64(heap)/n, float64(tr.DirtyBytes())/n, ratio)
+		if ratio < 0.75 || ratio > 1.25 {
+			t.Errorf("val %d B: DirtyBytes() %d vs heap %d: ratio %.2f outside [0.75, 1.25]", valLen, tr.DirtyBytes(), heap, ratio)
+		}
+		tr.Close()
 	}
 }

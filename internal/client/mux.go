@@ -328,12 +328,11 @@ func (c *Client) flushWindow(batch []*call) error {
 			return err
 		}
 	}
-	if err := c.w.Flush(); err != nil {
-		return err
-	}
+	// Counted before the flush: a reply can release its caller before this
+	// goroutine runs again, and the caller may read Stats at once.
 	c.wireCommands.Add(int64(len(wire)))
 	c.flushes.Add(1)
-	return nil
+	return c.w.Flush()
 }
 
 // readLoop pairs in-order RESP replies with the in-order slot queue and

@@ -14,16 +14,20 @@ type KV struct {
 
 // forEachShardGroup buckets positions of keys by stripe index (a stable
 // counting sort — three flat allocations, no per-bucket slices) and calls
-// visit once per touched shard with the input positions in input order.
-// keyAt adapts over []string and []KV.
-func (e *Engine) forEachShardGroup(n int, keyAt func(i int) string, visit func(s *shard, idxs []int)) {
+// visit once per touched shard with the input positions in input order and
+// every key's hash by position. keyAt adapts over []string and []KV.
+func (e *Engine) forEachShardGroup(n int, keyAt func(i int) string, visit func(s *shard, idxs []int, khs []uint32)) {
+	khs := make([]uint32, n)
+	if n == 1 {
+		khs[0] = fnv1a(keyAt(0))
+		visit(e.shards[khs[0]&e.mask], []int{0}, khs)
+		return
+	}
 	nShards := len(e.shards)
 	counts := make([]int, nShards+1)
-	sidx := make([]uint32, n)
 	for i := 0; i < n; i++ {
-		si := e.shardIndex(keyAt(i))
-		sidx[i] = si
-		counts[si+1]++
+		khs[i] = fnv1a(keyAt(i))
+		counts[khs[i]&e.mask+1]++
 	}
 	for s := 0; s < nShards; s++ {
 		counts[s+1] += counts[s]
@@ -31,12 +35,13 @@ func (e *Engine) forEachShardGroup(n int, keyAt func(i int) string, visit func(s
 	order := make([]int, n)
 	fill := append([]int(nil), counts[:nShards]...)
 	for i := 0; i < n; i++ {
-		order[fill[sidx[i]]] = i
-		fill[sidx[i]]++
+		si := khs[i] & e.mask
+		order[fill[si]] = i
+		fill[si]++
 	}
 	for s := 0; s < nShards; s++ {
 		if lo, hi := counts[s], counts[s+1]; lo < hi {
-			visit(e.shards[s], order[lo:hi])
+			visit(e.shards[s], order[lo:hi], khs)
 		}
 	}
 }
@@ -53,14 +58,14 @@ func (e *Engine) GroupKeysByShard(keys []string, visit func(shard int, group []s
 	case 0:
 		return
 	case 1:
-		visit(int(e.shardIndex(keys[0])), keys)
+		visit(e.ShardIndex(keys[0]), keys)
 		return
 	}
 	nShards := len(e.shards)
 	counts := make([]int, nShards+1)
 	sidx := make([]uint32, len(keys))
 	for i, k := range keys {
-		si := e.shardIndex(k)
+		si := fnv1a(k) & e.mask
 		sidx[i] = si
 		counts[si+1]++
 	}
@@ -99,25 +104,22 @@ func (e *Engine) MGetDetail(keys []string) ([][]byte, []bool, error) {
 	if len(keys) == 0 {
 		return out, wrongType, nil
 	}
-	svs := make([]storedVal, len(keys))
-	found := make([]bool, len(keys))
-	now := e.now()
+	recs := make([]stored, len(keys)) // val stays nil where no string was found
 
-	collect := func(s *shard, idxs []int) {
+	e.forEachShardGroup(len(keys), func(i int) string { return keys[i] }, func(s *shard, idxs []int, khs []uint32) {
 		var hits, misses int64
 		s.mu.RLock()
 		for _, i := range idxs {
-			it, ok := s.getItem(keys[i], now)
+			en, ok := e.live(s, khs[i], keys[i])
 			if !ok {
 				misses++
 				continue
 			}
-			if it.kind != KindString {
+			if en.rec == nil {
 				wrongType[i] = true // nil entry, counts as neither
 				continue
 			}
-			svs[i] = it.str
-			found[i] = true
+			recs[i] = en.rec.parse().stored
 			hits++
 		}
 		s.mu.RUnlock()
@@ -127,21 +129,15 @@ func (e *Engine) MGetDetail(keys []string) ([][]byte, []bool, error) {
 		if misses > 0 {
 			s.misses.Add(misses)
 		}
-	}
-
-	if len(keys) == 1 {
-		collect(e.shardFor(keys[0]), []int{0})
-	} else {
-		e.forEachShardGroup(len(keys), func(i int) string { return keys[i] }, collect)
-	}
+	})
 
 	// Decode outside all locks (decompression / PMem reads are the
 	// expensive part and must not serialize the stripe).
 	for i := range keys {
-		if !found[i] {
+		if recs[i].val == nil {
 			continue
 		}
-		v, err := e.decodeValue(svs[i])
+		v, err := e.decode(recs[i])
 		if err != nil {
 			return nil, nil, err
 		}
@@ -161,22 +157,23 @@ func (e *Engine) MSet(pairs []KV) error {
 	if len(pairs) == 0 {
 		return nil
 	}
-	svs := make([]storedVal, len(pairs))
+	recs := make([]record, len(pairs))
 	for i, p := range pairs {
-		svs[i], _ = e.encodeValue(p.Val)
+		var err error
+		if recs[i], err = e.encode(e.shards[e.ShardIndex(p.Key)], p.Key, p.Val); err != nil {
+			for _, rec := range recs[:i] {
+				e.discard(rec)
+			}
+			return err
+		}
 	}
-	apply := func(s *shard, idxs []int) {
+	e.forEachShardGroup(len(pairs), func(i int) string { return pairs[i].Key }, func(s *shard, idxs []int, khs []uint32) {
 		s.mu.Lock()
 		for _, i := range idxs {
-			e.setLocked(s, pairs[i].Key, svs[i])
+			e.publish(s, khs[i], pairs[i].Key, recs[i])
 		}
 		s.mu.Unlock()
-	}
-	if len(pairs) == 1 {
-		apply(e.shardFor(pairs[0].Key), []int{0})
-		return nil
-	}
-	e.forEachShardGroup(len(pairs), func(i int) string { return pairs[i].Key }, apply)
+	})
 	return nil
 }
 
@@ -188,21 +185,13 @@ func (e *Engine) BatchExists(keys []string) []bool {
 	if len(keys) == 0 {
 		return out
 	}
-	now := e.now()
-	collect := func(s *shard, idxs []int) {
+	e.forEachShardGroup(len(keys), func(i int) string { return keys[i] }, func(s *shard, idxs []int, khs []uint32) {
 		s.mu.RLock()
 		for _, i := range idxs {
-			if _, ok := s.getItem(keys[i], now); ok {
-				out[i] = true
-			}
+			_, out[i] = e.live(s, khs[i], keys[i])
 		}
 		s.mu.RUnlock()
-	}
-	if len(keys) == 1 {
-		collect(e.shardFor(keys[0]), []int{0})
-		return out
-	}
-	e.forEachShardGroup(len(keys), func(i int) string { return keys[i] }, collect)
+	})
 	return out
 }
 
@@ -227,23 +216,15 @@ func (e *Engine) BatchDelDetail(keys []string) []bool {
 	if len(keys) == 0 {
 		return existed
 	}
-	now := e.now()
-	apply := func(s *shard, idxs []int) {
+	e.forEachShardGroup(len(keys), func(i int) string { return keys[i] }, func(s *shard, idxs []int, khs []uint32) {
 		s.mu.Lock()
 		for _, i := range idxs {
-			if it, ok := s.items[keys[i]]; ok {
-				if !it.expiredAt(now) {
-					existed[i] = true
-				}
-				e.deleteItemLocked(s, keys[i], it)
+			if en := s.lookup(khs[i], keys[i]); en.present() {
+				existed[i] = !e.lapsed(en.expireAt())
+				e.remove(s, khs[i], keys[i], en)
 			}
 		}
 		s.mu.Unlock()
-	}
-	if len(keys) == 1 {
-		apply(e.shardFor(keys[0]), []int{0})
-		return existed
-	}
-	e.forEachShardGroup(len(keys), func(i int) string { return keys[i] }, apply)
+	})
 	return existed
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -100,3 +101,19 @@ func benchmarkBatch(b *testing.B, batched bool, batchSize int) {
 
 func BenchmarkEngineGetLoop16(b *testing.B)   { benchmarkBatch(b, false, 16) }
 func BenchmarkEngineMGetBatch16(b *testing.B) { benchmarkBatch(b, true, 16) }
+
+// BenchmarkEngineHeapPerKey reports what one key costs and what the engine
+// says it costs, for the ledger's hit-read record (14 B key, 38 B stored
+// value): heap-B/key from the Go heap, accounted-B/key from MemUsed. One
+// op is one fill of heapKeys keys.
+func BenchmarkEngineHeapPerKey(b *testing.B) {
+	var heap, used int64
+	for i := 0; i < b.N; i++ {
+		e := New(Options{})
+		heap = fillHeapKeys(e, 38, false, false)
+		used = e.MemUsed()
+		runtime.KeepAlive(e)
+	}
+	b.ReportMetric(float64(heap)/heapKeys, "heap-B/key")
+	b.ReportMetric(float64(used)/heapKeys, "accounted-B/key")
+}

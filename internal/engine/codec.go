@@ -78,14 +78,14 @@ func appendLenString(b []byte, s string) []byte {
 // ok is false when the key is absent, expired, or holds a string (strings
 // travel to storage as themselves, not as blobs).
 func (e *Engine) EncodeCollection(key string) (blob []byte, ok bool) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	it, live := s.getItem(key, e.now())
-	if !live || it.kind == KindString {
+	en, live := e.live(s, kh, key)
+	if !live || en.it == nil {
 		return nil, false
 	}
-	return encodeCollectionLocked(it)
+	return encodeCollectionLocked(en.it)
 }
 
 // encodeCollectionLocked builds the typed blob for a non-string item.
@@ -149,7 +149,16 @@ func (e *Engine) LoadEncoded(key string, blob []byte) error {
 		return ErrBadEncoding
 	}
 	p = p[n:]
-	it := &item{kind: kind, memBytes: int64(len(key)) + itemOverhead}
+	// Every element takes at least one byte, so a count past the bytes
+	// left is corrupt; checked before it sizes an allocation.
+	if count > uint64(len(p)) {
+		return ErrBadEncoding
+	}
+	it := newItem(key, kind)
+	charge := func(payload int, overhead int64) {
+		it.payload += int64(payload)
+		it.memBytes += int64(payload) + overhead
+	}
 	switch kind {
 	case KindList:
 		it.list = make([][]byte, 0, count)
@@ -160,7 +169,7 @@ func (e *Engine) LoadEncoded(key string, blob []byte) error {
 			}
 			p = rest
 			it.list = append(it.list, append([]byte(nil), el...))
-			it.memBytes += int64(len(el)) + 24
+			charge(len(el), 24)
 		}
 	case KindSet:
 		it.set = make(map[string]struct{}, count)
@@ -170,8 +179,10 @@ func (e *Engine) LoadEncoded(key string, blob []byte) error {
 				return err
 			}
 			p = rest
-			it.set[string(el)] = struct{}{}
-			it.memBytes += int64(len(el)) + 16
+			if _, dup := it.set[string(el)]; !dup {
+				it.set[string(el)] = struct{}{}
+				charge(len(el), 16)
+			}
 		}
 	case KindZSet:
 		it.zset = newZSet()
@@ -185,8 +196,9 @@ func (e *Engine) LoadEncoded(key string, blob []byte) error {
 			}
 			score := math.Float64frombits(binary.BigEndian.Uint64(rest[:8]))
 			p = rest[8:]
-			it.zset.insert(string(el), score)
-			it.memBytes += int64(len(el)) + 32
+			if it.zset.insert(string(el), score) {
+				charge(len(el), 32)
+			}
 		}
 	case KindHash:
 		it.hash = make(map[string][]byte, count)
@@ -200,8 +212,12 @@ func (e *Engine) LoadEncoded(key string, blob []byte) error {
 				return err
 			}
 			p = rest
+			if old, dup := it.hash[string(f)]; dup {
+				charge(len(v)-len(old), 0)
+			} else {
+				charge(len(f)+len(v), 32)
+			}
 			it.hash[string(f)] = append([]byte(nil), v...)
-			it.memBytes += int64(len(f)+len(v)) + 32
 		}
 	default:
 		return ErrBadEncoding
@@ -209,14 +225,13 @@ func (e *Engine) LoadEncoded(key string, blob []byte) error {
 	if len(p) != 0 {
 		return ErrBadEncoding
 	}
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, exists := s.items[key]; exists {
-		e.deleteItemLocked(s, key, old)
+	if en := s.lookup(kh, key); en.present() {
+		e.remove(s, kh, key, en)
 	}
 	it.version = s.nextVersion()
-	s.items[key] = it
-	s.memUsed.Add(it.memBytes)
+	e.addItem(s, key, it)
 	return nil
 }

@@ -10,18 +10,17 @@ import (
 // TierBase's deployment (values dominate memory in the string-heavy
 // production workloads the paper evaluates).
 
-// getOrCreateLocked returns the item for key in shard s, creating it with
-// kind if absent. Returns ErrWrongType if it exists with a different kind.
-// Caller holds s.mu write lock.
-func (e *Engine) getOrCreateLocked(s *shard, key string, kind Kind) (*item, error) {
-	now := e.now()
-	it, ok := s.items[key]
-	if ok && it.expiredAt(now) {
-		e.deleteItemLocked(s, key, it)
-		ok = false
+// getOrCreateLocked returns the collection at key in shard s, creating it
+// with kind if absent. Returns ErrWrongType if key holds a string or a
+// collection of another kind. Caller holds s.mu write lock.
+func (e *Engine) getOrCreateLocked(s *shard, kh uint32, key string, kind Kind) (*item, error) {
+	en := s.lookup(kh, key)
+	if en.present() && e.lapsed(en.expireAt()) {
+		e.remove(s, kh, key, en)
+		en = entry{}
 	}
-	if !ok {
-		it = &item{kind: kind, memBytes: int64(len(key)) + itemOverhead}
+	if !en.present() {
+		it := newItem(key, kind)
 		switch kind {
 		case KindSet:
 			it.set = make(map[string]struct{})
@@ -30,51 +29,53 @@ func (e *Engine) getOrCreateLocked(s *shard, key string, kind Kind) (*item, erro
 		case KindHash:
 			it.hash = make(map[string][]byte)
 		}
-		s.items[key] = it
-		s.memUsed.Add(it.memBytes)
+		e.addItem(s, key, it)
 		return it, nil
 	}
-	if it.kind != kind {
+	if en.kind() != kind {
 		return nil, ErrWrongType
 	}
-	return it, nil
+	return en.it, nil
 }
 
-// getTyped returns the live item in shard s if it has the wanted kind.
-// Caller holds s.mu (either mode).
-func (e *Engine) getTyped(s *shard, key string, kind Kind) (*item, error) {
-	it, ok := s.getItem(key, e.now())
+// getTyped returns the live collection at key in shard s if it has the
+// wanted kind. Caller holds s.mu (either mode).
+func (e *Engine) getTyped(s *shard, kh uint32, key string, kind Kind) (*item, error) {
+	en, ok := e.live(s, kh, key)
 	if !ok {
 		return nil, ErrNotFound
 	}
-	if it.kind != kind {
+	if en.kind() != kind {
 		return nil, ErrWrongType
 	}
-	return it, nil
+	return en.it, nil
 }
 
-// adjustMem updates both the item and shard accounting. Caller holds s.mu
+// adjustMem charges (or refunds) payload element bytes plus overhead
+// bookkeeping bytes to both the item and the shard. Caller holds s.mu
 // write lock.
-func (e *Engine) adjustMem(s *shard, it *item, delta int64) {
-	it.memBytes += delta
-	s.memUsed.Add(delta)
+func (e *Engine) adjustMem(s *shard, it *item, payload, overhead int64) {
+	it.payload += payload
+	it.memBytes += payload + overhead
+	s.payload.Add(payload)
+	s.memUsed.Add(payload + overhead)
 }
 
 // --- lists ---
 
 // LPush prepends values; returns the new length.
 func (e *Engine) LPush(key string, vals ...[]byte) (int, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, err := e.getOrCreateLocked(s, key, KindList)
+	it, err := e.getOrCreateLocked(s, kh, key, KindList)
 	if err != nil {
 		return 0, err
 	}
 	for _, v := range vals {
 		cp := append([]byte(nil), v...)
 		it.list = append([][]byte{cp}, it.list...)
-		e.adjustMem(s, it, int64(len(cp))+24)
+		e.adjustMem(s, it, int64(len(cp)), 24)
 	}
 	it.version = s.nextVersion()
 	return len(it.list), nil
@@ -82,17 +83,17 @@ func (e *Engine) LPush(key string, vals ...[]byte) (int, error) {
 
 // RPush appends values; returns the new length.
 func (e *Engine) RPush(key string, vals ...[]byte) (int, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, err := e.getOrCreateLocked(s, key, KindList)
+	it, err := e.getOrCreateLocked(s, kh, key, KindList)
 	if err != nil {
 		return 0, err
 	}
 	for _, v := range vals {
 		cp := append([]byte(nil), v...)
 		it.list = append(it.list, cp)
-		e.adjustMem(s, it, int64(len(cp))+24)
+		e.adjustMem(s, it, int64(len(cp)), 24)
 	}
 	it.version = s.nextVersion()
 	return len(it.list), nil
@@ -100,10 +101,10 @@ func (e *Engine) RPush(key string, vals ...[]byte) (int, error) {
 
 // LPop removes and returns the head.
 func (e *Engine) LPop(key string) ([]byte, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, err := e.getTyped(s, key, KindList)
+	it, err := e.getTyped(s, kh, key, KindList)
 	if err != nil {
 		return nil, err
 	}
@@ -112,20 +113,20 @@ func (e *Engine) LPop(key string) ([]byte, error) {
 	}
 	v := it.list[0]
 	it.list = it.list[1:]
-	e.adjustMem(s, it, -int64(len(v))-24)
+	e.adjustMem(s, it, -int64(len(v)), -24)
 	it.version = s.nextVersion()
 	if len(it.list) == 0 {
-		e.deleteItemLocked(s, key, it)
+		e.removeItem(s, key, it)
 	}
 	return v, nil
 }
 
 // RPop removes and returns the tail.
 func (e *Engine) RPop(key string) ([]byte, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, err := e.getTyped(s, key, KindList)
+	it, err := e.getTyped(s, kh, key, KindList)
 	if err != nil {
 		return nil, err
 	}
@@ -134,20 +135,20 @@ func (e *Engine) RPop(key string) ([]byte, error) {
 	}
 	v := it.list[len(it.list)-1]
 	it.list = it.list[:len(it.list)-1]
-	e.adjustMem(s, it, -int64(len(v))-24)
+	e.adjustMem(s, it, -int64(len(v)), -24)
 	it.version = s.nextVersion()
 	if len(it.list) == 0 {
-		e.deleteItemLocked(s, key, it)
+		e.removeItem(s, key, it)
 	}
 	return v, nil
 }
 
 // LLen returns the list length (0 if absent).
 func (e *Engine) LLen(key string) (int, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	it, err := e.getTyped(s, key, KindList)
+	it, err := e.getTyped(s, kh, key, KindList)
 	if err == ErrNotFound {
 		return 0, nil
 	}
@@ -159,10 +160,10 @@ func (e *Engine) LLen(key string) (int, error) {
 
 // LRange returns elements [start, stop] with Redis negative-index rules.
 func (e *Engine) LRange(key string, start, stop int) ([][]byte, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	it, err := e.getTyped(s, key, KindList)
+	it, err := e.getTyped(s, kh, key, KindList)
 	if err == ErrNotFound {
 		return nil, nil
 	}
@@ -196,10 +197,10 @@ func (e *Engine) LRange(key string, start, stop int) ([][]byte, error) {
 
 // SAdd inserts members; returns how many were new.
 func (e *Engine) SAdd(key string, members ...string) (int, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, err := e.getOrCreateLocked(s, key, KindSet)
+	it, err := e.getOrCreateLocked(s, kh, key, KindSet)
 	if err != nil {
 		return 0, err
 	}
@@ -207,7 +208,7 @@ func (e *Engine) SAdd(key string, members ...string) (int, error) {
 	for _, m := range members {
 		if _, ok := it.set[m]; !ok {
 			it.set[m] = struct{}{}
-			e.adjustMem(s, it, int64(len(m))+16)
+			e.adjustMem(s, it, int64(len(m)), 16)
 			added++
 		}
 	}
@@ -217,10 +218,10 @@ func (e *Engine) SAdd(key string, members ...string) (int, error) {
 
 // SRem removes members; returns how many were present.
 func (e *Engine) SRem(key string, members ...string) (int, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, err := e.getTyped(s, key, KindSet)
+	it, err := e.getTyped(s, kh, key, KindSet)
 	if err == ErrNotFound {
 		return 0, nil
 	}
@@ -231,23 +232,23 @@ func (e *Engine) SRem(key string, members ...string) (int, error) {
 	for _, m := range members {
 		if _, ok := it.set[m]; ok {
 			delete(it.set, m)
-			e.adjustMem(s, it, -int64(len(m))-16)
+			e.adjustMem(s, it, -int64(len(m)), -16)
 			removed++
 		}
 	}
 	it.version = s.nextVersion()
 	if len(it.set) == 0 {
-		e.deleteItemLocked(s, key, it)
+		e.removeItem(s, key, it)
 	}
 	return removed, nil
 }
 
 // SIsMember reports membership.
 func (e *Engine) SIsMember(key, member string) (bool, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	it, err := e.getTyped(s, key, KindSet)
+	it, err := e.getTyped(s, kh, key, KindSet)
 	if err == ErrNotFound {
 		return false, nil
 	}
@@ -260,10 +261,10 @@ func (e *Engine) SIsMember(key, member string) (bool, error) {
 
 // SCard returns the set size (0 if absent).
 func (e *Engine) SCard(key string) (int, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	it, err := e.getTyped(s, key, KindSet)
+	it, err := e.getTyped(s, kh, key, KindSet)
 	if err == ErrNotFound {
 		return 0, nil
 	}
@@ -275,10 +276,10 @@ func (e *Engine) SCard(key string) (int, error) {
 
 // SMembers returns all members, sorted for determinism.
 func (e *Engine) SMembers(key string) ([]string, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	it, err := e.getTyped(s, key, KindSet)
+	it, err := e.getTyped(s, kh, key, KindSet)
 	if err == ErrNotFound {
 		return nil, nil
 	}
@@ -347,16 +348,16 @@ func (z *zset) remove(member string, score float64) {
 
 // ZAdd inserts or updates a member; returns whether it was new.
 func (e *Engine) ZAdd(key, member string, score float64) (bool, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, err := e.getOrCreateLocked(s, key, KindZSet)
+	it, err := e.getOrCreateLocked(s, kh, key, KindZSet)
 	if err != nil {
 		return false, err
 	}
 	isNew := it.zset.insert(member, score)
 	if isNew {
-		e.adjustMem(s, it, int64(len(member))+32)
+		e.adjustMem(s, it, int64(len(member)), 32)
 	}
 	it.version = s.nextVersion()
 	return isNew, nil
@@ -364,16 +365,16 @@ func (e *Engine) ZAdd(key, member string, score float64) (bool, error) {
 
 // ZIncrBy adds delta to a member's score (creating it at delta).
 func (e *Engine) ZIncrBy(key, member string, delta float64) (float64, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, err := e.getOrCreateLocked(s, key, KindZSet)
+	it, err := e.getOrCreateLocked(s, kh, key, KindZSet)
 	if err != nil {
 		return 0, err
 	}
 	cur := it.zset.scores[member]
 	if _, ok := it.zset.scores[member]; !ok {
-		e.adjustMem(s, it, int64(len(member))+32)
+		e.adjustMem(s, it, int64(len(member)), 32)
 	}
 	it.zset.insert(member, cur+delta)
 	it.version = s.nextVersion()
@@ -382,10 +383,10 @@ func (e *Engine) ZIncrBy(key, member string, delta float64) (float64, error) {
 
 // ZScore returns a member's score.
 func (e *Engine) ZScore(key, member string) (float64, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	it, err := e.getTyped(s, key, KindZSet)
+	it, err := e.getTyped(s, kh, key, KindZSet)
 	if err != nil {
 		return 0, err
 	}
@@ -398,10 +399,10 @@ func (e *Engine) ZScore(key, member string) (float64, error) {
 
 // ZRem removes a member; reports whether it was present.
 func (e *Engine) ZRem(key, member string) (bool, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, err := e.getTyped(s, key, KindZSet)
+	it, err := e.getTyped(s, kh, key, KindZSet)
 	if err == ErrNotFound {
 		return false, nil
 	}
@@ -413,20 +414,20 @@ func (e *Engine) ZRem(key, member string) (bool, error) {
 		return false, nil
 	}
 	it.zset.remove(member, sc)
-	e.adjustMem(s, it, -int64(len(member))-32)
+	e.adjustMem(s, it, -int64(len(member)), -32)
 	it.version = s.nextVersion()
 	if len(it.zset.scores) == 0 {
-		e.deleteItemLocked(s, key, it)
+		e.removeItem(s, key, it)
 	}
 	return true, nil
 }
 
 // ZCard returns the member count (0 if absent).
 func (e *Engine) ZCard(key string) (int, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	it, err := e.getTyped(s, key, KindZSet)
+	it, err := e.getTyped(s, kh, key, KindZSet)
 	if err == ErrNotFound {
 		return 0, nil
 	}
@@ -444,10 +445,10 @@ type ZMember struct {
 
 // ZRange returns members by rank [start, stop], Redis negative-index rules.
 func (e *Engine) ZRange(key string, start, stop int) ([]ZMember, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	it, err := e.getTyped(s, key, KindZSet)
+	it, err := e.getTyped(s, kh, key, KindZSet)
 	if err == ErrNotFound {
 		return nil, nil
 	}
@@ -479,10 +480,10 @@ func (e *Engine) ZRange(key string, start, stop int) ([]ZMember, error) {
 
 // ZRangeByScore returns members with min <= score <= max, ascending.
 func (e *Engine) ZRangeByScore(key string, min, max float64) ([]ZMember, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	it, err := e.getTyped(s, key, KindZSet)
+	it, err := e.getTyped(s, kh, key, KindZSet)
 	if err == ErrNotFound {
 		return nil, nil
 	}
@@ -501,10 +502,10 @@ func (e *Engine) ZRangeByScore(key string, min, max float64) ([]ZMember, error) 
 
 // HSet stores a field; reports whether the field was new.
 func (e *Engine) HSet(key, field string, val []byte) (bool, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, err := e.getOrCreateLocked(s, key, KindHash)
+	it, err := e.getOrCreateLocked(s, kh, key, KindHash)
 	if err != nil {
 		return false, err
 	}
@@ -512,9 +513,9 @@ func (e *Engine) HSet(key, field string, val []byte) (bool, error) {
 	cp := append([]byte(nil), val...)
 	it.hash[field] = cp
 	if existed {
-		e.adjustMem(s, it, int64(len(cp)-len(old)))
+		e.adjustMem(s, it, int64(len(cp)-len(old)), 0)
 	} else {
-		e.adjustMem(s, it, int64(len(field)+len(cp))+32)
+		e.adjustMem(s, it, int64(len(field)+len(cp)), 32)
 	}
 	it.version = s.nextVersion()
 	return !existed, nil
@@ -522,10 +523,10 @@ func (e *Engine) HSet(key, field string, val []byte) (bool, error) {
 
 // HGet fetches a field.
 func (e *Engine) HGet(key, field string) ([]byte, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	it, err := e.getTyped(s, key, KindHash)
+	it, err := e.getTyped(s, kh, key, KindHash)
 	if err != nil {
 		return nil, err
 	}
@@ -538,10 +539,10 @@ func (e *Engine) HGet(key, field string) ([]byte, error) {
 
 // HDel removes fields; returns how many existed.
 func (e *Engine) HDel(key string, fields ...string) (int, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, err := e.getTyped(s, key, KindHash)
+	it, err := e.getTyped(s, kh, key, KindHash)
 	if err == ErrNotFound {
 		return 0, nil
 	}
@@ -552,23 +553,23 @@ func (e *Engine) HDel(key string, fields ...string) (int, error) {
 	for _, f := range fields {
 		if v, ok := it.hash[f]; ok {
 			delete(it.hash, f)
-			e.adjustMem(s, it, -int64(len(f)+len(v))-32)
+			e.adjustMem(s, it, -int64(len(f)+len(v)), -32)
 			n++
 		}
 	}
 	it.version = s.nextVersion()
 	if len(it.hash) == 0 {
-		e.deleteItemLocked(s, key, it)
+		e.removeItem(s, key, it)
 	}
 	return n, nil
 }
 
 // HLen returns the field count (0 if absent).
 func (e *Engine) HLen(key string) (int, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	it, err := e.getTyped(s, key, KindHash)
+	it, err := e.getTyped(s, kh, key, KindHash)
 	if err == ErrNotFound {
 		return 0, nil
 	}
@@ -586,10 +587,10 @@ type HashField struct {
 
 // HGetAll returns every field of the hash, sorted by field name.
 func (e *Engine) HGetAll(key string) ([]HashField, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	it, err := e.getTyped(s, key, KindHash)
+	it, err := e.getTyped(s, kh, key, KindHash)
 	if err == ErrNotFound {
 		return nil, nil
 	}

@@ -5,16 +5,56 @@
 // compressor (§4.2) and/or be offloaded to the simulated persistent-memory
 // arena (§4.3: keys and indexes stay in DRAM, large values move to PMem).
 //
-// The engine is safe for concurrent use and internally lock-striped: keys
-// hash (FNV-1a) onto a power-of-two number of shards, each with its own
-// RWMutex, map and stat counters, so operations on different shards never
-// contend. Batch operations (MGet/MSet/BatchDel) group keys by shard and
-// take each stripe lock exactly once. The server tier still decides the
-// threading model (one engine per data node under elastic threading); the
-// striping removes the single-mutex bottleneck within one engine.
+// # Layout
+//
+// Keys hash (FNV-1a) onto a power-of-two number of lock stripes, each
+// with its own RWMutex, index and counters, so operations on different
+// stripes never contend. Batch operations (MGet/MSet/BatchDel) group keys
+// by stripe and take each stripe lock exactly once.
+//
+// A string key is one contiguous, pointer-free record (record.go): a
+// flags byte (compressed, PMem ref, has TTL), the key length and key, the
+// version, an 8-byte deadline only if a TTL was ever set, then the stored
+// value (or the 12-byte pmem.Ref to it). One allocation per key.
+//
+// Each stripe finds its records through an open-addressing index
+// (index.go): 16-byte slots of hash, record length and record pointer,
+// linear probing with backward-shift deletion, between 7/16 and 7/8 full
+// at a steady population, no table at all while the stripe is empty. The
+// key's one FNV hash serves both levels: low bits pick the stripe, a
+// Fibonacci multiply spreads it over the slots. index.go is the only file
+// that uses unsafe.
+//
+// Collections (the rarer kinds, with mutable internals) keep a *item in a
+// per-stripe map beside the index. A key is in one or the other, and every
+// keyed operation resolves it through shard.lookup, so type crossing (SET
+// over a hash, GET on a list) behaves the same whichever side holds it.
+//
+// # Accounting
+//
+// MemUsed, ShardMemUsed and Stats().MemBytes are bytes held, not an
+// estimate: every record at its allocated size (the Go allocator's size
+// class), every index table at its capacity, and for collections a fixed
+// cost from the item's size and its map slot plus their elements. The
+// cache budget, the overload watermark, cost-advisor and the perf ledger
+// all read this number; TestMemUsedTracksHeap holds it within 15% of the
+// Go heap, and an empty engine reports 0. Stats().PayloadBytes is the part
+// that is keys and stored values; the rest is overhead.
+//
+// # Concurrency
+//
+// The engine is safe for concurrent use. A stripe's index, collection map
+// and accounts change only under its write lock. A published record never
+// changes, with one exception: its deadline, which ExpireAt/Persist
+// rewrite in place under the write lock and every reader reads under the
+// read lock. An overwrite publishes a new record and unlinks the old one,
+// which stays valid for whoever still holds it. Readers therefore take a
+// record's value bytes out of the read lock and decompress, fetch from
+// PMem and copy with no lock held.
 package engine
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -111,44 +151,41 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// storedVal is the physical representation of a string value.
-type storedVal struct {
-	inline     []byte   // DRAM-resident bytes (possibly compressed)
-	ref        pmem.Ref // PMem-resident bytes (possibly compressed); used when !ref.IsZero()
-	compressed bool
-	rawLen     int
-}
-
-// item is one keyed entry.
+// item is one collection (list, set, sorted set or hash). String keys have
+// no item: they live in records (record.go).
 type item struct {
 	kind     Kind
-	str      storedVal
 	list     [][]byte
 	set      map[string]struct{}
 	zset     *zset
 	hash     map[string][]byte
 	expireAt int64  // unixnano; 0 = no expiry
 	version  uint64 // bumped on every mutation; CAS token
-	memBytes int64  // approximate DRAM footprint
+	memBytes int64  // accounted DRAM footprint
+	payload  int64  // the part of memBytes that is key and element bytes
 }
 
-// shard is one lock stripe: an independent map plus its own counters, so
-// hot shards never contend with cold ones (not on the lock, not on the
-// stat cachelines).
+// shard is one lock stripe: its own index of string records, map of
+// collections and counters, so hot shards never contend with cold ones
+// (not on the lock, not on the stat cachelines). A key is in strs or in
+// colls, never both.
 type shard struct {
 	mu    sync.RWMutex
-	items map[string]*item
+	strs  index
+	colls map[string]*item // nil until the stripe holds a collection
 
-	memUsed atomic.Int64 // DRAM bytes (keys + values kept inline)
+	sweepPos uint32 // where SweepExpired resumes in strs
+
+	memUsed atomic.Int64 // DRAM bytes held; written under mu
+	payload atomic.Int64 // of which keys and stored values; written under mu
 	hits    atomic.Int64
 	misses  atomic.Int64
 	expired atomic.Int64
 	version atomic.Uint64
 
-	// Pad the struct past a cacheline: shards are individually
-	// heap-allocated, and the pad pushes them into a size class large
-	// enough that two shards' counters never land on one line.
-	_ [40]byte
+	// 128 bytes: a shard is heap-allocated on its own and fills two
+	// cachelines of the allocator's 128-byte class, so no two shards'
+	// counters share a line.
 }
 
 // Engine is the in-memory store.
@@ -171,7 +208,7 @@ func New(opts Options) *Engine {
 		opts:   opts,
 	}
 	for i := range e.shards {
-		e.shards[i] = &shard{items: make(map[string]*item)}
+		e.shards[i] = &shard{}
 	}
 	return e
 }
@@ -183,10 +220,10 @@ func (e *Engine) NumShards() int { return len(e.shards) }
 // own per-stripe state (e.g. the cache tier's LRU shards) use this to
 // align it with the engine's striping, so one key always maps to the same
 // stripe on both sides.
-func (e *Engine) ShardIndex(key string) int { return int(e.shardIndex(key)) }
+func (e *Engine) ShardIndex(key string) int { return int(fnv1a(key) & e.mask) }
 
-// ShardMemUsed reports the DRAM bytes resident in stripe i (keys plus
-// inline values), the per-stripe leg of MemUsed.
+// ShardMemUsed reports the DRAM bytes stripe i holds, the per-stripe leg
+// of MemUsed.
 func (e *Engine) ShardMemUsed(i int) int64 { return e.shards[i].memUsed.Load() }
 
 // fnv1a is an inlined, allocation-free FNV-1a over the key bytes.
@@ -199,86 +236,201 @@ func fnv1a(key string) uint32 {
 	return h
 }
 
-// shardIndex maps a key to its stripe index.
-func (e *Engine) shardIndex(key string) uint32 { return fnv1a(key) & e.mask }
-
-// shardFor returns the stripe owning key.
-func (e *Engine) shardFor(key string) *shard { return e.shards[e.shardIndex(key)] }
+// locate hashes key once for both levels: the low bits pick the stripe,
+// and the stripe's index spreads the same hash again (slotHash).
+func (e *Engine) locate(key string) (kh uint32, s *shard) {
+	kh = fnv1a(key)
+	return kh, e.shards[kh&e.mask]
+}
 
 // now returns the configured clock's time in unixnanos.
 func (e *Engine) now() int64 { return e.opts.Clock().UnixNano() }
 
-// nextVersion allocates a monotone mutation version within a shard.
-// Versions only need to distinguish successive states of one key, and a
-// key never changes shard, so per-shard counters avoid a global hotspot.
+// lapsed reports whether a deadline has passed. Keys without one (at == 0)
+// never read the clock.
+func (e *Engine) lapsed(at int64) bool { return at != 0 && e.now() >= at }
+
+// nextVersion allocates a mutation version unique within a shard. Versions
+// only need to distinguish successive states of one key, and a key never
+// changes shard, so per-shard counters avoid a global hotspot.
 func (s *shard) nextVersion() uint64 { return s.version.Add(1) }
 
-// expiredAt reports whether the item's TTL has lapsed.
-func (it *item) expiredAt(now int64) bool {
-	return it.expireAt != 0 && now >= it.expireAt
+// entry is what a key resolves to in its stripe: a string record, a
+// collection, or (the zero entry) nothing.
+type entry struct {
+	rec record
+	it  *item
 }
 
-// getItem returns the live item for key, honoring lazy expiration.
-// Caller must hold s.mu (either mode); expired items are treated as absent
-// (actual deletion happens in write paths or the sweeper).
-func (s *shard) getItem(key string, now int64) (*item, bool) {
-	it, ok := s.items[key]
-	if !ok || it.expiredAt(now) {
-		return nil, false
+func (en entry) present() bool { return en.rec != nil || en.it != nil }
+
+func (en entry) kind() Kind {
+	switch {
+	case en.rec != nil:
+		return KindString
+	case en.it != nil:
+		return en.it.kind
 	}
-	return it, true
+	return KindNone
 }
 
-// deleteItemLocked removes an item and adjusts accounting. Caller holds
-// s.mu write lock.
-func (e *Engine) deleteItemLocked(s *shard, key string, it *item) {
-	if !it.str.ref.IsZero() && e.opts.Arena != nil {
-		e.opts.Arena.Free(it.str.ref)
+// expireAt is the entry's deadline, 0 when it has none or is absent.
+func (en entry) expireAt() int64 {
+	switch {
+	case en.rec != nil:
+		return en.rec.deadline()
+	case en.it != nil:
+		return en.it.expireAt
 	}
+	return 0
+}
+
+func (en entry) version() uint64 {
+	if en.rec != nil {
+		return en.rec.parse().version
+	}
+	return en.it.version
+}
+
+// lookup resolves key, lapsed or not. Caller holds s.mu (either mode).
+func (s *shard) lookup(kh uint32, key string) entry {
+	if rec := s.strs.get(kh, key); rec != nil {
+		return entry{rec: rec}
+	}
+	return entry{it: s.colls[key]}
+}
+
+// live is lookup honoring lazy expiration: a lapsed entry reads as absent
+// (it is deleted by write paths or the sweeper). Caller holds s.mu.
+func (e *Engine) live(s *shard, kh uint32, key string) (entry, bool) {
+	en := s.lookup(kh, key)
+	if !en.present() || e.lapsed(en.expireAt()) {
+		return entry{}, false
+	}
+	return en, true
+}
+
+// --- publishing and removing entries (caller holds s.mu write lock) ---
+
+// collSlotBytes is the map[string]*item slot a collection occupies: a
+// 16-byte key header, the pointer and a control byte, at the 1/2 to 7/8
+// load a Go map runs at.
+const collSlotBytes = 48
+
+// newItem starts an empty collection for key, charged its cost before the
+// first element: the item, its map slot and the key string the map holds.
+func newItem(key string, kind Kind) *item {
+	return &item{
+		kind:     kind,
+		memBytes: allocBytes(itemBytes) + collSlotBytes + allocBytes(len(key)),
+		payload:  int64(len(key)),
+	}
+}
+
+// freeRef returns a value's PMem, if that is where it lives, to the arena.
+func (e *Engine) freeRef(st stored) {
+	if st.flags&flagPMem != 0 {
+		e.opts.Arena.Free(st.ref())
+	}
+}
+
+// forget takes rec, already out of the index, out of the accounts, and
+// frees the PMem its value occupies. tableDelta is the index table's
+// growth since before the removal.
+func (e *Engine) forget(s *shard, rec record, tableDelta int64) {
+	f := rec.parse()
+	e.freeRef(f.stored)
+	s.memUsed.Add(tableDelta - allocBytes(len(rec)))
+	s.payload.Add(-f.payload())
+}
+
+// removeItem deletes the collection it, which is key's entry.
+func (e *Engine) removeItem(s *shard, key string, it *item) {
+	delete(s.colls, key)
 	s.memUsed.Add(-it.memBytes)
-	delete(s.items, key)
+	s.payload.Add(-it.payload)
+}
+
+// remove deletes en, which lookup returned for key.
+func (e *Engine) remove(s *shard, kh uint32, key string, en entry) {
+	if en.it != nil {
+		e.removeItem(s, key, en.it)
+		return
+	}
+	table := s.strs.tableBytes()
+	s.strs.del(kh, key)
+	e.forget(s, en.rec, s.strs.tableBytes()-table)
+}
+
+// publish makes rec the entry for key, replacing whatever was there.
+func (e *Engine) publish(s *shard, kh uint32, key string, rec record) {
+	if it, ok := s.colls[key]; ok {
+		e.removeItem(s, key, it)
+	}
+	table := s.strs.tableBytes()
+	old := s.strs.put(kh, key, rec)
+	s.memUsed.Add(allocBytes(len(rec)) + s.strs.tableBytes() - table)
+	s.payload.Add(rec.parse().payload())
+	if old != nil {
+		e.forget(s, old, 0)
+	}
+}
+
+// addItem makes the collection it the entry for key, which has none.
+func (e *Engine) addItem(s *shard, key string, it *item) {
+	if s.colls == nil {
+		s.colls = make(map[string]*item)
+	}
+	s.colls[key] = it
+	s.memUsed.Add(it.memBytes)
+	s.payload.Add(it.payload)
 }
 
 // --- value encode/decode (compression + PMem placement) ---
 
-// encodeValue prepares the physical representation of a string value.
-func (e *Engine) encodeValue(val []byte) (storedVal, bool) {
-	sv := storedVal{rawLen: len(val)}
-	data := val
-	unmatched := false
+// encode builds the record for a string value: compressed when that makes
+// it smaller, in PMem when it is large enough and the arena has room.
+// Runs outside the stripe lock; a record that is then not published must
+// go to discard.
+func (e *Engine) encode(s *shard, key string, val []byte) (record, error) {
+	data, flags := val, byte(0)
 	if c := e.opts.Compressor; c != nil && len(val) >= e.opts.CompressMin {
 		comp := c.Compress(val)
-		if e.opts.Monitor != nil {
-			unmatched = compress.IsEscape(comp) && c.Name() == "pbc"
-			e.opts.Monitor.Observe(len(val), len(comp), unmatched)
+		if m := e.opts.Monitor; m != nil {
+			m.Observe(len(val), len(comp), compress.IsEscape(comp) && c.Name() == "pbc")
 		}
 		if len(comp) < len(val) {
-			data = comp
-			sv.compressed = true
+			data, flags = comp, flagCompressed
 		}
 	}
-	if e.opts.Arena != nil && len(data) >= e.opts.PMemMin {
-		if ref, err := e.opts.Arena.Put(data); err == nil {
-			sv.ref = ref
-			return sv, unmatched
-		}
+	if a := e.opts.Arena; a != nil && len(data) >= e.opts.PMemMin {
 		// Arena full: fall back to DRAM.
+		if ref, err := a.Put(data); err == nil {
+			var buf [refBytes]byte
+			rec, err := newRecord(key, s.nextVersion(), flags|flagPMem, 0, appendRef(buf[:0], ref))
+			if err != nil {
+				a.Free(ref)
+			}
+			return rec, err
+		}
 	}
-	sv.inline = append([]byte(nil), data...)
-	return sv, unmatched
+	return newRecord(key, s.nextVersion(), flags, 0, data)
 }
 
-// decodeValue materializes the logical bytes of a stored value.
-func (e *Engine) decodeValue(sv storedVal) ([]byte, error) {
-	data := sv.inline
-	if !sv.ref.IsZero() {
+// discard releases what encode took for a record that lost its race.
+func (e *Engine) discard(rec record) { e.freeRef(rec.parse().stored) }
+
+// decode materializes the logical bytes of a record's value. It reads only
+// the immutable part of the record, so it runs outside the stripe lock.
+func (e *Engine) decode(st stored) ([]byte, error) {
+	data := st.val
+	if st.flags&flagPMem != 0 {
 		var err error
-		data, err = e.opts.Arena.Get(sv.ref)
-		if err != nil {
+		if data, err = e.opts.Arena.Get(st.ref()); err != nil {
 			return nil, err
 		}
 	}
-	if sv.compressed {
+	if st.flags&flagCompressed != 0 {
 		return e.opts.Compressor.Decompress(data)
 	}
 	// Copy so callers can't mutate engine-owned memory. The copy is
@@ -289,87 +441,73 @@ func (e *Engine) decodeValue(sv storedVal) ([]byte, error) {
 	return out, nil
 }
 
-// dramBytes is the DRAM cost of a stored value (PMem-resident bytes are
-// accounted by the arena, not here).
-func (sv storedVal) dramBytes() int64 {
-	return int64(len(sv.inline))
-}
-
-// itemOverhead approximates per-item bookkeeping bytes (map entry, struct).
-const itemOverhead = 64
-
-// newStringItem builds a string item with accounting; caller inserts it.
-func newStringItem(key string, sv storedVal, version uint64) *item {
-	return &item{
-		kind:     KindString,
-		str:      sv,
-		version:  version,
-		memBytes: int64(len(key)) + sv.dramBytes() + itemOverhead,
-	}
-}
-
-// setLocked replaces any existing entry for key with a string item.
-// Caller holds s.mu write lock.
-func (e *Engine) setLocked(s *shard, key string, sv storedVal) {
-	if old, exists := s.items[key]; exists {
-		e.deleteItemLocked(s, key, old)
-	}
-	it := newStringItem(key, sv, s.nextVersion())
-	s.items[key] = it
-	s.memUsed.Add(it.memBytes)
-}
-
 // --- string operations ---
 
 // Set stores a string value, clearing any TTL.
 func (e *Engine) Set(key string, val []byte) error {
-	sv, _ := e.encodeValue(val)
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
+	rec, err := e.encode(s, key, val)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	e.setLocked(s, key, sv)
+	e.publish(s, kh, key, rec)
+	s.mu.Unlock()
 	return nil
 }
 
 // SetNX stores val only if key is absent; reports whether it stored.
 func (e *Engine) SetNX(key string, val []byte) (bool, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
-	_, live := s.getItem(key, e.now())
+	_, live := e.live(s, kh, key)
 	s.mu.RUnlock()
 	if live {
 		return false, nil
 	}
 	// Encode outside the lock; wasted work only when a concurrent SetNX
 	// wins the race below, which the write-locked re-check detects.
-	sv, _ := e.encodeValue(val)
+	rec, err := e.encode(s, key, val)
+	if err != nil {
+		return false, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, live := s.getItem(key, e.now()); live {
+	if _, live := e.live(s, kh, key); live {
+		e.discard(rec)
 		return false, nil
 	}
-	e.setLocked(s, key, sv)
+	e.publish(s, kh, key, rec)
 	return true, nil
+}
+
+// get is the one string read path: look the record up under the stripe
+// read lock, decode it outside.
+func (e *Engine) get(key string) (val []byte, stripe int, version uint64, err error) {
+	kh, s := e.locate(key)
+	stripe = int(kh & e.mask)
+	s.mu.RLock()
+	en, ok := e.live(s, kh, key)
+	if !ok {
+		s.mu.RUnlock()
+		s.misses.Add(1)
+		return nil, stripe, 0, ErrNotFound
+	}
+	if en.rec == nil {
+		s.mu.RUnlock()
+		return nil, stripe, 0, ErrWrongType
+	}
+	f := en.rec.parse()
+	s.mu.RUnlock()
+	s.hits.Add(1)
+	val, err = e.decode(f.stored)
+	return val, stripe, f.version, err
 }
 
 // Get fetches a string value.
 func (e *Engine) Get(key string) ([]byte, error) {
-	s := e.shardFor(key)
-	s.mu.RLock()
-	it, ok := s.getItem(key, e.now())
-	if !ok {
-		s.mu.RUnlock()
-		s.misses.Add(1)
-		return nil, ErrNotFound
-	}
-	if it.kind != KindString {
-		s.mu.RUnlock()
-		return nil, ErrWrongType
-	}
-	sv := it.str
-	s.mu.RUnlock()
-	s.hits.Add(1)
-	return e.decodeValue(sv)
+	val, _, _, err := e.get(key)
+	return val, err
 }
 
 // GetWithShard is Get plus the stripe index the key hashed to. The cache
@@ -377,45 +515,14 @@ func (e *Engine) Get(key string) ([]byte, error) {
 // Get already computed it — returning it saves the caller a second
 // FNV pass over the key on the hottest path in the system.
 func (e *Engine) GetWithShard(key string) ([]byte, int, error) {
-	si := e.shardIndex(key)
-	s := e.shards[si]
-	s.mu.RLock()
-	it, ok := s.getItem(key, e.now())
-	if !ok {
-		s.mu.RUnlock()
-		s.misses.Add(1)
-		return nil, int(si), ErrNotFound
-	}
-	if it.kind != KindString {
-		s.mu.RUnlock()
-		return nil, int(si), ErrWrongType
-	}
-	sv := it.str
-	s.mu.RUnlock()
-	s.hits.Add(1)
-	v, err := e.decodeValue(sv)
-	return v, int(si), err
+	val, stripe, _, err := e.get(key)
+	return val, stripe, err
 }
 
 // GetWithVersion fetches a string value plus its CAS version token.
 func (e *Engine) GetWithVersion(key string) ([]byte, uint64, error) {
-	s := e.shardFor(key)
-	s.mu.RLock()
-	it, ok := s.getItem(key, e.now())
-	if !ok {
-		s.mu.RUnlock()
-		s.misses.Add(1)
-		return nil, 0, ErrNotFound
-	}
-	if it.kind != KindString {
-		s.mu.RUnlock()
-		return nil, 0, ErrWrongType
-	}
-	sv, ver := it.str, it.version
-	s.mu.RUnlock()
-	s.hits.Add(1)
-	val, err := e.decodeValue(sv)
-	return val, ver, err
+	val, _, version, err := e.get(key)
+	return val, version, err
 }
 
 // Del removes keys; returns how many existed. Multi-key deletes group by
@@ -424,93 +531,107 @@ func (e *Engine) Del(keys ...string) int { return e.BatchDel(keys) }
 
 // Exists reports whether key is live.
 func (e *Engine) Exists(key string) bool {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := s.getItem(key, e.now())
+	_, ok := e.live(s, kh, key)
 	return ok
 }
 
 // Type returns the kind of key (KindNone if absent).
 func (e *Engine) Type(key string) Kind {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	it, ok := s.getItem(key, e.now())
-	if !ok {
-		return KindNone
-	}
-	return it.kind
+	en, _ := e.live(s, kh, key)
+	return en.kind()
 }
 
 // CompareAndSet replaces key's value with newVal only if the current value
 // equals oldVal (the paper's CAS operation). oldVal nil means "key absent".
 func (e *Engine) CompareAndSet(key string, oldVal, newVal []byte) error {
+	kh, s := e.locate(key)
 	// Pre-encode outside the lock; wasted work only on mismatch.
-	sv, _ := e.encodeValue(newVal)
-	s := e.shardFor(key)
+	rec, err := e.encode(s, key, newVal)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, ok := s.getItem(key, e.now())
+	if err := e.casCheck(s, kh, key, oldVal); err != nil {
+		e.discard(rec)
+		return err
+	}
+	e.publish(s, kh, key, rec)
+	return nil
+}
+
+// casCheck reports whether key currently holds oldVal (nil = is absent).
+func (e *Engine) casCheck(s *shard, kh uint32, key string, oldVal []byte) error {
+	en, ok := e.live(s, kh, key)
 	if !ok {
 		if oldVal != nil {
 			return ErrCASMismatch
 		}
-	} else {
-		if it.kind != KindString {
-			return ErrWrongType
-		}
-		cur, err := e.decodeValue(it.str)
-		if err != nil {
-			return err
-		}
-		if oldVal == nil || !bytesEqual(cur, oldVal) {
-			return ErrCASMismatch
-		}
+		return nil
 	}
-	e.setLocked(s, key, sv)
+	if en.rec == nil {
+		return ErrWrongType
+	}
+	cur, err := e.decode(en.rec.parse().stored)
+	if err != nil {
+		return err
+	}
+	if oldVal == nil || !bytes.Equal(cur, oldVal) {
+		return ErrCASMismatch
+	}
 	return nil
 }
 
 // SetIfVersion replaces key's value only if its version token matches
 // (optimistic concurrency for read-modify-write).
 func (e *Engine) SetIfVersion(key string, val []byte, version uint64) error {
-	sv, _ := e.encodeValue(val)
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
+	rec, err := e.encode(s, key, val)
+	if err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, ok := s.getItem(key, e.now())
-	if !ok || it.version != version {
+	if en, ok := e.live(s, kh, key); !ok || en.version() != version {
+		e.discard(rec)
 		return ErrCASMismatch
 	}
-	e.setLocked(s, key, sv)
+	e.publish(s, kh, key, rec)
 	return nil
 }
 
 // IncrBy adds delta to the integer value at key (0 if absent).
 func (e *Engine) IncrBy(key string, delta int64) (int64, error) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, ok := s.getItem(key, e.now())
 	var cur int64
-	if ok {
-		if it.kind != KindString {
+	if en, ok := e.live(s, kh, key); ok {
+		if en.rec == nil {
 			return 0, ErrWrongType
 		}
-		raw, err := e.decodeValue(it.str)
+		raw, err := e.decode(en.rec.parse().stored)
 		if err != nil {
 			return 0, err
 		}
-		cur, err = parseInt(raw)
-		if err != nil {
+		if cur, err = parseInt(raw); err != nil {
 			return 0, ErrNotInteger
 		}
 	}
 	cur += delta
-	buf := appendInt(nil, cur)
-	sv := storedVal{inline: buf, rawLen: len(buf)} // counters are never compressed/offloaded
-	e.setLocked(s, key, sv)
+	// Counters are never compressed or offloaded.
+	var buf [20]byte
+	rec, err := newRecord(key, s.nextVersion(), 0, 0, appendInt(buf[:0], cur))
+	if err != nil {
+		return 0, err
+	}
+	e.publish(s, kh, key, rec)
 	return cur, nil
 }
 
@@ -526,98 +647,106 @@ func (e *Engine) Expire(key string, d time.Duration) bool {
 // an op applied seconds late on a slow replica must expire the key at
 // the master's wall-clock instant, not late-arrival + TTL.
 func (e *Engine) ExpireAt(key string, at int64) bool {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	it, ok := s.getItem(key, e.now())
+	en, ok := e.live(s, kh, key)
 	if !ok {
 		return false
 	}
-	it.expireAt = at
+	switch {
+	case en.it != nil:
+		en.it.expireAt = at
+	case en.rec[0]&flagTTL != 0:
+		en.rec.setDeadline(at)
+	case at != 0:
+		// First TTL on this record: publish a copy that has the slot. The
+		// copy carries the same value (and PMem ref), so only the record's
+		// own size changes hands.
+		rec, err := en.rec.withDeadline(at)
+		if err != nil {
+			return false
+		}
+		s.strs.put(kh, key, rec)
+		s.memUsed.Add(allocBytes(len(rec)) - allocBytes(len(en.rec)))
+	}
 	return true
 }
 
 // TakeExpired deletes key if (and only if) it is present with a lapsed
 // TTL, reporting whether it did. This is the expiry-driven
-// delete-through hook: lazy expiry leaves the dead item in the map and
-// getItem merely hides it, so without this seam an expired key
+// delete-through hook: lazy expiry leaves the dead entry in place and
+// live merely hides it, so without this seam an expired key
 // resurrects from the storage tier on its next cold read. The caller
 // (cache.Tiered) routes a tombstone through the write path when this
 // returns true.
 func (e *Engine) TakeExpired(key string) bool {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.Lock()
-	it, ok := s.items[key]
-	if !ok || !it.expiredAt(e.now()) {
-		s.mu.Unlock()
+	defer s.mu.Unlock()
+	en := s.lookup(kh, key)
+	if !e.lapsed(en.expireAt()) {
 		return false
 	}
-	e.deleteItemLocked(s, key, it)
+	e.remove(s, kh, key, en)
 	s.expired.Add(1)
-	s.mu.Unlock()
 	return true
 }
 
 // CollectExpired returns up to max keys whose TTL has lapsed but whose
-// items still occupy the shard maps. Read locks only — the caller
+// entries still occupy their stripe. Read locks only — the caller
 // confirms and deletes each key through TakeExpired (directly or via
 // the tiered delete-through path), which rechecks under the write lock
 // so a concurrent PERSIST or overwrite wins the race.
 func (e *Engine) CollectExpired(max int) []string {
-	if max <= 0 {
-		return nil
-	}
 	var out []string
 	for _, s := range e.shards {
-		s.mu.RLock()
-		now := e.now()
-		for key, it := range s.items {
-			if it.expiredAt(now) {
-				out = append(out, key)
-				if len(out) >= max {
-					break
-				}
-			}
-		}
-		s.mu.RUnlock()
 		if len(out) >= max {
 			break
 		}
+		s.mu.RLock()
+		now := e.now()
+		s.strs.each(func(rec record) bool {
+			if at := rec.deadline(); at != 0 && now >= at {
+				out = append(out, string(rec.parse().key))
+			}
+			return len(out) < max
+		})
+		for key, it := range s.colls {
+			if len(out) >= max {
+				break
+			}
+			if it.expireAt != 0 && now >= it.expireAt {
+				out = append(out, key)
+			}
+		}
+		s.mu.RUnlock()
 	}
 	return out
 }
 
 // Persist clears a TTL; reports whether the key existed.
-func (e *Engine) Persist(key string) bool {
-	s := e.shardFor(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	it, ok := s.getItem(key, e.now())
-	if !ok {
-		return false
-	}
-	it.expireAt = 0
-	return true
-}
+func (e *Engine) Persist(key string) bool { return e.ExpireAt(key, 0) }
 
 // TTL returns the remaining lifetime; (0, false) if absent or no TTL.
 func (e *Engine) TTL(key string) (time.Duration, bool) {
-	s := e.shardFor(key)
+	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	it, ok := s.getItem(key, e.now())
-	if !ok || it.expireAt == 0 {
+	at := s.lookup(kh, key).expireAt()
+	now := e.now()
+	if at == 0 || now >= at {
 		return 0, false
 	}
-	return time.Duration(it.expireAt - e.now()), true
+	return time.Duration(at - now), true
 }
 
 // SweepExpired scans up to max keys and deletes lapsed ones, returning the
 // number removed (the active expiration cycle; lazy expiry handles access).
 // The sweep is per-shard incremental: each stripe is scanned under its own
 // write lock, so an expiry cycle never stalls readers of other shards, and
-// the rotating start cursor lets small budgets cover the whole keyspace
-// across successive calls.
+// the rotating start cursor (and each stripe's own resume position) lets
+// small budgets cover the whole keyspace across successive calls.
 func (e *Engine) SweepExpired(max int) int {
 	if max <= 0 {
 		return 0
@@ -631,13 +760,24 @@ func (e *Engine) SweepExpired(max int) int {
 		s := e.shards[(start+i)&e.mask]
 		shardRemoved := 0
 		s.mu.Lock()
-		for key, it := range s.items {
+		table := s.strs.tableBytes()
+		scanned += s.strs.sweep(&s.sweepPos, max-scanned, func(rec record) bool {
+			at := rec.deadline()
+			if at == 0 || now < at {
+				return false
+			}
+			e.forget(s, rec, 0)
+			shardRemoved++
+			return true
+		})
+		s.memUsed.Add(s.strs.tableBytes() - table)
+		for key, it := range s.colls {
 			if scanned >= max {
 				break
 			}
 			scanned++
-			if it.expiredAt(now) {
-				e.deleteItemLocked(s, key, it)
+			if it.expireAt != 0 && now >= it.expireAt {
+				e.removeItem(s, key, it)
 				shardRemoved++
 			}
 		}
@@ -654,22 +794,21 @@ func (e *Engine) SweepExpired(max int) int {
 
 // Stats summarizes engine state.
 type Stats struct {
-	Keys     int
-	MemBytes int64 // DRAM only
-	PMemUsed int64
-	Hits     int64
-	Misses   int64
-	Expired  int64
+	Keys         int
+	MemBytes     int64 // DRAM held: records, index tables, collections
+	PayloadBytes int64 // the part of MemBytes that is keys and stored values
+	PMemUsed     int64
+	Hits         int64
+	Misses       int64
+	Expired      int64
 }
 
 // Stats returns a snapshot of counters, folded across shards.
 func (e *Engine) Stats() Stats {
-	var st Stats
+	st := Stats{Keys: e.Len()}
 	for _, s := range e.shards {
-		s.mu.RLock()
-		st.Keys += len(s.items)
-		s.mu.RUnlock()
 		st.MemBytes += s.memUsed.Load()
+		st.PayloadBytes += s.payload.Load()
 		st.Hits += s.hits.Load()
 		st.Misses += s.misses.Load()
 		st.Expired += s.expired.Load()
@@ -680,7 +819,10 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// MemUsed returns approximate DRAM bytes (summed across shards).
+// MemUsed returns the DRAM bytes the engine holds, summed across shards:
+// every record at its allocated size, every index table at its capacity,
+// and the accounted cost of collections. TestMemUsedTracksHeap holds it to
+// within 15% of the Go heap.
 func (e *Engine) MemUsed() int64 {
 	var total int64
 	for _, s := range e.shards {
@@ -694,170 +836,140 @@ func (e *Engine) Len() int {
 	n := 0
 	for _, s := range e.shards {
 		s.mu.RLock()
-		n += len(s.items)
+		n += s.strs.n + len(s.colls)
 		s.mu.RUnlock()
 	}
 	return n
 }
 
-// ForEachString visits every live string key (decoded); used for
-// replication snapshots and cost measurement. The callback must not call
-// back into the engine. Iteration order is unspecified. The snapshot is
-// taken shard by shard, so it is consistent within a shard but not across
-// shards (same guarantee a Redis SCAN cursor gives).
-func (e *Engine) ForEachString(fn func(key string, val []byte) bool) error {
-	type kv struct {
-		k  string
-		sv storedVal
-	}
-	for _, s := range e.shards {
-		s.mu.RLock()
-		now := e.now()
-		snapshot := make([]kv, 0, len(s.items))
-		for k, it := range s.items {
-			if it.kind == KindString && !it.expiredAt(now) {
-				snapshot = append(snapshot, kv{k, it.str})
-			}
-		}
-		s.mu.RUnlock()
-		for _, p := range snapshot {
-			val, err := e.decodeValue(p.sv)
-			if err != nil {
-				return err
-			}
-			if !fn(p.k, val) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// ForEachEncoded visits every live key of every kind: strings yield
-// their value with encoded=false, collections yield a typed blob
-// (EncodeCollection format) with encoded=true. Each shard is
-// snapshotted under its read lock (collections are serialized inside
-// the critical section — their internals are mutable), so the view is
-// per-shard consistent, like ForEachString. Used for replication
-// full-sync snapshots.
-func (e *Engine) ForEachEncoded(fn func(key string, val []byte, encoded bool) bool) error {
-	type ekv struct {
-		k   string
-		sv  storedVal // strings: decoded outside the lock
-		eb  []byte    // collections: blob built under the lock
-		enc bool
-	}
-	for _, s := range e.shards {
-		s.mu.RLock()
-		now := e.now()
-		snapshot := make([]ekv, 0, len(s.items))
-		for k, it := range s.items {
-			if it.expiredAt(now) {
-				continue
-			}
-			if it.kind == KindString {
-				snapshot = append(snapshot, ekv{k: k, sv: it.str})
-			} else if blob, ok := encodeCollectionLocked(it); ok {
-				snapshot = append(snapshot, ekv{k: k, eb: blob, enc: true})
-			}
-		}
-		s.mu.RUnlock()
-		for _, p := range snapshot {
-			val := p.eb
-			if !p.enc {
-				var err error
-				val, err = e.decodeValue(p.sv)
-				if err != nil {
-					return err
-				}
-			}
-			if !fn(p.k, val, p.enc) {
-				return nil
-			}
-		}
-	}
-	return nil
-}
-
-// SnapEntry is one key in a chunked snapshot walk (ForEachEncodedChunked).
+// SnapEntry is one key in a snapshot walk.
 type SnapEntry struct {
 	Key     string
 	Val     []byte
 	Encoded bool // Val is a typed collection blob (EncodeCollection format)
 }
 
+// ForEachString visits every live string key (decoded). The callback must
+// not call back into the engine. Iteration order is unspecified. The
+// snapshot is taken shard by shard, so it is consistent within a shard but
+// not across shards (same guarantee a Redis SCAN cursor gives).
+func (e *Engine) ForEachString(fn func(key string, val []byte) bool) error {
+	return e.walk(0, false, func(chunk []SnapEntry) bool {
+		for _, p := range chunk {
+			if !fn(p.Key, p.Val) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
+// ForEachEncoded visits every live key of every kind: strings yield
+// their value with encoded=false, collections yield a typed blob
+// (EncodeCollection format) with encoded=true.
+func (e *Engine) ForEachEncoded(fn func(key string, val []byte, encoded bool) bool) error {
+	return e.walk(0, true, func(chunk []SnapEntry) bool {
+		for _, p := range chunk {
+			if !fn(p.Key, p.Val, p.Encoded) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 // ForEachEncodedChunked is the bounded-buffer form of ForEachEncoded,
-// built for replication full-sync snapshots feeding a socket: plain
-// ForEachEncoded materializes a whole shard (every collection
-// serialized) in one slice before the first callback, so a big shard
-// costs O(shard) memory per attached replica. Here only the key list is
-// captured up front (strings, cheap); values materialize in chunks of
-// ~maxChunkBytes (at least one entry per chunk), each chunk under its
-// own short read-lock hold, and fn runs with no lock held — a stalled
-// replica socket inside fn never blocks writers, and buffered memory
-// stays O(chunk).
+// built for replication full-sync snapshots feeding a socket: only a
+// stripe's key list is captured up front; values materialize in chunks
+// of at most maxChunkBytes (<= 0: 1 MiB) of keys and decoded values plus
+// one entry, and fn runs with no lock held — a stalled replica socket
+// inside fn never blocks writers, and buffered memory stays O(chunk)
+// whatever the compression ratio.
 //
 // Keys deleted between the key listing and their chunk are skipped; a
-// key mutated in between yields its newer value. Callers tolerate both
+// key mutated in between yields either value. Callers tolerate both
 // by streaming the op log from a position at or before the walk.
 // Returning false from fn stops the walk.
 func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEntry) bool) error {
+	return e.walk(maxChunkBytes, true, fn)
+}
+
+// walk is the one snapshot iterator. Per stripe it lists the live keys,
+// then alternates two steps until the list is done: under a short read
+// lock, gather up to maxChunkBytes of records (by reference: they are
+// immutable) and collection blobs (serialized there: collections are
+// not); with no lock held, decode the records and hand fn a chunk each
+// time maxChunkBytes of decoded data has piled up.
+func (e *Engine) walk(maxChunkBytes int, collections bool, fn func(chunk []SnapEntry) bool) error {
 	if maxChunkBytes <= 0 {
 		maxChunkBytes = 1 << 20
 	}
-	type ekv struct {
-		k   string
-		sv  storedVal // strings: decoded outside the lock
-		eb  []byte    // collections: blob built under the lock
-		enc bool
+	type pending struct {
+		key  string
+		st   stored // strings
+		blob []byte // collections
 	}
 	for _, s := range e.shards {
 		s.mu.RLock()
-		keys := make([]string, 0, len(s.items))
 		now := e.now()
-		for k, it := range s.items {
-			if !it.expiredAt(now) {
-				keys = append(keys, k)
+		keys := make([]string, 0, s.strs.n+len(s.colls))
+		s.strs.each(func(rec record) bool {
+			if at := rec.deadline(); at == 0 || now < at {
+				keys = append(keys, string(rec.parse().key))
+			}
+			return true
+		})
+		if collections {
+			for k, it := range s.colls {
+				if it.expireAt == 0 || now < it.expireAt {
+					keys = append(keys, k)
+				}
 			}
 		}
 		s.mu.RUnlock()
+
+		var chunk []SnapEntry
+		size := 0
 		for i := 0; i < len(keys); {
+			var batch []pending
+			held := 0
 			s.mu.RLock()
-			now = e.now()
-			var raw []ekv
-			bytes := 0
-			for ; i < len(keys) && (len(raw) == 0 || bytes < maxChunkBytes); i++ {
-				it, ok := s.items[keys[i]]
-				if !ok || it.expiredAt(now) {
+			for ; i < len(keys) && (len(batch) == 0 || held < maxChunkBytes); i++ {
+				en, ok := e.live(s, fnv1a(keys[i]), keys[i])
+				if !ok {
 					continue // deleted or lapsed since the key listing
 				}
-				if it.kind == KindString {
-					raw = append(raw, ekv{k: keys[i], sv: it.str})
-					bytes += int(it.memBytes)
-				} else if blob, ok := encodeCollectionLocked(it); ok {
-					raw = append(raw, ekv{k: keys[i], eb: blob, enc: true})
-					bytes += len(blob)
+				p := pending{key: keys[i]}
+				if en.rec != nil {
+					p.st = en.rec.parse().stored
+					held += len(en.rec)
+				} else if p.blob, ok = encodeCollectionLocked(en.it); ok && collections {
+					held += len(p.blob)
+				} else {
+					continue
 				}
+				batch = append(batch, p)
 			}
 			s.mu.RUnlock()
-			if len(raw) == 0 {
-				continue
-			}
-			chunk := make([]SnapEntry, 0, len(raw))
-			for _, p := range raw {
-				val := p.eb
-				if !p.enc {
+			for _, p := range batch {
+				val := p.blob
+				if val == nil {
 					var err error
-					val, err = e.decodeValue(p.sv)
-					if err != nil {
+					if val, err = e.decode(p.st); err != nil {
 						return err
 					}
 				}
-				chunk = append(chunk, SnapEntry{Key: p.k, Val: val, Encoded: p.enc})
+				chunk = append(chunk, SnapEntry{Key: p.key, Val: val, Encoded: p.blob != nil})
+				if size += len(p.key) + len(val); size >= maxChunkBytes {
+					if !fn(chunk) {
+						return nil
+					}
+					chunk, size = nil, 0
+				}
 			}
-			if !fn(chunk) {
-				return nil
-			}
+		}
+		if len(chunk) > 0 && !fn(chunk) {
+			return nil
 		}
 	}
 	return nil
@@ -869,26 +981,21 @@ func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEn
 func (e *Engine) FlushAll() {
 	for _, s := range e.shards {
 		s.mu.Lock()
-		for key, it := range s.items {
-			e.deleteItemLocked(s, key, it)
+		if e.opts.Arena != nil {
+			s.strs.each(func(rec record) bool {
+				e.discard(rec)
+				return true
+			})
 		}
+		s.strs = index{}
+		s.colls = nil
+		s.memUsed.Store(0)
+		s.payload.Store(0)
 		s.mu.Unlock()
 	}
 }
 
 // --- small helpers ---
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
 
 func parseInt(b []byte) (int64, error) {
 	if len(b) == 0 {

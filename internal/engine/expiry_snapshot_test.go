@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 	"testing"
 	"time"
@@ -168,5 +169,39 @@ func TestForEachEncodedChunkedSkipsExpired(t *testing.T) {
 	}
 	if !seen["live"] || seen["dead"] {
 		t.Fatalf("snapshot saw %v", seen)
+	}
+}
+
+// TestForEachEncodedChunkedBoundsDecodedBytes: a full-sync chunk is sized
+// by what the replica socket will carry, the decoded values, not by what
+// the engine stores. With a compressor at ratio ~0.02 a chunk sized by
+// stored bytes would decode to fifty times its budget.
+func TestForEachEncodedChunkedBoundsDecodedBytes(t *testing.T) {
+	e := New(Options{Shards: 2, Compressor: tailCompressor{}})
+	rng := rand.New(rand.NewSource(7))
+	const keys, maxChunk = 400, 8 << 10
+	largest := 0
+	for i := 0; i < keys; i++ {
+		k, v := fmt.Sprintf("k%03d", i), zeroTailed(rng, 16, 1000)
+		e.Set(k, v)
+		largest = max(largest, len(k)+len(v))
+	}
+	if stored := e.Stats().PayloadBytes; stored > keys*32 {
+		t.Fatalf("values not stored compressed: %d payload bytes", stored)
+	}
+	seen := 0
+	err := e.ForEachEncodedChunked(maxChunk, func(chunk []SnapEntry) bool {
+		size := 0
+		for _, p := range chunk {
+			size += len(p.Key) + len(p.Val)
+		}
+		if size > maxChunk+largest {
+			t.Errorf("chunk of %d entries decodes to %d bytes, over %d + one entry", len(chunk), size, maxChunk)
+		}
+		seen += len(chunk)
+		return true
+	})
+	if err != nil || seen != keys {
+		t.Fatalf("walk saw %d of %d keys, err %v", seen, keys, err)
 	}
 }

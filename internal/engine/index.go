@@ -1,0 +1,230 @@
+package engine
+
+import "unsafe"
+
+// This file is the only one in the package that uses unsafe: the index
+// keeps each record as a bare pointer plus a length so that a slot is
+// 16 bytes, where a []byte alone would be 24.
+
+// slot is one index entry. An empty slot has a nil rec.
+type slot struct {
+	hash uint32         // slotHash of the key; the home slot is hash >> shift
+	size uint32         // len of the record
+	rec  unsafe.Pointer // first byte of the record
+}
+
+const (
+	slotBytes   = int64(unsafe.Sizeof(slot{}))
+	minSlots    = 8
+	maxRecBytes = 1<<32 - 1 // slot.size is a uint32
+)
+
+// itemBytes is the allocation behind a collection's *item.
+const itemBytes = int(unsafe.Sizeof(item{}))
+
+// record rebuilds the slot's record slice.
+func (sl *slot) record() record {
+	return unsafe.Slice((*byte)(sl.rec), sl.size)
+}
+
+// index is an open-addressing hash table (linear probing, backward-shift
+// deletion, so no tombstones) from key to string record. It holds no
+// table while empty, doubles when an insert would pass 7/8 full and halves
+// when a delete leaves it under 7/32, so a steady population sits between
+// 7/16 and 7/8. Not safe for concurrent use: the stripe lock guards it.
+type index struct {
+	slots []slot // nil or a power-of-two length
+	n     int
+	shift uint8 // 32 - log2(len(slots))
+}
+
+// slotHash spreads the key hash for the index. The stripe was picked from
+// the low bits of kh, which are therefore equal across one index; a
+// Fibonacci multiply folds every bit into the high ones the index uses.
+func slotHash(kh uint32) uint32 { return kh * 0x9E3779B1 }
+
+// tableBytes is the size of the slot table.
+func (ix *index) tableBytes() int64 { return int64(len(ix.slots)) * slotBytes }
+
+// find returns the position of key, or -1.
+func (ix *index) find(h uint32, key string) int {
+	if ix.n == 0 {
+		return -1
+	}
+	mask := uint32(len(ix.slots) - 1)
+	for i := h >> ix.shift; ; i = (i + 1) & mask {
+		sl := &ix.slots[i]
+		if sl.rec == nil {
+			return -1
+		}
+		if sl.hash == h && sl.record().hasKey(key) {
+			return int(i)
+		}
+	}
+}
+
+// get returns the record stored under key (kh is its fnv1a hash), or nil.
+func (ix *index) get(kh uint32, key string) record {
+	if i := ix.find(slotHash(kh), key); i >= 0 {
+		return ix.slots[i].record()
+	}
+	return nil
+}
+
+// put publishes rec under key and returns the record it replaced, or nil.
+func (ix *index) put(kh uint32, key string, rec record) (old record) {
+	h := slotHash(kh)
+	sl := slot{hash: h, size: uint32(len(rec)), rec: unsafe.Pointer(&rec[0])}
+	if i := ix.find(h, key); i >= 0 {
+		old = ix.slots[i].record()
+		ix.slots[i] = sl
+		return old
+	}
+	if (ix.n+1)*8 > len(ix.slots)*7 {
+		ix.resize(max(minSlots, 2*len(ix.slots)))
+	}
+	ix.place(sl)
+	ix.n++
+	return nil
+}
+
+// place stores sl in the first free slot of its probe sequence.
+func (ix *index) place(sl slot) {
+	mask := uint32(len(ix.slots) - 1)
+	i := sl.hash >> ix.shift
+	for ix.slots[i].rec != nil {
+		i = (i + 1) & mask
+	}
+	ix.slots[i] = sl
+}
+
+// resize rehashes into a table of size slots (0 drops the table).
+func (ix *index) resize(size int) {
+	old := ix.slots
+	ix.slots = nil
+	if size > 0 {
+		ix.slots = make([]slot, size)
+		ix.shift = 32
+		for s := size; s > 1; s >>= 1 {
+			ix.shift--
+		}
+	}
+	for _, sl := range old {
+		if sl.rec != nil {
+			ix.place(sl)
+		}
+	}
+}
+
+// del removes key and returns its record, or nil.
+func (ix *index) del(kh uint32, key string) record {
+	i := ix.find(slotHash(kh), key)
+	if i < 0 {
+		return nil
+	}
+	old := ix.slots[i].record()
+	ix.removeAt(uint32(i))
+	ix.shrink()
+	return old
+}
+
+// removeAt empties slot i and closes the gap: each later entry of the
+// run moves back into the hole unless that would put it before its home.
+func (ix *index) removeAt(i uint32) {
+	mask := uint32(len(ix.slots) - 1)
+	for j := (i + 1) & mask; ; j = (j + 1) & mask {
+		sl := ix.slots[j]
+		if sl.rec == nil {
+			break
+		}
+		if home := sl.hash >> ix.shift; (j-home)&mask >= (j-i)&mask {
+			ix.slots[i] = sl
+			i = j
+		}
+	}
+	ix.slots[i] = slot{}
+	ix.n--
+}
+
+// shrink halves the table while it is under 7/32 full and drops it when
+// the last record goes.
+func (ix *index) shrink() {
+	size := len(ix.slots)
+	for size > minSlots && ix.n*32 < size*7 {
+		size /= 2
+	}
+	if ix.n == 0 {
+		size = 0
+	}
+	if size != len(ix.slots) {
+		ix.resize(size)
+	}
+}
+
+// each calls fn for every record until it returns false.
+func (ix *index) each(fn func(rec record) bool) {
+	for i := range ix.slots {
+		if sl := &ix.slots[i]; sl.rec != nil && !fn(sl.record()) {
+			return
+		}
+	}
+}
+
+// sweep visits up to limit records, resuming at slot *pos and wrapping at
+// most once around the table, and removes those drop returns true for. It
+// leaves *pos where the next sweep should resume and returns how many
+// records it visited. Removal shifts later entries back, never forward, so
+// one not yet visited is never skipped; one that wraps from the head of
+// the table to its tail may be visited twice.
+func (ix *index) sweep(pos *uint32, limit int, drop func(rec record) bool) (visited int) {
+	size := uint32(len(ix.slots))
+	if size == 0 {
+		return 0
+	}
+	i := *pos & (size - 1)
+	for steps := uint32(0); steps < size && visited < limit; {
+		sl := &ix.slots[i]
+		if sl.rec != nil {
+			visited++
+			if drop(sl.record()) {
+				ix.removeAt(i)
+				continue // whatever shifted into slot i is next
+			}
+		}
+		i = (i + 1) & (size - 1)
+		steps++
+	}
+	*pos = i
+	ix.shrink()
+	return visited
+}
+
+// sizeClasses are the Go allocator's small-object sizes, read off the
+// running runtime rather than copied from it: append rounds a fresh
+// backing array up to its size class and reports that as the capacity.
+var sizeClasses = func() []int {
+	var classes []int
+	for n := 1; n <= 32768; {
+		c := cap(append([]byte(nil), make([]byte, n)...))
+		classes = append(classes, c)
+		n = c + 1
+	}
+	return classes
+}()
+
+// allocBytes is what the heap spends on an n-byte pointer-free object: n
+// rounded up to its size class, or to whole 8 KiB pages past the largest.
+func allocBytes(n int) int64 {
+	lo, hi := 0, len(sizeClasses)
+	for lo < hi {
+		if mid := (lo + hi) / 2; sizeClasses[mid] < n {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(sizeClasses) {
+		return int64(sizeClasses[lo])
+	}
+	return (int64(n) + 8191) &^ 8191
+}

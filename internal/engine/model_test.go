@@ -1,0 +1,649 @@
+package engine
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// mval is the model's idea of one key: a plain Go value per kind. Like the
+// engine, the model keeps a lapsed entry until something removes it.
+type mval struct {
+	kind Kind
+	str  []byte
+	list [][]byte
+	set  map[string]bool
+	hash map[string]string
+	zset map[string]float64
+	exp  int64
+}
+
+func (m *mval) empty() bool {
+	return len(m.list) == 0 && len(m.set) == 0 && len(m.hash) == 0 && len(m.zset) == 0
+}
+
+// model drives an Engine and a map side by side.
+type model struct {
+	t    *testing.T
+	e    *Engine
+	keys map[string]*mval
+	now  atomic.Int64
+	rng  *rand.Rand
+	span int // keys are drawn from k0..k<span-1>
+}
+
+func newModel(t *testing.T, seed int64) *model {
+	m := &model{t: t, keys: map[string]*mval{}, rng: rand.New(rand.NewSource(seed))}
+	m.now.Store(1)
+	// Two stripes, so each index grows through many doublings, and a
+	// compressor, so both stored forms are read back.
+	m.e = New(Options{
+		Shards:     2,
+		Compressor: tailCompressor{},
+		Clock:      func() time.Time { return time.Unix(0, m.now.Load()) },
+	})
+	return m
+}
+
+func (m *model) key() string { return fmt.Sprintf("k%d", m.rng.Intn(m.span)) }
+
+// val draws a value: short or long, and half the time with a zero tail
+// the compressor strips.
+func (m *model) val() []byte {
+	n := m.rng.Intn(40)
+	if m.rng.Intn(4) == 0 {
+		n = 100 + m.rng.Intn(400)
+	}
+	return zeroTailed(m.rng, n, m.rng.Intn(2)*m.rng.Intn(64))
+}
+
+// live is the model's lazy expiry: a lapsed entry reads as absent.
+func (m *model) live(k string) *mval {
+	if v := m.keys[k]; v != nil && (v.exp == 0 || m.now.Load() < v.exp) {
+		return v
+	}
+	return nil
+}
+
+func (m *model) setStr(k string, v []byte) { m.keys[k] = &mval{kind: KindString, str: v} }
+
+// coll returns the live collection of kind at k, creating it as the engine
+// does (over an absent or lapsed entry). ok is false on a type clash.
+func (m *model) coll(k string, kind Kind) (*mval, bool) {
+	v := m.live(k)
+	if v == nil {
+		v = &mval{kind: kind, set: map[string]bool{}, hash: map[string]string{}, zset: map[string]float64{}}
+		m.keys[k] = v
+	}
+	return v, v.kind == kind
+}
+
+// typed mirrors getTyped for ops that do not create: the live entry when
+// it has the kind, and the engine's error otherwise.
+func (m *model) typed(k string, kind Kind) (*mval, error) {
+	v := m.live(k)
+	switch {
+	case v == nil:
+		return nil, ErrNotFound
+	case v.kind != kind:
+		return nil, ErrWrongType
+	}
+	return v, nil
+}
+
+func (m *model) dropIfEmpty(k string, v *mval) {
+	if v.empty() {
+		delete(m.keys, k)
+	}
+}
+
+func (m *model) fail(op string, args ...any) {
+	m.t.Helper()
+	m.t.Fatalf("%s: %s", op, fmt.Sprintln(args...))
+}
+
+// step applies one random operation to both sides and compares results.
+func (m *model) step(shrinking bool) {
+	m.t.Helper()
+	e, k := m.e, m.key()
+	op := m.rng.Intn(100)
+	if shrinking && op < 60 {
+		op = 30 + m.rng.Intn(8) // deletes dominate
+	}
+	switch {
+	case op < 22:
+		v := m.val()
+		if err := e.Set(k, v); err != nil {
+			m.fail("Set", err)
+		}
+		m.setStr(k, v)
+	case op < 25:
+		v := m.val()
+		ok, err := e.SetNX(k, v)
+		want := m.live(k) == nil
+		if err != nil || ok != want {
+			m.fail("SetNX", k, ok, err, "want", want)
+		}
+		if want {
+			m.setStr(k, v)
+		}
+	case op < 28:
+		var old []byte
+		cur := m.live(k)
+		if cur != nil && cur.kind == KindString && m.rng.Intn(3) > 0 {
+			old = cur.str
+		} else if m.rng.Intn(2) == 0 {
+			old = []byte("no such value")
+		}
+		var want error
+		switch {
+		case cur == nil && old != nil:
+			want = ErrCASMismatch
+		case cur != nil && cur.kind != KindString:
+			want = ErrWrongType
+		case cur != nil && (old == nil || !bytes.Equal(old, cur.str)):
+			want = ErrCASMismatch
+		}
+		v := m.val()
+		if err := e.CompareAndSet(k, old, v); err != want {
+			m.fail("CompareAndSet", k, err, "want", want)
+		}
+		if want == nil {
+			m.setStr(k, v)
+		}
+	case op < 30:
+		_, ver, err := e.GetWithVersion(k)
+		cur := m.live(k)
+		if (err == nil) != (cur != nil && cur.kind == KindString) {
+			m.fail("GetWithVersion", k, err)
+		}
+		stale := m.rng.Intn(2) == 0
+		if stale {
+			ver++
+		}
+		v := m.val()
+		err = e.SetIfVersion(k, v, ver)
+		if ok := cur != nil && cur.kind == KindString && !stale; ok != (err == nil) || (err != nil && err != ErrCASMismatch) {
+			m.fail("SetIfVersion", k, err, "want ok", ok)
+		} else if ok {
+			m.setStr(k, v)
+		}
+	case op < 38:
+		keys := []string{k}
+		for i := m.rng.Intn(4); i > 0; i-- {
+			keys = append(keys, m.key())
+		}
+		want := 0
+		for _, dk := range keys {
+			if m.live(dk) != nil {
+				want++
+			}
+			delete(m.keys, dk)
+		}
+		if got := e.BatchDel(keys); got != want {
+			m.fail("BatchDel", keys, got, "want", want)
+		}
+	case op < 43:
+		var pairs []KV
+		for i := 1 + m.rng.Intn(6); i > 0; i-- {
+			pairs = append(pairs, KV{m.key(), m.val()})
+		}
+		if err := e.MSet(pairs); err != nil {
+			m.fail("MSet", err)
+		}
+		for _, p := range pairs {
+			m.setStr(p.Key, p.Val)
+		}
+	case op < 48:
+		var keys []string
+		for i := 1 + m.rng.Intn(6); i > 0; i-- {
+			keys = append(keys, m.key())
+		}
+		vals, wrong, err := e.MGetDetail(keys)
+		if err != nil {
+			m.fail("MGetDetail", err)
+		}
+		for i, gk := range keys {
+			cur := m.live(gk)
+			isStr := cur != nil && cur.kind == KindString
+			if (vals[i] != nil) != isStr || (isStr && !bytes.Equal(vals[i], cur.str)) || wrong[i] != (cur != nil && !isStr) {
+				m.fail("MGetDetail", gk, vals[i], wrong[i])
+			}
+		}
+	case op < 51:
+		delta := int64(m.rng.Intn(7) - 3)
+		cur := m.live(k)
+		var base int64
+		var want error
+		if cur != nil {
+			if cur.kind != KindString {
+				want = ErrWrongType
+			} else if base, want = parseInt(cur.str); want != nil {
+				want = ErrNotInteger
+			}
+		}
+		got, err := e.IncrBy(k, delta)
+		if err != want || (err == nil && got != base+delta) {
+			m.fail("IncrBy", k, got, err, "want", base+delta, want)
+		}
+		if want == nil {
+			m.setStr(k, appendInt(nil, base+delta))
+		}
+	case op < 58:
+		at := m.now.Load() + int64(m.rng.Intn(40)) - 2 // a few already lapsed
+		cur := m.live(k)
+		if got := e.ExpireAt(k, at); got != (cur != nil) {
+			m.fail("ExpireAt", k, got)
+		}
+		if cur != nil {
+			cur.exp = at
+		}
+	case op < 61:
+		cur := m.live(k)
+		if got := e.Persist(k); got != (cur != nil) {
+			m.fail("Persist", k, got)
+		}
+		if cur != nil {
+			cur.exp = 0
+		}
+	case op < 64:
+		cur := m.keys[k]
+		want := cur != nil && m.live(k) == nil
+		if got := e.TakeExpired(k); got != want {
+			m.fail("TakeExpired", k, got, "want", want)
+		}
+		if want {
+			delete(m.keys, k)
+		}
+	case op < 65:
+		want := 0
+		for dk := range m.keys {
+			if m.live(dk) == nil {
+				want++
+				delete(m.keys, dk)
+			}
+		}
+		if got := e.SweepExpired(1 << 30); got != want {
+			m.fail("SweepExpired", got, "want", want)
+		}
+	case op < 66:
+		m.now.Add(int64(m.rng.Intn(10)))
+	case op < 67 && m.rng.Intn(8) == 0:
+		e.FlushAll()
+		m.keys = map[string]*mval{}
+	case op < 72:
+		elem := m.val()
+		v, ok := m.coll(k, KindList)
+		var err error
+		if m.rng.Intn(2) == 0 {
+			_, err = e.LPush(k, elem)
+			if ok {
+				v.list = append([][]byte{elem}, v.list...)
+			}
+		} else {
+			_, err = e.RPush(k, elem)
+			if ok {
+				v.list = append(v.list, elem)
+			}
+		}
+		if (err == nil) != ok {
+			m.fail("Push", k, err)
+		}
+	case op < 75:
+		v, want := m.typed(k, KindList)
+		got, err := e.RPop(k)
+		if err != want || (err == nil && !bytes.Equal(got, v.list[len(v.list)-1])) {
+			m.fail("RPop", k, got, err, "want", want)
+		}
+		if want == nil {
+			v.list = v.list[:len(v.list)-1]
+			m.dropIfEmpty(k, v)
+		}
+	case op < 79:
+		member := fmt.Sprint(m.rng.Intn(6))
+		v, ok := m.coll(k, KindSet)
+		added, err := e.SAdd(k, member)
+		if (err == nil) != ok || (ok && (added == 1) == v.set[member]) {
+			m.fail("SAdd", k, added, err)
+		}
+		if ok {
+			v.set[member] = true
+		}
+	case op < 82:
+		member := fmt.Sprint(m.rng.Intn(6))
+		v, want := m.typed(k, KindSet)
+		if want == ErrNotFound {
+			want = nil
+		}
+		removed, err := e.SRem(k, member)
+		if err != want || (v != nil && (removed == 1) != v.set[member]) {
+			m.fail("SRem", k, removed, err)
+		}
+		if v != nil {
+			delete(v.set, member)
+			m.dropIfEmpty(k, v)
+		}
+	case op < 86:
+		field, fv := fmt.Sprint(m.rng.Intn(6)), m.val()
+		v, ok := m.coll(k, KindHash)
+		_, had := v.hash[field]
+		isNew, err := e.HSet(k, field, fv)
+		if (err == nil) != ok || (ok && isNew == had) {
+			m.fail("HSet", k, isNew, err)
+		}
+		if ok {
+			v.hash[field] = string(fv)
+		}
+	case op < 89:
+		field := fmt.Sprint(m.rng.Intn(6))
+		v, want := m.typed(k, KindHash)
+		if want == ErrNotFound {
+			want = nil
+		}
+		n, err := e.HDel(k, field)
+		if err != want {
+			m.fail("HDel", k, n, err)
+		}
+		if v != nil {
+			if _, had := v.hash[field]; had != (n == 1) {
+				m.fail("HDel", k, n)
+			}
+			delete(v.hash, field)
+			m.dropIfEmpty(k, v)
+		}
+	case op < 93:
+		member, score := fmt.Sprint(m.rng.Intn(6)), float64(m.rng.Intn(10))
+		v, ok := m.coll(k, KindZSet)
+		_, had := v.zset[member]
+		isNew, err := e.ZAdd(k, member, score)
+		if (err == nil) != ok || (ok && isNew == had) {
+			m.fail("ZAdd", k, isNew, err)
+		}
+		if ok {
+			v.zset[member] = score
+		}
+	case op < 95:
+		member := fmt.Sprint(m.rng.Intn(6))
+		v, want := m.typed(k, KindZSet)
+		if want == ErrNotFound {
+			want = nil
+		}
+		removed, err := e.ZRem(k, member)
+		if err != want {
+			m.fail("ZRem", k, removed, err)
+		}
+		if v != nil {
+			if _, had := v.zset[member]; had != removed {
+				m.fail("ZRem", k, removed)
+			}
+			delete(v.zset, member)
+			m.dropIfEmpty(k, v)
+		}
+	default:
+		// LoadEncoded installs a set over whatever the key held.
+		it := &item{kind: KindSet, set: map[string]struct{}{}}
+		v := &mval{kind: KindSet, set: map[string]bool{}}
+		for i := 1 + m.rng.Intn(4); i > 0; i-- {
+			member := fmt.Sprint(m.rng.Intn(6))
+			it.set[member], v.set[member] = struct{}{}, true
+		}
+		blob, _ := encodeCollectionLocked(it)
+		if err := e.LoadEncoded(k, blob); err != nil {
+			m.fail("LoadEncoded", err)
+		}
+		m.keys[k] = v
+	}
+}
+
+// check compares every key's readable state, then the engine's books and
+// index invariants.
+func (m *model) check() {
+	m.t.Helper()
+	e := m.e
+	if got := e.Len(); got != len(m.keys) {
+		m.fail("Len", got, "want", len(m.keys))
+	}
+	for i := 0; i < m.span; i++ {
+		k := fmt.Sprintf("k%d", i)
+		v := m.live(k)
+		if v == nil {
+			if e.Exists(k) || e.Type(k) != KindNone {
+				m.fail("absent key resolves", k, e.Type(k))
+			}
+			if _, err := e.Get(k); err != ErrNotFound {
+				m.fail("Get absent", k, err)
+			}
+			continue
+		}
+		if got := e.Type(k); got != v.kind {
+			m.fail("Type", k, got, "want", v.kind)
+		}
+		ttl, has := e.TTL(k)
+		if has != (v.exp != 0) || (has && ttl != time.Duration(v.exp-m.now.Load())) {
+			m.fail("TTL", k, ttl, has, "want deadline", v.exp)
+		}
+		switch v.kind {
+		case KindString:
+			if got, err := e.Get(k); err != nil || !bytes.Equal(got, v.str) {
+				m.fail("Get", k, got, err, "want", v.str)
+			}
+		case KindList:
+			got, err := e.LRange(k, 0, -1)
+			if err != nil || len(got) != len(v.list) {
+				m.fail("LRange", k, len(got), err)
+			}
+			for i := range got {
+				if !bytes.Equal(got[i], v.list[i]) {
+					m.fail("LRange", k, i)
+				}
+			}
+		case KindSet:
+			got, err := e.SMembers(k)
+			if err != nil || len(got) != len(v.set) {
+				m.fail("SMembers", k, got, err)
+			}
+			for _, member := range got {
+				if !v.set[member] {
+					m.fail("SMembers", k, member)
+				}
+			}
+		case KindHash:
+			got, err := e.HGetAll(k)
+			if err != nil || len(got) != len(v.hash) {
+				m.fail("HGetAll", k, len(got), err)
+			}
+			for _, f := range got {
+				if v.hash[f.Field] != string(f.Value) {
+					m.fail("HGetAll", k, f.Field)
+				}
+			}
+		case KindZSet:
+			got, err := e.ZRange(k, 0, -1)
+			if err != nil || len(got) != len(v.zset) {
+				m.fail("ZRange", k, got, err)
+			}
+			if !sort.SliceIsSorted(got, func(i, j int) bool {
+				return zless(zentry{got[i].Member, got[i].Score}, zentry{got[j].Member, got[j].Score})
+			}) {
+				m.fail("ZRange order", k, got)
+			}
+			for _, zm := range got {
+				if sc, ok := v.zset[zm.Member]; !ok || sc != zm.Score {
+					m.fail("ZRange", k, zm)
+				}
+			}
+		}
+	}
+	if err := checkBooks(e); err != nil {
+		m.t.Fatal(err)
+	}
+}
+
+// checkBooks recomputes every stripe's accounts from what it holds and
+// verifies the index invariants: every record is reachable through its
+// own probe sequence, the table is a power of two between 7/32 and 7/8
+// full (8 slots at least), and an empty stripe holds none.
+func checkBooks(e *Engine) error {
+	for si, s := range e.shards {
+		s.mu.RLock()
+		ix := &s.strs
+		mem, payload := ix.tableBytes(), int64(0)
+		n := 0
+		var err error
+		ix.each(func(rec record) bool {
+			n++
+			f := rec.parse()
+			mem += allocBytes(len(rec))
+			payload += f.payload()
+			key := string(f.key)
+			if got := ix.get(fnv1a(key), key); len(got) == 0 || &got[0] != &rec[0] {
+				err = fmt.Errorf("stripe %d: record of %q not reachable from its home slot", si, key)
+			}
+			if _, both := s.colls[key]; both {
+				err = fmt.Errorf("stripe %d: %q is both a string and a collection", si, key)
+			}
+			return err == nil
+		})
+		for _, it := range s.colls {
+			mem += it.memBytes
+			payload += it.payload
+		}
+		size := len(ix.slots)
+		switch {
+		case err != nil:
+		case n != ix.n:
+			err = fmt.Errorf("stripe %d: index counts %d records, holds %d", si, ix.n, n)
+		case n == 0 && size != 0:
+			err = fmt.Errorf("stripe %d: empty index keeps a %d-slot table", si, size)
+		case n > 0 && (size < minSlots || size&(size-1) != 0 || n*8 > size*7 || (size > minSlots && n*32 < size*7)):
+			err = fmt.Errorf("stripe %d: %d records in %d slots", si, n, size)
+		case mem != s.memUsed.Load() || payload != s.payload.Load():
+			err = fmt.Errorf("stripe %d: accounts say mem %d payload %d, contents say %d and %d",
+				si, s.memUsed.Load(), s.payload.Load(), mem, payload)
+		}
+		s.mu.RUnlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// TestEngineAgainstModel drives every keyed operation on overlapping keys
+// against a plain-map model, through several cycles of the population
+// growing to thousands of keys per stripe and shrinking back to a handful,
+// so the index doubles and halves many times under every kind of entry.
+func TestEngineAgainstModel(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		m := newModel(t, seed)
+		sizes := map[int]bool{}
+		for cycle := 0; cycle < 3; cycle++ {
+			for _, phase := range []struct {
+				span, steps int
+				shrinking   bool
+			}{{6000, 12000, false}, {6000, 14000, true}, {40, 3000, false}, {40, 1500, true}} {
+				m.span = phase.span
+				for i := 0; i < phase.steps; i++ {
+					m.step(phase.shrinking)
+					if i%1000 == 999 {
+						m.span = phase.span
+						m.check()
+						sizes[len(m.e.shards[0].strs.slots)] = true
+					}
+				}
+			}
+		}
+		if len(sizes) < 6 {
+			t.Errorf("seed %d: stripe 0's index only took sizes %v; the walk did not cycle it", seed, sizes)
+		}
+	}
+}
+
+// TestOneStripeReadersAndOverwriters is the -race leg of the concurrency
+// rule: with every key on one stripe, readers decode records outside the
+// lock while writers overwrite them with other sizes, rewrite deadlines in
+// place, delete them (shifting and resizing the index) and a walker
+// snapshots the stripe. Every value is one repeated byte, so a torn or
+// recycled record shows as a mixed value.
+func TestOneStripeReadersAndOverwriters(t *testing.T) {
+	e := New(Options{Shards: 1, Compressor: tailCompressor{}})
+	const keys, rounds = 64, 4000
+	key := func(i int) string { return fmt.Sprintf("hot%02d", i) }
+	uniform := func(v []byte) bool {
+		return len(v) == 0 || len(bytes.TrimLeft(v, string(v[:1]))) == 0
+	}
+	var writers, readers sync.WaitGroup
+	var stop atomic.Bool
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(seed int64) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < rounds; i++ {
+				k := key(rng.Intn(keys))
+				switch rng.Intn(8) {
+				case 0:
+					e.Del(k)
+				case 1:
+					e.Expire(k, time.Hour)
+				case 2:
+					e.Persist(k)
+				default:
+					e.Set(k, bytes.Repeat([]byte{byte(rng.Intn(250))}, rng.Intn(300)))
+				}
+			}
+		}(int64(w))
+	}
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(seed int64) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for !stop.Load() {
+				k := key(rng.Intn(keys))
+				if v, err := e.Get(k); err == nil && !uniform(v) {
+					t.Errorf("Get %s: mixed value %x", k, v)
+					return
+				}
+				vals, _ := e.MGet([]string{k, key(rng.Intn(keys))})
+				for _, v := range vals {
+					if !uniform(v) {
+						t.Errorf("MGet: mixed value %x", v)
+						return
+					}
+				}
+			}
+		}(int64(100 + r))
+	}
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for !stop.Load() {
+			err := e.ForEachEncodedChunked(512, func(chunk []SnapEntry) bool {
+				for _, p := range chunk {
+					if !uniform(p.Val) {
+						t.Errorf("walk %s: mixed value %x", p.Key, p.Val)
+					}
+				}
+				return true
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	// Writers run a fixed number of rounds; readers and the walker run
+	// until the writers are done.
+	writers.Wait()
+	stop.Store(true)
+	readers.Wait()
+	if err := checkBooks(e); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -25,10 +25,10 @@ func TestShardRoutingStable(t *testing.T) {
 	e := New(Options{Shards: 16})
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("key%d", i)
-		if e.shardIndex(k) != e.shardIndex(k) {
+		if e.ShardIndex(k) != e.ShardIndex(k) {
 			t.Fatalf("unstable routing for %q", k)
 		}
-		if int(e.shardIndex(k)) >= e.NumShards() {
+		if e.ShardIndex(k) >= e.NumShards() {
 			t.Fatalf("shard index out of range for %q", k)
 		}
 	}
@@ -36,9 +36,9 @@ func TestShardRoutingStable(t *testing.T) {
 
 func TestShardRoutingSpreads(t *testing.T) {
 	e := New(Options{Shards: 16})
-	used := map[uint32]bool{}
+	used := map[int]bool{}
 	for i := 0; i < 1000; i++ {
-		used[e.shardIndex(fmt.Sprintf("key%d", i))] = true
+		used[e.ShardIndex(fmt.Sprintf("key%d", i))] = true
 	}
 	// FNV over 1000 distinct keys must hit essentially every stripe.
 	if len(used) < 12 {

@@ -111,10 +111,12 @@ type OpLog struct {
 	bytes atomic.Int64
 }
 
-// opOverheadBytes is the accounted per-op fixed cost: the Op struct
-// itself plus slice/string headers already counted, rounded up to cover
-// allocator slop.
-const opOverheadBytes = 48
+// opOverheadBytes is the accounted per-op fixed cost: the 56-byte Op
+// struct at the window slice's steady 1.25x capacity (append regrows the
+// trimmed window by a quarter), plus the allocator's rounding of the key
+// and value. Measured 74-80 B; TestOpLogBytesTracksHeap holds Bytes() to
+// the heap.
+const opOverheadBytes = 80
 
 func opBytes(op Op) int64 {
 	return int64(len(op.Key) + len(op.Val) + opOverheadBytes)

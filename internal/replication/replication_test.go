@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -320,5 +322,36 @@ func TestAckTrackerWait(t *testing.T) {
 	}
 	if snap["r2"] != 12 {
 		t.Fatalf("snapshot = %+v", snap)
+	}
+}
+
+// TestOpLogBytesTracksHeap holds Bytes(), which the overload watermark
+// reads, to the heap the retained window really occupies: a full window of
+// repl-write sized ops (14 B keys, 128 B values) and one of small ops.
+func TestOpLogBytesTracksHeap(t *testing.T) {
+	heapAfterGC := func() int64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc)
+	}
+	for _, valLen := range []int{16, 128} {
+		val := make([]byte, valLen)
+		before := heapAfterGC()
+		l := NewOpLog(0)
+		// Three windows' worth, so the slice has been trimmed and regrown
+		// into its steady state.
+		for i := 0; i < 3*DefaultLogCap; i++ {
+			l.Append(OpSet, fmt.Sprintf("user:%09d", i), val)
+		}
+		heap := heapAfterGC() - before
+		ratio := float64(l.Bytes()) / float64(heap)
+		t.Logf("val %d B: heap %.1f B/op, accounted %.1f B/op, ratio %.2f", valLen,
+			float64(heap)/DefaultLogCap, float64(l.Bytes())/DefaultLogCap, ratio)
+		if ratio < 0.75 || ratio > 1.25 {
+			t.Errorf("val %d B: Bytes() %d vs heap %d: ratio %.2f outside [0.75, 1.25]", valLen, l.Bytes(), heap, ratio)
+		}
+		runtime.KeepAlive(l)
 	}
 }

@@ -152,13 +152,13 @@ func TestFullSyncBootstrap(t *testing.T) {
 	}
 
 	_, rc := startReplicaOf(t, ms, "r1", nil)
+	// Snapshot entries apply as they arrive, stripe by stripe, so wait for
+	// the last stripe's key, not the first's.
 	waitFor(t, "full-sync bootstrap", func() bool {
-		v, err := rc.Get("key000")
-		return err == nil && v == "v"
+		v0, err0 := rc.Get("key000")
+		v99, err99 := rc.Get("key099")
+		return err0 == nil && v0 == "v" && err99 == nil && v99 == "v"
 	})
-	if v, err := rc.Get("key099"); err != nil || v != "v" {
-		t.Fatalf("late key: %q %v", v, err)
-	}
 	waitFor(t, "collection snapshot", func() bool {
 		v, err := rc.Do("LLEN", "list")
 		return err == nil && v == int64(2)

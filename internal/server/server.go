@@ -656,11 +656,12 @@ func (s *Server) info(section string) string {
 	if section == "" || section == "server" {
 		fmt.Fprintf(&b, "# Server\r\nshards:%d\r\n", len(s.shards))
 		var keys int
-		var mem int64
+		var mem, payload int64
 		for i, sh := range s.shards {
 			st := sh.eng.Stats()
 			keys += st.Keys
 			mem += st.MemBytes
+			payload += st.PayloadBytes
 			ps := sh.pool.Stats()
 			fmt.Fprintf(&b, "shard%d_workers:%d\r\n", i, ps.Workers)
 			fmt.Fprintf(&b, "shard%d_max_workers:%d\r\n", i, ps.MaxWorkers)
@@ -672,6 +673,7 @@ func (s *Server) info(section string) string {
 			fmt.Fprintf(&b, "shard%d_submit_rate:%.1f\r\n", i, ps.SubmitRate)
 		}
 		fmt.Fprintf(&b, "keys:%d\r\nmem_bytes:%d\r\n", keys, mem)
+		fmt.Fprintf(&b, "mem_payload_bytes:%d\r\nmem_overhead_bytes:%d\r\n", payload, mem-payload)
 		fmt.Fprintf(&b, "p99_ns:%d\r\n", s.Latency.P99())
 	}
 	if (section == "" || section == "replication") && s.repl != nil {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -253,6 +254,14 @@ func TestAdminCommands(t *testing.T) {
 	info, err := c.Do("INFO")
 	if err != nil || !strings.Contains(info.(string), "shards:2") {
 		t.Fatalf("info: %v %v", info, err)
+	}
+	// mem_bytes splits into the user's bytes (two 1-byte keys, two 1-byte
+	// values) and everything the engine spends to hold them.
+	mem, _ := strconv.Atoi(infoField(t, c, "server", "mem_bytes"))
+	payload, _ := strconv.Atoi(infoField(t, c, "server", "mem_payload_bytes"))
+	overhead, _ := strconv.Atoi(infoField(t, c, "server", "mem_overhead_bytes"))
+	if payload != 4 || overhead <= 0 || payload+overhead != mem {
+		t.Fatalf("mem_bytes %d = payload %d + overhead %d: want payload 4, overhead > 0", mem, payload, overhead)
 	}
 	c.Do("FLUSHALL")
 	v, _ = c.Do("DBSIZE")
