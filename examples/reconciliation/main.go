@@ -7,6 +7,12 @@
 // hit rate; write-back mode for high-throughput sub-scenarios). This
 // example runs the write-back tiered store, reports hit rate and dirty
 // batching efficiency, and demonstrates durability across restarts.
+//
+// The embedded store keeps one copy of the cache tier, so dirty entries
+// not yet flushed die with the process. A deployment that must protect
+// them runs tierbase-server with -node-id on a master, -replicaof on a
+// replica and -semisync-acks 1, so a write is acked only once a replica
+// holds it.
 package main
 
 import (
@@ -30,7 +36,6 @@ func main() {
 		Policy:             tierbase.WriteBack,
 		Dir:                filepath.Join(dir, "storage"),
 		CacheCapacityBytes: 1 << 20, // small hot cache over a large ledger
-		Replicas:           1,       // dirty data protected by a replica
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -39,7 +39,9 @@ type TBConfig struct {
 	CacheRatioX int
 	// ExpectedLogicalBytes sizes the cache for CacheRatioX.
 	ExpectedLogicalBytes int64
-	// Replicas adds cache-tier replicas (dual-replica reliability).
+	// Replicas is how many cache-tier replica instances the deployment
+	// runs beside the primary (dual-replica reliability). A replica mirrors
+	// the primary, so MemBytes/PMemBytes count it as one more instance.
 	Replicas int
 	// RTT models the disaggregation hop to the storage tier.
 	RTT time.Duration
@@ -66,7 +68,7 @@ type TBSystem struct {
 	name     string
 	pool     *elastic.Pool
 	eng      *engine.Engine
-	replicas []*engine.Engine
+	replicas int
 	tiered   *cache.Tiered
 	remote   *cache.Remote
 	db       *lsm.DB
@@ -80,7 +82,7 @@ type TBSystem struct {
 // BuildTierBase wires a TierBase configuration. dir is used by persistent
 // modes for the LSM store / WAL files.
 func BuildTierBase(cfg TBConfig, dir string) (*TBSystem, error) {
-	s := &TBSystem{name: cfg.Name, opCost: cfg.OpCost}
+	s := &TBSystem{name: cfg.Name, opCost: cfg.OpCost, replicas: cfg.Replicas}
 	if s.name == "" {
 		s.name = "tierbase"
 	}
@@ -111,9 +113,6 @@ func BuildTierBase(cfg TBConfig, dir string) (*TBSystem, error) {
 	}
 
 	s.eng = engine.New(engOpts)
-	for i := 0; i < cfg.Replicas; i++ {
-		s.replicas = append(s.replicas, engine.New(engOpts))
-	}
 
 	// Threading.
 	poolOpts := elastic.PoolOptions{MaxWorkers: 4}
@@ -135,9 +134,7 @@ func BuildTierBase(cfg TBConfig, dir string) (*TBSystem, error) {
 	// Persistence.
 	switch cfg.Persist {
 	case "":
-		tr, err := cache.New(cache.Options{
-			Policy: cache.CacheOnly, Engine: s.eng, Replicas: s.replicas,
-		})
+		tr, err := cache.New(cache.Options{Policy: cache.CacheOnly, Engine: s.eng})
 		if err != nil {
 			return nil, err
 		}
@@ -148,9 +145,7 @@ func BuildTierBase(cfg TBConfig, dir string) (*TBSystem, error) {
 			return nil, err
 		}
 		s.wlog = log
-		tr, err := cache.New(cache.Options{
-			Policy: cache.CacheOnly, Engine: s.eng, Replicas: s.replicas,
-		})
+		tr, err := cache.New(cache.Options{Policy: cache.CacheOnly, Engine: s.eng})
 		if err != nil {
 			return nil, err
 		}
@@ -166,9 +161,7 @@ func BuildTierBase(cfg TBConfig, dir string) (*TBSystem, error) {
 			return nil, err
 		}
 		s.wlog = wal.NewPMemLog(ring, back)
-		tr, err := cache.New(cache.Options{
-			Policy: cache.CacheOnly, Engine: s.eng, Replicas: s.replicas,
-		})
+		tr, err := cache.New(cache.Options{Policy: cache.CacheOnly, Engine: s.eng})
 		if err != nil {
 			return nil, err
 		}
@@ -194,8 +187,7 @@ func BuildTierBase(cfg TBConfig, dir string) (*TBSystem, error) {
 			policy = cache.WriteBack
 		}
 		tr, err := cache.New(cache.Options{
-			Policy: policy, Engine: s.eng, Storage: s.remote,
-			Replicas: s.replicas, CacheCapacityBytes: capBytes,
+			Policy: policy, Engine: s.eng, Storage: s.remote, CacheCapacityBytes: capBytes,
 			FlushBatch: 64, FlushInterval: 20 * time.Millisecond,
 		})
 		if err != nil {
@@ -289,11 +281,7 @@ func (s *TBSystem) Delete(key string) error {
 
 // MemBytes sums DRAM across primary and replicas.
 func (s *TBSystem) MemBytes() int64 {
-	total := s.eng.MemUsed()
-	for _, r := range s.replicas {
-		total += r.MemUsed()
-	}
-	return total
+	return s.eng.MemUsed() * int64(1+s.replicas)
 }
 
 // PMemBytes reports persistent-memory bytes in use.
@@ -301,8 +289,7 @@ func (s *TBSystem) PMemBytes() int64 {
 	if s.arena == nil {
 		return 0
 	}
-	n := s.arena.Used()
-	return n * int64(1+len(s.replicas))
+	return s.arena.Used() * int64(1+s.replicas)
 }
 
 // DiskBytes reports storage-tier bytes.

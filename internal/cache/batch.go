@@ -281,9 +281,6 @@ func (t *Tiered) BatchDelete(keys []string) (int, error) {
 				n++
 			}
 		}
-		for _, r := range t.opts.Replicas {
-			r.BatchDel(uniq)
-		}
 		t.forgetBatch(uniq)
 		t.replicateBatch(uniq, nil)
 		return n, nil
@@ -359,15 +356,12 @@ func (t *Tiered) BatchDelete(keys []string) (int, error) {
 	}
 
 	t.eng.BatchDel(uniq)
-	for _, r := range t.opts.Replicas {
-		r.BatchDel(uniq)
-	}
 	t.forgetBatch(uniq)
 	t.replicateBatch(uniq, nil)
 	return n, nil
 }
 
-// applyBatchToCache mutates the cache tier and replicas for a whole batch,
+// applyBatchToCache mutates the cache tier for a whole batch,
 // taking each engine stripe lock once (and each LRU stripe lock once),
 // then runs capacity eviction on the touched stripes only.
 func (t *Tiered) applyBatchToCache(entries map[string][]byte) {
@@ -384,10 +378,6 @@ func (t *Tiered) applyBatchToCache(entries map[string][]byte) {
 	}
 	t.eng.MSet(kvs)
 	t.eng.BatchDel(dels)
-	for _, r := range t.opts.Replicas {
-		r.MSet(kvs)
-		r.BatchDel(dels)
-	}
 	t.touchBatchEvicting(sets)
 	t.forgetBatch(dels)
 }

@@ -17,12 +17,11 @@ import "tierbase/internal/engine"
 // composes with a value that was evicted, or that predates a restart).
 // Locked serializes the op+propagate pair per stripe: without it, two
 // INCRs could enqueue their captured results out of engine order and the
-// storage tier would converge on the older value. Propagate* then pushes
-// the outcome through the normal write path (per-key ordering, write-back
-// dirty set, coalescing) WITHOUT re-applying it to the primary engine —
-// the op already ran there, and replaying a captured value could briefly
-// roll back a newer concurrent update. Replicas do get the outcome (they
-// never saw the in-place op).
+// storage tier would converge on the older value. Propagate* then hands
+// the outcome to commit (tiered.go) — the same route a Set takes, to
+// storage by policy and to the replication sink — WITHOUT re-applying it
+// to the engine: the op already ran there, and replaying a captured value
+// could briefly roll back a newer concurrent update.
 
 // Warm faults key into the cache tier from the storage tier if it is not
 // resident, so a subsequent engine op observes tiered state. Typed blobs
@@ -44,82 +43,22 @@ func (t *Tiered) Locked(key string, fn func() error) error {
 	return fn()
 }
 
-// PropagateString routes an engine-applied string outcome (INCR result,
-// SETNX/CAS value) to the storage tier through the configured write path.
-// The sink is fed before the policy switch — the engine already holds
-// the outcome, and CacheOnly deployments replicate too.
+// PropagateString commits an engine-applied string outcome (INCR result,
+// SETNX/CAS value). Like the other Propagate calls it runs inside Locked.
 func (t *Tiered) PropagateString(key string, val []byte) error {
-	if t.closed.Load() {
-		return ErrClosed
-	}
-	if t.sink != nil {
-		t.sink.ReplicateSet(key, val, false)
-	}
-	switch t.opts.Policy {
-	case WriteThrough:
-		return t.writeThrough(key, val, false, false, true)
-	case WriteBack:
-		return t.writeBack(key, val, false, false, true)
-	}
-	return nil // cache-only: the engine already holds the whole truth
+	return t.commit(key, val, false, false, true)
 }
 
-// PropagateEncoded routes a typed collection blob (engine.EncodeCollection
-// output) to the storage tier.
+// PropagateEncoded commits a typed collection blob (engine.EncodeCollection
+// output).
 func (t *Tiered) PropagateEncoded(key string, blob []byte) error {
-	if t.closed.Load() {
-		return ErrClosed
-	}
-	if t.sink != nil {
-		t.sink.ReplicateSet(key, blob, true)
-	}
-	switch t.opts.Policy {
-	case WriteThrough:
-		return t.writeThrough(key, blob, false, true, true)
-	case WriteBack:
-		return t.writeBack(key, blob, false, true, true)
-	}
-	return nil
+	return t.commit(key, blob, false, true, true)
 }
 
-// PropagateDelete routes an engine-applied deletion (a collection emptied
-// by its last pop) to the storage tier.
+// PropagateDelete commits an engine-applied deletion (a collection emptied
+// by its last pop).
 func (t *Tiered) PropagateDelete(key string) error {
-	if t.closed.Load() {
-		return ErrClosed
-	}
-	if t.sink != nil {
-		t.sink.ReplicateDelete(key)
-	}
-	switch t.opts.Policy {
-	case WriteThrough:
-		return t.writeThrough(key, nil, true, false, true)
-	case WriteBack:
-		return t.writeBack(key, nil, true, false, true)
-	}
-	return nil
-}
-
-// applyPropagated lands a propagated outcome on the replicas and the LRU
-// bookkeeping once its write path accepts it. The primary engine is NOT
-// touched: the op already ran there.
-func (t *Tiered) applyPropagated(key string, val []byte, del, enc bool) {
-	if del {
-		for _, r := range t.opts.Replicas {
-			r.Del(key)
-		}
-		t.forget(key)
-		return
-	}
-	for _, r := range t.opts.Replicas {
-		if enc {
-			r.LoadEncoded(key, val)
-		} else {
-			r.Set(key, val)
-		}
-	}
-	t.touch(key)
-	t.maybeEvictKey(key)
+	return t.commit(key, nil, true, false, true)
 }
 
 // decodeStorageValue interprets a raw storage value for a string reader:

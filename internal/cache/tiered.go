@@ -43,9 +43,6 @@ type Options struct {
 	Policy  Policy
 	Engine  *engine.Engine
 	Storage Storage // required unless CacheOnly
-	// Replicas receive every cache mutation synchronously ("TierBase
-	// maintains multiple replicas of dirty data and cache contents").
-	Replicas []*engine.Engine
 	// CacheCapacityBytes bounds the cache tier's DRAM use; 0 = unbounded.
 	// This is the knob behind the paper's cache-ratio (NX) configurations.
 	CacheCapacityBytes int64
@@ -490,9 +487,6 @@ func (t *Tiered) maybeEvictShard(si int) {
 			return // everything resident is dirty; flusher will unblock us
 		}
 		t.eng.Del(key)
-		for _, r := range t.opts.Replicas {
-			r.Del(key)
-		}
 		t.evictions.Add(1)
 	}
 }
@@ -592,12 +586,11 @@ func (t *Tiered) Get(key string) ([]byte, error) {
 }
 
 // expireThrough confirms key's TTL has lapsed and, if so, deletes it
-// through every tier under the key's RMW stripe lock — the cache-tier
-// removal, the storage-tier delete (per the write policy) and the
-// replication sink all observe it as an ordinary delete. Reports whether
-// an expired key was taken. TakeExpired rechecks under the engine write
-// lock, so a concurrent PERSIST or overwrite wins the race and no live
-// value is deleted.
+// through every tier under the key's RMW stripe lock: the engine drops it
+// here and commit carries the delete to storage and the sink like any
+// other. Reports whether an expired key was taken. TakeExpired rechecks
+// under the engine write lock, so a concurrent PERSIST or overwrite wins
+// the race and no live value is deleted.
 func (t *Tiered) expireThrough(key string) bool {
 	if t.opts.Policy == CacheOnly {
 		return false // engine lazy expiry suffices; nothing to resurrect
@@ -609,20 +602,12 @@ func (t *Tiered) expireThrough(key string) bool {
 		return false
 	}
 	// Best-effort storage delete: the key is already gone from the cache
-	// tier either way, and on failure the invalidate/tombstone machinery
-	// of the write paths has recorded what it could. A write-through
-	// failure here leaves the storage copy behind (it can resurrect once
-	// more until the next delete-through attempt); the health counters
-	// record the error.
-	switch t.opts.Policy {
-	case WriteThrough:
-		_ = t.writeThrough(key, nil, true, false, false)
-	case WriteBack:
-		_ = t.writeBack(key, nil, true, false, false)
-	}
-	if t.sink != nil {
-		t.sink.ReplicateDelete(key)
-	}
+	// tier either way. A write-through failure leaves the storage copy
+	// behind (it can resurrect once more until the next delete-through
+	// attempt) and is not replicated — replicas hold the same absolute
+	// deadline and expire the key themselves; the health counters record
+	// the error.
+	_ = t.commit(key, nil, true, false, true)
 	return true
 }
 
@@ -673,8 +658,8 @@ func (t *Tiered) splitFlights(keys []string) (lead, join map[string]*flight) {
 // publishFlights completes led flights from one storage fetch: vals is a
 // Storage.BatchGet result (present keys only — absence is a missing map
 // entry, never a nil value), err poisons every flight. Fetched values are
-// admitted into the cache tier (and replicas) before the flights close,
-// so waiters observe a warm cache.
+// admitted into the cache tier before the flights close, so waiters
+// observe a warm cache.
 func (t *Tiered) publishFlights(lead map[string]*flight, vals map[string][]byte, err error) {
 	for k, f := range lead {
 		v, present := vals[k]
@@ -694,9 +679,6 @@ func (t *Tiered) publishFlights(lead map[string]*flight, vals map[string][]byte,
 				if lerr := t.eng.LoadEncoded(k, v); lerr != nil {
 					f.err = lerr
 				} else {
-					for _, r := range t.opts.Replicas {
-						r.LoadEncoded(k, v)
-					}
 					t.touch(k)
 					f.err = engine.ErrWrongType
 				}
@@ -704,9 +686,6 @@ func (t *Tiered) publishFlights(lead map[string]*flight, vals map[string][]byte,
 			}
 			f.val = engine.UnescapeStringValue(v)
 			t.eng.Set(k, f.val)
-			for _, r := range t.opts.Replicas {
-				r.Set(k, f.val)
-			}
 			t.touch(k)
 		}
 	}
@@ -753,135 +732,126 @@ func (t *Tiered) fetchCoalesced(key string) ([]byte, error) {
 	return f.val, f.err
 }
 
-// --- writes (dispatch by policy) ---
+// --- writes ---
+
+// commit is the one route a committed single-key write takes: to the
+// storage tier as the policy dictates (write-through: synchronously,
+// through the per-key queue; write-back: into the dirty set; cache-only:
+// nowhere), to the cache tier, and — once that succeeded — to the
+// replication sink. del deletes; enc marks val as a typed collection blob;
+// pre marks an outcome the engine already holds (an in-place op, see
+// rmw.go), which is then not applied to it a second time.
+//
+// The caller holds key's RMW stripe lock, so for any one key the engine,
+// the storage write path and the sink all see writes in the same order.
+func (t *Tiered) commit(key string, val []byte, del, enc, pre bool) error {
+	if t.closed.Load() {
+		return ErrClosed
+	}
+	var err error
+	switch t.opts.Policy {
+	case WriteThrough:
+		err = t.writeThrough(key, val, del, enc, pre)
+	case WriteBack:
+		err = t.writeBack(key, val, del, enc, pre)
+	default:
+		t.applyToCache(key, val, del, pre)
+	}
+	if err != nil || t.sink == nil {
+		return err
+	}
+	if del {
+		t.sink.ReplicateDelete(key)
+	} else {
+		t.sink.ReplicateSet(key, val, enc)
+	}
+	return nil
+}
 
 // Set stores key=val according to the configured policy.
 //
 // Set holds the key's RMW stripe lock for the whole write (like
 // INCR/SETNX/CAS do via Locked), so a SET racing an RMW op on the same
 // key reaches the engine, the storage write path and the replication
-// sink in one consistent order. This closes the ordering gap found in
-// PR 6 (storage could transiently hold the race loser); replication
-// correctness depends on per-key sink order matching engine order.
+// sink in one consistent order; replication correctness depends on
+// per-key sink order matching engine order.
 func (t *Tiered) Set(key string, val []byte) error {
-	if t.closed.Load() {
-		return ErrClosed
-	}
 	t.reqs.Add(1)
 	mu := &t.rmw[t.eng.ShardIndex(key)]
 	mu.Lock()
 	defer mu.Unlock()
-	var err error
-	switch t.opts.Policy {
-	case WriteThrough:
-		err = t.writeThrough(key, val, false, false, false)
-	case WriteBack:
-		err = t.writeBack(key, val, false, false, false)
-	default:
-		t.applyToCache(key, val, false)
-		t.maybeEvictKey(key)
-	}
-	if err == nil && t.sink != nil {
-		t.sink.ReplicateSet(key, val, false)
-	}
-	return err
+	return t.commit(key, val, false, false, false)
 }
 
-// Delete removes key according to the configured policy. Like Set it
-// holds the key's RMW stripe lock so deletes order against RMW ops and
-// the replication sink sees engine order.
+// Delete removes key according to the configured policy, under the key's
+// RMW stripe lock like Set.
 func (t *Tiered) Delete(key string) error {
-	if t.closed.Load() {
-		return ErrClosed
-	}
 	t.reqs.Add(1)
 	mu := &t.rmw[t.eng.ShardIndex(key)]
 	mu.Lock()
 	defer mu.Unlock()
-	var err error
-	switch t.opts.Policy {
-	case WriteThrough:
-		err = t.writeThrough(key, nil, true, false, false)
-	case WriteBack:
-		err = t.writeBack(key, nil, true, false, false)
-	default:
-		t.applyToCache(key, nil, true)
-	}
-	if err == nil && t.sink != nil {
-		t.sink.ReplicateDelete(key)
-	}
-	return err
+	return t.commit(key, nil, true, false, false)
 }
 
 // Update is the read-modify-write entry point: fn receives the current
-// value (or exists=false) and returns the new value. Under write-back a
-// cache miss triggers the deferred cache-fetching path (batched reads,
-// §4.1.2) before fn runs.
+// value (or exists=false) and returns the new value (nil deletes). The
+// read, fn and the commit run under the key's RMW stripe lock, so
+// concurrent Updates of one key never lose a write; fn must not call back
+// into the store. Under write-back a cache miss takes the deferred
+// cache-fetching path (batched reads, §4.1.2) before fn runs.
 func (t *Tiered) Update(key string, fn func(old []byte, exists bool) []byte) error {
 	if t.closed.Load() {
-		return ErrClosed
+		return ErrClosed // before the read: Close stops the deferred-fetch loop
 	}
 	t.reqs.Add(1)
-	var old []byte
-	exists := false
-	if v, si, err := t.eng.GetWithShard(key); err == nil {
-		old, exists = v, true
-		t.hits.Add(1)
-		t.tier.stripes[si].sampleHit(1)
-	} else {
-		t.misses.Add(1)
-		t.tier.stripes[si].sampleMiss(1)
-		switch t.opts.Policy {
-		case WriteBack:
-			// Dirty state shadows storage.
-			if e, ok := t.dirtyLookup(key); ok {
-				if e.enc {
-					return engine.ErrWrongType // unflushed collection blob
-				}
-				if e.val != nil {
-					old, exists = append([]byte(nil), e.val...), true
-				}
-			} else {
-				resp := t.deferredFetch(key)
-				if resp.err != nil && resp.err != ErrNotFound {
-					return resp.err
-				}
-				if resp.val != nil {
-					v, derr := decodeStorageValue(resp.val)
-					if derr != nil {
-						return derr
-					}
-					old, exists = v, true
-				}
-			}
-		case WriteThrough:
-			v, ok, err := t.opts.Storage.Get(key)
-			if err != nil {
-				return err
-			}
-			if ok {
-				v, derr := decodeStorageValue(v)
-				if derr != nil {
-					return derr
-				}
-				old, exists = v, true
-			}
-		}
+	mu := &t.rmw[t.eng.ShardIndex(key)]
+	mu.Lock()
+	defer mu.Unlock()
+	old, exists, err := t.readForUpdate(key)
+	if err != nil {
+		return err
 	}
 	newVal := fn(old, exists)
-	if newVal == nil {
-		return t.Delete(key)
+	return t.commit(key, newVal, newVal == nil, false, false)
+}
+
+// readForUpdate is Update's read: the cache tier, then (on a miss) the
+// write-back dirty set, then the storage tier.
+func (t *Tiered) readForUpdate(key string) (old []byte, exists bool, err error) {
+	v, si, err := t.eng.GetWithShard(key)
+	if err == nil {
+		t.hits.Add(1)
+		t.tier.stripes[si].sampleHit(1)
+		return v, true, nil
 	}
+	t.misses.Add(1)
+	t.tier.stripes[si].sampleMiss(1)
+	var stored []byte
+	present := false
 	switch t.opts.Policy {
-	case WriteThrough:
-		return t.writeThrough(key, newVal, false, false, false)
 	case WriteBack:
-		return t.writeBack(key, newVal, false, false, false)
-	default:
-		t.applyToCache(key, newVal, false)
-		t.maybeEvictKey(key)
-		return nil
+		// Dirty state shadows storage.
+		if e, ok := t.dirtyLookup(key); ok {
+			if e.enc {
+				return nil, false, engine.ErrWrongType // unflushed collection blob
+			}
+			return copyBytes(e.val), e.val != nil, nil
+		}
+		resp := t.deferredFetch(key)
+		if resp.err != nil && resp.err != ErrNotFound {
+			return nil, false, resp.err
+		}
+		stored, present = resp.val, resp.err == nil
+	case WriteThrough:
+		if stored, present, err = t.opts.Storage.Get(key); err != nil {
+			return nil, false, err
+		}
 	}
+	if !present {
+		return nil, false, nil
+	}
+	old, err = decodeStorageValue(stored)
+	return old, err == nil, err
 }
 
 // ExpireAt sets key's TTL as an absolute UnixNano deadline, under the
@@ -898,9 +868,6 @@ func (t *Tiered) ExpireAt(key string, at int64) bool {
 	defer mu.Unlock()
 	if !t.eng.ExpireAt(key, at) {
 		return false
-	}
-	for _, r := range t.opts.Replicas {
-		r.ExpireAt(key, at)
 	}
 	if t.sink != nil {
 		t.sink.ReplicateExpire(key, at)
@@ -920,19 +887,16 @@ func (t *Tiered) Persist(key string) bool {
 	if !t.eng.Persist(key) {
 		return false
 	}
-	for _, r := range t.opts.Replicas {
-		r.Persist(key)
-	}
 	if t.sink != nil {
 		t.sink.ReplicatePersist(key)
 	}
 	return true
 }
 
-// FlushAll clears every tier: the cache engine, its replicas, the
-// write-back dirty set (unflushed data is moot once the keyspace is
-// gone), the LRU bookkeeping and the storage tier — without the storage
-// clear, flushed keys resurrect from storage on their next miss.
+// FlushAll clears every tier: the cache engine, the write-back dirty set
+// (unflushed data is moot once the keyspace is gone), the LRU bookkeeping
+// and the storage tier — without the storage clear, flushed keys
+// resurrect from storage on their next miss.
 //
 // It takes every RMW stripe lock (in index order, the same order any
 // multi-stripe path must use) for the whole operation, which excludes
@@ -977,9 +941,6 @@ func (t *Tiered) FlushAll() error {
 	}
 
 	t.eng.FlushAll()
-	for _, r := range t.opts.Replicas {
-		r.FlushAll()
-	}
 	if t.lru != nil {
 		for _, s := range t.lru {
 			s.mu.Lock()
@@ -1008,30 +969,29 @@ func (t *Tiered) Health() HealthStats {
 	return t.health.snapshot()
 }
 
-// applyToCache mutates the cache tier and its replicas.
-func (t *Tiered) applyToCache(key string, val []byte, del bool) {
+// applyToCache lands a committed single-key write on the cache tier: the
+// engine (unless pre — the in-place op already ran there, and replaying a
+// captured value could roll back a newer concurrent update), the LRU
+// bookkeeping and, for a stored value, capacity eviction on its stripe.
+func (t *Tiered) applyToCache(key string, val []byte, del, pre bool) {
 	if del {
-		t.eng.Del(key)
-		for _, r := range t.opts.Replicas {
-			r.Del(key)
+		if !pre {
+			t.eng.Del(key)
 		}
 		t.forget(key)
 		return
 	}
-	t.eng.Set(key, val)
-	for _, r := range t.opts.Replicas {
-		r.Set(key, val)
+	if !pre {
+		t.eng.Set(key, val)
 	}
 	t.touch(key)
+	t.maybeEvictKey(key)
 }
 
 // invalidate drops a key from the cache tier (write-through failure path:
 // "the corresponding cache entry is invalidated").
 func (t *Tiered) invalidate(key string) {
 	t.eng.Del(key)
-	for _, r := range t.opts.Replicas {
-		r.Del(key)
-	}
 	t.forget(key)
 }
 

@@ -489,28 +489,6 @@ func TestEvictionSkipsDirty(t *testing.T) {
 	}
 }
 
-func TestReplicasReceiveMutations(t *testing.T) {
-	stor := NewMapStorage()
-	replica := engine.New(engine.Options{})
-	tr, err := New(Options{
-		Policy: WriteBack, Engine: engine.New(engine.Options{}), Storage: stor,
-		Replicas: []*engine.Engine{replica},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	tr.Set("k", []byte("v"))
-	v, err := replica.Get("k")
-	if err != nil || string(v) != "v" {
-		t.Fatalf("replica: %q %v", v, err)
-	}
-	tr.Delete("k")
-	if _, err := replica.Get("k"); err != engine.ErrNotFound {
-		t.Fatalf("replica delete: %v", err)
-	}
-}
-
 func TestCacheOnlyMode(t *testing.T) {
 	tr, err := New(Options{Policy: CacheOnly, Engine: engine.New(engine.Options{})})
 	if err != nil {

@@ -12,8 +12,9 @@ import (
 // Updates ack from the cache tier immediately; dirty entries propagate to
 // storage in batches. The paper's four mechanisms:
 //
-//   - Replication of cache: every mutation also lands on the replica
-//     engines before the ack (handled in applyToCache).
+//   - Replication of cache: every committed mutation is reported to the
+//     OpSink (commit in tiered.go), which the server streams to replicas;
+//     with semi-sync acks the reply waits for them.
 //   - Managing dirty data: dirty size is bounded (MaxDirty) with
 //     backpressure, and a maximum flush interval bounds staleness.
 //   - Optimizing update: one BatchPut per flush round; multiple updates to
@@ -114,14 +115,7 @@ func (t *Tiered) writeBack(key string, val []byte, del, enc, pre bool) error {
 	t.setDirtyLocked(ds, key, stored, enc)
 	ds.mu.Unlock()
 
-	if pre {
-		t.applyPropagated(key, val, del, enc)
-	} else {
-		t.applyToCache(key, val, del)
-		if !del {
-			t.maybeEvictKey(key)
-		}
-	}
+	t.applyToCache(key, val, del, pre)
 	if t.dirtyCount.Load() >= int64(t.opts.FlushBatch) {
 		t.wakeFlusher()
 	}

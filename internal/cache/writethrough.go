@@ -214,14 +214,7 @@ func (t *Tiered) wtCommit(key string, val []byte, del, enc, pre bool) error {
 		t.invalidate(key)
 		return err
 	}
-	if pre {
-		t.applyPropagated(key, val, del, enc)
-		return nil
-	}
-	t.applyToCache(key, val, del)
-	if !del {
-		t.maybeEvictKey(key)
-	}
+	t.applyToCache(key, val, del, pre)
 	return nil
 }
 

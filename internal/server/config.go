@@ -29,10 +29,10 @@ type Config struct {
 	Shards int
 	// EngineOptions configures each shard's engine (compression, PMem...).
 	EngineOptions engine.Options
-	// TieredFactory, when set, builds the tiered store for each shard
-	// (write-through/write-back against a storage tier). When nil, shards
-	// run cache-only — except under replication, which installs a
-	// cache-only tiered wrapper so every mutation crosses the op-sink seam.
+	// TieredFactory builds the tiered store for each shard
+	// (write-through/write-back against a storage tier). When nil, every
+	// shard gets a cache-only tiered store: commands and replication take
+	// the same route through it either way.
 	TieredFactory func(eng *engine.Engine) (*cache.Tiered, error)
 	// StorageStats, when set, reports the storage tier's per-shard LSM
 	// stats for the INFO "storage" section. The deployment wires it (the

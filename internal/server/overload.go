@@ -142,13 +142,10 @@ func (s *Server) memUsage() int64 {
 	var total int64
 	for _, sh := range s.shards {
 		mem := sh.eng.Stats().MemBytes
-		if sh.tiered != nil {
-			if budget := sh.tiered.TieringStats().CapacityBytes; budget > mem {
-				mem = budget
-			}
-			total += sh.tiered.DirtyBytes()
+		if budget := sh.tiered.TieringStats().CapacityBytes; budget > mem {
+			mem = budget
 		}
-		total += mem
+		total += mem + sh.tiered.DirtyBytes()
 	}
 	if s.opts.StorageStats != nil {
 		for _, st := range s.opts.StorageStats() {

@@ -817,15 +817,7 @@ func (a *replApplier) readSnapshot(nc net.Conn, br *bufio.Reader) bool {
 		}
 		switch {
 		case f.IsSnapBegin():
-			for _, sh := range r.s.shards {
-				if sh.tiered != nil {
-					if err := sh.tiered.FlushAll(); err != nil {
-						r.applyErrors.Add(1)
-					}
-				} else {
-					sh.eng.FlushAll()
-				}
-			}
+			r.flushAll()
 			started = true
 		case f.IsSnapEntry():
 			if !started {
@@ -855,7 +847,7 @@ func (r *serverRepl) applyOp(op replication.Op) {
 		r.applyEntry(op.Key, op.Val, true)
 	case replication.OpDel:
 		sh := r.s.shardFor([]byte(op.Key))
-		if _, err := sh.strBatchDel([]string{op.Key}); err != nil {
+		if _, err := sh.tiered.BatchDelete([]string{op.Key}); err != nil {
 			r.applyErrors.Add(1)
 		}
 	case replication.OpExpire:
@@ -864,30 +856,24 @@ func (r *serverRepl) applyOp(op replication.Op) {
 			r.applyErrors.Add(1)
 			return
 		}
-		sh := r.s.shardFor([]byte(op.Key))
-		sh.warm(op.Key)
-		if sh.tiered != nil {
-			sh.tiered.ExpireAt(op.Key, at)
-		} else {
-			sh.eng.ExpireAt(op.Key, at)
-		}
+		tr := r.s.shardFor([]byte(op.Key)).tiered
+		tr.Warm(op.Key)
+		tr.ExpireAt(op.Key, at)
 	case replication.OpPersist:
-		sh := r.s.shardFor([]byte(op.Key))
-		sh.warm(op.Key)
-		if sh.tiered != nil {
-			sh.tiered.Persist(op.Key)
-		} else {
-			sh.eng.Persist(op.Key)
-		}
+		tr := r.s.shardFor([]byte(op.Key)).tiered
+		tr.Warm(op.Key)
+		tr.Persist(op.Key)
 	case replication.OpFlushAll:
-		for _, sh := range r.s.shards {
-			if sh.tiered != nil {
-				if err := sh.tiered.FlushAll(); err != nil {
-					r.applyErrors.Add(1)
-				}
-			} else {
-				sh.eng.FlushAll()
-			}
+		r.flushAll()
+	}
+}
+
+// flushAll clears every shard through its tiered store (a replicated
+// FLUSHALL, or the start of a full-sync snapshot).
+func (r *serverRepl) flushAll() {
+	for _, sh := range r.s.shards {
+		if err := sh.tiered.FlushAll(); err != nil {
+			r.applyErrors.Add(1)
 		}
 	}
 }
@@ -903,7 +889,7 @@ func (r *serverRepl) applyEntry(key string, val []byte, encoded bool) {
 			return sh.tiered.PropagateEncoded(key, val)
 		})
 	} else {
-		err = sh.strSet(key, val)
+		err = sh.tiered.Set(key, val)
 	}
 	if err != nil {
 		r.applyErrors.Add(1)

@@ -39,9 +39,12 @@ type Server struct {
 	Throughput *metrics.Meter
 }
 
+// shard is one data node: an engine, the tiered store every command
+// reaches it through (cache-only when the deployment has no storage tier)
+// and the pool that runs its commands.
 type shard struct {
 	eng    *engine.Engine
-	tiered *cache.Tiered // nil = cache-only direct engine
+	tiered *cache.Tiered
 	pool   *elastic.Pool
 }
 
@@ -52,10 +55,7 @@ func Start(opts Config) (*Server, error) {
 		return nil, err
 	}
 	factory := opts.TieredFactory
-	if factory == nil && opts.Replication.Enabled() {
-		// Replication needs every mutation to cross the tiered store's
-		// op-sink seam; a cache-only tiered wrapper provides it without a
-		// storage tier.
+	if factory == nil {
 		factory = func(eng *engine.Engine) (*cache.Tiered, error) {
 			return cache.New(cache.Options{Policy: cache.CacheOnly, Engine: eng})
 		}
@@ -74,16 +74,12 @@ func Start(opts Config) (*Server, error) {
 	}
 	for i := 0; i < opts.Shards; i++ {
 		eng := engine.New(opts.EngineOptions)
-		sh := &shard{eng: eng, pool: elastic.NewPool(opts.Pool)}
-		if factory != nil {
-			tr, err := factory(eng)
-			if err != nil {
-				ln.Close()
-				return nil, err
-			}
-			sh.tiered = tr
+		tr, err := factory(eng)
+		if err != nil {
+			ln.Close()
+			return nil, err
 		}
-		s.shards = append(s.shards, sh)
+		s.shards = append(s.shards, &shard{eng: eng, tiered: tr, pool: elastic.NewPool(opts.Pool)})
 	}
 	if opts.Replication.Enabled() {
 		s.repl = newServerRepl(s, opts.Replication)
@@ -119,15 +115,60 @@ func (s *Server) shardFor(key []byte) *shard {
 
 var errShuttingDown = errors.New("server shutting down")
 
-// submitOne runs fn on shard si's pool, folding pool shutdown into an
-// error. It is the shared single-shard-group path of mget/mset/del.
-func (s *Server) submitOne(si int, fn func(sh *shard) error) error {
-	sh := s.shards[si]
-	var err error
-	if perr := sh.pool.SubmitWait(func() { err = fn(sh) }); perr != nil {
-		return errShuttingDown
+// fanOut is the shared body of MGET, MSET and DEL: keys[0], keys[stride],
+// keys[2*stride]... group by owning shard, and fn runs once per group on
+// that shard's pool with the group's indexes into keys — submitted from
+// the calling goroutine when one shard owns them all, otherwise from one
+// goroutine per group, in parallel across shards. Returns the first error.
+// fn calls run concurrently: each may write only what its own indexes name.
+func (s *Server) fanOut(keys [][]byte, stride int, fn func(sh *shard, idxs []int) error) error {
+	groups := make(map[int][]int)
+	for i := 0; i < len(keys); i += stride {
+		si := s.shardIndex(keys[i])
+		groups[si] = append(groups[si], i)
 	}
-	return err
+	submit := func(si int, idxs []int) error {
+		sh := s.shards[si]
+		var err error
+		if perr := sh.pool.SubmitWait(func() { err = fn(sh, idxs) }); perr != nil {
+			return errShuttingDown
+		}
+		return err
+	}
+	if len(groups) == 1 {
+		for si, idxs := range groups {
+			return submit(si, idxs)
+		}
+	}
+	var (
+		mu    sync.Mutex
+		first error
+		wg    sync.WaitGroup
+	)
+	for si, idxs := range groups {
+		wg.Add(1)
+		go func(si int, idxs []int) {
+			defer wg.Done()
+			if err := submit(si, idxs); err != nil {
+				mu.Lock()
+				if first == nil {
+					first = err
+				}
+				mu.Unlock()
+			}
+		}(si, idxs)
+	}
+	wg.Wait()
+	return first
+}
+
+// stringsAt copies args[i] for each i in idxs out of the parse buffers.
+func stringsAt(args [][]byte, idxs []int) []string {
+	out := make([]string, len(idxs))
+	for j, i := range idxs {
+		out[j] = string(args[i])
+	}
+	return out
 }
 
 // --- connection handling ---
@@ -385,17 +426,13 @@ func (s *Server) dispatchCmd(c *conn, cmd string, args [][]byte) {
 		c.out = appendInt(c.out, n)
 		return
 	case "FLUSHALL":
-		// Through the tiered store where there is one: clearing only the
-		// cache tier would let flushed keys resurrect from storage on
-		// their next miss (and the clear must replicate).
+		// Through the tiered store: clearing only the cache tier would let
+		// flushed keys resurrect from storage on their next miss (and the
+		// clear must replicate).
 		for _, sh := range s.shards {
-			if sh.tiered != nil {
-				if err := sh.tiered.FlushAll(); err != nil {
-					c.out = appendError(c.out, err.Error())
-					return
-				}
-			} else {
-				sh.eng.FlushAll()
+			if err := sh.tiered.FlushAll(); err != nil {
+				c.out = appendError(c.out, err.Error())
+				return
 			}
 		}
 		c.out = appendSimple(c.out, "OK")
@@ -460,70 +497,21 @@ func (s *Server) dispatchCmd(c *conn, cmd string, args [][]byte) {
 	s.submit(c, s.shardFor(args[1]), cmd, args)
 }
 
-// mget serves multi-key MGET: keys group by shard, each shard runs one
-// batch get on its own pool (in parallel across shards), replies
+// mget serves multi-key MGET: each shard runs one batch get, replies
 // reassemble in request order — the multi-key fan-out the paper's client
 // batching relies on.
 func (s *Server) mget(c *conn, keyArgs [][]byte) {
-	keys := make([]string, len(keyArgs))
-	groups := make(map[int][]int)
-	for i, k := range keyArgs {
-		keys[i] = string(k)
-		si := s.shardIndex(k)
-		groups[si] = append(groups[si], i)
-	}
-	vals := make([][]byte, len(keys))
-	if len(groups) == 1 {
-		// All keys on one shard: skip the fan-out scaffolding.
-		for si := range groups {
-			var got map[string][]byte
-			if err := s.submitOne(si, func(sh *shard) (err error) {
-				got, err = sh.strMGet(keys)
-				return err
-			}); err != nil {
-				c.out = appendError(c.out, err.Error())
-				return
-			}
-			for i, k := range keys {
-				vals[i] = got[k]
-			}
+	vals := make([][]byte, len(keyArgs))
+	err := s.fanOut(keyArgs, 1, func(sh *shard, idxs []int) error {
+		keys := stringsAt(keyArgs, idxs)
+		got, err := sh.tiered.BatchGet(keys)
+		for j, i := range idxs {
+			vals[i] = got[keys[j]]
 		}
-		c.out = appendBulkArray(c.out, vals)
-		return
-	}
-	errs := make([]error, 0, len(groups))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for si, idxs := range groups {
-		sh := s.shards[si]
-		wg.Add(1)
-		go func(sh *shard, idxs []int) {
-			defer wg.Done()
-			sub := make([]string, len(idxs))
-			for j, i := range idxs {
-				sub[j] = keys[i]
-			}
-			var got map[string][]byte
-			var err error
-			perr := sh.pool.SubmitWait(func() { got, err = sh.strMGet(sub) })
-			mu.Lock()
-			defer mu.Unlock()
-			if perr != nil {
-				errs = append(errs, perr)
-				return
-			}
-			if err != nil {
-				errs = append(errs, err)
-				return
-			}
-			for _, i := range idxs {
-				vals[i] = got[keys[i]]
-			}
-		}(sh, idxs)
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		c.out = appendError(c.out, errs[0].Error())
+		return err
+	})
+	if err != nil {
+		c.out = appendError(c.out, err.Error())
 		return
 	}
 	c.out = appendBulkArray(c.out, vals)
@@ -538,111 +526,38 @@ func appendBulkArray(out []byte, vals [][]byte) []byte {
 	return out
 }
 
-// del serves multi-key DEL/UNLINK: keys group by shard, each shard runs
-// one tiered BatchDelete on its own pool (in parallel across shards), and
-// the reply is the summed count of keys that existed in any tier.
+// del serves multi-key DEL/UNLINK: each shard runs one tiered BatchDelete,
+// and the reply is the summed count of keys that existed in any tier.
 func (s *Server) del(c *conn, keyArgs [][]byte) {
-	groups := make(map[int][]string)
-	for _, k := range keyArgs {
-		si := s.shardIndex(k)
-		groups[si] = append(groups[si], string(k))
-	}
-	if len(groups) == 1 {
-		for si, keys := range groups {
-			var n int64
-			if err := s.submitOne(si, func(sh *shard) (err error) {
-				n, err = sh.strBatchDel(keys)
-				return err
-			}); err != nil {
-				c.out = appendError(c.out, err.Error())
-				return
-			}
-			c.out = appendInt(c.out, n)
-		}
+	var total atomic.Int64
+	err := s.fanOut(keyArgs, 1, func(sh *shard, idxs []int) error {
+		keys := stringsAt(keyArgs, idxs)
+		n, err := sh.tiered.BatchDelete(keys)
+		total.Add(int64(n))
+		return err
+	})
+	if err != nil {
+		c.out = appendError(c.out, err.Error())
 		return
 	}
-	var total int64
-	errs := make([]error, 0, len(groups))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for si, keys := range groups {
-		sh := s.shards[si]
-		wg.Add(1)
-		go func(sh *shard, keys []string) {
-			defer wg.Done()
-			var n int64
-			var err error
-			perr := sh.pool.SubmitWait(func() { n, err = sh.strBatchDel(keys) })
-			mu.Lock()
-			defer mu.Unlock()
-			if perr != nil {
-				errs = append(errs, perr)
-				return
-			}
-			if err != nil {
-				errs = append(errs, err)
-				return
-			}
-			total += n
-		}(sh, keys)
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		c.out = appendError(c.out, errs[0].Error())
-		return
-	}
-	c.out = appendInt(c.out, total)
+	c.out = appendInt(c.out, total.Load())
 }
 
-// mset serves multi-pair MSET: pairs group by shard, each shard applies
-// one batch put on its own pool, in parallel across shards.
+// mset serves multi-pair MSET: each shard applies one batch put.
 func (s *Server) mset(c *conn, kvArgs [][]byte) {
-	groups := make(map[int]map[string][]byte)
-	for i := 0; i+1 < len(kvArgs); i += 2 {
-		si := s.shardIndex(kvArgs[i])
-		if groups[si] == nil {
-			groups[si] = make(map[string][]byte)
+	err := s.fanOut(kvArgs, 2, func(sh *shard, idxs []int) error {
+		entries := make(map[string][]byte, len(idxs))
+		for _, i := range idxs {
+			// Copy out of the parse arena; keep empty values non-nil (nil
+			// means delete in BatchPut, and MSET k "" must store "").
+			val := make([]byte, len(kvArgs[i+1]))
+			copy(val, kvArgs[i+1])
+			entries[string(kvArgs[i])] = val
 		}
-		// Copy out of the parse arena; keep empty values non-nil (nil
-		// means delete in BatchPut, and MSET k "" must store "").
-		val := make([]byte, len(kvArgs[i+1]))
-		copy(val, kvArgs[i+1])
-		groups[si][string(kvArgs[i])] = val
-	}
-	if len(groups) == 1 {
-		for si, entries := range groups {
-			if err := s.submitOne(si, func(sh *shard) error {
-				return sh.strMSet(entries)
-			}); err != nil {
-				c.out = appendError(c.out, err.Error())
-				return
-			}
-		}
-		c.out = appendSimple(c.out, "OK")
-		return
-	}
-	errs := make([]error, 0, len(groups))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for si, entries := range groups {
-		sh := s.shards[si]
-		wg.Add(1)
-		go func(sh *shard, entries map[string][]byte) {
-			defer wg.Done()
-			var err error
-			perr := sh.pool.SubmitWait(func() { err = sh.strMSet(entries) })
-			mu.Lock()
-			defer mu.Unlock()
-			if perr != nil {
-				errs = append(errs, perr)
-			} else if err != nil {
-				errs = append(errs, err)
-			}
-		}(sh, entries)
-	}
-	wg.Wait()
-	if len(errs) > 0 {
-		c.out = appendError(c.out, errs[0].Error())
+		return sh.tiered.BatchPut(entries)
+	})
+	if err != nil {
+		c.out = appendError(c.out, err.Error())
 		return
 	}
 	c.out = appendSimple(c.out, "OK")
@@ -707,9 +622,6 @@ func (s *Server) healthInfo(b *strings.Builder) {
 	var errs, retries, degOps, transitions int64
 	stats := make([]cache.HealthStats, len(s.shards))
 	for i, sh := range s.shards {
-		if sh.tiered == nil {
-			continue
-		}
 		st := sh.tiered.Health()
 		stats[i] = st
 		if st.Degraded {
@@ -738,20 +650,12 @@ func (s *Server) healthInfo(b *strings.Builder) {
 // rebalancer is acting on. CSV-per-stripe, like the dirty-stripe lines.
 func (s *Server) tieringInfo(b *strings.Builder) {
 	fmt.Fprintf(b, "# Tiering\r\n")
-	tiered := 0
-	for _, sh := range s.shards {
-		if sh.tiered != nil {
-			tiered++
-		}
-	}
+	tiered := s.tieredShards()
 	fmt.Fprintf(b, "tiered_shards:%d\r\n", tiered)
 	if tiered == 0 {
 		return
 	}
 	for i, sh := range s.shards {
-		if sh.tiered == nil {
-			continue
-		}
 		ts := sh.tiered.TieringStats()
 		fmt.Fprintf(b, "shard%d_adaptive:%d\r\n", i, boolToInt(ts.Adaptive))
 		fmt.Fprintf(b, "shard%d_capacity_bytes:%d\r\n", i, ts.CapacityBytes)
@@ -783,6 +687,18 @@ func (s *Server) tieringInfo(b *strings.Builder) {
 		fmt.Fprintf(b, "shard%d_stripe_stolen_bytes:%s\r\n", i, strings.Join(stolen, ","))
 		fmt.Fprintf(b, "shard%d_stripe_granted_bytes:%s\r\n", i, strings.Join(granted, ","))
 	}
+}
+
+// tieredShards counts the shards that have a storage tier behind the
+// cache (policy other than cache-only) — INFO's tiered_shards.
+func (s *Server) tieredShards() int {
+	n := 0
+	for _, sh := range s.shards {
+		if sh.tiered.Policy() != cache.CacheOnly {
+			n++
+		}
+	}
+	return n
 }
 
 func boolToInt(v bool) int {
@@ -832,14 +748,14 @@ func (s *Server) storageInfo(b *strings.Builder) {
 // the engine's lock stripes).
 func (s *Server) writePathInfo(b *strings.Builder) {
 	fmt.Fprintf(b, "# WritePath\r\n")
+	tiered := s.tieredShards()
+	fmt.Fprintf(b, "tiered_shards:%d\r\n", tiered)
+	if tiered == 0 {
+		return // cache-only deployment: no write path to report
+	}
 	var coalesced, rounds, flushed, waits int64
 	var dirty, stripes int
-	tiered := 0
 	for _, sh := range s.shards {
-		if sh.tiered == nil {
-			continue
-		}
-		tiered++
 		st := sh.tiered.Stats()
 		coalesced += st.Coalesced
 		rounds += st.Batches
@@ -848,10 +764,6 @@ func (s *Server) writePathInfo(b *strings.Builder) {
 		dirty += st.Dirty
 		stripes += sh.tiered.WriteStripes()
 	}
-	fmt.Fprintf(b, "tiered_shards:%d\r\n", tiered)
-	if tiered == 0 {
-		return // cache-only deployment: no write path to report
-	}
 	fmt.Fprintf(b, "write_stripes:%d\r\n", stripes)
 	fmt.Fprintf(b, "coalesced_writes:%d\r\n", coalesced)
 	fmt.Fprintf(b, "flush_rounds:%d\r\n", rounds)
@@ -859,9 +771,6 @@ func (s *Server) writePathInfo(b *strings.Builder) {
 	fmt.Fprintf(b, "backpressure_waits:%d\r\n", waits)
 	fmt.Fprintf(b, "dirty_entries:%d\r\n", dirty)
 	for i, sh := range s.shards {
-		if sh.tiered == nil {
-			continue
-		}
 		fmt.Fprintf(b, "shard%d_policy:%s\r\n", i, sh.tiered.Policy())
 		ds := sh.tiered.DirtyStripes()
 		parts := make([]string, len(ds))
@@ -983,103 +892,25 @@ func (s *Server) finishClose() {
 	s.connWg.Wait()
 	for _, sh := range s.shards {
 		sh.pool.Stop()
-		if sh.tiered != nil {
-			sh.tiered.Close()
-		}
+		sh.tiered.Close()
 	}
 }
 
 // --- command execution on a shard ---
 
-// strStore abstracts string-command storage: tiered when configured,
-// direct engine otherwise.
-func (sh *shard) strGet(key string) ([]byte, error) {
-	if sh.tiered != nil {
-		return sh.tiered.Get(key)
-	}
-	return sh.eng.Get(key)
-}
-
-func (sh *shard) strSet(key string, val []byte) error {
-	if sh.tiered != nil {
-		return sh.tiered.Set(key, val)
-	}
-	return sh.eng.Set(key, val)
-}
-
-// strBatchDel removes keys on this shard in one tiered pass, returning
-// how many existed in any tier (cache, dirty state, or storage).
-func (sh *shard) strBatchDel(keys []string) (int64, error) {
-	if sh.tiered != nil {
-		n, err := sh.tiered.BatchDelete(keys)
-		return int64(n), err
-	}
-	return int64(sh.eng.BatchDel(keys)), nil
-}
-
-// strMGet serves a batch read on this shard; absent keys map to nil.
-func (sh *shard) strMGet(keys []string) (map[string][]byte, error) {
-	if sh.tiered != nil {
-		return sh.tiered.BatchGet(keys)
-	}
-	vals, err := sh.eng.MGet(keys)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string][]byte, len(keys))
-	for i, k := range keys {
-		out[k] = vals[i]
-	}
-	return out, nil
-}
-
-// strMSet serves a batch write on this shard.
-func (sh *shard) strMSet(entries map[string][]byte) error {
-	if sh.tiered != nil {
-		return sh.tiered.BatchPut(entries)
-	}
-	kvs := make([]engine.KV, 0, len(entries))
-	for k, v := range entries {
-		kvs = append(kvs, engine.KV{Key: k, Val: v})
-	}
-	return sh.eng.MSet(kvs)
-}
-
-// warm faults a tiered key into the engine before an engine-level op, so
-// commands that read or mutate engine state compose with values that were
-// evicted to storage or predate a restart.
-func (sh *shard) warm(key string) {
-	if sh.tiered != nil {
-		sh.tiered.Warm(key)
-	}
-}
-
-// rmw runs op — an engine mutation plus its storage propagation — with
-// cross-tier discipline on tiered shards: the key is warmed first, then
-// op runs under the key's RMW stripe lock so the propagation enqueues in
-// engine order (see cache/rmw.go). Cache-only shards run op directly.
+// rmw runs op — an engine mutation plus its propagation — with cross-tier
+// discipline: the key is warmed first (so the op composes with a value
+// that was evicted to storage or predates a restart), then op runs under
+// the key's RMW stripe lock so the propagation commits in engine order
+// (see cache/rmw.go).
 func (sh *shard) rmw(key string, op func() error) error {
-	if sh.tiered == nil {
-		return op()
-	}
 	sh.tiered.Warm(key)
 	return sh.tiered.Locked(key, op)
 }
 
-// propagateString pushes an engine-applied string outcome to storage.
-func (sh *shard) propagateString(key string, val []byte) error {
-	if sh.tiered == nil {
-		return nil
-	}
-	return sh.tiered.PropagateString(key, val)
-}
-
-// propagateCollection pushes key's current collection state — or its
-// deletion, when the op emptied it — to the storage tier.
+// propagateCollection commits key's current collection state — or its
+// deletion, when the op emptied it.
 func (sh *shard) propagateCollection(key string) error {
-	if sh.tiered == nil {
-		return nil
-	}
 	if blob, ok := sh.eng.EncodeCollection(key); ok {
 		return sh.tiered.PropagateEncoded(key, blob)
 	}
@@ -1095,19 +926,19 @@ func notFoundish(err error) bool {
 // duration of the call (execution is synchronous), copied by any layer
 // that retains them.
 func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
-	eng := sh.eng
+	eng, tr := sh.eng, sh.tiered
 	key := string(args[1])
 	switch cmd {
 	case "SET":
 		if len(args) != 3 {
 			return appendError(out, "wrong number of arguments for 'set'")
 		}
-		if err := sh.strSet(key, args[2]); err != nil {
+		if err := tr.Set(key, args[2]); err != nil {
 			return appendError(out, err.Error())
 		}
 		return appendSimple(out, "OK")
 	case "GET":
-		v, err := sh.strGet(key)
+		v, err := tr.Get(key)
 		if notFoundish(err) {
 			return appendBulk(out, nil)
 		}
@@ -1119,7 +950,7 @@ func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
 		// Single-key fast path (dispatch fans multi-key MGET out itself):
 		// same element semantics as the batch path — absent and
 		// wrong-typed keys report nil.
-		v, err := sh.strGet(key)
+		v, err := tr.Get(key)
 		if err != nil {
 			if !notFoundish(err) && !errors.Is(err, engine.ErrWrongType) {
 				return appendError(out, err.Error())
@@ -1130,19 +961,19 @@ func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
 		return appendBulk(out, v)
 	case "DEL":
 		// Single-key fast path; multi-key DEL fans out in dispatch.
-		n, err := sh.strBatchDel([]string{key})
+		n, err := tr.BatchDelete([]string{key})
 		if err != nil {
 			return appendError(out, err.Error())
 		}
-		return appendInt(out, n)
+		return appendInt(out, int64(n))
 	case "EXISTS":
-		sh.warm(key)
+		tr.Warm(key)
 		if eng.Exists(key) {
 			return appendInt(out, 1)
 		}
 		return appendInt(out, 0)
 	case "TYPE":
-		sh.warm(key)
+		tr.Warm(key)
 		return appendSimple(out, eng.Type(key).String())
 	case "SETNX":
 		if len(args) != 3 {
@@ -1155,7 +986,7 @@ func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
 			if err != nil || !created {
 				return err
 			}
-			return sh.propagateString(key, args[2])
+			return tr.PropagateString(key, args[2])
 		})
 		if err != nil {
 			return appendError(out, err.Error())
@@ -1186,7 +1017,7 @@ func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
 			if err != nil {
 				return err
 			}
-			return sh.propagateString(key, strconv.AppendInt(nil, v, 10))
+			return tr.PropagateString(key, strconv.AppendInt(nil, v, 10))
 		})
 		if err != nil {
 			return appendError(out, err.Error())
@@ -1201,7 +1032,7 @@ func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
 			if err := eng.CompareAndSet(key, args[2], args[3]); err != nil {
 				return err
 			}
-			return sh.propagateString(key, args[3])
+			return tr.PropagateString(key, args[3])
 		})
 		if err == engine.ErrCASMismatch {
 			return appendInt(out, 0)
@@ -1218,21 +1049,15 @@ func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
 		if err != nil {
 			return appendError(out, "value is not an integer or out of range")
 		}
-		sh.warm(key)
-		if sh.tiered != nil {
-			// Through the tiered store: the TTL replicates as an absolute
-			// deadline and expiry later deletes through to storage.
-			if sh.tiered.ExpireAt(key, time.Now().Add(time.Duration(secs)*time.Second).UnixNano()) {
-				return appendInt(out, 1)
-			}
-			return appendInt(out, 0)
-		}
-		if eng.Expire(key, time.Duration(secs)*time.Second) {
+		tr.Warm(key)
+		// Through the tiered store: the TTL replicates as an absolute
+		// deadline and expiry later deletes through to storage.
+		if tr.ExpireAt(key, time.Now().Add(time.Duration(secs)*time.Second).UnixNano()) {
 			return appendInt(out, 1)
 		}
 		return appendInt(out, 0)
 	case "TTL":
-		sh.warm(key)
+		tr.Warm(key)
 		d, ok := eng.TTL(key)
 		if !ok {
 			if eng.Exists(key) {
@@ -1242,14 +1067,8 @@ func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
 		}
 		return appendInt(out, int64(d/time.Second))
 	case "PERSIST":
-		sh.warm(key)
-		if sh.tiered != nil {
-			if sh.tiered.Persist(key) {
-				return appendInt(out, 1)
-			}
-			return appendInt(out, 0)
-		}
-		if eng.Persist(key) {
+		tr.Warm(key)
+		if tr.Persist(key) {
 			return appendInt(out, 1)
 		}
 		return appendInt(out, 0)
@@ -1297,7 +1116,7 @@ func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
 		}
 		return appendBulk(out, v)
 	case "LLEN":
-		sh.warm(key)
+		tr.Warm(key)
 		n, err := eng.LLen(key)
 		if err != nil {
 			return appendError(out, err.Error())
@@ -1312,7 +1131,7 @@ func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
 		if err1 != nil || err2 != nil {
 			return appendError(out, "value is not an integer or out of range")
 		}
-		sh.warm(key)
+		tr.Warm(key)
 		vals, err := eng.LRange(key, start, stop)
 		if err != nil {
 			return appendError(out, err.Error())
@@ -1351,7 +1170,7 @@ func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
 		if len(args) != 3 {
 			return appendError(out, "wrong number of arguments for 'sismember'")
 		}
-		sh.warm(key)
+		tr.Warm(key)
 		ok, err := eng.SIsMember(key, string(args[2]))
 		if err != nil {
 			return appendError(out, err.Error())
@@ -1361,14 +1180,14 @@ func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
 		}
 		return appendInt(out, 0)
 	case "SCARD":
-		sh.warm(key)
+		tr.Warm(key)
 		n, err := eng.SCard(key)
 		if err != nil {
 			return appendError(out, err.Error())
 		}
 		return appendInt(out, int64(n))
 	case "SMEMBERS":
-		sh.warm(key)
+		tr.Warm(key)
 		members, err := eng.SMembers(key)
 		if err != nil {
 			return appendError(out, err.Error())
@@ -1408,7 +1227,7 @@ func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
 		if len(args) != 3 {
 			return appendError(out, "wrong number of arguments for 'zscore'")
 		}
-		sh.warm(key)
+		tr.Warm(key)
 		sc, err := eng.ZScore(key, string(args[2]))
 		if notFoundish(err) {
 			return appendBulk(out, nil)
@@ -1439,7 +1258,7 @@ func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
 		}
 		return appendInt(out, 0)
 	case "ZCARD":
-		sh.warm(key)
+		tr.Warm(key)
 		n, err := eng.ZCard(key)
 		if err != nil {
 			return appendError(out, err.Error())
@@ -1455,7 +1274,7 @@ func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
 			return appendError(out, "value is not an integer or out of range")
 		}
 		withScores := len(args) == 5 && strings.EqualFold(string(args[4]), "WITHSCORES")
-		sh.warm(key)
+		tr.Warm(key)
 		members, err := eng.ZRange(key, start, stop)
 		if err != nil {
 			return appendError(out, err.Error())
@@ -1498,7 +1317,7 @@ func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
 		if len(args) != 3 {
 			return appendError(out, "wrong number of arguments for 'hget'")
 		}
-		sh.warm(key)
+		tr.Warm(key)
 		v, err := eng.HGet(key, string(args[2]))
 		if notFoundish(err) {
 			return appendBulk(out, nil)
@@ -1529,14 +1348,14 @@ func execute(sh *shard, cmd string, args [][]byte, out []byte) []byte {
 		}
 		return appendInt(out, int64(n))
 	case "HLEN":
-		sh.warm(key)
+		tr.Warm(key)
 		n, err := eng.HLen(key)
 		if err != nil {
 			return appendError(out, err.Error())
 		}
 		return appendInt(out, int64(n))
 	case "HGETALL":
-		sh.warm(key)
+		tr.Warm(key)
 		fields, err := eng.HGetAll(key)
 		if err != nil {
 			return appendError(out, err.Error())

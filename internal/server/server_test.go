@@ -655,6 +655,18 @@ func TestInfoWritePathCacheOnly(t *testing.T) {
 	}
 }
 
+// TestInfoTieredShardsReplicatedCacheOnly: tiered_shards counts shards
+// with a storage tier, so a cache-only node reports 0 whether or not it
+// replicates.
+func TestInfoTieredShardsReplicatedCacheOnly(t *testing.T) {
+	_, c := startMaster(t, nil)
+	for _, section := range []string{"writepath", "tiering"} {
+		if got := infoField(t, c, section, "tiered_shards"); got != "0" {
+			t.Fatalf("INFO %s on a replicated cache-only node: tiered_shards:%q, want 0", section, got)
+		}
+	}
+}
+
 // TestInfoStorageSection: INFO exposes per-shard LSM counters (flushes,
 // compactions, immutable backlog, level shape, write bytes) and supports
 // section filtering, like INFO writepath.

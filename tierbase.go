@@ -41,6 +41,7 @@ package tierbase
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"tierbase/internal/cache"
@@ -90,8 +91,6 @@ type Options struct {
 	// PMemPath persists the PMem device at this file (optional; default
 	// volatile simulation).
 	PMemPath string
-	// Replicas adds synchronous cache-tier replicas (reliability; §4.1.2).
-	Replicas int
 	// ElasticThreading enables the single↔multi worker controller (§4.4);
 	// otherwise Threads fixes the worker count (default 1, the paper's
 	// default single-thread event-loop mode).
@@ -111,7 +110,6 @@ type Options struct {
 type Store struct {
 	opts   Options
 	eng    *engine.Engine
-	reps   []*engine.Engine
 	tiered *cache.Tiered
 	pool   *elastic.Pool
 	db     *lsm.DB
@@ -154,9 +152,6 @@ func Open(opts Options) (*Store, error) {
 		engOpts.Arena = pmem.NewArena(s.dev, 0)
 	}
 	s.eng = engine.New(engOpts)
-	for i := 0; i < opts.Replicas; i++ {
-		s.reps = append(s.reps, engine.New(engOpts))
-	}
 
 	maxThreads := opts.MaxThreads
 	if maxThreads <= 0 {
@@ -173,7 +168,6 @@ func Open(opts Options) (*Store, error) {
 
 	cacheOpts := cache.Options{
 		Engine:             s.eng,
-		Replicas:           s.reps,
 		CacheCapacityBytes: opts.CacheCapacityBytes,
 	}
 	switch opts.Policy {
@@ -292,13 +286,29 @@ func (s *Store) Update(key string, fn func(old []byte, exists bool) []byte) erro
 	return err
 }
 
+// rmw runs an in-place engine op and the propagation of its outcome the
+// way the server does (cache/rmw.go): warm the key from the storage tier,
+// then run op under the key's RMW stripe lock.
+func (s *Store) rmw(key string, op func() error) error {
+	var err error
+	if perr := s.pool.SubmitWait(func() {
+		s.tiered.Warm(key)
+		err = s.tiered.Locked(key, op)
+	}); perr != nil {
+		return perr
+	}
+	return err
+}
+
 // CompareAndSet swaps key's value only if it currently equals oldVal
 // (nil oldVal = "absent"). Returns ErrCASMismatch on conflict.
 func (s *Store) CompareAndSet(key string, oldVal, newVal []byte) error {
-	var err error
-	if perr := s.pool.SubmitWait(func() { err = s.eng.CompareAndSet(key, oldVal, newVal) }); perr != nil {
-		return perr
-	}
+	err := s.rmw(key, func() error {
+		if err := s.eng.CompareAndSet(key, oldVal, newVal); err != nil {
+			return err
+		}
+		return s.tiered.PropagateString(key, newVal)
+	})
 	if err == engine.ErrCASMismatch {
 		return ErrCASMismatch
 	}
@@ -308,17 +318,23 @@ func (s *Store) CompareAndSet(key string, oldVal, newVal []byte) error {
 // IncrBy adds delta to an integer value.
 func (s *Store) IncrBy(key string, delta int64) (int64, error) {
 	var v int64
-	var err error
-	if perr := s.pool.SubmitWait(func() { v, err = s.eng.IncrBy(key, delta) }); perr != nil {
-		return 0, perr
-	}
+	err := s.rmw(key, func() error {
+		var err error
+		if v, err = s.eng.IncrBy(key, delta); err != nil {
+			return err
+		}
+		return s.tiered.PropagateString(key, strconv.AppendInt(nil, v, 10))
+	})
 	return v, err
 }
 
 // Expire sets a TTL on key.
 func (s *Store) Expire(key string, d time.Duration) bool {
 	var ok bool
-	s.pool.SubmitWait(func() { ok = s.eng.Expire(key, d) })
+	s.pool.SubmitWait(func() {
+		s.tiered.Warm(key)
+		ok = s.tiered.ExpireAt(key, time.Now().Add(d).UnixNano())
+	})
 	return ok
 }
 
@@ -367,9 +383,6 @@ func (s *Store) Stats() Stats {
 		DirtyEntries:      cst.Dirty,
 		BackpressureWaits: cst.BackpressureWaits,
 		Workers:           s.pool.Workers(),
-	}
-	for _, r := range s.reps {
-		st.CacheMemBytes += r.MemUsed()
 	}
 	if s.db != nil {
 		st.StorageDiskBytes = s.db.Stats().DiskBytes

@@ -3,6 +3,8 @@ package tierbase
 import (
 	"bytes"
 	"fmt"
+	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -246,7 +248,7 @@ func TestCostModelReexports(t *testing.T) {
 
 func TestStatsShape(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(Options{Policy: WriteBack, Dir: dir, Replicas: 1})
+	s, err := Open(Options{Policy: WriteBack, Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,5 +266,99 @@ func TestStatsShape(t *testing.T) {
 	s.FlushDirty()
 	if s.Stats().DirtyEntries != 0 {
 		t.Fatal("dirty after flush")
+	}
+}
+
+// TestInPlaceOpsReachStorage: IncrBy, CompareAndSet and Expire go through
+// the tiered store, so under a tiered policy their outcome survives a
+// restart and they compose with a key the cache tier no longer holds.
+func TestInPlaceOpsReachStorage(t *testing.T) {
+	for name, policy := range map[string]Policy{"write-through": WriteThrough, "write-back": WriteBack} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(Options{Policy: policy, Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Set("n", []byte("10"))
+			if n, err := s.IncrBy("n", 5); err != nil || n != 15 {
+				t.Fatalf("incr: %d %v", n, err)
+			}
+			s.Set("c", []byte("a"))
+			if err := s.CompareAndSet("c", []byte("a"), []byte("b")); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			s, err = Open(Options{Policy: policy, Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if v, err := s.Get("n"); err != nil || string(v) != "15" {
+				t.Fatalf("n after restart: %q %v", v, err)
+			}
+			if v, err := s.Get("c"); err != nil || string(v) != "b" {
+				t.Fatalf("c after restart: %q %v", v, err)
+			}
+
+			// Drop the keys from the cache tier only, as eviction does.
+			evict := func(keys ...string) {
+				if err := s.FlushDirty(); err != nil {
+					t.Fatal(err)
+				}
+				for _, k := range keys {
+					s.Engine().Del(k)
+				}
+			}
+			evict("n", "c")
+			if n, err := s.IncrBy("n", 1); err != nil || n != 16 {
+				t.Fatalf("incr of evicted key: %d %v", n, err)
+			}
+			if err := s.CompareAndSet("c", []byte("b"), []byte("d")); err != nil {
+				t.Fatalf("cas of evicted key: %v", err)
+			}
+			evict("c")
+			if !s.Expire("c", time.Hour) {
+				t.Fatal("expire of evicted key reported it absent")
+			}
+			if v, err := s.Get("c"); err != nil || string(v) != "d" {
+				t.Fatalf("c after expire: %q %v", v, err)
+			}
+		})
+	}
+}
+
+// TestConcurrentUpdateLosesNoIncrement: Update is atomic per key — with
+// several pool workers running it at once no read-modify-write is lost.
+func TestConcurrentUpdateLosesNoIncrement(t *testing.T) {
+	s, err := Open(Options{Policy: WriteBack, Dir: t.TempDir(), Threads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const workers, each = 4, 2000
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				err := s.Update("ctr", func(old []byte, _ bool) []byte {
+					n, _ := strconv.Atoi(string(old))
+					return []byte(strconv.Itoa(n + 1))
+				})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if v, err := s.Get("ctr"); err != nil || string(v) != strconv.Itoa(workers*each) {
+		t.Fatalf("ctr = %q %v, want %d", v, err, workers*each)
 	}
 }
