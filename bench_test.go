@@ -10,7 +10,6 @@ package tierbase_test
 
 import (
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -63,44 +62,6 @@ func BenchmarkTable3BreakEven(b *testing.B)           { runExperiment(b, "tab3")
 func BenchmarkShardScale(b *testing.B)                { runExperiment(b, "shardscale") }
 
 // --- ablations (DESIGN.md §5) ---
-
-// BenchmarkAblationCoalescing measures write-through group commit: storage
-// round trips absorbed when many writers hit one key.
-func BenchmarkAblationCoalescing(b *testing.B) {
-	for _, disabled := range []bool{false, true} {
-		name := "coalescing-on"
-		if disabled {
-			name = "coalescing-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			stor := cache.NewMapStorage()
-			remote := cache.NewRemote(stor, 100*time.Microsecond)
-			tr, err := cache.New(cache.Options{
-				Policy: cache.WriteThrough, Engine: engine.New(engine.Options{}),
-				Storage: remote, DisableCoalescing: disabled,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer tr.Close()
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for w := 0; w < 8; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < b.N; i++ {
-						tr.Set("hotkey", []byte{byte(i), byte(w)})
-					}
-				}(w)
-			}
-			wg.Wait()
-			b.StopTimer()
-			ops := float64(8 * b.N)
-			b.ReportMetric(float64(remote.TotalRPCs())/ops, "rpc/op")
-		})
-	}
-}
 
 // BenchmarkAblationWriteBackBatch measures dirty-batch flushing: storage
 // round trips per write as FlushBatch grows.

@@ -46,6 +46,10 @@ const minResizeSamples = 64
 // delays re-convergence by a few rounds.
 const rollbackCooldown = 4
 
+// rebalanceHysteresis is the dead band around the mean miss pressure: a
+// stripe must be this fraction above (below) the mean to rank hot (cold).
+const rebalanceHysteresis = 0.25
+
 // stripeTier is one stripe's sampling + budget state.
 type stripeTier struct {
 	budget    atomic.Int64 // live byte budget (eviction target); 0 = unbounded
@@ -131,23 +135,10 @@ func (t *Tiered) initTiering(nsh int) {
 		st.budget.Store(even)
 	}
 	t.tier.capacity.Store(even * int64(nsh))
-	t.tier.floor = t.opts.StripeFloorBytes
-	if t.tier.floor <= 0 {
-		t.tier.floor = even / 8
-	}
-	if t.tier.floor < 1 {
-		t.tier.floor = 1
-	}
-	if t.tier.floor > even {
-		t.tier.floor = even // a floor above the even split could never seed
-	}
-	t.tier.step = t.opts.RebalanceStepBytes
-	if t.tier.step <= 0 {
-		t.tier.step = even / 4
-	}
-	if t.tier.step < 1 {
-		t.tier.step = 1
-	}
+	// A stripe is never stolen below an eighth of the even split, and at
+	// most a quarter of it moves into or out of one stripe per round.
+	t.tier.floor = max(even/8, 1)
+	t.tier.step = max(even/4, 1)
 }
 
 // sampleHitBatch / sampleMissBatch record batch-read outcomes per stripe
@@ -262,7 +253,6 @@ func (t *Tiered) RebalanceNow() int64 {
 		return 0 // no capacity pressure anywhere
 	}
 	mean := total / float64(len(views))
-	hys := t.opts.RebalanceHysteresis
 
 	// Classify with a dead band around the mean: only clearly-hot stripes
 	// receive and only clearly-cold stripes donate, so near-mean stripes
@@ -271,13 +261,13 @@ func (t *Tiered) RebalanceNow() int64 {
 	var hot, cold []stripeView
 	for _, v := range views {
 		switch {
-		case v.pressure > mean*(1+hys) && v.resident*2 >= v.budget:
+		case v.pressure > mean*(1+rebalanceHysteresis) && v.resident*2 >= v.budget:
 			// Hot and actually pressing on the budget. Half-full is the
 			// bar, not nearly-full: a shrunk stripe's residency quantizes
 			// to whole items and can sit well under its byte budget while
 			// its working set starves.
 			hot = append(hot, v)
-		case v.pressure < mean*(1-hys) && v.budget > t.tier.floor:
+		case v.pressure < mean*(1-rebalanceHysteresis) && v.budget > t.tier.floor:
 			cold = append(cold, v)
 		}
 	}

@@ -11,9 +11,9 @@ import (
 // MGet (one stripe lock per touched shard); the remaining misses make a
 // single Storage.BatchGet round trip — the optimization the paper credits
 // for lowering PC_miss — with singleflight dedup against concurrent
-// fetches of the same keys. Writes group into one storage round trip
-// (write-through, via the per-key queues — see wtBatchCommit) or one
-// striped dirty-set pass (write-back).
+// fetches of the same keys. Writes take the RMW locks of the stripes they
+// touch and go through commitBatch (tiered.go): one storage round trip
+// (write-through) or one striped dirty-set pass (write-back).
 
 // dedupeKeys drops duplicate keys while preserving first-occurrence
 // order; a duplicate-free input is returned as-is.
@@ -147,14 +147,11 @@ func (t *Tiered) BatchGet(keys []string) (map[string][]byte, error) {
 }
 
 // BatchPut applies many writes according to the configured policy; a nil
-// value deletes the key (matching Storage.BatchPut semantics). Under
-// write-through the batch routes through the SAME per-key queues as
-// single-key writes: keys with no in-flight leader commit in one grouped
-// storage round trip, keys with a leader piggyback on it (and are covered
-// by its commit) — so a concurrent Set(k) and a batch containing k
-// serialize per key, with no ordering bypass. Under write-back it is one
-// striped dirty-set pass with per-stripe backpressure. The cache tier
-// applies via the engine's striped MSet/BatchDel.
+// value deletes the key (matching Storage.BatchPut semantics). It holds the
+// RMW lock of every stripe the batch touches for the whole commit, exactly
+// as Set does for one key — see commitBatch for what happens under them.
+// Readers may observe some of the batch's keys before others: a batch is
+// ordered per key, not atomic across keys.
 func (t *Tiered) BatchPut(entries map[string][]byte) error {
 	if t.closed.Load() {
 		return ErrClosed
@@ -164,24 +161,8 @@ func (t *Tiered) BatchPut(entries map[string][]byte) error {
 	for k := range entries {
 		keys = append(keys, k)
 	}
-	switch t.opts.Policy {
-	case WriteThrough:
-		if err := t.wtBatchCommit(keys, entries); err != nil {
-			return err
-		}
-	case WriteBack:
-		if err := t.wbBatchMark(entries); err != nil {
-			return err
-		}
-		t.applyBatchToCache(entries)
-		if t.dirtyCount.Load() >= int64(t.opts.FlushBatch) {
-			t.wakeFlusher()
-		}
-	default:
-		t.applyBatchToCache(entries)
-	}
-	t.replicateBatch(keys, entries)
-	return nil
+	defer t.lockKeys(keys)()
+	return t.commitBatch(keys, entries)
 }
 
 // wbBatchMark records a batch as dirty, one stripe lock (and one
@@ -195,15 +176,11 @@ func (t *Tiered) BatchPut(entries map[string][]byte) error {
 // entry lands. If Close lands MID-batch (a backpressured stripe wait
 // woke into a closed store), the remaining stripes admit without waiting
 // — a partial batch must not be acked as failed — and the caller then
-// flushes the dirty set itself (wbCloseRaceFlush), because Close's final
+// flushes the dirty set itself (wbAdmissionOutcome), because Close's final
 // flush may already have collected; only a successful flush acks.
-func (t *Tiered) wbBatchMark(entries map[string][]byte) error {
+func (t *Tiered) wbBatchMark(keys []string, entries map[string][]byte) error {
 	if t.closed.Load() {
 		return ErrClosed
-	}
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		keys = append(keys, k)
 	}
 	admitted, closedMidway := false, false
 	t.eng.GroupKeysByShard(keys, func(si int, group []string) {
@@ -260,10 +237,9 @@ func (t *Tiered) wbAdmissionOutcome(admitted, closedMidway bool) error {
 // correct for keys that were evicted to storage. Duplicate keys count at
 // most once (Redis DEL semantics).
 //
-// Like BatchPut, write-through deletes route through the per-key queues
-// (keys with no in-flight leader share one Storage.BatchDelete round
-// trip; keys with a leader piggyback as pending deletes), so multi-key
-// deletes order against concurrent single-key writes per key.
+// Like BatchPut it holds the RMW locks of the stripes it touches from the
+// existence check through the commit, so no other write to these keys
+// lands between the count and the delete.
 func (t *Tiered) BatchDelete(keys []string) (int, error) {
 	if t.closed.Load() {
 		return 0, ErrClosed
@@ -273,22 +249,11 @@ func (t *Tiered) BatchDelete(keys []string) (int, error) {
 	if len(uniq) == 0 {
 		return 0, nil
 	}
+	defer t.lockKeys(uniq)()
 
-	if t.opts.Policy == CacheOnly {
-		n := 0
-		for _, live := range t.eng.BatchDelDetail(uniq) {
-			if live {
-				n++
-			}
-		}
-		t.forgetBatch(uniq)
-		t.replicateBatch(uniq, nil)
-		return n, nil
-	}
-
-	// Tiered policies: establish per-key existence before mutating. Keys
-	// the cache holds count immediately; the rest consult write-back dirty
-	// state and, as a last resort, one storage BatchGet round trip.
+	// Establish per-key existence before mutating. Keys the cache holds
+	// count immediately; the rest consult write-back dirty state and, as a
+	// last resort, one storage BatchGet round trip.
 	n := 0
 	var unknown []string
 	for i, live := range t.eng.BatchExists(uniq) {
@@ -316,7 +281,7 @@ func (t *Tiered) BatchDelete(keys []string) (int, error) {
 		})
 		unknown = live
 	}
-	if len(unknown) > 0 {
+	if t.opts.Policy != CacheOnly && len(unknown) > 0 {
 		svals, err := t.opts.Storage.BatchGet(unknown)
 		if err != nil {
 			return 0, err // nothing deleted yet; surface the failure
@@ -324,51 +289,23 @@ func (t *Tiered) BatchDelete(keys []string) (int, error) {
 		n += len(svals) // BatchGet returns present keys only
 	}
 
-	switch t.opts.Policy {
-	case WriteThrough:
-		// Unified ordering: the whole delete batch goes through the
-		// per-key queues (cache apply included in the commit path).
-		dels := make(map[string][]byte, len(uniq))
-		for _, k := range uniq {
-			dels[k] = nil
-		}
-		if err := t.wtBatchCommit(uniq, dels); err != nil {
-			return 0, err
-		}
-		t.replicateBatch(uniq, nil)
-		return n, nil
-	case WriteBack:
-		// Tombstones admit through wbBatchMark (nil value = tombstone),
-		// sharing its Close-race discipline: clean ErrClosed before
-		// anything lands, synchronous flush once tombstones have.
-		dels := make(map[string][]byte, len(uniq))
-		for _, k := range uniq {
-			dels[k] = nil
-		}
-		if err := t.wbBatchMark(dels); err != nil {
-			return 0, err
-		}
-		defer func() {
-			if t.dirtyCount.Load() >= int64(t.opts.FlushBatch) {
-				t.wakeFlusher()
-			}
-		}()
+	// No entries: every key of a nil map reads as nil, a delete.
+	if err := t.commitBatch(uniq, nil); err != nil {
+		return 0, err
 	}
-
-	t.eng.BatchDel(uniq)
-	t.forgetBatch(uniq)
-	t.replicateBatch(uniq, nil)
 	return n, nil
 }
 
-// applyBatchToCache mutates the cache tier for a whole batch,
-// taking each engine stripe lock once (and each LRU stripe lock once),
-// then runs capacity eviction on the touched stripes only.
-func (t *Tiered) applyBatchToCache(entries map[string][]byte) {
+// applyBatchToCache mutates the cache tier for a whole batch (entries[k]
+// is k's new value, nil deletes), taking each engine stripe lock once (and
+// each LRU stripe lock once), then runs capacity eviction on the touched
+// stripes only.
+func (t *Tiered) applyBatchToCache(keys []string, entries map[string][]byte) {
 	kvs := make([]engine.KV, 0, len(entries))
 	sets := make([]string, 0, len(entries))
 	var dels []string
-	for k, v := range entries {
+	for _, k := range keys {
+		v := entries[k]
 		if v == nil {
 			dels = append(dels, k)
 		} else {

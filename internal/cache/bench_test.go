@@ -122,9 +122,8 @@ func BenchmarkTieredSetDirtyEvictionScan(b *testing.B) {
 // --- write-path benchmarks (the CI bench artifact's write coverage) ---
 
 // BenchmarkWTSetSameKey measures write-through writes from all goroutines
-// converging on ONE hot key: the per-key coalescing queue is the whole
-// benchmark. Before the write path was striped this also serialized every
-// other write in the store on the global queue-map lock.
+// converging on ONE hot key: its RMW stripe lock, held across the storage
+// write, is the whole benchmark.
 func BenchmarkWTSetSameKey(b *testing.B) {
 	tr := newBenchTiered(b, 1<<30)
 	val := []byte("0123456789abcdef0123456789abcdef")
@@ -140,8 +139,8 @@ func BenchmarkWTSetSameKey(b *testing.B) {
 }
 
 // BenchmarkWTSetSpreadKeys measures write-through writes spread across
-// the keyspace: queue admission should scale with stripes, not fight
-// over one map lock.
+// the keyspace: writers should scale with stripes, not fight over one
+// lock.
 func BenchmarkWTSetSpreadKeys(b *testing.B) {
 	tr := newBenchTiered(b, 1<<30)
 	val := []byte("0123456789abcdef0123456789abcdef")
@@ -160,8 +159,8 @@ func BenchmarkWTSetSpreadKeys(b *testing.B) {
 
 // BenchmarkWTSetHotSpreadMix interleaves hot-key writes with spread-key
 // writes: the contended single-key path sharing the store with unrelated
-// write traffic. Striped queues isolate the hot key's coalescing from the
-// spread admissions; the old global queue-map lock serialized them all.
+// write traffic. The hot key serializes on its own stripe lock only; the
+// spread writes on other stripes pass it.
 func BenchmarkWTSetHotSpreadMix(b *testing.B) {
 	tr := newBenchTiered(b, 1<<30)
 	val := []byte("0123456789abcdef0123456789abcdef")

@@ -16,7 +16,7 @@ import "tierbase/internal/engine"
 // Warm makes the engine authoritative for the key before the op (so INCR
 // composes with a value that was evicted, or that predates a restart).
 // Locked serializes the op+propagate pair per stripe: without it, two
-// INCRs could enqueue their captured results out of engine order and the
+// INCRs could commit their captured results out of engine order and the
 // storage tier would converge on the older value. Propagate* then hands
 // the outcome to commit (tiered.go) — the same route a Set takes, to
 // storage by policy and to the replication sink — WITHOUT re-applying it
@@ -37,9 +37,7 @@ func (t *Tiered) Warm(key string) {
 // Locked runs fn under key's RMW stripe lock, serializing it against
 // other Locked calls for keys on the same engine stripe.
 func (t *Tiered) Locked(key string, fn func() error) error {
-	mu := &t.rmw[t.eng.ShardIndex(key)]
-	mu.Lock()
-	defer mu.Unlock()
+	defer t.lockKey(key).Unlock()
 	return fn()
 }
 

@@ -5,13 +5,11 @@ package cache
 // feeds its op log from it (see internal/replication).
 //
 // Contract:
-//   - Single-key calls happen under the mutated key's RMW stripe lock,
-//     so per-key (and per-stripe) sink order matches engine apply order
-//     — the property semi-sync replication needs. Batch writes append
-//     per stripe group under that stripe's lock, but the batch's
-//     storage commit happens after the locks drop, so a batch racing a
-//     single-key write on the same key has a residual ordering window
-//     (documented in ROADMAP.md).
+//   - Every call happens under the mutated key's RMW stripe lock (a
+//     batch holds the locks of all its stripes across its storage write
+//     and its sink calls; FlushAll holds them all), so per-key (and
+//     per-stripe) sink order matches engine apply order and storage
+//     order — the property semi-sync replication needs.
 //   - Values may alias buffers the caller reuses (RESP parse arenas):
 //     implementations must copy anything they retain.
 //   - Implementations must not call back into the Tiered store and
@@ -42,24 +40,3 @@ type OpSink interface {
 // store serves traffic (the field is read without synchronization on
 // the write path).
 func (t *Tiered) SetSink(s OpSink) { t.sink = s }
-
-// replicateBatch reports a batch mutation to the sink, one stripe group
-// at a time under that stripe's RMW lock. entries==nil (or a nil value)
-// means delete. Called only after the batch committed.
-func (t *Tiered) replicateBatch(keys []string, entries map[string][]byte) {
-	if t.sink == nil {
-		return
-	}
-	t.eng.GroupKeysByShard(keys, func(si int, group []string) {
-		mu := &t.rmw[si]
-		mu.Lock()
-		for _, k := range group {
-			if v, ok := entries[k]; ok && v != nil {
-				t.sink.ReplicateSet(k, v, false)
-			} else {
-				t.sink.ReplicateDelete(k)
-			}
-		}
-		mu.Unlock()
-	})
-}

@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"tierbase/internal/engine"
 )
@@ -14,6 +15,9 @@ import (
 type recordingSink struct {
 	mu  sync.Mutex
 	ops []sinkOp
+	// onSet, when set, runs at the start of every ReplicateSet: a test's
+	// chance to start another writer at exactly that point of a commit.
+	onSet func(key string)
 }
 
 type sinkOp struct {
@@ -28,6 +32,9 @@ type sinkOp struct {
 }
 
 func (r *recordingSink) ReplicateSet(key string, val []byte, encoded bool) {
+	if r.onSet != nil {
+		r.onSet(key)
+	}
 	r.mu.Lock()
 	r.ops = append(r.ops, sinkOp{key: key, val: append([]byte(nil), val...), encoded: encoded})
 	r.mu.Unlock()
@@ -146,20 +153,87 @@ func TestSinkIgnoresFillsAndEvictions(t *testing.T) {
 	}
 }
 
-// TestSinkOrderMatchesEngineOrder hammers one key with concurrent SETs
-// and RMW-style propagations (the INCR shape) and asserts the sink's
-// final op for the key matches the engine's final value — the property
-// the PR 6 known gap broke (SET didn't take the stripe lock, so storage
-// and any log could see the race loser last).
+// checkLastSinkOp asserts the sink's last op for key says what the engine
+// holds for it — a replica replaying the sink converges on the master.
+func checkLastSinkOp(t *testing.T, eng *engine.Engine, sink *recordingSink, key string) {
+	t.Helper()
+	var last sinkOp
+	found := false
+	for _, op := range sink.snapshot() {
+		if op.key == key {
+			last, found = op, true
+		}
+	}
+	if !found {
+		t.Fatalf("no sink ops for %q", key)
+	}
+	final, err := eng.Get(key)
+	if err != nil {
+		if !last.del {
+			t.Fatalf("engine has no %q (%v) but the last sink op is %+v", key, err, last)
+		}
+		return
+	}
+	if last.del || string(last.val) != string(final) {
+		t.Fatalf("last sink op %+v diverges from engine value %q", last, final)
+	}
+}
+
+// TestSinkOrderMatchesEngineOrder asserts the sink's final op for a key
+// matches the engine's final state under every policy, for every pair of
+// write shapes: plain SETs, RMW-style propagations (the INCR shape) and
+// batches. First one exact interleaving — a Set(k) started while a batch
+// holding k is between its engine apply and its last sink call, which
+// diverged every time while batches reported to the sink after dropping
+// their locks — then all three shapes hammering one key.
 func TestSinkOrderMatchesEngineOrder(t *testing.T) {
 	for _, policy := range []Policy{CacheOnly, WriteThrough, WriteBack} {
 		t.Run(policy.String(), func(t *testing.T) {
 			ts, sink := newSinkStore(t, policy)
 			eng := ts.opts.Engine
+
+			// lo's stripe sorts before hi's, so a batch that walks its
+			// stripes in index order reports lo first.
+			lo, hi := "lo", "hi"
+			for i := 0; eng.ShardIndex(lo) >= eng.ShardIndex(hi); i++ {
+				lo, hi = "lo"+strconv.Itoa(i), "hi"+strconv.Itoa(i)
+			}
+			var setDone sync.WaitGroup
+			var once sync.Once
+			sink.onSet = func(k string) {
+				if k != lo {
+					return
+				}
+				once.Do(func() {
+					// The batch is mid-report. Give a Set(hi) every chance
+					// to run here; it must not get in before the batch's
+					// own op for hi is in the sink.
+					done := make(chan struct{})
+					setDone.Add(1)
+					go func() {
+						defer setDone.Done()
+						if err := ts.Set(hi, []byte("set")); err != nil {
+							t.Error(err)
+						}
+						close(done)
+					}()
+					select {
+					case <-done:
+					case <-time.After(20 * time.Millisecond):
+					}
+				})
+			}
+			if err := ts.BatchPut(map[string][]byte{lo: []byte("b"), hi: []byte("batch")}); err != nil {
+				t.Fatal(err)
+			}
+			setDone.Wait()
+			sink.onSet = nil
+			checkLastSinkOp(t, eng, sink, hi)
+
 			const key = "contended"
 			const rounds = 200
 			var wg sync.WaitGroup
-			wg.Add(2)
+			wg.Add(3)
 			go func() { // writer: plain SETs
 				defer wg.Done()
 				for i := 0; i < rounds; i++ {
@@ -183,33 +257,33 @@ func TestSinkOrderMatchesEngineOrder(t *testing.T) {
 					}
 				}
 			}()
-			wg.Wait()
-
-			final, err := eng.Get(key)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ops := sink.snapshot()
-			var last sinkOp
-			found := false
-			for _, op := range ops {
-				if op.key == key {
-					last, found = op, true
+			go func() { // batches: MSET and multi-key DEL shapes
+				defer wg.Done()
+				for i := 0; i < rounds; i++ {
+					var err error
+					if i%4 == 3 {
+						_, err = ts.BatchDelete([]string{key})
+					} else {
+						err = ts.BatchPut(map[string][]byte{
+							key:     []byte("batch-" + strconv.Itoa(i)),
+							"other": []byte("x"),
+						})
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
 				}
-			}
-			if !found {
-				t.Fatal("no sink ops for contended key")
-			}
-			if last.del || string(last.val) != string(final) {
-				t.Fatalf("last sink op %+v diverges from engine value %q", last, final)
-			}
+			}()
+			wg.Wait()
+			checkLastSinkOp(t, eng, sink, key)
 		})
 	}
 }
 
 func TestSetStillWorksUnderStripeContention(t *testing.T) {
-	// Many goroutines, many keys on few stripes: the new Set locking must
-	// not deadlock against write-through queue piggybacking.
+	// Many goroutines, many keys on few stripes: writers that share a
+	// stripe lock serialize, they never deadlock.
 	eng := engine.New(engine.Options{Shards: 2})
 	ts, err := New(Options{Policy: WriteThrough, Engine: eng, Storage: NewMapStorage()})
 	if err != nil {

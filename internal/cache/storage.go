@@ -2,8 +2,8 @@
 // a cache tier (the in-memory engine) synchronized with a disaggregated
 // storage tier through write-through or write-back policies. It contains
 // the techniques the paper credits for a low miss penalty and low storage
-// cost: per-key write queues, write coalescing (group commit), dirty-data
-// batching with backpressure, deferred cache-fetching, and cache-content
+// cost: per-key write ordering (one stripe lock rule), dirty-data batching
+// with backpressure, deferred cache-fetching, and cache-content
 // replication.
 package cache
 
@@ -230,7 +230,7 @@ func (r *Remote) pause() {
 	// timers), which would inflate sub-millisecond RTTs by an order of
 	// magnitude and distort every miss-penalty measurement. Yield each
 	// iteration: a network round trip leaves the CPU free, so goroutines
-	// waiting to run (e.g. writers that should coalesce behind this one)
+	// waiting to run (writers on other stripes, readers, the flusher)
 	// must get the processor even at GOMAXPROCS=1.
 	deadline := time.Now().Add(r.RTT)
 	for time.Now().Before(deadline) {

@@ -56,8 +56,6 @@ type Options struct {
 	MaxDirty int
 	// FetchWindow batches deferred cache-fetches (default 1 ms).
 	FetchWindow time.Duration
-	// DisableCoalescing turns off write-through group commit (ablation).
-	DisableCoalescing bool
 
 	// AdaptiveTiering starts the background budget rebalancer: per-stripe
 	// byte budgets follow the observed workload (windowed miss pressure)
@@ -66,16 +64,6 @@ type Options struct {
 	AdaptiveTiering bool
 	// RebalanceInterval is the rebalancer period (default 100 ms).
 	RebalanceInterval time.Duration
-	// StripeFloorBytes is the minimum budget any stripe can be stolen
-	// down to (default: an eighth of the even split, at least 1).
-	StripeFloorBytes int64
-	// RebalanceStepBytes bounds how much budget moves into or out of one
-	// stripe per round (default: a quarter of the even split, at least 1).
-	RebalanceStepBytes int64
-	// RebalanceHysteresis is the dead band around the mean miss pressure:
-	// a stripe must be this fraction above (below) the mean to be ranked
-	// hot (cold). Default 0.25.
-	RebalanceHysteresis float64
 
 	// StorageRetries is how many times a failed storage call is retried
 	// before the error surfaces (default 2; negative disables). Retries
@@ -94,8 +82,6 @@ type Options struct {
 	// delete through on first touch). Without delete-through, a key that
 	// expires in the cache tier resurrects from storage on its next miss.
 	ExpirySweepInterval time.Duration
-	// ExpirySweepBatch bounds keys deleted per sweep round (default 256).
-	ExpirySweepBatch int
 
 	// TargetHitRate, when > 0, enables hit-rate-targeted total sizing:
 	// the rebalancer grows the total budget toward MaxCapacityBytes while
@@ -136,14 +122,8 @@ func (o *Options) fill() {
 	if o.DegradedProbeInterval <= 0 {
 		o.DegradedProbeInterval = 500 * time.Millisecond
 	}
-	if o.ExpirySweepBatch <= 0 {
-		o.ExpirySweepBatch = 256
-	}
 	if o.RebalanceInterval <= 0 {
 		o.RebalanceInterval = 100 * time.Millisecond
-	}
-	if o.RebalanceHysteresis <= 0 {
-		o.RebalanceHysteresis = 0.25
 	}
 	if o.TargetHitRate > 0 {
 		if o.MinCapacityBytes <= 0 {
@@ -181,12 +161,6 @@ type Tiered struct {
 	// entry per engine stripe) and the rebalancer state around them.
 	tier tiering
 
-	// Write-through per-key queues (write ordering + coalescing), striped
-	// along the engine's stripes: wt[i] owns the queues of every key in
-	// engine stripe i, so queue admission on one stripe never serializes
-	// writes on another.
-	wt []*wtStripe
-
 	// Write-back dirty state, striped the same way: dirtyStripes[i] owns
 	// the dirty entries (and the backpressure cond and generation counter)
 	// of engine stripe i. dirtyCount tracks the total across stripes so
@@ -216,8 +190,11 @@ type Tiered struct {
 	flMu    sync.Mutex
 	flights map[string]*flight
 
-	// Per-stripe RMW locks serializing op+propagate pairs (see rmw.go).
-	// Set/Delete take them too, so plain writes order against RMW ops.
+	// Per-stripe RMW locks: the one per-key write-ordering rule. rmw[i]
+	// covers every key in engine stripe i, and every write entry point holds
+	// the lock of each stripe it writes from before the storage write (or
+	// dirty-mark) until after the sink call; holders of several (batches,
+	// FlushAll) acquire in ascending index. See lockKey / lockKeys.
 	rmw []sync.Mutex
 
 	// Replication sink (see sink.go); nil when replication is off.
@@ -242,7 +219,6 @@ type Tiered struct {
 	hits      atomic.Int64
 	misses    atomic.Int64
 	evictions atomic.Int64
-	coalesced atomic.Int64
 	flushed   atomic.Int64
 	batches   atomic.Int64
 	fetched   atomic.Int64
@@ -318,10 +294,6 @@ func New(opts Options) (*Tiered, error) {
 		stopCh:  make(chan struct{}),
 	}
 	nsh := opts.Engine.NumShards()
-	t.wt = make([]*wtStripe, nsh)
-	for i := range t.wt {
-		t.wt[i] = &wtStripe{queues: make(map[string]*wtQueue)}
-	}
 	t.rmw = make([]sync.Mutex, nsh)
 	t.dirtyStripes = make([]*dirtyStripe, nsh)
 	for i := range t.dirtyStripes {
@@ -595,9 +567,7 @@ func (t *Tiered) expireThrough(key string) bool {
 	if t.opts.Policy == CacheOnly {
 		return false // engine lazy expiry suffices; nothing to resurrect
 	}
-	mu := &t.rmw[t.eng.ShardIndex(key)]
-	mu.Lock()
-	defer mu.Unlock()
+	defer t.lockKey(key).Unlock()
 	if !t.eng.TakeExpired(key) {
 		return false
 	}
@@ -611,6 +581,9 @@ func (t *Tiered) expireThrough(key string) bool {
 	return true
 }
 
+// expirySweepBatch bounds the keys one sweep round deletes through.
+const expirySweepBatch = 256
+
 // expirySweepLoop proactively deletes lapsed-TTL keys through the
 // storage tier (ExpirySweepInterval > 0), so cold expired keys don't
 // linger in storage until someone happens to touch them.
@@ -623,7 +596,7 @@ func (t *Tiered) expirySweepLoop() {
 		case <-t.stopCh:
 			return
 		case <-ticker.C:
-			for _, k := range t.eng.CollectExpired(t.opts.ExpirySweepBatch) {
+			for _, k := range t.eng.CollectExpired(expirySweepBatch) {
 				t.expireThrough(k)
 			}
 		}
@@ -734,13 +707,43 @@ func (t *Tiered) fetchCoalesced(key string) ([]byte, error) {
 
 // --- writes ---
 
+// lockKey takes the RMW lock of key's stripe and returns it for the
+// caller to release: defer t.lockKey(key).Unlock().
+func (t *Tiered) lockKey(key string) *sync.Mutex {
+	mu := &t.rmw[t.eng.ShardIndex(key)]
+	mu.Lock()
+	return mu
+}
+
+// lockKeys takes the RMW lock of every stripe keys touch, in ascending
+// index order (FlushAll's order, so multi-stripe holders never deadlock),
+// and returns the release: defer t.lockKeys(keys)().
+func (t *Tiered) lockKeys(keys []string) (unlock func()) {
+	touched := make([]bool, len(t.rmw))
+	for _, k := range keys {
+		touched[t.eng.ShardIndex(k)] = true
+	}
+	for si, hit := range touched {
+		if hit {
+			t.rmw[si].Lock()
+		}
+	}
+	return func() {
+		for si, hit := range touched {
+			if hit {
+				t.rmw[si].Unlock()
+			}
+		}
+	}
+}
+
 // commit is the one route a committed single-key write takes: to the
-// storage tier as the policy dictates (write-through: synchronously,
-// through the per-key queue; write-back: into the dirty set; cache-only:
-// nowhere), to the cache tier, and — once that succeeded — to the
-// replication sink. del deletes; enc marks val as a typed collection blob;
-// pre marks an outcome the engine already holds (an in-place op, see
-// rmw.go), which is then not applied to it a second time.
+// storage tier as the policy dictates (write-through: synchronously;
+// write-back: into the dirty set; cache-only: nowhere), to the cache tier,
+// and — once that succeeded — to the replication sink. del deletes; enc
+// marks val as a typed collection blob; pre marks an outcome the engine
+// already holds (an in-place op, see rmw.go), which is then not applied to
+// it a second time.
 //
 // The caller holds key's RMW stripe lock, so for any one key the engine,
 // the storage write path and the sink all see writes in the same order.
@@ -751,7 +754,7 @@ func (t *Tiered) commit(key string, val []byte, del, enc, pre bool) error {
 	var err error
 	switch t.opts.Policy {
 	case WriteThrough:
-		err = t.writeThrough(key, val, del, enc, pre)
+		err = t.wtCommit(key, val, del, enc, pre)
 	case WriteBack:
 		err = t.writeBack(key, val, del, enc, pre)
 	default:
@@ -768,6 +771,41 @@ func (t *Tiered) commit(key string, val []byte, del, enc, pre bool) error {
 	return nil
 }
 
+// commitBatch is commit for a batch: entries maps each of keys to its new
+// value (nil, or no entry, deletes). Write-through makes one grouped storage round trip,
+// write-back one striped dirty-set pass with per-stripe backpressure; the
+// cache tier then applies through the engine's striped MSet/BatchDel and
+// the sink hears every key. The caller holds the RMW lock of every stripe
+// keys touch (lockKeys), so each key orders against single-key writes,
+// other batches and FlushAll exactly as under commit.
+func (t *Tiered) commitBatch(keys []string, entries map[string][]byte) error {
+	var err error
+	switch t.opts.Policy {
+	case WriteThrough:
+		err = t.wtCommitGroup(keys, entries)
+	case WriteBack:
+		if err = t.wbBatchMark(keys, entries); err == nil {
+			t.applyBatchToCache(keys, entries)
+			if t.dirtyCount.Load() >= int64(t.opts.FlushBatch) {
+				t.wakeFlusher()
+			}
+		}
+	default:
+		t.applyBatchToCache(keys, entries)
+	}
+	if err != nil || t.sink == nil {
+		return err
+	}
+	for _, k := range keys {
+		if v := entries[k]; v != nil {
+			t.sink.ReplicateSet(k, v, false)
+		} else {
+			t.sink.ReplicateDelete(k)
+		}
+	}
+	return nil
+}
+
 // Set stores key=val according to the configured policy.
 //
 // Set holds the key's RMW stripe lock for the whole write (like
@@ -777,9 +815,7 @@ func (t *Tiered) commit(key string, val []byte, del, enc, pre bool) error {
 // per-key sink order matching engine order.
 func (t *Tiered) Set(key string, val []byte) error {
 	t.reqs.Add(1)
-	mu := &t.rmw[t.eng.ShardIndex(key)]
-	mu.Lock()
-	defer mu.Unlock()
+	defer t.lockKey(key).Unlock()
 	return t.commit(key, val, false, false, false)
 }
 
@@ -787,9 +823,7 @@ func (t *Tiered) Set(key string, val []byte) error {
 // RMW stripe lock like Set.
 func (t *Tiered) Delete(key string) error {
 	t.reqs.Add(1)
-	mu := &t.rmw[t.eng.ShardIndex(key)]
-	mu.Lock()
-	defer mu.Unlock()
+	defer t.lockKey(key).Unlock()
 	return t.commit(key, nil, true, false, false)
 }
 
@@ -804,9 +838,7 @@ func (t *Tiered) Update(key string, fn func(old []byte, exists bool) []byte) err
 		return ErrClosed // before the read: Close stops the deferred-fetch loop
 	}
 	t.reqs.Add(1)
-	mu := &t.rmw[t.eng.ShardIndex(key)]
-	mu.Lock()
-	defer mu.Unlock()
+	defer t.lockKey(key).Unlock()
 	old, exists, err := t.readForUpdate(key)
 	if err != nil {
 		return err
@@ -863,9 +895,7 @@ func (t *Tiered) ExpireAt(key string, at int64) bool {
 	if t.closed.Load() {
 		return false
 	}
-	mu := &t.rmw[t.eng.ShardIndex(key)]
-	mu.Lock()
-	defer mu.Unlock()
+	defer t.lockKey(key).Unlock()
 	if !t.eng.ExpireAt(key, at) {
 		return false
 	}
@@ -881,9 +911,7 @@ func (t *Tiered) Persist(key string) bool {
 	if t.closed.Load() {
 		return false
 	}
-	mu := &t.rmw[t.eng.ShardIndex(key)]
-	mu.Lock()
-	defer mu.Unlock()
+	defer t.lockKey(key).Unlock()
 	if !t.eng.Persist(key) {
 		return false
 	}
@@ -900,11 +928,8 @@ func (t *Tiered) Persist(key string) bool {
 //
 // It takes every RMW stripe lock (in index order, the same order any
 // multi-stripe path must use) for the whole operation, which excludes
-// in-flight single-key commits and gives the replication sink a clean
-// point in the op order. Batch commits release the stripe locks before
-// their storage round trip, so a batch racing FLUSHALL can land its
-// storage write after the clear — the known residual window documented
-// in ROADMAP.md.
+// every in-flight commit, single-key or batch, and gives the replication
+// sink a clean point in the op order.
 func (t *Tiered) FlushAll() error {
 	if t.closed.Load() {
 		return ErrClosed
@@ -1003,7 +1028,6 @@ type Stats struct {
 	Hits              int64
 	Misses            int64
 	Evictions         int64
-	Coalesced         int64 // write-through writes absorbed by group commit
 	Flushed           int64 // write-back entries flushed
 	Batches           int64 // write-back flush round trips
 	Fetched           int64 // deferred cache-fetch keys
@@ -1019,7 +1043,6 @@ func (t *Tiered) Stats() Stats {
 		Hits:              t.hits.Load(),
 		Misses:            t.misses.Load(),
 		Evictions:         t.evictions.Load(),
-		Coalesced:         t.coalesced.Load(),
 		Flushed:           t.flushed.Load(),
 		Batches:           t.batches.Load(),
 		Fetched:           t.fetched.Load(),
@@ -1036,7 +1059,7 @@ func (t *Tiered) DirtyBytes() int64 { return t.dirtyBytes.Load() }
 
 // WriteStripes reports the number of write-path stripes (== the engine's
 // lock stripes; the INFO writepath section surfaces this).
-func (t *Tiered) WriteStripes() int { return len(t.wt) }
+func (t *Tiered) WriteStripes() int { return len(t.rmw) }
 
 // DirtyStripes reports the current dirty-entry count per write-path
 // stripe. The slice sums to Stats().Dirty; stripes are the engine's.

@@ -113,70 +113,12 @@ func TestWTDelete(t *testing.T) {
 	}
 }
 
-// TestWTCoalescing: hot-key write coalescing through the per-key queues.
-// Plain SET now holds its RMW stripe lock through the storage commit
-// (strict per-key ordering for replication), so concurrent same-key SETs
-// serialize instead of coalescing; the coalescing path that remains is
-// the queue piggyback used by batch writes, exercised here with
-// single-entry batches hammering one hot key.
-func TestWTCoalescing(t *testing.T) {
-	stor := NewMapStorage()
-	slow := NewRemote(stor, 2*time.Millisecond)
-	tr, err := New(Options{Policy: WriteThrough, Engine: engine.New(engine.Options{}), Storage: slow})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	var wg sync.WaitGroup
-	const writers = 20
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			entries := map[string][]byte{"hot": []byte(fmt.Sprintf("v%02d", i))}
-			if err := tr.BatchPut(entries); err != nil {
-				t.Errorf("batchput: %v", err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	// With a 2 ms RTT and 20 concurrent writers, coalescing must make
-	// storage round trips far fewer than writers.
-	puts := slow.Stats().Puts
-	if puts >= writers {
-		t.Fatalf("no coalescing: %d puts for %d writers", puts, writers)
-	}
-	// Cache and storage must converge to the same final value.
-	cv, _ := tr.Get("hot")
-	sv, _, _ := stor.Get("hot")
-	if !bytes.Equal(cv, sv) {
-		t.Fatalf("divergence: cache=%q storage=%q", cv, sv)
-	}
-}
-
-func TestWTCoalescingDisabled(t *testing.T) {
-	stor := NewMapStorage()
-	remote := NewRemote(stor, 0)
-	tr, err := New(Options{
-		Policy: WriteThrough, Engine: engine.New(engine.Options{}),
-		Storage: remote, DisableCoalescing: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	for i := 0; i < 10; i++ {
-		tr.Set("k", []byte("v"))
-	}
-	if remote.Stats().Puts != 10 {
-		t.Fatalf("ablation: expected 10 puts, got %d", remote.Stats().Puts)
-	}
-}
-
 func TestWTPerKeyOrdering(t *testing.T) {
 	stor := NewMapStorage()
-	tr := newWT(t, stor)
-	// Sequential writes from one goroutine must land in order.
+	remote := NewRemote(stor, 0)
+	tr := newWT(t, remote)
+	// Sequential writes from one goroutine must land in order, one
+	// storage round trip each.
 	for i := 0; i < 100; i++ {
 		if err := tr.Set("seq", []byte(fmt.Sprintf("%03d", i))); err != nil {
 			t.Fatal(err)
@@ -185,6 +127,9 @@ func TestWTPerKeyOrdering(t *testing.T) {
 	v, _, _ := stor.Get("seq")
 	if string(v) != "099" {
 		t.Fatalf("final storage value %q", v)
+	}
+	if n := remote.TotalRPCs(); n != 100 {
+		t.Fatalf("100 Sets cost %d storage round trips", n)
 	}
 }
 

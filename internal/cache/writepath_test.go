@@ -11,9 +11,9 @@ import (
 	"tierbase/internal/engine"
 )
 
-// Write-path tests: the striped write-through queues, the striped
-// write-back dirty set with per-stripe backpressure, and the unified
-// batch ordering (BatchPut/BatchDelete through the per-key queues).
+// Write-path tests: per-key write order under the RMW stripe locks
+// (single-key writes, batches and FlushAll alike) and the striped
+// write-back dirty set with per-stripe backpressure.
 
 // otherStripeKey returns a key whose engine stripe differs from ref's.
 func otherStripeKey(t *testing.T, eng *engine.Engine, ref string) string {
@@ -46,12 +46,12 @@ func sameStripeKeys(t *testing.T, eng *engine.Engine, ref string, n int) []strin
 	return out
 }
 
-// TestWTBatchPiggybacksOnInflightLeader: a BatchPut containing a key with
-// an in-flight single-key leader must queue behind that leader — its
-// value lands in storage AFTER the leader's, so the batch's ack is never
-// stale. Under the old bypass the batch wrote storage immediately and the
-// slower leader could overwrite it with the older value.
-func TestWTBatchPiggybacksOnInflightLeader(t *testing.T) {
+// TestWTBatchAckedAfterInflightSetIsFinal: a BatchPut containing a key
+// with a Set still in flight to storage must order behind that Set — its
+// value lands in storage AFTER the Set's, so the batch's ack is never
+// stale. A batch that wrote storage without waiting could be overwritten
+// by the slower Set with the older value.
+func TestWTBatchAckedAfterInflightSetIsFinal(t *testing.T) {
 	stor := NewMapStorage()
 	slow := NewRemote(stor, 3*time.Millisecond)
 	tr, err := New(Options{Policy: WriteThrough, Engine: engine.New(engine.Options{}), Storage: slow})
@@ -66,7 +66,7 @@ func TestWTBatchPiggybacksOnInflightLeader(t *testing.T) {
 		defer wg.Done()
 		tr.Set("hot", []byte("leader")) // in flight for ~3 ms
 	}()
-	time.Sleep(time.Millisecond) // let the leader take the queue
+	time.Sleep(time.Millisecond) // let the Set take hot's stripe lock
 	if err := tr.BatchPut(map[string][]byte{
 		"hot":   []byte("batch"),
 		"other": []byte("x"),
@@ -74,7 +74,7 @@ func TestWTBatchPiggybacksOnInflightLeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	wg.Wait()
-	// The batch acked after piggybacking, so its value must be final.
+	// The batch acked after the Set did, so its value must be final.
 	v, _, _ := stor.Get("hot")
 	if string(v) != "batch" {
 		t.Fatalf("storage holds %q; batch ack was stale", v)
@@ -85,8 +85,8 @@ func TestWTBatchPiggybacksOnInflightLeader(t *testing.T) {
 	}
 }
 
-// TestWTBatchLedKeysOneRoundTrip: keys without an in-flight leader must
-// commit in exactly one storage round trip per BatchPut call.
+// TestWTBatchLedKeysOneRoundTrip: a batch commits in exactly one storage
+// round trip per call, alone or racing other batches over the same keys.
 func TestWTBatchLedKeysOneRoundTrip(t *testing.T) {
 	stor := NewMapStorage()
 	remote := NewRemote(stor, 0)
@@ -118,6 +118,78 @@ func TestWTBatchLedKeysOneRoundTrip(t *testing.T) {
 	st = remote.Stats()
 	if st.BatchDels != 1 || st.Deletes != 0 {
 		t.Fatalf("batch delete: %d BatchDels, %d Deletes; want 1, 0", st.BatchDels, st.Deletes)
+	}
+	// Four concurrent batches over the same 32 keys: still one round trip
+	// each, and never a per-key Put on the side.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := tr.BatchPut(entries); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	st = remote.Stats()
+	if st.BatchPuts != 1+4 || st.Puts != 0 {
+		t.Fatalf("4 concurrent batches: %d BatchPuts, %d Puts; want 4 more (5), 0", st.BatchPuts, st.Puts)
+	}
+}
+
+// TestBatchVsFlushAllTiersAgree: a BatchPut racing FLUSHALL lands before
+// it or after it, never half in one tier: once both return, every key is
+// in the cache and in storage with the same bytes, or in neither. A batch
+// whose storage write and cache apply straddled the clear left acked keys
+// the tiers disagreed about.
+func TestBatchVsFlushAllTiersAgree(t *testing.T) {
+	for _, policy := range []Policy{WriteThrough, WriteBack} {
+		t.Run(policy.String(), func(t *testing.T) {
+			stor := NewMapStorage()
+			tr, err := New(Options{
+				Policy: policy, Engine: engine.New(engine.Options{}),
+				Storage: NewRemote(stor, 50*time.Microsecond),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			for r := 0; r < 300; r++ {
+				entries := make(map[string][]byte, 32)
+				for i := 0; i < 32; i++ {
+					entries[fmt.Sprintf("k%02d", i)] = []byte(fmt.Sprintf("r%03d", r))
+				}
+				var wg sync.WaitGroup
+				wg.Add(2)
+				go func() {
+					defer wg.Done()
+					if err := tr.BatchPut(entries); err != nil {
+						t.Errorf("batch: %v", err)
+					}
+				}()
+				go func() {
+					defer wg.Done()
+					if err := tr.FlushAll(); err != nil {
+						t.Errorf("flushall: %v", err)
+					}
+				}()
+				wg.Wait()
+				if err := tr.FlushDirty(); err != nil { // write-back: settle
+					t.Fatal(err)
+				}
+				for k := range entries {
+					sv, sok, _ := stor.Get(k)
+					cv, cerr := tr.Engine().Get(k)
+					if cok := cerr == nil; sok != cok {
+						t.Fatalf("round %d, %s: in storage %v, in cache %v", r, k, sok, cok)
+					}
+					if sok && !bytes.Equal(sv, cv) {
+						t.Fatalf("round %d, %s: storage %q != cache %q", r, k, sv, cv)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -196,8 +268,8 @@ func TestWTSetVsBatchPutOrderingStress(t *testing.T) {
 
 // TestWTBatchMixedStress hammers one small keyspace with every write-path
 // entry point at once (Set, Delete, BatchPut, BatchDelete, BatchGet) and
-// then checks full cache/storage convergence — the -race workout for the
-// unified queue admission and grouped leader completion.
+// then checks full cache/storage convergence — the -race workout for
+// single-key and multi-stripe lock holders sharing the stripe locks.
 func TestWTBatchMixedStress(t *testing.T) {
 	stor := NewMapStorage()
 	tr, err := New(Options{Policy: WriteThrough, Engine: engine.New(engine.Options{}), Storage: stor})
@@ -367,18 +439,12 @@ func TestWBBatchPutPerStripeBackpressure(t *testing.T) {
 	}
 }
 
-// TestWTCoalescingStripesIndependent: stripes stay independent after
-// SET learned to hold its RMW stripe lock through the storage commit
-// (strict per-key ordering for replication): hot writers on one stripe
-// serialize among themselves, but never block writers on another
-// stripe, and cache/storage stay consistent per key.
-//
-// Note concurrent same-key plain SETs no longer coalesce into one
-// storage round trip — that coalescing window was exactly the ordering
-// gap (a SET racing an RMW op could reach storage out of engine order).
-// Batch writes still piggyback on in-flight leaders (see
-// TestWTBatchPiggybacksOnInflightLeader).
-func TestWTCoalescingStripesIndependent(t *testing.T) {
+// TestWTHeldStripeNeverBlocksAnother: SET holds its RMW stripe lock
+// through the storage commit (strict per-key ordering for replication),
+// so hot writers on one stripe serialize among themselves — but they
+// never block writers on another stripe, and cache/storage stay
+// consistent per key.
+func TestWTHeldStripeNeverBlocksAnother(t *testing.T) {
 	stor := NewMapStorage()
 	slow := NewRemote(stor, 2*time.Millisecond)
 	eng := engine.New(engine.Options{})

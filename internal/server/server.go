@@ -742,10 +742,9 @@ func (s *Server) storageInfo(b *strings.Builder) {
 	}
 }
 
-// writePathInfo renders the write-path section: aggregate write-through
-// coalescing and write-back flush/backpressure counters, plus each
-// shard's per-stripe dirty distribution (the write path stripes along
-// the engine's lock stripes).
+// writePathInfo renders the write-path section: aggregate write-back
+// flush/backpressure counters, plus each shard's per-stripe dirty
+// distribution (the write path stripes along the engine's lock stripes).
 func (s *Server) writePathInfo(b *strings.Builder) {
 	fmt.Fprintf(b, "# WritePath\r\n")
 	tiered := s.tieredShards()
@@ -753,11 +752,10 @@ func (s *Server) writePathInfo(b *strings.Builder) {
 	if tiered == 0 {
 		return // cache-only deployment: no write path to report
 	}
-	var coalesced, rounds, flushed, waits int64
+	var rounds, flushed, waits int64
 	var dirty, stripes int
 	for _, sh := range s.shards {
 		st := sh.tiered.Stats()
-		coalesced += st.Coalesced
 		rounds += st.Batches
 		flushed += st.Flushed
 		waits += st.BackpressureWaits
@@ -765,7 +763,6 @@ func (s *Server) writePathInfo(b *strings.Builder) {
 		stripes += sh.tiered.WriteStripes()
 	}
 	fmt.Fprintf(b, "write_stripes:%d\r\n", stripes)
-	fmt.Fprintf(b, "coalesced_writes:%d\r\n", coalesced)
 	fmt.Fprintf(b, "flush_rounds:%d\r\n", rounds)
 	fmt.Fprintf(b, "flushed_entries:%d\r\n", flushed)
 	fmt.Fprintf(b, "backpressure_waits:%d\r\n", waits)

@@ -621,7 +621,7 @@ func TestInfoWritePathSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"# Server", "# WritePath", "tiered_shards:2",
-		"write_stripes:", "coalesced_writes:", "flush_rounds:",
+		"write_stripes:", "flush_rounds:",
 		"backpressure_waits:", "dirty_entries:",
 		"shard0_policy:write-back", "shard0_dirty_stripes:", "shard1_dirty_stripes:"} {
 		if !strings.Contains(full.(string), want) {
