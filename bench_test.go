@@ -271,6 +271,7 @@ func BenchmarkCompressors(b *testing.B) {
 		}
 		c.Train(train)
 		b.Run(name+"/compress", func(b *testing.B) {
+			b.ReportAllocs()
 			b.SetBytes(int64(len(recs[0])))
 			for i := 0; i < b.N; i++ {
 				c.Compress(recs[i%len(recs)])
@@ -281,6 +282,7 @@ func BenchmarkCompressors(b *testing.B) {
 			comp[i] = c.Compress(recs[i])
 		}
 		b.Run(name+"/decompress", func(b *testing.B) {
+			b.ReportAllocs()
 			b.SetBytes(int64(len(recs[0])))
 			for i := 0; i < b.N; i++ {
 				if _, err := c.Decompress(comp[i%len(comp)]); err != nil {

@@ -5,12 +5,15 @@
 // triggers re-training; a recommender picks the best compressor for a
 // workload sample.
 //
-// Substitution note (see DESIGN.md): the paper uses Zstandard; stdlib-only
+// Substitution note: the paper uses Zstandard; stdlib-only
 // Go has no Zstd, so the "Zstd" role is played by DEFLATE (compress/flate)
 // wrapped with the same pre-trained-dictionary machinery. The experiments
 // concern the pre-training mechanism, not the entropy coder, and the
 // orderings the paper reports (ratio: PBC < dict < no-dict; speed:
 // dict > PBC > no-dict on SET, PBC ~ raw on GET) are preserved.
+//
+// README.md in this directory has PBC's wire format, what training decides
+// per slot, and the codec's contract.
 package compress
 
 import (

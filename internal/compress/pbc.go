@@ -4,23 +4,32 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sort"
-	"sync"
+	"math/bits"
+	"slices"
+	"strconv"
+	"strings"
+	"sync/atomic"
 )
 
 // PBC is the Pattern-Based Compressor (paper §4.2, ref [59]): the offline
 // phase tokenizes sample records, clusters them hierarchically by token
 // structure with a similarity metric, and extracts per-cluster patterns —
-// templates of literal segments and variable slots. The online phase
-// matches each record against the pattern set and encodes only the slot
-// values (enum-indexed, numeric-packed, or raw); unmatched records are
-// escape-coded verbatim and counted (the monitor uses that signal to
-// trigger re-training).
+// templates of literal segments and typed variable slots. The online phase
+// selects a record's pattern by a hash of its token structure and encodes
+// only the slot values, each in the form training fixed for it; a value
+// that does not fit its slot's type travels as a per-record exception, and
+// a record of unknown structure is escape-coded verbatim (the monitor uses
+// that signal to trigger re-training). README.md has the wire format.
 type PBC struct {
-	mu       sync.RWMutex
-	patterns []*pattern
-	byShape  map[string]int // shape key -> pattern index
-	residual *Deflate       // optional second-stage coder for long raw slots
+	set      atomic.Pointer[patternSet] // nil until Train
+	residual *Deflate                   // second-stage coder for long raw slots
+}
+
+// patternSet is what Train publishes; it is never modified afterwards, so
+// Compress and Decompress read it without a lock.
+type patternSet struct {
+	patterns []pattern
+	byShape  map[uint64]int32 // shapeHash of a member record -> pattern index
 }
 
 // token classes
@@ -30,7 +39,7 @@ const (
 	classDelim tokenClass = iota // punctuation/whitespace run (kept literal)
 	classDigit                   // [0-9]+
 	classAlpha                   // [A-Za-z]+
-	classMixed                   // other non-delimiter runs
+	classMixed                   // slot whose members disagree on class
 )
 
 type token struct {
@@ -38,37 +47,56 @@ type token struct {
 	text  []byte
 }
 
+// slotKind is the encoding training fixed for a slot. It is a property of
+// the pattern: no record carries it.
+type slotKind uint8
+
+const (
+	slotRaw  slotKind = iota // uvarint(len<<1 | deflated) + bytes
+	slotEnum                 // index into values, in the record's enum bit field
+	slotNum                  // uvarint(value - base) per chunk of digits
+)
+
 // segment is one element of a pattern: a fixed literal or a variable slot.
 type segment struct {
-	literal []byte     // non-nil => literal segment
-	class   tokenClass // slot class when literal == nil
-	enum    map[string]int
-	enumLst [][]byte
+	literal []byte // non-empty => literal segment; the rest describes a slot
+
+	class tokenClass // the single-class run the slot consumes
+	kind  slotKind
+
+	values [][]byte // slotEnum: the closed value set, sorted
+	bitOff int      // slotEnum: position in the enum bit field
+	bits   int      // slotEnum: width there, ceil(log2(len(values)))
+
+	width int    // slotNum: digit count when fixed-width (leading zeros kept), else 0
+	chunk int    // slotNum: digits per uvarint (a 21-digit id is two chunks)
+	base  uint64 // slotNum: subtracted from the first chunk
 }
 
 type pattern struct {
-	segs []segment
+	segs      []segment
+	slots     int // exception bitmap is (slots+7)/8 bytes
+	enumBytes int // enum bit field size
+	sizeHint  int // decoded length of a record whose slots stay within what training saw
 }
 
-// slot encoding modes
-const (
-	slotRaw     = 0 // varint len + bytes
-	slotEnum    = 1 // varint enum index
-	slotNum     = 2 // varint value (digits, no leading zeros)
-	slotNumPad  = 3 // varint digit-count + varint value (leading zeros)
-	slotRawComp = 4 // varint len + deflate-compressed bytes (long raw slots)
-)
+// zeros left-pads a fixed-width chunk.
+var zeros = strings.Repeat("0", maxNumDigits)
 
 // escape pattern id: record stored verbatim.
 const pbcEscape = 0
 
-// maxEnumCard bounds enum tables per slot.
-const maxEnumCard = 200
+const (
+	maxEnumCard  = 200 // bounds enum tables per slot
+	maxNumDigits = 19  // every 19-digit decimal fits a uint64
+	deflateMin   = 64  // raw slots this long try the second-stage coder
+	scratchBytes = 256 // Compress's stack buffer; longer outputs spill to the heap
+)
 
 // NewPBC returns an untrained PBC compressor (everything escape-coded
 // until Train is called).
 func NewPBC() *PBC {
-	return &PBC{byShape: map[string]int{}, residual: NewDeflate(6, false)}
+	return &PBC{residual: NewDeflate(6, false)}
 }
 
 // Name implements Compressor.
@@ -76,58 +104,67 @@ func (p *PBC) Name() string { return "pbc" }
 
 // --- tokenization ---
 
-func classify(b byte) tokenClass {
-	switch {
-	case b >= '0' && b <= '9':
-		return classDigit
-	case (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z'):
-		return classAlpha
-	default:
-		return classDelim
+var classTable = func() (t [256]tokenClass) {
+	for b := range t {
+		switch {
+		case b >= '0' && b <= '9':
+			t[b] = classDigit
+		case (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z'):
+			t[b] = classAlpha
+		}
 	}
-}
+	return t
+}()
 
 // tokenize splits src into runs of a single class; adjacent digit/alpha
-// runs stay separate so numeric slots are isolated. Mixed runs arise when
-// merging clusters, not during lexing.
+// runs stay separate so numeric slots are isolated. Training only: the
+// online path never materializes tokens.
 func tokenize(src []byte) []token {
 	var out []token
-	i := 0
-	for i < len(src) {
-		c := classify(src[i])
-		j := i + 1
-		for j < len(src) && classify(src[j]) == c {
-			j++
-		}
-		out = append(out, token{class: c, text: src[i:j]})
+	for i := 0; i < len(src); {
+		j := runEnd(src, i, classTable[src[i]])
+		out = append(out, token{class: classTable[src[i]], text: src[i:j]})
 		i = j
 	}
 	return out
 }
 
-// shapeKey summarizes token structure: delimiters literally, others by class.
-func shapeKey(toks []token) string {
-	var b bytes.Buffer
-	for _, t := range toks {
-		switch t.class {
-		case classDelim:
-			b.Write(t.text)
-		case classDigit:
-			b.WriteByte(0x01)
-		case classAlpha:
-			b.WriteByte(0x02)
-		default:
-			b.WriteByte(0x03)
-		}
+// runEnd returns the end of the run of class c starting at src[i:]; a
+// classMixed slot takes the run of whatever class src[i] has.
+func runEnd(src []byte, i int, c tokenClass) int {
+	if c == classMixed && i < len(src) {
+		c = classTable[src[i]]
 	}
-	return b.String()
+	for i < len(src) && classTable[src[i]] == c {
+		i++
+	}
+	return i
+}
+
+// shapeHash is FNV-1a over a record's token structure: delimiter bytes
+// literally, every digit or letter run as one class marker. Records with
+// equal token structure hash equally; it is how a record finds its pattern.
+func shapeHash(src []byte) uint64 {
+	const offset, prime = 14695981039346656037, 1099511628211
+	h := uint64(offset)
+	for i := 0; i < len(src); {
+		c := classTable[src[i]]
+		if c == classDelim {
+			h = (h ^ uint64(src[i])) * prime
+			i++
+			continue
+		}
+		h = (h ^ (0x100 | uint64(c))) * prime // no byte value collides with a marker
+		i = runEnd(src, i, c)
+	}
+	return h
 }
 
 // --- training: hierarchical clustering + pattern extraction ---
 
 type cluster struct {
-	toks   [][]token // member token sequences
-	protoN int       // token count (all members share it)
+	toks   [][]token // member token sequences, all of one length
+	shapes []uint64  // shape hashes of the leaves merged into this cluster
 }
 
 // similarity is the fraction of token positions where two equal-length
@@ -151,40 +188,40 @@ func similarity(a, b []token) float64 {
 	return match / float64(len(a))
 }
 
-// Train implements Compressor: cluster samples and extract patterns.
+// Train implements Compressor: cluster samples, extract patterns, fix every
+// slot's encoding, and publish the set. Equal sample lists give equal sets.
+// Buffers compressed under the previous set are not decodable afterwards.
 func (p *PBC) Train(samples [][]byte) error {
-	// Level 1: exact-shape leaf clusters.
-	leaves := map[string]*cluster{}
-	var order []string
+	// Level 1: exact-shape leaf clusters, in order of first appearance.
+	leaves := map[uint64]*cluster{}
+	var order []*cluster
 	for _, s := range samples {
 		if len(s) == 0 {
 			continue
 		}
-		toks := tokenize(s)
-		key := shapeKey(toks)
-		cl, ok := leaves[key]
-		if !ok {
-			cl = &cluster{protoN: len(toks)}
+		toks, key := tokenize(s), shapeHash(s)
+		cl := leaves[key]
+		if cl == nil {
+			cl = &cluster{shapes: []uint64{key}}
 			leaves[key] = cl
-			order = append(order, key)
+			order = append(order, cl)
+		} else if len(toks) != len(cl.toks[0]) {
+			continue // two shapes, one 64-bit hash: the first keeps the leaf
 		}
-		if len(cl.toks) < 64 { // cap retained members per cluster
-			cl.toks = append(cl.toks, toks)
-		}
+		cl.toks = append(cl.toks, toks)
 	}
-	sort.Strings(order) // determinism
 
 	// Level 2: agglomerative merge of leaf clusters whose representative
 	// sequences are similar (same token count, aligned classes). Merged
 	// clusters widen literal positions into slots.
 	const mergeThreshold = 0.85
 	var merged []*cluster
-	for _, key := range order {
-		cl := leaves[key]
+	for _, cl := range order {
 		placed := false
 		for _, m := range merged {
-			if m.protoN == cl.protoN && similarity(m.toks[0], cl.toks[0]) >= mergeThreshold {
+			if similarity(m.toks[0], cl.toks[0]) >= mergeThreshold {
 				m.toks = append(m.toks, cl.toks...)
+				m.shapes = append(m.shapes, cl.shapes...)
 				placed = true
 				break
 			}
@@ -194,181 +231,268 @@ func (p *PBC) Train(samples [][]byte) error {
 		}
 	}
 
-	// Pattern extraction: a position is a literal iff every member agrees
-	// byte-for-byte; otherwise it becomes a slot (class = widest member
-	// class), with an enum table when cardinality is small.
-	patterns := make([]*pattern, 0, len(merged))
-	byShape := map[string]int{}
+	set := &patternSet{byShape: map[uint64]int32{}}
 	for _, m := range merged {
-		pat := &pattern{}
-		n := m.protoN
-		for pos := 0; pos < n; pos++ {
-			first := m.toks[0][pos]
-			allEqual := true
-			class := first.class
-			values := map[string]struct{}{}
-			for _, toks := range m.toks {
-				t := toks[pos]
-				if !bytes.Equal(t.text, first.text) {
-					allEqual = false
-				}
-				if t.class != class {
-					class = classMixed
-				}
-				if len(values) <= maxEnumCard {
-					values[string(t.text)] = struct{}{}
-				}
+		// Every member shape selects the merged pattern.
+		for _, h := range m.shapes {
+			set.byShape[h] = int32(len(set.patterns))
+		}
+		set.patterns = append(set.patterns, extractPattern(m.toks))
+	}
+	p.set.Store(set)
+	return nil
+}
+
+// extractPattern turns a cluster into a pattern: a position is a literal
+// iff every member agrees byte-for-byte (adjacent literals fuse into one
+// segment); otherwise it becomes a slot whose type trainSlot decides.
+func extractPattern(members [][]token) pattern {
+	var pat pattern
+	enumBits := 0
+	col := make([][]byte, len(members))
+	for pos, first := range members[0] {
+		allEqual, class := true, first.class
+		for i, toks := range members {
+			t := toks[pos]
+			col[i] = t.text
+			if !bytes.Equal(t.text, first.text) {
+				allEqual = false
 			}
-			if allEqual {
+			if t.class != class {
+				class = classMixed
+			}
+		}
+		if allEqual {
+			pat.sizeHint += len(first.text)
+			if n := len(pat.segs); n > 0 && len(pat.segs[n-1].literal) > 0 {
+				pat.segs[n-1].literal = append(pat.segs[n-1].literal, first.text...)
+			} else {
 				pat.segs = append(pat.segs, segment{literal: append([]byte(nil), first.text...)})
-				continue
 			}
-			seg := segment{class: class}
-			// Enum table only when we saw a small, closed value set and
-			// the slot is non-numeric (numbers pack better as varints).
-			if class == classAlpha && len(values) <= maxEnumCard && len(m.toks) >= 2*len(values) {
-				seg.enum = map[string]int{}
-				keys := make([]string, 0, len(values))
-				for v := range values {
-					keys = append(keys, v)
-				}
-				sort.Strings(keys)
-				for i, v := range keys {
-					seg.enum[v] = i
-					seg.enumLst = append(seg.enumLst, []byte(v))
-				}
-			}
-			pat.segs = append(pat.segs, seg)
+			continue
 		}
-		patterns = append(patterns, pat)
-		// Register every member shape so lookups hit the merged pattern.
-		for _, toks := range m.toks {
-			byShape[shapeKey(toks)] = len(patterns) - 1
+		seg, maxLen := trainSlot(class, col)
+		if seg.kind == slotEnum {
+			seg.bitOff = enumBits
+			enumBits += seg.bits
 		}
+		pat.segs = append(pat.segs, seg)
+		pat.slots++
+		pat.sizeHint += maxLen
+	}
+	pat.enumBytes = (enumBits + 7) / 8
+	return pat
+}
+
+// trainSlot fixes the encoding of one slot from the values the cluster's
+// members have there, and reports the longest of them.
+//
+//   - Digit runs become slotNum when a number reproduces them: all of one
+//     length (then leading zeros and more than 19 digits are fine: fixed
+//     width, split into equal chunks), or no leading zeros and at most 19
+//     digits. base is the sample minimum rounded down to the smallest power
+//     of ten above the sample spread, so ids and timestamps that share
+//     their high digits cost only their low ones, while a field that
+//     starts at 0 keeps base 0.
+//   - Other runs become slotEnum when the sample shows a small closed set:
+//     at most maxEnumCard distinct values, each seen twice on average.
+//   - Everything else is slotRaw.
+func trainSlot(class tokenClass, col [][]byte) (segment, int) {
+	seg := segment{class: class, kind: slotRaw}
+	distinct := map[string]struct{}{}
+	maxLen, sameLen, leadingZero := 0, true, false
+	for _, v := range col {
+		if len(distinct) <= maxEnumCard {
+			distinct[string(v)] = struct{}{}
+		}
+		maxLen = max(maxLen, len(v))
+		sameLen = sameLen && len(v) == len(col[0])
+		leadingZero = leadingZero || (len(v) > 1 && v[0] == '0')
 	}
 
-	p.mu.Lock()
-	p.patterns = patterns
-	p.byShape = byShape
-	p.mu.Unlock()
-	return nil
+	switch {
+	case class == classDigit && sameLen && (leadingZero || maxLen > maxNumDigits):
+		seg.kind, seg.width = slotNum, maxLen
+		n := (maxLen + maxNumDigits - 1) / maxNumDigits
+		seg.chunk = (maxLen + n - 1) / n
+	case class == classDigit && !leadingZero && maxLen <= maxNumDigits:
+		seg.kind, seg.chunk = slotNum, maxNumDigits
+	case class != classDigit && len(distinct) <= maxEnumCard && len(col) >= 2*len(distinct):
+		seg.kind = slotEnum
+		for v := range distinct {
+			seg.values = append(seg.values, []byte(v))
+		}
+		slices.SortFunc(seg.values, bytes.Compare)
+		seg.bits = max(1, bits.Len(uint(len(seg.values)-1)))
+	}
+	if seg.kind == slotNum && maxLen <= seg.chunk {
+		lo, hi := parseDigits(col[0]), parseDigits(col[0])
+		for _, v := range col {
+			n := parseDigits(v)
+			lo, hi = min(lo, n), max(hi, n)
+		}
+		for g := uint64(1); ; g *= 10 {
+			if g > hi-lo {
+				seg.base = lo - lo%g
+				break
+			}
+			if g > hi/10 {
+				break // spread as wide as the values: nothing to subtract
+			}
+		}
+	}
+	return seg, maxLen
 }
 
 // PatternCount reports the number of trained patterns.
 func (p *PBC) PatternCount() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.patterns)
+	if set := p.set.Load(); set != nil {
+		return len(set.patterns)
+	}
+	return 0
 }
 
 // --- compression ---
 
-// Compress implements Compressor.
+// Compress implements Compressor. A record that matches a pattern costs one
+// allocation, the result.
 func (p *PBC) Compress(src []byte) []byte {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if len(p.patterns) > 0 && len(src) > 0 {
-		toks := tokenize(src)
-		if idx, ok := p.byShape[shapeKey(toks)]; ok {
-			if out, ok := p.encodeWith(idx, p.patterns[idx], toks); ok {
-				return out
-			}
-		} else {
-			// Hierarchical fallback: try same-length patterns (the record
-			// may match a merged pattern whose shape set didn't include
-			// this exact variant).
-			for idx, pat := range p.patterns {
-				if len(pat.segs) != len(toks) {
-					continue
-				}
-				if out, ok := p.encodeWith(idx, pat, toks); ok {
-					return out
-				}
+	if set := p.set.Load(); set != nil {
+		if id, ok := set.byShape[shapeHash(src)]; ok {
+			var scratch [scratchBytes]byte
+			if enc, ok := set.patterns[id].encode(scratch[:0], uint64(id), src, p.residual); ok {
+				return append([]byte(nil), enc...)
 			}
 		}
 	}
 	// Escape: pattern id 0, verbatim payload.
-	out := make([]byte, 0, len(src)+1)
-	out = append(out, pbcEscape)
-	out = append(out, src...)
+	out := make([]byte, 1+len(src))
+	out[0] = pbcEscape
+	copy(out[1:], src)
 	return out
 }
 
-func (p *PBC) encodeWith(idx int, pat *pattern, toks []token) ([]byte, bool) {
-	if len(toks) != len(pat.segs) {
-		return nil, false
+// encode walks the pattern against src and appends the record to dst:
+// header, exception bitmap (only when a slot needed it), enum bit field,
+// slot payloads. ok is false when src is not an instance of the pattern.
+func (pat *pattern) encode(dst []byte, id uint64, src []byte, residual *Deflate) ([]byte, bool) {
+	dst = binary.AppendUvarint(dst, (id+1)<<1)
+	hdr, bitmap := len(dst), (pat.slots+7)/8
+	enum := hdr + bitmap
+	for i := 0; i < bitmap+pat.enumBytes; i++ {
+		dst = append(dst, 0) // not append(dst, make(...)...): that allocates under -race
 	}
-	var out []byte
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(idx+1))
-	out = append(out, tmp[:n]...)
-	for i, seg := range pat.segs {
-		t := toks[i]
-		if seg.literal != nil {
-			if !bytes.Equal(seg.literal, t.text) {
+	pos, slot, exception := 0, 0, false
+	for i := range pat.segs {
+		seg := &pat.segs[i]
+		if n := len(seg.literal); n > 0 {
+			if len(src)-pos < n || !bytes.Equal(src[pos:pos+n], seg.literal) {
 				return nil, false
 			}
+			pos += n
 			continue
 		}
-		out = p.encodeSlot(out, seg, t)
+		end := runEnd(src, pos, seg.class)
+		if end == pos {
+			return nil, false
+		}
+		text := src[pos:end]
+		pos = end
+
+		fits := false
+		switch seg.kind {
+		case slotEnum:
+			var idx int
+			if idx, fits = enumIndex(seg.values, text); fits {
+				v := uint(idx) << (seg.bitOff & 7) // at most 8+7 bits
+				dst[enum+seg.bitOff>>3] |= byte(v)
+				if v > 0xff {
+					dst[enum+seg.bitOff>>3+1] |= byte(v >> 8)
+				}
+			}
+		case slotNum:
+			if seg.width > 0 {
+				fits = len(text) == seg.width
+			} else {
+				fits = len(text) <= maxNumDigits && (text[0] != '0' || len(text) == 1)
+			}
+			n := min(len(text), seg.chunk)
+			first := parseDigits(text[:n])
+			if fits = fits && first >= seg.base; fits {
+				dst = binary.AppendUvarint(dst, first-seg.base)
+				for rest := text[n:]; len(rest) > 0; rest = rest[n:] {
+					n = min(len(rest), seg.chunk)
+					dst = binary.AppendUvarint(dst, parseDigits(rest[:n]))
+				}
+			}
+		case slotRaw:
+			fits = true
+			dst = appendRaw(dst, text, residual)
+		}
+		if !fits {
+			exception = true
+			dst[hdr+slot>>3] |= 1 << (slot & 7)
+			dst = appendRaw(dst, text, residual)
+		}
+		slot++
 	}
-	return out, true
+	if pos != len(src) {
+		return nil, false
+	}
+	if exception {
+		dst[0] |= 1 // the header's low bit; (id+1)<<1 left it clear
+	} else {
+		dst = append(dst[:hdr], dst[enum:]...)
+	}
+	return dst, true
 }
 
-func (p *PBC) encodeSlot(out []byte, seg segment, t token) []byte {
-	var tmp [binary.MaxVarintLen64]byte
-	// Enum hit: single index byte stream.
-	if seg.enum != nil {
-		if idx, ok := seg.enum[string(t.text)]; ok {
-			out = append(out, slotEnum)
-			n := binary.PutUvarint(tmp[:], uint64(idx))
-			return append(out, tmp[:n]...)
+// parseDigits reads at most 19 decimal digits.
+func parseDigits(b []byte) uint64 {
+	var v uint64
+	for _, c := range b {
+		v = v*10 + uint64(c-'0')
+	}
+	return v
+}
+
+// enumIndex finds text in the sorted value set.
+func enumIndex(values [][]byte, text []byte) (int, bool) {
+	lo, hi := 0, len(values)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		switch c := bytes.Compare(values[mid], text); {
+		case c == 0:
+			return mid, true
+		case c < 0:
+			lo = mid + 1
+		default:
+			hi = mid
 		}
 	}
-	// Numeric packing for digit runs that fit uint64.
-	if t.class == classDigit && len(t.text) <= 19 {
-		var v uint64
-		ok := true
-		for _, b := range t.text {
-			if b < '0' || b > '9' {
-				ok = false
-				break
-			}
-			v = v*10 + uint64(b-'0')
-		}
-		if ok {
-			if len(t.text) > 1 && t.text[0] == '0' {
-				out = append(out, slotNumPad)
-				n := binary.PutUvarint(tmp[:], uint64(len(t.text)))
-				out = append(out, tmp[:n]...)
-				n = binary.PutUvarint(tmp[:], v)
-				return append(out, tmp[:n]...)
-			}
-			out = append(out, slotNum)
-			n := binary.PutUvarint(tmp[:], v)
-			return append(out, tmp[:n]...)
+	return 0, false
+}
+
+// appendRaw emits a raw slot or an exception. Long values get a
+// second-stage string compression pass ("residual strings are then
+// compressed further", §4.2) when that shrinks them.
+func appendRaw(dst, text []byte, residual *Deflate) []byte {
+	if len(text) >= deflateMin {
+		if comp := residual.Compress(text); len(comp) < len(text) {
+			dst = binary.AppendUvarint(dst, uint64(len(comp))<<1|1)
+			return append(dst, comp...)
 		}
 	}
-	// Long raw slots get a second-stage string compression pass
-	// ("residual strings are then compressed further", §4.2).
-	if len(t.text) >= 64 {
-		comp := p.residual.Compress(t.text)
-		if len(comp) < len(t.text) {
-			out = append(out, slotRawComp)
-			n := binary.PutUvarint(tmp[:], uint64(len(comp)))
-			out = append(out, tmp[:n]...)
-			return append(out, comp...)
-		}
-	}
-	out = append(out, slotRaw)
-	n := binary.PutUvarint(tmp[:], uint64(len(t.text)))
-	out = append(out, tmp[:n]...)
-	return append(out, t.text...)
+	dst = binary.AppendUvarint(dst, uint64(len(text))<<1)
+	return append(dst, text...)
 }
 
 // --- decompression ---
 
-// Decompress implements Compressor.
+// Decompress implements Compressor. Every length it reads is bounded by
+// len(src) or by what the trained slot allows, so its work and its output
+// are bounded by the pattern plus len(src) (times DEFLATE's own 1032:1 for
+// a deflated raw slot).
 func (p *PBC) Decompress(src []byte) ([]byte, error) {
 	if len(src) == 0 {
 		return nil, ErrCorrupt
@@ -376,98 +500,90 @@ func (p *PBC) Decompress(src []byte) ([]byte, error) {
 	if src[0] == pbcEscape {
 		return append([]byte(nil), src[1:]...), nil
 	}
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	id, n := binary.Uvarint(src)
-	if n <= 0 || id == 0 || int(id) > len(p.patterns) {
+	set := p.set.Load()
+	hdr, pos := binary.Uvarint(src)
+	if set == nil || pos <= 0 || hdr>>1 == 0 || hdr>>1 > uint64(len(set.patterns)) {
 		return nil, fmt.Errorf("%w: bad pattern id", ErrCorrupt)
 	}
-	pat := p.patterns[id-1]
-	pos := n
-	var out []byte
-	for _, seg := range pat.segs {
-		if seg.literal != nil {
+	pat := &set.patterns[hdr>>1-1]
+
+	bitmapBytes := 0
+	if hdr&1 != 0 {
+		bitmapBytes = (pat.slots + 7) / 8
+	}
+	if len(src)-pos < bitmapBytes+pat.enumBytes {
+		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+	}
+	bitmap := src[pos : pos+bitmapBytes]
+	pos += bitmapBytes
+	enum := src[pos : pos+pat.enumBytes]
+	pos += pat.enumBytes
+
+	out := make([]byte, 0, pat.sizeHint)
+	slot := 0
+	for i := range pat.segs {
+		seg := &pat.segs[i]
+		if len(seg.literal) > 0 {
 			out = append(out, seg.literal...)
 			continue
 		}
-		if pos >= len(src) {
-			return nil, fmt.Errorf("%w: truncated slot", ErrCorrupt)
+		kind := seg.kind
+		if len(bitmap) > 0 && bitmap[slot>>3]&(1<<(slot&7)) != 0 {
+			kind = slotRaw
 		}
-		mode := src[pos]
-		pos++
-		switch mode {
+		slot++
+		switch kind {
+		case slotEnum:
+			v := uint(enum[seg.bitOff>>3]) >> (seg.bitOff & 7)
+			if seg.bitOff&7+seg.bits > 8 {
+				v |= uint(enum[seg.bitOff>>3+1]) << (8 - seg.bitOff&7)
+			}
+			if v &= 1<<seg.bits - 1; v >= uint(len(seg.values)) {
+				return nil, fmt.Errorf("%w: bad enum slot", ErrCorrupt)
+			}
+			out = append(out, seg.values[v]...)
+		case slotNum:
+			base := seg.base
+			// One chunk when variable-width, else chunks until width digits are out.
+			for done := 0; done == 0 || done < seg.width; done += seg.chunk {
+				v, n := binary.Uvarint(src[pos:])
+				if n <= 0 || v+base < v {
+					return nil, fmt.Errorf("%w: bad numeric slot", ErrCorrupt)
+				}
+				pos += n
+				var digits [20]byte
+				text := strconv.AppendUint(digits[:0], v+base, 10)
+				if seg.width > 0 { // left-pad the chunk to its width in one step
+					w := min(seg.chunk, seg.width-done)
+					if len(text) > w {
+						return nil, fmt.Errorf("%w: numeric slot wider than trained", ErrCorrupt)
+					}
+					out = append(out, zeros[:w-len(text)]...)
+				}
+				out = append(out, text...)
+				base = 0
+			}
 		case slotRaw:
 			l, n := binary.Uvarint(src[pos:])
-			if n <= 0 || pos+n+int(l) > len(src) {
+			if n <= 0 || l>>1 > uint64(len(src)-pos-n) {
 				return nil, fmt.Errorf("%w: bad raw slot", ErrCorrupt)
 			}
 			pos += n
-			out = append(out, src[pos:pos+int(l)]...)
-			pos += int(l)
-		case slotRawComp:
-			l, n := binary.Uvarint(src[pos:])
-			if n <= 0 || pos+n+int(l) > len(src) {
-				return nil, fmt.Errorf("%w: bad compressed slot", ErrCorrupt)
+			body := src[pos : pos+int(l>>1)]
+			pos += len(body)
+			if l&1 != 0 {
+				var err error
+				if body, err = p.residual.Decompress(body); err != nil {
+					return nil, err
+				}
 			}
-			pos += n
-			dec, err := p.residual.Decompress(src[pos : pos+int(l)])
-			if err != nil {
-				return nil, err
-			}
-			out = append(out, dec...)
-			pos += int(l)
-		case slotEnum:
-			idx, n := binary.Uvarint(src[pos:])
-			if n <= 0 || seg.enumLst == nil || int(idx) >= len(seg.enumLst) {
-				return nil, fmt.Errorf("%w: bad enum slot", ErrCorrupt)
-			}
-			pos += n
-			out = append(out, seg.enumLst[idx]...)
-		case slotNum:
-			v, n := binary.Uvarint(src[pos:])
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: bad numeric slot", ErrCorrupt)
-			}
-			pos += n
-			out = appendUint(out, v)
-		case slotNumPad:
-			digits, n := binary.Uvarint(src[pos:])
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: bad padded slot", ErrCorrupt)
-			}
-			pos += n
-			v, n := binary.Uvarint(src[pos:])
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: bad padded slot value", ErrCorrupt)
-			}
-			pos += n
-			start := len(out)
-			out = appendUint(out, v)
-			for uint64(len(out)-start) < digits {
-				out = append(out[:start], append([]byte{'0'}, out[start:]...)...)
-			}
-		default:
-			return nil, fmt.Errorf("%w: unknown slot mode %d", ErrCorrupt, mode)
+			out = append(out, body...)
 		}
 	}
 	if pos != len(src) {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrCorrupt)
 	}
 	return out, nil
-}
-
-func appendUint(out []byte, v uint64) []byte {
-	var buf [20]byte
-	i := len(buf)
-	if v == 0 {
-		return append(out, '0')
-	}
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(out, buf[i:]...)
 }
 
 var _ Compressor = (*PBC)(nil)

@@ -103,14 +103,14 @@ func BenchmarkEngineGetLoop16(b *testing.B)   { benchmarkBatch(b, false, 16) }
 func BenchmarkEngineMGetBatch16(b *testing.B) { benchmarkBatch(b, true, 16) }
 
 // BenchmarkEngineHeapPerKey reports what one key costs and what the engine
-// says it costs, for the ledger's hit-read record (14 B key, 38 B stored
+// says it costs, for the ledger's hit-read record (14 B key, 18 B stored
 // value): heap-B/key from the Go heap, accounted-B/key from MemUsed. One
 // op is one fill of heapKeys keys.
 func BenchmarkEngineHeapPerKey(b *testing.B) {
 	var heap, used int64
 	for i := 0; i < b.N; i++ {
 		e := New(Options{})
-		heap = fillHeapKeys(e, 38, false, false)
+		heap = fillHeapKeys(e, 18, false, false)
 		used = e.MemUsed()
 		runtime.KeepAlive(e)
 	}

@@ -87,10 +87,11 @@ func fillHeapKeys(e *Engine, stored int, compressed, ttl bool) int64 {
 
 // TestMemUsedTracksHeap is the accounting contract: MemUsed is the bytes
 // the engine holds, not a guess. It is checked against the Go heap for the
-// stored-value sizes of the ledger's workloads (38 B: PBC'd KV1 records,
-// 128 B, 256 B), with and without TTLs and a compressor.
+// stored-value sizes of the ledger's workloads (18 B: PBC'd KV1 records,
+// which were 38 B under the per-slot-tagged format; 128 B; 256 B), with and
+// without TTLs and a compressor.
 func TestMemUsedTracksHeap(t *testing.T) {
-	for _, stored := range []int{38, 128, 256} {
+	for _, stored := range []int{18, 38, 128, 256} {
 		for _, compressed := range []bool{false, true} {
 			for _, ttl := range []bool{false, true} {
 				name := fmt.Sprintf("stored=%d/compressed=%v/ttl=%v", stored, compressed, ttl)

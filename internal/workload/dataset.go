@@ -207,13 +207,21 @@ func DatasetByName(name string) Dataset {
 	}
 }
 
-// Sample returns n records drawn deterministically from the dataset,
-// used to pre-train compression dictionaries (paper §4.2: "we construct
-// the dictionary offline using samples from data records").
+// sampleSpan is the range of record indexes Sample draws from.
+const sampleSpan = 1 << 20
+
+// Sample returns n records drawn deterministically from the dataset's
+// first sampleSpan records, used to pre-train compression dictionaries
+// (paper §4.2: "we construct the dictionary offline using samples from
+// data records"). The indexes are scrambled the way ScrambledZipfian
+// scrambles ranks: the generators seed math/rand linearly in the index, and
+// a fixed stride through such seeds never shows some values of a closed set
+// (stride 17 over KV1 never produced status "PENDING"). Every process gets
+// the same sample, so two of them train identical pattern sets.
 func Sample(d Dataset, n int) [][]byte {
 	out := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		out[i] = d.Record(int64(i) * 17)
+	for i := range out {
+		out[i] = d.Record(int64(fnvHash64(uint64(i)) % sampleSpan))
 	}
 	return out
 }
