@@ -65,6 +65,55 @@ func TestStripedEvictionConcurrentBatchPut(t *testing.T) {
 	}
 }
 
+// TestEvictionFitsBudgetWithMixedSizes feeds a capacity-mode cache four
+// times its budget of values from 16 B to 3 KiB, overwrites included. The
+// engine keeps records in slab pages and charges a stripe for the slots
+// its records occupy, not for the pages behind them, so every eviction
+// lowers ShardMemUsed and the eviction loop ends with each stripe inside
+// its budget; a charge by the page would leave it spinning on a stripe
+// whose pages never empty, or holding nothing at all.
+func TestEvictionFitsBudgetWithMixedSizes(t *testing.T) {
+	const capacity = 512 << 10
+	eng := engine.New(engine.Options{})
+	tr, err := New(Options{
+		Policy: WriteThrough, Engine: eng, Storage: NewMapStorage(),
+		CacheCapacityBytes: capacity,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	sizes := []int{16, 40, 100, 256, 700, 3 << 10}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i, fed := 0, 0; fed < 4*capacity; i++ {
+			val := bytes.Repeat([]byte{byte(i)}, sizes[i%len(sizes)])
+			if err := tr.Set(fmt.Sprintf("mixed:%05d", i%3000), val); err != nil {
+				t.Errorf("set: %v", err)
+				return
+			}
+			fed += len(val)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("feeding 4x the budget did not finish: the eviction loop is not making progress")
+	}
+	for si := 0; si < eng.NumShards(); si++ {
+		if used, budget := eng.ShardMemUsed(si), tr.tier.stripes[si].budget.Load(); used > budget {
+			t.Errorf("stripe %d holds %d bytes over a budget of %d", si, used, budget)
+		}
+	}
+	if tr.Stats().Evictions == 0 {
+		t.Error("no evictions at 4x the budget")
+	}
+	if used := eng.MemUsed(); used < capacity/2 {
+		t.Errorf("cache holds %d bytes of a %d budget: evictions are freeing more than they need to", used, capacity)
+	}
+}
+
 // TestStripedEvictionIsPerStripe pins keys to specific stripes and checks
 // that filling one stripe past its budget evicts only there, leaving
 // other stripes' residents alone — the property the global LRU could not

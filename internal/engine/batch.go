@@ -104,7 +104,14 @@ func (e *Engine) MGetDetail(keys []string) ([][]byte, []bool, error) {
 	if len(keys) == 0 {
 		return out, wrongType, nil
 	}
-	recs := make([]stored, len(keys)) // val stays nil where no string was found
+	// What each found string's take returned; flags say how to finish it.
+	type taken struct {
+		flags byte
+		data  []byte // stays nil where no string was found
+	}
+	recs := make([]taken, len(keys))
+	pooled, scratch := getScratch() // the batch's compressed values, back to back
+	var err error                   // the first one take or finish returned
 
 	e.forEachShardGroup(len(keys), func(i int) string { return keys[i] }, func(s *shard, idxs []int, khs []uint32) {
 		var hits, misses int64
@@ -119,7 +126,12 @@ func (e *Engine) MGetDetail(keys []string) ([][]byte, []bool, error) {
 				wrongType[i] = true // nil entry, counts as neither
 				continue
 			}
-			recs[i] = en.rec.parse().stored
+			f := en.rec.parse()
+			var terr error
+			recs[i].flags = f.flags
+			if recs[i].data, scratch, terr = e.take(f.stored, scratch); terr != nil && err == nil {
+				err = terr
+			}
 			hits++
 		}
 		s.mu.RUnlock()
@@ -131,20 +143,19 @@ func (e *Engine) MGetDetail(keys []string) ([][]byte, []bool, error) {
 		}
 	})
 
-	// Decode outside all locks (decompression / PMem reads are the
-	// expensive part and must not serialize the stripe).
+	// Decompress outside all locks (the expensive part must not serialize
+	// the stripe).
 	for i := range keys {
-		if recs[i].val == nil {
-			continue
-		}
-		v, err := e.decode(recs[i])
 		if err != nil {
-			return nil, nil, err
+			break
 		}
-		if v == nil {
-			v = []byte{}
+		if recs[i].data != nil {
+			out[i], err = e.finish(recs[i].flags, recs[i].data)
 		}
-		out[i] = v
+	}
+	putScratch(pooled, scratch)
+	if err != nil {
+		return nil, nil, err
 	}
 	return out, wrongType, nil
 }
@@ -157,20 +168,14 @@ func (e *Engine) MSet(pairs []KV) error {
 	if len(pairs) == 0 {
 		return nil
 	}
-	recs := make([]record, len(pairs))
+	vals := make([]staged, len(pairs))
 	for i, p := range pairs {
-		var err error
-		if recs[i], err = e.encode(e.shards[e.ShardIndex(p.Key)], p.Key, p.Val); err != nil {
-			for _, rec := range recs[:i] {
-				e.discard(rec)
-			}
-			return err
-		}
+		vals[i] = e.encode(p.Val)
 	}
 	e.forEachShardGroup(len(pairs), func(i int) string { return pairs[i].Key }, func(s *shard, idxs []int, khs []uint32) {
 		s.mu.Lock()
 		for _, i := range idxs {
-			e.publish(s, khs[i], pairs[i].Key, recs[i])
+			e.publish(s, khs[i], pairs[i].Key, vals[i])
 		}
 		s.mu.Unlock()
 	})

@@ -102,18 +102,49 @@ func benchmarkBatch(b *testing.B, batched bool, batchSize int) {
 func BenchmarkEngineGetLoop16(b *testing.B)   { benchmarkBatch(b, false, 16) }
 func BenchmarkEngineMGetBatch16(b *testing.B) { benchmarkBatch(b, true, 16) }
 
+// benchmarkRandomKey measures one call on a uniformly random key of a
+// 200k-key engine: the ledger's population and access pattern, where the
+// index slot and the record are usually not in cache. (GetLoop16 and
+// MGetBatch16 read runs of 16 neighbouring keys out of 16k.)
+func benchmarkRandomKey(b *testing.B, op func(e *Engine, key string, val []byte)) {
+	e := New(Options{})
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]string, 200_000)
+	val := zeroTailed(rng, 18, 0)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user:%09d", rng.Intn(1e9))
+		e.Set(keys[i], val)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(e, keys[rng.Intn(len(keys))], val)
+	}
+}
+
+func BenchmarkEngineGetRandom(b *testing.B) {
+	benchmarkRandomKey(b, func(e *Engine, key string, _ []byte) { e.Get(key) })
+}
+
+func BenchmarkEngineSetRandom(b *testing.B) {
+	benchmarkRandomKey(b, func(e *Engine, key string, val []byte) { e.Set(key, val) })
+}
+
 // BenchmarkEngineHeapPerKey reports what one key costs and what the engine
 // says it costs, for the ledger's hit-read record (14 B key, 18 B stored
-// value): heap-B/key from the Go heap, accounted-B/key from MemUsed. One
-// op is one fill of heapKeys keys.
+// value): heap-B/key from the Go heap, accounted-B/key from MemUsed,
+// free-B/key the slab page bytes holding no record. One op is one fill of
+// heapKeys keys.
 func BenchmarkEngineHeapPerKey(b *testing.B) {
-	var heap, used int64
+	var heap int64
+	var st Stats
 	for i := 0; i < b.N; i++ {
 		e := New(Options{})
 		heap = fillHeapKeys(e, 18, false, false)
-		used = e.MemUsed()
+		st = e.Stats()
 		runtime.KeepAlive(e)
 	}
 	b.ReportMetric(float64(heap)/heapKeys, "heap-B/key")
-	b.ReportMetric(float64(used)/heapKeys, "accounted-B/key")
+	b.ReportMetric(float64(st.MemBytes)/heapKeys, "accounted-B/key")
+	b.ReportMetric(float64(st.FreeBytes)/heapKeys, "free-B/key")
 }

@@ -14,16 +14,20 @@
 //
 // A string key is one contiguous, pointer-free record (record.go): a
 // flags byte (compressed, PMem ref, has TTL), the key length and key, the
-// version, an 8-byte deadline only if a TTL was ever set, then the stored
-// value (or the 12-byte pmem.Ref to it). One allocation per key.
+// version, an 8-byte deadline only if a TTL was ever set, then the value
+// length and the stored value (or the 12-byte pmem.Ref to it).
 //
-// Each stripe finds its records through an open-addressing index
-// (index.go): 16-byte slots of hash, record length and record pointer,
+// Records live in their stripe's slab (slab.go), not in allocations of
+// their own: 16 KiB pointer-free pages carved into slots of a multiple of
+// 8 bytes, a free list per slot size, and a side table of own allocations
+// for records past 1 KiB. Each stripe finds its records through an
+// open-addressing index (index.go): 8-byte slots of hash and slab ref,
 // linear probing with backward-shift deletion, between 7/16 and 7/8 full
 // at a steady population, no table at all while the stripe is empty. The
 // key's one FNV hash serves both levels: low bits pick the stripe, a
-// Fibonacci multiply spreads it over the slots. index.go is the only file
-// that uses unsafe.
+// Fibonacci multiply spreads it over the slots. Tables and pages hold no
+// pointers, so the garbage collector marks a few hundred objects per
+// engine instead of one per key. README.md has the byte-level layout.
 //
 // Collections (the rarer kinds, with mutable internals) keep a *item in a
 // per-stripe map beside the index. A key is in one or the other, and every
@@ -32,25 +36,28 @@
 //
 // # Accounting
 //
-// MemUsed, ShardMemUsed and Stats().MemBytes are bytes held, not an
-// estimate: every record at its allocated size (the Go allocator's size
-// class), every index table at its capacity, and for collections a fixed
-// cost from the item's size and its map slot plus their elements. The
-// cache budget, the overload watermark, cost-advisor and the perf ledger
-// all read this number; TestMemUsedTracksHeap holds it within 15% of the
-// Go heap, and an empty engine reports 0. Stats().PayloadBytes is the part
+// MemUsed, ShardMemUsed and Stats().MemBytes are the bytes the engine's
+// contents occupy: every record at its slot (own allocations at the Go
+// allocator's size class), every index table at its capacity, and for
+// collections a fixed cost from the item's size and its map slot plus
+// their elements. A delete or an eviction takes the record's slot off at
+// once. The cache budget, the overload watermark, cost-advisor and the
+// perf ledger all read this number, and an empty engine reports 0. Page
+// bytes that hold no record (freed slots waiting for the next record of
+// their size, the uncarved tail of each stripe's newest page) are
+// Stats().FreeBytes; TestMemUsedTracksHeap holds MemBytes + FreeBytes
+// within 5% of the Go heap. Stats().PayloadBytes is the part of MemBytes
 // that is keys and stored values; the rest is overhead.
 //
 // # Concurrency
 //
-// The engine is safe for concurrent use. A stripe's index, collection map
-// and accounts change only under its write lock. A published record never
-// changes, with one exception: its deadline, which ExpireAt/Persist
-// rewrite in place under the write lock and every reader reads under the
-// read lock. An overwrite publishes a new record and unlinks the old one,
-// which stays valid for whoever still holds it. Readers therefore take a
-// record's value bytes out of the read lock and decompress, fetch from
-// PMem and copy with no lock held.
+// The engine is safe for concurrent use. A stripe's index, slab,
+// collection map and accounts change only under its write lock. Slots are
+// reused, so there is one reader rule: nothing that aliases engine-owned
+// storage leaves the stripe lock. A reader copies the stored bytes out
+// under the read lock (a raw value straight into its result, a compressed
+// one into scratch, a PMem one through Arena.Get) and decompresses with
+// no lock held; see take.
 package engine
 
 import (
@@ -165,8 +172,8 @@ type item struct {
 	payload  int64  // the part of memBytes that is key and element bytes
 }
 
-// shard is one lock stripe: its own index of string records, map of
-// collections and counters, so hot shards never contend with cold ones
+// shard is one lock stripe: its own index and slab of string records, map
+// of collections and counters, so hot shards never contend with cold ones
 // (not on the lock, not on the stat cachelines). A key is in strs or in
 // colls, never both.
 type shard struct {
@@ -176,16 +183,15 @@ type shard struct {
 
 	sweepPos uint32 // where SweepExpired resumes in strs
 
-	memUsed atomic.Int64 // DRAM bytes held; written under mu
+	memUsed atomic.Int64 // DRAM bytes the contents occupy; written under mu
 	payload atomic.Int64 // of which keys and stored values; written under mu
 	hits    atomic.Int64
 	misses  atomic.Int64
 	expired atomic.Int64
 	version atomic.Uint64
 
-	// 128 bytes: a shard is heap-allocated on its own and fills two
-	// cachelines of the allocator's 128-byte class, so no two shards'
-	// counters share a line.
+	// A shard is heap-allocated on its own in a size class that is a
+	// multiple of the cacheline, so no two shards' counters share a line.
 }
 
 // Engine is the in-memory store.
@@ -222,8 +228,9 @@ func (e *Engine) NumShards() int { return len(e.shards) }
 // stripe on both sides.
 func (e *Engine) ShardIndex(key string) int { return int(fnv1a(key) & e.mask) }
 
-// ShardMemUsed reports the DRAM bytes stripe i holds, the per-stripe leg
-// of MemUsed.
+// ShardMemUsed reports the DRAM bytes stripe i's contents occupy, the
+// per-stripe leg of MemUsed. It falls by a record's slot the moment the
+// record is deleted, whatever becomes of the page the slot is in.
 func (e *Engine) ShardMemUsed(i int) int64 { return e.shards[i].memUsed.Load() }
 
 // fnv1a is an inlined, allocation-free FNV-1a over the key bytes.
@@ -334,13 +341,12 @@ func (e *Engine) freeRef(st stored) {
 	}
 }
 
-// forget takes rec, already out of the index, out of the accounts, and
-// frees the PMem its value occupies. tableDelta is the index table's
-// growth since before the removal.
-func (e *Engine) forget(s *shard, rec record, tableDelta int64) {
+// forget takes rec's payload out of the accounts and frees the PMem its
+// value occupies. The caller then takes rec out of the index, which frees
+// its slot, and settles memUsed.
+func (e *Engine) forget(s *shard, rec record) {
 	f := rec.parse()
 	e.freeRef(f.stored)
-	s.memUsed.Add(tableDelta - allocBytes(len(rec)))
 	s.payload.Add(-f.payload())
 }
 
@@ -357,23 +363,35 @@ func (e *Engine) remove(s *shard, kh uint32, key string, en entry) {
 		e.removeItem(s, key, en.it)
 		return
 	}
-	table := s.strs.tableBytes()
+	held := s.strs.held()
+	e.forget(s, en.rec)
 	s.strs.del(kh, key)
-	e.forget(s, en.rec, s.strs.tableBytes()-table)
+	s.memUsed.Add(s.strs.held() - held)
 }
 
-// publish makes rec the entry for key, replacing whatever was there.
-func (e *Engine) publish(s *shard, kh uint32, key string, rec record) {
+// publish makes st the string value of key, replacing whatever was there
+// and clearing any TTL. The record is assembled in its slot: no allocation
+// unless a page or a table has to grow.
+func (e *Engine) publish(s *shard, kh uint32, key string, st staged) {
 	if it, ok := s.colls[key]; ok {
 		e.removeItem(s, key, it)
 	}
-	table := s.strs.tableBytes()
-	old := s.strs.put(kh, key, rec)
-	s.memUsed.Add(allocBytes(len(rec)) + s.strs.tableBytes() - table)
-	s.payload.Add(rec.parse().payload())
-	if old != nil {
-		e.forget(s, old, 0)
+	ix := &s.strs
+	held := ix.held()
+	h := slotHash(kh)
+	i := ix.find(h, key)
+	version := s.nextVersion()
+	ref, buf := ix.recs.alloc(recordLen(key, version, st.valueLen()))
+	rec := record(buf)
+	writeRecord(rec, key, version, st)
+	if i >= 0 {
+		e.forget(s, ix.record(i))
+		ix.replace(i, ref)
+	} else {
+		ix.insert(h, ref)
 	}
+	s.payload.Add(rec.parse().payload())
+	s.memUsed.Add(ix.held() - held)
 }
 
 // addItem makes the collection it the entry for key, which has none.
@@ -388,41 +406,71 @@ func (e *Engine) addItem(s *shard, key string, it *item) {
 
 // --- value encode/decode (compression + PMem placement) ---
 
-// encode builds the record for a string value: compressed when that makes
-// it smaller, in PMem when it is large enough and the arena has room.
-// Runs outside the stripe lock; a record that is then not published must
-// go to discard.
-func (e *Engine) encode(s *shard, key string, val []byte) (record, error) {
-	data, flags := val, byte(0)
+// encode stages a string value: compressed when that makes it smaller, in
+// PMem when it is large enough and the arena has room. Runs outside the
+// stripe lock; a staged value that is then not published must go to
+// discard.
+func (e *Engine) encode(val []byte) staged {
+	st := staged{val: val}
 	if c := e.opts.Compressor; c != nil && len(val) >= e.opts.CompressMin {
 		comp := c.Compress(val)
 		if m := e.opts.Monitor; m != nil {
 			m.Observe(len(val), len(comp), compress.IsEscape(comp) && c.Name() == "pbc")
 		}
 		if len(comp) < len(val) {
-			data, flags = comp, flagCompressed
+			st.val, st.flags = comp, flagCompressed
 		}
 	}
-	if a := e.opts.Arena; a != nil && len(data) >= e.opts.PMemMin {
+	if a := e.opts.Arena; a != nil && len(st.val) >= e.opts.PMemMin {
 		// Arena full: fall back to DRAM.
-		if ref, err := a.Put(data); err == nil {
-			var buf [refBytes]byte
-			rec, err := newRecord(key, s.nextVersion(), flags|flagPMem, 0, appendRef(buf[:0], ref))
-			if err != nil {
-				a.Free(ref)
-			}
-			return rec, err
+		if ref, err := a.Put(st.val); err == nil {
+			st.ref, st.flags = ref, st.flags|flagPMem
 		}
 	}
-	return newRecord(key, s.nextVersion(), flags, 0, data)
+	return st
 }
 
-// discard releases what encode took for a record that lost its race.
-func (e *Engine) discard(rec record) { e.freeRef(rec.parse().stored) }
+// discard releases what encode took for a value that lost its race.
+func (e *Engine) discard(st staged) {
+	if st.flags&flagPMem != 0 {
+		e.opts.Arena.Free(st.ref)
+	}
+}
 
-// decode materializes the logical bytes of a record's value. It reads only
-// the immutable part of the record, so it runs outside the stripe lock.
-func (e *Engine) decode(st stored) ([]byte, error) {
+// take copies a record's stored value out of the stripe: a raw value into
+// a fresh slice that is the caller's result, a compressed one onto
+// scratch, one in PMem through Arena.Get. Caller holds s.mu; nothing take
+// returns aliases the record, so the caller may unlock and then finish.
+func (e *Engine) take(st stored, scratch []byte) (data, grown []byte, err error) {
+	switch {
+	case st.flags&flagPMem != 0:
+		data, err = e.opts.Arena.Get(st.ref())
+	case st.flags&flagCompressed != 0:
+		n := len(scratch)
+		scratch = append(scratch, st.val...)
+		data = scratch[n:]
+	default:
+		// Always non-nil: a present empty value must stay distinguishable
+		// from an absent key (nil).
+		data = make([]byte, len(st.val))
+		copy(data, st.val)
+	}
+	return data, scratch, err
+}
+
+// finish turns what take returned for a record of these flags into the
+// value's logical bytes. Runs outside the stripe lock.
+func (e *Engine) finish(flags byte, data []byte) ([]byte, error) {
+	if flags&flagCompressed != 0 {
+		return e.opts.Compressor.Decompress(data)
+	}
+	return data, nil
+}
+
+// view returns the logical bytes of a record's value for a caller that
+// keeps holding s.mu while it looks at them: a raw value is the record's
+// own bytes, not a copy.
+func (e *Engine) view(st stored) ([]byte, error) {
 	data := st.val
 	if st.flags&flagPMem != 0 {
 		var err error
@@ -430,15 +478,29 @@ func (e *Engine) decode(st stored) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if st.flags&flagCompressed != 0 {
-		return e.opts.Compressor.Decompress(data)
+	return e.finish(st.flags, data)
+}
+
+// scratchPool holds the buffers Get and MGet copy compressed values into
+// on their way out of the stripe lock. (A stack buffer would be moved to
+// the heap: it is passed to Compressor.Decompress, an interface method.)
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledScratch keeps one huge value from pinning its buffer in the pool.
+const maxPooledScratch = 64 << 10
+
+// getScratch takes an empty buffer from the pool; putScratch hands it
+// back as it has grown. putScratch(nil, nil) does nothing.
+func getScratch() (pooled *[]byte, scratch []byte) {
+	pooled = scratchPool.Get().(*[]byte)
+	return pooled, (*pooled)[:0]
+}
+
+func putScratch(pooled *[]byte, scratch []byte) {
+	if pooled != nil && cap(scratch) <= maxPooledScratch {
+		*pooled = scratch
+		scratchPool.Put(pooled)
 	}
-	// Copy so callers can't mutate engine-owned memory. The copy is
-	// always non-nil: a present empty value must stay distinguishable
-	// from an absent key (nil).
-	out := make([]byte, len(data))
-	copy(out, data)
-	return out, nil
 }
 
 // --- string operations ---
@@ -446,12 +508,9 @@ func (e *Engine) decode(st stored) ([]byte, error) {
 // Set stores a string value, clearing any TTL.
 func (e *Engine) Set(key string, val []byte) error {
 	kh, s := e.locate(key)
-	rec, err := e.encode(s, key, val)
-	if err != nil {
-		return err
-	}
+	st := e.encode(val)
 	s.mu.Lock()
-	e.publish(s, kh, key, rec)
+	e.publish(s, kh, key, st)
 	s.mu.Unlock()
 	return nil
 }
@@ -467,22 +526,19 @@ func (e *Engine) SetNX(key string, val []byte) (bool, error) {
 	}
 	// Encode outside the lock; wasted work only when a concurrent SetNX
 	// wins the race below, which the write-locked re-check detects.
-	rec, err := e.encode(s, key, val)
-	if err != nil {
-		return false, err
-	}
+	st := e.encode(val)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, live := e.live(s, kh, key); live {
-		e.discard(rec)
+		e.discard(st)
 		return false, nil
 	}
-	e.publish(s, kh, key, rec)
+	e.publish(s, kh, key, st)
 	return true, nil
 }
 
-// get is the one string read path: look the record up under the stripe
-// read lock, decode it outside.
+// get is the one string read path: look the record up and copy its stored
+// value out under the stripe read lock, decompress outside.
 func (e *Engine) get(key string) (val []byte, stripe int, version uint64, err error) {
 	kh, s := e.locate(key)
 	stripe = int(kh & e.mask)
@@ -498,9 +554,18 @@ func (e *Engine) get(key string) (val []byte, stripe int, version uint64, err er
 		return nil, stripe, 0, ErrWrongType
 	}
 	f := en.rec.parse()
+	var pooled *[]byte
+	var scratch []byte
+	if f.flags&flagCompressed != 0 {
+		pooled, scratch = getScratch()
+	}
+	data, scratch, err := e.take(f.stored, scratch)
 	s.mu.RUnlock()
 	s.hits.Add(1)
-	val, err = e.decode(f.stored)
+	if err == nil {
+		val, err = e.finish(f.flags, data)
+	}
+	putScratch(pooled, scratch)
 	return val, stripe, f.version, err
 }
 
@@ -552,21 +617,19 @@ func (e *Engine) Type(key string) Kind {
 func (e *Engine) CompareAndSet(key string, oldVal, newVal []byte) error {
 	kh, s := e.locate(key)
 	// Pre-encode outside the lock; wasted work only on mismatch.
-	rec, err := e.encode(s, key, newVal)
-	if err != nil {
-		return err
-	}
+	st := e.encode(newVal)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := e.casCheck(s, kh, key, oldVal); err != nil {
-		e.discard(rec)
+		e.discard(st)
 		return err
 	}
-	e.publish(s, kh, key, rec)
+	e.publish(s, kh, key, st)
 	return nil
 }
 
 // casCheck reports whether key currently holds oldVal (nil = is absent).
+// Caller holds s.mu.
 func (e *Engine) casCheck(s *shard, kh uint32, key string, oldVal []byte) error {
 	en, ok := e.live(s, kh, key)
 	if !ok {
@@ -578,7 +641,7 @@ func (e *Engine) casCheck(s *shard, kh uint32, key string, oldVal []byte) error 
 	if en.rec == nil {
 		return ErrWrongType
 	}
-	cur, err := e.decode(en.rec.parse().stored)
+	cur, err := e.view(en.rec.parse().stored)
 	if err != nil {
 		return err
 	}
@@ -592,17 +655,14 @@ func (e *Engine) casCheck(s *shard, kh uint32, key string, oldVal []byte) error 
 // (optimistic concurrency for read-modify-write).
 func (e *Engine) SetIfVersion(key string, val []byte, version uint64) error {
 	kh, s := e.locate(key)
-	rec, err := e.encode(s, key, val)
-	if err != nil {
-		return err
-	}
+	st := e.encode(val)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if en, ok := e.live(s, kh, key); !ok || en.version() != version {
-		e.discard(rec)
+		e.discard(st)
 		return ErrCASMismatch
 	}
-	e.publish(s, kh, key, rec)
+	e.publish(s, kh, key, st)
 	return nil
 }
 
@@ -616,7 +676,7 @@ func (e *Engine) IncrBy(key string, delta int64) (int64, error) {
 		if en.rec == nil {
 			return 0, ErrWrongType
 		}
-		raw, err := e.decode(en.rec.parse().stored)
+		raw, err := e.view(en.rec.parse().stored)
 		if err != nil {
 			return 0, err
 		}
@@ -627,11 +687,7 @@ func (e *Engine) IncrBy(key string, delta int64) (int64, error) {
 	cur += delta
 	// Counters are never compressed or offloaded.
 	var buf [20]byte
-	rec, err := newRecord(key, s.nextVersion(), 0, 0, appendInt(buf[:0], cur))
-	if err != nil {
-		return 0, err
-	}
-	e.publish(s, kh, key, rec)
+	e.publish(s, kh, key, staged{val: appendInt(buf[:0], cur)})
 	return cur, nil
 }
 
@@ -660,15 +716,15 @@ func (e *Engine) ExpireAt(key string, at int64) bool {
 	case en.rec[0]&flagTTL != 0:
 		en.rec.setDeadline(at)
 	case at != 0:
-		// First TTL on this record: publish a copy that has the slot. The
-		// copy carries the same value (and PMem ref), so only the record's
-		// own size changes hands.
-		rec, err := en.rec.withDeadline(at)
-		if err != nil {
-			return false
-		}
-		s.strs.put(kh, key, rec)
-		s.memUsed.Add(allocBytes(len(rec)) - allocBytes(len(en.rec)))
+		// First TTL on this record: move it to a slot with room for the
+		// deadline. The copy carries the same value (or PMem ref), so only
+		// the record's own bytes change hands.
+		ix := &s.strs
+		held := ix.held()
+		ref, rec := ix.recs.alloc(en.rec.parse().size + 8)
+		en.rec.withDeadline(rec, at)
+		ix.replace(ix.find(slotHash(kh), key), ref)
+		s.memUsed.Add(ix.held() - held)
 	}
 	return true
 }
@@ -760,17 +816,17 @@ func (e *Engine) SweepExpired(max int) int {
 		s := e.shards[(start+i)&e.mask]
 		shardRemoved := 0
 		s.mu.Lock()
-		table := s.strs.tableBytes()
+		held := s.strs.held()
 		scanned += s.strs.sweep(&s.sweepPos, max-scanned, func(rec record) bool {
 			at := rec.deadline()
 			if at == 0 || now < at {
 				return false
 			}
-			e.forget(s, rec, 0)
+			e.forget(s, rec)
 			shardRemoved++
 			return true
 		})
-		s.memUsed.Add(s.strs.tableBytes() - table)
+		s.memUsed.Add(s.strs.held() - held)
 		for key, it := range s.colls {
 			if scanned >= max {
 				break
@@ -795,8 +851,9 @@ func (e *Engine) SweepExpired(max int) int {
 // Stats summarizes engine state.
 type Stats struct {
 	Keys         int
-	MemBytes     int64 // DRAM held: records, index tables, collections
+	MemBytes     int64 // DRAM occupied: records, index tables, collections
 	PayloadBytes int64 // the part of MemBytes that is keys and stored values
+	FreeBytes    int64 // slab page bytes holding no record; beside MemBytes, not in it
 	PMemUsed     int64
 	Hits         int64
 	Misses       int64
@@ -805,8 +862,12 @@ type Stats struct {
 
 // Stats returns a snapshot of counters, folded across shards.
 func (e *Engine) Stats() Stats {
-	st := Stats{Keys: e.Len()}
+	var st Stats
 	for _, s := range e.shards {
+		s.mu.RLock()
+		st.Keys += s.strs.n + len(s.colls)
+		st.FreeBytes += s.strs.recs.idle()
+		s.mu.RUnlock()
 		st.MemBytes += s.memUsed.Load()
 		st.PayloadBytes += s.payload.Load()
 		st.Hits += s.hits.Load()
@@ -819,10 +880,9 @@ func (e *Engine) Stats() Stats {
 	return st
 }
 
-// MemUsed returns the DRAM bytes the engine holds, summed across shards:
-// every record at its allocated size, every index table at its capacity,
-// and the accounted cost of collections. TestMemUsedTracksHeap holds it to
-// within 15% of the Go heap.
+// MemUsed returns the DRAM bytes the engine's contents occupy, summed
+// across shards: every record at its slot, every index table at its
+// capacity, and the accounted cost of collections.
 func (e *Engine) MemUsed() int64 {
 	var total int64
 	for _, s := range e.shards {
@@ -896,19 +956,21 @@ func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEn
 
 // walk is the one snapshot iterator. Per stripe it lists the live keys,
 // then alternates two steps until the list is done: under a short read
-// lock, gather up to maxChunkBytes of records (by reference: they are
-// immutable) and collection blobs (serialized there: collections are
-// not); with no lock held, decode the records and hand fn a chunk each
-// time maxChunkBytes of decoded data has piled up.
+// lock, copy out up to maxChunkBytes of stored values (take) and
+// collection blobs (serialized there); with no lock held, decompress the
+// values and hand fn a chunk each time maxChunkBytes of decoded data has
+// piled up.
 func (e *Engine) walk(maxChunkBytes int, collections bool, fn func(chunk []SnapEntry) bool) error {
 	if maxChunkBytes <= 0 {
 		maxChunkBytes = 1 << 20
 	}
 	type pending struct {
-		key  string
-		st   stored // strings
-		blob []byte // collections
+		key   string
+		flags byte   // strings: the record's
+		data  []byte // strings: what take copied out
+		blob  []byte // collections
 	}
+	var scratch []byte // compressed values of the batch in hand
 	for _, s := range e.shards {
 		s.mu.RLock()
 		now := e.now()
@@ -932,7 +994,9 @@ func (e *Engine) walk(maxChunkBytes int, collections bool, fn func(chunk []SnapE
 		size := 0
 		for i := 0; i < len(keys); {
 			var batch []pending
+			var err error
 			held := 0
+			scratch = scratch[:0]
 			s.mu.RLock()
 			for ; i < len(keys) && (len(batch) == 0 || held < maxChunkBytes); i++ {
 				en, ok := e.live(s, fnv1a(keys[i]), keys[i])
@@ -941,8 +1005,12 @@ func (e *Engine) walk(maxChunkBytes int, collections bool, fn func(chunk []SnapE
 				}
 				p := pending{key: keys[i]}
 				if en.rec != nil {
-					p.st = en.rec.parse().stored
-					held += len(en.rec)
+					f := en.rec.parse()
+					p.flags = f.flags
+					if p.data, scratch, err = e.take(f.stored, scratch); err != nil {
+						break
+					}
+					held += f.size
 				} else if p.blob, ok = encodeCollectionLocked(en.it); ok && collections {
 					held += len(p.blob)
 				} else {
@@ -951,11 +1019,13 @@ func (e *Engine) walk(maxChunkBytes int, collections bool, fn func(chunk []SnapE
 				batch = append(batch, p)
 			}
 			s.mu.RUnlock()
+			if err != nil {
+				return err
+			}
 			for _, p := range batch {
 				val := p.blob
 				if val == nil {
-					var err error
-					if val, err = e.decode(p.st); err != nil {
+					if val, err = e.finish(p.flags, p.data); err != nil {
 						return err
 					}
 				}
@@ -983,7 +1053,7 @@ func (e *Engine) FlushAll() {
 		s.mu.Lock()
 		if e.opts.Arena != nil {
 			s.strs.each(func(rec record) bool {
-				e.discard(rec)
+				e.freeRef(rec.parse().stored)
 				return true
 			})
 		}

@@ -1,41 +1,33 @@
 package engine
 
-import "unsafe"
+import "reflect"
 
-// This file is the only one in the package that uses unsafe: the index
-// keeps each record as a bare pointer plus a length so that a slot is
-// 16 bytes, where a []byte alone would be 24.
-
-// slot is one index entry. An empty slot has a nil rec.
+// slot is one index entry: 8 bytes and no pointer, so the garbage collector
+// never looks inside a table. An empty slot has ref 0.
 type slot struct {
-	hash uint32         // slotHash of the key; the home slot is hash >> shift
-	size uint32         // len of the record
-	rec  unsafe.Pointer // first byte of the record
+	hash uint32 // slotHash of the key; the home slot is hash >> shift
+	ref  uint32 // where the record is (slab.at)
 }
 
 const (
-	slotBytes   = int64(unsafe.Sizeof(slot{}))
-	minSlots    = 8
-	maxRecBytes = 1<<32 - 1 // slot.size is a uint32
+	slotBytes = 8
+	minSlots  = 8
 )
 
 // itemBytes is the allocation behind a collection's *item.
-const itemBytes = int(unsafe.Sizeof(item{}))
-
-// record rebuilds the slot's record slice.
-func (sl *slot) record() record {
-	return unsafe.Slice((*byte)(sl.rec), sl.size)
-}
+var itemBytes = int(reflect.TypeOf(item{}).Size())
 
 // index is an open-addressing hash table (linear probing, backward-shift
-// deletion, so no tombstones) from key to string record. It holds no
-// table while empty, doubles when an insert would pass 7/8 full and halves
-// when a delete leaves it under 7/32, so a steady population sits between
-// 7/16 and 7/8. Not safe for concurrent use: the stripe lock guards it.
+// deletion, so no tombstones) from key to string record, and the slab the
+// records live in. It holds no table while empty, doubles when an insert
+// would pass 7/8 full and halves when a delete leaves it under 7/32, so a
+// steady population sits between 7/16 and 7/8. Not safe for concurrent
+// use: the stripe lock guards it.
 type index struct {
 	slots []slot // nil or a power-of-two length
 	n     int
 	shift uint8 // 32 - log2(len(slots))
+	recs  slab
 }
 
 // slotHash spreads the key hash for the index. The stripe was picked from
@@ -43,8 +35,12 @@ type index struct {
 // Fibonacci multiply folds every bit into the high ones the index uses.
 func slotHash(kh uint32) uint32 { return kh * 0x9E3779B1 }
 
-// tableBytes is the size of the slot table.
-func (ix *index) tableBytes() int64 { return int64(len(ix.slots)) * slotBytes }
+// held is the bytes the index charges its stripe: the slot table at its
+// capacity and every record's slot or own allocation.
+func (ix *index) held() int64 { return int64(len(ix.slots))*slotBytes + ix.recs.held() }
+
+// record returns the record in slot i.
+func (ix *index) record(i int) record { return ix.recs.at(ix.slots[i].ref) }
 
 // find returns the position of key, or -1.
 func (ix *index) find(h uint32, key string) int {
@@ -53,11 +49,11 @@ func (ix *index) find(h uint32, key string) int {
 	}
 	mask := uint32(len(ix.slots) - 1)
 	for i := h >> ix.shift; ; i = (i + 1) & mask {
-		sl := &ix.slots[i]
-		if sl.rec == nil {
+		sl := ix.slots[i]
+		if sl.ref == 0 {
 			return -1
 		}
-		if sl.hash == h && sl.record().hasKey(key) {
+		if sl.hash == h && record(ix.recs.at(sl.ref)).hasKey(key) {
 			return int(i)
 		}
 	}
@@ -66,33 +62,38 @@ func (ix *index) find(h uint32, key string) int {
 // get returns the record stored under key (kh is its fnv1a hash), or nil.
 func (ix *index) get(kh uint32, key string) record {
 	if i := ix.find(slotHash(kh), key); i >= 0 {
-		return ix.slots[i].record()
+		return ix.record(i)
 	}
 	return nil
 }
 
-// put publishes rec under key and returns the record it replaced, or nil.
-func (ix *index) put(kh uint32, key string, rec record) (old record) {
-	h := slotHash(kh)
-	sl := slot{hash: h, size: uint32(len(rec)), rec: unsafe.Pointer(&rec[0])}
-	if i := ix.find(h, key); i >= 0 {
-		old = ix.slots[i].record()
-		ix.slots[i] = sl
-		return old
-	}
+// replace makes ref (from recs.alloc, its record written) the record in
+// slot i, whose key it shares, and frees the one that was there.
+func (ix *index) replace(i int, ref uint32) {
+	ix.release(i)
+	ix.slots[i].ref = ref
+}
+
+// release frees the storage of the record in slot i.
+func (ix *index) release(i int) {
+	ix.recs.release(ix.slots[i].ref, ix.record(i).parse().size)
+}
+
+// insert adds ref (from recs.alloc, its record written), the record of a
+// key of slotHash h that the index lacks.
+func (ix *index) insert(h, ref uint32) {
 	if (ix.n+1)*8 > len(ix.slots)*7 {
 		ix.resize(max(minSlots, 2*len(ix.slots)))
 	}
-	ix.place(sl)
+	ix.place(slot{hash: h, ref: ref})
 	ix.n++
-	return nil
 }
 
 // place stores sl in the first free slot of its probe sequence.
 func (ix *index) place(sl slot) {
 	mask := uint32(len(ix.slots) - 1)
 	i := sl.hash >> ix.shift
-	for ix.slots[i].rec != nil {
+	for ix.slots[i].ref != 0 {
 		i = (i + 1) & mask
 	}
 	ix.slots[i] = sl
@@ -110,31 +111,29 @@ func (ix *index) resize(size int) {
 		}
 	}
 	for _, sl := range old {
-		if sl.rec != nil {
+		if sl.ref != 0 {
 			ix.place(sl)
 		}
 	}
 }
 
-// del removes key and returns its record, or nil.
-func (ix *index) del(kh uint32, key string) record {
-	i := ix.find(slotHash(kh), key)
-	if i < 0 {
-		return nil
+// del removes key and frees its record, if it has one.
+func (ix *index) del(kh uint32, key string) {
+	if i := ix.find(slotHash(kh), key); i >= 0 {
+		ix.removeAt(uint32(i))
+		ix.shrink()
 	}
-	old := ix.slots[i].record()
-	ix.removeAt(uint32(i))
-	ix.shrink()
-	return old
 }
 
-// removeAt empties slot i and closes the gap: each later entry of the
-// run moves back into the hole unless that would put it before its home.
+// removeAt frees the record in slot i, empties the slot and closes the
+// gap: each later entry of the run moves back into the hole unless that
+// would put it before its home.
 func (ix *index) removeAt(i uint32) {
+	ix.release(int(i))
 	mask := uint32(len(ix.slots) - 1)
 	for j := (i + 1) & mask; ; j = (j + 1) & mask {
 		sl := ix.slots[j]
-		if sl.rec == nil {
+		if sl.ref == 0 {
 			break
 		}
 		if home := sl.hash >> ix.shift; (j-home)&mask >= (j-i)&mask {
@@ -164,7 +163,7 @@ func (ix *index) shrink() {
 // each calls fn for every record until it returns false.
 func (ix *index) each(fn func(rec record) bool) {
 	for i := range ix.slots {
-		if sl := &ix.slots[i]; sl.rec != nil && !fn(sl.record()) {
+		if ix.slots[i].ref != 0 && !fn(ix.record(i)) {
 			return
 		}
 	}
@@ -183,10 +182,9 @@ func (ix *index) sweep(pos *uint32, limit int, drop func(rec record) bool) (visi
 	}
 	i := *pos & (size - 1)
 	for steps := uint32(0); steps < size && visited < limit; {
-		sl := &ix.slots[i]
-		if sl.rec != nil {
+		if ix.slots[i].ref != 0 {
 			visited++
-			if drop(sl.record()) {
+			if drop(ix.record(int(i))) {
 				ix.removeAt(i)
 				continue // whatever shifted into slot i is next
 			}

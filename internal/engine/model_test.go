@@ -9,6 +9,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"tierbase/internal/compress"
+	"tierbase/internal/pmem"
 )
 
 // mval is the model's idea of one key: a plain Go value per kind. Like the
@@ -487,18 +490,23 @@ func (m *model) check() {
 // checkBooks recomputes every stripe's accounts from what it holds and
 // verifies the index invariants: every record is reachable through its
 // own probe sequence, the table is a power of two between 7/32 and 7/8
-// full (8 slots at least), and an empty stripe holds none.
+// full (8 slots at least), an empty stripe holds neither table nor page,
+// and the slab's own books balance (checkSlab).
 func checkBooks(e *Engine) error {
 	for si, s := range e.shards {
 		s.mu.RLock()
 		ix := &s.strs
-		mem, payload := ix.tableBytes(), int64(0)
+		mem, payload := int64(len(ix.slots))*slotBytes, int64(0)
 		n := 0
 		var err error
 		ix.each(func(rec record) bool {
 			n++
 			f := rec.parse()
-			mem += allocBytes(len(rec))
+			if f.size > slabLimit {
+				mem += allocBytes(f.size) + ownEntryBytes
+			} else {
+				mem += int64(slotSize(f.size))
+			}
 			payload += f.payload()
 			key := string(f.key)
 			if got := ix.get(fnv1a(key), key); len(got) == 0 || &got[0] != &rec[0] {
@@ -518,13 +526,15 @@ func checkBooks(e *Engine) error {
 		case err != nil:
 		case n != ix.n:
 			err = fmt.Errorf("stripe %d: index counts %d records, holds %d", si, ix.n, n)
-		case n == 0 && size != 0:
-			err = fmt.Errorf("stripe %d: empty index keeps a %d-slot table", si, size)
+		case n == 0 && (size != 0 || len(ix.recs.pages) != 0 || len(ix.recs.own) != 0):
+			err = fmt.Errorf("stripe %d: empty index keeps a %d-slot table, %d pages", si, size, len(ix.recs.pages))
 		case n > 0 && (size < minSlots || size&(size-1) != 0 || n*8 > size*7 || (size > minSlots && n*32 < size*7)):
 			err = fmt.Errorf("stripe %d: %d records in %d slots", si, n, size)
 		case mem != s.memUsed.Load() || payload != s.payload.Load():
 			err = fmt.Errorf("stripe %d: accounts say mem %d payload %d, contents say %d and %d",
 				si, s.memUsed.Load(), s.payload.Load(), mem, payload)
+		default:
+			err = checkSlab(&ix.recs)
 		}
 		s.mu.RUnlock()
 		if err != nil {
@@ -564,37 +574,78 @@ func TestEngineAgainstModel(t *testing.T) {
 	}
 }
 
-// TestOneStripeReadersAndOverwriters is the -race leg of the concurrency
-// rule: with every key on one stripe, readers decode records outside the
-// lock while writers overwrite them with other sizes, rewrite deadlines in
-// place, delete them (shifting and resizing the index) and a walker
-// snapshots the stripe. Every value is one repeated byte, so a torn or
-// recycled record shows as a mixed value.
+// stripeValue is the self-describing value TestOneStripeReadersAndOverwriters
+// writes: key index, version and body length, then a body that is a
+// function of the three, then a tail of zeros (what tailCompressor strips)
+// whose length is one too. sameStripeValue regenerates a value from its
+// own header, so a value that passes is byte-equal to one a writer made
+// for that key, whichever slot it was read from.
+func stripeValue(key, version, n int) []byte {
+	v := make([]byte, 8, 8+n+8*(version%5))
+	v[0] = byte(key)
+	v[1] = byte(n)
+	v[2] = byte(n >> 8)
+	v[3] = 0xA5
+	v[4], v[5], v[6], v[7] = byte(version), byte(version>>8), byte(version>>16), byte(version>>24)
+	x := uint32(key+1)*2654435761 ^ uint32(version)*40503 ^ uint32(n)
+	for i := 0; i < n; i++ {
+		x = x*1664525 + 1013904223
+		v = append(v, byte(x>>24)|1)
+	}
+	return v[:cap(v)]
+}
+
+func sameStripeValue(key int, v []byte) bool {
+	if len(v) < 8 || int(v[0]) != key {
+		return false
+	}
+	n := int(v[1]) | int(v[2])<<8
+	version := int(v[4]) | int(v[5])<<8 | int(v[6])<<16 | int(v[7])<<24
+	return bytes.Equal(v, stripeValue(key, version, n))
+}
+
+// TestOneStripeReadersAndOverwriters is the -race leg of the reader rule:
+// with every key on one stripe, writers overwrite records with values of
+// other slot sizes (own allocations included), delete and re-create them,
+// set a first TTL (which moves the record to a larger slot) and rewrite
+// deadlines in place, so freed slots are reused at once; readers Get and
+// MGet, and a walker snapshots the stripe. A reader that carried an alias
+// of a slot out of the lock, at any of the three sites that copy, returns
+// bytes that are no version of its key.
 func TestOneStripeReadersAndOverwriters(t *testing.T) {
-	e := New(Options{Shards: 1, Compressor: tailCompressor{}})
+	for _, c := range []compress.Compressor{nil, tailCompressor{}} {
+		oneStripeReadersAndOverwriters(t, Options{Shards: 1, Compressor: c})
+	}
+}
+
+func oneStripeReadersAndOverwriters(t *testing.T, opts Options) {
+	e := New(opts)
 	const keys, rounds = 64, 4000
 	key := func(i int) string { return fmt.Sprintf("hot%02d", i) }
-	uniform := func(v []byte) bool {
-		return len(v) == 0 || len(bytes.TrimLeft(v, string(v[:1]))) == 0
-	}
 	var writers, readers sync.WaitGroup
 	var stop atomic.Bool
+	var version atomic.Int64
 	for w := 0; w < 2; w++ {
 		writers.Add(1)
 		go func(seed int64) {
 			defer writers.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < rounds; i++ {
-				k := key(rng.Intn(keys))
-				switch rng.Intn(8) {
+				ki := rng.Intn(keys)
+				k := key(ki)
+				switch rng.Intn(10) {
 				case 0:
 					e.Del(k)
-				case 1:
+				case 1, 2:
 					e.Expire(k, time.Hour)
-				case 2:
+				case 3:
 					e.Persist(k)
 				default:
-					e.Set(k, bytes.Repeat([]byte{byte(rng.Intn(250))}, rng.Intn(300)))
+					n := rng.Intn(300)
+					if rng.Intn(16) == 0 {
+						n = slabLimit + rng.Intn(300)
+					}
+					e.Set(k, stripeValue(ki, int(version.Add(1)), n))
 				}
 			}
 		}(int64(w))
@@ -605,15 +656,15 @@ func TestOneStripeReadersAndOverwriters(t *testing.T) {
 			defer readers.Done()
 			rng := rand.New(rand.NewSource(seed))
 			for !stop.Load() {
-				k := key(rng.Intn(keys))
-				if v, err := e.Get(k); err == nil && !uniform(v) {
-					t.Errorf("Get %s: mixed value %x", k, v)
+				ki, kj := rng.Intn(keys), rng.Intn(keys)
+				if v, err := e.Get(key(ki)); err == nil && !sameStripeValue(ki, v) {
+					t.Errorf("Get %s: %.24x... (%d bytes) is no version of it", key(ki), v, len(v))
 					return
 				}
-				vals, _ := e.MGet([]string{k, key(rng.Intn(keys))})
-				for _, v := range vals {
-					if !uniform(v) {
-						t.Errorf("MGet: mixed value %x", v)
+				vals, _ := e.MGet([]string{key(ki), key(kj)})
+				for i, ki := range []int{ki, kj} {
+					if v := vals[i]; v != nil && !sameStripeValue(ki, v) {
+						t.Errorf("MGet %s: %.24x... (%d bytes) is no version of it", key(ki), v, len(v))
 						return
 					}
 				}
@@ -626,11 +677,13 @@ func TestOneStripeReadersAndOverwriters(t *testing.T) {
 		for !stop.Load() {
 			err := e.ForEachEncodedChunked(512, func(chunk []SnapEntry) bool {
 				for _, p := range chunk {
-					if !uniform(p.Val) {
-						t.Errorf("walk %s: mixed value %x", p.Key, p.Val)
+					var ki int
+					fmt.Sscanf(p.Key, "hot%d", &ki)
+					if !sameStripeValue(ki, p.Val) {
+						t.Errorf("walk %s: %.24x... (%d bytes) is no version of it", p.Key, p.Val, len(p.Val))
 					}
 				}
-				return true
+				return !t.Failed()
 			})
 			if err != nil {
 				t.Error(err)
@@ -645,5 +698,74 @@ func TestOneStripeReadersAndOverwriters(t *testing.T) {
 	readers.Wait()
 	if err := checkBooks(e); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPMemReadersAndOverwriters is the reader rule's PMem leg: a value's
+// arena ref must be resolved before the stripe read lock is released,
+// because an overwrite of the key frees the ref and the arena hands the
+// offset to the next Put of its size, which may be another key's. Two keys
+// trade 200-byte values through one arena size class while readers Get,
+// MGet and walk; each value is its key's letter repeated, so a reader
+// that lands on a recycled offset sees the other key's bytes (or a length
+// mismatch error).
+func TestPMemReadersAndOverwriters(t *testing.T) {
+	for _, shards := range []int{1, DefaultShards} {
+		arena := pmem.NewArena(pmem.OpenVolatile(1<<20, pmem.Latency{}), 0)
+		e := New(Options{Shards: shards, Arena: arena, PMemMin: 64})
+		valOf := func(k string) []byte { return bytes.Repeat([]byte(k), 200) }
+		e.Set("a", valOf("a"))
+		e.Set("b", valOf("b"))
+		var stop atomic.Bool
+		var readers sync.WaitGroup
+		check := func(op, k string, v []byte, err error) bool {
+			if err != nil || !bytes.Equal(v, valOf(k)) {
+				t.Errorf("shards=%d: %s %s = %.8q... (%d bytes), %v", shards, op, k, v, len(v), err)
+				return false
+			}
+			return true
+		}
+		reader := func(read func() bool) {
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				for !stop.Load() && read() {
+				}
+			}()
+		}
+		reader(func() bool {
+			v, err := e.Get("a")
+			return check("Get", "a", v, err)
+		})
+		reader(func() bool {
+			vals, err := e.MGet([]string{"b", "a"})
+			if err != nil {
+				return check("MGet", "b", nil, err)
+			}
+			return check("MGet", "b", vals[0], nil) && check("MGet", "a", vals[1], nil)
+		})
+		reader(func() bool {
+			ok := true
+			err := e.ForEachString(func(k string, v []byte) bool {
+				ok = check("walk", k, v, nil)
+				return ok
+			})
+			return ok && (err == nil || check("walk", "", nil, err))
+		})
+		for i := 0; i < 15000; i++ {
+			e.Set("a", valOf("a"))
+			e.Set("b", valOf("b"))
+			if i%64 == 0 {
+				// Under the write lock the whole time, but the same ref.
+				if err := e.CompareAndSet("a", valOf("a"), valOf("a")); err != nil {
+					t.Errorf("shards=%d: CompareAndSet: %v", shards, err)
+				}
+			}
+		}
+		stop.Store(true)
+		readers.Wait()
+		if err := checkBooks(e); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

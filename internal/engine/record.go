@@ -2,23 +2,26 @@ package engine
 
 import (
 	"encoding/binary"
-	"errors"
 	"math/bits"
 
 	"tierbase/internal/pmem"
 )
 
-// record is everything the engine keeps for one string key, in one
-// pointer-free allocation:
+// record is everything the engine keeps for one string key, contiguous and
+// pointer-free, in a slot of its stripe's slab (slab.go):
 //
-//	flags | uvarint len(key) | key | uvarint version | [deadline] | value
+//	flags | uvarint len(key) | key | uvarint version | [deadline] | uvarint len(value) | value
 //
 // deadline (8 bytes, little-endian unixnanos, 0 = none) is present only
 // with flagTTL. value is the stored bytes: compressed with flagCompressed,
 // and with flagPMem not the bytes themselves but the 12-byte pmem.Ref to
-// them. A published record never changes, except that its deadline may be
-// rewritten in place under the stripe write lock; readers read the
-// deadline under the stripe read lock and the value bytes after it.
+// them. The slice starts at the record and may run past its end (to the
+// end of its page): parse().size is its length.
+//
+// A record is written once, in place, under the stripe write lock; after
+// that only its deadline changes, also under the write lock. Its slot is
+// reused as soon as the record is replaced or deleted, so a record, and
+// anything that aliases it, is valid only while the stripe lock is held.
 type record []byte
 
 const (
@@ -29,11 +32,8 @@ const (
 
 const refBytes = 12 // pmem.Ref: Off int64, Len int32
 
-// ErrTooLarge rejects a key and value that together pass 4 GiB.
-var ErrTooLarge = errors.New("engine: key and value too large")
-
 // uvarint is binary.Uvarint with the one-byte case, which is nearly every
-// key length and most versions, inlined.
+// key length and most value lengths, inlined.
 func uvarint(b []byte) (uint64, int) {
 	if b[0] < 0x80 {
 		return uint64(b[0]), 1
@@ -44,28 +44,41 @@ func uvarint(b []byte) (uint64, int) {
 // uvarintLen is the number of bytes binary.PutUvarint writes for x.
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
-// newRecord builds the record for key. deadline != 0 reserves and sets
-// the TTL slot.
-func newRecord(key string, version uint64, flags byte, deadline int64, val []byte) (record, error) {
-	size := 1 + uvarintLen(uint64(len(key))) + len(key) + uvarintLen(version) + len(val)
-	if deadline != 0 {
-		flags |= flagTTL
-		size += 8
+// staged is a value as it will be stored, ready to be written into a
+// record: what encode hands to publish. val may alias the caller's bytes.
+type staged struct {
+	flags byte
+	val   []byte   // the stored bytes, unless flags has flagPMem
+	ref   pmem.Ref // where they are, if it has
+}
+
+// valueLen is the length of the record's value field.
+func (st staged) valueLen() int {
+	if st.flags&flagPMem != 0 {
+		return refBytes
 	}
-	if size > maxRecBytes {
-		return nil, ErrTooLarge
-	}
-	r := make(record, size)
-	r[0] = flags
+	return len(st.val)
+}
+
+// recordLen is the length of the record writeRecord builds.
+func recordLen(key string, version uint64, vlen int) int {
+	return 1 + uvarintLen(uint64(len(key))) + len(key) + uvarintLen(version) + uvarintLen(uint64(vlen)) + vlen
+}
+
+// writeRecord assembles the record, which has no TTL slot (withDeadline
+// adds one), into r, which is recordLen bytes.
+func writeRecord(r record, key string, version uint64, st staged) {
+	r[0] = st.flags
 	n := 1 + binary.PutUvarint(r[1:], uint64(len(key)))
 	n += copy(r[n:], key)
 	n += binary.PutUvarint(r[n:], version)
-	if deadline != 0 {
-		binary.LittleEndian.PutUint64(r[n:], uint64(deadline))
-		n += 8
+	n += binary.PutUvarint(r[n:], uint64(st.valueLen()))
+	if st.flags&flagPMem != 0 {
+		binary.LittleEndian.PutUint64(r[n:], uint64(st.ref.Off))
+		binary.LittleEndian.PutUint32(r[n+8:], uint32(st.ref.Len))
+		return
 	}
-	copy(r[n:], val)
-	return r, nil
+	copy(r[n:], st.val)
 }
 
 // hasKey reports whether r is the record of key.
@@ -74,19 +87,20 @@ func (r record) hasKey(key string) bool {
 	return int(n) == len(key) && string(r[1+w:1+w+len(key)]) == key
 }
 
-// stored is a record's value as kept: what decode needs, and all a reader
-// carries out of the stripe lock. val aliases the record.
+// stored is a record's value as kept. val aliases the record.
 type stored struct {
 	flags byte
 	val   []byte
 }
 
-// fields is a record taken apart. key aliases the record.
+// fields is a record taken apart. key and val alias the record.
 type fields struct {
 	stored
 	key      []byte
 	version  uint64
 	deadline int64 // 0 = none
+	head     int   // offset of the value length: the header before it ends with the deadline, if any
+	size     int   // length of the record
 }
 
 // parse splits r into its fields.
@@ -102,7 +116,11 @@ func (r record) parse() fields {
 		f.deadline = int64(binary.LittleEndian.Uint64(r[off:]))
 		off += 8
 	}
-	f.val = r[off:]
+	f.head = off
+	n, w = uvarint(r[off:])
+	off += w
+	f.size = off + int(n)
+	f.val = r[off:f.size:f.size]
 	return f
 }
 
@@ -118,15 +136,17 @@ func (r record) deadline() int64 {
 // setDeadline writes at into the TTL slot, which r must have. Caller
 // holds the stripe write lock.
 func (r record) setDeadline(at int64) {
-	f := r.parse()
-	slot := r[len(r)-len(f.val)-8:]
-	binary.LittleEndian.PutUint64(slot, uint64(at))
+	binary.LittleEndian.PutUint64(r[r.parse().head-8:], uint64(at))
 }
 
-// withDeadline is a copy of r, which has no TTL slot, with one set to at.
-func (r record) withDeadline(at int64) (record, error) {
+// withDeadline copies r, which has no TTL slot, into dst, 8 bytes longer,
+// with one set to at.
+func (r record) withDeadline(dst record, at int64) {
 	f := r.parse()
-	return newRecord(string(f.key), f.version, f.flags, at, f.val)
+	copy(dst, r[:f.head])
+	dst[0] |= flagTTL
+	binary.LittleEndian.PutUint64(dst[f.head:], uint64(at))
+	copy(dst[f.head+8:], r[f.head:f.size])
 }
 
 // payload is the user bytes r holds in DRAM: the key, and the stored value
@@ -144,10 +164,4 @@ func (st stored) ref() pmem.Ref {
 		Off: int64(binary.LittleEndian.Uint64(st.val)),
 		Len: int32(binary.LittleEndian.Uint32(st.val[8:])),
 	}
-}
-
-// appendRef encodes ref as a flagPMem record's value.
-func appendRef(b []byte, ref pmem.Ref) []byte {
-	b = binary.LittleEndian.AppendUint64(b, uint64(ref.Off))
-	return binary.LittleEndian.AppendUint32(b, uint32(ref.Len))
 }

@@ -263,10 +263,19 @@ func TestAdminCommands(t *testing.T) {
 	if payload != 4 || overhead <= 0 || payload+overhead != mem {
 		t.Fatalf("mem_bytes %d = payload %d + overhead %d: want payload 4, overhead > 0", mem, payload, overhead)
 	}
+	// mem_free_bytes is the slab page bytes holding no record, beside
+	// mem_bytes: two records in two 16 KiB pages leave nearly all of them.
+	free, _ := strconv.Atoi(infoField(t, c, "server", "mem_free_bytes"))
+	if pages := 2 * 16 << 10; free <= pages-64 || free >= pages {
+		t.Fatalf("mem_free_bytes %d beside mem_bytes %d: want the rest of two 16 KiB pages", free, mem)
+	}
 	c.Do("FLUSHALL")
 	v, _ = c.Do("DBSIZE")
 	if v.(int64) != 0 {
 		t.Fatal("flushall")
+	}
+	if free := infoField(t, c, "server", "mem_free_bytes"); free != "0" {
+		t.Fatalf("mem_free_bytes %s after FLUSHALL: pages should be back with the heap", free)
 	}
 }
 
