@@ -29,7 +29,8 @@ type result struct {
 	BytesPerOp  *int64  `json:"bytes_per_op,omitempty"`
 	AllocsPerOp *int64  `json:"allocs_per_op,omitempty"`
 	// Extra collects custom b.ReportMetric units (e.g. the client mux
-	// benchmarks' "flushes/op", "reqs/flush"), keyed by unit string.
+	// benchmarks' "flushes/op", the skew suite's "hit_pct"), keyed by unit
+	// string.
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
@@ -94,15 +95,12 @@ func parseLine(line string) (result, bool) {
 			n := int64(v)
 			r.AllocsPerOp = &n
 		default:
-			// Custom b.ReportMetric units and b.SetBytes throughput are
-			// always rates ("flushes/op", "reqs/flush", "MB/s"); anything
-			// without a slash is not a metric unit and is skipped.
-			if strings.Contains(fields[i+1], "/") {
-				if r.Extra == nil {
-					r.Extra = make(map[string]float64)
-				}
-				r.Extra[fields[i+1]] = v
+			// Custom b.ReportMetric units and b.SetBytes throughput, rates
+			// ("flushes/op", "MB/s") and plain units ("hit_pct") alike.
+			if r.Extra == nil {
+				r.Extra = make(map[string]float64)
 			}
+			r.Extra[fields[i+1]] = v
 		}
 	}
 	return r, seenNs

@@ -25,20 +25,43 @@ func TestParseLineBasic(t *testing.T) {
 }
 
 func TestParseLineCustomMetrics(t *testing.T) {
-	// The client mux benchmarks report drain-window shape via
-	// b.ReportMetric; those custom units must land in Extra.
-	r, ok := parseLine("BenchmarkMuxGet64GoroutinesRTT1ms-8   6378   37648 ns/op   23.98 reqs/flush   0.035 flushes/op")
-	if !ok {
-		t.Fatal("line should parse")
-	}
-	if r.NsPerOp != 37648 {
-		t.Fatalf("ns/op: %f", r.NsPerOp)
-	}
-	if got := r.Extra["reqs/flush"]; got != 23.98 {
-		t.Fatalf("reqs/flush: %v (extra=%v)", got, r.Extra)
-	}
-	if got := r.Extra["flushes/op"]; got != 0.035 {
-		t.Fatalf("flushes/op: %v", got)
+	// b.ReportMetric units must land in Extra whatever they look like: the
+	// client mux benchmarks report rates, the cache skew suite a hit
+	// percentage and a count, whose units have no slash.
+	for _, c := range []struct {
+		line  string
+		name  string
+		ns    float64
+		extra map[string]float64
+	}{
+		{
+			line:  "BenchmarkMuxGet64GoroutinesRTT1ms-8   6378   37648 ns/op   23.98 reqs/flush   0.035 flushes/op",
+			name:  "BenchmarkMuxGet64GoroutinesRTT1ms",
+			ns:    37648,
+			extra: map[string]float64{"reqs/flush": 23.98, "flushes/op": 0.035},
+		},
+		{
+			line:  "BenchmarkSkewSuite/hotspot-shift/adaptive-2 \t  200000\t       896.3 ns/op\t        86.20 hit_pct\t        34.00 rebalances\t     226 B/op\t       4 allocs/op",
+			name:  "BenchmarkSkewSuite/hotspot-shift/adaptive",
+			ns:    896.3,
+			extra: map[string]float64{"hit_pct": 86.20, "rebalances": 34},
+		},
+	} {
+		r, ok := parseLine(c.line)
+		if !ok {
+			t.Fatalf("line should parse: %q", c.line)
+		}
+		if r.Name != c.name || r.NsPerOp != c.ns {
+			t.Errorf("%s: name %q, ns/op %v", c.name, r.Name, r.NsPerOp)
+		}
+		if len(r.Extra) != len(c.extra) {
+			t.Errorf("%s: extra = %v, want %v", c.name, r.Extra, c.extra)
+		}
+		for unit, want := range c.extra {
+			if got, ok := r.Extra[unit]; !ok || got != want {
+				t.Errorf("%s: %s = %v (extra=%v), want %v", c.name, unit, got, r.Extra, want)
+			}
+		}
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // Workload-adaptive cache tiering: the cache tier watches its own access
 // pattern and moves byte budget to where the hits are.
 //
-// Every LRU stripe carries cheap atomic hit/miss counters folded into
+// Every stripe carries cheap atomic hit/miss counters folded into
 // sliding-window rates (metrics.WindowCounter — lock-free, one clock read
 // plus one atomic add per sample). A background rebalancer ranks stripes
 // by per-round miss pressure (the round's misses weighted by how hard the
@@ -192,7 +192,7 @@ type stripeView struct {
 // conserved: the round moves budget between stripes (and resizes the
 // total only in adaptive-sizing mode), never mints it.
 func (t *Tiered) RebalanceNow() int64 {
-	if t.lru == nil {
+	if t.opts.CacheCapacityBytes <= 0 {
 		return 0
 	}
 	t.tier.rebalMu.Lock()
@@ -478,7 +478,7 @@ type TieringStats struct {
 // rates plus the rebalance counters.
 func (t *Tiered) TieringStats() TieringStats {
 	out := TieringStats{
-		Adaptive:        t.opts.AdaptiveTiering && t.lru != nil,
+		Adaptive:        t.opts.AdaptiveTiering && t.opts.CacheCapacityBytes > 0,
 		CapacityBytes:   t.tier.capacity.Load(),
 		ConfiguredBytes: t.opts.CacheCapacityBytes,
 		FloorBytes:      t.tier.floor,

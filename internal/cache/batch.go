@@ -71,7 +71,6 @@ func (t *Tiered) BatchGet(keys []string) (map[string][]byte, error) {
 	// adaptive rebalancer reads these; wrong-typed keys are neither).
 	t.sampleHitBatch(hit)
 	t.sampleMissBatch(missing)
-	t.touchBatch(hit) // one LRU stripe lock per touched stripe
 	if len(missing) == 0 || t.opts.Policy == CacheOnly {
 		return out, nil
 	}
@@ -297,24 +296,19 @@ func (t *Tiered) BatchDelete(keys []string) (int, error) {
 }
 
 // applyBatchToCache mutates the cache tier for a whole batch (entries[k]
-// is k's new value, nil deletes), taking each engine stripe lock once (and
-// each LRU stripe lock once), then runs capacity eviction on the touched
-// stripes only.
+// is k's new value, nil deletes), taking each engine stripe lock once, then
+// runs capacity eviction on the touched stripes only.
 func (t *Tiered) applyBatchToCache(keys []string, entries map[string][]byte) {
 	kvs := make([]engine.KV, 0, len(entries))
-	sets := make([]string, 0, len(entries))
 	var dels []string
 	for _, k := range keys {
-		v := entries[k]
-		if v == nil {
+		if v := entries[k]; v == nil {
 			dels = append(dels, k)
 		} else {
 			kvs = append(kvs, engine.KV{Key: k, Val: v})
-			sets = append(sets, k)
 		}
 	}
 	t.eng.MSet(kvs)
 	t.eng.BatchDel(dels)
-	t.touchBatchEvicting(sets)
-	t.forgetBatch(dels)
+	t.maybeEvictKeys(keys)
 }

@@ -9,10 +9,10 @@ import (
 	"tierbase/internal/engine"
 )
 
-// Cache-tier benchmarks: the batch fast path with LRU bookkeeping active
-// (CacheCapacityBytes > 0 so every hit promotes its key). Run with -cpu to
-// see how eviction bookkeeping scales with cores; these are the numbers
-// the CI bench job records as the perf trajectory baseline.
+// Cache-tier benchmarks: the batch fast path in capacity mode
+// (CacheCapacityBytes > 0). Run with -cpu to see how hits scale with
+// cores; these are the numbers the CI bench job records as the perf
+// trajectory baseline.
 
 const benchKeys = 4096
 
@@ -39,9 +39,9 @@ func newBenchTiered(b *testing.B, capacity int64) *Tiered {
 }
 
 // BenchmarkTieredBatchGet measures parallel 16-key batch reads served
-// entirely from the cache tier while the capacity LRU tracks every hit.
+// entirely from the cache tier in capacity mode.
 func BenchmarkTieredBatchGet(b *testing.B) {
-	tr := newBenchTiered(b, 1<<30) // bounded => LRU active, no eviction
+	tr := newBenchTiered(b, 1<<30) // bounded, never reached: no eviction
 	b.ReportAllocs()
 	b.ResetTimer()
 	var seq atomic.Int64
@@ -59,8 +59,8 @@ func BenchmarkTieredBatchGet(b *testing.B) {
 	})
 }
 
-// BenchmarkTieredGetHit measures parallel single-key cache hits with LRU
-// promotion on every read.
+// BenchmarkTieredGetHit measures parallel single-key cache hits in
+// capacity mode.
 func BenchmarkTieredGetHit(b *testing.B) {
 	tr := newBenchTiered(b, 1<<30)
 	b.ReportAllocs()
@@ -78,10 +78,9 @@ func BenchmarkTieredGetHit(b *testing.B) {
 
 // BenchmarkTieredSetDirtyEvictionScan measures parallel writes while the
 // cache sits over budget with a large unflushable dirty set: every write
-// triggers an eviction scan that must walk past dirty entries. The global
-// LRU walked the entire list per scan (O(resident)); the striped LRU
-// walks one stripe (O(resident/shards)), which shows even without
-// hardware parallelism.
+// triggers an eviction attempt that must pass over dirty entries: one lap
+// of one stripe's clock hand (O(resident/shards)), under that stripe's
+// engine write lock.
 func BenchmarkTieredSetDirtyEvictionScan(b *testing.B) {
 	stor := NewMapStorage()
 	tr, err := New(Options{

@@ -1,0 +1,171 @@
+package cache
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"tierbase/internal/core"
+	"tierbase/internal/engine"
+	"tierbase/internal/workload"
+)
+
+// Tests for capacity eviction as the engine's clock does it: what it costs
+// in memory (nothing the engine does not account), and what it gives up in
+// hit ratio against exact LRU (within two points).
+
+// heapAfterGC returns the live heap once garbage is gone.
+func heapAfterGC() int64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestCapacityModeMemUsedTracksHeap is engine.TestMemUsedTracksHeap one
+// layer up: with CacheCapacityBytes set, the heap a resident key costs is
+// what the engine says it costs. The list, map and second key copy the
+// cache tier used to keep per resident key (~115 B, charged to nothing)
+// would fail it by 40%. Twice: with the capacity never reached, and with
+// the capacity at half the fill, so that half of the keys were evicted on
+// the way in and every slot was freed and taken again.
+func TestCapacityModeMemUsedTracksHeap(t *testing.T) {
+	const keys = 200_000
+	val := make([]byte, 256)
+	fill := func(name string, capacity int64) (used int64) {
+		before := heapAfterGC()
+		eng := engine.New(engine.Options{})
+		tr, err := New(Options{Policy: CacheOnly, Engine: eng, CacheCapacityBytes: capacity})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		for i := 0; i < keys; i++ {
+			if err := tr.Set(fmt.Sprintf("user:%011d", i), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		heap, resident := heapAfterGC()-before, int64(eng.Len())
+		used = eng.MemUsed()
+		t.Logf("%s: %d resident, heap %.1f B/key, mem_bytes %.1f B/key, %d evictions", name, resident,
+			float64(heap)/float64(resident), float64(used)/float64(resident), tr.Stats().Evictions)
+		if ratio := float64(heap) / float64(used); ratio < 0.97 || ratio > 1.03 {
+			t.Errorf("%s: heap grew %d bytes for %d the engine accounts: ratio %.3f outside [0.97, 1.03]", name, heap, used, ratio)
+		}
+		if used > capacity {
+			t.Errorf("%s: %d bytes resident over a capacity of %d", name, used, capacity)
+		}
+		runtime.KeepAlive(tr)
+		return used
+	}
+	whole := fill("capacity unreached", 1<<30)
+	if half := fill("capacity at half the fill", whole/2); half < whole/2*9/10 {
+		t.Errorf("a capacity of %d holds only %d bytes", whole/2, half)
+	}
+}
+
+// clockVsLRU replays trace (key indexes) as Gets against a write-through
+// Tiered over one engine stripe whose capacity holds about residentKeys of
+// the keys storage has, and returns its hit ratio next to exact LRU's at
+// the resident-key count the run ended with.
+func clockVsLRU(t *testing.T, trace []int64, keyspace, residentKeys int) (clock, lru float64) {
+	t.Helper()
+	key := func(i int64) string { return fmt.Sprintf("skew:%05d", i) }
+	val := make([]byte, 128)
+	stor := NewMapStorage()
+	scratch := engine.New(engine.Options{Shards: 1})
+	for i := 0; i < keyspace; i++ {
+		stor.Put(key(int64(i)), val)
+		if i < residentKeys {
+			scratch.Set(key(int64(i)), val)
+		}
+	}
+	eng := engine.New(engine.Options{Shards: 1})
+	tr, err := New(Options{Policy: WriteThrough, Engine: eng, Storage: stor, CacheCapacityBytes: scratch.MemUsed()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	names := make([]string, len(trace))
+	for i, ki := range trace {
+		names[i] = key(ki)
+		if _, err := tr.Get(names[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := tr.Stats()
+	if st.Evictions == 0 {
+		t.Fatal("the trace never filled the cache")
+	}
+	clock = float64(st.Hits) / float64(len(trace))
+	lru = 1 - core.BuildMRC(names).MissRatioAtKeys(eng.Len())
+	t.Logf("%d resident keys: clock %.4f, exact LRU %.4f", eng.Len(), clock, lru)
+	return clock, lru
+}
+
+// TestClockHitRatioWithinTwoPointsOfLRU is the quality bar for replacing
+// the recency list with one bit per key: on a zipf-0.99 trace and on a hot
+// set that jumps every 50k reads, a cache of an eighth of the keys hits no
+// more than two points less often than exact LRU holding as many keys.
+func TestClockHitRatioWithinTwoPointsOfLRU(t *testing.T) {
+	const keyspace, reads = 16384, 400_000
+	for _, c := range []struct {
+		name    string
+		chooser workload.KeyChooser
+	}{
+		{"zipf-0.99", workload.NewScrambledZipfian(keyspace, workload.ZipfianTheta)},
+		{"hotspot-shift", workload.NewShiftingHotspot(keyspace, 0.1, 0.9, 50000)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(19))
+			trace := make([]int64, reads)
+			for i := range trace {
+				trace[i] = c.chooser.Next(rng)
+			}
+			if clock, lru := clockVsLRU(t, trace, keyspace, keyspace/8); clock < lru-0.02 {
+				t.Errorf("clock hit ratio %.4f is more than two points under exact LRU's %.4f", clock, lru)
+			}
+		})
+	}
+}
+
+// TestReadCollectionOutlivesIdleStrings: the server reads a collection with
+// Warm and then an engine call, which the cache tier never sees. Recency
+// used to live in the cache tier, so a list read on every request aged
+// like one never read and was evicted (and fetched again) once per
+// cache-full of admissions. It is the engine that marks a key now.
+func TestReadCollectionOutlivesIdleStrings(t *testing.T) {
+	stor := NewMapStorage()
+	scratch := engine.New(engine.Options{Shards: 1})
+	scratch.RPush("list", []byte("a"), []byte("b"))
+	blob, _ := scratch.EncodeCollection("list")
+	stor.Put("list", blob)
+	val := make([]byte, 128)
+	const idle = 4000
+	for i := 0; i < idle; i++ {
+		stor.Put(fmt.Sprintf("idle:%04d", i), val)
+	}
+	eng := engine.New(engine.Options{Shards: 1})
+	tr, err := New(Options{Policy: WriteThrough, Engine: eng, Storage: stor, CacheCapacityBytes: 32 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for i := 0; i < idle; i++ {
+		tr.Warm("list")
+		if got, err := eng.LRange("list", 0, -1); err != nil || len(got) != 2 {
+			t.Fatalf("LRange after %d admissions: %d elements, %v", i, len(got), err)
+		}
+		if _, err := tr.Get(fmt.Sprintf("idle:%04d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if misses := tr.Stats().Misses; misses != idle+1 {
+		t.Errorf("%d misses for %d idle keys and one list: the list was evicted and fetched again", misses, idle)
+	}
+	if st := tr.Stats(); st.Evictions < idle/2 {
+		t.Errorf("only %d evictions: the cache was never under pressure", st.Evictions)
+	}
+}

@@ -3,7 +3,7 @@
 // storage tier through write-through or write-back policies. It contains
 // the techniques the paper credits for a low miss penalty and low storage
 // cost: per-key write ordering (one stripe lock rule), dirty-data batching
-// with backpressure, deferred cache-fetching, and cache-content
+// with backpressure, batched and coalesced miss fetches, and cache-content
 // replication.
 package cache
 

@@ -11,13 +11,13 @@ import (
 	"tierbase/internal/lsm"
 )
 
-// Tests for the striped LRU (per-shard eviction), the (value, ok) storage
+// Tests for per-stripe capacity eviction, the (value, ok) storage
 // contract (present-empty round trips), and tiered BatchDelete counts.
 
 // TestStripedEvictionConcurrentBatchPut churns capacity across stripes
-// from many goroutines (meaningful under -race): eviction bookkeeping is
-// per-stripe, so concurrent batches must neither trample the LRU nor let
-// the cache grow past its budget.
+// from many goroutines (meaningful under -race): eviction is per-stripe,
+// so concurrent batches must neither trample each other's clock hands nor
+// let the cache grow past its budget.
 func TestStripedEvictionConcurrentBatchPut(t *testing.T) {
 	stor := NewMapStorage()
 	eng := engine.New(engine.Options{})
@@ -116,8 +116,7 @@ func TestEvictionFitsBudgetWithMixedSizes(t *testing.T) {
 
 // TestStripedEvictionIsPerStripe pins keys to specific stripes and checks
 // that filling one stripe past its budget evicts only there, leaving
-// other stripes' residents alone — the property the global LRU could not
-// give without serializing every hit.
+// other stripes' residents alone.
 func TestStripedEvictionIsPerStripe(t *testing.T) {
 	stor := NewMapStorage()
 	eng := engine.New(engine.Options{})

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"container/list"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -54,8 +53,6 @@ type Options struct {
 	// splits evenly across the write-path stripes (ceil), and a writer
 	// blocks only when its own stripe is saturated.
 	MaxDirty int
-	// FetchWindow batches deferred cache-fetches (default 1 ms).
-	FetchWindow time.Duration
 
 	// AdaptiveTiering starts the background budget rebalancer: per-stripe
 	// byte budgets follow the observed workload (windowed miss pressure)
@@ -104,9 +101,6 @@ func (o *Options) fill() {
 	if o.MaxDirty <= 0 {
 		o.MaxDirty = 8 * o.FlushBatch
 	}
-	if o.FetchWindow <= 0 {
-		o.FetchWindow = time.Millisecond
-	}
 	if o.StorageRetries == 0 {
 		o.StorageRetries = 2
 	}
@@ -135,30 +129,16 @@ func (o *Options) fill() {
 	}
 }
 
-// lruShard is one stripe of the capacity-eviction bookkeeping: its own
-// recency list, position index and lock. Stripes align with the engine's
-// lock stripes (same FNV hash, same count), so the LRU stripe a key
-// touches shares cache-line affinity with the engine shard that served it,
-// and eviction bookkeeping never serializes hits on other stripes.
-type lruShard struct {
-	mu  sync.Mutex
-	ll  *list.List
-	pos map[string]*list.Element
-}
-
 // Tiered is the tiered store: engine cache in front of pluggable storage.
 type Tiered struct {
 	opts Options
 	eng  *engine.Engine
 
-	// Per-stripe LRU bookkeeping for capacity eviction; lru[i] tracks the
-	// keys resident in engine stripe i. Each stripe's live byte budget is
-	// tier[i].budget (seeded from CacheCapacityBytes split evenly, rounded
-	// up; the adaptive rebalancer moves it afterwards — see adaptive.go).
-	lru []*lruShard
-
-	// Per-stripe access sampling + live budgets (always allocated, one
-	// entry per engine stripe) and the rebalancer state around them.
+	// Per-stripe access sampling + live byte budgets (always allocated, one
+	// entry per engine stripe) and the rebalancer state around them. With
+	// CacheCapacityBytes > 0 each stripe's budget is seeded from the even
+	// split, rounded up; the adaptive rebalancer moves it afterwards (see
+	// adaptive.go). Recency lives in the engine: see maybeEvictShard.
 	tier tiering
 
 	// Write-back dirty state, striped the same way: dirtyStripes[i] owns
@@ -204,9 +184,6 @@ type Tiered struct {
 	// machine (see health.go); nil under CacheOnly.
 	health *storageHealth
 
-	// Deferred cache-fetch batcher.
-	fetchCh chan fetchReq
-
 	// flushWake nudges the write-back flusher when a batch is ready.
 	flushWake chan struct{}
 
@@ -221,7 +198,6 @@ type Tiered struct {
 	evictions atomic.Int64
 	flushed   atomic.Int64
 	batches   atomic.Int64
-	fetched   atomic.Int64
 	flShared  atomic.Int64 // miss fetches served by another caller's flight
 	bpWaits   atomic.Int64 // write-back writers that blocked on a full stripe
 }
@@ -237,16 +213,6 @@ type dirtyEntry struct {
 	val []byte // nil = tombstone
 	gen uint64
 	enc bool // val is a typed collection blob, already storage-encoded
-}
-
-type fetchReq struct {
-	key  string
-	resp chan fetchResp
-}
-
-type fetchResp struct {
-	val []byte // nil = absent
-	err error
 }
 
 // ErrClosed is returned after Close.
@@ -305,22 +271,14 @@ func New(opts Options) (*Tiered, error) {
 	// to at least MaxDirty and never round down to an unwritable zero.
 	t.stripeMaxDirty = (opts.MaxDirty + nsh - 1) / nsh
 	t.initTiering(nsh)
-	if opts.CacheCapacityBytes > 0 {
-		t.lru = make([]*lruShard, nsh)
-		for i := range t.lru {
-			t.lru[i] = &lruShard{ll: list.New(), pos: make(map[string]*list.Element)}
-		}
-		if opts.AdaptiveTiering {
-			t.wg.Add(1)
-			go t.rebalanceLoop()
-		}
+	if opts.CacheCapacityBytes > 0 && opts.AdaptiveTiering {
+		t.wg.Add(1)
+		go t.rebalanceLoop()
 	}
 	if opts.Policy == WriteBack {
-		t.fetchCh = make(chan fetchReq, 1024)
 		t.flushWake = make(chan struct{}, 1)
-		t.wg.Add(2)
+		t.wg.Add(1)
 		go t.flushLoop()
-		go t.fetchLoop()
 	}
 	if opts.Policy != CacheOnly && opts.ExpirySweepInterval > 0 {
 		t.wg.Add(1)
@@ -329,164 +287,50 @@ func New(opts Options) (*Tiered, error) {
 	return t, nil
 }
 
-// --- LRU (striped) ---
+// --- capacity eviction ---
 
-func (s *lruShard) touchLocked(key string) {
-	if el, ok := s.pos[key]; ok {
-		s.ll.MoveToFront(el)
-	} else {
-		s.pos[key] = s.ll.PushFront(key)
-	}
-}
-
-func (s *lruShard) forgetLocked(key string) {
-	if el, ok := s.pos[key]; ok {
-		s.ll.Remove(el)
-		delete(s.pos, key)
-	}
-}
-
-func (t *Tiered) touch(key string) {
-	if t.lru == nil {
-		return
-	}
-	t.touchShard(t.eng.ShardIndex(key), key)
-}
-
-// touchShard promotes key on its (known) stripe without rehashing.
-func (t *Tiered) touchShard(si int, key string) {
-	if t.lru == nil {
-		return
-	}
-	s := t.lru[si]
-	s.mu.Lock()
-	s.touchLocked(key)
-	s.mu.Unlock()
-}
-
-func (t *Tiered) forget(key string) {
-	if t.lru == nil {
-		return
-	}
-	s := t.lru[t.eng.ShardIndex(key)]
-	s.mu.Lock()
-	s.forgetLocked(key)
-	s.mu.Unlock()
-}
-
-// forEachLRUGroup buckets keys by LRU stripe (via the engine's exported
-// counting-sort grouping) and calls visit once per touched stripe, so
-// batch callers take each stripe lock once. No-op when capacity tracking
-// is off.
-func (t *Tiered) forEachLRUGroup(keys []string, visit func(si int, group []string)) {
-	if t.lru == nil {
-		return
-	}
-	t.eng.GroupKeysByShard(keys, visit)
-}
-
-// touchBatch promotes many keys, one stripe lock per touched stripe.
-func (t *Tiered) touchBatch(keys []string) {
-	t.forEachLRUGroup(keys, func(si int, group []string) {
-		s := t.lru[si]
-		s.mu.Lock()
-		for _, k := range group {
-			s.touchLocked(k)
-		}
-		s.mu.Unlock()
-	})
-}
-
-// touchBatchEvicting promotes many keys and runs capacity eviction on
-// each touched stripe, in one grouping pass.
-func (t *Tiered) touchBatchEvicting(keys []string) {
-	t.forEachLRUGroup(keys, func(si int, group []string) {
-		s := t.lru[si]
-		s.mu.Lock()
-		for _, k := range group {
-			s.touchLocked(k)
-		}
-		s.mu.Unlock()
-		t.maybeEvictShard(si)
-	})
-}
-
-// forgetBatch drops many keys from the LRU, one stripe lock per stripe.
-func (t *Tiered) forgetBatch(keys []string) {
-	t.forEachLRUGroup(keys, func(si int, group []string) {
-		s := t.lru[si]
-		s.mu.Lock()
-		for _, k := range group {
-			s.forgetLocked(k)
-		}
-		s.mu.Unlock()
-	})
-}
-
-// maybeEvictShard removes cold clean entries from one stripe until that
-// stripe's engine-resident bytes fit its budget. Dirty keys are skipped:
-// they must reach storage first. Eviction, like the bookkeeping, is
-// per-stripe — a hot stripe evicting never blocks hits on other stripes.
+// maybeEvictShard evicts from one stripe until its engine-resident bytes
+// fit its budget. Which key goes is the engine's call (engine.Evict: a
+// clock hand over the stripe's own index, past the keys read or written
+// since it last came by). Dirty keys are pinned: they must reach storage
+// first, and because the check runs under the engine's stripe lock a key
+// cannot turn dirty between the check and its removal. Eviction is
+// per-stripe, so a hot stripe evicting never blocks hits on other stripes.
 // The budget is a live atomic target: the adaptive rebalancer moves it
-// between stripes, and the next eviction pass on a shrunk stripe trims
-// residency down to the new value.
+// between stripes, and the next pass on a shrunk stripe trims residency
+// down to the new value.
 func (t *Tiered) maybeEvictShard(si int) {
-	if t.lru == nil {
+	if t.opts.CacheCapacityBytes <= 0 {
 		return
 	}
-	s := t.lru[si]
+	var pinned func(key []byte) bool
+	if t.opts.Policy == WriteBack {
+		pinned = func(key []byte) bool { return t.isDirtyInStripe(si, key) }
+	}
 	for t.eng.ShardMemUsed(si) > t.tier.stripes[si].budget.Load() {
-		s.mu.Lock()
-		el := s.ll.Back()
-		var key string
-		found := false
-		// Walk from the back past dirty entries. Every key on this LRU
-		// stripe lives on dirty stripe si too (same FNV stripes), so the
-		// dirty check needs no per-key hash.
-		for el != nil {
-			k := el.Value.(string)
-			if !t.isDirtyInStripe(si, k) {
-				key = k
-				found = true
-				s.ll.Remove(el)
-				delete(s.pos, k)
-				break
-			}
-			el = el.Prev()
+		if _, ok := t.eng.Evict(si, pinned); !ok {
+			return // everything resident is dirty; the flusher will unblock us
 		}
-		s.mu.Unlock()
-		if !found {
-			return // everything resident is dirty; flusher will unblock us
-		}
-		t.eng.Del(key)
 		t.evictions.Add(1)
 	}
 }
 
-// maybeEvictKey runs capacity eviction on the stripe owning key.
-func (t *Tiered) maybeEvictKey(key string) {
-	if t.lru == nil {
-		return
-	}
-	t.maybeEvictShard(t.eng.ShardIndex(key))
-}
-
 // maybeEvictKeys runs capacity eviction once per stripe touched by keys.
 func (t *Tiered) maybeEvictKeys(keys []string) {
-	t.forEachLRUGroup(keys, func(si int, _ []string) {
+	if t.opts.CacheCapacityBytes <= 0 {
+		return
+	}
+	t.eng.GroupKeysByShard(keys, func(si int, _ []string) {
 		t.maybeEvictShard(si)
 	})
 }
 
 // isDirtyInStripe reports whether key (known to live on stripe si) is
 // dirty, without rehashing the key.
-func (t *Tiered) isDirtyInStripe(si int, key string) bool {
-	if t.opts.Policy != WriteBack {
-		return false
-	}
+func (t *Tiered) isDirtyInStripe(si int, key []byte) bool {
 	ds := t.dirtyStripes[si]
 	ds.mu.Lock()
-	_, ok := ds.entries[key]
+	_, ok := ds.entries[string(key)]
 	ds.mu.Unlock()
 	return ok
 }
@@ -515,7 +359,6 @@ func (t *Tiered) Get(key string) ([]byte, error) {
 	if err == nil {
 		t.hits.Add(1)
 		t.tier.stripes[si].sampleHit(1)
-		t.touchShard(si, key)
 		return v, nil
 	} else if err == engine.ErrWrongType {
 		return nil, err
@@ -649,17 +492,13 @@ func (t *Tiered) publishFlights(lead map[string]*flight, vals map[string][]byte,
 				// Collection blob: decode into the cache tier; string
 				// readers then observe the key exactly as they would a
 				// resident collection (wrong type).
-				if lerr := t.eng.LoadEncoded(k, v); lerr != nil {
-					f.err = lerr
-				} else {
-					t.touch(k)
+				if f.err = t.eng.LoadEncoded(k, v); f.err == nil {
 					f.err = engine.ErrWrongType
 				}
 				break
 			}
 			f.val = engine.UnescapeStringValue(v)
 			t.eng.Set(k, f.val)
-			t.touch(k)
 		}
 	}
 	t.flMu.Lock()
@@ -831,11 +670,10 @@ func (t *Tiered) Delete(key string) error {
 // value (or exists=false) and returns the new value (nil deletes). The
 // read, fn and the commit run under the key's RMW stripe lock, so
 // concurrent Updates of one key never lose a write; fn must not call back
-// into the store. Under write-back a cache miss takes the deferred
-// cache-fetching path (batched reads, §4.1.2) before fn runs.
+// into the store.
 func (t *Tiered) Update(key string, fn func(old []byte, exists bool) []byte) error {
 	if t.closed.Load() {
-		return ErrClosed // before the read: Close stops the deferred-fetch loop
+		return ErrClosed
 	}
 	t.reqs.Add(1)
 	defer t.lockKey(key).Unlock()
@@ -858,10 +696,10 @@ func (t *Tiered) readForUpdate(key string) (old []byte, exists bool, err error) 
 	}
 	t.misses.Add(1)
 	t.tier.stripes[si].sampleMiss(1)
-	var stored []byte
-	present := false
-	switch t.opts.Policy {
-	case WriteBack:
+	if t.opts.Policy == CacheOnly {
+		return nil, false, nil
+	}
+	if t.opts.Policy == WriteBack {
 		// Dirty state shadows storage.
 		if e, ok := t.dirtyLookup(key); ok {
 			if e.enc {
@@ -869,18 +707,10 @@ func (t *Tiered) readForUpdate(key string) (old []byte, exists bool, err error) 
 			}
 			return copyBytes(e.val), e.val != nil, nil
 		}
-		resp := t.deferredFetch(key)
-		if resp.err != nil && resp.err != ErrNotFound {
-			return nil, false, resp.err
-		}
-		stored, present = resp.val, resp.err == nil
-	case WriteThrough:
-		if stored, present, err = t.opts.Storage.Get(key); err != nil {
-			return nil, false, err
-		}
 	}
-	if !present {
-		return nil, false, nil
+	stored, present, err := t.opts.Storage.Get(key)
+	if err != nil || !present {
+		return nil, false, err
 	}
 	old, err = decodeStorageValue(stored)
 	return old, err == nil, err
@@ -922,9 +752,9 @@ func (t *Tiered) Persist(key string) bool {
 }
 
 // FlushAll clears every tier: the cache engine, the write-back dirty set
-// (unflushed data is moot once the keyspace is gone), the LRU bookkeeping
-// and the storage tier — without the storage clear, flushed keys
-// resurrect from storage on their next miss.
+// (unflushed data is moot once the keyspace is gone) and the storage tier —
+// without the storage clear, flushed keys resurrect from storage on their
+// next miss.
 //
 // It takes every RMW stripe lock (in index order, the same order any
 // multi-stripe path must use) for the whole operation, which excludes
@@ -966,14 +796,6 @@ func (t *Tiered) FlushAll() error {
 	}
 
 	t.eng.FlushAll()
-	if t.lru != nil {
-		for _, s := range t.lru {
-			s.mu.Lock()
-			s.ll.Init()
-			s.pos = make(map[string]*list.Element)
-			s.mu.Unlock()
-		}
-	}
 
 	var err error
 	if t.opts.Policy != CacheOnly {
@@ -996,29 +818,24 @@ func (t *Tiered) Health() HealthStats {
 
 // applyToCache lands a committed single-key write on the cache tier: the
 // engine (unless pre — the in-place op already ran there, and replaying a
-// captured value could roll back a newer concurrent update), the LRU
-// bookkeeping and, for a stored value, capacity eviction on its stripe.
+// captured value could roll back a newer concurrent update) and, for a
+// stored value, capacity eviction on its stripe.
 func (t *Tiered) applyToCache(key string, val []byte, del, pre bool) {
 	if del {
 		if !pre {
 			t.eng.Del(key)
 		}
-		t.forget(key)
 		return
 	}
 	if !pre {
 		t.eng.Set(key, val)
 	}
-	t.touch(key)
-	t.maybeEvictKey(key)
+	t.maybeEvictShard(t.eng.ShardIndex(key))
 }
 
 // invalidate drops a key from the cache tier (write-through failure path:
 // "the corresponding cache entry is invalidated").
-func (t *Tiered) invalidate(key string) {
-	t.eng.Del(key)
-	t.forget(key)
-}
+func (t *Tiered) invalidate(key string) { t.eng.Del(key) }
 
 // --- stats ---
 
@@ -1030,7 +847,6 @@ type Stats struct {
 	Evictions         int64
 	Flushed           int64 // write-back entries flushed
 	Batches           int64 // write-back flush round trips
-	Fetched           int64 // deferred cache-fetch keys
 	Shared            int64 // miss fetches coalesced onto another caller's flight
 	BackpressureWaits int64 // write-back writers that blocked on a full stripe
 	Dirty             int   // current dirty entries (all stripes)
@@ -1045,7 +861,6 @@ func (t *Tiered) Stats() Stats {
 		Evictions:         t.evictions.Load(),
 		Flushed:           t.flushed.Load(),
 		Batches:           t.batches.Load(),
-		Fetched:           t.fetched.Load(),
 		Shared:            t.flShared.Load(),
 		BackpressureWaits: t.bpWaits.Load(),
 		Dirty:             int(t.dirtyCount.Load()),

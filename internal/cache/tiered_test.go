@@ -256,11 +256,10 @@ func TestWBBackpressure(t *testing.T) {
 func TestWBUpdateFetchesFromStorage(t *testing.T) {
 	stor := NewMapStorage()
 	stor.Put("k", []byte("base"))
-	remote := NewRemote(stor, 0)
-	tr := newWB(t, remote)
+	tr := newWB(t, stor)
 	err := tr.Update("k", func(old []byte, exists bool) []byte {
 		if !exists || string(old) != "base" {
-			t.Fatalf("deferred fetch broken: %q %v", old, exists)
+			t.Fatalf("update miss did not read storage: %q %v", old, exists)
 		}
 		return append(old, '+')
 	})
@@ -272,32 +271,46 @@ func TestWBUpdateFetchesFromStorage(t *testing.T) {
 	if string(v) != "base+" {
 		t.Fatalf("value %q", v)
 	}
-	if remote.Stats().BatchGets == 0 {
-		t.Fatal("fetch should use the batched path")
-	}
 }
 
-func TestWBDeferredFetchBatching(t *testing.T) {
+// TestWBConcurrentUpdateMisses runs one Update per cold key from as many
+// goroutines against a store with a round-trip time: each must see its
+// key's stored value and leave its own result in the cache tier and, after
+// a flush, in storage.
+func TestWBConcurrentUpdateMisses(t *testing.T) {
 	stor := NewMapStorage()
 	for i := 0; i < 32; i++ {
-		stor.Put(fmt.Sprintf("k%02d", i), []byte("v"))
+		stor.Put(fmt.Sprintf("k%02d", i), []byte(fmt.Sprintf("v%02d", i)))
 	}
-	remote := NewRemote(stor, 2*time.Millisecond)
-	tr := newWB(t, remote, func(o *Options) { o.FetchWindow = 5 * time.Millisecond })
+	tr := newWB(t, NewRemote(stor, 2*time.Millisecond))
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tr.Update(fmt.Sprintf("k%02d", i), func(old []byte, _ bool) []byte {
+			err := tr.Update(fmt.Sprintf("k%02d", i), func(old []byte, exists bool) []byte {
+				if want := fmt.Sprintf("v%02d", i); !exists || string(old) != want {
+					t.Errorf("update %d saw %q %v, want %q", i, old, exists, want)
+				}
 				return append(old, '!')
 			})
+			if err != nil {
+				t.Errorf("update %d: %v", i, err)
+			}
 		}(i)
 	}
 	wg.Wait()
-	st := remote.Stats()
-	if st.BatchGets >= 32 {
-		t.Fatalf("fetches not batched: %d round trips", st.BatchGets)
+	if err := tr.FlushDirty(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 32; i++ {
+		k, want := fmt.Sprintf("k%02d", i), fmt.Sprintf("v%02d!", i)
+		if v, err := tr.Get(k); err != nil || string(v) != want {
+			t.Errorf("cache tier %s = %q %v, want %q", k, v, err, want)
+		}
+		if v, _, _ := stor.Get(k); string(v) != want {
+			t.Errorf("storage %s = %q, want %q", k, v, want)
+		}
 	}
 }
 
@@ -369,7 +382,7 @@ func TestMissPathPopulatesCache(t *testing.T) {
 	}
 }
 
-func TestCapacityEvictionLRU(t *testing.T) {
+func TestCapacityEviction(t *testing.T) {
 	stor := NewMapStorage()
 	eng := engine.New(engine.Options{})
 	tr, err := New(Options{

@@ -19,8 +19,10 @@ import (
 //     backpressure, and a maximum flush interval bounds staleness.
 //   - Optimizing update: one BatchPut per flush round; multiple updates to
 //     the same key naturally merge in the dirty map.
-//   - Deferred cache-fetching: misses during updates are batched through
-//     the fetch loop into BatchGet round trips.
+//   - Deferred cache-fetching: not done. Only Tiered.Update misses while
+//     updating, and it holds its key's RMW stripe lock while it reads, so
+//     gathering misses into a BatchGet would stall the stripe for the
+//     gather window; an update miss reads storage like any other miss.
 //
 // The dirty set is striped along the engine's lock stripes (dirtyStripe):
 // each stripe owns its entries, its generation counter, its backpressure
@@ -255,78 +257,4 @@ func (t *Tiered) FlushDirty() error {
 		}
 	}
 	return nil
-}
-
-// --- deferred cache-fetching ---
-
-// deferredFetch submits a miss to the batch fetcher and waits.
-func (t *Tiered) deferredFetch(key string) fetchResp {
-	resp := make(chan fetchResp, 1)
-	select {
-	case t.fetchCh <- fetchReq{key: key, resp: resp}:
-		return <-resp
-	case <-t.stopCh:
-		return fetchResp{err: ErrClosed}
-	}
-}
-
-// fetchLoop accumulates fetch requests for FetchWindow (or until a full
-// batch) and issues one BatchGet round trip for the group.
-func (t *Tiered) fetchLoop() {
-	defer t.wg.Done()
-	const maxBatch = 64
-	for {
-		var first fetchReq
-		select {
-		case <-t.stopCh:
-			return
-		case first = <-t.fetchCh:
-		}
-		reqs := []fetchReq{first}
-		timer := time.NewTimer(t.opts.FetchWindow)
-	gather:
-		for len(reqs) < maxBatch {
-			select {
-			case r := <-t.fetchCh:
-				reqs = append(reqs, r)
-			case <-timer.C:
-				break gather
-			case <-t.stopCh:
-				timer.Stop()
-				// Serve what we have before exiting.
-				t.serveFetches(reqs)
-				return
-			}
-		}
-		timer.Stop()
-		t.serveFetches(reqs)
-	}
-}
-
-func (t *Tiered) serveFetches(reqs []fetchReq) {
-	keys := make([]string, 0, len(reqs))
-	seen := map[string]bool{}
-	for _, r := range reqs {
-		if !seen[r.key] {
-			seen[r.key] = true
-			keys = append(keys, r.key)
-		}
-	}
-	vals, err := t.opts.Storage.BatchGet(keys)
-	t.fetched.Add(int64(len(keys)))
-	for _, r := range reqs {
-		if err != nil {
-			r.resp <- fetchResp{err: err}
-			continue
-		}
-		v, ok := vals[r.key]
-		if !ok {
-			r.resp <- fetchResp{err: ErrNotFound}
-			continue
-		}
-		if v == nil {
-			v = []byte{} // defensive: present must stay present-empty
-		}
-		r.resp <- fetchResp{val: v}
-	}
 }

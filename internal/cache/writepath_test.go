@@ -3,7 +3,6 @@ package cache
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -506,13 +505,6 @@ func TestWTHeldStripeNeverBlocksAnother(t *testing.T) {
 // watermark reads, to the heap the write-back dirty set really occupies,
 // for small values and for repl-write sized ones.
 func TestDirtyBytesTracksHeap(t *testing.T) {
-	heapAfterGC := func() int64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return int64(ms.HeapAlloc)
-	}
 	const n = 50_000
 	for _, valLen := range []int{16, 128} {
 		tr, err := New(Options{

@@ -51,7 +51,7 @@ func (e *Engine) forEachShardGroup(n int, keyAt func(i int) string, visit func(s
 // slices) and calls visit once per touched stripe with that stripe's keys
 // in input order. It is the exported grouping primitive for layers that
 // keep per-stripe state aligned with the engine's stripes (the cache
-// tier's LRU shards and write-back dirty set): one grouping pass, one
+// tier's budgets and write-back dirty set): one grouping pass, one
 // stripe-lock acquisition per touched stripe.
 func (e *Engine) GroupKeysByShard(keys []string, visit func(shard int, group []string)) {
 	switch len(keys) {
@@ -126,6 +126,7 @@ func (e *Engine) MGetDetail(keys []string) ([][]byte, []bool, error) {
 				wrongType[i] = true // nil entry, counts as neither
 				continue
 			}
+			s.touch(en)
 			f := en.rec.parse()
 			var terr error
 			recs[i].flags = f.flags
@@ -226,7 +227,7 @@ func (e *Engine) BatchDelDetail(keys []string) []bool {
 		for _, i := range idxs {
 			if en := s.lookup(khs[i], keys[i]); en.present() {
 				existed[i] = !e.lapsed(en.expireAt())
-				e.remove(s, khs[i], keys[i], en)
+				e.remove(s, keys[i], en)
 			}
 		}
 		s.mu.Unlock()

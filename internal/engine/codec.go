@@ -229,7 +229,7 @@ func (e *Engine) LoadEncoded(key string, blob []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if en := s.lookup(kh, key); en.present() {
-		e.remove(s, kh, key, en)
+		e.remove(s, key, en)
 	}
 	it.version = s.nextVersion()
 	e.addItem(s, key, it)

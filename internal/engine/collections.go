@@ -16,7 +16,7 @@ import (
 func (e *Engine) getOrCreateLocked(s *shard, kh uint32, key string, kind Kind) (*item, error) {
 	en := s.lookup(kh, key)
 	if en.present() && e.lapsed(en.expireAt()) {
-		e.remove(s, kh, key, en)
+		e.remove(s, key, en)
 		en = entry{}
 	}
 	if !en.present() {
@@ -35,6 +35,7 @@ func (e *Engine) getOrCreateLocked(s *shard, kh uint32, key string, kind Kind) (
 	if en.kind() != kind {
 		return nil, ErrWrongType
 	}
+	s.touch(en)
 	return en.it, nil
 }
 
@@ -48,6 +49,7 @@ func (e *Engine) getTyped(s *shard, kh uint32, key string, kind Kind) (*item, er
 	if en.kind() != kind {
 		return nil, ErrWrongType
 	}
+	s.touch(en)
 	return en.it, nil
 }
 

@@ -49,10 +49,23 @@
 // within 5% of the Go heap. Stats().PayloadBytes is the part of MemBytes
 // that is keys and stored values; the rest is overhead.
 //
+// # Recency and eviction
+//
+// Every resident key has one reference bit: bit 0 of its index slot's hash
+// word (the stripe was picked from the hash's low bits, so the bit tells no
+// two keys of a stripe apart), or a flag in a collection's item. A read or
+// a write that serves a caller sets it while holding the stripe lock it
+// holds anyway, the read lock included: test, then an atomic or. Evict is
+// CLOCK over the stripe's own index: a hand walks the slots, clears the
+// bits it finds set and removes the first key it finds without one that
+// the caller does not pin. There is no list, no second map and no second
+// lock: what a key costs is in MemUsed.
+//
 // # Concurrency
 //
 // The engine is safe for concurrent use. A stripe's index, slab,
-// collection map and accounts change only under its write lock. Slots are
+// collection map and accounts change only under its write lock; the one
+// exception is the reference bit, which readers set (index.touch). Slots are
 // reused, so there is one reader rule: nothing that aliases engine-owned
 // storage leaves the stripe lock. A reader copies the stored bytes out
 // under the read lock (a raw value straight into its result, a compressed
@@ -162,6 +175,7 @@ func ceilPow2(n int) int {
 // no item: they live in records (record.go).
 type item struct {
 	kind     Kind
+	ref      atomic.Bool // read or written since the clock hand last passed; fits in kind's padding
 	list     [][]byte
 	set      map[string]struct{}
 	zset     *zset
@@ -181,7 +195,8 @@ type shard struct {
 	strs  index
 	colls map[string]*item // nil until the stripe holds a collection
 
-	sweepPos uint32 // where SweepExpired resumes in strs
+	sweepPos  uint32 // where SweepExpired resumes in strs
+	collsTurn bool   // the clock hand is past the end of strs, among the collections
 
 	memUsed atomic.Int64 // DRAM bytes the contents occupy; written under mu
 	payload atomic.Int64 // of which keys and stored values; written under mu
@@ -223,9 +238,9 @@ func New(opts Options) *Engine {
 func (e *Engine) NumShards() int { return len(e.shards) }
 
 // ShardIndex reports the stripe index owning key. Callers that keep their
-// own per-stripe state (e.g. the cache tier's LRU shards) use this to
-// align it with the engine's striping, so one key always maps to the same
-// stripe on both sides.
+// own per-stripe state (the cache tier's budgets, dirty set and RMW locks)
+// use this to align it with the engine's striping, so one key always maps
+// to the same stripe on both sides.
 func (e *Engine) ShardIndex(key string) int { return int(fnv1a(key) & e.mask) }
 
 // ShardMemUsed reports the DRAM bytes stripe i's contents occupy, the
@@ -266,6 +281,7 @@ func (s *shard) nextVersion() uint64 { return s.version.Add(1) }
 // collection, or (the zero entry) nothing.
 type entry struct {
 	rec record
+	at  int // rec's slot in the index
 	it  *item
 }
 
@@ -301,10 +317,22 @@ func (en entry) version() uint64 {
 
 // lookup resolves key, lapsed or not. Caller holds s.mu (either mode).
 func (s *shard) lookup(kh uint32, key string) entry {
-	if rec := s.strs.get(kh, key); rec != nil {
-		return entry{rec: rec}
+	if i := s.strs.find(slotHash(kh), key); i >= 0 {
+		return entry{rec: s.strs.record(i), at: i}
 	}
 	return entry{it: s.colls[key]}
+}
+
+// touch marks en, which lookup returned, referenced: the clock hand gives
+// it another lap before Evict may take it. Reads and writes that serve a
+// caller touch; existence probes, TTL changes and snapshot walks do not.
+// Caller holds s.mu (either mode).
+func (s *shard) touch(en entry) {
+	if en.rec != nil {
+		s.strs.touch(en.at)
+	} else if !en.it.ref.Load() {
+		en.it.ref.Store(true)
+	}
 }
 
 // live is lookup honoring lazy expiration: a lapsed entry reads as absent
@@ -358,14 +386,14 @@ func (e *Engine) removeItem(s *shard, key string, it *item) {
 }
 
 // remove deletes en, which lookup returned for key.
-func (e *Engine) remove(s *shard, kh uint32, key string, en entry) {
+func (e *Engine) remove(s *shard, key string, en entry) {
 	if en.it != nil {
 		e.removeItem(s, key, en.it)
 		return
 	}
 	held := s.strs.held()
 	e.forget(s, en.rec)
-	s.strs.del(kh, key)
+	s.strs.remove(en.at)
 	s.memUsed.Add(s.strs.held() - held)
 }
 
@@ -387,6 +415,7 @@ func (e *Engine) publish(s *shard, kh uint32, key string, st staged) {
 	if i >= 0 {
 		e.forget(s, ix.record(i))
 		ix.replace(i, ref)
+		ix.touch(i)
 	} else {
 		ix.insert(h, ref)
 	}
@@ -394,12 +423,14 @@ func (e *Engine) publish(s *shard, kh uint32, key string, st staged) {
 	s.memUsed.Add(ix.held() - held)
 }
 
-// addItem makes the collection it the entry for key, which has none.
+// addItem makes the collection it the entry for key, which has none. Like
+// a string (index.insert) it starts referenced.
 func (e *Engine) addItem(s *shard, key string, it *item) {
 	if s.colls == nil {
 		s.colls = make(map[string]*item)
 	}
 	s.colls[key] = it
+	it.ref.Store(true)
 	s.memUsed.Add(it.memBytes)
 	s.payload.Add(it.payload)
 }
@@ -553,6 +584,7 @@ func (e *Engine) get(key string) (val []byte, stripe int, version uint64, err er
 		s.mu.RUnlock()
 		return nil, stripe, 0, ErrWrongType
 	}
+	s.touch(en)
 	f := en.rec.parse()
 	var pooled *[]byte
 	var scratch []byte
@@ -723,7 +755,7 @@ func (e *Engine) ExpireAt(key string, at int64) bool {
 		held := ix.held()
 		ref, rec := ix.recs.alloc(en.rec.parse().size + 8)
 		en.rec.withDeadline(rec, at)
-		ix.replace(ix.find(slotHash(kh), key), ref)
+		ix.replace(en.at, ref)
 		s.memUsed.Add(ix.held() - held)
 	}
 	return true
@@ -744,7 +776,7 @@ func (e *Engine) TakeExpired(key string) bool {
 	if !e.lapsed(en.expireAt()) {
 		return false
 	}
-	e.remove(s, kh, key, en)
+	e.remove(s, key, en)
 	s.expired.Add(1)
 	return true
 }
@@ -844,6 +876,68 @@ func (e *Engine) SweepExpired(max int) int {
 		}
 	}
 	return removed
+}
+
+// --- eviction ---
+
+// Evict removes one key from stripe i and returns it, or reports false when
+// the stripe holds nothing it may remove. It is CLOCK over the stripe's own
+// contents: a hand walks the index in slot order, then the collections, and
+// around again; a key read or written since the hand last passed it (touch)
+// loses its mark and stays for another lap, one that pinned (nil: none is)
+// holds is passed over as it is, and the first key with neither excuse
+// goes. The hand stays where it stopped for the next call.
+//
+// pinned runs under the stripe's write lock: a key it holds cannot leave by
+// this call, and one it lets go cannot be written before it is gone. It
+// must not call into the engine, and key, which may alias the engine's own
+// bytes, is good only until it returns.
+func (e *Engine) Evict(i int, pinned func(key []byte) bool) (key string, ok bool) {
+	s := e.shards[i]
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// The hand gives up a lap after the last mark it cleared: by then every
+	// key it saw was pinned. That is two laps at most.
+	lap := s.strs.n + len(s.colls)
+	for look := lap; look > 0; {
+		if !s.collsTurn {
+			at, end := s.strs.clock(&look, lap, pinned)
+			if at >= 0 {
+				en := entry{rec: s.strs.record(at), at: at}
+				key = string(en.rec.parse().key)
+				e.remove(s, key, en)
+				return key, true
+			}
+			if !end {
+				break
+			}
+			s.collsTurn = true
+		}
+		// A map has no position to resume from, so the hand's pass over the
+		// collections is spread over calls another way: each call takes one
+		// unmarked collection, and the call that finds none clears every
+		// mark (a pinned collection's too) and moves the hand on.
+		marked := false
+		for key, it := range s.colls {
+			switch {
+			case pinned != nil && pinned([]byte(key)):
+			case it.ref.Load():
+				marked = true
+			default:
+				e.removeItem(s, key, it)
+				return key, true
+			}
+		}
+		look -= len(s.colls)
+		if marked {
+			look = lap
+			for _, it := range s.colls {
+				it.ref.Store(false)
+			}
+		}
+		s.collsTurn = false
+	}
+	return "", false
 }
 
 // --- introspection ---

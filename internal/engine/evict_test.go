@@ -1,0 +1,85 @@
+package engine
+
+import (
+	"fmt"
+	"testing"
+)
+
+// TestEvictSecondChance walks Evict through what CLOCK promises on one
+// stripe: a key read since the hand last passed outlives every key that
+// was not, strings and collections alike; a pinned key never goes; and a
+// stripe with nothing but pinned keys reports that instead of spinning.
+func TestEvictSecondChance(t *testing.T) {
+	e := New(Options{Shards: 1})
+	const n = 200
+	key := func(i int) string { return fmt.Sprintf("key:%03d", i) }
+	for i := 0; i < n; i++ {
+		e.Set(key(i), []byte("v"))
+	}
+	e.RPush("list:read", []byte("a"))
+	e.RPush("list:idle", []byte("a"))
+	e.HSet("hash:pinned", "f", []byte("v"))
+	pinned := func(k []byte) bool { return string(k) == "hash:pinned" || string(k) == key(0) }
+
+	// Everything enters marked, so the first call clears a lap of marks on
+	// its way to a victim. After it, only what is read below is marked.
+	if _, ok := e.Evict(0, pinned); !ok {
+		t.Fatal("nothing to evict from a full stripe")
+	}
+	hot := map[string]bool{"list:read": true}
+	for i := 1; i < n; i += 10 {
+		hot[key(i)] = true
+		if _, err := e.Get(key(i)); err != nil {
+			hot[key(i)] = false // it was the first victim
+		}
+	}
+	if _, err := e.MGet([]string{key(5), key(15)}); err != nil {
+		t.Fatal(err)
+	}
+	hot[key(5)], hot[key(15)] = e.Exists(key(5)), e.Exists(key(15))
+	if _, err := e.LRange("list:read", 0, -1); err != nil {
+		t.Fatal(err)
+	}
+	marked := 0
+	for _, live := range hot {
+		if live {
+			marked++
+		}
+	}
+
+	// Every unmarked, unpinned key goes before any marked one does: the
+	// table shrinks from 256 slots to 32 on the way.
+	for cold := e.Len() - marked - 2; cold > 0; cold-- {
+		got, ok := e.Evict(0, pinned)
+		if !ok || hot[got] || pinned([]byte(got)) {
+			t.Fatalf("Evict = %q, %v with %d cold keys left", got, ok, cold)
+		}
+	}
+	for k, live := range hot {
+		if live && !e.Exists(k) {
+			t.Errorf("%s was read since the hand passed it and is gone", k)
+		}
+	}
+	if e.Exists("list:idle") {
+		t.Error("list:idle was never read and outlived every cold string")
+	}
+	if err := checkBooks(e); err != nil {
+		t.Fatal(err)
+	}
+
+	// Now the marked keys, on their second lap, and then nothing.
+	for ; marked > 0; marked-- {
+		if got, ok := e.Evict(0, pinned); !ok || !hot[got] {
+			t.Fatalf("Evict = %q, %v with %d marked keys left", got, ok, marked)
+		}
+	}
+	if got, ok := e.Evict(0, pinned); ok {
+		t.Fatalf("Evict took %q from a stripe of pinned keys", got)
+	}
+	if !e.Exists(key(0)) || !e.Exists("hash:pinned") || e.Len() != 2 {
+		t.Fatalf("pinned keys did not survive: %d keys left", e.Len())
+	}
+	if got, ok := e.Evict(0, nil); !ok {
+		t.Fatalf("Evict with no pin = %q, %v", got, ok)
+	}
+}

@@ -1,17 +1,34 @@
 package engine
 
-import "reflect"
+import (
+	"reflect"
+	"sync/atomic"
+)
 
 // slot is one index entry: 8 bytes and no pointer, so the garbage collector
 // never looks inside a table. An empty slot has ref 0.
+//
+// hash is the one word of a stripe that changes under the read lock: a hit
+// sets refBit in it (touch). Readers therefore load it atomically; whoever
+// holds the write lock has the table to itself and reads and writes it
+// plainly. (It is not an atomic.Uint32 because slots are copied when
+// entries shift and tables grow.)
 type slot struct {
-	hash uint32 // slotHash of the key; the home slot is hash >> shift
+	hash uint32 // slotHash of the key, and refBit; the home slot is hash >> shift
 	ref  uint32 // where the record is (slab.at)
 }
 
 const (
 	slotBytes = 8
 	minSlots  = 8
+
+	// refBit in slot.hash says the key was read or written since the clock
+	// hand last passed it. slotHash leaves the bit clear: the home slot is
+	// the hash's high bits, and the low bits of kh chose the stripe, so
+	// bit 0 of the product told one key of a stripe from another only in a
+	// one-stripe engine, where 31 bits of tag before the key compare are
+	// plenty.
+	refBit = 1
 )
 
 // itemBytes is the allocation behind a collection's *item.
@@ -26,14 +43,15 @@ var itemBytes = int(reflect.TypeOf(item{}).Size())
 type index struct {
 	slots []slot // nil or a power-of-two length
 	n     int
-	shift uint8 // 32 - log2(len(slots))
+	shift uint8  // 32 - log2(len(slots))
+	hand  uint32 // the clock hand, as a hash: over slot hand >> shift in a table of any size
 	recs  slab
 }
 
 // slotHash spreads the key hash for the index. The stripe was picked from
 // the low bits of kh, which are therefore equal across one index; a
 // Fibonacci multiply folds every bit into the high ones the index uses.
-func slotHash(kh uint32) uint32 { return kh * 0x9E3779B1 }
+func slotHash(kh uint32) uint32 { return kh * 0x9E3779B1 &^ refBit }
 
 // held is the bytes the index charges its stripe: the slot table at its
 // capacity and every record's slot or own allocation.
@@ -49,22 +67,24 @@ func (ix *index) find(h uint32, key string) int {
 	}
 	mask := uint32(len(ix.slots) - 1)
 	for i := h >> ix.shift; ; i = (i + 1) & mask {
-		sl := ix.slots[i]
+		sl := &ix.slots[i]
 		if sl.ref == 0 {
 			return -1
 		}
-		if sl.hash == h && record(ix.recs.at(sl.ref)).hasKey(key) {
+		if atomic.LoadUint32(&sl.hash)&^refBit == h && record(ix.recs.at(sl.ref)).hasKey(key) {
 			return int(i)
 		}
 	}
 }
 
-// get returns the record stored under key (kh is its fnv1a hash), or nil.
-func (ix *index) get(kh uint32, key string) record {
-	if i := ix.find(slotHash(kh), key); i >= 0 {
-		return ix.record(i)
+// touch marks the key in slot i referenced. The stripe lock in either mode
+// is enough: under the read lock other readers may be setting the same
+// bit, which is all that can happen to the word. Test first, because a hot
+// key's bit is nearly always set and a load leaves its cache line shared.
+func (ix *index) touch(i int) {
+	if p := &ix.slots[i].hash; atomic.LoadUint32(p)&refBit == 0 {
+		atomic.OrUint32(p, refBit)
 	}
-	return nil
 }
 
 // replace makes ref (from recs.alloc, its record written) the record in
@@ -80,12 +100,14 @@ func (ix *index) release(i int) {
 }
 
 // insert adds ref (from recs.alloc, its record written), the record of a
-// key of slotHash h that the index lacks.
+// key of slotHash h that the index lacks. The key starts referenced, as at
+// the head of an LRU list: wherever the hand is, it gets a lap to be read
+// again.
 func (ix *index) insert(h, ref uint32) {
 	if (ix.n+1)*8 > len(ix.slots)*7 {
 		ix.resize(max(minSlots, 2*len(ix.slots)))
 	}
-	ix.place(slot{hash: h, ref: ref})
+	ix.place(slot{hash: h | refBit, ref: ref})
 	ix.n++
 }
 
@@ -117,12 +139,11 @@ func (ix *index) resize(size int) {
 	}
 }
 
-// del removes key and frees its record, if it has one.
-func (ix *index) del(kh uint32, key string) {
-	if i := ix.find(slotHash(kh), key); i >= 0 {
-		ix.removeAt(uint32(i))
-		ix.shrink()
-	}
+// remove frees the record in slot i, closes the gap and lets the table
+// shrink.
+func (ix *index) remove(i int) {
+	ix.removeAt(uint32(i))
+	ix.shrink()
 }
 
 // removeAt frees the record in slot i, empties the slot and closes the
@@ -195,6 +216,47 @@ func (ix *index) sweep(pos *uint32, limit int, drop func(rec record) bool) (visi
 	*pos = i
 	ix.shrink()
 	return visited
+}
+
+// clock advances the hand towards the end of the table, looking at up to
+// *look records (it counts them off). One that pinned (nil: none is) holds
+// is passed over, mark and all. One with its reference bit set loses the
+// bit and is due a second look a lap from here, so *look becomes lap. The
+// first with neither is the victim, whose slot clock returns with the hand
+// left on it, so that after the caller's remove the hand is on whatever
+// shifted in. With no victim it returns -1, and end tells whether it was
+// the table that ran out (the hand is back at slot 0) or *look.
+//
+// The hand is kept as a hash: the table is in hash order but for probe
+// runs, so a resize neither skips a stretch of keys nor gives one a second
+// pass.
+func (ix *index) clock(look *int, lap int, pinned func(key []byte) bool) (at int, end bool) {
+	if len(ix.slots) == 0 {
+		return -1, true
+	}
+	i := int(ix.hand >> ix.shift)
+	for ; i < len(ix.slots) && *look > 0; i++ {
+		sl := &ix.slots[i]
+		if sl.ref == 0 {
+			continue
+		}
+		*look--
+		switch {
+		case pinned != nil && pinned(ix.record(i).parse().key):
+		case sl.hash&refBit != 0:
+			sl.hash &^= refBit
+			*look = lap
+		default:
+			ix.hand = uint32(i) << ix.shift
+			return i, false
+		}
+	}
+	end = i == len(ix.slots)
+	if end {
+		i = 0
+	}
+	ix.hand = uint32(i) << ix.shift
+	return -1, end
 }
 
 // sizeClasses are the Go allocator's small-object sizes, read off the

@@ -387,6 +387,23 @@ func (m *model) step(shrinking bool) {
 			delete(v.zset, member)
 			m.dropIfEmpty(k, v)
 		}
+	case op < 96:
+		// Evict takes one key the stripe holds, lapsed or not, that is not
+		// pinned, and finds one if there is one.
+		si := m.rng.Intn(e.NumShards())
+		got, ok := e.Evict(si, modelPinned)
+		if ok {
+			if m.keys[got] == nil || e.ShardIndex(got) != si || modelPinned([]byte(got)) {
+				m.fail("Evict", si, got)
+			}
+			delete(m.keys, got)
+			break
+		}
+		for held := range m.keys {
+			if e.ShardIndex(held) == si && !modelPinned([]byte(held)) {
+				m.fail("Evict found nothing in stripe", si, "which holds", held)
+			}
+		}
 	default:
 		// LoadEncoded installs a set over whatever the key held.
 		it := &item{kind: KindSet, set: map[string]struct{}{}}
@@ -402,6 +419,9 @@ func (m *model) step(shrinking bool) {
 		m.keys[k] = v
 	}
 }
+
+// modelPinned is the model's eviction pin: every key that ends in 7.
+func modelPinned(key []byte) bool { return key[len(key)-1] == '7' }
 
 // check compares every key's readable state, then the engine's books and
 // index invariants.
@@ -509,7 +529,7 @@ func checkBooks(e *Engine) error {
 			}
 			payload += f.payload()
 			key := string(f.key)
-			if got := ix.get(fnv1a(key), key); len(got) == 0 || &got[0] != &rec[0] {
+			if i := ix.find(slotHash(fnv1a(key)), key); i < 0 || &ix.record(i)[0] != &rec[0] {
 				err = fmt.Errorf("stripe %d: record of %q not reachable from its home slot", si, key)
 			}
 			if _, both := s.colls[key]; both {
@@ -607,11 +627,14 @@ func sameStripeValue(key int, v []byte) bool {
 // TestOneStripeReadersAndOverwriters is the -race leg of the reader rule:
 // with every key on one stripe, writers overwrite records with values of
 // other slot sizes (own allocations included), delete and re-create them,
-// set a first TTL (which moves the record to a larger slot) and rewrite
-// deadlines in place, so freed slots are reused at once; readers Get and
-// MGet, and a walker snapshots the stripe. A reader that carried an alias
-// of a slot out of the lock, at any of the three sites that copy, returns
-// bytes that are no version of its key.
+// set a first TTL (which moves the record to a larger slot), rewrite
+// deadlines in place and evict in bursts that halve the table, so freed
+// slots are reused at once; readers Get and MGet, and a walker snapshots
+// the stripe. A reader that carried an alias of a slot out of the lock, at
+// any of the three sites that copy, returns bytes that are no version of
+// its key. It is also the -race leg of the reference bit: the two readers'
+// hits set it under the read lock, at once and while entries shift, tables
+// resize and the hand clears it under the write lock.
 func TestOneStripeReadersAndOverwriters(t *testing.T) {
 	for _, c := range []compress.Compressor{nil, tailCompressor{}} {
 		oneStripeReadersAndOverwriters(t, Options{Shards: 1, Compressor: c})
@@ -640,6 +663,12 @@ func oneStripeReadersAndOverwriters(t *testing.T, opts Options) {
 					e.Expire(k, time.Hour)
 				case 3:
 					e.Persist(k)
+				case 4:
+					for n := rng.Intn(keys); n > 0; n-- {
+						if got, ok := e.Evict(0, modelPinned); ok && modelPinned([]byte(got)) {
+							t.Errorf("Evict took %s, which is pinned", got)
+						}
+					}
 				default:
 					n := rng.Intn(300)
 					if rng.Intn(16) == 0 {
