@@ -27,7 +27,7 @@ func TestParseLineBasic(t *testing.T) {
 func TestParseLineCustomMetrics(t *testing.T) {
 	// b.ReportMetric units must land in Extra whatever they look like: the
 	// client mux benchmarks report rates, the cache skew suite a hit
-	// percentage and a count, whose units have no slash.
+	// percentage, whose unit has no slash.
 	for _, c := range []struct {
 		line  string
 		name  string
@@ -41,10 +41,10 @@ func TestParseLineCustomMetrics(t *testing.T) {
 			extra: map[string]float64{"reqs/flush": 23.98, "flushes/op": 0.035},
 		},
 		{
-			line:  "BenchmarkSkewSuite/hotspot-shift/adaptive-2 \t  200000\t       896.3 ns/op\t        86.20 hit_pct\t        34.00 rebalances\t     226 B/op\t       4 allocs/op",
-			name:  "BenchmarkSkewSuite/hotspot-shift/adaptive",
+			line:  "BenchmarkSkewSuite/hotspot-shift-2 \t  200000\t       896.3 ns/op\t        87.13 hit_pct\t     226 B/op\t       4 allocs/op",
+			name:  "BenchmarkSkewSuite/hotspot-shift",
 			ns:    896.3,
-			extra: map[string]float64{"hit_pct": 86.20, "rebalances": 34},
+			extra: map[string]float64{"hit_pct": 87.13},
 		},
 	} {
 		r, ok := parseLine(c.line)

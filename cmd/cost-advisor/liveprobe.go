@@ -12,14 +12,13 @@ import (
 
 // liveProbe runs the described workload's key distribution through a real
 // in-process tiered store (engine cache over map storage, write-through)
-// and reports the measured miss ratio and per-stripe budget skew — the
-// §2 cost model evaluated on live numbers instead of an assumed MR.
+// and reports the measured miss ratio — the §2 cost model evaluated on
+// live numbers instead of an assumed MR.
 type liveProbe struct {
 	keys       int
 	ops        int
 	cacheRatio float64 // cache capacity as a fraction of resident data bytes
 	dist       string  // zipfian | uniform | hotspot | hotspot-shift
-	adaptive   bool
 }
 
 // run builds the store, drives the workload, and prints the measurements.
@@ -48,7 +47,6 @@ func (p liveProbe) run(ds workload.Dataset, in core.TieredInputs) error {
 		Engine:             eng,
 		Storage:            store,
 		CacheCapacityBytes: capBytes,
-		AdaptiveTiering:    p.adaptive,
 	})
 	if err != nil {
 		return err
@@ -79,11 +77,6 @@ func (p liveProbe) run(ds workload.Dataset, in core.TieredInputs) error {
 		if _, err := t.Get(key(chooser.Next(rng))); err != nil && err != cache.ErrNotFound {
 			return err
 		}
-		// Deterministic rebalance cadence on top of the background loop, so
-		// short probes adapt a bounded, run-independent number of times.
-		if p.adaptive && i%4096 == 4095 {
-			t.RebalanceNow()
-		}
 	}
 	after := t.Stats()
 
@@ -93,28 +86,10 @@ func (p liveProbe) run(ds workload.Dataset, in core.TieredInputs) error {
 		readMR = float64(after.Misses-before.Misses) / reads
 	}
 	fmt.Printf("\nlive cache-tier probe (in-process, write-through over map storage):\n")
-	fmt.Printf("  distribution=%s keys=%d ops=%d cache-ratio=%.2f adaptive=%v capacity=%dB\n",
-		p.dist, p.keys, p.ops, p.cacheRatio, p.adaptive, capBytes)
+	fmt.Printf("  distribution=%s keys=%d ops=%d cache-ratio=%.2f capacity=%dB\n",
+		p.dist, p.keys, p.ops, p.cacheRatio, capBytes)
 	fmt.Printf("  measured MissRatio(): %.4f (lifetime)   read-phase MR: %.4f   evictions: %d\n",
 		t.MissRatio(), readMR, after.Evictions)
-
-	ts := t.TieringStats()
-	minB, maxB := ts.Stripes[0].BudgetBytes, ts.Stripes[0].BudgetBytes
-	var sum int64
-	for _, st := range ts.Stripes {
-		if st.BudgetBytes < minB {
-			minB = st.BudgetBytes
-		}
-		if st.BudgetBytes > maxB {
-			maxB = st.BudgetBytes
-		}
-		sum += st.BudgetBytes
-	}
-	mean := float64(sum) / float64(len(ts.Stripes))
-	fmt.Printf("  stripe budgets: %d stripes, min=%dB max=%dB mean=%.0fB (max/mean %.2fx)\n",
-		len(ts.Stripes), minB, maxB, mean, float64(maxB)/mean)
-	fmt.Printf("  rebalancer: %d rounds moved %dB (window hit rate %.4f)\n",
-		ts.Rebalances, ts.BytesMoved, ts.WindowHitRate)
 
 	// Price the cache tier (Eq. 6) at the measured MR vs the analytic
 	// zipf-MRC estimate at the same cache ratio — the gap is what assuming

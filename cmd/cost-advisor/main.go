@@ -35,7 +35,6 @@ func main() {
 		probeKeys  = flag.Int("probe-keys", 20000, "live MR probe: distinct keys")
 		cacheRatio = flag.Float64("cache-ratio", 0.1, "live MR probe: cache capacity as a fraction of data bytes")
 		probeDist  = flag.String("distribution", "zipfian", "live MR probe key distribution: zipfian | uniform | hotspot | hotspot-shift")
-		adaptive   = flag.Bool("adaptive", true, "live MR probe: adaptive per-stripe budgets (false = static even split)")
 	)
 	flag.Parse()
 
@@ -87,7 +86,7 @@ func main() {
 		}
 		p := liveProbe{
 			keys: *probeKeys, ops: *probeOps, cacheRatio: *cacheRatio,
-			dist: *probeDist, adaptive: *adaptive,
+			dist: *probeDist,
 		}
 		if err := p.run(ds, in); err != nil {
 			log.Fatalf("cost-advisor: live probe: %v", err)

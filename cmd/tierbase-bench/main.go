@@ -812,9 +812,8 @@ func infoField(c *client.Client, section, field string) string {
 }
 
 // printTieringState reports the cache-tiering section from INFO tiering:
-// under a skewed -workload, the per-stripe budget and hit-rate skew (and
-// the rebalance counters, if -adaptive-tiering is on server-side) show
-// where the run's working set landed and whether budgets followed it.
+// per shard, the cache budget, the bytes resident against it and the hit,
+// miss and eviction counts the run left behind.
 func printTieringState(c *client.Client) {
 	v, err := c.Do("INFO", "tiering")
 	if err != nil {

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -28,6 +29,29 @@ import (
 	"tierbase/internal/workload"
 )
 
+// tieringFlags maps -policy to the cache policy and rejects the -dir and
+// -cache-bytes values that contradict it.
+func tieringFlags(policy, dir string, cacheBytes int64) (cache.Policy, error) {
+	var p cache.Policy
+	switch policy {
+	case "cache-only":
+		p = cache.CacheOnly
+	case "write-through":
+		p = cache.WriteThrough
+	case "write-back":
+		p = cache.WriteBack
+	default:
+		return 0, fmt.Errorf("unknown policy %q", policy)
+	}
+	switch {
+	case p == cache.CacheOnly && cacheBytes > 0:
+		return 0, errors.New("-cache-bytes needs a storage tier to evict to; -policy cache-only has none (use write-through or write-back with -dir)")
+	case p != cache.CacheOnly && dir == "":
+		return 0, errors.New("-dir required for tiered policies")
+	}
+	return p, nil
+}
+
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:6380", "listen address")
@@ -38,16 +62,12 @@ func main() {
 		trainOn     = flag.String("train-on", "kv1", "dataset for compressor pre-training: cities | kv1 | kv2")
 		elasticOn   = flag.Bool("elastic", true, "enable elastic threading")
 		maxWorkers  = flag.Int("max-workers", 4, "CPU budget per shard")
-		cacheBytes  = flag.Int64("cache-bytes", 0, "cache capacity per shard (0 = unbounded)")
+		cacheBytes  = flag.Int64("cache-bytes", 0, "cache capacity per shard, tiered policies only (0 = unbounded)")
 		boostDepth  = flag.Int("boost-depth", 0, "queue backlog that triggers boost mode (0 = server default)")
 		queueSize   = flag.Int("queue-size", 0, "pending task queue bound per shard (0 = default)")
 		cooldown    = flag.Int("cooldown-ticks", 0, "calm evaluations before shrinking back to single mode (0 = default)")
 		evalEvery   = flag.Duration("eval-interval", 0, "elastic controller period (0 = default)")
 		boostRate   = flag.Float64("boost-rate", 0, "windowed submit rate (tasks/sec) that triggers boost mode (0 = depth-only)")
-
-		adaptive      = flag.Bool("adaptive-tiering", false, "rebalance per-stripe cache budgets toward the observed workload (needs -cache-bytes)")
-		rebalanceTick = flag.Duration("rebalance-interval", 0, "adaptive rebalancer period (0 = default 100ms)")
-		targetHitRate = flag.Float64("target-hit-rate", 0, "adaptive total sizing: grow/shrink cache toward this hit rate (0 = off)")
 
 		nodeID        = flag.String("node-id", "", "cluster node id (enables replication)")
 		advertise     = flag.String("advertise", "", "address other nodes reach this one at (default: listen addr)")
@@ -134,25 +154,12 @@ func main() {
 		log.Fatalf("tierbase-server: %v", err)
 	}
 
-	var cachePolicy cache.Policy
-	switch *policy {
-	case "cache-only":
-		cachePolicy = cache.CacheOnly
-	case "write-through":
-		cachePolicy = cache.WriteThrough
-	case "write-back":
-		cachePolicy = cache.WriteBack
-	default:
-		log.Fatalf("tierbase-server: unknown policy %q", *policy)
-	}
-	if (*adaptive || *targetHitRate > 0) && *cacheBytes <= 0 {
-		log.Fatal("tierbase-server: -adaptive-tiering/-target-hit-rate require -cache-bytes > 0")
+	cachePolicy, err := tieringFlags(*policy, *dir, *cacheBytes)
+	if err != nil {
+		log.Fatalf("tierbase-server: %v", err)
 	}
 	var dbs []*lsm.DB
 	if cachePolicy != cache.CacheOnly {
-		if *dir == "" {
-			log.Fatal("tierbase-server: -dir required for tiered policies")
-		}
 		shardNum := 0
 		opts.TieredFactory = func(eng *engine.Engine) (*cache.Tiered, error) {
 			shardDir := filepath.Join(*dir, fmt.Sprintf("shard%03d", shardNum))
@@ -167,9 +174,6 @@ func main() {
 				Engine:             eng,
 				Storage:            cache.NewLSMStorage(db),
 				CacheCapacityBytes: *cacheBytes,
-				AdaptiveTiering:    *adaptive,
-				RebalanceInterval:  *rebalanceTick,
-				TargetHitRate:      *targetHitRate,
 			})
 		}
 		// INFO storage: per-shard LSM counters (flush backlog, level

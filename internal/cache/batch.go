@@ -52,12 +52,10 @@ func (t *Tiered) BatchGet(keys []string) (map[string][]byte, error) {
 		return nil, err
 	}
 	var missing []string
-	hit := make([]string, 0, len(uniq))
 	for i, k := range uniq {
 		if vals[i] != nil {
 			out[k] = vals[i]
 			t.hits.Add(1)
-			hit = append(hit, k)
 			continue
 		}
 		out[k] = nil
@@ -67,10 +65,6 @@ func (t *Tiered) BatchGet(keys []string) (map[string][]byte, error) {
 		t.misses.Add(1)
 		missing = append(missing, k)
 	}
-	// Per-stripe access sampling, one grouping pass per outcome (the
-	// adaptive rebalancer reads these; wrong-typed keys are neither).
-	t.sampleHitBatch(hit)
-	t.sampleMissBatch(missing)
 	if len(missing) == 0 || t.opts.Policy == CacheOnly {
 		return out, nil
 	}
@@ -104,7 +98,6 @@ func (t *Tiered) BatchGet(keys []string) (map[string][]byte, error) {
 	// a single BatchGet round trip (shared singleflight core with Get).
 	lead, join := t.splitFlights(missing)
 	var fetchErr error
-	var admitted []string
 	if len(lead) > 0 {
 		fetch := make([]string, 0, len(lead))
 		for k := range lead {
@@ -121,7 +114,6 @@ func (t *Tiered) BatchGet(keys []string) (map[string][]byte, error) {
 		for k, f := range lead {
 			if f.err == nil {
 				out[k] = f.val
-				admitted = append(admitted, k)
 			}
 		}
 	}
@@ -141,7 +133,7 @@ func (t *Tiered) BatchGet(keys []string) (map[string][]byte, error) {
 	if fetchErr != nil {
 		return nil, fetchErr
 	}
-	t.maybeEvictKeys(admitted)
+	t.maybeEvict()
 	return out, nil
 }
 
@@ -297,7 +289,7 @@ func (t *Tiered) BatchDelete(keys []string) (int, error) {
 
 // applyBatchToCache mutates the cache tier for a whole batch (entries[k]
 // is k's new value, nil deletes), taking each engine stripe lock once, then
-// runs capacity eviction on the touched stripes only.
+// runs capacity eviction.
 func (t *Tiered) applyBatchToCache(keys []string, entries map[string][]byte) {
 	kvs := make([]engine.KV, 0, len(entries))
 	var dels []string
@@ -310,5 +302,5 @@ func (t *Tiered) applyBatchToCache(keys []string, entries map[string][]byte) {
 	}
 	t.eng.MSet(kvs)
 	t.eng.BatchDel(dels)
-	t.maybeEvictKeys(keys)
+	t.maybeEvict()
 }

@@ -42,8 +42,10 @@ type Options struct {
 	Policy  Policy
 	Engine  *engine.Engine
 	Storage Storage // required unless CacheOnly
-	// CacheCapacityBytes bounds the cache tier's DRAM use; 0 = unbounded.
-	// This is the knob behind the paper's cache-ratio (NX) configurations.
+	// CacheCapacityBytes bounds the cache tier's DRAM use (eng.MemUsed());
+	// 0 = unbounded. One budget for the whole store, whichever stripes the
+	// bytes land on. This is the knob behind the paper's cache-ratio (NX)
+	// configurations.
 	CacheCapacityBytes int64
 	// FlushBatch is the write-back dirty batch size (default 128).
 	FlushBatch int
@@ -53,14 +55,6 @@ type Options struct {
 	// splits evenly across the write-path stripes (ceil), and a writer
 	// blocks only when its own stripe is saturated.
 	MaxDirty int
-
-	// AdaptiveTiering starts the background budget rebalancer: per-stripe
-	// byte budgets follow the observed workload (windowed miss pressure)
-	// instead of staying pinned at capacity/stripes. Requires
-	// CacheCapacityBytes > 0. See adaptive.go.
-	AdaptiveTiering bool
-	// RebalanceInterval is the rebalancer period (default 100 ms).
-	RebalanceInterval time.Duration
 
 	// StorageRetries is how many times a failed storage call is retried
 	// before the error surfaces (default 2; negative disables). Retries
@@ -79,16 +73,6 @@ type Options struct {
 	// delete through on first touch). Without delete-through, a key that
 	// expires in the cache tier resurrects from storage on its next miss.
 	ExpirySweepInterval time.Duration
-
-	// TargetHitRate, when > 0, enables hit-rate-targeted total sizing:
-	// the rebalancer grows the total budget toward MaxCapacityBytes while
-	// the sampled window hit rate is below target, and shrinks it toward
-	// MinCapacityBytes while comfortably above. Requires AdaptiveTiering.
-	TargetHitRate float64
-	// MinCapacityBytes / MaxCapacityBytes bound adaptive total sizing
-	// (defaults: CacheCapacityBytes/2 and 4*CacheCapacityBytes).
-	MinCapacityBytes int64
-	MaxCapacityBytes int64
 }
 
 func (o *Options) fill() {
@@ -116,17 +100,6 @@ func (o *Options) fill() {
 	if o.DegradedProbeInterval <= 0 {
 		o.DegradedProbeInterval = 500 * time.Millisecond
 	}
-	if o.RebalanceInterval <= 0 {
-		o.RebalanceInterval = 100 * time.Millisecond
-	}
-	if o.TargetHitRate > 0 {
-		if o.MinCapacityBytes <= 0 {
-			o.MinCapacityBytes = o.CacheCapacityBytes / 2
-		}
-		if o.MaxCapacityBytes <= 0 {
-			o.MaxCapacityBytes = 4 * o.CacheCapacityBytes
-		}
-	}
 }
 
 // Tiered is the tiered store: engine cache in front of pluggable storage.
@@ -134,12 +107,10 @@ type Tiered struct {
 	opts Options
 	eng  *engine.Engine
 
-	// Per-stripe access sampling + live byte budgets (always allocated, one
-	// entry per engine stripe) and the rebalancer state around them. With
-	// CacheCapacityBytes > 0 each stripe's budget is seeded from the even
-	// split, rounded up; the adaptive rebalancer moves it afterwards (see
-	// adaptive.go). Recency lives in the engine: see maybeEvictShard.
-	tier tiering
+	// evictHand is the shard-wide eviction hand: the engine stripe the last
+	// eviction step was taken from. Recency lives in the engine: see
+	// maybeEvict.
+	evictHand atomic.Uint32
 
 	// Write-back dirty state, striped the same way: dirtyStripes[i] owns
 	// the dirty entries (and the backpressure cond and generation counter)
@@ -152,7 +123,7 @@ type Tiered struct {
 	// of the server's overload watermark.
 	dirtyBytes atomic.Int64
 	// stripeMaxDirty is each stripe's backpressure budget: MaxDirty split
-	// evenly across stripes, rounded up (same ceil discipline as shardCap).
+	// evenly across stripes, rounded up.
 	stripeMaxDirty int
 	// flushCursor rotates flushDirty's starting stripe so partial flushes
 	// don't starve high-numbered stripes.
@@ -265,16 +236,14 @@ func New(opts Options) (*Tiered, error) {
 	for i := range t.dirtyStripes {
 		ds := &dirtyStripe{entries: make(map[string]*dirtyEntry)}
 		ds.cond = sync.NewCond(&ds.mu)
+		if opts.Policy == WriteBack {
+			ds.pinned = ds.holds
+		}
 		t.dirtyStripes[i] = ds
 	}
-	// Ceil division, as with the stripe byte budgets: stripe budgets sum
-	// to at least MaxDirty and never round down to an unwritable zero.
+	// Ceil division: stripe budgets sum to at least MaxDirty and never
+	// round down to an unwritable zero.
 	t.stripeMaxDirty = (opts.MaxDirty + nsh - 1) / nsh
-	t.initTiering(nsh)
-	if opts.CacheCapacityBytes > 0 && opts.AdaptiveTiering {
-		t.wg.Add(1)
-		go t.rebalanceLoop()
-	}
 	if opts.Policy == WriteBack {
 		t.flushWake = make(chan struct{}, 1)
 		t.wg.Add(1)
@@ -289,50 +258,37 @@ func New(opts Options) (*Tiered, error) {
 
 // --- capacity eviction ---
 
-// maybeEvictShard evicts from one stripe until its engine-resident bytes
-// fit its budget. Which key goes is the engine's call (engine.Evict: a
-// clock hand over the stripe's own index, past the keys read or written
-// since it last came by). Dirty keys are pinned: they must reach storage
-// first, and because the check runs under the engine's stripe lock a key
-// cannot turn dirty between the check and its removal. Eviction is
-// per-stripe, so a hot stripe evicting never blocks hits on other stripes.
-// The budget is a live atomic target: the adaptive rebalancer moves it
-// between stripes, and the next pass on a shrunk stripe trims residency
-// down to the new value.
-func (t *Tiered) maybeEvictShard(si int) {
-	if t.opts.CacheCapacityBytes <= 0 {
+// maybeEvict brings the cache tier back inside CacheCapacityBytes: one
+// budget for the whole store, checked against eng.MemUsed(), and one hand
+// that goes round the engine's stripes. While over budget it takes the next
+// non-empty stripe and evicts one key there. Which key is the engine's call
+// (engine.Evict: a clock hand over the stripe's own index, past the keys
+// read or written since it last came by). Every stripe so loses keys at the
+// same rate and admits them at its own miss rate, and residency settles
+// where the stripes' miss rates are equal: a stripe that holds the hot keys
+// grows at the cost of those that hold none.
+//
+// Dirty keys are pinned: they must reach storage first, and because the
+// check runs under the engine's stripe lock a key cannot turn dirty between
+// the check and its removal. A stripe whose every resident key is pinned
+// ends the attempt after one lap of that stripe; the next attempt starts at
+// the stripe after it, and the flusher's next round unpins the rest.
+func (t *Tiered) maybeEvict() {
+	capacity := t.opts.CacheCapacityBytes
+	if capacity <= 0 {
 		return
 	}
-	var pinned func(key []byte) bool
-	if t.opts.Policy == WriteBack {
-		pinned = func(key []byte) bool { return t.isDirtyInStripe(si, key) }
-	}
-	for t.eng.ShardMemUsed(si) > t.tier.stripes[si].budget.Load() {
-		if _, ok := t.eng.Evict(si, pinned); !ok {
-			return // everything resident is dirty; the flusher will unblock us
+	n := uint32(len(t.dirtyStripes))
+	for t.eng.MemUsed() > capacity {
+		si := int(t.evictHand.Add(1) % n)
+		if t.eng.ShardMemUsed(si) == 0 {
+			continue // an empty stripe costs an atomic load and no lock
+		}
+		if _, ok := t.eng.Evict(si, t.dirtyStripes[si].pinned); !ok {
+			return // every key there is dirty; the flusher will unblock us
 		}
 		t.evictions.Add(1)
 	}
-}
-
-// maybeEvictKeys runs capacity eviction once per stripe touched by keys.
-func (t *Tiered) maybeEvictKeys(keys []string) {
-	if t.opts.CacheCapacityBytes <= 0 {
-		return
-	}
-	t.eng.GroupKeysByShard(keys, func(si int, _ []string) {
-		t.maybeEvictShard(si)
-	})
-}
-
-// isDirtyInStripe reports whether key (known to live on stripe si) is
-// dirty, without rehashing the key.
-func (t *Tiered) isDirtyInStripe(si int, key []byte) bool {
-	ds := t.dirtyStripes[si]
-	ds.mu.Lock()
-	_, ok := ds.entries[string(key)]
-	ds.mu.Unlock()
-	return ok
 }
 
 // dirtyLookup returns key's dirty entry, if any, under its stripe lock.
@@ -355,16 +311,14 @@ func (t *Tiered) Get(key string) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	t.reqs.Add(1)
-	v, si, err := t.eng.GetWithShard(key)
+	v, err := t.eng.Get(key)
 	if err == nil {
 		t.hits.Add(1)
-		t.tier.stripes[si].sampleHit(1)
 		return v, nil
 	} else if err == engine.ErrWrongType {
 		return nil, err
 	}
 	t.misses.Add(1)
-	t.tier.stripes[si].sampleMiss(1)
 	if t.opts.Policy == CacheOnly {
 		return nil, ErrNotFound
 	}
@@ -396,7 +350,7 @@ func (t *Tiered) Get(key string) ([]byte, error) {
 		}
 		return nil, err
 	}
-	t.maybeEvictShard(si)
+	t.maybeEvict()
 	return v, nil
 }
 
@@ -688,14 +642,12 @@ func (t *Tiered) Update(key string, fn func(old []byte, exists bool) []byte) err
 // readForUpdate is Update's read: the cache tier, then (on a miss) the
 // write-back dirty set, then the storage tier.
 func (t *Tiered) readForUpdate(key string) (old []byte, exists bool, err error) {
-	v, si, err := t.eng.GetWithShard(key)
+	v, err := t.eng.Get(key)
 	if err == nil {
 		t.hits.Add(1)
-		t.tier.stripes[si].sampleHit(1)
 		return v, true, nil
 	}
 	t.misses.Add(1)
-	t.tier.stripes[si].sampleMiss(1)
 	if t.opts.Policy == CacheOnly {
 		return nil, false, nil
 	}
@@ -819,7 +771,7 @@ func (t *Tiered) Health() HealthStats {
 // applyToCache lands a committed single-key write on the cache tier: the
 // engine (unless pre — the in-place op already ran there, and replaying a
 // captured value could roll back a newer concurrent update) and, for a
-// stored value, capacity eviction on its stripe.
+// stored value, capacity eviction.
 func (t *Tiered) applyToCache(key string, val []byte, del, pre bool) {
 	if del {
 		if !pre {
@@ -830,7 +782,7 @@ func (t *Tiered) applyToCache(key string, val []byte, del, pre bool) {
 	if !pre {
 		t.eng.Set(key, val)
 	}
-	t.maybeEvictShard(t.eng.ShardIndex(key))
+	t.maybeEvict()
 }
 
 // invalidate drops a key from the cache tier (write-through failure path:
@@ -866,6 +818,10 @@ func (t *Tiered) Stats() Stats {
 		Dirty:             int(t.dirtyCount.Load()),
 	}
 }
+
+// CapacityBytes reports the cache tier's byte budget
+// (Options.CacheCapacityBytes; 0 = unbounded).
+func (t *Tiered) CapacityBytes() int64 { return t.opts.CacheCapacityBytes }
 
 // DirtyBytes approximates the write-back dirty backlog's heap footprint
 // (copied value buffers + keys + entry overhead). Lock-free; the

@@ -38,6 +38,17 @@ type dirtyStripe struct {
 	cond    *sync.Cond // waited on by writers when this stripe is full
 	entries map[string]*dirtyEntry
 	gen     uint64 // per-stripe generation; stamps entries for flush checks
+	// pinned is holds, bound once (write-back only, else nil): what
+	// engine.Evict asks about each key, without a closure per eviction step.
+	pinned func(key []byte) bool
+}
+
+// holds reports whether key is dirty in this stripe.
+func (ds *dirtyStripe) holds(key []byte) bool {
+	ds.mu.Lock()
+	_, ok := ds.entries[string(key)]
+	ds.mu.Unlock()
+	return ok
 }
 
 // dirtyStripeFor returns the dirty stripe owning key.

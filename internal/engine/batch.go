@@ -51,7 +51,7 @@ func (e *Engine) forEachShardGroup(n int, keyAt func(i int) string, visit func(s
 // slices) and calls visit once per touched stripe with that stripe's keys
 // in input order. It is the exported grouping primitive for layers that
 // keep per-stripe state aligned with the engine's stripes (the cache
-// tier's budgets and write-back dirty set): one grouping pass, one
+// tier's write-back dirty set): one grouping pass, one
 // stripe-lock acquisition per touched stripe.
 func (e *Engine) GroupKeysByShard(keys []string, visit func(shard int, group []string)) {
 	switch len(keys) {

@@ -238,14 +238,15 @@ func New(opts Options) *Engine {
 func (e *Engine) NumShards() int { return len(e.shards) }
 
 // ShardIndex reports the stripe index owning key. Callers that keep their
-// own per-stripe state (the cache tier's budgets, dirty set and RMW locks)
+// own per-stripe state (the cache tier's dirty set and RMW locks)
 // use this to align it with the engine's striping, so one key always maps
 // to the same stripe on both sides.
 func (e *Engine) ShardIndex(key string) int { return int(fnv1a(key) & e.mask) }
 
 // ShardMemUsed reports the DRAM bytes stripe i's contents occupy, the
-// per-stripe leg of MemUsed. It falls by a record's slot the moment the
-// record is deleted, whatever becomes of the page the slot is in.
+// per-stripe leg of MemUsed: 0 for a stripe that holds no key. It falls by
+// a record's slot the moment the record is deleted, whatever becomes of the
+// page the slot is in.
 func (e *Engine) ShardMemUsed(i int) int64 { return e.shards[i].memUsed.Load() }
 
 // fnv1a is an inlined, allocation-free FNV-1a over the key bytes.
@@ -570,19 +571,18 @@ func (e *Engine) SetNX(key string, val []byte) (bool, error) {
 
 // get is the one string read path: look the record up and copy its stored
 // value out under the stripe read lock, decompress outside.
-func (e *Engine) get(key string) (val []byte, stripe int, version uint64, err error) {
+func (e *Engine) get(key string) (val []byte, version uint64, err error) {
 	kh, s := e.locate(key)
-	stripe = int(kh & e.mask)
 	s.mu.RLock()
 	en, ok := e.live(s, kh, key)
 	if !ok {
 		s.mu.RUnlock()
 		s.misses.Add(1)
-		return nil, stripe, 0, ErrNotFound
+		return nil, 0, ErrNotFound
 	}
 	if en.rec == nil {
 		s.mu.RUnlock()
-		return nil, stripe, 0, ErrWrongType
+		return nil, 0, ErrWrongType
 	}
 	s.touch(en)
 	f := en.rec.parse()
@@ -598,28 +598,18 @@ func (e *Engine) get(key string) (val []byte, stripe int, version uint64, err er
 		val, err = e.finish(f.flags, data)
 	}
 	putScratch(pooled, scratch)
-	return val, stripe, f.version, err
+	return val, f.version, err
 }
 
 // Get fetches a string value.
 func (e *Engine) Get(key string) ([]byte, error) {
-	val, _, _, err := e.get(key)
+	val, _, err := e.get(key)
 	return val, err
-}
-
-// GetWithShard is Get plus the stripe index the key hashed to. The cache
-// tier's per-stripe access sampling needs that index on every read, and
-// Get already computed it — returning it saves the caller a second
-// FNV pass over the key on the hottest path in the system.
-func (e *Engine) GetWithShard(key string) ([]byte, int, error) {
-	val, stripe, _, err := e.get(key)
-	return val, stripe, err
 }
 
 // GetWithVersion fetches a string value plus its CAS version token.
 func (e *Engine) GetWithVersion(key string) ([]byte, uint64, error) {
-	val, _, version, err := e.get(key)
-	return val, version, err
+	return e.get(key)
 }
 
 // Del removes keys; returns how many existed. Multi-key deletes group by

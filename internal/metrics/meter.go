@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -48,90 +47,10 @@ func (m *Meter) Reset() {
 	m.started.Store(0)
 }
 
-// WindowMeter tracks event rate over a sliding window of fixed-size slots.
-// It is used by the elastic threading controller to detect workload bursts
-// (paper §4.4) without keeping unbounded history.
-type WindowMeter struct {
-	mu       sync.Mutex
-	slotDur  time.Duration
-	slots    []int64
-	slotTime []int64 // unix nano of slot start
-	head     int
-	now      func() time.Time
-}
-
-// NewWindowMeter creates a meter with n slots of d each (window = n*d).
-func NewWindowMeter(n int, d time.Duration) *WindowMeter {
-	if n < 1 {
-		n = 1
-	}
-	if d <= 0 {
-		d = 100 * time.Millisecond
-	}
-	return &WindowMeter{
-		slotDur:  d,
-		slots:    make([]int64, n),
-		slotTime: make([]int64, n),
-		now:      time.Now,
-	}
-}
-
-// SetClock overrides the time source (for tests).
-func (w *WindowMeter) SetClock(now func() time.Time) {
-	w.mu.Lock()
-	w.now = now
-	w.mu.Unlock()
-}
-
-func (w *WindowMeter) advance(t time.Time) {
-	slotStart := t.Truncate(w.slotDur).UnixNano()
-	if w.slotTime[w.head] == slotStart {
-		return
-	}
-	// Move head forward until we land on the current slot, zeroing skipped slots.
-	for w.slotTime[w.head] != slotStart {
-		w.head = (w.head + 1) % len(w.slots)
-		prev := w.slotTime[(w.head+len(w.slots)-1)%len(w.slots)]
-		next := prev + int64(w.slotDur)
-		if prev == 0 || next > slotStart {
-			next = slotStart
-		}
-		w.slotTime[w.head] = next
-		w.slots[w.head] = 0
-	}
-}
-
-// Mark records n events at the current time.
-func (w *WindowMeter) Mark(n int64) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.advance(w.now())
-	w.slots[w.head] += n
-}
-
-// Rate returns events/sec over the whole window, counting only populated slots.
-func (w *WindowMeter) Rate() float64 {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.advance(w.now())
-	var total int64
-	var populated int
-	for i := range w.slots {
-		if w.slotTime[i] != 0 {
-			total += w.slots[i]
-			populated++
-		}
-	}
-	if populated == 0 {
-		return 0
-	}
-	secs := float64(populated) * w.slotDur.Seconds()
-	return float64(total) / secs
-}
-
 // WindowCounter is a lock-free sliding-window event counter: Mark is one
 // clock read plus one atomic add, cheap enough for per-request accounting
-// where WindowMeter's mutex would serialize submitters. The window is n
+// (the elastic threading controller's burst detection, paper §4.4) where a
+// mutex would serialize submitters. The window is n
 // slots of d each; Rate sums slots whose epoch still falls inside the
 // window. Counts are approximate under slot-rollover races (a concurrent
 // Mark can be lost while a slot is being recycled) — it is a monitoring
@@ -196,71 +115,3 @@ func (w *WindowCounter) Rate() float64 {
 	secs := float64(populated) * time.Duration(w.slotDur).Seconds()
 	return float64(total) / secs
 }
-
-// Sum returns the event total over the still-current slots. Unlike Rate
-// it does not normalize by populated slots, so two counters sharing a
-// window shape compose into exact in-window ratios (hits/(hits+misses))
-// even when one of them saw activity in fewer slots.
-func (w *WindowCounter) Sum() int64 {
-	nowIdx := w.now() / w.slotDur
-	var total int64
-	for i := range w.slots {
-		e := w.slots[i].epoch.Load()
-		if e != 0 && nowIdx-e < int64(len(w.slots)) {
-			total += w.slots[i].count.Load()
-		}
-	}
-	return total
-}
-
-// TimeSeries records (t, value) points at moments chosen by the caller.
-// Used by the fig9 burst experiment to emit a throughput timeline.
-type TimeSeries struct {
-	mu     sync.Mutex
-	Start  time.Time
-	Points []TimePoint
-}
-
-// TimePoint is one sample of a time series.
-type TimePoint struct {
-	Elapsed time.Duration
-	Value   float64
-}
-
-// NewTimeSeries starts an empty series anchored at now.
-func NewTimeSeries() *TimeSeries { return &TimeSeries{Start: time.Now()} }
-
-// Add appends a sample with the current elapsed time.
-func (ts *TimeSeries) Add(v float64) {
-	ts.mu.Lock()
-	ts.Points = append(ts.Points, TimePoint{Elapsed: time.Since(ts.Start), Value: v})
-	ts.mu.Unlock()
-}
-
-// AddAt appends a sample at an explicit elapsed offset (for simulated time).
-func (ts *TimeSeries) AddAt(elapsed time.Duration, v float64) {
-	ts.mu.Lock()
-	ts.Points = append(ts.Points, TimePoint{Elapsed: elapsed, Value: v})
-	ts.mu.Unlock()
-}
-
-// Samples returns a copy of the recorded points.
-func (ts *TimeSeries) Samples() []TimePoint {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	out := make([]TimePoint, len(ts.Points))
-	copy(out, ts.Points)
-	return out
-}
-
-// Gauge is an atomically updated instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set stores the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add increments the gauge by d and returns the new value.
-func (g *Gauge) Add(d int64) int64 { return g.v.Add(d) }
-
-// Get returns the current value.
-func (g *Gauge) Get() int64 { return g.v.Load() }

@@ -44,77 +44,6 @@ func TestMeterConcurrent(t *testing.T) {
 	}
 }
 
-func TestWindowMeterRate(t *testing.T) {
-	w := NewWindowMeter(5, 100*time.Millisecond)
-	base := time.Unix(1000, 0)
-	now := base
-	w.SetClock(func() time.Time { return now })
-
-	// 100 events in slot 0
-	w.Mark(100)
-	r := w.Rate()
-	// one populated slot of 0.1s: 100/0.1 = 1000/s
-	if r < 900 || r > 1100 {
-		t.Fatalf("rate = %f, want ~1000", r)
-	}
-
-	// advance two slots, mark 50
-	now = base.Add(200 * time.Millisecond)
-	w.Mark(50)
-	r = w.Rate()
-	// populated slots: 3 (two may be zeroed skips); total 150 over 0.3s = 500
-	if r < 400 || r > 600 {
-		t.Fatalf("rate = %f, want ~500", r)
-	}
-}
-
-func TestWindowMeterExpiry(t *testing.T) {
-	w := NewWindowMeter(3, 100*time.Millisecond)
-	base := time.Unix(2000, 0)
-	now := base
-	w.SetClock(func() time.Time { return now })
-	w.Mark(300)
-	// jump far beyond the window; old slot must be evicted
-	now = base.Add(time.Second)
-	w.Mark(3)
-	r := w.Rate()
-	if r > 100 {
-		t.Fatalf("stale events leaked into rate: %f", r)
-	}
-}
-
-func TestTimeSeries(t *testing.T) {
-	ts := NewTimeSeries()
-	ts.Add(1.5)
-	ts.AddAt(2*time.Second, 3.0)
-	pts := ts.Samples()
-	if len(pts) != 2 {
-		t.Fatalf("len = %d, want 2", len(pts))
-	}
-	if pts[1].Elapsed != 2*time.Second || pts[1].Value != 3.0 {
-		t.Fatalf("AddAt point wrong: %+v", pts[1])
-	}
-	// Samples must be a copy
-	pts[0].Value = 99
-	if ts.Samples()[0].Value == 99 {
-		t.Fatal("Samples leaked internal slice")
-	}
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(5)
-	if g.Get() != 5 {
-		t.Fatalf("get = %d", g.Get())
-	}
-	if g.Add(3) != 8 {
-		t.Fatalf("add result wrong")
-	}
-	if g.Get() != 8 {
-		t.Fatalf("get after add = %d", g.Get())
-	}
-}
-
 func TestWindowCounterRate(t *testing.T) {
 	w := NewWindowCounter(5, 100*time.Millisecond)
 	base := time.Unix(3000, 0).UnixNano()

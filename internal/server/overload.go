@@ -141,11 +141,7 @@ func (s *Server) rejectWrites() bool {
 func (s *Server) memUsage() int64 {
 	var total int64
 	for _, sh := range s.shards {
-		mem := sh.eng.Stats().MemBytes
-		if budget := sh.tiered.TieringStats().CapacityBytes; budget > mem {
-			mem = budget
-		}
-		total += mem + sh.tiered.DirtyBytes()
+		total += max(sh.eng.MemUsed(), sh.tiered.CapacityBytes()) + sh.tiered.DirtyBytes()
 	}
 	if s.opts.StorageStats != nil {
 		for _, st := range s.opts.StorageStats() {

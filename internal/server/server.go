@@ -646,10 +646,9 @@ func (s *Server) healthInfo(b *strings.Builder) {
 	}
 }
 
-// tieringInfo renders the cache-tiering section: per-shard adaptive
-// state (live total budget, rebalance counters, window hit rate) plus
-// the per-stripe budget/resident/hit-rate/steal distributions the
-// rebalancer is acting on. CSV-per-stripe, like the dirty-stripe lines.
+// tieringInfo renders the cache-tiering section: per shard, the cache
+// budget, what is resident against it, and the cache tier's request, hit,
+// miss, eviction and shared-fetch counters.
 func (s *Server) tieringInfo(b *strings.Builder) {
 	fmt.Fprintf(b, "# Tiering\r\n")
 	tiered := s.tieredShards()
@@ -658,36 +657,15 @@ func (s *Server) tieringInfo(b *strings.Builder) {
 		return
 	}
 	for i, sh := range s.shards {
-		ts := sh.tiered.TieringStats()
-		fmt.Fprintf(b, "shard%d_adaptive:%d\r\n", i, boolToInt(ts.Adaptive))
-		fmt.Fprintf(b, "shard%d_capacity_bytes:%d\r\n", i, ts.CapacityBytes)
-		fmt.Fprintf(b, "shard%d_stripe_floor_bytes:%d\r\n", i, ts.FloorBytes)
-		fmt.Fprintf(b, "shard%d_rebalance_step_bytes:%d\r\n", i, ts.StepBytes)
-		fmt.Fprintf(b, "shard%d_rebalances:%d\r\n", i, ts.Rebalances)
-		fmt.Fprintf(b, "shard%d_rollbacks:%d\r\n", i, ts.Rollbacks)
-		fmt.Fprintf(b, "shard%d_rebalanced_bytes:%d\r\n", i, ts.BytesMoved)
-		fmt.Fprintf(b, "shard%d_capacity_grows:%d\r\n", i, ts.Grows)
-		fmt.Fprintf(b, "shard%d_capacity_shrinks:%d\r\n", i, ts.Shrinks)
-		fmt.Fprintf(b, "shard%d_window_hit_rate:%.4f\r\n", i, ts.WindowHitRate)
+		st := sh.tiered.Stats()
+		fmt.Fprintf(b, "shard%d_capacity_bytes:%d\r\n", i, sh.tiered.CapacityBytes())
+		fmt.Fprintf(b, "shard%d_resident_bytes:%d\r\n", i, sh.eng.MemUsed())
+		fmt.Fprintf(b, "shard%d_requests:%d\r\n", i, st.Requests)
+		fmt.Fprintf(b, "shard%d_hits:%d\r\n", i, st.Hits)
+		fmt.Fprintf(b, "shard%d_misses:%d\r\n", i, st.Misses)
+		fmt.Fprintf(b, "shard%d_evictions:%d\r\n", i, st.Evictions)
+		fmt.Fprintf(b, "shard%d_shared_fetches:%d\r\n", i, st.Shared)
 		fmt.Fprintf(b, "shard%d_miss_ratio:%.4f\r\n", i, sh.tiered.MissRatio())
-		n := len(ts.Stripes)
-		budgets := make([]string, n)
-		resident := make([]string, n)
-		rates := make([]string, n)
-		stolen := make([]string, n)
-		granted := make([]string, n)
-		for j, st := range ts.Stripes {
-			budgets[j] = strconv.FormatInt(st.BudgetBytes, 10)
-			resident[j] = strconv.FormatInt(st.ResidentBytes, 10)
-			rates[j] = strconv.FormatFloat(st.HitRate, 'f', 3, 64)
-			stolen[j] = strconv.FormatInt(st.StolenBytes, 10)
-			granted[j] = strconv.FormatInt(st.GrantedBytes, 10)
-		}
-		fmt.Fprintf(b, "shard%d_stripe_budget_bytes:%s\r\n", i, strings.Join(budgets, ","))
-		fmt.Fprintf(b, "shard%d_stripe_resident_bytes:%s\r\n", i, strings.Join(resident, ","))
-		fmt.Fprintf(b, "shard%d_stripe_hit_rate:%s\r\n", i, strings.Join(rates, ","))
-		fmt.Fprintf(b, "shard%d_stripe_stolen_bytes:%s\r\n", i, strings.Join(stolen, ","))
-		fmt.Fprintf(b, "shard%d_stripe_granted_bytes:%s\r\n", i, strings.Join(granted, ","))
 	}
 }
 

@@ -752,9 +752,9 @@ func TestInfoStorageCacheOnly(t *testing.T) {
 	}
 }
 
-// TestInfoTieringSection: INFO exposes the adaptive-tiering section —
-// per-shard budgets, rebalance/rollback counters, windowed hit rate and
-// the CSV per-stripe distributions — and supports section filtering.
+// TestInfoTieringSection: INFO exposes the cache-tiering section — per
+// shard the budget, the bytes resident against it and the cache tier's
+// counters — and supports section filtering.
 func TestInfoTieringSection(t *testing.T) {
 	stor := cache.NewMapStorage()
 	opts := Options{
@@ -762,7 +762,7 @@ func TestInfoTieringSection(t *testing.T) {
 		TieredFactory: func(eng *engine.Engine) (*cache.Tiered, error) {
 			return cache.New(cache.Options{
 				Policy: cache.WriteThrough, Engine: eng, Storage: stor,
-				CacheCapacityBytes: 64 << 10, AdaptiveTiering: true,
+				CacheCapacityBytes: 64 << 10,
 			})
 		},
 	}
@@ -779,13 +779,12 @@ func TestInfoTieringSection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"# Tiering", "tiered_shards:2",
-		"shard0_adaptive:1", "shard0_capacity_bytes:", "shard0_stripe_floor_bytes:",
-		"shard0_rebalances:", "shard0_rollbacks:", "shard0_rebalanced_bytes:",
-		"shard0_window_hit_rate:", "shard0_miss_ratio:",
-		"shard0_stripe_budget_bytes:", "shard0_stripe_resident_bytes:",
-		"shard0_stripe_hit_rate:", "shard1_stripe_stolen_bytes:",
-		"shard1_stripe_granted_bytes:"} {
+	want := []string{"# Tiering", "tiered_shards:2"}
+	for _, shard := range []string{"shard0_", "shard1_"} {
+		want = append(want, shard+"capacity_bytes:65536", shard+"resident_bytes:", shard+"requests:",
+			shard+"hits:", shard+"misses:", shard+"evictions:0", shard+"shared_fetches:0", shard+"miss_ratio:")
+	}
+	for _, want := range want {
 		if !strings.Contains(full.(string), want) {
 			t.Fatalf("INFO missing %q in:\n%s", want, full)
 		}
@@ -799,13 +798,20 @@ func TestInfoTieringSection(t *testing.T) {
 		strings.Contains(ti.(string), "# WritePath") {
 		t.Fatalf("INFO tiering filtering broken:\n%s", ti)
 	}
-	// The stripe CSVs carry one entry per engine stripe.
-	for _, line := range strings.Split(ti.(string), "\r\n") {
-		if rest, ok := strings.CutPrefix(line, "shard0_stripe_budget_bytes:"); ok {
-			if got := len(strings.Split(rest, ",")); got != engine.DefaultShards {
-				t.Fatalf("stripe budget CSV has %d entries, want %d: %s", got, engine.DefaultShards, line)
-			}
-		}
+	// The counters are the cache tier's own: 8 SETs and 8 GET hits over
+	// the two shards.
+	var requests, hits int
+	for _, shard := range []string{"shard0_", "shard1_"} {
+		n, _ := strconv.Atoi(infoField(t, c, "tiering", shard+"requests"))
+		requests += n
+		n, _ = strconv.Atoi(infoField(t, c, "tiering", shard+"hits"))
+		hits += n
+	}
+	if requests != 16 || hits != 8 {
+		t.Fatalf("requests=%d hits=%d across shards, want 16 and 8:\n%s", requests, hits, ti)
+	}
+	if strings.Contains(ti.(string), "_stripe_") || strings.Contains(ti.(string), "rebalance") {
+		t.Fatalf("INFO tiering still renders per-stripe budget or rebalancer fields:\n%s", ti)
 	}
 }
 

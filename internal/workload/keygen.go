@@ -280,8 +280,8 @@ func (h *Hotspot) SetItemCount(n int64) {
 // ShiftingHotspot is a hotspot whose hot set rotates through the key
 // space every shiftEvery operations: phase p concentrates hotOpFraction
 // of operations on the window starting at p*hotN (mod n). It models the
-// workload drift the adaptive cache tiering must re-converge under — a
-// static budget split is optimal for none of the phases.
+// workload drift a cache must re-converge under: after every shift the
+// resident set is the wrong one.
 type ShiftingHotspot struct {
 	n              int64
 	hotSetFraction float64
