@@ -147,7 +147,7 @@ func TestReadCollectionOutlivesIdleStrings(t *testing.T) {
 	stor := NewMapStorage()
 	scratch := engine.New(engine.Options{Shards: 1})
 	scratch.RPush("list", []byte("a"), []byte("b"))
-	blob, _ := scratch.EncodeCollection("list")
+	blob, _, _ := scratch.Encode("list")
 	stor.Put("list", blob)
 	val := make([]byte, 128)
 	const idle = 4000

@@ -1,62 +1,56 @@
 package cache
 
-import "tierbase/internal/engine"
+import (
+	"errors"
+
+	"tierbase/internal/engine"
+)
 
 // Cross-tier read-modify-write support. Commands that mutate engine state
-// in place (INCR, SETNX, CAS, every collection write) cannot route their
-// mutation through Set/Delete — the engine op IS the mutation — so the
-// server runs them as:
+// in place (INCR, SETNX, CAS, every collection write, a replica installing
+// a streamed collection) cannot route their mutation through Set/Delete —
+// the engine op IS the mutation — so they run it through Mutate.
+
+// Mutate runs op, an in-place engine mutation of key, and commits what it
+// left behind:
 //
-//	tiered.Warm(key)                 // fault storage state into the engine
-//	tiered.Locked(key, func() error {
-//	    ... engine op ...
-//	    return tiered.PropagateX(key, result)
-//	})
+//  1. Warm: the key is faulted in from the storage tier, so op composes
+//     with a value that was evicted or predates a restart.
+//  2. op runs under key's RMW stripe lock. Without the lock two INCRs could
+//     commit their results out of engine order and the storage tier would
+//     converge on the older value.
+//  3. If op reports a change, the key's current engine state — a string, a
+//     collection as a typed blob, or its absence (a collection emptied by
+//     its last pop) — takes the route a Set or Delete takes (commit, in
+//     tiered.go): to storage by policy and to the replication sink, but
+//     NOT back into the engine. The state is read from there, and
+//     replaying a captured value could roll back a newer concurrent update.
 //
-// Warm makes the engine authoritative for the key before the op (so INCR
-// composes with a value that was evicted, or that predates a restart).
-// Locked serializes the op+propagate pair per stripe: without it, two
-// INCRs could commit their captured results out of engine order and the
-// storage tier would converge on the older value. Propagate* then hands
-// the outcome to commit (tiered.go) — the same route a Set takes, to
-// storage by policy and to the replication sink — WITHOUT re-applying it
-// to the engine: the op already ran there, and replaying a captured value
-// could briefly roll back a newer concurrent update.
+// op must not call back into the store. An error from op, or a change it
+// does not report, commits nothing.
+func (t *Tiered) Mutate(key string, op func() (changed bool, err error)) error {
+	t.Warm(key)
+	defer t.lockKey(key).Unlock()
+	changed, err := op()
+	if err != nil || !changed {
+		return err
+	}
+	val, enc, err := t.eng.Encode(key)
+	if err != nil && !errors.Is(err, engine.ErrNotFound) {
+		return err
+	}
+	return t.commit(key, val, err != nil, enc, true)
+}
 
 // Warm faults key into the cache tier from the storage tier if it is not
-// resident, so a subsequent engine op observes tiered state. Typed blobs
-// install as collections; misses and storage errors are ignored (the op
+// resident, so a subsequent engine read observes tiered state. Typed blobs
+// install as collections; misses and storage errors are ignored (the read
 // then sees an absent key, which is the best available answer).
 func (t *Tiered) Warm(key string) {
 	if t.opts.Policy == CacheOnly || t.eng.Exists(key) {
 		return
 	}
 	_, _ = t.Get(key)
-}
-
-// Locked runs fn under key's RMW stripe lock, serializing it against
-// other Locked calls for keys on the same engine stripe.
-func (t *Tiered) Locked(key string, fn func() error) error {
-	defer t.lockKey(key).Unlock()
-	return fn()
-}
-
-// PropagateString commits an engine-applied string outcome (INCR result,
-// SETNX/CAS value). Like the other Propagate calls it runs inside Locked.
-func (t *Tiered) PropagateString(key string, val []byte) error {
-	return t.commit(key, val, false, false, true)
-}
-
-// PropagateEncoded commits a typed collection blob (engine.EncodeCollection
-// output).
-func (t *Tiered) PropagateEncoded(key string, blob []byte) error {
-	return t.commit(key, blob, false, true, true)
-}
-
-// PropagateDelete commits an engine-applied deletion (a collection emptied
-// by its last pop).
-func (t *Tiered) PropagateDelete(key string) error {
-	return t.commit(key, nil, true, false, true)
 }
 
 // decodeStorageValue interprets a raw storage value for a string reader:

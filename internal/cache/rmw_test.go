@@ -1,0 +1,234 @@
+package cache
+
+import (
+	"fmt"
+	"reflect"
+	"strconv"
+	"sync/atomic"
+	"testing"
+
+	"tierbase/internal/engine"
+)
+
+// outcome is what a hand-rolled RMW step tells commit: the value the op
+// left, or a delete, or nothing (the op changed nothing).
+type outcome struct {
+	val            []byte
+	del, enc, skip bool
+}
+
+// handRolled is the sequence every RMW command spelled out for itself
+// before Mutate existed (Warm, Locked, engine op, the Propagate call that
+// fit the outcome), kept as the reference Mutate is compared against.
+func handRolled(t *Tiered, key string, op func() (outcome, error)) error {
+	t.Warm(key)
+	defer t.lockKey(key).Unlock()
+	out, err := op()
+	if err != nil || out.skip {
+		return err
+	}
+	return t.commit(key, out.val, out.del, out.enc, true)
+}
+
+// writeCounter counts the storage tier's write calls.
+type writeCounter struct {
+	Storage
+	writes atomic.Int64
+}
+
+func (w *writeCounter) Put(k string, v []byte) error {
+	w.writes.Add(1)
+	return w.Storage.Put(k, v)
+}
+func (w *writeCounter) Delete(k string) error {
+	w.writes.Add(1)
+	return w.Storage.Delete(k)
+}
+func (w *writeCounter) BatchPut(e map[string][]byte) error {
+	w.writes.Add(1)
+	return w.Storage.BatchPut(e)
+}
+func (w *writeCounter) BatchDelete(k []string) error {
+	w.writes.Add(1)
+	return w.Storage.BatchDelete(k)
+}
+
+// rmwStep is one command in both spellings: what Mutate is told (did the
+// op change the key) and what the hand-rolled sequence committed.
+type rmwStep struct {
+	name, key string
+	op        func(eng *engine.Engine) (changed bool, hand outcome, err error)
+	wantErr   error
+	noWrite   bool // the step must not reach storage or the sink
+}
+
+func collectionOutcome(eng *engine.Engine, key string) outcome {
+	if blob, enc, err := eng.Encode(key); err == nil && enc {
+		return outcome{val: blob, enc: true}
+	}
+	return outcome{del: true}
+}
+
+// rmwScript is the command sequence; tiered adds the steps on keys that
+// live only in the storage tier.
+func rmwScript(tiered bool) []rmwStep {
+	incr := func(key string) rmwStep {
+		return rmwStep{name: "INCR " + key, key: key, op: func(eng *engine.Engine) (bool, outcome, error) {
+			v, err := eng.IncrBy(key, 1)
+			return err == nil, outcome{val: strconv.AppendInt(nil, v, 10)}, err
+		}}
+	}
+	setnx := func(val string, noWrite bool) rmwStep {
+		return rmwStep{name: "SETNX nx " + val, key: "nx", noWrite: noWrite, op: func(eng *engine.Engine) (bool, outcome, error) {
+			created, err := eng.SetNX("nx", []byte(val))
+			return created, outcome{val: []byte(val), skip: !created}, err
+		}}
+	}
+	cas := func(old, new string, wantErr error) rmwStep {
+		return rmwStep{name: "CAS nx " + old + " " + new, key: "nx", wantErr: wantErr, noWrite: wantErr != nil,
+			op: func(eng *engine.Engine) (bool, outcome, error) {
+				err := eng.CompareAndSet("nx", []byte(old), []byte(new))
+				return err == nil, outcome{val: []byte(new)}, err
+			}}
+	}
+	lpop := rmwStep{name: "LPOP l", key: "l", op: func(eng *engine.Engine) (bool, outcome, error) {
+		_, err := eng.LPop("l")
+		return err == nil, collectionOutcome(eng, "l"), err
+	}}
+	sadd := func(noWrite bool) rmwStep {
+		return rmwStep{name: "SADD s m", key: "s", noWrite: noWrite, op: func(eng *engine.Engine) (bool, outcome, error) {
+			n, err := eng.SAdd("s", "m")
+			hand := collectionOutcome(eng, "s")
+			hand.skip = n == 0
+			return n > 0, hand, err
+		}}
+	}
+	steps := []rmwStep{
+		incr("n"), incr("n"),
+		setnx("a", false), setnx("b", true),
+		cas("a", "c", nil), cas("a", "d", engine.ErrCASMismatch),
+		{name: "LPUSH l x y", key: "l", op: func(eng *engine.Engine) (bool, outcome, error) {
+			_, err := eng.LPush("l", []byte("x"), []byte("y"))
+			return err == nil, collectionOutcome(eng, "l"), err
+		}},
+		lpop, lpop, // the second pop empties the list: a delete
+		sadd(false), sadd(true),
+	}
+	if tiered {
+		steps = append(steps,
+			incr("cold"), // the op must compose with the 41 in storage
+			rmwStep{name: "LPOP coldlist", key: "coldlist", op: func(eng *engine.Engine) (bool, outcome, error) {
+				_, err := eng.LPop("coldlist")
+				return err == nil, collectionOutcome(eng, "coldlist"), err
+			}})
+	}
+	return steps
+}
+
+// TestTieredMutateAgainstHandRolled: for each kind of RMW command, Mutate
+// leaves the cache tier, the storage tier and the replication sink as the
+// hand-rolled Warm + Locked + Propagate* sequence did, under every policy:
+// a no-op reaches neither storage nor the sink, a failed op commits
+// nothing, the last pop of a list deletes it through, and an op on a key
+// that lives only in storage composes with it.
+func TestTieredMutateAgainstHandRolled(t *testing.T) {
+	type store struct {
+		tr   *Tiered
+		eng  *engine.Engine
+		stor *MapStorage
+		wc   *writeCounter
+		sink *recordingSink
+	}
+	open := func(t *testing.T, policy Policy) store {
+		s := store{eng: engine.New(engine.Options{}), stor: NewMapStorage(), sink: &recordingSink{}}
+		s.stor.Put("cold", []byte("41"))
+		scratch := engine.New(engine.Options{})
+		scratch.RPush("coldlist", []byte("only"))
+		blob, _, _ := scratch.Encode("coldlist")
+		s.stor.Put("coldlist", blob)
+		s.wc = &writeCounter{Storage: s.stor}
+		opts := Options{Policy: policy, Engine: s.eng}
+		if policy != CacheOnly {
+			opts.Storage = s.wc
+		}
+		tr, err := New(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		tr.SetSink(s.sink)
+		s.tr = tr
+		return s
+	}
+	contents := func(s store) (cache, storage map[string]string) {
+		cache, storage = map[string]string{}, map[string]string{}
+		s.eng.ForEachEncoded(func(k string, v []byte, enc bool) bool {
+			cache[k] = fmt.Sprintf("%v:%q", enc, v)
+			return true
+		})
+		for k, v := range s.stor.m {
+			storage[k] = string(v)
+		}
+		return cache, storage
+	}
+	for _, policy := range []Policy{CacheOnly, WriteThrough, WriteBack} {
+		t.Run(policy.String(), func(t *testing.T) {
+			got, want := open(t, policy), open(t, policy)
+			for _, step := range rmwScript(policy != CacheOnly) {
+				sinkBefore := len(got.sink.snapshot())
+				writesBefore := got.wc.writes.Load()
+				gotErr := got.tr.Mutate(step.key, func() (bool, error) {
+					changed, _, err := step.op(got.eng)
+					return changed, err
+				})
+				wantErr := handRolled(want.tr, step.key, func() (outcome, error) {
+					_, hand, err := step.op(want.eng)
+					return hand, err
+				})
+				if gotErr != wantErr || gotErr != step.wantErr {
+					t.Fatalf("%s: Mutate error %v, hand-rolled %v, want %v", step.name, gotErr, wantErr, step.wantErr)
+				}
+				if !step.noWrite {
+					continue
+				}
+				if n := len(got.sink.snapshot()); n != sinkBefore {
+					t.Errorf("%s changed nothing but reached the sink: %+v", step.name, got.sink.snapshot()[sinkBefore:])
+				}
+				if policy == WriteThrough && got.wc.writes.Load() != writesBefore {
+					t.Errorf("%s changed nothing but wrote to storage", step.name)
+				}
+			}
+			if policy == WriteThrough && got.wc.writes.Load() != want.wc.writes.Load() {
+				t.Errorf("storage writes: Mutate %d, hand-rolled %d", got.wc.writes.Load(), want.wc.writes.Load())
+			}
+			for _, s := range []store{got, want} {
+				if err := s.tr.FlushDirty(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			gotCache, gotStorage := contents(got)
+			wantCache, wantStorage := contents(want)
+			if !reflect.DeepEqual(gotCache, wantCache) {
+				t.Errorf("cache tier:\n Mutate      %v\n hand-rolled %v", gotCache, wantCache)
+			}
+			if !reflect.DeepEqual(gotStorage, wantStorage) {
+				t.Errorf("storage tier:\n Mutate      %v\n hand-rolled %v", gotStorage, wantStorage)
+			}
+			if g, w := got.sink.snapshot(), want.sink.snapshot(); !reflect.DeepEqual(g, w) {
+				t.Errorf("sink:\n Mutate      %+v\n hand-rolled %+v", g, w)
+			}
+			if policy == CacheOnly {
+				return
+			}
+			// Pin the reference to the protocol, not only the two to each other.
+			if gotStorage["cold"] != "42" || gotStorage["n"] != "2" || gotStorage["nx"] != "c" {
+				t.Errorf("storage strings off: %v", gotStorage)
+			}
+			for _, k := range []string{"l", "coldlist"} {
+				if _, ok := gotStorage[k]; ok {
+					t.Errorf("%s emptied by its last pop is still in storage", k)
+				}
+			}
+		})
+	}
+}

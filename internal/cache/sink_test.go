@@ -93,18 +93,19 @@ func TestSinkSeesAllMutationKinds(t *testing.T) {
 			if err := ts.Set("a", []byte("1")); err != nil {
 				t.Fatal(err)
 			}
-			if err := ts.PropagateString("b", []byte("2")); err != nil {
-				t.Fatal(err)
+			eng := ts.opts.Engine
+			mutate := func(key string, op func() error) {
+				t.Helper()
+				if err := ts.Mutate(key, func() (bool, error) { return true, op() }); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := ts.PropagateEncoded("c", []byte{0xFF, 1, 1, 1, 'x'}); err != nil {
-				t.Fatal(err)
-			}
+			mutate("b", func() error { return eng.Set("b", []byte("2")) })
+			mutate("c", func() error { _, err := eng.RPush("c", []byte("x")); return err })
 			if err := ts.Delete("a"); err != nil {
 				t.Fatal(err)
 			}
-			if err := ts.PropagateDelete("b"); err != nil {
-				t.Fatal(err)
-			}
+			mutate("b", func() error { eng.Del("b"); return nil })
 			if err := ts.BatchPut(map[string][]byte{"d": []byte("4")}); err != nil {
 				t.Fatal(err)
 			}
@@ -115,7 +116,7 @@ func TestSinkSeesAllMutationKinds(t *testing.T) {
 			want := []sinkOp{
 				{key: "a", val: []byte("1")},
 				{key: "b", val: []byte("2")},
-				{key: "c", val: []byte{0xFF, 1, 1, 1, 'x'}, encoded: true},
+				{key: "c", val: []byte{0xFF, byte(engine.KindList), 1, 1, 'x'}, encoded: true},
 				{key: "a", del: true},
 				{key: "b", del: true},
 				{key: "d", val: []byte("4")},
@@ -243,13 +244,11 @@ func TestSinkOrderMatchesEngineOrder(t *testing.T) {
 					}
 				}
 			}()
-			go func() { // RMW: engine op + propagate under Locked
+			go func() { // RMW: an in-place engine op through Mutate
 				defer wg.Done()
 				for i := 0; i < rounds; i++ {
-					err := ts.Locked(key, func() error {
-						val := []byte("rmw-" + strconv.Itoa(i))
-						eng.Set(key, val)
-						return ts.PropagateString(key, val)
+					err := ts.Mutate(key, func() (bool, error) {
+						return true, eng.Set(key, []byte("rmw-"+strconv.Itoa(i)))
 					})
 					if err != nil {
 						t.Error(err)

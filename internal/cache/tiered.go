@@ -535,8 +535,8 @@ func (t *Tiered) lockKeys(keys []string) (unlock func()) {
 // write-back: into the dirty set; cache-only: nowhere), to the cache tier,
 // and — once that succeeded — to the replication sink. del deletes; enc
 // marks val as a typed collection blob; pre marks an outcome the engine
-// already holds (an in-place op, see rmw.go), which is then not applied to
-// it a second time.
+// already holds (Mutate, rmw.go), which is then not applied to it a second
+// time.
 //
 // The caller holds key's RMW stripe lock, so for any one key the engine,
 // the storage write path and the sink all see writes in the same order.
@@ -602,7 +602,7 @@ func (t *Tiered) commitBatch(keys []string, entries map[string][]byte) error {
 // Set stores key=val according to the configured policy.
 //
 // Set holds the key's RMW stripe lock for the whole write (like
-// INCR/SETNX/CAS do via Locked), so a SET racing an RMW op on the same
+// INCR/SETNX/CAS do via Mutate), so a SET racing an RMW op on the same
 // key reaches the engine, the storage write path and the replication
 // sink in one consistent order; replication correctness depends on
 // per-key sink order matching engine order.
@@ -670,13 +670,15 @@ func (t *Tiered) readForUpdate(key string) (old []byte, exists bool, err error) 
 
 // ExpireAt sets key's TTL as an absolute UnixNano deadline, under the
 // key's RMW stripe lock so the TTL change orders against writes and the
-// replication sink. Reports whether the key existed. The deadline is
-// absolute on the wire too (OpExpire): replicas applying the op late
-// still expire the key at the same instant the master did.
+// replication sink. A key that lives only in the storage tier is warmed
+// first (TTLs are cache-tier state). Reports whether the key existed. The
+// deadline is absolute on the wire too (OpExpire): replicas applying the
+// op late still expire the key at the same instant the master did.
 func (t *Tiered) ExpireAt(key string, at int64) bool {
 	if t.closed.Load() {
 		return false
 	}
+	t.Warm(key)
 	defer t.lockKey(key).Unlock()
 	if !t.eng.ExpireAt(key, at) {
 		return false
@@ -687,12 +689,13 @@ func (t *Tiered) ExpireAt(key string, at int64) bool {
 	return true
 }
 
-// Persist clears key's TTL under its RMW stripe lock; reports whether
-// the key existed.
+// Persist clears key's TTL under its RMW stripe lock, warming the key
+// like ExpireAt; reports whether the key existed.
 func (t *Tiered) Persist(key string) bool {
 	if t.closed.Load() {
 		return false
 	}
+	t.Warm(key)
 	defer t.lockKey(key).Unlock()
 	if !t.eng.Persist(key) {
 		return false

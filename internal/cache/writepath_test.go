@@ -459,10 +459,10 @@ func TestWTHeldStripeNeverBlocksAnother(t *testing.T) {
 	release := make(chan struct{})
 	held := make(chan struct{})
 	go func() {
-		_ = tr.Locked(hotA, func() error {
+		_ = tr.Mutate(hotA, func() (bool, error) {
 			close(held)
 			<-release
-			return nil
+			return false, nil
 		})
 	}()
 	<-held

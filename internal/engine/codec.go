@@ -74,18 +74,32 @@ func appendLenString(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// EncodeCollection snapshots the collection at key into a typed blob.
-// ok is false when the key is absent, expired, or holds a string (strings
-// travel to storage as themselves, not as blobs).
-func (e *Engine) EncodeCollection(key string) (blob []byte, ok bool) {
+// Encode snapshots key's current state in the form it travels to the
+// storage tier and to replicas: a string's value (encoded false) or a
+// collection's typed blob (encoded true). ErrNotFound when the key is
+// absent or expired. It is a write path's read-back, not a client read:
+// no hit is counted and the key's recency is left alone.
+func (e *Engine) Encode(key string) (val []byte, encoded bool, err error) {
 	kh, s := e.locate(key)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	en, live := e.live(s, kh, key)
-	if !live || en.it == nil {
-		return nil, false
+	if !live {
+		return nil, false, ErrNotFound
 	}
-	return encodeCollectionLocked(en.it)
+	if en.rec == nil {
+		blob, ok := encodeCollectionLocked(en.it)
+		if !ok {
+			return nil, false, ErrBadEncoding
+		}
+		return blob, true, nil
+	}
+	f := en.rec.parse()
+	data, _, err := e.take(f.stored, nil)
+	if err == nil {
+		val, err = e.finish(f.flags, data)
+	}
+	return val, false, err
 }
 
 // encodeCollectionLocked builds the typed blob for a non-string item.
@@ -134,7 +148,7 @@ func readLenBytes(p []byte) ([]byte, []byte, error) {
 	return p[:l], p[l:], nil
 }
 
-// LoadEncoded decodes a typed blob (produced by EncodeCollection) and
+// LoadEncoded decodes a typed blob (produced by Encode) and
 // installs it at key, replacing any existing entry. The installed item
 // has no TTL: TTL state is cache-tier-only and does not survive the trip
 // through storage. All element bytes are copied out of blob.

@@ -990,7 +990,7 @@ func (e *Engine) Len() int {
 type SnapEntry struct {
 	Key     string
 	Val     []byte
-	Encoded bool // Val is a typed collection blob (EncodeCollection format)
+	Encoded bool // Val is a typed collection blob (Encode format)
 }
 
 // ForEachString visits every live string key (decoded). The callback must
@@ -1010,7 +1010,7 @@ func (e *Engine) ForEachString(fn func(key string, val []byte) bool) error {
 
 // ForEachEncoded visits every live key of every kind: strings yield
 // their value with encoded=false, collections yield a typed blob
-// (EncodeCollection format) with encoded=true.
+// (Encode format) with encoded=true.
 func (e *Engine) ForEachEncoded(fn func(key string, val []byte, encoded bool) bool) error {
 	return e.walk(0, true, func(chunk []SnapEntry) bool {
 		for _, p := range chunk {

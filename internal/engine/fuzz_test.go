@@ -17,7 +17,7 @@ func FuzzLoadEncoded(f *testing.F) {
 	seed.HSet("hash", "f", []byte("v"))
 	seed.HSet("hash", "g", nil)
 	for _, k := range []string{"list", "set", "zset", "hash"} {
-		blob, _ := seed.EncodeCollection(k)
+		blob, _, _ := seed.Encode(k)
 		f.Add(blob)
 		f.Add(blob[:len(blob)-1]) // truncated
 	}
@@ -33,8 +33,8 @@ func FuzzLoadEncoded(f *testing.F) {
 			}
 			return
 		}
-		again, ok := e.EncodeCollection("k")
-		if !ok {
+		again, enc, err := e.Encode("k")
+		if err != nil || !enc {
 			t.Fatal("loaded collection does not encode")
 		}
 		e2 := New(Options{Shards: 1})

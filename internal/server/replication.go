@@ -213,43 +213,18 @@ func (r *serverRepl) ReplicateFlushAll() {
 
 // --- role-aware dispatch ---
 
-// isWriteCommand reports commands that mutate state — rejected on
-// replicas and gated by the semi-sync wait on masters.
-func isWriteCommand(cmd string) bool {
-	switch cmd {
-	case "SET", "MSET", "DEL", "UNLINK", "SETNX", "INCR", "DECR",
-		"INCRBY", "DECRBY", "CAS", "EXPIRE", "PERSIST", "FLUSHALL",
-		"LPUSH", "RPUSH", "LPOP", "RPOP", "SADD", "SREM",
-		"ZADD", "ZREM", "HSET", "HDEL":
-		return true
-	}
-	return false
-}
-
-// intercept gives the replication layer first crack at a command.
-// Returns true when the command was fully handled (reply appended or
-// connection hijacked); false falls through to plain dispatch.
-func (r *serverRepl) intercept(c *conn, cmd string, args [][]byte) bool {
-	switch cmd {
-	case "REPLICAOF":
-		r.cmdReplicaof(c, args)
-		return true
-	case "SYNC":
-		r.cmdSync(c, args)
-		return true
-	case "CLUSTER":
-		r.cmdCluster(c, args)
-		return true
-	}
-	if !isWriteCommand(cmd) {
-		return false
-	}
+// gateWrite is the replication layer's say over a write command, after the
+// overload gate and before it executes. On a replica the write is refused
+// with -MOVED; on a semi-sync master it executes here and its reply waits
+// for the acks. Returns true when the command was fully handled; false
+// lets dispatch execute it.
+func (r *serverRepl) gateWrite(c *conn, cmd *command, args [][]byte) bool {
 	if r.isReplica() {
 		// Role-aware rejection: point the client at the master. The slot
 		// comes from the first key so routed clients can cross-check; the
 		// address is what matters for following the redirect.
 		slot := 0
-		if len(args) > 1 {
+		if cmd.keys != keysNone {
 			slot = cluster.SlotFor(string(args[1]))
 		}
 		c.out = appendRawError(c.out, fmt.Sprintf("MOVED %d %s", slot, r.currentMasterAddr()))
@@ -267,9 +242,9 @@ func (r *serverRepl) intercept(c *conn, cmd string, args [][]byte) bool {
 // reply is replaced with -NOREPLICAS: the write is applied locally but
 // the client must treat it as unacknowledged (it may or may not survive
 // a failover).
-func (r *serverRepl) semiSync(c *conn, cmd string, args [][]byte) {
+func (r *serverRepl) semiSync(c *conn, cmd *command, args [][]byte) {
 	mark := len(c.out)
-	r.s.dispatchCmd(c, cmd, args)
+	r.s.route(c, cmd, args)
 	if len(c.out) > mark && c.out[mark] == '-' {
 		return // the write itself failed; nothing to wait for
 	}
@@ -287,10 +262,6 @@ func (r *serverRepl) semiSync(c *conn, cmd string, args [][]byte) {
 // cmdReplicaof serves REPLICAOF host port | NO ONE — the coordinator's
 // promotion/re-point push, also available to operators.
 func (r *serverRepl) cmdReplicaof(c *conn, args [][]byte) {
-	if len(args) != 3 {
-		c.out = appendError(c.out, "wrong number of arguments for 'replicaof'")
-		return
-	}
 	host, port := string(args[1]), string(args[2])
 	if strings.EqualFold(host, "no") && strings.EqualFold(port, "one") {
 		r.promote()
@@ -353,10 +324,6 @@ func (r *serverRepl) follow(addr string) {
 // cmdCluster serves the data-node CLUSTER subcommands (identity and
 // routing introspection; the table itself lives on the coordinator).
 func (r *serverRepl) cmdCluster(c *conn, args [][]byte) {
-	if len(args) < 2 {
-		c.out = appendError(c.out, "wrong number of arguments for 'cluster'")
-		return
-	}
 	sub := strings.ToUpper(string(args[1]))
 	switch sub {
 	case "MYID":
@@ -422,10 +389,6 @@ func (r *serverRepl) removeSession(sess *replSession) {
 // serveReplica (below) runs on the connection goroutine and owns the
 // socket until the replica detaches.
 func (r *serverRepl) cmdSync(c *conn, args [][]byte) {
-	if len(args) != 3 {
-		c.out = appendError(c.out, "wrong number of arguments for 'sync'")
-		return
-	}
 	if r.isReplica() {
 		c.out = appendError(c.out, "cannot SYNC from a replica")
 		return
@@ -856,13 +819,9 @@ func (r *serverRepl) applyOp(op replication.Op) {
 			r.applyErrors.Add(1)
 			return
 		}
-		tr := r.s.shardFor([]byte(op.Key)).tiered
-		tr.Warm(op.Key)
-		tr.ExpireAt(op.Key, at)
+		r.s.shardFor([]byte(op.Key)).tiered.ExpireAt(op.Key, at)
 	case replication.OpPersist:
-		tr := r.s.shardFor([]byte(op.Key)).tiered
-		tr.Warm(op.Key)
-		tr.Persist(op.Key)
+		r.s.shardFor([]byte(op.Key)).tiered.Persist(op.Key)
 	case replication.OpFlushAll:
 		r.flushAll()
 	}
@@ -882,11 +841,9 @@ func (r *serverRepl) applyEntry(key string, val []byte, encoded bool) {
 	sh := r.s.shardFor([]byte(key))
 	var err error
 	if encoded {
-		err = sh.tiered.Locked(key, func() error {
-			if err := sh.eng.LoadEncoded(key, val); err != nil {
-				return err
-			}
-			return sh.tiered.PropagateEncoded(key, val)
+		err = sh.tiered.Mutate(key, func() (bool, error) {
+			err := sh.eng.LoadEncoded(key, val)
+			return err == nil, err
 		})
 	} else {
 		err = sh.tiered.Set(key, val)

@@ -231,118 +231,3 @@ func appendArrayLen(out []byte, n int) []byte {
 	out = strconv.AppendInt(out, int64(n), 10)
 	return append(out, '\r', '\n')
 }
-
-// canonicalCommand maps a client's command token to its canonical
-// uppercase name without allocating: the token uppercases into scratch
-// and each switch comparison is an alloc-free equality check against a
-// constant; the returned string is that constant, not a conversion.
-// Unknown (or overlong) tokens return "".
-func canonicalCommand(tok []byte, scratch *[16]byte) string {
-	if len(tok) > len(scratch) {
-		return ""
-	}
-	b := scratch[:len(tok)]
-	for i, ch := range tok {
-		if 'a' <= ch && ch <= 'z' {
-			ch -= 'a' - 'A'
-		}
-		b[i] = ch
-	}
-	switch string(b) {
-	case "GET":
-		return "GET"
-	case "SET":
-		return "SET"
-	case "MGET":
-		return "MGET"
-	case "MSET":
-		return "MSET"
-	case "DEL":
-		return "DEL"
-	case "UNLINK":
-		return "UNLINK"
-	case "PING":
-		return "PING"
-	case "ECHO":
-		return "ECHO"
-	case "DBSIZE":
-		return "DBSIZE"
-	case "FLUSHALL":
-		return "FLUSHALL"
-	case "INFO":
-		return "INFO"
-	case "EXISTS":
-		return "EXISTS"
-	case "TYPE":
-		return "TYPE"
-	case "SETNX":
-		return "SETNX"
-	case "INCR":
-		return "INCR"
-	case "DECR":
-		return "DECR"
-	case "INCRBY":
-		return "INCRBY"
-	case "DECRBY":
-		return "DECRBY"
-	case "CAS":
-		return "CAS"
-	case "EXPIRE":
-		return "EXPIRE"
-	case "TTL":
-		return "TTL"
-	case "PERSIST":
-		return "PERSIST"
-	case "LPUSH":
-		return "LPUSH"
-	case "RPUSH":
-		return "RPUSH"
-	case "LPOP":
-		return "LPOP"
-	case "RPOP":
-		return "RPOP"
-	case "LLEN":
-		return "LLEN"
-	case "LRANGE":
-		return "LRANGE"
-	case "SADD":
-		return "SADD"
-	case "SREM":
-		return "SREM"
-	case "SISMEMBER":
-		return "SISMEMBER"
-	case "SCARD":
-		return "SCARD"
-	case "SMEMBERS":
-		return "SMEMBERS"
-	case "ZADD":
-		return "ZADD"
-	case "ZSCORE":
-		return "ZSCORE"
-	case "ZREM":
-		return "ZREM"
-	case "ZCARD":
-		return "ZCARD"
-	case "ZRANGE":
-		return "ZRANGE"
-	case "HSET":
-		return "HSET"
-	case "HGET":
-		return "HGET"
-	case "HDEL":
-		return "HDEL"
-	case "HLEN":
-		return "HLEN"
-	case "HGETALL":
-		return "HGETALL"
-	case "SYNC":
-		return "SYNC"
-	case "REPLICAOF":
-		return "REPLICAOF"
-	case "SLAVEOF":
-		return "REPLICAOF"
-	case "CLUSTER":
-		return "CLUSTER"
-	}
-	return ""
-}

@@ -41,7 +41,6 @@ package tierbase
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"time"
 
 	"tierbase/internal/cache"
@@ -210,22 +209,24 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Set stores key = val.
-func (s *Store) Set(key string, val []byte) error {
+// do runs fn on the store's worker pool and returns its error, or the
+// pool's when it has stopped.
+func (s *Store) do(fn func() error) error {
 	var err error
-	if perr := s.pool.SubmitWait(func() { err = s.tiered.Set(key, val) }); perr != nil {
+	if perr := s.pool.SubmitWait(func() { err = fn() }); perr != nil {
 		return perr
 	}
 	return err
 }
 
+// Set stores key = val.
+func (s *Store) Set(key string, val []byte) error {
+	return s.do(func() error { return s.tiered.Set(key, val) })
+}
+
 // Get fetches key; ErrNotFound when absent from both tiers.
-func (s *Store) Get(key string) ([]byte, error) {
-	var v []byte
-	var err error
-	if perr := s.pool.SubmitWait(func() { v, err = s.tiered.Get(key) }); perr != nil {
-		return nil, perr
-	}
+func (s *Store) Get(key string) (v []byte, err error) {
+	err = s.do(func() (err error) { v, err = s.tiered.Get(key); return })
 	if err == cache.ErrNotFound || err == engine.ErrNotFound {
 		return nil, ErrNotFound
 	}
@@ -234,22 +235,14 @@ func (s *Store) Get(key string) ([]byte, error) {
 
 // Delete removes key from both tiers.
 func (s *Store) Delete(key string) error {
-	var err error
-	if perr := s.pool.SubmitWait(func() { err = s.tiered.Delete(key) }); perr != nil {
-		return perr
-	}
-	return err
+	return s.do(func() error { return s.tiered.Delete(key) })
 }
 
 // MGet fetches many keys at once: one striped pass over the cache tier
 // plus, in tiered modes, a single storage round trip for the misses.
 // Absent keys map to nil in the result.
-func (s *Store) MGet(keys ...string) (map[string][]byte, error) {
-	var out map[string][]byte
-	var err error
-	if perr := s.pool.SubmitWait(func() { out, err = s.tiered.BatchGet(keys) }); perr != nil {
-		return nil, perr
-	}
+func (s *Store) MGet(keys ...string) (out map[string][]byte, err error) {
+	err = s.do(func() (err error) { out, err = s.tiered.BatchGet(keys); return })
 	return out, err
 }
 
@@ -257,57 +250,31 @@ func (s *Store) MGet(keys ...string) (map[string][]byte, error) {
 // over the cache tier plus, in tiered modes, a single storage round trip
 // (write-through) or one dirty-batch admission (write-back).
 func (s *Store) MSet(entries map[string][]byte) error {
-	var err error
-	if perr := s.pool.SubmitWait(func() { err = s.tiered.BatchPut(entries) }); perr != nil {
-		return perr
-	}
-	return err
+	return s.do(func() error { return s.tiered.BatchPut(entries) })
 }
 
 // BatchDelete removes many keys at once through every tier, returning how
 // many existed (in cache, unflushed dirty state, or storage). Duplicate
 // keys count at most once.
-func (s *Store) BatchDelete(keys ...string) (int, error) {
-	var n int
-	var err error
-	if perr := s.pool.SubmitWait(func() { n, err = s.tiered.BatchDelete(keys) }); perr != nil {
-		return 0, perr
-	}
+func (s *Store) BatchDelete(keys ...string) (n int, err error) {
+	err = s.do(func() (err error) { n, err = s.tiered.BatchDelete(keys); return })
 	return n, err
 }
 
 // Update applies a read-modify-write; fn receives the current value (or
 // exists=false) and returns the replacement (nil = delete).
 func (s *Store) Update(key string, fn func(old []byte, exists bool) []byte) error {
-	var err error
-	if perr := s.pool.SubmitWait(func() { err = s.tiered.Update(key, fn) }); perr != nil {
-		return perr
-	}
-	return err
-}
-
-// rmw runs an in-place engine op and the propagation of its outcome the
-// way the server does (cache/rmw.go): warm the key from the storage tier,
-// then run op under the key's RMW stripe lock.
-func (s *Store) rmw(key string, op func() error) error {
-	var err error
-	if perr := s.pool.SubmitWait(func() {
-		s.tiered.Warm(key)
-		err = s.tiered.Locked(key, op)
-	}); perr != nil {
-		return perr
-	}
-	return err
+	return s.do(func() error { return s.tiered.Update(key, fn) })
 }
 
 // CompareAndSet swaps key's value only if it currently equals oldVal
 // (nil oldVal = "absent"). Returns ErrCASMismatch on conflict.
 func (s *Store) CompareAndSet(key string, oldVal, newVal []byte) error {
-	err := s.rmw(key, func() error {
-		if err := s.eng.CompareAndSet(key, oldVal, newVal); err != nil {
-			return err
-		}
-		return s.tiered.PropagateString(key, newVal)
+	err := s.do(func() error {
+		return s.tiered.Mutate(key, func() (bool, error) {
+			err := s.eng.CompareAndSet(key, oldVal, newVal)
+			return err == nil, err
+		})
 	})
 	if err == engine.ErrCASMismatch {
 		return ErrCASMismatch
@@ -316,25 +283,20 @@ func (s *Store) CompareAndSet(key string, oldVal, newVal []byte) error {
 }
 
 // IncrBy adds delta to an integer value.
-func (s *Store) IncrBy(key string, delta int64) (int64, error) {
-	var v int64
-	err := s.rmw(key, func() error {
-		var err error
-		if v, err = s.eng.IncrBy(key, delta); err != nil {
-			return err
-		}
-		return s.tiered.PropagateString(key, strconv.AppendInt(nil, v, 10))
+func (s *Store) IncrBy(key string, delta int64) (v int64, err error) {
+	err = s.do(func() error {
+		return s.tiered.Mutate(key, func() (bool, error) {
+			var err error
+			v, err = s.eng.IncrBy(key, delta)
+			return err == nil, err
+		})
 	})
 	return v, err
 }
 
 // Expire sets a TTL on key.
-func (s *Store) Expire(key string, d time.Duration) bool {
-	var ok bool
-	s.pool.SubmitWait(func() {
-		s.tiered.Warm(key)
-		ok = s.tiered.ExpireAt(key, time.Now().Add(d).UnixNano())
-	})
+func (s *Store) Expire(key string, d time.Duration) (ok bool) {
+	s.do(func() error { ok = s.tiered.ExpireAt(key, time.Now().Add(d).UnixNano()); return nil })
 	return ok
 }
 
