@@ -13,7 +13,7 @@ import (
 // for lowering PC_miss — with singleflight dedup against concurrent
 // fetches of the same keys. Writes take the RMW locks of the stripes they
 // touch and go through commitBatch (tiered.go): one storage round trip
-// (write-through) or one striped dirty-set pass (write-back).
+// (write-through) or one admission to the dirty set (write-back).
 
 // dedupeKeys drops duplicate keys while preserving first-occurrence
 // order; a duplicate-free input is returned as-is.
@@ -70,24 +70,17 @@ func (t *Tiered) BatchGet(keys []string) (map[string][]byte, error) {
 	}
 
 	// 2. Write-back dirty state shadows storage (unflushed values and
-	// delete tombstones must win over what storage still holds). One
-	// dirty-stripe lock per touched stripe.
+	// delete tombstones must win over what storage still holds).
 	if t.opts.Policy == WriteBack {
-		live := make([]string, 0, len(missing))
-		t.eng.GroupKeysByShard(missing, func(si int, group []string) {
-			ds := t.dirtyStripes[si]
-			ds.mu.Lock()
-			for _, k := range group {
-				if e, ok := ds.entries[k]; ok {
-					if e.val != nil && !e.enc {
-						out[k] = copyBytes(e.val)
-					}
-					continue // tombstone or collection blob: stays nil
-				}
+		live := missing[:0]
+		for _, k := range missing {
+			e, ok := t.dirty.lookup(k)
+			if !ok {
 				live = append(live, k)
-			}
-			ds.mu.Unlock()
-		})
+			} else if e.val != nil && !e.enc {
+				out[k] = copyBytes(e.val)
+			} // else a tombstone or collection blob: stays nil
+		}
 		missing = live
 		if len(missing) == 0 {
 			return out, nil
@@ -156,70 +149,6 @@ func (t *Tiered) BatchPut(entries map[string][]byte) error {
 	return t.commitBatch(keys, entries)
 }
 
-// wbBatchMark records a batch as dirty, one stripe lock (and one
-// backpressure check) per touched stripe. A stripe group is admitted as a
-// unit once its stripe has room, so a batch overshoots a stripe's budget
-// by at most the group size — the striped analog of the old single-lock
-// admission, without cross-stripe blocking.
-//
-// Admission is all-or-nothing against Close: if the store closes before
-// the first stripe admits, the whole call fails with ErrClosed and no
-// entry lands. If Close lands MID-batch (a backpressured stripe wait
-// woke into a closed store), the remaining stripes admit without waiting
-// — a partial batch must not be acked as failed — and the caller then
-// flushes the dirty set itself (wbAdmissionOutcome), because Close's final
-// flush may already have collected; only a successful flush acks.
-func (t *Tiered) wbBatchMark(keys []string, entries map[string][]byte) error {
-	if t.closed.Load() {
-		return ErrClosed
-	}
-	admitted, closedMidway := false, false
-	t.eng.GroupKeysByShard(keys, func(si int, group []string) {
-		if closedMidway && !admitted {
-			return // closed before anything landed: clean abort
-		}
-		ds := t.dirtyStripes[si]
-		ds.mu.Lock()
-		if t.waitStripeRoomLocked(ds) {
-			closedMidway = true
-			if !admitted {
-				ds.mu.Unlock()
-				return
-			}
-		}
-		for _, k := range group {
-			v := entries[k]
-			var stored []byte
-			if v != nil {
-				stored = copyBytes(v)
-			}
-			if v != nil && stored == nil {
-				stored = []byte{} // empty value, not a tombstone
-			}
-			t.setDirtyLocked(ds, k, stored, false)
-		}
-		admitted = true
-		ds.mu.Unlock()
-	})
-	return t.wbAdmissionOutcome(admitted, closedMidway)
-}
-
-// wbAdmissionOutcome resolves a write-back batch admission against a
-// racing Close. Nothing admitted + closed = clean ErrClosed. Admitted +
-// closed = the flusher is gone and Close's final flush may have already
-// collected, so flush synchronously and ack only on success.
-func (t *Tiered) wbAdmissionOutcome(admitted, closedMidway bool) error {
-	if !closedMidway {
-		return nil
-	}
-	if !admitted {
-		return ErrClosed
-	}
-	// Surface a storage failure as itself: "cache: closed" would hide the
-	// reason the flush (and therefore the ack) failed.
-	return t.flushDirty(0)
-}
-
 // BatchDelete removes keys through every tier in one pass, returning how
 // many existed — the RESP DEL reply. A key counts when it was live in the
 // cache tier, held as an unflushed dirty value, or (for keys the cache no
@@ -254,22 +183,16 @@ func (t *Tiered) BatchDelete(keys []string) (int, error) {
 			unknown = append(unknown, uniq[i])
 		}
 	}
-	if t.opts.Policy == WriteBack && len(unknown) > 0 {
-		live := make([]string, 0, len(unknown))
-		t.eng.GroupKeysByShard(unknown, func(si int, group []string) {
-			ds := t.dirtyStripes[si]
-			ds.mu.Lock()
-			for _, k := range group {
-				if e, ok := ds.entries[k]; ok {
-					if e.val != nil {
-						n++ // unflushed dirty value: the key existed
-					}
-					continue // tombstone: already deleted, nothing to count
-				}
+	if t.opts.Policy == WriteBack {
+		live := unknown[:0]
+		for _, k := range unknown {
+			e, ok := t.dirty.lookup(k)
+			if !ok {
 				live = append(live, k)
-			}
-			ds.mu.Unlock()
-		})
+			} else if e.val != nil {
+				n++ // unflushed dirty value: the key existed
+			} // else a tombstone: already deleted, nothing to count
+		}
 		unknown = live
 	}
 	if t.opts.Policy != CacheOnly && len(unknown) > 0 {

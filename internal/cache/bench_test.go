@@ -183,8 +183,8 @@ func BenchmarkWTSetHotSpreadMix(b *testing.B) {
 }
 
 // BenchmarkWBSetFlushThroughput measures sustained write-back writes with
-// the background flusher draining: dirty admission (striped, per-stripe
-// backpressure) plus flush rounds, the full async write pipeline.
+// the background flusher draining: admission to the dirty set (one lock,
+// one budget) plus flush rounds, the full async write pipeline.
 func BenchmarkWBSetFlushThroughput(b *testing.B) {
 	stor := NewMapStorage()
 	tr, err := New(Options{
@@ -213,17 +213,16 @@ func BenchmarkWBSetFlushThroughput(b *testing.B) {
 
 // BenchmarkWBBackpressureSaturated measures write-back writes with the
 // dirty set pinned at its budget: every write waits for a flush to free
-// its slot. This is the thundering-herd benchmark — the old single
-// dirtyCond broadcast-woke EVERY blocked writer on every flush round
-// (O(waiters) spurious wakeups per freed slot); per-stripe conds wake
-// only the stripe that drained.
+// its slot. A flush round wakes every blocked writer, and those who find
+// the set full again wait on; the writers are the benchmark's goroutines
+// (in a server, a shard's workers).
 func BenchmarkWBBackpressureSaturated(b *testing.B) {
 	stor := NewMapStorage()
 	tr, err := New(Options{
 		Policy:        WriteBack,
 		Engine:        engine.New(engine.Options{}),
 		Storage:       stor,
-		MaxDirty:      64, // 4-slot stripe budgets: writers block routinely
+		MaxDirty:      64, // two flush batches: writers block routinely
 		FlushBatch:    32,
 		FlushInterval: time.Millisecond,
 	})

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -247,10 +248,9 @@ func TestExpirySweepPurgesStorage(t *testing.T) {
 	st := NewMapStorage()
 	eng := engine.New(engine.Options{Clock: func() time.Time { return time.Unix(0, nowNs.Load()) }})
 	ts, err := New(Options{
-		Policy:              WriteThrough,
-		Engine:              eng,
-		Storage:             st,
-		ExpirySweepInterval: 10 * time.Millisecond,
+		Policy:  WriteThrough,
+		Engine:  eng,
+		Storage: st,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -317,5 +317,35 @@ func TestFlushAllCacheOnly(t *testing.T) {
 	ops := sink.snapshot()
 	if len(ops) == 0 || !ops[len(ops)-1].flushAll {
 		t.Fatalf("sink's last op is not flushAll: %+v", ops)
+	}
+}
+
+// TestExpirySweepReapsCacheOnly: under cache-only too, TTL'd keys that nobody
+// reads again give their memory back once they lapse.
+func TestExpirySweepReapsCacheOnly(t *testing.T) {
+	nowNs := atomic.Int64{}
+	nowNs.Store(time.Unix(100, 0).UnixNano())
+	eng := engine.New(engine.Options{Clock: func() time.Time { return time.Unix(0, nowNs.Load()) }})
+	ts, err := New(Options{Policy: CacheOnly, Engine: eng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts.Close()
+	startLen, startMem := eng.Len(), eng.MemUsed()
+	for i := 0; i < 1000; i++ {
+		k := fmt.Sprintf("session:%04d", i)
+		if err := ts.Set(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		ts.ExpireAt(k, time.Unix(101, 0).UnixNano())
+	}
+	nowNs.Store(time.Unix(200, 0).UnixNano())
+	deadline := time.Now().Add(2 * time.Second)
+	for eng.Len() != startLen || eng.MemUsed() != startMem {
+		if time.Now().After(deadline) {
+			t.Fatalf("2 s past the deadline: %d keys, %d B resident; started at %d, %d",
+				eng.Len(), eng.MemUsed(), startLen, startMem)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

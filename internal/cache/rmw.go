@@ -18,7 +18,10 @@ import (
 //     with a value that was evicted or predates a restart.
 //  2. op runs under key's RMW stripe lock. Without the lock two INCRs could
 //     commit their results out of engine order and the storage tier would
-//     converge on the older value.
+//     converge on the older value. From here to the commit the key is pinned
+//     against capacity eviction (Tiered.pinned): a reader's miss-fill may
+//     run the eviction hand onto this stripe at any moment, and a key evicted
+//     between op and step 3 would be committed as a delete.
 //  3. If op reports a change, the key's current engine state — a string, a
 //     collection as a typed blob, or its absence (a collection emptied by
 //     its last pop) — takes the route a Set or Delete takes (commit, in
@@ -30,7 +33,11 @@ import (
 // does not report, commits nothing.
 func (t *Tiered) Mutate(key string, op func() (changed bool, err error)) error {
 	t.Warm(key)
-	defer t.lockKey(key).Unlock()
+	si := t.eng.ShardIndex(key)
+	t.rmw[si].Lock()
+	defer t.rmw[si].Unlock()
+	t.mutating[si].Store(&key)
+	defer t.mutating[si].Store(nil)
 	changed, err := op()
 	if err != nil || !changed {
 		return err

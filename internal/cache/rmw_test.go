@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"tierbase/internal/engine"
 )
@@ -230,5 +231,97 @@ func TestTieredMutateAgainstHandRolled(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMutateKeyPinnedAgainstEviction: Mutate reads the key back from the
+// engine after op, so the key must stay resident from op to the commit
+// whatever the eviction hand does meanwhile. Here a reader on other stripes
+// fills a 2 KB cache two hundred times over between the INCR and the
+// read-back; an evicted counter would be committed to storage as a delete.
+func TestMutateKeyPinnedAgainstEviction(t *testing.T) {
+	stor := NewMapStorage()
+	eng := engine.New(engine.Options{Shards: 4})
+	tr, err := New(Options{Policy: WriteThrough, Engine: eng, Storage: stor, CacheCapacityBytes: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	var cold []string
+	for i := 0; len(cold) < 200; i++ {
+		// Other stripes only: a miss must not need ctr's RMW lock, held below.
+		if k := fmt.Sprintf("cold:%04d", i); eng.ShardIndex(k) != eng.ShardIndex("ctr") {
+			cold = append(cold, k)
+			if err := stor.Put(k, make([]byte, 64)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := tr.Set("ctr", []byte("41")); err != nil {
+		t.Fatal(err)
+	}
+	err = tr.Mutate("ctr", func() (bool, error) {
+		if _, err := eng.IncrBy("ctr", 1); err != nil {
+			return false, err
+		}
+		reads := make(chan error, 1)
+		go func() {
+			for _, k := range cold {
+				if _, err := tr.Get(k); err != nil {
+					reads <- fmt.Errorf("%s: %w", k, err)
+					return
+				}
+			}
+			reads <- nil
+		}()
+		return true, <-reads
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr.Stats().Evictions == 0 {
+		t.Fatal("the reads evicted nothing: the test exercised no eviction")
+	}
+	sv, ok, err := stor.Get("ctr")
+	if err != nil || !ok {
+		t.Fatalf("storage lost the counter: present %v, err %v", ok, err)
+	}
+	if got, _ := decodeStorageValue(sv); string(got) != "42" {
+		t.Fatalf("storage holds %q, want 42", got)
+	}
+	if v, err := tr.Get("ctr"); err != nil || string(v) != "42" {
+		t.Fatalf("Get ctr: %q, %v; want 42", v, err)
+	}
+}
+
+// TestMissTakesNoRMWLock: a read that misses goes to storage without its
+// key's RMW stripe lock, so it does not queue behind a write on the stripe.
+func TestMissTakesNoRMWLock(t *testing.T) {
+	stor := NewMapStorage()
+	eng := engine.New(engine.Options{})
+	tr, err := New(Options{Policy: WriteThrough, Engine: eng, Storage: stor})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	cold := sameStripeKeys(t, eng, "held", 1)[0]
+	if err := stor.Put(cold, []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	err = tr.Mutate("held", func() (bool, error) {
+		read := make(chan error, 1)
+		go func() {
+			_, err := tr.Get(cold)
+			read <- err
+		}()
+		select {
+		case err := <-read:
+			return false, err
+		case <-time.After(5 * time.Second):
+			return false, fmt.Errorf("miss of %s waited for the stripe's RMW lock", cold)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

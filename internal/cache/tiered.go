@@ -51,9 +51,8 @@ type Options struct {
 	FlushBatch int
 	// FlushInterval is the max time dirty data waits (default 50 ms).
 	FlushInterval time.Duration
-	// MaxDirty triggers backpressure (default 8 * FlushBatch). The budget
-	// splits evenly across the write-path stripes (ceil), and a writer
-	// blocks only when its own stripe is saturated.
+	// MaxDirty triggers backpressure (default 8 * FlushBatch): a writer
+	// that finds this many keys dirty waits for the flusher.
 	MaxDirty int
 
 	// StorageRetries is how many times a failed storage call is retried
@@ -68,11 +67,6 @@ type Options struct {
 	// 500 ms) tests for recovery. See health.go.
 	DegradeAfter          int
 	DegradedProbeInterval time.Duration
-	// ExpirySweepInterval starts a background sweep that deletes lapsed
-	// TTL keys through the storage tier (0 = lazy only: expired keys
-	// delete through on first touch). Without delete-through, a key that
-	// expires in the cache tier resurrects from storage on its next miss.
-	ExpirySweepInterval time.Duration
 }
 
 func (o *Options) fill() {
@@ -112,22 +106,16 @@ type Tiered struct {
 	// maybeEvict.
 	evictHand atomic.Uint32
 
-	// Write-back dirty state, striped the same way: dirtyStripes[i] owns
-	// the dirty entries (and the backpressure cond and generation counter)
-	// of engine stripe i. dirtyCount tracks the total across stripes so
-	// the flush trigger and Stats never sum under all the stripe locks.
-	dirtyStripes []*dirtyStripe
-	dirtyCount   atomic.Int64
-	// dirtyBytes approximates the dirty set's heap footprint (copied value
-	// buffers + keys + entry overhead) — the write-back backlog component
-	// of the server's overload watermark.
-	dirtyBytes atomic.Int64
-	// stripeMaxDirty is each stripe's backpressure budget: MaxDirty split
-	// evenly across stripes, rounded up.
-	stripeMaxDirty int
-	// flushCursor rotates flushDirty's starting stripe so partial flushes
-	// don't starve high-numbered stripes.
-	flushCursor atomic.Uint32
+	// pinned[i] is what maybeEvict hands engine.Evict for stripe i: the keys
+	// that must stay resident, which are the dirty ones (write-back) and the
+	// one a Mutate is working on (mutating[i]; the RMW lock admits one per
+	// stripe). Bound once, so an eviction step allocates no closure.
+	pinned   []func(key []byte) bool
+	mutating []atomic.Pointer[string]
+
+	// dirty is the write-back backlog (writeback.go); empty under the other
+	// policies.
+	dirty *dirtySet
 	// flushMu serializes whole flush rounds (collect → BatchPut → clear).
 	// Two interleaved rounds (background flusher vs an explicit
 	// FlushDirty) could otherwise land a stale value in storage after a
@@ -155,9 +143,6 @@ type Tiered struct {
 	// machine (see health.go); nil under CacheOnly.
 	health *storageHealth
 
-	// flushWake nudges the write-back flusher when a batch is ready.
-	flushWake chan struct{}
-
 	stopCh chan struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
@@ -170,7 +155,6 @@ type Tiered struct {
 	flushed   atomic.Int64
 	batches   atomic.Int64
 	flShared  atomic.Int64 // miss fetches served by another caller's flight
-	bpWaits   atomic.Int64 // write-back writers that blocked on a full stripe
 }
 
 // flight is one in-progress storage fetch; waiters block on done.
@@ -178,12 +162,6 @@ type flight struct {
 	done chan struct{}
 	val  []byte // valid after done closes; nil when absent
 	err  error  // ErrNotFound when absent; storage error otherwise
-}
-
-type dirtyEntry struct {
-	val []byte // nil = tombstone
-	gen uint64
-	enc bool // val is a typed collection blob, already storage-encoded
 }
 
 // ErrClosed is returned after Close.
@@ -228,31 +206,29 @@ func New(opts Options) (*Tiered, error) {
 		eng:     opts.Engine,
 		health:  health,
 		flights: make(map[string]*flight),
+		dirty:   newDirtySet(opts.MaxDirty),
 		stopCh:  make(chan struct{}),
 	}
 	nsh := opts.Engine.NumShards()
 	t.rmw = make([]sync.Mutex, nsh)
-	t.dirtyStripes = make([]*dirtyStripe, nsh)
-	for i := range t.dirtyStripes {
-		ds := &dirtyStripe{entries: make(map[string]*dirtyEntry)}
-		ds.cond = sync.NewCond(&ds.mu)
-		if opts.Policy == WriteBack {
-			ds.pinned = ds.holds
+	t.mutating = make([]atomic.Pointer[string], nsh)
+	t.pinned = make([]func([]byte) bool, nsh)
+	writeBack := opts.Policy == WriteBack
+	for i := range t.pinned {
+		inFlight := &t.mutating[i]
+		t.pinned[i] = func(key []byte) bool {
+			if k := inFlight.Load(); k != nil && *k == string(key) {
+				return true
+			}
+			return writeBack && t.dirty.holds(key)
 		}
-		t.dirtyStripes[i] = ds
 	}
-	// Ceil division: stripe budgets sum to at least MaxDirty and never
-	// round down to an unwritable zero.
-	t.stripeMaxDirty = (opts.MaxDirty + nsh - 1) / nsh
 	if opts.Policy == WriteBack {
-		t.flushWake = make(chan struct{}, 1)
 		t.wg.Add(1)
 		go t.flushLoop()
 	}
-	if opts.Policy != CacheOnly && opts.ExpirySweepInterval > 0 {
-		t.wg.Add(1)
-		go t.expirySweepLoop()
-	}
+	t.wg.Add(1)
+	go t.expirySweepLoop()
 	return t, nil
 }
 
@@ -270,36 +246,27 @@ func New(opts Options) (*Tiered, error) {
 //
 // Dirty keys are pinned: they must reach storage first, and because the
 // check runs under the engine's stripe lock a key cannot turn dirty between
-// the check and its removal. A stripe whose every resident key is pinned
-// ends the attempt after one lap of that stripe; the next attempt starts at
-// the stripe after it, and the flusher's next round unpins the rest.
+// the check and its removal. So is the key of a Mutate in flight, whose
+// outcome is read back from the engine (rmw.go). A stripe whose every
+// resident key is pinned ends the attempt after one lap of that stripe; the
+// next attempt starts at the stripe after it, and the flusher's next round
+// unpins the rest.
 func (t *Tiered) maybeEvict() {
 	capacity := t.opts.CacheCapacityBytes
 	if capacity <= 0 {
 		return
 	}
-	n := uint32(len(t.dirtyStripes))
+	n := uint32(len(t.pinned))
 	for t.eng.MemUsed() > capacity {
 		si := int(t.evictHand.Add(1) % n)
 		if t.eng.ShardMemUsed(si) == 0 {
 			continue // an empty stripe costs an atomic load and no lock
 		}
-		if _, ok := t.eng.Evict(si, t.dirtyStripes[si].pinned); !ok {
-			return // every key there is dirty; the flusher will unblock us
+		if _, ok := t.eng.Evict(si, t.pinned[si]); !ok {
+			return // every key there is pinned; the flusher will unblock us
 		}
 		t.evictions.Add(1)
 	}
-}
-
-// dirtyLookup returns key's dirty entry, if any, under its stripe lock.
-// Entries are replaced wholesale (never mutated in place), so reading the
-// returned entry after the lock drops is safe.
-func (t *Tiered) dirtyLookup(key string) (*dirtyEntry, bool) {
-	ds := t.dirtyStripes[t.eng.ShardIndex(key)]
-	ds.mu.Lock()
-	e, ok := ds.entries[key]
-	ds.mu.Unlock()
-	return e, ok
 }
 
 // --- reads ---
@@ -324,7 +291,7 @@ func (t *Tiered) Get(key string) ([]byte, error) {
 	}
 	// Dirty tombstone shadows storage (write-back delete not yet flushed).
 	if t.opts.Policy == WriteBack {
-		if e, ok := t.dirtyLookup(key); ok {
+		if e, ok := t.dirty.lookup(key); ok {
 			if e.val == nil {
 				return nil, ErrNotFound
 			}
@@ -339,8 +306,9 @@ func (t *Tiered) Get(key string) ([]byte, error) {
 	// TTL delete-through: if the miss is a lapsed-TTL key still occupying
 	// the shard map, delete it through the storage tier instead of
 	// fetching — the storage copy would otherwise resurrect the expired
-	// key right here.
-	if t.expireThrough(key) {
+	// key right here. The probe takes the engine's read lock only, so a miss
+	// of any other kind takes no RMW lock.
+	if t.eng.Expired(key) && t.expireThrough(key) {
 		return nil, ErrNotFound
 	}
 	v, err = t.fetchCoalesced(key)
@@ -361,9 +329,6 @@ func (t *Tiered) Get(key string) ([]byte, error) {
 // under the engine write lock, so a concurrent PERSIST or overwrite wins
 // the race and no live value is deleted.
 func (t *Tiered) expireThrough(key string) bool {
-	if t.opts.Policy == CacheOnly {
-		return false // engine lazy expiry suffices; nothing to resurrect
-	}
 	defer t.lockKey(key).Unlock()
 	if !t.eng.TakeExpired(key) {
 		return false
@@ -378,24 +343,33 @@ func (t *Tiered) expireThrough(key string) bool {
 	return true
 }
 
-// expirySweepBatch bounds the keys one sweep round deletes through.
-const expirySweepBatch = 256
+// Active expiry: every expirySweepInterval the sweep looks at the next
+// expirySweepVisits keys of the engine and deletes the lapsed ones through
+// every tier, so a TTL'd key nobody reads again gives its memory back, and
+// its storage copy goes with it. While a quarter or more of a round's keys
+// had lapsed it goes straight on to the next round (Redis's activeExpireCycle
+// rule), so a mass expiry does not wait out a lap at the idle rate.
+const (
+	expirySweepInterval = 100 * time.Millisecond
+	expirySweepVisits   = 1024
+)
 
-// expirySweepLoop proactively deletes lapsed-TTL keys through the
-// storage tier (ExpirySweepInterval > 0), so cold expired keys don't
-// linger in storage until someone happens to touch them.
 func (t *Tiered) expirySweepLoop() {
 	defer t.wg.Done()
-	ticker := time.NewTicker(t.opts.ExpirySweepInterval)
+	ticker := time.NewTicker(expirySweepInterval)
 	defer ticker.Stop()
 	for {
 		select {
 		case <-t.stopCh:
 			return
 		case <-ticker.C:
-			for _, k := range t.eng.CollectExpired(expirySweepBatch) {
+		}
+		for again := true; again && !t.closed.Load(); {
+			lapsed := t.eng.CollectExpired(expirySweepVisits)
+			for _, k := range lapsed {
 				t.expireThrough(k)
 			}
+			again = len(lapsed)*4 >= expirySweepVisits
 		}
 	}
 }
@@ -565,8 +539,8 @@ func (t *Tiered) commit(key string, val []byte, del, enc, pre bool) error {
 }
 
 // commitBatch is commit for a batch: entries maps each of keys to its new
-// value (nil, or no entry, deletes). Write-through makes one grouped storage round trip,
-// write-back one striped dirty-set pass with per-stripe backpressure; the
+// value (nil, or no entry, deletes). Write-through makes one grouped storage
+// round trip, write-back admits the batch to the dirty set together; the
 // cache tier then applies through the engine's striped MSet/BatchDel and
 // the sink hears every key. The caller holds the RMW lock of every stripe
 // keys touch (lockKeys), so each key orders against single-key writes,
@@ -577,10 +551,11 @@ func (t *Tiered) commitBatch(keys []string, entries map[string][]byte) error {
 	case WriteThrough:
 		err = t.wtCommitGroup(keys, entries)
 	case WriteBack:
-		if err = t.wbBatchMark(keys, entries); err == nil {
+		var n int
+		if n, err = t.dirty.markBatch(keys, entries); err == nil {
 			t.applyBatchToCache(keys, entries)
-			if t.dirtyCount.Load() >= int64(t.opts.FlushBatch) {
-				t.wakeFlusher()
+			if n >= t.opts.FlushBatch {
+				t.dirty.nudge()
 			}
 		}
 	default:
@@ -653,7 +628,7 @@ func (t *Tiered) readForUpdate(key string) (old []byte, exists bool, err error) 
 	}
 	if t.opts.Policy == WriteBack {
 		// Dirty state shadows storage.
-		if e, ok := t.dirtyLookup(key); ok {
+		if e, ok := t.dirty.lookup(key); ok {
 			if e.enc {
 				return nil, false, engine.ErrWrongType // unflushed collection blob
 			}
@@ -730,23 +705,9 @@ func (t *Tiered) FlushAll() error {
 
 	if t.opts.Policy == WriteBack {
 		// Drop dirty state under flushMu so a concurrent flush round
-		// can't commit collected-but-now-cleared entries after us
-		// (lock order flushMu -> ds.mu, matching flushDirty).
+		// can't commit collected-but-now-cleared entries after us.
 		t.flushMu.Lock()
-		for _, ds := range t.dirtyStripes {
-			ds.mu.Lock()
-			n := len(ds.entries)
-			if n > 0 {
-				for k, e := range ds.entries {
-					t.dirtyBytes.Add(-dirtyEntryBytes(k, e.val))
-				}
-				ds.entries = make(map[string]*dirtyEntry)
-				t.dirtyCount.Add(-int64(n))
-				ds.cond.Broadcast()
-			}
-			ds.gen++ // invalidate any in-flight flush round's gen stamps
-			ds.mu.Unlock()
-		}
+		t.dirty.reset()
 		t.flushMu.Unlock()
 	}
 
@@ -803,8 +764,8 @@ type Stats struct {
 	Flushed           int64 // write-back entries flushed
 	Batches           int64 // write-back flush round trips
 	Shared            int64 // miss fetches coalesced onto another caller's flight
-	BackpressureWaits int64 // write-back writers that blocked on a full stripe
-	Dirty             int   // current dirty entries (all stripes)
+	BackpressureWaits int64 // write-back writers that found the dirty set full
+	Dirty             int   // current dirty entries
 }
 
 // Stats returns a snapshot of counters.
@@ -817,8 +778,8 @@ func (t *Tiered) Stats() Stats {
 		Flushed:           t.flushed.Load(),
 		Batches:           t.batches.Load(),
 		Shared:            t.flShared.Load(),
-		BackpressureWaits: t.bpWaits.Load(),
-		Dirty:             int(t.dirtyCount.Load()),
+		BackpressureWaits: t.dirty.waits.Load(),
+		Dirty:             t.dirty.len(),
 	}
 }
 
@@ -829,23 +790,7 @@ func (t *Tiered) CapacityBytes() int64 { return t.opts.CacheCapacityBytes }
 // DirtyBytes approximates the write-back dirty backlog's heap footprint
 // (copied value buffers + keys + entry overhead). Lock-free; the
 // server's overload watermark samples it.
-func (t *Tiered) DirtyBytes() int64 { return t.dirtyBytes.Load() }
-
-// WriteStripes reports the number of write-path stripes (== the engine's
-// lock stripes; the INFO writepath section surfaces this).
-func (t *Tiered) WriteStripes() int { return len(t.rmw) }
-
-// DirtyStripes reports the current dirty-entry count per write-path
-// stripe. The slice sums to Stats().Dirty; stripes are the engine's.
-func (t *Tiered) DirtyStripes() []int {
-	out := make([]int, len(t.dirtyStripes))
-	for i, ds := range t.dirtyStripes {
-		ds.mu.Lock()
-		out[i] = len(ds.entries)
-		ds.mu.Unlock()
-	}
-	return out
-}
+func (t *Tiered) DirtyBytes() int64 { return t.dirty.bytes.Load() }
 
 // Policy reports the configured synchronization policy.
 func (t *Tiered) Policy() Policy { return t.opts.Policy }
@@ -868,15 +813,7 @@ func (t *Tiered) Close() error {
 		return nil
 	}
 	close(t.stopCh)
-	// Release every stripe's backpressured writers. The broadcast must
-	// hold the stripe lock: a writer between its closed-check and
-	// cond.Wait would otherwise miss an unlocked broadcast and sleep
-	// through shutdown.
-	for _, ds := range t.dirtyStripes {
-		ds.mu.Lock()
-		ds.cond.Broadcast()
-		ds.mu.Unlock()
-	}
+	t.dirty.close() // backpressured writers return ErrClosed
 	t.wg.Wait()
 	if t.opts.Policy == WriteBack {
 		return t.flushDirty(0) // final full flush

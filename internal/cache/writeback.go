@@ -2,6 +2,7 @@ package cache
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tierbase/internal/engine"
@@ -23,101 +24,211 @@ import (
 //     updating, and it holds its key's RMW stripe lock while it reads, so
 //     gathering misses into a BatchGet would stall the stripe for the
 //     gather window; an update miss reads storage like any other miss.
-//
-// The dirty set is striped along the engine's lock stripes (dirtyStripe):
-// each stripe owns its entries, its generation counter, its backpressure
-// budget (MaxDirty split evenly, ceil) and its own cond. A writer blocks
-// only when ITS stripe is saturated, and a flush wakes only the writers
-// of stripes that actually freed room — the old single dirtyCond woke
-// every blocked writer on every flush (a thundering herd) even when only
-// one stripe's slots freed.
 
-// dirtyStripe is one stripe of the write-back dirty set.
-type dirtyStripe struct {
+// dirtySet is a store's write-back backlog: the keys written to the cache
+// tier and not yet to storage, under one lock and one budget ("a
+// backpressure mechanism is activated when dirty data approaches a
+// predefined threshold"). Nothing outside this file reads entries or takes
+// mu. Lock order is engine stripe lock, then mu: an eviction asks holds
+// under its stripe's lock, and no method here calls into the engine or
+// storage.
+type dirtySet struct {
 	mu      sync.Mutex
-	cond    *sync.Cond // waited on by writers when this stripe is full
+	room    *sync.Cond // writers wait here while the set is at max
 	entries map[string]*dirtyEntry
-	gen     uint64 // per-stripe generation; stamps entries for flush checks
-	// pinned is holds, bound once (write-back only, else nil): what
-	// engine.Evict asks about each key, without a closure per eviction step.
-	pinned func(key []byte) bool
+	max     int  // MaxDirty
+	closed  bool // close ran: nothing more is admitted
+
+	// wake nudges the flusher; it holds one pending nudge, and one is enough.
+	wake chan struct{}
+
+	bytes atomic.Int64 // dirtyEntryBytes over entries, readable without mu
+	waits atomic.Int64 // writers that found the set full
 }
 
-// holds reports whether key is dirty in this stripe.
-func (ds *dirtyStripe) holds(key []byte) bool {
-	ds.mu.Lock()
-	_, ok := ds.entries[string(key)]
-	ds.mu.Unlock()
+// dirtyEntry is one key's unflushed state. Entries are replaced whole, never
+// changed in place: one may be read after mu is released, and the flusher
+// tells "still what I wrote to storage" by the pointer.
+type dirtyEntry struct {
+	val []byte // nil = tombstone
+	enc bool   // val is a typed collection blob, already storage-encoded
+}
+
+func newDirtySet(max int) *dirtySet {
+	d := &dirtySet{entries: make(map[string]*dirtyEntry), max: max, wake: make(chan struct{}, 1)}
+	d.room = sync.NewCond(&d.mu)
+	return d
+}
+
+// nudge wakes the flusher without blocking.
+func (d *dirtySet) nudge() {
+	select {
+	case d.wake <- struct{}{}:
+	default:
+	}
+}
+
+// admit takes mu and waits until the set has room or is closed; the caller
+// puts what it has and unlocks. It waits once however many keys follow, so a
+// batch lands whole and the set overshoots max by at most one batch. The
+// error is ErrClosed, with nothing put.
+func (d *dirtySet) admit() error {
+	d.mu.Lock()
+	if len(d.entries) >= d.max && !d.closed {
+		d.waits.Add(1) // count blocked writers, not wakeups
+		for len(d.entries) >= d.max && !d.closed {
+			d.nudge()
+			d.room.Wait()
+		}
+	}
+	if d.closed {
+		d.mu.Unlock()
+		return ErrClosed
+	}
+	return nil
+}
+
+// put makes e key's dirty entry. Caller holds mu.
+func (d *dirtySet) put(key string, e *dirtyEntry) {
+	grown := dirtyEntryBytes(key, e.val)
+	if old, ok := d.entries[key]; ok {
+		grown -= dirtyEntryBytes(key, old.val)
+	}
+	d.bytes.Add(grown)
+	d.entries[key] = e
+}
+
+// mark admits one key with e, which the set keeps, and returns how many keys
+// are now dirty.
+func (d *dirtySet) mark(key string, e *dirtyEntry) (int, error) {
+	if err := d.admit(); err != nil {
+		return 0, err
+	}
+	d.put(key, e)
+	n := len(d.entries)
+	d.mu.Unlock()
+	return n, nil
+}
+
+// markBatch admits keys together, each with a copy of its value in entries
+// (nil, or no entry, = tombstone), and returns how many keys are now dirty.
+func (d *dirtySet) markBatch(keys []string, entries map[string][]byte) (int, error) {
+	if err := d.admit(); err != nil {
+		return 0, err
+	}
+	for _, k := range keys {
+		d.put(k, &dirtyEntry{val: copyBytes(entries[k])})
+	}
+	n := len(d.entries)
+	d.mu.Unlock()
+	return n, nil
+}
+
+// lookup returns key's dirty entry, if it has one.
+func (d *dirtySet) lookup(key string) (*dirtyEntry, bool) {
+	d.mu.Lock()
+	e, ok := d.entries[key]
+	d.mu.Unlock()
+	return e, ok
+}
+
+// holds reports whether key is dirty: what engine.Evict asks of every key it
+// would remove.
+func (d *dirtySet) holds(key []byte) bool {
+	d.mu.Lock()
+	_, ok := d.entries[string(key)]
+	d.mu.Unlock()
 	return ok
 }
 
-// dirtyStripeFor returns the dirty stripe owning key.
-func (t *Tiered) dirtyStripeFor(key string) *dirtyStripe {
-	return t.dirtyStripes[t.eng.ShardIndex(key)]
+// len is the number of dirty keys.
+func (d *dirtySet) len() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.entries)
 }
 
-// waitStripeRoomLocked blocks until ds has room for another dirty entry
-// (or the store closes). Caller holds ds.mu; returns with it held.
-// Reports whether the store closed while waiting.
-func (t *Tiered) waitStripeRoomLocked(ds *dirtyStripe) (closed bool) {
-	if len(ds.entries) >= t.stripeMaxDirty && !t.closed.Load() {
-		t.bpWaits.Add(1) // count blocked writers, not wakeups
-		for len(ds.entries) >= t.stripeMaxDirty && !t.closed.Load() {
-			t.wakeFlusher()
-			ds.cond.Wait()
+// flushedEntry is an entry as collect saw it.
+type flushedEntry struct {
+	key string
+	e   *dirtyEntry
+}
+
+// collect returns up to max dirty entries (0 = all) for a flush round, which
+// hands them back to settle. Which ones is the map's order, which differs
+// from call to call, so no key waits on a fixed order.
+func (d *dirtySet) collect(max int) []flushedEntry {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	n := len(d.entries)
+	if max > 0 && n > max {
+		n = max
+	}
+	if n == 0 {
+		return nil
+	}
+	taken := make([]flushedEntry, 0, n)
+	for k, e := range d.entries {
+		if len(taken) == n {
+			break
+		}
+		taken = append(taken, flushedEntry{k, e})
+	}
+	return taken
+}
+
+// settle drops the entries of taken that storage now holds, which are those
+// not overwritten since collect, and lets waiting writers in.
+func (d *dirtySet) settle(taken []flushedEntry) {
+	var freed int64
+	d.mu.Lock()
+	for _, f := range taken {
+		if d.entries[f.key] == f.e {
+			freed += dirtyEntryBytes(f.key, f.e.val)
+			delete(d.entries, f.key)
 		}
 	}
-	return t.closed.Load()
+	d.bytes.Add(-freed)
+	d.room.Broadcast()
+	d.mu.Unlock()
 }
 
-// setDirtyLocked records key as dirty in ds (nil stored = tombstone; enc
-// marks a typed collection blob), maintaining the cross-stripe count.
-// Caller holds ds.mu.
-func (t *Tiered) setDirtyLocked(ds *dirtyStripe, key string, stored []byte, enc bool) {
-	ds.gen++
-	if old, existed := ds.entries[key]; existed {
-		t.dirtyBytes.Add(-dirtyEntryBytes(key, old.val))
-	} else {
-		t.dirtyCount.Add(1)
-	}
-	t.dirtyBytes.Add(dirtyEntryBytes(key, stored))
-	ds.entries[key] = &dirtyEntry{val: stored, gen: ds.gen, enc: enc}
+// reset forgets every entry (FLUSHALL: the keyspace they belong to is gone).
+func (d *dirtySet) reset() {
+	d.mu.Lock()
+	d.entries = make(map[string]*dirtyEntry)
+	d.bytes.Store(0)
+	d.room.Broadcast()
+	d.mu.Unlock()
+}
+
+// close refuses further admissions and releases the writers waiting for room.
+// What the set holds stays for the final flush.
+func (d *dirtySet) close() {
+	d.mu.Lock()
+	d.closed = true
+	d.room.Broadcast()
+	d.mu.Unlock()
 }
 
 // dirtyEntryBytes approximates one dirty entry's heap footprint: the
 // copied value buffer, the key, and the entry struct/map overhead.
 // TestDirtyBytesTracksHeap holds the sum to the heap.
 func dirtyEntryBytes(key string, val []byte) int64 {
-	// The dirtyEntry (40 B in a 48 B class), its map slot (25 B at 7/8
-	// load, 50 B after the map doubles) and the rounding of key and value.
-	// Measured 85-107 B.
-	const entryOverhead = 96
+	// The dirtyEntry (32 B), its map slot (25 B at 7/8 load, 50 B after the
+	// map doubles) and the rounding of key and value. Measured 69-89 B
+	// between 10k and 100k entries.
+	const entryOverhead = 80
 	return int64(len(key) + len(val) + entryOverhead)
-}
-
-// wakeFlusher nudges the flush loop without blocking (the channel holds
-// one pending wake; an already-pending wake is enough).
-func (t *Tiered) wakeFlusher() {
-	select {
-	case t.flushWake <- struct{}{}:
-	default:
-	}
 }
 
 // writeBack applies one write (or delete) under the write-back policy.
 // enc marks val as a typed collection blob; pre marks a propagated outcome
-// already applied to the primary engine (see rmw.go).
+// already applied to the primary engine (see rmw.go). The caller holds
+// key's RMW stripe lock, and keeps it while the dirty set is full: a
+// backpressured writer stalls its stripe's writers, and the flusher, which
+// takes no RMW lock, lets it in.
 func (t *Tiered) writeBack(key string, val []byte, del, enc, pre bool) error {
-	// Backpressure: hold the writer while ITS stripe of the dirty set is
-	// saturated ("a backpressure mechanism is activated when dirty data
-	// approaches a predefined threshold"). Other stripes' writers are
-	// unaffected.
-	ds := t.dirtyStripeFor(key)
-	ds.mu.Lock()
-	if t.waitStripeRoomLocked(ds) {
-		ds.mu.Unlock()
-		return ErrClosed
-	}
 	var stored []byte
 	if !del {
 		stored = copyBytes(val)
@@ -125,21 +236,22 @@ func (t *Tiered) writeBack(key string, val []byte, del, enc, pre bool) error {
 			stored = []byte{} // empty value, not a tombstone
 		}
 	}
-	t.setDirtyLocked(ds, key, stored, enc)
-	ds.mu.Unlock()
-
+	n, err := t.dirty.mark(key, &dirtyEntry{val: stored, enc: enc})
+	if err != nil {
+		return err
+	}
 	t.applyToCache(key, val, del, pre)
-	if t.dirtyCount.Load() >= int64(t.opts.FlushBatch) {
-		t.wakeFlusher()
+	if n >= t.opts.FlushBatch {
+		t.dirty.nudge()
 	}
 	return nil
 }
 
-// flushLoop is the background dirty-data propagator. Writers nudge it
-// through flushWake when a full batch accumulates (an earlier design
-// bridged the dirty cond into a channel with a helper goroutine, but that
-// bridge spins at 100% CPU whenever the dirty set stays above FlushBatch);
-// the ticker bounds staleness when traffic trickles in below batch size.
+// flushLoop is the background dirty-data propagator. Writers nudge it when
+// a full batch accumulates (an earlier design bridged the dirty cond into a
+// channel with a helper goroutine, but that bridge spins at 100% CPU
+// whenever the dirty set stays above FlushBatch); the ticker bounds
+// staleness when traffic trickles in below batch size.
 func (t *Tiered) flushLoop() {
 	defer t.wg.Done()
 	ticker := time.NewTicker(t.opts.FlushInterval)
@@ -149,120 +261,52 @@ func (t *Tiered) flushLoop() {
 		case <-t.stopCh:
 			return
 		case <-ticker.C:
-		case <-t.flushWake:
-		}
-		if err := t.flushDirty(t.opts.FlushBatch); err != nil {
-			continue // storage failing: retry on the next tick, don't spin
+		case <-t.dirty.wake:
 		}
 		// Keep draining while a full batch remains so a burst doesn't
-		// wait out the ticker FlushBatch keys at a time.
-		for t.dirtyCount.Load() >= int64(t.opts.FlushBatch) {
+		// wait out the ticker FlushBatch keys at a time. A storage error
+		// goes back to the select: the ticker provides the backoff.
+		for t.flushDirty(t.opts.FlushBatch) == nil && t.dirty.len() >= t.opts.FlushBatch {
 			select {
 			case <-t.stopCh:
 				return
 			default:
-			}
-			if err := t.flushDirty(t.opts.FlushBatch); err != nil {
-				break // back to the select; ticker provides the backoff
 			}
 		}
 	}
 }
 
 // flushDirty writes up to max dirty entries (0 = all) to storage in one
-// grouped round trip. Entries collect from the stripes round-robin,
-// starting at a rotating cursor so a partial flush never starves the
-// high-numbered stripes; entries overwritten during the flush stay dirty
-// (per-stripe generation check). After the round trip, each drained
-// stripe clears its flushed entries and wakes ONLY its own backpressured
-// writers — stripes that contributed nothing stay asleep.
+// grouped round trip. Entries overwritten during the round trip stay dirty.
 func (t *Tiered) flushDirty(max int) error {
 	t.flushMu.Lock()
 	defer t.flushMu.Unlock()
-	pending := int(t.dirtyCount.Load())
-	if pending == 0 {
+	taken := t.dirty.collect(max)
+	if len(taken) == 0 {
 		return nil
 	}
-	if max > 0 && pending > max {
-		pending = max
-	}
-	nsh := len(t.dirtyStripes)
-	start := int(t.flushCursor.Add(1)-1) % nsh
-	batch := make(map[string][]byte, pending)
-	// Collection is stripe-sequential, so the flushed (key, gen) records
-	// land in flat slices with one contiguous range per stripe — no
-	// per-stripe maps to allocate each round.
-	type stripeRange struct{ si, lo, hi int }
-	recs := make([]flushRec, 0, pending)
-	var ranges []stripeRange
-collect:
-	for i := 0; i < nsh; i++ {
-		si := (start + i) % nsh
-		ds := t.dirtyStripes[si]
-		lo := len(recs)
-		ds.mu.Lock()
-		for k, e := range ds.entries {
-			if max > 0 && len(batch) >= max {
-				ds.mu.Unlock()
-				if len(recs) > lo {
-					ranges = append(ranges, stripeRange{si, lo, len(recs)})
-				}
-				break collect
-			}
-			v := e.val
-			if !e.enc {
-				// Raw strings escape on the way to storage so they never
-				// collide with typed collection blobs.
-				v = engine.EscapeStringValue(v)
-			}
-			batch[k] = v
-			recs = append(recs, flushRec{key: k, gen: e.gen})
+	batch := make(map[string][]byte, len(taken))
+	for _, f := range taken {
+		v := f.e.val
+		if !f.e.enc {
+			// Raw strings escape on the way to storage so they never
+			// collide with typed collection blobs.
+			v = engine.EscapeStringValue(v)
 		}
-		ds.mu.Unlock()
-		if len(recs) > lo {
-			ranges = append(ranges, stripeRange{si, lo, len(recs)})
-		}
+		batch[f.key] = v
 	}
-	if len(batch) == 0 {
-		return nil
-	}
-
 	if err := t.opts.Storage.BatchPut(batch); err != nil {
 		return err
 	}
-
-	for _, r := range ranges {
-		ds := t.dirtyStripes[r.si]
-		removed := 0
-		ds.mu.Lock()
-		for _, rec := range recs[r.lo:r.hi] {
-			if e, ok := ds.entries[rec.key]; ok && e.gen == rec.gen {
-				t.dirtyBytes.Add(-dirtyEntryBytes(rec.key, e.val))
-				delete(ds.entries, rec.key)
-				removed++
-			}
-		}
-		if removed > 0 {
-			t.dirtyCount.Add(int64(-removed))
-			ds.cond.Broadcast() // release THIS stripe's waiters only
-		}
-		ds.mu.Unlock()
-	}
+	t.dirty.settle(taken)
 	t.flushed.Add(int64(len(batch)))
 	t.batches.Add(1)
 	return nil
 }
 
-// flushRec is one flushed entry's generation stamp, checked before the
-// post-flush delete so entries overwritten mid-flush stay dirty.
-type flushRec struct {
-	key string
-	gen uint64
-}
-
 // FlushDirty forces all dirty entries to storage (checkpoint / tests).
 func (t *Tiered) FlushDirty() error {
-	for t.dirtyCount.Load() > 0 {
+	for t.dirty.len() > 0 {
 		if err := t.flushDirty(0); err != nil {
 			return err
 		}

@@ -11,8 +11,8 @@ import (
 )
 
 // Write-path tests: per-key write order under the RMW stripe locks
-// (single-key writes, batches and FlushAll alike) and the striped
-// write-back dirty set with per-stripe backpressure.
+// (single-key writes, batches and FlushAll alike) and the write-back dirty
+// set's one backpressure budget.
 
 // otherStripeKey returns a key whose engine stripe differs from ref's.
 func otherStripeKey(t *testing.T, eng *engine.Engine, ref string) string {
@@ -319,16 +319,17 @@ func TestWTBatchMixedStress(t *testing.T) {
 	}
 }
 
-// TestWBPerStripeBackpressureIsolation: a saturated stripe must block its
-// own writers without blocking writers on other stripes — the striped
-// replacement for the one-big-dirty-set backpressure.
-func TestWBPerStripeBackpressureIsolation(t *testing.T) {
+// TestWBOneBudgetBackpressure: MaxDirty is one budget for the whole store.
+// Keys of a single engine stripe may fill all of it without anyone waiting,
+// the write after that waits whichever stripe it is for, and a flush lets it
+// in.
+func TestWBOneBudgetBackpressure(t *testing.T) {
 	stor := NewMapStorage()
 	stor.FailPuts.Store(true) // flushes fail: dirty entries cannot drain
 	eng := engine.New(engine.Options{Shards: 4})
 	tr, err := New(Options{
 		Policy: WriteBack, Engine: eng, Storage: stor,
-		MaxDirty:      8, // per-stripe budget: ceil(8/4) = 2
+		MaxDirty:      8,
 		FlushBatch:    4,
 		FlushInterval: time.Millisecond,
 	})
@@ -340,41 +341,29 @@ func TestWBPerStripeBackpressureIsolation(t *testing.T) {
 		tr.Close()
 	}()
 
-	hot := sameStripeKeys(t, eng, "ref", 3)
-	// Saturate hot's stripe (budget 2).
-	for _, k := range hot[:2] {
+	hot := sameStripeKeys(t, eng, "ref", 8)
+	for _, k := range hot {
 		if err := tr.Set(k, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if st := tr.Stats(); st.Dirty != 8 || st.BackpressureWaits != 0 {
+		t.Fatalf("eight keys of one stripe under MaxDirty 8: %d dirty, %d waits; want 8, 0", st.Dirty, st.BackpressureWaits)
+	}
 
-	// A writer on the saturated stripe must block...
+	// The ninth key waits, though its own stripe holds nothing dirty.
 	blocked := make(chan error, 1)
-	go func() { blocked <- tr.Set(hot[2], []byte("v")) }()
+	go func() { blocked <- tr.Set(otherStripeKey(t, eng, hot[0]), []byte("v")) }()
 	select {
 	case err := <-blocked:
-		t.Fatalf("write to saturated stripe did not block (err=%v)", err)
+		t.Fatalf("write to a full dirty set did not block (err=%v)", err)
 	case <-time.After(30 * time.Millisecond):
 	}
-
-	// ...while a writer on ANY other stripe proceeds immediately.
-	cold := otherStripeKey(t, eng, hot[0])
-	done := make(chan error, 1)
-	go func() { done <- tr.Set(cold, []byte("v")) }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("other-stripe write failed: %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("write on an unrelated stripe blocked behind a saturated stripe")
-	}
-	if tr.Stats().BackpressureWaits == 0 {
-		t.Fatal("backpressure wait not counted")
+	if w := tr.Stats().BackpressureWaits; w != 1 {
+		t.Fatalf("one blocked writer counted as %d waits", w)
 	}
 
-	// Once storage recovers and the stripe flushes, ONLY then does the
-	// blocked writer complete.
+	// Once storage recovers and a flush round lands, the writer completes.
 	stor.FailPuts.Store(false)
 	select {
 	case err := <-blocked:
@@ -382,46 +371,23 @@ func TestWBPerStripeBackpressureIsolation(t *testing.T) {
 			t.Fatalf("blocked writer failed after flush: %v", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("blocked writer never released after its stripe drained")
+		t.Fatal("blocked writer never released after the dirty set drained")
+	}
+	if w := tr.Stats().BackpressureWaits; w != 1 {
+		t.Fatalf("waits %d after release; a wait is counted once, not per wakeup", w)
 	}
 }
 
-// TestWBDirtyStripesSumToStats: the per-stripe dirty counts (the INFO
-// writepath payload) must agree with the aggregate.
-func TestWBDirtyStripesSumToStats(t *testing.T) {
-	stor := NewMapStorage()
-	tr := newWB(t, stor, func(o *Options) {
-		o.FlushInterval = time.Hour
-		o.FlushBatch = 1 << 20
-		o.MaxDirty = 1 << 20
-	})
-	for i := 0; i < 64; i++ {
-		tr.Set(fmt.Sprintf("k%02d", i), []byte("v"))
-	}
-	sum := 0
-	for _, n := range tr.DirtyStripes() {
-		sum += n
-	}
-	if st := tr.Stats(); sum != st.Dirty || st.Dirty != 64 {
-		t.Fatalf("stripe sum %d, Stats.Dirty %d, want 64", sum, st.Dirty)
-	}
-	if tr.WriteStripes() != tr.Engine().NumShards() {
-		t.Fatalf("write stripes %d != engine shards %d", tr.WriteStripes(), tr.Engine().NumShards())
-	}
-}
-
-// TestWBBatchPutPerStripeBackpressure: write-back batches must respect
-// stripe budgets too (admitted group by group, not all at once past a
-// full stripe).
-func TestWBBatchPutPerStripeBackpressure(t *testing.T) {
+// TestWBBatchPutBackpressure: a write-back batch waits for room like a
+// single write and is then admitted whole, so the dirty set stays within
+// MaxDirty plus one batch.
+func TestWBBatchPutBackpressure(t *testing.T) {
 	stor := NewMapStorage()
 	tr := newWB(t, stor, func(o *Options) {
 		o.MaxDirty = 8
 		o.FlushBatch = 4
 		o.FlushInterval = time.Millisecond
 	})
-	// 200 keys through BatchPut in chunks; backpressure must keep the
-	// dirty set bounded near the stripe budgets rather than ballooning.
 	for i := 0; i < 200; i += 10 {
 		entries := make(map[string][]byte, 10)
 		for j := i; j < i+10; j++ {
@@ -430,11 +396,75 @@ func TestWBBatchPutPerStripeBackpressure(t *testing.T) {
 		if err := tr.BatchPut(entries); err != nil {
 			t.Fatal(err)
 		}
+		if d := tr.Stats().Dirty; d > 8+10 {
+			t.Fatalf("dirty set at %d after a batch; want at most MaxDirty 8 + one batch of 10", d)
+		}
 	}
-	// Bound: per-stripe budget ceil(8/16)=1, 16 stripes, plus one
-	// in-flight group of up to 10 per stripe admission. Far below 200.
-	if d := tr.Stats().Dirty; d > 40 {
-		t.Fatalf("batch writes ballooned the dirty set: %d", d)
+}
+
+// TestWBBatchPutRacingCloseLandsNothing: a batch that is waiting for room
+// when the store closes fails with ErrClosed as a whole: none of its keys is
+// in the dirty set, the cache tier or (after the backlog drains) storage.
+func TestWBBatchPutRacingCloseLandsNothing(t *testing.T) {
+	stor := NewMapStorage()
+	stor.FailPuts.Store(true) // the backlog cannot drain: the batch must wait
+	tr, err := New(Options{
+		Policy: WriteBack, Engine: engine.New(engine.Options{}), Storage: stor,
+		MaxDirty: 4, FlushBatch: 2, FlushInterval: time.Millisecond,
+		DegradedProbeInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := tr.Set(fmt.Sprintf("fill%d", i), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := map[string][]byte{}
+	for i := 0; i < 20; i++ { // enough keys to touch most stripes
+		batch[fmt.Sprintf("late%02d", i)] = []byte("v")
+	}
+	result := make(chan error, 1)
+	go func() { result <- tr.BatchPut(batch) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for tr.Stats().BackpressureWaits == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("batch never waited for room")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	_ = tr.Close() // its final flush fails with the storage; not what is tested
+	select {
+	case err := <-result:
+		if err != ErrClosed {
+			t.Fatalf("BatchPut racing Close: %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close left the backpressured batch waiting")
+	}
+	// Drain what was admitted before the close, then look for the batch.
+	stor.FailPuts.Store(false)
+	deadline = time.Now().Add(5 * time.Second)
+	for tr.flushDirty(0) != nil {
+		if time.Now().After(deadline) {
+			t.Fatal("backlog never drained after storage recovered")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if stor.Len() != 4 {
+		t.Fatalf("storage holds %d keys, want the 4 admitted before the close", stor.Len())
+	}
+	for k := range batch {
+		if _, ok := tr.dirty.lookup(k); ok {
+			t.Fatalf("%s is dirty though its batch failed", k)
+		}
+		if tr.Engine().Exists(k) {
+			t.Fatalf("%s is in the cache tier though its batch failed", k)
+		}
+		if _, ok, _ := stor.Get(k); ok {
+			t.Fatalf("%s reached storage though its batch failed", k)
+		}
 	}
 }
 
@@ -518,10 +548,9 @@ func TestDirtyBytesTracksHeap(t *testing.T) {
 		before := heapAfterGC()
 		for i := 0; i < n; i++ {
 			key := fmt.Sprintf("user:%09d", i)
-			ds := tr.dirtyStripeFor(key)
-			ds.mu.Lock()
-			tr.setDirtyLocked(ds, key, copyBytes(val), false)
-			ds.mu.Unlock()
+			if _, err := tr.dirty.mark(key, &dirtyEntry{val: copyBytes(val)}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		heap := heapAfterGC() - before
 		ratio := float64(tr.DirtyBytes()) / float64(heap)

@@ -195,8 +195,8 @@ type shard struct {
 	strs  index
 	colls map[string]*item // nil until the stripe holds a collection
 
-	sweepPos  uint32 // where SweepExpired resumes in strs
-	collsTurn bool   // the clock hand is past the end of strs, among the collections
+	sweepPos  atomic.Uint32 // where CollectExpired resumes in strs, as a hash like index.hand
+	collsTurn bool          // the clock hand is past the end of strs, among the collections
 
 	memUsed atomic.Int64 // DRAM bytes the contents occupy; written under mu
 	payload atomic.Int64 // of which keys and stored values; written under mu
@@ -215,8 +215,7 @@ type Engine struct {
 	mask   uint32
 	opts   Options
 
-	// sweepCursor rotates SweepExpired's starting shard so short sweeps
-	// still cover the whole keyspace over successive calls.
+	// sweepCursor is the stripe CollectExpired is in.
 	sweepCursor atomic.Uint32
 }
 
@@ -771,32 +770,45 @@ func (e *Engine) TakeExpired(key string) bool {
 	return true
 }
 
-// CollectExpired returns up to max keys whose TTL has lapsed but whose
-// entries still occupy their stripe. Read locks only — the caller
-// confirms and deletes each key through TakeExpired (directly or via
-// the tiered delete-through path), which rechecks under the write lock
-// so a concurrent PERSIST or overwrite wins the race.
-func (e *Engine) CollectExpired(max int) []string {
+// Expired reports whether key is resident with a lapsed TTL: a key
+// TakeExpired would take. Read lock only.
+func (e *Engine) Expired(key string) bool {
+	kh, s := e.locate(key)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return e.lapsed(s.lookup(kh, key).expireAt())
+}
+
+// CollectExpired looks at the next limit or so keys of the engine and returns
+// those whose TTL has lapsed but whose entries still occupy their stripe
+// (the active expiration cycle; lazy expiry handles access). It resumes where
+// the last call stopped, stripe after stripe and slot after slot, so calls
+// with a small limit cover the keyspace between them; one call enters each
+// stripe at most once. A stripe's collections are looked at together when
+// its table ends, because a map has no place to resume from. Read locks
+// only — the caller confirms and deletes each key through TakeExpired
+// (directly or via the tiered delete-through path), which rechecks under
+// the write lock so a concurrent PERSIST or overwrite wins the race.
+func (e *Engine) CollectExpired(limit int) []string {
 	var out []string
-	for _, s := range e.shards {
-		if len(out) >= max {
-			break
-		}
+	now := e.now()
+	for n := len(e.shards); n > 0 && limit > 0; n-- {
+		s := e.shards[e.sweepCursor.Load()&e.mask]
 		s.mu.RLock()
-		now := e.now()
-		s.strs.each(func(rec record) bool {
+		pos, end := s.strs.scan(s.sweepPos.Load(), &limit, func(rec record) {
 			if at := rec.deadline(); at != 0 && now >= at {
 				out = append(out, string(rec.parse().key))
 			}
-			return len(out) < max
 		})
-		for key, it := range s.colls {
-			if len(out) >= max {
-				break
+		s.sweepPos.Store(pos)
+		if end {
+			for key, it := range s.colls {
+				if it.expireAt != 0 && now >= it.expireAt {
+					out = append(out, key)
+				}
 			}
-			if it.expireAt != 0 && now >= it.expireAt {
-				out = append(out, key)
-			}
+			limit -= len(s.colls)
+			e.sweepCursor.Add(1)
 		}
 		s.mu.RUnlock()
 	}
@@ -817,55 +829,6 @@ func (e *Engine) TTL(key string) (time.Duration, bool) {
 		return 0, false
 	}
 	return time.Duration(at - now), true
-}
-
-// SweepExpired scans up to max keys and deletes lapsed ones, returning the
-// number removed (the active expiration cycle; lazy expiry handles access).
-// The sweep is per-shard incremental: each stripe is scanned under its own
-// write lock, so an expiry cycle never stalls readers of other shards, and
-// the rotating start cursor (and each stripe's own resume position) lets
-// small budgets cover the whole keyspace across successive calls.
-func (e *Engine) SweepExpired(max int) int {
-	if max <= 0 {
-		return 0
-	}
-	now := e.now()
-	start := e.sweepCursor.Add(1)
-	n := uint32(len(e.shards))
-	removed := 0
-	scanned := 0
-	for i := uint32(0); i < n && scanned < max; i++ {
-		s := e.shards[(start+i)&e.mask]
-		shardRemoved := 0
-		s.mu.Lock()
-		held := s.strs.held()
-		scanned += s.strs.sweep(&s.sweepPos, max-scanned, func(rec record) bool {
-			at := rec.deadline()
-			if at == 0 || now < at {
-				return false
-			}
-			e.forget(s, rec)
-			shardRemoved++
-			return true
-		})
-		s.memUsed.Add(s.strs.held() - held)
-		for key, it := range s.colls {
-			if scanned >= max {
-				break
-			}
-			scanned++
-			if it.expireAt != 0 && now >= it.expireAt {
-				e.removeItem(s, key, it)
-				shardRemoved++
-			}
-		}
-		s.mu.Unlock()
-		if shardRemoved > 0 {
-			s.expired.Add(int64(shardRemoved))
-			removed += shardRemoved
-		}
-	}
-	return removed
 }
 
 // --- eviction ---

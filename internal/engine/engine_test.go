@@ -187,6 +187,18 @@ func TestPersist(t *testing.T) {
 	}
 }
 
+// sweepExpired is the active expiration cycle as the cache tier runs it:
+// look at up to limit keys, take the lapsed ones. Returns how many it took.
+func sweepExpired(e *Engine, limit int) int {
+	taken := 0
+	for _, k := range e.CollectExpired(limit) {
+		if e.TakeExpired(k) {
+			taken++
+		}
+	}
+	return taken
+}
+
 func TestSweepExpired(t *testing.T) {
 	now := time.Unix(100, 0)
 	e := New(Options{Clock: func() time.Time { return now }})
@@ -198,7 +210,7 @@ func TestSweepExpired(t *testing.T) {
 		}
 	}
 	now = now.Add(time.Minute)
-	removed := e.SweepExpired(1000)
+	removed := sweepExpired(e, 1000)
 	if removed != 25 {
 		t.Fatalf("swept %d, want 25", removed)
 	}

@@ -190,32 +190,25 @@ func (ix *index) each(fn func(rec record) bool) {
 	}
 }
 
-// sweep visits up to limit records, resuming at slot *pos and wrapping at
-// most once around the table, and removes those drop returns true for. It
-// leaves *pos where the next sweep should resume and returns how many
-// records it visited. Removal shifts later entries back, never forward, so
-// one not yet visited is never skipped; one that wraps from the head of
-// the table to its tail may be visited twice.
-func (ix *index) sweep(pos *uint32, limit int, drop func(rec record) bool) (visited int) {
-	size := uint32(len(ix.slots))
-	if size == 0 {
-		return 0
+// scan calls fn for up to *limit records (it counts them off), from the
+// slot of hash pos towards the end of the table. It returns where the next
+// scan should resume and whether the table ran out; pos is a hash for the
+// reason hand is.
+func (ix *index) scan(pos uint32, limit *int, fn func(rec record)) (next uint32, end bool) {
+	if len(ix.slots) == 0 {
+		return 0, true
 	}
-	i := *pos & (size - 1)
-	for steps := uint32(0); steps < size && visited < limit; {
+	i := int(pos >> ix.shift)
+	for ; i < len(ix.slots) && *limit > 0; i++ {
 		if ix.slots[i].ref != 0 {
-			visited++
-			if drop(ix.record(int(i))) {
-				ix.removeAt(i)
-				continue // whatever shifted into slot i is next
-			}
+			*limit--
+			fn(ix.record(i))
 		}
-		i = (i + 1) & (size - 1)
-		steps++
 	}
-	*pos = i
-	ix.shrink()
-	return visited
+	if i == len(ix.slots) {
+		return 0, true
+	}
+	return uint32(i) << ix.shift, false
 }
 
 // clock advances the hand towards the end of the table, looking at up to

@@ -271,8 +271,8 @@ func (m *model) step(shrinking bool) {
 				delete(m.keys, dk)
 			}
 		}
-		if got := e.SweepExpired(1 << 30); got != want {
-			m.fail("SweepExpired", got, "want", want)
+		if got := sweepExpired(e, 1<<30); got != want {
+			m.fail("sweepExpired", got, "want", want)
 		}
 	case op < 66:
 		m.now.Add(int64(m.rng.Intn(10)))

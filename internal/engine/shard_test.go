@@ -220,7 +220,7 @@ func TestBatchMemAccounting(t *testing.T) {
 	}
 }
 
-func TestSweepExpiredRotatesAllShards(t *testing.T) {
+func TestCollectExpiredResumesAcrossShards(t *testing.T) {
 	now := time.Unix(100, 0)
 	e := New(Options{Shards: 8, Clock: func() time.Time { return now }})
 	for i := 0; i < 400; i++ {
@@ -229,11 +229,11 @@ func TestSweepExpiredRotatesAllShards(t *testing.T) {
 		e.Expire(k, time.Second)
 	}
 	now = now.Add(time.Minute)
-	// Small budgets must still drain everything over repeated calls
-	// thanks to the rotating shard cursor.
+	// Small budgets must still drain everything over repeated calls: each
+	// resumes where the last one stopped.
 	total := 0
 	for i := 0; i < 100 && total < 400; i++ {
-		total += e.SweepExpired(50)
+		total += sweepExpired(e, 50)
 	}
 	if total != 400 {
 		t.Fatalf("swept %d, want 400", total)
@@ -290,7 +290,7 @@ func TestConcurrentShardStress(t *testing.T) {
 					})
 				}
 				if i%50 == 0 {
-					e.SweepExpired(32)
+					sweepExpired(e, 32)
 					e.Stats()
 				}
 			}

@@ -167,9 +167,9 @@ func (s *Server) storageInfo(b *strings.Builder) {
 	}
 }
 
-// writePathInfo renders the write-path section: aggregate write-back
-// flush/backpressure counters, plus each shard's per-stripe dirty
-// distribution (the write path stripes along the engine's lock stripes).
+// writePathInfo renders the write-path section: the write-back
+// flush/backpressure counters summed over the shards, and each shard's
+// policy.
 func (s *Server) writePathInfo(b *strings.Builder) {
 	fmt.Fprintf(b, "# WritePath\r\n")
 	tiered := s.tieredShards()
@@ -178,27 +178,19 @@ func (s *Server) writePathInfo(b *strings.Builder) {
 		return // cache-only deployment: no write path to report
 	}
 	var rounds, flushed, waits int64
-	var dirty, stripes int
+	var dirty int
 	for _, sh := range s.shards {
 		st := sh.tiered.Stats()
 		rounds += st.Batches
 		flushed += st.Flushed
 		waits += st.BackpressureWaits
 		dirty += st.Dirty
-		stripes += sh.tiered.WriteStripes()
 	}
-	fmt.Fprintf(b, "write_stripes:%d\r\n", stripes)
 	fmt.Fprintf(b, "flush_rounds:%d\r\n", rounds)
 	fmt.Fprintf(b, "flushed_entries:%d\r\n", flushed)
 	fmt.Fprintf(b, "backpressure_waits:%d\r\n", waits)
 	fmt.Fprintf(b, "dirty_entries:%d\r\n", dirty)
 	for i, sh := range s.shards {
 		fmt.Fprintf(b, "shard%d_policy:%s\r\n", i, sh.tiered.Policy())
-		ds := sh.tiered.DirtyStripes()
-		parts := make([]string, len(ds))
-		for j, n := range ds {
-			parts[j] = strconv.Itoa(n)
-		}
-		fmt.Fprintf(b, "shard%d_dirty_stripes:%s\r\n", i, strings.Join(parts, ","))
 	}
 }

@@ -609,8 +609,8 @@ func TestEmptyValueColdReadRESP(t *testing.T) {
 	}
 }
 
-// TestInfoWritePathSection: INFO exposes the write-path section (striped
-// write-through/write-back counters) and supports section filtering.
+// TestInfoWritePathSection: INFO exposes the write-path section (the
+// write-back flush and backpressure counters) and supports section filtering.
 func TestInfoWritePathSection(t *testing.T) {
 	stor := cache.NewMapStorage()
 	opts := Options{
@@ -630,9 +630,9 @@ func TestInfoWritePathSection(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{"# Server", "# WritePath", "tiered_shards:2",
-		"write_stripes:", "flush_rounds:",
+		"flush_rounds:", "flushed_entries:",
 		"backpressure_waits:", "dirty_entries:",
-		"shard0_policy:write-back", "shard0_dirty_stripes:", "shard1_dirty_stripes:"} {
+		"shard0_policy:write-back", "shard1_policy:write-back"} {
 		if !strings.Contains(full.(string), want) {
 			t.Fatalf("INFO missing %q in:\n%s", want, full)
 		}
@@ -739,6 +739,65 @@ func TestInfoStorageSection(t *testing.T) {
 	if strings.Contains(st.(string), "shard0_write_bytes:0\r\n") &&
 		strings.Contains(st.(string), "shard1_write_bytes:0\r\n") {
 		t.Fatalf("no write bytes reached storage:\n%s", st)
+	}
+}
+
+// TestInfoFieldsTheLedgerReads: every INFO field benchmark/e2e.go and
+// benchmark/proc.go read is rendered by the deployment they read it from (a
+// write-back master over an LSM with one replica), so that renaming one
+// fails here and not in the next ledger run, where a missing field reads as
+// zero. coalesced_writes is left out: the ledger still asks for it, and
+// nothing has rendered it since the write-through queues went.
+func TestInfoFieldsTheLedgerReads(t *testing.T) {
+	db, err := lsm.Open(lsm.Options{Dir: t.TempDir(), DisableWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	master, mc := startMaster(t, func(cfg *Config) {
+		cfg.Shards = 1
+		cfg.TieredFactory = func(eng *engine.Engine) (*cache.Tiered, error) {
+			return cache.New(cache.Options{Policy: cache.WriteBack, Engine: eng, Storage: cache.NewLSMStorage(db)})
+		}
+		cfg.StorageStats = func() []lsm.Stats { return []lsm.Stats{db.Stats()} }
+	})
+	_, rc := startReplicaOf(t, master, "r1", nil)
+	if err := mc.Set("k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "replica link", func() bool { return infoField(t, rc, "replication", "master_link") == "up" })
+	for _, f := range []struct {
+		node           *client.Client
+		section, field string
+	}{
+		{mc, "server", "mem_bytes"},
+		{mc, "server", "keys"},
+		{mc, "server", "shard0_workers"},
+		{mc, "server", "shard0_queue_depth"},
+		{mc, "server", "shard0_boosts"},
+		{mc, "writepath", "flush_rounds"},
+		{mc, "writepath", "flushed_entries"},
+		{mc, "writepath", "backpressure_waits"},
+		{mc, "writepath", "dirty_entries"},
+		{mc, "storage", "shard0_flushes"},
+		{mc, "storage", "shard0_compactions"},
+		{mc, "storage", "shard0_immutables"},
+		{mc, "storage", "shard0_write_bytes"},
+		{mc, "storage", "shard0_level_files"},
+		{mc, "replication", "connected_replicas"},
+		{mc, "replication", "repl_seq"},
+		{mc, "replication", "replica0"},
+		{rc, "server", "mem_bytes"},
+		{rc, "server", "keys"},
+		{rc, "replication", "master_link"},
+		{rc, "replication", "last_applied_seq"},
+	} {
+		if infoField(t, f.node, f.section, f.field) == "" {
+			t.Errorf("INFO %s renders no %s", f.section, f.field)
+		}
+	}
+	if lag := infoField(t, mc, "replication", "replica0"); !strings.Contains(lag, "ack_lag=") {
+		t.Errorf("replica0 line %q has no ack_lag=", lag)
 	}
 }
 
