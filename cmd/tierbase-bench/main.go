@@ -24,10 +24,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"maps"
 	"math/rand"
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -765,21 +767,11 @@ func byteCount(n int64) string {
 	return fmt.Sprintf("%dB", n)
 }
 
-// printInfoSection dumps every counter line of one INFO section.
+// printInfoSection dumps every field of one INFO section, sorted by name.
 func printInfoSection(c *client.Client, section string) {
-	v, err := c.Do("INFO", section)
-	if err != nil {
-		return
-	}
-	s, ok := v.(string)
-	if !ok {
-		return
-	}
-	for _, line := range strings.Split(strings.TrimRight(s, "\r\n"), "\r\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fmt.Printf("  %s\n", line)
+	fields, _ := c.Info(section)
+	for _, k := range slices.Sorted(maps.Keys(fields)) {
+		fmt.Printf("  %s:%s\n", k, fields[k])
 	}
 }
 
@@ -793,43 +785,21 @@ func infoFieldAt(addr, section, field string) string {
 	return infoField(c, section, field)
 }
 
-// infoField extracts one field from an INFO section, "" if unavailable.
+// infoField reads one field of an INFO section, "" if unavailable.
 func infoField(c *client.Client, section, field string) string {
-	v, err := c.Do("INFO", section)
-	if err != nil {
-		return ""
-	}
-	s, ok := v.(string)
-	if !ok {
-		return ""
-	}
-	for _, line := range strings.Split(s, "\r\n") {
-		if strings.HasPrefix(line, field+":") {
-			return strings.TrimPrefix(line, field+":")
-		}
-	}
-	return ""
+	fields, _ := c.Info(section)
+	return fields[field]
 }
 
 // printTieringState reports the cache-tiering section from INFO tiering:
 // per shard, the cache budget, the bytes resident against it and the hit,
 // miss and eviction counts the run left behind.
 func printTieringState(c *client.Client) {
-	v, err := c.Do("INFO", "tiering")
-	if err != nil {
-		return
-	}
-	s, ok := v.(string)
-	if !ok || !strings.Contains(s, "tiered_shards:") || strings.Contains(s, "tiered_shards:0") {
+	if n := infoField(c, "tiering", "tiered_shards"); n == "" || n == "0" {
 		return // cache-only server: no tiering section to report
 	}
 	fmt.Println("server tiering state:")
-	for _, line := range strings.Split(strings.TrimRight(s, "\r\n"), "\r\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		fmt.Printf("  %s\n", line)
-	}
+	printInfoSection(c, "tiering")
 }
 
 // printElasticState reports each shard's elastic pool state from INFO
@@ -837,20 +807,15 @@ func printTieringState(c *client.Client) {
 // often it boosted) is part of the result, not something to infer from
 // throughput alone.
 func printElasticState(c *client.Client) {
-	v, err := c.Do("INFO", "server")
+	fields, err := c.Info("server")
 	if err != nil {
 		return // an old server without INFO is still benchable
 	}
-	s, ok := v.(string)
-	if !ok {
-		return
-	}
 	fmt.Println("server elastic state:")
-	for _, line := range strings.Split(strings.TrimRight(s, "\r\n"), "\r\n") {
-		if strings.Contains(line, "_mode:") || strings.Contains(line, "_workers:") ||
-			strings.Contains(line, "_boosts:") || strings.Contains(line, "_shrinks:") ||
-			strings.Contains(line, "_queue_depth:") || strings.Contains(line, "_tasks:") {
-			fmt.Printf("  %s\n", line)
+	elastic := []string{"_mode", "_workers", "_boosts", "_shrinks", "_queue_depth", "_tasks"}
+	for _, k := range slices.Sorted(maps.Keys(fields)) {
+		if slices.ContainsFunc(elastic, func(suffix string) bool { return strings.HasSuffix(k, suffix) }) {
+			fmt.Printf("  %s:%s\n", k, fields[k])
 		}
 	}
 }

@@ -59,13 +59,3 @@ func (t *Tiered) Warm(key string) {
 	}
 	_, _ = t.Get(key)
 }
-
-// decodeStorageValue interprets a raw storage value for a string reader:
-// typed blobs surface as engine.ErrWrongType (the key is a collection),
-// escaped strings unescape. The returned slice may alias v.
-func decodeStorageValue(v []byte) ([]byte, error) {
-	if engine.IsTypedValue(v) {
-		return nil, engine.ErrWrongType
-	}
-	return engine.UnescapeStringValue(v), nil
-}

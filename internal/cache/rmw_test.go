@@ -286,7 +286,7 @@ func TestMutateKeyPinnedAgainstEviction(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("storage lost the counter: present %v, err %v", ok, err)
 	}
-	if got, _ := decodeStorageValue(sv); string(got) != "42" {
+	if got := engine.UnescapeStringValue(sv); string(got) != "42" {
 		t.Fatalf("storage holds %q, want 42", got)
 	}
 	if v, err := tr.Get("ctr"); err != nil || string(v) != "42" {
@@ -323,5 +323,69 @@ func TestMissTakesNoRMWLock(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUpdateSeesLapsedTTLAsAbsent: under write-through the storage copy of a
+// key outlives its TTL until someone deletes it through. An Update that
+// arrives in between must be told the key is gone, not be handed the stored
+// value, and what it writes must carry no trace of the old one.
+func TestUpdateSeesLapsedTTLAsAbsent(t *testing.T) {
+	stor := NewMapStorage()
+	tr := newWT(t, stor)
+	if err := tr.Set("k", []byte("expired")); err != nil {
+		t.Fatal(err)
+	}
+	if !tr.ExpireAt("k", time.Now().Add(2*time.Millisecond).UnixNano()) {
+		t.Fatal("ExpireAt: key not found")
+	}
+	time.Sleep(10 * time.Millisecond) // lapsed; the sweeper's next round is up to 100 ms away
+	err := tr.Update("k", func(old []byte, exists bool) []byte {
+		if exists || old != nil {
+			t.Errorf("Update of a lapsed key saw %q, exists=%v", old, exists)
+		}
+		return []byte("fresh")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, err := tr.Get("k"); err != nil || string(v) != "fresh" {
+		t.Fatalf("Get k: %q, %v; want fresh", v, err)
+	}
+	if v, _, _ := stor.Get("k"); string(v) != "fresh" {
+		t.Fatalf("storage holds %q, want fresh", v)
+	}
+}
+
+// TestUpdateOfCollectionIsWrongType: Update is a string operation. On a key
+// that holds a list it fails as GET and INCR do, under every policy, and
+// the list is still there afterwards.
+func TestUpdateOfCollectionIsWrongType(t *testing.T) {
+	for _, policy := range []Policy{CacheOnly, WriteThrough, WriteBack} {
+		t.Run(policy.String(), func(t *testing.T) {
+			var stor Storage
+			if policy != CacheOnly {
+				stor = NewMapStorage()
+			}
+			tr := newTiered(t, policy, stor)
+			eng := tr.Engine()
+			err := tr.Mutate("l", func() (bool, error) {
+				_, err := eng.RPush("l", []byte("a"), []byte("b"))
+				return err == nil, err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = tr.Update("l", func(old []byte, exists bool) []byte {
+				t.Errorf("fn ran on a list: old %q, exists=%v", old, exists)
+				return []byte("clobbered")
+			})
+			if err != engine.ErrWrongType {
+				t.Fatalf("Update of a list: %v, want ErrWrongType", err)
+			}
+			if n, err := eng.LLen("l"); err != nil || n != 2 {
+				t.Fatalf("the list after the Update: len %d, %v; want 2", n, err)
+			}
+		})
 	}
 }

@@ -596,51 +596,28 @@ func (t *Tiered) Delete(key string) error {
 }
 
 // Update is the read-modify-write entry point: fn receives the current
-// value (or exists=false) and returns the new value (nil deletes). The
-// read, fn and the commit run under the key's RMW stripe lock, so
-// concurrent Updates of one key never lose a write; fn must not call back
-// into the store.
+// string value (or exists=false) and returns the new value (nil deletes). It
+// is a Mutate (rmw.go) whose op reads the engine, calls fn and sets or
+// deletes there, so it warms, locks, pins and commits as INCR or CAS do:
+// concurrent Updates of one key never lose a write, a key whose TTL has
+// lapsed is absent, and a key that holds a collection is ErrWrongType. fn
+// must not call back into the store.
 func (t *Tiered) Update(key string, fn func(old []byte, exists bool) []byte) error {
 	if t.closed.Load() {
 		return ErrClosed
 	}
-	t.reqs.Add(1)
-	defer t.lockKey(key).Unlock()
-	old, exists, err := t.readForUpdate(key)
-	if err != nil {
-		return err
-	}
-	newVal := fn(old, exists)
-	return t.commit(key, newVal, newVal == nil, false, false)
-}
-
-// readForUpdate is Update's read: the cache tier, then (on a miss) the
-// write-back dirty set, then the storage tier.
-func (t *Tiered) readForUpdate(key string) (old []byte, exists bool, err error) {
-	v, err := t.eng.Get(key)
-	if err == nil {
-		t.hits.Add(1)
-		return v, true, nil
-	}
-	t.misses.Add(1)
-	if t.opts.Policy == CacheOnly {
-		return nil, false, nil
-	}
-	if t.opts.Policy == WriteBack {
-		// Dirty state shadows storage.
-		if e, ok := t.dirty.lookup(key); ok {
-			if e.enc {
-				return nil, false, engine.ErrWrongType // unflushed collection blob
-			}
-			return copyBytes(e.val), e.val != nil, nil
+	return t.Mutate(key, func() (bool, error) {
+		old, err := t.eng.Get(key)
+		if err != nil && err != engine.ErrNotFound {
+			return false, err
 		}
-	}
-	stored, present, err := t.opts.Storage.Get(key)
-	if err != nil || !present {
-		return nil, false, err
-	}
-	old, err = decodeStorageValue(stored)
-	return old, err == nil, err
+		exists := err == nil
+		newVal := fn(old, exists)
+		if newVal == nil {
+			return exists && t.eng.Del(key) > 0, nil
+		}
+		return true, t.eng.Set(key, newVal)
+	})
 }
 
 // ExpireAt sets key's TTL as an absolute UnixNano deadline, under the

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"time"
 )
 
@@ -197,4 +198,29 @@ func (c *Client) CAS(key, oldVal, newVal string) (bool, error) {
 		return false, err
 	}
 	return v.(int64) == 1, nil
+}
+
+// Info fetches one INFO section ("" = every section) as field → value.
+// Section headers ("# Server") and blank lines carry no colon and are
+// dropped. It is the module's one INFO parser for Go callers.
+func (c *Client) Info(section string) (map[string]string, error) {
+	args := []string{"INFO"}
+	if section != "" {
+		args = append(args, section)
+	}
+	v, err := c.Do(args...)
+	if err != nil {
+		return nil, err
+	}
+	s, ok := v.(string)
+	if !ok {
+		return nil, fmt.Errorf("client: unexpected INFO reply %T", v)
+	}
+	fields := make(map[string]string)
+	for _, line := range strings.Split(s, "\r\n") {
+		if k, val, ok := strings.Cut(line, ":"); ok {
+			fields[k] = val
+		}
+	}
+	return fields, nil
 }

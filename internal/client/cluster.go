@@ -19,14 +19,6 @@ func (tr *tableRouter) AddrFor(key string) string {
 	return tr.table.Load().AddrFor(key)
 }
 
-func (tr *tableRouter) GroupKeysByAddr(keys []string) map[string][]string {
-	return tr.table.Load().GroupKeysByAddr(keys)
-}
-
-func (tr *tableRouter) GroupPairsByAddr(pairs map[string]string) map[string]map[string]string {
-	return tr.table.Load().GroupPairsByAddr(pairs)
-}
-
 // NewCluster builds a Routed client that discovers the cluster through a
 // coordinator: it fetches the routing table (CLUSTER TABLE) at startup
 // and refetches it whenever a node answers MOVED or becomes unreachable,

@@ -4,13 +4,17 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"tierbase/internal/resp"
 )
+
+// maxRetainedOut caps the write buffer kept across drain windows, so one
+// huge value doesn't pin its buffer forever.
+const maxRetainedOut = 1 << 20
 
 // ErrClosed is the sticky error installed by Close: calls made after (or
 // racing) Close fail with it instead of hanging on a dead connection.
@@ -143,8 +147,8 @@ type MuxStats struct {
 // fails with the first error until a new client is dialed.
 type Client struct {
 	conn net.Conn
-	r    *bufio.Reader // reader goroutine only
-	w    *bufio.Writer // writer goroutine only
+	r    *resp.Reader // reader goroutine only
+	out  []byte       // writer goroutine only: the drain window being framed
 
 	mu       sync.Mutex
 	err      error   // sticky: first connection-level failure
@@ -170,8 +174,7 @@ type Client struct {
 func newClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:       conn,
-		r:          bufio.NewReaderSize(conn, 64<<10),
-		w:          bufio.NewWriterSize(conn, 64<<10),
+		r:          resp.NewReader(bufio.NewReaderSize(conn, 64<<10), resp.MaxArgs, resp.MaxBulkLen),
 		writerWake: make(chan struct{}, 1),
 		readerWake: make(chan struct{}, 1),
 	}
@@ -323,16 +326,21 @@ func (c *Client) flushWindow(batch []*call) error {
 	case c.readerWake <- struct{}{}:
 	default:
 	}
+	out := c.out[:0]
 	for _, args := range wire {
-		if err := writeCommand(c.w, args); err != nil {
-			return err
-		}
+		out = resp.AppendCommand(out, args...)
 	}
-	// Counted before the flush: a reply can release its caller before this
+	if cap(out) <= maxRetainedOut {
+		c.out = out
+	} else {
+		c.out = nil
+	}
+	// Counted before the write: a reply can release its caller before this
 	// goroutine runs again, and the caller may read Stats at once.
 	c.wireCommands.Add(int64(len(wire)))
 	c.flushes.Add(1)
-	return c.w.Flush()
+	_, err := c.conn.Write(out)
+	return err
 }
 
 // readLoop pairs in-order RESP replies with the in-order slot queue and
@@ -353,13 +361,13 @@ func (c *Client) readLoop() {
 		c.inflight[0] = nil // release the slot to GC under head-creep
 		c.inflight = c.inflight[1:]
 		c.mu.Unlock()
-		v, replyErr, ioErr := readReply(c.r)
-		if ioErr != nil {
-			c.fail(ioErr)
+		v, err := c.r.ReadReply()
+		if err != nil {
+			c.fail(err)
 			s.fail(c.Err())
 			return
 		}
-		s.deliverReply(v, replyErr)
+		s.deliverReply(replyResult(v))
 	}
 }
 
@@ -403,89 +411,29 @@ func (c *Client) fail(cause error) {
 	}
 }
 
-// --- wire format ---
-
-func writeCommand(w *bufio.Writer, args []string) error {
-	if _, err := fmt.Fprintf(w, "*%d\r\n", len(args)); err != nil {
-		return err
-	}
-	for _, a := range args {
-		if _, err := fmt.Fprintf(w, "$%d\r\n%s\r\n", len(a), a); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readReply reads one RESP reply. replyErr carries in-protocol outcomes
-// (Nil, server errors) after a complete, well-formed reply was consumed;
-// ioErr means the stream is broken or desynced and the connection must
-// die. Error elements inside an array surface as a replyErr for the whole
-// array, but the remaining elements are still consumed so the stream
-// stays in sync.
-func readReply(r *bufio.Reader) (v interface{}, replyErr, ioErr error) {
-	line, err := r.ReadBytes('\n')
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(line) < 3 {
-		return nil, nil, errors.New("client: malformed reply")
-	}
-	body := string(line[1 : len(line)-2])
-	switch line[0] {
-	case '+':
-		return body, nil, nil
-	case '-':
-		return nil, parseReplyError(body), nil
-	case ':':
-		n, err := strconv.ParseInt(body, 10, 64)
-		if err != nil {
-			return nil, nil, fmt.Errorf("client: bad integer reply: %w", err)
-		}
-		return n, nil, nil
-	case '$':
-		n, err := strconv.Atoi(body)
-		if err != nil {
-			return nil, nil, fmt.Errorf("client: bad bulk header: %w", err)
-		}
-		if n < 0 {
-			return nil, Nil, nil
-		}
-		buf := make([]byte, n+2)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, nil, err
-		}
-		return string(buf[:n]), nil, nil
-	case '*':
-		n, err := strconv.Atoi(body)
-		if err != nil {
-			return nil, nil, fmt.Errorf("client: bad array header: %w", err)
-		}
-		if n < 0 {
-			return nil, Nil, nil
-		}
-		out := make([]interface{}, n)
+// replyResult maps a decoded reply (resp.Reader.ReadReply) onto what a
+// caller sees: the nil bulk is the Nil error, an error reply is a typed
+// error, and an error element inside an array is the error of the whole
+// array (its other elements were still consumed, so the stream stays in
+// sync). Nil elements stay nil in their array.
+func replyResult(v interface{}) (interface{}, error) {
+	switch v := v.(type) {
+	case nil:
+		return nil, Nil
+	case resp.Error:
+		return nil, parseReplyError(string(v))
+	case []interface{}:
 		var firstErr error
-		for i := 0; i < n; i++ {
-			ev, eErr, eIO := readReply(r)
-			switch {
-			case eIO != nil:
-				return nil, nil, eIO
-			case eErr == Nil:
-				out[i] = nil
-			case eErr != nil:
-				if firstErr == nil {
-					firstErr = eErr
-				}
-			default:
-				out[i] = ev
+		for i, e := range v {
+			ev, err := replyResult(e)
+			if err != nil && err != Nil && firstErr == nil {
+				firstErr = err
 			}
+			v[i] = ev
 		}
 		if firstErr != nil {
-			return nil, firstErr, nil
+			return nil, firstErr
 		}
-		return out, nil, nil
-	default:
-		return nil, nil, fmt.Errorf("client: unknown reply type %q", line[0])
 	}
+	return v, nil
 }

@@ -207,7 +207,7 @@ func TestRoutedSurfacesServerErrors(t *testing.T) {
 	var refreshes atomic.Int32
 	rc.refreshFn = func() error { refreshes.Add(1); return nil }
 
-	c, err := rc.clientFor("k")
+	c, err := rc.clientForAddr(srv.addr())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,9 @@ package client
 
 import (
 	"errors"
+	"maps"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -65,14 +67,6 @@ func NewRouted(router Router) *Routed {
 		conns:  make(map[string]*Client),
 		dials:  make(map[string]*dialFlight),
 	}
-}
-
-func (rc *Routed) clientFor(key string) (*Client, error) {
-	addr := rc.router.AddrFor(key)
-	if addr == "" {
-		return nil, errors.New("client: no node for key")
-	}
-	return rc.clientForAddr(addr)
 }
 
 // clientForAddr returns the live mux for addr, dialing if needed. A
@@ -149,51 +143,57 @@ func (rc *Routed) maybeRefresh() {
 	}
 }
 
-// doRouted runs one single-key operation with redirect handling:
-// MOVED → refresh + follow, ASK → follow once, ConnError/dial failure →
-// refresh + re-route, server errors → surface.
-func (rc *Routed) doRouted(key string, fn func(c *Client) error) error {
-	addrOverride := ""
+// errNoNode is a key the routing table has no owner for.
+var errNoNode = errors.New("client: no node for key")
+
+// retry is the one redirect-and-retry loop. op runs against addr when the
+// previous attempt was redirected there, and routes by the table when addr
+// is empty. follow says whether a redirect's address is followed: a
+// single-key operation goes where a *MovedError (after a table refresh) or
+// an *AskError (without one: the slot is only migrating) points; a batch
+// has no one address to go to, so either redirect refreshes the table and
+// the next attempt re-splits by it. A transport failure refreshes and
+// re-routes, an overload rejection retries the same route after a backoff,
+// and any other error surfaces.
+func (rc *Routed) retry(follow bool, op func(addr string) error) error {
+	addr := ""
 	var lastErr error
 	for attempt := 0; attempt <= maxRedirects; attempt++ {
-		if attempt > 0 && addrOverride == "" {
+		if attempt > 0 && addr == "" {
 			// Re-routing after a transient failure: give a promotion in
 			// progress a beat before hammering the same (stale) address.
 			time.Sleep(time.Duration(attempt) * 20 * time.Millisecond)
 		}
-		var c *Client
-		var err error
-		if addrOverride != "" {
-			addr := addrOverride
-			addrOverride = ""
-			c, err = rc.clientForAddr(addr)
-		} else {
-			c, err = rc.clientFor(key)
-		}
-		if err == nil {
-			err = fn(c)
-		}
+		err := op(addr)
 		if err == nil || err == Nil {
 			return err
 		}
+		redirect := ""
 		var mv *MovedError
 		var ask *AskError
 		switch {
 		case errors.As(err, &mv):
 			rc.maybeRefresh()
-			addrOverride = mv.Addr
+			redirect = mv.Addr
 		case errors.As(err, &ask):
-			addrOverride = ask.Addr
+			redirect = ask.Addr
+			if !follow {
+				rc.maybeRefresh()
+			}
+		case isTransient(err):
+			rc.maybeRefresh()
 		case isOverloaded(err):
 			// Watermark shedding is node-local and self-healing (the
 			// server resumes writes once memory drains below its low
 			// watermark): back off harder than a redirect and retry the
 			// same route — no topology refresh, the table is not stale.
 			time.Sleep(overloadBackoff(attempt))
-		case isTransient(err):
-			rc.maybeRefresh()
 		default:
 			return err
+		}
+		addr = ""
+		if follow {
+			addr = redirect
 		}
 		lastErr = err
 	}
@@ -217,32 +217,59 @@ func isOverloaded(err error) bool {
 	return errors.As(err, &ov) || errors.As(err, &mc)
 }
 
-// retryTopology runs a whole-batch operation, retrying through routing
-// refreshes on redirects and transport failures. Batches re-split by the
-// (refreshed) table instead of following a single redirect address.
-func (rc *Routed) retryTopology(op func() error) error {
-	var lastErr error
-	for attempt := 0; attempt <= maxRedirects; attempt++ {
-		if attempt > 0 {
-			time.Sleep(time.Duration(attempt) * 20 * time.Millisecond)
+// doRouted runs one single-key operation against the node that owns key,
+// following redirects.
+func (rc *Routed) doRouted(key string, fn func(c *Client) error) error {
+	return rc.retry(true, func(addr string) error {
+		if addr == "" {
+			if addr = rc.router.AddrFor(key); addr == "" {
+				return errNoNode
+			}
 		}
-		err := op()
-		if err == nil || err == Nil {
+		c, err := rc.clientForAddr(addr)
+		if err != nil {
 			return err
 		}
-		var mv *MovedError
-		var ask *AskError
-		switch {
-		case isOverloaded(err):
-			time.Sleep(overloadBackoff(attempt)) // same node retries; see doRouted
-		case errors.As(err, &mv), errors.As(err, &ask), isTransient(err):
-			rc.maybeRefresh()
-		default:
-			return err
+		return fn(c)
+	})
+}
+
+// fanOut is one attempt at a batch: keys group by owning node, do runs once
+// per node on that node's keys, all nodes in parallel, and the first error
+// is the batch's. do merges its own result, under its own lock.
+func (rc *Routed) fanOut(keys []string, do func(c *Client, nodeKeys []string) error) error {
+	// Route every key before spawning anything: returning mid-iteration
+	// would orphan per-node goroutines already in flight.
+	groups := make(map[string][]string)
+	for _, k := range keys {
+		addr := rc.router.AddrFor(k)
+		if addr == "" {
+			return errNoNode
 		}
-		lastErr = err
+		groups[addr] = append(groups[addr], k)
 	}
-	return lastErr
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	var firstErr error
+	for addr, nodeKeys := range groups {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c, err := rc.clientForAddr(addr)
+			if err == nil {
+				err = do(c, nodeKeys)
+			}
+			if err != nil {
+				mu.Lock()
+				if firstErr == nil {
+					firstErr = err
+				}
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	return firstErr
 }
 
 // Set routes a SET by key, following redirects.
@@ -263,81 +290,25 @@ func (rc *Routed) Get(key string) (string, error) {
 	return out, err
 }
 
-// batchRouter is the optional fast path a Router can provide for grouping
-// a whole batch in one call (cluster.RoutingTable implements it).
-type batchRouter interface {
-	GroupKeysByAddr(keys []string) map[string][]string
-}
-
-// pairRouter is the write-side twin: grouping key/value pairs by node in
-// one call (cluster.RoutingTable implements it).
-type pairRouter interface {
-	GroupPairsByAddr(pairs map[string]string) map[string]map[string]string
-}
-
-// groupByAddr buckets keys by owning node address.
-func (rc *Routed) groupByAddr(keys []string) map[string][]string {
-	if br, ok := rc.router.(batchRouter); ok {
-		return br.GroupKeysByAddr(keys)
-	}
-	groups := make(map[string][]string)
-	for _, k := range keys {
-		addr := rc.router.AddrFor(k)
-		groups[addr] = append(groups[addr], k)
-	}
-	return groups
-}
-
 // MGet fetches many keys across the cluster: keys group by owning node,
 // each node receives one MGET, and the node round trips run in parallel.
 // Absent keys are omitted from the result. Redirects and node failures
 // re-split the batch against a refreshed table.
 func (rc *Routed) MGet(keys ...string) (map[string]string, error) {
 	var out map[string]string
-	err := rc.retryTopology(func() error {
-		var err error
-		out, err = rc.mgetOnce(keys)
-		return err
-	})
-	return out, err
-}
-
-func (rc *Routed) mgetOnce(keys []string) (map[string]string, error) {
-	groups := rc.groupByAddr(keys)
-	// Validate routing before spawning anything: returning mid-iteration
-	// would orphan per-node goroutines already in flight.
-	if _, hole := groups[""]; hole {
-		return nil, errors.New("client: no node for key")
-	}
-	out := make(map[string]string, len(keys))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	for addr, nodeKeys := range groups {
-		wg.Add(1)
-		go func(addr string, nodeKeys []string) {
-			defer wg.Done()
-			c, err := rc.clientForAddr(addr)
-			var got map[string]string
-			if err == nil {
-				got, err = c.MGet(nodeKeys...)
-			}
+	err := rc.retry(false, func(string) error {
+		out = make(map[string]string, len(keys))
+		var mu sync.Mutex
+		return rc.fanOut(keys, func(c *Client, nodeKeys []string) error {
+			got, err := c.MGet(nodeKeys...)
 			mu.Lock()
 			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			for k, v := range got {
-				out[k] = v
-			}
-		}(addr, nodeKeys)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+			maps.Copy(out, got)
+			return err
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -346,54 +317,19 @@ func (rc *Routed) mgetOnce(keys []string) (map[string]string, error) {
 // one MSET per node, node round trips in parallel. Redirects and node
 // failures re-split the batch against a refreshed table.
 func (rc *Routed) MSet(pairs map[string]string) error {
-	return rc.retryTopology(func() error {
-		return rc.msetOnce(pairs)
-	})
-}
-
-func (rc *Routed) msetOnce(pairs map[string]string) error {
-	var groups map[string]map[string]string
-	if pr, ok := rc.router.(pairRouter); ok {
-		groups = pr.GroupPairsByAddr(pairs)
-	} else {
-		keys := make([]string, 0, len(pairs))
-		for k := range pairs {
-			keys = append(keys, k)
-		}
-		groups = make(map[string]map[string]string)
-		for addr, nodeKeys := range rc.groupByAddr(keys) {
+	keys := make([]string, 0, len(pairs))
+	for k := range pairs {
+		keys = append(keys, k)
+	}
+	return rc.retry(false, func(string) error {
+		return rc.fanOut(keys, func(c *Client, nodeKeys []string) error {
 			sub := make(map[string]string, len(nodeKeys))
 			for _, k := range nodeKeys {
 				sub[k] = pairs[k]
 			}
-			groups[addr] = sub
-		}
-	}
-	if _, hole := groups[""]; hole {
-		return errors.New("client: no node for key")
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	for addr, sub := range groups {
-		wg.Add(1)
-		go func(addr string, sub map[string]string) {
-			defer wg.Done()
-			c, err := rc.clientForAddr(addr)
-			if err == nil {
-				err = c.MSet(sub)
-			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(addr, sub)
-	}
-	wg.Wait()
-	return firstErr
+			return c.MSet(sub)
+		})
+	})
 }
 
 // Del removes keys across the cluster: keys group by owning node, each
@@ -401,49 +337,19 @@ func (rc *Routed) msetOnce(pairs map[string]string) error {
 // deleted counts sum. Redirects and node failures re-split the batch
 // against a refreshed table.
 func (rc *Routed) Del(keys ...string) (int64, error) {
-	var total int64
-	err := rc.retryTopology(func() error {
-		var err error
-		total, err = rc.delOnce(keys)
-		return err
+	var total atomic.Int64
+	err := rc.retry(false, func(string) error {
+		total.Store(0)
+		return rc.fanOut(keys, func(c *Client, nodeKeys []string) error {
+			n, err := c.Del(nodeKeys...)
+			total.Add(n)
+			return err
+		})
 	})
-	return total, err
-}
-
-func (rc *Routed) delOnce(keys []string) (int64, error) {
-	groups := rc.groupByAddr(keys)
-	if _, hole := groups[""]; hole {
-		return 0, errors.New("client: no node for key")
+	if err != nil {
+		return 0, err
 	}
-	var total int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
-	for addr, nodeKeys := range groups {
-		wg.Add(1)
-		go func(addr string, nodeKeys []string) {
-			defer wg.Done()
-			c, err := rc.clientForAddr(addr)
-			var n int64
-			if err == nil {
-				n, err = c.Del(nodeKeys...)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				return
-			}
-			total += n
-		}(addr, nodeKeys)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return 0, firstErr
-	}
-	return total, nil
+	return total.Load(), nil
 }
 
 // Close closes all node connections. Dials still in flight complete and

@@ -69,39 +69,6 @@ func (rt *RoutingTable) NodeFor(key string) string { return rt.Slots[SlotFor(key
 // AddrFor returns the address serving key.
 func (rt *RoutingTable) AddrFor(key string) string { return rt.Addrs[rt.NodeFor(key)] }
 
-// GroupKeysByAddr buckets keys by the address of the master serving them,
-// preserving input order within each bucket — the routing leg of the
-// batch (MGET/MSET) fast path: a client splits one logical batch into one
-// physical batch per shard engine. Keys with no owning node group under
-// the empty address so callers can surface the routing hole.
-func (rt *RoutingTable) GroupKeysByAddr(keys []string) map[string][]string {
-	groups := make(map[string][]string)
-	for _, k := range keys {
-		addr := rt.AddrFor(k)
-		groups[addr] = append(groups[addr], k)
-	}
-	return groups
-}
-
-// GroupPairsByAddr buckets key/value pairs by the address of the master
-// serving them — the write-side twin of GroupKeysByAddr, so a routed
-// MSET splits into one physical MSET per node without an intermediate
-// key pass. Pairs with no owning node group under the empty address so
-// callers can surface the routing hole.
-func (rt *RoutingTable) GroupPairsByAddr(pairs map[string]string) map[string]map[string]string {
-	groups := make(map[string]map[string]string)
-	for k, v := range pairs {
-		addr := rt.AddrFor(k)
-		sub := groups[addr]
-		if sub == nil {
-			sub = make(map[string]string)
-			groups[addr] = sub
-		}
-		sub[k] = v
-	}
-	return groups
-}
-
 // Coordinator tracks membership and owns the routing table.
 type Coordinator struct {
 	mu    sync.Mutex

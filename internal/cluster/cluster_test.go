@@ -261,85 +261,3 @@ func TestTableStringAndIsolation(t *testing.T) {
 		t.Fatal("table copy leaked internal map")
 	}
 }
-
-func TestGroupKeysByAddr(t *testing.T) {
-	c := NewCoordinator()
-	c.Register(Node{ID: "n1", Addr: "addr1", Role: RoleMaster})
-	c.Register(Node{ID: "n2", Addr: "addr2", Role: RoleMaster})
-	table := c.Table()
-
-	keys := make([]string, 200)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("key%04d", i)
-	}
-	groups := table.GroupKeysByAddr(keys)
-	if len(groups) != 2 {
-		t.Fatalf("grouped into %d addrs, want 2", len(groups))
-	}
-	total := 0
-	for addr, ks := range groups {
-		total += len(ks)
-		// Every key must group under the same address AddrFor reports.
-		for _, k := range ks {
-			if table.AddrFor(k) != addr {
-				t.Fatalf("key %s grouped under %s but AddrFor says %s", k, addr, table.AddrFor(k))
-			}
-		}
-	}
-	if total != len(keys) {
-		t.Fatalf("grouping lost keys: %d/%d", total, len(keys))
-	}
-	// Order within a bucket preserves input order.
-	for _, ks := range groups {
-		for i := 1; i < len(ks); i++ {
-			if ks[i-1] >= ks[i] {
-				t.Fatalf("bucket order not preserved: %s before %s", ks[i-1], ks[i])
-			}
-		}
-	}
-	// No-masters table groups everything under the empty address.
-	empty := RoutingTable{}
-	g := empty.GroupKeysByAddr([]string{"a", "b"})
-	if len(g[""]) != 2 {
-		t.Fatalf("routing hole grouping: %v", g)
-	}
-}
-
-func TestGroupPairsByAddr(t *testing.T) {
-	c := NewCoordinator()
-	c.Register(Node{ID: "n1", Addr: "addr1", Role: RoleMaster})
-	c.Register(Node{ID: "n2", Addr: "addr2", Role: RoleMaster})
-	table := c.Table()
-
-	pairs := make(map[string]string, 200)
-	for i := 0; i < 200; i++ {
-		pairs[fmt.Sprintf("key%04d", i)] = fmt.Sprintf("val%04d", i)
-	}
-	groups := table.GroupPairsByAddr(pairs)
-	if len(groups) != 2 {
-		t.Fatalf("grouped into %d addrs, want 2", len(groups))
-	}
-	total := 0
-	for addr, sub := range groups {
-		total += len(sub)
-		// Every pair groups under the address AddrFor reports, value intact.
-		for k, v := range sub {
-			if table.AddrFor(k) != addr {
-				t.Fatalf("key %s grouped under %s but AddrFor says %s", k, addr, table.AddrFor(k))
-			}
-			if pairs[k] != v {
-				t.Fatalf("pair %s lost its value: %q != %q", k, v, pairs[k])
-			}
-		}
-	}
-	if total != len(pairs) {
-		t.Fatalf("grouping lost pairs: %d/%d", total, len(pairs))
-	}
-	// No-masters table groups everything under the empty address so the
-	// caller can surface the routing hole.
-	empty := RoutingTable{}
-	g := empty.GroupPairsByAddr(map[string]string{"a": "1", "b": "2"})
-	if len(g[""]) != 2 {
-		t.Fatalf("routing hole grouping: %v", g)
-	}
-}

@@ -5,13 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"tierbase/internal/resp"
 )
 
 // CoordServer serves a Coordinator over RESP so live tierbase-server
@@ -29,9 +29,8 @@ import (
 //	CLUSTER EPOCH   -> :<epoch>
 //	CLUSTER NODES   -> bulk text, one node per line
 //
-// This file speaks raw RESP on purpose: internal/client imports this
-// package for RoutingTable, so the coordinator cannot import the client
-// back.
+// The wire format is internal/resp, with limits sized for the commands
+// above rather than for a data node's values.
 type CoordServer struct {
 	coord *Coordinator
 	ln    net.Listener
@@ -128,44 +127,58 @@ func (cs *CoordServer) serveConn(nc net.Conn) {
 		cs.mu.Unlock()
 		nc.Close()
 	}()
-	br := bufio.NewReader(nc)
-	bw := bufio.NewWriter(nc)
+	cr := newReader(nc)
+	var out []byte
 	for {
-		args, err := readCommand(br)
+		raw, err := cr.ReadCommand()
 		if err != nil {
 			return
 		}
-		if len(args) == 0 {
-			continue
+		args := make([]string, len(raw))
+		for i, a := range raw {
+			args[i] = string(a)
 		}
-		cs.dispatch(bw, args)
-		if err := bw.Flush(); err != nil {
+		out = cs.dispatch(out[:0], args)
+		if _, err := nc.Write(out); err != nil {
 			return
 		}
 	}
 }
 
-func (cs *CoordServer) dispatch(bw *bufio.Writer, args []string) {
-	switch strings.ToUpper(args[0]) {
-	case "PING":
-		writeSimple(bw, "PONG")
-	case "CLUSTER":
+// newReader is the coordinator's RESP reader, for the commands it serves
+// and for the replies to those it sends.
+func newReader(nc net.Conn) *resp.Reader {
+	return resp.NewReader(bufio.NewReader(nc), maxArgs, maxBulkLen)
+}
+
+// The coordinator's RESP limits: its longest command has five short
+// arguments, and the longest reply it reads is a status line.
+const (
+	maxArgs    = 1024
+	maxBulkLen = 1 << 20
+)
+
+// dispatch appends the reply to one command to out.
+func (cs *CoordServer) dispatch(out []byte, args []string) []byte {
+	switch {
+	case len(args) == 0:
+		return resp.AppendError(out, "empty command")
+	case strings.EqualFold(args[0], "PING"):
+		return resp.AppendSimple(out, "PONG")
+	case strings.EqualFold(args[0], "CLUSTER"):
 		if len(args) < 2 {
-			writeErr(bw, "ERR wrong number of arguments for CLUSTER")
-			return
+			return resp.AppendError(out, "wrong number of arguments for CLUSTER")
 		}
-		cs.cluster(bw, args[1:])
-	default:
-		writeErr(bw, "ERR unknown command '"+args[0]+"'")
+		return cs.cluster(out, args[1:])
 	}
+	return resp.AppendError(out, "unknown command '"+args[0]+"'")
 }
 
-func (cs *CoordServer) cluster(bw *bufio.Writer, args []string) {
+func (cs *CoordServer) cluster(out []byte, args []string) []byte {
 	switch strings.ToUpper(args[0]) {
 	case "REGISTER":
 		if len(args) != 5 {
-			writeErr(bw, "ERR usage: CLUSTER REGISTER id addr role masterAddr|-")
-			return
+			return resp.AppendError(out, "usage: CLUSTER REGISTER id addr role masterAddr|-")
 		}
 		role := RoleMaster
 		if strings.EqualFold(args[3], "replica") {
@@ -176,21 +189,18 @@ func (cs *CoordServer) cluster(bw *bufio.Writer, args []string) {
 			masterAddr = ""
 		}
 		cs.coord.Register(Node{ID: args[1], Addr: args[2], Role: role, MasterAddr: masterAddr})
-		writeSimple(bw, "OK")
+		return resp.AppendSimple(out, "OK")
 	case "HEARTBEAT":
 		if len(args) != 2 {
-			writeErr(bw, "ERR usage: CLUSTER HEARTBEAT id")
-			return
+			return resp.AppendError(out, "usage: CLUSTER HEARTBEAT id")
 		}
 		if err := cs.coord.Heartbeat(args[1]); err != nil {
-			writeErr(bw, "UNKNOWNNODE "+args[1])
-			return
+			return resp.AppendRawError(out, "UNKNOWNNODE "+args[1])
 		}
-		writeSimple(bw, "OK")
+		return resp.AppendSimple(out, "OK")
 	case "DEREGISTER":
 		if len(args) != 2 {
-			writeErr(bw, "ERR usage: CLUSTER DEREGISTER id")
-			return
+			return resp.AppendError(out, "usage: CLUSTER DEREGISTER id")
 		}
 		ev := cs.coord.DeregisterDetail(args[1])
 		// Push the handoff promotion in the background: the draining
@@ -205,27 +215,25 @@ func (cs *CoordServer) cluster(bw *bufio.Writer, args []string) {
 				cs.pushPromotion(ev)
 			}(*ev)
 		}
-		writeSimple(bw, "OK")
+		return resp.AppendSimple(out, "OK")
 	case "TABLE":
 		table := cs.coord.Table()
 		blob, err := json.Marshal(&table)
 		if err != nil {
-			writeErr(bw, "ERR encoding table: "+err.Error())
-			return
+			return resp.AppendError(out, "encoding table: "+err.Error())
 		}
-		writeBulk(bw, blob)
+		return resp.AppendBulk(out, blob)
 	case "EPOCH":
 		table := cs.coord.Table()
-		fmt.Fprintf(bw, ":%d\r\n", table.Epoch)
+		return resp.AppendInt(out, int64(table.Epoch))
 	case "NODES":
 		var sb strings.Builder
 		for _, n := range cs.coord.Nodes() {
 			fmt.Fprintf(&sb, "%s %s %s master=%s\n", n.ID, n.Addr, n.Role, n.MasterID)
 		}
-		writeBulk(bw, []byte(sb.String()))
-	default:
-		writeErr(bw, "ERR unknown CLUSTER subcommand '"+args[0]+"'")
+		return resp.AppendBulkString(out, sb.String())
 	}
+	return resp.AppendError(out, "unknown CLUSTER subcommand '"+args[0]+"'")
 }
 
 // failoverLoop periodically scans heartbeats and pushes promotions to
@@ -286,102 +294,29 @@ func (cs *CoordServer) notify(addr string, args ...string) error {
 			case <-time.After(100 * time.Millisecond):
 			}
 		}
-		reply, err := sendRESP(addr, cs.NotifyTimeout, args...)
-		if err != nil {
-			lastErr = err
-			continue
+		reply, err := send(addr, cs.NotifyTimeout, args...)
+		if msg, refused := reply.(resp.Error); refused {
+			err = errors.New(string(msg))
 		}
-		if strings.HasPrefix(reply, "-") {
-			lastErr = errors.New(strings.TrimPrefix(reply, "-"))
-			continue
+		if err == nil {
+			return nil
 		}
-		return nil
+		lastErr = err
 	}
 	return lastErr
 }
 
-// sendRESP dials addr, writes one command as a RESP array of bulk
-// strings and returns the raw first reply line (including the type
-// byte). Deliberately tiny — this file cannot import internal/client.
-func sendRESP(addr string, timeout time.Duration, args ...string) (string, error) {
+// send dials addr, sends one command and returns its reply (a resp.Error
+// when the node refused it).
+func send(addr string, timeout time.Duration, args ...string) (interface{}, error) {
 	nc, err := net.DialTimeout("tcp", addr, timeout)
-	if err != nil {
-		return "", err
-	}
-	defer nc.Close()
-	nc.SetDeadline(time.Now().Add(timeout))
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "*%d\r\n", len(args))
-	for _, a := range args {
-		fmt.Fprintf(&sb, "$%d\r\n%s\r\n", len(a), a)
-	}
-	if _, err := io.WriteString(nc, sb.String()); err != nil {
-		return "", err
-	}
-	line, err := bufio.NewReader(nc).ReadString('\n')
-	if err != nil {
-		return "", err
-	}
-	return strings.TrimRight(line, "\r\n"), nil
-}
-
-// --- minimal RESP command reader / reply writers ---
-
-// readCommand parses one RESP array-of-bulk-strings command (inline
-// commands are also accepted for debugging with netcat).
-func readCommand(br *bufio.Reader) ([]string, error) {
-	line, err := br.ReadString('\n')
 	if err != nil {
 		return nil, err
 	}
-	line = strings.TrimRight(line, "\r\n")
-	if line == "" {
-		return nil, nil
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(timeout))
+	if _, err := nc.Write(resp.AppendCommand(nil, args...)); err != nil {
+		return nil, err
 	}
-	if line[0] != '*' {
-		return strings.Fields(line), nil // inline command
-	}
-	n, err := strconv.Atoi(line[1:])
-	if err != nil || n < 0 || n > 1024 {
-		return nil, fmt.Errorf("cluster: bad array header %q", line)
-	}
-	args := make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		hdr, err := br.ReadString('\n')
-		if err != nil {
-			return nil, err
-		}
-		hdr = strings.TrimRight(hdr, "\r\n")
-		if len(hdr) == 0 || hdr[0] != '$' {
-			return nil, fmt.Errorf("cluster: bad bulk header %q", hdr)
-		}
-		l, err := strconv.Atoi(hdr[1:])
-		if err != nil || l < 0 || l > 1<<20 {
-			return nil, fmt.Errorf("cluster: bad bulk length %q", hdr)
-		}
-		buf := make([]byte, l+2)
-		if _, err := io.ReadFull(br, buf); err != nil {
-			return nil, err
-		}
-		args = append(args, string(buf[:l]))
-	}
-	return args, nil
-}
-
-func writeSimple(bw *bufio.Writer, s string) {
-	bw.WriteByte('+')
-	bw.WriteString(s)
-	bw.WriteString("\r\n")
-}
-
-func writeErr(bw *bufio.Writer, msg string) {
-	bw.WriteByte('-')
-	bw.WriteString(msg)
-	bw.WriteString("\r\n")
-}
-
-func writeBulk(bw *bufio.Writer, b []byte) {
-	fmt.Fprintf(bw, "$%d\r\n", len(b))
-	bw.Write(b)
-	bw.WriteString("\r\n")
+	return newReader(nc).ReadReply()
 }

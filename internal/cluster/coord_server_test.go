@@ -1,15 +1,14 @@
 package cluster
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"tierbase/internal/resp"
 )
 
 // fakeNode is a minimal RESP listener that records the commands it
@@ -35,11 +34,15 @@ func startFakeNode(t *testing.T) *fakeNode {
 			}
 			go func(nc net.Conn) {
 				defer nc.Close()
-				br := bufio.NewReader(nc)
+				cr := newReader(nc)
 				for {
-					args, err := readCommand(br)
+					raw, err := cr.ReadCommand()
 					if err != nil {
 						return
+					}
+					args := make([]string, len(raw))
+					for i, a := range raw {
+						args[i] = string(a)
 					}
 					f.mu.Lock()
 					f.cmds = append(f.cmds, args)
@@ -73,55 +76,37 @@ func TestCoordServerRegisterHeartbeatTable(t *testing.T) {
 	}
 	defer cs.Close()
 
-	do := func(args ...string) string {
+	do := func(args ...string) interface{} {
 		t.Helper()
-		reply, err := sendRESP(cs.Addr(), time.Second, args...)
+		reply, err := send(cs.Addr(), time.Second, args...)
 		if err != nil {
 			t.Fatalf("%v: %v", args, err)
 		}
 		return reply
 	}
-	if got := do("PING"); got != "+PONG" {
+	if got := do("PING"); got != "PONG" {
 		t.Fatalf("PING = %q", got)
 	}
-	if got := do("CLUSTER", "REGISTER", "m1", "127.0.0.1:7001", "master", "-"); got != "+OK" {
+	if got := do("CLUSTER", "REGISTER", "m1", "127.0.0.1:7001", "master", "-"); got != "OK" {
 		t.Fatalf("REGISTER = %q", got)
 	}
-	if got := do("CLUSTER", "REGISTER", "r1", "127.0.0.1:7002", "replica", "127.0.0.1:7001"); got != "+OK" {
+	if got := do("CLUSTER", "REGISTER", "r1", "127.0.0.1:7002", "replica", "127.0.0.1:7001"); got != "OK" {
 		t.Fatalf("REGISTER replica = %q", got)
 	}
-	if got := do("CLUSTER", "HEARTBEAT", "m1"); got != "+OK" {
+	if got := do("CLUSTER", "HEARTBEAT", "m1"); got != "OK" {
 		t.Fatalf("HEARTBEAT = %q", got)
 	}
-	if got := do("CLUSTER", "HEARTBEAT", "ghost"); !strings.HasPrefix(got, "-UNKNOWNNODE") {
+	if got := do("CLUSTER", "HEARTBEAT", "ghost"); got != resp.Error("UNKNOWNNODE ghost") {
 		t.Fatalf("HEARTBEAT ghost = %q", got)
 	}
+	if got, ok := do("CLUSTER", "EPOCH").(int64); !ok || got == 0 {
+		t.Fatalf("EPOCH = %v", got)
+	}
 
-	// TABLE returns the routing table as JSON (multi-line bulk: read via
-	// a real conn instead of the single-line helper).
-	nc, err := net.Dial("tcp", cs.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
-	if _, err := nc.Write([]byte("*2\r\n$7\r\nCLUSTER\r\n$5\r\nTABLE\r\n")); err != nil {
-		t.Fatal(err)
-	}
-	br := bufio.NewReader(nc)
-	hdr, err := br.ReadString('\n')
-	if err != nil || !strings.HasPrefix(hdr, "$") {
-		t.Fatalf("TABLE header %q err %v", hdr, err)
-	}
-	var n int
-	if _, err := fmt.Sscanf(hdr, "$%d", &n); err != nil {
-		t.Fatalf("TABLE header %q: %v", hdr, err)
-	}
-	blob := make([]byte, n+2)
-	if _, err := io.ReadFull(br, blob); err != nil {
-		t.Fatal(err)
-	}
+	// TABLE returns the routing table as JSON in one bulk.
+	blob, _ := do("CLUSTER", "TABLE").(string)
 	var rt RoutingTable
-	if err := json.Unmarshal(blob[:n], &rt); err != nil {
+	if err := json.Unmarshal([]byte(blob), &rt); err != nil {
 		t.Fatalf("table JSON: %v", err)
 	}
 	if rt.Epoch == 0 || rt.Addrs["m1"] != "127.0.0.1:7001" {

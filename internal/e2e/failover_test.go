@@ -138,20 +138,11 @@ func dialWait(t *testing.T, addr string) *client.Client {
 	return c
 }
 
-// infoField extracts "field:value" from INFO <section>; empty on any
-// failure so it can sit inside waitFor conditions.
+// infoField reads one field of INFO <section>; empty on any failure so it
+// can sit inside waitFor conditions.
 func infoField(c *client.Client, section, field string) string {
-	v, err := c.Do("INFO", section)
-	if err != nil {
-		return ""
-	}
-	s, _ := v.(string)
-	for _, line := range strings.Split(s, "\r\n") {
-		if rest, ok := strings.CutPrefix(line, field+":"); ok {
-			return rest
-		}
-	}
-	return ""
+	fields, _ := c.Info(section)
+	return fields[field]
 }
 
 // TestClusterFailover is the live three-process drill: coordinator +

@@ -33,8 +33,13 @@ const (
 )
 
 // maxFrameLen bounds a single key or value length on the read side so a
-// corrupt stream fails fast instead of allocating gigabytes.
-const maxFrameLen = 1 << 30
+// corrupt stream fails fast. readChunk is how much of one readBytes
+// allocates ahead of the bytes arriving: a length costs its sender five
+// bytes, so the header alone must not buy a gigabyte.
+const (
+	maxFrameLen = 1 << 30
+	readChunk   = 64 << 10
+)
 
 // Frame is one decoded replication frame.
 type Frame struct {
@@ -159,9 +164,13 @@ func readBytes(r *bufio.Reader) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
+	b := make([]byte, 0, min(n, readChunk))
+	for len(b) < n {
+		m := min(n-len(b), readChunk)
+		b = append(b, make([]byte, m)...)
+		if _, err := io.ReadFull(r, b[len(b)-m:]); err != nil {
+			return nil, err
+		}
 	}
 	return b, nil
 }

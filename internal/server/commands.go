@@ -10,6 +10,7 @@ import (
 
 	"tierbase/internal/cache"
 	"tierbase/internal/engine"
+	"tierbase/internal/resp"
 )
 
 // The command table: everything the server knows about a command is its one
@@ -163,7 +164,7 @@ func (cmd *command) arityOK(n int) bool {
 }
 
 func appendArityError(out []byte, cmd *command) []byte {
-	return appendError(out, "wrong number of arguments for '"+strings.ToLower(cmd.name)+"'")
+	return resp.AppendError(out, "wrong number of arguments for '"+strings.ToLower(cmd.name)+"'")
 }
 
 // maxEchoedName caps how much of an unknown command's name the error
@@ -202,16 +203,16 @@ func notFoundish(err error) bool {
 
 func appendBool(out []byte, v bool) []byte {
 	if v {
-		return appendInt(out, 1)
+		return resp.AppendInt(out, 1)
 	}
-	return appendInt(out, 0)
+	return resp.AppendInt(out, 0)
 }
 
 // appendBulkArray renders values (nil = absent) as an array of bulks.
 func appendBulkArray(out []byte, vals [][]byte) []byte {
-	out = appendArrayLen(out, len(vals))
+	out = resp.AppendArrayLen(out, len(vals))
 	for _, v := range vals {
-		out = appendBulk(out, v)
+		out = resp.AppendBulk(out, v)
 	}
 	return out
 }
@@ -243,16 +244,16 @@ func parseRange(args [][]byte) (start, stop int, ok bool) {
 
 // --- keyless commands ---
 
-func cmdPing(_ *Server, c *conn, _ [][]byte) { c.out = appendSimple(c.out, "PONG") }
+func cmdPing(_ *Server, c *conn, _ [][]byte) { c.out = resp.AppendSimple(c.out, "PONG") }
 
-func cmdEcho(_ *Server, c *conn, args [][]byte) { c.out = appendBulk(c.out, args[1]) }
+func cmdEcho(_ *Server, c *conn, args [][]byte) { c.out = resp.AppendBulk(c.out, args[1]) }
 
 func cmdDBSize(s *Server, c *conn, _ [][]byte) {
 	var n int64
 	for _, sh := range s.shards {
 		n += int64(sh.eng.Len())
 	}
-	c.out = appendInt(c.out, n)
+	c.out = resp.AppendInt(c.out, n)
 }
 
 // cmdFlushAll clears every shard through its tiered store: clearing only
@@ -261,23 +262,23 @@ func cmdDBSize(s *Server, c *conn, _ [][]byte) {
 func cmdFlushAll(s *Server, c *conn, _ [][]byte) {
 	for _, sh := range s.shards {
 		if err := sh.tiered.FlushAll(); err != nil {
-			c.out = appendError(c.out, err.Error())
+			c.out = resp.AppendError(c.out, err.Error())
 			return
 		}
 	}
-	c.out = appendSimple(c.out, "OK")
+	c.out = resp.AppendSimple(c.out, "OK")
 }
 
 func cmdInfo(s *Server, c *conn, args [][]byte) {
 	if len(args) > 2 {
-		c.out = appendError(c.out, errSyntax)
+		c.out = resp.AppendError(c.out, errSyntax)
 		return
 	}
 	section := ""
 	if len(args) == 2 {
 		section = strings.ToLower(string(args[1]))
 	}
-	c.out = appendBulkString(c.out, s.info(section))
+	c.out = resp.AppendBulkString(c.out, s.info(section))
 }
 
 // replOnly adapts a replication command: to a server that runs without
@@ -309,7 +310,7 @@ func cmdMGet(s *Server, c *conn, args [][]byte) {
 		return err
 	})
 	if err != nil {
-		c.out = appendError(c.out, err.Error())
+		c.out = resp.AppendError(c.out, err.Error())
 		return
 	}
 	c.out = appendBulkArray(c.out, vals)
@@ -323,7 +324,7 @@ func cmdMGetOne(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
 	if err != nil && !notFoundish(err) && !errors.Is(err, engine.ErrWrongType) {
 		return out, err
 	}
-	return appendBulk(appendArrayLen(out, 1), v), nil
+	return resp.AppendBulk(resp.AppendArrayLen(out, 1), v), nil
 }
 
 // cmdMSet serves multi-pair MSET: each shard applies one batch put. A
@@ -342,10 +343,10 @@ func cmdMSet(s *Server, c *conn, args [][]byte) {
 		return sh.tiered.BatchPut(entries)
 	})
 	if err != nil {
-		c.out = appendError(c.out, err.Error())
+		c.out = resp.AppendError(c.out, err.Error())
 		return
 	}
-	c.out = appendSimple(c.out, "OK")
+	c.out = resp.AppendSimple(c.out, "OK")
 }
 
 // cmdDel serves multi-key DEL/UNLINK: each shard runs one tiered
@@ -360,15 +361,15 @@ func cmdDel(s *Server, c *conn, args [][]byte) {
 		return err
 	})
 	if err != nil {
-		c.out = appendError(c.out, err.Error())
+		c.out = resp.AppendError(c.out, err.Error())
 		return
 	}
-	c.out = appendInt(c.out, total.Load())
+	c.out = resp.AppendInt(c.out, total.Load())
 }
 
 func cmdDelOne(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
 	n, err := sh.tiered.BatchDelete([]string{key})
-	return appendInt(out, int64(n)), err
+	return resp.AppendInt(out, int64(n)), err
 }
 
 // --- strings ---
@@ -376,13 +377,13 @@ func cmdDelOne(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
 func cmdGet(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
 	v, err := sh.tiered.Get(key)
 	if notFoundish(err) {
-		return appendBulk(out, nil), nil
+		return resp.AppendBulk(out, nil), nil
 	}
-	return appendBulk(out, v), err
+	return resp.AppendBulk(out, v), err
 }
 
 func cmdSet(sh *shard, key string, args [][]byte, out []byte) ([]byte, error) {
-	return appendSimple(out, "OK"), sh.tiered.Set(key, args[2])
+	return resp.AppendSimple(out, "OK"), sh.tiered.Set(key, args[2])
 }
 
 func cmdExists(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
@@ -390,7 +391,7 @@ func cmdExists(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
 }
 
 func cmdType(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
-	return appendSimple(out, sh.eng.Type(key).String()), nil
+	return resp.AppendSimple(out, sh.eng.Type(key).String()), nil
 }
 
 func cmdSetNX(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte, bool, error) {
@@ -406,20 +407,20 @@ func incrBy(sign int64, operand bool) mutateFn {
 		if operand {
 			var err error
 			if delta, err = strconv.ParseInt(string(args[2]), 10, 64); err != nil {
-				return appendError(out, errNotInteger), false, nil
+				return resp.AppendError(out, errNotInteger), false, nil
 			}
 		}
 		v, err := eng.IncrBy(key, sign*delta)
-		return appendInt(out, v), err == nil, err
+		return resp.AppendInt(out, v), err == nil, err
 	}
 }
 
 func cmdCAS(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte, bool, error) {
 	err := eng.CompareAndSet(key, args[2], args[3])
 	if err == engine.ErrCASMismatch {
-		return appendInt(out, 0), false, nil
+		return resp.AppendInt(out, 0), false, nil
 	}
-	return appendInt(out, 1), err == nil, err
+	return resp.AppendInt(out, 1), err == nil, err
 }
 
 // cmdExpire goes through the tiered store: the TTL replicates as an
@@ -429,11 +430,11 @@ func cmdCAS(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte, 
 func cmdExpire(sh *shard, key string, args [][]byte, out []byte) ([]byte, error) {
 	secs, err := strconv.ParseInt(string(args[2]), 10, 64)
 	if err != nil {
-		return appendError(out, errNotInteger), nil
+		return resp.AppendError(out, errNotInteger), nil
 	}
 	now := time.Now().UnixNano()
 	if max := (math.MaxInt64 - now) / int64(time.Second); secs > max || secs < -max {
-		return appendError(out, "invalid expire time"), nil
+		return resp.AppendError(out, "invalid expire time"), nil
 	}
 	return appendBool(out, sh.tiered.ExpireAt(key, now+secs*int64(time.Second))), nil
 }
@@ -442,11 +443,11 @@ func cmdTTL(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
 	d, ok := sh.eng.TTL(key)
 	switch {
 	case ok:
-		return appendInt(out, int64(d/time.Second)), nil
+		return resp.AppendInt(out, int64(d/time.Second)), nil
 	case sh.eng.Exists(key):
-		return appendInt(out, -1), nil
+		return resp.AppendInt(out, -1), nil
 	default:
-		return appendInt(out, -2), nil
+		return resp.AppendInt(out, -2), nil
 	}
 }
 
@@ -460,7 +461,7 @@ func cmdPersist(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
 func count(fn func(eng *engine.Engine, key string) (int, error)) shardFn {
 	return func(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
 		n, err := fn(sh.eng, key)
-		return appendInt(out, int64(n)), err
+		return resp.AppendInt(out, int64(n)), err
 	}
 }
 
@@ -468,7 +469,7 @@ func count(fn func(eng *engine.Engine, key string) (int, error)) shardFn {
 func push(fn func(eng *engine.Engine, key string, vals ...[]byte) (int, error)) mutateFn {
 	return func(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte, bool, error) {
 		n, err := fn(eng, key, args[2:]...)
-		return appendInt(out, int64(n)), err == nil, err
+		return resp.AppendInt(out, int64(n)), err == nil, err
 	}
 }
 
@@ -478,9 +479,9 @@ func pop(fn func(eng *engine.Engine, key string) ([]byte, error)) mutateFn {
 	return func(eng *engine.Engine, key string, _ [][]byte, out []byte) ([]byte, bool, error) {
 		v, err := fn(eng, key)
 		if notFoundish(err) {
-			return appendBulk(out, nil), false, nil
+			return resp.AppendBulk(out, nil), false, nil
 		}
-		return appendBulk(out, v), err == nil, err
+		return resp.AppendBulk(out, v), err == nil, err
 	}
 }
 
@@ -489,14 +490,14 @@ func pop(fn func(eng *engine.Engine, key string) ([]byte, error)) mutateFn {
 func members(fn func(eng *engine.Engine, key string, members ...string) (int, error)) mutateFn {
 	return func(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte, bool, error) {
 		n, err := fn(eng, key, stringsFrom(args[2:])...)
-		return appendInt(out, int64(n)), n > 0, err
+		return resp.AppendInt(out, int64(n)), n > 0, err
 	}
 }
 
 func cmdLRange(sh *shard, key string, args [][]byte, out []byte) ([]byte, error) {
 	start, stop, ok := parseRange(args)
 	if !ok {
-		return appendError(out, errNotInteger), nil
+		return resp.AppendError(out, errNotInteger), nil
 	}
 	vals, err := sh.eng.LRange(key, start, stop)
 	return appendBulkArray(out, vals), err
@@ -509,9 +510,9 @@ func cmdSIsMember(sh *shard, key string, args [][]byte, out []byte) ([]byte, err
 
 func cmdSMembers(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
 	members, err := sh.eng.SMembers(key)
-	out = appendArrayLen(out, len(members))
+	out = resp.AppendArrayLen(out, len(members))
 	for _, m := range members {
-		out = appendBulkString(out, m)
+		out = resp.AppendBulkString(out, m)
 	}
 	return out, err
 }
@@ -519,7 +520,7 @@ func cmdSMembers(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) 
 func cmdZAdd(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte, bool, error) {
 	score, err := strconv.ParseFloat(string(args[2]), 64)
 	if err != nil {
-		return appendError(out, "value is not a valid float"), false, nil
+		return resp.AppendError(out, "value is not a valid float"), false, nil
 	}
 	// Changed even when the member is not new: its score may have moved.
 	isNew, err := eng.ZAdd(key, string(args[3]), score)
@@ -529,9 +530,9 @@ func cmdZAdd(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte,
 func cmdZScore(sh *shard, key string, args [][]byte, out []byte) ([]byte, error) {
 	sc, err := sh.eng.ZScore(key, string(args[2]))
 	if notFoundish(err) {
-		return appendBulk(out, nil), nil
+		return resp.AppendBulk(out, nil), nil
 	}
-	return appendBulkString(out, strconv.FormatFloat(sc, 'g', -1, 64)), err
+	return resp.AppendBulkString(out, strconv.FormatFloat(sc, 'g', -1, 64)), err
 }
 
 func cmdZRem(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte, bool, error) {
@@ -542,22 +543,22 @@ func cmdZRem(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte,
 func cmdZRange(sh *shard, key string, args [][]byte, out []byte) ([]byte, error) {
 	start, stop, ok := parseRange(args)
 	if !ok {
-		return appendError(out, errNotInteger), nil
+		return resp.AppendError(out, errNotInteger), nil
 	}
 	withScores := len(args) == 5 && strings.EqualFold(string(args[4]), "WITHSCORES")
 	if len(args) > 4 && !withScores {
-		return appendError(out, errSyntax), nil
+		return resp.AppendError(out, errSyntax), nil
 	}
 	members, err := sh.eng.ZRange(key, start, stop)
 	n := len(members)
 	if withScores {
 		n *= 2
 	}
-	out = appendArrayLen(out, n)
+	out = resp.AppendArrayLen(out, n)
 	for _, m := range members {
-		out = appendBulkString(out, m.Member)
+		out = resp.AppendBulkString(out, m.Member)
 		if withScores {
-			out = appendBulkString(out, strconv.FormatFloat(m.Score, 'g', -1, 64))
+			out = resp.AppendBulkString(out, strconv.FormatFloat(m.Score, 'g', -1, 64))
 		}
 	}
 	return out, err
@@ -572,17 +573,17 @@ func cmdHSet(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte,
 func cmdHGet(sh *shard, key string, args [][]byte, out []byte) ([]byte, error) {
 	v, err := sh.eng.HGet(key, string(args[2]))
 	if notFoundish(err) {
-		return appendBulk(out, nil), nil
+		return resp.AppendBulk(out, nil), nil
 	}
-	return appendBulk(out, v), err
+	return resp.AppendBulk(out, v), err
 }
 
 func cmdHGetAll(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
 	fields, err := sh.eng.HGetAll(key)
-	out = appendArrayLen(out, len(fields)*2)
+	out = resp.AppendArrayLen(out, len(fields)*2)
 	for _, f := range fields {
-		out = appendBulkString(out, f.Field)
-		out = appendBulk(out, f.Value)
+		out = resp.AppendBulkString(out, f.Field)
+		out = resp.AppendBulk(out, f.Value)
 	}
 	return out, err
 }

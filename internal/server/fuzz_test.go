@@ -8,52 +8,6 @@ import (
 	"testing"
 )
 
-// FuzzReadCommand drives the RESP command parser over arbitrary byte
-// streams. The parser fronts every client socket, so it must never
-// panic, never hand back an argument longer than the bulk limit, and —
-// because args alias the parse arena — every returned arg must be
-// readable in full. Errors are fine (malformed input is the point);
-// crashes and unbounded allocations are not.
-func FuzzReadCommand(f *testing.F) {
-	f.Add([]byte("*1\r\n$4\r\nPING\r\n"))
-	f.Add([]byte("*3\r\n$3\r\nSET\r\n$1\r\nk\r\n$1\r\nv\r\n"))
-	f.Add([]byte("*2\r\n$3\r\nGET\r\n$1\r\nk\r\n"))
-	f.Add([]byte("PING\r\n"))
-	f.Add([]byte("SET key value\r\n"))
-	f.Add([]byte("*1\r\n$-1\r\n"))
-	f.Add([]byte("*999999999\r\n"))
-	f.Add([]byte("$5\r\nhello\r\n"))
-	f.Add([]byte("*2\r\n$3\r\nGET\r\n$100\r\nshort\r\n"))
-	f.Add([]byte("\r\n"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		cr := &cmdReader{r: bufio.NewReaderSize(bytes.NewReader(data), 16<<10)}
-		for i := 0; i < 64; i++ {
-			args, err := cr.ReadCommand()
-			if err != nil {
-				return
-			}
-			if len(args) == 0 {
-				continue // *0\r\n parses to zero args; dispatch rejects it
-			}
-			if len(args) > maxArgs {
-				t.Fatalf("parser returned %d args, cap is %d", len(args), maxArgs)
-			}
-			sink := 0
-			for _, a := range args {
-				if len(a) > maxBulkLen {
-					t.Fatalf("arg of %d bytes exceeds bulk limit", len(a))
-				}
-				for _, b := range a {
-					sink += int(b) // touch every byte: args must be readable
-				}
-			}
-			_ = sink
-			var scratch [16]byte
-			_ = lookupCommand(args[0], &scratch)
-		}
-	})
-}
-
 // FuzzDispatch feeds dispatch arbitrary argument vectors (the fuzz input
 // split at zero bytes) on a cache-only server: whatever the arguments, one
 // command gets exactly one well-formed RESP reply and nothing panics.

@@ -44,19 +44,14 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timeout waiting for %s", what)
 }
 
-// infoField extracts "field:value" from an INFO blob.
+// infoField reads one field of an INFO section.
 func infoField(t *testing.T, c *client.Client, section, field string) string {
 	t.Helper()
-	v, err := c.Do("INFO", section)
+	fields, err := c.Info(section)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, line := range strings.Split(v.(string), "\r\n") {
-		if rest, ok := strings.CutPrefix(line, field+":"); ok {
-			return rest
-		}
-	}
-	return ""
+	return fields[field]
 }
 
 func TestReplicationStreamsWrites(t *testing.T) {

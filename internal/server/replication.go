@@ -16,6 +16,7 @@ import (
 	"tierbase/internal/engine"
 	"tierbase/internal/metrics"
 	"tierbase/internal/replication"
+	"tierbase/internal/resp"
 )
 
 // Server-side replication: the network leg over the replication
@@ -227,7 +228,7 @@ func (r *serverRepl) gateWrite(c *conn, cmd *command, args [][]byte) bool {
 		if cmd.keys != keysNone {
 			slot = cluster.SlotFor(string(args[1]))
 		}
-		c.out = appendRawError(c.out, fmt.Sprintf("MOVED %d %s", slot, r.currentMasterAddr()))
+		c.out = resp.AppendRawError(c.out, fmt.Sprintf("MOVED %d %s", slot, r.currentMasterAddr()))
 		return true
 	}
 	if r.cfg.SemiSyncAcks > 0 {
@@ -253,7 +254,7 @@ func (r *serverRepl) semiSync(c *conn, cmd *command, args [][]byte) {
 	err := r.acks.Wait(r.log.Seq(), r.cfg.SemiSyncAcks, r.cfg.AckTimeout)
 	if err != nil {
 		c.out = c.out[:mark]
-		c.out = appendRawError(c.out, fmt.Sprintf(
+		c.out = resp.AppendRawError(c.out, fmt.Sprintf(
 			"NOREPLICAS write not acknowledged by %d replica(s) within %v",
 			r.cfg.SemiSyncAcks, r.cfg.AckTimeout))
 	}
@@ -265,15 +266,15 @@ func (r *serverRepl) cmdReplicaof(c *conn, args [][]byte) {
 	host, port := string(args[1]), string(args[2])
 	if strings.EqualFold(host, "no") && strings.EqualFold(port, "one") {
 		r.promote()
-		c.out = appendSimple(c.out, "OK")
+		c.out = resp.AppendSimple(c.out, "OK")
 		return
 	}
 	if _, err := strconv.Atoi(port); err != nil {
-		c.out = appendError(c.out, "invalid replicaof port")
+		c.out = resp.AppendError(c.out, "invalid replicaof port")
 		return
 	}
 	r.follow(net.JoinHostPort(host, port))
-	c.out = appendSimple(c.out, "OK")
+	c.out = resp.AppendSimple(c.out, "OK")
 }
 
 // promote turns a replica into a master: stop applying, flip the role,
@@ -327,21 +328,21 @@ func (r *serverRepl) cmdCluster(c *conn, args [][]byte) {
 	sub := strings.ToUpper(string(args[1]))
 	switch sub {
 	case "MYID":
-		c.out = appendBulkString(c.out, r.cfg.NodeID)
+		c.out = resp.AppendBulkString(c.out, r.cfg.NodeID)
 	case "ROLE":
 		role := "master"
 		if r.isReplica() {
 			role = "replica"
 		}
-		c.out = appendSimple(c.out, role)
+		c.out = resp.AppendSimple(c.out, role)
 	case "SLOT":
 		if len(args) != 3 {
-			c.out = appendError(c.out, "CLUSTER SLOT needs a key")
+			c.out = resp.AppendError(c.out, "CLUSTER SLOT needs a key")
 			return
 		}
-		c.out = appendInt(c.out, int64(cluster.SlotFor(string(args[2]))))
+		c.out = resp.AppendInt(c.out, int64(cluster.SlotFor(string(args[2]))))
 	default:
-		c.out = appendError(c.out, "unknown CLUSTER subcommand '"+sub+"'")
+		c.out = resp.AppendError(c.out, "unknown CLUSTER subcommand '"+sub+"'")
 	}
 }
 
@@ -390,17 +391,17 @@ func (r *serverRepl) removeSession(sess *replSession) {
 // socket until the replica detaches.
 func (r *serverRepl) cmdSync(c *conn, args [][]byte) {
 	if r.isReplica() {
-		c.out = appendError(c.out, "cannot SYNC from a replica")
+		c.out = resp.AppendError(c.out, "cannot SYNC from a replica")
 		return
 	}
 	after, err := strconv.ParseUint(string(args[1]), 10, 64)
 	if err != nil {
-		c.out = appendError(c.out, "invalid SYNC position")
+		c.out = resp.AppendError(c.out, "invalid SYNC position")
 		return
 	}
 	nodeID := string(args[2])
 	if nodeID == "" {
-		c.out = appendError(c.out, "SYNC requires a node id")
+		c.out = resp.AppendError(c.out, "SYNC requires a node id")
 		return
 	}
 	c.hijack = func() { r.serveReplica(c, after, nodeID) }
@@ -459,7 +460,7 @@ func (r *serverRepl) serveReplica(c *conn, after uint64, nodeID string) {
 
 	if full {
 		r.fullSyncsServed.Add(1)
-		if _, err := bw.WriteString("+FULLSYNC\r\n"); err != nil {
+		if _, err := bw.Write(resp.AppendSimple(nil, "FULLSYNC")); err != nil {
 			return
 		}
 		if err := replication.WriteSnapBegin(bw, snapSeq); err != nil {
@@ -485,7 +486,7 @@ func (r *serverRepl) serveReplica(c *conn, after uint64, nodeID string) {
 			return
 		}
 	} else {
-		if _, err := bw.WriteString("+CONTINUE\r\n"); err != nil {
+		if _, err := bw.Write(resp.AppendSimple(nil, "CONTINUE")); err != nil {
 			return
 		}
 	}
@@ -508,7 +509,7 @@ func (r *serverRepl) serveReplica(c *conn, after uint64, nodeID string) {
 	ackDone := make(chan struct{})
 	go func() {
 		defer close(ackDone)
-		br := c.cr.r
+		br := c.br
 		for {
 			nc.SetReadDeadline(time.Now().Add(r.cfg.ReadTimeout))
 			f, err := replication.ReadFrame(br)
@@ -697,17 +698,17 @@ func (a *replApplier) syncOnce() bool {
 	br := bufio.NewReaderSize(nc, 64<<10)
 	bw := bufio.NewWriterSize(nc, 64<<10)
 	nc.SetWriteDeadline(time.Now().Add(wt))
-	if err := writeRESPCommand(bw, "SYNC", strconv.FormatUint(r.lastApplied.Load(), 10), r.cfg.NodeID); err != nil {
+	if _, err := nc.Write(resp.AppendCommand(nil, "SYNC", strconv.FormatUint(r.lastApplied.Load(), 10), r.cfg.NodeID)); err != nil {
 		return false
 	}
 	nc.SetReadDeadline(time.Now().Add(rt))
-	status, err := br.ReadString('\n')
+	status, err := resp.NewReader(br, resp.MaxArgs, resp.MaxBulkLen).ReadReply()
 	if err != nil {
 		return false
 	}
-	switch strings.TrimRight(status, "\r\n") {
-	case "+CONTINUE":
-	case "+FULLSYNC":
+	switch status {
+	case "CONTINUE":
+	case "FULLSYNC":
 		r.fullSyncsDone.Add(1)
 		if !a.readSnapshot(nc, br) {
 			return false
@@ -851,15 +852,6 @@ func (r *serverRepl) applyEntry(key string, val []byte, encoded bool) {
 	if err != nil {
 		r.applyErrors.Add(1)
 	}
-}
-
-// writeRESPCommand frames one command as a RESP array and flushes.
-func writeRESPCommand(bw *bufio.Writer, args ...string) error {
-	fmt.Fprintf(bw, "*%d\r\n", len(args))
-	for _, arg := range args {
-		fmt.Fprintf(bw, "$%d\r\n%s\r\n", len(arg), arg)
-	}
-	return bw.Flush()
 }
 
 // --- coordinator heartbeat ---

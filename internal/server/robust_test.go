@@ -13,6 +13,7 @@ import (
 	"tierbase/internal/client"
 	"tierbase/internal/engine"
 	"tierbase/internal/replication"
+	"tierbase/internal/resp"
 )
 
 // TestSlowReplicaFullSyncDoesNotStallWrites is the in-process slow-link
@@ -52,8 +53,7 @@ func TestSlowReplicaFullSyncDoesNotStallWrites(t *testing.T) {
 	if tc, ok := stuck.(*net.TCPConn); ok {
 		tc.SetReadBuffer(4 << 10)
 	}
-	bw := bufio.NewWriter(stuck)
-	if err := writeRESPCommand(bw, "SYNC", "0", "stuck"); err != nil {
+	if _, err := stuck.Write(resp.AppendCommand(nil, "SYNC", "0", "stuck")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -118,7 +118,7 @@ func TestLaggardReplicaIsShed(t *testing.T) {
 	defer nc.Close()
 	br := bufio.NewReader(nc)
 	bw := bufio.NewWriter(nc)
-	if err := writeRESPCommand(bw, "SYNC", "0", "laggard"); err != nil {
+	if _, err := nc.Write(resp.AppendCommand(nil, "SYNC", "0", "laggard")); err != nil {
 		t.Fatal(err)
 	}
 	status, err := br.ReadString('\n')

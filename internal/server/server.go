@@ -1,6 +1,12 @@
+// Package server implements TierBase's wire protocol front end: a
+// Redis-compatible (RESP2) TCP server whose data nodes are engine shards
+// fronted by elastic worker pools (paper §3: "Initially Redis-compatible
+// ... TierBase clients, compatible with native Redis clients"). The wire
+// format itself is internal/resp.
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -14,6 +20,7 @@ import (
 	"tierbase/internal/elastic"
 	"tierbase/internal/engine"
 	"tierbase/internal/metrics"
+	"tierbase/internal/resp"
 )
 
 // Server is the TierBase RESP server. It is configured by Config (see
@@ -172,7 +179,8 @@ func (s *Server) fanOut(keys [][]byte, stride int, fn func(sh *shard, idxs []int
 type conn struct {
 	srv        *Server
 	nc         net.Conn
-	cr         *cmdReader
+	br         *bufio.Reader // what cr parses; a hijacker (SYNC) reads its frames from it
+	cr         *resp.Reader
 	out        []byte
 	cmdScratch [16]byte
 	task       connTask
@@ -231,14 +239,15 @@ func (t *connTask) Run() {
 		c.out, err = cmd.shard(sh, key, t.args, c.out)
 	}
 	if err != nil {
-		c.out = appendError(c.out[:mark], err.Error())
+		c.out = resp.AppendError(c.out[:mark], err.Error())
 	}
 	t.done <- struct{}{}
 }
 
 // newConn builds the serving state of one connection.
 func newConn(s *Server, nc net.Conn) *conn {
-	c := &conn{srv: s, nc: nc, cr: newCmdReader(nc)}
+	br := bufio.NewReaderSize(nc, 16<<10)
+	c := &conn{srv: s, nc: nc, br: br, cr: resp.NewReader(br, resp.MaxArgs, resp.MaxBulkLen)}
 	c.task.c = c
 	c.task.done = make(chan struct{}, 1)
 	return c
@@ -388,7 +397,7 @@ func (s *Server) serveConn(c *conn) {
 // watermark, the replica's redirect, the semi-sync ack wait — then route.
 func (s *Server) dispatch(c *conn, args [][]byte) {
 	if len(args) == 0 {
-		c.out = appendError(c.out, "empty command")
+		c.out = resp.AppendError(c.out, "empty command")
 		return
 	}
 	cmd := lookupCommand(args[0], &c.cmdScratch)
@@ -407,7 +416,7 @@ func (s *Server) dispatch(c *conn, args [][]byte) {
 		// writes and the replica apply path doesn't pass through dispatch.
 		if s.rejectWrites() {
 			s.over.rejectedWrites.Add(1)
-			c.out = appendRawError(c.out, overloadedReply)
+			c.out = resp.AppendRawError(c.out, overloadedReply)
 			return
 		}
 		if s.repl != nil && s.repl.gateWrite(c, cmd, args) {
@@ -432,7 +441,7 @@ func (s *Server) route(c *conn, cmd *command, args [][]byte) {
 	t := &c.task
 	t.sh, t.cmd, t.args = s.shardFor(args[1]), cmd, args
 	if err := t.sh.pool.SubmitTask(t); err != nil {
-		c.out = appendError(c.out, errShuttingDown.Error())
+		c.out = resp.AppendError(c.out, errShuttingDown.Error())
 		return
 	}
 	<-t.done
