@@ -143,7 +143,12 @@ func (s *LSMStorage) BatchGet(keys []string) (map[string][]byte, error) {
 // WAL append, one fsync window — instead of one write-lock round and WAL
 // record per key.
 func (s *LSMStorage) BatchPut(entries map[string][]byte) error {
+	size := 0
+	for k, v := range entries {
+		size += len(k) + len(v)
+	}
 	b := &lsm.Batch{}
+	b.Grow(len(entries), size)
 	for k, v := range entries {
 		if v == nil {
 			b.Delete([]byte(k))

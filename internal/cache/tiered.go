@@ -262,7 +262,7 @@ func (t *Tiered) maybeEvict() {
 		if t.eng.ShardMemUsed(si) == 0 {
 			continue // an empty stripe costs an atomic load and no lock
 		}
-		if _, ok := t.eng.Evict(si, t.pinned[si]); !ok {
+		if !t.eng.Evict(si, t.pinned[si]) {
 			return // every key there is pinned; the flusher will unblock us
 		}
 		t.evictions.Add(1)

@@ -518,3 +518,46 @@ func TestConcurrentMixedTiered(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEvictingSetDoesNotAllocateInEvict: the prefill of a store eight times
+// its cache evicts one key for every key it admits, so what an eviction
+// costs is paid per write. engine.Evict, driven as maybeEvict drives it
+// (the store's own pinned closure, stripe after stripe), names its victim
+// to no one and allocates nothing.
+func TestEvictingSetDoesNotAllocateInEvict(t *testing.T) {
+	eng := engine.New(engine.Options{})
+	tr, err := New(Options{
+		Policy: WriteThrough, Engine: eng, Storage: NewMapStorage(),
+		CacheCapacityBytes: 64 << 10,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	val := bytes.Repeat([]byte("e"), 100)
+	for i := 0; i < 2000; i++ { // four times the budget: every late Set evicts
+		if err := tr.Set(fmt.Sprintf("evict:%05d", i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Stats().Evictions == 0 {
+		t.Fatal("a full write-through store evicted nothing")
+	}
+	resident := eng.Len()
+	if resident < 200 {
+		t.Fatalf("only %d keys resident: too few to evict 100", resident)
+	}
+	si := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		for !eng.Evict(si%eng.NumShards(), tr.pinned[si%eng.NumShards()]) {
+			si++ // an empty stripe
+		}
+		si++
+	})
+	if allocs != 0 {
+		t.Fatalf("an eviction allocates %.1f times", allocs)
+	}
+	if eng.Len() >= resident {
+		t.Fatal("the measured evictions removed nothing")
+	}
+}

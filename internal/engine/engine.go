@@ -369,11 +369,10 @@ func (e *Engine) freeRef(st stored) {
 	}
 }
 
-// forget takes rec's payload out of the accounts and frees the PMem its
-// value occupies. The caller then takes rec out of the index, which frees
-// its slot, and settles memUsed.
-func (e *Engine) forget(s *shard, rec record) {
-	f := rec.parse()
+// forget takes the payload of the record whose fields are f out of the
+// accounts and frees the PMem its value occupies. The caller then takes the
+// record out of the index, which frees its slot, and settles memUsed.
+func (e *Engine) forget(s *shard, f fields) {
 	e.freeRef(f.stored)
 	s.payload.Add(-f.payload())
 }
@@ -391,9 +390,14 @@ func (e *Engine) remove(s *shard, key string, en entry) {
 		e.removeItem(s, key, en.it)
 		return
 	}
+	e.removeRecord(s, en.at, en.rec.parse())
+}
+
+// removeRecord deletes the string in slot at, whose record parsed to f.
+func (e *Engine) removeRecord(s *shard, at int, f fields) {
 	held := s.strs.held()
-	e.forget(s, en.rec)
-	s.strs.remove(en.at)
+	e.forget(s, f)
+	s.strs.remove(at, f.size)
 	s.memUsed.Add(s.strs.held() - held)
 }
 
@@ -413,8 +417,9 @@ func (e *Engine) publish(s *shard, kh uint32, key string, st staged) {
 	rec := record(buf)
 	writeRecord(rec, key, version, st)
 	if i >= 0 {
-		e.forget(s, ix.record(i))
-		ix.replace(i, ref)
+		old := ix.record(i).parse()
+		e.forget(s, old)
+		ix.replace(i, ref, old.size)
 		ix.touch(i)
 	} else {
 		ix.insert(h, ref)
@@ -742,9 +747,10 @@ func (e *Engine) ExpireAt(key string, at int64) bool {
 		// the record's own bytes change hands.
 		ix := &s.strs
 		held := ix.held()
-		ref, rec := ix.recs.alloc(en.rec.parse().size + 8)
+		size := en.rec.parse().size
+		ref, rec := ix.recs.alloc(size + 8)
 		en.rec.withDeadline(rec, at)
-		ix.replace(en.at, ref)
+		ix.replace(en.at, ref, size)
 		s.memUsed.Add(ix.held() - held)
 	}
 	return true
@@ -833,8 +839,8 @@ func (e *Engine) TTL(key string) (time.Duration, bool) {
 
 // --- eviction ---
 
-// Evict removes one key from stripe i and returns it, or reports false when
-// the stripe holds nothing it may remove. It is CLOCK over the stripe's own
+// Evict removes one key from stripe i, or reports false when the stripe
+// holds nothing it may remove. It is CLOCK over the stripe's own
 // contents: a hand walks the index in slot order, then the collections, and
 // around again; a key read or written since the hand last passed it (touch)
 // loses its mark and stays for another lap, one that pinned (nil: none is)
@@ -844,8 +850,10 @@ func (e *Engine) TTL(key string) (time.Duration, bool) {
 // pinned runs under the stripe's write lock: a key it holds cannot leave by
 // this call, and one it lets go cannot be written before it is gone. It
 // must not call into the engine, and key, which may alias the engine's own
-// bytes, is good only until it returns.
-func (e *Engine) Evict(i int, pinned func(key []byte) bool) (key string, ok bool) {
+// bytes, is good only until it returns. The key that goes is the last one
+// pinned was asked about, so a caller that wants its name has it there;
+// Evict makes no copy of it.
+func (e *Engine) Evict(i int, pinned func(key []byte) bool) bool {
 	s := e.shards[i]
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -854,12 +862,10 @@ func (e *Engine) Evict(i int, pinned func(key []byte) bool) (key string, ok bool
 	lap := s.strs.n + len(s.colls)
 	for look := lap; look > 0; {
 		if !s.collsTurn {
-			at, end := s.strs.clock(&look, lap, pinned)
+			at, victim, end := s.strs.clock(&look, lap, pinned)
 			if at >= 0 {
-				en := entry{rec: s.strs.record(at), at: at}
-				key = string(en.rec.parse().key)
-				e.remove(s, key, en)
-				return key, true
+				e.removeRecord(s, at, victim)
+				return true
 			}
 			if !end {
 				break
@@ -878,7 +884,7 @@ func (e *Engine) Evict(i int, pinned func(key []byte) bool) (key string, ok bool
 				marked = true
 			default:
 				e.removeItem(s, key, it)
-				return key, true
+				return true
 			}
 		}
 		look -= len(s.colls)
@@ -890,7 +896,7 @@ func (e *Engine) Evict(i int, pinned func(key []byte) bool) (key string, ok bool
 		}
 		s.collsTurn = false
 	}
-	return "", false
+	return false
 }
 
 // --- introspection ---

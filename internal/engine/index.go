@@ -88,15 +88,11 @@ func (ix *index) touch(i int) {
 }
 
 // replace makes ref (from recs.alloc, its record written) the record in
-// slot i, whose key it shares, and frees the one that was there.
-func (ix *index) replace(i int, ref uint32) {
-	ix.release(i)
+// slot i, whose key it shares, and frees the one of size bytes that was
+// there.
+func (ix *index) replace(i int, ref uint32, size int) {
+	ix.recs.release(ix.slots[i].ref, size)
 	ix.slots[i].ref = ref
-}
-
-// release frees the storage of the record in slot i.
-func (ix *index) release(i int) {
-	ix.recs.release(ix.slots[i].ref, ix.record(i).parse().size)
 }
 
 // insert adds ref (from recs.alloc, its record written), the record of a
@@ -139,18 +135,18 @@ func (ix *index) resize(size int) {
 	}
 }
 
-// remove frees the record in slot i, closes the gap and lets the table
-// shrink.
-func (ix *index) remove(i int) {
-	ix.removeAt(uint32(i))
+// remove frees the record of size bytes in slot i, closes the gap and lets
+// the table shrink.
+func (ix *index) remove(i, size int) {
+	ix.removeAt(uint32(i), size)
 	ix.shrink()
 }
 
-// removeAt frees the record in slot i, empties the slot and closes the
-// gap: each later entry of the run moves back into the hole unless that
-// would put it before its home.
-func (ix *index) removeAt(i uint32) {
-	ix.release(int(i))
+// removeAt frees the record of size bytes in slot i, empties the slot and
+// closes the gap: each later entry of the run moves back into the hole
+// unless that would put it before its home.
+func (ix *index) removeAt(i uint32, size int) {
+	ix.recs.release(ix.slots[i].ref, size)
 	mask := uint32(len(ix.slots) - 1)
 	for j := (i + 1) & mask; ; j = (j + 1) & mask {
 		sl := ix.slots[j]
@@ -215,17 +211,17 @@ func (ix *index) scan(pos uint32, limit *int, fn func(rec record)) (next uint32,
 // *look records (it counts them off). One that pinned (nil: none is) holds
 // is passed over, mark and all. One with its reference bit set loses the
 // bit and is due a second look a lap from here, so *look becomes lap. The
-// first with neither is the victim, whose slot clock returns with the hand
-// left on it, so that after the caller's remove the hand is on whatever
-// shifted in. With no victim it returns -1, and end tells whether it was
+// first with neither is the victim, whose slot and parsed record clock
+// returns with the hand left on it, so that after the caller's remove the
+// hand is on whatever shifted in. With no victim it returns -1, and end tells whether it was
 // the table that ran out (the hand is back at slot 0) or *look.
 //
 // The hand is kept as a hash: the table is in hash order but for probe
 // runs, so a resize neither skips a stretch of keys nor gives one a second
 // pass.
-func (ix *index) clock(look *int, lap int, pinned func(key []byte) bool) (at int, end bool) {
+func (ix *index) clock(look *int, lap int, pinned func(key []byte) bool) (at int, victim fields, end bool) {
 	if len(ix.slots) == 0 {
-		return -1, true
+		return -1, fields{}, true
 	}
 	i := int(ix.hand >> ix.shift)
 	for ; i < len(ix.slots) && *look > 0; i++ {
@@ -234,14 +230,15 @@ func (ix *index) clock(look *int, lap int, pinned func(key []byte) bool) (at int
 			continue
 		}
 		*look--
+		f := ix.record(i).parse()
 		switch {
-		case pinned != nil && pinned(ix.record(i).parse().key):
+		case pinned != nil && pinned(f.key):
 		case sl.hash&refBit != 0:
 			sl.hash &^= refBit
 			*look = lap
 		default:
 			ix.hand = uint32(i) << ix.shift
-			return i, false
+			return i, f, false
 		}
 	}
 	end = i == len(ix.slots)
@@ -249,7 +246,7 @@ func (ix *index) clock(look *int, lap int, pinned func(key []byte) bool) (at int
 		i = 0
 	}
 	ix.hand = uint32(i) << ix.shift
-	return -1, end
+	return -1, fields{}, end
 }
 
 // sizeClasses are the Go allocator's small-object sizes, read off the

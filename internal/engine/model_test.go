@@ -391,7 +391,7 @@ func (m *model) step(shrinking bool) {
 		// Evict takes one key the stripe holds, lapsed or not, that is not
 		// pinned, and finds one if there is one.
 		si := m.rng.Intn(e.NumShards())
-		got, ok := e.Evict(si, modelPinned)
+		got, ok := evictKey(e, si, modelPinned)
 		if ok {
 			if m.keys[got] == nil || e.ShardIndex(got) != si || modelPinned([]byte(got)) {
 				m.fail("Evict", si, got)
@@ -665,7 +665,7 @@ func oneStripeReadersAndOverwriters(t *testing.T, opts Options) {
 					e.Persist(k)
 				case 4:
 					for n := rng.Intn(keys); n > 0; n-- {
-						if got, ok := e.Evict(0, modelPinned); ok && modelPinned([]byte(got)) {
+						if got, ok := evictKey(e, 0, modelPinned); ok && modelPinned([]byte(got)) {
 							t.Errorf("Evict took %s, which is pinned", got)
 						}
 					}

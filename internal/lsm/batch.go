@@ -17,6 +17,7 @@ import (
 type Batch struct {
 	ops   []batchOp
 	bytes int64
+	slab  []byte // what Grow reserved and the ops have not yet taken
 }
 
 type batchOp struct {
@@ -25,24 +26,41 @@ type batchOp struct {
 	val  []byte
 }
 
-// Put queues key=value. Key and value are copied into one combined slab
-// (a single allocation per op). The slab must stay private to this op: the
-// memtable aliases it after Apply, so Reset never recycles it.
+// Grow sizes the batch once for ops more operations holding bytes of keys
+// and values between them: two allocations for the lot in place of one per
+// operation and the doublings of the op list. A batch that outgrows what it
+// reserved falls back to allocating per operation.
+func (b *Batch) Grow(ops, bytes int) {
+	if cap(b.ops)-len(b.ops) < ops {
+		b.ops = append(make([]batchOp, 0, len(b.ops)+ops), b.ops...)
+	}
+	b.slab = make([]byte, 0, bytes)
+}
+
+// take copies key and val into one piece of memory, the slab's if it has
+// room. The memtable aliases that memory after Apply, so it is never
+// recycled: Reset lets the slab go.
+func (b *Batch) take(key, val []byte) (k, v []byte) {
+	n := len(key) + len(val)
+	if cap(b.slab)-len(b.slab) < n {
+		b.slab = make([]byte, 0, n)
+	}
+	kv := append(append(b.slab[len(b.slab):], key...), val...)
+	b.slab = b.slab[:len(b.slab)+n]
+	return kv[:len(key):len(key)], kv[len(key):n:n]
+}
+
+// Put queues key=value, copying both.
 func (b *Batch) Put(key, val []byte) {
-	kv := make([]byte, 0, len(key)+len(val))
-	kv = append(kv, key...)
-	kv = append(kv, val...)
-	b.ops = append(b.ops, batchOp{
-		kind: kindSet,
-		key:  kv[:len(key):len(key)],
-		val:  kv[len(key):],
-	})
+	k, v := b.take(key, val)
+	b.ops = append(b.ops, batchOp{kind: kindSet, key: k, val: v})
 	b.bytes += int64(len(key) + len(val))
 }
 
 // Delete queues a tombstone for key.
 func (b *Batch) Delete(key []byte) {
-	b.ops = append(b.ops, batchOp{kind: kindDelete, key: append([]byte(nil), key...)})
+	k, _ := b.take(key, nil)
+	b.ops = append(b.ops, batchOp{kind: kindDelete, key: k})
 	b.bytes += int64(len(key))
 }
 
@@ -53,6 +71,7 @@ func (b *Batch) Len() int { return len(b.ops) }
 func (b *Batch) Reset() {
 	b.ops = b.ops[:0]
 	b.bytes = 0
+	b.slab = nil
 }
 
 var errEmptyKey = errors.New("lsm: empty key")

@@ -203,3 +203,61 @@ func BenchmarkLSMGetDuringFlush(b *testing.B) {
 	close(stop)
 	<-done
 }
+
+// BenchmarkLSMSequentialLoad is the ledger's prefill as the storage tier
+// sees it: two writers, each with its own ascending run of keys (writer w
+// owns the keys k with k mod 2 == w), 256 B values in batches of 256 until
+// 64 MiB of user bytes are in, default options, then CompactAll. An
+// ascending load is where a leveled LSM can move tables instead of
+// rewriting them: compactions-moves is the number of merges that ran, and
+// compaction-B/user-B the table bytes they wrote per byte loaded.
+func BenchmarkLSMSequentialLoad(b *testing.B) {
+	const (
+		valSize   = 256
+		batchKeys = 256
+		userBytes = 64 << 20
+	)
+	perWriter := userBytes / (len(benchKey(0)) + valSize) / 2
+	val := bytes.Repeat([]byte("v"), valSize)
+	b.ReportAllocs()
+	var st Stats
+	for i := 0; i < b.N; i++ {
+		db, err := Open(Options{Dir: b.TempDir()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		errs := make(chan error, 2)
+		for w := 0; w < 2; w++ {
+			go func(w int) {
+				batch := &Batch{}
+				for k := 0; k < perWriter; k++ {
+					batch.Put([]byte(benchKey(2*k+w)), val)
+					if batch.Len() == batchKeys || k == perWriter-1 {
+						if err := db.Apply(batch); err != nil {
+							errs <- err
+							return
+						}
+						batch.Reset()
+					}
+				}
+				errs <- nil
+			}(w)
+		}
+		for w := 0; w < 2; w++ {
+			if err := <-errs; err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		db.CompactAll()
+		st = db.Stats()
+		if err := db.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(st.Compactions), "compactions")
+	b.ReportMetric(float64(st.Moves), "moves")
+	b.ReportMetric(float64(st.CompactionBytes)/float64(st.WriteBytes), "compaction-B/user-B")
+}

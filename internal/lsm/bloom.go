@@ -14,7 +14,7 @@ package lsm
 
 import (
 	"encoding/binary"
-	"hash/fnv"
+	"errors"
 )
 
 // bloomFilter is a standard Bloom filter with double hashing
@@ -37,26 +37,37 @@ func newBloom(n int, bitsPerKey int) *bloomFilter {
 	if k < 1 {
 		k = 1
 	}
-	if k > 30 {
-		k = 30
+	if k > maxBloomK {
+		k = maxBloomK
 	}
 	return &bloomFilter{bits: make([]byte, (nBits+7)/8), k: k}
 }
 
-func bloomHash(key []byte) (uint64, uint64) {
-	h := fnv.New64a()
-	h.Write(key)
-	h1 := h.Sum64()
-	// Second independent-ish hash: rehash with a salt byte.
-	h2 := fnv.New64a()
-	h2.Write([]byte{0x9e})
-	h2.Write(key)
-	return h1, h2.Sum64() | 1 // ensure odd so strides cover the table
+// FNV-1a, 64 bit: bloomHash is hash/fnv's New64a written out, because a
+// hash.Hash64 is an allocation and bloomHash runs once per key of every
+// table built and once per table every Get probes.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// bloomHash returns the two hashes double hashing strides by: FNV-1a of key,
+// and FNV-1a of a salt byte followed by key, made odd so strides cover the
+// table. The filter on disk is only the bits these set, so the values are
+// part of the table format.
+func bloomHash(key []byte) (h1, h2 uint64) {
+	h1 = fnvOffset64
+	h2 = fnvOffset64 ^ 0x9e
+	h2 *= fnvPrime64
+	for _, c := range key {
+		h1 = (h1 ^ uint64(c)) * fnvPrime64
+		h2 = (h2 ^ uint64(c)) * fnvPrime64
+	}
+	return h1, h2 | 1
 }
 
-// Add inserts a key.
-func (b *bloomFilter) Add(key []byte) {
-	h1, h2 := bloomHash(key)
+// add inserts the key whose bloomHash is (h1, h2).
+func (b *bloomFilter) add(h1, h2 uint64) {
 	n := uint64(len(b.bits)) * 8
 	for i := uint32(0); i < b.k; i++ {
 		pos := (h1 + uint64(i)*h2) % n
@@ -88,13 +99,21 @@ func (b *bloomFilter) Marshal() []byte {
 	return out
 }
 
-// unmarshalBloom decodes a filter produced by Marshal.
-func unmarshalBloom(data []byte) *bloomFilter {
+var errBadBloom = errors.New("lsm: bad sstable bloom block")
+
+// maxBloomK is the most probes newBloom asks for; a filter that claims more
+// was not written by Marshal.
+const maxBloomK = 30
+
+// unmarshalBloom decodes a filter produced by Marshal. A block too short
+// for the header is a table built without a filter.
+func unmarshalBloom(data []byte) (*bloomFilter, error) {
 	if len(data) < 4 {
-		return &bloomFilter{}
+		return &bloomFilter{}, nil
 	}
-	return &bloomFilter{
-		k:    binary.LittleEndian.Uint32(data),
-		bits: data[4:],
+	k := binary.LittleEndian.Uint32(data)
+	if k < 1 || k > maxBloomK {
+		return nil, errBadBloom
 	}
+	return &bloomFilter{k: k, bits: data[4:]}, nil
 }

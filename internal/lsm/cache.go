@@ -39,16 +39,25 @@ func newBlockCache(maxBytes int64) *blockCache {
 	}
 }
 
-func (c *blockCache) get(file, off uint64) ([]byte, bool) {
+// get returns the cached block. A foreground lookup counts as a hit or a
+// miss and makes the block the most recently used; a compaction's only
+// borrows what is there.
+func (c *blockCache) get(file, off uint64, foreground bool) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[blockKey{file, off}]; ok {
-		c.ll.MoveToFront(el)
-		c.hits++
-		return el.Value.(*blockVal).data, true
+	el, ok := c.items[blockKey{file, off}]
+	if foreground {
+		if ok {
+			c.ll.MoveToFront(el)
+			c.hits++
+		} else {
+			c.misses++
+		}
 	}
-	c.misses++
-	return nil, false
+	if !ok {
+		return nil, false
+	}
+	return el.Value.(*blockVal).data, true
 }
 
 func (c *blockCache) put(file, off uint64, data []byte) {

@@ -67,7 +67,9 @@ func (db *DB) pickLeveled() (inputs []tableMeta, outLevel int, ok bool) {
 		if man.totalBytes(l) <= db.levelLimit(l) || len(man.Levels[l]) == 0 {
 			continue
 		}
-		pick := man.Levels[l][0] // oldest-first rotation
+		// Levels >= 1 are kept sorted by smallest key, so this is the
+		// level's lowest key range (not its oldest file).
+		pick := man.Levels[l][0]
 		inputs = append(inputs, pick)
 		for _, t := range man.Levels[l+1] {
 			if overlaps(t, pick.Smallest, pick.Largest) {
@@ -80,13 +82,22 @@ func (db *DB) pickLeveled() (inputs []tableMeta, outLevel int, ok bool) {
 }
 
 // compactLeveled runs one leveled compaction; returns true if work was done.
+//
+// A pick from level >= 1 that found nothing overlapping below it is one
+// table, and merging one table rewrites it byte for byte. It is moved
+// instead: a manifest edit puts the same file, under the same number, in
+// the next level. The bottom level is the exception, because it is where
+// tombstones are dropped, and only a merge drops them.
 func (db *DB) compactLeveled() bool {
 	inputs, outLevel, ok := db.pickLeveled()
 	if !ok {
 		return false
 	}
-	dropTombstones := outLevel == db.opts.MaxLevels-1
-	outputs, err := db.mergeTables(inputs, dropTombstones)
+	bottom := outLevel == db.opts.MaxLevels-1
+	if len(inputs) == 1 && outLevel > 1 && !bottom {
+		return db.installMove(inputs[0], outLevel)
+	}
+	outputs, err := db.mergeTables(inputs, bottom)
 	if err != nil {
 		// Abandon this round; inputs remain valid.
 		return false
@@ -129,7 +140,7 @@ func (db *DB) mergeTables(inputs []tableMeta, dropTombstones bool) ([]tableMeta,
 		if r == nil {
 			return nil, ErrDBClosed
 		}
-		iters = append(iters, r.iter())
+		iters = append(iters, r.compactionIter())
 	}
 
 	merged := newMergeIter(iters)
@@ -146,6 +157,7 @@ func (db *DB) mergeTables(inputs []tableMeta, dropTombstones bool) ([]tableMeta,
 			return err
 		}
 		outputs = append(outputs, meta)
+		db.compactionBytes.Add(meta.Size)
 		tb = nil
 		tbBytes = 0
 		return nil
@@ -195,80 +207,81 @@ func (db *DB) mergeTables(inputs []tableMeta, dropTombstones bool) ([]tableMeta,
 	return outputs, nil
 }
 
-// installCompaction swaps inputs for outputs by installing a successor
-// version under db.mu. Input readers are marked obsolete: their files are
-// deleted when the last snapshot view referencing them is released (or
-// immediately, if no read is in flight).
-func (db *DB) installCompaction(inputs, outputs []tableMeta, outLevel int) bool {
-	removeOutputs := func() {
-		for _, m := range outputs {
-			os.Remove(tableFileName(db.opts.Dir, m.Num))
-		}
-	}
-	// Open output readers before taking the lock: fresh files, no races.
-	newReaders := make(map[uint64]*tableReader, len(outputs))
-	for _, m := range outputs {
-		r, err := openTable(db.opts.Dir, m, db.cache)
-		if err != nil {
-			for _, nr := range newReaders {
-				nr.unref()
-			}
-			removeOutputs()
-			return false
-		}
-		newReaders[m.Num] = r
-	}
+// installEdit installs the successor version in which the tables numbered
+// in remove have left their levels and add is in level; readers holds an
+// open reader for each of add that is a new file. It returns the version it
+// replaced, which the caller releases, or nil if nothing was installed.
+func (db *DB) installEdit(remove map[uint64]bool, add []tableMeta, level int, readers map[uint64]*tableReader) *version {
 	db.mu.Lock()
+	defer db.mu.Unlock()
 	if db.closed {
-		db.mu.Unlock()
-		for _, nr := range newReaders {
-			nr.unref()
-		}
-		removeOutputs()
-		return false
+		return nil
 	}
 	cur := db.current
 	newMan := cur.man.clone()
+	newMan.replace(remove, add, level)
+	newMan.NextFile = db.nextFile.Load()
+	if err := newMan.save(db.opts.Dir); err != nil {
+		return nil
+	}
+	db.current = cur.successor(newMan, readers)
+	return cur
+}
+
+// installCompaction swaps a merge's inputs for its outputs. Input readers
+// are marked obsolete: their files are deleted when the last snapshot view
+// referencing them is released (or immediately, if no read is in flight).
+func (db *DB) installCompaction(inputs, outputs []tableMeta, outLevel int) bool {
+	newReaders := make(map[uint64]*tableReader, len(outputs))
+	discard := func() bool {
+		for _, nr := range newReaders {
+			nr.unref()
+		}
+		for _, m := range outputs {
+			os.Remove(tableFileName(db.opts.Dir, m.Num))
+		}
+		return false
+	}
+	// Open output readers before taking the lock: fresh files, no races.
+	for _, m := range outputs {
+		r, err := openTable(db.opts.Dir, m, db.cache)
+		if err != nil {
+			return discard()
+		}
+		newReaders[m.Num] = r
+	}
 	inSet := make(map[uint64]bool, len(inputs))
 	for _, m := range inputs {
 		inSet[m.Num] = true
 	}
-	for l := range newMan.Levels {
-		kept := newMan.Levels[l][:0]
-		for _, t := range newMan.Levels[l] {
-			if !inSet[t.Num] {
-				kept = append(kept, t)
-			}
-		}
-		newMan.Levels[l] = kept
+	prev := db.installEdit(inSet, outputs, outLevel, newReaders)
+	if prev == nil {
+		return discard()
 	}
-	newMan.Levels[outLevel] = append(newMan.Levels[outLevel], outputs...)
-	if outLevel > 0 {
-		sort.Slice(newMan.Levels[outLevel], func(i, j int) bool {
-			return bytes.Compare(newMan.Levels[outLevel][i].Smallest, newMan.Levels[outLevel][j].Smallest) < 0
-		})
-	}
-	newMan.NextFile = db.nextFile.Load()
-	if err := newMan.save(db.opts.Dir); err != nil {
-		db.mu.Unlock()
-		for _, nr := range newReaders {
-			nr.unref()
-		}
-		removeOutputs()
-		return false
-	}
+	// prev still holds the inputs' readers, so none can close before it is
+	// marked.
 	for _, m := range inputs {
-		if r := cur.readers[m.Num]; r != nil {
-			r.markObsolete()
-		}
+		prev.readers[m.Num].markObsolete()
 		if db.cache != nil {
 			db.cache.dropFile(m.Num)
 		}
 	}
-	db.current = cur.successor(newMan, inSet, newReaders)
-	db.mu.Unlock()
-	cur.unref()
+	prev.unref()
 	db.compactions.Add(1)
+	return true
+}
+
+// installMove puts table t, wherever it was, in outLevel. Nothing else
+// changes hands: the successor holds the same open reader, the file keeps
+// its number and the block cache keeps its blocks.
+func (db *DB) installMove(t tableMeta, outLevel int) bool {
+	prev := db.installEdit(map[uint64]bool{t.Num: true}, []tableMeta{t}, outLevel, nil)
+	if prev == nil {
+		return false
+	}
+	prev.unref()
+	db.compactions.Add(1)
+	db.moves.Add(1)
 	return true
 }
 
@@ -339,7 +352,10 @@ func (h *mergeHeap) Pop() interface{} {
 }
 
 // mergeIter yields one entry per distinct key (the newest version),
-// in ascending key order, across multiple table iterators.
+// in ascending key order, across multiple table iterators. key() and
+// entry().value are the iterator's own two buffers, overwritten by the next
+// call of next: a caller that keeps either copies it (tableBuilder.add and
+// Scan both do).
 type mergeIter struct {
 	h       mergeHeap
 	curKey  []byte
@@ -361,31 +377,30 @@ func newMergeIter(iters []internalIter) *mergeIter {
 }
 
 func (m *mergeIter) next() bool {
-	if m.lastErr != nil {
+	if m.lastErr != nil || m.h.Len() == 0 {
 		return false
 	}
-	for m.h.Len() > 0 {
-		src := m.h[0]
-		key := append([]byte(nil), src.it.key()...)
-		ent := src.it.entry()
-		ent.value = append([]byte(nil), ent.value...)
-		// Advance every source sitting on this key (duplicates: older versions).
-		for m.h.Len() > 0 && bytes.Equal(m.h[0].it.key(), key) {
-			s := m.h[0]
-			if s.it.next() {
-				heap.Fix(&m.h, 0)
-			} else {
-				if t, ok := s.it.(*tableIterator); ok && t.err != nil {
-					m.lastErr = t.err
-					return false
-				}
-				heap.Pop(&m.h)
+	// The copy is needed: a source's key and value may not outlive its next
+	// step (compactionIter), and every source on this key steps below.
+	src := m.h[0]
+	m.curKey = append(m.curKey[:0], src.it.key()...)
+	val := m.curEnt.value[:0]
+	m.curEnt = src.it.entry()
+	m.curEnt.value = append(val, m.curEnt.value...)
+	// Advance every source sitting on this key (duplicates: older versions).
+	for m.h.Len() > 0 && bytes.Equal(m.h[0].it.key(), m.curKey) {
+		s := m.h[0]
+		if s.it.next() {
+			heap.Fix(&m.h, 0)
+		} else {
+			if t, ok := s.it.(*tableIterator); ok && t.err != nil {
+				m.lastErr = t.err
+				return false
 			}
+			heap.Pop(&m.h)
 		}
-		m.curKey, m.curEnt = key, ent
-		return true
 	}
-	return false
+	return true
 }
 
 func (m *mergeIter) key() []byte     { return m.curKey }

@@ -140,11 +140,14 @@ type DB struct {
 	compactDone chan struct{}
 	compactMu   sync.Mutex // serializes compaction rounds
 
-	flushes     atomic.Int64
-	compactions atomic.Int64
-	writeBytes  atomic.Int64
-	multiGets   atomic.Int64
-	badBlocks   atomic.Int64 // reads that hit a checksum-mismatched block
+	flushes         atomic.Int64
+	compactions     atomic.Int64 // compaction rounds installed: merges and moves
+	moves           atomic.Int64
+	flushBytes      atomic.Int64 // table bytes written by flushes
+	compactionBytes atomic.Int64 // table bytes written by merges
+	writeBytes      atomic.Int64
+	multiGets       atomic.Int64
+	badBlocks       atomic.Int64 // reads that hit a checksum-mismatched block
 }
 
 // Open opens (creating if needed) a DB at opts.Dir and recovers state from
@@ -404,14 +407,21 @@ type Stats struct {
 	LevelFiles     []int
 	LevelBytes     []int64
 	Flushes        int64
-	Compactions    int64
-	WriteBytes     int64
+	Compactions    int64 // compaction rounds installed, moves included
+	WriteBytes     int64 // key and value bytes applied
 	MultiGets      int64
 	BadBlocks      int64 // reads failed on a checksum-mismatched SSTable block
 	CacheHits      int64
 	CacheMisses    int64
 	CacheBytes     int64
 	SequenceNumber uint64
+	// Moves is the part of Compactions that rewrote nothing (a table
+	// re-levelled by a manifest edit). FlushBytes and CompactionBytes are
+	// the table bytes flushes and merges wrote, so write amplification is
+	// (FlushBytes + CompactionBytes) / WriteBytes.
+	Moves           int64
+	FlushBytes      int64
+	CompactionBytes int64
 }
 
 // Stats returns a snapshot of internal counters.
@@ -438,6 +448,9 @@ func (db *DB) Stats() Stats {
 	db.mu.RUnlock()
 	st.Flushes = db.flushes.Load()
 	st.Compactions = db.compactions.Load()
+	st.Moves = db.moves.Load()
+	st.FlushBytes = db.flushBytes.Load()
+	st.CompactionBytes = db.compactionBytes.Load()
 	st.WriteBytes = db.writeBytes.Load()
 	st.MultiGets = db.multiGets.Load()
 	st.BadBlocks = db.badBlocks.Load()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -416,7 +417,12 @@ func TestDBPropertyMatchesMap(t *testing.T) {
 			return false
 		}
 		defer removeAll(dir)
-		db, err := Open(Options{Dir: dir, MemtableBytes: 1 << 10, DisableWAL: true})
+		// Levels small enough that the ascending phase below overflows L1
+		// and its tables are moved, not merged, into L2.
+		db, err := Open(Options{
+			Dir: dir, MemtableBytes: 1 << 10, DisableWAL: true,
+			L0CompactionTrigger: 2, BaseLevelBytes: 4 << 10, TargetFileBytes: 2 << 10,
+		})
 		if err != nil {
 			return false
 		}
@@ -437,8 +443,34 @@ func TestDBPropertyMatchesMap(t *testing.T) {
 				ref[k] = v
 			}
 		}
+		// Two writers, each with its own ascending run of keys above the
+		// random ones, racing each other and the compactor.
+		const ascending = 400
+		var wg sync.WaitGroup
+		var failed atomic.Bool
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < ascending; i += 2 {
+					if db.Put([]byte(fmt.Sprintf("qk%05d", i)), []byte(fmt.Sprintf("qv%05d", i))) != nil {
+						failed.Store(true)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		if failed.Load() {
+			return false
+		}
+		for i := 0; i < ascending; i++ {
+			ref[fmt.Sprintf("qk%05d", i)] = fmt.Sprintf("qv%05d", i)
+		}
 		db.Flush()
 		db.CompactAll()
+		if db.Stats().Moves == 0 {
+			return false
+		}
 		for k, v := range ref {
 			got, err := db.Get([]byte(k))
 			if err != nil || string(got) != v {

@@ -1,10 +1,12 @@
 package lsm
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 )
 
 // manifest is the persistent record of the LSM version: which tables exist
@@ -72,6 +74,26 @@ func (m *manifest) clone() *manifest {
 		cp.Levels[i] = append([]tableMeta(nil), lvl...)
 	}
 	return cp
+}
+
+// replace is a compaction's edit: the tables numbered in remove leave
+// whichever level holds them and add joins level. Levels >= 1 stay sorted by
+// smallest key.
+func (m *manifest) replace(remove map[uint64]bool, add []tableMeta, level int) {
+	for l, lvl := range m.Levels {
+		kept := lvl[:0]
+		for _, t := range lvl {
+			if !remove[t.Num] {
+				kept = append(kept, t)
+			}
+		}
+		m.Levels[l] = kept
+	}
+	m.Levels[level] = append(m.Levels[level], add...)
+	if level > 0 {
+		lvl := m.Levels[level]
+		sort.Slice(lvl, func(i, j int) bool { return bytes.Compare(lvl[i].Smallest, lvl[j].Smallest) < 0 })
+	}
 }
 
 // totalBytes returns on-disk bytes at level l.

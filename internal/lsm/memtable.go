@@ -42,8 +42,10 @@ func (m *memtable) apply(seq uint64, kind entryKind, key, val []byte) {
 // rotate seals the active memtable onto the immutable list and installs a
 // fresh one, waking the background flusher. Writers therefore never build
 // SSTables inline — tripping MemtableBytes costs one pointer swap plus a
-// WAL segment rotation. Caller holds commitMu (so no concurrent appends
-// race the WAL rotation) and must NOT hold db.mu.
+// WAL segment rotation, which under wal.SyncInterval writes the sealed
+// segment out but leaves its fsync to the log's ticker (see wal.Log): every
+// writer is queued behind commitMu here. Caller holds commitMu (so no
+// concurrent appends race the WAL rotation) and must NOT hold db.mu.
 //
 // Backpressure: when the flusher is MaxImmutables memtables behind, the
 // rotating writer waits — bounding memory without ever blocking readers
@@ -143,13 +145,14 @@ func (db *DB) flushOne() bool {
 		db.failFlush(err)
 		return false
 	}
-	db.current = cur.successor(newMan, nil, map[uint64]*tableReader{meta.Num: r})
+	db.current = cur.successor(newMan, map[uint64]*tableReader{meta.Num: r})
 	db.imm = append([]*memtable(nil), db.imm[1:]...)
 	db.flushCond.Broadcast()
 	db.mu.Unlock()
 	cur.unref()
 
 	db.flushes.Add(1)
+	db.flushBytes.Add(meta.Size)
 	if db.wlog != nil && m.walKeepSeg > 0 {
 		if l, ok := db.wlog.(wal.Rotator); ok {
 			// Best-effort space reclamation; replay filters records with

@@ -186,7 +186,7 @@ func (c *tableCursor) seek(key []byte) (memEntry, bool, error) {
 			return memEntry{}, false, nil
 		}
 		c.blockIdx += j
-		blk, err := c.t.readBlock(c.blockIdx)
+		blk, err := c.t.readBlock(c.blockIdx, nil)
 		if err != nil {
 			return memEntry{}, false, err
 		}

@@ -294,10 +294,44 @@ func TestConcurrentReadsDuringFlushAndCompaction(t *testing.T) {
 			}
 		}
 	}()
+	// Two loaders, each with its own ascending run of new keys (the
+	// ledger's prefill): their tables overlap nothing below them, so the
+	// compactor re-levels them by manifest edit while every reader above
+	// holds a version. A loader reads back a key it wrote a while ago,
+	// which by then sits in a table that has been moved.
+	const ascending = 1500
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(7 + w)))
+			for i := w; i < ascending; i += 2 {
+				if err := db.Put([]byte(fmt.Sprintf("up%06d", i)), val(i)); err != nil {
+					t.Errorf("put: %v", err)
+					return
+				}
+				old := w + 2*rng.Intn(i/2+1) // this loader's, written at or before i
+				if v, err := db.Get([]byte(fmt.Sprintf("up%06d", old))); err != nil || !bytes.Equal(v, val(old)) {
+					t.Errorf("get up%06d: %q, %v", old, v, err)
+					return
+				}
+			}
+		}(w)
+	}
 	wg.Wait() // readers finish first…
 	close(stop)
 	writerWg.Wait() // …then the writer drains
-	if st := db.Stats(); st.Flushes == 0 {
+	st := db.Stats()
+	if st.Flushes == 0 {
 		t.Fatal("stress never exercised a background flush")
+	}
+	if st.Moves == 0 {
+		t.Fatal("stress never exercised a table move")
+	}
+	for i := 0; i < ascending; i++ {
+		k := []byte(fmt.Sprintf("up%06d", i))
+		if v, err := db.Get(k); err != nil || !bytes.Equal(v, val(i)) {
+			t.Fatalf("get %s after the run: %q, %v", k, v, err)
+		}
 	}
 }

@@ -41,12 +41,41 @@ type skiplist struct {
 type slNode struct {
 	key   []byte
 	entry memEntry
-	next  [maxHeight]*slNode
+	next  []*slNode // the tower: one link per level the node is in
+}
+
+// newNode allocates a node of height h with its tower in the same object.
+// Three tower sizes stand for the twelve heights: three nodes in four have
+// height 1, and one in 256 is taller than 4.
+func newNode(key []byte, e memEntry, h int) *slNode {
+	switch {
+	case h == 1:
+		n := &struct {
+			slNode
+			tower [1]*slNode
+		}{}
+		n.slNode = slNode{key: key, entry: e, next: n.tower[:]}
+		return &n.slNode
+	case h <= 4:
+		n := &struct {
+			slNode
+			tower [4]*slNode
+		}{}
+		n.slNode = slNode{key: key, entry: e, next: n.tower[:h]}
+		return &n.slNode
+	default:
+		n := &struct {
+			slNode
+			tower [maxHeight]*slNode
+		}{}
+		n.slNode = slNode{key: key, entry: e, next: n.tower[:h]}
+		return &n.slNode
+	}
 }
 
 func newSkiplist() *skiplist {
 	return &skiplist{
-		head:   &slNode{},
+		head:   newNode(nil, memEntry{}, maxHeight),
 		height: 1,
 		rng:    rand.New(rand.NewSource(0x7e57)),
 	}
@@ -99,7 +128,7 @@ func (s *skiplist) put(key []byte, e memEntry) {
 	if h > s.height {
 		s.height = h
 	}
-	n := &slNode{key: key, entry: e}
+	n := newNode(key, e, h)
 	for level := 0; level < h; level++ {
 		n.next[level] = prev[level].next[level]
 		prev[level].next[level] = n
@@ -154,5 +183,12 @@ func (it *slIterator) seekGE(key []byte) bool {
 	return it.node != nil
 }
 
-func (it *slIterator) key() []byte     { return it.node.key }
-func (it *slIterator) entry() memEntry { return it.node.entry }
+func (it *slIterator) key() []byte { return it.node.key }
+
+// entry takes the lock: put overwrites a live node's entry in place.
+func (it *slIterator) entry() memEntry {
+	it.s.mu.RLock()
+	e := it.node.entry
+	it.s.mu.RUnlock()
+	return e
+}

@@ -158,7 +158,7 @@ func TestSkiplistLarge(t *testing.T) {
 func TestBloomNoFalseNegatives(t *testing.T) {
 	b := newBloom(1000, 10)
 	for i := 0; i < 1000; i++ {
-		b.Add([]byte(fmt.Sprintf("key-%d", i)))
+		b.add(bloomHash([]byte(fmt.Sprintf("key-%d", i))))
 	}
 	for i := 0; i < 1000; i++ {
 		if !b.MayContain([]byte(fmt.Sprintf("key-%d", i))) {
@@ -170,7 +170,7 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 func TestBloomRejectsMost(t *testing.T) {
 	b := newBloom(1000, 10)
 	for i := 0; i < 1000; i++ {
-		b.Add([]byte(fmt.Sprintf("key-%d", i)))
+		b.add(bloomHash([]byte(fmt.Sprintf("key-%d", i))))
 	}
 	fp := 0
 	const probes = 10000
@@ -186,8 +186,11 @@ func TestBloomRejectsMost(t *testing.T) {
 
 func TestBloomMarshalRoundTrip(t *testing.T) {
 	b := newBloom(100, 10)
-	b.Add([]byte("present"))
-	b2 := unmarshalBloom(b.Marshal())
+	b.add(bloomHash([]byte("present")))
+	b2, err := unmarshalBloom(b.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !b2.MayContain([]byte("present")) {
 		t.Fatal("marshal lost key")
 	}
@@ -195,7 +198,10 @@ func TestBloomMarshalRoundTrip(t *testing.T) {
 		t.Fatalf("k mismatch: %d vs %d", b2.k, b.k)
 	}
 	// Degenerate input must not panic.
-	if !unmarshalBloom(nil).MayContain([]byte("x")) {
-		t.Fatal("empty filter should admit everything")
+	if none, err := unmarshalBloom(nil); err != nil || !none.MayContain([]byte("x")) {
+		t.Fatalf("empty filter should admit everything (err %v)", err)
+	}
+	if _, err := unmarshalBloom([]byte{0xff, 0xff, 0xff, 0xff, 1}); err == nil {
+		t.Fatal("a filter claiming 4G probes was accepted")
 	}
 }

@@ -34,7 +34,8 @@ const (
 var (
 	errBadMagic   = errors.New("lsm: bad sstable magic")
 	errBadBlock   = errors.New("lsm: block checksum mismatch")
-	errBadFooter  = errors.New("lsm: truncated sstable footer")
+	errBadFooter  = errors.New("lsm: bad sstable footer")
+	errBadIndex   = errors.New("lsm: bad sstable index")
 	crcTableCasta = crc32.MakeTable(crc32.Castagnoli)
 )
 
@@ -66,15 +67,13 @@ type tableBuilder struct {
 	blockSize int
 	bloomBPK  int
 
-	blockBuf   bytes.Buffer
-	blockFirst bool
-	lastKey    []byte
-	indexEnts  []indexEntry
-	keysHashes [][]byte
-	off        uint64
-	count      int64
-	smallest   []byte
-	largest    []byte
+	blockBuf  []byte // the data block being filled
+	indexEnts []indexEntry
+	hashes    []uint64 // bloomHash of every key added: h1, h2, h1, h2, ...
+	off       uint64
+	count     int64
+	smallest  []byte
+	largest   []byte // the last key added
 }
 
 type indexEntry struct {
@@ -94,11 +93,12 @@ func newTableBuilder(path string, blockSize, bloomBitsPerKey int) (*tableBuilder
 	}
 	return &tableBuilder{
 		f: f, w: bufio.NewWriterSize(f, 256<<10), path: path,
-		blockSize: blockSize, bloomBPK: bloomBitsPerKey, blockFirst: true,
+		blockSize: blockSize, bloomBPK: bloomBitsPerKey,
 	}, nil
 }
 
-// add appends an entry; keys must arrive in strictly increasing order.
+// add appends an entry; keys must arrive in strictly increasing order. It
+// copies what it keeps of key and e.value, so the caller may reuse both.
 func (b *tableBuilder) add(key []byte, e memEntry) error {
 	if b.largest != nil && bytes.Compare(key, b.largest) <= 0 {
 		return fmt.Errorf("lsm: keys out of order: %q after %q", key, b.largest)
@@ -108,43 +108,39 @@ func (b *tableBuilder) add(key []byte, e memEntry) error {
 	}
 	b.largest = append(b.largest[:0], key...)
 
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], uint64(len(key)))
-	b.blockBuf.Write(tmp[:n])
-	n = binary.PutUvarint(tmp[:], uint64(len(e.value)))
-	b.blockBuf.Write(tmp[:n])
-	n = binary.PutUvarint(tmp[:], e.seq)
-	b.blockBuf.Write(tmp[:n])
-	b.blockBuf.WriteByte(byte(e.kind))
-	b.blockBuf.Write(key)
-	b.blockBuf.Write(e.value)
+	buf := binary.AppendUvarint(b.blockBuf, uint64(len(key)))
+	buf = binary.AppendUvarint(buf, uint64(len(e.value)))
+	buf = binary.AppendUvarint(buf, e.seq)
+	buf = append(buf, byte(e.kind))
+	buf = append(buf, key...)
+	b.blockBuf = append(buf, e.value...)
 
-	b.lastKey = append(b.lastKey[:0], key...)
-	b.keysHashes = append(b.keysHashes, append([]byte(nil), key...))
+	h1, h2 := bloomHash(key)
+	b.hashes = append(b.hashes, h1, h2)
 	b.count++
-	if b.blockBuf.Len() >= b.blockSize {
+	if len(b.blockBuf) >= b.blockSize {
 		return b.finishBlock()
 	}
 	return nil
 }
 
 func (b *tableBuilder) finishBlock() error {
-	if b.blockBuf.Len() == 0 {
+	if len(b.blockBuf) == 0 {
 		return nil
 	}
-	data := b.blockBuf.Bytes()
+	data := b.blockBuf
 	crc := crc32.Checksum(data, crcTableCasta)
 	if _, err := b.w.Write(data); err != nil {
 		return fmt.Errorf("lsm: write block: %w", err)
 	}
 	b.indexEnts = append(b.indexEnts, indexEntry{
-		lastKey: append([]byte(nil), b.lastKey...),
+		lastKey: append([]byte(nil), b.largest...),
 		off:     b.off,
 		length:  uint32(len(data)),
 		crc:     crc,
 	})
 	b.off += uint64(len(data))
-	b.blockBuf.Reset()
+	b.blockBuf = b.blockBuf[:0]
 	return nil
 }
 
@@ -177,9 +173,9 @@ func (b *tableBuilder) finish(num uint64) (tableMeta, error) {
 	b.off += uint64(idx.Len())
 
 	// bloom
-	bloom := newBloom(len(b.keysHashes), b.bloomBPK)
-	for _, k := range b.keysHashes {
-		bloom.Add(k)
+	bloom := newBloom(len(b.hashes)/2, b.bloomBPK)
+	for i := 0; i < len(b.hashes); i += 2 {
+		bloom.add(b.hashes[i], b.hashes[i+1])
 	}
 	bloomBytes := bloom.Marshal()
 	bloomOff := b.off
@@ -282,13 +278,20 @@ func openTable(dir string, meta tableMeta, cache *blockCache) (*tableReader, err
 	indexLen := binary.LittleEndian.Uint64(footer[8:16])
 	bloomOff := binary.LittleEndian.Uint64(footer[16:24])
 	bloomLen := binary.LittleEndian.Uint64(footer[24:32])
+	// The footer is read from disk: nothing it says may size a buffer or
+	// place a read past the bytes the file has before it.
+	body := uint64(st.Size() - footerSize)
+	if indexLen > body || indexOff > body-indexLen || bloomLen > body || bloomOff > body-bloomLen {
+		f.Close()
+		return nil, errBadFooter
+	}
 
 	idxBuf := make([]byte, indexLen)
 	if _, err := f.ReadAt(idxBuf, int64(indexOff)); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("lsm: read index: %w", err)
 	}
-	index, err := parseIndex(idxBuf)
+	index, err := parseIndex(idxBuf, indexOff)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -298,67 +301,84 @@ func openTable(dir string, meta tableMeta, cache *blockCache) (*tableReader, err
 		f.Close()
 		return nil, fmt.Errorf("lsm: read bloom: %w", err)
 	}
-	t := &tableReader{
-		f: f, dir: dir, meta: meta, index: index,
-		bloom: unmarshalBloom(bloomBuf), cache: cache,
+	bloom, err := unmarshalBloom(bloomBuf)
+	if err != nil {
+		f.Close()
+		return nil, err
 	}
+	t := &tableReader{f: f, dir: dir, meta: meta, index: index, bloom: bloom, cache: cache}
 	t.refs.Store(1) // the caller's reference, transferred to a version
 	return t, nil
 }
 
-func parseIndex(buf []byte) ([]indexEntry, error) {
-	r := bytes.NewReader(buf)
-	count, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("lsm: parse index: %w", err)
+// minIndexEntry is the encoded size of an index entry with an empty key.
+const minIndexEntry = 1 + 1 + 1 + 4
+
+// parseIndex decodes the index block. The blocks it names must lie inside
+// the dataLen bytes that precede it in the file. lastKey slices alias buf.
+func parseIndex(buf []byte, dataLen uint64) ([]indexEntry, error) {
+	count, n := binary.Uvarint(buf)
+	if n <= 0 || count > uint64(len(buf))/minIndexEntry {
+		return nil, errBadIndex
 	}
+	buf = buf[n:]
 	out := make([]indexEntry, 0, count)
 	for i := uint64(0); i < count; i++ {
-		klen, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
+		klen, n := binary.Uvarint(buf)
+		if n <= 0 || klen > uint64(len(buf)-n) {
+			return nil, errBadIndex
 		}
-		key := make([]byte, klen)
-		if _, err := r.Read(key); err != nil {
-			return nil, err
+		key := buf[n : n+int(klen) : n+int(klen)]
+		buf = buf[n+int(klen):]
+		off, n := binary.Uvarint(buf)
+		if n <= 0 {
+			return nil, errBadIndex
 		}
-		off, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		length, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		var crcb [4]byte
-		if _, err := r.Read(crcb[:]); err != nil {
-			return nil, err
+		buf = buf[n:]
+		length, n := binary.Uvarint(buf)
+		if n <= 0 || len(buf)-n < 4 || length > dataLen || off > dataLen-length {
+			return nil, errBadIndex
 		}
 		out = append(out, indexEntry{
 			lastKey: key, off: off, length: uint32(length),
-			crc: binary.LittleEndian.Uint32(crcb[:]),
+			crc: binary.LittleEndian.Uint32(buf[n:]),
 		})
+		buf = buf[n+4:]
 	}
 	return out, nil
 }
 
 // readBlock fetches (and verifies) the data block at index position i,
-// consulting the shared cache first.
-func (t *tableReader) readBlock(i int) ([]byte, error) {
+// consulting the shared cache first. A foreground read (scratch nil) counts
+// as a hit or a miss there and fills the cache on a miss. A compaction walks
+// every block of its inputs once: it passes its iterator's scratch, a block
+// the cache lacks is read into that (good until the iterator's next read),
+// and the cache, its recency order and its counters stay as the foreground
+// left them.
+func (t *tableReader) readBlock(i int, scratch *[]byte) ([]byte, error) {
 	e := t.index[i]
+	foreground := scratch == nil
 	if t.cache != nil {
-		if blk, ok := t.cache.get(t.meta.Num, e.off); ok {
+		if blk, ok := t.cache.get(t.meta.Num, e.off, foreground); ok {
 			return blk, nil
 		}
 	}
-	blk := make([]byte, e.length)
+	var blk []byte
+	if foreground {
+		blk = make([]byte, e.length)
+	} else {
+		if uint32(cap(*scratch)) < e.length {
+			*scratch = make([]byte, e.length)
+		}
+		blk = (*scratch)[:e.length]
+	}
 	if _, err := t.f.ReadAt(blk, int64(e.off)); err != nil {
 		return nil, fmt.Errorf("lsm: read block: %w", err)
 	}
 	if crc32.Checksum(blk, crcTableCasta) != e.crc {
 		return nil, errBadBlock
 	}
-	if t.cache != nil {
+	if foreground && t.cache != nil {
 		t.cache.put(t.meta.Num, e.off, blk)
 	}
 	return blk, nil
@@ -387,7 +407,7 @@ func (t *tableReader) get(key []byte) (memEntry, bool, error) {
 	if bi < 0 {
 		return memEntry{}, false, nil
 	}
-	blk, err := t.readBlock(bi)
+	blk, err := t.readBlock(bi, nil)
 	if err != nil {
 		return memEntry{}, false, err
 	}
@@ -446,7 +466,9 @@ func (it *blockIter) next() bool {
 	}
 	kind := entryKind(it.data[it.pos])
 	it.pos++
-	if it.pos+int(klen)+int(vlen) > len(it.data) {
+	// Compared in uint64: a corrupt length cast to int could wrap negative,
+	// pass the guard and panic at the slice.
+	if rest := uint64(len(it.data) - it.pos); klen > rest || vlen > rest-klen {
 		it.err = errBadBlock
 		return false
 	}
@@ -462,6 +484,7 @@ func (it *blockIter) next() bool {
 // tableIterator walks all entries of a table in key order.
 type tableIterator struct {
 	t        *tableReader
+	scratch  *[]byte // nil on a foreground iterator; see readBlock
 	blockIdx int
 	bi       blockIter
 	inited   bool
@@ -469,6 +492,13 @@ type tableIterator struct {
 }
 
 func (t *tableReader) iter() *tableIterator { return &tableIterator{t: t} }
+
+// compactionIter is iter for a merge's input: its reads go round the block
+// cache, and key() and entry().value are good only until the next call of
+// next or seekGE.
+func (t *tableReader) compactionIter() *tableIterator {
+	return &tableIterator{t: t, scratch: new([]byte)}
+}
 
 func (it *tableIterator) next() bool {
 	if it.err != nil {
@@ -479,7 +509,7 @@ func (it *tableIterator) next() bool {
 			if it.blockIdx >= len(it.t.index) {
 				return false
 			}
-			blk, err := it.t.readBlock(it.blockIdx)
+			blk, err := it.t.readBlock(it.blockIdx, it.scratch)
 			if err != nil {
 				it.err = err
 				return false
@@ -507,7 +537,7 @@ func (it *tableIterator) seekGE(key []byte) bool {
 		it.inited = false
 		return false
 	}
-	blk, err := it.t.readBlock(bi)
+	blk, err := it.t.readBlock(bi, it.scratch)
 	if err != nil {
 		it.err = err
 		return false

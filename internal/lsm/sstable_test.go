@@ -3,6 +3,8 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"testing"
@@ -214,10 +216,10 @@ func TestBlockCacheEviction(t *testing.T) {
 	c := newBlockCache(100)
 	c.put(1, 0, make([]byte, 60))
 	c.put(1, 60, make([]byte, 60)) // exceeds 100 -> evict oldest
-	if _, ok := c.get(1, 0); ok {
+	if _, ok := c.get(1, 0, true); ok {
 		t.Fatal("oldest block should be evicted")
 	}
-	if _, ok := c.get(1, 60); !ok {
+	if _, ok := c.get(1, 60, true); !ok {
 		t.Fatal("newest block should remain")
 	}
 }
@@ -227,10 +229,10 @@ func TestBlockCacheDropFile(t *testing.T) {
 	c.put(1, 0, []byte("a"))
 	c.put(2, 0, []byte("b"))
 	c.dropFile(1)
-	if _, ok := c.get(1, 0); ok {
+	if _, ok := c.get(1, 0, true); ok {
 		t.Fatal("dropped file still cached")
 	}
-	if _, ok := c.get(2, 0); !ok {
+	if _, ok := c.get(2, 0, true); !ok {
 		t.Fatal("other file evicted by dropFile")
 	}
 }
@@ -251,5 +253,114 @@ func TestNilBlockCache(t *testing.T) {
 	}
 	if c := newBlockCache(-1); c != nil {
 		t.Fatal("negative-size cache should be nil")
+	}
+}
+
+// goldenEntry is entry i of testdata/000007.sst: 600 entries, every seventh
+// a tombstone, values of 0..96 bytes, 512 B blocks, 10 bloom bits per key.
+// The file was written by the tableBuilder of the commit before the builder
+// stopped keeping a copy of every key (PR 28), so it pins the table format,
+// the bloom filter's bits included: today's builder must produce the same
+// bytes from the same entries, and today's reader must read them.
+func goldenEntry(i int) ([]byte, memEntry) {
+	key := []byte(fmt.Sprintf("golden%05d", i*3))
+	if i%7 == 0 {
+		return key, memEntry{seq: uint64(1000 + i), kind: kindDelete}
+	}
+	val := make([]byte, i%97)
+	for j := range val {
+		val[j] = byte(i + j)
+	}
+	return key, memEntry{seq: uint64(1000 + i), kind: kindSet, value: val}
+}
+
+const goldenEntries = 600
+
+func TestGoldenTableFromParentBuilder(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "000007.sst"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	tb, err := newTableBuilder(tableFileName(dir, 7), 512, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < goldenEntries; i++ {
+		k, e := goldenEntry(i)
+		if err := tb.add(k, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	meta, err := tb.finish(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := os.ReadFile(tableFileName(dir, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(built, golden) {
+		t.Fatalf("the builder no longer writes the parent's bytes (%d vs %d)", len(built), len(golden))
+	}
+
+	r, err := openTable("testdata", meta, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.unref()
+	for i := 0; i < goldenEntries; i++ {
+		k, want := goldenEntry(i)
+		got, ok, err := r.get(k)
+		if err != nil || !ok || got.seq != want.seq || got.kind != want.kind || !bytes.Equal(got.value, want.value) {
+			t.Fatalf("get %s = %+v, %v, %v; want %+v", k, got, ok, err, want)
+		}
+	}
+	// The filter's answer for a key, present or not, is what hash/fnv's
+	// hashes find in the bits the parent wrote.
+	n := uint64(len(r.bloom.bits)) * 8
+	for i := 0; i < 3*goldenEntries; i++ {
+		k := []byte(fmt.Sprintf("golden%05d", i))
+		h1, h2 := fnvBloomHash(k)
+		want := true
+		for j := uint64(0); j < uint64(r.bloom.k); j++ {
+			pos := (h1 + j*h2) % n
+			want = want && r.bloom.bits[pos/8]&(1<<(pos%8)) != 0
+		}
+		if got := r.bloom.MayContain(k); got != want {
+			t.Fatalf("bloom answer for %s is %v, the parent's is %v", k, got, want)
+		}
+		if i%3 == 0 && !want {
+			t.Fatalf("false negative for %s", k)
+		}
+	}
+}
+
+// fnvBloomHash is bloomHash as it was written with hash/fnv.
+func fnvBloomHash(key []byte) (uint64, uint64) {
+	h := fnv.New64a()
+	h.Write(key)
+	h2 := fnv.New64a()
+	h2.Write([]byte{0x9e})
+	h2.Write(key)
+	return h.Sum64(), h2.Sum64() | 1
+}
+
+func TestBloomHashIsFNV1a(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for i := 0; i < 10000; i++ {
+		key := make([]byte, rng.Intn(64))
+		rng.Read(key)
+		g1, g2 := bloomHash(key)
+		if w1, w2 := fnvBloomHash(key); g1 != w1 || g2 != w2 {
+			t.Fatalf("bloomHash(%x) = %x, %x; hash/fnv gives %x, %x", key, g1, g2, w1, w2)
+		}
+	}
+}
+
+func TestBloomHashDoesNotAllocate(t *testing.T) {
+	key := []byte("key00001234")
+	if n := testing.AllocsPerRun(100, func() { bloomHash(key) }); n != 0 {
+		t.Fatalf("bloomHash allocates %.0f times", n)
 	}
 }

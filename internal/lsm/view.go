@@ -12,9 +12,10 @@ import (
 // against it with no DB lock held.
 //
 // Ownership protocol: a version holds one reference on every tableReader
-// in its map. Constructing a successor re-refs the readers it keeps and
-// takes ownership of (does not re-ref) the ones it adds, so releasing the
-// predecessor drops exactly the removed readers. When a reader's count
+// in its map, and the map holds the tables its manifest names. Constructing
+// a successor re-refs the readers it keeps and takes ownership of (does not
+// re-ref) the ones it adds, so releasing the predecessor drops exactly the
+// removed readers. When a reader's count
 // reaches zero its file handle closes, and — if it was marked obsolete by
 // a compaction — the table file is deleted. In-flight reads therefore keep
 // compacted-away tables alive (and on disk) until the last snapshot using
@@ -32,20 +33,22 @@ func newVersion(man *manifest, readers map[uint64]*tableReader) *version {
 	return v
 }
 
-// successor builds the next version: current tables minus removeNums plus
-// add (whose initial references are transferred in). Caller holds db.mu
-// and still owns the predecessor's reference (release it after the swap).
-func (v *version) successor(man *manifest, removeNums map[uint64]bool, add map[uint64]*tableReader) *version {
+// successor builds the next version: a reader for every table man names,
+// taken from add (whose initial references are transferred in) or else kept
+// from v (and re-referenced). Tables man no longer names are left behind
+// with v. Caller holds db.mu and still owns the predecessor's reference
+// (release it after the swap).
+func (v *version) successor(man *manifest, add map[uint64]*tableReader) *version {
 	readers := make(map[uint64]*tableReader, len(v.readers)+len(add))
-	for num, r := range v.readers {
-		if removeNums[num] {
-			continue
+	for _, lvl := range man.Levels {
+		for _, t := range lvl {
+			if r := add[t.Num]; r != nil {
+				readers[t.Num] = r
+			} else if r := v.readers[t.Num]; r != nil {
+				r.ref()
+				readers[t.Num] = r
+			}
 		}
-		r.ref()
-		readers[num] = r
-	}
-	for num, r := range add {
-		readers[num] = r
 	}
 	return newVersion(man, readers)
 }

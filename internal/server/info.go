@@ -136,7 +136,8 @@ func boolToInt(v bool) int {
 // storageInfo renders the storage-tier section: per-shard LSM counters —
 // flush/compaction activity, the immutable-memtable backlog (a growing
 // number means the background flusher is falling behind writers), level
-// shape and write volume.
+// shape and write volume, and what the tier wrote to hold it: write
+// amplification is (flush_bytes + compaction_bytes) / write_bytes.
 func (s *Server) storageInfo(b *strings.Builder) {
 	fmt.Fprintf(b, "# Storage\r\n")
 	if s.opts.StorageStats == nil {
@@ -164,6 +165,9 @@ func (s *Server) storageInfo(b *strings.Builder) {
 			bytesParts[l] = strconv.FormatInt(n, 10)
 		}
 		fmt.Fprintf(b, "shard%d_level_bytes:%s\r\n", i, strings.Join(bytesParts, ","))
+		fmt.Fprintf(b, "shard%d_moves:%d\r\n", i, st.Moves)
+		fmt.Fprintf(b, "shard%d_flush_bytes:%d\r\n", i, st.FlushBytes)
+		fmt.Fprintf(b, "shard%d_compaction_bytes:%d\r\n", i, st.CompactionBytes)
 	}
 }
 

@@ -720,7 +720,8 @@ func TestInfoStorageSection(t *testing.T) {
 	for _, want := range []string{"# Storage", "storage_shards:2",
 		"shard0_flushes:", "shard0_compactions:", "shard0_immutables:",
 		"shard0_write_bytes:", "shard0_level_files:", "shard1_level_bytes:",
-		"shard0_multigets:"} {
+		"shard0_multigets:", "shard0_moves:", "shard0_flush_bytes:",
+		"shard1_compaction_bytes:"} {
 		if !strings.Contains(full.(string), want) {
 			t.Fatalf("INFO missing %q in:\n%s", want, full)
 		}

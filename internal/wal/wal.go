@@ -10,8 +10,8 @@
 //     "WAL-PMem synchronizes to PMem per transaction" (§4.3, §6.2.2).
 //
 // Record format: 4-byte little-endian length, 4-byte CRC32C, payload.
-// Replay stops at the first torn or corrupt record, which is the correct
-// crash-recovery semantic for an append-only log.
+// Replay stops reading a segment at a torn tail (see Replay for which
+// damage is a torn tail and which is corruption).
 package wal
 
 import (
@@ -68,6 +68,12 @@ func (o *Options) fill() {
 }
 
 // Log is a segmented append-only write-ahead log.
+//
+// Under SyncInterval no fsync runs under mu, the lock every Append takes:
+// the ticker flushes the buffer under mu and fsyncs outside it, and a
+// rotation hands the segment it sealed to the ticker to fsync and close. A
+// record is therefore on disk within SyncEvery (plus one fsync) of its
+// Append, whichever segment it is in.
 type Log struct {
 	mu      sync.Mutex
 	opts    Options
@@ -81,6 +87,18 @@ type Log struct {
 	syncErr error
 	appends int64
 	syncs   int64
+
+	// sealed holds the segments a SyncInterval rotation left open, oldest
+	// first: written out to the OS, not yet fsynced. syncMu is held across
+	// every fsync made outside mu and by whoever else closes a file such an
+	// fsync may be using; it is taken before mu.
+	sealed []sealedSegment
+	syncMu sync.Mutex
+}
+
+type sealedSegment struct {
+	seq int
+	f   *os.File
 }
 
 // Open creates or appends to a log in dir.
@@ -154,17 +172,52 @@ func (l *Log) syncLoop() {
 	for {
 		select {
 		case <-t.C:
-			l.mu.Lock()
-			if !l.closed {
-				if err := l.flushSyncLocked(); err != nil && l.syncErr == nil {
+			if err := l.intervalSync(); err != nil {
+				l.mu.Lock()
+				if l.syncErr == nil {
 					l.syncErr = err
 				}
+				l.mu.Unlock()
 			}
-			l.mu.Unlock()
 		case <-l.stopCh:
 			return
 		}
 	}
+}
+
+// intervalSync makes everything appended so far durable: the sealed
+// segments first, oldest first, so that what is on disk is always a prefix
+// of the log, then the active one. Appends wait for the buffer flush only.
+func (l *Log) intervalSync() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return nil
+	}
+	err := l.w.Flush()
+	active, sealed := l.f, l.sealed
+	l.sealed = nil
+	l.syncs += int64(len(sealed)) + 1
+	l.mu.Unlock()
+	for _, s := range sealed {
+		if serr := syncClose(s.f); err == nil {
+			err = serr
+		}
+	}
+	if err != nil {
+		return err
+	}
+	return active.Sync()
+}
+
+func syncClose(f *os.File) error {
+	err := f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (l *Log) flushSyncLocked() error {
@@ -210,7 +263,18 @@ func (l *Log) Append(payload []byte) error {
 	return nil
 }
 
+// rotateLocked seals the active segment and opens the next. Under
+// SyncInterval the sealed segment is only written out here; its fsync and
+// close are the ticker's (intervalSync), so the appender holding mu does not
+// wait for the disk. The other policies have no ticker and seal inline.
 func (l *Log) rotateLocked() error {
+	if l.opts.Policy == SyncInterval {
+		if err := l.w.Flush(); err != nil {
+			return fmt.Errorf("wal: rotate flush: %w", err)
+		}
+		l.sealed = append(l.sealed, sealedSegment{l.seq, l.f})
+		return l.openSegment(l.seq + 1)
+	}
 	if err := l.flushSyncLocked(); err != nil {
 		return fmt.Errorf("wal: rotate flush: %w", err)
 	}
@@ -220,14 +284,33 @@ func (l *Log) rotateLocked() error {
 	return l.openSegment(l.seq + 1)
 }
 
-// Sync forces buffered records to durable storage.
+// Sync forces every record appended so far to durable storage.
 func (l *Log) Sync() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
+	if err := l.syncSealedLocked(); err != nil {
+		return err
+	}
 	return l.flushSyncLocked()
+}
+
+// syncSealedLocked fsyncs and closes the sealed segments inline. Caller
+// holds syncMu and mu.
+func (l *Log) syncSealedLocked() error {
+	var err error
+	for _, s := range l.sealed {
+		l.syncs++
+		if serr := syncClose(s.f); err == nil {
+			err = serr
+		}
+	}
+	l.sealed = nil
+	return err
 }
 
 // Appends reports the number of appended records (monitoring).
@@ -244,27 +327,33 @@ func (l *Log) Syncs() int64 {
 	return l.syncs
 }
 
-// Close flushes, syncs and closes the log.
+// Close flushes, syncs and closes the log, sealed segments included.
 func (l *Log) Close() error {
+	l.syncMu.Lock()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
+		l.syncMu.Unlock()
 		return nil
 	}
 	l.closed = true
-	err := l.flushSyncLocked()
-	cerr := l.f.Close()
+	err := l.syncSealedLocked()
+	if serr := l.flushSyncLocked(); err == nil {
+		err = serr
+	}
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
 	l.mu.Unlock()
+	l.syncMu.Unlock() // before the wait: the ticker may be queued on it
 	close(l.stopCh)
 	<-l.doneCh
-	if err != nil {
-		return err
-	}
-	return cerr
+	return err
 }
 
-// Rotate seals the active segment (flushing and syncing buffered records)
-// and starts a new one, returning the new segment's sequence number. The
+// Rotate seals the active segment (flushing buffered records; see
+// rotateLocked for who fsyncs it) and starts a new one, returning the new
+// segment's sequence number. The
 // LSM uses this at memtable rotation: every record of the sealed memtable
 // lives in segments older than the returned sequence, so once that
 // memtable is flushed to an SSTable those segments can be reclaimed with
@@ -286,11 +375,24 @@ func (l *Log) Rotate() (int, error) {
 // asserts that every record in those segments has been checkpointed
 // (flushed into SSTables and recorded in the manifest).
 func (l *Log) RemoveBefore(seq int) error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return ErrClosed
 	}
+	// A sealed segment still waiting for its fsync needs none once its
+	// records are checkpointed: it is closed and goes with the rest.
+	kept := l.sealed[:0]
+	for _, s := range l.sealed {
+		if s.seq < seq {
+			s.f.Close()
+		} else {
+			kept = append(kept, s)
+		}
+	}
+	l.sealed = kept
 	segs, err := listSegments(l.opts.Dir)
 	if err != nil {
 		return err
@@ -309,6 +411,8 @@ func (l *Log) RemoveBefore(seq int) error {
 // Truncate removes all segments and starts a fresh one. Called after the
 // logged state has been checkpointed elsewhere (e.g. memtable flushed).
 func (l *Log) Truncate() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -320,6 +424,10 @@ func (l *Log) Truncate() error {
 	if err := l.f.Close(); err != nil {
 		return err
 	}
+	for _, s := range l.sealed {
+		s.f.Close()
+	}
+	l.sealed = nil
 	segs, err := listSegments(l.opts.Dir)
 	if err != nil {
 		return err
@@ -333,9 +441,14 @@ func (l *Log) Truncate() error {
 }
 
 // Replay invokes fn for every intact record across all segments in dir, in
-// append order. A torn or corrupt tail record terminates replay without
-// error (crash semantics); corruption in the middle of a segment returns
-// an error.
+// append order. A torn tail (a record the end of its file cuts short, or
+// one that is the last thing in its file and fails its checksum) ends that
+// segment without error, whichever segment it is: a SyncInterval rotation
+// seals a segment before its last records are fsynced, so a power loss can
+// tear a sealed segment as it can the active one, and what it tore was
+// appended within SyncEvery of the crash. Replay goes on with the next
+// segment. A damaged record with more data after it is corruption and an
+// error, except in the last segment, where it ends replay.
 func Replay(dir string, fn func(payload []byte) error) error {
 	segs, err := listSegments(dir)
 	if err != nil {
@@ -371,11 +484,8 @@ func replaySegment(path string, lastSegment bool, fn func([]byte) error) error {
 	var hdr [recHeaderSize]byte
 	for {
 		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			if err == io.EOF {
-				return nil
-			}
-			if err == io.ErrUnexpectedEOF && lastSegment {
-				return nil // torn header at tail
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return nil // the end, or a torn header at the tail
 			}
 			return fmt.Errorf("wal: replay %s: %w", path, err)
 		}
@@ -383,25 +493,21 @@ func replaySegment(path string, lastSegment bool, fn func([]byte) error) error {
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		want := binary.LittleEndian.Uint32(hdr[4:8])
 		if int64(n) > remaining {
-			// The claimed length overruns the file: a torn length field at
-			// the tail, or mid-log corruption. Checking BEFORE allocating
-			// keeps a flipped length byte (up to 4 GiB) from sizing the
-			// buffer it asks for.
-			if lastSegment {
-				return nil
-			}
-			return fmt.Errorf("wal: replay %s: corrupt record length mid-log", path)
+			// The claimed length overruns the file: a torn tail. Checking
+			// BEFORE allocating keeps a flipped length byte (up to 4 GiB)
+			// from sizing the buffer it asks for.
+			return nil
 		}
 		payload := make([]byte, n)
 		if _, err := io.ReadFull(r, payload); err != nil {
-			if (err == io.ErrUnexpectedEOF || err == io.EOF) && lastSegment {
+			if err == io.ErrUnexpectedEOF || err == io.EOF {
 				return nil // torn payload at tail
 			}
 			return fmt.Errorf("wal: replay %s: %w", path, err)
 		}
 		remaining -= int64(n)
 		if crc32.Checksum(payload, crcTable) != want {
-			if lastSegment {
+			if lastSegment || remaining == 0 {
 				return nil // torn write detected by checksum
 			}
 			return fmt.Errorf("wal: replay %s: corrupt record mid-log", path)
