@@ -27,7 +27,8 @@ func TestParseLineBasic(t *testing.T) {
 func TestParseLineCustomMetrics(t *testing.T) {
 	// b.ReportMetric units must land in Extra whatever they look like: the
 	// client mux benchmarks report rates, the cache skew suite a hit
-	// percentage, whose unit has no slash.
+	// percentage, whose unit has no slash, the engine what a key costs (the
+	// artifact's before/after of a record-layout change).
 	for _, c := range []struct {
 		line  string
 		name  string
@@ -45,6 +46,12 @@ func TestParseLineCustomMetrics(t *testing.T) {
 			name:  "BenchmarkSkewSuite/hotspot-shift",
 			ns:    896.3,
 			extra: map[string]float64{"hit_pct": 87.13},
+		},
+		{
+			line:  "BenchmarkEngineHeapPerKey-2 	       1	  68491996 ns/op	        44.49 accounted-B/key	         0.7341 free-B/key	        45.23 heap-B/key	 9120968 B/op	  100414 allocs/op",
+			name:  "BenchmarkEngineHeapPerKey",
+			ns:    68491996,
+			extra: map[string]float64{"accounted-B/key": 44.49, "free-B/key": 0.7341, "heap-B/key": 45.23},
 		},
 	} {
 		r, ok := parseLine(c.line)

@@ -14,14 +14,14 @@ import (
 // Mutate runs op, an in-place engine mutation of key, and commits what it
 // left behind:
 //
-//  1. Warm: the key is faulted in from the storage tier, so op composes
-//     with a value that was evicted or predates a restart.
+//  1. The key is faulted in from the storage tier, so op composes with a
+//     value that was evicted or predates a restart (hold).
 //  2. op runs under key's RMW stripe lock. Without the lock two INCRs could
 //     commit their results out of engine order and the storage tier would
-//     converge on the older value. From here to the commit the key is pinned
-//     against capacity eviction (Tiered.pinned): a reader's miss-fill may
-//     run the eviction hand onto this stripe at any moment, and a key evicted
-//     between op and step 3 would be committed as a delete.
+//     converge on the older value. From the lock to the commit the key is
+//     pinned against capacity eviction (Tiered.pinned): a reader's miss-fill
+//     may run the eviction hand onto this stripe at any moment, and a key
+//     evicted between op and step 3 would be committed as a delete.
 //  3. If op reports a change, the key's current engine state — a string, a
 //     collection as a typed blob, or its absence (a collection emptied by
 //     its last pop) — takes the route a Set or Delete takes (commit, in
@@ -32,12 +32,7 @@ import (
 // op must not call back into the store. An error from op, or a change it
 // does not report, commits nothing.
 func (t *Tiered) Mutate(key string, op func() (changed bool, err error)) error {
-	t.Warm(key)
-	si := t.eng.ShardIndex(key)
-	t.rmw[si].Lock()
-	defer t.rmw[si].Unlock()
-	t.mutating[si].Store(&key)
-	defer t.mutating[si].Store(nil)
+	defer t.release(t.hold(key))
 	changed, err := op()
 	if err != nil || !changed {
 		return err
@@ -47,6 +42,40 @@ func (t *Tiered) Mutate(key string, op func() (changed bool, err error)) error {
 		return err
 	}
 	return t.commit(key, val, err != nil, enc, true)
+}
+
+// hold is how an in-place mutation of key begins (Mutate, ExpireAt,
+// Persist): it returns with key's RMW stripe lock taken, key pinned against
+// capacity eviction, and key resident if any tier has it. The caller defers
+// release of the stripe it returns.
+//
+// The key is warmed before the lock, so that a cold key's storage read does
+// not hold up the stripe's other writers. That leaves a window: an eviction
+// between the warm and the lock, and an INCR of an evicted 41 would commit 1.
+// So once the key can no longer leave, hold looks again, and fetches a key
+// the engine lacks there and then. It goes to fetchCoalesced, not Get: Get
+// deletes a lapsed key through the tiers under this same lock. A lapsed key
+// is still in the engine and needs no fetch (the op will find it absent),
+// and a write-back tombstone means the storage copy is the stale one. A key
+// no tier has costs a second storage read this way.
+func (t *Tiered) hold(key string) (stripe int) {
+	t.Warm(key)
+	si := t.eng.ShardIndex(key)
+	t.rmw[si].Lock()
+	t.mutating[si].Store(&key)
+	if t.opts.Policy != CacheOnly && !t.eng.Exists(key) && !t.eng.Expired(key) {
+		if _, dirty := t.dirty.lookup(key); !dirty {
+			_, _ = t.fetchCoalesced(key) // as Warm: absent is the best answer left
+			t.maybeEvict()
+		}
+	}
+	return si
+}
+
+// release ends what hold began on stripe si.
+func (t *Tiered) release(si int) {
+	t.mutating[si].Store(nil)
+	t.rmw[si].Unlock()
 }
 
 // Warm faults key into the cache tier from the storage tier if it is not

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strconv"
@@ -291,6 +292,90 @@ func TestMutateKeyPinnedAgainstEviction(t *testing.T) {
 	}
 	if v, err := tr.Get("ctr"); err != nil || string(v) != "42" {
 		t.Fatalf("Get ctr: %q, %v; want 42", v, err)
+	}
+}
+
+// TestEvictionBetweenWarmAndLock: an in-place mutation warms its key before
+// it takes the key's RMW lock, and an eviction may fall between the two. The
+// test holds the stripe's RMW lock itself while the mutation starts, waits
+// for its warm to admit the key, evicts the key again and lets go: the
+// mutation must still compose with the stored 41, not with nothing.
+func TestEvictionBetweenWarmAndLock(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		mutate func(tr *Tiered) error
+		want   string
+		check  func(tr *Tiered) error
+	}{
+		{"INCR", func(tr *Tiered) error {
+			return tr.Mutate("k", func() (bool, error) {
+				n, err := tr.Engine().IncrBy("k", 1)
+				if err == nil && n != 42 {
+					err = fmt.Errorf("INCR of an evicted 41 = %d", n)
+				}
+				return true, err
+			})
+		}, "42", nil},
+		{"ExpireAt", func(tr *Tiered) error {
+			if !tr.ExpireAt("k", time.Now().Add(time.Hour).UnixNano()) {
+				return errors.New("ExpireAt: no such key")
+			}
+			return nil
+		}, "41", func(tr *Tiered) error {
+			if _, ok := tr.Engine().TTL("k"); !ok {
+				return errors.New("no TTL on the key")
+			}
+			return nil
+		}},
+		{"Persist", func(tr *Tiered) error {
+			if !tr.Persist("k") {
+				return errors.New("Persist: no such key")
+			}
+			return nil
+		}, "41", nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			stor := NewMapStorage()
+			eng := engine.New(engine.Options{Shards: 4})
+			tr, err := New(Options{Policy: WriteThrough, Engine: eng, Storage: stor, CacheCapacityBytes: 2048})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			if err := tr.Set("k", []byte("41")); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; eng.Exists("k"); i++ {
+				if err := tr.Set(fmt.Sprintf("fill:%04d", i), make([]byte, 64)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			si := eng.ShardIndex("k")
+			tr.rmw[si].Lock()
+			done := make(chan error, 1)
+			go func() { done <- c.mutate(tr) }()
+			for !eng.Exists("k") { // the mutation's warm admits it
+				time.Sleep(time.Millisecond)
+			}
+			for eng.Exists("k") {
+				eng.Evict(si, tr.pinned[si])
+			}
+			tr.rmw[si].Unlock()
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if v, err := eng.Get("k"); err != nil || string(v) != c.want {
+				t.Fatalf("engine holds %q, %v; want %s", v, err, c.want)
+			}
+			if sv, ok, err := stor.Get("k"); err != nil || !ok || string(engine.UnescapeStringValue(sv)) != c.want {
+				t.Fatalf("storage holds %q, present %v, err %v; want %s", sv, ok, err, c.want)
+			}
+			if c.check != nil {
+				if err := c.check(tr); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -108,8 +108,9 @@ type Tiered struct {
 
 	// pinned[i] is what maybeEvict hands engine.Evict for stripe i: the keys
 	// that must stay resident, which are the dirty ones (write-back) and the
-	// one a Mutate is working on (mutating[i]; the RMW lock admits one per
-	// stripe). Bound once, so an eviction step allocates no closure.
+	// one an in-place mutation is working on (mutating[i], set by hold; the
+	// RMW lock admits one per stripe). Bound once, so an eviction step
+	// allocates no closure.
 	pinned   []func(key []byte) bool
 	mutating []atomic.Pointer[string]
 
@@ -254,6 +255,12 @@ func New(opts Options) (*Tiered, error) {
 func (t *Tiered) maybeEvict() {
 	capacity := t.opts.CacheCapacityBytes
 	if capacity <= 0 {
+		return
+	}
+	if t.opts.Policy == WriteBack && t.eng.MemUsed() > capacity && t.dirty.len() >= t.eng.Len() {
+		// Every resident key is dirty (the backlog bound exceeds the cache):
+		// the hand would walk a full lap under a stripe's write lock and
+		// evict nothing. The flusher's next round unpins them.
 		return
 	}
 	n := uint32(len(t.pinned))
@@ -622,16 +629,16 @@ func (t *Tiered) Update(key string, fn func(old []byte, exists bool) []byte) err
 
 // ExpireAt sets key's TTL as an absolute UnixNano deadline, under the
 // key's RMW stripe lock so the TTL change orders against writes and the
-// replication sink. A key that lives only in the storage tier is warmed
-// first (TTLs are cache-tier state). Reports whether the key existed. The
-// deadline is absolute on the wire too (OpExpire): replicas applying the
-// op late still expire the key at the same instant the master did.
+// replication sink. A key that lives only in the storage tier is faulted
+// in first (hold, rmw.go: TTLs are cache-tier state). Reports whether the
+// key existed. The deadline is absolute on the wire too (OpExpire):
+// replicas applying the op late still expire the key at the same instant
+// the master did.
 func (t *Tiered) ExpireAt(key string, at int64) bool {
 	if t.closed.Load() {
 		return false
 	}
-	t.Warm(key)
-	defer t.lockKey(key).Unlock()
+	defer t.release(t.hold(key))
 	if !t.eng.ExpireAt(key, at) {
 		return false
 	}
@@ -641,14 +648,13 @@ func (t *Tiered) ExpireAt(key string, at int64) bool {
 	return true
 }
 
-// Persist clears key's TTL under its RMW stripe lock, warming the key
+// Persist clears key's TTL under its RMW stripe lock, faulting the key in
 // like ExpireAt; reports whether the key existed.
 func (t *Tiered) Persist(key string) bool {
 	if t.closed.Load() {
 		return false
 	}
-	t.Warm(key)
-	defer t.lockKey(key).Unlock()
+	defer t.release(t.hold(key))
 	if !t.eng.Persist(key) {
 		return false
 	}

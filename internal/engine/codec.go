@@ -245,7 +245,6 @@ func (e *Engine) LoadEncoded(key string, blob []byte) error {
 	if en := s.lookup(kh, key); en.present() {
 		e.remove(s, key, en)
 	}
-	it.version = s.nextVersion()
 	e.addItem(s, key, it)
 	return nil
 }

@@ -79,7 +79,6 @@ func (e *Engine) LPush(key string, vals ...[]byte) (int, error) {
 		it.list = append([][]byte{cp}, it.list...)
 		e.adjustMem(s, it, int64(len(cp)), 24)
 	}
-	it.version = s.nextVersion()
 	return len(it.list), nil
 }
 
@@ -97,7 +96,6 @@ func (e *Engine) RPush(key string, vals ...[]byte) (int, error) {
 		it.list = append(it.list, cp)
 		e.adjustMem(s, it, int64(len(cp)), 24)
 	}
-	it.version = s.nextVersion()
 	return len(it.list), nil
 }
 
@@ -116,7 +114,6 @@ func (e *Engine) LPop(key string) ([]byte, error) {
 	v := it.list[0]
 	it.list = it.list[1:]
 	e.adjustMem(s, it, -int64(len(v)), -24)
-	it.version = s.nextVersion()
 	if len(it.list) == 0 {
 		e.removeItem(s, key, it)
 	}
@@ -138,7 +135,6 @@ func (e *Engine) RPop(key string) ([]byte, error) {
 	v := it.list[len(it.list)-1]
 	it.list = it.list[:len(it.list)-1]
 	e.adjustMem(s, it, -int64(len(v)), -24)
-	it.version = s.nextVersion()
 	if len(it.list) == 0 {
 		e.removeItem(s, key, it)
 	}
@@ -214,7 +210,6 @@ func (e *Engine) SAdd(key string, members ...string) (int, error) {
 			added++
 		}
 	}
-	it.version = s.nextVersion()
 	return added, nil
 }
 
@@ -238,7 +233,6 @@ func (e *Engine) SRem(key string, members ...string) (int, error) {
 			removed++
 		}
 	}
-	it.version = s.nextVersion()
 	if len(it.set) == 0 {
 		e.removeItem(s, key, it)
 	}
@@ -361,7 +355,6 @@ func (e *Engine) ZAdd(key, member string, score float64) (bool, error) {
 	if isNew {
 		e.adjustMem(s, it, int64(len(member)), 32)
 	}
-	it.version = s.nextVersion()
 	return isNew, nil
 }
 
@@ -379,7 +372,6 @@ func (e *Engine) ZIncrBy(key, member string, delta float64) (float64, error) {
 		e.adjustMem(s, it, int64(len(member)), 32)
 	}
 	it.zset.insert(member, cur+delta)
-	it.version = s.nextVersion()
 	return cur + delta, nil
 }
 
@@ -417,7 +409,6 @@ func (e *Engine) ZRem(key, member string) (bool, error) {
 	}
 	it.zset.remove(member, sc)
 	e.adjustMem(s, it, -int64(len(member)), -32)
-	it.version = s.nextVersion()
 	if len(it.zset.scores) == 0 {
 		e.removeItem(s, key, it)
 	}
@@ -519,7 +510,6 @@ func (e *Engine) HSet(key, field string, val []byte) (bool, error) {
 	} else {
 		e.adjustMem(s, it, int64(len(field)+len(cp)), 32)
 	}
-	it.version = s.nextVersion()
 	return !existed, nil
 }
 
@@ -559,7 +549,6 @@ func (e *Engine) HDel(key string, fields ...string) (int, error) {
 			n++
 		}
 	}
-	it.version = s.nextVersion()
 	if len(it.hash) == 0 {
 		e.removeItem(s, key, it)
 	}

@@ -12,22 +12,22 @@
 // stripes never contend. Batch operations (MGet/MSet/BatchDel) group keys
 // by stripe and take each stripe lock exactly once.
 //
-// A string key is one contiguous, pointer-free record (record.go): a
-// flags byte (compressed, PMem ref, has TTL), the key length and key, the
-// version, an 8-byte deadline only if a TTL was ever set, then the value
-// length and the stored value (or the 12-byte pmem.Ref to it).
+// A string key is one contiguous, pointer-free record (record.go): one
+// byte of flags (compressed, PMem ref, has TTL) and key length, the key, an
+// 8-byte deadline only if a TTL was ever set, then the value length and the
+// stored value (or the 12-byte pmem.Ref to it).
 //
 // Records live in their stripe's slab (slab.go), not in allocations of
-// their own: 16 KiB pointer-free pages carved into slots of a multiple of
-// 8 bytes, a free list per slot size, and a side table of own allocations
-// for records past 1 KiB. Each stripe finds its records through an
-// open-addressing index (index.go): 8-byte slots of hash and slab ref,
-// linear probing with backward-shift deletion, between 7/16 and 7/8 full
-// at a steady population, no table at all while the stripe is empty. The
-// key's one FNV hash serves both levels: low bits pick the stripe, a
-// Fibonacci multiply spreads it over the slots. Tables and pages hold no
-// pointers, so the garbage collector marks a few hundred objects per
-// engine instead of one per key. README.md has the byte-level layout.
+// their own: 16 KiB pointer-free pages carved into slots of exactly the
+// record's size, a free list per slot size, and a side table of own
+// allocations for records past 1 KiB. Each stripe finds its records
+// through an open-addressing index (index.go): 8-byte slots of hash and
+// slab ref, linear probing with backward-shift deletion, between 7/16 and
+// 7/8 full at a steady population, no table at all while the stripe is
+// empty. The key's one FNV hash serves both levels: low bits pick the
+// stripe, a Fibonacci multiply spreads it over the slots. Tables and pages
+// hold no pointers, so the garbage collector marks a few hundred objects
+// per engine instead of one per key. README.md has the byte-level layout.
 //
 // Collections (the rarer kinds, with mutable internals) keep a *item in a
 // per-stripe map beside the index. A key is in one or the other, and every
@@ -180,10 +180,9 @@ type item struct {
 	set      map[string]struct{}
 	zset     *zset
 	hash     map[string][]byte
-	expireAt int64  // unixnano; 0 = no expiry
-	version  uint64 // bumped on every mutation; CAS token
-	memBytes int64  // accounted DRAM footprint
-	payload  int64  // the part of memBytes that is key and element bytes
+	expireAt int64 // unixnano; 0 = no expiry
+	memBytes int64 // accounted DRAM footprint
+	payload  int64 // the part of memBytes that is key and element bytes
 }
 
 // shard is one lock stripe: its own index and slab of string records, map
@@ -203,7 +202,6 @@ type shard struct {
 	hits    atomic.Int64
 	misses  atomic.Int64
 	expired atomic.Int64
-	version atomic.Uint64
 
 	// A shard is heap-allocated on its own in a size class that is a
 	// multiple of the cacheline, so no two shards' counters share a line.
@@ -272,11 +270,6 @@ func (e *Engine) now() int64 { return e.opts.Clock().UnixNano() }
 // never read the clock.
 func (e *Engine) lapsed(at int64) bool { return at != 0 && e.now() >= at }
 
-// nextVersion allocates a mutation version unique within a shard. Versions
-// only need to distinguish successive states of one key, and a key never
-// changes shard, so per-shard counters avoid a global hotspot.
-func (s *shard) nextVersion() uint64 { return s.version.Add(1) }
-
 // entry is what a key resolves to in its stripe: a string record, a
 // collection, or (the zero entry) nothing.
 type entry struct {
@@ -306,13 +299,6 @@ func (en entry) expireAt() int64 {
 		return en.it.expireAt
 	}
 	return 0
-}
-
-func (en entry) version() uint64 {
-	if en.rec != nil {
-		return en.rec.parse().version
-	}
-	return en.it.version
 }
 
 // lookup resolves key, lapsed or not. Caller holds s.mu (either mode).
@@ -412,10 +398,8 @@ func (e *Engine) publish(s *shard, kh uint32, key string, st staged) {
 	held := ix.held()
 	h := slotHash(kh)
 	i := ix.find(h, key)
-	version := s.nextVersion()
-	ref, buf := ix.recs.alloc(recordLen(key, version, st.valueLen()))
-	rec := record(buf)
-	writeRecord(rec, key, version, st)
+	ref, rec := ix.recs.alloc(recordLen(key, st.valueLen()))
+	writeRecord(rec, key, st)
 	if i >= 0 {
 		old := ix.record(i).parse()
 		e.forget(s, old)
@@ -424,7 +408,7 @@ func (e *Engine) publish(s *shard, kh uint32, key string, st staged) {
 	} else {
 		ix.insert(h, ref)
 	}
-	s.payload.Add(rec.parse().payload())
+	s.payload.Add(payload(st.flags, len(key), len(st.val)))
 	s.memUsed.Add(ix.held() - held)
 }
 
@@ -573,20 +557,20 @@ func (e *Engine) SetNX(key string, val []byte) (bool, error) {
 	return true, nil
 }
 
-// get is the one string read path: look the record up and copy its stored
-// value out under the stripe read lock, decompress outside.
-func (e *Engine) get(key string) (val []byte, version uint64, err error) {
+// Get fetches a string value: it looks the record up and copies its stored
+// value out under the stripe read lock, and decompresses outside.
+func (e *Engine) Get(key string) (val []byte, err error) {
 	kh, s := e.locate(key)
 	s.mu.RLock()
 	en, ok := e.live(s, kh, key)
 	if !ok {
 		s.mu.RUnlock()
 		s.misses.Add(1)
-		return nil, 0, ErrNotFound
+		return nil, ErrNotFound
 	}
 	if en.rec == nil {
 		s.mu.RUnlock()
-		return nil, 0, ErrWrongType
+		return nil, ErrWrongType
 	}
 	s.touch(en)
 	f := en.rec.parse()
@@ -602,18 +586,7 @@ func (e *Engine) get(key string) (val []byte, version uint64, err error) {
 		val, err = e.finish(f.flags, data)
 	}
 	putScratch(pooled, scratch)
-	return val, f.version, err
-}
-
-// Get fetches a string value.
-func (e *Engine) Get(key string) ([]byte, error) {
-	val, _, err := e.get(key)
 	return val, err
-}
-
-// GetWithVersion fetches a string value plus its CAS version token.
-func (e *Engine) GetWithVersion(key string) ([]byte, uint64, error) {
-	return e.get(key)
 }
 
 // Del removes keys; returns how many existed. Multi-key deletes group by
@@ -674,21 +647,6 @@ func (e *Engine) casCheck(s *shard, kh uint32, key string, oldVal []byte) error 
 	if oldVal == nil || !bytes.Equal(cur, oldVal) {
 		return ErrCASMismatch
 	}
-	return nil
-}
-
-// SetIfVersion replaces key's value only if its version token matches
-// (optimistic concurrency for read-modify-write).
-func (e *Engine) SetIfVersion(key string, val []byte, version uint64) error {
-	kh, s := e.locate(key)
-	st := e.encode(val)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if en, ok := e.live(s, kh, key); !ok || en.version() != version {
-		e.discard(st)
-		return ErrCASMismatch
-	}
-	e.publish(s, kh, key, st)
 	return nil
 }
 
@@ -843,9 +801,14 @@ func (e *Engine) TTL(key string) (time.Duration, bool) {
 // holds nothing it may remove. It is CLOCK over the stripe's own
 // contents: a hand walks the index in slot order, then the collections, and
 // around again; a key read or written since the hand last passed it (touch)
-// loses its mark and stays for another lap, one that pinned (nil: none is)
-// holds is passed over as it is, and the first key with neither excuse
-// goes. The hand stays where it stopped for the next call.
+// loses its mark and stays for another lap, and the hand does not so much
+// as read its record; an unmarked key that pinned (nil: none is) holds is
+// passed over, and the first key with neither excuse goes. The hand stays
+// where it stopped for the next call.
+//
+// pinned is asked only about unmarked keys, so a pinned key loses its mark
+// like any other. It cannot leave while pinned either way; once unpinned it
+// goes at the hand's next visit unless it was used in between.
 //
 // pinned runs under the stripe's write lock: a key it holds cannot leave by
 // this call, and one it lets go cannot be written before it is gone. It
@@ -875,13 +838,13 @@ func (e *Engine) Evict(i int, pinned func(key []byte) bool) bool {
 		// A map has no position to resume from, so the hand's pass over the
 		// collections is spread over calls another way: each call takes one
 		// unmarked collection, and the call that finds none clears every
-		// mark (a pinned collection's too) and moves the hand on.
+		// mark and moves the hand on.
 		marked := false
 		for key, it := range s.colls {
 			switch {
-			case pinned != nil && pinned([]byte(key)):
 			case it.ref.Load():
 				marked = true
+			case pinned != nil && pinned([]byte(key)):
 			default:
 				e.removeItem(s, key, it)
 				return true

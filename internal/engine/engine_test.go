@@ -131,26 +131,6 @@ func TestCompareAndSet(t *testing.T) {
 	}
 }
 
-func TestVersionCAS(t *testing.T) {
-	e := New(Options{})
-	e.Set("k", []byte("v1"))
-	_, ver, err := e.GetWithVersion("k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SetIfVersion("k", []byte("v2"), ver); err != nil {
-		t.Fatal(err)
-	}
-	// Stale version must fail.
-	if err := e.SetIfVersion("k", []byte("v3"), ver); err != ErrCASMismatch {
-		t.Fatalf("stale version: %v", err)
-	}
-	v, _ := e.Get("k")
-	if string(v) != "v2" {
-		t.Fatalf("got %q", v)
-	}
-}
-
 func TestTTLExpiry(t *testing.T) {
 	now := time.Unix(100, 0)
 	e := New(Options{Clock: func() time.Time { return now }})

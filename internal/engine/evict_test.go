@@ -93,3 +93,53 @@ func TestEvictSecondChance(t *testing.T) {
 		t.Fatalf("Evict with no pin = %q, %v", got, ok)
 	}
 }
+
+// TestClockReadsOnlyWhatItMayEvict: the hand tests a slot's reference bit
+// before it reads the slot's record, so clearing a mark costs no record
+// read (a cache miss into the slab) and pinned, which is asked once per
+// record read, hears only of keys the hand could take. A stripe of keys
+// that all entered marked is emptied at one record read per eviction, and a
+// pinned key that stays marked is neither taken nor read.
+func TestClockReadsOnlyWhatItMayEvict(t *testing.T) {
+	e := New(Options{Shards: 1})
+	const n = 400
+	key := func(i int) string { return fmt.Sprintf("key:%03d", i) }
+	for i := 0; i < n; i++ {
+		e.Set(key(i), []byte("v"))
+	}
+	hot := key(7)
+	reads := map[string]int{}
+	total := 0
+	pinned := func(k []byte) bool {
+		total++
+		reads[string(k)]++
+		return string(k) == hot
+	}
+	for left := n; left > 1; left-- {
+		if _, err := e.Get(hot); err != nil { // marked whenever the hand comes by
+			t.Fatalf("Get(%s) with %d keys left: %v", hot, left, err)
+		}
+		if !e.Evict(0, pinned) {
+			t.Fatalf("nothing to evict with %d keys left", left)
+		}
+	}
+	if total != n-1 || reads[hot] != 0 {
+		t.Fatalf("%d evictions read %d records, %d of them the marked, pinned key's; want %d and 0",
+			n-1, total, reads[hot], n-1)
+	}
+	if !e.Exists(hot) || e.Len() != 1 {
+		t.Fatalf("the pinned key did not survive alone: %d keys left", e.Len())
+	}
+	// Left alone it loses its mark like any other key, pinned or not, and
+	// stays because it is pinned: the next hand to find it unpinned takes it
+	// without another lap.
+	if e.Evict(0, pinned) || reads[hot] != 1 {
+		t.Fatalf("Evict took the pinned key, or read its record %d times, want once", reads[hot])
+	}
+	if !e.Evict(0, nil) || e.Len() != 0 {
+		t.Fatal("the key outlived its pin by a lap")
+	}
+	if err := checkBooks(e); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -208,13 +208,15 @@ func (ix *index) scan(pos uint32, limit *int, fn func(rec record)) (next uint32,
 }
 
 // clock advances the hand towards the end of the table, looking at up to
-// *look records (it counts them off). One that pinned (nil: none is) holds
-// is passed over, mark and all. One with its reference bit set loses the
-// bit and is due a second look a lap from here, so *look becomes lap. The
-// first with neither is the victim, whose slot and parsed record clock
-// returns with the hand left on it, so that after the caller's remove the
-// hand is on whatever shifted in. With no victim it returns -1, and end tells whether it was
-// the table that ran out (the hand is back at slot 0) or *look.
+// *look slots in use (it counts them off). One with its reference bit set
+// loses the bit, without its record being read, and is due a second look a
+// lap from here, so *look becomes lap. Only an unmarked one has its record
+// parsed: if pinned (nil: none is) holds its key it is passed over, and
+// otherwise it is the victim, whose slot and parsed record clock returns
+// with the hand left on it, so that after the caller's remove the hand is
+// on whatever shifted in. With no victim it returns -1, and end tells
+// whether it was the table that ran out (the hand is back at slot 0) or
+// *look.
 //
 // The hand is kept as a hash: the table is in hash order but for probe
 // runs, so a resize neither skips a stretch of keys nor gives one a second
@@ -230,13 +232,12 @@ func (ix *index) clock(look *int, lap int, pinned func(key []byte) bool) (at int
 			continue
 		}
 		*look--
-		f := ix.record(i).parse()
-		switch {
-		case pinned != nil && pinned(f.key):
-		case sl.hash&refBit != 0:
+		if sl.hash&refBit != 0 {
 			sl.hash &^= refBit
 			*look = lap
-		default:
+			continue
+		}
+		if f := ix.record(i).parse(); pinned == nil || !pinned(f.key) {
 			ix.hand = uint32(i) << ix.shift
 			return i, f, false
 		}

@@ -53,7 +53,16 @@ func newModel(t *testing.T, seed int64) *model {
 	return m
 }
 
-func (m *model) key() string { return fmt.Sprintf("k%d", m.rng.Intn(m.span)) }
+func (m *model) key() string { return modelKey(m.rng.Intn(m.span)) }
+
+// modelKey names key i. One in seven is past maxShortKey bytes, where the
+// record keeps the key length in a uvarint of its own.
+func modelKey(i int) string {
+	if i%7 == 0 {
+		return fmt.Sprintf("a-key-too-long-for-the-header-byte:k%d", i)
+	}
+	return fmt.Sprintf("k%d", i)
+}
 
 // val draws a value: short or long, and half the time with a zero tail
 // the compressor strips.
@@ -135,7 +144,7 @@ func (m *model) step(shrinking bool) {
 		if want {
 			m.setStr(k, v)
 		}
-	case op < 28:
+	case op < 30:
 		var old []byte
 		cur := m.live(k)
 		if cur != nil && cur.kind == KindString && m.rng.Intn(3) > 0 {
@@ -157,23 +166,6 @@ func (m *model) step(shrinking bool) {
 			m.fail("CompareAndSet", k, err, "want", want)
 		}
 		if want == nil {
-			m.setStr(k, v)
-		}
-	case op < 30:
-		_, ver, err := e.GetWithVersion(k)
-		cur := m.live(k)
-		if (err == nil) != (cur != nil && cur.kind == KindString) {
-			m.fail("GetWithVersion", k, err)
-		}
-		stale := m.rng.Intn(2) == 0
-		if stale {
-			ver++
-		}
-		v := m.val()
-		err = e.SetIfVersion(k, v, ver)
-		if ok := cur != nil && cur.kind == KindString && !stale; ok != (err == nil) || (err != nil && err != ErrCASMismatch) {
-			m.fail("SetIfVersion", k, err, "want ok", ok)
-		} else if ok {
 			m.setStr(k, v)
 		}
 	case op < 38:
@@ -432,7 +424,7 @@ func (m *model) check() {
 		m.fail("Len", got, "want", len(m.keys))
 	}
 	for i := 0; i < m.span; i++ {
-		k := fmt.Sprintf("k%d", i)
+		k := modelKey(i)
 		v := m.live(k)
 		if v == nil {
 			if e.Exists(k) || e.Type(k) != KindNone {

@@ -10,13 +10,15 @@ import (
 // record is everything the engine keeps for one string key, contiguous and
 // pointer-free, in a slot of its stripe's slab (slab.go):
 //
-//	flags | uvarint len(key) | key | uvarint version | [deadline] | uvarint len(value) | value
+//	flags+len(key) | [uvarint len(key)] | key | [deadline] | uvarint len(value) | value
 //
-// deadline (8 bytes, little-endian unixnanos, 0 = none) is present only
-// with flagTTL. value is the stored bytes: compressed with flagCompressed,
-// and with flagPMem not the bytes themselves but the 12-byte pmem.Ref to
-// them. The slice starts at the record and may run past its end (to the
-// end of its page): parse().size is its length.
+// Byte 0 holds the three flags in its low bits and the key length above
+// them; a key past maxShortKey bytes puts longKey there and its length in a
+// uvarint after. deadline (8 bytes, little-endian unixnanos, 0 = none) is
+// present only with flagTTL. value is the stored bytes: compressed with
+// flagCompressed, and with flagPMem not the bytes themselves but the
+// 12-byte pmem.Ref to them. The slice starts at the record and may run
+// past its end (to the end of its page): parse().size is its length.
 //
 // A record is written once, in place, under the stripe write lock; after
 // that only its deadline changes, also under the write lock. Its slot is
@@ -28,12 +30,17 @@ const (
 	flagCompressed = 1 << iota
 	flagPMem
 	flagTTL
+
+	flagBits    = 3                // byte 0 above them is the key length
+	longKey     = 0xFF >> flagBits // or this: a uvarint key length follows
+	maxShortKey = longKey - 1      // the longest key byte 0 holds the length of
+	flagMask    = 1<<flagBits - 1
 )
 
 const refBytes = 12 // pmem.Ref: Off int64, Len int32
 
-// uvarint is binary.Uvarint with the one-byte case, which is nearly every
-// key length and most value lengths, inlined.
+// uvarint is binary.Uvarint with the one-byte case, which is most value
+// lengths, inlined.
 func uvarint(b []byte) (uint64, int) {
 	if b[0] < 0x80 {
 		return uint64(b[0]), 1
@@ -61,17 +68,25 @@ func (st staged) valueLen() int {
 }
 
 // recordLen is the length of the record writeRecord builds.
-func recordLen(key string, version uint64, vlen int) int {
-	return 1 + uvarintLen(uint64(len(key))) + len(key) + uvarintLen(version) + uvarintLen(uint64(vlen)) + vlen
+func recordLen(key string, vlen int) int {
+	n := 1 + len(key) + uvarintLen(uint64(vlen)) + vlen
+	if len(key) > maxShortKey {
+		n += uvarintLen(uint64(len(key)))
+	}
+	return n
 }
 
 // writeRecord assembles the record, which has no TTL slot (withDeadline
 // adds one), into r, which is recordLen bytes.
-func writeRecord(r record, key string, version uint64, st staged) {
-	r[0] = st.flags
-	n := 1 + binary.PutUvarint(r[1:], uint64(len(key)))
+func writeRecord(r record, key string, st staged) {
+	n := 1
+	if len(key) <= maxShortKey {
+		r[0] = st.flags | byte(len(key))<<flagBits
+	} else {
+		r[0] = st.flags | longKey<<flagBits
+		n += binary.PutUvarint(r[1:], uint64(len(key)))
+	}
 	n += copy(r[n:], key)
-	n += binary.PutUvarint(r[n:], version)
 	n += binary.PutUvarint(r[n:], uint64(st.valueLen()))
 	if st.flags&flagPMem != 0 {
 		binary.LittleEndian.PutUint64(r[n:], uint64(st.ref.Off))
@@ -81,10 +96,20 @@ func writeRecord(r record, key string, version uint64, st staged) {
 	copy(r[n:], st.val)
 }
 
+// keySpan is where r's key starts and how long it is: offset 1 for every
+// key byte 0 has room for.
+func (r record) keySpan() (off, n int) {
+	if k := int(r[0] >> flagBits); k != longKey {
+		return 1, k
+	}
+	long, w := uvarint(r[1:])
+	return 1 + w, int(long)
+}
+
 // hasKey reports whether r is the record of key.
 func (r record) hasKey(key string) bool {
-	n, w := uvarint(r[1:])
-	return int(n) == len(key) && string(r[1+w:1+w+len(key)]) == key
+	off, n := r.keySpan()
+	return n == len(key) && string(r[off:off+n]) == key
 }
 
 // stored is a record's value as kept. val aliases the record.
@@ -97,7 +122,6 @@ type stored struct {
 type fields struct {
 	stored
 	key      []byte
-	version  uint64
 	deadline int64 // 0 = none
 	head     int   // offset of the value length: the header before it ends with the deadline, if any
 	size     int   // length of the record
@@ -105,38 +129,37 @@ type fields struct {
 
 // parse splits r into its fields.
 func (r record) parse() fields {
-	f := fields{stored: stored{flags: r[0]}}
-	n, w := uvarint(r[1:])
-	off := 1 + w
-	f.key = r[off : off+int(n)]
-	off += int(n)
-	f.version, w = uvarint(r[off:])
-	off += w
+	f := fields{stored: stored{flags: r[0] & flagMask}}
+	off, n := r.keySpan()
+	f.key = r[off : off+n]
+	off += n
 	if f.flags&flagTTL != 0 {
 		f.deadline = int64(binary.LittleEndian.Uint64(r[off:]))
 		off += 8
 	}
 	f.head = off
-	n, w = uvarint(r[off:])
+	vlen, w := uvarint(r[off:])
 	off += w
-	f.size = off + int(n)
+	f.size = off + int(vlen)
 	f.val = r[off:f.size:f.size]
 	return f
 }
 
-// deadline is parse().deadline, skipping the parse for a record without
-// a TTL slot (most of them, on every read).
+// deadline is parse().deadline without the parse: 0 at once for a record
+// with no TTL slot (most of them, on every read).
 func (r record) deadline() int64 {
 	if r[0]&flagTTL == 0 {
 		return 0
 	}
-	return r.parse().deadline
+	off, n := r.keySpan()
+	return int64(binary.LittleEndian.Uint64(r[off+n:]))
 }
 
 // setDeadline writes at into the TTL slot, which r must have. Caller
 // holds the stripe write lock.
 func (r record) setDeadline(at int64) {
-	binary.LittleEndian.PutUint64(r[r.parse().head-8:], uint64(at))
+	off, n := r.keySpan()
+	binary.LittleEndian.PutUint64(r[off+n:], uint64(at))
 }
 
 // withDeadline copies r, which has no TTL slot, into dst, 8 bytes longer,
@@ -149,14 +172,16 @@ func (r record) withDeadline(dst record, at int64) {
 	copy(dst[f.head+8:], r[f.head:f.size])
 }
 
-// payload is the user bytes r holds in DRAM: the key, and the stored value
-// unless it lives in PMem.
-func (f fields) payload() int64 {
-	if f.flags&flagPMem != 0 {
-		return int64(len(f.key))
+// payload is the user bytes a record of these flags holds in DRAM: the
+// key, and the stored value unless it lives in PMem.
+func payload(flags byte, klen, vlen int) int64 {
+	if flags&flagPMem != 0 {
+		return int64(klen)
 	}
-	return int64(len(f.key) + len(f.val))
+	return int64(klen + vlen)
 }
+
+func (f fields) payload() int64 { return payload(f.flags, len(f.key), len(f.val)) }
 
 // ref is the PMem location of a flagPMem record's value.
 func (st stored) ref() pmem.Ref {

@@ -2,7 +2,7 @@ package engine
 
 import "encoding/binary"
 
-// Slab geometry. All three are constants, not options: see README.md for
+// Slab geometry. All of it is constants, not options: see README.md for
 // the arithmetic behind each.
 const (
 	// pageBytes is one slab page: a Go size class of its own (no rounding
@@ -10,15 +10,15 @@ const (
 	// of a 100k-key engine, large enough that a page holds hundreds of
 	// records.
 	pageBytes = 16 << 10
-	// slotAlign is the slot granularity: a record wastes under 8 bytes, and
-	// a freed slot always has room for the 4-byte free-list link.
-	slotAlign = 8
+	// minSlot is the smallest slot. A record's slot is the record, byte for
+	// byte, except that a freed slot must hold the 4-byte free-list link.
+	minSlot = 4
 	// slabLimit is the largest slot a page serves. Past it a record is its
 	// own allocation, where the allocator's rounding is under 13%.
 	slabLimit = 1 << 10
 
-	unitBits = 11                   // log2(pageBytes / slotAlign)
-	maxPages = 1<<(31-unitBits) - 1 // page refs stay below ownTag
+	pageBits = 14                   // log2(pageBytes)
+	maxPages = 1<<(31-pageBits) - 1 // page refs stay below ownTag
 	ownTag   = 1 << 31              // ref of an own allocation: ownTag | index into slab.own
 
 	// ownEntryBytes is what an own allocation costs beside its bytes: its
@@ -28,20 +28,20 @@ const (
 
 // slab is a stripe's record storage. Records up to slabLimit take a slot
 // in a pointer-free page, found by bumping the head page or by popping
-// the free list of the slot's size (one list per multiple of slotAlign,
-// threaded through the freed slots' first four bytes); larger ones, and
-// any past the page address space, are allocations of their own in a side
-// table. A slot never moves and a page is never compacted; every page
-// goes back to the heap when the last slot in the stripe is freed.
+// the free list of the slot's size (one list per size, threaded through
+// the freed slots' first four bytes); larger ones, and any past the page
+// address space, are allocations of their own in a side table. A slot
+// never moves and a page is never compacted; every page goes back to the
+// heap when the last slot in the stripe is freed.
 //
-// A ref names a slot in 32 bits and is never 0: 1 + page<<unitBits +
-// offset/slotAlign, or ownTag | index. Not safe for concurrent use: the
-// stripe lock guards it.
+// A ref names a slot in 32 bits and is never 0: 1 + page<<pageBits +
+// offset, or ownTag | index. Not safe for concurrent use: the stripe lock
+// guards it.
 type slab struct {
 	pages [][]byte
-	head  int                             // bytes carved from the last page
-	free  [slabLimit/slotAlign + 1]uint32 // by slot size / slotAlign: first free slot, 0 = none
-	live  int64                           // bytes in live page slots
+	head  int                   // bytes carved from the last page
+	free  [slabLimit + 1]uint32 // by slot size: first free slot, 0 = none
+	live  int64                 // bytes in live page slots
 
 	own      [][]byte // own allocations by index; nil = vacant
 	ownFree  []uint32 // vacant indexes of own
@@ -49,13 +49,14 @@ type slab struct {
 }
 
 // slotSize is the page bytes an n-byte record occupies.
-func slotSize(n int) int { return (n + slotAlign - 1) &^ (slotAlign - 1) }
+func slotSize(n int) int { return max(minSlot, n) }
 
 // held is the bytes live records occupy: their slots and own allocations.
 func (sl *slab) held() int64 { return sl.live + sl.ownBytes }
 
-// idle is the page bytes no live record occupies: free-list slots and the
-// head page's uncarved tail.
+// idle is the page bytes no live record occupies: free-list slots, the
+// head page's uncarved tail, and the tails under minSlot bytes of pages
+// before it.
 func (sl *slab) idle() int64 { return int64(len(sl.pages))*pageBytes - sl.live }
 
 // at returns the storage ref names, from the record's first byte on. For a
@@ -65,7 +66,7 @@ func (sl *slab) at(ref uint32) []byte {
 		return sl.own[ref&^ownTag]
 	}
 	ref--
-	return sl.pages[ref>>unitBits][(ref&(1<<unitBits-1))*slotAlign:]
+	return sl.pages[ref>>pageBits][ref&(pageBytes-1):]
 }
 
 // alloc returns a slot for an n-byte record (n > 0) and its n bytes.
@@ -74,9 +75,9 @@ func (sl *slab) alloc(n int) (ref uint32, buf []byte) {
 	if size > slabLimit {
 		return sl.allocOwn(n)
 	}
-	if ref = sl.free[size/slotAlign]; ref != 0 {
+	if ref = sl.free[size]; ref != 0 {
 		buf = sl.at(ref)
-		sl.free[size/slotAlign] = binary.LittleEndian.Uint32(buf)
+		sl.free[size] = binary.LittleEndian.Uint32(buf)
 	} else {
 		if len(sl.pages) == 0 || sl.head+size > pageBytes {
 			if len(sl.pages) == maxPages {
@@ -94,13 +95,14 @@ func (sl *slab) alloc(n int) (ref uint32, buf []byte) {
 
 // headRef names the next slot the head page would carve.
 func (sl *slab) headRef() uint32 {
-	return 1 + uint32(len(sl.pages)-1)<<unitBits + uint32(sl.head/slotAlign)
+	return 1 + uint32(len(sl.pages)-1)<<pageBits + uint32(sl.head)
 }
 
 // newPage starts a fresh head page. What is left of the old one, too small
-// for the record at hand, goes on the free list of its size.
+// for the record at hand, goes on the free list of its size, or stays
+// idle for good if it is too small for a slot.
 func (sl *slab) newPage() {
-	if tail := pageBytes - sl.head; len(sl.pages) > 0 && tail > 0 {
+	if tail := pageBytes - sl.head; len(sl.pages) > 0 && tail >= minSlot {
 		sl.push(sl.headRef(), tail)
 	}
 	sl.pages = append(sl.pages, make([]byte, pageBytes))
@@ -109,8 +111,8 @@ func (sl *slab) newPage() {
 
 // push links the size-byte slot at ref into its free list.
 func (sl *slab) push(ref uint32, size int) {
-	binary.LittleEndian.PutUint32(sl.at(ref), sl.free[size/slotAlign])
-	sl.free[size/slotAlign] = ref
+	binary.LittleEndian.PutUint32(sl.at(ref), sl.free[size])
+	sl.free[size] = ref
 }
 
 func (sl *slab) allocOwn(n int) (ref uint32, buf []byte) {

@@ -412,6 +412,15 @@ func (t *AckTracker) Wait(seq uint64, need int, timeout time.Duration) error {
 	}
 }
 
+// Reached reports whether at least need replicas have acknowledged seq
+// now: what a Wait that timed out on a later sequence asks about each
+// earlier one.
+func (t *AckTracker) Reached(seq uint64, need int) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.countLocked(seq) >= need
+}
+
 // Acked returns replica id's acknowledged sequence and whether it is
 // attached — the laggard-shedding probe (a master disconnects a replica
 // whose Seq()-Acked(id) backlog exceeds its bound).

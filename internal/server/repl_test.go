@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,6 +10,8 @@ import (
 	"time"
 
 	"tierbase/internal/client"
+	"tierbase/internal/replication"
+	"tierbase/internal/resp"
 )
 
 // startMaster starts a replication-enabled master node.
@@ -193,6 +196,123 @@ func TestSemiSyncAckGate(t *testing.T) {
 	}
 	if v, err := rc.Get("k3"); err != nil || v != "v3" {
 		t.Fatalf("acked write not on replica: %q %v", v, err)
+	}
+}
+
+// pipeline writes cmds to a fresh connection in one packet and returns the
+// replies in order, and how long the last one took to arrive.
+func pipeline(t *testing.T, s *Server, cmds ...[]string) ([]interface{}, time.Duration) {
+	t.Helper()
+	nc := rawDial(t, s.Addr())
+	var out []byte
+	for _, cmd := range cmds {
+		out = resp.AppendCommand(out, cmd...)
+	}
+	start := time.Now()
+	if _, err := nc.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	nc.SetReadDeadline(start.Add(10 * time.Second))
+	rd := resp.NewReader(bufio.NewReader(nc), resp.MaxArgs, resp.MaxBulkLen)
+	replies := make([]interface{}, len(cmds))
+	for i := range replies {
+		var err error
+		if replies[i], err = rd.ReadReply(); err != nil {
+			t.Fatalf("reply %d of %d: %v", i, len(cmds), err)
+		}
+	}
+	return replies, time.Since(start)
+}
+
+// TestSemiSyncHoldsRepliesNotTheConnection: a semi-sync write holds its
+// reply, not its connection. Eight pipelined SETs to a master whose one
+// replica acknowledges every op a fixed delay after it arrives come back
+// together after about one delay: the commands behind a held reply execute
+// at once and the window waits a single time. (Held one by one they took
+// eight delays.)
+func TestSemiSyncHoldsRepliesNotTheConnection(t *testing.T) {
+	const delay = 50 * time.Millisecond
+	ms, mc := startMaster(t, func(c *Config) {
+		c.Replication.SemiSyncAcks = 1
+		c.Replication.AckTimeout = 10 * time.Second
+		c.Replication.KeepaliveInterval = time.Minute // no ping acks ahead of the ops
+	})
+	_, br, bw := attachFakeReplica(t, ms, "late")
+	waitFor(t, "replica attached", func() bool {
+		return infoField(t, mc, "replication", "connected_replicas") == "1"
+	})
+	type ack struct {
+		seq uint64
+		due time.Time
+	}
+	acks := make(chan ack, 64) // every op this test causes: the reader must never wait on the acker's sleep
+	go func() {
+		defer close(acks)
+		for {
+			f, err := replication.ReadFrame(br)
+			if err != nil {
+				return
+			}
+			if f.IsOp() {
+				acks <- ack{f.Op.Seq, time.Now().Add(delay)}
+			}
+		}
+	}()
+	go func() {
+		for a := range acks {
+			time.Sleep(time.Until(a.due))
+			if replication.WriteAck(bw, a.seq) != nil || bw.Flush() != nil {
+				return
+			}
+		}
+	}()
+
+	var cmds [][]string
+	for i := 0; i < 8; i++ {
+		cmds = append(cmds, []string{"SET", fmt.Sprintf("k%d", i), "v"})
+	}
+	replies, took := pipeline(t, ms, cmds...)
+	for i, r := range replies {
+		if r != "OK" {
+			t.Fatalf("reply %d = %v, want OK", i, r)
+		}
+	}
+	if took < delay || took > 4*delay {
+		t.Fatalf("8 pipelined semi-sync SETs took %v with acks %v late, want about one ack delay", took, delay)
+	}
+}
+
+// TestSemiSyncTimeoutReplacesOnlyUnackedWrites: with no replica, every
+// write of a pipelined window gets its own -NOREPLICAS after one shared
+// timeout, and the read between them gets its value: the writes were
+// applied, and a timeout does not touch a reply it does not concern.
+func TestSemiSyncTimeoutReplacesOnlyUnackedWrites(t *testing.T) {
+	const timeout = 150 * time.Millisecond
+	ms, _ := startMaster(t, func(c *Config) {
+		c.Replication.SemiSyncAcks = 1
+		c.Replication.AckTimeout = timeout
+	})
+	replies, took := pipeline(t, ms,
+		[]string{"SET", "a", "1"},
+		[]string{"GET", "a"},
+		[]string{"SET", "b", "2"},
+		[]string{"INCR", "a"},
+		[]string{"LPUSH", "a", "x"}, // wrong type: fails on its own, nothing to wait for
+		[]string{"GET", "b"},
+	)
+	for _, i := range []int{0, 2, 3} {
+		if e, ok := replies[i].(resp.Error); !ok || !strings.HasPrefix(string(e), "NOREPLICAS") {
+			t.Errorf("reply %d = %v, want -NOREPLICAS", i, replies[i])
+		}
+	}
+	if replies[1] != "1" || replies[5] != "2" {
+		t.Errorf("GETs between the writes = %v, %v, want 1, 2", replies[1], replies[5])
+	}
+	if e, ok := replies[4].(resp.Error); !ok || !strings.Contains(string(e), "wrong value type") {
+		t.Errorf("LPUSH on a string = %v, want its own wrong-type error", replies[4])
+	}
+	if took < timeout || took > 3*timeout {
+		t.Errorf("window took %v, want one ack timeout of %v", took, timeout)
 	}
 }
 

@@ -31,9 +31,11 @@ import (
 // master answers `+CONTINUE` (incremental, the log still covers the
 // replica's position) or `+FULLSYNC` (engine snapshot first), then
 // streams length-prefixed op frames forever; cumulative acks ride back
-// on the same socket into the AckTracker. With SemiSyncAcks > 0, every
-// write waits for that many replica acks before replying (timeout →
-// -NOREPLICAS, the write is applied locally but not acknowledged).
+// on the same socket into the AckTracker. With SemiSyncAcks > 0, the
+// reply to a write is held until that many replicas acknowledged it: the
+// connection keeps executing what is pipelined behind it and waits once,
+// before it writes the window's replies (timeout → -NOREPLICAS in place
+// of each reply still unacknowledged; those writes are applied locally).
 //
 // Replicas: an applier loop dials the master, handshakes, applies the
 // stream through the tiered store (the sink is inert while the role is
@@ -216,9 +218,9 @@ func (r *serverRepl) ReplicateFlushAll() {
 
 // gateWrite is the replication layer's say over a write command, after the
 // overload gate and before it executes. On a replica the write is refused
-// with -MOVED; on a semi-sync master it executes here and its reply waits
-// for the acks. Returns true when the command was fully handled; false
-// lets dispatch execute it.
+// with -MOVED; on a semi-sync master it executes here and its reply is
+// held for the acks (settleHeld). Returns true when the command was fully
+// handled; false lets dispatch execute it.
 func (r *serverRepl) gateWrite(c *conn, cmd *command, args [][]byte) bool {
 	if r.isReplica() {
 		// Role-aware rejection: point the client at the master. The slot
@@ -232,32 +234,53 @@ func (r *serverRepl) gateWrite(c *conn, cmd *command, args [][]byte) bool {
 		return true
 	}
 	if r.cfg.SemiSyncAcks > 0 {
-		r.semiSync(c, cmd, args)
+		mark := len(c.out)
+		r.s.route(c, cmd, args)
+		if len(c.out) == mark || c.out[mark] != '-' { // a failed write has nothing to wait for
+			// The log head, not just this command's ops: conservative under
+			// concurrency but always covers this write.
+			c.held = append(c.held, heldReply{start: mark, end: len(c.out), seq: r.log.Seq()})
+		}
 		return true
 	}
 	return false
 }
 
-// semiSync executes a write and holds the reply until SemiSyncAcks
-// replicas acknowledged the log position it produced. On timeout the
-// reply is replaced with -NOREPLICAS: the write is applied locally but
-// the client must treat it as unacknowledged (it may or may not survive
-// a failover).
-func (r *serverRepl) semiSync(c *conn, cmd *command, args [][]byte) {
-	mark := len(c.out)
-	r.s.route(c, cmd, args)
-	if len(c.out) > mark && c.out[mark] == '-' {
-		return // the write itself failed; nothing to wait for
+// heldReply is a semi-sync write's reply, in c.out but not to be sent until
+// SemiSyncAcks replicas acknowledged the log position the write produced.
+type heldReply struct {
+	start, end int    // the reply is c.out[start:end]
+	seq        uint64 // the log head when the write returned
+}
+
+// settleHeld waits, once, until SemiSyncAcks replicas acknowledged every
+// write whose reply c.out holds: acks are cumulative and a connection's
+// sequences only rise, so the last one covers them all. serveConn calls it
+// immediately before it sends c.out. On timeout each reply whose sequence
+// the replicas have still not reached is replaced with -NOREPLICAS: that
+// write is applied locally, and was visible to other connections from the
+// moment it executed, but the client must treat it as unacknowledged (it
+// may or may not survive a failover). Replies to reads and to failed
+// writes in the same window go out as they are.
+func (r *serverRepl) settleHeld(c *conn) {
+	held := c.held
+	c.held = c.held[:0]
+	need := r.cfg.SemiSyncAcks
+	if r.acks.Wait(held[len(held)-1].seq, need, r.cfg.AckTimeout) == nil {
+		return
 	}
-	// Waiting on the log head (not just this command's ops) is
-	// conservative under concurrency but always covers this write.
-	err := r.acks.Wait(r.log.Seq(), r.cfg.SemiSyncAcks, r.cfg.AckTimeout)
-	if err != nil {
-		c.out = c.out[:mark]
-		c.out = resp.AppendRawError(c.out, fmt.Sprintf(
-			"NOREPLICAS write not acknowledged by %d replica(s) within %v",
-			r.cfg.SemiSyncAcks, r.cfg.AckTimeout))
+	refusal := fmt.Sprintf("NOREPLICAS write not acknowledged by %d replica(s) within %v", need, r.cfg.AckTimeout)
+	out := make([]byte, 0, len(c.out))
+	sent := 0 // c.out[:sent] is in out
+	for _, h := range held {
+		if r.acks.Reached(h.seq, need) {
+			continue
+		}
+		out = append(out, c.out[sent:h.start]...)
+		out = resp.AppendRawError(out, refusal)
+		sent = h.end
 	}
+	c.out = append(out, c.out[sent:]...)
 }
 
 // cmdReplicaof serves REPLICAOF host port | NO ONE — the coordinator's

@@ -102,23 +102,16 @@ func TestSlowReplicaFullSyncDoesNotStallWrites(t *testing.T) {
 	}
 }
 
-// TestLaggardReplicaIsShed: a replica that attaches, then reads ops but
-// never acks them, must be disconnected once its unacked backlog passes
-// ShedBacklog — it cannot pin master-side resources forever.
-func TestLaggardReplicaIsShed(t *testing.T) {
-	ms, mc := startMaster(t, func(c *Config) {
-		c.Replication.KeepaliveInterval = 30 * time.Millisecond
-		c.Replication.ShedBacklog = 32
-	})
-
-	nc, err := net.Dial("tcp", ms.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer nc.Close()
+// attachFakeReplica connects to ms as replica id: SYNC 0, read whatever
+// snapshot the master sends, attach with an ack at 0. What the test then
+// does with the op stream on br, and which acks it writes to bw, is its
+// own business. The connection closes with the test.
+func attachFakeReplica(t *testing.T, ms *Server, id string) (net.Conn, *bufio.Reader, *bufio.Writer) {
+	t.Helper()
+	nc := rawDial(t, ms.Addr())
 	br := bufio.NewReader(nc)
 	bw := bufio.NewWriter(nc)
-	if _, err := nc.Write(resp.AppendCommand(nil, "SYNC", "0", "laggard")); err != nil {
+	if _, err := nc.Write(resp.AppendCommand(nil, "SYNC", "0", id)); err != nil {
 		t.Fatal(err)
 	}
 	status, err := br.ReadString('\n')
@@ -138,13 +131,25 @@ func TestLaggardReplicaIsShed(t *testing.T) {
 	} else if s != "+CONTINUE" {
 		t.Fatalf("handshake status %q", s)
 	}
-	// Attach with an initial ack at 0, then go silent on acks.
 	if err := replication.WriteAck(bw, 0); err != nil {
 		t.Fatal(err)
 	}
 	if err := bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
+	return nc, br, bw
+}
+
+// TestLaggardReplicaIsShed: a replica that attaches, then reads ops but
+// never acks them, must be disconnected once its unacked backlog passes
+// ShedBacklog — it cannot pin master-side resources forever.
+func TestLaggardReplicaIsShed(t *testing.T) {
+	ms, mc := startMaster(t, func(c *Config) {
+		c.Replication.KeepaliveInterval = 30 * time.Millisecond
+		c.Replication.ShedBacklog = 32
+	})
+
+	nc, br, _ := attachFakeReplica(t, ms, "laggard")
 	waitFor(t, "laggard attached", func() bool {
 		return infoField(t, mc, "replication", "connected_replicas") == "1"
 	})

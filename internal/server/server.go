@@ -182,6 +182,7 @@ type conn struct {
 	br         *bufio.Reader // what cr parses; a hijacker (SYNC) reads its frames from it
 	cr         *resp.Reader
 	out        []byte
+	held       []heldReply // semi-sync replies in out that wait for replica acks (settleHeld)
 	cmdScratch [16]byte
 	task       connTask
 	// hijack, when set by a command (SYNC), takes over the connection
@@ -349,6 +350,9 @@ func (s *Server) serveConn(c *conn) {
 			// The session sets its own deadlines, so clear ours first.
 			c.hijacked.Store(true)
 			nc.SetDeadline(time.Time{})
+			if len(c.held) > 0 {
+				s.repl.settleHeld(c)
+			}
 			if len(c.out) > 0 {
 				if _, err := c.nc.Write(c.out); err != nil {
 					return
@@ -369,6 +373,9 @@ func (s *Server) serveConn(c *conn) {
 		// Write when no more pipelined commands are buffered (one syscall
 		// per pipeline window), or when the window's replies grow large.
 		if c.cr.Buffered() == 0 || len(c.out) >= flushThreshold {
+			if len(c.held) > 0 {
+				s.repl.settleHeld(c)
+			}
 			if cfg.WriteTimeout > 0 {
 				nc.SetWriteDeadline(time.Now().Add(cfg.WriteTimeout))
 			}
@@ -394,7 +401,7 @@ func (s *Server) serveConn(c *conn) {
 // dispatch runs one command, appending its reply to c.out. It is the only
 // reader of the command table (commands.go): look the name up, check the
 // argument count, pass a write through the three write gates — the memory
-// watermark, the replica's redirect, the semi-sync ack wait — then route.
+// watermark, the replica's redirect, the semi-sync reply hold — then route.
 func (s *Server) dispatch(c *conn, args [][]byte) {
 	if len(args) == 0 {
 		c.out = resp.AppendError(c.out, "empty command")
