@@ -42,16 +42,16 @@ func TestParseLineCustomMetrics(t *testing.T) {
 			extra: map[string]float64{"reqs/flush": 23.98, "flushes/op": 0.035},
 		},
 		{
-			line:  "BenchmarkSkewSuite/hotspot-shift-2 \t  200000\t       896.3 ns/op\t        87.13 hit_pct\t     226 B/op\t       4 allocs/op",
+			line:  "BenchmarkSkewSuite/hotspot-shift-2 \t  200000\t       896.3 ns/op\t        87.32 hit_pct\t     226 B/op\t       4 allocs/op",
 			name:  "BenchmarkSkewSuite/hotspot-shift",
 			ns:    896.3,
-			extra: map[string]float64{"hit_pct": 87.13},
+			extra: map[string]float64{"hit_pct": 87.32},
 		},
 		{
-			line:  "BenchmarkEngineHeapPerKey-2 	       1	  68491996 ns/op	        44.49 accounted-B/key	         0.7341 free-B/key	        45.23 heap-B/key	 9120968 B/op	  100414 allocs/op",
+			line:  "BenchmarkEngineHeapPerKey-2 	       1	  68491996 ns/op	        43.50 accounted-B/key	         0.7341 free-B/key	        44.24 heap-B/key	 9120968 B/op	  100414 allocs/op",
 			name:  "BenchmarkEngineHeapPerKey",
 			ns:    68491996,
-			extra: map[string]float64{"accounted-B/key": 44.49, "free-B/key": 0.7341, "heap-B/key": 45.23},
+			extra: map[string]float64{"accounted-B/key": 43.50, "free-B/key": 0.7341, "heap-B/key": 44.24},
 		},
 	} {
 		r, ok := parseLine(c.line)

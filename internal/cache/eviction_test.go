@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -181,20 +182,25 @@ func TestReadCollectionOutlivesIdleStrings(t *testing.T) {
 
 func hotKey(i int64) string { return fmt.Sprintf("ad:%05d", i) }
 
+// aloneBytes is what one 128 B key measures alone in an engine of so many
+// stripes: its record and the smallest index table.
+func aloneBytes(stripes int, key func(int64) string) int64 {
+	scratch := engine.New(engine.Options{Shards: stripes})
+	scratch.Set(key(0), make([]byte, 128))
+	return scratch.MemUsed()
+}
+
 // newReadStore is a write-through store over map storage holding nKeys keys
-// of 128 B, with a cache on an engine of so many stripes that has room for
-// capKeys of them: the budget is in engine-resident bytes, so in units of
-// what one key measures there.
-func newReadStore(tb testing.TB, stripes, nKeys, capKeys int, key func(int64) string) *Tiered {
+// of 128 B, with a cache of capBytes engine-resident bytes on an engine of
+// so many stripes.
+func newReadStore(tb testing.TB, stripes, nKeys int, capBytes int64, key func(int64) string) *Tiered {
 	tb.Helper()
 	val := make([]byte, 128)
-	scratch := engine.New(engine.Options{Shards: stripes})
-	scratch.Set(key(0), val)
 	tr, err := New(Options{
 		Policy:             WriteThrough,
 		Engine:             engine.New(engine.Options{Shards: stripes}),
 		Storage:            NewMapStorage(),
-		CacheCapacityBytes: int64(capKeys) * scratch.MemUsed(),
+		CacheCapacityBytes: capBytes,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -219,10 +225,13 @@ func readHitRate(tb testing.TB, tr *Tiered, n int, next func() string) float64 {
 	return float64(tr.Stats().Hits-before.Hits) / float64(n)
 }
 
-// The hotspot scenarios: 4096 keys over eight stripes, room for 64.
+// The hotspot scenarios: 4096 keys over eight stripes, room for 64 times
+// what one measures alone.
 const hotspotKeys = 4096
 
-func newHotspotStore(t *testing.T) *Tiered { return newReadStore(t, 8, hotspotKeys, 64, hotKey) }
+func newHotspotStore(t *testing.T) *Tiered {
+	return newReadStore(t, 8, hotspotKeys, 64*aloneBytes(8, hotKey), hotKey)
+}
 
 // hotspotReader returns a key picker: 95% of reads go to 40 hot keys that
 // all hash to engine stripes lo..hi, the rest anywhere.
@@ -278,4 +287,27 @@ func TestHotspotShiftRecovers(t *testing.T) {
 		}
 	}
 	t.Errorf("hit rate not within 0.05 of %.4f inside 8 rounds after the shift", before)
+}
+
+// TestSmallBudgetHoldsWhatItHeld: MemUsed charges each stripe's index table,
+// so what the smallest table costs decides how many keys a small cache keeps.
+// A 2 KiB budget over 16 stripes held 12, 44 and 66 keys of these value
+// sizes when a table was 8-byte slots, 8 at least; six-byte entries in tables
+// of any length must not hold fewer.
+func TestSmallBudgetHoldsWhatItHeld(t *testing.T) {
+	for vlen, held := range map[int]int{100: 12, 18: 44, 1: 66} {
+		eng := engine.New(engine.Options{})
+		tr, err := New(Options{Policy: WriteThrough, Engine: eng, Storage: NewMapStorage(), CacheCapacityBytes: 2048})
+		if err != nil {
+			t.Fatal(err)
+		}
+		val := bytes.Repeat([]byte("x"), vlen)
+		for i := 0; i < 500; i++ {
+			tr.Set(fmt.Sprintf("k%03d", i), val)
+		}
+		if got := eng.Len(); got < held || eng.MemUsed() > 2048 {
+			t.Errorf("%d-byte values: %d keys resident in %d bytes, want at least %d in at most 2048", vlen, got, eng.MemUsed(), held)
+		}
+		tr.Close()
+	}
 }

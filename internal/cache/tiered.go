@@ -257,7 +257,7 @@ func (t *Tiered) maybeEvict() {
 	if capacity <= 0 {
 		return
 	}
-	if t.opts.Policy == WriteBack && t.eng.MemUsed() > capacity && t.dirty.len() >= t.eng.Len() {
+	if t.opts.Policy == WriteBack && t.eng.MemUsed() > capacity && t.dirty.live() >= t.eng.Len() {
 		// Every resident key is dirty (the backlog bound exceeds the cache):
 		// the hand would walk a full lap under a stripe's write lock and
 		// evict nothing. The flusher's next round unpins them.

@@ -447,6 +447,49 @@ func TestEvictionSkipsDirty(t *testing.T) {
 	}
 }
 
+// TestPendingDeletesDoNotBlockEviction: the all-dirty early-out in
+// maybeEvict compares the keys the cache holds with the dirty keys it can
+// hold. A tombstone is a dirty key the cache does not hold, so a shard with
+// as many deletes pending as it has clean residents still evicts one of
+// those when a write takes it over budget.
+func TestPendingDeletesDoNotBlockEviction(t *testing.T) {
+	const n = 20
+	val := bytes.Repeat([]byte("c"), 100)
+	scratch := engine.New(engine.Options{Shards: 1})
+	for i := 0; i < n; i++ {
+		scratch.Set(fmt.Sprintf("clean%02d", i), val)
+	}
+	capacity := scratch.MemUsed()
+	eng := engine.New(engine.Options{Shards: 1})
+	tr, err := New(Options{
+		Policy: WriteBack, Engine: eng, Storage: NewMapStorage(),
+		CacheCapacityBytes: capacity,
+		FlushInterval:      time.Hour, FlushBatch: 100000, MaxDirty: 100000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for i := 0; i < n; i++ {
+		tr.Set(fmt.Sprintf("clean%02d", i), val)
+	}
+	tr.FlushDirty()
+	for i := 0; i < n; i++ {
+		tr.Delete(fmt.Sprintf("ghost%02d", i))
+	}
+	if st := tr.Stats(); st.Dirty != n || st.Evictions != 0 || eng.Len() != n {
+		t.Fatalf("before the write: %d dirty, %d evictions, %d resident; want %d, 0, %d", st.Dirty, st.Evictions, eng.Len(), n, n)
+	}
+	tr.Set("one-more", val)
+	if st := tr.Stats(); st.Evictions == 0 || eng.MemUsed() > capacity {
+		t.Fatalf("%d clean keys, %d deletes pending, one dirty key over budget: %d evictions, %d bytes of %d",
+			n, n, st.Evictions, eng.MemUsed(), capacity)
+	}
+	if !eng.Exists("one-more") {
+		t.Fatal("the dirty key went")
+	}
+}
+
 func TestCacheOnlyMode(t *testing.T) {
 	tr, err := New(Options{Policy: CacheOnly, Engine: engine.New(engine.Options{})})
 	if err != nil {

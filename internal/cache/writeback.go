@@ -36,6 +36,7 @@ type dirtySet struct {
 	mu      sync.Mutex
 	room    *sync.Cond // writers wait here while the set is at max
 	entries map[string]*dirtyEntry
+	tombs   int  // entries that are tombstones: dirty keys the cache does not hold
 	max     int  // MaxDirty
 	closed  bool // close ran: nothing more is admitted
 
@@ -52,6 +53,14 @@ type dirtySet struct {
 type dirtyEntry struct {
 	val []byte // nil = tombstone
 	enc bool   // val is a typed collection blob, already storage-encoded
+}
+
+// tomb is 1 for a tombstone.
+func (e *dirtyEntry) tomb() int {
+	if e.val == nil {
+		return 1
+	}
+	return 0
 }
 
 func newDirtySet(max int) *dirtySet {
@@ -93,9 +102,11 @@ func (d *dirtySet) put(key string, e *dirtyEntry) {
 	grown := dirtyEntryBytes(key, e.val)
 	if old, ok := d.entries[key]; ok {
 		grown -= dirtyEntryBytes(key, old.val)
+		d.tombs -= old.tomb()
 	}
 	d.bytes.Add(grown)
 	d.entries[key] = e
+	d.tombs += e.tomb()
 }
 
 // mark admits one key with e, which the set keeps, and returns how many keys
@@ -148,6 +159,14 @@ func (d *dirtySet) len() int {
 	return len(d.entries)
 }
 
+// live is the number of dirty keys that are not deletes: the ones the cache
+// holds, pinned.
+func (d *dirtySet) live() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return len(d.entries) - d.tombs
+}
+
 // flushedEntry is an entry as collect saw it.
 type flushedEntry struct {
 	key string
@@ -186,6 +205,7 @@ func (d *dirtySet) settle(taken []flushedEntry) {
 		if d.entries[f.key] == f.e {
 			freed += dirtyEntryBytes(f.key, f.e.val)
 			delete(d.entries, f.key)
+			d.tombs -= f.e.tomb()
 		}
 	}
 	d.bytes.Add(-freed)
@@ -197,6 +217,7 @@ func (d *dirtySet) settle(taken []flushedEntry) {
 func (d *dirtySet) reset() {
 	d.mu.Lock()
 	d.entries = make(map[string]*dirtyEntry)
+	d.tombs = 0
 	d.bytes.Store(0)
 	d.room.Broadcast()
 	d.mu.Unlock()

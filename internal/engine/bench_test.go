@@ -148,3 +148,33 @@ func BenchmarkEngineHeapPerKey(b *testing.B) {
 	b.ReportMetric(float64(st.MemBytes)/heapKeys, "accounted-B/key")
 	b.ReportMetric(float64(st.FreeBytes)/heapKeys, "free-B/key")
 }
+
+// BenchmarkEngineGrow is what a growing population pays for an index that
+// keeps 15 hash bits a key: 200k new keys into an empty engine, every
+// resize on the way hashing each entry again from its record. rehash/insert
+// is entries re-hashed per key inserted, counted from outside: a stripe
+// whose table changed length re-hashed everything it held.
+func BenchmarkEngineGrow(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	keys := make([]string, 200_000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user:%09d", rng.Intn(1e9))
+	}
+	val := zeroTailed(rng, 18, 0)
+	rehashed := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e := New(Options{})
+		for _, key := range keys {
+			ix := &e.shards[e.ShardIndex(key)].strs
+			size := len(ix.meta)
+			e.Set(key, val)
+			if len(ix.meta) != size {
+				rehashed += ix.n - 1
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/insert")
+	b.ReportMetric(float64(rehashed)/float64(b.N*len(keys)), "rehash/insert")
+}

@@ -38,7 +38,7 @@
 //
 // MemUsed, ShardMemUsed and Stats().MemBytes are the bytes the engine's
 // contents occupy: every record at its slot (own allocations at the Go
-// allocator's size class), every index table at its capacity, and for
+// allocator's size class), every index table as allocated, and for
 // collections a fixed cost from the item's size and its map slot plus
 // their elements. A delete or an eviction takes the record's slot off at
 // once. The cache budget, the overload watermark, cost-advisor and the
@@ -51,23 +51,23 @@
 //
 // # Recency and eviction
 //
-// Every resident key has one reference bit: bit 0 of its index slot's hash
-// word (the stripe was picked from the hash's low bits, so the bit tells no
-// two keys of a stripe apart), or a flag in a collection's item. A read or
-// a write that serves a caller sets it while holding the stripe lock it
-// holds anyway, the read lock included: test, then an atomic or. Evict is
-// CLOCK over the stripe's own index: a hand walks the slots, clears the
-// bits it finds set and removes the first key it finds without one that
-// the caller does not pin. There is no list, no second map and no second
-// lock: what a key costs is in MemUsed.
+// Every resident key has one reference bit: bit 30 of its index entry's ref
+// word (a slab ref leaves it clear), or a flag in a collection's item. A
+// read or a write that serves a caller sets it while holding the stripe
+// lock it holds anyway, the read lock included: test, then an atomic or.
+// Evict is CLOCK over the stripe's own index: a hand walks the slots,
+// clears the bits it finds set and removes the first key it finds without
+// one that the caller does not pin. There is no list, no second map and no
+// second lock: what a key costs is in MemUsed.
 //
 // # Concurrency
 //
 // The engine is safe for concurrent use. A stripe's index, slab,
 // collection map and accounts change only under its write lock; the one
-// exception is the reference bit, which readers set (index.touch). Slots are
-// reused, so there is one reader rule: nothing that aliases engine-owned
-// storage leaves the stripe lock. A reader copies the stored bytes out
+// exception is the reference bit, which readers set (index.touch), so the
+// ref word is loaded atomically under the read lock. Slots are reused, so
+// there is one reader rule: nothing that aliases engine-owned storage
+// leaves the stripe lock. A reader copies the stored bytes out
 // under the read lock (a raw value straight into its result, a compressed
 // one into scratch, a PMem one through Arena.Get) and decompresses with
 // no lock held; see take.
@@ -247,7 +247,7 @@ func (e *Engine) ShardIndex(key string) int { return int(fnv1a(key) & e.mask) }
 func (e *Engine) ShardMemUsed(i int) int64 { return e.shards[i].memUsed.Load() }
 
 // fnv1a is an inlined, allocation-free FNV-1a over the key bytes.
-func fnv1a(key string) uint32 {
+func fnv1a[K string | []byte](key K) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
@@ -274,7 +274,7 @@ func (e *Engine) lapsed(at int64) bool { return at != 0 && e.now() >= at }
 // collection, or (the zero entry) nothing.
 type entry struct {
 	rec record
-	at  int // rec's slot in the index
+	at  int // rec's position in the index
 	it  *item
 }
 
@@ -303,8 +303,8 @@ func (en entry) expireAt() int64 {
 
 // lookup resolves key, lapsed or not. Caller holds s.mu (either mode).
 func (s *shard) lookup(kh uint32, key string) entry {
-	if i := s.strs.find(slotHash(kh), key); i >= 0 {
-		return entry{rec: s.strs.record(i), at: i}
+	if at, rec := s.strs.find(slotHash(kh), key); at >= 0 {
+		return entry{rec: rec, at: at}
 	}
 	return entry{it: s.colls[key]}
 }
@@ -397,11 +397,11 @@ func (e *Engine) publish(s *shard, kh uint32, key string, st staged) {
 	ix := &s.strs
 	held := ix.held()
 	h := slotHash(kh)
-	i := ix.find(h, key)
+	i, cur := ix.find(h, key)
 	ref, rec := ix.recs.alloc(recordLen(key, st.valueLen()))
 	writeRecord(rec, key, st)
 	if i >= 0 {
-		old := ix.record(i).parse()
+		old := cur.parse()
 		e.forget(s, old)
 		ix.replace(i, ref, old.size)
 		ix.touch(i)
@@ -869,6 +869,7 @@ type Stats struct {
 	Keys         int
 	MemBytes     int64 // DRAM occupied: records, index tables, collections
 	PayloadBytes int64 // the part of MemBytes that is keys and stored values
+	IndexBytes   int64 // the part of MemBytes that is index tables, as allocated
 	FreeBytes    int64 // slab page bytes holding no record; beside MemBytes, not in it
 	PMemUsed     int64
 	Hits         int64
@@ -883,6 +884,7 @@ func (e *Engine) Stats() Stats {
 		s.mu.RLock()
 		st.Keys += s.strs.n + len(s.colls)
 		st.FreeBytes += s.strs.recs.idle()
+		st.IndexBytes += s.strs.charge
 		s.mu.RUnlock()
 		st.MemBytes += s.memUsed.Load()
 		st.PayloadBytes += s.payload.Load()
@@ -897,8 +899,8 @@ func (e *Engine) Stats() Stats {
 }
 
 // MemUsed returns the DRAM bytes the engine's contents occupy, summed
-// across shards: every record at its slot, every index table at its
-// capacity, and the accounted cost of collections.
+// across shards: every record at its slot, every index table as
+// allocated, and the accounted cost of collections.
 func (e *Engine) MemUsed() int64 {
 	var total int64
 	for _, s := range e.shards {

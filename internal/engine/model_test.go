@@ -40,13 +40,12 @@ type model struct {
 	span int // keys are drawn from k0..k<span-1>
 }
 
-func newModel(t *testing.T, seed int64) *model {
+func newModel(t *testing.T, seed int64, shards int) *model {
 	m := &model{t: t, keys: map[string]*mval{}, rng: rand.New(rand.NewSource(seed))}
 	m.now.Store(1)
-	// Two stripes, so each index grows through many doublings, and a
-	// compressor, so both stored forms are read back.
+	// A compressor, so both stored forms are read back.
 	m.e = New(Options{
-		Shards:     2,
+		Shards:     shards,
 		Compressor: tailCompressor{},
 		Clock:      func() time.Time { return time.Unix(0, m.now.Load()) },
 	})
@@ -500,19 +499,17 @@ func (m *model) check() {
 }
 
 // checkBooks recomputes every stripe's accounts from what it holds and
-// verifies the index invariants: every record is reachable through its
-// own probe sequence, the table is a power of two between 7/32 and 7/8
-// full (8 slots at least), an empty stripe holds neither table nor page,
-// and the slab's own books balance (checkSlab).
+// verifies that every record is reachable through find, that no key is both
+// a string and a collection, that an empty stripe holds neither table nor
+// page, and that the index's and the slab's own invariants hold (checkIndex,
+// checkSlab).
 func checkBooks(e *Engine) error {
 	for si, s := range e.shards {
 		s.mu.RLock()
 		ix := &s.strs
-		mem, payload := int64(len(ix.slots))*slotBytes, int64(0)
-		n := 0
+		mem, payload := ix.charge, int64(0)
 		var err error
 		ix.each(func(rec record) bool {
-			n++
 			f := rec.parse()
 			if f.size > slabLimit {
 				mem += allocBytes(f.size) + ownEntryBytes
@@ -521,11 +518,11 @@ func checkBooks(e *Engine) error {
 			}
 			payload += f.payload()
 			key := string(f.key)
-			if i := ix.find(slotHash(fnv1a(key)), key); i < 0 || &ix.record(i)[0] != &rec[0] {
-				err = fmt.Errorf("stripe %d: record of %q not reachable from its home slot", si, key)
+			if at, got := ix.find(slotHash(fnv1a(key)), key); at < 0 || &got[0] != &rec[0] {
+				err = fmt.Errorf("record of %q not reachable from its home slot", key)
 			}
 			if _, both := s.colls[key]; both {
-				err = fmt.Errorf("stripe %d: %q is both a string and a collection", si, key)
+				err = fmt.Errorf("%q is both a string and a collection", key)
 			}
 			return err == nil
 		})
@@ -533,55 +530,119 @@ func checkBooks(e *Engine) error {
 			mem += it.memBytes
 			payload += it.payload
 		}
-		size := len(ix.slots)
 		switch {
 		case err != nil:
-		case n != ix.n:
-			err = fmt.Errorf("stripe %d: index counts %d records, holds %d", si, ix.n, n)
-		case n == 0 && (size != 0 || len(ix.recs.pages) != 0 || len(ix.recs.own) != 0):
-			err = fmt.Errorf("stripe %d: empty index keeps a %d-slot table, %d pages", si, size, len(ix.recs.pages))
-		case n > 0 && (size < minSlots || size&(size-1) != 0 || n*8 > size*7 || (size > minSlots && n*32 < size*7)):
-			err = fmt.Errorf("stripe %d: %d records in %d slots", si, n, size)
+		case ix.n == 0 && (len(ix.recs.pages) != 0 || len(ix.recs.own) != 0):
+			err = fmt.Errorf("empty index keeps %d pages", len(ix.recs.pages))
 		case mem != s.memUsed.Load() || payload != s.payload.Load():
-			err = fmt.Errorf("stripe %d: accounts say mem %d payload %d, contents say %d and %d",
-				si, s.memUsed.Load(), s.payload.Load(), mem, payload)
+			err = fmt.Errorf("accounts say mem %d payload %d, contents say %d and %d",
+				s.memUsed.Load(), s.payload.Load(), mem, payload)
 		default:
-			err = checkSlab(&ix.recs)
+			if err = checkIndex(ix); err == nil {
+				err = checkSlab(&ix.recs)
+			}
 		}
 		s.mu.RUnlock()
 		if err != nil {
-			return err
+			return fmt.Errorf("stripe %d: %w", si, err)
 		}
+	}
+	return nil
+}
+
+// checkIndex verifies the table's shape: a length that fills its two
+// allocations, charged as allocated; between 9/16 and 7/8 full unless it is
+// as short as tables get; every entry under the probe word of its key's
+// hash, at its home or within reach after it with no empty slot between;
+// entries in home order; the last slot empty; the count right; and no table
+// at all without an entry.
+func checkIndex(ix *index) error {
+	size := len(ix.meta)
+	if ix.n == 0 {
+		if size != 0 || ix.spill != nil || ix.charge != 0 {
+			return fmt.Errorf("empty index keeps a %d-slot table, %d spilled, %d bytes charged", size, len(ix.spill), ix.charge)
+		}
+		return nil
+	}
+	charge, shrunk := allocBytes(2*size)+allocBytes(4*size), tableLen(max(minSlots, size*4/5))
+	if ix.spill != nil {
+		charge += allocBytes(4 * cap(ix.spill))
+	}
+	switch {
+	case size < minSlots || size != tableLen(size) || len(ix.refs) != size || int(ix.homes) != size-min(maxTail, size/2):
+		return fmt.Errorf("table of %d slots, %d refs, %d homes", size, len(ix.refs), ix.homes)
+	case ix.charge != charge:
+		return fmt.Errorf("table of %d slots and spill of %d charged %d bytes, allocated %d", size, cap(ix.spill), ix.charge, charge)
+	case ix.n*8 > size*7 || (ix.n*16 < size*9 && shrunk < size && shrunk >= 2*maxTail && ix.spill == nil):
+		// (A table shorter than that may have been tried and found too
+		// short, its tail being under a full reach, and what has spilled
+		// from this one may have been what the shorter one could not place.)
+		return fmt.Errorf("%d entries in %d slots", ix.n, size)
+	case ix.spill != nil && size < 2*maxTail:
+		return fmt.Errorf("%d spilled beside a table of %d slots, which is free to grow", len(ix.spill), size)
+	case ix.meta[size-1] != 0:
+		return fmt.Errorf("last slot of %d is in use", size)
+	case ix.spill != nil && len(ix.spill) == 0:
+		return fmt.Errorf("empty spill kept")
+	}
+	n, last := len(ix.spill), 0
+	for i, m := range ix.meta {
+		if m == 0 {
+			continue
+		}
+		n++
+		h := slotHash(fnv1a(record(ix.recs.at(ix.refs[i] &^ refBit)).key()))
+		home := ix.home(h)
+		switch {
+		case m != word(h, home):
+			return fmt.Errorf("slot %d: probe word %#x, its key's is %#x", i, m, word(h, home))
+		case i < home || i-home > reach || away(i, m) != i-home:
+			return fmt.Errorf("slot %d: entry of home %d", i, home)
+		case home < last:
+			return fmt.Errorf("slot %d: entry of home %d behind one of home %d", i, home, last)
+		}
+		for j := home; j < i; j++ {
+			if ix.meta[j] == 0 {
+				return fmt.Errorf("slot %d: empty slot %d between the entry and its home %d", i, j, home)
+			}
+		}
+		last = home
+	}
+	if n != ix.n {
+		return fmt.Errorf("index counts %d entries, holds %d", ix.n, n)
 	}
 	return nil
 }
 
 // TestEngineAgainstModel drives every keyed operation on overlapping keys
 // against a plain-map model, through several cycles of the population
-// growing to thousands of keys per stripe and shrinking back to a handful,
-// so the index doubles and halves many times under every kind of entry.
+// growing to thousands of keys and shrinking back to a handful, so each
+// stripe's table passes through a dozen lengths and back to none under every
+// kind of entry: in one stripe, where the hash's low bits tell keys apart,
+// and in sixteen, where they do not.
 func TestEngineAgainstModel(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		m := newModel(t, seed)
-		sizes := map[int]bool{}
-		for cycle := 0; cycle < 3; cycle++ {
-			for _, phase := range []struct {
-				span, steps int
-				shrinking   bool
-			}{{6000, 12000, false}, {6000, 14000, true}, {40, 3000, false}, {40, 1500, true}} {
-				m.span = phase.span
-				for i := 0; i < phase.steps; i++ {
-					m.step(phase.shrinking)
-					if i%1000 == 999 {
-						m.span = phase.span
-						m.check()
-						sizes[len(m.e.shards[0].strs.slots)] = true
+		for _, shards := range []int{1, 16} {
+			m := newModel(t, seed, shards)
+			sizes := map[int]bool{}
+			for cycle := 0; cycle < 3; cycle++ {
+				for _, phase := range []struct {
+					span, steps int
+					shrinking   bool
+				}{{6000, 12000, false}, {6000, 14000, true}, {40, 3000, false}, {40, 1500, true}} {
+					m.span = phase.span
+					for i := 0; i < phase.steps; i++ {
+						m.step(phase.shrinking)
+						if i%500 == 499 {
+							m.check()
+							sizes[len(m.e.shards[0].strs.meta)] = true
+						}
 					}
 				}
 			}
-		}
-		if len(sizes) < 6 {
-			t.Errorf("seed %d: stripe 0's index only took sizes %v; the walk did not cycle it", seed, sizes)
+			if len(sizes) < 8 {
+				t.Errorf("seed %d, %d stripes: stripe 0's table only took lengths %v; the walk did not cycle it", seed, shards, sizes)
+			}
 		}
 	}
 }
@@ -620,7 +681,7 @@ func sameStripeValue(key int, v []byte) bool {
 // with every key on one stripe, writers overwrite records with values of
 // other slot sizes (own allocations included), delete and re-create them,
 // set a first TTL (which moves the record to a larger slot), rewrite
-// deadlines in place and evict in bursts that halve the table, so freed
+// deadlines in place and evict in bursts that shrink the table, so freed
 // slots are reused at once; readers Get and MGet, and a walker snapshots
 // the stripe. A reader that carried an alias of a slot out of the lock, at
 // any of the three sites that copy, returns bytes that are no version of

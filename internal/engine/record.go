@@ -106,10 +106,21 @@ func (r record) keySpan() (off, n int) {
 	return 1 + w, int(long)
 }
 
-// hasKey reports whether r is the record of key.
-func (r record) hasKey(key string) bool {
+// key is r's key, aliasing r.
+func (r record) key() []byte {
 	off, n := r.keySpan()
-	return n == len(key) && string(r[off:off+n]) == key
+	return r[off : off+n]
+}
+
+// hasKey reports whether r is the record of key.
+func (r record) hasKey(key string) bool { return string(r.key()) == key }
+
+// hasShortKey is hasKey for a key of up to maxShortKey bytes, one whose
+// length byte 0 holds: no call to keySpan, and small enough to inline into
+// index.find, which runs it behind every probe word that matches.
+func (r record) hasShortKey(key string) bool {
+	k := int(r[0] >> flagBits)
+	return k != longKey && string(r[1:1+k]) == key
 }
 
 // stored is a record's value as kept. val aliases the record.

@@ -33,6 +33,13 @@ func recordRoundTrip(key string, vlen int, flags byte, deadline int64) error {
 
 	check := func(what string, r record, size int, flags byte, deadline int64) error {
 		f := r.parse()
+		// hasKey, and for a key byte 0 has room for hasShortKey with it.
+		agree := true
+		has := func(k string) bool {
+			got := r.hasKey(k)
+			agree = agree && (len(k) > maxShortKey || r.hasShortKey(k) == got)
+			return got
+		}
 		switch {
 		case f.size != size:
 			return fmt.Errorf("%s: parse().size = %d, want %d", what, f.size, size)
@@ -50,10 +57,12 @@ func recordRoundTrip(key string, vlen int, flags byte, deadline int64) error {
 			return fmt.Errorf("%s: ref %+v, want %+v", what, f.ref(), st.ref)
 		case f.payload() != payload(st.flags, len(key), len(st.val)):
 			return fmt.Errorf("%s: payload %d, staged value says %d", what, f.payload(), payload(st.flags, len(key), len(st.val)))
-		case !r.hasKey(key) || r.hasKey(key+"x") || r.hasKey("x"+key):
+		case !has(key) || has(key+"x") || has("x"+key):
 			return fmt.Errorf("%s: hasKey does not tell %q from a longer key", what, key)
-		case len(key) > 0 && (r.hasKey(key[1:]) || r.hasKey(key[:len(key)-1]+"\x00")):
+		case len(key) > 0 && (has(key[1:]) || has(key[:len(key)-1]+"\x00")):
 			return fmt.Errorf("%s: hasKey does not tell %q from its neighbours", what, key)
+		case !agree:
+			return fmt.Errorf("%s: hasShortKey and hasKey disagree about the record of %q", what, key)
 		}
 		for i, b := range r[size:] {
 			if b != 0xA5 {

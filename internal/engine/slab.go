@@ -18,7 +18,7 @@ const (
 	slabLimit = 1 << 10
 
 	pageBits = 14                   // log2(pageBytes)
-	maxPages = 1<<(31-pageBits) - 1 // page refs stay below ownTag
+	maxPages = 1<<(30-pageBits) - 1 // page refs stay below refBit (index.go), which no ref sets
 	ownTag   = 1 << 31              // ref of an own allocation: ownTag | index into slab.own
 
 	// ownEntryBytes is what an own allocation costs beside its bytes: its
@@ -34,9 +34,9 @@ const (
 // never moves and a page is never compacted; every page goes back to the
 // heap when the last slot in the stripe is freed.
 //
-// A ref names a slot in 32 bits and is never 0: 1 + page<<pageBits +
-// offset, or ownTag | index. Not safe for concurrent use: the stripe lock
-// guards it.
+// A ref names a slot in 31 bits (bit 30 stays clear) and is never 0: 1 +
+// page<<pageBits + offset, or ownTag | index. Not safe for concurrent use:
+// the stripe lock guards it.
 type slab struct {
 	pages [][]byte
 	head  int                   // bytes carved from the last page
@@ -124,9 +124,8 @@ func (sl *slab) allocOwn(n int) (ref uint32, buf []byte) {
 		sl.own[i] = buf
 		return ownTag | i, buf
 	}
-	if uint64(len(sl.own)) == ownTag {
-		// 2^31 live own allocations in one stripe. Its index, whose
-		// positions are uint32s, tops out at the same order.
+	if len(sl.own) == refBit {
+		// 2^30 live own allocations in one stripe: 24 GiB of slice headers.
 		panic("engine: stripe record address space exhausted")
 	}
 	sl.own = append(sl.own, buf)

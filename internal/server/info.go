@@ -16,12 +16,13 @@ func (s *Server) info(section string) string {
 	if section == "" || section == "server" {
 		fmt.Fprintf(&b, "# Server\r\nshards:%d\r\n", len(s.shards))
 		var keys int
-		var mem, payload, free int64
+		var mem, payload, index, free int64
 		for i, sh := range s.shards {
 			st := sh.eng.Stats()
 			keys += st.Keys
 			mem += st.MemBytes
 			payload += st.PayloadBytes
+			index += st.IndexBytes
 			free += st.FreeBytes
 			ps := sh.pool.Stats()
 			fmt.Fprintf(&b, "shard%d_workers:%d\r\n", i, ps.Workers)
@@ -35,6 +36,7 @@ func (s *Server) info(section string) string {
 		}
 		fmt.Fprintf(&b, "keys:%d\r\nmem_bytes:%d\r\n", keys, mem)
 		fmt.Fprintf(&b, "mem_payload_bytes:%d\r\nmem_overhead_bytes:%d\r\n", payload, mem-payload)
+		fmt.Fprintf(&b, "mem_index_bytes:%d\r\n", index)
 		fmt.Fprintf(&b, "mem_free_bytes:%d\r\n", free)
 		fmt.Fprintf(&b, "p99_ns:%d\r\n", s.Latency.P99())
 	}

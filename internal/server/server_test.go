@@ -263,6 +263,11 @@ func TestAdminCommands(t *testing.T) {
 	if payload != 4 || overhead <= 0 || payload+overhead != mem {
 		t.Fatalf("mem_bytes %d = payload %d + overhead %d: want payload 4, overhead > 0", mem, payload, overhead)
 	}
+	// The overhead is two header bytes a record and the index tables: one of
+	// the smallest on each shard.
+	if index, _ := strconv.Atoi(infoField(t, c, "server", "mem_index_bytes")); index != overhead-4 || index >= 2*100 {
+		t.Fatalf("mem_index_bytes %d of mem_overhead_bytes %d: want all but 4 bytes, under 100 a table", index, overhead)
+	}
 	// mem_free_bytes is the slab page bytes holding no record, beside
 	// mem_bytes: two records in two 16 KiB pages leave nearly all of them.
 	free, _ := strconv.Atoi(infoField(t, c, "server", "mem_free_bytes"))
