@@ -3,17 +3,18 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"os"
 
 	"tierbase/internal/cache"
 	"tierbase/internal/core"
-	"tierbase/internal/engine"
+	"tierbase/internal/stack"
 	"tierbase/internal/workload"
 )
 
-// liveProbe runs the described workload's key distribution through a real
-// in-process tiered store (engine cache over map storage, write-through)
-// and reports the measured miss ratio — the §2 cost model evaluated on
-// live numbers instead of an assumed MR.
+// liveProbe runs the described workload's key distribution through the
+// stack tierbase-server runs (write-through over an LSM in a temporary
+// directory) and reports the measured miss ratio — the §2 cost model
+// evaluated on live numbers instead of an assumed MR.
 type liveProbe struct {
 	keys       int
 	ops        int
@@ -23,38 +24,41 @@ type liveProbe struct {
 
 // run builds the store, drives the workload, and prints the measurements.
 // in carries the cost-model inputs derived from the synthetic probes so
-// the measured MR prices directly against the analytic one.
-func (p liveProbe) run(ds workload.Dataset, in core.TieredInputs) error {
-	eng := engine.New(engine.Options{})
-	store := cache.NewMapStorage()
-
+// the measured MR prices directly against the analytic one. It returns
+// the read-phase miss ratio.
+func (p liveProbe) run(ds workload.Dataset, in core.TieredInputs) (float64, error) {
 	key := func(i int64) string { return fmt.Sprintf("probe%08d", i) }
 
 	// Size the cache off the real resident footprint: load everything
-	// unbounded once to measure, then rebuild bounded at ratio x that.
-	for i := 0; i < p.keys; i++ {
-		eng.Set(key(int64(i)), ds.Record(int64(i)))
+	// into an unbounded cache-only stack once to measure, then build the
+	// bounded one at ratio x that.
+	full, err := stack.Open(stack.Config{})
+	if err != nil {
+		return 0, err
 	}
-	dataBytes := eng.Stats().MemBytes
-	eng.FlushAll()
+	for i := 0; i < p.keys; i++ {
+		full.Set(key(int64(i)), ds.Record(int64(i)))
+	}
+	dataBytes := full.Engine().Stats().MemBytes
+	full.Close()
 	capBytes := int64(float64(dataBytes) * p.cacheRatio)
 	if capBytes < 1 {
 		capBytes = 1
 	}
 
-	t, err := cache.New(cache.Options{
-		Policy:             cache.WriteThrough,
-		Engine:             eng,
-		Storage:            store,
-		CacheCapacityBytes: capBytes,
-	})
+	dir, err := os.MkdirTemp("", "cost-advisor-probe")
 	if err != nil {
-		return err
+		return 0, err
+	}
+	defer os.RemoveAll(dir)
+	t, err := stack.Open(stack.Config{Policy: cache.WriteThrough, Dir: dir, CacheBytes: capBytes})
+	if err != nil {
+		return 0, err
 	}
 	defer t.Close()
 	for i := 0; i < p.keys; i++ {
 		if err := t.Set(key(int64(i)), ds.Record(int64(i))); err != nil {
-			return err
+			return 0, err
 		}
 	}
 
@@ -75,7 +79,7 @@ func (p liveProbe) run(ds workload.Dataset, in core.TieredInputs) error {
 	before := t.Stats()
 	for i := 0; i < p.ops; i++ {
 		if _, err := t.Get(key(chooser.Next(rng))); err != nil && err != cache.ErrNotFound {
-			return err
+			return 0, err
 		}
 	}
 	after := t.Stats()
@@ -85,7 +89,7 @@ func (p liveProbe) run(ds workload.Dataset, in core.TieredInputs) error {
 	if reads > 0 {
 		readMR = float64(after.Misses-before.Misses) / reads
 	}
-	fmt.Printf("\nlive cache-tier probe (in-process, write-through over map storage):\n")
+	fmt.Printf("\nlive cache-tier probe (in-process, write-through over an LSM):\n")
 	fmt.Printf("  distribution=%s keys=%d ops=%d cache-ratio=%.2f capacity=%dB\n",
 		p.dist, p.keys, p.ops, p.cacheRatio, capBytes)
 	fmt.Printf("  measured MissRatio(): %.4f (lifetime)   read-phase MR: %.4f   evictions: %d\n",
@@ -98,5 +102,5 @@ func (p liveProbe) run(ds workload.Dataset, in core.TieredInputs) error {
 	fmt.Printf("  cache-tier cost (Eq. 6): %.3f at measured MR vs %.3f at analytic zipf MR %.4f\n",
 		core.CacheTierCost(in, p.cacheRatio, readMR),
 		core.CacheTierCost(in, p.cacheRatio, analyticMR), analyticMR)
-	return nil
+	return readMR, nil
 }

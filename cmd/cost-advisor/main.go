@@ -16,9 +16,8 @@ import (
 	"fmt"
 	"log"
 
-	"tierbase/internal/compress"
 	"tierbase/internal/core"
-	"tierbase/internal/engine"
+	"tierbase/internal/stack"
 	"tierbase/internal/workload"
 )
 
@@ -88,7 +87,7 @@ func main() {
 			keys: *probeKeys, ops: *probeOps, cacheRatio: *cacheRatio,
 			dist: *probeDist,
 		}
-		if err := p.run(ds, in); err != nil {
+		if _, err := p.run(ds, in); err != nil {
 			log.Fatalf("cost-advisor: live probe: %v", err)
 		}
 	}
@@ -135,30 +134,25 @@ func measureConfigs(ds workload.Dataset, refQPS float64) (map[string]core.Measur
 	return out, nil
 }
 
-// probeOverhead measures physical-per-logical bytes for a compressor.
+// probeOverhead measures physical-per-logical bytes for a compressor
+// trained on the first half of samples and fed the second.
 func probeOverhead(comp string, samples [][]byte) (float64, error) {
-	var logical int64
-	var c compress.Compressor
-	if comp != "" {
-		cc, err := compress.ByName(comp, 0)
-		if err != nil {
-			return 0, err
-		}
-		if err := cc.Train(samples[:len(samples)/2]); err != nil {
-			return 0, err
-		}
-		c = cc
+	half := len(samples) / 2
+	st, err := stack.Open(stack.Config{Compression: comp, TrainingSamples: samples[:half]})
+	if err != nil {
+		return 0, err
 	}
+	defer st.Close()
 	// Physical bytes are what the cache engine accounts for the records
 	// (16-byte keys), the same number INFO and the cache budget read.
-	eng := engine.New(engine.Options{Compressor: c})
-	for i, rec := range samples[len(samples)/2:] {
+	var logical int64
+	for i, rec := range samples[half:] {
 		logical += int64(len(rec)) + 16
-		if err := eng.Set(fmt.Sprintf("probe%011d", i), rec); err != nil {
+		if err := st.Set(fmt.Sprintf("probe%011d", i), rec); err != nil {
 			return 0, err
 		}
 	}
-	return float64(eng.MemUsed()) / float64(logical), nil
+	return float64(st.Engine().MemUsed()) / float64(logical), nil
 }
 
 func configNames(m map[string]core.Measured) []core.Config {

@@ -20,12 +20,11 @@ import (
 	"time"
 
 	"tierbase/internal/cache"
-	"tierbase/internal/compress"
 	"tierbase/internal/elastic"
 	"tierbase/internal/engine"
 	"tierbase/internal/lsm"
 	"tierbase/internal/server"
-	"tierbase/internal/wal"
+	"tierbase/internal/stack"
 	"tierbase/internal/workload"
 )
 
@@ -52,6 +51,52 @@ func tieringFlags(policy, dir string, cacheBytes int64) (cache.Policy, error) {
 	return p, nil
 }
 
+// stackFlags maps the storage flags onto one shard's stack; the
+// compressor is pre-trained on 500 records of the -train-on dataset.
+func stackFlags(policy, dir string, cacheBytes int64, compression, trainOn string) (stack.Config, error) {
+	p, err := tieringFlags(policy, dir, cacheBytes)
+	if err != nil {
+		return stack.Config{}, err
+	}
+	c := stack.Config{Policy: p, CacheBytes: cacheBytes, Compression: compression}
+	if compression != "" {
+		c.TrainingSamples = workload.Sample(workload.DatasetByName(trainOn), 500)
+	}
+	return c, nil
+}
+
+// shardStacks builds each shard's storage tier in dir/shard%03d, in the
+// order server.Start asks for them, so an existing -dir reopens shard by
+// shard. It keeps the stacks for INFO storage and for closing after the
+// server.
+type shardStacks struct {
+	cfg    stack.Config
+	dir    string
+	stacks []*stack.Stack
+}
+
+// factory is server.Config.TieredFactory.
+func (s *shardStacks) factory(eng *engine.Engine) (*cache.Tiered, error) {
+	c := s.cfg
+	c.Dir = filepath.Join(s.dir, fmt.Sprintf("shard%03d", len(s.stacks)))
+	st, err := stack.NewTiered(c, eng)
+	if err != nil {
+		return nil, err
+	}
+	s.stacks = append(s.stacks, st)
+	return st.Tiered, nil
+}
+
+// stats is server.Config.StorageStats: per-shard LSM counters (flush
+// backlog, level shape, write volume).
+func (s *shardStacks) stats() []lsm.Stats {
+	out := make([]lsm.Stats, len(s.stacks))
+	for i, st := range s.stacks {
+		out[i] = st.DB.Stats()
+	}
+	return out
+}
+
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:6380", "listen address")
@@ -63,11 +108,10 @@ func main() {
 		elasticOn   = flag.Bool("elastic", true, "enable elastic threading")
 		maxWorkers  = flag.Int("max-workers", 4, "CPU budget per shard")
 		cacheBytes  = flag.Int64("cache-bytes", 0, "cache capacity per shard, tiered policies only (0 = unbounded)")
-		boostDepth  = flag.Int("boost-depth", 0, "queue backlog that triggers boost mode (0 = server default)")
+		boostDepth  = flag.Int("boost-depth", 0, "queue backlog that triggers boost mode (0 = default 4)")
 		queueSize   = flag.Int("queue-size", 0, "pending task queue bound per shard (0 = default)")
 		cooldown    = flag.Int("cooldown-ticks", 0, "calm evaluations before shrinking back to single mode (0 = default)")
 		evalEvery   = flag.Duration("eval-interval", 0, "elastic controller period (0 = default)")
-		boostRate   = flag.Float64("boost-rate", 0, "windowed submit rate (tasks/sec) that triggers boost mode (0 = depth-only)")
 
 		nodeID        = flag.String("node-id", "", "cluster node id (enables replication)")
 		advertise     = flag.String("advertise", "", "address other nodes reach this one at (default: listen addr)")
@@ -94,30 +138,26 @@ func main() {
 	)
 	flag.Parse()
 
-	engOpts := engine.Options{}
-	if *compression != "" {
-		c, err := compress.ByName(*compression, 0)
-		if err != nil {
-			log.Fatalf("tierbase-server: %v", err)
-		}
-		ds := workload.DatasetByName(*trainOn)
-		if err := c.Train(workload.Sample(ds, 500)); err != nil {
-			log.Fatalf("tierbase-server: train: %v", err)
-		}
-		engOpts.Compressor = c
-		engOpts.CompressMin = 16
-		log.Printf("compression: %s pre-trained on %s samples", c.Name(), ds.Name())
+	cfg, err := stackFlags(*policy, *dir, *cacheBytes, *compression, *trainOn)
+	if err != nil {
+		log.Fatalf("tierbase-server: %v", err)
+	}
+	eo, err := stack.NewEngine(cfg)
+	if err != nil {
+		log.Fatalf("tierbase-server: %v", err)
+	}
+	if c := eo.Options.Compressor; c != nil {
+		log.Printf("compression: %s pre-trained on %s samples", c.Name(), workload.DatasetByName(*trainOn).Name())
 	}
 
 	// Everything the process needs lives in one validated server.Config.
 	opts := server.Config{
 		Addr:          *addr,
 		Shards:        *shards,
-		EngineOptions: engOpts,
+		EngineOptions: eo.Options,
 		Pool: elastic.PoolOptions{
 			MaxWorkers:      *maxWorkers,
 			BoostQueueDepth: *boostDepth,
-			BoostSubmitRate: *boostRate,
 			QueueSize:       *queueSize,
 			CooldownTicks:   *cooldown,
 			EvalInterval:    *evalEvery,
@@ -154,38 +194,10 @@ func main() {
 		log.Fatalf("tierbase-server: %v", err)
 	}
 
-	cachePolicy, err := tieringFlags(*policy, *dir, *cacheBytes)
-	if err != nil {
-		log.Fatalf("tierbase-server: %v", err)
-	}
-	var dbs []*lsm.DB
-	if cachePolicy != cache.CacheOnly {
-		shardNum := 0
-		opts.TieredFactory = func(eng *engine.Engine) (*cache.Tiered, error) {
-			shardDir := filepath.Join(*dir, fmt.Sprintf("shard%03d", shardNum))
-			shardNum++
-			db, err := lsm.Open(lsm.Options{Dir: shardDir, WALSyncPolicy: wal.SyncInterval})
-			if err != nil {
-				return nil, err
-			}
-			dbs = append(dbs, db)
-			return cache.New(cache.Options{
-				Policy:             cachePolicy,
-				Engine:             eng,
-				Storage:            cache.NewLSMStorage(db),
-				CacheCapacityBytes: *cacheBytes,
-			})
-		}
-		// INFO storage: per-shard LSM counters (flush backlog, level
-		// shape, write volume). Closes over dbs, which TieredFactory
-		// fills during server.Start.
-		opts.StorageStats = func() []lsm.Stats {
-			out := make([]lsm.Stats, len(dbs))
-			for i, db := range dbs {
-				out[i] = db.Stats()
-			}
-			return out
-		}
+	tiers := &shardStacks{cfg: cfg, dir: *dir}
+	if cfg.Policy != cache.CacheOnly {
+		opts.TieredFactory = tiers.factory
+		opts.StorageStats = tiers.stats
 	}
 
 	srv, err := server.Start(opts)
@@ -227,11 +239,11 @@ func main() {
 		}
 	}
 	// Close the storage tier AFTER the server: srv.Close flushes each
-	// shard's write-back dirty set into the LSM, and db.Close syncs the
-	// WAL — without it, the last SyncEvery window of flushed writes sits
-	// in an unsynced WAL buffer and dies with the process.
-	for _, db := range dbs {
-		if err := db.Close(); err != nil {
+	// shard's write-back dirty set into the LSM, and the LSM's Close syncs
+	// the WAL — without it, the last SyncEvery window of flushed writes
+	// sits in an unsynced WAL buffer and dies with the process.
+	for _, st := range tiers.stacks {
+		if err := st.Close(); err != nil {
 			log.Printf("lsm close: %v", err)
 		}
 	}

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -329,5 +331,72 @@ func TestFig9Timeline(t *testing.T) {
 	if burstE/float64(burstN) <= lowE/float64(lowN) {
 		t.Fatalf("elastic burst throughput (%.1f) should exceed low phase (%.1f)",
 			burstE/float64(burstN), lowE/float64(lowN))
+	}
+}
+
+// TestRowsAreTheirConfiguration: each kind of TierBase row runs the
+// configuration its name says — compressed rows hold fewer DRAM bytes than
+// raw, PMem rows offload, wt/wb NX rows evict and miss, wal rows write
+// their log.
+func TestRowsAreTheirConfiguration(t *testing.T) {
+	ds := workload.NewKV1()
+	spec := workload.WorkloadB(600, ds)
+	load, run := spec.LoadOps(), NewOpsMulti(spec, 1200, 2)
+	measure := func(cfg TBConfig) costSUT {
+		t.Helper()
+		sut, err := measureTB(cfg, t.TempDir(), load, run, 2)
+		if err != nil {
+			t.Fatalf("%s: %v", cfg.Name, err)
+		}
+		return sut
+	}
+	raw := measure(TBConfig{Name: "raw", Threads: 1})
+	if raw.cap.pmemPerLogical != 0 || raw.tiered {
+		t.Fatalf("raw: %+v", raw)
+	}
+	for _, cfg := range []TBConfig{
+		{Name: "pbc", Threads: 1, Compressor: "pbc", TrainOn: ds},
+		{Name: "zstd-dict-l1", Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds},
+		{Name: "zstd-l9", Threads: 1, Compressor: "zstd-b", CompressLevel: 9, TrainOn: ds},
+	} {
+		if got := measure(cfg).cap.dramPerLogical; got >= raw.cap.dramPerLogical {
+			t.Errorf("%s holds %.3f DRAM bytes a logical byte, raw %.3f", cfg.Name, got, raw.cap.dramPerLogical)
+		}
+	}
+	if pm := measure(TBConfig{Name: "pmem", Threads: 1, PMem: true}); pm.cap.pmemPerLogical <= 0 {
+		t.Errorf("pmem row offloads nothing: %+v", pm.cap)
+	}
+	for _, persist := range []string{"wt", "wb"} {
+		cfg := TBConfig{Name: persist + "-5X", Threads: 1, Persist: persist, CacheRatioX: 5,
+			ExpectedLogicalBytes: logicalBytes(load), RTT: missRTT}
+		sut := measure(cfg)
+		if !sut.tiered || sut.mr <= 0 || sut.cap.dramPerLogical >= raw.cap.dramPerLogical || sut.cap.diskPerLogical <= 0 {
+			t.Errorf("%s: tiered %v, MR %.3f, DRAM %.3f (raw %.3f), disk %.3f", cfg.Name,
+				sut.tiered, sut.mr, sut.cap.dramPerLogical, raw.cap.dramPerLogical, sut.cap.diskPerLogical)
+		}
+	}
+	val := ds.Record(1)
+	for _, persist := range []string{"wal", "wal-pmem"} {
+		dir := t.TempDir()
+		sys, err := BuildTierBase(TBConfig{Threads: 1, Persist: persist}, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Set("k", val); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var logged int64
+		filepath.Walk(filepath.Join(dir, "wal"), func(_ string, fi os.FileInfo, err error) error {
+			if err == nil && !fi.IsDir() {
+				logged += fi.Size()
+			}
+			return nil
+		})
+		if logged < int64(len(val)) {
+			t.Errorf("%s row logged %d bytes for a %d-byte value", persist, logged, len(val))
+		}
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"tierbase/internal/baselines"
 	"tierbase/internal/core"
-	"tierbase/internal/pmem"
 	"tierbase/internal/trace"
 	"tierbase/internal/workload"
 )
@@ -28,74 +27,93 @@ func (s costSUT) price(declQPS, declDataGB float64) (pc, sc float64) {
 	return smoothCosts(s.cap, s.inst, declQPS, declDataGB)
 }
 
-// measureTB loads spec's records into cfg and replays nOps mixed ops,
-// returning the measured capability.
-func measureTB(cfg TBConfig, dir string, spec workload.Spec, nOps, workers int) (costSUT, error) {
+// measureTB is §5.3's loop for one TierBase row: build it, load the
+// snapshot, settle it (dirty keys flushed, the storage tier flushed and
+// compacted, as a snapshot at rest is), replay run over workers, flush what
+// the replay left dirty, and read the capability. inst is the caller's.
+func measureTB(cfg TBConfig, dir string, load, run []workload.Op, workers int) (costSUT, error) {
 	sys, err := BuildTierBase(cfg, dir)
 	if err != nil {
 		return costSUT{}, err
 	}
 	defer sys.Close()
-	var logical int64
-	for _, op := range spec.LoadOps() {
-		logical += int64(len(op.Key) + len(op.Value))
+	for _, op := range load {
 		if err := sys.Set(op.Key, op.Value); err != nil {
 			return costSUT{}, err
 		}
 	}
-	if err := sys.FlushDirty(); err != nil {
+	if err := sys.st.FlushDirty(); err != nil {
 		return costSUT{}, err
 	}
-	if sys.db != nil {
-		sys.db.Flush()
-		sys.db.CompactAll()
+	if db := sys.st.DB; db != nil {
+		db.Flush()
+		db.CompactAll()
 	}
-	ops := NewOpsMulti(spec, nOps, workers)
-	dr := drive(sys, ops, workers)
-	if err := sys.FlushDirty(); err != nil {
+	dr := drive(sys, run, workers)
+	if err := sys.st.FlushDirty(); err != nil {
 		return costSUT{}, err
 	}
-	sut := costSUT{
+	logical := float64(logicalBytes(load))
+	return costSUT{
 		name: cfg.Name,
 		cap: capability{
 			qpsPerInst:     dr.QPS,
-			dramPerLogical: float64(sys.MemBytes()) / float64(logical),
-			pmemPerLogical: float64(sys.PMemBytes()) / float64(logical),
-			diskPerLogical: float64(sys.DiskBytes()) / float64(logical),
+			dramPerLogical: float64(sys.MemBytes()) / logical,
+			pmemPerLogical: float64(sys.PMemBytes()) / logical,
+			diskPerLogical: float64(sys.DiskBytes()) / logical,
 		},
-		tiered: cfg.Persist == "wt" || cfg.Persist == "wb",
-	}
-	if sys.Tiered() != nil {
-		sut.mr = sys.Tiered().MissRatio()
-	}
-	return sut, nil
+		tiered: sys.st.DB != nil,
+		mr:     sys.st.MissRatio(),
+	}, nil
 }
 
-// measureBaseline does the same for a comparison system. dramMult
-// multiplies DRAM (dual-replica deployments).
-func measureBaseline(sys baselines.System, spec workload.Spec, nOps, workers int, dramMult float64) costSUT {
-	var logical int64
-	for _, op := range spec.LoadOps() {
-		logical += int64(len(op.Key) + len(op.Value))
-		sys.Set(op.Key, op.Value)
+// baselineRow is a comparison system in a cost figure: its
+// baselines.Build name, which is also the row's label, and how many copies
+// of its DRAM a deployment holds (dual replicas = 2).
+type baselineRow struct {
+	name     string
+	inst     instanceSpec
+	dramMult float64
+}
+
+// measureBaselines does the same for comparison systems, each on the same
+// load and replay, persistent ones under dir.
+func measureBaselines(dir string, rows []baselineRow, load, run []workload.Op) ([]costSUT, error) {
+	logical := float64(logicalBytes(load))
+	var suts []costSUT
+	for _, b := range rows {
+		sys, err := baselines.Build(b.name, filepath.Join(dir, b.name))
+		if err != nil {
+			return nil, err
+		}
+		for _, op := range load {
+			sys.Set(op.Key, op.Value)
+		}
+		if ls, ok := sys.(*baselines.LSMStore); ok {
+			ls.DB().Flush()
+			ls.DB().CompactAll()
+		}
+		dr := drive(sys, run, 4)
+		suts = append(suts, costSUT{
+			name: b.name, inst: b.inst,
+			cap: capability{
+				qpsPerInst:     dr.QPS,
+				dramPerLogical: float64(sys.MemBytes()) * b.dramMult / logical,
+				diskPerLogical: float64(sys.DiskBytes()) / logical,
+			},
+		})
+		sys.Close()
 	}
-	if ls, ok := sys.(*baselines.LSMStore); ok {
-		ls.DB().Flush()
-		ls.DB().CompactAll()
+	return suts, nil
+}
+
+// logicalBytes is the key and value bytes ops write.
+func logicalBytes(ops []workload.Op) int64 {
+	var n int64
+	for _, op := range ops {
+		n += int64(len(op.Key) + len(op.Value))
 	}
-	ops := NewOpsMulti(spec, nOps, workers)
-	dr := drive(sys, ops, workers)
-	if dramMult <= 0 {
-		dramMult = 1
-	}
-	return costSUT{
-		name: sys.Name(),
-		cap: capability{
-			qpsPerInst:     dr.QPS,
-			dramPerLogical: float64(sys.MemBytes()) * dramMult / float64(logical),
-			diskPerLogical: float64(sys.DiskBytes()) / float64(logical),
-		},
-	}
+	return n
 }
 
 // RunFig10 reproduces Figure 10: cost of caching systems under 50/50 and
@@ -119,47 +137,35 @@ func RunFig10(o RunOpts) (*Result, error) {
 		{"95/5", workload.WorkloadB(nRecords, ds)},
 	} {
 		var suts []costSUT
+		load, run := mix.spec.LoadOps(), NewOpsMulti(mix.spec, nOps, 4)
 		// TierBase configurations.
 		tbConfigs := []struct {
-			cfg     TBConfig
-			inst    instanceSpec
-			workers int
+			cfg  TBConfig
+			inst instanceSpec
 		}{
-			{TBConfig{Name: "tierbase-s", Threads: 1}, cacheInst, 4},
-			{TBConfig{Name: "tierbase-e", Threads: 0}, cacheInst, 4},
-			{TBConfig{Name: "tierbase-zstd", Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds}, cacheInst, 4},
-			{TBConfig{Name: "tierbase-pbc", Threads: 1, Compressor: "pbc", TrainOn: ds}, cacheInst, 4},
-			{TBConfig{Name: "tierbase-pmem", Threads: 1, PMem: true, PMemLatency: pmem.DefaultLatency}, pmemInst, 4},
+			{TBConfig{Name: "tierbase-s", Threads: 1}, cacheInst},
+			{TBConfig{Name: "tierbase-e", Threads: 0}, cacheInst},
+			{TBConfig{Name: "tierbase-zstd", Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds}, cacheInst},
+			{TBConfig{Name: "tierbase-pbc", Threads: 1, Compressor: "pbc", TrainOn: ds}, cacheInst},
+			{TBConfig{Name: "tierbase-pmem", Threads: 1, PMem: true}, pmemInst},
 		}
 		for _, tc := range tbConfigs {
-			sut, err := measureTB(tc.cfg, filepath.Join(o.Dir, "fig10", tc.cfg.Name), mix.spec, nOps, tc.workers)
+			sut, err := measureTB(tc.cfg, filepath.Join(o.Dir, "fig10", tc.cfg.Name), load, run, 4)
 			if err != nil {
 				return nil, err
 			}
 			sut.inst = tc.inst
 			suts = append(suts, sut)
 		}
-		// Baselines.
-		redisS, err := baselines.NewRedisLike("", 1)
+		base, err := measureBaselines(filepath.Join(o.Dir, "fig10"), []baselineRow{
+			{"redis-s", cacheInst, 1},
+			{"memcached-m", bigInst, 1},
+			{"dragonfly-m", bigInst, 1},
+		}, load, run)
 		if err != nil {
 			return nil, err
 		}
-		sut := measureBaseline(redisS, mix.spec, nOps, 4, 1)
-		sut.name, sut.inst = "redis-s", cacheInst
-		redisS.Close()
-		suts = append(suts, sut)
-
-		mc := baselines.NewMemcachedLike(0, 4)
-		sut = measureBaseline(mc, mix.spec, nOps, 4, 1)
-		sut.inst = bigInst
-		mc.Close()
-		suts = append(suts, sut)
-
-		df := baselines.NewDragonflyLike(4)
-		sut = measureBaseline(df, mix.spec, nOps, 4, 1)
-		sut.inst = bigInst
-		df.Close()
-		suts = append(suts, sut)
+		suts = append(suts, base...)
 
 		// Declared workload relative to the single-thread reference.
 		ref := suts[0].cap.qpsPerInst
@@ -194,14 +200,15 @@ func RunFig11(o RunOpts) (*Result, error) {
 		{"95/5", workload.WorkloadB(nRecords, ds)},
 	} {
 		var suts []costSUT
+		load, run := mix.spec.LoadOps(), NewOpsMulti(mix.spec, nOps, 4)
 		tbConfigs := []TBConfig{
 			{Name: "tierbase-wal", Threads: 1, Persist: "wal", Replicas: 1},
-			{Name: "tierbase-wal-pmem", Threads: 1, Persist: "wal-pmem", Replicas: 1, PMemLatency: pmem.DefaultLatency},
+			{Name: "tierbase-wal-pmem", Threads: 1, Persist: "wal-pmem", Replicas: 1},
 			{Name: "tierbase-wt-10X", Threads: 1, Persist: "wt", CacheRatioX: 10, ExpectedLogicalBytes: expected, RTT: missRTT},
 			{Name: "tierbase-wb-10X", Threads: 1, Persist: "wb", CacheRatioX: 10, ExpectedLogicalBytes: expected, Replicas: 1, RTT: missRTT},
 		}
 		for _, cfg := range tbConfigs {
-			sut, err := measureTB(cfg, filepath.Join(o.Dir, "fig11", cfg.Name+mix.label), mix.spec, nOps, 4)
+			sut, err := measureTB(cfg, filepath.Join(o.Dir, "fig11", cfg.Name+mix.label), load, run, 4)
 			if err != nil {
 				return nil, err
 			}
@@ -211,32 +218,15 @@ func RunFig11(o RunOpts) (*Result, error) {
 			}
 			suts = append(suts, sut)
 		}
-		// redis-aof dual replica.
-		ra, err := baselines.NewRedisLike(filepath.Join(o.Dir, "fig11", "redisaof"+mix.label), 1)
+		base, err := measureBaselines(filepath.Join(o.Dir, "fig11", mix.label), []baselineRow{
+			{"redis-aof", bigInst, 2}, // dual replica
+			{"cassandra", bigInst, 1},
+			{"hbase", bigInst, 1},
+		}, load, run)
 		if err != nil {
 			return nil, err
 		}
-		sut := measureBaseline(ra, mix.spec, nOps, 4, 2)
-		sut.inst = bigInst
-		ra.Close()
-		suts = append(suts, sut)
-		// cassandra / hbase.
-		cs, err := baselines.NewCassandraLike(filepath.Join(o.Dir, "fig11", "cass"+mix.label))
-		if err != nil {
-			return nil, err
-		}
-		sut = measureBaseline(cs, mix.spec, nOps, 4, 1)
-		sut.inst = bigInst
-		cs.Close()
-		suts = append(suts, sut)
-		hb, err := baselines.NewHBaseLike(filepath.Join(o.Dir, "fig11", "hbase"+mix.label))
-		if err != nil {
-			return nil, err
-		}
-		sut = measureBaseline(hb, mix.spec, nOps, 4, 1)
-		sut.inst = bigInst
-		hb.Close()
-		suts = append(suts, sut)
+		suts = append(suts, base...)
 
 		ref := suts[0].cap.qpsPerInst // tierbase-wal reference
 		declQPS, declData := 0.4*ref, 10.0
@@ -249,8 +239,8 @@ func RunFig11(o RunOpts) (*Result, error) {
 	return res, nil
 }
 
-// traceKV replays trace entries through a kv surface.
-func traceDrive(sys kvOp, entries []trace.Entry, workers int) driveResult {
+// traceOps turns trace entries into the ops drive replays.
+func traceOps(entries []trace.Entry) []workload.Op {
 	ops := make([]workload.Op, 0, len(entries))
 	for _, e := range entries {
 		switch e.Op {
@@ -260,82 +250,20 @@ func traceDrive(sys kvOp, entries []trace.Entry, workers int) driveResult {
 			ops = append(ops, workload.Op{Kind: workload.OpUpdate, Key: e.Key, Value: e.Val})
 		}
 	}
-	return drive(sys, ops, workers)
+	return ops
 }
 
 // caseStudyMeasurements measures every fig12 system on a trace. preload
 // seeds the full key population (the sampled data snapshot of §5.3).
-func caseStudyMeasurements(o RunOpts, tr *trace.Trace, preload map[string][]byte, tag string) ([]costSUT, error) {
-	var logical int64
-	for k, v := range preload {
-		logical += int64(len(k) + len(v))
-	}
-	expected := logical
+func caseStudyMeasurements(o RunOpts, tr *trace.Trace, preload []workload.Op, tag string) ([]costSUT, error) {
+	expected := logicalBytes(preload)
+	run := traceOps(tr.Entries)
 	ds := workload.NewKV1()
 	if tag == "recon" {
 		ds = workload.NewKV2()
 	}
 
 	var suts []costSUT
-	addTB := func(cfg TBConfig, inst instanceSpec) error {
-		sys, err := BuildTierBase(cfg, filepath.Join(o.Dir, "fig12", tag+cfg.Name))
-		if err != nil {
-			return err
-		}
-		defer sys.Close()
-		for k, v := range preload {
-			if err := sys.Set(k, v); err != nil {
-				return err
-			}
-		}
-		sys.FlushDirty()
-		if sys.db != nil {
-			sys.db.Flush()
-			sys.db.CompactAll()
-		}
-		dr := traceDrive(sys, tr.Entries, 4)
-		sys.FlushDirty()
-		sut := costSUT{
-			name: cfg.Name, inst: inst,
-			cap: capability{
-				qpsPerInst:     dr.QPS,
-				dramPerLogical: float64(sys.MemBytes()) / float64(logical),
-				pmemPerLogical: float64(sys.PMemBytes()) / float64(logical),
-				diskPerLogical: float64(sys.DiskBytes()) / float64(logical),
-			},
-			tiered: cfg.Persist == "wt" || cfg.Persist == "wb",
-		}
-		if sys.Tiered() != nil {
-			sut.mr = sys.Tiered().MissRatio()
-		}
-		suts = append(suts, sut)
-		return nil
-	}
-	addBase := func(name string, inst instanceSpec, dramMult float64) error {
-		sys, err := baselines.Build(name, filepath.Join(o.Dir, "fig12", tag+name))
-		if err != nil {
-			return err
-		}
-		defer sys.Close()
-		for k, v := range preload {
-			sys.Set(k, v)
-		}
-		if ls, ok := sys.(*baselines.LSMStore); ok {
-			ls.DB().Flush()
-			ls.DB().CompactAll()
-		}
-		dr := traceDrive(sys, tr.Entries, 4)
-		suts = append(suts, costSUT{
-			name: sys.Name(), inst: inst,
-			cap: capability{
-				qpsPerInst:     dr.QPS,
-				dramPerLogical: float64(sys.MemBytes()) * dramMult / float64(logical),
-				diskPerLogical: float64(sys.DiskBytes()) / float64(logical),
-			},
-		})
-		return nil
-	}
-
 	rtt := missRTT
 	tbConfigs := []struct {
 		cfg  TBConfig
@@ -343,46 +271,48 @@ func caseStudyMeasurements(o RunOpts, tr *trace.Trace, preload map[string][]byte
 	}{
 		{TBConfig{Name: "tierbase-raw", Threads: 1}, cacheInst},
 		{TBConfig{Name: "tierbase-e", Threads: 0}, cacheInst},
-		{TBConfig{Name: "tierbase-pmem", Threads: 1, PMem: true, PMemLatency: pmem.DefaultLatency}, pmemInst},
+		{TBConfig{Name: "tierbase-pmem", Threads: 1, PMem: true}, pmemInst},
 		{TBConfig{Name: "tierbase-pbc", Threads: 1, Compressor: "pbc", TrainOn: ds}, cacheInst},
 		{TBConfig{Name: "tierbase-wt-4X", Threads: 1, Persist: "wt", CacheRatioX: 4, ExpectedLogicalBytes: expected, RTT: rtt}, cacheInst},
 		{TBConfig{Name: "tierbase-wb-4X", Threads: 1, Persist: "wb", CacheRatioX: 4, ExpectedLogicalBytes: expected, Replicas: 1, RTT: rtt}, cacheInst},
 	}
 	for _, tc := range tbConfigs {
-		if err := addTB(tc.cfg, tc.inst); err != nil {
+		sut, err := measureTB(tc.cfg, filepath.Join(o.Dir, "fig12", tag+tc.cfg.Name), preload, run, 4)
+		if err != nil {
 			return nil, err
 		}
+		sut.inst = tc.inst
+		suts = append(suts, sut)
 	}
-	for _, b := range []struct {
-		name     string
-		inst     instanceSpec
-		dramMult float64
-	}{
+	base, err := measureBaselines(filepath.Join(o.Dir, "fig12", tag), []baselineRow{
 		{"redis", cacheInst, 2}, // dual-replica reliability per §6.5.1
-		{"memcached", bigInst, 2},
-		{"dragonfly", bigInst, 2},
+		{"memcached-m", bigInst, 2},
+		{"dragonfly-m", bigInst, 2},
 		{"cassandra", bigInst, 1},
 		{"hbase", bigInst, 1},
-	} {
-		if err := addBase(b.name, b.inst, b.dramMult); err != nil {
-			return nil, err
-		}
+	}, preload, run)
+	if err != nil {
+		return nil, err
 	}
-	return suts, nil
+	return append(suts, base...), nil
 }
 
-func tracePreload(tr *trace.Trace, ds workload.Dataset) map[string][]byte {
-	preload := map[string][]byte{}
-	i := int64(0)
+// tracePreload is the snapshot a trace replays against: every key it
+// touches, in order of first touch, with the trace's value or else a
+// record of ds.
+func tracePreload(tr *trace.Trace, ds workload.Dataset) []workload.Op {
+	var preload []workload.Op
+	seen := map[string]bool{}
 	for _, e := range tr.Entries {
-		if _, ok := preload[e.Key]; !ok {
-			if e.Val != nil {
-				preload[e.Key] = e.Val
-			} else {
-				preload[e.Key] = ds.Record(i)
-			}
-			i++
+		if seen[e.Key] {
+			continue
 		}
+		seen[e.Key] = true
+		v := e.Val
+		if v == nil {
+			v = ds.Record(int64(len(preload)))
+		}
+		preload = append(preload, workload.Op{Kind: workload.OpInsert, Key: e.Key, Value: v})
 	}
 	return preload
 }
@@ -434,47 +364,26 @@ func RunFig1(o RunOpts) (*Result, error) {
 	}
 	ui := trace.GenUserInfo(trace.UserInfoOptions{Ops: o.n(20000)})
 	pre := tracePreload(ui, workload.NewKV1())
-	var logical int64
-	for k, v := range pre {
-		logical += int64(len(k) + len(v))
-	}
+	logical := logicalBytes(pre)
 	rtt := missRTT
 	configs := []struct {
 		cfg  TBConfig
 		inst instanceSpec
 	}{
 		{TBConfig{Name: "tierbase-raw", Threads: 1}, cacheInst},
-		{TBConfig{Name: "tierbase-pmem", Threads: 1, PMem: true, PMemLatency: pmem.DefaultLatency}, pmemInst},
+		{TBConfig{Name: "tierbase-pmem", Threads: 1, PMem: true}, pmemInst},
 		{TBConfig{Name: "tierbase-pbc", Threads: 1, Compressor: "pbc", TrainOn: workload.NewKV1()}, cacheInst},
 		{TBConfig{Name: "tierbase-wb-5X", Threads: 1, Persist: "wb", CacheRatioX: 5, ExpectedLogicalBytes: logical, Replicas: 1, RTT: rtt}, cacheInst},
 		{TBConfig{Name: "tierbase-wt-5X", Threads: 1, Persist: "wt", CacheRatioX: 5, ExpectedLogicalBytes: logical, RTT: rtt}, cacheInst},
 	}
 	var suts []costSUT
+	run := traceOps(ui.Entries)
 	for _, tc := range configs {
-		sys, err := BuildTierBase(tc.cfg, filepath.Join(o.Dir, "fig1", tc.cfg.Name))
+		sut, err := measureTB(tc.cfg, filepath.Join(o.Dir, "fig1", tc.cfg.Name), pre, run, 4)
 		if err != nil {
 			return nil, err
 		}
-		for k, v := range pre {
-			sys.Set(k, v)
-		}
-		sys.FlushDirty()
-		if sys.db != nil {
-			sys.db.Flush()
-		}
-		dr := traceDrive(sys, ui.Entries, 4)
-		sys.FlushDirty()
-		sut := costSUT{
-			name: tc.cfg.Name, inst: tc.inst,
-			cap: capability{
-				qpsPerInst:     dr.QPS,
-				dramPerLogical: float64(sys.MemBytes()) / float64(logical),
-				pmemPerLogical: float64(sys.PMemBytes()) / float64(logical),
-				diskPerLogical: float64(sys.DiskBytes()) / float64(logical),
-			},
-			tiered: tc.cfg.Persist != "",
-		}
-		sys.Close()
+		sut.inst = tc.inst
 		suts = append(suts, sut)
 	}
 	declQPS, declData := 1.0*suts[0].cap.qpsPerInst, 20.0
@@ -518,8 +427,9 @@ func RunFig13a(o RunOpts) (*Result, error) {
 		{Name: "pbc", Threads: 1, Compressor: "pbc", TrainOn: ds},
 	}
 	var suts []costSUT
+	load, run := spec.LoadOps(), NewOpsMulti(spec, nOps, 4)
 	for _, cfg := range configs {
-		sut, err := measureTB(cfg, "", spec, nOps, 4)
+		sut, err := measureTB(cfg, "", load, run, 4)
 		if err != nil {
 			return nil, err
 		}
@@ -543,10 +453,7 @@ func RunFig13b(o RunOpts) (*Result, error) {
 	nOps := o.n(20000)
 	ui := trace.GenUserInfo(trace.UserInfoOptions{Ops: nOps})
 	pre := tracePreload(ui, workload.NewKV1())
-	var logical int64
-	for k, v := range pre {
-		logical += int64(len(k) + len(v))
-	}
+	logical := logicalBytes(pre)
 	res := &Result{
 		ID: "fig13b", Title: "Cache-ratio space-performance trade-off",
 		Header: []string{"config", "SpaceCost", "PerformanceCost", "cost", "MR"},
@@ -560,33 +467,13 @@ func RunFig13b(o RunOpts) (*Result, error) {
 		{Name: "wb-5X", Threads: 1, Persist: "wb", CacheRatioX: 5, ExpectedLogicalBytes: logical, Replicas: 1, RTT: rtt},
 	}
 	var suts []costSUT
+	run := traceOps(ui.Entries)
 	for _, cfg := range configs {
-		sys, err := BuildTierBase(cfg, filepath.Join(o.Dir, "fig13b", cfg.Name))
+		sut, err := measureTB(cfg, filepath.Join(o.Dir, "fig13b", cfg.Name), pre, run, 4)
 		if err != nil {
 			return nil, err
 		}
-		for k, v := range pre {
-			sys.Set(k, v)
-		}
-		sys.FlushDirty()
-		if sys.db != nil {
-			sys.db.Flush()
-		}
-		dr := traceDrive(sys, ui.Entries, 4)
-		sys.FlushDirty()
-		sut := costSUT{
-			name: cfg.Name, inst: cacheInst,
-			cap: capability{
-				qpsPerInst:     dr.QPS,
-				dramPerLogical: float64(sys.MemBytes()) / float64(logical),
-				diskPerLogical: float64(sys.DiskBytes()) / float64(logical),
-			},
-			tiered: cfg.Persist != "",
-		}
-		if sys.Tiered() != nil {
-			sut.mr = sys.Tiered().MissRatio()
-		}
-		sys.Close()
+		sut.inst = cacheInst
 		suts = append(suts, sut)
 	}
 	declQPS, declData := 1.0*suts[0].cap.qpsPerInst, 20.0
@@ -624,12 +511,13 @@ func RunTable3(o RunOpts) (*Result, error) {
 		inst instanceSpec
 	}{
 		{TBConfig{Name: "raw", Threads: 1}, cacheInst},
-		{TBConfig{Name: "pmem", Threads: 1, PMem: true, PMemLatency: pmem.DefaultLatency}, pmemInst},
+		{TBConfig{Name: "pmem", Threads: 1, PMem: true}, pmemInst},
 		{TBConfig{Name: "pbc", Threads: 1, Compressor: "pbc", TrainOn: ds}, cacheInst},
 	}
 	var measured []core.Measured
+	load, run := spec.LoadOps(), NewOpsMulti(spec, nOps, 4)
 	for _, tc := range configs {
-		sut, err := measureTB(tc.cfg, "", spec, nOps, 4)
+		sut, err := measureTB(tc.cfg, "", load, run, 4)
 		if err != nil {
 			return nil, err
 		}

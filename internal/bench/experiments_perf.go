@@ -9,7 +9,6 @@ import (
 	"tierbase/internal/baselines"
 	"tierbase/internal/compress"
 	"tierbase/internal/engine"
-	"tierbase/internal/pmem"
 	"tierbase/internal/workload"
 )
 
@@ -127,7 +126,7 @@ func RunFig8(o RunOpts) (*Result, error) {
 
 	configs := []TBConfig{
 		{Name: "wal", Threads: 1, Persist: "wal"},
-		{Name: "wal-pmem", Threads: 1, Persist: "wal-pmem", PMemLatency: pmem.DefaultLatency},
+		{Name: "wal-pmem", Threads: 1, Persist: "wal-pmem"},
 		{Name: "write-back", Threads: 1, Persist: "wb", CacheRatioX: 1, ExpectedLogicalBytes: expected, RTT: missRTT},
 		{Name: "write-through", Threads: 1, Persist: "wt", CacheRatioX: 1, ExpectedLogicalBytes: expected, RTT: missRTT},
 	}
@@ -192,7 +191,7 @@ func RunTable2(o RunOpts) (*Result, error) {
 			// (keys + per-item overhead dilute the value-only ratio, as in
 			// the paper's "Overall Comp. Ratio").
 			engRaw := engine.New(engine.Options{})
-			engC := engine.New(engine.Options{Compressor: c, CompressMin: 16})
+			engC := engine.New(engine.Options{Compressor: c})
 			for i, rec := range eval {
 				k := fmt.Sprintf("key%09d", i)
 				engRaw.Set(k, rec)
@@ -205,7 +204,7 @@ func RunTable2(o RunOpts) (*Result, error) {
 			for i, rec := range eval {
 				setOps[i] = workload.Op{Kind: workload.OpUpdate, Key: fmt.Sprintf("key%09d", i), Value: rec}
 			}
-			target := engine.New(engine.Options{Compressor: c, CompressMin: 16})
+			target := engine.New(engine.Options{Compressor: c})
 			setDR := drive(engineKV{target}, setOps, 1)
 			// GET throughput.
 			getOps := make([]workload.Op, nEval)

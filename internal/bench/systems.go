@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"tierbase/internal/cache"
-	"tierbase/internal/compress"
 	"tierbase/internal/elastic"
-	"tierbase/internal/engine"
-	"tierbase/internal/lsm"
 	"tierbase/internal/pmem"
+	"tierbase/internal/stack"
 	"tierbase/internal/wal"
 	"tierbase/internal/workload"
 )
@@ -30,8 +28,6 @@ type TBConfig struct {
 	TrainOn workload.Dataset
 	// PMem enables the DRAM-extension arena for values.
 	PMem bool
-	// PMemLatency injects access costs (zero = fast simulation).
-	PMemLatency pmem.Latency
 	// Persist: "" (pure cache), "wal", "wal-pmem", "wt", "wb".
 	Persist string
 	// CacheRatioX for wt/wb: data-to-cache ratio (e.g. 5 = cache holds
@@ -52,6 +48,37 @@ type TBConfig struct {
 	OpCost time.Duration
 }
 
+// stackConfig maps a row onto the builder's options; dir hosts the LSM of
+// the wt/wb rows. The wal rows are cache-only stacks: their log is the
+// harness's own (see BuildTierBase).
+func (cfg TBConfig) stackConfig(dir string) (stack.Config, error) {
+	c := stack.Config{Compression: cfg.Compressor, CompressionLevel: cfg.CompressLevel}
+	if cfg.TrainOn != nil {
+		c.TrainingSamples = workload.Sample(cfg.TrainOn, 500)
+	}
+	if cfg.PMem {
+		c.PMemBytes = 256 << 20
+	}
+	switch cfg.Persist {
+	case "", "wal", "wal-pmem":
+	case "wt", "wb":
+		c.Policy = cache.WriteThrough
+		if cfg.Persist == "wb" {
+			c.Policy = cache.WriteBack
+		}
+		c.Dir = filepath.Join(dir, "lsm")
+		c.StorageRTT = cfg.RTT
+		if cfg.CacheRatioX > 0 && cfg.ExpectedLogicalBytes > 0 {
+			// Physical cache budget for 1/X of the data, with engine
+			// overhead headroom.
+			c.CacheBytes = int64(float64(cfg.ExpectedLogicalBytes) / float64(cfg.CacheRatioX) * 1.6)
+		}
+	default:
+		return c, fmt.Errorf("bench: unknown persist mode %q", cfg.Persist)
+	}
+	return c, nil
+}
+
 // spin busy-waits (models CPU work, unlike time.Sleep which yields).
 func spin(d time.Duration) {
 	if d <= 0 {
@@ -62,97 +89,51 @@ func spin(d time.Duration) {
 	}
 }
 
-// TBSystem is a fully wired TierBase instance for the harness. It
-// implements the same surface as baselines.System.
+// TBSystem is a TierBase configuration as the harness drives it: the
+// shipping stack (internal/stack) on an elastic pool, plus what is the
+// harness's own — the dispatch model, the wal/wal-pmem rows' log, the
+// per-op CPU cost and replica accounting. It implements the same surface
+// as baselines.System.
 type TBSystem struct {
 	name     string
 	pool     *elastic.Pool
-	eng      *engine.Engine
-	replicas int
-	tiered   *cache.Tiered
-	remote   *cache.Remote
-	db       *lsm.DB
+	st       *stack.Stack
 	wlog     wal.Appender
-	arena    *pmem.Arena
-	pmemDev  *pmem.Device
-	comp     compress.Compressor
+	replicas int
 	opCost   time.Duration
 }
 
 // BuildTierBase wires a TierBase configuration. dir is used by persistent
 // modes for the LSM store / WAL files.
 func BuildTierBase(cfg TBConfig, dir string) (*TBSystem, error) {
-	s := &TBSystem{name: cfg.Name, opCost: cfg.OpCost, replicas: cfg.Replicas}
+	c, err := cfg.stackConfig(dir)
+	if err != nil {
+		return nil, err
+	}
+	st, err := stack.Open(c)
+	if err != nil {
+		return nil, err
+	}
+	s := &TBSystem{name: cfg.Name, st: st, opCost: cfg.OpCost, replicas: cfg.Replicas}
 	if s.name == "" {
 		s.name = "tierbase"
 	}
-
-	// Compression.
-	engOpts := engine.Options{}
-	if cfg.Compressor != "" {
-		c, err := compress.ByName(cfg.Compressor, cfg.CompressLevel)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.TrainOn != nil {
-			if err := c.Train(workload.Sample(cfg.TrainOn, 500)); err != nil {
-				return nil, err
-			}
-		}
-		engOpts.Compressor = c
-		engOpts.CompressMin = 16
-		s.comp = c
+	if s.wlog, err = openLog(cfg.Persist, dir); err != nil {
+		st.Close()
+		return nil, err
 	}
+	s.pool = elastic.NewPool(elastic.PoolOptions{Fixed: cfg.Threads})
+	return s, nil
+}
 
-	// PMem arena.
-	if cfg.PMem {
-		s.pmemDev = pmem.OpenVolatile(256<<20, cfg.PMemLatency)
-		s.arena = pmem.NewArena(s.pmemDev, 0)
-		engOpts.Arena = s.arena
-		engOpts.PMemMin = 64
-	}
-
-	s.eng = engine.New(engOpts)
-
-	// Threading.
-	poolOpts := elastic.PoolOptions{MaxWorkers: 4}
-	switch {
-	case cfg.Threads == 1:
-		poolOpts.Fixed = 1
-	case cfg.Threads > 1:
-		poolOpts.Fixed = cfg.Threads
-	default:
-		poolOpts.EvalInterval = 5 * time.Millisecond
-		// Clients submit synchronously, so backlog equals the number of
-		// blocked connections; a handful of waiters already signals that
-		// the single worker is saturated.
-		poolOpts.BoostQueueDepth = 4
-		poolOpts.CooldownTicks = 40
-	}
-	s.pool = elastic.NewPool(poolOpts)
-
-	// Persistence.
-	switch cfg.Persist {
-	case "":
-		tr, err := cache.New(cache.Options{Policy: cache.CacheOnly, Engine: s.eng})
-		if err != nil {
-			return nil, err
-		}
-		s.tiered = tr
+// openLog opens the wal rows' AOF-style log in dir: on disk, or staged in
+// a PMem ring in front of an unsynced disk log. Other rows have none.
+func openLog(persist, dir string) (wal.Appender, error) {
+	switch persist {
 	case "wal":
-		log, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Policy: wal.SyncInterval})
-		if err != nil {
-			return nil, err
-		}
-		s.wlog = log
-		tr, err := cache.New(cache.Options{Policy: cache.CacheOnly, Engine: s.eng})
-		if err != nil {
-			return nil, err
-		}
-		s.tiered = tr
+		return wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Policy: wal.SyncInterval})
 	case "wal-pmem":
-		dev := pmem.OpenVolatile(8<<20, cfg.PMemLatency)
-		ring, err := pmem.NewRing(dev)
+		ring, err := pmem.NewRing(pmem.OpenVolatile(8<<20, pmem.DefaultLatency))
 		if err != nil {
 			return nil, err
 		}
@@ -160,187 +141,99 @@ func BuildTierBase(cfg TBConfig, dir string) (*TBSystem, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.wlog = wal.NewPMemLog(ring, back)
-		tr, err := cache.New(cache.Options{Policy: cache.CacheOnly, Engine: s.eng})
-		if err != nil {
-			return nil, err
-		}
-		s.tiered = tr
-	case "wt", "wb":
-		db, err := lsm.Open(lsm.Options{
-			Dir: filepath.Join(dir, "lsm"), MemtableBytes: 4 << 20,
-			WALSyncPolicy: wal.SyncInterval,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.db = db
-		s.remote = cache.NewRemote(cache.NewLSMStorage(db), cfg.RTT)
-		var capBytes int64
-		if cfg.CacheRatioX > 0 && cfg.ExpectedLogicalBytes > 0 {
-			// Physical cache budget for 1/X of the data, with engine
-			// overhead headroom.
-			capBytes = int64(float64(cfg.ExpectedLogicalBytes) / float64(cfg.CacheRatioX) * 1.6)
-		}
-		policy := cache.WriteThrough
-		if cfg.Persist == "wb" {
-			policy = cache.WriteBack
-		}
-		tr, err := cache.New(cache.Options{
-			Policy: policy, Engine: s.eng, Storage: s.remote, CacheCapacityBytes: capBytes,
-			FlushBatch: 64, FlushInterval: 20 * time.Millisecond,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.tiered = tr
-	default:
-		return nil, fmt.Errorf("bench: unknown persist mode %q", cfg.Persist)
+		return wal.NewPMemLog(ring, back), nil
 	}
-	return s, nil
+	return nil, nil
 }
 
 // Name implements the system surface.
 func (s *TBSystem) Name() string { return s.name }
 
-// Set routes a write through the threading pool and persistence path.
-// Tiered configurations issue the storage-tier round trip off the event
-// loop: the paper's write-through design keeps the loop responsive via
-// the temporary update buffer while the storage write is in flight, so
-// only the in-memory command cost occupies a worker.
-func (s *TBSystem) Set(key string, val []byte) error {
+// do is the harness's dispatch model. The op's in-memory part — its CPU
+// cost and, for the wal rows, the log append of rec — runs on the pool. A
+// row with a storage tier makes its tiered call off the pool: the paper's
+// design keeps the event loop responsive while a storage round trip is in
+// flight (see the package doc), so only the in-memory part occupies a
+// worker. Other rows make it on the pool.
+func (s *TBSystem) do(rec []byte, op func() error) error {
+	offPool := s.st.DB != nil
 	var err error
 	perr := s.pool.SubmitWait(func() {
 		spin(s.opCost)
-		if s.wlog != nil {
-			rec := make([]byte, 0, len(key)+len(val)+8)
-			rec = append(rec, 'S')
-			rec = append(rec, byte(len(key)), byte(len(key)>>8))
-			rec = append(rec, key...)
-			rec = append(rec, val...)
+		if s.wlog != nil && rec != nil {
 			if err = s.wlog.Append(rec); err != nil {
 				return
 			}
 		}
-		if s.remote == nil {
-			err = s.tiered.Set(key, val)
+		if !offPool {
+			err = op()
 		}
 	})
 	if perr != nil {
 		return perr
 	}
-	if err == nil && s.remote != nil {
-		err = s.tiered.Set(key, val)
+	if err == nil && offPool {
+		err = op()
 	}
 	return err
 }
 
-// Get routes a read through the threading pool; storage-tier misses
-// resolve off the loop (see Set).
-func (s *TBSystem) Get(key string) ([]byte, error) {
-	var v []byte
-	var err error
-	perr := s.pool.SubmitWait(func() {
-		spin(s.opCost)
-		if s.remote == nil {
-			v, err = s.tiered.Get(key)
-		}
-	})
-	if perr != nil {
-		return nil, perr
+// Set stores key = val; the wal rows log it first.
+func (s *TBSystem) Set(key string, val []byte) error {
+	var rec []byte
+	if s.wlog != nil {
+		rec = make([]byte, 0, len(key)+len(val)+8)
+		rec = append(rec, 'S')
+		rec = append(rec, byte(len(key)), byte(len(key)>>8))
+		rec = append(rec, key...)
+		rec = append(rec, val...)
 	}
-	if s.remote != nil {
-		v, err = s.tiered.Get(key)
-	}
+	return s.do(rec, func() error { return s.st.Set(key, val) })
+}
+
+// Get fetches key.
+func (s *TBSystem) Get(key string) (v []byte, err error) {
+	err = s.do(nil, func() (err error) { v, err = s.st.Get(key); return })
 	return v, err
 }
 
-// Delete routes a delete through the threading pool.
+// Delete removes key; the wal rows log it first.
 func (s *TBSystem) Delete(key string) error {
-	var err error
-	perr := s.pool.SubmitWait(func() {
-		spin(s.opCost)
-		if s.wlog != nil {
-			rec := append([]byte{'D'}, key...)
-			if err = s.wlog.Append(rec); err != nil {
-				return
-			}
-		}
-		if s.remote == nil {
-			err = s.tiered.Delete(key)
-		}
-	})
-	if perr != nil {
-		return perr
-	}
-	if err == nil && s.remote != nil {
-		err = s.tiered.Delete(key)
-	}
-	return err
+	return s.do(append([]byte{'D'}, key...), func() error { return s.st.Delete(key) })
 }
 
 // MemBytes sums DRAM across primary and replicas.
 func (s *TBSystem) MemBytes() int64 {
-	return s.eng.MemUsed() * int64(1+s.replicas)
+	return s.st.Engine().MemUsed() * int64(1+s.replicas)
 }
 
 // PMemBytes reports persistent-memory bytes in use.
 func (s *TBSystem) PMemBytes() int64 {
-	if s.arena == nil {
-		return 0
-	}
-	return s.arena.Used() * int64(1+s.replicas)
+	return s.st.Engine().Stats().PMemUsed * int64(1+s.replicas)
 }
 
 // DiskBytes reports storage-tier bytes.
 func (s *TBSystem) DiskBytes() int64 {
-	if s.db != nil {
-		return s.db.Stats().DiskBytes
+	if s.st.DB != nil {
+		return s.st.DB.Stats().DiskBytes
 	}
 	if s.wlog != nil {
 		// AOF-style: post-rewrite log ≈ dataset size.
-		return s.eng.MemUsed()
+		return s.st.Engine().MemUsed()
 	}
 	return 0
-}
-
-// Tiered exposes the tiered store (MR stats).
-func (s *TBSystem) Tiered() *cache.Tiered { return s.tiered }
-
-// Pool exposes the elastic pool (mode observation).
-func (s *TBSystem) Pool() *elastic.Pool { return s.pool }
-
-// Remote exposes storage-tier RPC stats (nil for cache-only).
-func (s *TBSystem) Remote() *cache.Remote { return s.remote }
-
-// FlushDirty drains write-back dirty data (checkpoint for measurement).
-func (s *TBSystem) FlushDirty() error {
-	if s.tiered != nil {
-		return s.tiered.FlushDirty()
-	}
-	return nil
 }
 
 // Close releases all resources.
 func (s *TBSystem) Close() error {
 	s.pool.Stop()
-	var first error
-	if s.tiered != nil {
-		if err := s.tiered.Close(); err != nil {
-			first = err
-		}
-	}
+	err := s.st.Close()
 	if s.wlog != nil {
-		if err := s.wlog.Close(); err != nil && first == nil {
-			first = err
+		if werr := s.wlog.Close(); err == nil {
+			err = werr
 		}
 	}
-	if s.db != nil {
-		if err := s.db.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return err
 }
 
 // measureOverhead loads n records of ds into an engine configured like
@@ -352,7 +245,6 @@ func measureOverhead(cfg TBConfig, ds workload.Dataset, n int) (dramRatio, pmemR
 	probe.Replicas = 0
 	probe.Threads = 1
 	probe.Name = "probe"
-	probe.PMemLatency = pmem.Latency{} // capacity probing needs no latency
 	sys, err := BuildTierBase(probe, "")
 	if err != nil {
 		return 0, 0, err

@@ -12,8 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"tierbase/internal/metrics"
 )
 
 // Mode labels the current threading mode.
@@ -41,22 +39,16 @@ type PoolOptions struct {
 	MaxWorkers int
 	// QueueSize bounds the pending task queue (default 4096).
 	QueueSize int
-	// BoostQueueDepth triggers scale-up when the queue backlog exceeds it
-	// (default QueueSize/8). Note that callers which keep at most one task
-	// in flight per connection (the server's command loop) produce a depth
-	// of at most connections-1, so front ends should set this to a small
-	// absolute value rather than relying on the queue-relative default.
+	// BoostQueueDepth triggers scale-up when the queue backlog reaches it
+	// (default 4). Every front end (the server's command loop, the embedded
+	// store's SubmitWait) keeps at most one task in flight per caller, so
+	// the backlog is at most the number of callers waiting for a worker:
+	// a handful already says the single worker is saturated.
 	BoostQueueDepth int
 	// BoostTicks is how many consecutive hot evaluations are needed before
 	// scaling up (boost-side hysteresis; default 1: react on the first
 	// tick that observes a backlog).
 	BoostTicks int
-	// BoostSubmitRate triggers scale-up when the windowed submission rate
-	// (tasks/sec over the recent window) crosses it, even with an empty
-	// queue. CPU-bound cache-resident bursts drain the queue as fast as it
-	// fills — depth never accumulates — but the submit rate still shows
-	// the burst. 0 disables the rate trigger (depth-only, the default).
-	BoostSubmitRate float64
 	// EvalInterval is the controller period (default 10 ms).
 	EvalInterval time.Duration
 	// CooldownTicks is how many consecutive calm evaluations are needed
@@ -75,10 +67,7 @@ func (o *PoolOptions) fill() {
 		o.QueueSize = 4096
 	}
 	if o.BoostQueueDepth <= 0 {
-		o.BoostQueueDepth = o.QueueSize / 8
-		if o.BoostQueueDepth < 1 {
-			o.BoostQueueDepth = 1
-		}
+		o.BoostQueueDepth = 4
 	}
 	if o.BoostTicks <= 0 {
 		o.BoostTicks = 1
@@ -119,7 +108,6 @@ type Pool struct {
 	boosts   atomic.Int64 // scale-up events
 	shrinks  atomic.Int64 // scale-down events
 	executed atomic.Int64
-	rate     *metrics.WindowCounter
 	calm     int
 	hot      int
 }
@@ -132,7 +120,6 @@ func NewPool(opts PoolOptions) *Pool {
 		tasks:  make(chan Task, opts.QueueSize),
 		quitCh: make(chan struct{}, opts.MaxWorkers),
 		stopCh: make(chan struct{}),
-		rate:   metrics.NewWindowCounter(10, 100*time.Millisecond),
 	}
 	start := 1
 	if opts.Fixed > 0 {
@@ -200,13 +187,7 @@ func (p *Pool) controlLoop() {
 		}
 		depth := len(p.tasks)
 		cur := int(p.workers.Load())
-		// Hot on queue backlog OR on windowed submit rate: a CPU-bound
-		// burst served from cache keeps the queue near-empty while the
-		// rate counter (marked on every submit) still sees it.
 		hot := depth >= p.opts.BoostQueueDepth
-		if !hot && p.opts.BoostSubmitRate > 0 {
-			hot = p.rate.Rate() >= p.opts.BoostSubmitRate
-		}
 		switch {
 		case hot && cur < p.opts.MaxWorkers:
 			p.calm = 0
@@ -224,9 +205,7 @@ func (p *Pool) controlLoop() {
 			}
 			p.boosts.Add(1)
 			p.hot = 0
-		case !hot && depth == 0 && cur > 1:
-			// !hot matters at MaxWorkers: a rate-hot burst served from
-			// cache keeps depth at 0, which must not read as calm.
+		case depth == 0 && cur > 1:
 			p.hot = 0
 			p.calm++
 			if p.calm >= p.opts.CooldownTicks {
@@ -255,7 +234,6 @@ func (p *Pool) SubmitTask(t Task) error {
 	if p.stopped.Load() {
 		return ErrStopped
 	}
-	p.rate.Mark(1)
 	select {
 	case p.tasks <- t:
 		return nil
@@ -301,7 +279,6 @@ type Stats struct {
 	Shrinks    int64
 	Executed   int64
 	Backlog    int
-	SubmitRate float64 // submissions/sec over the recent window
 }
 
 // Stats returns a snapshot.
@@ -313,7 +290,6 @@ func (p *Pool) Stats() Stats {
 		Shrinks:    p.shrinks.Load(),
 		Executed:   p.executed.Load(),
 		Backlog:    len(p.tasks),
-		SubmitRate: p.rate.Rate(),
 	}
 }
 

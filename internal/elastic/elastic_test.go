@@ -189,42 +189,16 @@ func TestThroughputImprovesWithBoost(t *testing.T) {
 	}
 }
 
-func TestPoolBoostsOnSubmitRate(t *testing.T) {
-	p := NewPool(PoolOptions{
-		MaxWorkers:      4,
-		QueueSize:       256,
-		BoostQueueDepth: 1000000, // depth trigger effectively off
-		BoostSubmitRate: 100,     // tasks/sec
-		EvalInterval:    5 * time.Millisecond,
-	})
-	defer p.Stop()
-	// Fast tasks: the queue drains as quickly as it fills (depth stays
-	// ~0), so only the windowed submit rate can see this burst.
-	deadline := time.Now().Add(2 * time.Second)
-	for p.Workers() < 2 && time.Now().Before(deadline) {
-		for i := 0; i < 50; i++ {
-			p.SubmitWait(func() {})
-		}
-	}
-	if p.Workers() < 2 {
-		t.Fatalf("rate trigger never boosted: %d workers, stats %+v", p.Workers(), p.Stats())
-	}
-	if p.Stats().Boosts == 0 {
-		t.Fatal("boost counter zero")
-	}
-}
-
+// TestPoolRateTriggerDisabledByDefault: backlog is the only trigger. One
+// caller submitting back to back never leaves a task waiting, so however
+// fast it submits the pool stays single at the default depth.
 func TestPoolRateTriggerDisabledByDefault(t *testing.T) {
-	p := NewPool(PoolOptions{
-		MaxWorkers:      4,
-		BoostQueueDepth: 1000000,
-		EvalInterval:    time.Millisecond,
-	})
+	p := NewPool(PoolOptions{MaxWorkers: 4, EvalInterval: time.Millisecond})
 	defer p.Stop()
 	for i := 0; i < 200; i++ {
 		p.SubmitWait(func() {})
 	}
 	if p.Stats().Boosts != 0 {
-		t.Fatalf("boosted on rate with BoostSubmitRate unset: %+v", p.Stats())
+		t.Fatalf("one caller boosted the pool: %+v", p.Stats())
 	}
 }

@@ -130,7 +130,7 @@ const DefaultShards = 16
 type Options struct {
 	// Compressor transparently encodes string values (nil = raw).
 	Compressor compress.Compressor
-	// CompressMin is the minimum value size to compress (default 32 B).
+	// CompressMin is the minimum value size to compress (default 16 B).
 	CompressMin int
 	// Monitor observes compression outcomes for retrain decisions.
 	Monitor *compress.Monitor
@@ -148,7 +148,7 @@ type Options struct {
 
 func (o *Options) fill() {
 	if o.CompressMin <= 0 {
-		o.CompressMin = 32
+		o.CompressMin = 16
 	}
 	if o.PMemMin <= 0 {
 		o.PMemMin = 64

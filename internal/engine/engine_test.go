@@ -257,7 +257,7 @@ func TestCompressionTransparent(t *testing.T) {
 	ds := workload.NewKV1()
 	pbc := compress.NewPBC()
 	pbc.Train(workload.Sample(ds, 200))
-	e := New(Options{Compressor: pbc, CompressMin: 16})
+	e := New(Options{Compressor: pbc})
 	val := ds.Record(9999)
 	e.Set("k", val)
 	got, err := e.Get("k")
@@ -272,7 +272,7 @@ func TestCompressionSavesMemory(t *testing.T) {
 	dict.Train(workload.Sample(ds, 300))
 
 	plain := New(Options{})
-	comp := New(Options{Compressor: dict, CompressMin: 16})
+	comp := New(Options{Compressor: dict})
 	for i := int64(0); i < 200; i++ {
 		k := fmt.Sprintf("key%05d", i)
 		plain.Set(k, ds.Record(i))
@@ -328,7 +328,7 @@ func TestPMemWithCompression(t *testing.T) {
 	dict := compress.NewDeflate(6, true)
 	dict.Train(workload.Sample(ds, 200))
 	arena := pmem.NewArena(pmem.OpenVolatile(1<<20, pmem.Latency{}), 0)
-	e := New(Options{Compressor: dict, CompressMin: 16, Arena: arena, PMemMin: 32})
+	e := New(Options{Compressor: dict, Arena: arena, PMemMin: 32})
 	val := ds.Record(7777)
 	e.Set("k", val)
 	got, err := e.Get("k")

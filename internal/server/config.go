@@ -39,11 +39,7 @@ type Config struct {
 	// server doesn't own the LSM handles — the tiered store sees only the
 	// Storage interface).
 	StorageStats func() []lsm.Stats
-	// Pool configures each shard's elastic pool. When BoostQueueDepth is
-	// unset the server picks a small absolute default (see Start): each
-	// connection keeps at most one command in flight, so pool queue depth
-	// equals connections waiting for a worker, and the pool's
-	// queue-relative default would never trip.
+	// Pool configures each shard's elastic pool.
 	Pool elastic.PoolOptions
 	// Replication configures the replication/cluster role of this
 	// process. Replication is enabled iff Replication.NodeID is set.
@@ -135,9 +131,6 @@ func (rc *ReplicationConfig) Enabled() bool { return rc.NodeID != "" }
 func (c *Config) normalize() {
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.Pool.BoostQueueDepth <= 0 {
-		c.Pool.BoostQueueDepth = 4
 	}
 	r := &c.Replication
 	if r.LogCap <= 0 {

@@ -32,7 +32,6 @@ func (s *Server) info(section string) string {
 			fmt.Fprintf(&b, "shard%d_shrinks:%d\r\n", i, ps.Shrinks)
 			fmt.Fprintf(&b, "shard%d_queue_depth:%d\r\n", i, ps.Backlog)
 			fmt.Fprintf(&b, "shard%d_tasks:%d\r\n", i, ps.Executed)
-			fmt.Fprintf(&b, "shard%d_submit_rate:%.1f\r\n", i, ps.SubmitRate)
 		}
 		fmt.Fprintf(&b, "keys:%d\r\nmem_bytes:%d\r\n", keys, mem)
 		fmt.Fprintf(&b, "mem_payload_bytes:%d\r\nmem_overhead_bytes:%d\r\n", payload, mem-payload)

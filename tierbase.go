@@ -40,7 +40,6 @@ package tierbase
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"tierbase/internal/cache"
@@ -48,22 +47,20 @@ import (
 	"tierbase/internal/core"
 	"tierbase/internal/elastic"
 	"tierbase/internal/engine"
-	"tierbase/internal/lsm"
-	"tierbase/internal/pmem"
-	"tierbase/internal/wal"
+	"tierbase/internal/stack"
 )
 
 // Policy selects cache/storage synchronization (paper §4.1).
 type Policy int
 
-// Policies.
+// Policies, the cache tier's own.
 const (
 	// CacheOnly keeps all data in the cache tier (no storage tier).
-	CacheOnly Policy = iota
+	CacheOnly = Policy(cache.CacheOnly)
 	// WriteThrough synchronously persists each write to the storage tier.
-	WriteThrough
+	WriteThrough = Policy(cache.WriteThrough)
 	// WriteBack acks from the cache tier and batches writes to storage.
-	WriteBack
+	WriteBack = Policy(cache.WriteBack)
 )
 
 // Options configures a Store.
@@ -107,105 +104,47 @@ type Options struct {
 
 // Store is an embedded TierBase instance.
 type Store struct {
-	opts   Options
 	eng    *engine.Engine
-	tiered *cache.Tiered
+	tiered *stack.Stack
+	engOpt *stack.Engine // owns the PMem device eng's arena writes to
 	pool   *elastic.Pool
-	db     *lsm.DB
-	dev    *pmem.Device
-	comp   compress.Compressor
 	mon    *compress.Monitor
 }
 
 // Open builds a Store from options.
 func Open(opts Options) (*Store, error) {
-	s := &Store{opts: opts}
-
-	engOpts := engine.Options{Shards: opts.Shards}
-	if opts.Compression != "" {
-		c, err := compress.ByName(opts.Compression, opts.CompressionLevel)
-		if err != nil {
-			return nil, err
-		}
-		if len(opts.TrainingSamples) > 0 {
-			if err := c.Train(opts.TrainingSamples); err != nil {
-				return nil, err
-			}
-		}
-		s.comp = c
-		s.mon = compress.NewMonitor(0)
-		engOpts.Compressor = c
-		engOpts.CompressMin = 16
-		engOpts.Monitor = s.mon
+	cfg := stack.Config{
+		Policy:           cache.Policy(opts.Policy),
+		Dir:              opts.Dir,
+		CacheBytes:       opts.CacheCapacityBytes,
+		Compression:      opts.Compression,
+		CompressionLevel: opts.CompressionLevel,
+		TrainingSamples:  opts.TrainingSamples,
+		PMemBytes:        opts.PMemBytes,
+		PMemPath:         opts.PMemPath,
+		Stripes:          opts.Shards,
+		StorageRTT:       opts.StorageRTT,
 	}
-	if opts.PMemBytes > 0 {
-		if opts.PMemPath != "" {
-			dev, err := pmem.Open(opts.PMemPath, int(opts.PMemBytes), pmem.DefaultLatency)
-			if err != nil {
-				return nil, err
-			}
-			s.dev = dev
-		} else {
-			s.dev = pmem.OpenVolatile(int(opts.PMemBytes), pmem.Latency{})
-		}
-		engOpts.Arena = pmem.NewArena(s.dev, 0)
-	}
-	s.eng = engine.New(engOpts)
-
-	maxThreads := opts.MaxThreads
-	if maxThreads <= 0 {
-		maxThreads = 4
-	}
-	poolOpts := elastic.PoolOptions{MaxWorkers: maxThreads}
-	if !opts.ElasticThreading {
-		poolOpts.Fixed = opts.Threads
-		if poolOpts.Fixed <= 0 {
-			poolOpts.Fixed = 1
-		}
-	}
-	s.pool = elastic.NewPool(poolOpts)
-
-	cacheOpts := cache.Options{
-		Engine:             s.eng,
-		CacheCapacityBytes: opts.CacheCapacityBytes,
-	}
-	switch opts.Policy {
-	case CacheOnly:
-		cacheOpts.Policy = cache.CacheOnly
-	case WriteThrough, WriteBack:
-		if opts.Dir == "" {
-			s.pool.Stop()
-			return nil, errors.New("tierbase: Dir required for tiered policies")
-		}
-		db, err := lsm.Open(lsm.Options{Dir: opts.Dir, WALSyncPolicy: wal.SyncInterval})
-		if err != nil {
-			s.pool.Stop()
-			return nil, err
-		}
-		s.db = db
-		var stor cache.Storage = cache.NewLSMStorage(db)
-		if opts.StorageRTT > 0 {
-			stor = cache.NewRemote(stor, opts.StorageRTT)
-		}
-		cacheOpts.Storage = stor
-		if opts.Policy == WriteThrough {
-			cacheOpts.Policy = cache.WriteThrough
-		} else {
-			cacheOpts.Policy = cache.WriteBack
-		}
-	default:
-		s.pool.Stop()
-		return nil, fmt.Errorf("tierbase: unknown policy %d", opts.Policy)
-	}
-	tr, err := cache.New(cacheOpts)
+	eo, err := stack.NewEngine(cfg)
 	if err != nil {
-		s.pool.Stop()
-		if s.db != nil {
-			s.db.Close()
-		}
 		return nil, err
 	}
-	s.tiered = tr
+	s := &Store{engOpt: eo}
+	if eo.Options.Compressor != nil {
+		s.mon = compress.NewMonitor(0)
+		eo.Options.Monitor = s.mon
+	}
+	s.eng = engine.New(eo.Options)
+	if s.tiered, err = stack.NewTiered(cfg, s.eng); err != nil {
+		eo.Close()
+		return nil, err
+	}
+
+	poolOpts := elastic.PoolOptions{MaxWorkers: opts.MaxThreads}
+	if !opts.ElasticThreading {
+		poolOpts.Fixed = max(opts.Threads, 1)
+	}
+	s.pool = elastic.NewPool(poolOpts)
 	return s, nil
 }
 
@@ -346,8 +285,8 @@ func (s *Store) Stats() Stats {
 		BackpressureWaits: cst.BackpressureWaits,
 		Workers:           s.pool.Workers(),
 	}
-	if s.db != nil {
-		st.StorageDiskBytes = s.db.Stats().DiskBytes
+	if s.tiered.DB != nil {
+		st.StorageDiskBytes = s.tiered.DB.Stats().DiskBytes
 	}
 	st.CompressionRatio = 1
 	if s.mon != nil && s.mon.Records() > 0 {
@@ -363,15 +302,8 @@ func (s *Store) FlushDirty() error { return s.tiered.FlushDirty() }
 func (s *Store) Close() error {
 	s.pool.Stop()
 	err := s.tiered.Close()
-	if s.db != nil {
-		if derr := s.db.Close(); err == nil {
-			err = derr
-		}
-	}
-	if s.dev != nil {
-		if perr := s.dev.Close(); err == nil {
-			err = perr
-		}
+	if perr := s.engOpt.Close(); err == nil {
+		err = perr
 	}
 	return err
 }

@@ -184,13 +184,43 @@ func TestTTLAndEngineAccess(t *testing.T) {
 }
 
 func TestElasticOption(t *testing.T) {
-	s, err := Open(Options{ElasticThreading: true, MaxThreads: 4})
+	s, err := Open(Options{ElasticThreading: true, MaxThreads: 4, Compression: "zstd-b", CompressionLevel: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	if s.Stats().Workers != 1 {
 		t.Fatalf("elastic should start single: %d", s.Stats().Workers)
+	}
+
+	// Saturating callers: each keeps one call in flight, so the backlog is
+	// the callers waiting for the one worker, and that must boost it.
+	val := bytes.Repeat(workload.NewKV1().Record(1), 24)[:4096]
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				s.Set(fmt.Sprintf("c%d-%d", g, i%64), val)
+			}
+		}()
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for s.Stats().Workers < 2 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	workers := s.Stats().Workers
+	close(stop)
+	wg.Wait()
+	if workers < 2 {
+		t.Fatalf("16 saturating callers left the pool at %d worker", workers)
 	}
 }
 
