@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 func mgKeys(keys ...string) [][]byte {
@@ -202,10 +203,11 @@ func TestMultiGetMatchesGetProperty(t *testing.T) {
 // read must see either the old or the new version of a key — never an
 // error, a torn value, or a closed table.
 func TestConcurrentReadsDuringFlushAndCompaction(t *testing.T) {
+	const l0Trigger = 2
 	db := testDB(t, Options{
 		DisableWAL:          true,
 		MemtableBytes:       4 << 10,
-		L0CompactionTrigger: 2,
+		L0CompactionTrigger: l0Trigger,
 		BaseLevelBytes:      16 << 10,
 		TargetFileBytes:     8 << 10,
 	})
@@ -216,6 +218,19 @@ func TestConcurrentReadsDuringFlushAndCompaction(t *testing.T) {
 		db.Put([]byte(fmt.Sprintf("st%04d", i)), val(0))
 	}
 	stop := make(chan struct{})
+	// roomInL0 waits while L0 is at its trigger. The compactor serves
+	// L0 → L1 first, so writers that keep L0 there starve every L1 → L2
+	// pick, the only kind that can be a move. False once stop is closed.
+	roomInL0 := func() bool {
+		for db.Stats().LevelFiles[0] >= l0Trigger {
+			select {
+			case <-stop:
+				return false
+			case <-time.After(time.Millisecond):
+			}
+		}
+		return true
+	}
 	var writerWg, wg sync.WaitGroup
 	writerWg.Add(1)
 	go func() { // writer: constant churn forcing rotations + compactions
@@ -227,6 +242,9 @@ func TestConcurrentReadsDuringFlushAndCompaction(t *testing.T) {
 			default:
 			}
 			for i := 0; i < keyspace; i++ {
+				if !roomInL0() {
+					return
+				}
 				if err := db.Put([]byte(fmt.Sprintf("st%04d", i)), val(gen)); err != nil {
 					t.Errorf("put: %v", err)
 					return
@@ -306,6 +324,7 @@ func TestConcurrentReadsDuringFlushAndCompaction(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(7 + w)))
 			for i := w; i < ascending; i += 2 {
+				roomInL0()
 				if err := db.Put([]byte(fmt.Sprintf("up%06d", i)), val(i)); err != nil {
 					t.Errorf("put: %v", err)
 					return

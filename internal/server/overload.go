@@ -2,7 +2,6 @@ package server
 
 import (
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -186,25 +185,4 @@ func (s *Server) sampleWatermark() {
 	case usage <= cfg.LowWatermarkBytes:
 		s.over.overloaded.Store(false)
 	}
-}
-
-// overloadInfo renders the "# Overload" INFO section.
-func (s *Server) overloadInfo(b *strings.Builder) {
-	cfg := &s.opts.Overload
-	s.mu.Lock()
-	conns := len(s.conns)
-	s.mu.Unlock()
-	fmt.Fprintf(b, "# Overload\r\n")
-	fmt.Fprintf(b, "connected_clients:%d\r\n", conns)
-	fmt.Fprintf(b, "max_conns:%d\r\n", cfg.MaxConns)
-	fmt.Fprintf(b, "maxconn_rejects:%d\r\n", s.over.maxConnRejects.Load())
-	fmt.Fprintf(b, "shed_conns:%d\r\n", s.over.shedConns.Load())
-	fmt.Fprintf(b, "idle_closes:%d\r\n", s.over.idleCloses.Load())
-	fmt.Fprintf(b, "slowest_client_buffer_bytes:%d\r\n", s.over.slowestOut.Load())
-	fmt.Fprintf(b, "overloaded:%d\r\n", boolToInt(s.over.overloaded.Load()))
-	fmt.Fprintf(b, "mem_usage_bytes:%d\r\n", s.over.memUsage.Load())
-	fmt.Fprintf(b, "high_watermark_bytes:%d\r\n", cfg.HighWatermarkBytes)
-	fmt.Fprintf(b, "low_watermark_bytes:%d\r\n", cfg.LowWatermarkBytes)
-	fmt.Fprintf(b, "rejected_writes:%d\r\n", s.over.rejectedWrites.Load())
-	fmt.Fprintf(b, "watermark_trips:%d\r\n", s.over.watermarkTrips.Load())
 }

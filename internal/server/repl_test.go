@@ -423,6 +423,20 @@ func TestSetIncrOrderingConverges(t *testing.T) {
 	}
 }
 
+// TestInfoAckLagNeverUnderflows: a replica whose ack is ahead of the head
+// INFO read (a write appended and acknowledged between the two reads)
+// reports ack_lag=0, not the head minus the ack wrapped around 2^64.
+func TestInfoAckLagNeverUnderflows(t *testing.T) {
+	master, mc := startMaster(t, nil)
+	if err := mc.Set("k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	master.repl.acks.Ack("ahead", master.repl.log.Seq()+3)
+	if got := infoField(t, mc, "replication", "replica0"); !strings.HasSuffix(got, ",ack_lag=0") {
+		t.Fatalf("replica0:%s, want ack_lag=0", got)
+	}
+}
+
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Replication: ReplicationConfig{MasterAddr: "127.0.0.1:1"}},

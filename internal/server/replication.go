@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"net"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -967,46 +966,4 @@ func (r *serverRepl) deregister() {
 	}
 	defer cc.Close()
 	cc.Do("CLUSTER", "DEREGISTER", r.cfg.NodeID)
-}
-
-// --- INFO replication ---
-
-// info renders the "# Replication" section: role, sequence positions,
-// attached replicas with ack lag, sync counters.
-func (r *serverRepl) info(b *strings.Builder) {
-	fmt.Fprintf(b, "# Replication\r\n")
-	role := "master"
-	if r.isReplica() {
-		role = "replica"
-	}
-	seq := r.log.Seq()
-	fmt.Fprintf(b, "role:%s\r\n", role)
-	fmt.Fprintf(b, "node_id:%s\r\n", r.cfg.NodeID)
-	fmt.Fprintf(b, "repl_seq:%d\r\n", seq)
-	fmt.Fprintf(b, "repl_start_seq:%d\r\n", r.log.StartSeq())
-	fmt.Fprintf(b, "semi_sync_acks:%d\r\n", r.cfg.SemiSyncAcks)
-	if role == "replica" {
-		link := "down"
-		if r.masterLinkUp.Load() {
-			link = "up"
-		}
-		fmt.Fprintf(b, "master_addr:%s\r\n", r.currentMasterAddr())
-		fmt.Fprintf(b, "master_link:%s\r\n", link)
-		fmt.Fprintf(b, "last_applied_seq:%d\r\n", r.lastApplied.Load())
-	}
-	acked := r.acks.Snapshot()
-	ids := make([]string, 0, len(acked))
-	for id := range acked {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	fmt.Fprintf(b, "connected_replicas:%d\r\n", len(ids))
-	for i, id := range ids {
-		fmt.Fprintf(b, "replica%d:id=%s,acked_seq=%d,ack_lag=%d\r\n", i, id, acked[id], seq-acked[id])
-	}
-	fmt.Fprintf(b, "full_syncs_served:%d\r\n", r.fullSyncsServed.Load())
-	fmt.Fprintf(b, "full_syncs_done:%d\r\n", r.fullSyncsDone.Load())
-	fmt.Fprintf(b, "apply_errors:%d\r\n", r.applyErrors.Load())
-	fmt.Fprintf(b, "laggards_shed:%d\r\n", r.laggardsShed.Load())
-	fmt.Fprintf(b, "max_write_stall_ns:%d\r\n", r.writeStall.Load())
 }
