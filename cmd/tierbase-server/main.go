@@ -108,8 +108,7 @@ func main() {
 		elasticOn   = flag.Bool("elastic", true, "enable elastic threading")
 		maxWorkers  = flag.Int("max-workers", 4, "CPU budget per shard")
 		cacheBytes  = flag.Int64("cache-bytes", 0, "cache capacity per shard, tiered policies only (0 = unbounded)")
-		boostDepth  = flag.Int("boost-depth", 0, "queue backlog that triggers boost mode (0 = default 4)")
-		queueSize   = flag.Int("queue-size", 0, "pending task queue bound per shard (0 = default)")
+		boostDepth  = flag.Int("boost-depth", 0, "callers waiting for a slot that trigger boost mode (0 = default 4)")
 		cooldown    = flag.Int("cooldown-ticks", 0, "calm evaluations before shrinking back to single mode (0 = default)")
 		evalEvery   = flag.Duration("eval-interval", 0, "elastic controller period (0 = default)")
 
@@ -158,7 +157,6 @@ func main() {
 		Pool: elastic.PoolOptions{
 			MaxWorkers:      *maxWorkers,
 			BoostQueueDepth: *boostDepth,
-			QueueSize:       *queueSize,
 			CooldownTicks:   *cooldown,
 			EvalInterval:    *evalEvery,
 		},

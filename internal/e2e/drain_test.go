@@ -59,6 +59,16 @@ func TestGracefulDrain(t *testing.T) {
 		s, _ := v.(string)
 		return err == nil && strings.Contains(s, masterAddr)
 	})
+	// The handoff needs the coordinator to know r1 as a live replica. r1
+	// registers on its own heartbeat schedule, which can trail its
+	// replication link: a first dial that finds the coordinator still
+	// starting backs off. Drained before that, m1 has no replica to hand
+	// its slots to, and the coordinator refuses (-NOREPLICA).
+	waitFor(t, 10*time.Second, "replica in membership", func() bool {
+		v, err := coordC.Do("CLUSTER", "NODES")
+		s, _ := v.(string)
+		return err == nil && strings.Contains(s, "r1 "+replicaAddr+" replica")
+	})
 
 	rc, err := client.NewCluster(coordAddr)
 	if err != nil {

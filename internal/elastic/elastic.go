@@ -1,16 +1,21 @@
 // Package elastic implements TierBase's elastic threading (paper §4.4):
-// a data node runs in single-worker mode by default (event-loop
+// a data node runs in single-threaded mode by default (event-loop
 // efficiency, minimal locking), and when the workload on the instance
 // bursts, the controller "seamlessly transitions to multi-threaded mode by
 // dynamically adding threads within the container's pre-allocated CPU
-// resources"; when the burst subsides it drops back to one worker so the
+// resources"; when the burst subsides it drops back to one thread so the
 // idle CPU returns to other tenants of the container.
+//
+// A Pool is a gate, not a pool of worker goroutines: SubmitWait runs its
+// function on the caller's own goroutine once one of the pool's slots is
+// free. One slot is single mode — at most one function runs at a time —
+// and a boost raises the slot count. Callers waiting for a slot are the
+// backlog the controller reads, and they are admitted in arrival order.
 package elastic
 
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -19,7 +24,7 @@ type Mode int
 
 // Threading modes.
 const (
-	// Single is the default event-loop mode (one worker).
+	// Single is the default event-loop mode (one slot).
 	Single Mode = iota
 	// Boost is multi-threaded mode using idle container CPU.
 	Boost
@@ -35,15 +40,13 @@ func (m Mode) String() string {
 
 // PoolOptions configures a Pool.
 type PoolOptions struct {
-	// MaxWorkers is the container CPU budget (default 4).
+	// MaxWorkers is the container CPU budget: the most slots a boost
+	// opens (default 4).
 	MaxWorkers int
-	// QueueSize bounds the pending task queue (default 4096).
-	QueueSize int
-	// BoostQueueDepth triggers scale-up when the queue backlog reaches it
-	// (default 4). Every front end (the server's command loop, the embedded
-	// store's SubmitWait) keeps at most one task in flight per caller, so
-	// the backlog is at most the number of callers waiting for a worker:
-	// a handful already says the single worker is saturated.
+	// BoostQueueDepth triggers scale-up when this many callers wait for a
+	// slot (default 4). Every front end (the server's command loop, the
+	// embedded store) has at most one call in flight per caller, so a
+	// handful waiting already says the single slot is saturated.
 	BoostQueueDepth int
 	// BoostTicks is how many consecutive hot evaluations are needed before
 	// scaling up (boost-side hysteresis; default 1: react on the first
@@ -54,17 +57,14 @@ type PoolOptions struct {
 	// CooldownTicks is how many consecutive calm evaluations are needed
 	// before scaling back down (hysteresis; default 20).
 	CooldownTicks int
-	// Fixed pins the worker count (disables elasticity): 0 = elastic,
-	// n>0 = always n workers. Used for the -s and -m baseline modes.
+	// Fixed pins the slot count (disables elasticity): 0 = elastic,
+	// n>0 = always n slots. Used for the -s and -m baseline modes.
 	Fixed int
 }
 
 func (o *PoolOptions) fill() {
 	if o.MaxWorkers <= 0 {
 		o.MaxWorkers = 4
-	}
-	if o.QueueSize <= 0 {
-		o.QueueSize = 4096
 	}
 	if o.BoostQueueDepth <= 0 {
 		o.BoostQueueDepth = 4
@@ -80,99 +80,107 @@ func (o *PoolOptions) fill() {
 	}
 }
 
-// ErrStopped is returned by Submit after Stop.
+// ErrStopped is returned by SubmitWait after Stop.
 var ErrStopped = errors.New("elastic: pool stopped")
 
-// Task is one unit of work. Submitting a long-lived Task object (instead
-// of a fresh closure per call) keeps the submission path allocation-free;
-// the server reuses one task per connection this way.
-type Task interface{ Run() }
-
-// funcTask adapts a plain closure to Task. Func values are pointer-shaped,
-// so the interface conversion itself does not allocate.
-type funcTask func()
-
-func (f funcTask) Run() { f() }
-
-// Pool is an elastically sized worker pool processing submitted tasks.
+// Pool is an elastically sized gate: at most Workers() callers run inside
+// it at once. Everything below mu is guarded by it, and one invariant
+// holds whenever it is released: a caller waits only while every slot is
+// taken (running >= slots).
 type Pool struct {
 	opts   PoolOptions
-	tasks  chan Task
-	quitCh chan struct{} // one receive per worker retires it
-	stopCh chan struct{}
-	wg     sync.WaitGroup
+	stopCh chan struct{} // closed by Stop; retires the controller
 	ctlWg  sync.WaitGroup
 
-	workers  atomic.Int32
-	stopped  atomic.Bool
-	boosts   atomic.Int64 // scale-up events
-	shrinks  atomic.Int64 // scale-down events
-	executed atomic.Int64
+	mu       sync.Mutex
+	idle     sync.Cond       // on mu; signalled when a stopped pool empties
+	slots    int             // how many callers may run at once
+	running  int             // callers holding a slot
+	waiters  []chan struct{} // callers waiting for a slot, oldest first
+	free     []chan struct{} // wake channels of finished waiters, for reuse
+	stopped  bool
+	boosts   int64 // scale-up events
+	shrinks  int64 // scale-down events
+	executed int64
 	calm     int
 	hot      int
 }
 
-// NewPool builds and starts a pool in single mode (or Fixed workers).
+// NewPool builds a pool in single mode (or with Fixed slots).
 func NewPool(opts PoolOptions) *Pool {
 	opts.fill()
-	p := &Pool{
-		opts:   opts,
-		tasks:  make(chan Task, opts.QueueSize),
-		quitCh: make(chan struct{}, opts.MaxWorkers),
-		stopCh: make(chan struct{}),
-	}
-	start := 1
+	p := &Pool{opts: opts, stopCh: make(chan struct{}), slots: 1}
+	p.idle.L = &p.mu
 	if opts.Fixed > 0 {
-		start = opts.Fixed
-		if start > opts.MaxWorkers {
-			start = opts.MaxWorkers
-		}
-	}
-	for i := 0; i < start; i++ {
-		p.spawnWorker()
-	}
-	if opts.Fixed == 0 {
+		p.slots = min(opts.Fixed, opts.MaxWorkers)
+	} else {
 		p.ctlWg.Add(1)
 		go p.controlLoop()
 	}
 	return p
 }
 
-func (p *Pool) spawnWorker() {
-	p.workers.Add(1)
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		for {
-			select {
-			case task, ok := <-p.tasks:
-				if !ok {
-					return
-				}
-				task.Run()
-				p.executed.Add(1)
-			case <-p.quitCh:
-				return
-			case <-p.stopCh:
-				// Drain remaining tasks before exiting.
-				for {
-					select {
-					case task, ok := <-p.tasks:
-						if !ok {
-							return
-						}
-						task.Run()
-						p.executed.Add(1)
-					default:
-						return
-					}
-				}
-			}
+// SubmitWait runs fn on the calling goroutine once a slot is free, and
+// releases the slot when fn returns. A caller that finds every slot taken
+// waits behind the callers already waiting; a freed slot passes straight
+// to the oldest of them. fn is never stored, so a closure passed here
+// stays on the caller's stack.
+func (p *Pool) SubmitWait(fn func()) error {
+	p.mu.Lock()
+	if p.stopped {
+		p.mu.Unlock()
+		return ErrStopped
+	}
+	var wake chan struct{}
+	if p.running < p.slots {
+		p.running++
+	} else {
+		if n := len(p.free); n > 0 {
+			wake, p.free = p.free[n-1], p.free[:n-1]
+		} else {
+			wake = make(chan struct{}, 1)
 		}
-	}()
+		p.waiters = append(p.waiters, wake)
+	}
+	p.mu.Unlock()
+	if wake != nil {
+		<-wake // admit counted the slot as ours before sending
+	}
+	defer p.release(wake)
+	fn()
+	return nil
 }
 
-// controlLoop evaluates load and adjusts the worker count with hysteresis
+// release gives back the slot fn ran in and recycles the caller's wake
+// channel, if it waited.
+func (p *Pool) release(wake chan struct{}) {
+	p.mu.Lock()
+	if wake != nil {
+		p.free = append(p.free, wake)
+	}
+	p.executed++
+	p.running--
+	p.admit()
+	if p.stopped && p.running == 0 {
+		p.idle.Broadcast()
+	}
+	p.mu.Unlock()
+}
+
+// admit hands free slots to the oldest waiters. p.mu is held. The wake
+// channels are 1-buffered, so the send never blocks.
+func (p *Pool) admit() {
+	for p.running < p.slots && len(p.waiters) > 0 {
+		wake := p.waiters[0]
+		n := copy(p.waiters, p.waiters[1:])
+		p.waiters[n] = nil
+		p.waiters = p.waiters[:n]
+		p.running++
+		wake <- struct{}{}
+	}
+}
+
+// controlLoop evaluates load and adjusts the slot count with hysteresis
 // on both edges: BoostTicks consecutive hot samples before scaling up,
 // CooldownTicks consecutive idle samples before scaling back down.
 func (p *Pool) controlLoop() {
@@ -185,83 +193,49 @@ func (p *Pool) controlLoop() {
 			return
 		case <-t.C:
 		}
-		depth := len(p.tasks)
-		cur := int(p.workers.Load())
-		hot := depth >= p.opts.BoostQueueDepth
-		switch {
-		case hot && cur < p.opts.MaxWorkers:
-			p.calm = 0
-			p.hot++
-			if p.hot < p.opts.BoostTicks {
-				break
-			}
-			// Burst confirmed: add workers aggressively (double).
-			add := cur
-			if cur+add > p.opts.MaxWorkers {
-				add = p.opts.MaxWorkers - cur
-			}
-			for i := 0; i < add; i++ {
-				p.spawnWorker()
-			}
-			p.boosts.Add(1)
-			p.hot = 0
-		case depth == 0 && cur > 1:
-			p.hot = 0
-			p.calm++
-			if p.calm >= p.opts.CooldownTicks {
-				// Calm long enough: retire all extra workers.
-				for i := cur; i > 1; i-- {
-					select {
-					case p.quitCh <- struct{}{}:
-						p.workers.Add(-1)
-					default:
-					}
-				}
-				p.shrinks.Add(1)
-				p.calm = 0
-			}
-		default:
-			p.calm = 0
-			p.hot = 0
+		p.mu.Lock()
+		p.evaluate()
+		p.mu.Unlock()
+	}
+}
+
+// evaluate is one controller tick. p.mu is held.
+func (p *Pool) evaluate() {
+	depth := len(p.waiters)
+	switch {
+	case depth >= p.opts.BoostQueueDepth && p.slots < p.opts.MaxWorkers:
+		p.calm = 0
+		p.hot++
+		if p.hot < p.opts.BoostTicks {
+			break
 		}
+		// Burst confirmed: add slots aggressively (double).
+		p.slots = min(2*p.slots, p.opts.MaxWorkers)
+		p.boosts++
+		p.hot = 0
+		p.admit()
+	case depth == 0 && p.slots > 1:
+		p.hot = 0
+		p.calm++
+		if p.calm >= p.opts.CooldownTicks {
+			// Calm long enough: back to one slot. Callers running in the
+			// extra slots finish; their slots are not handed on.
+			p.slots = 1
+			p.shrinks++
+			p.calm = 0
+		}
+	default:
+		p.calm = 0
+		p.hot = 0
 	}
 }
 
-// SubmitTask enqueues a task, blocking when the queue is full (natural
-// backpressure that the controller observes as depth). Allocation-free
-// when t is a reused object.
-func (p *Pool) SubmitTask(t Task) error {
-	if p.stopped.Load() {
-		return ErrStopped
-	}
-	select {
-	case p.tasks <- t:
-		return nil
-	case <-p.stopCh:
-		return ErrStopped
-	}
+// Workers returns the current slot count.
+func (p *Pool) Workers() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.slots
 }
-
-// Submit enqueues a plain closure.
-func (p *Pool) Submit(task func()) error {
-	return p.SubmitTask(funcTask(task))
-}
-
-// SubmitWait runs the task through the pool and waits for completion.
-func (p *Pool) SubmitWait(task func()) error {
-	done := make(chan struct{})
-	if err := p.Submit(func() {
-		task()
-		close(done)
-	}); err != nil {
-		return err
-	}
-	<-done
-	return nil
-}
-
-// Workers returns the current worker count.
-func (p *Pool) Workers() int { return int(p.workers.Load()) }
 
 // Mode reports single vs boost.
 func (p *Pool) Mode() Mode {
@@ -278,38 +252,35 @@ type Stats struct {
 	Boosts     int64
 	Shrinks    int64
 	Executed   int64
-	Backlog    int
+	Backlog    int // callers waiting for a slot
 }
 
 // Stats returns a snapshot.
 func (p *Pool) Stats() Stats {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	return Stats{
-		Workers:    p.Workers(),
+		Workers:    p.slots,
 		MaxWorkers: p.opts.MaxWorkers,
-		Boosts:     p.boosts.Load(),
-		Shrinks:    p.shrinks.Load(),
-		Executed:   p.executed.Load(),
-		Backlog:    len(p.tasks),
+		Boosts:     p.boosts,
+		Shrinks:    p.shrinks,
+		Executed:   p.executed,
+		Backlog:    len(p.waiters),
 	}
 }
 
-// Stop stops the controller and all workers, then drains anything still
-// queued so no SubmitWait caller is left blocked on a task that never
-// runs (a Submit racing Stop can land a task after the workers exit).
+// Stop refuses new callers, stops the controller and returns once nothing
+// runs or waits: a caller already waiting when Stop is called still runs,
+// so none is left blocked.
 func (p *Pool) Stop() {
-	if p.stopped.Swap(true) {
-		return
+	p.mu.Lock()
+	if !p.stopped {
+		p.stopped = true
+		close(p.stopCh)
 	}
-	close(p.stopCh)
+	for p.running > 0 {
+		p.idle.Wait()
+	}
+	p.mu.Unlock()
 	p.ctlWg.Wait()
-	p.wg.Wait()
-	for {
-		select {
-		case task := <-p.tasks:
-			task.Run()
-			p.executed.Add(1)
-		default:
-			return
-		}
-	}
 }

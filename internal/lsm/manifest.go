@@ -36,10 +36,56 @@ func loadManifest(dir string, maxLevels int) (*manifest, error) {
 	if err := json.Unmarshal(data, m); err != nil {
 		return nil, fmt.Errorf("lsm: parse manifest: %w", err)
 	}
+	if err := m.check(maxLevels); err != nil {
+		return nil, fmt.Errorf("lsm: manifest: %w", err)
+	}
 	for len(m.Levels) < maxLevels {
 		m.Levels = append(m.Levels, nil)
 	}
 	return m, nil
+}
+
+// maxNumber bounds the file and sequence numbers a manifest may hold, far
+// above any a DB reaches, so that counting up from them cannot wrap.
+const maxNumber = 1 << 62
+
+// check refuses a manifest the DB would misread: a table in a level past
+// maxLevels (compaction would drop tombstones above it), a table named
+// twice, a negative size or count, a key range that ends before it starts,
+// L1+ tables not in key order or overlapping (a read consults one table
+// per level), or a number that could wrap. A next_file at or below a
+// table's number is raised past it, so the next table written cannot
+// overwrite one the manifest names.
+func (m *manifest) check(maxLevels int) error {
+	for len(m.Levels) > maxLevels && len(m.Levels[len(m.Levels)-1]) == 0 {
+		m.Levels = m.Levels[:len(m.Levels)-1]
+	}
+	if len(m.Levels) > maxLevels {
+		return fmt.Errorf("%d levels, more than %d", len(m.Levels), maxLevels)
+	}
+	if m.NextFile >= maxNumber || m.LastSeq >= maxNumber {
+		return fmt.Errorf("next_file %d or last_seq %d out of range", m.NextFile, m.LastSeq)
+	}
+	seen := make(map[uint64]bool)
+	for l, lvl := range m.Levels {
+		for i, t := range lvl {
+			switch {
+			case t.Num >= maxNumber:
+				return fmt.Errorf("table %d out of range", t.Num)
+			case seen[t.Num]:
+				return fmt.Errorf("table %d named twice", t.Num)
+			case t.Size < 0 || t.Count < 0:
+				return fmt.Errorf("table %d has size %d, count %d", t.Num, t.Size, t.Count)
+			case bytes.Compare(t.Smallest, t.Largest) > 0:
+				return fmt.Errorf("table %d ends before it starts", t.Num)
+			case l > 0 && i > 0 && bytes.Compare(lvl[i-1].Largest, t.Smallest) >= 0:
+				return fmt.Errorf("level %d: table %d overlaps or precedes table %d", l, t.Num, lvl[i-1].Num)
+			}
+			seen[t.Num] = true
+			m.NextFile = max(m.NextFile, t.Num+1)
+		}
+	}
+	return nil
 }
 
 // save atomically persists the manifest.

@@ -9,9 +9,9 @@
 // copy, no allocation); bulk payloads land in the arena, and the args
 // ReadCommand returns alias arena memory. Both are valid ONLY until the
 // next read on the same Reader, which is exactly the command's execution
-// window: command execution is synchronous (the connection goroutine blocks
-// until the shard worker finishes), so nothing downstream can observe a
-// recycled buffer. Every layer below the server copies what it retains (the
+// window: command execution is synchronous (the connection goroutine runs
+// the command itself before it reads the next), so nothing downstream can
+// observe a recycled buffer. Every layer below the server copies what it retains (the
 // engine copies on Set, the LSM batch copies on Put), so aliasing is safe.
 // ReadReply copies what it returns.
 //

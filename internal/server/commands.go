@@ -32,9 +32,9 @@ const (
 // that retains them. A shardFn or mutateFn appends its reply to out; when
 // it returns an error, whatever it appended is dropped for the error reply.
 type (
-	// connFn runs on the connection goroutine and appends to c.out.
+	// connFn runs outside any shard's gate and appends to c.out.
 	connFn func(s *Server, c *conn, args [][]byte)
-	// shardFn runs on a worker of the shard that owns key.
+	// shardFn runs inside the gate of the shard that owns key.
 	shardFn func(sh *shard, key string, args [][]byte, out []byte) ([]byte, error)
 	// mutateFn is an in-place engine mutation of key. It runs inside
 	// cache.Tiered.Mutate, which warms the key first, holds its RMW stripe

@@ -1,7 +1,9 @@
 package server
 
 import (
+	"bufio"
 	"fmt"
+	"net"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -15,6 +17,7 @@ import (
 	"tierbase/internal/elastic"
 	"tierbase/internal/engine"
 	"tierbase/internal/lsm"
+	"tierbase/internal/resp"
 )
 
 // TestTieredRMWRestartRoundTrip is the durability contract for the
@@ -123,8 +126,8 @@ func TestTieredRMWRestartRoundTrip(t *testing.T) {
 	}
 }
 
-// slowStorage delays every read so in-flight commands hold their shard
-// worker long enough for a connection burst to build queue backlog.
+// slowStorage delays every read so in-flight commands hold their shard's
+// slot long enough for a connection burst to build a backlog of waiters.
 type slowStorage struct {
 	cache.Storage
 	delay time.Duration
@@ -229,10 +232,61 @@ func TestElasticBoostAndIdle(t *testing.T) {
 	}
 }
 
+// TestSingleModeServesConnectionsFairly: a shard's gate admits connections
+// in arrival order, so one connection's pipeline cannot hold the shard.
+// While A's 64 pipelined slow GETs execute one by one, B's one GET waits
+// for at most the command in progress, and its reply arrives before A's
+// last.
+func TestSingleModeServesConnectionsFairly(t *testing.T) {
+	opts := elasticTestOptions()
+	opts.Pool = elastic.PoolOptions{Fixed: 1}
+	s, _ := startTestServer(t, opts)
+	dial := func() (net.Conn, *bufio.Reader) {
+		nc, err := net.Dial("tcp", s.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { nc.Close() })
+		return nc, bufio.NewReader(nc)
+	}
+	a, ar := dial()
+	b, br := dial()
+	const window = 64
+	var pipeline []byte
+	for i := 0; i < window; i++ {
+		pipeline = resp.AppendCommand(pipeline, "GET", fmt.Sprintf("a-%d", i))
+	}
+	if _, err := a.Write(pipeline); err != nil {
+		t.Fatal(err)
+	}
+	var aDone atomic.Bool
+	go func() {
+		for i := 0; i < window; i++ {
+			if _, err := readRawReply(ar); err != nil {
+				return
+			}
+		}
+		aDone.Store(true)
+	}()
+	pool := s.Pools()[0]
+	for pool.Stats().Executed == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if _, err := b.Write(resp.AppendCommand(nil, "GET", "b")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := readRawReply(br); err != nil {
+		t.Fatal(err)
+	}
+	if aDone.Load() {
+		t.Fatalf("B's reply came after all of A's pipeline: %+v", pool.Stats())
+	}
+}
+
 // TestElasticBoostSingleProc re-runs the burst cycle with GOMAXPROCS=1:
-// the controller, the boosted workers, and the connection goroutines must
+// the controller, the boosted gate, and the connection goroutines must
 // all make progress on one scheduler thread (no spin that starves the
-// cooldown, no deadlock between SubmitTask and a parked worker).
+// cooldown, no caller left waiting for a slot that is never handed on).
 func TestElasticBoostSingleProc(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
@@ -243,7 +297,7 @@ func TestElasticBoostSingleProc(t *testing.T) {
 // TestElasticModeChangeStress hammers a flapping pool (aggressive eval
 // interval, minimal hysteresis) with concurrent mixed traffic — meant to
 // run under -race, where it proves command execution is data-race-free
-// across Single<->Boost transitions while workers spawn and retire.
+// across Single<->Boost transitions while slots open and close.
 func TestElasticModeChangeStress(t *testing.T) {
 	s, _ := startTestServer(t, Options{
 		Addr: "127.0.0.1:0",

@@ -954,16 +954,21 @@ func (r *serverRepl) heartbeatLoop() {
 // listener closes. Best-effort (a dead coordinator will fail the node
 // over anyway) on a fresh connection: the heartbeat loop owns its own.
 // Also marks the node draining so a straggling heartbeat doesn't
-// re-register it.
-func (r *serverRepl) deregister() {
+// re-register it. A refusal is returned: a master with no live replica
+// stays registered (-NOREPLICA) and leaves as a failed node once its
+// heartbeats stop.
+func (r *serverRepl) deregister() error {
 	r.draining.Store(true)
 	if r.cfg.CoordinatorAddr == "" {
-		return
+		return nil
 	}
 	cc, err := client.Dial(r.cfg.CoordinatorAddr)
 	if err != nil {
-		return
+		return nil
 	}
 	defer cc.Close()
-	cc.Do("CLUSTER", "DEREGISTER", r.cfg.NodeID)
+	if _, err := cc.Do("CLUSTER", "DEREGISTER", r.cfg.NodeID); err != nil {
+		return fmt.Errorf("deregister: %w", err)
+	}
+	return nil
 }

@@ -1,6 +1,6 @@
 // Package server implements TierBase's wire protocol front end: a
 // Redis-compatible (RESP2) TCP server whose data nodes are engine shards
-// fronted by elastic worker pools (paper §3: "Initially Redis-compatible
+// behind elastic gates (paper §3: "Initially Redis-compatible
 // ... TierBase clients, compatible with native Redis clients"). The wire
 // format itself is internal/resp.
 package server
@@ -48,7 +48,7 @@ type Server struct {
 
 // shard is one data node: an engine, the tiered store every command
 // reaches it through (cache-only when the deployment has no storage tier)
-// and the pool that runs its commands.
+// and the elastic gate its commands run through.
 type shard struct {
 	eng    *engine.Engine
 	tiered *cache.Tiered
@@ -123,9 +123,9 @@ func (s *Server) shardFor(key []byte) *shard {
 var errShuttingDown = errors.New("server shutting down")
 
 // fanOut is the shared body of the multi-key commands: keys[0], keys[stride],
-// keys[2*stride]... group by owning shard, and fn runs once per group on
-// that shard's pool with the group's indexes into keys — submitted from
-// the calling goroutine when one shard owns them all, otherwise from one
+// keys[2*stride]... group by owning shard, and fn runs once per group
+// through that shard's gate with the group's indexes into keys — on the
+// calling goroutine when one shard owns them all, otherwise on one
 // goroutine per group, in parallel across shards. Returns the first error.
 // fn calls run concurrently: each may write only what its own indexes name.
 func (s *Server) fanOut(keys [][]byte, stride int, fn func(sh *shard, idxs []int) error) error {
@@ -172,10 +172,9 @@ func (s *Server) fanOut(keys [][]byte, stride int, fn func(sh *shard, idxs []int
 // --- connection handling ---
 
 // conn is one client connection's state: the command reader (pooled parse
-// buffers), the reply output buffer, and the reusable pool task. One
-// command is in flight at a time, so every buffer here is single-owner at
-// any instant: the conn goroutine owns them between commands, the shard
-// worker owns out (via the task) during execution.
+// buffers) and the reply output buffer. Commands execute on the
+// connection's own goroutine, one at a time, so that goroutine owns every
+// buffer here throughout.
 type conn struct {
 	srv        *Server
 	nc         net.Conn
@@ -184,7 +183,6 @@ type conn struct {
 	out        []byte
 	held       []heldReply // semi-sync replies in out that wait for replica acks (settleHeld)
 	cmdScratch [16]byte
-	task       connTask
 	// hijack, when set by a command (SYNC), takes over the connection
 	// after the current reply flushes: serveConn flushes c.out, invokes
 	// hijack on the connection goroutine, and returns when it does.
@@ -204,32 +202,18 @@ const (
 	maxRetainedOut = 1 << 20
 )
 
-// connTask is the connection's reusable elastic.Task: one command
-// execution on a shard worker. Reusing one task object (and its
-// 1-buffered done channel) keeps the submit path allocation-free. The
-// conn goroutine blocks on done until the worker finishes, so the fields
-// — and the parse buffers the args alias — are never reused concurrently.
-type connTask struct {
-	c    *conn
-	sh   *shard
-	cmd  *command
-	args [][]byte
-	done chan struct{}
-}
-
-// Run executes the command's single-key form on the shard worker, appending
-// the reply to the connection's output buffer. What the table says of the
-// command is applied here: a mutate handler runs inside Tiered.Mutate, a
-// warm one finds its key faulted in, and an error from either replaces
-// whatever the handler appended.
-func (t *connTask) Run() {
-	c, sh, cmd := t.c, t.sh, t.cmd
-	key := string(t.args[1])
+// execute runs the command's single-key form inside the shard's gate,
+// appending the reply to the connection's output buffer. What the table
+// says of the command is applied here: a mutate handler runs inside
+// Tiered.Mutate, a warm one finds its key faulted in, and an error from
+// either replaces whatever the handler appended.
+func (c *conn) execute(sh *shard, cmd *command, args [][]byte) {
+	key := string(args[1])
 	mark := len(c.out)
 	var err error
 	if cmd.mutate != nil {
 		err = sh.tiered.Mutate(key, func() (bool, error) {
-			out, changed, err := cmd.mutate(sh.eng, key, t.args, c.out)
+			out, changed, err := cmd.mutate(sh.eng, key, args, c.out)
 			c.out = out
 			return changed, err
 		})
@@ -237,21 +221,17 @@ func (t *connTask) Run() {
 		if cmd.warm {
 			sh.tiered.Warm(key)
 		}
-		c.out, err = cmd.shard(sh, key, t.args, c.out)
+		c.out, err = cmd.shard(sh, key, args, c.out)
 	}
 	if err != nil {
 		c.out = resp.AppendError(c.out[:mark], err.Error())
 	}
-	t.done <- struct{}{}
 }
 
 // newConn builds the serving state of one connection.
 func newConn(s *Server, nc net.Conn) *conn {
 	br := bufio.NewReaderSize(nc, 16<<10)
-	c := &conn{srv: s, nc: nc, br: br, cr: resp.NewReader(br, resp.MaxArgs, resp.MaxBulkLen)}
-	c.task.c = c
-	c.task.done = make(chan struct{}, 1)
-	return c
+	return &conn{srv: s, nc: nc, br: br, cr: resp.NewReader(br, resp.MaxArgs, resp.MaxBulkLen)}
 }
 
 func (s *Server) acceptLoop() {
@@ -433,10 +413,10 @@ func (s *Server) dispatch(c *conn, args [][]byte) {
 	s.route(c, cmd, args)
 }
 
-// route executes a command by where its keys are: a keyless one inline on
-// the connection goroutine, one that names a single key on the owning
-// shard's pool through the connection's reusable task, one that names
-// several by its fan-out form.
+// route executes a command by where its keys are: a keyless one directly,
+// one that names a single key through the owning shard's gate, one that
+// names several by its fan-out form. All three run on the connection
+// goroutine.
 func (s *Server) route(c *conn, cmd *command, args [][]byte) {
 	single := cmd.keys == keyFirst ||
 		cmd.keys == keysEvery && len(args) == 2 ||
@@ -445,14 +425,10 @@ func (s *Server) route(c *conn, cmd *command, args [][]byte) {
 		cmd.conn(s, c, args)
 		return
 	}
-	t := &c.task
-	t.sh, t.cmd, t.args = s.shardFor(args[1]), cmd, args
-	if err := t.sh.pool.SubmitTask(t); err != nil {
+	sh := s.shardFor(args[1])
+	if err := sh.pool.SubmitWait(func() { c.execute(sh, cmd, args) }); err != nil {
 		c.out = resp.AppendError(c.out, errShuttingDown.Error())
-		return
 	}
-	<-t.done
-	t.args = nil
 }
 
 // Shards exposes shard engines for measurement (benches).
@@ -508,13 +484,16 @@ func (s *Server) Close() error {
 // replies flush (bounded by Overload.DrainTimeout), then close — which
 // flushes write-back dirty state through tiered.Close. An acked write
 // is therefore never lost to a drain: it either flushed to storage or
-// replicated before the socket closed.
+// replicated before the socket closed. A coordinator's refusal to hand the
+// node's slots off (no live replica) does not stop the drain; it is
+// returned when the drain is done.
 func (s *Server) Shutdown() error {
 	if !s.beginClose() {
 		return nil
 	}
+	var derr error
 	if s.repl != nil {
-		s.repl.deregister()
+		derr = s.repl.deregister()
 	}
 	close(s.stopCh)
 	err := s.ln.Close()
@@ -549,7 +528,7 @@ func (s *Server) Shutdown() error {
 	}
 	s.mu.Unlock()
 	s.finishClose()
-	return err
+	return errors.Join(derr, err)
 }
 
 // finishClose joins the background goroutines and shuts the shards

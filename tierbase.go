@@ -148,8 +148,8 @@ func Open(opts Options) (*Store, error) {
 	return s, nil
 }
 
-// do runs fn on the store's worker pool and returns its error, or the
-// pool's when it has stopped.
+// do runs fn through the store's elastic gate and returns its error, or
+// the gate's when it has stopped.
 func (s *Store) do(fn func() error) error {
 	var err error
 	if perr := s.pool.SubmitWait(func() { err = fn() }); perr != nil {
