@@ -126,29 +126,15 @@ func (c *Coordinator) Deregister(id string) {
 // with no replica) so a serving loop can push the role change to the
 // promoted process.
 func (c *Coordinator) DeregisterDetail(id string) *Failover {
-	ev, _ := c.deregister(id, false)
-	return ev
-}
-
-// deregister is DeregisterDetail. With needReplica — CLUSTER DEREGISTER,
-// a node leaving on its own — a master with no live replica is refused
-// with ErrNoReplica and stays registered: its slots have no other copy,
-// so handed to the other masters they would route to nodes without their
-// keys, and with no other master they would park. A refused master that
-// goes on to exit leaves as a failed one, when its heartbeats stop.
-func (c *Coordinator) deregister(id string, needReplica bool) (*Failover, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, ok := c.nodes[id]
 	if !ok {
-		return nil, nil
-	}
-	if needReplica && n.Role == RoleMaster && len(c.liveReplicasLocked(id, n.Addr)) == 0 {
-		return nil, ErrNoReplica
+		return nil
 	}
 	delete(c.nodes, id)
 	if n.Role != RoleMaster {
-		return nil, nil
+		return nil
 	}
 	ev := Failover{FailedID: id, FailedAddr: n.Addr}
 	if promoted := c.promoteReplicaLocked(id, n.Addr); promoted != nil {
@@ -156,31 +142,24 @@ func (c *Coordinator) deregister(id string, needReplica bool) (*Failover, error)
 		ev.PromotedAddr = promoted.Addr
 	}
 	c.rebalanceLocked()
-	return &ev, nil
-}
-
-// liveReplicasLocked returns the IDs of the live replicas of the master
-// identified by (id, addr), matched by either, in ID order.
-func (c *Coordinator) liveReplicasLocked(id, addr string) []string {
-	var ids []string
-	for rid, r := range c.nodes {
-		if r.Role == RoleReplica && r.alive &&
-			(r.MasterID == id || (r.MasterAddr != "" && r.MasterAddr == addr)) {
-			ids = append(ids, rid)
-		}
-	}
-	sort.Strings(ids)
-	return ids
+	return &ev
 }
 
 // promoteReplicaLocked promotes the lowest-ID live replica of the master
 // identified by (id, addr) and re-points its sibling replicas at the
 // promotee. Returns nil when the master had no live replica.
 func (c *Coordinator) promoteReplicaLocked(id, addr string) *Node {
-	candidates := c.liveReplicasLocked(id, addr)
+	var candidates []string
+	for rid, r := range c.nodes {
+		if r.Role == RoleReplica && r.alive &&
+			(r.MasterID == id || (r.MasterAddr != "" && r.MasterAddr == addr)) {
+			candidates = append(candidates, rid)
+		}
+	}
 	if len(candidates) == 0 {
 		return nil
 	}
+	sort.Strings(candidates)
 	promoted := c.nodes[candidates[0]]
 	promoted.Role = RoleMaster
 	promoted.MasterID = ""

@@ -226,30 +226,6 @@ func TestDeregisterHandsOffToReplica(t *testing.T) {
 	}
 }
 
-// A master with no live replica cannot drain (CLUSTER DEREGISTER): it is
-// refused and nothing changes, so its slots stay routed to it until it
-// fails.
-func TestDrainRefusesMasterWithoutReplica(t *testing.T) {
-	now := time.Unix(0, 0)
-	c := newTestCoordinator(&now)
-	c.Register(Node{ID: "m1", Addr: "h1:1", Role: RoleMaster})
-	c.Register(Node{ID: "m2", Addr: "h2:1", Role: RoleMaster})
-	epoch := c.Table().Epoch
-	if ev, err := c.deregister("m1", true); err != ErrNoReplica || ev != nil {
-		t.Fatalf("drain without a replica = %+v, %v; want ErrNoReplica", ev, err)
-	}
-	if rt := c.Table(); rt.Epoch != epoch || len(c.Nodes()) != 2 {
-		t.Fatalf("refused drain changed the cluster: epoch %d -> %d, nodes %v", epoch, rt.Epoch, c.Nodes())
-	}
-	c.Register(Node{ID: "r1", Addr: "h3:1", Role: RoleReplica, MasterAddr: "h1:1"})
-	if ev, err := c.deregister("m1", true); err != nil || ev == nil || ev.PromotedID != "r1" {
-		t.Fatalf("drain with a replica = %+v, %v; want r1 promoted", ev, err)
-	}
-	if ev, err := c.deregister("ghost", true); err != nil || ev != nil {
-		t.Fatalf("drain of an unknown node = %+v, %v", ev, err)
-	}
-}
-
 func TestNoMasters(t *testing.T) {
 	c := NewCoordinator()
 	if _, err := c.Masters(); err != ErrNoMasters {

@@ -24,7 +24,7 @@ import (
 //	PING
 //	CLUSTER REGISTER <id> <addr> <master|replica> <masterAddr|->
 //	CLUSTER HEARTBEAT <id>
-//	CLUSTER DEREGISTER <id>  -> -NOREPLICA for a master with no live replica
+//	CLUSTER DEREGISTER <id>
 //	CLUSTER TABLE   -> bulk JSON of RoutingTable
 //	CLUSTER EPOCH   -> :<epoch>
 //	CLUSTER NODES   -> bulk text, one node per line
@@ -202,11 +202,7 @@ func (cs *CoordServer) cluster(out []byte, args []string) []byte {
 		if len(args) != 2 {
 			return resp.AppendError(out, "usage: CLUSTER DEREGISTER id")
 		}
-		ev, err := cs.coord.deregister(args[1], true)
-		if err != nil {
-			cs.Logf("cluster: master %s asked to drain with no live replica; kept registered", args[1])
-			return resp.AppendRawError(out, "NOREPLICA cannot drain "+args[1]+": no live replica to hand its slots to")
-		}
+		ev := cs.coord.DeregisterDetail(args[1])
 		// Push the handoff promotion in the background: the draining
 		// master is blocked on this +OK and must not wait for the
 		// promotee's round-trip.

@@ -115,15 +115,6 @@ func TestCoordServerRegisterHeartbeatTable(t *testing.T) {
 	if rt.NodeFor("anykey") != "m1" {
 		t.Fatalf("slots not owned by m1: %s", rt.NodeFor("anykey"))
 	}
-
-	// m2 has no replica: its drain is refused and it stays a member.
-	do("CLUSTER", "REGISTER", "m2", "127.0.0.1:7003", "master", "-")
-	if got, _ := do("CLUSTER", "DEREGISTER", "m2").(resp.Error); !strings.HasPrefix(string(got), "NOREPLICA ") {
-		t.Fatalf("DEREGISTER m2 = %q, want -NOREPLICA", got)
-	}
-	if nodes, _ := do("CLUSTER", "NODES").(string); !strings.Contains(nodes, "m2 ") {
-		t.Fatalf("refused m2 left the membership:\n%s", nodes)
-	}
 }
 
 func TestCoordServerFailoverPush(t *testing.T) {

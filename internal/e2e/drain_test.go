@@ -63,7 +63,7 @@ func TestGracefulDrain(t *testing.T) {
 	// registers on its own heartbeat schedule, which can trail its
 	// replication link: a first dial that finds the coordinator still
 	// starting backs off. Drained before that, m1 has no replica to hand
-	// its slots to, and the coordinator refuses (-NOREPLICA).
+	// its slots to, and the coordinator promotes nobody.
 	waitFor(t, 10*time.Second, "replica in membership", func() bool {
 		v, err := coordC.Do("CLUSTER", "NODES")
 		s, _ := v.(string)

@@ -15,6 +15,7 @@ package elastic
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -152,7 +153,11 @@ func (p *Pool) SubmitWait(fn func()) error {
 }
 
 // release gives back the slot fn ran in and recycles the caller's wake
-// channel, if it waited.
+// channel, if it waited. A slot handed to a waiter is idle until that
+// goroutine runs, and the scheduler queues it behind the releasing one,
+// which goes on with its own work (a server connection writes its reply
+// and reads the next command); so the releaser yields its P at once, as
+// sync.Mutex does in starvation mode.
 func (p *Pool) release(wake chan struct{}) {
 	p.mu.Lock()
 	if wake != nil {
@@ -160,11 +165,16 @@ func (p *Pool) release(wake chan struct{}) {
 	}
 	p.executed++
 	p.running--
+	waiting := len(p.waiters)
 	p.admit()
+	handed := len(p.waiters) < waiting
 	if p.stopped && p.running == 0 {
 		p.idle.Broadcast()
 	}
 	p.mu.Unlock()
+	if handed {
+		runtime.Gosched()
+	}
 }
 
 // admit hands free slots to the oldest waiters. p.mu is held. The wake

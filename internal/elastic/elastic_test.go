@@ -311,7 +311,9 @@ func TestPoolRateTriggerDisabledByDefault(t *testing.T) {
 
 // BenchmarkPoolSubmitWait is the gate's own cost: one caller that always
 // finds the slot free, and two callers sharing one slot, where every call
-// may wait for the other's.
+// may wait for the other's. "backlog" is fig9's single-slot burst: eight
+// callers queue for one slot and each holds it for 10µs of CPU, so 10µs/op
+// is a slot that never idles and the rest is what each handoff costs.
 func BenchmarkPoolSubmitWait(b *testing.B) {
 	b.Run("uncontended", func(b *testing.B) {
 		p := NewPool(PoolOptions{})
@@ -334,6 +336,26 @@ func BenchmarkPoolSubmitWait(b *testing.B) {
 					p.SubmitWait(func() {})
 				}
 			}(b.N/2 + g*(b.N%2))
+		}
+		wg.Wait()
+	})
+	b.Run("backlog", func(b *testing.B) {
+		p := NewPool(PoolOptions{Fixed: 1})
+		defer p.Stop()
+		work := func() {
+			for end := time.Now().Add(10 * time.Microsecond); time.Now().Before(end); {
+			}
+		}
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for next.Add(1) <= int64(b.N) {
+					p.SubmitWait(work)
+				}
+			}()
 		}
 		wg.Wait()
 	})

@@ -193,6 +193,10 @@ func Open(opts Options) (*DB, error) {
 				return nil, err
 			}
 			readers[meta.Num] = r
+			// A new write must outnumber every version in the tables, or it
+			// loses to an older version of its key at the next compaction;
+			// the manifest's last_seq is not trusted to say so.
+			db.seq = max(db.seq, r.maxSeq())
 		}
 	}
 	db.current = newVersion(man, readers)

@@ -10,9 +10,10 @@ import (
 
 // FuzzManifest hands arbitrary bytes to Open as the MANIFEST.json of a
 // directory that holds four real tables. Open must either fail, or give a
-// DB on which Get, Scan, a Put with its flush, CompactAll and Close run
-// without panicking — and lose nothing: every pair the first Scan saw is
-// still there after the flush and the compactions.
+// DB on which Get, Scan, Puts with their flush, CompactAll and Close run
+// without panicking — and lose nothing: every pair the first Scan saw,
+// with one of its keys overwritten, is still there after the flush and the
+// compactions.
 func FuzzManifest(f *testing.F) {
 	src := f.TempDir()
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%03d", i)) }
@@ -58,7 +59,8 @@ func FuzzManifest(f *testing.F) {
 	neg := t3
 	neg.Size = -1
 	seed(5, seq, nil, []tableMeta{neg})
-	seed(1<<64-1, seq, []tableMeta{t1}) // a next_file that wraps
+	seed(1<<64-1, seq, []tableMeta{t1})                                 // a next_file that wraps
+	seed(5, 0, []tableMeta{t1, t2}, []tableMeta{t3}, []tableMeta{t4}) // last_seq below the tables' versions
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"levels":[[{"num":9}]]}`)) // a table that is not there
 
@@ -88,8 +90,16 @@ func FuzzManifest(f *testing.F) {
 			db.Close()
 			return
 		}
-		if err := db.Put([]byte("new"), []byte("v")); err != nil {
-			t.Fatal(err)
+		// A key the tables already hold is overwritten too: the new version
+		// must outrank theirs when the compactions merge them.
+		writes := map[string]string{"new": "v"}
+		if len(before) > 0 {
+			writes[string(before[len(before)/2].Key)] = "over"
+		}
+		for k, v := range writes {
+			if err := db.Put([]byte(k), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := db.Flush(); err != nil {
 			t.Fatal(err)
@@ -106,9 +116,12 @@ func FuzzManifest(f *testing.F) {
 		for _, kv := range after {
 			got[string(kv.Key)] = string(kv.Value)
 		}
-		want := map[string]string{"new": "v"}
+		want := make(map[string]string, len(before)+len(writes))
 		for _, kv := range before {
 			want[string(kv.Key)] = string(kv.Value)
+		}
+		for k, v := range writes {
+			want[k] = v
 		}
 		for k, v := range want {
 			if got[k] != v {

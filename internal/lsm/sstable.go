@@ -384,6 +384,25 @@ func (t *tableReader) readBlock(i int, scratch *[]byte) ([]byte, error) {
 	return blk, nil
 }
 
+// maxSeq returns the highest sequence number in the table's readable
+// blocks, reading each once round the block cache. A block that fails its
+// checksum is skipped: reads of it fail on their own.
+func (t *tableReader) maxSeq() uint64 {
+	var top uint64
+	scratch := new([]byte)
+	for i := range t.index {
+		blk, err := t.readBlock(i, scratch)
+		if err != nil {
+			continue
+		}
+		it := blockIter{data: blk}
+		for it.next() {
+			top = max(top, it.seq)
+		}
+	}
+	return top
+}
+
 // blockFor returns the index position of the block that may contain key,
 // or -1 if key is past the table's range.
 func (t *tableReader) blockFor(key []byte) int {

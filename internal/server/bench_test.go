@@ -5,7 +5,11 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"tierbase/internal/elastic"
 )
 
 // Networked end-to-end benchmarks over a raw TCP connection. The client
@@ -71,6 +75,56 @@ func BenchmarkNetGET(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		roundTrip(b, nc, getReq, buf, replyLen)
+	}
+}
+
+// BenchmarkNetGETParallel is GET from eight connections at once, every key
+// on the one shard: the case elastic threading exists for. "single" pins
+// the shard to one slot, so each command waits for the others';
+// "elastic" lets the controller boost.
+func BenchmarkNetGETParallel(b *testing.B) {
+	const conns = 8
+	for _, tc := range []struct {
+		name  string
+		fixed int
+	}{{"single", 1}, {"elastic", 0}} {
+		b.Run(tc.name, func(b *testing.B) {
+			s, err := Start(Options{Addr: "127.0.0.1:0", Pool: elastic.PoolOptions{Fixed: tc.fixed}})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Cleanup(func() { s.Close() })
+			val := strings.Repeat("x", 16)
+			buf := make([]byte, 64)
+			ncs := make([]net.Conn, conns)
+			for i := range ncs {
+				ncs[i] = benchConn(b, s)
+				roundTrip(b, ncs[i], encodeCmd("SET", fmt.Sprintf("bench:key%d", i), val), buf, len("+OK\r\n"))
+			}
+			replyLen := len(fmt.Sprintf("$%d\r\n%s\r\n", len(val), val))
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i, nc := range ncs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					req, buf := encodeCmd("GET", fmt.Sprintf("bench:key%d", i)), make([]byte, 64)
+					for next.Add(1) <= int64(b.N) {
+						if _, err := nc.Write(req); err != nil {
+							b.Error(err)
+							return
+						}
+						if _, err := io.ReadFull(nc, buf[:replyLen]); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		})
 	}
 }
 

@@ -954,21 +954,16 @@ func (r *serverRepl) heartbeatLoop() {
 // listener closes. Best-effort (a dead coordinator will fail the node
 // over anyway) on a fresh connection: the heartbeat loop owns its own.
 // Also marks the node draining so a straggling heartbeat doesn't
-// re-register it. A refusal is returned: a master with no live replica
-// stays registered (-NOREPLICA) and leaves as a failed node once its
-// heartbeats stop.
-func (r *serverRepl) deregister() error {
+// re-register it.
+func (r *serverRepl) deregister() {
 	r.draining.Store(true)
 	if r.cfg.CoordinatorAddr == "" {
-		return nil
+		return
 	}
 	cc, err := client.Dial(r.cfg.CoordinatorAddr)
 	if err != nil {
-		return nil
+		return
 	}
 	defer cc.Close()
-	if _, err := cc.Do("CLUSTER", "DEREGISTER", r.cfg.NodeID); err != nil {
-		return fmt.Errorf("deregister: %w", err)
-	}
-	return nil
+	cc.Do("CLUSTER", "DEREGISTER", r.cfg.NodeID)
 }

@@ -484,16 +484,13 @@ func (s *Server) Close() error {
 // replies flush (bounded by Overload.DrainTimeout), then close — which
 // flushes write-back dirty state through tiered.Close. An acked write
 // is therefore never lost to a drain: it either flushed to storage or
-// replicated before the socket closed. A coordinator's refusal to hand the
-// node's slots off (no live replica) does not stop the drain; it is
-// returned when the drain is done.
+// replicated before the socket closed.
 func (s *Server) Shutdown() error {
 	if !s.beginClose() {
 		return nil
 	}
-	var derr error
 	if s.repl != nil {
-		derr = s.repl.deregister()
+		s.repl.deregister()
 	}
 	close(s.stopCh)
 	err := s.ln.Close()
@@ -528,7 +525,7 @@ func (s *Server) Shutdown() error {
 	}
 	s.mu.Unlock()
 	s.finishClose()
-	return errors.Join(derr, err)
+	return err
 }
 
 // finishClose joins the background goroutines and shuts the shards
