@@ -1,7 +1,7 @@
 // Benchmark entry points: one testing.B target per paper table/figure
-// (wrapping the internal/bench drivers) plus the ablation benchmarks for
-// the design decisions called out in DESIGN.md §5, plus component
-// microbenchmarks. Regenerate everything with:
+// (wrapping the internal/bench drivers) plus ablation benchmarks for
+// individual design decisions, plus component microbenchmarks. Regenerate
+// everything with:
 //
 //	go test -bench=. -benchmem
 //
@@ -59,9 +59,8 @@ func BenchmarkFig12CaseStudies(b *testing.B)          { runExperiment(b, "fig12"
 func BenchmarkFig13aCompressionTradeoff(b *testing.B) { runExperiment(b, "fig13a") }
 func BenchmarkFig13bCacheRatioTradeoff(b *testing.B)  { runExperiment(b, "fig13b") }
 func BenchmarkTable3BreakEven(b *testing.B)           { runExperiment(b, "tab3") }
-func BenchmarkShardScale(b *testing.B)                { runExperiment(b, "shardscale") }
 
-// --- ablations (DESIGN.md §5) ---
+// --- ablations ---
 
 // BenchmarkAblationWriteBackBatch measures dirty-batch flushing: storage
 // round trips per write as FlushBatch grows.

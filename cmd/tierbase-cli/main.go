@@ -60,21 +60,25 @@ func main() {
 	}
 }
 
-// tokenize splits a command line, honoring double quotes.
+// tokenize splits a command line, honoring double quotes. A quote opens a
+// token even when nothing sits between it and its close, so `SET k ""`
+// sends an empty value.
 func tokenize(line string) []string {
 	var out []string
 	var cur strings.Builder
-	inQuote := false
+	inQuote, quoted := false, false
 	flush := func() {
-		if cur.Len() > 0 {
+		if cur.Len() > 0 || quoted {
 			out = append(out, cur.String())
 			cur.Reset()
+			quoted = false
 		}
 	}
 	for i := 0; i < len(line); i++ {
 		switch ch := line[i]; {
 		case ch == '"':
 			inQuote = !inQuote
+			quoted = true
 		case ch == ' ' && !inQuote:
 			flush()
 		default:

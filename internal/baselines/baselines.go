@@ -7,7 +7,7 @@
 // These are not protocol clones; they are cost-model stand-ins that
 // reproduce each system's position in the space-performance plane:
 // threading model (MaxPerf), storage format and overhead (MaxSpace), and
-// persistence mechanism. See DESIGN.md's substitution table.
+// persistence mechanism.
 package baselines
 
 import (
@@ -439,8 +439,8 @@ func (d *DragonflyLike) Close() error {
 // request paths (JVM object churn, quorum coordination, SSTable format
 // decode), which our lean Go LSM lacks. Without it the miniature's
 // per-op cost is an order of magnitude below the real systems' relative
-// to the cache-class stores, which would inverts the PC ordering the
-// paper reports in Fig. 11/12 (see DESIGN.md §3 substitutions).
+// to the cache-class stores, which would invert the PC ordering the
+// paper reports in Fig. 11/12.
 type LSMStore struct {
 	name    string
 	db      *lsm.DB

@@ -3,7 +3,7 @@
 // paper reports, using the cost-optimization framework of §5.3 (load a
 // snapshot, replay operations, measure MaxPerf/MaxSpace, compute costs).
 //
-// Scaling note (see EXPERIMENTS.md): the paper's testbed runs Redis-class
+// Scaling note: the paper's testbed runs Redis-class
 // systems at ~100k QPS/core against 10 GB datasets. This harness runs
 // in-process Go engines that are substantially faster per core, so each
 // cost experiment declares its workload *relative to a measured reference*
@@ -144,7 +144,6 @@ func Registry() []Experiment {
 		{"fig13a", "Compression-level space-performance trade-off", RunFig13a},
 		{"fig13b", "Cache-ratio space-performance trade-off (write-back NX)", RunFig13b},
 		{"tab3", "Break-even intervals between configurations", RunTable3},
-		{"shardscale", "Lock-striped engine scaling and batch (MGET/MSET) fast path", RunShardScale},
 	}
 }
 
@@ -237,16 +236,6 @@ func isNotFound(err error) bool {
 	// keeps it dependency-light here.
 	s := err.Error()
 	return strings.Contains(s, "not found") || strings.Contains(s, "nil reply")
-}
-
-// loadAll inserts the load-phase records.
-func loadAll(sys kvOp, spec workload.Spec) error {
-	for _, op := range spec.LoadOps() {
-		if err := sys.Set(op.Key, op.Value); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // fmtQPS renders throughput in kqps.

@@ -31,7 +31,7 @@ func cell(r *Result, rowMatch func([]string) bool, col int) (float64, bool) {
 
 func TestRegistryComplete(t *testing.T) {
 	reg := Registry()
-	want := []string{"fig1", "fig7", "fig8", "tab2", "fig9", "fig10", "fig11", "fig12", "fig13a", "fig13b", "tab3", "shardscale"}
+	want := []string{"fig1", "fig7", "fig8", "tab2", "fig9", "fig10", "fig11", "fig12", "fig13a", "fig13b", "tab3"}
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(reg), len(want))
 	}

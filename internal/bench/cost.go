@@ -36,7 +36,8 @@ const usableFrac = 0.85
 // regime rather than an absolute network RTT: the paper's cache ops cost
 // ~10µs (≈100 kQPS/core) and its optimized miss path a small multiple of
 // that; our in-process cache ops cost ~2.5µs, so ~15µs keeps
-// PC_miss/PC_cache in the same ≈6-10× band (see EXPERIMENTS.md, scaling).
+// PC_miss/PC_cache in the same ≈6-10× band (see the package doc's scaling
+// note).
 const missRTT = 25 * time.Microsecond
 
 // capability is what the replay phase measures for one configuration:

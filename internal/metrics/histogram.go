@@ -6,7 +6,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -236,43 +235,6 @@ func (h *Histogram) Merge(other *Histogram) {
 			}
 		}
 	}
-}
-
-// Snapshot captures a point-in-time summary of the histogram.
-type Snapshot struct {
-	Count int64
-	Mean  float64
-	Min   int64
-	Max   int64
-	P50   int64
-	P90   int64
-	P99   int64
-	P999  int64
-}
-
-// Snapshot returns a consistent-enough summary (not linearizable under
-// concurrent writes, which is fine for monitoring).
-func (h *Histogram) Snapshot() Snapshot {
-	return Snapshot{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		Min:   h.Min(),
-		Max:   h.Max(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
-		P999:  h.Quantile(0.999),
-	}
-}
-
-// String formats the snapshot for human consumption (durations assumed ns).
-func (s Snapshot) String() string {
-	return fmt.Sprintf("n=%d mean=%s p50=%s p99=%s max=%s",
-		s.Count,
-		time.Duration(int64(s.Mean)),
-		time.Duration(s.P50),
-		time.Duration(s.P99),
-		time.Duration(s.Max))
 }
 
 // --- exact small-sample percentile helper (used by tests & calibration) ---

@@ -5,13 +5,12 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
 	if h.Count() != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
-		t.Fatalf("empty histogram should report zeros: %+v", h.Snapshot())
+		t.Fatalf("empty histogram should report zeros: count=%d mean=%v min=%d max=%d", h.Count(), h.Mean(), h.Min(), h.Max())
 	}
 	if h.Quantile(0.99) != 0 {
 		t.Fatalf("empty quantile should be 0")
@@ -81,7 +80,7 @@ func TestHistogramReset(t *testing.T) {
 	h.Record(20)
 	h.Reset()
 	if h.Count() != 0 || h.Sum() != 0 || h.Max() != 0 {
-		t.Fatalf("reset did not clear: %+v", h.Snapshot())
+		t.Fatalf("reset did not clear: count=%d sum=%d max=%d", h.Count(), h.Sum(), h.Max())
 	}
 	h.Record(7)
 	if h.Min() != 7 || h.Max() != 7 {
@@ -196,15 +195,6 @@ func TestExactQuantile(t *testing.T) {
 	// input must not be mutated
 	if vals[0] != 5 || vals[4] != 7 {
 		t.Errorf("ExactQuantile mutated input: %v", vals)
-	}
-}
-
-func TestSnapshotString(t *testing.T) {
-	h := NewHistogram()
-	h.RecordDuration(time.Millisecond)
-	s := h.Snapshot().String()
-	if s == "" {
-		t.Fatal("empty snapshot string")
 	}
 }
 
