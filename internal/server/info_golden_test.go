@@ -192,7 +192,7 @@ func TestInfoGolden(t *testing.T) {
 	})
 
 	t.Run("write-through", func(t *testing.T) {
-		cfg := Config{Shards: 2}
+		cfg := Config{}
 		lsmShards(t, &cfg, cache.WriteThrough)
 		_, c := startTestServer(t, cfg)
 		goldenWorkload(t, c)
@@ -201,7 +201,6 @@ func TestInfoGolden(t *testing.T) {
 
 	t.Run("semi-sync", func(t *testing.T) {
 		master, mc := startMaster(t, func(cfg *Config) {
-			cfg.Shards = 2
 			cfg.Replication.SemiSyncAcks = 1
 			lsmShards(t, cfg, cache.WriteBack)
 		})
