@@ -36,7 +36,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("tierbase-coordinator: %v", err)
 	}
-	cs.Logf = log.Printf
 	log.Printf("tierbase-coordinator listening on %s (heartbeat timeout %v, check every %v)",
 		cs.Addr(), *hbTimeout, *checkInterval)
 

@@ -1,10 +1,10 @@
-// Command tierbase-server runs a TierBase RESP server (Redis-compatible
-// wire protocol) with configurable sharding, tiering policy, compression
-// and elastic threading.
+// Command tierbase-server runs one TierBase data node behind a RESP server
+// (Redis-compatible wire protocol) with configurable tiering policy,
+// compression and elastic threading.
 //
 // Usage:
 //
-//	tierbase-server -addr :6380 -shards 4 -policy write-back -dir /data/tb
+//	tierbase-server -addr :6380 -policy write-back -dir /data/tb
 //	redis-cli -p 6380 SET greeting hello
 package main
 
@@ -15,7 +15,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"syscall"
 	"time"
 
@@ -51,63 +50,48 @@ func tieringFlags(policy, dir string, cacheBytes int64) (cache.Policy, error) {
 	return p, nil
 }
 
-// stackFlags maps the storage flags onto one shard's stack; the
-// compressor is pre-trained on 500 records of the -train-on dataset.
+// stackFlags maps the storage flags onto the node's stack, its LSM at -dir
+// itself; the compressor is pre-trained on 500 records of the -train-on
+// dataset.
 func stackFlags(policy, dir string, cacheBytes int64, compression, trainOn string) (stack.Config, error) {
 	p, err := tieringFlags(policy, dir, cacheBytes)
 	if err != nil {
 		return stack.Config{}, err
 	}
-	c := stack.Config{Policy: p, CacheBytes: cacheBytes, Compression: compression}
+	c := stack.Config{Policy: p, Dir: dir, CacheBytes: cacheBytes, Compression: compression}
 	if compression != "" {
 		c.TrainingSamples = workload.Sample(workload.DatasetByName(trainOn), 500)
 	}
 	return c, nil
 }
 
-// shardStacks builds each shard's storage tier in dir/shard%03d, in the
-// order server.Start asks for them, so an existing -dir reopens shard by
-// shard. It keeps the stacks for INFO storage and for closing after the
-// server.
-type shardStacks struct {
-	cfg    stack.Config
-	dir    string
-	stacks []*stack.Stack
-}
-
-// factory is server.Config.TieredFactory.
-func (s *shardStacks) factory(eng *engine.Engine) (*cache.Tiered, error) {
-	c := s.cfg
-	c.Dir = filepath.Join(s.dir, fmt.Sprintf("shard%03d", len(s.stacks)))
-	st, err := stack.NewTiered(c, eng)
-	if err != nil {
-		return nil, err
+// wireStorage puts c's storage tier behind the node: server.Start builds
+// the node's engine and the factory opens the LSM at c.Dir over it. The
+// returned func closes the stack; call it after the server has closed, so
+// write-back dirty keys reach the LSM before its WAL syncs.
+func wireStorage(opts *server.Config, c stack.Config) (closeStorage func() error) {
+	var st *stack.Stack
+	opts.TieredFactory = func(eng *engine.Engine) (*cache.Tiered, error) {
+		var err error
+		if st, err = stack.NewTiered(c, eng); err != nil {
+			return nil, err
+		}
+		return st.Tiered, nil
 	}
-	s.stacks = append(s.stacks, st)
-	return st.Tiered, nil
-}
-
-// stats is server.Config.StorageStats: per-shard LSM counters (flush
-// backlog, level shape, write volume).
-func (s *shardStacks) stats() []lsm.Stats {
-	out := make([]lsm.Stats, len(s.stacks))
-	for i, st := range s.stacks {
-		out[i] = st.DB.Stats()
-	}
-	return out
+	opts.StorageStats = func() []lsm.Stats { return []lsm.Stats{st.DB.Stats()} }
+	return func() error { return st.Close() }
 }
 
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:6380", "listen address")
-		shards      = flag.Int("shards", 1, "data-node shards in this process")
 		policy      = flag.String("policy", "cache-only", "cache-only | write-through | write-back")
 		dir         = flag.String("dir", "", "storage-tier directory (tiered policies)")
 		compression = flag.String("compression", "", "value compressor: pbc | zstd-d | zstd-b")
 		trainOn     = flag.String("train-on", "kv1", "dataset for compressor pre-training: cities | kv1 | kv2")
 		elasticOn   = flag.Bool("elastic", true, "enable elastic threading")
-		maxWorkers  = flag.Int("max-workers", 4, "CPU budget per shard")
-		cacheBytes  = flag.Int64("cache-bytes", 0, "cache capacity per shard, tiered policies only (0 = unbounded)")
+		maxWorkers  = flag.Int("max-workers", 4, "elastic gate's slot ceiling: the node's CPU budget")
+		cacheBytes  = flag.Int64("cache-bytes", 0, "cache-tier capacity, tiered policies only (0 = unbounded)")
 		boostDepth  = flag.Int("boost-depth", 0, "callers waiting for a slot that trigger boost mode (0 = default 4)")
 		cooldown    = flag.Int("cooldown-ticks", 0, "calm evaluations before shrinking back to single mode (0 = default)")
 		evalEvery   = flag.Duration("eval-interval", 0, "elastic controller period (0 = default)")
@@ -152,7 +136,6 @@ func main() {
 	// Everything the process needs lives in one validated server.Config.
 	opts := server.Config{
 		Addr:          *addr,
-		Shards:        *shards,
 		EngineOptions: eo.Options,
 		Pool: elastic.PoolOptions{
 			MaxWorkers:      *maxWorkers,
@@ -192,10 +175,9 @@ func main() {
 		log.Fatalf("tierbase-server: %v", err)
 	}
 
-	tiers := &shardStacks{cfg: cfg, dir: *dir}
+	closeStorage := func() error { return nil }
 	if cfg.Policy != cache.CacheOnly {
-		opts.TieredFactory = tiers.factory
-		opts.StorageStats = tiers.stats
+		closeStorage = wireStorage(&opts, cfg)
 	}
 
 	srv, err := server.Start(opts)
@@ -209,7 +191,7 @@ func main() {
 			role = fmt.Sprintf(" as replica %s of %s", *nodeID, *replicaOf)
 		}
 	}
-	log.Printf("tierbase-server listening on %s (%d shards, %s policy)%s", srv.Addr(), *shards, *policy, role)
+	log.Printf("tierbase-server listening on %s (%s policy)%s", srv.Addr(), *policy, role)
 
 	// Periodic monitor line (the Monitor component of §3).
 	go func() {
@@ -236,13 +218,11 @@ func main() {
 			log.Printf("close: %v", err)
 		}
 	}
-	// Close the storage tier AFTER the server: srv.Close flushes each
-	// shard's write-back dirty set into the LSM, and the LSM's Close syncs
-	// the WAL — without it, the last SyncEvery window of flushed writes
-	// sits in an unsynced WAL buffer and dies with the process.
-	for _, st := range tiers.stacks {
-		if err := st.Close(); err != nil {
-			log.Printf("lsm close: %v", err)
-		}
+	// Close the storage tier AFTER the server: srv.Close flushes the
+	// write-back dirty set into the LSM, and the LSM's Close syncs the WAL
+	// — without it, the last SyncEvery window of flushed writes sits in an
+	// unsynced WAL buffer and dies with the process.
+	if err := closeStorage(); err != nil {
+		log.Printf("lsm close: %v", err)
 	}
 }

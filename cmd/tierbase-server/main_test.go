@@ -2,14 +2,15 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"tierbase/internal/cache"
+	"tierbase/internal/client"
 	"tierbase/internal/engine"
+	"tierbase/internal/server"
 	"tierbase/internal/stack"
 )
 
@@ -42,11 +43,11 @@ func TestTieringFlags(t *testing.T) {
 	}
 }
 
-// TestShardStacksFromFlags: the storage flags give every shard the stack
-// they name — policy, per-shard capacity, its own shard%03d directory under
-// -dir (so an existing -dir reopens shard by shard), the pre-trained
-// compressor and the engine's 16-byte compression threshold.
-func TestShardStacksFromFlags(t *testing.T) {
+// TestNodeStackFromFlags: the storage flags give the node the stack they
+// name — policy, capacity, the LSM at -dir itself, the pre-trained
+// compressor and the engine's 16-byte compression threshold — and a key
+// written before the server closes reads back from -dir after a restart.
+func TestNodeStackFromFlags(t *testing.T) {
 	dir := t.TempDir()
 	cfg, err := stackFlags("write-back", dir, 1<<20, "zstd-b", "kv1")
 	if err != nil {
@@ -59,26 +60,57 @@ func TestShardStacksFromFlags(t *testing.T) {
 	if c := eo.Options.Compressor; c == nil || c.Name() != "deflate" {
 		t.Fatalf("compressor %v, want deflate (zstd-b)", c)
 	}
-	tiers := &shardStacks{cfg: cfg, dir: dir}
-	defer func() {
-		for _, st := range tiers.stacks {
-			st.Close()
-		}
-	}()
-	for i := 0; i < 2; i++ {
-		tr, err := tiers.factory(engine.New(eo.Options))
+	start := func() (*server.Server, *client.Client, func() error) {
+		t.Helper()
+		opts := server.Config{Addr: "127.0.0.1:0", EngineOptions: eo.Options}
+		closeStorage := wireStorage(&opts, cfg)
+		srv, err := server.Start(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.Policy() != cache.WriteBack || tr.CapacityBytes() != 1<<20 {
-			t.Fatalf("shard %d: %s, capacity %d", i, tr.Policy(), tr.CapacityBytes())
+		c, err := client.Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := os.Stat(filepath.Join(dir, fmt.Sprintf("shard%03d", i))); err != nil {
-			t.Fatalf("shard %d directory: %v", i, err)
+		return srv, c, closeStorage
+	}
+
+	srv, c, closeStorage := start()
+	if err := c.Set("durable", "yes"); err != nil {
+		t.Fatal(err)
+	}
+	for section, want := range map[string]map[string]string{
+		"writepath": {"shard0_policy": "write-back"},
+		"tiering":   {"shard0_capacity_bytes": "1048576"},
+		"storage":   {"storage_shards": "1"},
+	} {
+		got, err := c.Info(section)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for field, v := range want {
+			if got[field] != v {
+				t.Errorf("INFO %s %s:%q, want %q", section, field, got[field], v)
+			}
 		}
 	}
-	if n := len(tiers.stats()); n != 2 {
-		t.Fatalf("INFO storage has %d shards, want 2", n)
+	if _, err := os.Stat(filepath.Join(dir, "wal")); err != nil {
+		t.Fatalf("the LSM is not at -dir: %v", err)
+	}
+	c.Close()
+	srv.Close()
+	if err := closeStorage(); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, c, closeStorage = start()
+	defer func() {
+		c.Close()
+		srv.Close()
+		closeStorage()
+	}()
+	if v, err := c.Get("durable"); err != nil || v != "yes" {
+		t.Fatalf("GET after restart on -dir: %q, %v", v, err)
 	}
 
 	payload := func(opts engine.Options, n int) int64 {

@@ -15,7 +15,7 @@ import (
 )
 
 func main() {
-	srv, err := server.Start(server.Options{Addr: "127.0.0.1:0", Shards: 4})
+	srv, err := server.Start(server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		log.Fatal(err)
 	}

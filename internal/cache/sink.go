@@ -1,8 +1,8 @@
 package cache
 
 // OpSink receives every logical mutation the tiered store commits — the
-// replication seam. The server installs one sink per shard engine and
-// feeds its op log from it (see internal/replication).
+// replication seam. The server installs one sink on its node's tiered
+// store and feeds its op log from it (see internal/replication).
 //
 // Contract:
 //   - Every call happens under the mutated key's RMW stripe lock (a

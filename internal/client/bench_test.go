@@ -187,7 +187,7 @@ func benchKey(i int) string { return fmt.Sprintf("bench%04d", i%benchKeys) }
 
 func startBenchServer(b *testing.B) *server.Server {
 	b.Helper()
-	s, err := server.Start(server.Options{Addr: "127.0.0.1:0", Shards: 4})
+	s, err := server.Start(server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		b.Fatal(err)
 	}

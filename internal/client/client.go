@@ -170,34 +170,32 @@ func (c *Client) del(cmd string, keys []string) (int64, error) {
 	if len(keys) == 0 {
 		return 0, nil
 	}
-	args := append([]string{cmd}, keys...)
+	return c.doInt(append([]string{cmd}, keys...)...)
+}
+
+// Incr increments a counter.
+func (c *Client) Incr(key string) (int64, error) {
+	return c.doInt("INCR", key)
+}
+
+// CAS performs compare-and-set; returns whether the swap happened.
+func (c *Client) CAS(key, oldVal, newVal string) (bool, error) {
+	n, err := c.doInt("CAS", key, oldVal, newVal)
+	return n == 1, err
+}
+
+// doInt runs a command whose reply is an integer; any other reply is an
+// error, not a panic.
+func (c *Client) doInt(args ...string) (int64, error) {
 	v, err := c.Do(args...)
 	if err != nil {
 		return 0, err
 	}
 	n, ok := v.(int64)
 	if !ok {
-		return 0, fmt.Errorf("client: unexpected %s reply %T", cmd, v)
+		return 0, fmt.Errorf("client: unexpected %s reply %T", args[0], v)
 	}
 	return n, nil
-}
-
-// Incr increments a counter.
-func (c *Client) Incr(key string) (int64, error) {
-	v, err := c.Do("INCR", key)
-	if err != nil {
-		return 0, err
-	}
-	return v.(int64), nil
-}
-
-// CAS performs compare-and-set; returns whether the swap happened.
-func (c *Client) CAS(key, oldVal, newVal string) (bool, error) {
-	v, err := c.Do("CAS", key, oldVal, newVal)
-	if err != nil {
-		return false, err
-	}
-	return v.(int64) == 1, nil
 }
 
 // Info fetches one INFO section ("" = every section) as field → value.

@@ -17,12 +17,12 @@ func TestDialFailure(t *testing.T) {
 
 func TestRoutedClientAcrossNodes(t *testing.T) {
 	// Two server processes, slots split between them by the coordinator.
-	s1, err := server.Start(server.Options{Addr: "127.0.0.1:0"})
+	s1, err := server.Start(server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s1.Close()
-	s2, err := server.Start(server.Options{Addr: "127.0.0.1:0"})
+	s2, err := server.Start(server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +58,7 @@ func TestRoutedClientAcrossNodes(t *testing.T) {
 	}
 }
 
-func keysOn(s *server.Server) int {
-	total := 0
-	for _, e := range s.Shards() {
-		total += e.Len()
-	}
-	return total
-}
+func keysOn(s *server.Server) int { return s.Shards()[0].Len() }
 
 func TestRoutedNoNode(t *testing.T) {
 	rc := client.NewRouted(emptyRouter{})
@@ -82,7 +76,7 @@ type emptyRouter struct{}
 func (emptyRouter) AddrFor(string) string { return "" }
 
 func TestClientMGetMSet(t *testing.T) {
-	s, err := server.Start(server.Options{Addr: "127.0.0.1:0", Shards: 4})
+	s, err := server.Start(server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +106,12 @@ func TestClientMGetMSet(t *testing.T) {
 }
 
 func TestRoutedMGetMSetAcrossNodes(t *testing.T) {
-	s1, err := server.Start(server.Options{Addr: "127.0.0.1:0"})
+	s1, err := server.Start(server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s1.Close()
-	s2, err := server.Start(server.Options{Addr: "127.0.0.1:0"})
+	s2, err := server.Start(server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,12 +156,12 @@ func TestRoutedMGetMSetAcrossNodes(t *testing.T) {
 }
 
 func TestRoutedDelAcrossNodes(t *testing.T) {
-	s1, err := server.Start(server.Options{Addr: "127.0.0.1:0"})
+	s1, err := server.Start(server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s1.Close()
-	s2, err := server.Start(server.Options{Addr: "127.0.0.1:0"})
+	s2, err := server.Start(server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}

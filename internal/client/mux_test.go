@@ -527,6 +527,29 @@ func TestServerErrorReplyIsNotSticky(t *testing.T) {
 	}
 }
 
+// TestIntegerCommandsRefuseOtherReplies: Incr and CAS read an integer
+// reply; a server that answers with a bulk string gets an error back, not a
+// panic in the caller.
+func TestIntegerCommandsRefuseOtherReplies(t *testing.T) {
+	srv := startStub(t)
+	srv.hook = func(args []string) string {
+		if cmd := strings.ToUpper(args[0]); cmd == "INCR" || cmd == "CAS" {
+			return "$1\r\n5\r\n"
+		}
+		return ""
+	}
+	c := dialStub(t, srv)
+	if n, err := c.Incr("k"); err == nil || !strings.Contains(err.Error(), "unexpected INCR reply") {
+		t.Errorf("INCR answered with a bulk: %d, %v", n, err)
+	}
+	if ok, err := c.CAS("k", "a", "b"); err == nil || ok {
+		t.Errorf("CAS answered with a bulk: %v, %v", ok, err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Fatalf("ping after a refused reply: %v", err)
+	}
+}
+
 // TestCloseFailsInflight: Close while calls are gated in the pending
 // queue releases every waiter with ErrClosed instead of hanging.
 func TestCloseFailsInflight(t *testing.T) {

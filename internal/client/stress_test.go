@@ -31,7 +31,7 @@ func TestMuxStress(t *testing.T) {
 func stressVal(k string) string { return "val-of-" + k }
 
 func muxStress(t *testing.T) {
-	s, err := server.Start(server.Options{Addr: "127.0.0.1:0", Shards: 4})
+	s, err := server.Start(server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func muxStress(t *testing.T) {
 // TestCloseRacesInflightCalls: Close fired while calls are mid-flight
 // must release every waiter promptly — value or error, never a hang.
 func TestCloseRacesInflightCalls(t *testing.T) {
-	s, err := server.Start(server.Options{Addr: "127.0.0.1:0"})
+	s, err := server.Start(server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestCloseRacesInflightCalls(t *testing.T) {
 // callers routed to a healthy node — the satellite fix for dialing under
 // the routing lock.
 func TestRoutedSlowNodeDoesNotBlockHealthyRouting(t *testing.T) {
-	s, err := server.Start(server.Options{Addr: "127.0.0.1:0"})
+	s, err := server.Start(server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func (r *splitRouter) AddrFor(key string) string {
 // TestRoutedRedialsBrokenNode: a node connection that went sticky-broken
 // is replaced on the next call instead of failing forever.
 func TestRoutedRedialsBrokenNode(t *testing.T) {
-	s, err := server.Start(server.Options{Addr: "127.0.0.1:0"})
+	s, err := server.Start(server.Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestRoutedRedialsBrokenNode(t *testing.T) {
 	// Restart on the same address (may need a few tries on a busy box).
 	var s2 *server.Server
 	for i := 0; i < 50; i++ {
-		s2, err = server.Start(server.Options{Addr: addr})
+		s2, err = server.Start(server.Config{Addr: addr})
 		if err == nil {
 			break
 		}

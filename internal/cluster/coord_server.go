@@ -41,10 +41,6 @@ type CoordServer struct {
 	// NotifyTimeout bounds each promotion push dial+reply.
 	NotifyTimeout time.Duration
 
-	// Logf receives coordinator events (promotions, notify failures);
-	// defaults to log.Printf.
-	Logf func(format string, args ...any)
-
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{}
 	stop   chan struct{}
@@ -65,7 +61,6 @@ func StartCoordServer(addr string, coord *Coordinator, checkInterval time.Durati
 		ln:            ln,
 		checkInterval: checkInterval,
 		NotifyTimeout: 2 * time.Second,
-		Logf:          log.Printf,
 		conns:         make(map[net.Conn]struct{}),
 		stop:          make(chan struct{}),
 	}
@@ -207,7 +202,7 @@ func (cs *CoordServer) cluster(out []byte, args []string) []byte {
 		// master is blocked on this +OK and must not wait for the
 		// promotee's round-trip.
 		if ev != nil && ev.PromotedAddr != "" {
-			cs.Logf("cluster: master %s (%s) deregistered; promoting %s (%s)",
+			log.Printf("cluster: master %s (%s) deregistered; promoting %s (%s)",
 				ev.FailedID, ev.FailedAddr, ev.PromotedID, ev.PromotedAddr)
 			cs.wg.Add(1)
 			go func(ev Failover) {
@@ -252,10 +247,10 @@ func (cs *CoordServer) failoverLoop() {
 		events := cs.coord.CheckFailuresDetail()
 		for _, ev := range events {
 			if ev.PromotedAddr == "" {
-				cs.Logf("cluster: master %s (%s) failed with no replica; slots redistributed", ev.FailedID, ev.FailedAddr)
+				log.Printf("cluster: master %s (%s) failed with no replica; slots redistributed", ev.FailedID, ev.FailedAddr)
 				continue
 			}
-			cs.Logf("cluster: master %s (%s) failed; promoting %s (%s)", ev.FailedID, ev.FailedAddr, ev.PromotedID, ev.PromotedAddr)
+			log.Printf("cluster: master %s (%s) failed; promoting %s (%s)", ev.FailedID, ev.FailedAddr, ev.PromotedID, ev.PromotedAddr)
 			cs.pushPromotion(ev)
 		}
 	}
@@ -266,7 +261,7 @@ func (cs *CoordServer) failoverLoop() {
 // at it. Shared by the failover loop and the graceful-deregister path.
 func (cs *CoordServer) pushPromotion(ev Failover) {
 	if err := cs.notify(ev.PromotedAddr, "REPLICAOF", "NO", "ONE"); err != nil {
-		cs.Logf("cluster: promotion notify %s: %v", ev.PromotedAddr, err)
+		log.Printf("cluster: promotion notify %s: %v", ev.PromotedAddr, err)
 	}
 	host, port, splitErr := net.SplitHostPort(ev.PromotedAddr)
 	if splitErr != nil {
@@ -275,7 +270,7 @@ func (cs *CoordServer) pushPromotion(ev Failover) {
 	for _, n := range cs.coord.Nodes() {
 		if n.Role == RoleReplica && n.MasterID == ev.PromotedID && n.ID != ev.PromotedID {
 			if err := cs.notify(n.Addr, "REPLICAOF", host, port); err != nil {
-				cs.Logf("cluster: re-point notify %s: %v", n.Addr, err)
+				log.Printf("cluster: re-point notify %s: %v", n.Addr, err)
 			}
 		}
 	}

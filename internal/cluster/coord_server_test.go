@@ -127,7 +127,6 @@ func TestCoordServerFailoverPush(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cs.Close()
-	cs.Logf = t.Logf
 
 	coord.Register(Node{ID: "m1", Addr: "127.0.0.1:1", Role: RoleMaster})
 	coord.Register(Node{ID: "r1", Addr: replica.addr(), Role: RoleReplica, MasterAddr: "127.0.0.1:1"})

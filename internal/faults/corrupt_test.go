@@ -13,7 +13,7 @@ import (
 // TestCorruptBlockSurfacesTypedError: a bit flipped in an SSTable data
 // block (silent media corruption, injected with FlipBit) must fail the
 // read with lsm.ErrBadBlock — never serve the damaged bytes — and count
-// in Stats.BadBlocks, which INFO storage reports per shard.
+// in Stats.BadBlocks, which INFO storage reports.
 func TestCorruptBlockSurfacesTypedError(t *testing.T) {
 	dir := t.TempDir()
 	db, err := lsm.Open(lsm.Options{Dir: dir, DisableWAL: true})

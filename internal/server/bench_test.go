@@ -54,7 +54,7 @@ func roundTrip(b *testing.B, nc net.Conn, req, buf []byte, replyLen int) {
 
 func startBenchServer(b *testing.B) *Server {
 	b.Helper()
-	s, err := Start(Options{Addr: "127.0.0.1:0"})
+	s, err := Start(Config{Addr: "127.0.0.1:0"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,9 +78,9 @@ func BenchmarkNetGET(b *testing.B) {
 	}
 }
 
-// BenchmarkNetGETParallel is GET from eight connections at once, every key
-// on the one shard: the case elastic threading exists for. "single" pins
-// the shard to one slot, so each command waits for the others';
+// BenchmarkNetGETParallel is GET from eight connections at once through the
+// node's one gate: the case elastic threading exists for. "single" pins
+// the gate to one slot, so each command waits for the others';
 // "elastic" lets the controller boost.
 func BenchmarkNetGETParallel(b *testing.B) {
 	const conns = 8
@@ -89,7 +89,7 @@ func BenchmarkNetGETParallel(b *testing.B) {
 		fixed int
 	}{{"single", 1}, {"elastic", 0}} {
 		b.Run(tc.name, func(b *testing.B) {
-			s, err := Start(Options{Addr: "127.0.0.1:0", Pool: elastic.PoolOptions{Fixed: tc.fixed}})
+			s, err := Start(Config{Addr: "127.0.0.1:0", Pool: elastic.PoolOptions{Fixed: tc.fixed}})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"tierbase/internal/cache"
@@ -16,26 +15,28 @@ import (
 // The command table: everything the server knows about a command is its one
 // row in commands, and dispatch (server.go) is the table's only reader.
 
-// keySpec says where a command's keys sit in its arguments, which is also
-// how dispatch routes it.
+// keySpec says where a command's keys sit in its arguments. A keyless
+// command runs on the connection goroutine; a keyed one runs once through
+// the node's gate however many keys it names.
 type keySpec uint8
 
 const (
-	keysNone       keySpec = iota // no key: runs on the connection goroutine
-	keyFirst                      // args[1]: runs on the shard that owns it
-	keysEvery                     // args[1:]: the owning shard when there is one key, else a fan-out
-	keysEveryOther                // args[1], args[3], ...: key value pairs, routed the same way
+	keysNone       keySpec = iota // no key
+	keyFirst                      // args[1]
+	keysEvery                     // args[1:]
+	keysEveryOther                // args[1], args[3], ...: key value pairs
 )
 
 // Handlers. args alias the connection's parse buffers: safe to read for
 // the duration of the call (execution is synchronous), copied by any layer
-// that retains them. A shardFn or mutateFn appends its reply to out; when
+// that retains them. A keyedFn or mutateFn appends its reply to out; when
 // it returns an error, whatever it appended is dropped for the error reply.
+// Both get key, args[1] as a string: a multi-key command's first key.
 type (
-	// connFn runs outside any shard's gate and appends to c.out.
+	// connFn runs outside the gate and appends to c.out.
 	connFn func(s *Server, c *conn, args [][]byte)
-	// shardFn runs inside the gate of the shard that owns key.
-	shardFn func(sh *shard, key string, args [][]byte, out []byte) ([]byte, error)
+	// keyedFn runs inside the node's gate.
+	keyedFn func(s *Server, key string, args [][]byte, out []byte) ([]byte, error)
 	// mutateFn is an in-place engine mutation of key. It runs inside
 	// cache.Tiered.Mutate, which warms the key first, holds its RMW stripe
 	// lock around the call and, when changed is reported, commits the key's
@@ -55,14 +56,13 @@ type command struct {
 	// replica acks under semi-sync.
 	write bool
 	keys  keySpec
-	// warm faults the key in from the storage tier before shard runs, for
+	// warm faults the key in from the storage tier before keyed runs, for
 	// reads that go to the engine directly.
 	warm bool
-	// conn serves a keyless command, and the multi-key form of a keysEvery
-	// or keysEveryOther one. A keyed command's single-key form is shard, or
-	// mutate when it is an in-place engine mutation.
+	// conn serves a keyless command; keyed serves a keyed one, or mutate
+	// when it is an in-place engine mutation of args[1].
 	conn   connFn
-	shard  shardFn
+	keyed  keyedFn
 	mutate mutateFn
 }
 
@@ -76,13 +76,13 @@ var commands = []*command{
 	{name: "REPLICAOF", aliases: []string{"SLAVEOF"}, arity: 3, conn: replOnly((*serverRepl).cmdReplicaof)},
 	{name: "CLUSTER", arity: -2, conn: replOnly((*serverRepl).cmdCluster)},
 
-	{name: "GET", arity: 2, keys: keyFirst, shard: cmdGet},
-	{name: "SET", arity: 3, write: true, keys: keyFirst, shard: cmdSet},
-	{name: "MGET", arity: -2, keys: keysEvery, conn: cmdMGet, shard: cmdMGetOne},
-	{name: "MSET", arity: -3, write: true, keys: keysEveryOther, conn: cmdMSet, shard: cmdSet},
-	{name: "DEL", aliases: []string{"UNLINK"}, arity: -2, write: true, keys: keysEvery, conn: cmdDel, shard: cmdDelOne},
-	{name: "EXISTS", arity: 2, keys: keyFirst, warm: true, shard: cmdExists},
-	{name: "TYPE", arity: 2, keys: keyFirst, warm: true, shard: cmdType},
+	{name: "GET", arity: 2, keys: keyFirst, keyed: cmdGet},
+	{name: "SET", arity: 3, write: true, keys: keyFirst, keyed: cmdSet},
+	{name: "MGET", arity: -2, keys: keysEvery, keyed: cmdMGet},
+	{name: "MSET", arity: -3, write: true, keys: keysEveryOther, keyed: cmdMSet},
+	{name: "DEL", aliases: []string{"UNLINK"}, arity: -2, write: true, keys: keysEvery, keyed: cmdDel},
+	{name: "EXISTS", arity: 2, keys: keyFirst, warm: true, keyed: cmdExists},
+	{name: "TYPE", arity: 2, keys: keyFirst, warm: true, keyed: cmdType},
 	{name: "SETNX", arity: 3, write: true, keys: keyFirst, mutate: cmdSetNX},
 	{name: "INCR", arity: 2, write: true, keys: keyFirst, mutate: incrBy(1, false)},
 	{name: "DECR", arity: 2, write: true, keys: keyFirst, mutate: incrBy(-1, false)},
@@ -91,34 +91,34 @@ var commands = []*command{
 	// CAS key oldval newval — the paper's compare-and-set extension.
 	{name: "CAS", arity: 4, write: true, keys: keyFirst, mutate: cmdCAS},
 	// EXPIRE and PERSIST warm the key inside the tiered store.
-	{name: "EXPIRE", arity: 3, write: true, keys: keyFirst, shard: cmdExpire},
-	{name: "TTL", arity: 2, keys: keyFirst, warm: true, shard: cmdTTL},
-	{name: "PERSIST", arity: 2, write: true, keys: keyFirst, shard: cmdPersist},
+	{name: "EXPIRE", arity: 3, write: true, keys: keyFirst, keyed: cmdExpire},
+	{name: "TTL", arity: 2, keys: keyFirst, warm: true, keyed: cmdTTL},
+	{name: "PERSIST", arity: 2, write: true, keys: keyFirst, keyed: cmdPersist},
 
 	{name: "LPUSH", arity: -3, write: true, keys: keyFirst, mutate: push((*engine.Engine).LPush)},
 	{name: "RPUSH", arity: -3, write: true, keys: keyFirst, mutate: push((*engine.Engine).RPush)},
 	{name: "LPOP", arity: 2, write: true, keys: keyFirst, mutate: pop((*engine.Engine).LPop)},
 	{name: "RPOP", arity: 2, write: true, keys: keyFirst, mutate: pop((*engine.Engine).RPop)},
-	{name: "LLEN", arity: 2, keys: keyFirst, warm: true, shard: count((*engine.Engine).LLen)},
-	{name: "LRANGE", arity: 4, keys: keyFirst, warm: true, shard: cmdLRange},
+	{name: "LLEN", arity: 2, keys: keyFirst, warm: true, keyed: count((*engine.Engine).LLen)},
+	{name: "LRANGE", arity: 4, keys: keyFirst, warm: true, keyed: cmdLRange},
 
 	{name: "SADD", arity: -3, write: true, keys: keyFirst, mutate: members((*engine.Engine).SAdd)},
 	{name: "SREM", arity: -3, write: true, keys: keyFirst, mutate: members((*engine.Engine).SRem)},
-	{name: "SISMEMBER", arity: 3, keys: keyFirst, warm: true, shard: cmdSIsMember},
-	{name: "SCARD", arity: 2, keys: keyFirst, warm: true, shard: count((*engine.Engine).SCard)},
-	{name: "SMEMBERS", arity: 2, keys: keyFirst, warm: true, shard: cmdSMembers},
+	{name: "SISMEMBER", arity: 3, keys: keyFirst, warm: true, keyed: cmdSIsMember},
+	{name: "SCARD", arity: 2, keys: keyFirst, warm: true, keyed: count((*engine.Engine).SCard)},
+	{name: "SMEMBERS", arity: 2, keys: keyFirst, warm: true, keyed: cmdSMembers},
 
 	{name: "ZADD", arity: 4, write: true, keys: keyFirst, mutate: cmdZAdd},
-	{name: "ZSCORE", arity: 3, keys: keyFirst, warm: true, shard: cmdZScore},
+	{name: "ZSCORE", arity: 3, keys: keyFirst, warm: true, keyed: cmdZScore},
 	{name: "ZREM", arity: 3, write: true, keys: keyFirst, mutate: cmdZRem},
-	{name: "ZCARD", arity: 2, keys: keyFirst, warm: true, shard: count((*engine.Engine).ZCard)},
-	{name: "ZRANGE", arity: -4, keys: keyFirst, warm: true, shard: cmdZRange},
+	{name: "ZCARD", arity: 2, keys: keyFirst, warm: true, keyed: count((*engine.Engine).ZCard)},
+	{name: "ZRANGE", arity: -4, keys: keyFirst, warm: true, keyed: cmdZRange},
 
 	{name: "HSET", arity: 4, write: true, keys: keyFirst, mutate: cmdHSet},
-	{name: "HGET", arity: 3, keys: keyFirst, warm: true, shard: cmdHGet},
+	{name: "HGET", arity: 3, keys: keyFirst, warm: true, keyed: cmdHGet},
 	{name: "HDEL", arity: -3, write: true, keys: keyFirst, mutate: members((*engine.Engine).HDel)},
-	{name: "HLEN", arity: 2, keys: keyFirst, warm: true, shard: count((*engine.Engine).HLen)},
-	{name: "HGETALL", arity: 2, keys: keyFirst, warm: true, shard: cmdHGetAll},
+	{name: "HLEN", arity: 2, keys: keyFirst, warm: true, keyed: count((*engine.Engine).HLen)},
+	{name: "HGETALL", arity: 2, keys: keyFirst, warm: true, keyed: cmdHGetAll},
 }
 
 // commandTable indexes commands by every name a client may use.
@@ -217,15 +217,6 @@ func appendBulkArray(out []byte, vals [][]byte) []byte {
 	return out
 }
 
-// stringsAt copies args[i] for each i in idxs out of the parse buffers.
-func stringsAt(args [][]byte, idxs []int) []string {
-	out := make([]string, len(idxs))
-	for j, i := range idxs {
-		out[j] = string(args[i])
-	}
-	return out
-}
-
 // stringsFrom copies args out of the parse buffers.
 func stringsFrom(args [][]byte) []string {
 	out := make([]string, len(args))
@@ -248,23 +239,15 @@ func cmdPing(_ *Server, c *conn, _ [][]byte) { c.out = resp.AppendSimple(c.out, 
 
 func cmdEcho(_ *Server, c *conn, args [][]byte) { c.out = resp.AppendBulk(c.out, args[1]) }
 
-func cmdDBSize(s *Server, c *conn, _ [][]byte) {
-	var n int64
-	for _, sh := range s.shards {
-		n += int64(sh.eng.Len())
-	}
-	c.out = resp.AppendInt(c.out, n)
-}
+func cmdDBSize(s *Server, c *conn, _ [][]byte) { c.out = resp.AppendInt(c.out, int64(s.eng.Len())) }
 
-// cmdFlushAll clears every shard through its tiered store: clearing only
-// the cache tier would let flushed keys resurrect from storage on their
-// next miss (and the clear must replicate).
+// cmdFlushAll clears the node through its tiered store: clearing only the
+// cache tier would let flushed keys resurrect from storage on their next
+// miss (and the clear must replicate).
 func cmdFlushAll(s *Server, c *conn, _ [][]byte) {
-	for _, sh := range s.shards {
-		if err := sh.tiered.FlushAll(); err != nil {
-			c.out = resp.AppendError(c.out, err.Error())
-			return
-		}
+	if err := s.tiered.FlushAll(); err != nil {
+		c.out = resp.AppendError(c.out, err.Error())
+		return
 	}
 	c.out = resp.AppendSimple(c.out, "OK")
 }
@@ -293,105 +276,76 @@ func replOnly(fn func(r *serverRepl, c *conn, args [][]byte)) connFn {
 	}
 }
 
-// --- multi-key commands: the fan-out form, then the single-key form ---
+// --- multi-key commands ---
 
-// cmdMGet serves multi-key MGET: each shard runs one batch get, replies
-// reassemble in request order — the multi-key fan-out the paper's client
-// batching relies on.
-func cmdMGet(s *Server, c *conn, args [][]byte) {
-	keyArgs := args[1:]
-	vals := make([][]byte, len(keyArgs))
-	err := s.fanOut(keyArgs, 1, func(sh *shard, idxs []int) error {
-		keys := stringsAt(keyArgs, idxs)
-		got, err := sh.tiered.BatchGet(keys)
-		for j, i := range idxs {
-			vals[i] = got[keys[j]]
+// cmdMGet serves MGET with one batch get, replies in request order — the
+// multi-key read the paper's client batching relies on. A one-key MGET (the
+// client's GET vehicle) takes Tiered.Get instead, with the batch path's
+// element semantics: absent and wrong-typed keys report nil.
+func cmdMGet(s *Server, key string, args [][]byte, out []byte) ([]byte, error) {
+	if len(args) == 2 {
+		v, err := s.tiered.Get(key)
+		if err != nil && !notFoundish(err) && !errors.Is(err, engine.ErrWrongType) {
+			return out, err
 		}
-		return err
-	})
-	if err != nil {
-		c.out = resp.AppendError(c.out, err.Error())
-		return
+		return resp.AppendBulk(resp.AppendArrayLen(out, 1), v), nil
 	}
-	c.out = appendBulkArray(c.out, vals)
-}
-
-// cmdMGetOne is single-key MGET (the client's GET vehicle): no fan-out, no
-// per-key bookkeeping, and the batch path's element semantics — absent and
-// wrong-typed keys report nil.
-func cmdMGetOne(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
-	v, err := sh.tiered.Get(key)
-	if err != nil && !notFoundish(err) && !errors.Is(err, engine.ErrWrongType) {
+	keys := stringsFrom(args[1:])
+	got, err := s.tiered.BatchGet(keys)
+	if err != nil {
 		return out, err
 	}
-	return resp.AppendBulk(resp.AppendArrayLen(out, 1), v), nil
-}
-
-// cmdMSet serves multi-pair MSET: each shard applies one batch put. A
-// single pair is SET (both reply +OK).
-func cmdMSet(s *Server, c *conn, args [][]byte) {
-	kvArgs := args[1:]
-	err := s.fanOut(kvArgs, 2, func(sh *shard, idxs []int) error {
-		entries := make(map[string][]byte, len(idxs))
-		for _, i := range idxs {
-			// Copy out of the parse arena; keep empty values non-nil (nil
-			// means delete in BatchPut, and MSET k "" must store "").
-			val := make([]byte, len(kvArgs[i+1]))
-			copy(val, kvArgs[i+1])
-			entries[string(kvArgs[i])] = val
-		}
-		return sh.tiered.BatchPut(entries)
-	})
-	if err != nil {
-		c.out = resp.AppendError(c.out, err.Error())
-		return
+	out = resp.AppendArrayLen(out, len(keys))
+	for _, k := range keys {
+		out = resp.AppendBulk(out, got[k])
 	}
-	c.out = resp.AppendSimple(c.out, "OK")
+	return out, nil
 }
 
-// cmdDel serves multi-key DEL/UNLINK: each shard runs one tiered
-// BatchDelete, and the reply is the summed count of keys that existed in
-// any tier.
-func cmdDel(s *Server, c *conn, args [][]byte) {
-	keyArgs := args[1:]
-	var total atomic.Int64
-	err := s.fanOut(keyArgs, 1, func(sh *shard, idxs []int) error {
-		n, err := sh.tiered.BatchDelete(stringsAt(keyArgs, idxs))
-		total.Add(int64(n))
-		return err
-	})
-	if err != nil {
-		c.out = resp.AppendError(c.out, err.Error())
-		return
+// cmdMSet serves MSET with one batch put. A single pair is SET (both reply
+// +OK).
+func cmdMSet(s *Server, key string, args [][]byte, out []byte) ([]byte, error) {
+	if len(args) == 3 {
+		return cmdSet(s, key, args, out)
 	}
-	c.out = resp.AppendInt(c.out, total.Load())
+	entries := make(map[string][]byte, len(args)/2)
+	for i := 1; i < len(args); i += 2 {
+		// Copy out of the parse arena; keep empty values non-nil (nil means
+		// delete in BatchPut, and MSET k "" must store "").
+		val := make([]byte, len(args[i+1]))
+		copy(val, args[i+1])
+		entries[string(args[i])] = val
+	}
+	return resp.AppendSimple(out, "OK"), s.tiered.BatchPut(entries)
 }
 
-func cmdDelOne(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
-	n, err := sh.tiered.BatchDelete([]string{key})
+// cmdDel serves DEL/UNLINK with one tiered BatchDelete: the reply counts
+// the keys that existed in any tier.
+func cmdDel(s *Server, _ string, args [][]byte, out []byte) ([]byte, error) {
+	n, err := s.tiered.BatchDelete(stringsFrom(args[1:]))
 	return resp.AppendInt(out, int64(n)), err
 }
 
 // --- strings ---
 
-func cmdGet(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
-	v, err := sh.tiered.Get(key)
+func cmdGet(s *Server, key string, _ [][]byte, out []byte) ([]byte, error) {
+	v, err := s.tiered.Get(key)
 	if notFoundish(err) {
 		return resp.AppendBulk(out, nil), nil
 	}
 	return resp.AppendBulk(out, v), err
 }
 
-func cmdSet(sh *shard, key string, args [][]byte, out []byte) ([]byte, error) {
-	return resp.AppendSimple(out, "OK"), sh.tiered.Set(key, args[2])
+func cmdSet(s *Server, key string, args [][]byte, out []byte) ([]byte, error) {
+	return resp.AppendSimple(out, "OK"), s.tiered.Set(key, args[2])
 }
 
-func cmdExists(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
-	return appendBool(out, sh.eng.Exists(key)), nil
+func cmdExists(s *Server, key string, _ [][]byte, out []byte) ([]byte, error) {
+	return appendBool(out, s.eng.Exists(key)), nil
 }
 
-func cmdType(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
-	return resp.AppendSimple(out, sh.eng.Type(key).String()), nil
+func cmdType(s *Server, key string, _ [][]byte, out []byte) ([]byte, error) {
+	return resp.AppendSimple(out, s.eng.Type(key).String()), nil
 }
 
 func cmdSetNX(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte, bool, error) {
@@ -427,7 +381,7 @@ func cmdCAS(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte, 
 // absolute deadline and expiry later deletes through to storage. A count of
 // seconds whose deadline does not fit the nanosecond clock is refused:
 // wrapped, it would land in the past and delete the key.
-func cmdExpire(sh *shard, key string, args [][]byte, out []byte) ([]byte, error) {
+func cmdExpire(s *Server, key string, args [][]byte, out []byte) ([]byte, error) {
 	secs, err := strconv.ParseInt(string(args[2]), 10, 64)
 	if err != nil {
 		return resp.AppendError(out, errNotInteger), nil
@@ -436,31 +390,31 @@ func cmdExpire(sh *shard, key string, args [][]byte, out []byte) ([]byte, error)
 	if max := (math.MaxInt64 - now) / int64(time.Second); secs > max || secs < -max {
 		return resp.AppendError(out, "invalid expire time"), nil
 	}
-	return appendBool(out, sh.tiered.ExpireAt(key, now+secs*int64(time.Second))), nil
+	return appendBool(out, s.tiered.ExpireAt(key, now+secs*int64(time.Second))), nil
 }
 
-func cmdTTL(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
-	d, ok := sh.eng.TTL(key)
+func cmdTTL(s *Server, key string, _ [][]byte, out []byte) ([]byte, error) {
+	d, ok := s.eng.TTL(key)
 	switch {
 	case ok:
 		return resp.AppendInt(out, int64(d/time.Second)), nil
-	case sh.eng.Exists(key):
+	case s.eng.Exists(key):
 		return resp.AppendInt(out, -1), nil
 	default:
 		return resp.AppendInt(out, -2), nil
 	}
 }
 
-func cmdPersist(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
-	return appendBool(out, sh.tiered.Persist(key)), nil
+func cmdPersist(s *Server, key string, _ [][]byte, out []byte) ([]byte, error) {
+	return appendBool(out, s.tiered.Persist(key)), nil
 }
 
 // --- collections ---
 
 // count serves LLEN, SCARD, ZCARD and HLEN.
-func count(fn func(eng *engine.Engine, key string) (int, error)) shardFn {
-	return func(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
-		n, err := fn(sh.eng, key)
+func count(fn func(eng *engine.Engine, key string) (int, error)) keyedFn {
+	return func(s *Server, key string, _ [][]byte, out []byte) ([]byte, error) {
+		n, err := fn(s.eng, key)
 		return resp.AppendInt(out, int64(n)), err
 	}
 }
@@ -494,22 +448,22 @@ func members(fn func(eng *engine.Engine, key string, members ...string) (int, er
 	}
 }
 
-func cmdLRange(sh *shard, key string, args [][]byte, out []byte) ([]byte, error) {
+func cmdLRange(s *Server, key string, args [][]byte, out []byte) ([]byte, error) {
 	start, stop, ok := parseRange(args)
 	if !ok {
 		return resp.AppendError(out, errNotInteger), nil
 	}
-	vals, err := sh.eng.LRange(key, start, stop)
+	vals, err := s.eng.LRange(key, start, stop)
 	return appendBulkArray(out, vals), err
 }
 
-func cmdSIsMember(sh *shard, key string, args [][]byte, out []byte) ([]byte, error) {
-	ok, err := sh.eng.SIsMember(key, string(args[2]))
+func cmdSIsMember(s *Server, key string, args [][]byte, out []byte) ([]byte, error) {
+	ok, err := s.eng.SIsMember(key, string(args[2]))
 	return appendBool(out, ok), err
 }
 
-func cmdSMembers(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
-	members, err := sh.eng.SMembers(key)
+func cmdSMembers(s *Server, key string, _ [][]byte, out []byte) ([]byte, error) {
+	members, err := s.eng.SMembers(key)
 	out = resp.AppendArrayLen(out, len(members))
 	for _, m := range members {
 		out = resp.AppendBulkString(out, m)
@@ -527,8 +481,8 @@ func cmdZAdd(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte,
 	return appendBool(out, isNew), err == nil, err
 }
 
-func cmdZScore(sh *shard, key string, args [][]byte, out []byte) ([]byte, error) {
-	sc, err := sh.eng.ZScore(key, string(args[2]))
+func cmdZScore(s *Server, key string, args [][]byte, out []byte) ([]byte, error) {
+	sc, err := s.eng.ZScore(key, string(args[2]))
 	if notFoundish(err) {
 		return resp.AppendBulk(out, nil), nil
 	}
@@ -540,7 +494,7 @@ func cmdZRem(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte,
 	return appendBool(out, removed), removed, err
 }
 
-func cmdZRange(sh *shard, key string, args [][]byte, out []byte) ([]byte, error) {
+func cmdZRange(s *Server, key string, args [][]byte, out []byte) ([]byte, error) {
 	start, stop, ok := parseRange(args)
 	if !ok {
 		return resp.AppendError(out, errNotInteger), nil
@@ -549,7 +503,7 @@ func cmdZRange(sh *shard, key string, args [][]byte, out []byte) ([]byte, error)
 	if len(args) > 4 && !withScores {
 		return resp.AppendError(out, errSyntax), nil
 	}
-	members, err := sh.eng.ZRange(key, start, stop)
+	members, err := s.eng.ZRange(key, start, stop)
 	n := len(members)
 	if withScores {
 		n *= 2
@@ -570,16 +524,16 @@ func cmdHSet(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte,
 	return appendBool(out, isNew), err == nil, err
 }
 
-func cmdHGet(sh *shard, key string, args [][]byte, out []byte) ([]byte, error) {
-	v, err := sh.eng.HGet(key, string(args[2]))
+func cmdHGet(s *Server, key string, args [][]byte, out []byte) ([]byte, error) {
+	v, err := s.eng.HGet(key, string(args[2]))
 	if notFoundish(err) {
 		return resp.AppendBulk(out, nil), nil
 	}
 	return resp.AppendBulk(out, v), err
 }
 
-func cmdHGetAll(sh *shard, key string, _ [][]byte, out []byte) ([]byte, error) {
-	fields, err := sh.eng.HGetAll(key)
+func cmdHGetAll(s *Server, key string, _ [][]byte, out []byte) ([]byte, error) {
+	fields, err := s.eng.HGetAll(key)
 	out = resp.AppendArrayLen(out, len(fields)*2)
 	for _, f := range fields {
 		out = resp.AppendBulkString(out, f.Field)

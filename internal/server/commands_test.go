@@ -14,7 +14,7 @@ import (
 // line early, so the rest of the name arrived as a second reply. One
 // command must get one reply, and a huge name must not be echoed whole.
 func TestUnknownCommandCannotForgeReply(t *testing.T) {
-	s, _ := startTestServer(t, Options{})
+	s, _ := startTestServer(t, Config{})
 	nc := rawDial(t, s.Addr())
 	nc.SetDeadline(time.Now().Add(5 * time.Second))
 	br := bufio.NewReader(nc)
@@ -50,7 +50,7 @@ func TestUnknownCommandCannotForgeReply(t *testing.T) {
 // knew answered for part of the request — EXISTS a b for a alone, LPOP k 5
 // popping one element, ZRANGE's junk option read as no option.
 func TestSurplusArgumentsRejected(t *testing.T) {
-	_, c := startTestServer(t, Options{})
+	_, c := startTestServer(t, Config{})
 	c.Do("RPUSH", "l", "x", "y", "z")
 	c.Do("ZADD", "z", "1", "m")
 	c.Set("a", "1")
@@ -127,7 +127,7 @@ func argsFor(name string, n int) [][]byte {
 // TestTableArity: every row refuses one argument too few and, at a fixed
 // arity, one too many, by the same error, before anything is written.
 func TestTableArity(t *testing.T) {
-	s, _ := startTestServer(t, Options{})
+	s, _ := startTestServer(t, Config{})
 	for _, cmd := range commands {
 		want := "-ERR wrong number of arguments for '" + strings.ToLower(cmd.name) + "'\r\n"
 		n := max(cmd.arity, -cmd.arity)
@@ -157,7 +157,7 @@ func TestTableArity(t *testing.T) {
 // TestTableWriteGates: a row is marked write exactly when the overload gate
 // and the replica's redirect refuse it; nothing else is refused by either.
 func TestTableWriteGates(t *testing.T) {
-	overloaded, _ := startTestServer(t, Options{})
+	overloaded, _ := startTestServer(t, Config{})
 	overloaded.over.overloaded.Store(true)
 	master, _ := startMaster(t, nil)
 	replica, _ := startReplicaOf(t, master, "r1", nil)

@@ -21,25 +21,23 @@ import (
 type Config struct {
 	// Addr is the TCP listen address (e.g. "127.0.0.1:0").
 	Addr string
-	// Shards is the number of data nodes in this process (default 1).
-	// Keys are hash-partitioned across shards; each shard has its own
-	// engine and elastic worker pool, reproducing "one instance might
-	// switch to multi-threaded mode while others remain in single-threaded
-	// mode within the same container" (§4.4).
+	// Shards must be 0 or 1: a process serves one data node, and the
+	// engine's lock stripes are its only sharding. The field stays because
+	// the ledger (benchmark/stack.go) sets it.
 	Shards int
-	// EngineOptions configures each shard's engine (compression, PMem...).
+	// EngineOptions configures the node's engine (compression, PMem...).
 	EngineOptions engine.Options
-	// TieredFactory builds the tiered store for each shard
-	// (write-through/write-back against a storage tier). When nil, every
-	// shard gets a cache-only tiered store: commands and replication take
+	// TieredFactory builds the node's tiered store over its engine
+	// (write-through/write-back against a storage tier). When nil, the
+	// node gets a cache-only tiered store: commands and replication take
 	// the same route through it either way.
 	TieredFactory func(eng *engine.Engine) (*cache.Tiered, error)
-	// StorageStats, when set, reports the storage tier's per-shard LSM
-	// stats for the INFO "storage" section. The deployment wires it (the
-	// server doesn't own the LSM handles — the tiered store sees only the
-	// Storage interface).
+	// StorageStats, when set, reports the storage tier's LSM stats for the
+	// INFO "storage" section, which reads element 0 (the ledger wires a
+	// one-element slice). The deployment wires it (the server doesn't own
+	// the LSM handle — the tiered store sees only the Storage interface).
 	StorageStats func() []lsm.Stats
-	// Pool configures each shard's elastic pool.
+	// Pool configures the node's elastic gate.
 	Pool elastic.PoolOptions
 	// Replication configures the replication/cluster role of this
 	// process. Replication is enabled iff Replication.NodeID is set.
@@ -55,10 +53,6 @@ type Config struct {
 	// return a connection that behaves like the original.
 	WrapConn func(net.Conn) net.Conn
 }
-
-// Options is the historical name of Config, kept as an alias so existing
-// callers (tests, benches, deployments) compile unchanged.
-type Options = Config
 
 // ReplicationConfig configures a node's place in a cluster: its
 // identity, its initial role, the op-log window, the semi-sync
@@ -129,9 +123,6 @@ func (rc *ReplicationConfig) Enabled() bool { return rc.NodeID != "" }
 
 // normalize fills defaulted fields in place.
 func (c *Config) normalize() {
-	if c.Shards <= 0 {
-		c.Shards = 1
-	}
 	r := &c.Replication
 	if r.LogCap <= 0 {
 		r.LogCap = replication.DefaultLogCap
@@ -163,8 +154,8 @@ func (c *Config) normalize() {
 // Validate rejects contradictory configuration. Start calls it after
 // normalize; cmd/tierbase-server calls it to fail fast on bad flags.
 func (c *Config) Validate() error {
-	if c.Shards < 0 {
-		return fmt.Errorf("server: negative shard count %d", c.Shards)
+	if c.Shards != 0 && c.Shards != 1 {
+		return fmt.Errorf("server: %d shards: a process serves one node", c.Shards)
 	}
 	if err := c.Overload.validate(); err != nil {
 		return err

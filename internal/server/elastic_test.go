@@ -32,7 +32,7 @@ func TestTieredRMWRestartRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Start(Options{
+		s, err := Start(Config{
 			Addr: "127.0.0.1:0",
 			TieredFactory: func(eng *engine.Engine) (*cache.Tiered, error) {
 				return cache.New(cache.Options{
@@ -126,7 +126,7 @@ func TestTieredRMWRestartRoundTrip(t *testing.T) {
 	}
 }
 
-// slowStorage delays every read so in-flight commands hold their shard's
+// slowStorage delays every read so in-flight commands hold the node's gate
 // slot long enough for a connection burst to build a backlog of waiters.
 type slowStorage struct {
 	cache.Storage
@@ -144,7 +144,7 @@ func (s *slowStorage) BatchGet(keys []string) (map[string][]byte, error) {
 }
 
 // driveBoost opens conns connections that hammer storage-miss GETs until
-// the first shard's pool reports Boost mode, then stops the load and
+// the node's gate reports Boost mode, then stops the load and
 // waits for the cooldown back to Single. It fails the test on timeout.
 func driveBoost(t *testing.T, s *Server, conns int) {
 	t.Helper()
@@ -166,7 +166,7 @@ func driveBoost(t *testing.T, s *Server, conns int) {
 			}
 		}(g, c)
 	}
-	pool := s.Pools()[0]
+	pool := s.pool
 	deadline := time.Now().Add(10 * time.Second)
 	for pool.Mode() != elastic.Boost {
 		if time.Now().After(deadline) {
@@ -189,8 +189,8 @@ func driveBoost(t *testing.T, s *Server, conns int) {
 	}
 }
 
-func elasticTestOptions() Options {
-	return Options{
+func elasticTestConfig() Config {
+	return Config{
 		Addr: "127.0.0.1:0",
 		TieredFactory: func(eng *engine.Engine) (*cache.Tiered, error) {
 			return cache.New(cache.Options{
@@ -213,8 +213,8 @@ func elasticTestOptions() Options {
 // backlog threshold into Boost, and the hysteresis cooldown back to
 // Single once the burst subsides (§4.4).
 func TestElasticBoostAndIdle(t *testing.T) {
-	s, c := startTestServer(t, elasticTestOptions())
-	if got := s.Pools()[0].Mode(); got != elastic.Single {
+	s, c := startTestServer(t, elasticTestConfig())
+	if got := s.pool.Mode(); got != elastic.Single {
 		t.Fatalf("idle mode = %v, want single", got)
 	}
 	driveBoost(t, s, 12)
@@ -232,13 +232,13 @@ func TestElasticBoostAndIdle(t *testing.T) {
 	}
 }
 
-// TestSingleModeServesConnectionsFairly: a shard's gate admits connections
-// in arrival order, so one connection's pipeline cannot hold the shard.
+// TestSingleModeServesConnectionsFairly: the node's gate admits connections
+// in arrival order, so one connection's pipeline cannot hold the node.
 // While A's 64 pipelined slow GETs execute one by one, B's one GET waits
 // for at most the command in progress, and its reply arrives before A's
 // last.
 func TestSingleModeServesConnectionsFairly(t *testing.T) {
-	opts := elasticTestOptions()
+	opts := elasticTestConfig()
 	opts.Pool = elastic.PoolOptions{Fixed: 1}
 	s, _ := startTestServer(t, opts)
 	dial := func() (net.Conn, *bufio.Reader) {
@@ -268,7 +268,7 @@ func TestSingleModeServesConnectionsFairly(t *testing.T) {
 		}
 		aDone.Store(true)
 	}()
-	pool := s.Pools()[0]
+	pool := s.pool
 	for pool.Stats().Executed == 0 {
 		time.Sleep(100 * time.Microsecond)
 	}
@@ -290,7 +290,7 @@ func TestSingleModeServesConnectionsFairly(t *testing.T) {
 func TestElasticBoostSingleProc(t *testing.T) {
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
-	s, _ := startTestServer(t, elasticTestOptions())
+	s, _ := startTestServer(t, elasticTestConfig())
 	driveBoost(t, s, 8)
 }
 
@@ -299,7 +299,7 @@ func TestElasticBoostSingleProc(t *testing.T) {
 // run under -race, where it proves command execution is data-race-free
 // across Single<->Boost transitions while slots open and close.
 func TestElasticModeChangeStress(t *testing.T) {
-	s, _ := startTestServer(t, Options{
+	s, _ := startTestServer(t, Config{
 		Addr: "127.0.0.1:0",
 		TieredFactory: func(eng *engine.Engine) (*cache.Tiered, error) {
 			return cache.New(cache.Options{
@@ -351,7 +351,7 @@ func TestElasticModeChangeStress(t *testing.T) {
 	}
 	wg.Wait()
 	// The pool saw real transitions (otherwise this stressed nothing).
-	if st := s.Pools()[0].Stats(); st.Boosts == 0 {
+	if st := s.pool.Stats(); st.Boosts == 0 {
 		t.Logf("note: no boost observed (fast machine); stats %+v", st)
 	}
 }

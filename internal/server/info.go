@@ -17,19 +17,23 @@ import (
 // its name, its scope, an optional guard and a getter that reads the
 // render's snapshot. info is the one loop that writes the wire format:
 // "# Section", then name:value lines, each ended by \r\n.
+//
+// A process is one node, and INFO keeps the names it had when a process
+// could hold several: shards:1, tiered_shards, storage_shards and
+// degraded_shards count it, and a shard0_ prefix marks the fields of its
+// gate, storage tier and health. The ledger (benchmark/) parses those
+// names.
 
 type scope uint8
 
 const (
 	header     scope = iota // "# Section"; when its guard fails the whole section is left out
 	global                  // name:value
-	perShard                // shardN_name:value for each shard; a run of per-shard rows renders shard by shard
-	summed                  // name:value, the int64 values of the shards summed
 	perReplica              // nameN:value for each attached replica, in id order
 )
 
-// infoRow is one field. get returns its value for shard (or replica) i in
-// the form %v writes; show, when set, leaves the row out unless it holds.
+// infoRow is one field. get returns its value (for replica i) in the form
+// %v writes; show, when set, leaves the row out unless it holds.
 type infoRow struct {
 	section, name string
 	scope         scope
@@ -43,11 +47,11 @@ func (r *infoRow) on(sn *infoSnap) bool { return r.show == nil || r.show(sn) }
 // layers' own Stats/Health calls: a row never calls them itself.
 type infoSnap struct {
 	s       *Server
-	eng     []engine.Stats
-	pool    []elastic.Stats
-	tiered  []cache.Stats
-	health  []cache.HealthStats
-	storage []lsm.Stats
+	eng     engine.Stats
+	pool    elastic.Stats
+	tiered  cache.Stats
+	health  cache.HealthStats
+	storage []lsm.Stats       // Config.StorageStats; the rows read element 0
 	acked   map[string]uint64 // replica acks, read before seq
 	ids     []string          // attached replicas, sorted
 	seq     uint64            // the op-log head: no ack in acked is ahead of it
@@ -56,12 +60,12 @@ type infoSnap struct {
 }
 
 func (s *Server) infoSnapshot() *infoSnap {
-	sn := &infoSnap{s: s}
-	for _, sh := range s.shards {
-		sn.eng = append(sn.eng, sh.eng.Stats())
-		sn.pool = append(sn.pool, sh.pool.Stats())
-		sn.tiered = append(sn.tiered, sh.tiered.Stats())
-		sn.health = append(sn.health, sh.tiered.Health())
+	sn := &infoSnap{
+		s:      s,
+		eng:    s.eng.Stats(),
+		pool:   s.pool.Stats(),
+		tiered: s.tiered.Stats(),
+		health: s.tiered.Health(),
 	}
 	if s.opts.StorageStats != nil {
 		sn.storage = s.opts.StorageStats()
@@ -78,40 +82,38 @@ func (s *Server) infoSnapshot() *infoSnap {
 	return sn
 }
 
-// The row guards: a replicated node; a replica; a shard with a storage tier
-// (writepath and tiering end after tiered_shards:0); one storage entry per
-// shard (storage ends after storage_shards:0).
+// The row guards: a replicated node; a replica; a node with a storage tier
+// (writepath and tiering end after tiered_shards:0); one storage entry
+// (storage ends after storage_shards:0).
 func replicated(sn *infoSnap) bool  { return sn.s.repl != nil }
 func replicaOnly(sn *infoSnap) bool { return sn.replica }
-func tiered(sn *infoSnap) bool      { return slices.ContainsFunc(sn.s.shards, hasTier) }
-func stored(sn *infoSnap) bool      { return len(sn.storage) == len(sn.s.shards) }
-
-func hasTier(sh *shard) bool { return sh.tiered.Policy() != cache.CacheOnly }
+func tiered(sn *infoSnap) bool      { return sn.s.tiered.Policy() != cache.CacheOnly }
+func stored(sn *infoSnap) bool      { return len(sn.storage) == 1 }
 
 // infoTable is INFO, in order. Comments say what a value means where its
 // name does not.
 var infoTable = []infoRow{
 	{"Server", "", header, nil, nil},
-	{"Server", "shards", global, nil, func(sn *infoSnap, _ int) any { return len(sn.s.shards) }},
-	{"Server", "workers", perShard, nil, func(sn *infoSnap, i int) any { return sn.pool[i].Workers }},
-	{"Server", "max_workers", perShard, nil, func(sn *infoSnap, i int) any { return sn.pool[i].MaxWorkers }},
-	{"Server", "mode", perShard, nil, func(sn *infoSnap, i int) any { return sn.s.shards[i].pool.Mode() }}, // single|boost
-	{"Server", "boosts", perShard, nil, func(sn *infoSnap, i int) any { return sn.pool[i].Boosts }},
-	{"Server", "shrinks", perShard, nil, func(sn *infoSnap, i int) any { return sn.pool[i].Shrinks }},
-	{"Server", "queue_depth", perShard, nil, func(sn *infoSnap, i int) any { return sn.pool[i].Backlog }},
-	{"Server", "tasks", perShard, nil, func(sn *infoSnap, i int) any { return sn.pool[i].Executed }}, // the counter a rate derives from
-	{"Server", "keys", summed, nil, func(sn *infoSnap, i int) any { return int64(sn.eng[i].Keys) }},
-	// DRAM the engines' contents occupy: records at their slab slot, index
+	{"Server", "shards", global, nil, func(sn *infoSnap, _ int) any { return 1 }},
+	{"Server", "shard0_workers", global, nil, func(sn *infoSnap, _ int) any { return sn.pool.Workers }},
+	{"Server", "shard0_max_workers", global, nil, func(sn *infoSnap, _ int) any { return sn.pool.MaxWorkers }},
+	{"Server", "shard0_mode", global, nil, func(sn *infoSnap, _ int) any { return sn.s.pool.Mode() }}, // single|boost
+	{"Server", "shard0_boosts", global, nil, func(sn *infoSnap, _ int) any { return sn.pool.Boosts }},
+	{"Server", "shard0_shrinks", global, nil, func(sn *infoSnap, _ int) any { return sn.pool.Shrinks }},
+	{"Server", "shard0_queue_depth", global, nil, func(sn *infoSnap, _ int) any { return sn.pool.Backlog }},
+	{"Server", "shard0_tasks", global, nil, func(sn *infoSnap, _ int) any { return sn.pool.Executed }}, // the counter a rate derives from
+	{"Server", "keys", global, nil, func(sn *infoSnap, _ int) any { return sn.eng.Keys }},
+	// DRAM the engine's contents occupy: records at their slab slot, index
 	// tables as allocated, collections; the number the cache budget and the
 	// ledger read. It is payload + overhead.
-	{"Server", "mem_bytes", summed, nil, func(sn *infoSnap, i int) any { return sn.eng[i].MemBytes }},
-	{"Server", "mem_payload_bytes", summed, nil, func(sn *infoSnap, i int) any { return sn.eng[i].PayloadBytes }},                       // keys and stored values, after compression
-	{"Server", "mem_overhead_bytes", summed, nil, func(sn *infoSnap, i int) any { return sn.eng[i].MemBytes - sn.eng[i].PayloadBytes }}, // record headers, index tables, slot rounding
-	{"Server", "mem_index_bytes", summed, nil, func(sn *infoSnap, i int) any { return sn.eng[i].IndexBytes }},                           // the overhead's index tables, as allocated
+	{"Server", "mem_bytes", global, nil, func(sn *infoSnap, _ int) any { return sn.eng.MemBytes }},
+	{"Server", "mem_payload_bytes", global, nil, func(sn *infoSnap, _ int) any { return sn.eng.PayloadBytes }},                    // keys and stored values, after compression
+	{"Server", "mem_overhead_bytes", global, nil, func(sn *infoSnap, _ int) any { return sn.eng.MemBytes - sn.eng.PayloadBytes }}, // record headers, index tables, slot rounding
+	{"Server", "mem_index_bytes", global, nil, func(sn *infoSnap, _ int) any { return sn.eng.IndexBytes }},                        // the overhead's index tables, as allocated
 	// Slab page bytes that hold no record: freed slots and each stripe's
 	// uncarved tail. Beside mem_bytes, not in it; large after a population
 	// shrank because pages are not compacted (internal/engine/README.md).
-	{"Server", "mem_free_bytes", summed, nil, func(sn *infoSnap, i int) any { return sn.eng[i].FreeBytes }},
+	{"Server", "mem_free_bytes", global, nil, func(sn *infoSnap, _ int) any { return sn.eng.FreeBytes }},
 	{"Server", "p99_ns", global, nil, func(sn *infoSnap, _ int) any { return sn.s.Latency.P99() }},
 
 	{"Replication", "", header, replicated, nil},
@@ -137,53 +139,53 @@ var infoTable = []infoRow{
 	{"Replication", "max_write_stall_ns", global, nil, func(sn *infoSnap, _ int) any { return sn.s.repl.writeStall.Load() }}, // worst frame write + flush
 
 	{"WritePath", "", header, nil, nil},
-	{"WritePath", "tiered_shards", summed, nil, func(sn *infoSnap, i int) any { return boolToInt(hasTier(sn.s.shards[i])) }}, // shards whose policy is not cache-only
-	{"WritePath", "flush_rounds", summed, tiered, func(sn *infoSnap, i int) any { return sn.tiered[i].Batches }},
-	{"WritePath", "flushed_entries", summed, tiered, func(sn *infoSnap, i int) any { return sn.tiered[i].Flushed }},
-	{"WritePath", "backpressure_waits", summed, tiered, func(sn *infoSnap, i int) any { return sn.tiered[i].BackpressureWaits }}, // writers that found the dirty set at MaxDirty
-	{"WritePath", "dirty_entries", summed, tiered, func(sn *infoSnap, i int) any { return int64(sn.tiered[i].Dirty) }},
-	{"WritePath", "policy", perShard, tiered, func(sn *infoSnap, i int) any { return sn.s.shards[i].tiered.Policy() }},
+	{"WritePath", "tiered_shards", global, nil, func(sn *infoSnap, _ int) any { return boolToInt(tiered(sn)) }}, // shards whose policy is not cache-only
+	{"WritePath", "flush_rounds", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Batches }},
+	{"WritePath", "flushed_entries", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Flushed }},
+	{"WritePath", "backpressure_waits", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.BackpressureWaits }}, // writers that found the dirty set at MaxDirty
+	{"WritePath", "dirty_entries", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Dirty }},
+	{"WritePath", "shard0_policy", global, tiered, func(sn *infoSnap, _ int) any { return sn.s.tiered.Policy() }},
 
-	// lsm.Stats per shard. Write amplification is (flush_bytes +
+	// lsm.Stats. Write amplification is (flush_bytes +
 	// compaction_bytes) / write_bytes; the WAL writes write_bytes once more.
 	{"Storage", "", header, nil, nil},
 	{"Storage", "storage_shards", global, nil, func(sn *infoSnap, _ int) any { return len(sn.storage) }},
-	{"Storage", "flushes", perShard, stored, func(sn *infoSnap, i int) any { return sn.storage[i].Flushes }},
-	{"Storage", "compactions", perShard, stored, func(sn *infoSnap, i int) any { return sn.storage[i].Compactions }}, // moves included
-	{"Storage", "immutables", perShard, stored, func(sn *infoSnap, i int) any { return sn.storage[i].Immutables }},   // memtables the flusher has not reached: growing = falling behind
-	{"Storage", "memtable_bytes", perShard, stored, func(sn *infoSnap, i int) any { return sn.storage[i].MemtableBytes + sn.storage[i].ImmutableBytes }},
-	{"Storage", "write_bytes", perShard, stored, func(sn *infoSnap, i int) any { return sn.storage[i].WriteBytes }}, // key and value bytes applied
-	{"Storage", "multigets", perShard, stored, func(sn *infoSnap, i int) any { return sn.storage[i].MultiGets }},
-	{"Storage", "bad_blocks", perShard, stored, func(sn *infoSnap, i int) any { return sn.storage[i].BadBlocks }},
-	{"Storage", "disk_bytes", perShard, stored, func(sn *infoSnap, i int) any { return sn.storage[i].DiskBytes }},
-	{"Storage", "level_files", perShard, stored, func(sn *infoSnap, i int) any { return levels(sn.storage[i].LevelFiles) }},
-	{"Storage", "level_bytes", perShard, stored, func(sn *infoSnap, i int) any { return levels(sn.storage[i].LevelBytes) }},
-	{"Storage", "moves", perShard, stored, func(sn *infoSnap, i int) any { return sn.storage[i].Moves }},                      // compactions that rewrote nothing: a table put one level down
-	{"Storage", "flush_bytes", perShard, stored, func(sn *infoSnap, i int) any { return sn.storage[i].FlushBytes }},           // table bytes written by memtable flushes
-	{"Storage", "compaction_bytes", perShard, stored, func(sn *infoSnap, i int) any { return sn.storage[i].CompactionBytes }}, // table bytes written by merges
+	{"Storage", "shard0_flushes", global, stored, func(sn *infoSnap, _ int) any { return sn.storage[0].Flushes }},
+	{"Storage", "shard0_compactions", global, stored, func(sn *infoSnap, _ int) any { return sn.storage[0].Compactions }}, // moves included
+	{"Storage", "shard0_immutables", global, stored, func(sn *infoSnap, _ int) any { return sn.storage[0].Immutables }},   // memtables the flusher has not reached: growing = falling behind
+	{"Storage", "shard0_memtable_bytes", global, stored, func(sn *infoSnap, _ int) any { return sn.storage[0].MemtableBytes + sn.storage[0].ImmutableBytes }},
+	{"Storage", "shard0_write_bytes", global, stored, func(sn *infoSnap, _ int) any { return sn.storage[0].WriteBytes }}, // key and value bytes applied
+	{"Storage", "shard0_multigets", global, stored, func(sn *infoSnap, _ int) any { return sn.storage[0].MultiGets }},
+	{"Storage", "shard0_bad_blocks", global, stored, func(sn *infoSnap, _ int) any { return sn.storage[0].BadBlocks }},
+	{"Storage", "shard0_disk_bytes", global, stored, func(sn *infoSnap, _ int) any { return sn.storage[0].DiskBytes }},
+	{"Storage", "shard0_level_files", global, stored, func(sn *infoSnap, _ int) any { return levels(sn.storage[0].LevelFiles) }},
+	{"Storage", "shard0_level_bytes", global, stored, func(sn *infoSnap, _ int) any { return levels(sn.storage[0].LevelBytes) }},
+	{"Storage", "shard0_moves", global, stored, func(sn *infoSnap, _ int) any { return sn.storage[0].Moves }},                      // compactions that rewrote nothing: a table put one level down
+	{"Storage", "shard0_flush_bytes", global, stored, func(sn *infoSnap, _ int) any { return sn.storage[0].FlushBytes }},           // table bytes written by memtable flushes
+	{"Storage", "shard0_compaction_bytes", global, stored, func(sn *infoSnap, _ int) any { return sn.storage[0].CompactionBytes }}, // table bytes written by merges
 
 	{"Tiering", "", header, nil, nil},
-	{"Tiering", "tiered_shards", summed, nil, func(sn *infoSnap, i int) any { return boolToInt(hasTier(sn.s.shards[i])) }},
-	{"Tiering", "capacity_bytes", perShard, tiered, func(sn *infoSnap, i int) any { return sn.s.shards[i].tiered.CapacityBytes() }}, // the cache budget; 0 = unbounded
-	{"Tiering", "resident_bytes", perShard, tiered, func(sn *infoSnap, i int) any { return sn.eng[i].MemBytes }},                    // what the budget holds
-	{"Tiering", "requests", perShard, tiered, func(sn *infoSnap, i int) any { return sn.tiered[i].Requests }},
-	{"Tiering", "hits", perShard, tiered, func(sn *infoSnap, i int) any { return sn.tiered[i].Hits }},
-	{"Tiering", "misses", perShard, tiered, func(sn *infoSnap, i int) any { return sn.tiered[i].Misses }},
-	{"Tiering", "evictions", perShard, tiered, func(sn *infoSnap, i int) any { return sn.tiered[i].Evictions }},
-	{"Tiering", "shared_fetches", perShard, tiered, func(sn *infoSnap, i int) any { return sn.tiered[i].Shared }}, // misses that rode another caller's fetch
-	{"Tiering", "miss_ratio", perShard, tiered, func(sn *infoSnap, i int) any {
-		return strconv.FormatFloat(float64(sn.tiered[i].Misses)/float64(max(sn.tiered[i].Requests, 1)), 'f', 4, 64)
+	{"Tiering", "tiered_shards", global, nil, func(sn *infoSnap, _ int) any { return boolToInt(tiered(sn)) }},
+	{"Tiering", "shard0_capacity_bytes", global, tiered, func(sn *infoSnap, _ int) any { return sn.s.tiered.CapacityBytes() }}, // the cache budget; 0 = unbounded
+	{"Tiering", "shard0_resident_bytes", global, tiered, func(sn *infoSnap, _ int) any { return sn.eng.MemBytes }},             // what the budget holds
+	{"Tiering", "shard0_requests", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Requests }},
+	{"Tiering", "shard0_hits", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Hits }},
+	{"Tiering", "shard0_misses", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Misses }},
+	{"Tiering", "shard0_evictions", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Evictions }},
+	{"Tiering", "shard0_shared_fetches", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Shared }}, // misses that rode another caller's fetch
+	{"Tiering", "shard0_miss_ratio", global, tiered, func(sn *infoSnap, _ int) any {
+		return strconv.FormatFloat(float64(sn.tiered.Misses)/float64(max(sn.tiered.Requests, 1)), 'f', 4, 64)
 	}},
 
 	{"Health", "", header, nil, nil},
-	{"Health", "degraded_shards", summed, nil, func(sn *infoSnap, i int) any { return boolToInt(sn.health[i].Degraded) }},
-	{"Health", "storage_errors", summed, nil, func(sn *infoSnap, i int) any { return sn.health[i].StorageErrors }},
-	{"Health", "storage_retries", summed, nil, func(sn *infoSnap, i int) any { return sn.health[i].StorageRetries }},
-	{"Health", "degraded_ops", summed, nil, func(sn *infoSnap, i int) any { return sn.health[i].DegradedOps }},
-	{"Health", "degraded_transitions", summed, nil, func(sn *infoSnap, i int) any { return sn.health[i].DegradedTransit }},
-	{"Health", "degraded", perShard, nil, func(sn *infoSnap, i int) any { return sn.health[i].Degraded }},
-	{"Health", "storage_errors", perShard, nil, func(sn *infoSnap, i int) any { return sn.health[i].StorageErrors }},
-	{"Health", "consecutive_fails", perShard, nil, func(sn *infoSnap, i int) any { return sn.health[i].ConsecutiveFails }},
+	{"Health", "degraded_shards", global, nil, func(sn *infoSnap, _ int) any { return boolToInt(sn.health.Degraded) }},
+	{"Health", "storage_errors", global, nil, func(sn *infoSnap, _ int) any { return sn.health.StorageErrors }},
+	{"Health", "storage_retries", global, nil, func(sn *infoSnap, _ int) any { return sn.health.StorageRetries }},
+	{"Health", "degraded_ops", global, nil, func(sn *infoSnap, _ int) any { return sn.health.DegradedOps }},
+	{"Health", "degraded_transitions", global, nil, func(sn *infoSnap, _ int) any { return sn.health.DegradedTransit }},
+	{"Health", "shard0_degraded", global, nil, func(sn *infoSnap, _ int) any { return sn.health.Degraded }},
+	{"Health", "shard0_storage_errors", global, nil, func(sn *infoSnap, _ int) any { return sn.health.StorageErrors }},
+	{"Health", "shard0_consecutive_fails", global, nil, func(sn *infoSnap, _ int) any { return sn.health.ConsecutiveFails }},
 
 	{"Overload", "", header, nil, nil},
 	{"Overload", "connected_clients", global, nil, func(sn *infoSnap, _ int) any { return sn.conns }},
@@ -219,29 +221,10 @@ func (s *Server) info(section string) string {
 			b = append(b, "# "+r.section+"\r\n"...)
 		case r.scope == global:
 			line(r.name, r.get(sn, 0))
-		case r.scope == summed:
-			var sum int64
-			for i := range s.shards {
-				sum += r.get(sn, i).(int64)
-			}
-			line(r.name, sum)
 		case r.scope == perReplica:
 			for i := range sn.ids {
 				line(r.name+strconv.Itoa(i), r.get(sn, i))
 			}
-		case r.scope == perShard:
-			run := k + 1
-			for run < len(infoTable) && infoTable[run].scope == perShard {
-				run++
-			}
-			for i := range s.shards {
-				for _, r := range infoTable[k:run] {
-					if r.on(sn) {
-						line("shard"+strconv.Itoa(i)+"_"+r.name, r.get(sn, i))
-					}
-				}
-			}
-			k = run - 1
 		}
 	}
 	return string(b)

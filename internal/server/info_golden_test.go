@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -26,9 +25,9 @@ var infoSections = []string{"server", "replication", "writepath", "storage", "ti
 // volatileInfoFields are the fields whose values depend on timing or on
 // the listen port rather than on the commands a test sent. Their values are
 // masked as "*" before comparison; names, order and every other value are
-// compared byte for byte. A per-shard field is listed without its shardN_
-// prefix. tasks is among them because a pool counts a task after the
-// caller it woke may already be rendering INFO.
+// compared byte for byte. A field of the node's gate is listed without its
+// shard0_ prefix. tasks is among them because a pool counts a task after
+// the caller it woke may already be rendering INFO.
 var volatileInfoFields = map[string]bool{
 	"tasks":                       true,
 	"p99_ns":                      true,
@@ -148,39 +147,26 @@ func goldenWorkload(t *testing.T, c *client.Client) {
 	}
 }
 
-// lsmShards opens one WAL-less LSM per shard the factory is asked for and
-// reports their stats in open order, the wiring tierbase-server does.
-func lsmShards(t *testing.T, cfg *Config, policy cache.Policy) {
-	var mu sync.Mutex
-	var dbs []*lsm.DB
+// lsmNode puts a WAL-less LSM behind the node and reports its stats, the
+// wiring tierbase-server does.
+func lsmNode(t *testing.T, cfg *Config, policy cache.Policy) {
+	db, err := lsm.Open(lsm.Options{Dir: t.TempDir(), DisableWAL: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
 	cfg.TieredFactory = func(eng *engine.Engine) (*cache.Tiered, error) {
-		db, err := lsm.Open(lsm.Options{Dir: t.TempDir(), DisableWAL: true})
-		if err != nil {
-			return nil, err
-		}
-		mu.Lock()
-		dbs = append(dbs, db)
-		mu.Unlock()
-		t.Cleanup(func() { db.Close() })
 		return cache.New(cache.Options{
 			Policy: policy, Engine: eng, Storage: cache.NewLSMStorage(db),
 			CacheCapacityBytes: 1 << 20, FlushInterval: time.Hour,
 		})
 	}
-	cfg.StorageStats = func() []lsm.Stats {
-		mu.Lock()
-		defer mu.Unlock()
-		out := make([]lsm.Stats, len(dbs))
-		for i, db := range dbs {
-			out[i] = db.Stats()
-		}
-		return out
-	}
+	cfg.StorageStats = func() []lsm.Stats { return []lsm.Stats{db.Stats()} }
 }
 
 // TestInfoGolden pins the INFO wire format: section headers, field names,
 // their order and every value a fixed command sequence determines, on a
-// cache-only server, a 2-shard write-through server over an LSM, and a
+// cache-only server, a write-through server over an LSM, and a
 // semi-sync write-back master and its replica. Regenerate with
 // `go test ./internal/server -run TestInfoGolden -update` and review the
 // diff: a changed line is a changed wire format.
@@ -193,7 +179,7 @@ func TestInfoGolden(t *testing.T) {
 
 	t.Run("write-through", func(t *testing.T) {
 		cfg := Config{}
-		lsmShards(t, &cfg, cache.WriteThrough)
+		lsmNode(t, &cfg, cache.WriteThrough)
 		_, c := startTestServer(t, cfg)
 		goldenWorkload(t, c)
 		checkInfoGolden(t, "write-through", renderInfoGolden(t, c))
@@ -202,7 +188,7 @@ func TestInfoGolden(t *testing.T) {
 	t.Run("semi-sync", func(t *testing.T) {
 		master, mc := startMaster(t, func(cfg *Config) {
 			cfg.Replication.SemiSyncAcks = 1
-			lsmShards(t, cfg, cache.WriteBack)
+			lsmNode(t, cfg, cache.WriteBack)
 		})
 		_, rc := startReplicaOf(t, master, "r1", nil)
 		waitFor(t, "replica attached", func() bool {
@@ -215,10 +201,8 @@ func TestInfoGolden(t *testing.T) {
 			return infoField(t, rc, "replication", "last_applied_seq") == head &&
 				strings.Contains(infoField(t, mc, "replication", "replica0"), "acked_seq="+head+",")
 		})
-		for _, sh := range master.shards {
-			if err := sh.tiered.FlushDirty(); err != nil {
-				t.Fatal(err)
-			}
+		if err := master.tiered.FlushDirty(); err != nil {
+			t.Fatal(err)
 		}
 		checkInfoGolden(t, "semi-sync-master", renderInfoGolden(t, mc))
 		checkInfoGolden(t, "semi-sync-replica", renderInfoGolden(t, rc))

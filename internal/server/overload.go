@@ -132,16 +132,13 @@ func (s *Server) rejectWrites() bool {
 	return s.over.overloaded.Load()
 }
 
-// memUsage computes the tracked memory total the watermarks act on:
-// per shard, the larger of live engine bytes and the configured cache
-// budget (the budget is reserved whether or not it is full), plus the
-// write-back dirty backlog (copied buffers outside the engine), the
-// storage tier's memtables, and the replication log window.
+// memUsage computes the tracked memory total the watermarks act on: the
+// larger of live engine bytes and the configured cache budget (the budget
+// is reserved whether or not it is full), plus the write-back dirty backlog
+// (copied buffers outside the engine), the storage tier's memtables, and
+// the replication log window.
 func (s *Server) memUsage() int64 {
-	var total int64
-	for _, sh := range s.shards {
-		total += max(sh.eng.MemUsed(), sh.tiered.CapacityBytes()) + sh.tiered.DirtyBytes()
-	}
+	total := max(s.eng.MemUsed(), s.tiered.CapacityBytes()) + s.tiered.DirtyBytes()
 	if s.opts.StorageStats != nil {
 		for _, st := range s.opts.StorageStats() {
 			total += st.MemtableBytes + st.ImmutableBytes

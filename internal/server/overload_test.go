@@ -45,7 +45,7 @@ func pingRaw(t *testing.T, nc net.Conn) string {
 // refused with a typed -MAXCONN before any command runs, and a slot
 // freed by a disconnect is immediately reusable.
 func TestMaxConnAdmission(t *testing.T) {
-	s, c := startTestServer(t, Options{Overload: OverloadConfig{MaxConns: 2}})
+	s, c := startTestServer(t, Config{Overload: OverloadConfig{MaxConns: 2}})
 	if err := c.Ping(); err != nil { // the mux client holds slot 1
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestMaxConnAdmission(t *testing.T) {
 func TestSlowReaderShedAtOutputCap(t *testing.T) {
 	const outCap = 8 << 10
 	const blobSize = 4 << 10
-	s, c := startTestServer(t, Options{Overload: OverloadConfig{MaxOutputBytes: outCap}})
+	s, c := startTestServer(t, Config{Overload: OverloadConfig{MaxOutputBytes: outCap}})
 	if err := c.Set("blob", strings.Repeat("b", blobSize)); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestSlowReaderShedAtOutputCap(t *testing.T) {
 // the typed, retryable -OVERLOADED while reads keep serving; once memory
 // drains to the low watermark, writes resume on their own.
 func TestWriteFloodWatermark(t *testing.T) {
-	s, c := startTestServer(t, Options{Overload: OverloadConfig{
+	s, c := startTestServer(t, Config{Overload: OverloadConfig{
 		HighWatermarkBytes: 64 << 10,
 		LowWatermarkBytes:  16 << 10,
 		CheckInterval:      time.Hour, // the test drives sampling itself
@@ -187,9 +187,7 @@ func TestWriteFloodWatermark(t *testing.T) {
 	// Hysteresis: a sample between the two watermarks leaves the gate
 	// closed; only draining to the low watermark reopens writes.
 	half := keys[:len(keys)/2]
-	for _, sh := range s.shards {
-		sh.eng.Del(half...)
-	}
+	s.eng.Del(half...)
 	if s.memUsage() < 16<<10 {
 		t.Skip("drain overshot the low watermark; hysteresis band too narrow on this layout")
 	}
@@ -197,9 +195,7 @@ func TestWriteFloodWatermark(t *testing.T) {
 	if !s.rejectWrites() {
 		t.Fatal("gate must stay closed between watermarks (hysteresis)")
 	}
-	for _, sh := range s.shards {
-		sh.eng.Del(keys...)
-	}
+	s.eng.Del(keys...)
 	s.sampleWatermark()
 	if s.rejectWrites() {
 		t.Fatalf("usage %d <= low watermark but gate still closed", s.memUsage())
@@ -212,7 +208,7 @@ func TestWriteFloodWatermark(t *testing.T) {
 // TestIdleReadTimeoutCloses: with ReadTimeout set, an idle connection is
 // closed at the deadline and counted, while an active one stays up.
 func TestIdleReadTimeoutCloses(t *testing.T) {
-	s, _ := startTestServer(t, Options{Overload: OverloadConfig{ReadTimeout: 100 * time.Millisecond}})
+	s, _ := startTestServer(t, Config{Overload: OverloadConfig{ReadTimeout: 100 * time.Millisecond}})
 
 	idle := rawDial(t, s.Addr())
 	if got := pingRaw(t, idle); got != "+PONG" {
@@ -231,7 +227,7 @@ func TestIdleReadTimeoutCloses(t *testing.T) {
 // idle connections out of their blocking reads, and returns well inside
 // the drain budget.
 func TestShutdownDrainsConnections(t *testing.T) {
-	s, c := startTestServer(t, Options{Overload: OverloadConfig{DrainTimeout: 5 * time.Second}})
+	s, c := startTestServer(t, Config{Overload: OverloadConfig{DrainTimeout: 5 * time.Second}})
 	if err := c.Set("k", "v"); err != nil {
 		t.Fatal(err)
 	}

@@ -443,6 +443,8 @@ func TestConfigValidate(t *testing.T) {
 		{Replication: ReplicationConfig{CoordinatorAddr: "127.0.0.1:1"}},
 		{Replication: ReplicationConfig{SemiSyncAcks: 1}},
 		{Replication: ReplicationConfig{NodeID: "n", MasterAddr: "127.0.0.1:1", SemiSyncAcks: 1}},
+		{Shards: 2},
+		{Shards: -1},
 	}
 	for i, cfg := range bad {
 		cfg.normalize()
@@ -457,8 +459,5 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if good.Replication.AckTimeout != 2*time.Second {
 		t.Fatalf("AckTimeout default = %v", good.Replication.AckTimeout)
-	}
-	if good.Shards != 1 {
-		t.Fatalf("Shards default = %d", good.Shards)
 	}
 }

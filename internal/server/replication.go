@@ -105,7 +105,7 @@ func newServerRepl(s *Server, cfg ReplicationConfig) *serverRepl {
 }
 
 // start brings up the configured role and the coordinator heartbeat.
-// Called once from Start after the shards (and their sinks) exist.
+// Called once from Start after the node (and its sink) exists.
 func (r *serverRepl) start() {
 	if r.cfg.MasterAddr != "" {
 		r.role.Store(roleReplica)
@@ -432,7 +432,7 @@ func (r *serverRepl) cmdSync(c *conn, args [][]byte) {
 // serveReplica streams the op log to one replica. The status line tells
 // the replica whether its position still resumes (+CONTINUE) or a
 // snapshot precedes the stream (+FULLSYNC). The snapshot stream is
-// opened at the current head BEFORE the engines are walked, and every op
+// opened at the current head BEFORE the engine is walked, and every op
 // carries its key's full resulting state, so replaying the overlap over
 // the (possibly newer) snapshot converges.
 //
@@ -488,21 +488,19 @@ func (r *serverRepl) serveReplica(c *conn, after uint64, nodeID string) {
 		if err := replication.WriteSnapBegin(bw, snapSeq); err != nil {
 			return
 		}
-		for _, sh := range r.s.shards {
-			werr := error(nil)
-			ferr := sh.eng.ForEachEncodedChunked(r.cfg.SnapshotChunkBytes,
-				func(chunk []engine.SnapEntry) bool {
-					for _, e := range chunk {
-						if werr = replication.WriteSnapEntry(bw, e.Key, e.Val, e.Encoded); werr != nil {
-							return false
-						}
+		var werr error
+		ferr := r.s.eng.ForEachEncodedChunked(r.cfg.SnapshotChunkBytes,
+			func(chunk []engine.SnapEntry) bool {
+				for _, e := range chunk {
+					if werr = replication.WriteSnapEntry(bw, e.Key, e.Val, e.Encoded); werr != nil {
+						return false
 					}
-					werr = deadlineFlush()
-					return werr == nil
-				})
-			if werr != nil || ferr != nil {
-				return
-			}
+				}
+				werr = deadlineFlush()
+				return werr == nil
+			})
+		if werr != nil || ferr != nil {
+			return
 		}
 		if err := replication.WriteSnapEnd(bw, snapSeq); err != nil {
 			return
@@ -783,8 +781,8 @@ func (a *replApplier) syncOnce() bool {
 	}
 }
 
-// readSnapshot installs a full-sync snapshot: clear every shard — cache
-// tier AND private storage tier, via the tiered store's FlushAll — then
+// readSnapshot installs a full-sync snapshot: clear the node — cache tier
+// AND private storage tier, via the tiered store's FlushAll — then
 // apply every entry and reset the mirrored log to the snapshot position.
 // Clearing storage matters: a key deleted on the master while this
 // replica was away must not resurrect from the replica's stale storage
@@ -823,17 +821,17 @@ func (a *replApplier) readSnapshot(nc net.Conn, br *bufio.Reader) bool {
 	}
 }
 
-// applyOp applies one streamed op through the owning shard's tiered
-// store (the sink is inert on replicas, so nothing re-enters the log).
+// applyOp applies one streamed op through the node's tiered store (the
+// sink is inert on replicas, so nothing re-enters the log).
 func (r *serverRepl) applyOp(op replication.Op) {
+	tiered := r.s.tiered
 	switch op.Kind {
 	case replication.OpSet:
 		r.applyEntry(op.Key, op.Val, false)
 	case replication.OpSetEncoded:
 		r.applyEntry(op.Key, op.Val, true)
 	case replication.OpDel:
-		sh := r.s.shardFor([]byte(op.Key))
-		if _, err := sh.tiered.BatchDelete([]string{op.Key}); err != nil {
+		if _, err := tiered.BatchDelete([]string{op.Key}); err != nil {
 			r.applyErrors.Add(1)
 		}
 	case replication.OpExpire:
@@ -842,34 +840,32 @@ func (r *serverRepl) applyOp(op replication.Op) {
 			r.applyErrors.Add(1)
 			return
 		}
-		r.s.shardFor([]byte(op.Key)).tiered.ExpireAt(op.Key, at)
+		tiered.ExpireAt(op.Key, at)
 	case replication.OpPersist:
-		r.s.shardFor([]byte(op.Key)).tiered.Persist(op.Key)
+		tiered.Persist(op.Key)
 	case replication.OpFlushAll:
 		r.flushAll()
 	}
 }
 
-// flushAll clears every shard through its tiered store (a replicated
+// flushAll clears the node through its tiered store (a replicated
 // FLUSHALL, or the start of a full-sync snapshot).
 func (r *serverRepl) flushAll() {
-	for _, sh := range r.s.shards {
-		if err := sh.tiered.FlushAll(); err != nil {
-			r.applyErrors.Add(1)
-		}
+	if err := r.s.tiered.FlushAll(); err != nil {
+		r.applyErrors.Add(1)
 	}
 }
 
 func (r *serverRepl) applyEntry(key string, val []byte, encoded bool) {
-	sh := r.s.shardFor([]byte(key))
+	s := r.s
 	var err error
 	if encoded {
-		err = sh.tiered.Mutate(key, func() (bool, error) {
-			err := sh.eng.LoadEncoded(key, val)
+		err = s.tiered.Mutate(key, func() (bool, error) {
+			err := s.eng.LoadEncoded(key, val)
 			return err == nil, err
 		})
 	} else {
-		err = sh.tiered.Set(key, val)
+		err = s.tiered.Set(key, val)
 	}
 	if err != nil {
 		r.applyErrors.Add(1)

@@ -1,15 +1,14 @@
 // Package server implements TierBase's wire protocol front end: a
-// Redis-compatible (RESP2) TCP server whose data nodes are engine shards
-// behind elastic gates (paper §3: "Initially Redis-compatible
-// ... TierBase clients, compatible with native Redis clients"). The wire
-// format itself is internal/resp.
+// Redis-compatible (RESP2) TCP server over one data node: a striped engine
+// and its tiered store behind one elastic gate (paper §3: "Initially
+// Redis-compatible ... TierBase clients, compatible with native Redis
+// clients"). The wire format itself is internal/resp.
 package server
 
 import (
 	"bufio"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -27,10 +26,17 @@ import (
 // config.go). This file is the server's lifecycle and its connections'; the
 // command set is commands.go, INFO is info.go, replication/cluster
 // behavior replication.go.
+//
+// A process serves one data node: an engine, the tiered store every command
+// reaches it through (cache-only when the deployment has no storage tier)
+// and the elastic gate keyed commands run through. The engine's lock
+// stripes are the node's only sharding.
 type Server struct {
 	opts   Config
 	ln     net.Listener
-	shards []*shard
+	eng    *engine.Engine
+	tiered *cache.Tiered
+	pool   *elastic.Pool
 	repl   *serverRepl // nil unless Config.Replication is enabled
 	wg     sync.WaitGroup
 	connWg sync.WaitGroup
@@ -44,15 +50,6 @@ type Server struct {
 	Latency *metrics.Histogram
 	// Throughput counts completed commands.
 	Throughput *metrics.Meter
-}
-
-// shard is one data node: an engine, the tiered store every command
-// reaches it through (cache-only when the deployment has no storage tier)
-// and the elastic gate its commands run through.
-type shard struct {
-	eng    *engine.Engine
-	tiered *cache.Tiered
-	pool   *elastic.Pool
 }
 
 // Start listens and serves until Close.
@@ -71,28 +68,26 @@ func Start(opts Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: listen: %w", err)
 	}
+	eng := engine.New(opts.EngineOptions)
+	tr, err := factory(eng)
+	if err != nil {
+		ln.Close()
+		return nil, err
+	}
 	s := &Server{
 		opts:       opts,
 		ln:         ln,
+		eng:        eng,
+		tiered:     tr,
+		pool:       elastic.NewPool(opts.Pool),
 		conns:      make(map[net.Conn]*conn),
 		stopCh:     make(chan struct{}),
 		Latency:    metrics.NewHistogram(),
 		Throughput: metrics.NewMeter(),
 	}
-	for i := 0; i < opts.Shards; i++ {
-		eng := engine.New(opts.EngineOptions)
-		tr, err := factory(eng)
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		s.shards = append(s.shards, &shard{eng: eng, tiered: tr, pool: elastic.NewPool(opts.Pool)})
-	}
 	if opts.Replication.Enabled() {
 		s.repl = newServerRepl(s, opts.Replication)
-		for _, sh := range s.shards {
-			sh.tiered.SetSink(s.repl)
-		}
+		tr.SetSink(s.repl)
 		s.repl.start()
 	}
 	if opts.Overload.HighWatermarkBytes > 0 {
@@ -106,68 +101,6 @@ func Start(opts Config) (*Server, error) {
 
 // Addr returns the bound address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
-
-func (s *Server) shardIndex(key []byte) int {
-	if len(s.shards) == 1 {
-		return 0
-	}
-	h := fnv.New32a()
-	h.Write(key)
-	return int(h.Sum32() % uint32(len(s.shards)))
-}
-
-func (s *Server) shardFor(key []byte) *shard {
-	return s.shards[s.shardIndex(key)]
-}
-
-var errShuttingDown = errors.New("server shutting down")
-
-// fanOut is the shared body of the multi-key commands: keys[0], keys[stride],
-// keys[2*stride]... group by owning shard, and fn runs once per group
-// through that shard's gate with the group's indexes into keys — on the
-// calling goroutine when one shard owns them all, otherwise on one
-// goroutine per group, in parallel across shards. Returns the first error.
-// fn calls run concurrently: each may write only what its own indexes name.
-func (s *Server) fanOut(keys [][]byte, stride int, fn func(sh *shard, idxs []int) error) error {
-	groups := make(map[int][]int)
-	for i := 0; i < len(keys); i += stride {
-		si := s.shardIndex(keys[i])
-		groups[si] = append(groups[si], i)
-	}
-	submit := func(si int, idxs []int) error {
-		sh := s.shards[si]
-		var err error
-		if perr := sh.pool.SubmitWait(func() { err = fn(sh, idxs) }); perr != nil {
-			return errShuttingDown
-		}
-		return err
-	}
-	if len(groups) == 1 {
-		for si, idxs := range groups {
-			return submit(si, idxs)
-		}
-	}
-	var (
-		mu    sync.Mutex
-		first error
-		wg    sync.WaitGroup
-	)
-	for si, idxs := range groups {
-		wg.Add(1)
-		go func(si int, idxs []int) {
-			defer wg.Done()
-			if err := submit(si, idxs); err != nil {
-				mu.Lock()
-				if first == nil {
-					first = err
-				}
-				mu.Unlock()
-			}
-		}(si, idxs)
-	}
-	wg.Wait()
-	return first
-}
 
 // --- connection handling ---
 
@@ -202,26 +135,27 @@ const (
 	maxRetainedOut = 1 << 20
 )
 
-// execute runs the command's single-key form inside the shard's gate,
-// appending the reply to the connection's output buffer. What the table
-// says of the command is applied here: a mutate handler runs inside
-// Tiered.Mutate, a warm one finds its key faulted in, and an error from
-// either replaces whatever the handler appended.
-func (c *conn) execute(sh *shard, cmd *command, args [][]byte) {
+// execute runs a keyed command inside the node's gate, appending the reply
+// to the connection's output buffer. What the table says of the command is
+// applied here: a mutate handler runs inside Tiered.Mutate, a warm one finds
+// its key faulted in, and an error from either replaces whatever the
+// handler appended.
+func (c *conn) execute(cmd *command, args [][]byte) {
+	s := c.srv
 	key := string(args[1])
 	mark := len(c.out)
 	var err error
 	if cmd.mutate != nil {
-		err = sh.tiered.Mutate(key, func() (bool, error) {
-			out, changed, err := cmd.mutate(sh.eng, key, args, c.out)
+		err = s.tiered.Mutate(key, func() (bool, error) {
+			out, changed, err := cmd.mutate(s.eng, key, args, c.out)
 			c.out = out
 			return changed, err
 		})
 	} else {
 		if cmd.warm {
-			sh.tiered.Warm(key)
+			s.tiered.Warm(key)
 		}
-		c.out, err = cmd.shard(sh, key, args, c.out)
+		c.out, err = cmd.keyed(s, key, args, c.out)
 	}
 	if err != nil {
 		c.out = resp.AppendError(c.out[:mark], err.Error())
@@ -413,41 +347,26 @@ func (s *Server) dispatch(c *conn, args [][]byte) {
 	s.route(c, cmd, args)
 }
 
-// route executes a command by where its keys are: a keyless one directly,
-// one that names a single key through the owning shard's gate, one that
-// names several by its fan-out form. All three run on the connection
-// goroutine.
+// route executes a command: a keyless one directly, a keyed one, whether it
+// names one key or many, once through the node's gate. Both run on the
+// connection goroutine.
 func (s *Server) route(c *conn, cmd *command, args [][]byte) {
-	single := cmd.keys == keyFirst ||
-		cmd.keys == keysEvery && len(args) == 2 ||
-		cmd.keys == keysEveryOther && len(args) == 3
-	if !single {
+	if cmd.keys == keysNone {
 		cmd.conn(s, c, args)
 		return
 	}
-	sh := s.shardFor(args[1])
-	if err := sh.pool.SubmitWait(func() { c.execute(sh, cmd, args) }); err != nil {
-		c.out = resp.AppendError(c.out, errShuttingDown.Error())
+	if err := s.pool.SubmitWait(func() { c.execute(cmd, args) }); err != nil {
+		c.out = resp.AppendError(c.out, "server shutting down")
 	}
 }
 
-// Shards exposes shard engines for measurement (benches).
-func (s *Server) Shards() []*engine.Engine {
-	out := make([]*engine.Engine, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.eng
-	}
-	return out
-}
+// Shards returns the node's one engine, for measurement. It keeps its
+// slice form because the ledger (benchmark/traced.go) reads Shards()[0].
+func (s *Server) Shards() []*engine.Engine { return []*engine.Engine{s.eng} }
 
-// Pools exposes shard pools (elastic threading observation).
-func (s *Server) Pools() []*elastic.Pool {
-	out := make([]*elastic.Pool, len(s.shards))
-	for i, sh := range s.shards {
-		out[i] = sh.pool
-	}
-	return out
-}
+// Pools returns the node's one elastic gate, for measurement. It keeps its
+// slice form because the ledger (benchmark/traced.go) reads Pools()[0].
+func (s *Server) Pools() []*elastic.Pool { return []*elastic.Pool{s.pool} }
 
 // beginClose transitions the server into the closed state exactly once.
 // Reports false when another Close/Shutdown already won.
@@ -461,7 +380,7 @@ func (s *Server) beginClose() bool {
 	return true
 }
 
-// Close stops accepting, closes connections, and shuts down shards.
+// Close stops accepting, closes connections, and shuts the node down.
 // Connections are cut immediately; use Shutdown for a graceful drain.
 func (s *Server) Close() error {
 	if !s.beginClose() {
@@ -528,9 +447,9 @@ func (s *Server) Shutdown() error {
 	return err
 }
 
-// finishClose joins the background goroutines and shuts the shards
-// down. The tiered Close flushes all write-back dirty state to storage
-// before returning.
+// finishClose joins the background goroutines and shuts the node down.
+// The tiered Close flushes all write-back dirty state to storage before
+// returning.
 func (s *Server) finishClose() {
 	if s.repl != nil {
 		// Stop replication before joining connection goroutines: hijacked
@@ -540,8 +459,6 @@ func (s *Server) finishClose() {
 	}
 	s.wg.Wait()
 	s.connWg.Wait()
-	for _, sh := range s.shards {
-		sh.pool.Stop()
-		sh.tiered.Close()
-	}
+	s.pool.Stop()
+	s.tiered.Close()
 }

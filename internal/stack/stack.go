@@ -5,10 +5,9 @@
 // cost advisor all build through it, so each of them runs the stack the
 // others run.
 //
-// There are two halves because server.Start builds each shard's engine
-// itself: NewEngine gives the options every engine of a node is built
-// from, and NewTiered puts the storage tier behind one engine. Open does
-// both for a node with one engine.
+// There are two halves because server.Start builds its node's engine
+// itself: NewEngine gives the options the engine is built from, and
+// NewTiered puts the storage tier behind it. Open does both.
 package stack
 
 import (
@@ -139,7 +138,7 @@ func NewTiered(c Config, eng *engine.Engine) (*Stack, error) {
 	return s, nil
 }
 
-// Open builds a node with one engine.
+// Open builds a node.
 func Open(c Config) (*Stack, error) {
 	e, err := NewEngine(c)
 	if err != nil {
@@ -157,7 +156,7 @@ func Open(c Config) (*Stack, error) {
 // Close closes the tiered store (write-back flushes its dirty keys into
 // the LSM), then the LSM (which syncs its WAL), then the PMem device
 // Open made. Closing a tiered store twice is harmless, so a server that
-// closed its shards' stores closes their stacks after it.
+// closed its node's store closes the stack after it.
 func (s *Stack) Close() error {
 	err := s.Tiered.Close()
 	if s.DB != nil {
