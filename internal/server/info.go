@@ -18,11 +18,10 @@ import (
 // render's snapshot. info is the one loop that writes the wire format:
 // "# Section", then name:value lines, each ended by \r\n.
 //
-// A process is one node, and INFO keeps the names it had when a process
-// could hold several: shards:1, tiered_shards, storage_shards and
-// degraded_shards count it, and a shard0_ prefix marks the fields of its
-// gate, storage tier and health. The ledger (benchmark/) parses those
-// names.
+// The names treat the process's one node as shard 0 — shards:1;
+// tiered_shards, storage_shards and degraded_shards count it (0 or 1); a
+// shard0_ prefix on the fields of its gate, storage tier and health —
+// because the ledger (benchmark/) parses those names.
 
 type scope uint8
 
