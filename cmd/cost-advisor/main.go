@@ -1,174 +1,124 @@
 // Command cost-advisor applies the Space-Performance Cost Model (§2, §5)
 // to a described workload: it micro-benchmarks the candidate TierBase
-// configurations on a matching synthetic dataset, prices each with the
-// cost metrics of Definition 2, and prints the optimal configuration
-// (Theorem 2.1), the break-even intervals (Equation 5 / Table 3), and the
-// storage recommendation for the workload's access interval.
+// configurations — raw, pmem, zstd-d, pbc and a write-through row caching
+// -cache-ratio of the data — on a synthetic workload of that shape, with
+// the measurement loop the paper-figure harness runs (internal/bench). It
+// prices each configuration per unit of its own container's cost with the
+// cost metrics of Definition 2 (internal/core), and prints the optimal
+// configuration (Theorem 2.1), the write-through row's measured miss ratio
+// beside a zipfian miss-ratio curve's, the break-even intervals
+// (Equation 5 / Table 3), and the storage recommendation for the
+// workload's access interval.
 //
 // Usage:
 //
 //	cost-advisor -qps 80000 -data-gb 10 -read-ratio 0.95 -dataset kv1 \
-//	             -access-interval 1018
+//	             -distribution zipfian -cache-ratio 0.1 -access-interval 1018
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
+	"slices"
+	"strings"
 
+	"tierbase/internal/bench"
 	"tierbase/internal/core"
-	"tierbase/internal/stack"
 	"tierbase/internal/workload"
 )
 
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatalf("cost-advisor: %v", err)
+	}
+}
+
+// run measures and prices the configurations for the workload args
+// describe and writes the report to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("cost-advisor", flag.ContinueOnError)
 	var (
-		qps       = flag.Float64("qps", 80000, "workload queries per second")
-		dataGB    = flag.Float64("data-gb", 10, "total data volume in GB")
-		readRatio = flag.Float64("read-ratio", 0.95, "fraction of reads")
-		dataset   = flag.String("dataset", "kv1", "value shape: cities | kv1 | kv2 | random")
-		interval  = flag.Float64("access-interval", 0, "mean per-key access interval in seconds (0 = skip break-even advice)")
-		refQPS    = flag.Float64("ref-qps", 100000, "assumed per-core QPS of the raw configuration (scales relative measurements to your fleet)")
-
-		probeOps   = flag.Int("probe-ops", 200000, "live MR probe: reads driven through an in-process tiered store (0 = skip)")
-		probeKeys  = flag.Int("probe-keys", 20000, "live MR probe: distinct keys")
-		cacheRatio = flag.Float64("cache-ratio", 0.1, "live MR probe: cache capacity as a fraction of data bytes")
-		probeDist  = flag.String("distribution", "zipfian", "live MR probe key distribution: zipfian | uniform | hotspot | hotspot-shift")
+		qps        = fs.Float64("qps", 80000, "workload queries per second")
+		dataGB     = fs.Float64("data-gb", 10, "total data volume in GB")
+		readRatio  = fs.Float64("read-ratio", 0.95, "fraction of reads; the rest are updates")
+		dataset    = fs.String("dataset", "kv1", "value shape: cities | kv1 | kv2 | random")
+		dist       = fs.String("distribution", "zipfian", "key distribution: "+strings.Join(workload.Distributions, " | "))
+		interval   = fs.Float64("access-interval", 0, "mean per-key access interval in seconds (0 = skip the recommendation)")
+		refQPS     = fs.Float64("ref-qps", 100000, "per-core QPS of the raw configuration on your fleet: every measured speed is scaled by the factor that makes raw's reach it")
+		keys       = fs.Int("probe-keys", 20000, "records loaded into each configuration")
+		ops        = fs.Int("probe-ops", 200000, "operations replayed against each configuration")
+		cacheRatio = fs.Float64("cache-ratio", 0.1, "the write-through row's cache capacity as a fraction of the data")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	ds, err := workload.ParseDataset(*dataset)
+	switch {
+	case err != nil:
+		return fmt.Errorf("-dataset: %w", err)
+	case !slices.Contains(workload.Distributions, *dist):
+		return fmt.Errorf("-distribution: unknown distribution %q", *dist)
+	case *cacheRatio <= 0 || *cacheRatio >= 1:
+		return fmt.Errorf("-cache-ratio %g is outside (0, 1)", *cacheRatio)
+	case *readRatio < 0 || *readRatio > 1:
+		return fmt.Errorf("-read-ratio %g is outside [0, 1]", *readRatio)
+	case *qps <= 0 || *dataGB <= 0 || *refQPS <= 0 || *keys <= 0 || *ops <= 0:
+		return errors.New("-qps, -data-gb, -ref-qps, -probe-keys and -probe-ops must be positive")
+	}
 
-	ds := workload.DatasetByName(*dataset)
 	w := core.Workload{
 		Name: "advised", QPS: *qps, DataSizeGB: *dataGB,
 		ReadRatio: *readRatio, AvgRecordBytes: float64(ds.AvgRecordSize()),
 	}
+	fmt.Fprintf(out, "workload: %.0f QPS, %.1f GB, %.0f%% reads, ~%dB records (%s-shaped), %s keys\n",
+		w.QPS, w.DataSizeGB, w.ReadRatio*100, int(w.AvgRecordBytes), ds.Name(), *dist)
+	fmt.Fprintf(out, "measured on %d records and %d operations each, priced per unit of each one's container cost; speeds scaled so raw serves %.0f QPS\n\n",
+		*keys, *ops, *refQPS)
 
-	fmt.Printf("workload: %.0f QPS, %.1f GB, %.0f%% reads, ~%dB records (%s-shaped)\n\n",
-		w.QPS, w.DataSizeGB, w.ReadRatio*100, int(w.AvgRecordBytes), ds.Name())
-
-	configs, err := measureConfigs(ds, *refQPS)
+	spec := workload.DefaultSpec(int64(*keys))
+	spec.Dataset, spec.Distribution = ds, *dist
+	spec.Mix = workload.Mix{ReadProportion: *readRatio, UpdateProportion: 1 - *readRatio}
+	dir, err := os.MkdirTemp("", "cost-advisor")
 	if err != nil {
-		log.Fatalf("cost-advisor: %v", err)
+		return err
+	}
+	defer os.RemoveAll(dir)
+	ev := bench.NewEvaluator(spec, *ops, *cacheRatio, *refQPS, dir)
+	configs := ev.Configs()
+	rep, err := core.FindOptimal(w, core.StandardContainer, configs, ev, core.DefaultTolerance)
+	if err != nil {
+		return err
+	}
+	fmt.Fprint(out, rep.String())
+	if len(rep.Failures) > 0 {
+		return fmt.Errorf("%d of %d configurations failed to measure", len(rep.Failures), len(configs))
 	}
 
-	rep, err := core.FindOptimal(w, core.StandardContainer,
-		configNames(configs), evaluator(configs), core.DefaultTolerance)
-	if err != nil {
-		log.Fatalf("cost-advisor: %v", err)
+	for _, c := range configs {
+		if mr, ok := ev.MissRatio(c.Name); ok {
+			fmt.Fprintf(out, "\n%s miss ratio: %.4f measured, %.4f on a zipfian curve at cache ratio %.2f\n",
+				c.Name, mr, core.ZipfMRC(int64(*keys), workload.ZipfianTheta)(*cacheRatio), *cacheRatio)
+		}
 	}
-	fmt.Println(rep.String())
 
-	fmt.Println("break-even intervals (Eq. 5):")
-	var ms []core.Measured
-	for _, m := range configs {
-		ms = append(ms, m)
+	fmt.Fprintln(out, "\nbreak-even intervals (Eq. 5):")
+	ms := make([]core.Measured, len(rep.Evaluations))
+	for i, e := range rep.Evaluations {
+		ms[i] = e.Measured
 	}
 	for _, e := range core.BreakEvenTable(core.StandardContainer, ms, w.AvgRecordBytes) {
-		fmt.Printf("  %-12s -> %-12s %10.1f s\n", e.Fast, e.Slow, e.IntervalS)
+		fmt.Fprintf(out, "  %-12s -> %-12s %10.1f s\n", e.Fast, e.Slow, e.IntervalS)
 	}
 	if *interval > 0 {
 		best, err := core.RecommendStorage(core.StandardContainer, ms, w.AvgRecordBytes, *interval)
-		if err == nil {
-			fmt.Printf("\nfor a %.0f s mean access interval, use: %s\n", *interval, best.Config)
-		}
-	}
-
-	if *probeOps > 0 {
-		// Cache-tier inputs for the live probe: the raw config's smooth
-		// PC/SC, with miss handling assumed 4x the cost of a hit (same
-		// class of assumption as the relSpeed factors above).
-		raw := configs["raw"]
-		in := core.TieredInputs{
-			PCCache: core.SmoothPC(w, core.StandardContainer, raw),
-			SCCache: core.SmoothSC(w, core.StandardContainer, raw),
-			PCMiss:  core.StandardContainer.Cost / (*refQPS / 4) * w.QPS,
-		}
-		p := liveProbe{
-			keys: *probeKeys, ops: *probeOps, cacheRatio: *cacheRatio,
-			dist: *probeDist,
-		}
-		if _, err := p.run(ds, in); err != nil {
-			log.Fatalf("cost-advisor: live probe: %v", err)
-		}
-	}
-}
-
-// measureConfigs runs quick capability probes for the candidate
-// configurations, normalized so the raw config hits refQPS per core.
-func measureConfigs(ds workload.Dataset, refQPS float64) (map[string]core.Measured, error) {
-	// Space capability from record-level overhead probes; performance
-	// scaled against the raw configuration's relative throughput.
-	type probe struct {
-		name     string
-		comp     string
-		relSpeed float64 // rough relative QPS vs raw (measured in tab2-style probes)
-		pmem     bool
-	}
-	probes := []probe{
-		{name: "raw", relSpeed: 1.0},
-		{name: "pmem", relSpeed: 0.85, pmem: true},
-		{name: "zstd-d", comp: "zstd-d", relSpeed: 0.55},
-		{name: "pbc", comp: "pbc", relSpeed: 0.6},
-	}
-	out := map[string]core.Measured{}
-	samples := workload.Sample(ds, 400)
-	for _, p := range probes {
-		overhead, err := probeOverhead(p.comp, samples)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		memGB := 4.0 * 0.85 // standard container, usable fraction
-		maxSpace := memGB / overhead
-		if p.pmem {
-			// PMem container: values (~85% of bytes) go to a 12 GB PMem
-			// extension, keys/index stay in DRAM.
-			maxSpace = (4.0 * 0.85) / (overhead * 0.15) * 0.15
-			maxSpace += 12.0 * 0.85 / (overhead * 0.85) * 0.85
-		}
-		out[p.name] = core.Measured{
-			Config:     p.name,
-			MaxPerfQPS: refQPS * p.relSpeed,
-			MaxSpaceGB: maxSpace,
-		}
+		fmt.Fprintf(out, "\nfor a %.0f s mean access interval, use: %s\n", *interval, best.Config)
 	}
-	return out, nil
-}
-
-// probeOverhead measures physical-per-logical bytes for a compressor
-// trained on the first half of samples and fed the second.
-func probeOverhead(comp string, samples [][]byte) (float64, error) {
-	half := len(samples) / 2
-	st, err := stack.Open(stack.Config{Compression: comp, TrainingSamples: samples[:half]})
-	if err != nil {
-		return 0, err
-	}
-	defer st.Close()
-	// Physical bytes are what the cache engine accounts for the records
-	// (16-byte keys), the same number INFO and the cache budget read.
-	var logical int64
-	for i, rec := range samples[half:] {
-		logical += int64(len(rec)) + 16
-		if err := st.Set(fmt.Sprintf("probe%011d", i), rec); err != nil {
-			return 0, err
-		}
-	}
-	return float64(st.Engine().MemUsed()) / float64(logical), nil
-}
-
-func configNames(m map[string]core.Measured) []core.Config {
-	out := make([]core.Config, 0, len(m))
-	for name := range m {
-		out = append(out, core.Config{Name: name})
-	}
-	return out
-}
-
-func evaluator(m map[string]core.Measured) core.ConfigEvaluator {
-	return core.ConfigEvaluatorFunc(func(cfg core.Config) (core.Measured, error) {
-		meas, ok := m[cfg.Name]
-		if !ok {
-			return core.Measured{}, fmt.Errorf("unknown config %s", cfg.Name)
-		}
-		return meas, nil
-	})
+	return nil
 }

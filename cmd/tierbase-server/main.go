@@ -52,15 +52,19 @@ func tieringFlags(policy, dir string, cacheBytes int64) (cache.Policy, error) {
 
 // stackFlags maps the storage flags onto the node's stack, its LSM at -dir
 // itself; the compressor is pre-trained on 500 records of the -train-on
-// dataset.
+// dataset, which must be one the workload package knows.
 func stackFlags(policy, dir string, cacheBytes int64, compression, trainOn string) (stack.Config, error) {
 	p, err := tieringFlags(policy, dir, cacheBytes)
 	if err != nil {
 		return stack.Config{}, err
 	}
+	ds, err := workload.ParseDataset(trainOn)
+	if err != nil {
+		return stack.Config{}, fmt.Errorf("-train-on: %w", err)
+	}
 	c := stack.Config{Policy: p, Dir: dir, CacheBytes: cacheBytes, Compression: compression}
 	if compression != "" {
-		c.TrainingSamples = workload.Sample(workload.DatasetByName(trainOn), 500)
+		c.TrainingSamples = workload.Sample(ds, 500)
 	}
 	return c, nil
 }
@@ -88,7 +92,7 @@ func main() {
 		policy      = flag.String("policy", "cache-only", "cache-only | write-through | write-back")
 		dir         = flag.String("dir", "", "storage-tier directory (tiered policies)")
 		compression = flag.String("compression", "", "value compressor: pbc | zstd-d | zstd-b")
-		trainOn     = flag.String("train-on", "kv1", "dataset for compressor pre-training: cities | kv1 | kv2")
+		trainOn     = flag.String("train-on", "kv1", "dataset for compressor pre-training: cities | kv1 | kv2 | random")
 		elasticOn   = flag.Bool("elastic", true, "enable elastic threading")
 		maxWorkers  = flag.Int("max-workers", 4, "elastic gate's slot ceiling: the node's CPU budget")
 		cacheBytes  = flag.Int64("cache-bytes", 0, "cache-tier capacity, tiered policies only (0 = unbounded)")
@@ -130,7 +134,7 @@ func main() {
 		log.Fatalf("tierbase-server: %v", err)
 	}
 	if c := eo.Options.Compressor; c != nil {
-		log.Printf("compression: %s pre-trained on %s samples", c.Name(), workload.DatasetByName(*trainOn).Name())
+		log.Printf("compression: %s pre-trained on %s samples", c.Name(), *trainOn)
 	}
 
 	// Everything the process needs lives in one validated server.Config.

@@ -43,6 +43,14 @@ func TestTieringFlags(t *testing.T) {
 	}
 }
 
+// TestUnknownTrainOnIsRefused: a -train-on name no dataset has stops the
+// server instead of training the compressor on another dataset's schema.
+func TestUnknownTrainOnIsRefused(t *testing.T) {
+	if _, err := stackFlags("write-back", t.TempDir(), 0, "pbc", "kv3"); err == nil || !strings.Contains(err.Error(), "kv3") {
+		t.Fatalf("-compression pbc -train-on kv3: %v, want an error naming kv3", err)
+	}
+}
+
 // TestNodeStackFromFlags: the storage flags give the node the stack they
 // name — policy, capacity, the LSM at -dir itself, the pre-trained
 // compressor and the engine's 16-byte compression threshold — and a key

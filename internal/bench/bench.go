@@ -2,6 +2,10 @@
 // the paper's evaluation (§6), each regenerating the same rows/series the
 // paper reports, using the cost-optimization framework of §5.3 (load a
 // snapshot, replay operations, measure MaxPerf/MaxSpace, compute costs).
+// measureTB is that loop's one measurement of a TierBase row; pricing is
+// internal/core's (PerCostUnit, SmoothPC/SmoothSC). The harness is also
+// the framework's ConfigEvaluator (Evaluator), which cost-advisor runs on
+// the workload its flags describe.
 //
 // Scaling note: the paper's testbed runs Redis-class
 // systems at ~100k QPS/core against 10 GB datasets. This harness runs
@@ -12,8 +16,8 @@
 // where lines cross — are the reproduction target, not absolute numbers.
 //
 // What is measured is the shipping stack: every TierBase row is built by
-// internal/stack, the builder tierbase.Open, tierbase-server and
-// cost-advisor use, from what the row's name says (compressor, PMem,
+// internal/stack, the builder tierbase.Open and tierbase-server use, from
+// what the row's name says (compressor, PMem,
 // policy, cache ratio, storage RTT). What the harness adds is its own model
 // of a deployment: an elastic pool per instance, the wal/wal-pmem rows'
 // AOF-style log, a per-op CPU cost (fig9) and replicas counted as DRAM.

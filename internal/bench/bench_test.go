@@ -73,23 +73,29 @@ type strErr string
 
 func (e strErr) Error() string { return string(e) }
 
+// TestMeasureOverheadSane: the footprint measureTB reports is physical
+// bytes a logical byte — raw holds its data in DRAM alone at a plausible
+// overhead, and PBC holds fewer DRAM bytes than raw.
 func TestMeasureOverheadSane(t *testing.T) {
-	dram, pmemR, err := measureOverhead(TBConfig{}, workload.NewKV1(), 200)
+	ds := workload.NewKV1()
+	spec := workload.WorkloadB(200, ds)
+	load, run := spec.LoadOps(), NewOpsMulti(spec, 400, 1)
+	raw, err := measureTB(TBConfig{Name: "raw", Threads: 1}, cacheInst, t.TempDir(), load, run, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dram < 1.0 || dram > 3.0 {
-		t.Fatalf("raw dram ratio %.2f out of plausible range", dram)
+	if raw.fp.DRAM < 1 || raw.fp.DRAM > 3 {
+		t.Fatalf("raw dram ratio %.2f out of plausible range", raw.fp.DRAM)
 	}
-	if pmemR != 0 {
-		t.Fatalf("raw config should use no pmem: %f", pmemR)
+	if raw.fp.PMem != 0 || raw.fp.Disk != 0 {
+		t.Fatalf("raw config should use DRAM alone: %+v", raw.fp)
 	}
-	dramC, _, err := measureOverhead(TBConfig{Compressor: "pbc", TrainOn: workload.NewKV1()}, workload.NewKV1(), 200)
+	pbc, err := measureTB(TBConfig{Name: "pbc", Threads: 1, Compressor: "pbc", TrainOn: ds}, cacheInst, t.TempDir(), load, run, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dramC >= dram {
-		t.Fatalf("pbc overhead %.2f should be below raw %.2f", dramC, dram)
+	if pbc.fp.DRAM >= raw.fp.DRAM {
+		t.Fatalf("pbc overhead %.2f should be below raw %.2f", pbc.fp.DRAM, raw.fp.DRAM)
 	}
 }
 
@@ -335,23 +341,23 @@ func TestFig9Timeline(t *testing.T) {
 }
 
 // TestRowsAreTheirConfiguration: each kind of TierBase row runs the
-// configuration its name says — compressed rows hold fewer DRAM bytes than
-// raw, PMem rows offload, wt/wb NX rows evict and miss, wal rows write
-// their log.
+// configuration its name says — raw holds its data in DRAM at a plausible
+// overhead, compressed rows hold fewer DRAM bytes than raw, PMem rows
+// offload, wt/wb NX rows evict and miss, wal rows write their log.
 func TestRowsAreTheirConfiguration(t *testing.T) {
 	ds := workload.NewKV1()
 	spec := workload.WorkloadB(600, ds)
 	load, run := spec.LoadOps(), NewOpsMulti(spec, 1200, 2)
 	measure := func(cfg TBConfig) costSUT {
 		t.Helper()
-		sut, err := measureTB(cfg, t.TempDir(), load, run, 2)
+		sut, err := measureTB(cfg, cacheInst, t.TempDir(), load, run, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", cfg.Name, err)
 		}
 		return sut
 	}
 	raw := measure(TBConfig{Name: "raw", Threads: 1})
-	if raw.cap.pmemPerLogical != 0 || raw.tiered {
+	if raw.fp.DRAM < 1 || raw.fp.DRAM > 3 || raw.fp.PMem != 0 || raw.fp.Disk != 0 || raw.tiered {
 		t.Fatalf("raw: %+v", raw)
 	}
 	for _, cfg := range []TBConfig{
@@ -359,20 +365,20 @@ func TestRowsAreTheirConfiguration(t *testing.T) {
 		{Name: "zstd-dict-l1", Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds},
 		{Name: "zstd-l9", Threads: 1, Compressor: "zstd-b", CompressLevel: 9, TrainOn: ds},
 	} {
-		if got := measure(cfg).cap.dramPerLogical; got >= raw.cap.dramPerLogical {
-			t.Errorf("%s holds %.3f DRAM bytes a logical byte, raw %.3f", cfg.Name, got, raw.cap.dramPerLogical)
+		if got := measure(cfg).fp.DRAM; got >= raw.fp.DRAM {
+			t.Errorf("%s holds %.3f DRAM bytes a logical byte, raw %.3f", cfg.Name, got, raw.fp.DRAM)
 		}
 	}
-	if pm := measure(TBConfig{Name: "pmem", Threads: 1, PMem: true}); pm.cap.pmemPerLogical <= 0 {
-		t.Errorf("pmem row offloads nothing: %+v", pm.cap)
+	if pm := measure(TBConfig{Name: "pmem", Threads: 1, PMem: true}); pm.fp.PMem <= 0 {
+		t.Errorf("pmem row offloads nothing: %+v", pm.fp)
 	}
 	for _, persist := range []string{"wt", "wb"} {
 		cfg := TBConfig{Name: persist + "-5X", Threads: 1, Persist: persist, CacheRatioX: 5,
 			ExpectedLogicalBytes: logicalBytes(load), RTT: missRTT}
 		sut := measure(cfg)
-		if !sut.tiered || sut.mr <= 0 || sut.cap.dramPerLogical >= raw.cap.dramPerLogical || sut.cap.diskPerLogical <= 0 {
+		if !sut.tiered || sut.mr <= 0 || sut.fp.DRAM >= raw.fp.DRAM || sut.fp.Disk <= 0 {
 			t.Errorf("%s: tiered %v, MR %.3f, DRAM %.3f (raw %.3f), disk %.3f", cfg.Name,
-				sut.tiered, sut.mr, sut.cap.dramPerLogical, raw.cap.dramPerLogical, sut.cap.diskPerLogical)
+				sut.tiered, sut.mr, sut.fp.DRAM, raw.fp.DRAM, sut.fp.Disk)
 		}
 	}
 	val := ds.Record(1)

@@ -1,35 +1,26 @@
 package bench
 
 import (
-	"math"
+	"fmt"
+	"path/filepath"
 	"time"
+
+	"tierbase/internal/core"
+	"tierbase/internal/workload"
 )
 
-// Instance specs used by the cost experiments (§6.1/§6.4.1): the standard
+// Instances the cost experiments price on (§6.1/§6.4.1): the standard
 // container is 1 core + 4 GB at relative cost 1. Multi-thread systems and
 // persistent databases get 4 cores + 16 GB (cost 4). PMem containers add
 // byte-addressable persistent memory at a fraction of DRAM's $/GB
 // (Optane listed ~1/3-1/4 of DRAM per GB; we price the 4G+12P container
 // at 1.25 standard units). Storage-tier containers are disk-heavy.
-type instanceSpec struct {
-	name   string
-	cost   float64
-	cores  float64
-	dramGB float64
-	pmemGB float64
-	diskGB float64
-}
-
 var (
-	cacheInst = instanceSpec{name: "cache-1c4g", cost: 1, cores: 1, dramGB: 4}
-	pmemInst  = instanceSpec{name: "pmem-1c4g12p", cost: 1.25, cores: 1, dramGB: 4, pmemGB: 12}
-	bigInst   = instanceSpec{name: "big-4c16g", cost: 4, cores: 4, dramGB: 16, diskGB: 128}
-	storInst  = instanceSpec{name: "stor-1c4g256d", cost: 1, cores: 1, dramGB: 4, diskGB: 256}
+	cacheInst = core.Instance{Name: "cache-1c4g", Cost: 1, CPUCores: 1, MemoryGB: 4}
+	pmemInst  = core.Instance{Name: "pmem-1c4g12p", Cost: 1.25, CPUCores: 1, MemoryGB: 4, PMemGB: 12}
+	bigInst   = core.Instance{Name: "big-4c16g", Cost: 4, CPUCores: 4, MemoryGB: 16, DiskGB: 128}
+	storInst  = core.Instance{Name: "stor-1c4g256d", Cost: 1, CPUCores: 1, MemoryGB: 4, DiskGB: 256}
 )
-
-// usableFrac derates instance capacity for headroom (the tolerance ratio
-// of §2.1).
-const usableFrac = 0.85
 
 // missRTT is the injected cache→storage round trip for tiered
 // configurations. It is calibrated to the paper's *relative* miss-penalty
@@ -40,64 +31,120 @@ const usableFrac = 0.85
 // note).
 const missRTT = 25 * time.Microsecond
 
-// capability is what the replay phase measures for one configuration:
-// throughput per instance and physical bytes per logical byte on each
-// storage medium.
-type capability struct {
-	qpsPerInst     float64
-	dramPerLogical float64
-	pmemPerLogical float64
-	diskPerLogical float64
+// costSUT is one measured system-under-test of a cost experiment: its
+// throughput on its instance and its footprint there.
+type costSUT struct {
+	name   string
+	inst   core.Instance
+	qps    float64
+	fp     core.Footprint
+	tiered bool    // the storage tier runs on storInst
+	mr     float64 // measured miss ratio (tiered configs)
 }
 
-// smoothCosts prices a declared workload (Definition 2 metrics): PC from
-// throughput need, SC from the binding space axis.
-func smoothCosts(cap capability, inst instanceSpec, declQPS, declDataGB float64) (pc, sc float64) {
-	if cap.qpsPerInst > 0 {
-		pc = inst.cost * declQPS / cap.qpsPerInst
-	} else {
-		pc = math.Inf(1)
+// measured is the row per unit of its instance's cost, as core prices it.
+func (s costSUT) measured() core.Measured {
+	if s.tiered {
+		return core.TieredPerCostUnit(s.name, s.qps, s.fp, s.inst, storInst)
 	}
-	sc = inst.cost * spaceInstances(cap, inst, declDataGB)
-	return pc, sc
+	return core.PerCostUnit(s.name, s.qps, s.fp, s.inst)
 }
 
-// spaceInstances returns the (smooth) number of instances the data needs,
-// binding on the tightest medium.
-func spaceInstances(cap capability, inst instanceSpec, declDataGB float64) float64 {
-	need := 0.0
-	if cap.dramPerLogical > 0 {
-		if inst.dramGB <= 0 {
-			return math.Inf(1)
-		}
-		need = math.Max(need, declDataGB*cap.dramPerLogical/(inst.dramGB*usableFrac))
+// price evaluates every row, in order, for a workload of declQPS and
+// declDataGB, with core.DefaultTolerance's headroom.
+func price(suts []costSUT, declQPS, declDataGB float64) []core.Evaluation {
+	ms := make([]core.Measured, len(suts))
+	for i, s := range suts {
+		ms[i] = core.DefaultTolerance.Apply(s.measured())
 	}
-	if cap.pmemPerLogical > 0 {
-		if inst.pmemGB <= 0 {
-			return math.Inf(1)
-		}
-		need = math.Max(need, declDataGB*cap.pmemPerLogical/(inst.pmemGB*usableFrac))
-	}
-	if cap.diskPerLogical > 0 {
-		if inst.diskGB <= 0 {
-			return math.Inf(1)
-		}
-		need = math.Max(need, declDataGB*cap.diskPerLogical/(inst.diskGB*usableFrac))
-	}
-	return need
+	return core.Evaluate(core.Workload{QPS: declQPS, DataSizeGB: declDataGB}, core.StandardContainer, ms)
 }
 
-// tieredCosts prices a tiered configuration: cache instances by DRAM/PMem
-// plus storage-tier instances by disk, PC from the measured end-to-end
-// throughput (miss path included).
-func tieredCosts(cacheCap capability, declQPS, declDataGB float64, cacheSpec instanceSpec) (pc, sc float64) {
-	pc, scCache := smoothCosts(capability{
-		qpsPerInst:     cacheCap.qpsPerInst,
-		dramPerLogical: cacheCap.dramPerLogical,
-		pmemPerLogical: cacheCap.pmemPerLogical,
-	}, cacheSpec, declQPS, declDataGB)
-	scStorage := storInst.cost * spaceInstances(capability{
-		diskPerLogical: cacheCap.diskPerLogical,
-	}, storInst, declDataGB)
-	return pc, scCache + scStorage
+// Evaluator is the harness as the cost framework's ConfigEvaluator, the
+// one cost-advisor runs core.FindOptimal over. Its rows are raw, pmem,
+// zstd-d and pbc, and a write-through row whose cache holds a fraction of
+// the data; each is measured once by measureTB on one workload and
+// reported per unit of its own instance's cost, before any tolerance.
+type Evaluator struct {
+	refQPS    float64
+	dir       string
+	load, run []workload.Op
+	rows      []costRow
+	suts      map[string]costSUT
+}
+
+// costRow is a TierBase row and the instance it is priced on.
+type costRow struct {
+	cfg  TBConfig
+	inst core.Instance
+}
+
+// NewEvaluator measures rows on spec: its population loaded, ops
+// operations of its run phase replayed. The write-through row caches
+// cacheRatio of the data, its storage tier in dir. A positive refQPS
+// scales every row's throughput by the factor that makes raw's reach it.
+func NewEvaluator(spec workload.Spec, ops int, cacheRatio, refQPS float64, dir string) *Evaluator {
+	load := spec.LoadOps()
+	ds, x := spec.Dataset, 1/cacheRatio
+	return &Evaluator{
+		refQPS: refQPS, dir: dir, load: load, run: NewOpsMulti(spec, ops, 4),
+		rows: []costRow{
+			{TBConfig{Name: "raw", Threads: 1}, cacheInst},
+			{TBConfig{Name: "pmem", Threads: 1, PMem: true}, pmemInst},
+			{TBConfig{Name: "zstd-d", Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds}, cacheInst},
+			{TBConfig{Name: "pbc", Threads: 1, Compressor: "pbc", TrainOn: ds}, cacheInst},
+			{TBConfig{Name: fmt.Sprintf("wt-%.3gX", x), Threads: 1, Persist: "wt", CacheRatioX: x,
+				ExpectedLogicalBytes: logicalBytes(load), RTT: missRTT}, cacheInst},
+		},
+		suts: map[string]costSUT{},
+	}
+}
+
+// Configs names the rows, raw first.
+func (e *Evaluator) Configs() []core.Config {
+	out := make([]core.Config, len(e.rows))
+	for i, r := range e.rows {
+		out[i] = core.Config{Name: r.cfg.Name}
+	}
+	return out
+}
+
+// Measure implements core.ConfigEvaluator.
+func (e *Evaluator) Measure(cfg core.Config) (core.Measured, error) {
+	s, err := e.measure(cfg.Name)
+	if err != nil {
+		return core.Measured{}, err
+	}
+	if e.refQPS > 0 {
+		raw, err := e.measure("raw")
+		if err != nil {
+			return core.Measured{}, err
+		}
+		s.qps *= e.refQPS / raw.qps
+	}
+	return s.measured(), nil
+}
+
+// MissRatio is the miss ratio a measured tiered row saw; ok is false for
+// any other row.
+func (e *Evaluator) MissRatio(name string) (mr float64, ok bool) {
+	s, ok := e.suts[name]
+	return s.mr, ok && s.tiered
+}
+
+// measure runs the named row once and remembers what it measured.
+func (e *Evaluator) measure(name string) (costSUT, error) {
+	if s, ok := e.suts[name]; ok {
+		return s, nil
+	}
+	for _, r := range e.rows {
+		if r.cfg.Name == name {
+			s, err := measureTB(r.cfg, r.inst, filepath.Join(e.dir, name), e.load, e.run, 4)
+			if err == nil {
+				e.suts[name] = s
+			}
+			return s, err
+		}
+	}
+	return costSUT{}, fmt.Errorf("bench: no row %q", name)
 }

@@ -10,28 +10,11 @@ import (
 	"tierbase/internal/workload"
 )
 
-// costSUT is one measured system-under-test for a cost experiment.
-type costSUT struct {
-	name   string
-	inst   instanceSpec
-	cap    capability
-	tiered bool    // price storage tier separately
-	mr     float64 // measured miss ratio (tiered configs)
-}
-
-// price returns (PC, SC) for the declared workload.
-func (s costSUT) price(declQPS, declDataGB float64) (pc, sc float64) {
-	if s.tiered {
-		return tieredCosts(s.cap, declQPS, declDataGB, s.inst)
-	}
-	return smoothCosts(s.cap, s.inst, declQPS, declDataGB)
-}
-
-// measureTB is §5.3's loop for one TierBase row: build it, load the
-// snapshot, settle it (dirty keys flushed, the storage tier flushed and
+// measureTB is §5.3's loop for one TierBase row on inst: build it, load
+// the snapshot, settle it (dirty keys flushed, the storage tier flushed and
 // compacted, as a snapshot at rest is), replay run over workers, flush what
-// the replay left dirty, and read the capability. inst is the caller's.
-func measureTB(cfg TBConfig, dir string, load, run []workload.Op, workers int) (costSUT, error) {
+// the replay left dirty, and read throughput and footprint.
+func measureTB(cfg TBConfig, inst core.Instance, dir string, load, run []workload.Op, workers int) (costSUT, error) {
 	sys, err := BuildTierBase(cfg, dir)
 	if err != nil {
 		return costSUT{}, err
@@ -56,11 +39,12 @@ func measureTB(cfg TBConfig, dir string, load, run []workload.Op, workers int) (
 	logical := float64(logicalBytes(load))
 	return costSUT{
 		name: cfg.Name,
-		cap: capability{
-			qpsPerInst:     dr.QPS,
-			dramPerLogical: float64(sys.MemBytes()) / logical,
-			pmemPerLogical: float64(sys.PMemBytes()) / logical,
-			diskPerLogical: float64(sys.DiskBytes()) / logical,
+		inst: inst,
+		qps:  dr.QPS,
+		fp: core.Footprint{
+			DRAM: float64(sys.MemBytes()) / logical,
+			PMem: float64(sys.PMemBytes()) / logical,
+			Disk: float64(sys.DiskBytes()) / logical,
 		},
 		tiered: sys.st.DB != nil,
 		mr:     sys.st.MissRatio(),
@@ -72,7 +56,7 @@ func measureTB(cfg TBConfig, dir string, load, run []workload.Op, workers int) (
 // of its DRAM a deployment holds (dual replicas = 2).
 type baselineRow struct {
 	name     string
-	inst     instanceSpec
+	inst     core.Instance
 	dramMult float64
 }
 
@@ -95,11 +79,10 @@ func measureBaselines(dir string, rows []baselineRow, load, run []workload.Op) (
 		}
 		dr := drive(sys, run, 4)
 		suts = append(suts, costSUT{
-			name: b.name, inst: b.inst,
-			cap: capability{
-				qpsPerInst:     dr.QPS,
-				dramPerLogical: float64(sys.MemBytes()) * b.dramMult / logical,
-				diskPerLogical: float64(sys.DiskBytes()) / logical,
+			name: b.name, inst: b.inst, qps: dr.QPS,
+			fp: core.Footprint{
+				DRAM: float64(sys.MemBytes()) * b.dramMult / logical,
+				Disk: float64(sys.DiskBytes()) / logical,
 			},
 		})
 		sys.Close()
@@ -139,10 +122,7 @@ func RunFig10(o RunOpts) (*Result, error) {
 		var suts []costSUT
 		load, run := mix.spec.LoadOps(), NewOpsMulti(mix.spec, nOps, 4)
 		// TierBase configurations.
-		tbConfigs := []struct {
-			cfg  TBConfig
-			inst instanceSpec
-		}{
+		tbConfigs := []costRow{
 			{TBConfig{Name: "tierbase-s", Threads: 1}, cacheInst},
 			{TBConfig{Name: "tierbase-e", Threads: 0}, cacheInst},
 			{TBConfig{Name: "tierbase-zstd", Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds}, cacheInst},
@@ -150,11 +130,10 @@ func RunFig10(o RunOpts) (*Result, error) {
 			{TBConfig{Name: "tierbase-pmem", Threads: 1, PMem: true}, pmemInst},
 		}
 		for _, tc := range tbConfigs {
-			sut, err := measureTB(tc.cfg, filepath.Join(o.Dir, "fig10", tc.cfg.Name), load, run, 4)
+			sut, err := measureTB(tc.cfg, tc.inst, filepath.Join(o.Dir, "fig10", tc.cfg.Name), load, run, 4)
 			if err != nil {
 				return nil, err
 			}
-			sut.inst = tc.inst
 			suts = append(suts, sut)
 		}
 		base, err := measureBaselines(filepath.Join(o.Dir, "fig10"), []baselineRow{
@@ -168,11 +147,8 @@ func RunFig10(o RunOpts) (*Result, error) {
 		suts = append(suts, base...)
 
 		// Declared workload relative to the single-thread reference.
-		ref := suts[0].cap.qpsPerInst
-		declQPS, declData := 0.8*ref, 10.0
-		for _, s := range suts {
-			pc, sc := s.price(declQPS, declData)
-			res.AddRow(mix.label, s.name, fmtF(sc), fmtF(pc), fmtF(math.Max(pc, sc)))
+		for _, e := range price(suts, 0.8*suts[0].qps, 10) {
+			res.AddRow(mix.label, e.Measured.Config, fmtF(e.SC), fmtF(e.PC), fmtF(e.Cost))
 		}
 	}
 	res.AddNote("declared workload: 10GB, QPS=0.8×MaxPerf(tierbase-s); paper shape: memcached lowest SC among plain caches; pmem/compression cut TierBase SC below memcached; elastic halves PC")
@@ -201,20 +177,18 @@ func RunFig11(o RunOpts) (*Result, error) {
 	} {
 		var suts []costSUT
 		load, run := mix.spec.LoadOps(), NewOpsMulti(mix.spec, nOps, 4)
-		tbConfigs := []TBConfig{
-			{Name: "tierbase-wal", Threads: 1, Persist: "wal", Replicas: 1},
-			{Name: "tierbase-wal-pmem", Threads: 1, Persist: "wal-pmem", Replicas: 1},
-			{Name: "tierbase-wt-10X", Threads: 1, Persist: "wt", CacheRatioX: 10, ExpectedLogicalBytes: expected, RTT: missRTT},
-			{Name: "tierbase-wb-10X", Threads: 1, Persist: "wb", CacheRatioX: 10, ExpectedLogicalBytes: expected, Replicas: 1, RTT: missRTT},
+		// Tiered rows: the cache tier on standard containers, the storage
+		// tier on storInst.
+		tbConfigs := []costRow{
+			{TBConfig{Name: "tierbase-wal", Threads: 1, Persist: "wal", Replicas: 1}, bigInst},
+			{TBConfig{Name: "tierbase-wal-pmem", Threads: 1, Persist: "wal-pmem", Replicas: 1}, bigInst},
+			{TBConfig{Name: "tierbase-wt-10X", Threads: 1, Persist: "wt", CacheRatioX: 10, ExpectedLogicalBytes: expected, RTT: missRTT}, cacheInst},
+			{TBConfig{Name: "tierbase-wb-10X", Threads: 1, Persist: "wb", CacheRatioX: 10, ExpectedLogicalBytes: expected, Replicas: 1, RTT: missRTT}, cacheInst},
 		}
-		for _, cfg := range tbConfigs {
-			sut, err := measureTB(cfg, filepath.Join(o.Dir, "fig11", cfg.Name+mix.label), load, run, 4)
+		for _, tc := range tbConfigs {
+			sut, err := measureTB(tc.cfg, tc.inst, filepath.Join(o.Dir, "fig11", tc.cfg.Name+mix.label), load, run, 4)
 			if err != nil {
 				return nil, err
-			}
-			sut.inst = bigInst
-			if sut.tiered {
-				sut.inst = cacheInst // cache tier on standard containers; storage priced via storInst
 			}
 			suts = append(suts, sut)
 		}
@@ -228,11 +202,8 @@ func RunFig11(o RunOpts) (*Result, error) {
 		}
 		suts = append(suts, base...)
 
-		ref := suts[0].cap.qpsPerInst // tierbase-wal reference
-		declQPS, declData := 0.4*ref, 10.0
-		for _, s := range suts {
-			pc, sc := s.price(declQPS, declData)
-			res.AddRow(mix.label, s.name, fmtF(sc), fmtF(pc), fmtF(math.Max(pc, sc)))
+		for _, e := range price(suts, 0.4*suts[0].qps, 10) { // tierbase-wal reference
+			res.AddRow(mix.label, e.Measured.Config, fmtF(e.SC), fmtF(e.PC), fmtF(e.Cost))
 		}
 	}
 	res.AddNote("paper shape: cassandra/hbase high PC low SC; redis-aof/tierbase-wal low PC high SC; tiered wt/wb balance both; wb beats wt on 50/50, converges on 95/5")
@@ -264,24 +235,19 @@ func caseStudyMeasurements(o RunOpts, tr *trace.Trace, preload []workload.Op, ta
 	}
 
 	var suts []costSUT
-	rtt := missRTT
-	tbConfigs := []struct {
-		cfg  TBConfig
-		inst instanceSpec
-	}{
+	tbConfigs := []costRow{
 		{TBConfig{Name: "tierbase-raw", Threads: 1}, cacheInst},
 		{TBConfig{Name: "tierbase-e", Threads: 0}, cacheInst},
 		{TBConfig{Name: "tierbase-pmem", Threads: 1, PMem: true}, pmemInst},
 		{TBConfig{Name: "tierbase-pbc", Threads: 1, Compressor: "pbc", TrainOn: ds}, cacheInst},
-		{TBConfig{Name: "tierbase-wt-4X", Threads: 1, Persist: "wt", CacheRatioX: 4, ExpectedLogicalBytes: expected, RTT: rtt}, cacheInst},
-		{TBConfig{Name: "tierbase-wb-4X", Threads: 1, Persist: "wb", CacheRatioX: 4, ExpectedLogicalBytes: expected, Replicas: 1, RTT: rtt}, cacheInst},
+		{TBConfig{Name: "tierbase-wt-4X", Threads: 1, Persist: "wt", CacheRatioX: 4, ExpectedLogicalBytes: expected, RTT: missRTT}, cacheInst},
+		{TBConfig{Name: "tierbase-wb-4X", Threads: 1, Persist: "wb", CacheRatioX: 4, ExpectedLogicalBytes: expected, Replicas: 1, RTT: missRTT}, cacheInst},
 	}
 	for _, tc := range tbConfigs {
-		sut, err := measureTB(tc.cfg, filepath.Join(o.Dir, "fig12", tag+tc.cfg.Name), preload, run, 4)
+		sut, err := measureTB(tc.cfg, tc.inst, filepath.Join(o.Dir, "fig12", tag+tc.cfg.Name), preload, run, 4)
 		if err != nil {
 			return nil, err
 		}
-		sut.inst = tc.inst
 		suts = append(suts, sut)
 	}
 	base, err := measureBaselines(filepath.Join(o.Dir, "fig12", tag), []baselineRow{
@@ -331,11 +297,8 @@ func RunFig12(o RunOpts) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := suts[0].cap.qpsPerInst // tierbase-raw
-	declQPS, declData := 1.0*ref, 20.0
-	for _, s := range suts {
-		pc, sc := s.price(declQPS, declData)
-		res.AddRow("userinfo", s.name, fmtF(sc), fmtF(pc), fmtF(math.Max(pc, sc)), fmtF(s.mr))
+	for i, e := range price(suts, suts[0].qps, 20) { // tierbase-raw reference
+		res.AddRow("userinfo", e.Measured.Config, fmtF(e.SC), fmtF(e.PC), fmtF(e.Cost), fmtF(suts[i].mr))
 	}
 	// Case 2: Capital Reconciliation (1:1, temporal skew).
 	rc := trace.GenReconciliation(trace.ReconciliationOptions{Ops: o.n(25000)})
@@ -344,11 +307,8 @@ func RunFig12(o RunOpts) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref2 := suts2[0].cap.qpsPerInst
-	declQPS2, declData2 := 0.2*ref2, 10.0
-	for _, s := range suts2 {
-		pc, sc := s.price(declQPS2, declData2)
-		res.AddRow("reconciliation", s.name, fmtF(sc), fmtF(pc), fmtF(math.Max(pc, sc)), fmtF(s.mr))
+	for i, e := range price(suts2, 0.2*suts2[0].qps, 10) {
+		res.AddRow("reconciliation", e.Measured.Config, fmtF(e.SC), fmtF(e.PC), fmtF(e.Cost), fmtF(suts2[i].mr))
 	}
 	res.AddNote("case1 shape: in-memory stores low PC / high SC; PBC halves TierBase SC (62%% cost cut vs raw); case2 shape: wt cuts PC vs cassandra, wb cuts further; tiering cuts ≥37%% vs cassandra/hbase")
 	return res, nil
@@ -365,39 +325,29 @@ func RunFig1(o RunOpts) (*Result, error) {
 	ui := trace.GenUserInfo(trace.UserInfoOptions{Ops: o.n(20000)})
 	pre := tracePreload(ui, workload.NewKV1())
 	logical := logicalBytes(pre)
-	rtt := missRTT
-	configs := []struct {
-		cfg  TBConfig
-		inst instanceSpec
-	}{
+	configs := []costRow{
 		{TBConfig{Name: "tierbase-raw", Threads: 1}, cacheInst},
 		{TBConfig{Name: "tierbase-pmem", Threads: 1, PMem: true}, pmemInst},
 		{TBConfig{Name: "tierbase-pbc", Threads: 1, Compressor: "pbc", TrainOn: workload.NewKV1()}, cacheInst},
-		{TBConfig{Name: "tierbase-wb-5X", Threads: 1, Persist: "wb", CacheRatioX: 5, ExpectedLogicalBytes: logical, Replicas: 1, RTT: rtt}, cacheInst},
-		{TBConfig{Name: "tierbase-wt-5X", Threads: 1, Persist: "wt", CacheRatioX: 5, ExpectedLogicalBytes: logical, RTT: rtt}, cacheInst},
+		{TBConfig{Name: "tierbase-wb-5X", Threads: 1, Persist: "wb", CacheRatioX: 5, ExpectedLogicalBytes: logical, Replicas: 1, RTT: missRTT}, cacheInst},
+		{TBConfig{Name: "tierbase-wt-5X", Threads: 1, Persist: "wt", CacheRatioX: 5, ExpectedLogicalBytes: logical, RTT: missRTT}, cacheInst},
 	}
 	var suts []costSUT
 	run := traceOps(ui.Entries)
 	for _, tc := range configs {
-		sut, err := measureTB(tc.cfg, filepath.Join(o.Dir, "fig1", tc.cfg.Name), pre, run, 4)
+		sut, err := measureTB(tc.cfg, tc.inst, filepath.Join(o.Dir, "fig1", tc.cfg.Name), pre, run, 4)
 		if err != nil {
 			return nil, err
 		}
-		sut.inst = tc.inst
 		suts = append(suts, sut)
 	}
-	declQPS, declData := 1.0*suts[0].cap.qpsPerInst, 20.0
-	type row struct{ sc, pc, cost float64 }
-	rows := make([]row, len(suts))
+	evals := price(suts, suts[0].qps, 20)
 	var maxCost float64
-	for i, s := range suts {
-		pc, sc := s.price(declQPS, declData)
-		rows[i] = row{sc: sc, pc: pc, cost: math.Max(pc, sc)}
-		maxCost = math.Max(maxCost, math.Max(pc, sc))
+	for _, e := range evals {
+		maxCost = math.Max(maxCost, e.Cost)
 	}
-	for i, s := range suts {
-		res.AddRow(s.name,
-			fmtF(rows[i].sc/maxCost), fmtF(rows[i].pc/maxCost), fmtF(rows[i].cost/maxCost))
+	for _, e := range evals {
+		res.AddRow(e.Measured.Config, fmtF(e.SC/maxCost), fmtF(e.PC/maxCost), fmtF(e.Cost/maxCost))
 	}
 	res.AddNote("normalized to the most expensive configuration; paper shape: raw highest (SC-bound); PBC cuts total ~62%%; wb/wt cut SC at higher PC")
 	return res, nil
@@ -429,17 +379,14 @@ func RunFig13a(o RunOpts) (*Result, error) {
 	var suts []costSUT
 	load, run := spec.LoadOps(), NewOpsMulti(spec, nOps, 4)
 	for _, cfg := range configs {
-		sut, err := measureTB(cfg, "", load, run, 4)
+		sut, err := measureTB(cfg, cacheInst, "", load, run, 4)
 		if err != nil {
 			return nil, err
 		}
-		sut.inst = cacheInst
 		suts = append(suts, sut)
 	}
-	declQPS, declData := 1.0*suts[0].cap.qpsPerInst, 20.0
-	for _, s := range suts {
-		pc, sc := s.price(declQPS, declData)
-		res.AddRow(s.name, fmtF(sc), fmtF(pc), fmtF(math.Max(pc, sc)))
+	for _, e := range price(suts, suts[0].qps, 20) {
+		res.AddRow(e.Measured.Config, fmtF(e.SC), fmtF(e.PC), fmtF(e.Cost))
 	}
 	res.AddNote("paper shape: higher levels trade PC for SC with diminishing ratio returns; pre-trained dict dominates same-level no-dict; practical pick = dict level 1")
 	return res, nil
@@ -458,35 +405,30 @@ func RunFig13b(o RunOpts) (*Result, error) {
 		ID: "fig13b", Title: "Cache-ratio space-performance trade-off",
 		Header: []string{"config", "SpaceCost", "PerformanceCost", "cost", "MR"},
 	}
-	rtt := missRTT
 	configs := []TBConfig{
 		{Name: "in-mem", Threads: 1},
-		{Name: "wb-2X", Threads: 1, Persist: "wb", CacheRatioX: 2, ExpectedLogicalBytes: logical, Replicas: 1, RTT: rtt},
-		{Name: "wb-3X", Threads: 1, Persist: "wb", CacheRatioX: 3, ExpectedLogicalBytes: logical, Replicas: 1, RTT: rtt},
-		{Name: "wb-4X", Threads: 1, Persist: "wb", CacheRatioX: 4, ExpectedLogicalBytes: logical, Replicas: 1, RTT: rtt},
-		{Name: "wb-5X", Threads: 1, Persist: "wb", CacheRatioX: 5, ExpectedLogicalBytes: logical, Replicas: 1, RTT: rtt},
+		{Name: "wb-2X", Threads: 1, Persist: "wb", CacheRatioX: 2, ExpectedLogicalBytes: logical, Replicas: 1, RTT: missRTT},
+		{Name: "wb-3X", Threads: 1, Persist: "wb", CacheRatioX: 3, ExpectedLogicalBytes: logical, Replicas: 1, RTT: missRTT},
+		{Name: "wb-4X", Threads: 1, Persist: "wb", CacheRatioX: 4, ExpectedLogicalBytes: logical, Replicas: 1, RTT: missRTT},
+		{Name: "wb-5X", Threads: 1, Persist: "wb", CacheRatioX: 5, ExpectedLogicalBytes: logical, Replicas: 1, RTT: missRTT},
 	}
 	var suts []costSUT
 	run := traceOps(ui.Entries)
 	for _, cfg := range configs {
-		sut, err := measureTB(cfg, filepath.Join(o.Dir, "fig13b", cfg.Name), pre, run, 4)
+		sut, err := measureTB(cfg, cacheInst, filepath.Join(o.Dir, "fig13b", cfg.Name), pre, run, 4)
 		if err != nil {
 			return nil, err
 		}
-		sut.inst = cacheInst
 		suts = append(suts, sut)
 	}
-	declQPS, declData := 1.0*suts[0].cap.qpsPerInst, 20.0
-	for _, s := range suts {
-		pc, sc := s.price(declQPS, declData)
-		res.AddRow(s.name, fmtF(sc), fmtF(pc), fmtF(math.Max(pc, sc)), fmtF(s.mr))
+	evals := price(suts, suts[0].qps, 20)
+	for i, e := range evals {
+		res.AddRow(e.Measured.Config, fmtF(e.SC), fmtF(e.PC), fmtF(e.Cost), fmtF(suts[i].mr))
 	}
-	// Theorem 5.1 validation from the empirical MRC.
+	// Theorem 5.1 validation from the empirical MRC: SC_cache is the
+	// in-memory row's space cost, all data in the cache tier.
 	mrc := core.BuildMRC(ui.Keys()).Curve(true)
-	in := core.TieredInputs{
-		PCCache: 1, PCMiss: 2,
-		SCCache: declData * suts[0].cap.dramPerLogical / (cacheInst.dramGB * usableFrac),
-	}
+	in := core.TieredInputs{PCCache: 1, PCMiss: 2, SCCache: evals[0].SC}
 	crStar, mrStar, _ := core.OptimalCacheRatio(in, mrc)
 	res.AddNote("Theorem 5.1 on empirical MRC: CR*=%.3f (≈1/%.1fX) with MR*=%.3f", crStar, 1/math.Max(crStar, 1e-9), mrStar)
 	res.AddNote("paper shape: higher X lowers SC, raises PC and MR; optimum near wb-5X for the read-heavy skewed trace")
@@ -506,10 +448,7 @@ func RunTable3(o RunOpts) (*Result, error) {
 		ID: "tab3", Title: "Break-even intervals between configurations",
 		Header: []string{"fast", "slow", "interval_s"},
 	}
-	configs := []struct {
-		cfg  TBConfig
-		inst instanceSpec
-	}{
+	configs := []costRow{
 		{TBConfig{Name: "raw", Threads: 1}, cacheInst},
 		{TBConfig{Name: "pmem", Threads: 1, PMem: true}, pmemInst},
 		{TBConfig{Name: "pbc", Threads: 1, Compressor: "pbc", TrainOn: ds}, cacheInst},
@@ -517,16 +456,11 @@ func RunTable3(o RunOpts) (*Result, error) {
 	var measured []core.Measured
 	load, run := spec.LoadOps(), NewOpsMulti(spec, nOps, 4)
 	for _, tc := range configs {
-		sut, err := measureTB(tc.cfg, "", load, run, 4)
+		sut, err := measureTB(tc.cfg, tc.inst, "", load, run, 4)
 		if err != nil {
 			return nil, err
 		}
-		maxSpace := 1.0 / spaceInstances(sut.cap, tc.inst, 1.0) // GB per instance
-		measured = append(measured, core.Measured{
-			Config:     tc.cfg.Name,
-			MaxPerfQPS: sut.cap.qpsPerInst / tc.inst.cost,
-			MaxSpaceGB: maxSpace / tc.inst.cost,
-		})
+		measured = append(measured, core.DefaultTolerance.Apply(sut.measured()))
 	}
 	recSize := float64(ds.AvgRecordSize())
 	table := core.BreakEvenTable(core.StandardContainer, measured, recSize)

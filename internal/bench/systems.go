@@ -32,7 +32,7 @@ type TBConfig struct {
 	Persist string
 	// CacheRatioX for wt/wb: data-to-cache ratio (e.g. 5 = cache holds
 	// 1/X of the data). 0 = unbounded cache.
-	CacheRatioX int
+	CacheRatioX float64
 	// ExpectedLogicalBytes sizes the cache for CacheRatioX.
 	ExpectedLogicalBytes int64
 	// Replicas is how many cache-tier replica instances the deployment
@@ -71,7 +71,7 @@ func (cfg TBConfig) stackConfig(dir string) (stack.Config, error) {
 		if cfg.CacheRatioX > 0 && cfg.ExpectedLogicalBytes > 0 {
 			// Physical cache budget for 1/X of the data, with engine
 			// overhead headroom.
-			c.CacheBytes = int64(float64(cfg.ExpectedLogicalBytes) / float64(cfg.CacheRatioX) * 1.6)
+			c.CacheBytes = int64(float64(cfg.ExpectedLogicalBytes) / cfg.CacheRatioX * 1.6)
 		}
 	default:
 		return c, fmt.Errorf("bench: unknown persist mode %q", cfg.Persist)
@@ -234,34 +234,4 @@ func (s *TBSystem) Close() error {
 		}
 	}
 	return err
-}
-
-// measureOverhead loads n records of ds into an engine configured like
-// cfg and returns physical-DRAM-per-logical-byte and PMem-per-logical
-// ratios. This feeds MaxSpace estimation without loading full datasets.
-func measureOverhead(cfg TBConfig, ds workload.Dataset, n int) (dramRatio, pmemRatio float64, err error) {
-	probe := cfg
-	probe.Persist = ""
-	probe.Replicas = 0
-	probe.Threads = 1
-	probe.Name = "probe"
-	sys, err := BuildTierBase(probe, "")
-	if err != nil {
-		return 0, 0, err
-	}
-	defer sys.Close()
-	var logical int64
-	for i := 0; i < n; i++ {
-		rec := ds.Record(int64(i))
-		key := fmt.Sprintf("probe%09d", i)
-		logical += int64(len(rec)) + int64(len(key))
-		if err := sys.Set(key, rec); err != nil {
-			return 0, 0, err
-		}
-	}
-	if logical == 0 {
-		return 1, 0, nil
-	}
-	return float64(sys.MemBytes()) / float64(logical),
-		float64(sys.PMemBytes()) / float64(logical), nil
 }

@@ -164,8 +164,10 @@ func TestTieredMutateAgainstHandRolled(t *testing.T) {
 	}
 	contents := func(s store) (cache, storage map[string]string) {
 		cache, storage = map[string]string{}, map[string]string{}
-		s.eng.ForEachEncoded(func(k string, v []byte, enc bool) bool {
-			cache[k] = fmt.Sprintf("%v:%q", enc, v)
+		s.eng.ForEachEncodedChunked(0, func(chunk []engine.SnapEntry) bool {
+			for _, p := range chunk {
+				cache[p.Key] = fmt.Sprintf("%v:%q", p.Encoded, p.Val)
+			}
 			return true
 		})
 		for k, v := range s.stor.m {

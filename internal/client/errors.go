@@ -25,18 +25,6 @@ func (e *MovedError) Error() string {
 	return fmt.Sprintf("MOVED %d %s", e.Slot, e.Addr)
 }
 
-// AskError is a one-shot redirect during slot migration: retry this one
-// operation against Addr without updating the routing table.
-type AskError struct {
-	Slot int
-	Addr string
-}
-
-// Error renders the wire form.
-func (e *AskError) Error() string {
-	return fmt.Sprintf("ASK %d %s", e.Slot, e.Addr)
-}
-
 // ConnError wraps transport-level failures (dial errors, sticky broken
 // connections, torn replies) so callers can distinguish "the node is
 // unreachable — refresh routing and retry elsewhere" from a server
@@ -79,9 +67,6 @@ func (e *MaxConnError) Error() string { return e.Msg }
 func parseReplyError(body string) error {
 	if slot, addr, ok := parseRedirect(body, "MOVED "); ok {
 		return &MovedError{Slot: slot, Addr: addr}
-	}
-	if slot, addr, ok := parseRedirect(body, "ASK "); ok {
-		return &AskError{Slot: slot, Addr: addr}
 	}
 	if strings.HasPrefix(body, "OVERLOADED") {
 		return &OverloadedError{Msg: body}

@@ -30,7 +30,7 @@ type stubServer struct {
 
 	// hook, when set, gets first crack at every command (under s.mu); a
 	// non-empty return is written verbatim as the reply. Lets redirect
-	// tests inject -MOVED/-ASK responses per key.
+	// tests inject -MOVED responses per key.
 	hook func(args []string) string
 }
 

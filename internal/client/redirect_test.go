@@ -23,24 +23,22 @@ func TestParseReplyErrorTyped(t *testing.T) {
 		t.Fatalf("MOVED text round trip: %q", err.Error())
 	}
 
-	err = parseReplyError("ASK 7 127.0.0.1:7003")
-	var ask *AskError
-	if !errors.As(err, &ask) || ask.Slot != 7 || ask.Addr != "127.0.0.1:7003" {
-		t.Fatalf("ASK parse: %#v", err)
-	}
-
-	err = parseReplyError("ERR unknown command 'FOO'")
-	if errors.As(err, &mv) || errors.As(err, &ask) {
-		t.Fatalf("plain error misparsed as redirect: %#v", err)
-	}
-	if err.Error() != "ERR unknown command 'FOO'" {
-		t.Fatalf("plain error text: %q", err.Error())
+	// A TierBase server never sends -ASK (slots do not migrate live), so it is a
+	// plain server error like any other.
+	for _, s := range []string{"ERR unknown command 'FOO'", "ASK 7 127.0.0.1:7003"} {
+		err = parseReplyError(s)
+		if errors.As(err, &mv) {
+			t.Fatalf("plain error misparsed as redirect: %#v", err)
+		}
+		if err.Error() != s {
+			t.Fatalf("plain error text: %q", err.Error())
+		}
 	}
 
 	// Malformed redirects stay plain errors rather than panicking or
 	// producing a bogus address.
-	for _, s := range []string{"MOVED", "MOVED 42", "MOVED x y", "ASK 1 2 3"} {
-		if e := parseReplyError(s); errors.As(e, &mv) || errors.As(e, &ask) {
+	for _, s := range []string{"MOVED", "MOVED 42", "MOVED x y"} {
+		if e := parseReplyError(s); errors.As(e, &mv) {
 			t.Fatalf("malformed %q parsed as redirect", s)
 		}
 	}
@@ -60,14 +58,10 @@ func (r *swapRouter) AddrFor(string) string { return r.addr.Load().(string) }
 // movedHook makes a stub answer -MOVED to target for any command that
 // touches key k (SET/MSET/GET/MGET — coalesced shapes included).
 func movedHook(k, target string) func(args []string) string {
-	return redirectHook("MOVED", k, target)
-}
-
-func redirectHook(kind, k, target string) func(args []string) string {
 	return func(args []string) string {
 		for _, a := range args[1:] {
 			if a == k {
-				return fmt.Sprintf("-%s 42 %s\r\n", kind, target)
+				return "-MOVED 42 " + target + "\r\n"
 			}
 		}
 		return ""
@@ -143,31 +137,6 @@ func TestRoutedMovedTriggersRefresh(t *testing.T) {
 	owner.mu.Unlock()
 	if got != "v2" {
 		t.Fatalf("owner value = %q", got)
-	}
-}
-
-func TestRoutedAskDoesNotRefresh(t *testing.T) {
-	owner := startStub(t)
-	migrating := startStub(t)
-	migrating.mu.Lock()
-	migrating.hook = redirectHook("ASK", "k", owner.addr())
-	migrating.mu.Unlock()
-
-	rc := NewRouted(fixedRouter{addr: migrating.addr()})
-	defer rc.Close()
-	var refreshes atomic.Int32
-	rc.refreshFn = func() error { refreshes.Add(1); return nil }
-
-	if err := rc.Set("k", "v"); err != nil {
-		t.Fatalf("Set through ASK: %v", err)
-	}
-	if n := refreshes.Load(); n != 0 {
-		t.Fatalf("ASK must not refresh the table, got %d refreshes", n)
-	}
-	owner.mu.Lock()
-	defer owner.mu.Unlock()
-	if owner.kv["k"] != "v" {
-		t.Fatalf("ASK target missed the write: %q", owner.kv["k"])
 	}
 }
 

@@ -14,7 +14,7 @@ type Router interface {
 }
 
 // maxRedirects bounds how many times one logical operation follows
-// MOVED/ASK redirects or retries through a topology refresh before
+// MOVED redirects or retries through a topology refresh before
 // surfacing the last error.
 const maxRedirects = 4
 
@@ -33,9 +33,9 @@ const refreshMinInterval = 50 * time.Millisecond
 //
 // Redirect handling is typed (errors.As, no reply-text sniffing): a
 // *MovedError triggers a routing refresh (when the Router supports it)
-// and a follow to the named address; an *AskError follows once without
-// refreshing; a *ConnError (node died mid-traffic) refreshes and
-// re-routes. Plain server errors (WRONGTYPE, ...) surface immediately.
+// and a follow to the named address; a *ConnError (node died
+// mid-traffic) refreshes and re-routes. Plain server errors (WRONGTYPE,
+// -ASK, ...) surface immediately.
 type Routed struct {
 	router Router
 	mu     sync.Mutex
@@ -148,13 +148,12 @@ var errNoNode = errors.New("client: no node for key")
 
 // retry is the one redirect-and-retry loop. op runs against addr when the
 // previous attempt was redirected there, and routes by the table when addr
-// is empty. follow says whether a redirect's address is followed: a
-// single-key operation goes where a *MovedError (after a table refresh) or
-// an *AskError (without one: the slot is only migrating) points; a batch
-// has no one address to go to, so either redirect refreshes the table and
-// the next attempt re-splits by it. A transport failure refreshes and
-// re-routes, an overload rejection retries the same route after a backoff,
-// and any other error surfaces.
+// is empty. Every *MovedError refreshes the table; follow says whether its
+// address is followed: a single-key operation goes where it points, a batch
+// has no one address to go to, so the next attempt re-splits by the
+// refreshed table. A transport failure refreshes and re-routes, an
+// overload rejection retries the same route after a backoff, and any other
+// error surfaces.
 func (rc *Routed) retry(follow bool, op func(addr string) error) error {
 	addr := ""
 	var lastErr error
@@ -170,16 +169,10 @@ func (rc *Routed) retry(follow bool, op func(addr string) error) error {
 		}
 		redirect := ""
 		var mv *MovedError
-		var ask *AskError
 		switch {
 		case errors.As(err, &mv):
 			rc.maybeRefresh()
 			redirect = mv.Addr
-		case errors.As(err, &ask):
-			redirect = ask.Addr
-			if !follow {
-				rc.maybeRefresh()
-			}
 		case isTransient(err):
 			rc.maybeRefresh()
 		case isOverloaded(err):

@@ -26,7 +26,8 @@ type Instance struct {
 	Name     string
 	Cost     float64 // monetary cost per instance (relative units)
 	CPUCores float64
-	MemoryGB float64
+	MemoryGB float64 // DRAM
+	PMemGB   float64 // persistent memory extending DRAM (0 = none)
 	DiskGB   float64
 }
 
@@ -52,6 +53,46 @@ type Measured struct {
 	MaxSpaceGB float64 // max storable data per instance
 }
 
+// Footprint is what a configuration stores per logical byte: the physical
+// bytes it holds in DRAM, in PMem and on disk for each byte of keys and
+// values written to it. A zero medium is one it does not use.
+type Footprint struct {
+	DRAM, PMem, Disk float64
+}
+
+// MaxSpaceGB is the logical data one instance i holds at this footprint:
+// the tightest medium binds. A medium the footprint needs and i lacks holds
+// none; an empty footprint holds unbounded data.
+func (f Footprint) MaxSpaceGB(i Instance) float64 {
+	space := math.Inf(1)
+	for _, m := range [...]struct{ per, gb float64 }{
+		{f.DRAM, i.MemoryGB}, {f.PMem, i.PMemGB}, {f.Disk, i.DiskGB},
+	} {
+		if m.per > 0 {
+			space = math.Min(space, m.gb/m.per)
+		}
+	}
+	return space
+}
+
+// PerCostUnit is what a configuration that serves qps on one instance i at
+// footprint f buys per unit of i's cost. Configurations measured on
+// different instances then price alike on StandardContainer (cost 1).
+func PerCostUnit(config string, qps float64, f Footprint, i Instance) Measured {
+	return Measured{Config: config, MaxPerfQPS: qps / i.Cost, MaxSpaceGB: f.MaxSpaceGB(i) / i.Cost}
+}
+
+// TieredPerCostUnit is PerCostUnit for a tiered configuration: its cache
+// tier, on cache, serves qps and holds f's DRAM and PMem bytes; its storage
+// tier, on stor, holds f's disk bytes. In smooth units the two tiers'
+// space costs add: CPGB = CPGB(cache) + CPGB(storage).
+func TieredPerCostUnit(config string, qps float64, f Footprint, cache, stor Instance) Measured {
+	m := PerCostUnit(config, qps, Footprint{DRAM: f.DRAM, PMem: f.PMem}, cache)
+	storGB := Footprint{Disk: f.Disk}.MaxSpaceGB(stor) / stor.Cost
+	m.MaxSpaceGB = 1 / (1/m.MaxSpaceGB + 1/storGB)
+	return m
+}
+
 // Tolerance derates measured capability for redundancy and skew headroom
 // ("we incorporate tolerance ratios for both MaxPerf and MaxSpace").
 // 1.0 means no derating; 0.8 means plan at 80% of measured capability.
@@ -60,8 +101,9 @@ type Tolerance struct {
 	Space float64
 }
 
-// DefaultTolerance plans at 80% utilization on both axes.
-var DefaultTolerance = Tolerance{Perf: 0.8, Space: 0.8}
+// DefaultTolerance plans at the measured throughput and at 85% of each
+// medium's capacity.
+var DefaultTolerance = Tolerance{Perf: 1, Space: 0.85}
 
 func (t Tolerance) fill() Tolerance {
 	if t.Perf <= 0 || t.Perf > 1 {

@@ -68,6 +68,30 @@ func TestTolerance(t *testing.T) {
 	}
 }
 
+func TestFootprintPerCostUnit(t *testing.T) {
+	pm := Instance{Cost: 1.25, MemoryGB: 4, PMemGB: 12}
+	stor := Instance{Cost: 1, DiskGB: 256}
+	// DRAM holds 4/0.5 = 8 GB, PMem 12/2 = 6 GB: PMem binds.
+	if got := (Footprint{DRAM: 0.5, PMem: 2}).MaxSpaceGB(pm); got != 6 {
+		t.Fatalf("MaxSpace %g, want 6", got)
+	}
+	if got := (Footprint{DRAM: 0.5, Disk: 1}).MaxSpaceGB(pm); got != 0 {
+		t.Fatalf("a needed medium the instance lacks holds %g GB", got)
+	}
+	if got := (Footprint{}).MaxSpaceGB(pm); !math.IsInf(got, 1) {
+		t.Fatalf("an empty footprint holds %g GB", got)
+	}
+	m := PerCostUnit("p", 100000, Footprint{DRAM: 0.5, PMem: 2}, pm)
+	if m.Config != "p" || m.MaxPerfQPS != 80000 || m.MaxSpaceGB != 4.8 {
+		t.Fatalf("per cost unit: %+v", m)
+	}
+	// Cache 8 GB a cost unit, storage 256 GB: CPGB 1/8 + 1/256.
+	tm := TieredPerCostUnit("t", 100000, Footprint{DRAM: 0.5, Disk: 1}, StandardContainer, stor)
+	if math.Abs(CPGB(StandardContainer, tm)-(1.0/8+1.0/256)) > 1e-12 || tm.MaxPerfQPS != 100000 {
+		t.Fatalf("tiered: %+v", tm)
+	}
+}
+
 func TestClassify(t *testing.T) {
 	// High QPS, tiny data => performance-critical.
 	pc := Classify(Workload{QPS: 1e6, DataSizeGB: 0.1}, StandardContainer, Measured{MaxPerfQPS: 1e4, MaxSpaceGB: 4})

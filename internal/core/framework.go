@@ -8,10 +8,11 @@ import (
 
 // Cost Optimization Framework (paper §5.3): the sample → load → replay →
 // calculate → iterate loop. The framework is measurement-agnostic: a
-// ConfigEvaluator (implemented by internal/bench's replay harness) loads a
-// data snapshot into a candidate configuration, replays the recorded
-// trace, and reports the measured MaxPerf/MaxSpace. This package turns
-// those measurements into costs and picks the optimum.
+// ConfigEvaluator (internal/bench's Evaluator, which cost-advisor runs)
+// loads a data snapshot into a candidate configuration, replays the
+// workload, and reports the measured MaxPerf/MaxSpace per unit of instance
+// cost (PerCostUnit). This package turns those measurements into costs and
+// picks the optimum.
 
 // Config names one candidate storage configuration to evaluate.
 type Config struct {

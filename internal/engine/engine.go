@@ -927,58 +927,23 @@ type SnapEntry struct {
 	Encoded bool // Val is a typed collection blob (Encode format)
 }
 
-// ForEachString visits every live string key (decoded). The callback must
-// not call back into the engine. Iteration order is unspecified. The
-// snapshot is taken shard by shard, so it is consistent within a shard but
-// not across shards (same guarantee a Redis SCAN cursor gives).
-func (e *Engine) ForEachString(fn func(key string, val []byte) bool) error {
-	return e.walk(0, false, func(chunk []SnapEntry) bool {
-		for _, p := range chunk {
-			if !fn(p.Key, p.Val) {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// ForEachEncoded visits every live key of every kind: strings yield
-// their value with encoded=false, collections yield a typed blob
-// (Encode format) with encoded=true.
-func (e *Engine) ForEachEncoded(fn func(key string, val []byte, encoded bool) bool) error {
-	return e.walk(0, true, func(chunk []SnapEntry) bool {
-		for _, p := range chunk {
-			if !fn(p.Key, p.Val, p.Encoded) {
-				return false
-			}
-		}
-		return true
-	})
-}
-
-// ForEachEncodedChunked is the bounded-buffer form of ForEachEncoded,
-// built for replication full-sync snapshots feeding a socket: only a
-// stripe's key list is captured up front; values materialize in chunks
-// of at most maxChunkBytes (<= 0: 1 MiB) of keys and decoded values plus
-// one entry, and fn runs with no lock held — a stalled replica socket
-// inside fn never blocks writers, and buffered memory stays O(chunk)
-// whatever the compression ratio.
+// ForEachEncodedChunked is the one snapshot iterator, built for
+// replication full-sync snapshots feeding a socket. It visits every live
+// key of every kind: strings yield their decoded value, collections a
+// typed blob (Encode format) with Encoded set. Per stripe it lists the live
+// keys, then alternates two steps until the list is done: under a short
+// read lock, copy out up to maxChunkBytes (<= 0: 1 MiB) of stored values
+// (take) and collection blobs (serialized there); with no lock held,
+// decompress the values and hand fn a chunk each time maxChunkBytes of
+// keys and decoded values has piled up. A stalled replica socket inside fn
+// never blocks writers, and buffered memory stays O(chunk) whatever the
+// compression ratio.
 //
 // Keys deleted between the key listing and their chunk are skipped; a
 // key mutated in between yields either value. Callers tolerate both
 // by streaming the op log from a position at or before the walk.
 // Returning false from fn stops the walk.
 func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEntry) bool) error {
-	return e.walk(maxChunkBytes, true, fn)
-}
-
-// walk is the one snapshot iterator. Per stripe it lists the live keys,
-// then alternates two steps until the list is done: under a short read
-// lock, copy out up to maxChunkBytes of stored values (take) and
-// collection blobs (serialized there); with no lock held, decompress the
-// values and hand fn a chunk each time maxChunkBytes of decoded data has
-// piled up.
-func (e *Engine) walk(maxChunkBytes int, collections bool, fn func(chunk []SnapEntry) bool) error {
 	if maxChunkBytes <= 0 {
 		maxChunkBytes = 1 << 20
 	}
@@ -999,11 +964,9 @@ func (e *Engine) walk(maxChunkBytes int, collections bool, fn func(chunk []SnapE
 			}
 			return true
 		})
-		if collections {
-			for k, it := range s.colls {
-				if it.expireAt == 0 || now < it.expireAt {
-					keys = append(keys, k)
-				}
+		for k, it := range s.colls {
+			if it.expireAt == 0 || now < it.expireAt {
+				keys = append(keys, k)
 			}
 		}
 		s.mu.RUnlock()
@@ -1029,7 +992,7 @@ func (e *Engine) walk(maxChunkBytes int, collections bool, fn func(chunk []SnapE
 						break
 					}
 					held += f.size
-				} else if p.blob, ok = encodeCollectionLocked(en.it); ok && collections {
+				} else if p.blob, ok = encodeCollectionLocked(en.it); ok {
 					held += len(p.blob)
 				} else {
 					continue

@@ -352,25 +352,32 @@ func TestHitMissStats(t *testing.T) {
 	}
 }
 
-func TestForEachString(t *testing.T) {
+// TestSnapshotWalkDecodesStrings: the walk yields strings decoded, marks
+// collections as encoded blobs, and stops when fn says so.
+func TestSnapshotWalkDecodesStrings(t *testing.T) {
 	e := New(Options{})
 	e.Set("a", []byte("1"))
 	e.Set("b", []byte("2"))
-	e.LPush("l", []byte("x")) // non-strings skipped
+	e.LPush("l", []byte("x"))
 	seen := map[string]string{}
-	err := e.ForEachString(func(k string, v []byte) bool {
-		seen[k] = string(v)
+	err := e.ForEachEncodedChunked(1, func(chunk []SnapEntry) bool {
+		for _, p := range chunk {
+			if p.Encoded != (p.Key == "l") {
+				t.Errorf("%s: Encoded %v", p.Key, p.Encoded)
+			}
+			seen[p.Key] = string(p.Val)
+		}
 		return true
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(seen) != 2 || seen["a"] != "1" || seen["b"] != "2" {
+	if len(seen) != 3 || seen["a"] != "1" || seen["b"] != "2" {
 		t.Fatalf("seen: %v", seen)
 	}
-	// Early stop.
+	// Early stop: one-byte chunks hold one entry each.
 	count := 0
-	e.ForEachString(func(k string, v []byte) bool { count++; return false })
+	e.ForEachEncodedChunked(1, func(chunk []SnapEntry) bool { count += len(chunk); return false })
 	if count != 1 {
 		t.Fatalf("early stop visited %d", count)
 	}

@@ -828,8 +828,12 @@ func TestPMemReadersAndOverwriters(t *testing.T) {
 		})
 		reader(func() bool {
 			ok := true
-			err := e.ForEachString(func(k string, v []byte) bool {
-				ok = check("walk", k, v, nil)
+			err := e.ForEachEncodedChunked(0, func(chunk []SnapEntry) bool {
+				for _, p := range chunk {
+					if ok = check("walk", p.Key, p.Val, nil); !ok {
+						break
+					}
+				}
 				return ok
 			})
 			return ok && (err == nil || check("walk", "", nil, err))

@@ -193,18 +193,29 @@ func (d randomDataset) Record(i int64) []byte {
 
 func (d randomDataset) AvgRecordSize() int { return d.size }
 
-// DatasetByName resolves a dataset by its name; defaults to cities.
-func DatasetByName(name string) Dataset {
+// ParseDataset resolves a dataset by its name, in any case: cities, kv1,
+// kv2 or random. Any other name is an error.
+func ParseDataset(name string) (Dataset, error) {
 	switch strings.ToLower(name) {
+	case "cities":
+		return NewCities(), nil
 	case "kv1":
-		return NewKV1()
+		return NewKV1(), nil
 	case "kv2":
-		return NewKV2()
+		return NewKV2(), nil
 	case "random":
-		return NewRandom(100)
-	default:
-		return NewCities()
+		return NewRandom(100), nil
 	}
+	return nil, fmt.Errorf("unknown dataset %q (cities | kv1 | kv2 | random)", name)
+}
+
+// DatasetByName resolves a dataset by its name; defaults to cities.
+// Flags parse with ParseDataset, which refuses a name it does not know.
+func DatasetByName(name string) Dataset {
+	if ds, err := ParseDataset(name); err == nil {
+		return ds
+	}
+	return NewCities()
 }
 
 // sampleSpan is the range of record indexes Sample draws from.

@@ -66,8 +66,7 @@ type Spec struct {
 	RecordCount int64
 	Mix         Mix
 	Dataset     Dataset
-	// Distribution is one of "zipfian", "uniform", "latest", "hotspot",
-	// "hotspot-shift".
+	// Distribution is one of Distributions.
 	Distribution string
 	ZipfTheta    float64
 	KeyPrefix    string
@@ -77,6 +76,10 @@ type Spec struct {
 	// pass). Only "hotspot-shift" reads it.
 	ShiftEvery int64
 }
+
+// Distributions names the key distributions NewGenerator knows; it reads
+// any other name, the empty one included, as zipfian.
+var Distributions = []string{"zipfian", "uniform", "latest", "hotspot", "hotspot-shift"}
 
 // DefaultSpec returns Workload A over the cities dataset with n records.
 func DefaultSpec(n int64) Spec {

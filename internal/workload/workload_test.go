@@ -59,6 +59,9 @@ func TestDatasetByName(t *testing.T) {
 		if got := DatasetByName(tc.in).Name(); got != tc.want {
 			t.Errorf("DatasetByName(%q) = %q, want %q", tc.in, got, tc.want)
 		}
+		if ds, err := ParseDataset(tc.in); (err != nil) != (tc.in == "unknown") || (err == nil && ds.Name() != tc.want) {
+			t.Errorf("ParseDataset(%q) = %v, %v", tc.in, ds, err)
+		}
 	}
 }
 
