@@ -96,9 +96,6 @@ func main() {
 		elasticOn   = flag.Bool("elastic", true, "enable elastic threading")
 		maxWorkers  = flag.Int("max-workers", 4, "elastic gate's slot ceiling: the node's CPU budget")
 		cacheBytes  = flag.Int64("cache-bytes", 0, "cache-tier capacity, tiered policies only (0 = unbounded)")
-		boostDepth  = flag.Int("boost-depth", 0, "callers waiting for a slot that trigger boost mode (0 = default 4)")
-		cooldown    = flag.Int("cooldown-ticks", 0, "calm evaluations before shrinking back to single mode (0 = default)")
-		evalEvery   = flag.Duration("eval-interval", 0, "elastic controller period (0 = default)")
 
 		nodeID        = flag.String("node-id", "", "cluster node id (enables replication)")
 		advertise     = flag.String("advertise", "", "address other nodes reach this one at (default: listen addr)")
@@ -141,12 +138,7 @@ func main() {
 	opts := server.Config{
 		Addr:          *addr,
 		EngineOptions: eo.Options,
-		Pool: elastic.PoolOptions{
-			MaxWorkers:      *maxWorkers,
-			BoostQueueDepth: *boostDepth,
-			CooldownTicks:   *cooldown,
-			EvalInterval:    *evalEvery,
-		},
+		Pool:          elastic.PoolOptions{MaxWorkers: *maxWorkers},
 		Replication: server.ReplicationConfig{
 			NodeID:             *nodeID,
 			AdvertiseAddr:      *advertise,

@@ -1,16 +1,26 @@
 // Package elastic implements TierBase's elastic threading (paper §4.4):
 // a data node runs in single-threaded mode by default (event-loop
 // efficiency, minimal locking), and when the workload on the instance
-// bursts, the controller "seamlessly transitions to multi-threaded mode by
-// dynamically adding threads within the container's pre-allocated CPU
-// resources"; when the burst subsides it drops back to one thread so the
-// idle CPU returns to other tenants of the container.
+// bursts, it "seamlessly transitions to multi-threaded mode by dynamically
+// adding threads within the container's pre-allocated CPU resources";
+// when the burst subsides it drops back to one thread so the idle CPU
+// returns to other tenants of the container.
 //
 // A Pool is a gate, not a pool of worker goroutines: SubmitWait runs its
 // function on the caller's own goroutine once one of the pool's slots is
 // free. One slot is single mode — at most one function runs at a time —
-// and a boost raises the slot count. Callers waiting for a slot are the
-// backlog the controller reads, and they are admitted in arrival order.
+// and a boost raises the slot count. Callers waiting for a slot are
+// admitted in arrival order.
+//
+// The pool sizes itself at admission, under the lock every caller already
+// takes; no goroutine samples it. A boost: a caller that queues as the
+// fourth waiter or later (boostDepth) doubles the slots, up to MaxWorkers,
+// and the new slots go straight to the oldest waiters. Each caller has at
+// most one call in flight, so four waiting says the one slot is
+// saturated. A shrink: once no caller has had to wait for 200 ms
+// (cooldown) and none waits, the next SubmitWait, release or read of the
+// pool's state puts it back to one slot. Only a boosted pool reads the
+// clock; in single mode admission costs what it would without elasticity.
 package elastic
 
 import (
@@ -18,6 +28,14 @@ import (
 	"runtime"
 	"sync"
 	"time"
+)
+
+const (
+	// boostDepth is how many waiting callers boost the pool.
+	boostDepth = 4
+	// cooldown is how long a boosted pool must go without a caller
+	// waiting before it drops back to one slot.
+	cooldown = 200 * time.Millisecond
 )
 
 // Mode labels the current threading mode.
@@ -44,41 +62,9 @@ type PoolOptions struct {
 	// MaxWorkers is the container CPU budget: the most slots a boost
 	// opens (default 4).
 	MaxWorkers int
-	// BoostQueueDepth triggers scale-up when this many callers wait for a
-	// slot (default 4). Every front end (the server's command loop, the
-	// embedded store) has at most one call in flight per caller, so a
-	// handful waiting already says the single slot is saturated.
-	BoostQueueDepth int
-	// BoostTicks is how many consecutive hot evaluations are needed before
-	// scaling up (boost-side hysteresis; default 1: react on the first
-	// tick that observes a backlog).
-	BoostTicks int
-	// EvalInterval is the controller period (default 10 ms).
-	EvalInterval time.Duration
-	// CooldownTicks is how many consecutive calm evaluations are needed
-	// before scaling back down (hysteresis; default 20).
-	CooldownTicks int
 	// Fixed pins the slot count (disables elasticity): 0 = elastic,
 	// n>0 = always n slots. Used for the -s and -m baseline modes.
 	Fixed int
-}
-
-func (o *PoolOptions) fill() {
-	if o.MaxWorkers <= 0 {
-		o.MaxWorkers = 4
-	}
-	if o.BoostQueueDepth <= 0 {
-		o.BoostQueueDepth = 4
-	}
-	if o.BoostTicks <= 0 {
-		o.BoostTicks = 1
-	}
-	if o.EvalInterval <= 0 {
-		o.EvalInterval = 10 * time.Millisecond
-	}
-	if o.CooldownTicks <= 0 {
-		o.CooldownTicks = 20
-	}
 }
 
 // ErrStopped is returned by SubmitWait after Stop.
@@ -89,9 +75,7 @@ var ErrStopped = errors.New("elastic: pool stopped")
 // holds whenever it is released: a caller waits only while every slot is
 // taken (running >= slots).
 type Pool struct {
-	opts   PoolOptions
-	stopCh chan struct{} // closed by Stop; retires the controller
-	ctlWg  sync.WaitGroup
+	opts PoolOptions
 
 	mu       sync.Mutex
 	idle     sync.Cond       // on mu; signalled when a stopped pool empties
@@ -99,24 +83,22 @@ type Pool struct {
 	running  int             // callers holding a slot
 	waiters  []chan struct{} // callers waiting for a slot, oldest first
 	free     []chan struct{} // wake channels of finished waiters, for reuse
+	lastWait time.Time       // when a caller last queued; kept only while boosted
 	stopped  bool
 	boosts   int64 // scale-up events
 	shrinks  int64 // scale-down events
 	executed int64
-	calm     int
-	hot      int
 }
 
 // NewPool builds a pool in single mode (or with Fixed slots).
 func NewPool(opts PoolOptions) *Pool {
-	opts.fill()
-	p := &Pool{opts: opts, stopCh: make(chan struct{}), slots: 1}
+	if opts.MaxWorkers <= 0 {
+		opts.MaxWorkers = 4
+	}
+	p := &Pool{opts: opts, slots: 1}
 	p.idle.L = &p.mu
 	if opts.Fixed > 0 {
 		p.slots = min(opts.Fixed, opts.MaxWorkers)
-	} else {
-		p.ctlWg.Add(1)
-		go p.controlLoop()
 	}
 	return p
 }
@@ -132,6 +114,7 @@ func (p *Pool) SubmitWait(fn func()) error {
 		p.mu.Unlock()
 		return ErrStopped
 	}
+	p.settle()
 	var wake chan struct{}
 	if p.running < p.slots {
 		p.running++
@@ -142,6 +125,7 @@ func (p *Pool) SubmitWait(fn func()) error {
 			wake = make(chan struct{}, 1)
 		}
 		p.waiters = append(p.waiters, wake)
+		p.queued()
 	}
 	p.mu.Unlock()
 	if wake != nil {
@@ -165,6 +149,7 @@ func (p *Pool) release(wake chan struct{}) {
 	}
 	p.executed++
 	p.running--
+	p.settle()
 	waiting := len(p.waiters)
 	p.admit()
 	handed := len(p.waiters) < waiting
@@ -190,53 +175,38 @@ func (p *Pool) admit() {
 	}
 }
 
-// controlLoop evaluates load and adjusts the slot count with hysteresis
-// on both edges: BoostTicks consecutive hot samples before scaling up,
-// CooldownTicks consecutive idle samples before scaling back down.
-func (p *Pool) controlLoop() {
-	defer p.ctlWg.Done()
-	t := time.NewTicker(p.opts.EvalInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-p.stopCh:
-			return
-		case <-t.C:
-		}
-		p.mu.Lock()
-		p.evaluate()
-		p.mu.Unlock()
+// queued follows a caller joining the waiters. p.mu is held. At
+// boostDepth waiters an elastic pool doubles its slots, up to MaxWorkers,
+// and hands the new ones to the oldest waiters; a boosted pool notes when
+// a caller last had to wait, which settle's cooldown runs from.
+func (p *Pool) queued() {
+	if p.opts.Fixed > 0 {
+		return
+	}
+	if len(p.waiters) >= boostDepth && p.slots < p.opts.MaxWorkers {
+		p.slots = min(2*p.slots, p.opts.MaxWorkers)
+		p.boosts++
+		p.admit()
+	}
+	if p.slots > 1 {
+		p.lastWait = time.Now()
 	}
 }
 
-// evaluate is one controller tick. p.mu is held.
-func (p *Pool) evaluate() {
-	depth := len(p.waiters)
-	switch {
-	case depth >= p.opts.BoostQueueDepth && p.slots < p.opts.MaxWorkers:
-		p.calm = 0
-		p.hot++
-		if p.hot < p.opts.BoostTicks {
-			break
-		}
-		// Burst confirmed: add slots aggressively (double).
-		p.slots = min(2*p.slots, p.opts.MaxWorkers)
-		p.boosts++
-		p.hot = 0
-		p.admit()
-	case depth == 0 && p.slots > 1:
-		p.hot = 0
-		p.calm++
-		if p.calm >= p.opts.CooldownTicks {
-			// Calm long enough: back to one slot. Callers running in the
-			// extra slots finish; their slots are not handed on.
-			p.slots = 1
-			p.shrinks++
-			p.calm = 0
-		}
-	default:
-		p.calm = 0
-		p.hot = 0
+// settle puts a boosted pool back to one slot once no caller waits and
+// none has for cooldown. p.mu is held. Callers running in the extra slots
+// finish; their slots are not handed on. In single mode it reads nothing
+// but the slot count, and it is small enough to inline.
+func (p *Pool) settle() {
+	if p.slots > 1 {
+		p.shrinkIfCalm()
+	}
+}
+
+func (p *Pool) shrinkIfCalm() {
+	if p.opts.Fixed == 0 && len(p.waiters) == 0 && time.Since(p.lastWait) >= cooldown {
+		p.slots = 1
+		p.shrinks++
 	}
 }
 
@@ -244,6 +214,7 @@ func (p *Pool) evaluate() {
 func (p *Pool) Workers() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.settle()
 	return p.slots
 }
 
@@ -255,7 +226,7 @@ func (p *Pool) Mode() Mode {
 	return Single
 }
 
-// Stats summarizes controller activity.
+// Stats summarizes the pool's sizing activity.
 type Stats struct {
 	Workers    int
 	MaxWorkers int
@@ -269,6 +240,7 @@ type Stats struct {
 func (p *Pool) Stats() Stats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.settle()
 	return Stats{
 		Workers:    p.slots,
 		MaxWorkers: p.opts.MaxWorkers,
@@ -279,18 +251,14 @@ func (p *Pool) Stats() Stats {
 	}
 }
 
-// Stop refuses new callers, stops the controller and returns once nothing
-// runs or waits: a caller already waiting when Stop is called still runs,
-// so none is left blocked.
+// Stop refuses new callers and returns once nothing runs or waits: a
+// caller already waiting when Stop is called still runs, so none is left
+// blocked.
 func (p *Pool) Stop() {
 	p.mu.Lock()
-	if !p.stopped {
-		p.stopped = true
-		close(p.stopCh)
-	}
+	p.stopped = true
 	for p.running > 0 {
 		p.idle.Wait()
 	}
 	p.mu.Unlock()
-	p.ctlWg.Wait()
 }

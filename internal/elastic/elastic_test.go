@@ -1,6 +1,7 @@
 package elastic
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -60,7 +61,7 @@ func TestSubmitWaitRuns(t *testing.T) {
 // TestSingleModeRunsOneAtATime: in single mode no two callers are inside
 // the gate at once, however many wait.
 func TestSingleModeRunsOneAtATime(t *testing.T) {
-	p := NewPool(PoolOptions{BoostQueueDepth: 1 << 20})
+	p := NewPool(PoolOptions{Fixed: 1})
 	defer p.Stop()
 	var inside, most atomic.Int32
 	burst(p, 32, func() {
@@ -100,7 +101,6 @@ func TestPoolFixedMode(t *testing.T) {
 	var inside atomic.Int32
 	burst(p, 4, func() { inside.Add(1); <-release })
 	waitFor(t, "four callers inside a four-slot gate", func() bool { return inside.Load() == 4 })
-	time.Sleep(50 * time.Millisecond)
 	if p.Workers() != 4 {
 		t.Fatalf("fixed pool scaled to %d", p.Workers())
 	}
@@ -115,11 +115,7 @@ func TestPoolFixedClampedToMax(t *testing.T) {
 }
 
 func TestPoolBoostsUnderBurst(t *testing.T) {
-	p := NewPool(PoolOptions{
-		MaxWorkers:      4,
-		BoostQueueDepth: 8,
-		EvalInterval:    5 * time.Millisecond,
-	})
+	p := NewPool(PoolOptions{MaxWorkers: 4})
 	defer p.Stop()
 	// Saturate the one slot with slow callers to build a backlog.
 	wait := burst(p, 200, func() { time.Sleep(time.Millisecond) })
@@ -134,12 +130,7 @@ func TestPoolBoostsUnderBurst(t *testing.T) {
 }
 
 func TestPoolScalesBackAfterCalm(t *testing.T) {
-	p := NewPool(PoolOptions{
-		MaxWorkers:      4,
-		BoostQueueDepth: 4,
-		EvalInterval:    2 * time.Millisecond,
-		CooldownTicks:   3,
-	})
+	p := NewPool(PoolOptions{MaxWorkers: 4})
 	defer p.Stop()
 	burst(p, 100, func() { time.Sleep(500 * time.Microsecond) })()
 	waitFor(t, "the shrink back to one slot", func() bool { return p.Workers() == 1 })
@@ -149,34 +140,79 @@ func TestPoolScalesBackAfterCalm(t *testing.T) {
 }
 
 // TestBoostAdmitsWaiters: the slots a boost opens go to callers already
-// waiting; nobody has to release one first.
+// waiting; nobody has to release one first. Eight callers that never
+// return leave four waiting only once two boosts have opened four slots.
 func TestBoostAdmitsWaiters(t *testing.T) {
-	p := NewPool(PoolOptions{MaxWorkers: 4, BoostQueueDepth: 1, EvalInterval: time.Millisecond})
+	p := NewPool(PoolOptions{MaxWorkers: 4})
 	defer p.Stop()
 	release := make(chan struct{})
 	defer close(release) // before Stop, which waits for the callers
 	var inside atomic.Int32
-	burst(p, 4, func() { inside.Add(1); <-release })
+	burst(p, 8, func() { inside.Add(1); <-release })
 	waitFor(t, "four callers inside after two boosts", func() bool { return inside.Load() == 4 })
 }
 
+// TestPoolHysteresisNoFlapping: backlog is the only trigger. One caller
+// submitting back to back never leaves another waiting, so however fast
+// it submits the pool stays single.
 func TestPoolHysteresisNoFlapping(t *testing.T) {
-	p := NewPool(PoolOptions{
-		MaxWorkers:      4,
-		BoostQueueDepth: 1000000, // never boost
-		EvalInterval:    time.Millisecond,
-		CooldownTicks:   5,
-	})
+	p := NewPool(PoolOptions{MaxWorkers: 4})
 	defer p.Stop()
-	for i := 0; i < 50; i++ {
+	for i := 0; i < 200; i++ {
 		p.SubmitWait(func() {})
 	}
-	if p.Stats().Boosts != 0 {
-		t.Fatal("boosted without backlog")
+	if st := p.Stats(); st.Boosts != 0 || st.Workers != 1 {
+		t.Fatalf("one caller boosted the pool: %+v", st)
 	}
-	if p.Workers() != 1 {
-		t.Fatalf("workers %d", p.Workers())
+}
+
+// TestBoostAtAdmissionShrinkAfterCooldown: the pool sizes itself inside
+// the calls it gates, not on a timer. With the one slot held, callers
+// queued one at a time leave it single until the fourth, whose own
+// SubmitWait doubles the slots and hands the new one to the oldest
+// waiter: the pool reads two slots as soon as that caller is in the gate.
+// Once no caller has waited for the cooldown, the next read of the pool
+// puts it back to one slot. No goroutine runs beside the callers.
+func TestBoostAtAdmissionShrinkAfterCooldown(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := NewPool(PoolOptions{MaxWorkers: 4})
+	if n := runtime.NumGoroutine() - before; n > 0 {
+		t.Fatalf("NewPool started %d goroutines", n)
 	}
+	hold := make(chan struct{})
+	var wg sync.WaitGroup
+	enter := func() {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			p.SubmitWait(func() { <-hold })
+		}()
+	}
+	enter()
+	waitFor(t, "the slot to be held", func() bool { return p.inGate() == 1 })
+	for i := 1; i < boostDepth; i++ {
+		enter()
+		waitFor(t, "caller to queue", func() bool { return p.inGate() == 1+i })
+		if st := p.Stats(); st.Workers != 1 || st.Boosts != 0 {
+			t.Fatalf("boosted with %d waiting: %+v", i, st)
+		}
+	}
+	enter()
+	waitFor(t, "caller to queue", func() bool { return p.inGate() == 1+boostDepth })
+	queued := time.Now()
+	if w, st := p.Workers(), p.Stats(); w != 2 || st.Boosts != 1 || st.Backlog != boostDepth-1 {
+		t.Fatalf("after %d callers queued: workers %d, %+v; want 2 slots, 1 boost", boostDepth, w, st)
+	}
+	close(hold)
+	wg.Wait()
+	if time.Since(queued) < cooldown/2 && p.Workers() != 2 {
+		t.Fatalf("shrank %v after a caller waited, inside the %v cooldown", time.Since(queued), cooldown)
+	}
+	time.Sleep(cooldown)
+	if w, m, st := p.Workers(), p.Mode(), p.Stats(); w != 1 || m != Single || st.Shrinks != 1 {
+		t.Fatalf("after the cooldown: workers %d, mode %v, %+v; want 1 slot, single, 1 shrink", w, m, st)
+	}
+	p.Stop()
 }
 
 // TestPoolAdmitsInArrivalOrder: with the one slot held, callers queued one
@@ -186,7 +222,7 @@ func TestPoolHysteresisNoFlapping(t *testing.T) {
 // the holder take it straight back and fails this.
 func TestPoolAdmitsInArrivalOrder(t *testing.T) {
 	const n = 16
-	p := NewPool(PoolOptions{BoostQueueDepth: 1 << 20})
+	p := NewPool(PoolOptions{Fixed: 1})
 	var (
 		mu    sync.Mutex
 		order []int
@@ -232,6 +268,13 @@ func (p *Pool) holding() int {
 	return p.running
 }
 
+// inGate reports how many callers hold or wait for a slot.
+func (p *Pool) inGate() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.running + len(p.waiters)
+}
+
 // isStopped reports whether Stop has been called.
 func (p *Pool) isStopped() bool {
 	p.mu.Lock()
@@ -242,7 +285,7 @@ func (p *Pool) isStopped() bool {
 // TestPoolStopDrains: callers waiting when Stop is called still run, Stop
 // returns only after they have, and later callers get ErrStopped.
 func TestPoolStopDrains(t *testing.T) {
-	p := NewPool(PoolOptions{MaxWorkers: 2, BoostQueueDepth: 1 << 20})
+	p := NewPool(PoolOptions{Fixed: 1})
 	hold := make(chan struct{})
 	go p.SubmitWait(func() { <-hold })
 	waitFor(t, "the slot to be held", func() bool { return p.holding() == 1 })
@@ -292,20 +335,6 @@ func TestThroughputImprovesWithBoost(t *testing.T) {
 	multi := run(2)
 	if multi >= single {
 		t.Skipf("no speedup on this machine (single=%v multi=%v)", single, multi)
-	}
-}
-
-// TestPoolRateTriggerDisabledByDefault: backlog is the only trigger. One
-// caller submitting back to back never leaves another waiting, so however
-// fast it submits the pool stays single at the default depth.
-func TestPoolRateTriggerDisabledByDefault(t *testing.T) {
-	p := NewPool(PoolOptions{MaxWorkers: 4, EvalInterval: time.Millisecond})
-	defer p.Stop()
-	for i := 0; i < 200; i++ {
-		p.SubmitWait(func() {})
-	}
-	if p.Stats().Boosts != 0 {
-		t.Fatalf("one caller boosted the pool: %+v", p.Stats())
 	}
 }
 

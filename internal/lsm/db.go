@@ -333,20 +333,6 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	return cp, nil
 }
 
-// Has reports whether key exists.
-func (db *DB) Has(key []byte) (bool, error) {
-	v, err := db.acquireView()
-	if err != nil {
-		return false, err
-	}
-	defer v.release()
-	e, ok, err := v.get(key)
-	if err != nil {
-		return false, db.noteReadErr(err)
-	}
-	return ok && e.kind != kindDelete, nil
-}
-
 // noteReadErr counts checksum-mismatched blocks surfacing from the read
 // path (Stats.BadBlocks → INFO storage), so silent media corruption is
 // observable before it becomes an incident. The error still propagates:

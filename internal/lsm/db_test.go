@@ -40,9 +40,6 @@ func TestDBPutGetDelete(t *testing.T) {
 	if _, err := db.Get([]byte("k1")); err != ErrNotFound {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
-	if ok, _ := db.Has([]byte("k1")); ok {
-		t.Fatal("Has after delete")
-	}
 	if _, err := db.Get([]byte("never")); err != ErrNotFound {
 		t.Fatalf("missing key: %v", err)
 	}

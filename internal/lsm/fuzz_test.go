@@ -59,7 +59,7 @@ func FuzzManifest(f *testing.F) {
 	neg := t3
 	neg.Size = -1
 	seed(5, seq, nil, []tableMeta{neg})
-	seed(1<<64-1, seq, []tableMeta{t1})                                 // a next_file that wraps
+	seed(1<<64-1, seq, []tableMeta{t1})                               // a next_file that wraps
 	seed(5, 0, []tableMeta{t1, t2}, []tableMeta{t3}, []tableMeta{t4}) // last_seq below the tables' versions
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"levels":[[{"num":9}]]}`)) // a table that is not there

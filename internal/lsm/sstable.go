@@ -415,35 +415,16 @@ func (t *tableReader) blockFor(key []byte) int {
 	return i
 }
 
-// get looks up key; ok=false means not in this table. The returned
-// entry's value aliases block (cache) memory — blocks are immutable, but
-// callers must copy before handing the value to users (DB.Get does).
+// get looks up key; ok=false means not in this table. It is a fresh
+// cursor's first seek. The returned entry's value aliases block (cache)
+// memory — blocks are immutable, but callers must copy before handing the
+// value to users (DB.Get does).
 func (t *tableReader) get(key []byte) (memEntry, bool, error) {
 	if !t.bloom.MayContain(key) {
 		return memEntry{}, false, nil
 	}
-	bi := t.blockFor(key)
-	if bi < 0 {
-		return memEntry{}, false, nil
-	}
-	blk, err := t.readBlock(bi, nil)
-	if err != nil {
-		return memEntry{}, false, err
-	}
-	it := blockIter{data: blk}
-	for it.next() {
-		c := bytes.Compare(it.ikey, key)
-		if c == 0 {
-			return memEntry{seq: it.seq, kind: it.kind, value: it.val}, true, nil
-		}
-		if c > 0 {
-			break
-		}
-	}
-	if it.err != nil {
-		return memEntry{}, false, it.err
-	}
-	return memEntry{}, false, nil
+	c := tableCursor{t: t}
+	return c.seek(key)
 }
 
 // blockIter decodes entries from one data block.

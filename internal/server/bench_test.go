@@ -81,7 +81,7 @@ func BenchmarkNetGET(b *testing.B) {
 // BenchmarkNetGETParallel is GET from eight connections at once through the
 // node's one gate: the case elastic threading exists for. "single" pins
 // the gate to one slot, so each command waits for the others';
-// "elastic" lets the controller boost.
+// "elastic" lets the gate boost.
 func BenchmarkNetGETParallel(b *testing.B) {
 	const conns = 8
 	for _, tc := range []struct {

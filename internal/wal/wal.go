@@ -408,38 +408,6 @@ func (l *Log) RemoveBefore(seq int) error {
 	return nil
 }
 
-// Truncate removes all segments and starts a fresh one. Called after the
-// logged state has been checkpointed elsewhere (e.g. memtable flushed).
-func (l *Log) Truncate() error {
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if err := l.w.Flush(); err != nil {
-		return err
-	}
-	if err := l.f.Close(); err != nil {
-		return err
-	}
-	for _, s := range l.sealed {
-		s.f.Close()
-	}
-	l.sealed = nil
-	segs, err := listSegments(l.opts.Dir)
-	if err != nil {
-		return err
-	}
-	for _, seq := range segs {
-		if err := os.Remove(segName(l.opts.Dir, seq)); err != nil {
-			return fmt.Errorf("wal: truncate: %w", err)
-		}
-	}
-	return l.openSegment(l.seq + 1)
-}
-
 // Replay invokes fn for every intact record across all segments in dir, in
 // append order. A torn tail (a record the end of its file cuts short, or
 // one that is the last thing in its file and fails its checksum) ends that

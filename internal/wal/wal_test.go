@@ -146,22 +146,6 @@ func TestCorruptTailChecksumIgnored(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	dir := t.TempDir()
-	l := openTestLog(t, Options{Dir: dir, Policy: SyncAlways})
-	l.Append([]byte("before"))
-	if err := l.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	l.Append([]byte("after"))
-	l.Close()
-	var got []string
-	Replay(dir, func(p []byte) error { got = append(got, string(p)); return nil })
-	if len(got) != 1 || got[0] != "after" {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestRotateRemoveBefore(t *testing.T) {
 	dir := t.TempDir()
 	l := openTestLog(t, Options{Dir: dir, Policy: SyncAlways})

@@ -87,7 +87,7 @@ type Options struct {
 	// PMemPath persists the PMem device at this file (optional; default
 	// volatile simulation).
 	PMemPath string
-	// ElasticThreading enables the single↔multi worker controller (§4.4);
+	// ElasticThreading lets the gate switch single↔multi threaded (§4.4);
 	// otherwise Threads fixes the worker count (default 1, the paper's
 	// default single-thread event-loop mode).
 	ElasticThreading bool
