@@ -152,17 +152,28 @@ func TestBoostAdmitsWaiters(t *testing.T) {
 	waitFor(t, "four callers inside after two boosts", func() bool { return inside.Load() == 4 })
 }
 
-// TestPoolHysteresisNoFlapping: backlog is the only trigger. One caller
-// submitting back to back never leaves another waiting, so however fast
-// it submits the pool stays single.
+// TestPoolHysteresisNoFlapping: a backlog shorter than boostDepth, however
+// often it forms, leaves the pool single. Each round holds the one slot,
+// queues boostDepth-1 callers behind it and lets them all through.
 func TestPoolHysteresisNoFlapping(t *testing.T) {
 	p := NewPool(PoolOptions{MaxWorkers: 4})
 	defer p.Stop()
-	for i := 0; i < 200; i++ {
-		p.SubmitWait(func() {})
+	for round := 0; round < 10; round++ {
+		hold := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := 0; i < boostDepth; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.SubmitWait(func() { <-hold })
+			}()
+			waitFor(t, "caller to enter the gate", func() bool { return p.inGate() == 1+i })
+		}
+		close(hold)
+		wg.Wait()
 	}
-	if st := p.Stats(); st.Boosts != 0 || st.Workers != 1 {
-		t.Fatalf("one caller boosted the pool: %+v", st)
+	if st := p.Stats(); st.Boosts != 0 || st.Workers != 1 || st.Executed != 10*boostDepth {
+		t.Fatalf("a shallow backlog boosted the pool: %+v", st)
 	}
 }
 
@@ -335,6 +346,20 @@ func TestThroughputImprovesWithBoost(t *testing.T) {
 	multi := run(2)
 	if multi >= single {
 		t.Skipf("no speedup on this machine (single=%v multi=%v)", single, multi)
+	}
+}
+
+// TestPoolRateTriggerDisabledByDefault: backlog is the only trigger. One
+// caller submitting back to back never leaves another waiting, so however
+// fast it submits the pool stays single.
+func TestPoolRateTriggerDisabledByDefault(t *testing.T) {
+	p := NewPool(PoolOptions{MaxWorkers: 4})
+	defer p.Stop()
+	for i := 0; i < 200; i++ {
+		p.SubmitWait(func() {})
+	}
+	if st := p.Stats(); st.Boosts != 0 || st.Workers != 1 {
+		t.Fatalf("one caller boosted the pool: %+v", st)
 	}
 }
 
