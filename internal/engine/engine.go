@@ -922,16 +922,18 @@ func (e *Engine) Len() int {
 
 // SnapEntry is one key in a snapshot walk.
 type SnapEntry struct {
-	Key     string
-	Val     []byte
-	Encoded bool // Val is a typed collection blob (Encode format)
+	Key      string
+	Val      []byte
+	Encoded  bool  // Val is a typed collection blob (Encode format)
+	ExpireAt int64 // absolute UnixNano deadline; 0 = no TTL
 }
 
 // ForEachEncodedChunked is the one snapshot iterator, built for
 // replication full-sync snapshots feeding a socket. It visits every live
 // key of every kind: strings yield their decoded value, collections a
-// typed blob (Encode format) with Encoded set. Per stripe it lists the live
-// keys, then alternates two steps until the list is done: under a short
+// typed blob (Encode format) with Encoded set, and every key its deadline
+// in ExpireAt. Per stripe it lists the live keys, then alternates two
+// steps until the list is done: under a short
 // read lock, copy out up to maxChunkBytes (<= 0: 1 MiB) of stored values
 // (take) and collection blobs (serialized there); with no lock held,
 // decompress the values and hand fn a chunk each time maxChunkBytes of
@@ -949,6 +951,7 @@ func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEn
 	}
 	type pending struct {
 		key   string
+		at    int64  // the key's deadline
 		flags byte   // strings: the record's
 		data  []byte // strings: what take copied out
 		blob  []byte // collections
@@ -987,12 +990,14 @@ func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEn
 				p := pending{key: keys[i]}
 				if en.rec != nil {
 					f := en.rec.parse()
+					p.at = en.rec.deadline()
 					p.flags = f.flags
 					if p.data, scratch, err = e.take(f.stored, scratch); err != nil {
 						break
 					}
 					held += f.size
 				} else if p.blob, ok = encodeCollectionLocked(en.it); ok {
+					p.at = en.it.expireAt
 					held += len(p.blob)
 				} else {
 					continue
@@ -1010,7 +1015,7 @@ func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEn
 						return err
 					}
 				}
-				chunk = append(chunk, SnapEntry{Key: p.key, Val: val, Encoded: p.blob != nil})
+				chunk = append(chunk, SnapEntry{Key: p.key, Val: val, Encoded: p.blob != nil, ExpireAt: p.at})
 				if size += len(p.key) + len(val); size >= maxChunkBytes {
 					if !fn(chunk) {
 						return nil

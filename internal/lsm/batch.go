@@ -212,15 +212,7 @@ func (db *DB) commitGroup(group []*batchWriter) {
 	}
 }
 
-// WAL record formats.
-//
-// Legacy (seed) single-op record:
-//
-//	uvarint seq | kind byte | uvarint klen | key | uvarint vlen | val
-//
-// Batch record (self-describing, distinguishes itself from legacy records
-// by its first byte: sequence numbers start at 1, so a legacy record's
-// leading seq uvarint never encodes to 0x00):
+// WAL record format: every record is one batch record.
 //
 //	0x00 | version byte (1) | uvarint baseSeq | uvarint count |
 //	count × ( kind byte | uvarint klen | key | uvarint vlen | val )
@@ -235,10 +227,6 @@ const (
 
 // maxWALScratch caps the retained size of the reused WAL encode buffer.
 const maxWALScratch = 1 << 20
-
-func encodeBatchRecord(base uint64, group []*batchWriter, n, bytes int) []byte {
-	return encodeBatchRecordInto(nil, base, group, n, bytes)
-}
 
 // encodeBatchRecordInto appends the batch record for group to buf.
 func encodeBatchRecordInto(buf []byte, base uint64, group []*batchWriter, n, bytes int) []byte {
@@ -315,16 +303,4 @@ func decodeBatchRecord(p []byte, fn func(seq uint64, kind entryKind, key, val []
 		return errBadBatchRecord
 	}
 	return nil
-}
-
-// replayWALRecord dispatches one WAL payload to fn, decoding either format.
-func replayWALRecord(p []byte, fn func(seq uint64, kind entryKind, key, val []byte) error) error {
-	if len(p) > 0 && p[0] == batchRecMarker {
-		return decodeBatchRecord(p, fn)
-	}
-	seq, kind, key, val, err := decodeWALRecord(p)
-	if err != nil {
-		return err
-	}
-	return fn(seq, kind, key, val)
 }

@@ -233,7 +233,7 @@ func TestApplyAllOrNothingOnTornWAL(t *testing.T) {
 func TestDecodeBatchRecordCorruptLengths(t *testing.T) {
 	w := &batchWriter{b: &Batch{}}
 	w.b.Put([]byte("k"), []byte("v"))
-	good := encodeBatchRecord(1, []*batchWriter{w}, 1, 2)
+	good := encodeBatchRecordInto(nil, 1, []*batchWriter{w}, 1, 2)
 	noop := func(uint64, entryKind, []byte, []byte) error { return nil }
 	if err := decodeBatchRecord(good, noop); err != nil {
 		t.Fatalf("good record: %v", err)
@@ -248,62 +248,6 @@ func TestDecodeBatchRecordCorruptLengths(t *testing.T) {
 	for cut := 1; cut < len(good); cut++ {
 		if err := decodeBatchRecord(good[:cut], noop); err == nil {
 			t.Fatalf("truncated record (%d bytes) accepted", cut)
-		}
-	}
-}
-
-// TestLegacyWALReplay: logs written by the old per-write encoder (one
-// single-op record per write, no batch marker) must still recover. The
-// batch record format is self-describing — first byte 0x00, which a legacy
-// record's leading sequence uvarint (always >= 1) can never produce.
-func TestLegacyWALReplay(t *testing.T) {
-	dir := t.TempDir()
-	walDir := filepath.Join(dir, "wal")
-	l, err := wal.Open(wal.Options{Dir: walDir, Policy: wal.SyncAlways})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The exact byte stream an old build would have written.
-	if err := l.Append(encodeWALRecord(1, kindSet, []byte("old1"), []byte("v1"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(encodeWALRecord(2, kindSet, []byte("old2"), []byte("v2"))); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(encodeWALRecord(3, kindDelete, []byte("old1"), nil)); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if v, err := db.Get([]byte("old2")); err != nil || string(v) != "v2" {
-		t.Fatalf("old2: %q %v", v, err)
-	}
-	if _, err := db.Get([]byte("old1")); err != ErrNotFound {
-		t.Fatalf("legacy delete lost: %v", err)
-	}
-	if got := db.Stats().SequenceNumber; got != 3 {
-		t.Fatalf("sequence not recovered from legacy log: %d", got)
-	}
-	// New writes (batch records) append to the same log and survive a
-	// further crash-reopen cycle alongside the legacy data.
-	db.Put([]byte("new"), []byte("nv"))
-	db.wlog.Sync()
-	crashStop(db)
-	db2, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	for k, want := range map[string]string{"old2": "v2", "new": "nv"} {
-		if v, err := db2.Get([]byte(k)); err != nil || string(v) != want {
-			t.Fatalf("%s after mixed-format replay: %q %v", k, v, err)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package lsm
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -206,7 +205,7 @@ func Open(opts Options) (*DB, error) {
 		// records (from WAL segments not yet reclaimed at crash time) are
 		// already in SSTables and are skipped.
 		if err := wal.Replay(db.walDir, func(p []byte) error {
-			return replayWALRecord(p, func(seq uint64, kind entryKind, key, val []byte) error {
+			return decodeBatchRecord(p, func(seq uint64, kind entryKind, key, val []byte) error {
 				if seq > db.seq {
 					db.seq = seq
 				}
@@ -233,49 +232,6 @@ func Open(opts Options) (*DB, error) {
 	go db.flushLoop()
 	go db.compactionLoop()
 	return db, nil
-}
-
-// encodeWALRecord frames one write in the legacy (seed) single-op format.
-// The write path emits batch records now (see batch.go); this encoder is
-// kept for replay-compatibility tests against logs written by old builds.
-func encodeWALRecord(seq uint64, kind entryKind, key, val []byte) []byte {
-	buf := make([]byte, 0, binary.MaxVarintLen64*3+1+len(key)+len(val))
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], seq)
-	buf = append(buf, tmp[:n]...)
-	buf = append(buf, byte(kind))
-	n = binary.PutUvarint(tmp[:], uint64(len(key)))
-	buf = append(buf, tmp[:n]...)
-	buf = append(buf, key...)
-	n = binary.PutUvarint(tmp[:], uint64(len(val)))
-	buf = append(buf, tmp[:n]...)
-	buf = append(buf, val...)
-	return buf
-}
-
-func decodeWALRecord(p []byte) (seq uint64, kind entryKind, key, val []byte, err error) {
-	badRec := errors.New("lsm: bad wal record")
-	seq, n := binary.Uvarint(p)
-	if n <= 0 || n >= len(p) {
-		return 0, 0, nil, nil, badRec
-	}
-	p = p[n:]
-	kind = entryKind(p[0])
-	p = p[1:]
-	klen, n := binary.Uvarint(p)
-	if n <= 0 || klen > uint64(len(p)-n) {
-		return 0, 0, nil, nil, badRec
-	}
-	p = p[n:]
-	key = append([]byte(nil), p[:klen]...)
-	p = p[klen:]
-	vlen, n := binary.Uvarint(p)
-	if n <= 0 || vlen > uint64(len(p)-n) {
-		return 0, 0, nil, nil, badRec
-	}
-	p = p[n:]
-	val = append([]byte(nil), p[:vlen]...)
-	return seq, kind, key, val, nil
 }
 
 // allocFileNum returns a fresh table file number.

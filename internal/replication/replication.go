@@ -10,8 +10,9 @@
 // and block for new ops; an AckTracker records how far each replica has
 // acknowledged so semi-synchronous writes can wait for k replicas before
 // acking the client. Framing for the network leg (length-prefixed binary
-// op/ack/snapshot frames) lives in wire.go; the server package owns the
-// sockets and the handshake. See README.md for the full contract.
+// op, ack, ping and snapshot-end frames; a snapshot is Seq-0 ops) lives
+// in wire.go; the server package owns the sockets and the handshake. See
+// README.md for the full contract.
 package replication
 
 import (

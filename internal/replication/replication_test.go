@@ -214,15 +214,6 @@ func TestWireRoundTrip(t *testing.T) {
 		{Seq: 2, Kind: OpDel, Key: "gone"},
 		{Seq: 3, Kind: OpSetEncoded, Key: "list", Val: []byte{0xFF, 0x01, 0x02}},
 	}
-	if err := WriteSnapBegin(w, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapEntry(w, "s1", []byte("raw"), false); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSnapEntry(w, "s2", []byte{0xFF, 9}, true); err != nil {
-		t.Fatal(err)
-	}
 	if err := WriteSnapEnd(w, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -240,20 +231,8 @@ func TestWireRoundTrip(t *testing.T) {
 
 	r := bufio.NewReader(&netBuf)
 	f, err := ReadFrame(r)
-	if err != nil || !f.IsSnapBegin() || f.Seq != 3 {
-		t.Fatalf("snap-begin = %+v, err %v", f, err)
-	}
-	f, _ = ReadFrame(r)
-	if !f.IsSnapEntry() || f.Key != "s1" || string(f.Val) != "raw" || f.Encoded {
-		t.Fatalf("snap-entry 1 = %+v", f)
-	}
-	f, _ = ReadFrame(r)
-	if !f.IsSnapEntry() || f.Key != "s2" || !f.Encoded {
-		t.Fatalf("snap-entry 2 = %+v", f)
-	}
-	f, _ = ReadFrame(r)
-	if !f.IsSnapEnd() || f.Seq != 3 {
-		t.Fatalf("snap-end = %+v", f)
+	if err != nil || !f.IsSnapEnd() || f.Seq != 3 {
+		t.Fatalf("snap-end = %+v, err %v", f, err)
 	}
 	for i, want := range ops {
 		f, err := ReadFrame(r)

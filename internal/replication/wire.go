@@ -10,26 +10,27 @@ import (
 // Wire framing for the network leg of replication. After the RESP
 // handshake (`SYNC <lastApplied> <nodeID>` answered by `+CONTINUE` or
 // `+FULLSYNC`), the connection switches to these length-prefixed binary
-// frames: master→replica carries snapshot entries and ops, replica→master
-// carries cumulative acks. Integers are uvarints; keys and values are
-// length-prefixed byte strings.
+// frames: master→replica carries ops, replica→master carries cumulative
+// acks. Integers are uvarints; keys and values are length-prefixed byte
+// strings.
 //
-//	op        : 'o' seq kind klen key [vlen val]   (val omitted for OpDel)
-//	ack       : 'a' seq
-//	ping      : 'p' seq        (master keepalive; seq = current log head.
-//	                            The replica answers with a cumulative ack,
-//	                            so an idle link still proves liveness both
-//	                            ways and refreshes read deadlines.)
-//	snap-begin: 'b' seq        (log position the snapshot will end at)
-//	snap-entry: 's' enc klen key vlen val          (enc: 0 raw, 1 encoded)
-//	snap-end  : 'e' seq        (replica resets its log to seq)
+//	op      : 'o' seq kind klen key [vlen val]   (val omitted for OpDel)
+//	ack     : 'a' seq
+//	ping    : 'p' seq   (master keepalive; seq = current log head. The
+//	                     replica answers with a cumulative ack, so an idle
+//	                     link still proves liveness both ways and
+//	                     refreshes read deadlines.)
+//	snap-end: 'e' seq   (replica resets its log to seq)
+//
+// A full-sync snapshot is ops too: after +FULLSYNC the master sends
+// Seq-0 op frames (one OpFlushAll, then the keyspace as sets and
+// expires) and closes the snapshot with snap-end. Every sequenced op
+// comes after it.
 const (
-	frameOp        = 'o'
-	frameAck       = 'a'
-	framePing      = 'p'
-	frameSnapBegin = 'b'
-	frameSnapEntry = 's'
-	frameSnapEnd   = 'e'
+	frameOp      = 'o'
+	frameAck     = 'a'
+	framePing    = 'p'
+	frameSnapEnd = 'e'
 )
 
 // maxFrameLen bounds a single key or value length on the read side so a
@@ -45,11 +46,7 @@ const (
 type Frame struct {
 	Type byte
 	Op   Op     // frameOp
-	Seq  uint64 // frameAck, frameSnapBegin, frameSnapEnd
-	// frameSnapEntry:
-	Key     string
-	Val     []byte
-	Encoded bool
+	Seq  uint64 // frameAck, framePing, frameSnapEnd
 }
 
 func writeUvarint(w *bufio.Writer, v uint64) error {
@@ -67,14 +64,6 @@ func writeBytes(w *bufio.Writer, b []byte) error {
 	return err
 }
 
-func writeString(w *bufio.Writer, s string) error {
-	if err := writeUvarint(w, uint64(len(s))); err != nil {
-		return err
-	}
-	_, err := w.WriteString(s)
-	return err
-}
-
 // WriteOp frames one op. The caller flushes.
 func WriteOp(w *bufio.Writer, op Op) error {
 	if err := w.WriteByte(frameOp); err != nil {
@@ -86,7 +75,10 @@ func WriteOp(w *bufio.Writer, op Op) error {
 	if err := w.WriteByte(byte(op.Kind)); err != nil {
 		return err
 	}
-	if err := writeString(w, op.Key); err != nil {
+	if err := writeUvarint(w, uint64(len(op.Key))); err != nil {
+		return err
+	}
+	if _, err := w.WriteString(op.Key); err != nil {
 		return err
 	}
 	if op.Kind == OpDel {
@@ -110,33 +102,6 @@ func WritePing(w *bufio.Writer, seq uint64) error {
 		return err
 	}
 	return writeUvarint(w, seq)
-}
-
-// WriteSnapBegin opens a full-sync snapshot that will end at seq.
-func WriteSnapBegin(w *bufio.Writer, seq uint64) error {
-	if err := w.WriteByte(frameSnapBegin); err != nil {
-		return err
-	}
-	return writeUvarint(w, seq)
-}
-
-// WriteSnapEntry frames one snapshot key (encoded=true for typed
-// collection blobs in engine codec format).
-func WriteSnapEntry(w *bufio.Writer, key string, val []byte, encoded bool) error {
-	if err := w.WriteByte(frameSnapEntry); err != nil {
-		return err
-	}
-	enc := byte(0)
-	if encoded {
-		enc = 1
-	}
-	if err := w.WriteByte(enc); err != nil {
-		return err
-	}
-	if err := writeString(w, key); err != nil {
-		return err
-	}
-	return writeBytes(w, val)
 }
 
 // WriteSnapEnd closes a full-sync snapshot; the replica resets its op
@@ -206,28 +171,12 @@ func ReadFrame(r *bufio.Reader) (Frame, error) {
 			}
 			f.Op.Val = val
 		}
-	case frameAck, framePing, frameSnapBegin, frameSnapEnd:
+	case frameAck, framePing, frameSnapEnd:
 		seq, err := binary.ReadUvarint(r)
 		if err != nil {
 			return Frame{}, unexpectedEOF(err)
 		}
 		f.Seq = seq
-	case frameSnapEntry:
-		enc, err := r.ReadByte()
-		if err != nil {
-			return Frame{}, unexpectedEOF(err)
-		}
-		key, err := readBytes(r)
-		if err != nil {
-			return Frame{}, unexpectedEOF(err)
-		}
-		val, err := readBytes(r)
-		if err != nil {
-			return Frame{}, unexpectedEOF(err)
-		}
-		f.Key = string(key)
-		f.Val = val
-		f.Encoded = enc != 0
 	default:
 		return Frame{}, fmt.Errorf("replication: unknown frame type %q", t)
 	}
@@ -253,12 +202,6 @@ func (f Frame) IsAck() bool { return f.Type == frameAck }
 
 // IsPing reports a keepalive frame.
 func (f Frame) IsPing() bool { return f.Type == framePing }
-
-// IsSnapBegin reports a snapshot-begin frame.
-func (f Frame) IsSnapBegin() bool { return f.Type == frameSnapBegin }
-
-// IsSnapEntry reports a snapshot-entry frame.
-func (f Frame) IsSnapEntry() bool { return f.Type == frameSnapEntry }
 
 // IsSnapEnd reports a snapshot-end frame.
 func (f Frame) IsSnapEnd() bool { return f.Type == frameSnapEnd }

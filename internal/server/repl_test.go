@@ -174,6 +174,44 @@ func TestFullSyncBootstrap(t *testing.T) {
 	})
 }
 
+// TestFullSyncKeepsTTL: a key's deadline travels with it in a full sync,
+// as the EXPIRE that follows its SET in the snapshot. Without it the key
+// lands on the replica with no TTL, and a replica promoted later never
+// expires it.
+func TestFullSyncKeepsTTL(t *testing.T) {
+	ms, mc := startMaster(t, func(c *Config) { c.Replication.LogCap = 8 })
+	if err := mc.Set("k", "v"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mc.Do("LPUSH", "list", "a"); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"k", "list"} {
+		if _, err := mc.Do("EXPIRE", key, "100"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ { // push the EXPIREs out of the log window
+		if err := mc.Set(fmt.Sprintf("pad%02d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	_, rc := startReplicaOf(t, ms, "r1", nil)
+	waitFor(t, "full-sync bootstrap", func() bool {
+		return infoField(t, rc, "replication", "master_link") == "up"
+	})
+	if got := infoField(t, rc, "replication", "full_syncs_done"); got != "1" {
+		t.Fatalf("full_syncs_done = %q", got)
+	}
+	for _, key := range []string{"k", "list"} {
+		ttl, err := rc.Do("TTL", key)
+		if n, ok := ttl.(int64); err != nil || !ok || n <= 0 || n > 100 {
+			t.Fatalf("TTL %s on the replica = %v, %v; want (0, 100]", key, ttl, err)
+		}
+	}
+}
+
 func TestSemiSyncAckGate(t *testing.T) {
 	ms, mc := startMaster(t, func(c *Config) {
 		c.Replication.SemiSyncAcks = 1

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -28,20 +29,24 @@ import (
 // replica connects as a normal RESP client, sends
 // `SYNC <lastApplied> <nodeID>`, and the connection is hijacked: the
 // master answers `+CONTINUE` (incremental, the log still covers the
-// replica's position) or `+FULLSYNC` (engine snapshot first), then
-// streams length-prefixed op frames forever; cumulative acks ride back
-// on the same socket into the AckTracker. With SemiSyncAcks > 0, the
-// reply to a write is held until that many replicas acknowledged it: the
-// connection keeps executing what is pipelined behind it and waits once,
-// before it writes the window's replies (timeout → -NOREPLICAS in place
-// of each reply still unacknowledged; those writes are applied locally).
+// replica's position) or `+FULLSYNC` (an engine snapshot first, as Seq-0
+// ops), then streams length-prefixed op frames forever; cumulative acks
+// ride back on the same socket into the AckTracker. With SemiSyncAcks >
+// 0, the reply to a write is held until that many replicas acknowledged
+// it: the connection keeps executing what is pipelined behind it and
+// waits once, before it writes the window's replies (timeout →
+// -NOREPLICAS in place of each reply still unacknowledged; those writes
+// are applied locally).
 //
 // Replicas: an applier loop dials the master, handshakes, applies the
-// stream through the tiered store (the sink is inert while the role is
-// replica), and mirrors each op into the local log with AppendAt — so a
-// promoted replica continues the master's sequence numbers and surviving
-// replicas can resume from it incrementally. Client writes are rejected
-// with `-MOVED <slot> <masterAddr>` so routed clients refresh and follow.
+// snapshot and the stream through one call (applyOp) into the tiered
+// store (the sink is inert while the role is replica), and mirrors each
+// sequenced op into the local log with AppendAt — so a promoted replica
+// continues the master's sequence numbers and surviving replicas can
+// resume from it incrementally. A replica torn mid-snapshot claims no
+// position until a snapshot ends, so it never resumes onto half a
+// keyspace. Client writes are rejected with `-MOVED <slot> <masterAddr>`
+// so routed clients refresh and follow.
 //
 // Robustness (see internal/replication/README.md): every frame write to
 // a replica carries a deadline (WriteTimeout), full-sync snapshots
@@ -51,8 +56,8 @@ import (
 // backlog exceeds ShedBacklog are disconnected to re-sync later, and
 // the replica applier redials with jittered exponential backoff.
 // FLUSHALL/EXPIRE/PERSIST replicate as first-class ops (EXPIRE as an
-// absolute deadline), and a full sync clears the replica's private
-// storage tier along with its cache tier.
+// absolute deadline), so a full sync clears the replica's private
+// storage tier along with its cache tier and carries every key's TTL.
 //
 // Known gap (see ROADMAP.md): batch writes enter the log per stripe
 // after commit, so a concurrent single-key RMW can order differently
@@ -171,11 +176,16 @@ func (r *serverRepl) ReplicateSet(key string, val []byte, encoded bool) {
 	if r.isReplica() {
 		return
 	}
-	kind := replication.OpSet
+	r.log.Append(setKind(encoded), key, val)
+}
+
+// setKind is the op that stores a value: encoded values are typed
+// collection blobs.
+func setKind(encoded bool) replication.OpKind {
 	if encoded {
-		kind = replication.OpSetEncoded
+		return replication.OpSetEncoded
 	}
-	r.log.Append(kind, key, val)
+	return replication.OpSet
 }
 
 // ReplicateDelete appends a delete op to the log.
@@ -194,8 +204,11 @@ func (r *serverRepl) ReplicateExpire(key string, at int64) {
 	if r.isReplica() {
 		return
 	}
-	r.log.Append(replication.OpExpire, key, strconv.AppendInt(nil, at, 10))
+	r.log.Append(replication.OpExpire, key, deadlineVal(at))
 }
+
+// deadlineVal is an OpExpire value: the deadline in decimal.
+func deadlineVal(at int64) []byte { return strconv.AppendInt(nil, at, 10) }
 
 // ReplicatePersist appends a TTL-clear op.
 func (r *serverRepl) ReplicatePersist(key string) {
@@ -431,10 +444,13 @@ func (r *serverRepl) cmdSync(c *conn, args [][]byte) {
 
 // serveReplica streams the op log to one replica. The status line tells
 // the replica whether its position still resumes (+CONTINUE) or a
-// snapshot precedes the stream (+FULLSYNC). The snapshot stream is
-// opened at the current head BEFORE the engine is walked, and every op
-// carries its key's full resulting state, so replaying the overlap over
-// the (possibly newer) snapshot converges.
+// snapshot precedes the stream (+FULLSYNC). A snapshot is ops with Seq 0,
+// framed like the stream's: one FLUSHALL, then every live key's SET or
+// SET-ENCODED, followed by an EXPIRE when the key has a deadline, and
+// the snap-end frame carrying the cut sequence. The op stream is opened
+// at the current head BEFORE the engine is walked, and every op carries
+// its key's full resulting state, so replaying the overlap over the
+// (possibly newer) snapshot converges.
 //
 // Robustness: every write toward the replica is bounded by WriteTimeout
 // (a stalled socket errors out instead of blocking the session forever);
@@ -485,14 +501,18 @@ func (r *serverRepl) serveReplica(c *conn, after uint64, nodeID string) {
 		if _, err := bw.Write(resp.AppendSimple(nil, "FULLSYNC")); err != nil {
 			return
 		}
-		if err := replication.WriteSnapBegin(bw, snapSeq); err != nil {
+		if err := replication.WriteOp(bw, replication.Op{Kind: replication.OpFlushAll}); err != nil {
 			return
 		}
 		var werr error
 		ferr := r.s.eng.ForEachEncodedChunked(r.cfg.SnapshotChunkBytes,
 			func(chunk []engine.SnapEntry) bool {
 				for _, e := range chunk {
-					if werr = replication.WriteSnapEntry(bw, e.Key, e.Val, e.Encoded); werr != nil {
+					werr = replication.WriteOp(bw, replication.Op{Kind: setKind(e.Encoded), Key: e.Key, Val: e.Val})
+					if werr == nil && e.ExpireAt != 0 {
+						werr = replication.WriteOp(bw, replication.Op{Kind: replication.OpExpire, Key: e.Key, Val: deadlineVal(e.ExpireAt)})
+					}
+					if werr != nil {
 						return false
 					}
 				}
@@ -698,7 +718,8 @@ func (a *replApplier) dial() (net.Conn, error) {
 // syncOnce runs one master session: handshake from the local position,
 // install a snapshot if offered, then apply-and-ack until the connection
 // dies or the applier stops. It reports whether a session was
-// established (the redial backoff resets on true).
+// established, which a snapshot is only once it ended (the redial
+// backoff resets on true).
 //
 // Liveness is symmetric to the master side: every frame read is bounded
 // by ReadTimeout (the master pings at least every KeepaliveInterval, so
@@ -730,142 +751,104 @@ func (a *replApplier) syncOnce() bool {
 	case "CONTINUE":
 	case "FULLSYNC":
 		r.fullSyncsDone.Add(1)
-		if !a.readSnapshot(nc, br) {
-			return false
-		}
+		// The snapshot's FLUSHALL ends the keyspace the old position
+		// described. Until the snapshot's end frame, claim a position past
+		// any master's head, so a redial after a torn snapshot is answered
+		// with another full sync, never resumed onto half a keyspace.
+		r.lastApplied.Store(math.MaxUint64)
 	default:
 		return false // -ERR (e.g. the target is itself a replica): back off, retry
 	}
-	r.masterLinkUp.Store(true)
 	ack := func(seq uint64) bool {
 		nc.SetWriteDeadline(time.Now().Add(wt))
 		return replication.WriteAck(bw, seq) == nil && bw.Flush() == nil
 	}
-	// The initial ack registers this replica's position with the master
-	// before any new op arrives (semi-sync counts attached replicas).
-	if !ack(r.lastApplied.Load()) {
+	// attach marks the link up; its ack registers this replica's position
+	// with the master before any new op arrives (semi-sync counts attached
+	// replicas).
+	attach := func() bool {
+		r.masterLinkUp.Store(true)
+		return ack(r.lastApplied.Load())
+	}
+	inSnap := status == "FULLSYNC"
+	if !inSnap && !attach() {
 		return true
 	}
 	for {
 		nc.SetReadDeadline(time.Now().Add(rt))
 		f, err := replication.ReadFrame(br)
 		if err != nil {
-			return true
+			return !inSnap
 		}
-		if f.IsPing() {
+		switch {
+		case f.IsOp() && (f.Op.Seq == 0) == inSnap:
+			op := f.Op
+			r.applyOp(op)
+			if inSnap {
+				continue
+			}
+			if r.log.AppendAt(op) != nil {
+				// A mirrored-log gap should be impossible; restart the window
+				// at this op so the log stays internally consistent (future
+				// subscribers behind this point full-sync).
+				r.log.Reset(op.Seq)
+			}
+			r.lastApplied.Store(op.Seq)
+			if br.Buffered() == 0 {
+				// Batch boundary: ack the whole drained window in one frame.
+				if !ack(op.Seq) {
+					return true
+				}
+			}
+		case f.IsSnapEnd() && inSnap:
+			inSnap = false
+			r.lastApplied.Store(f.Seq)
+			r.log.Reset(f.Seq)
+			if !attach() {
+				return true
+			}
+		case f.IsPing() && !inSnap:
 			// Answer with the cumulative position: liveness both ways on
 			// an idle link, and the master's shed check stays current.
 			if !ack(r.lastApplied.Load()) {
 				return true
 			}
-			continue
-		}
-		if !f.IsOp() {
-			continue
-		}
-		op := f.Op
-		r.applyOp(op)
-		if r.log.AppendAt(op) != nil {
-			// A mirrored-log gap should be impossible; restart the window
-			// at this op so the log stays internally consistent (future
-			// subscribers behind this point full-sync).
-			r.log.Reset(op.Seq)
-		}
-		r.lastApplied.Store(op.Seq)
-		if br.Buffered() == 0 {
-			// Batch boundary: ack the whole drained window in one frame.
-			if !ack(op.Seq) {
-				return true
-			}
-		}
-	}
-}
-
-// readSnapshot installs a full-sync snapshot: clear the node — cache tier
-// AND private storage tier, via the tiered store's FlushAll — then
-// apply every entry and reset the mirrored log to the snapshot position.
-// Clearing storage matters: a key deleted on the master while this
-// replica was away must not resurrect from the replica's stale storage
-// after promotion. Each frame read is bounded by ReadTimeout (the
-// master flushes at least every SnapshotChunkBytes, so a healthy link
-// always delivers in time).
-func (a *replApplier) readSnapshot(nc net.Conn, br *bufio.Reader) bool {
-	r := a.r
-	rt := r.cfg.ReadTimeout
-	started := false
-	for {
-		nc.SetReadDeadline(time.Now().Add(rt))
-		f, err := replication.ReadFrame(br)
-		if err != nil {
-			return false
-		}
-		switch {
-		case f.IsSnapBegin():
-			r.flushAll()
-			started = true
-		case f.IsSnapEntry():
-			if !started {
-				return false
-			}
-			r.applyEntry(f.Key, f.Val, f.Encoded)
-		case f.IsSnapEnd():
-			if !started {
-				return false
-			}
-			r.lastApplied.Store(f.Seq)
-			r.log.Reset(f.Seq)
-			return true
 		default:
-			return false
+			// A Seq-0 op outside a snapshot, or a sequenced op, a ping or
+			// a second end inside one: the stream is not what the master
+			// sends. Drop the session.
+			return !inSnap
 		}
 	}
 }
 
-// applyOp applies one streamed op through the node's tiered store (the
-// sink is inert on replicas, so nothing re-enters the log).
+// applyOp applies one streamed or snapshot op through the node's tiered
+// store (the sink is inert on replicas, so nothing re-enters the log). A
+// FLUSHALL clears every tier, the private storage tier included: a key
+// deleted on the master while this replica was away must not resurrect
+// from the replica's stale storage after promotion.
 func (r *serverRepl) applyOp(op replication.Op) {
 	tiered := r.s.tiered
+	var err error
 	switch op.Kind {
 	case replication.OpSet:
-		r.applyEntry(op.Key, op.Val, false)
+		err = tiered.Set(op.Key, op.Val)
 	case replication.OpSetEncoded:
-		r.applyEntry(op.Key, op.Val, true)
+		err = tiered.Mutate(op.Key, func() (bool, error) {
+			err := r.s.eng.LoadEncoded(op.Key, op.Val)
+			return err == nil, err
+		})
 	case replication.OpDel:
-		if _, err := tiered.BatchDelete([]string{op.Key}); err != nil {
-			r.applyErrors.Add(1)
-		}
+		_, err = tiered.BatchDelete([]string{op.Key})
 	case replication.OpExpire:
-		at, err := strconv.ParseInt(string(op.Val), 10, 64)
-		if err != nil {
-			r.applyErrors.Add(1)
-			return
+		var at int64
+		if at, err = strconv.ParseInt(string(op.Val), 10, 64); err == nil {
+			tiered.ExpireAt(op.Key, at)
 		}
-		tiered.ExpireAt(op.Key, at)
 	case replication.OpPersist:
 		tiered.Persist(op.Key)
 	case replication.OpFlushAll:
-		r.flushAll()
-	}
-}
-
-// flushAll clears the node through its tiered store (a replicated
-// FLUSHALL, or the start of a full-sync snapshot).
-func (r *serverRepl) flushAll() {
-	if err := r.s.tiered.FlushAll(); err != nil {
-		r.applyErrors.Add(1)
-	}
-}
-
-func (r *serverRepl) applyEntry(key string, val []byte, encoded bool) {
-	s := r.s
-	var err error
-	if encoded {
-		err = s.tiered.Mutate(key, func() (bool, error) {
-			err := s.eng.LoadEncoded(key, val)
-			return err == nil, err
-		})
-	} else {
-		err = s.tiered.Set(key, val)
+		err = tiered.FlushAll()
 	}
 	if err != nil {
 		r.applyErrors.Add(1)

@@ -6,12 +6,14 @@ import (
 	"net"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"tierbase/internal/cache"
 	"tierbase/internal/client"
 	"tierbase/internal/engine"
+	"tierbase/internal/faults"
 	"tierbase/internal/replication"
 	"tierbase/internal/resp"
 )
@@ -298,5 +300,81 @@ func TestFullSyncClearsReplicaStorage(t *testing.T) {
 	}
 	if _, ok, _ := stale.Get("ghost"); ok {
 		t.Fatal("replica private storage kept the ghost key")
+	}
+}
+
+// TestTornFullSyncStartsOver: a replica whose snapshot is cut off has
+// already cleared its keyspace for it, so it must not resume
+// incrementally from the position it held before the snapshot, even once
+// its master's head passes that position. The replica here is ahead of
+// its new master (as after a failover that promoted the replica that was
+// behind), the first snapshot is reset partway through, and the master
+// writes past the replica's old position before the replica redials.
+func TestTornFullSyncStartsOver(t *testing.T) {
+	old, oc := startMaster(t, nil)
+	inj := faults.NewInjector()
+	nm, nmc := startMaster(t, func(c *Config) {
+		c.Replication.NodeID = "m2"
+		c.Replication.SnapshotChunkBytes = 256
+		c.WrapConn = func(nc net.Conn) net.Conn { return faults.WrapConn(nc, inj) }
+	})
+	redialing := make(chan struct{})
+	resume := make(chan struct{})
+	var release sync.Once
+	dials := 0
+	_, rc := startReplicaOf(t, old, "r1", func(c *Config) {
+		c.Replication.Dialer = func(addr string, timeout time.Duration) (net.Conn, error) {
+			if addr == nm.Addr() {
+				if dials++; dials == 2 { // the redial after the torn snapshot
+					close(redialing)
+					<-resume
+				}
+			}
+			return net.DialTimeout("tcp", addr, timeout)
+		}
+	})
+	t.Cleanup(func() { release.Do(func() { close(resume) }) })
+
+	const p = 30 // the replica's position on the old master
+	for i := 0; i < p; i++ {
+		if err := oc.Set(fmt.Sprintf("old%02d", i), "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, "replica at the old master's head", func() bool {
+		return infoField(t, rc, "replication", "last_applied_seq") == strconv.Itoa(p)
+	})
+	payload := strings.Repeat("x", 200)
+	for i := 0; i < 10; i++ {
+		if err := nmc.Set(fmt.Sprintf("snap%d", i), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	inj.ResetAfterBytes(1000) // about half of the snapshot
+	host, port, _ := net.SplitHostPort(nm.Addr())
+	if _, err := rc.Do("REPLICAOF", host, port); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-redialing:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the replica never redialed after the torn snapshot")
+	}
+	for i := 0; i <= p-10; i++ { // the new master's head passes p
+		if _, err := nmc.Incr("counter"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	release.Do(func() { close(resume) })
+
+	waitFor(t, "replica holds the whole snapshot and the counter", func() bool {
+		v, err := rc.Get("counter")
+		return err == nil && v == strconv.Itoa(p-9)
+	})
+	for i := 0; i < 10; i++ {
+		if v, err := rc.Get(fmt.Sprintf("snap%d", i)); err != nil || v != payload {
+			t.Fatalf("snap%d after the torn full sync: %d bytes, %v", i, len(v), err)
+		}
 	}
 }
