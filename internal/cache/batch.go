@@ -12,8 +12,8 @@ import (
 // single Storage.BatchGet round trip — the optimization the paper credits
 // for lowering PC_miss — with singleflight dedup against concurrent
 // fetches of the same keys. Writes take the RMW locks of the stripes they
-// touch and go through commitBatch (tiered.go): one storage round trip
-// (write-through) or one admission to the dirty set (write-back).
+// touch and go through commit (tiered.go), as one key does: one storage
+// round trip (write-through) or one admission to the dirty set (write-back).
 
 // dedupeKeys drops duplicate keys while preserving first-occurrence
 // order; a duplicate-free input is returned as-is.
@@ -133,7 +133,7 @@ func (t *Tiered) BatchGet(keys []string) (map[string][]byte, error) {
 // BatchPut applies many writes according to the configured policy; a nil
 // value deletes the key (matching Storage.BatchPut semantics). It holds the
 // RMW lock of every stripe the batch touches for the whole commit, exactly
-// as Set does for one key — see commitBatch for what happens under them.
+// as Set does for one key — see commit for what happens under them.
 // Readers may observe some of the batch's keys before others: a batch is
 // ordered per key, not atomic across keys.
 func (t *Tiered) BatchPut(entries map[string][]byte) error {
@@ -141,12 +141,12 @@ func (t *Tiered) BatchPut(entries map[string][]byte) error {
 		return ErrClosed
 	}
 	t.reqs.Add(int64(len(entries)))
-	keys := make([]string, 0, len(entries))
-	for k := range entries {
-		keys = append(keys, k)
+	ws := make([]write, 0, len(entries))
+	for k, v := range entries {
+		ws = append(ws, write{key: k, val: v})
 	}
-	defer t.lockKeys(keys)()
-	return t.commitBatch(keys, entries)
+	defer t.lockKeys(ws)()
+	return t.commit(ws, entries)
 }
 
 // BatchDelete removes keys through every tier in one pass, returning how
@@ -169,7 +169,11 @@ func (t *Tiered) BatchDelete(keys []string) (int, error) {
 	if len(uniq) == 0 {
 		return 0, nil
 	}
-	defer t.lockKeys(uniq)()
+	ws := make([]write, len(uniq))
+	for i, k := range uniq {
+		ws[i].key = k // no value: a delete
+	}
+	defer t.lockKeys(ws)()
 
 	// Establish per-key existence before mutating. Keys the cache holds
 	// count immediately; the rest consult write-back dirty state and, as a
@@ -203,27 +207,8 @@ func (t *Tiered) BatchDelete(keys []string) (int, error) {
 		n += len(svals) // BatchGet returns present keys only
 	}
 
-	// No entries: every key of a nil map reads as nil, a delete.
-	if err := t.commitBatch(uniq, nil); err != nil {
+	if err := t.commit(ws, nil); err != nil {
 		return 0, err
 	}
 	return n, nil
-}
-
-// applyBatchToCache mutates the cache tier for a whole batch (entries[k]
-// is k's new value, nil deletes), taking each engine stripe lock once, then
-// runs capacity eviction.
-func (t *Tiered) applyBatchToCache(keys []string, entries map[string][]byte) {
-	kvs := make([]engine.KV, 0, len(entries))
-	var dels []string
-	for _, k := range keys {
-		if v := entries[k]; v == nil {
-			dels = append(dels, k)
-		} else {
-			kvs = append(kvs, engine.KV{Key: k, Val: v})
-		}
-	}
-	t.eng.MSet(kvs)
-	t.eng.BatchDel(dels)
-	t.maybeEvict()
 }

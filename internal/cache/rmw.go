@@ -7,9 +7,10 @@ import (
 )
 
 // Cross-tier read-modify-write support. Commands that mutate engine state
-// in place (INCR, SETNX, CAS, every collection write, a replica installing
-// a streamed collection) cannot route their mutation through Set/Delete —
-// the engine op IS the mutation — so they run it through Mutate.
+// in place (INCR, SETNX, CAS, every collection write) cannot route their
+// mutation through Set/Delete — the engine op IS the mutation — so they run
+// it through Mutate. A replica installing a streamed collection replaces the
+// key whole, reads nothing, and goes through SetEncoded.
 
 // Mutate runs op, an in-place engine mutation of key, and commits what it
 // left behind:
@@ -41,7 +42,20 @@ func (t *Tiered) Mutate(key string, op func() (changed bool, err error)) error {
 	if err != nil && !errors.Is(err, engine.ErrNotFound) {
 		return err
 	}
-	return t.commit(key, val, err != nil, enc, true)
+	return t.commit([]write{{key: key, val: val, enc: enc, pre: true}}, nil)
+}
+
+// SetEncoded makes blob, a collection's typed encoding (engine.Encode), key's
+// whole value through every tier: how a replica installs a streamed
+// collection. It replaces whatever key held, so unlike Mutate it reads
+// nothing, from the engine or storage: the blob is loaded into the engine
+// with key locked and pinned, and committed as it arrived.
+func (t *Tiered) SetEncoded(key string, blob []byte) error {
+	defer t.release(t.pin(key))
+	if err := t.eng.LoadEncoded(key, blob); err != nil {
+		return err
+	}
+	return t.commit([]write{{key: key, val: blob, enc: true, pre: true}}, nil)
 }
 
 // hold is how an in-place mutation of key begins (Mutate, ExpireAt,
@@ -60,9 +74,7 @@ func (t *Tiered) Mutate(key string, op func() (changed bool, err error)) error {
 // no tier has costs a second storage read this way.
 func (t *Tiered) hold(key string) (stripe int) {
 	t.Warm(key)
-	si := t.eng.ShardIndex(key)
-	t.rmw[si].Lock()
-	t.mutating[si].Store(&key)
+	si := t.pin(key)
 	if t.opts.Policy != CacheOnly && !t.eng.Exists(key) && !t.eng.Expired(key) {
 		if _, dirty := t.dirty.lookup(key); !dirty {
 			_, _ = t.fetchCoalesced(key) // as Warm: absent is the best answer left
@@ -72,7 +84,15 @@ func (t *Tiered) hold(key string) (stripe int) {
 	return si
 }
 
-// release ends what hold began on stripe si.
+// pin takes key's RMW stripe lock and pins key against capacity eviction.
+func (t *Tiered) pin(key string) (stripe int) {
+	si := t.eng.ShardIndex(key)
+	t.rmw[si].Lock()
+	t.mutating[si].Store(&key)
+	return si
+}
+
+// release ends what hold or pin began on stripe si.
 func (t *Tiered) release(si int) {
 	t.mutating[si].Store(nil)
 	t.rmw[si].Unlock()

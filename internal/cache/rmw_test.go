@@ -29,7 +29,10 @@ func handRolled(t *Tiered, key string, op func() (outcome, error)) error {
 	if err != nil || out.skip {
 		return err
 	}
-	return t.commit(key, out.val, out.del, out.enc, true)
+	if out.del {
+		out.val = nil
+	}
+	return t.commit([]write{{key: key, val: out.val, enc: out.enc, pre: true}}, nil)
 }
 
 // writeCounter counts the storage tier's write calls.

@@ -1,8 +1,13 @@
 package cache
 
+import "tierbase/internal/replication"
+
 // OpSink receives every logical mutation the tiered store commits — the
 // replication seam. The server installs one sink on its node's tiered
 // store and feeds its op log from it (see internal/replication).
+//
+// Each mutation arrives as the op that carries it (Seq 0: the log assigns
+// it), one per key of a batch.
 //
 // Contract:
 //   - Every call happens under the mutated key's RMW stripe lock (a
@@ -20,20 +25,7 @@ package cache
 // NOT reported: they don't change the logical key space, and replicas
 // manage their own residency.
 type OpSink interface {
-	// ReplicateSet reports a committed write. encoded=true means val is
-	// a typed collection blob (engine codec format) rather than a raw
-	// string value.
-	ReplicateSet(key string, val []byte, encoded bool)
-	// ReplicateDelete reports a committed deletion.
-	ReplicateDelete(key string)
-	// ReplicateExpire reports a TTL set on key, as an absolute UnixNano
-	// deadline — replicas applying the op late still expire the key at
-	// the master's wall-clock instant, not a drifted relative one.
-	ReplicateExpire(key string, at int64)
-	// ReplicatePersist reports a TTL cleared from key.
-	ReplicatePersist(key string)
-	// ReplicateFlushAll reports a committed whole-keyspace clear.
-	ReplicateFlushAll()
+	Replicate(op replication.Op)
 }
 
 // SetSink installs the replication sink. It must be called before the

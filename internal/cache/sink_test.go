@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tierbase/internal/engine"
+	"tierbase/internal/replication"
 )
 
 // recordingSink captures the replicated op stream (with value copies —
@@ -15,7 +16,7 @@ import (
 type recordingSink struct {
 	mu  sync.Mutex
 	ops []sinkOp
-	// onSet, when set, runs at the start of every ReplicateSet: a test's
+	// onSet, when set, runs at the start of every reported write: a test's
 	// chance to start another writer at exactly that point of a commit.
 	onSet func(key string)
 }
@@ -31,36 +32,26 @@ type sinkOp struct {
 	flushAll bool
 }
 
-func (r *recordingSink) ReplicateSet(key string, val []byte, encoded bool) {
-	if r.onSet != nil {
-		r.onSet(key)
+func (r *recordingSink) Replicate(op replication.Op) {
+	rec := sinkOp{key: op.Key}
+	switch op.Kind {
+	case replication.OpSet, replication.OpSetEncoded:
+		if r.onSet != nil {
+			r.onSet(op.Key)
+		}
+		rec.val, rec.encoded = append([]byte(nil), op.Val...), op.Kind == replication.OpSetEncoded
+	case replication.OpDel:
+		rec.del = true
+	case replication.OpExpire:
+		rec.expire = true
+		rec.expireAt, _ = strconv.ParseInt(string(op.Val), 10, 64)
+	case replication.OpPersist:
+		rec.persist = true
+	case replication.OpFlushAll:
+		rec.flushAll = true
 	}
 	r.mu.Lock()
-	r.ops = append(r.ops, sinkOp{key: key, val: append([]byte(nil), val...), encoded: encoded})
-	r.mu.Unlock()
-}
-
-func (r *recordingSink) ReplicateDelete(key string) {
-	r.mu.Lock()
-	r.ops = append(r.ops, sinkOp{key: key, del: true})
-	r.mu.Unlock()
-}
-
-func (r *recordingSink) ReplicateExpire(key string, at int64) {
-	r.mu.Lock()
-	r.ops = append(r.ops, sinkOp{key: key, expire: true, expireAt: at})
-	r.mu.Unlock()
-}
-
-func (r *recordingSink) ReplicatePersist(key string) {
-	r.mu.Lock()
-	r.ops = append(r.ops, sinkOp{key: key, persist: true})
-	r.mu.Unlock()
-}
-
-func (r *recordingSink) ReplicateFlushAll() {
-	r.mu.Lock()
-	r.ops = append(r.ops, sinkOp{flushAll: true})
+	r.ops = append(r.ops, rec)
 	r.mu.Unlock()
 }
 

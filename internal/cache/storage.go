@@ -45,7 +45,7 @@ type Storage interface {
 	BatchGet(keys []string) (map[string][]byte, error)
 	// BatchPut applies many writes in one round trip; nil value = delete.
 	// The nil-deletes contract is load-bearing: the write-through batch
-	// commit (wtCommitGroup) relies on it to carry a mixed put/delete
+	// commit (wtCommit) relies on it to carry a mixed put/delete
 	// batch in a single round trip.
 	BatchPut(entries map[string][]byte) error
 	// BatchDelete removes many keys in one round trip.

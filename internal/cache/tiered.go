@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"tierbase/internal/engine"
+	"tierbase/internal/replication"
 )
 
 // Policy selects how the cache tier synchronizes with the storage tier.
@@ -108,7 +109,7 @@ type Tiered struct {
 
 	// pinned[i] is what maybeEvict hands engine.Evict for stripe i: the keys
 	// that must stay resident, which are the dirty ones (write-back) and the
-	// one an in-place mutation is working on (mutating[i], set by hold; the
+	// one an in-place mutation is working on (mutating[i], set by pin; the
 	// RMW lock admits one per stripe). Bound once, so an eviction step
 	// allocates no closure.
 	pinned   []func(key []byte) bool
@@ -346,7 +347,7 @@ func (t *Tiered) expireThrough(key string) bool {
 	// attempt) and is not replicated — replicas hold the same absolute
 	// deadline and expire the key themselves; the health counters record
 	// the error.
-	_ = t.commit(key, nil, true, false, true)
+	_ = t.commit([]write{{key: key, pre: true}}, nil)
 	return true
 }
 
@@ -489,13 +490,13 @@ func (t *Tiered) lockKey(key string) *sync.Mutex {
 	return mu
 }
 
-// lockKeys takes the RMW lock of every stripe keys touch, in ascending
-// index order (FlushAll's order, so multi-stripe holders never deadlock),
-// and returns the release: defer t.lockKeys(keys)().
-func (t *Tiered) lockKeys(keys []string) (unlock func()) {
+// lockKeys takes the RMW lock of every stripe the keys of ws touch, in
+// ascending index order (FlushAll's order, so multi-stripe holders never
+// deadlock), and returns the release: defer t.lockKeys(ws)().
+func (t *Tiered) lockKeys(ws []write) (unlock func()) {
 	touched := make([]bool, len(t.rmw))
-	for _, k := range keys {
-		touched[t.eng.ShardIndex(k)] = true
+	for _, w := range ws {
+		touched[t.eng.ShardIndex(w.key)] = true
 	}
 	for si, hit := range touched {
 		if hit {
@@ -511,74 +512,85 @@ func (t *Tiered) lockKeys(keys []string) (unlock func()) {
 	}
 }
 
-// commit is the one route a committed single-key write takes: to the
-// storage tier as the policy dictates (write-through: synchronously;
-// write-back: into the dirty set; cache-only: nowhere), to the cache tier,
-// and — once that succeeded — to the replication sink. del deletes; enc
-// marks val as a typed collection blob; pre marks an outcome the engine
-// already holds (Mutate, rmw.go), which is then not applied to it a second
-// time.
+// write is one key's committed outcome: its new value (nil deletes), whether
+// that is a typed collection blob, and whether the engine holds it already
+// (pre: Mutate, SetEncoded), in which case commit does not apply it again.
+type write struct {
+	key      string
+	val      []byte
+	enc, pre bool
+}
+
+// commit is the one route committed writes take, one key or a batch: to
+// storage by policy (write-through: one synchronous call, wtCommit;
+// write-back: one dirty-set admission; cache-only: nowhere), to the cache
+// tier, and — once that succeeded — to the sink, one op per write. entries
+// is BatchPut's own map, which write-through hands to storage; nil otherwise.
 //
-// The caller holds key's RMW stripe lock, so for any one key the engine,
-// the storage write path and the sink all see writes in the same order.
-func (t *Tiered) commit(key string, val []byte, del, enc, pre bool) error {
+// The caller holds the RMW lock of every stripe ws touches, so for any one
+// key the engine, storage and the sink see writes in the same order.
+func (t *Tiered) commit(ws []write, entries map[string][]byte) error {
 	if t.closed.Load() {
 		return ErrClosed
 	}
 	var err error
+	dirty := 0
 	switch t.opts.Policy {
 	case WriteThrough:
-		err = t.wtCommit(key, val, del, enc, pre)
+		err = t.wtCommit(ws, entries)
 	case WriteBack:
-		err = t.writeBack(key, val, del, enc, pre)
-	default:
-		t.applyToCache(key, val, del, pre)
+		dirty, err = t.dirty.mark(ws)
 	}
-	if err != nil || t.sink == nil {
+	if err != nil {
 		return err
 	}
-	if del {
-		t.sink.ReplicateDelete(key)
-	} else {
-		t.sink.ReplicateSet(key, val, enc)
+	t.applyToCache(ws)
+	if dirty >= t.opts.FlushBatch {
+		t.dirty.nudge()
+	}
+	if t.sink != nil {
+		for _, w := range ws {
+			op := replication.Op{Kind: replication.OpDel, Key: w.key}
+			if w.val != nil {
+				op = replication.SetOp(w.key, w.val, w.enc)
+			}
+			t.sink.Replicate(op)
+		}
 	}
 	return nil
 }
 
-// commitBatch is commit for a batch: entries maps each of keys to its new
-// value (nil, or no entry, deletes). Write-through makes one grouped storage
-// round trip, write-back admits the batch to the dirty set together; the
-// cache tier then applies through the engine's striped MSet/BatchDel and
-// the sink hears every key. The caller holds the RMW lock of every stripe
-// keys touch (lockKeys), so each key orders against single-key writes,
-// other batches and FlushAll exactly as under commit.
-func (t *Tiered) commitBatch(keys []string, entries map[string][]byte) error {
-	var err error
-	switch t.opts.Policy {
-	case WriteThrough:
-		err = t.wtCommitGroup(keys, entries)
-	case WriteBack:
-		var n int
-		if n, err = t.dirty.markBatch(keys, entries); err == nil {
-			t.applyBatchToCache(keys, entries)
-			if n >= t.opts.FlushBatch {
-				t.dirty.nudge()
+// applyToCache lands committed writes on the engine — Set or Del for one
+// key, the striped MSet and BatchDel for a batch — but for pre ones, whose
+// replay could roll back a newer concurrent update; then it evicts.
+func (t *Tiered) applyToCache(ws []write) {
+	if len(ws) == 1 {
+		switch w := ws[0]; {
+		case w.pre:
+		case w.val == nil:
+			t.eng.Del(w.key)
+		default:
+			t.eng.Set(w.key, w.val)
+		}
+	} else {
+		var kvs []engine.KV
+		var dels []string
+		for _, w := range ws {
+			switch {
+			case w.pre:
+			case w.val == nil:
+				dels = append(dels, w.key)
+			default:
+				if kvs == nil {
+					kvs = make([]engine.KV, 0, len(ws))
+				}
+				kvs = append(kvs, engine.KV{Key: w.key, Val: w.val})
 			}
 		}
-	default:
-		t.applyBatchToCache(keys, entries)
+		t.eng.MSet(kvs)
+		t.eng.BatchDel(dels)
 	}
-	if err != nil || t.sink == nil {
-		return err
-	}
-	for _, k := range keys {
-		if v := entries[k]; v != nil {
-			t.sink.ReplicateSet(k, v, false)
-		} else {
-			t.sink.ReplicateDelete(k)
-		}
-	}
-	return nil
+	t.maybeEvict()
 }
 
 // Set stores key=val according to the configured policy.
@@ -590,8 +602,11 @@ func (t *Tiered) commitBatch(keys []string, entries map[string][]byte) error {
 // per-key sink order matching engine order.
 func (t *Tiered) Set(key string, val []byte) error {
 	t.reqs.Add(1)
+	if val == nil {
+		val = []byte{} // a present empty value, not a delete
+	}
 	defer t.lockKey(key).Unlock()
-	return t.commit(key, val, false, false, false)
+	return t.commit([]write{{key: key, val: val}}, nil)
 }
 
 // Delete removes key according to the configured policy, under the key's
@@ -599,7 +614,7 @@ func (t *Tiered) Set(key string, val []byte) error {
 func (t *Tiered) Delete(key string) error {
 	t.reqs.Add(1)
 	defer t.lockKey(key).Unlock()
-	return t.commit(key, nil, true, false, false)
+	return t.commit([]write{{key: key}}, nil)
 }
 
 // Update is the read-modify-write entry point: fn receives the current
@@ -643,7 +658,7 @@ func (t *Tiered) ExpireAt(key string, at int64) bool {
 		return false
 	}
 	if t.sink != nil {
-		t.sink.ReplicateExpire(key, at)
+		t.sink.Replicate(replication.ExpireOp(key, at))
 	}
 	return true
 }
@@ -659,7 +674,7 @@ func (t *Tiered) Persist(key string) bool {
 		return false
 	}
 	if t.sink != nil {
-		t.sink.ReplicatePersist(key)
+		t.sink.Replicate(replication.Op{Kind: replication.OpPersist, Key: key})
 	}
 	return true
 }
@@ -701,7 +716,7 @@ func (t *Tiered) FlushAll() error {
 		err = FlushStorage(t.opts.Storage)
 	}
 	if t.sink != nil {
-		t.sink.ReplicateFlushAll()
+		t.sink.Replicate(replication.Op{Kind: replication.OpFlushAll})
 	}
 	return err
 }
@@ -714,27 +729,6 @@ func (t *Tiered) Health() HealthStats {
 	}
 	return t.health.snapshot()
 }
-
-// applyToCache lands a committed single-key write on the cache tier: the
-// engine (unless pre — the in-place op already ran there, and replaying a
-// captured value could roll back a newer concurrent update) and, for a
-// stored value, capacity eviction.
-func (t *Tiered) applyToCache(key string, val []byte, del, pre bool) {
-	if del {
-		if !pre {
-			t.eng.Del(key)
-		}
-		return
-	}
-	if !pre {
-		t.eng.Set(key, val)
-	}
-	t.maybeEvict()
-}
-
-// invalidate drops a key from the cache tier (write-through failure path:
-// "the corresponding cache entry is invalidated").
-func (t *Tiered) invalidate(key string) { t.eng.Del(key) }
 
 // --- stats ---
 

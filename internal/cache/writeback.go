@@ -24,6 +24,9 @@ import (
 //     updating, and it holds its key's RMW stripe lock while it reads, so
 //     gathering misses into a BatchGet would stall the stripe for the
 //     gather window; an update miss reads storage like any other miss.
+//
+// One key or a batch, commit (tiered.go) admits a write with one
+// dirtySet.mark, then applies it to the cache tier.
 
 // dirtySet is a store's write-back backlog: the keys written to the cache
 // tier and not yet to storage, under one lock and one budget ("a
@@ -109,26 +112,22 @@ func (d *dirtySet) put(key string, e *dirtyEntry) {
 	d.tombs += e.tomb()
 }
 
-// mark admits one key with e, which the set keeps, and returns how many keys
-// are now dirty.
-func (d *dirtySet) mark(key string, e *dirtyEntry) (int, error) {
+// mark admits the keys of ws together, each with a private copy of its
+// value (nil = tombstone), and returns how many keys are now dirty. The
+// caller holds the RMW locks of their stripes, and keeps them while the set
+// is full: a backpressured writer stalls its stripes' writers, and the
+// flusher, which takes no RMW lock, lets it in.
+func (d *dirtySet) mark(ws []write) (int, error) {
+	// Built before mu, which every writer of the store shares.
+	es := make([]dirtyEntry, len(ws))
+	for i, w := range ws {
+		es[i] = dirtyEntry{val: copyBytes(w.val), enc: w.enc}
+	}
 	if err := d.admit(); err != nil {
 		return 0, err
 	}
-	d.put(key, e)
-	n := len(d.entries)
-	d.mu.Unlock()
-	return n, nil
-}
-
-// markBatch admits keys together, each with a copy of its value in entries
-// (nil, or no entry, = tombstone), and returns how many keys are now dirty.
-func (d *dirtySet) markBatch(keys []string, entries map[string][]byte) (int, error) {
-	if err := d.admit(); err != nil {
-		return 0, err
-	}
-	for _, k := range keys {
-		d.put(k, &dirtyEntry{val: copyBytes(entries[k])})
+	for i, w := range ws {
+		d.put(w.key, &es[i])
 	}
 	n := len(d.entries)
 	d.mu.Unlock()
@@ -241,31 +240,6 @@ func dirtyEntryBytes(key string, val []byte) int64 {
 	// between 10k and 100k entries.
 	const entryOverhead = 80
 	return int64(len(key) + len(val) + entryOverhead)
-}
-
-// writeBack applies one write (or delete) under the write-back policy.
-// enc marks val as a typed collection blob; pre marks a propagated outcome
-// already applied to the primary engine (see rmw.go). The caller holds
-// key's RMW stripe lock, and keeps it while the dirty set is full: a
-// backpressured writer stalls its stripe's writers, and the flusher, which
-// takes no RMW lock, lets it in.
-func (t *Tiered) writeBack(key string, val []byte, del, enc, pre bool) error {
-	var stored []byte
-	if !del {
-		stored = copyBytes(val)
-		if stored == nil {
-			stored = []byte{} // empty value, not a tombstone
-		}
-	}
-	n, err := t.dirty.mark(key, &dirtyEntry{val: stored, enc: enc})
-	if err != nil {
-		return err
-	}
-	t.applyToCache(key, val, del, pre)
-	if n >= t.opts.FlushBatch {
-		t.dirty.nudge()
-	}
-	return nil
 }
 
 // flushLoop is the background dirty-data propagator. Writers nudge it when

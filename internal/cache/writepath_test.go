@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -548,7 +549,7 @@ func TestDirtyBytesTracksHeap(t *testing.T) {
 		before := heapAfterGC()
 		for i := 0; i < n; i++ {
 			key := fmt.Sprintf("user:%09d", i)
-			if _, err := tr.dirty.mark(key, &dirtyEntry{val: copyBytes(val)}); err != nil {
+			if _, err := tr.dirty.mark([]write{{key: key, val: val}}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -560,5 +561,112 @@ func TestDirtyBytesTracksHeap(t *testing.T) {
 			t.Errorf("val %d B: DirtyBytes() %d vs heap %d: ratio %.2f outside [0.75, 1.25]", valLen, tr.DirtyBytes(), heap, ratio)
 		}
 		tr.Close()
+	}
+}
+
+// TestWritePathWork pins the storage round trips each write shape makes,
+// under every policy, over a Remote that counts them: write-through pays one
+// storage write per command (plus the reads it needs to answer), write-back
+// none until a flush, cache-only none at all. Deferred flushes are held off
+// (hour-long interval, batch and budget larger than the test), and the
+// engine's clock is the test's, so the only background work is the sweep of
+// the one key whose TTL is made to lapse.
+func TestWritePathWork(t *testing.T) {
+	type step struct {
+		name string
+		run  func(t *testing.T, tr *Tiered)
+		rpcs map[Policy]int64
+	}
+	each := func(co, wt, wb int64) map[Policy]int64 {
+		return map[Policy]int64{CacheOnly: co, WriteThrough: wt, WriteBack: wb}
+	}
+	batch := make(map[string][]byte, 16)
+	for i := 0; i < 16; i++ {
+		batch[fmt.Sprintf("b%02d", i)] = []byte("v")
+	}
+	del := func(keys ...string) func(t *testing.T, tr *Tiered) {
+		return func(t *testing.T, tr *Tiered) {
+			if _, err := tr.BatchDelete(keys); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var nowNs atomic.Int64
+	steps := []step{
+		{"Set", func(t *testing.T, tr *Tiered) {
+			if err := tr.Set("s", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}, each(0, 1, 0)},
+		{"BatchPut of 16 keys", func(t *testing.T, tr *Tiered) {
+			if err := tr.BatchPut(batch); err != nil {
+				t.Fatal(err)
+			}
+		}, each(0, 1, 0)},
+		{"BatchDelete of one resident key", del("b00"), each(0, 1, 0)},
+		{"BatchDelete of three resident keys", del("b01", "b02", "b03"), each(0, 1, 0)},
+		{"BatchDelete of three storage-only keys", del("cold0", "cold1", "cold2"), each(0, 2, 1)},
+		{"INCR on a cold key", func(t *testing.T, tr *Tiered) {
+			err := tr.Mutate("ctr", func() (bool, error) {
+				_, err := tr.Engine().IncrBy("ctr", 1)
+				return err == nil, err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}, each(0, 2, 1)},
+		{"lapsed TTL reaped by the sweep", func(t *testing.T, tr *Tiered) {
+			nowNs.Add(int64(time.Hour))
+			deadline := time.Now().Add(5 * time.Second)
+			for tr.Engine().Expired("ttl") {
+				if time.Now().After(deadline) {
+					t.Fatal("the sweep never took the lapsed key")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			tr.lockKey("ttl").Unlock() // the sweep commits under this lock
+		}, each(0, 1, 0)},
+		{"FlushAll", func(t *testing.T, tr *Tiered) {
+			if err := tr.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+		}, each(0, 1, 1)},
+	}
+	for _, policy := range []Policy{CacheOnly, WriteThrough, WriteBack} {
+		t.Run(policy.String(), func(t *testing.T) {
+			nowNs.Store(time.Unix(100, 0).UnixNano())
+			inner := NewMapStorage()
+			for _, k := range []string{"cold0", "cold1", "cold2"} {
+				inner.Put(k, []byte("v"))
+			}
+			inner.Put("ctr", []byte("41"))
+			remote := NewRemote(inner, 0)
+			opts := Options{
+				Policy:        policy,
+				Engine:        engine.New(engine.Options{Clock: func() time.Time { return time.Unix(0, nowNs.Load()) }}),
+				FlushInterval: time.Hour, FlushBatch: 1 << 20, MaxDirty: 1 << 20,
+			}
+			if policy != CacheOnly {
+				opts.Storage = remote
+			}
+			tr, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			if err := tr.Set("ttl", []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+			if !tr.ExpireAt("ttl", time.Unix(101, 0).UnixNano()) {
+				t.Fatal("ExpireAt: no such key")
+			}
+			for _, s := range steps {
+				before := remote.TotalRPCs()
+				s.run(t, tr)
+				if got, want := remote.TotalRPCs()-before, s.rpcs[policy]; got != want {
+					t.Errorf("%s: %d storage round trips, want %d", s.name, got, want)
+				}
+			}
+		})
 	}
 }

@@ -1,6 +1,10 @@
 package cache
 
-import "tierbase/internal/engine"
+import (
+	"maps"
+
+	"tierbase/internal/engine"
+)
 
 // Write-through implementation (paper §4.1.1).
 //
@@ -10,13 +14,14 @@ import "tierbase/internal/engine"
 //     storage write succeeds; concurrent readers keep seeing the previous
 //     value, and a storage failure invalidates the entry so subsequent
 //     reads refetch from storage. (Our Set carries the full new value, so
-//     the "buffer" is the pending write itself.)
+//     the "buffer" is the pending write itself; an in-place op's outcome is
+//     in the engine already, rmw.go.)
 //   - Sequential write ordering: every write entry point holds the RMW
 //     lock of each stripe it writes (Tiered.rmw) from before the storage
 //     call until after the replication sink append, so one key has at most
 //     one storage write in flight and storage, cache and sink see its
-//     writes in one order. wtCommit and wtCommitGroup run under that lock
-//     and need no ordering of their own.
+//     writes in one order. wtCommit runs under those locks, for one key or
+//     a batch alike, and needs no ordering of its own.
 //   - Write coalescing: not done in this layer. Per-key queues that merged
 //     writes arriving behind an in-flight leader lived here until the
 //     stripe lock became the ordering rule (PR 7); under it two writes to
@@ -25,57 +30,47 @@ import "tierbase/internal/engine"
 //     still share WAL appends through the LSM's group commit
 //     (lsm/batch.go). ROADMAP "Parked" says what would bring it back.
 
-// wtCommit performs one synchronous storage write and, on success, applies
-// the result to the cache tier; on failure it invalidates the cache entry.
-// Raw string values are escaped on the way to storage so they never
-// collide with typed collection blobs; pre-applied (propagated) outcomes
-// skip the primary-engine apply (rmw.go).
-func (t *Tiered) wtCommit(key string, val []byte, del, enc, pre bool) error {
+// wtCommit makes a write-through commit's one storage call: Put or Delete
+// for one key; for a batch, BatchDelete when every write deletes, else
+// BatchPut of the caller's map (nil values delete). Raw strings are escaped
+// so they never collide with typed blobs. On failure every key of ws is
+// invalidated in the cache tier.
+func (t *Tiered) wtCommit(ws []write, entries map[string][]byte) error {
 	var err error
-	if del {
-		err = t.opts.Storage.Delete(key)
-	} else {
-		stored := val
-		if !enc {
-			stored = engine.EscapeStringValue(val)
+	switch {
+	case len(ws) != 1 && allDeletes(ws):
+		keys := make([]string, len(ws))
+		for i, w := range ws {
+			keys[i] = w.key
 		}
-		err = t.opts.Storage.Put(key, stored)
+		err = t.opts.Storage.BatchDelete(keys)
+	case len(ws) != 1:
+		err = t.opts.Storage.BatchPut(escapeEntries(entries))
+	case ws[0].val == nil:
+		err = t.opts.Storage.Delete(ws[0].key)
+	default:
+		stored := ws[0].val
+		if !ws[0].enc {
+			stored = engine.EscapeStringValue(stored)
+		}
+		err = t.opts.Storage.Put(ws[0].key, stored)
 	}
 	if err != nil {
-		t.invalidate(key)
-		return err
+		for _, w := range ws {
+			t.eng.Del(w.key)
+		}
 	}
-	t.applyToCache(key, val, del, pre)
-	return nil
+	return err
 }
 
-// wtCommitGroup is the grouped analog of wtCommit: one storage round trip
-// for the whole key group — Storage.BatchDelete when every op is a delete,
-// Storage.BatchPut otherwise (its nil-value-deletes contract carries mixed
-// batches) — then the batch applies to the cache tier on success, or every
-// key invalidates on failure (the per-key failure contract, batch-wide).
-func (t *Tiered) wtCommitGroup(keys []string, entries map[string][]byte) error {
-	allDel := true
-	for _, k := range keys {
-		if entries[k] != nil {
-			allDel = false
-			break
+// allDeletes reports whether every write of ws deletes.
+func allDeletes(ws []write) bool {
+	for _, w := range ws {
+		if w.val != nil {
+			return false
 		}
 	}
-	var err error
-	if allDel {
-		err = t.opts.Storage.BatchDelete(keys)
-	} else {
-		err = t.opts.Storage.BatchPut(escapeEntries(entries))
-	}
-	if err != nil {
-		for _, k := range keys {
-			t.invalidate(k)
-		}
-		return err
-	}
-	t.applyBatchToCache(keys, entries)
-	return nil
+	return true
 }
 
 // escapeEntries returns entries with any typed-marker-colliding string
@@ -90,10 +85,7 @@ func escapeEntries(entries map[string][]byte) map[string][]byte {
 			continue
 		}
 		if escaped == nil {
-			escaped = make(map[string][]byte, len(entries))
-			for k2, v2 := range entries {
-				escaped[k2] = v2
-			}
+			escaped = maps.Clone(entries)
 		}
 		escaped[k] = ev
 	}

@@ -17,6 +17,7 @@ package replication
 
 import (
 	"errors"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -74,6 +75,21 @@ type Op struct {
 	Kind OpKind
 	Key  string
 	Val  []byte // nil for OpDel
+}
+
+// SetOp is the op that stores val at key: OpSetEncoded when val is a typed
+// collection blob, OpSet for a raw string.
+func SetOp(key string, val []byte, encoded bool) Op {
+	if encoded {
+		return Op{Kind: OpSetEncoded, Key: key, Val: val}
+	}
+	return Op{Kind: OpSet, Key: key, Val: val}
+}
+
+// ExpireOp is the op that sets key's expiry to at, an absolute UnixNano
+// deadline, carried as decimal text.
+func ExpireOp(key string, at int64) Op {
+	return Op{Kind: OpExpire, Key: key, Val: strconv.AppendInt(nil, at, 10)}
 }
 
 // Log errors.

@@ -9,7 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"tierbase/internal/cache"
 	"tierbase/internal/client"
+	"tierbase/internal/engine"
 	"tierbase/internal/replication"
 	"tierbase/internal/resp"
 )
@@ -104,6 +106,43 @@ func TestReplicationStreamsWrites(t *testing.T) {
 	waitFor(t, "master link up", func() bool {
 		return infoField(t, rc, "replication", "master_link") == "up"
 	})
+}
+
+// TestReplicaInstallsCollectionsWithoutStorageReads: a streamed collection
+// op carries the key's whole state, so a replica installs it without
+// reading the key from its storage tier first, however cold the key.
+func TestReplicaInstallsCollectionsWithoutStorageReads(t *testing.T) {
+	ms, mc := startMaster(t, nil)
+	remote := cache.NewRemote(cache.NewMapStorage(), 0)
+	_, rc := startReplicaOf(t, ms, "r1", func(c *Config) {
+		c.TieredFactory = func(eng *engine.Engine) (*cache.Tiered, error) {
+			return cache.New(cache.Options{Policy: cache.WriteThrough, Engine: eng, Storage: remote})
+		}
+	})
+	const keys = 50
+	for i := 0; i < keys; i++ {
+		if _, err := mc.Do("LPUSH", fmt.Sprintf("list%02d", i), "x"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	head := infoField(t, mc, "replication", "repl_seq")
+	waitFor(t, "replica catch-up", func() bool {
+		return infoField(t, rc, "replication", "last_applied_seq") == head
+	})
+	if st := remote.Stats(); st.Gets != 0 || st.BatchGets != 0 {
+		t.Fatalf("installing %d streamed collections read storage: %d Gets, %d BatchGets", keys, st.Gets, st.BatchGets)
+	}
+	if st := remote.Stats(); st.Puts != keys {
+		t.Fatalf("%d storage Puts for %d collections, want one each", st.Puts, keys)
+	}
+	for i := 0; i < keys; i++ {
+		if n, err := rc.Do("LLEN", fmt.Sprintf("list%02d", i)); err != nil || n != int64(1) {
+			t.Fatalf("LLEN list%02d on the replica: %v, %v", i, n, err)
+		}
+	}
+	if got := infoField(t, rc, "replication", "apply_errors"); got != "0" {
+		t.Fatalf("apply_errors = %s", got)
+	}
 }
 
 func TestReplicaRejectsWritesWithTypedMoved(t *testing.T) {

@@ -24,8 +24,8 @@ import (
 // §4.1.2's semi-synchronous acks).
 //
 // Masters: every mutation crosses the cache tier's OpSink seam into a
-// sequenced OpLog (ReplicateSet/ReplicateDelete below, called under the
-// key's RMW stripe lock so log order matches engine order per key). A
+// sequenced OpLog (Replicate below, called under the key's RMW stripe
+// lock so log order matches engine order per key). A
 // replica connects as a normal RESP client, sends
 // `SYNC <lastApplied> <nodeID>`, and the connection is hijacked: the
 // master answers `+CONTINUE` (incremental, the log still covers the
@@ -58,10 +58,6 @@ import (
 // FLUSHALL/EXPIRE/PERSIST replicate as first-class ops (EXPIRE as an
 // absolute deadline), so a full sync clears the replica's private
 // storage tier along with its cache tier and carries every key's TTL.
-//
-// Known gap (see ROADMAP.md): batch writes enter the log per stripe
-// after commit, so a concurrent single-key RMW can order differently
-// across stripes than on the master.
 
 const (
 	roleMaster int32 = iota
@@ -169,61 +165,15 @@ func (r *serverRepl) advertiseAddr() string {
 
 // --- OpSink (the cache tier reports mutations here) ---
 
-// ReplicateSet appends a store op to the log. Called under the key's RMW
-// stripe lock; val aliases a caller buffer and is copied by Append.
-// Inert on replicas: the applier mirrors the master's stream itself.
-func (r *serverRepl) ReplicateSet(key string, val []byte, encoded bool) {
+// Replicate appends op to the log, which assigns its sequence. Called under
+// the mutated key's RMW stripe lock; op.Val aliases a caller buffer and is
+// copied by Append. Inert on replicas: the applier mirrors the master's
+// stream itself.
+func (r *serverRepl) Replicate(op replication.Op) {
 	if r.isReplica() {
 		return
 	}
-	r.log.Append(setKind(encoded), key, val)
-}
-
-// setKind is the op that stores a value: encoded values are typed
-// collection blobs.
-func setKind(encoded bool) replication.OpKind {
-	if encoded {
-		return replication.OpSetEncoded
-	}
-	return replication.OpSet
-}
-
-// ReplicateDelete appends a delete op to the log.
-func (r *serverRepl) ReplicateDelete(key string) {
-	if r.isReplica() {
-		return
-	}
-	r.log.Append(replication.OpDel, key, nil)
-}
-
-// ReplicateExpire appends a TTL-set op. The value is the absolute
-// UnixNano deadline in decimal: a replica applying the op late still
-// expires the key at the master's wall-clock instant, not a relative
-// duration drifted by replication lag.
-func (r *serverRepl) ReplicateExpire(key string, at int64) {
-	if r.isReplica() {
-		return
-	}
-	r.log.Append(replication.OpExpire, key, deadlineVal(at))
-}
-
-// deadlineVal is an OpExpire value: the deadline in decimal.
-func deadlineVal(at int64) []byte { return strconv.AppendInt(nil, at, 10) }
-
-// ReplicatePersist appends a TTL-clear op.
-func (r *serverRepl) ReplicatePersist(key string) {
-	if r.isReplica() {
-		return
-	}
-	r.log.Append(replication.OpPersist, key, nil)
-}
-
-// ReplicateFlushAll appends a whole-keyspace clear.
-func (r *serverRepl) ReplicateFlushAll() {
-	if r.isReplica() {
-		return
-	}
-	r.log.Append(replication.OpFlushAll, "", nil)
+	r.log.Append(op.Kind, op.Key, op.Val)
 }
 
 // --- role-aware dispatch ---
@@ -508,9 +458,9 @@ func (r *serverRepl) serveReplica(c *conn, after uint64, nodeID string) {
 		ferr := r.s.eng.ForEachEncodedChunked(r.cfg.SnapshotChunkBytes,
 			func(chunk []engine.SnapEntry) bool {
 				for _, e := range chunk {
-					werr = replication.WriteOp(bw, replication.Op{Kind: setKind(e.Encoded), Key: e.Key, Val: e.Val})
+					werr = replication.WriteOp(bw, replication.SetOp(e.Key, e.Val, e.Encoded))
 					if werr == nil && e.ExpireAt != 0 {
-						werr = replication.WriteOp(bw, replication.Op{Kind: replication.OpExpire, Key: e.Key, Val: deadlineVal(e.ExpireAt)})
+						werr = replication.WriteOp(bw, replication.ExpireOp(e.Key, e.ExpireAt))
 					}
 					if werr != nil {
 						return false
@@ -834,12 +784,9 @@ func (r *serverRepl) applyOp(op replication.Op) {
 	case replication.OpSet:
 		err = tiered.Set(op.Key, op.Val)
 	case replication.OpSetEncoded:
-		err = tiered.Mutate(op.Key, func() (bool, error) {
-			err := r.s.eng.LoadEncoded(op.Key, op.Val)
-			return err == nil, err
-		})
+		err = tiered.SetEncoded(op.Key, op.Val)
 	case replication.OpDel:
-		_, err = tiered.BatchDelete([]string{op.Key})
+		err = tiered.Delete(op.Key)
 	case replication.OpExpire:
 		var at int64
 		if at, err = strconv.ParseInt(string(op.Val), 10, 64); err == nil {
