@@ -1,19 +1,15 @@
 package cache
 
-import (
-	"errors"
-
-	"tierbase/internal/engine"
-)
+import "tierbase/internal/engine"
 
 // Batch operations on the tiered store: the cache-tier leg of the
 // MGET/MSET fast path. Cache hits resolve through the engine's lock-striped
-// MGet (one stripe lock per touched shard); the remaining misses make a
-// single Storage.BatchGet round trip — the optimization the paper credits
-// for lowering PC_miss — with singleflight dedup against concurrent
-// fetches of the same keys. Writes take the RMW locks of the stripes they
-// touch and go through commit (tiered.go), as one key does: one storage
-// round trip (write-through) or one admission to the dirty set (write-back).
+// MGet (one stripe lock per touched shard); the misses take Get's miss leg
+// (miss, tiered.go), whose storage half makes a single Storage.BatchGet
+// round trip for them — the optimization the paper credits for lowering
+// PC_miss. Writes take the RMW locks of the stripes they touch and go
+// through commit (tiered.go), as one key does: one storage round trip
+// (write-through) or one admission to the dirty set (write-back).
 
 // dedupeKeys drops duplicate keys while preserving first-occurrence
 // order; a duplicate-free input is returned as-is.
@@ -35,7 +31,8 @@ func dedupeKeys(keys []string) []string {
 
 // BatchGet fetches many keys, consulting the cache tier first and the
 // storage tier (one round trip) for the misses. The result maps key to
-// value; absent keys map to nil. Duplicate keys are served once.
+// value; absent keys, collections and keys a degraded storage tier could
+// not answer map to nil. Duplicate keys are served once.
 func (t *Tiered) BatchGet(keys []string) (map[string][]byte, error) {
 	if t.closed.Load() {
 		return nil, ErrClosed
@@ -44,7 +41,7 @@ func (t *Tiered) BatchGet(keys []string) (map[string][]byte, error) {
 	out := make(map[string][]byte, len(keys))
 	uniq := dedupeKeys(keys)
 
-	// 1. Cache tier, one stripe lock per touched shard. Wrong-typed keys
+	// Cache tier, one stripe lock per touched shard. Wrong-typed keys
 	// report nil (Redis MGET semantics) but are NOT misses: fetching them
 	// from storage would clobber a live list/set/hash with stale bytes.
 	vals, wrongType, err := t.eng.MGetDetail(uniq)
@@ -65,68 +62,22 @@ func (t *Tiered) BatchGet(keys []string) (map[string][]byte, error) {
 		t.misses.Add(1)
 		missing = append(missing, k)
 	}
-	if len(missing) == 0 || t.opts.Policy == CacheOnly {
-		return out, nil
-	}
-
-	// 2. Write-back dirty state shadows storage (unflushed values and
-	// delete tombstones must win over what storage still holds).
-	if t.opts.Policy == WriteBack {
-		live := missing[:0]
-		for _, k := range missing {
-			e, ok := t.dirty.lookup(k)
-			if !ok {
-				live = append(live, k)
-			} else if e.val != nil && !e.enc {
-				out[k] = copyBytes(e.val)
-			} // else a tombstone or collection blob: stays nil
-		}
-		missing = live
-		if len(missing) == 0 {
-			return out, nil
-		}
-	}
-
-	// 3. Storage tier: join flights already in progress, lead the rest in
-	// a single BatchGet round trip (shared singleflight core with Get).
-	lead, join := t.splitFlights(missing)
+	// Misses: the miss leg Get takes.
 	var fetchErr error
-	if len(lead) > 0 {
-		fetch := make([]string, 0, len(lead))
-		for k := range lead {
-			fetch = append(fetch, k)
-		}
-		svals, err := t.opts.Storage.BatchGet(fetch)
-		t.publishFlights(lead, svals, err)
-		if !errors.Is(err, ErrDegraded) {
-			// Degraded (cache-only) mode: the misses stay nil rather
-			// than failing the whole MGET — cache hits above are still
-			// the best available answer.
-			fetchErr = err
-		}
-		for k, f := range lead {
-			if f.err == nil {
-				out[k] = f.val
-			}
-		}
-	}
-	for k, f := range join {
-		v, err := t.awaitFlight(f)
-		switch {
-		case err == ErrNotFound || err == engine.ErrWrongType || errors.Is(err, ErrDegraded):
-			// stays nil (absent, a collection key, or degraded cache-only)
-		case err != nil:
+	t.miss(missing, func(k string, v []byte, err error) {
+		switch err {
+		case nil:
+			out[k] = v
+		case ErrNotFound, engine.ErrWrongType: // stays nil
+		default:
 			if fetchErr == nil {
 				fetchErr = err
 			}
-		default:
-			out[k] = v
 		}
-	}
+	})
 	if fetchErr != nil {
 		return nil, fetchErr
 	}
-	t.maybeEvict()
 	return out, nil
 }
 
@@ -135,7 +86,9 @@ func (t *Tiered) BatchGet(keys []string) (map[string][]byte, error) {
 // RMW lock of every stripe the batch touches for the whole commit, exactly
 // as Set does for one key — see commit for what happens under them.
 // Readers may observe some of the batch's keys before others: a batch is
-// ordered per key, not atomic across keys.
+// ordered per key, not atomic across keys. The values are borrowed for the
+// call: every tier, the dirty set and the sink copy what they keep, so the
+// caller may reuse them once BatchPut returns.
 func (t *Tiered) BatchPut(entries map[string][]byte) error {
 	if t.closed.Load() {
 		return ErrClosed

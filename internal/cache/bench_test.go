@@ -76,6 +76,24 @@ func BenchmarkTieredGetHit(b *testing.B) {
 	})
 }
 
+// BenchmarkTieredGetMiss measures parallel single-key reads with a 16 KiB
+// cache tier in front of the 4096 keys, so nearly every read misses: the
+// storage fetch, the admission and the eviction it forces.
+func BenchmarkTieredGetMiss(b *testing.B) {
+	tr := newBenchTiered(b, 16<<10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var seq atomic.Int64
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			k := fmt.Sprintf("bench:%04d", int(seq.Add(1))*31%benchKeys)
+			if _, err := tr.Get(k); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 // BenchmarkTieredSetDirtyEvictionScan measures parallel writes while the
 // cache sits over budget with a large unflushable dirty set: every write
 // triggers an eviction attempt that must pass over dirty entries: one lap

@@ -1,0 +1,172 @@
+package cache
+
+import (
+	"bytes"
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"tierbase/internal/engine"
+)
+
+// TestReadPathWork pins the storage round trips and the answers of each read
+// shape, under every policy, over a Remote that counts them: a hit costs
+// nothing, a miss one storage read for one key or many, concurrent misses of
+// one key one fetch between them, and a key whose TTL has lapsed is absent
+// under every policy. Write-through deletes a lapsed key's storage copy
+// through; write-back's unflushed write of it must not answer for it either.
+// Flushes are held off (hour-long interval, batch and budget larger than the
+// test) and the engine's clock is the test's. The RTT is long enough that
+// eight readers started together all miss before the first fetch returns.
+func TestReadPathWork(t *testing.T) {
+	type step struct {
+		name string
+		run  func(t *testing.T, tr *Tiered, cold []byte) // cold: what a storage-only key reads as
+		rpcs map[Policy]int64
+		// of, when set, picks the counter every round trip must come from.
+		of func(RPCStats) int64
+	}
+	each := func(co, wt, wb int64) map[Policy]int64 {
+		return map[Policy]int64{CacheOnly: co, WriteThrough: wt, WriteBack: wb}
+	}
+	gets := func(s RPCStats) int64 { return s.Gets }
+	batchGets := func(s RPCStats) int64 { return s.BatchGets }
+	keys := func(prefix string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("%s%02d", prefix, i)
+		}
+		return out
+	}
+	hot, cold, mixed := keys("hot", 8), keys("cold", 16), keys("mixcold", 8)
+	get := func(t *testing.T, tr *Tiered, key string, want []byte) {
+		t.Helper()
+		v, err := tr.Get(key)
+		if want == nil {
+			if err != ErrNotFound {
+				t.Fatalf("GET %s: %q, %v; want absent", key, v, err)
+			}
+		} else if err != nil || !bytes.Equal(v, want) {
+			t.Fatalf("GET %s: %q, %v; want %q", key, v, err, want)
+		}
+	}
+	mget := func(t *testing.T, tr *Tiered, ks []string, want func(k string) []byte) {
+		t.Helper()
+		got, err := tr.BatchGet(ks)
+		if err != nil {
+			t.Fatalf("MGET: %v", err)
+		}
+		for _, k := range ks {
+			if v := got[k]; !bytes.Equal(v, want(k)) || (v == nil) != (want(k) == nil) {
+				t.Fatalf("MGET %s: %q; want %q", k, v, want(k))
+			}
+		}
+	}
+	var nowNs atomic.Int64
+	var inner *MapStorage // the current subtest's, for the lapsed rows
+	lapsed := func(key string, at int64, read func(t *testing.T, tr *Tiered)) func(t *testing.T, tr *Tiered, _ []byte) {
+		return func(t *testing.T, tr *Tiered, _ []byte) {
+			nowNs.Store(time.Unix(at, 0).UnixNano())
+			read(t, tr)
+			if v, ok, _ := inner.Get(key); ok {
+				t.Fatalf("storage still holds lapsed %s: %q", key, v)
+			}
+			get(t, tr, key, nil)
+		}
+	}
+	steps := []step{
+		{"GET hit", func(t *testing.T, tr *Tiered, _ []byte) {
+			get(t, tr, "hot00", []byte("h"))
+		}, each(0, 0, 0), nil},
+		{"GET miss", func(t *testing.T, tr *Tiered, v []byte) {
+			get(t, tr, "single", v)
+		}, each(0, 1, 1), gets},
+		{"MGET of 16 cold keys", func(t *testing.T, tr *Tiered, v []byte) {
+			mget(t, tr, cold, func(string) []byte { return v })
+		}, each(0, 1, 1), batchGets},
+		{"MGET of 8 hot and 8 cold keys", func(t *testing.T, tr *Tiered, v []byte) {
+			mget(t, tr, append(append([]string(nil), hot...), mixed...), func(k string) []byte {
+				if k[0] == 'h' {
+					return []byte("h")
+				}
+				return v
+			})
+		}, each(0, 1, 1), batchGets},
+		{"8 concurrent GETs of one cold key", func(t *testing.T, tr *Tiered, v []byte) {
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for i := 0; i < 8; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					if got, err := tr.Get("shared"); (v == nil) != (err == ErrNotFound) || !bytes.Equal(got, v) {
+						t.Errorf("GET shared: %q, %v; want %q", got, err, v)
+					}
+				}()
+			}
+			close(start)
+			wg.Wait()
+		}, each(0, 1, 1), gets},
+		{"GET of a lapsed key", lapsed("ttlget", 102, func(t *testing.T, tr *Tiered) {
+			get(t, tr, "ttlget", nil)
+		}), each(0, 2, 0), nil},
+		{"MGET of a lapsed key", lapsed("ttlmget", 104, func(t *testing.T, tr *Tiered) {
+			mget(t, tr, []string{"ttlmget"}, func(string) []byte { return nil })
+		}), each(0, 2, 0), nil},
+	}
+	for _, policy := range []Policy{CacheOnly, WriteThrough, WriteBack} {
+		t.Run(policy.String(), func(t *testing.T) {
+			nowNs.Store(time.Unix(100, 0).UnixNano())
+			inner = NewMapStorage()
+			for _, k := range append(append([]string{"single", "shared"}, cold...), mixed...) {
+				inner.Put(k, []byte("v"))
+			}
+			remote := NewRemote(inner, 10*time.Millisecond)
+			opts := Options{
+				Policy:        policy,
+				Engine:        engine.New(engine.Options{Clock: func() time.Time { return time.Unix(0, nowNs.Load()) }}),
+				FlushInterval: time.Hour, FlushBatch: 1 << 20, MaxDirty: 1 << 20,
+			}
+			var coldVal []byte
+			if policy != CacheOnly {
+				opts.Storage = remote
+				coldVal = []byte("v")
+			}
+			tr, err := New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer tr.Close()
+			for _, k := range hot {
+				if err := tr.Set(k, []byte("h")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for k, at := range map[string]int64{"ttlget": 101, "ttlmget": 103} {
+				if err := tr.Set(k, []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+				if !tr.ExpireAt(k, time.Unix(at, 0).UnixNano()) {
+					t.Fatalf("ExpireAt %s: no such key", k)
+				}
+			}
+			for _, s := range steps {
+				t.Run(s.name, func(t *testing.T) {
+					before, n := remote.Stats(), remote.TotalRPCs()
+					defer func() {
+						after, got := remote.Stats(), remote.TotalRPCs()-n
+						if want := s.rpcs[policy]; got != want {
+							t.Errorf("%d storage round trips, want %d", got, want)
+						} else if s.of != nil && s.of(after)-s.of(before) != got {
+							t.Errorf("%d of %d round trips of the expected kind (%+v)", s.of(after)-s.of(before), got, after)
+						}
+					}()
+					s.run(t, tr, coldVal)
+				})
+			}
+		})
+	}
+}

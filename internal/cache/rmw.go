@@ -67,18 +67,18 @@ func (t *Tiered) SetEncoded(key string, blob []byte) error {
 // not hold up the stripe's other writers. That leaves a window: an eviction
 // between the warm and the lock, and an INCR of an evicted 41 would commit 1.
 // So once the key can no longer leave, hold looks again, and fetches a key
-// the engine lacks there and then. It goes to fetchCoalesced, not Get: Get
-// deletes a lapsed key through the tiers under this same lock. A lapsed key
-// is still in the engine and needs no fetch (the op will find it absent),
-// and a write-back tombstone means the storage copy is the stale one. A key
-// no tier has costs a second storage read this way.
+// the engine lacks there and then. It calls the miss leg's storage half
+// (fetch), not Get: Get deletes a lapsed key through the tiers under this
+// same lock. A lapsed key is still in the engine and needs no fetch (the op
+// will find it absent), and a write-back tombstone means the storage copy is
+// the stale one. A key no tier has costs a second storage read this way.
 func (t *Tiered) hold(key string) (stripe int) {
 	t.Warm(key)
 	si := t.pin(key)
 	if t.opts.Policy != CacheOnly && !t.eng.Exists(key) && !t.eng.Expired(key) {
 		if _, dirty := t.dirty.lookup(key); !dirty {
-			_, _ = t.fetchCoalesced(key) // as Warm: absent is the best answer left
-			t.maybeEvict()
+			// As Warm: absent is the best answer left.
+			t.fetch([]string{key}, func(string, []byte, error) {})
 		}
 	}
 	return si

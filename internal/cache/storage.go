@@ -46,7 +46,9 @@ type Storage interface {
 	// BatchPut applies many writes in one round trip; nil value = delete.
 	// The nil-deletes contract is load-bearing: the write-through batch
 	// commit (wtCommit) relies on it to carry a mixed put/delete
-	// batch in a single round trip.
+	// batch in a single round trip. The values are borrowed for the call
+	// (MSET's point into the connection's parse buffer): an implementation
+	// copies what it keeps.
 	BatchPut(entries map[string][]byte) error
 	// BatchDelete removes many keys in one round trip.
 	BatchDelete(keys []string) error

@@ -159,11 +159,12 @@ type Tiered struct {
 	flShared  atomic.Int64 // miss fetches served by another caller's flight
 }
 
-// flight is one in-progress storage fetch; waiters block on done.
+// flight is one in-progress storage fetch of key; joiners block on done.
 type flight struct {
+	key  string
 	done chan struct{}
 	val  []byte // valid after done closes; nil when absent
-	err  error  // ErrNotFound when absent; storage error otherwise
+	err  error  // ErrNotFound when absent or storage is degraded; storage error otherwise
 }
 
 // ErrClosed is returned after Close.
@@ -279,55 +280,69 @@ func (t *Tiered) maybeEvict() {
 
 // --- reads ---
 
-// Get returns the value for key, consulting the cache tier first and the
-// storage tier on a miss (populating the cache on the way back).
-func (t *Tiered) Get(key string) ([]byte, error) {
+// Get returns the value for key, consulting the cache tier first and, on a
+// miss, the storage tier (miss, populating the cache on the way back).
+func (t *Tiered) Get(key string) (val []byte, err error) {
 	if t.closed.Load() {
 		return nil, ErrClosed
 	}
 	t.reqs.Add(1)
-	v, err := t.eng.Get(key)
+	val, err = t.eng.Get(key)
 	if err == nil {
 		t.hits.Add(1)
-		return v, nil
+		return val, nil
 	} else if err == engine.ErrWrongType {
 		return nil, err
 	}
 	t.misses.Add(1)
+	t.miss([]string{key}, func(_ string, v []byte, e error) { val, err = v, e })
+	return val, err
+}
+
+// miss is the one miss leg of Get and BatchGet: it answers the keys the
+// cache tier did not hold — distinct keys, none a live collection — with one
+// call of answer per key: the value, or ErrNotFound, engine.ErrWrongType (a
+// collection) or a storage error. In order:
+//
+//  1. Cache-only: no other tier to ask.
+//  2. A key whose TTL lapsed while resident is deleted through every tier
+//     (expireThrough) and is absent: a storage copy or a dirty write of it
+//     would otherwise answer for it with no deadline. The probe takes the
+//     engine's read lock only, so only a lapsed key takes its RMW lock.
+//  3. Write-back: an unflushed value or delete of the key wins over what
+//     storage still holds.
+//  4. The rest are fetched (fetch).
+//
+// miss reuses keys' array.
+func (t *Tiered) miss(keys []string, answer func(key string, val []byte, err error)) {
 	if t.opts.Policy == CacheOnly {
-		return nil, ErrNotFound
-	}
-	// Dirty tombstone shadows storage (write-back delete not yet flushed).
-	if t.opts.Policy == WriteBack {
-		if e, ok := t.dirty.lookup(key); ok {
-			if e.val == nil {
-				return nil, ErrNotFound
-			}
-			if e.enc {
-				return nil, engine.ErrWrongType // unflushed collection blob
-			}
-			// Dirty value exists but was missing from cache (should not
-			// happen — dirty keys are eviction-exempt — but be safe).
-			return copyBytes(e.val), nil
+		for _, k := range keys {
+			answer(k, nil, ErrNotFound)
 		}
+		return
 	}
-	// TTL delete-through: if the miss is a lapsed-TTL key still occupying
-	// the shard map, delete it through the storage tier instead of
-	// fetching — the storage copy would otherwise resurrect the expired
-	// key right here. The probe takes the engine's read lock only, so a miss
-	// of any other kind takes no RMW lock.
-	if t.eng.Expired(key) && t.expireThrough(key) {
-		return nil, ErrNotFound
-	}
-	v, err = t.fetchCoalesced(key)
-	if err != nil {
-		if errors.Is(err, ErrDegraded) {
-			return nil, ErrNotFound // degraded: serve cache tier only
+	cold := keys[:0]
+	for _, k := range keys {
+		if t.eng.Expired(k) && t.expireThrough(k) {
+			answer(k, nil, ErrNotFound)
+			continue
 		}
-		return nil, err
+		if t.opts.Policy == WriteBack {
+			if e, ok := t.dirty.lookup(k); ok {
+				switch {
+				case e.val == nil:
+					answer(k, nil, ErrNotFound)
+				case e.enc:
+					answer(k, nil, engine.ErrWrongType)
+				default:
+					answer(k, copyBytes(e.val), nil)
+				}
+				continue
+			}
+		}
+		cold = append(cold, k)
 	}
-	t.maybeEvict()
-	return v, nil
+	t.fetch(cold, answer)
 }
 
 // expireThrough confirms key's TTL has lapsed and, if so, deletes it
@@ -382,102 +397,94 @@ func (t *Tiered) expirySweepLoop() {
 	}
 }
 
-// --- singleflight core (shared by Get and BatchGet) ---
+// --- singleflight fetch ---
 
-// splitFlights partitions keys into flights this caller now leads
-// (registered under flMu) and flights already in progress to join.
-// Duplicate keys in the input collapse onto one flight.
-func (t *Tiered) splitFlights(keys []string) (lead, join map[string]*flight) {
-	lead = make(map[string]*flight, len(keys))
-	join = make(map[string]*flight)
+// fetch is the storage half of the miss leg, and how hold fills a key under
+// its lock. It answers keys (distinct, none resident) as miss does:
+//
+//  1. Keys another caller is fetching join that flight; this caller leads
+//     the rest, so concurrent misses of one key make one storage read.
+//  2. One storage round trip for the led keys: Get for one key, BatchGet
+//     for more.
+//  3. Fetched values are admitted to the cache tier (admit) before the
+//     flights close, so joiners find the cache warm.
+//  4. The cache tier is brought back within its budget.
+func (t *Tiered) fetch(keys []string, answer func(key string, val []byte, err error)) {
+	if len(keys) == 0 {
+		return
+	}
+	lead, join := t.splitFlights(keys)
+	if len(lead) == 1 {
+		v, ok, err := t.opts.Storage.Get(lead[0].key)
+		t.admit(lead[0], v, ok, err)
+	} else if len(lead) > 1 {
+		ks := make([]string, len(lead))
+		for i, f := range lead {
+			ks[i] = f.key
+		}
+		vals, err := t.opts.Storage.BatchGet(ks)
+		for _, f := range lead {
+			v, ok := vals[f.key]
+			t.admit(f, v, ok, err)
+		}
+	}
+	t.flMu.Lock()
+	for _, f := range lead {
+		delete(t.flights, f.key)
+	}
+	t.flMu.Unlock()
+	for _, f := range lead {
+		close(f.done)
+		answer(f.key, f.val, f.err)
+	}
+	for _, f := range join {
+		<-f.done
+		t.flShared.Add(1)
+		answer(f.key, copyBytes(f.val), f.err)
+	}
+	t.maybeEvict()
+}
+
+// splitFlights registers a flight for each of keys nobody is fetching, which
+// this caller leads, and returns the ones already in flight to join.
+func (t *Tiered) splitFlights(keys []string) (lead, join []*flight) {
+	lead = make([]*flight, 0, len(keys))
 	t.flMu.Lock()
 	for _, k := range keys {
-		if _, ours := lead[k]; ours {
-			continue
-		}
 		if f, ok := t.flights[k]; ok {
-			join[k] = f
+			join = append(join, f)
 			continue
 		}
-		f := &flight{done: make(chan struct{})}
+		f := &flight{key: k, done: make(chan struct{})}
 		t.flights[k] = f
-		lead[k] = f
+		lead = append(lead, f)
 	}
 	t.flMu.Unlock()
 	return lead, join
 }
 
-// publishFlights completes led flights from one storage fetch: vals is a
-// Storage.BatchGet result (present keys only — absence is a missing map
-// entry, never a nil value), err poisons every flight. Fetched values are
-// admitted into the cache tier before the flights close, so waiters
-// observe a warm cache.
-func (t *Tiered) publishFlights(lead map[string]*flight, vals map[string][]byte, err error) {
-	for k, f := range lead {
-		v, present := vals[k]
-		switch {
-		case err != nil:
-			f.err = err
-		case !present:
-			f.err = ErrNotFound
-		default:
-			if v == nil {
-				v = []byte{} // defensive: present must stay present-empty
-			}
-			if engine.IsTypedValue(v) {
-				// Collection blob: decode into the cache tier; string
-				// readers then observe the key exactly as they would a
-				// resident collection (wrong type).
-				if f.err = t.eng.LoadEncoded(k, v); f.err == nil {
-					f.err = engine.ErrWrongType
-				}
-				break
-			}
-			f.val = engine.UnescapeStringValue(v)
-			t.eng.Set(k, f.val)
+// admit completes led flight f from its storage answer (ok: present) and
+// admits a present value into the cache tier: a typed blob as the collection
+// it encodes, which string readers see as the wrong type.
+func (t *Tiered) admit(f *flight, v []byte, ok bool, err error) {
+	switch {
+	case errors.Is(err, ErrDegraded):
+		f.err = ErrNotFound // the cache tier is the best answer left
+	case err != nil:
+		f.err = err
+	case !ok:
+		f.err = ErrNotFound
+	case engine.IsTypedValue(v):
+		if f.err = t.eng.LoadEncoded(f.key, v); f.err == nil {
+			f.err = engine.ErrWrongType
 		}
-	}
-	t.flMu.Lock()
-	for k := range lead {
-		delete(t.flights, k)
-	}
-	t.flMu.Unlock()
-	for _, f := range lead {
-		close(f.done)
-	}
-}
-
-// awaitFlight blocks on a flight led elsewhere and returns a private copy
-// of its result.
-func (t *Tiered) awaitFlight(f *flight) ([]byte, error) {
-	<-f.done
-	t.flShared.Add(1)
-	if f.err != nil {
-		return nil, f.err
-	}
-	return copyBytes(f.val), nil
-}
-
-// fetchCoalesced fetches key from the storage tier with singleflight
-// dedup: the first caller becomes the leader, issues the round trip and
-// admits the value into the cache tier; concurrent callers for the same
-// key wait on that flight instead of duplicating the storage read.
-func (t *Tiered) fetchCoalesced(key string) ([]byte, error) {
-	lead, join := t.splitFlights([]string{key})
-	if f, ok := join[key]; ok {
-		return t.awaitFlight(f)
-	}
-	f := lead[key]
-	v, ok, err := t.opts.Storage.Get(key)
-	vals := map[string][]byte{}
-	if err == nil && ok {
+	default:
 		if v == nil {
 			v = []byte{} // present empty value, not absent
 		}
-		vals[key] = v
+		f.val = engine.UnescapeStringValue(v)
+		t.eng.Set(f.key, f.val)
 	}
-	t.publishFlights(lead, vals, err)
-	return f.val, f.err
 }
 
 // --- writes ---

@@ -224,7 +224,9 @@ func (c *Reader) readBulk(n int) error {
 	off := len(c.buf)
 	need := n + 2 // payload + CRLF
 	if cap(c.buf)-off < need {
-		grown := make([]byte, off, off+need)
+		// Doubling: a command of many payloads copies its arena a few times,
+		// not once per payload.
+		grown := make([]byte, off, max(off+need, 2*cap(c.buf)))
 		copy(grown, c.buf)
 		c.buf = grown
 	}

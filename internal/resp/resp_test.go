@@ -3,6 +3,7 @@ package resp
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
@@ -139,5 +140,33 @@ func TestCommandRoundTrip(t *testing.T) {
 		if _, err := reader(string(AppendCommand(nil, over...)), 4, 16).ReadCommand(); err != ErrProtocol {
 			t.Errorf("%d args over the limits: %v, want ErrProtocol", len(over), err)
 		}
+	}
+}
+
+// TestArenaGrowsGeometrically: a fresh Reader parsing a 256-pair MSET (about
+// 56 KB of payload) grows its arena a few times, not once per argument. An
+// arena grown to exactly what each payload needs made 537 allocations here
+// and copied about 14 MB.
+func TestArenaGrowsGeometrically(t *testing.T) {
+	args := []string{"MSET"}
+	for i := 0; i < 256; i++ {
+		args = append(args, fmt.Sprintf("key:%013d", i), strings.Repeat("v", 200))
+	}
+	wire := string(AppendCommand(nil, args...))
+	const runs = 20
+	readers := make([]*Reader, runs+1) // AllocsPerRun calls f once more to warm up
+	for i := range readers {
+		readers[i] = reader(wire, len(args), 1<<10)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		got, err := readers[next].ReadCommand()
+		next++
+		if err != nil || len(got) != len(args) {
+			t.Fatalf("parsed %d args, %v; want %d", len(got), err, len(args))
+		}
+	})
+	if allocs > 32 {
+		t.Fatalf("%v allocations to parse a %d-byte MSET on a fresh Reader, want at most 32", allocs, len(wire))
 	}
 }

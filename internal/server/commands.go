@@ -308,12 +308,15 @@ func cmdMSet(s *Server, key string, args [][]byte, out []byte) ([]byte, error) {
 	if len(args) == 3 {
 		return cmdSet(s, key, args, out)
 	}
+	// The values stay in the parse arena, as SET's does: BatchPut borrows
+	// them for the call. An empty one must stay non-nil (nil deletes in
+	// BatchPut, and MSET k "" stores "").
 	entries := make(map[string][]byte, len(args)/2)
 	for i := 1; i < len(args); i += 2 {
-		// Copy out of the parse arena; keep empty values non-nil (nil means
-		// delete in BatchPut, and MSET k "" must store "").
-		val := make([]byte, len(args[i+1]))
-		copy(val, args[i+1])
+		val := args[i+1]
+		if val == nil {
+			val = []byte{}
+		}
 		entries[string(args[i])] = val
 	}
 	return resp.AppendSimple(out, "OK"), s.tiered.BatchPut(entries)

@@ -12,6 +12,7 @@ import (
 	"tierbase/internal/cache"
 	"tierbase/internal/client"
 	"tierbase/internal/engine"
+	"tierbase/internal/lsm"
 	"tierbase/internal/replication"
 	"tierbase/internal/resp"
 )
@@ -537,4 +538,79 @@ func TestConfigValidate(t *testing.T) {
 	if good.Replication.AckTimeout != 2*time.Second {
 		t.Fatalf("AckTimeout default = %v", good.Replication.AckTimeout)
 	}
+}
+
+// TestPipelinedMSetsKeepTheirValues: MSET hands BatchPut its values where
+// the parser left them, so the second of two MSETs sent in one packet
+// overwrites the first one's values in the parse buffer. Every tier that
+// keeps a value must have copied it by then: the first batch reads back
+// whole from the cache and the storage tier of a write-through and a
+// write-back node, and from both nodes of a semi-sync pair.
+func TestPipelinedMSetsKeepTheirValues(t *testing.T) {
+	batch := func(tag string) ([]string, map[string]string) {
+		cmd, kv := []string{"MSET"}, map[string]string{}
+		for i := 0; i < 64; i++ {
+			k, v := fmt.Sprintf("%s:%02d", tag, i), fmt.Sprintf("%s-value-%02d", tag, i)
+			cmd, kv[k] = append(cmd, k, v), v
+		}
+		return cmd, kv
+	}
+	first, want := batch("a")
+	second, _ := batch("b")
+	send := func(t *testing.T, s *Server) {
+		replies, _ := pipeline(t, s, first, second)
+		for i, r := range replies {
+			if r != "OK" {
+				t.Fatalf("MSET %d: %v", i+1, r)
+			}
+		}
+	}
+	check := func(t *testing.T, where string, get func(k string) (string, error)) {
+		for k, v := range want {
+			if got, err := get(k); err != nil || got != v {
+				t.Fatalf("%s: %s = %q, %v; want %q", where, k, got, err, v)
+			}
+		}
+	}
+	for _, policy := range []cache.Policy{cache.WriteThrough, cache.WriteBack} {
+		t.Run(policy.String(), func(t *testing.T) {
+			db, err := lsm.Open(lsm.Options{Dir: t.TempDir(), DisableWAL: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			stor := cache.NewLSMStorage(db)
+			var tr *cache.Tiered
+			s, c := startTestServer(t, Config{TieredFactory: func(eng *engine.Engine) (*cache.Tiered, error) {
+				tr, err = cache.New(cache.Options{Policy: policy, Engine: eng, Storage: stor, FlushInterval: time.Hour})
+				return tr, err
+			}})
+			send(t, s)
+			check(t, "cache", c.Get)
+			if err := tr.FlushDirty(); err != nil {
+				t.Fatal(err)
+			}
+			check(t, "storage", func(k string) (string, error) {
+				v, ok, err := stor.Get(k)
+				if err == nil && !ok {
+					err = cache.ErrNotFound
+				}
+				return string(v), err
+			})
+		})
+	}
+	t.Run("semi-sync", func(t *testing.T) {
+		ms, mc := startMaster(t, func(c *Config) { c.Replication.SemiSyncAcks = 1 })
+		_, rc := startReplicaOf(t, ms, "r1", nil)
+		waitFor(t, "replica attached", func() bool {
+			return infoField(t, mc, "replication", "connected_replicas") == "1"
+		})
+		send(t, ms)
+		check(t, "master", mc.Get)
+		head := infoField(t, mc, "replication", "repl_seq")
+		waitFor(t, "replica catch-up", func() bool {
+			return infoField(t, rc, "replication", "last_applied_seq") == head
+		})
+		check(t, "replica", rc.Get)
+	})
 }
