@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"tierbase/internal/cache"
-	"tierbase/internal/elastic"
 	"tierbase/internal/engine"
 	"tierbase/internal/lsm"
 	"tierbase/internal/server"
@@ -87,39 +86,43 @@ func wireStorage(opts *server.Config, c stack.Config) (closeStorage func() error
 }
 
 func main() {
+	// Everything the process needs lives in one validated server.Config;
+	// the flags that set one of its fields write it directly.
+	var opts server.Config
 	var (
-		addr        = flag.String("addr", "127.0.0.1:6380", "listen address")
 		policy      = flag.String("policy", "cache-only", "cache-only | write-through | write-back")
 		dir         = flag.String("dir", "", "storage-tier directory (tiered policies)")
 		compression = flag.String("compression", "", "value compressor: pbc | zstd-d | zstd-b")
 		trainOn     = flag.String("train-on", "kv1", "dataset for compressor pre-training: cities | kv1 | kv2 | random")
 		elasticOn   = flag.Bool("elastic", true, "enable elastic threading")
-		maxWorkers  = flag.Int("max-workers", 4, "elastic gate's slot ceiling: the node's CPU budget")
 		cacheBytes  = flag.Int64("cache-bytes", 0, "cache-tier capacity, tiered policies only (0 = unbounded)")
-
-		nodeID        = flag.String("node-id", "", "cluster node id (enables replication)")
-		advertise     = flag.String("advertise", "", "address other nodes reach this one at (default: listen addr)")
-		replicaOf     = flag.String("replicaof", "", "start as a replica of host:port")
-		coordinator   = flag.String("coordinator", "", "coordinator address to register with and heartbeat to")
-		semiSyncAcks  = flag.Int("semisync-acks", 0, "replicas that must ack each write (0 = async)")
-		ackTimeout    = flag.Duration("ack-timeout", 0, "semi-sync wait bound (0 = default 2s)")
-		replLogCap    = flag.Int("repl-log-cap", 0, "retained op-log window (0 = default)")
-		heartbeatTick = flag.Duration("heartbeat-interval", 0, "coordinator heartbeat period (0 = default 500ms)")
-
-		replWriteTimeout = flag.Duration("repl-write-timeout", 0, "per-frame replication write bound (0 = default 5s)")
-		replKeepalive    = flag.Duration("repl-keepalive", 0, "master->replica ping period (0 = default 1s)")
-		replReadTimeout  = flag.Duration("repl-read-timeout", 0, "replication link read bound (0 = default 4x keepalive)")
-		shedBacklog      = flag.Int("shed-backlog", 0, "unacked-op backlog that sheds a laggard replica (0 = default log-cap/2, negative disables)")
-		snapChunkBytes   = flag.Int("snapshot-chunk-bytes", 0, "full-sync snapshot bytes buffered per chunk (0 = default 1MiB)")
-
-		maxConns       = flag.Int("max-conns", 0, "client connection cap, excess refused with -MAXCONN (0 = unlimited)")
-		maxOutputBytes = flag.Int("max-output-bytes", 0, "per-connection reply buffer cap before the client is shed (0 = default 32MiB, negative disables)")
-		readTimeout    = flag.Duration("read-timeout", 0, "idle/partial-command read bound per connection (0 = disabled)")
-		writeTimeout   = flag.Duration("write-timeout", 0, "reply flush bound before a slow reader is shed (0 = default 30s, negative disables)")
-		highWatermark  = flag.Int64("high-watermark-bytes", 0, "memory level at which writes fail fast with -OVERLOADED (0 = watermark gate off)")
-		lowWatermark   = flag.Int64("low-watermark-bytes", 0, "memory level at which writes resume (0 = 90% of high)")
-		drainTimeout   = flag.Duration("drain-timeout", 0, "graceful-drain bound on SIGTERM before remaining connections are cut (0 = default 10s)")
 	)
+	flag.StringVar(&opts.Addr, "addr", "127.0.0.1:6380", "listen address")
+	flag.IntVar(&opts.Pool.MaxWorkers, "max-workers", 4, "elastic gate's slot ceiling: the node's CPU budget")
+
+	r := &opts.Replication
+	flag.StringVar(&r.NodeID, "node-id", "", "cluster node id (enables replication)")
+	flag.StringVar(&r.AdvertiseAddr, "advertise", "", "address other nodes reach this one at (default: listen addr)")
+	flag.StringVar(&r.MasterAddr, "replicaof", "", "start as a replica of host:port")
+	flag.StringVar(&r.CoordinatorAddr, "coordinator", "", "coordinator address to register with and heartbeat to")
+	flag.IntVar(&r.SemiSyncAcks, "semisync-acks", 0, "replicas that must ack each write (0 = async)")
+	flag.DurationVar(&r.AckTimeout, "ack-timeout", 0, "semi-sync wait bound (0 = default 2s)")
+	flag.IntVar(&r.LogCap, "repl-log-cap", 0, "retained op-log window (0 = default)")
+	flag.DurationVar(&r.HeartbeatInterval, "heartbeat-interval", 0, "coordinator heartbeat period (0 = default 500ms)")
+	flag.DurationVar(&r.WriteTimeout, "repl-write-timeout", 0, "per-frame replication write bound (0 = default 5s)")
+	flag.DurationVar(&r.KeepaliveInterval, "repl-keepalive", 0, "master->replica ping period (0 = default 1s)")
+	flag.DurationVar(&r.ReadTimeout, "repl-read-timeout", 0, "replication link read bound (0 = default 4x keepalive)")
+	flag.IntVar(&r.ShedBacklog, "shed-backlog", 0, "unacked-op backlog that sheds a laggard replica (0 = default log-cap/2, negative disables)")
+	flag.IntVar(&r.SnapshotChunkBytes, "snapshot-chunk-bytes", 0, "full-sync snapshot bytes buffered per chunk (0 = default 1MiB)")
+
+	o := &opts.Overload
+	flag.IntVar(&o.MaxConns, "max-conns", 0, "client connection cap, excess refused with -MAXCONN (0 = unlimited)")
+	flag.IntVar(&o.MaxOutputBytes, "max-output-bytes", 0, "per-connection reply buffer cap before the client is shed (0 = default 32MiB, negative disables)")
+	flag.DurationVar(&o.ReadTimeout, "read-timeout", 0, "idle/partial-command read bound per connection (0 = disabled)")
+	flag.DurationVar(&o.WriteTimeout, "write-timeout", 0, "reply flush bound before a slow reader is shed (0 = default 30s, negative disables)")
+	flag.Int64Var(&o.HighWatermarkBytes, "high-watermark-bytes", 0, "memory level at which writes fail fast with -OVERLOADED (0 = watermark gate off)")
+	flag.Int64Var(&o.LowWatermarkBytes, "low-watermark-bytes", 0, "memory level at which writes resume (0 = 90% of high)")
+	flag.DurationVar(&o.DrainTimeout, "drain-timeout", 0, "graceful-drain bound on SIGTERM before remaining connections are cut (0 = default 10s)")
 	flag.Parse()
 
 	cfg, err := stackFlags(*policy, *dir, *cacheBytes, *compression, *trainOn)
@@ -134,36 +137,7 @@ func main() {
 		log.Printf("compression: %s pre-trained on %s samples", c.Name(), *trainOn)
 	}
 
-	// Everything the process needs lives in one validated server.Config.
-	opts := server.Config{
-		Addr:          *addr,
-		EngineOptions: eo.Options,
-		Pool:          elastic.PoolOptions{MaxWorkers: *maxWorkers},
-		Replication: server.ReplicationConfig{
-			NodeID:             *nodeID,
-			AdvertiseAddr:      *advertise,
-			MasterAddr:         *replicaOf,
-			CoordinatorAddr:    *coordinator,
-			SemiSyncAcks:       *semiSyncAcks,
-			AckTimeout:         *ackTimeout,
-			LogCap:             *replLogCap,
-			HeartbeatInterval:  *heartbeatTick,
-			WriteTimeout:       *replWriteTimeout,
-			KeepaliveInterval:  *replKeepalive,
-			ReadTimeout:        *replReadTimeout,
-			ShedBacklog:        *shedBacklog,
-			SnapshotChunkBytes: *snapChunkBytes,
-		},
-		Overload: server.OverloadConfig{
-			MaxConns:           *maxConns,
-			MaxOutputBytes:     *maxOutputBytes,
-			ReadTimeout:        *readTimeout,
-			WriteTimeout:       *writeTimeout,
-			HighWatermarkBytes: *highWatermark,
-			LowWatermarkBytes:  *lowWatermark,
-			DrainTimeout:       *drainTimeout,
-		},
-	}
+	opts.EngineOptions = eo.Options
 	if !*elasticOn {
 		opts.Pool.Fixed = 1
 	}
@@ -181,10 +155,10 @@ func main() {
 		log.Fatalf("tierbase-server: %v", err)
 	}
 	role := ""
-	if *nodeID != "" {
-		role = " as master " + *nodeID
-		if *replicaOf != "" {
-			role = fmt.Sprintf(" as replica %s of %s", *nodeID, *replicaOf)
+	if r.NodeID != "" {
+		role = " as master " + r.NodeID
+		if r.MasterAddr != "" {
+			role = fmt.Sprintf(" as replica %s of %s", r.NodeID, r.MasterAddr)
 		}
 	}
 	log.Printf("tierbase-server listening on %s (%s policy)%s", srv.Addr(), *policy, role)

@@ -117,9 +117,9 @@ func (s *LSMStorage) Delete(key string) error {
 }
 
 // BatchGet implements Storage natively: one lsm.DB.MultiGet resolves the
-// whole batch in a single snapshot and level walk (sorted keys, shared
-// block decodes) — the old per-key DB.Get loop paid one snapshot and one
-// full hierarchy probe per key.
+// whole batch against a single snapshot (sorted keys, one iterator per
+// table, shared block decodes) — the old per-key DB.Get loop paid one
+// snapshot and one block decode per key.
 func (s *LSMStorage) BatchGet(keys []string) (map[string][]byte, error) {
 	bkeys := make([][]byte, len(keys))
 	for i, k := range keys {

@@ -12,8 +12,8 @@ import (
 //
 // The interesting comparisons:
 //   - ApplyBatch16 vs 16×Put: one WAL record + one commit section vs 16.
-//   - MultiGet16* vs Get16Seq*: one snapshot + one level walk + shared
-//     block decodes vs 16 independent probes.
+//   - MultiGet16* vs Get16Seq*: one snapshot + one iterator per table +
+//     shared block decodes vs 16 independent probes.
 //   - GetDuringFlush: p50 read latency while the memtable flushes — the
 //     background pipeline keeps reads off the old inline-build stall.
 

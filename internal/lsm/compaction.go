@@ -143,7 +143,7 @@ func (db *DB) mergeTables(inputs []tableMeta, dropTombstones bool) ([]tableMeta,
 		iters = append(iters, r.compactionIter())
 	}
 
-	merged := newMergeIter(iters)
+	merged := newMergeIter(iters, nil)
 	var outputs []tableMeta
 	var tb *tableBuilder
 	var tbNum uint64
@@ -313,12 +313,14 @@ func overlaps(t tableMeta, lo, hi []byte) bool {
 
 // --- merge iterator, newest (highest seq) wins ---
 
-// internalIter is the common shape of slIterator and tableIterator.
+// internalIter is the common shape of slIterator and tableIterator. err
+// reports the read error that ended the iteration, if one did.
 type internalIter interface {
 	next() bool
 	seekGE(key []byte) bool
 	key() []byte
 	entry() memEntry
+	err() error
 }
 
 var (
@@ -363,13 +365,21 @@ type mergeIter struct {
 	lastErr error
 }
 
-func newMergeIter(iters []internalIter) *mergeIter {
+// newMergeIter positions every source at its first entry, or at its first
+// entry >= start when start is non-nil.
+func newMergeIter(iters []internalIter, start []byte) *mergeIter {
 	m := &mergeIter{}
 	for _, it := range iters {
-		if it.next() {
+		var ok bool
+		if start != nil {
+			ok = it.seekGE(start)
+		} else {
+			ok = it.next()
+		}
+		if ok {
 			m.h = append(m.h, &mergeSource{it: it})
-		} else if t, ok := it.(*tableIterator); ok && t.err != nil {
-			m.lastErr = t.err
+		} else if err := it.err(); err != nil {
+			m.lastErr = err
 		}
 	}
 	heap.Init(&m.h)
@@ -393,8 +403,8 @@ func (m *mergeIter) next() bool {
 		if s.it.next() {
 			heap.Fix(&m.h, 0)
 		} else {
-			if t, ok := s.it.(*tableIterator); ok && t.err != nil {
-				m.lastErr = t.err
+			if err := s.it.err(); err != nil {
+				m.lastErr = err
 				return false
 			}
 			heap.Pop(&m.h)

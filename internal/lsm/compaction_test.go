@@ -213,8 +213,8 @@ func TestCompactionNeverMovesIntoBottomLevel(t *testing.T) {
 				t.Fatalf("tombstone for %s in bottom-level table %d", it.key(), m.Num)
 			}
 		}
-		if it.err != nil {
-			t.Fatal(it.err)
+		if it.err() != nil {
+			t.Fatal(it.err())
 		}
 	}
 	for i := 0; i < n; i++ {

@@ -1,9 +1,11 @@
 package lsm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -277,7 +279,7 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 		return nil, err
 	}
 	defer v.release()
-	e, ok, err := v.get(key)
+	e, ok, err := v.get(key, nil)
 	if err != nil {
 		return nil, db.noteReadErr(err)
 	}
@@ -287,6 +289,46 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	cp := make([]byte, len(e.value))
 	copy(cp, e.value)
 	return cp, nil
+}
+
+// MultiGet resolves many keys against one snapshot view (see view for the
+// isolation contract). It returns values and presence flags aligned with
+// keys: found[i] reports whether keys[i] exists (a present empty value is
+// found with an empty, non-nil slice). All returned values are private
+// copies — they never alias memtable or block-cache memory.
+//
+// It is the walk Get takes, once per key in key order, with one iterator
+// per table shared by all the keys: against len(keys) Gets it saves the
+// snapshot acquisitions, walks each table's index front to back once, and
+// decodes a data block once for all the keys that land in it.
+func (db *DB) MultiGet(keys [][]byte) (vals [][]byte, found []bool, err error) {
+	v, err := db.acquireView()
+	if err != nil {
+		return nil, nil, err
+	}
+	defer v.release()
+	db.multiGets.Add(1)
+
+	order := make([]int, len(keys))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int { return bytes.Compare(keys[a], keys[b]) })
+	its := make(map[uint64]*tableIterator)
+	vals = make([][]byte, len(keys))
+	found = make([]bool, len(keys))
+	for _, i := range order {
+		e, ok, err := v.get(keys[i], its)
+		if err != nil {
+			return nil, nil, db.noteReadErr(err)
+		}
+		if ok && e.kind != kindDelete {
+			found[i] = true
+			vals[i] = make([]byte, len(e.value))
+			copy(vals[i], e.value)
+		}
+	}
+	return vals, found, nil
 }
 
 // noteReadErr counts checksum-mismatched blocks surfacing from the read

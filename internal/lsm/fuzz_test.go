@@ -134,8 +134,8 @@ func FuzzManifest(f *testing.F) {
 }
 
 // FuzzOpenTable hands arbitrary bytes to everything that decodes a table
-// file: the footer, the index block, the bloom block and, through get and a
-// full iterator walk, the data blocks. A table file is read after every
+// file: the footer, the index block, the bloom block and, through get, a
+// full iterator walk and forward seeks, the data blocks. A table file is read after every
 // restart and may have been damaged at rest, so no input may panic, none
 // may make the reader hold more than a small multiple of the file's own
 // size, and damage shows as a failed open or as ErrBadBlock, never as data.
@@ -193,8 +193,20 @@ func FuzzOpenTable(f *testing.F) {
 				t.Fatalf("iterator yielded more entries than the file has bytes")
 			}
 		}
-		if it.err != nil && !errors.Is(it.err, ErrBadBlock) {
-			t.Fatalf("iter: %v", it.err)
+		if it.err() != nil && !errors.Is(it.err(), ErrBadBlock) {
+			t.Fatalf("iter: %v", it.err())
+		}
+		// The same iterator type, stepped the way MultiGet and a Scan from
+		// a start key step it: a forward seek to each block's last key,
+		// then one entry on.
+		sk := r.iter()
+		for _, e := range r.index {
+			if sk.seekGE(e.lastKey) {
+				sk.next()
+			}
+		}
+		if sk.err() != nil && !errors.Is(sk.err(), ErrBadBlock) {
+			t.Fatalf("seekGE: %v", sk.err())
 		}
 	})
 }

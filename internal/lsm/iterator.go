@@ -17,7 +17,9 @@ type KV struct {
 // during its block I/O, so it never stalls writers or flushes — writes
 // committed while the scan runs may or may not appear. It is intended for
 // bounded range reads (wide-column row scans, verification sweeps), not
-// full-database dumps under write load.
+// full-database dumps under write load. A read error ends the scan: the
+// pairs read so far come back with it, and a bad block counts in
+// Stats.BadBlocks as it does for Get.
 func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
 	v, err := db.acquireView()
 	if err != nil {
@@ -36,16 +38,7 @@ func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
 			}
 		}
 	}
-	if start != nil {
-		positioned := iters[:0]
-		for _, it := range iters {
-			if it.seekGE(start) {
-				positioned = append(positioned, &peekedIter{it: it, peeked: true})
-			}
-		}
-		iters = positioned
-	}
-	m := newMergeIter(iters)
+	m := newMergeIter(iters, start)
 	var out []KV
 	for m.next() {
 		if end != nil && bytes.Compare(m.key(), end) >= 0 {
@@ -63,28 +56,5 @@ func (db *DB) Scan(start, end []byte, limit int) ([]KV, error) {
 			break
 		}
 	}
-	return out, m.err()
+	return out, db.noteReadErr(m.err())
 }
-
-// peekedIter adapts an iterator that has already been positioned by seekGE:
-// the first next() reports the current position instead of advancing.
-type peekedIter struct {
-	it     internalIter
-	peeked bool
-}
-
-func (p *peekedIter) next() bool {
-	if p.peeked {
-		p.peeked = false
-		return true
-	}
-	return p.it.next()
-}
-
-func (p *peekedIter) seekGE(key []byte) bool {
-	p.peeked = false
-	return p.it.seekGE(key)
-}
-
-func (p *peekedIter) key() []byte     { return p.it.key() }
-func (p *peekedIter) entry() memEntry { return p.it.entry() }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -352,5 +353,63 @@ func TestConcurrentReadsDuringFlushAndCompaction(t *testing.T) {
 		if v, err := db.Get(k); err != nil || !bytes.Equal(v, val(i)) {
 			t.Fatalf("get %s after the run: %q, %v", k, v, err)
 		}
+	}
+}
+
+// TestMultiGetSharesOneBlockDecode pins the reason MultiGet exists: 16
+// adjacent keys in one data block of one table cost one block-cache lookup
+// as a MultiGet, where 16 Gets cost 16.
+func TestMultiGetSharesOneBlockDecode(t *testing.T) {
+	db := testDB(t, Options{DisableWAL: true})
+	b := &Batch{}
+	for i := 0; i < 1000; i++ {
+		b.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v"))
+	}
+	if err := db.Apply(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([][]byte, 16)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("k%04d", 100+i))
+	}
+	db.mu.RLock()
+	tables := db.current.man.Levels[0]
+	if len(tables) != 1 {
+		db.mu.RUnlock()
+		t.Fatalf("%d tables in L0, want 1", len(tables))
+	}
+	r := db.current.readers[tables[0].Num]
+	db.mu.RUnlock()
+	blk := sort.Search(len(r.index), func(i int) bool { return bytes.Compare(r.index[i].lastKey, keys[0]) >= 0 })
+	if blk == len(r.index) || bytes.Compare(keys[15], r.index[blk].lastKey) > 0 || (blk > 0 && bytes.Compare(keys[0], r.index[blk-1].lastKey) <= 0) {
+		t.Fatal("the 16 keys do not share one data block")
+	}
+
+	lookups := func() int64 { st := db.Stats(); return st.CacheHits + st.CacheMisses }
+	if n := lookups(); n != 0 {
+		t.Fatalf("block cache not cold: %d lookups before the reads", n)
+	}
+	_, found, err := db.MultiGet(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, ok := range found {
+		if !ok {
+			t.Fatalf("MultiGet missed %s", keys[i])
+		}
+	}
+	if n := lookups(); n != 1 {
+		t.Fatalf("MultiGet of 16 keys in one block made %d block-cache lookups, want 1", n)
+	}
+	for _, k := range keys {
+		if _, err := db.Get(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := lookups() - 1; n != 16 {
+		t.Fatalf("16 Gets made %d block-cache lookups, want 16", n)
 	}
 }

@@ -185,6 +185,9 @@ func (it *slIterator) seekGE(key []byte) bool {
 
 func (it *slIterator) key() []byte { return it.node.key }
 
+// err is always nil: a memtable read cannot fail.
+func (it *slIterator) err() error { return nil }
+
 // entry takes the lock: put overwrites a live node's entry in place.
 func (it *slIterator) entry() memEntry {
 	it.s.mu.RLock()

@@ -403,28 +403,13 @@ func (t *tableReader) maxSeq() uint64 {
 	return top
 }
 
-// blockFor returns the index position of the block that may contain key,
-// or -1 if key is past the table's range.
-func (t *tableReader) blockFor(key []byte) int {
-	i := sort.Search(len(t.index), func(i int) bool {
-		return bytes.Compare(t.index[i].lastKey, key) >= 0
-	})
-	if i == len(t.index) {
-		return -1
-	}
-	return i
-}
-
 // get looks up key; ok=false means not in this table. It is a fresh
-// cursor's first seek. The returned entry's value aliases block (cache)
-// memory — blocks are immutable, but callers must copy before handing the
-// value to users (DB.Get does).
+// iterator's get. The returned entry's value aliases block (cache) memory —
+// blocks are immutable, but callers must copy before handing the value to
+// users (DB.Get does).
 func (t *tableReader) get(key []byte) (memEntry, bool, error) {
-	if !t.bloom.MayContain(key) {
-		return memEntry{}, false, nil
-	}
-	c := tableCursor{t: t}
-	return c.seek(key)
+	it := tableIterator{t: t}
+	return it.get(key)
 }
 
 // blockIter decodes entries from one data block.
@@ -481,14 +466,18 @@ func (it *blockIter) next() bool {
 	return true
 }
 
-// tableIterator walks all entries of a table in key order.
+// tableIterator walks a table's entries in key order. It only moves
+// forward: a seekGE to a key at or before its position stays put, so a
+// run of ascending point lookups (MultiGet's sorted keys) walks the index
+// front to back once and decodes a block shared by several keys once.
 type tableIterator struct {
 	t        *tableReader
 	scratch  *[]byte // nil on a foreground iterator; see readBlock
-	blockIdx int
+	blockIdx int     // the block bi holds when loaded, else the next to load
+	loaded   bool
+	valid    bool // bi's current entry is the iterator's position
 	bi       blockIter
-	inited   bool
-	err      error
+	fail     error
 }
 
 func (t *tableReader) iter() *tableIterator { return &tableIterator{t: t} }
@@ -500,63 +489,90 @@ func (t *tableReader) compactionIter() *tableIterator {
 	return &tableIterator{t: t, scratch: new([]byte)}
 }
 
-func (it *tableIterator) next() bool {
-	if it.err != nil {
+// load decodes block blockIdx; false past the last block or on a read error.
+func (it *tableIterator) load() bool {
+	if it.blockIdx >= len(it.t.index) {
 		return false
 	}
-	for {
-		if !it.inited {
-			if it.blockIdx >= len(it.t.index) {
-				return false
-			}
-			blk, err := it.t.readBlock(it.blockIdx, it.scratch)
-			if err != nil {
-				it.err = err
-				return false
-			}
-			it.bi = blockIter{data: blk}
-			it.inited = true
+	blk, err := it.t.readBlock(it.blockIdx, it.scratch)
+	if err != nil {
+		it.fail = err
+		return false
+	}
+	it.bi = blockIter{data: blk}
+	it.loaded = true
+	return true
+}
+
+func (it *tableIterator) next() bool {
+	for it.fail == nil {
+		if !it.loaded && !it.load() {
+			break
 		}
 		if it.bi.next() {
+			it.valid = true
 			return true
 		}
 		if it.bi.err != nil {
-			it.err = it.bi.err
-			return false
+			it.fail = it.bi.err
+			break
 		}
 		it.blockIdx++
-		it.inited = false
+		it.loaded = false
 	}
+	it.valid = false
+	return false
 }
 
-// seekGE positions at the first entry >= key. Returns true if positioned.
+// seekGE positions at the first entry >= key that is not behind the
+// current position. Returns true if positioned. A key the decoded block
+// may still hold is sought in that block; any other searches only the
+// index past it.
 func (it *tableIterator) seekGE(key []byte) bool {
-	bi := it.t.blockFor(key)
-	if bi < 0 {
-		it.blockIdx = len(it.t.index)
-		it.inited = false
+	if it.fail != nil {
 		return false
 	}
-	blk, err := it.t.readBlock(bi, it.scratch)
-	if err != nil {
-		it.err = err
-		return false
+	if it.valid && bytes.Compare(it.bi.ikey, key) >= 0 {
+		return true
 	}
-	it.blockIdx = bi
-	it.bi = blockIter{data: blk}
-	it.inited = true
+	if !it.loaded || bytes.Compare(key, it.t.index[it.blockIdx].lastKey) > 0 {
+		if it.loaded {
+			it.blockIdx++
+		}
+		rest := it.t.index[it.blockIdx:]
+		it.blockIdx += sort.Search(len(rest), func(i int) bool {
+			return bytes.Compare(rest[i].lastKey, key) >= 0
+		})
+		it.loaded, it.valid = false, false
+		if !it.load() {
+			return false
+		}
+	}
 	for it.bi.next() {
 		if bytes.Compare(it.bi.ikey, key) >= 0 {
+			it.valid = true
 			return true
 		}
 	}
-	// Key falls after this block's last key — advance to the next block.
-	it.blockIdx++
-	it.inited = false
+	// Key falls after this block's last entry: the next block's first
+	// entry is the answer.
 	return it.next()
+}
+
+// get reports the entry for key: a bloom check, then one seekGE. Keys
+// looked up through one iterator must not decrease.
+func (it *tableIterator) get(key []byte) (memEntry, bool, error) {
+	if !it.t.bloom.MayContain(key) {
+		return memEntry{}, false, nil
+	}
+	if !it.seekGE(key) || !bytes.Equal(it.key(), key) {
+		return memEntry{}, false, it.fail
+	}
+	return it.entry(), true, nil
 }
 
 func (it *tableIterator) key() []byte { return it.bi.ikey }
 func (it *tableIterator) entry() memEntry {
 	return memEntry{seq: it.bi.seq, kind: it.bi.kind, value: it.bi.val}
 }
+func (it *tableIterator) err() error { return it.fail }

@@ -104,8 +104,8 @@ func TestSSTableIterator(t *testing.T) {
 		prev = append(prev[:0], it.key()...)
 		i++
 	}
-	if it.err != nil {
-		t.Fatal(it.err)
+	if it.err() != nil {
+		t.Fatal(it.err())
 	}
 	if i != 300 {
 		t.Fatalf("iterated %d entries", i)

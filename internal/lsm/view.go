@@ -115,10 +115,13 @@ func (v *view) memGet(key []byte) (memEntry, bool) {
 	return memEntry{}, false
 }
 
-// get resolves key against the full snapshot. The returned entry's value
-// may alias memtable or block-cache memory — callers copy before returning
-// anything to the user (the DB.Get/MultiGet contract).
-func (v *view) get(key []byte) (memEntry, bool, error) {
+// get resolves key against the full snapshot; it is the one level walk.
+// Get passes its == nil and probes each table with a fresh iterator;
+// MultiGet passes one iterator per table, shared by its ascending keys.
+// The returned entry's value may alias memtable or block-cache memory —
+// callers copy before returning anything to the user (the DB.Get/MultiGet
+// contract).
+func (v *view) get(key []byte, its map[uint64]*tableIterator) (memEntry, bool, error) {
 	if e, ok := v.memGet(key); ok {
 		return e, true, nil
 	}
@@ -133,7 +136,7 @@ func (v *view) get(key []byte) (memEntry, bool, error) {
 		if bytes.Compare(key, meta.Smallest) < 0 || bytes.Compare(key, meta.Largest) > 0 {
 			continue
 		}
-		e, ok, err := r.get(key)
+		e, ok, err := probe(r, key, its)
 		if err != nil {
 			return memEntry{}, false, err
 		}
@@ -154,7 +157,7 @@ func (v *view) get(key []byte) (memEntry, bool, error) {
 			if r == nil {
 				continue
 			}
-			e, ok, err := r.get(key)
+			e, ok, err := probe(r, key, its)
 			if err != nil {
 				return memEntry{}, false, err
 			}
@@ -165,4 +168,18 @@ func (v *view) get(key []byte) (memEntry, bool, error) {
 		}
 	}
 	return memEntry{}, false, nil
+}
+
+// probe looks key up in table r: through r's iterator in its, made on
+// first use, or through a fresh one when its is nil.
+func probe(r *tableReader, key []byte, its map[uint64]*tableIterator) (memEntry, bool, error) {
+	if its == nil {
+		return r.get(key)
+	}
+	it := its[r.meta.Num]
+	if it == nil {
+		it = r.iter()
+		its[r.meta.Num] = it
+	}
+	return it.get(key)
 }
