@@ -163,4 +163,17 @@ func (w *WAL) Sync() error {
 // Close implements wal.Appender (never injected: teardown must work).
 func (w *WAL) Close() error { return w.Inner.Close() }
 
+// Rotate implements wal.Appender, gated like Append: a failing disk fails
+// the segment switch, and with it the memtable rotation.
+func (w *WAL) Rotate() (int, error) {
+	if err := w.gate(true); err != nil {
+		return 0, err
+	}
+	return w.Inner.Rotate()
+}
+
+// RemoveBefore implements wal.Appender (never injected: reclamation is
+// best-effort, and a failure would only keep segments replay filters).
+func (w *WAL) RemoveBefore(seq int) error { return w.Inner.RemoveBefore(seq) }
+
 var _ wal.Appender = (*WAL)(nil)

@@ -3,11 +3,16 @@ package faults
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"tierbase/internal/cache"
+	"tierbase/internal/lsm"
+	"tierbase/internal/wal"
 )
 
 // tcpPair returns both ends of a loopback TCP connection.
@@ -317,11 +322,15 @@ func TestStorageInjector(t *testing.T) {
 type memWAL struct {
 	appends int
 	syncs   int
+	seg     int
+	removed int
 }
 
-func (m *memWAL) Append(p []byte) error { m.appends++; return nil }
-func (m *memWAL) Sync() error           { m.syncs++; return nil }
-func (m *memWAL) Close() error          { return nil }
+func (m *memWAL) Append(p []byte) error      { m.appends++; return nil }
+func (m *memWAL) Sync() error                { m.syncs++; return nil }
+func (m *memWAL) Close() error               { return nil }
+func (m *memWAL) Rotate() (int, error)       { m.seg++; return m.seg, nil }
+func (m *memWAL) RemoveBefore(seq int) error { m.removed = seq; return nil }
 
 func TestWALInjector(t *testing.T) {
 	inner := &memWAL{}
@@ -345,5 +354,73 @@ func TestWALInjector(t *testing.T) {
 	}
 	if inner.appends != 1 || inner.syncs != 1 {
 		t.Fatalf("inner saw appends=%d syncs=%d", inner.appends, inner.syncs)
+	}
+}
+
+// TestWrappedWALReclaimsSegments: an LSM whose WAL is wrapped in the fault
+// injector rotates and frees its log at every flush, as it does through a
+// plain wal.Log. Once everything is flushed the log holds no record.
+func TestWrappedWALReclaimsSegments(t *testing.T) {
+	dir := t.TempDir()
+	db, err := lsm.Open(lsm.Options{
+		Dir:           dir,
+		MemtableBytes: 4 << 10,
+		WALFactory: func(walDir string) (wal.Appender, error) {
+			l, err := wal.Open(wal.Options{Dir: walDir, Policy: wal.SyncNever})
+			if err != nil {
+				return nil, err
+			}
+			return WrapWAL(l), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := bytes.Repeat([]byte("w"), 256)
+	for i := 0; i < 200; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("seg%04d", i)), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	flushes := db.Stats().Flushes
+	// Close waits for the flusher, so the last flush has freed its segments.
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "wal", "wal-*.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held int64
+	for _, s := range segs {
+		fi, err := os.Stat(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		held += fi.Size()
+	}
+	if flushes < 2 || held != 0 {
+		t.Fatalf("after %d flushes the wrapped WAL holds %d bytes in %d segments; want 0", flushes, held, len(segs))
+	}
+}
+
+// TestWALInjectorGatesRotate: Rotate fails like Append while writes fail,
+// and RemoveBefore always reaches the wrapped log.
+func TestWALInjectorGatesRotate(t *testing.T) {
+	inner := &memWAL{}
+	w := WrapWAL(inner)
+	w.FailWrites(true)
+	if _, err := w.Rotate(); !errors.Is(err, ErrInjectedDisk) {
+		t.Fatalf("rotate: %v", err)
+	}
+	if err := w.RemoveBefore(3); err != nil || inner.removed != 3 {
+		t.Fatalf("remove before: %v, inner saw %d", err, inner.removed)
+	}
+	w.FailWrites(false)
+	if seg, err := w.Rotate(); err != nil || seg != 1 {
+		t.Fatalf("rotate = %d, %v; want 1", seg, err)
 	}
 }

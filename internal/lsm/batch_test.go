@@ -31,8 +31,10 @@ func (c *countingAppender) Append(p []byte) error {
 	}
 	return c.inner.Append(p)
 }
-func (c *countingAppender) Sync() error  { return c.inner.Sync() }
-func (c *countingAppender) Close() error { return c.inner.Close() }
+func (c *countingAppender) Sync() error                { return c.inner.Sync() }
+func (c *countingAppender) Close() error               { return c.inner.Close() }
+func (c *countingAppender) Rotate() (int, error)       { return c.inner.Rotate() }
+func (c *countingAppender) RemoveBefore(seq int) error { return c.inner.RemoveBefore(seq) }
 
 func openCountingDB(t *testing.T, dir string, delay time.Duration) (*DB, *countingAppender) {
 	t.Helper()
@@ -286,11 +288,9 @@ func TestWALSegmentsReclaimedAfterFlush(t *testing.T) {
 }
 
 // TestPMemWALSegmentsReclaimedAfterFlush: the same reclamation guarantee
-// through a PMem-fronted WAL — PMemLog implements wal.Rotator by
-// draining its ring and delegating to the backing log, so the
-// file-backed tail of the WAL-PMem strategy no longer grows without
-// bound (a seed-era gap: the LSM used to type-assert *wal.Log and skip
-// reclamation for every other Appender).
+// through a PMem-fronted WAL — PMemLog's Rotate drains its ring and
+// delegates to the backing log, so the file-backed tail of the WAL-PMem
+// strategy does not grow without bound.
 func TestPMemWALSegmentsReclaimedAfterFlush(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Open(Options{

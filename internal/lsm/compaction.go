@@ -97,15 +97,13 @@ func (db *DB) compactLeveled() bool {
 	if len(inputs) == 1 && outLevel > 1 && !bottom {
 		return db.installMove(inputs[0], outLevel)
 	}
-	outputs, err := db.mergeTables(inputs, bottom)
-	if err != nil {
-		// Abandon this round; inputs remain valid.
-		return false
-	}
-	return db.installCompaction(inputs, outputs, outLevel)
+	return db.merge(inputs, outLevel, bottom, db.opts.TargetFileBytes)
 }
 
-// compactSizeTiered merges the N smallest similar-sized runs (all in L0).
+// compactSizeTiered merges the N smallest similar-sized runs (all in L0)
+// into one run. The output is one table, never cut at TargetFileBytes: a
+// cut merge of N runs can write N tables back, and L0 would then never
+// fall below the threshold.
 func (db *DB) compactSizeTiered() bool {
 	const minThreshold = 4
 	db.mu.RLock()
@@ -118,165 +116,199 @@ func (db *DB) compactSizeTiered() bool {
 	sort.Slice(tables, func(i, j int) bool { return tables[i].Size < tables[j].Size })
 	inputs := tables[:minThreshold]
 	dropTombstones := len(inputs) == len(tables)
-	outputs, err := db.mergeTables(inputs, dropTombstones)
-	if err != nil {
-		return false
-	}
-	return db.installCompaction(inputs, outputs, 0)
+	return db.merge(inputs, 0, dropTombstones, 0)
 }
 
-// mergeTables merge-sorts the inputs into new tables split at
-// TargetFileBytes; runs without holding db.mu. A version reference pins
-// the input readers for the duration of the merge.
-func (db *DB) mergeTables(inputs []tableMeta, dropTombstones bool) ([]tableMeta, error) {
+// merge merge-sorts the inputs into new tables cut at target bytes (0: one
+// table) and installs them in outLevel in the inputs' place; it reports
+// whether it did. A failed round is abandoned and the inputs stay valid.
+// It runs without holding db.mu; a version reference pins the input
+// readers for the duration of the merge.
+func (db *DB) merge(inputs []tableMeta, outLevel int, dropTombstones bool, target int64) bool {
 	db.mu.RLock()
 	ver := db.current
 	ver.ref()
 	db.mu.RUnlock()
 	defer ver.unref()
 	iters := make([]internalIter, 0, len(inputs))
+	remove := make(map[uint64]bool, len(inputs))
 	for _, meta := range inputs {
 		r := ver.readers[meta.Num]
 		if r == nil {
-			return nil, ErrDBClosed
+			return false
 		}
 		iters = append(iters, r.compactionIter())
+		remove[meta.Num] = true
 	}
+	outputs, err := db.writeTables(newMergeIter(iters, nil), dropTombstones, target)
+	return err == nil && db.install(edit{remove: remove, add: outputs, level: outLevel}) == nil
+}
 
-	merged := newMergeIter(iters, nil)
+// writeTables writes it, in its key order, to new tables: the one table
+// writer, for flushes (a sealed memtable's own iterator, one table) and
+// merges (a merge iterator; a leveled merge cuts at TargetFileBytes). It
+// drops tombstones when asked and starts a new table once the current one
+// holds target bytes of entries; target 0 writes one table. No input
+// writes no table. On error the tables written so far are abandoned and
+// removed.
+func (db *DB) writeTables(it entryIter, dropTombstones bool, target int64) ([]tableMeta, error) {
 	var outputs []tableMeta
 	var tb *tableBuilder
 	var tbNum uint64
 	var tbBytes int64
-	finishCurrent := func() error {
-		if tb == nil {
-			return nil
-		}
-		meta, err := tb.finish(tbNum)
-		if err != nil {
-			return err
-		}
-		outputs = append(outputs, meta)
-		db.compactionBytes.Add(meta.Size)
-		tb = nil
-		tbBytes = 0
-		return nil
-	}
-	abort := func() {
+	fail := func(err error) ([]tableMeta, error) {
 		if tb != nil {
 			tb.abandon()
 		}
 		for _, m := range outputs {
 			os.Remove(tableFileName(db.opts.Dir, m.Num))
 		}
+		return nil, err
 	}
-	for merged.next() {
-		e := merged.entry()
+	finish := func() error {
+		meta, err := tb.finish(tbNum)
+		if err != nil {
+			return err
+		}
+		outputs = append(outputs, meta)
+		tb, tbBytes = nil, 0
+		return nil
+	}
+	for it.next() {
+		e := it.entry()
 		if dropTombstones && e.kind == kindDelete {
 			continue
 		}
 		if tb == nil {
 			tbNum = db.allocFileNum()
 			var err error
-			tb, err = newTableBuilder(tableFileName(db.opts.Dir, tbNum), db.opts.BlockBytes, db.opts.BloomBitsPerKey)
-			if err != nil {
-				abort()
-				return nil, err
+			if tb, err = newTableBuilder(tableFileName(db.opts.Dir, tbNum), db.opts.BlockBytes, db.opts.BloomBitsPerKey); err != nil {
+				return fail(err)
 			}
 		}
-		if err := tb.add(merged.key(), e); err != nil {
-			abort()
-			return nil, err
+		k := it.key()
+		if err := tb.add(k, e); err != nil {
+			return fail(err)
 		}
-		tbBytes += int64(len(merged.key()) + len(e.value) + 16)
-		if tbBytes >= db.opts.TargetFileBytes {
-			if err := finishCurrent(); err != nil {
-				abort()
-				return nil, err
+		tbBytes += int64(len(k) + len(e.value) + 16)
+		if target > 0 && tbBytes >= target {
+			if err := finish(); err != nil {
+				return fail(err)
 			}
 		}
 	}
-	if merged.err() != nil {
-		abort()
-		return nil, merged.err()
+	if err := it.err(); err != nil {
+		return fail(err)
 	}
-	if err := finishCurrent(); err != nil {
-		abort()
-		return nil, err
+	if tb != nil {
+		if err := finish(); err != nil {
+			return fail(err)
+		}
 	}
 	return outputs, nil
 }
 
-// installEdit installs the successor version in which the tables numbered
-// in remove have left their levels and add is in level; readers holds an
-// open reader for each of add that is a new file. It returns the version it
-// replaced, which the caller releases, or nil if nothing was installed.
-func (db *DB) installEdit(remove map[uint64]bool, add []tableMeta, level int, readers map[uint64]*tableReader) *version {
+// edit is one version change: the tables numbered in remove leave their
+// levels and add joins level. A flush's edit names the memtable it wrote:
+// installing it advances LastSeq to the memtable's and takes it off
+// db.imm.
+type edit struct {
+	remove  map[uint64]bool
+	add     []tableMeta
+	level   int
+	flushed *memtable
+}
+
+// installEdit saves and installs the successor version that e makes;
+// readers holds an open reader for each of e.add that is a new file. It
+// returns the version it replaced, which the caller releases, or an error
+// (ErrDBClosed on a closed DB) if nothing was installed.
+//
+// A flushed memtable leaves db.imm in the same critical section as the
+// version swap, so a snapshot view finds its entries in one place or the
+// other, never in neither.
+func (db *DB) installEdit(e edit, readers map[uint64]*tableReader) (*version, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		return nil
+		return nil, ErrDBClosed
 	}
 	cur := db.current
 	newMan := cur.man.clone()
-	newMan.replace(remove, add, level)
+	newMan.replace(e.remove, e.add, e.level)
 	newMan.NextFile = db.nextFile.Load()
+	if e.flushed != nil {
+		newMan.LastSeq = e.flushed.maxSeq
+	}
 	if err := newMan.save(db.opts.Dir); err != nil {
-		return nil
+		return nil, err
 	}
 	db.current = cur.successor(newMan, readers)
-	return cur
+	if e.flushed != nil {
+		db.imm = append([]*memtable(nil), db.imm[1:]...)
+		db.flushCond.Broadcast()
+	}
+	return cur, nil
 }
 
-// installCompaction swaps a merge's inputs for its outputs. Input readers
-// are marked obsolete: their files are deleted when the last snapshot view
-// referencing them is released (or immediately, if no read is in flight).
-func (db *DB) installCompaction(inputs, outputs []tableMeta, outLevel int) bool {
-	newReaders := make(map[uint64]*tableReader, len(outputs))
-	discard := func() bool {
-		for _, nr := range newReaders {
-			nr.unref()
+// install installs e, whose added tables are all newly written by a flush
+// or a merge: it opens their readers first (fresh files, no races) and, if
+// the install fails, closes them and deletes the files. The tables e
+// removes are marked obsolete: their files are deleted when the last
+// snapshot view referencing them is released (or immediately, if no read
+// is in flight). The round and the bytes it wrote are counted here, after
+// the install, as a flush's or as a merge's.
+func (db *DB) install(e edit) error {
+	readers := make(map[uint64]*tableReader, len(e.add))
+	discard := func(err error) error {
+		for _, r := range readers {
+			r.unref()
 		}
-		for _, m := range outputs {
+		for _, m := range e.add {
 			os.Remove(tableFileName(db.opts.Dir, m.Num))
 		}
-		return false
+		return err
 	}
-	// Open output readers before taking the lock: fresh files, no races.
-	for _, m := range outputs {
+	for _, m := range e.add {
 		r, err := openTable(db.opts.Dir, m, db.cache)
 		if err != nil {
-			return discard()
+			return discard(err)
 		}
-		newReaders[m.Num] = r
+		readers[m.Num] = r
 	}
-	inSet := make(map[uint64]bool, len(inputs))
-	for _, m := range inputs {
-		inSet[m.Num] = true
+	prev, err := db.installEdit(e, readers)
+	if err != nil {
+		return discard(err)
 	}
-	prev := db.installEdit(inSet, outputs, outLevel, newReaders)
-	if prev == nil {
-		return discard()
-	}
-	// prev still holds the inputs' readers, so none can close before it is
-	// marked.
-	for _, m := range inputs {
-		prev.readers[m.Num].markObsolete()
+	// prev still holds the removed tables' readers, so none can close
+	// before it is marked.
+	for num := range e.remove {
+		prev.readers[num].markObsolete()
 		if db.cache != nil {
-			db.cache.dropFile(m.Num)
+			db.cache.dropFile(num)
 		}
 	}
 	prev.unref()
-	db.compactions.Add(1)
-	return true
+	var written int64
+	for _, m := range e.add {
+		written += m.Size
+	}
+	if e.flushed != nil {
+		db.flushes.Add(1)
+		db.flushBytes.Add(written)
+	} else {
+		db.compactions.Add(1)
+		db.compactionBytes.Add(written)
+	}
+	return nil
 }
 
 // installMove puts table t, wherever it was, in outLevel. Nothing else
 // changes hands: the successor holds the same open reader, the file keeps
 // its number and the block cache keeps its blocks.
 func (db *DB) installMove(t tableMeta, outLevel int) bool {
-	prev := db.installEdit(map[uint64]bool{t.Num: true}, []tableMeta{t}, outLevel, nil)
-	if prev == nil {
+	prev, err := db.installEdit(edit{remove: map[uint64]bool{t.Num: true}, add: []tableMeta{t}, level: outLevel}, nil)
+	if err != nil {
 		return false
 	}
 	prev.unref()
@@ -313,19 +345,26 @@ func overlaps(t tableMeta, lo, hi []byte) bool {
 
 // --- merge iterator, newest (highest seq) wins ---
 
-// internalIter is the common shape of slIterator and tableIterator. err
-// reports the read error that ended the iteration, if one did.
-type internalIter interface {
+// entryIter yields entries in ascending key order: what writeTables
+// writes. err reports the read error that ended the iteration, if one did.
+type entryIter interface {
 	next() bool
-	seekGE(key []byte) bool
 	key() []byte
 	entry() memEntry
 	err() error
 }
 
+// internalIter is the common shape of slIterator and tableIterator: an
+// entryIter that can also seek.
+type internalIter interface {
+	entryIter
+	seekGE(key []byte) bool
+}
+
 var (
 	_ internalIter = (*slIterator)(nil)
 	_ internalIter = (*tableIterator)(nil)
+	_ entryIter    = (*mergeIter)(nil)
 )
 
 type mergeSource struct {

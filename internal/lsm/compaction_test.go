@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"sort"
 	"testing"
@@ -275,5 +276,94 @@ func TestCompactionScansLeaveBlockCacheAlone(t *testing.T) {
 	if st = db.Stats(); st.CacheHits != warm.CacheHits+1 || st.CacheMisses != warm.CacheMisses {
 		t.Fatalf("the hot block did not survive the compactions: hits %d -> %d, misses %d -> %d",
 			warm.CacheHits, st.CacheHits, warm.CacheMisses, st.CacheMisses)
+	}
+}
+
+// TestWriteAmplificationCounts pins the write side by count: a seeded load
+// of 24 rounds, each 300 ops (10 % deletes) over 5000 keys and then a Flush
+// and a CompactAll, must flush, merge, move and write exactly these tables.
+// A change that moves one of these numbers changes what the LSM writes; it
+// edits the pin in the same diff and says why.
+func TestWriteAmplificationCounts(t *testing.T) {
+	type counts struct {
+		Flushes, Compactions, Moves, FlushBytes, CompactionBytes int64
+		LevelFiles                                               []int
+	}
+	for _, tc := range []struct {
+		name  string
+		style CompactionStyle
+		want  counts
+	}{
+		{"leveled", Leveled, counts{24, 34, 6, 588593, 1908238, []int{0, 5, 18, 0}}},
+		{"size-tiered", SizeTiered, counts{24, 7, 0, 588593, 1481961, []int{3, 0, 0, 0}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, err := Open(Options{
+				Dir:             t.TempDir(),
+				DisableWAL:      true,
+				MemtableBytes:   1 << 20, // no rotation but Flush's
+				TargetFileBytes: 16 << 10,
+				BaseLevelBytes:  64 << 10,
+				MaxLevels:       4,
+				Compaction:      tc.style,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(47))
+			for round := 0; round < 24; round++ {
+				for op := 0; op < 300; op++ {
+					key := []byte(fmt.Sprintf("wa%04d", rng.Intn(5000)))
+					if rng.Intn(10) == 0 {
+						err = db.Delete(key)
+					} else {
+						err = db.Put(key, bytes.Repeat([]byte{byte('a' + round)}, 40+rng.Intn(80)))
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				db.CompactAll()
+			}
+			// Close first: the counters are final once the background
+			// flusher and compactor have exited.
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			st := db.Stats()
+			got := counts{st.Flushes, st.Compactions, st.Moves, st.FlushBytes, st.CompactionBytes, st.LevelFiles}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Fatalf("write side = %+v\nwant          %+v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestSizeTieredMergeWritesOneRun: a size-tiered merge of four runs writes
+// one run, whatever TargetFileBytes says. Cut at TargetFileBytes, a merge of
+// four runs each larger than the target wrote four runs back, L0 never fell
+// below the threshold and the compactor rewrote the same data forever.
+func TestSizeTieredMergeWritesOneRun(t *testing.T) {
+	db := testDB(t, Options{DisableWAL: true, Compaction: SizeTiered, TargetFileBytes: 4 << 10})
+	for run := 0; run < 4; run++ {
+		for i := 0; i < 200; i++ {
+			if err := db.Put(stepKey(run*200+i), stepVal(i, run)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for rounds := 0; db.compactOnce(); rounds++ {
+		if rounds == 10 {
+			t.Fatalf("still merging after %d rounds: level files %v", rounds, db.Stats().LevelFiles)
+		}
+	}
+	if st := db.Stats(); st.LevelFiles[0] != 1 {
+		t.Fatalf("four runs merged into %d", st.LevelFiles[0])
 	}
 }

@@ -347,6 +347,15 @@ func (db *DB) noteReadErr(err error) error {
 func (db *DB) Flush() error {
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
+	return db.drain()
+}
+
+// drain seals the active memtable, if it holds anything, and waits until
+// the immutable-memtable backlog is empty: Flush, and Close before it stops
+// the flusher. A failed seal still waits for the memtables sealed before
+// it, and is the error returned. Caller holds commitMu, so ErrDBClosed
+// means the DB was closed before the call.
+func (db *DB) drain() error {
 	db.mu.RLock()
 	if db.closed {
 		db.mu.RUnlock()
@@ -354,28 +363,19 @@ func (db *DB) Flush() error {
 	}
 	hasData := db.mem.sl.entries() > 0
 	db.mu.RUnlock()
+	var err error
 	if hasData {
-		if err := db.rotate(); err != nil {
-			return err
-		}
+		err = db.rotate()
 	}
-	return db.waitFlushed()
-}
-
-// waitFlushed blocks until the immutable-memtable backlog is empty.
-func (db *DB) waitFlushed() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for len(db.imm) > 0 && db.flushErr == nil && !db.closed {
 		db.flushCond.Wait()
 	}
-	if db.flushErr != nil {
-		return db.flushErr
+	if err == nil {
+		err = db.flushErr
 	}
-	if db.closed {
-		return ErrDBClosed
-	}
-	return nil
+	return err
 }
 
 func (db *DB) triggerCompaction() {
@@ -454,19 +454,9 @@ func (db *DB) Stats() Stats {
 func (db *DB) Close() error {
 	db.commitMu.Lock()
 	defer db.commitMu.Unlock()
-	db.mu.RLock()
-	if db.closed {
-		db.mu.RUnlock()
+	ferr := db.drain()
+	if errors.Is(ferr, ErrDBClosed) {
 		return nil
-	}
-	hasData := db.mem.sl.entries() > 0
-	db.mu.RUnlock()
-	var ferr error
-	if hasData {
-		ferr = db.rotate()
-	}
-	if werr := db.waitFlushed(); ferr == nil {
-		ferr = werr
 	}
 	db.mu.Lock()
 	db.closed = true

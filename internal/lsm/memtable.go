@@ -1,10 +1,6 @@
 package lsm
 
-import (
-	"os"
-
-	"tierbase/internal/wal"
-)
+import "errors"
 
 // memtable wraps the skiplist with the bookkeeping the flush pipeline
 // needs. A memtable is in one of two states:
@@ -55,13 +51,11 @@ func (db *DB) rotate() error {
 	// segments older than the new one.
 	keepSeg := 0
 	if db.wlog != nil {
-		if l, ok := db.wlog.(wal.Rotator); ok {
-			seg, err := l.Rotate()
-			if err != nil {
-				return err
-			}
-			keepSeg = seg
+		seg, err := db.wlog.Rotate()
+		if err != nil {
+			return err
 		}
+		keepSeg = seg
 	}
 	db.mu.Lock()
 	for len(db.imm) >= db.opts.MaxImmutables && db.flushErr == nil && !db.closed {
@@ -104,7 +98,12 @@ func (db *DB) flushLoop() {
 	}
 }
 
-// flushOne flushes the oldest immutable memtable; reports work done.
+// flushOne flushes the oldest immutable memtable; reports work done. The
+// memtable is written as a merge's output is, by writeTables, with no
+// tombstone dropped and no cut (one L0 table), and installed as one: an
+// edit that appends the table to L0, advances LastSeq to the memtable's and
+// takes the memtable off db.imm. A closed DB stops the flush quietly; any
+// other failure is sticky (failFlush).
 func (db *DB) flushOne() bool {
 	db.mu.RLock()
 	if db.closed || db.flushErr != nil || len(db.imm) == 0 {
@@ -114,72 +113,23 @@ func (db *DB) flushOne() bool {
 	m := db.imm[0]
 	db.mu.RUnlock()
 
-	meta, err := db.buildTable(m)
+	tables, err := db.writeTables(m.sl.iter(), false, 0)
+	if err == nil {
+		err = db.install(edit{add: tables, level: 0, flushed: m})
+	}
 	if err != nil {
-		db.failFlush(err)
-		return false
-	}
-	r, err := openTable(db.opts.Dir, meta, db.cache)
-	if err != nil {
-		os.Remove(tableFileName(db.opts.Dir, meta.Num))
-		db.failFlush(err)
-		return false
-	}
-
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		r.unref()
-		os.Remove(tableFileName(db.opts.Dir, meta.Num))
-		return false
-	}
-	cur := db.current
-	newMan := cur.man.clone()
-	newMan.NextFile = db.nextFile.Load()
-	newMan.LastSeq = m.maxSeq
-	newMan.Levels[0] = append(newMan.Levels[0], meta)
-	if err := newMan.save(db.opts.Dir); err != nil {
-		db.mu.Unlock()
-		r.unref()
-		os.Remove(tableFileName(db.opts.Dir, meta.Num))
-		db.failFlush(err)
-		return false
-	}
-	db.current = cur.successor(newMan, map[uint64]*tableReader{meta.Num: r})
-	db.imm = append([]*memtable(nil), db.imm[1:]...)
-	db.flushCond.Broadcast()
-	db.mu.Unlock()
-	cur.unref()
-
-	db.flushes.Add(1)
-	db.flushBytes.Add(meta.Size)
-	if db.wlog != nil && m.walKeepSeg > 0 {
-		if l, ok := db.wlog.(wal.Rotator); ok {
-			// Best-effort space reclamation; replay filters records with
-			// seq <= manifest.LastSeq, so a leftover segment is harmless.
-			l.RemoveBefore(m.walKeepSeg)
+		if !errors.Is(err, ErrDBClosed) {
+			db.failFlush(err)
 		}
+		return false
+	}
+	if db.wlog != nil {
+		// Best-effort space reclamation; replay filters records with
+		// seq <= manifest.LastSeq, so a leftover segment is harmless.
+		_ = db.wlog.RemoveBefore(m.walKeepSeg)
 	}
 	db.triggerCompaction()
 	return true
-}
-
-// buildTable writes memtable m to a new L0 SSTable without holding any DB
-// lock (m is sealed, hence immutable).
-func (db *DB) buildTable(m *memtable) (tableMeta, error) {
-	num := db.allocFileNum()
-	tb, err := newTableBuilder(tableFileName(db.opts.Dir, num), db.opts.BlockBytes, db.opts.BloomBitsPerKey)
-	if err != nil {
-		return tableMeta{}, err
-	}
-	it := m.sl.iter()
-	for it.next() {
-		if err := tb.add(it.key(), it.entry()); err != nil {
-			tb.abandon()
-			return tableMeta{}, err
-		}
-	}
-	return tb.finish(num)
 }
 
 // failFlush records a sticky background-flush error. Writers surface it on

@@ -12,17 +12,17 @@ import (
 // synchronously persisted to a PMem ring buffer (overcoming the disk IOPS
 // bottleneck while keeping per-transaction durability), and a background
 // drainer batch-moves records to a conventional file-backed Log, keeping
-// the ring small.
+// the ring small. The backing log is required: it is where records live
+// once drained, and what Rotate and RemoveBefore act on.
 type PMemLog struct {
 	ring *pmem.Ring
-	back *Log // slower durable backing store; nil means ring-only
+	back *Log // slower durable backing store
 
 	mu       sync.Mutex
 	closed   bool
 	stopCh   chan struct{}
 	doneCh   chan struct{}
 	drainErr error
-	appends  int64
 
 	// drainMu serializes ring→backing moves. Drains run from the
 	// background loop, from Append backpressure, from Close, and from
@@ -36,9 +36,12 @@ type PMemLog struct {
 	DrainEvery time.Duration
 }
 
-// NewPMemLog builds a PMem-backed WAL. back may be nil to keep records only
-// in the ring (pure PMem persistence). The caller owns the ring's device.
+// NewPMemLog builds a PMem-backed WAL draining into back, which must not
+// be nil; the PMemLog closes it. The caller owns the ring's device.
 func NewPMemLog(ring *pmem.Ring, back *Log) *PMemLog {
+	if back == nil {
+		panic("wal: NewPMemLog without a backing log")
+	}
 	l := &PMemLog{
 		ring:       ring,
 		back:       back,
@@ -69,9 +72,6 @@ func (l *PMemLog) Append(payload []byte) error {
 	for {
 		_, err := l.ring.Append(payload)
 		if err == nil {
-			l.mu.Lock()
-			l.appends++
-			l.mu.Unlock()
 			return nil
 		}
 		if err != pmem.ErrRingFull {
@@ -97,7 +97,7 @@ func (l *PMemLog) drainLocked() error {
 	if err != nil {
 		return fmt.Errorf("wal: pmem drain: %w", err)
 	}
-	if l.back == nil || len(batch) == 0 {
+	if len(batch) == 0 {
 		return nil
 	}
 	for _, rec := range batch {
@@ -139,16 +139,6 @@ func (l *PMemLog) Sync() error {
 	return l.drainErr
 }
 
-// Appends reports the number of appended records.
-func (l *PMemLog) Appends() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appends
-}
-
-// PendingBytes reports unmoved bytes still in the ring.
-func (l *PMemLog) PendingBytes() int64 { return l.ring.Len() }
-
 // Close stops the drainer, moves remaining records to the backing log, and
 // closes the backing log.
 func (l *PMemLog) Close() error {
@@ -165,14 +155,8 @@ func (l *PMemLog) Close() error {
 		if err := l.drainOnce(); err != nil {
 			return err
 		}
-		if l.back == nil {
-			break
-		}
 	}
-	if l.back != nil {
-		return l.back.Close()
-	}
-	return nil
+	return l.back.Close()
 }
 
 // Rotate drains the ring into the backing log and rotates it, returning
@@ -182,9 +166,7 @@ func (l *PMemLog) Close() error {
 // segment — the invariant RemoveBefore reclamation rests on. Records of
 // the OLD memtable that the background drainer races into the new
 // segment are harmless: replay filters them by sequence number, they
-// are merely retained one rotation longer. A ring-only log (no backing
-// store) returns segment 0, which callers treat as "nothing to
-// reclaim".
+// are merely retained one rotation longer.
 func (l *PMemLog) Rotate() (int, error) {
 	l.mu.Lock()
 	if l.closed {
@@ -196,9 +178,6 @@ func (l *PMemLog) Rotate() (int, error) {
 		return 0, err
 	}
 	l.mu.Unlock()
-	if l.back == nil {
-		return 0, nil
-	}
 	l.drainMu.Lock()
 	defer l.drainMu.Unlock()
 	for l.ring.Len() > 0 {
@@ -210,7 +189,7 @@ func (l *PMemLog) Rotate() (int, error) {
 }
 
 // RemoveBefore reclaims checkpointed backing-log segments (see
-// Log.RemoveBefore). Ring-only logs have nothing to reclaim.
+// Log.RemoveBefore).
 func (l *PMemLog) RemoveBefore(seq int) error {
 	l.mu.Lock()
 	if l.closed {
@@ -218,26 +197,18 @@ func (l *PMemLog) RemoveBefore(seq int) error {
 		return ErrClosed
 	}
 	l.mu.Unlock()
-	if l.back == nil {
-		return nil
-	}
 	return l.back.RemoveBefore(seq)
 }
 
-// Appender is the minimal WAL interface shared by Log and PMemLog; the
-// engine and cache tiers depend only on this.
+// Appender is the WAL interface shared by Log and PMemLog; callers depend
+// only on this. Every Appender rotates and reclaims: the LSM seals the
+// active segment at each memtable rotation (Rotate returns the segment that
+// starts) and frees the segments a flush has checkpointed (RemoveBefore),
+// so a wrapper that forwards the interface keeps the log bounded.
 type Appender interface {
 	Append(payload []byte) error
 	Sync() error
 	Close() error
-}
-
-// Rotator is the optional segment-reclamation interface: an Appender
-// that can seal its active segment and delete checkpointed ones. The
-// LSM type-switches on it at memtable rotation and flush install, so
-// any WAL implementing it — file-backed or PMem-fronted — gets its
-// space reclaimed instead of growing forever.
-type Rotator interface {
 	Rotate() (int, error)
 	RemoveBefore(seq int) error
 }
@@ -245,6 +216,4 @@ type Rotator interface {
 var (
 	_ Appender = (*Log)(nil)
 	_ Appender = (*PMemLog)(nil)
-	_ Rotator  = (*Log)(nil)
-	_ Rotator  = (*PMemLog)(nil)
 )

@@ -6,8 +6,13 @@
 //     the paper's "WAL mode ... uses SSDs and asynchronous disk flushes
 //     every second" (§6.2.2);
 //   - PMemLog (pmemwal.go): a persistent-memory ring buffer synced per
-//     transaction and batch-drained to a slower backing log, matching
-//     "WAL-PMem synchronizes to PMem per transaction" (§4.3, §6.2.2).
+//     transaction and batch-drained to a slower backing Log, which it
+//     always has, matching "WAL-PMem synchronizes to PMem per transaction"
+//     (§4.3, §6.2.2).
+//
+// Both implement Appender, and every Appender rotates and reclaims: Rotate
+// seals the active segment and RemoveBefore deletes checkpointed ones, so
+// the log a writer keeps is bounded by what is not yet checkpointed.
 //
 // Record format: 4-byte little-endian length, 4-byte CRC32C, payload.
 // Replay stops reading a segment at a torn tail (see Replay for which

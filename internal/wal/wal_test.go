@@ -305,12 +305,9 @@ func newTestPMemLog(t *testing.T, backDir string) (*PMemLog, *pmem.Device) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back *Log
-	if backDir != "" {
-		back, err = Open(Options{Dir: backDir, Policy: SyncNever})
-		if err != nil {
-			t.Fatal(err)
-		}
+	back, err := Open(Options{Dir: backDir, Policy: SyncNever})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return NewPMemLog(ring, back), dev
 }
@@ -412,44 +409,5 @@ func TestPMemLogRotateRemoveBefore(t *testing.T) {
 		if s < seg {
 			t.Fatalf("segment %d survived RemoveBefore(%d)", s, seg)
 		}
-	}
-}
-
-func TestPMemLogRotateRingOnly(t *testing.T) {
-	l, _ := newTestPMemLog(t, "")
-	if err := l.Append([]byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	seg, err := l.Rotate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seg != 0 {
-		t.Fatalf("ring-only rotate returned %d, want 0 (nothing to reclaim)", seg)
-	}
-	if err := l.RemoveBefore(7); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPMemLogRingOnly(t *testing.T) {
-	l, _ := newTestPMemLog(t, "")
-	if err := l.Append([]byte("ring-only")); err != nil {
-		t.Fatal(err)
-	}
-	if l.PendingBytes() == 0 {
-		t.Fatal("record should sit in ring")
-	}
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append([]byte("x")); err != ErrClosed {
-		t.Fatalf("want ErrClosed, got %v", err)
 	}
 }
