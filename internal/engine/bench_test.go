@@ -178,3 +178,66 @@ func BenchmarkEngineGrow(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(keys)), "ns/insert")
 	b.ReportMetric(float64(rehashed)/float64(b.N*len(keys)), "rehash/insert")
 }
+
+// BenchmarkEngineCollections is one write or read of each collection kind:
+// allocs/op and B/op say what the element model copies and what a
+// command's lock-and-lookup costs. A push or add onto an absent key
+// creates the collection and the pop or remove that empties it deletes it,
+// so those rows pay for the item as well as the element. Each row runs
+// once before it is timed, so -benchtime 1x reads the same allocs/op as a
+// long run.
+func BenchmarkEngineCollections(b *testing.B) {
+	elem := []byte("element-000001")
+	small := []byte("v1")
+	rows := []struct {
+		name  string
+		setup func(e *Engine)
+		op    func(e *Engine, i int)
+	}{
+		{"RPush+LPop", nil, func(e *Engine, _ int) {
+			e.RPush("list", elem)
+			e.LPop("list")
+		}},
+		{"SAdd+SRem", nil, func(e *Engine, _ int) {
+			e.SAdd("set", "member-0000001")
+			e.SRem("set", "member-0000001")
+		}},
+		{"ZAdd", func(e *Engine) {
+			for i := 0; i < 16; i++ {
+				e.ZAdd("zset", fmt.Sprintf("member-%02d", i), float64(i))
+			}
+		}, func(e *Engine, i int) {
+			e.ZAdd("zset", "member-07", float64(i&31)) // a re-score
+		}},
+		{"HSet+HGet", func(e *Engine) {
+			e.HSet("hash", "field", small)
+		}, func(e *Engine, _ int) {
+			e.HSet("hash", "field", small)
+			e.HGet("hash", "field")
+		}},
+		{"LLen", func(e *Engine) {
+			e.RPush("list", small, small, small, small)
+		}, func(e *Engine, _ int) {
+			e.LLen("list")
+		}},
+		{"LRange", func(e *Engine) {
+			e.RPush("list", small, small, small, small)
+		}, func(e *Engine, _ int) {
+			e.LRange("list", 0, -1)
+		}},
+	}
+	for _, row := range rows {
+		b.Run(row.name, func(b *testing.B) {
+			e := New(Options{})
+			if row.setup != nil {
+				row.setup(e)
+			}
+			row.op(e, 0) // the stripe's first collection makes its map: not a row's cost
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				row.op(e, i)
+			}
+		})
+	}
+}

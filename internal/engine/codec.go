@@ -151,7 +151,9 @@ func readLenBytes(p []byte) ([]byte, []byte, error) {
 // LoadEncoded decodes a typed blob (produced by Encode) and
 // installs it at key, replacing any existing entry. The installed item
 // has no TTL: TTL state is cache-tier-only and does not survive the trip
-// through storage. All element bytes are copied out of blob.
+// through storage. All element bytes are copied out of blob. A blob of no
+// element is corrupt: Encode never writes one, as no empty collection
+// exists.
 func (e *Engine) LoadEncoded(key string, blob []byte) error {
 	if !IsTypedValue(blob) {
 		return ErrBadEncoding
@@ -159,82 +161,39 @@ func (e *Engine) LoadEncoded(key string, blob []byte) error {
 	kind := Kind(blob[1])
 	p := blob[2:]
 	count, n := binary.Uvarint(p)
-	if n <= 0 {
+	// Every element takes at least one byte, so a count past the bytes
+	// left is corrupt; checked before it sizes an allocation.
+	if n <= 0 || count == 0 || count > uint64(len(p)-n) {
 		return ErrBadEncoding
 	}
 	p = p[n:]
-	// Every element takes at least one byte, so a count past the bytes
-	// left is corrupt; checked before it sizes an allocation.
-	if count > uint64(len(p)) {
-		return ErrBadEncoding
-	}
-	it := newItem(key, kind)
-	charge := func(payload int, overhead int64) {
-		it.payload += int64(payload)
-		it.memBytes += int64(payload) + overhead
-	}
-	switch kind {
-	case KindList:
-		it.list = make([][]byte, 0, count)
-		for i := uint64(0); i < count; i++ {
-			el, rest, err := readLenBytes(p)
-			if err != nil {
-				return err
-			}
-			p = rest
-			it.list = append(it.list, append([]byte(nil), el...))
-			charge(len(el), 24)
+	it := newItem(key, kind, int(count))
+	for i := uint64(0); i < count; i++ {
+		el, rest, err := readLenBytes(p)
+		if err != nil {
+			return err
 		}
-	case KindSet:
-		it.set = make(map[string]struct{}, count)
-		for i := uint64(0); i < count; i++ {
-			el, rest, err := readLenBytes(p)
-			if err != nil {
-				return err
-			}
-			p = rest
-			if _, dup := it.set[string(el)]; !dup {
-				it.set[string(el)] = struct{}{}
-				charge(len(el), 16)
-			}
-		}
-	case KindZSet:
-		it.zset = newZSet()
-		for i := uint64(0); i < count; i++ {
-			el, rest, err := readLenBytes(p)
-			if err != nil {
-				return err
-			}
+		switch kind {
+		case KindList:
+			it.push(el, false)
+		case KindSet:
+			it.sadd(string(el))
+		case KindZSet:
 			if len(rest) < 8 {
 				return ErrBadEncoding
 			}
-			score := math.Float64frombits(binary.BigEndian.Uint64(rest[:8]))
-			p = rest[8:]
-			if it.zset.insert(string(el), score) {
-				charge(len(el), 32)
-			}
-		}
-	case KindHash:
-		it.hash = make(map[string][]byte, count)
-		for i := uint64(0); i < count; i++ {
-			f, rest, err := readLenBytes(p)
-			if err != nil {
+			it.zadd(string(el), math.Float64frombits(binary.BigEndian.Uint64(rest)))
+			rest = rest[8:]
+		case KindHash:
+			var v []byte
+			if v, rest, err = readLenBytes(rest); err != nil {
 				return err
 			}
-			v, rest, err := readLenBytes(rest)
-			if err != nil {
-				return err
-			}
-			p = rest
-			if old, dup := it.hash[string(f)]; dup {
-				charge(len(v)-len(old), 0)
-			} else {
-				charge(len(f)+len(v), 32)
-			}
-			it.hash[string(f)] = append([]byte(nil), v...)
+			it.hset(string(el), v)
+		default:
+			return ErrBadEncoding
 		}
-	default:
-		return ErrBadEncoding
+		p = rest
 	}
 	if len(p) != 0 {
 		return ErrBadEncoding

@@ -258,3 +258,90 @@ func TestCollectionsMemAccounting(t *testing.T) {
 		t.Fatalf("residue: %d", e.MemUsed())
 	}
 }
+
+// TestCollectionChargesSurviveEncode builds each kind through the commands
+// (duplicates, an overwrite with a shorter value, a re-score, pops and
+// removes), then loads its blob into a fresh engine: both must charge the
+// same bytes, as the commands and the decoder share one charge table.
+func TestCollectionChargesSurviveEncode(t *testing.T) {
+	build := map[string]func(e *Engine){
+		"list": func(e *Engine) {
+			e.RPush("k", []byte("alpha"), []byte(""), []byte("gamma-gamma"), []byte("alpha"))
+			e.LPush("k", []byte("head"), []byte("h"))
+			e.LPop("k")
+			e.RPop("k")
+		},
+		"set": func(e *Engine) {
+			e.SAdd("k", "a", "bb", "a", "cccc", "dd")
+			e.SRem("k", "bb", "absent")
+			e.SAdd("k", "cccc", "eeeee")
+		},
+		"zset": func(e *Engine) {
+			e.ZAdd("k", "alice", 10)
+			e.ZAdd("k", "bob", 5)
+			e.ZAdd("k", "alice", 1)
+			e.ZIncrBy("k", "carol", 2.5)
+			e.ZIncrBy("k", "bob", 1)
+			e.ZAdd("k", "dave", 7)
+			e.ZRem("k", "dave")
+		},
+		"hash": func(e *Engine) {
+			e.HSet("k", "f1", []byte("a-long-first-value"))
+			e.HSet("k", "f2", []byte("v2"))
+			e.HSet("k", "f1", []byte("short"))
+			e.HSet("k", "f3", nil)
+			e.HSet("k", "f4", []byte("gone"))
+			e.HDel("k", "f4", "absent")
+		},
+	}
+	for name, fill := range build {
+		t.Run(name, func(t *testing.T) {
+			e := New(Options{})
+			fill(e)
+			blob, enc, err := e.Encode("k")
+			if err != nil || !enc {
+				t.Fatalf("encode: %v %v", enc, err)
+			}
+			loaded := New(Options{})
+			if err := loaded.LoadEncoded("k", blob); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := loaded.MemUsed(), e.MemUsed(); got != want {
+				t.Fatalf("MemUsed: loaded %d, built %d", got, want)
+			}
+			if got, want := loaded.Stats().PayloadBytes, e.Stats().PayloadBytes; got != want {
+				t.Fatalf("PayloadBytes: loaded %d, built %d", got, want)
+			}
+			for _, eng := range []*Engine{e, loaded} {
+				if err := checkBooks(eng); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestNoEmptyCollection: a write that leaves a collection with no element
+// leaves no key behind, and a blob that holds none is refused.
+func TestNoEmptyCollection(t *testing.T) {
+	e := New(Options{})
+	e.LPush("l")
+	e.RPush("r")
+	e.SAdd("s")
+	e.HDel("h", "f")
+	e.SRem("absent", "m")
+	if n := e.Len(); n != 0 {
+		t.Fatalf("%d keys after writes that add nothing, l is %v", n, e.Type("l"))
+	}
+	if m := e.MemUsed(); m != 0 {
+		t.Fatalf("%d bytes charged for no key", m)
+	}
+	for _, kind := range []Kind{KindList, KindSet, KindZSet, KindHash} {
+		if err := e.LoadEncoded("k", []byte{typedMarker, byte(kind), 0}); err != ErrBadEncoding {
+			t.Fatalf("empty %v blob: %v", kind, err)
+		}
+	}
+	if n, m := e.Len(), e.MemUsed(); n != 0 || m != 0 {
+		t.Fatalf("empty blobs left %d keys, %d bytes", n, m)
+	}
+}

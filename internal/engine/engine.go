@@ -338,14 +338,26 @@ func (e *Engine) live(s *shard, kh uint32, key string) (entry, bool) {
 // load a Go map runs at.
 const collSlotBytes = 48
 
-// newItem starts an empty collection for key, charged its cost before the
-// first element: the item, its map slot and the key string the map holds.
-func newItem(key string, kind Kind) *item {
-	return &item{
+// newItem starts an empty collection of kind for key, with room for size
+// elements, charged its cost before the first element: the item, its map
+// slot and the key string the map holds.
+func newItem(key string, kind Kind, size int) *item {
+	it := &item{
 		kind:     kind,
 		memBytes: allocBytes(itemBytes) + collSlotBytes + allocBytes(len(key)),
 		payload:  int64(len(key)),
 	}
+	switch kind {
+	case KindList:
+		it.list = make([][]byte, 0, size)
+	case KindSet:
+		it.set = make(map[string]struct{}, size)
+	case KindZSet:
+		it.zset = &zset{scores: make(map[string]float64, size), sorted: make([]zentry, 0, size)}
+	case KindHash:
+		it.hash = make(map[string][]byte, size)
+	}
+	return it
 }
 
 // freeRef returns a value's PMem, if that is where it lives, to the arena.

@@ -94,7 +94,7 @@ func (m *model) coll(k string, kind Kind) (*mval, bool) {
 	return v, v.kind == kind
 }
 
-// typed mirrors getTyped for ops that do not create: the live entry when
+// typed mirrors the engine's lookup for ops that do not create: the live entry when
 // it has the kind, and the engine's error otherwise.
 func (m *model) typed(k string, kind Kind) (*mval, error) {
 	v := m.live(k)
@@ -291,7 +291,7 @@ func (m *model) step(shrinking bool) {
 	case op < 75:
 		v, want := m.typed(k, KindList)
 		got, err := e.RPop(k)
-		if err != want || (err == nil && !bytes.Equal(got, v.list[len(v.list)-1])) {
+		if err != want || (err == nil && !sameBytes(got, v.list[len(v.list)-1])) {
 			m.fail("RPop", k, got, err, "want", want)
 		}
 		if want == nil {
@@ -411,6 +411,12 @@ func (m *model) step(shrinking bool) {
 	}
 }
 
+// sameBytes is bytes.Equal that also tells nil from empty: an element the
+// model holds is never nil, so one the engine reads back must not be either.
+func sameBytes(got, want []byte) bool {
+	return (got == nil) == (want == nil) && bytes.Equal(got, want)
+}
+
 // modelPinned is the model's eviction pin: every key that ends in 7.
 func modelPinned(key []byte) bool { return key[len(key)-1] == '7' }
 
@@ -452,7 +458,7 @@ func (m *model) check() {
 				m.fail("LRange", k, len(got), err)
 			}
 			for i := range got {
-				if !bytes.Equal(got[i], v.list[i]) {
+				if !sameBytes(got[i], v.list[i]) {
 					m.fail("LRange", k, i)
 				}
 			}
@@ -472,8 +478,8 @@ func (m *model) check() {
 				m.fail("HGetAll", k, len(got), err)
 			}
 			for _, f := range got {
-				if v.hash[f.Field] != string(f.Value) {
-					m.fail("HGetAll", k, f.Field)
+				if want, ok := v.hash[f.Field]; !ok || f.Value == nil || want != string(f.Value) {
+					m.fail("HGetAll", k, f.Field, f.Value)
 				}
 			}
 		case KindZSet:
@@ -526,7 +532,10 @@ func checkBooks(e *Engine) error {
 			}
 			return err == nil
 		})
-		for _, it := range s.colls {
+		for key, it := range s.colls {
+			if it.size() == 0 {
+				err = fmt.Errorf("collection %q is empty", key)
+			}
 			mem += it.memBytes
 			payload += it.payload
 		}

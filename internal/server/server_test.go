@@ -509,6 +509,44 @@ func TestEmptyValueColdReadRESP(t *testing.T) {
 	}
 }
 
+// TestEmptyCollectionElementsRESP: an empty list element or hash value is
+// present, so it reads back as the empty string, not nil, while resident,
+// after a cache-tier drop reloads it from its stored blob, and when popped.
+func TestEmptyCollectionElementsRESP(t *testing.T) {
+	stor := cache.NewMapStorage()
+	srv, c := startTestServer(t, Config{
+		TieredFactory: func(eng *engine.Engine) (*cache.Tiered, error) {
+			return cache.New(cache.Options{Policy: cache.WriteThrough, Engine: eng, Storage: stor})
+		},
+	})
+	for _, cmd := range [][]string{{"RPUSH", "l", ""}, {"HSET", "h", "f", ""}} {
+		if _, err := c.Do(cmd...); err != nil {
+			t.Fatalf("%v: %v", cmd, err)
+		}
+	}
+	reads := func(when string) {
+		t.Helper()
+		if v, err := c.Do("LRANGE", "l", "0", "-1"); err != nil || fmt.Sprintf("%#v", v) != `[]interface {}{""}` {
+			t.Fatalf("%s LRANGE: %#v %v", when, v, err)
+		}
+		if v, err := c.Do("HGET", "h", "f"); err != nil || v != "" {
+			t.Fatalf("%s HGET: %#v %v", when, v, err)
+		}
+		if v, err := c.Do("HGETALL", "h"); err != nil || fmt.Sprintf("%#v", v) != `[]interface {}{"f", ""}` {
+			t.Fatalf("%s HGETALL: %#v %v", when, v, err)
+		}
+	}
+	reads("resident")
+	srv.eng.FlushAll() // drop the cache tier; storage keeps the blobs
+	reads("reloaded")
+	if v, err := c.Do("LPOP", "l"); err != nil || v != "" {
+		t.Fatalf("LPOP: %#v %v", v, err)
+	}
+	if v, _ := c.Do("EXISTS", "l"); v != int64(0) {
+		t.Fatalf("popped-empty list still exists: %v", v)
+	}
+}
+
 // TestInfoWritePathSection: INFO exposes the write-path section (the
 // write-back flush and backpressure counters) and supports section filtering.
 func TestInfoWritePathSection(t *testing.T) {
