@@ -26,9 +26,10 @@ import (
 //     writes arriving behind an in-flight leader lived here until the
 //     stripe lock became the ordering rule (PR 7); under it two writes to
 //     one stripe are never in flight together, so nothing could queue and
-//     the ledger read 0 coalesced writes on every run. Concurrent writers
-//     still share WAL appends through the LSM's group commit
-//     (lsm/batch.go). ROADMAP "Parked" says what would bring it back.
+//     the ledger read 0 coalesced writes on every run. The LSM below
+//     commits one batch at a time (lsm/batch.go), so concurrent writers
+//     do not share WAL appends there either. ROADMAP "Parked" says what
+//     would bring coalescing back.
 
 // wtCommit makes a write-through commit's one storage call: Put or Delete
 // for one key; for a batch, BatchDelete when every write deletes, else

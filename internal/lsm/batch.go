@@ -3,17 +3,17 @@ package lsm
 import (
 	"encoding/binary"
 	"errors"
-	"sync"
 )
 
 // Batch is an ordered set of writes committed as one unit by DB.Apply:
-// one sequence range, one WAL record (one append, one fsync window), one
-// pass over the memtable. Atomicity is a durability property — crash
-// replay applies the whole record or none of it — not read isolation: a
-// concurrent reader may observe a prefix of a batch mid-apply (the
-// memtable updates keys in place, so point-in-time read snapshots over it
-// are not possible; see view.acquireView). Keys and values are copied in
-// at Put/Delete time, so callers may reuse their buffers immediately.
+// one sequence range, one WAL record (one append; one fsync under
+// wal.SyncAlways), one pass over the memtable. Atomicity is a durability
+// property — crash replay applies the whole record or none of it — not
+// read isolation: a concurrent reader may observe a prefix of a batch
+// mid-apply (the memtable updates keys in place, so point-in-time read
+// snapshots over it are not possible; see view.acquireView). Keys and
+// values are copied in at Put/Delete time, so callers may reuse their
+// buffers immediately.
 type Batch struct {
 	ops   []batchOp
 	bytes int64
@@ -76,29 +76,11 @@ func (b *Batch) Reset() {
 
 var errEmptyKey = errors.New("lsm: empty key")
 
-// batchWriter is one Apply call waiting in the group-commit queue.
-// Writers are pooled: done is a 1-buffered channel used as a completion
-// token (commitGroup sends exactly one token per writer; each Apply call
-// drains its own token, including the leader's), never closed, so the
-// same writer — and its channel — can be reused by the next Apply.
-type batchWriter struct {
-	b    *Batch
-	err  error
-	done chan struct{}
-}
-
-var writerPool = sync.Pool{
-	New: func() any { return &batchWriter{done: make(chan struct{}, 1)} },
-}
-
-// Apply commits the batch atomically. Concurrent Apply calls coalesce: the
-// first writer to find the queue empty becomes the leader, and while it
-// commits (WAL append + fsync + memtable insert) later writers pile into
-// the pending queue; the next leader commits them all as ONE group — one
-// WAL record, one fsync window, one commit critical section — and fans the
-// result back out. This is the storage-tier analog of the cache tier's
-// per-key write coalescing: sequential callers pay no extra latency, and
-// under contention the WAL cost is amortized across the whole group.
+// Apply commits the batch atomically, one writer at a time: under commitMu
+// it takes the batch's sequence range, appends one WAL record, applies the
+// ops to the memtable and rotates the memtable if it is full. The batch is
+// all-or-nothing against the WAL: if the append fails, nothing reaches the
+// memtable.
 func (db *DB) Apply(b *Batch) error {
 	if b == nil || len(b.ops) == 0 {
 		return nil
@@ -108,108 +90,49 @@ func (db *DB) Apply(b *Batch) error {
 			return errEmptyKey
 		}
 	}
-	w := writerPool.Get().(*batchWriter)
-	w.b, w.err = b, nil
-	db.pendMu.Lock()
-	if db.pend == nil && db.pendSpare != nil {
-		db.pend, db.pendSpare = db.pendSpare, nil
-	}
-	db.pend = append(db.pend, w)
-	leader := len(db.pend) == 1
-	db.pendMu.Unlock()
-	if !leader {
-		<-w.done
-		err := w.err
-		w.b = nil
-		writerPool.Put(w)
-		return err
-	}
 	db.commitMu.Lock()
-	db.pendMu.Lock()
-	group := db.pend
-	db.pend = nil // arrivals from here on elect the next leader
-	db.pendMu.Unlock()
-	db.commitGroup(group)
-	db.commitMu.Unlock()
-	<-w.done // commitGroup already sent our token; never blocks
-	err := w.err
-	w.b = nil
-	writerPool.Put(w)
-	// Recycle the group slice for a future leader. Entries were cleared by
-	// commitGroup, so the spare does not root pooled writers.
-	db.pendMu.Lock()
-	if db.pendSpare == nil {
-		db.pendSpare = group[:0]
-	}
-	db.pendMu.Unlock()
-	return err
-}
-
-// commitGroup commits a group of batches as one unit. Caller holds
-// commitMu. The group is all-or-nothing against the WAL: if the single
-// append fails, nothing reaches the memtable.
-func (db *DB) commitGroup(group []*batchWriter) {
-	finish := func(err error) {
-		for i, w := range group {
-			w.err = err
-			w.done <- struct{}{} // completion token; done is 1-buffered
-			group[i] = nil       // don't root pooled writers via pendSpare
-		}
-	}
-	var n int
-	var bytes int64
-	for _, w := range group {
-		n += len(w.b.ops)
-		bytes += w.b.bytes
-	}
+	defer db.commitMu.Unlock()
 
 	db.mu.Lock()
 	if db.closed {
 		db.mu.Unlock()
-		finish(ErrDBClosed)
-		return
+		return ErrDBClosed
 	}
 	if err := db.flushErr; err != nil {
 		db.mu.Unlock()
-		finish(err)
-		return
+		return err
 	}
 	base := db.seq + 1
-	db.seq += uint64(n)
+	db.seq += uint64(len(b.ops))
 	mem := db.mem // stable: rotation happens only under commitMu, which we hold
 	db.mu.Unlock()
 
 	if db.wlog != nil {
 		// The encode scratch is guarded by commitMu (held here) and reused
 		// across commits; wal.Append copies the payload out before returning.
-		db.walBuf = encodeBatchRecordInto(db.walBuf[:0], base, group, n, int(bytes))
+		db.walBuf = encodeBatchRecordInto(db.walBuf[:0], base, b)
 		err := db.wlog.Append(db.walBuf)
 		if cap(db.walBuf) > maxWALScratch {
 			db.walBuf = nil // don't pin a huge batch's buffer forever
 		}
 		if err != nil {
 			// The sequence range is burned but unused; replay tolerates gaps.
-			finish(err)
-			return
+			return err
 		}
 	}
-	seq := base
-	for _, w := range group {
-		for _, op := range w.b.ops {
-			mem.apply(seq, op.kind, op.key, op.val)
-			seq++
-		}
+	for i, op := range b.ops {
+		mem.apply(base+uint64(i), op.kind, op.key, op.val)
 	}
-	db.writeBytes.Add(bytes)
-	finish(nil)
+	db.writeBytes.Add(b.bytes)
 
 	if mem.sl.approximateSize() >= db.opts.MemtableBytes {
 		if err := db.rotate(); err != nil && !errors.Is(err, ErrDBClosed) {
-			// The group is durable and applied; the rotation failure will
+			// The batch is durable and applied; the rotation failure will
 			// resurface on the next write via flushErr/WAL state.
 			db.failFlush(err)
 		}
 	}
+	return nil
 }
 
 // WAL record format: every record is one batch record.
@@ -217,9 +140,9 @@ func (db *DB) commitGroup(group []*batchWriter) {
 //	0x00 | version byte (1) | uvarint baseSeq | uvarint count |
 //	count × ( kind byte | uvarint klen | key | uvarint vlen | val )
 //
-// Operation i carries sequence baseSeq+i. One batch (or one whole commit
-// group) is one record, so crash replay sees it all-or-nothing: a torn or
-// corrupt tail record drops the entire group, never half of it.
+// Operation i carries sequence baseSeq+i. One batch is one record, so crash
+// replay sees it all-or-nothing: a torn or corrupt tail record drops the
+// entire batch, never half of it.
 const (
 	batchRecMarker  = 0x00
 	batchRecVersion = 1
@@ -228,9 +151,9 @@ const (
 // maxWALScratch caps the retained size of the reused WAL encode buffer.
 const maxWALScratch = 1 << 20
 
-// encodeBatchRecordInto appends the batch record for group to buf.
-func encodeBatchRecordInto(buf []byte, base uint64, group []*batchWriter, n, bytes int) []byte {
-	if need := 2 + 2*binary.MaxVarintLen64 + n*(1+2*binary.MaxVarintLen64) + bytes; cap(buf)-len(buf) < need {
+// encodeBatchRecordInto appends the batch record for b to buf.
+func encodeBatchRecordInto(buf []byte, base uint64, b *Batch) []byte {
+	if need := 2 + 2*binary.MaxVarintLen64 + len(b.ops)*(1+2*binary.MaxVarintLen64) + int(b.bytes); cap(buf)-len(buf) < need {
 		grown := make([]byte, len(buf), len(buf)+need)
 		copy(grown, buf)
 		buf = grown
@@ -238,15 +161,13 @@ func encodeBatchRecordInto(buf []byte, base uint64, group []*batchWriter, n, byt
 	var tmp [binary.MaxVarintLen64]byte
 	buf = append(buf, batchRecMarker, batchRecVersion)
 	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], base)]...)
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(n))]...)
-	for _, w := range group {
-		for _, op := range w.b.ops {
-			buf = append(buf, byte(op.kind))
-			buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(op.key)))]...)
-			buf = append(buf, op.key...)
-			buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(op.val)))]...)
-			buf = append(buf, op.val...)
-		}
+	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(b.ops)))]...)
+	for _, op := range b.ops {
+		buf = append(buf, byte(op.kind))
+		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(op.key)))]...)
+		buf = append(buf, op.key...)
+		buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(op.val)))]...)
+		buf = append(buf, op.val...)
 	}
 	return buf
 }

@@ -19,8 +19,8 @@ import (
 type countingAppender struct {
 	inner   wal.Appender
 	appends atomic.Int64
-	// delay, when set, slows each append so concurrent writers pile into
-	// the group-commit queue deterministically.
+	// delay, when set, slows each append so concurrent writers are still
+	// waiting on the commit lock while one of them appends.
 	delay time.Duration
 }
 
@@ -118,32 +118,38 @@ func TestBatchReuseAfterReset(t *testing.T) {
 	}
 }
 
-// TestGroupCommitCoalesces: concurrent single-key writers must share WAL
-// appends. With each append slowed, later writers pile into the pending
-// queue and the next leader commits them as one record.
-func TestGroupCommitCoalesces(t *testing.T) {
-	db, ca := openCountingDB(t, t.TempDir(), 2*time.Millisecond)
-	defer db.Close()
+// TestApplyOneWriterPerAppend: Apply commits one writer at a time, so
+// concurrent single-key writers each make their own WAL append, even while
+// each append is slowed enough for the others to queue behind it, and every
+// one of them is in the log: all of them replay after a crash.
+func TestApplyOneWriterPerAppend(t *testing.T) {
+	dir := t.TempDir()
+	db, ca := openCountingDB(t, dir, 2*time.Millisecond)
 	const writers = 32
 	var wg sync.WaitGroup
 	for i := 0; i < writers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := db.Put([]byte(fmt.Sprintf("gc%03d", i)), []byte("v")); err != nil {
+			if err := db.Put([]byte(fmt.Sprintf("ow%03d", i)), []byte("v")); err != nil {
 				t.Errorf("put: %v", err)
 			}
 		}(i)
 	}
 	wg.Wait()
-	appends := ca.appends.Load()
-	if appends >= writers {
-		t.Fatalf("no coalescing: %d appends for %d writers", appends, writers)
+	if got := ca.appends.Load(); got != writers {
+		t.Fatalf("%d concurrent writers made %d WAL appends, want %d", writers, got, writers)
 	}
-	t.Logf("%d concurrent writers -> %d WAL appends", writers, appends)
+	crashStop(db)
+
+	db2, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
 	for i := 0; i < writers; i++ {
-		if _, err := db.Get([]byte(fmt.Sprintf("gc%03d", i))); err != nil {
-			t.Fatalf("get %d: %v", i, err)
+		if v, err := db2.Get([]byte(fmt.Sprintf("ow%03d", i))); err != nil || string(v) != "v" {
+			t.Fatalf("ow%03d after replay: %q %v", i, v, err)
 		}
 	}
 }
@@ -233,9 +239,9 @@ func TestApplyAllOrNothingOnTornWAL(t *testing.T) {
 // huge ones that would wrap negative if cast to int) must fail decoding
 // with an error, never panic during recovery.
 func TestDecodeBatchRecordCorruptLengths(t *testing.T) {
-	w := &batchWriter{b: &Batch{}}
-	w.b.Put([]byte("k"), []byte("v"))
-	good := encodeBatchRecordInto(nil, 1, []*batchWriter{w}, 1, 2)
+	b := &Batch{}
+	b.Put([]byte("k"), []byte("v"))
+	good := encodeBatchRecordInto(nil, 1, b)
 	noop := func(uint64, entryKind, []byte, []byte) error { return nil }
 	if err := decodeBatchRecord(good, noop); err != nil {
 		t.Fatalf("good record: %v", err)

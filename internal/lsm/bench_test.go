@@ -81,9 +81,10 @@ func BenchmarkLSMApplyBatch16(b *testing.B) {
 	b.ReportMetric(float64(b.N*16)/float64(b.Elapsed().Nanoseconds())*1e9, "keys/s")
 }
 
-// BenchmarkLSMPutParallel: concurrent single-key writers exercising the
-// group-commit queue (with a real WAL so coalescing has something to
-// amortize).
+// BenchmarkLSMPutParallelWAL: concurrent single-key writers under
+// wal.SyncAlways, the zero value of Options.WALSyncPolicy, which no
+// non-test caller runs. Apply commits one writer at a time, so each Put
+// pays its own fsync; this is what that costs.
 func BenchmarkLSMPutParallelWAL(b *testing.B) {
 	db := benchDB(b, Options{MemtableBytes: 1 << 30})
 	val := bytes.Repeat([]byte("v"), 100)

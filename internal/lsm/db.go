@@ -91,9 +91,9 @@ var (
 // Concurrency model (three lock domains, never held across disk reads on
 // the Get path):
 //
-//   - commitMu serializes the write pipeline: WAL appends happen in
-//     sequence-number order, and memtable rotation (sealing) only happens
-//     under it. Writers coalesce into group commits (see Apply).
+//   - commitMu serializes the write pipeline: one Apply commits at a time,
+//     so WAL appends happen in sequence-number order, and memtable rotation
+//     (sealing) only happens under it.
 //   - mu guards the mutable snapshot state — active/sealed memtables, the
 //     current table version, the sequence counter, closed — in SHORT
 //     critical sections only. Readers capture a refcounted view under
@@ -120,14 +120,9 @@ type DB struct {
 	walDir string
 	cache  *blockCache
 
-	// Write pipeline: pending group-commit queue + the commit lock.
-	// pendSpare recycles the previous group's slice for the next leader;
-	// walBuf is the WAL encode scratch, reused under commitMu.
-	pendMu    sync.Mutex
-	pend      []*batchWriter
-	pendSpare []*batchWriter
-	commitMu  sync.Mutex
-	walBuf    []byte
+	// Write pipeline: the commit lock, and the WAL encode scratch it guards.
+	commitMu sync.Mutex
+	walBuf   []byte
 
 	// nextFile allocates table file numbers; shared by the background
 	// flusher and the background compactor, so it must be atomic.
@@ -244,10 +239,8 @@ func (db *DB) allocFileNum() uint64 { return db.nextFile.Add(1) - 1 }
 // slab is always fresh, because the memtable aliases it after Apply.
 var batchPool = sync.Pool{New: func() any { return new(Batch) }}
 
-// Put stores key=value. It is a one-op Apply: singles ride the same group
-// commit as batches, so concurrent Puts coalesce into one WAL record. The
-// batch envelope is pooled, so a sequential Put costs one allocation (the
-// combined key/value slab).
+// Put stores key=value. It is a one-op Apply. The batch envelope is pooled,
+// so a Put costs one allocation (the combined key/value slab).
 func (db *DB) Put(key, value []byte) error {
 	b := batchPool.Get().(*Batch)
 	b.Reset()

@@ -1,12 +1,13 @@
 // Package metrics provides lightweight, allocation-free measurement
 // primitives used throughout TierBase: a log-bucketed latency histogram,
-// throughput meters, and fixed-interval time series. It backs the Monitor
+// throughput meters and a running-maximum gauge. It backs the Monitor
 // component of the architecture (paper §3) and the measurement side of the
 // cost-optimization framework (paper §5.3).
 package metrics
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -52,7 +53,7 @@ func bucketIndex(v int64) int {
 	// group = floor(log2(v)) - subBucketBits + 1, so that group g >= 1
 	// covers [subBuckets << (g-1), subBuckets << g) with subBuckets linear
 	// sub-buckets of width 1 << (g-1).
-	group := 63 - subBucketBits - leadingZeros64(uint64(v)) + 1
+	group := 63 - subBucketBits - bits.LeadingZeros64(uint64(v)) + 1
 	if group > numGroups {
 		group = numGroups
 	}
@@ -75,18 +76,6 @@ func bucketLow(idx int) int64 {
 		return sub
 	}
 	return (sub + subBuckets) << uint(group-1)
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // Record adds a single observation.
