@@ -36,7 +36,6 @@ package bench
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -151,16 +150,6 @@ func Registry() []Experiment {
 	}
 }
 
-// ByID finds an experiment.
-func ByID(id string) (Experiment, bool) {
-	for _, e := range Registry() {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
-}
-
 // --- measurement core ---
 
 // kvOp is the minimal op surface every measured system exposes.
@@ -258,13 +247,3 @@ func fmtF(v float64) string {
 
 // fmtRatio renders a compression ratio with 4 decimals.
 func fmtRatio(v float64) string { return fmt.Sprintf("%.4f", v) }
-
-// sortRowsBy sorts result rows by a numeric column.
-func sortRowsBy(rows [][]string, col int) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		var a, b float64
-		fmt.Sscanf(rows[i][col], "%f", &a)
-		fmt.Sscanf(rows[j][col], "%f", &b)
-		return a < b
-	})
-}

@@ -77,11 +77,3 @@ func (b *Backoff) Reset() {
 	b.cur = 0
 	b.mu.Unlock()
 }
-
-// Current reports how far the backoff has grown, as the next base delay
-// (0 after Reset) — for tests and introspection.
-func (b *Backoff) Current() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.cur
-}

@@ -78,16 +78,10 @@ type Coordinator struct {
 	HeartbeatTimeout time.Duration
 	// Clock is injectable for tests.
 	Clock func() time.Time
-
-	failovers int64
 }
 
-// Coordinator errors.
-var (
-	ErrUnknownNode = errors.New("cluster: unknown node")
-	ErrNoMasters   = errors.New("cluster: no master nodes registered")
-	ErrNoReplica   = errors.New("cluster: no replica available for failover")
-)
+// ErrUnknownNode is a heartbeat from a node that is not registered.
+var ErrUnknownNode = errors.New("cluster: unknown node")
 
 // NewCoordinator creates an empty coordinator.
 func NewCoordinator() *Coordinator {
@@ -110,22 +104,15 @@ func (c *Coordinator) Register(n Node) {
 	}
 }
 
-// Deregister removes a node (graceful shutdown). A draining master's
-// slots are handed to its promoted replica when it has one — see
-// DeregisterDetail.
-func (c *Coordinator) Deregister(id string) {
-	c.DeregisterDetail(id)
-}
-
-// DeregisterDetail removes a node and, when the node was a master with a
-// live replica, performs the same handoff a failure would — the
-// lowest-ID live replica is promoted, surviving replicas are re-pointed
+// Deregister removes a node (graceful shutdown) and, when the node was a
+// master with a live replica, performs the same handoff a failure would —
+// the lowest-ID live replica is promoted, surviving replicas are re-pointed
 // at it, and the table rebalances — except here it happens immediately,
 // with the departing master still alive to finish streaming. Returns the
 // handoff event (nil when the node was unknown, a replica, or a master
 // with no replica) so a serving loop can push the role change to the
 // promoted process.
-func (c *Coordinator) DeregisterDetail(id string) *Failover {
+func (c *Coordinator) Deregister(id string) *Failover {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n, ok := c.nodes[id]
@@ -168,7 +155,6 @@ func (c *Coordinator) promoteReplicaLocked(id, addr string) *Node {
 		c.nodes[rid].MasterID = promoted.ID
 		c.nodes[rid].MasterAddr = promoted.Addr
 	}
-	c.failovers++
 	return promoted
 }
 
@@ -223,7 +209,8 @@ func (c *Coordinator) Table() RoutingTable {
 	return cp
 }
 
-// Failover describes one master failure handled by CheckFailuresDetail.
+// Failover describes one master failure handled by CheckFailures, or one
+// draining master handed off by Deregister.
 // PromotedID/PromotedAddr are empty when the master had no live replica
 // (its slots redistribute across the surviving masters).
 type Failover struct {
@@ -233,25 +220,14 @@ type Failover struct {
 	PromotedAddr string
 }
 
-// CheckFailures scans heartbeats, promotes replicas of dead masters, and
-// returns the IDs of masters failed over. Call periodically.
-func (c *Coordinator) CheckFailures() []string {
-	events := c.CheckFailuresDetail()
-	ids := make([]string, 0, len(events))
-	for _, ev := range events {
-		ids = append(ids, ev.FailedID)
-	}
-	return ids
-}
-
-// CheckFailuresDetail scans heartbeats and handles dead masters:
+// CheckFailures scans heartbeats and handles dead masters:
 // the lowest-ID live replica of each (matched by MasterID or
 // MasterAddr) is promoted in the coordinator's state, surviving
 // replicas of the dead master are re-pointed at the promotee, and the
 // routing table rebalances. Returns one event per failed master so a
 // serving loop can push role changes (REPLICAOF NO ONE) to the live
 // processes.
-func (c *Coordinator) CheckFailuresDetail() []Failover {
+func (c *Coordinator) CheckFailures() []Failover {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	now := c.Clock()
@@ -280,13 +256,6 @@ func (c *Coordinator) CheckFailuresDetail() []Failover {
 	return events
 }
 
-// Failovers reports the number of promotions performed.
-func (c *Coordinator) Failovers() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.failovers
-}
-
 // Nodes returns a snapshot of the membership, sorted by ID.
 func (c *Coordinator) Nodes() []Node {
 	c.mu.Lock()
@@ -297,23 +266,6 @@ func (c *Coordinator) Nodes() []Node {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Masters returns the live master IDs, sorted.
-func (c *Coordinator) Masters() ([]string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []string
-	for id, n := range c.nodes {
-		if n.Role == RoleMaster && n.alive {
-			out = append(out, id)
-		}
-	}
-	if len(out) == 0 {
-		return nil, ErrNoMasters
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // String renders the routing table compactly.

@@ -108,11 +108,8 @@ func TestFailoverPromotesReplica(t *testing.T) {
 	c.Heartbeat("m2")
 	now = now.Add(900 * time.Millisecond)
 	failed := c.CheckFailures()
-	if len(failed) != 1 || failed[0] != "m1" {
-		t.Fatalf("failed: %v", failed)
-	}
-	if c.Failovers() != 1 {
-		t.Fatalf("failovers %d", c.Failovers())
+	if len(failed) != 1 || failed[0].FailedID != "m1" || failed[0].PromotedID != "r1" {
+		t.Fatalf("failed: %+v", failed)
 	}
 	// r1 must now be a master owning slots.
 	rt := c.Table()
@@ -140,8 +137,8 @@ func TestFailoverWithoutReplicaRedistributes(t *testing.T) {
 	// m2 is exactly at the boundary; keep it alive with another beat.
 	c.Heartbeat("m2")
 	failed := c.CheckFailures()
-	if len(failed) != 1 || failed[0] != "m1" {
-		t.Fatalf("failed: %v", failed)
+	if len(failed) != 1 || failed[0].FailedID != "m1" || failed[0].PromotedID != "" {
+		t.Fatalf("failed: %+v", failed)
 	}
 	rt := c.Table()
 	for i, id := range rt.Slots {
@@ -175,10 +172,11 @@ func TestDeregister(t *testing.T) {
 			t.Fatal("deregistered master still routed")
 		}
 	}
-	c.Deregister("ghost") // no-op
-	masters, err := c.Masters()
-	if err != nil || len(masters) != 1 || masters[0] != "m2" {
-		t.Fatalf("masters: %v %v", masters, err)
+	if ev := c.Deregister("ghost"); ev != nil {
+		t.Fatalf("unknown node deregistered: %+v", ev)
+	}
+	if nodes := c.Nodes(); len(nodes) != 1 || nodes[0].ID != "m2" {
+		t.Fatalf("nodes: %+v", nodes)
 	}
 }
 
@@ -191,7 +189,7 @@ func TestDeregisterHandsOffToReplica(t *testing.T) {
 	c.Register(Node{ID: "r1", Addr: "h2:1", Role: RoleReplica, MasterAddr: "h1:1"})
 	c.Register(Node{ID: "r2", Addr: "h3:1", Role: RoleReplica, MasterAddr: "h1:1"})
 
-	ev := c.DeregisterDetail("m1")
+	ev := c.Deregister("m1")
 	if ev == nil || ev.PromotedID != "r1" || ev.PromotedAddr != "h2:1" {
 		t.Fatalf("handoff event = %+v, want r1 promoted", ev)
 	}
@@ -207,29 +205,19 @@ func TestDeregisterHandsOffToReplica(t *testing.T) {
 			t.Fatalf("r2 not re-pointed: %+v", n)
 		}
 	}
-	if c.Failovers() != 1 {
-		t.Fatalf("failovers = %d, want 1", c.Failovers())
-	}
 
 	// A master with no replica still deregisters cleanly: slots empty.
-	ev = c.DeregisterDetail("r1")
+	ev = c.Deregister("r1")
 	if ev == nil || ev.PromotedID != "r2" {
 		t.Fatalf("second handoff = %+v, want r2 promoted", ev)
 	}
-	if ev2 := c.DeregisterDetail("r2"); ev2 == nil || ev2.PromotedID != "" {
+	if ev2 := c.Deregister("r2"); ev2 == nil || ev2.PromotedID != "" {
 		t.Fatalf("final deregister = %+v, want no promotee", ev2)
 	}
 	for i, id := range c.Table().Slots {
 		if id != "" {
 			t.Fatalf("slot %d still owned by %q after all masters drained", i, id)
 		}
-	}
-}
-
-func TestNoMasters(t *testing.T) {
-	c := NewCoordinator()
-	if _, err := c.Masters(); err != ErrNoMasters {
-		t.Fatalf("want ErrNoMasters, got %v", err)
 	}
 }
 

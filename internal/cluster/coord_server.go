@@ -50,7 +50,7 @@ type CoordServer struct {
 
 // StartCoordServer listens on addr and starts the accept and failover
 // loops. checkInterval <= 0 disables the failover loop (tests that step
-// CheckFailuresDetail manually).
+// CheckFailures manually).
 func StartCoordServer(addr string, coord *Coordinator, checkInterval time.Duration) (*CoordServer, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
@@ -197,7 +197,7 @@ func (cs *CoordServer) cluster(out []byte, args []string) []byte {
 		if len(args) != 2 {
 			return resp.AppendError(out, "usage: CLUSTER DEREGISTER id")
 		}
-		ev := cs.coord.DeregisterDetail(args[1])
+		ev := cs.coord.Deregister(args[1])
 		// Push the handoff promotion in the background: the draining
 		// master is blocked on this +OK and must not wait for the
 		// promotee's round-trip.
@@ -244,7 +244,7 @@ func (cs *CoordServer) failoverLoop() {
 			return
 		case <-t.C:
 		}
-		events := cs.coord.CheckFailuresDetail()
+		events := cs.coord.CheckFailures()
 		for _, ev := range events {
 			if ev.PromotedAddr == "" {
 				log.Printf("cluster: master %s (%s) failed with no replica; slots redistributed", ev.FailedID, ev.FailedAddr)

@@ -147,8 +147,10 @@ func TestCoordServerFailoverPush(t *testing.T) {
 			if table.NodeFor("k") != "r1" {
 				t.Fatalf("routing table not repointed: %+v", table.Slots[SlotFor("k")])
 			}
-			if coord.Failovers() != 1 {
-				t.Fatalf("failovers = %d", coord.Failovers())
+			for _, n := range coord.Nodes() {
+				if n.ID == "r1" && n.Role != RoleMaster {
+					t.Fatalf("r1 not promoted: %+v", n)
+				}
 			}
 			return
 		}

@@ -2,8 +2,9 @@
 // (paper §4.2): an offline training phase builds a dictionary (Zstd-style)
 // or a pattern set (PBC), which the compression phase then applies to every
 // record. A monitor watches compression efficiency in production and
-// triggers re-training; a recommender picks the best compressor for a
-// workload sample.
+// triggers re-training. The paper's recommender, which picks a compressor
+// for a workload sample, is not implemented: the operator names one
+// (ByName).
 //
 // Substitution note: the paper uses Zstandard; stdlib-only
 // Go has no Zstd, so the "Zstd" role is played by DEFLATE (compress/flate)

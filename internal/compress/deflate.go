@@ -45,9 +45,6 @@ func (d *Deflate) Name() string {
 	return "deflate"
 }
 
-// Level returns the configured compression level.
-func (d *Deflate) Level() int { return d.level }
-
 // Train implements Compressor: builds the preset dictionary. For the
 // non-pretrained variant it is a no-op, matching Zstd-b.
 func (d *Deflate) Train(samples [][]byte) error {
@@ -116,13 +113,6 @@ func (d *Deflate) Decompress(src []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return out, nil
-}
-
-// Dict returns the current trained dictionary (nil before Train).
-func (d *Deflate) Dict() []byte {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.dict
 }
 
 var _ Compressor = (*Deflate)(nil)

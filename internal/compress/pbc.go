@@ -344,14 +344,6 @@ func trainSlot(class tokenClass, col [][]byte) (segment, int) {
 	return seg, maxLen
 }
 
-// PatternCount reports the number of trained patterns.
-func (p *PBC) PatternCount() int {
-	if set := p.set.Load(); set != nil {
-		return len(set.patterns)
-	}
-	return 0
-}
-
 // --- compression ---
 
 // Compress implements Compressor. A record that matches a pattern costs one

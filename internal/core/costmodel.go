@@ -6,10 +6,14 @@
 // provisioning must satisfy the binding constraint, whether that is query
 // throughput or data volume (Definition 1). From measured per-instance
 // capability (MaxPerf, MaxSpace) it derives the cost metrics CPQPS and
-// CPGB (Definition 2), the Optimal Cost Theorem (Theorem 2.1: the optimal
-// configuration balances PC and SC), the tiered-storage cost model
-// (Equation 3) with its optimal cache ratio (Theorem 5.1), and the adapted
-// Five-Minute Rule (Equation 5) with break-even intervals.
+// CPGB (Definition 2) and the smooth cost of Equation 2 (Evaluate), the
+// workload classes of §2.1 (Classify), the optimal configuration of
+// Theorem 2.1 (OptimalConfig takes the least cost; that it balances PC and
+// SC on a dense frontier is checked by a test, not computed), the
+// tiered-storage cost model (Equation 3) with its optimal cache ratio
+// (Theorem 5.1), and the adapted Five-Minute Rule (Equation 5) with
+// break-even intervals. Gray and Putzolu's original rule (Equation 4) and
+// §2.4's tiered-versus-single-tier comparison are not implemented.
 package core
 
 import (
@@ -174,11 +178,6 @@ func SmoothSC(w Workload, i Instance, m Measured) float64 {
 	return CPGB(i, m) * w.DataSizeGB
 }
 
-// SmoothCost is Equation 2: max(CPQPS×QPS, CPGB×DataSize).
-func SmoothCost(w Workload, i Instance, m Measured) float64 {
-	return math.Max(SmoothPC(w, i, m), SmoothSC(w, i, m))
-}
-
 // Criticality classifies a workload under a configuration (§2.1, Fig 2a).
 type Criticality int
 
@@ -221,11 +220,12 @@ type Evaluation struct {
 	Measured Measured
 	PC       float64
 	SC       float64
-	Cost     float64
+	Cost     float64 // Equation 2: max(PC, SC)
 	Gap      float64 // |PC - SC|
 }
 
-// Evaluate prices every configuration for the workload (smooth metrics).
+// Evaluate prices every configuration for the workload in smooth units:
+// PC = CPQPS×QPS, SC = CPGB×DataSize and Cost is Equation 2, their max.
 func Evaluate(w Workload, i Instance, configs []Measured) []Evaluation {
 	out := make([]Evaluation, 0, len(configs))
 	for _, m := range configs {
@@ -256,22 +256,6 @@ func OptimalConfig(w Workload, i Instance, configs []Measured) (Evaluation, erro
 	return best, nil
 }
 
-// BalancedConfig returns argmin |PC - SC| — the theorem's characterization
-// of the optimum on a dense trade-off frontier.
-func BalancedConfig(w Workload, i Instance, configs []Measured) (Evaluation, error) {
-	evals := Evaluate(w, i, configs)
-	if len(evals) == 0 {
-		return Evaluation{}, ErrNoConfigs
-	}
-	best := evals[0]
-	for _, e := range evals[1:] {
-		if e.Gap < best.Gap {
-			best = e
-		}
-	}
-	return best, nil
-}
-
 // --- Equation 3: tiered-storage cost ---
 
 // TieredInputs are the per-unit costs of both tiers for a workload.
@@ -290,22 +274,6 @@ type TieredInputs struct {
 	SCStorage float64
 }
 
-// TieredInputsFrom derives TieredInputs from per-config measurements.
-// missPenaltyQPS is the extra per-instance throughput cost of miss
-// handling expressed as the max miss-QPS an instance sustains.
-func TieredInputsFrom(w Workload, i Instance, cacheCfg, storageCfg Measured, missPenaltyQPS float64) TieredInputs {
-	in := TieredInputs{
-		PCCache:   SmoothPC(w, i, cacheCfg),
-		SCCache:   SmoothSC(w, i, cacheCfg),
-		PCStorage: SmoothPC(w, i, storageCfg),
-		SCStorage: SmoothSC(w, i, storageCfg),
-	}
-	if missPenaltyQPS > 0 {
-		in.PCMiss = i.Cost / missPenaltyQPS * w.QPS
-	}
-	return in
-}
-
 // TieredCost is Equation 3:
 //
 //	C = max(PC_cache + PC_miss×MR, SC_cache×CR) + max(PC_storage×MR, SC_storage)
@@ -319,15 +287,6 @@ func TieredCost(in TieredInputs, cr, mr float64) float64 {
 // storage pool is large enough that its cost is SC-dominated).
 func CacheTierCost(in TieredInputs, cr, mr float64) float64 {
 	return math.Max(in.PCCache+in.PCMiss*mr, in.SCCache*cr)
-}
-
-// TieredWorthIt reports whether tiering beats both single-tier options:
-// C_tiered < min(C_cache, C_storage) (§2.4).
-func TieredWorthIt(in TieredInputs, cr, mr float64) bool {
-	tiered := TieredCost(in, cr, mr)
-	cacheOnly := math.Max(in.PCCache, in.SCCache)
-	storageOnly := math.Max(in.PCStorage, in.SCStorage)
-	return tiered < math.Min(cacheOnly, storageOnly)
 }
 
 // --- Theorem 5.1: optimal cache ratio ---
@@ -366,17 +325,6 @@ func OptimalCacheRatio(in TieredInputs, f MRC) (crStar, mrStar, cost float64) {
 }
 
 // --- Five-Minute Rule ---
-
-// ClassicBreakEven is Equation 4 (Gray & Putzolu, 1987):
-//
-//	interval = (PagesPerMBofRAM / AccessesPerSecondPerDisk) ×
-//	           (PricePerDiskDrive / PricePerMBofRAM)
-func ClassicBreakEven(pagesPerMB, accessesPerSecPerDisk, pricePerDisk, pricePerMBRAM float64) float64 {
-	if accessesPerSecPerDisk <= 0 || pricePerMBRAM <= 0 {
-		return math.Inf(1)
-	}
-	return (pagesPerMB / accessesPerSecPerDisk) * (pricePerDisk / pricePerMBRAM)
-}
 
 // BreakEvenInterval is Equation 5, the adaptation for modern distributed
 // systems:

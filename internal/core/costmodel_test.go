@@ -50,8 +50,10 @@ func TestSmoothMetrics(t *testing.T) {
 	if got := SmoothSC(wl, StandardContainer, m); math.Abs(got-5.0) > 1e-9 {
 		t.Fatalf("smooth SC %g", got)
 	}
-	if got := SmoothCost(wl, StandardContainer, m); math.Abs(got-5.0) > 1e-9 {
-		t.Fatalf("smooth C %g", got)
+	// Equation 2: max(CPQPS×QPS, CPGB×DataSize).
+	e := Evaluate(wl, StandardContainer, []Measured{m})[0]
+	if math.Abs(e.PC-2.0) > 1e-9 || math.Abs(e.SC-5.0) > 1e-9 || math.Abs(e.Cost-5.0) > 1e-9 || math.Abs(e.Gap-3.0) > 1e-9 {
+		t.Fatalf("evaluation %+v", e)
 	}
 }
 
@@ -147,7 +149,13 @@ func TestOptimalCostTheoremOnFrontier(t *testing.T) {
 			})
 		}
 		best, _ := OptimalConfig(w, StandardContainer, configs)
-		bal, _ := BalancedConfig(w, StandardContainer, configs)
+		evals := Evaluate(w, StandardContainer, configs)
+		bal := evals[0] // argmin |PC - SC|
+		for _, e := range evals[1:] {
+			if e.Gap < bal.Gap {
+				bal = e
+			}
+		}
 		// The balanced config's cost must be within a frontier-step of the
 		// true optimum (they coincide in the continuous limit).
 		return bal.Cost <= best.Cost*1.10
@@ -167,18 +175,6 @@ func TestTieredCostEquation3(t *testing.T) {
 	}
 	if got := CacheTierCost(in, 0.2, 0.1); math.Abs(got-2.0) > 1e-12 {
 		t.Fatalf("cache tier cost %g", got)
-	}
-}
-
-func TestTieredWorthIt(t *testing.T) {
-	// Skewed access + big cost disparity: tiering wins.
-	in := TieredInputs{PCCache: 1, PCMiss: 0.5, SCCache: 20, PCStorage: 10, SCStorage: 1}
-	if !TieredWorthIt(in, 0.05, 0.05) {
-		t.Fatal("tiering should win for skewed workload")
-	}
-	// Uniform access (high MR at low CR): tiering loses to pure cache.
-	if TieredWorthIt(TieredInputs{PCCache: 1, PCMiss: 5, SCCache: 2, PCStorage: 10, SCStorage: 1}, 0.9, 0.9) {
-		t.Fatal("tiering should lose when cache must hold ~everything anyway")
 	}
 }
 
@@ -241,20 +237,6 @@ func TestOptimalCacheRatioPropertyBalance(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestClassicBreakEven(t *testing.T) {
-	// Gray & Putzolu's 1987 parameters: ~128 pages/MB, 15 accesses/s/disk,
-	// $15k/disk, $5k/MB RAM -> around 400s... the canonical "5 minutes"
-	// comes from 1KB records; just verify the formula's shape.
-	got := ClassicBreakEven(128, 15, 15000, 5000)
-	want := (128.0 / 15.0) * (15000.0 / 5000.0)
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("classic: %f want %f", got, want)
-	}
-	if !math.IsInf(ClassicBreakEven(1, 0, 1, 1), 1) {
-		t.Fatal("zero access rate should be infinite")
 	}
 }
 

@@ -75,7 +75,8 @@ func FindOptimal(w Workload, i Instance, configs []Config, eval ConfigEvaluator,
 	return rep, nil
 }
 
-// String renders the report as an aligned table.
+// String renders the report as an aligned table, failed configurations
+// last in name order.
 func (r *Report) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "workload %s: QPS=%.0f data=%.2fGB on %s\n",
@@ -86,18 +87,16 @@ func (r *Report) String() string {
 		if e.Measured.Config == r.Best.Measured.Config {
 			marker = "*"
 		}
-		cls := Balanced
-		switch {
-		case e.PC > e.SC*1.05:
-			cls = PerformanceCritical
-		case e.SC > e.PC*1.05:
-			cls = SpaceCritical
-		}
 		fmt.Fprintf(&b, "%-24s %10.3f %10.3f %10.3f %-22s %s\n",
-			e.Measured.Config, e.PC, e.SC, e.Cost, cls, marker)
+			e.Measured.Config, e.PC, e.SC, e.Cost, Classify(r.Workload, r.Instance, e.Measured), marker)
 	}
-	for name, err := range r.Failures {
-		fmt.Fprintf(&b, "FAILED %-17s %v\n", name, err)
+	failed := make([]string, 0, len(r.Failures))
+	for name := range r.Failures {
+		failed = append(failed, name)
+	}
+	sort.Strings(failed)
+	for _, name := range failed {
+		fmt.Fprintf(&b, "FAILED %-17s %v\n", name, r.Failures[name])
 	}
 	return b.String()
 }

@@ -82,9 +82,6 @@ func BuildMRC(trace []string) *EmpiricalMRC {
 	return m
 }
 
-// Distinct returns the trace's distinct key count.
-func (m *EmpiricalMRC) Distinct() int { return m.distinct }
-
 // MissRatioAtKeys returns the LRU miss ratio with capacity for c keys.
 // Cold misses always count.
 func (m *EmpiricalMRC) MissRatioAtKeys(c int) float64 {

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -63,8 +65,8 @@ func TestStackDistancesMatchBrute(t *testing.T) {
 func TestMRCFullCacheZeroSteadyMisses(t *testing.T) {
 	trace := []string{"a", "b", "a", "b", "a", "b"}
 	m := BuildMRC(trace)
-	if m.Distinct() != 2 {
-		t.Fatalf("distinct %d", m.Distinct())
+	if m.distinct != 2 {
+		t.Fatalf("distinct %d", m.distinct)
 	}
 	steady := m.Curve(true)
 	if mr := steady(1.0); mr != 0 {
@@ -195,5 +197,40 @@ func TestFrameworkAllFail(t *testing.T) {
 	}
 	if _, err := FindOptimal(wl, StandardContainer, nil, eval, Tolerance{}); err != ErrNoConfigs {
 		t.Fatalf("empty: %v", err)
+	}
+}
+
+// TestReportFailuresSorted: the report lists failed configurations in name
+// order, so two renderings of one report are the same text.
+func TestReportFailuresSorted(t *testing.T) {
+	failing := []string{"zstd-d", "pmem", "wt-4x", "deflate", "raw-big", "pbc-old"}
+	eval := ConfigEvaluatorFunc(func(cfg Config) (Measured, error) {
+		if cfg.Name == "raw" {
+			return Measured{MaxPerfQPS: 100000, MaxSpaceGB: 2}, nil
+		}
+		return Measured{}, fmt.Errorf("cannot measure %s", cfg.Name)
+	})
+	configs := []Config{{Name: "raw"}}
+	for _, name := range failing {
+		configs = append(configs, Config{Name: name})
+	}
+	rep, err := FindOptimal(wl, StandardContainer, configs, eval, Tolerance{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := rep.String()
+	var order []string
+	for _, line := range strings.Split(first, "\n") {
+		if f := strings.Fields(line); len(f) > 1 && f[0] == "FAILED" {
+			order = append(order, f[1])
+		}
+	}
+	if len(order) != len(failing) || !sort.StringsAreSorted(order) {
+		t.Fatalf("FAILED rows %v, want the %d failures in name order:\n%s", order, len(failing), first)
+	}
+	for i := 0; i < 20; i++ {
+		if got := rep.String(); got != first {
+			t.Fatalf("rendering %d differs:\n%s\nfirst:\n%s", i, got, first)
+		}
 	}
 }

@@ -373,15 +373,6 @@ func (e *Engine) ZAdd(key, member string, score float64) (isNew bool, err error)
 	return isNew, err
 }
 
-// ZIncrBy adds delta to a member's score (creating it at delta).
-func (e *Engine) ZIncrBy(key, member string, delta float64) (score float64, err error) {
-	err = e.update(key, KindZSet, true, func(it *item) {
-		score = it.zset.scores[member] + delta
-		it.zadd(member, score)
-	})
-	return score, err
-}
-
 // ZScore returns a member's score.
 func (e *Engine) ZScore(key, member string) (sc float64, err error) {
 	ok := false
@@ -415,18 +406,6 @@ func (e *Engine) ZRange(key string, start, stop int) (out []ZMember, err error) 
 			for i, z := range w {
 				out[i] = ZMember{z.member, z.score}
 			}
-		}
-	})
-	return out, absentIsZero(err)
-}
-
-// ZRangeByScore returns members with min <= score <= max, ascending.
-func (e *Engine) ZRangeByScore(key string, min, max float64) (out []ZMember, err error) {
-	err = e.read(key, KindZSet, func(it *item) {
-		sorted := it.zset.sorted
-		i := sort.Search(len(sorted), func(i int) bool { return sorted[i].score >= min })
-		for ; i < len(sorted) && sorted[i].score <= max; i++ {
-			out = append(out, ZMember{sorted[i].member, sorted[i].score})
 		}
 	})
 	return out, absentIsZero(err)

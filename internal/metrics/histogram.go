@@ -8,7 +8,6 @@ package metrics
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -68,16 +67,6 @@ func bucketIndex(v int64) int {
 	return idx
 }
 
-// bucketLow returns the lowest value contained in bucket idx.
-func bucketLow(idx int) int64 {
-	group := idx / subBuckets
-	sub := int64(idx % subBuckets)
-	if group == 0 {
-		return sub
-	}
-	return (sub + subBuckets) << uint(group-1)
-}
-
 // Record adds a single observation.
 func (h *Histogram) Record(v int64) {
 	if v < 0 {
@@ -105,9 +94,6 @@ func (h *Histogram) RecordDuration(d time.Duration) { h.Record(int64(d)) }
 
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() int64 { return h.total.Load() }
-
-// Sum returns the sum of all recorded values.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
 
 // Mean returns the arithmetic mean of recorded values, 0 if empty.
 func (h *Histogram) Mean() float64 {
@@ -184,10 +170,8 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return h.Max()
 }
 
-// P50, P99, P999 are convenience quantile accessors.
-func (h *Histogram) P50() int64  { return h.Quantile(0.50) }
-func (h *Histogram) P99() int64  { return h.Quantile(0.99) }
-func (h *Histogram) P999() int64 { return h.Quantile(0.999) }
+// P99 is Quantile(0.99).
+func (h *Histogram) P99() int64 { return h.Quantile(0.99) }
 
 // Reset clears all recorded values.
 func (h *Histogram) Reset() {
@@ -198,54 +182,4 @@ func (h *Histogram) Reset() {
 	h.sum.Store(0)
 	h.min.Store(math.MaxInt64)
 	h.max.Store(0)
-}
-
-// Merge adds all observations from other into h.
-func (h *Histogram) Merge(other *Histogram) {
-	for i := 0; i < totalBuckets; i++ {
-		if c := other.counts[i].Load(); c != 0 {
-			h.counts[i].Add(c)
-		}
-	}
-	h.total.Add(other.total.Load())
-	h.sum.Add(other.sum.Load())
-	if other.total.Load() > 0 {
-		om, oM := other.min.Load(), other.max.Load()
-		for {
-			cur := h.min.Load()
-			if om >= cur || h.min.CompareAndSwap(cur, om) {
-				break
-			}
-		}
-		for {
-			cur := h.max.Load()
-			if oM <= cur || h.max.CompareAndSwap(cur, oM) {
-				break
-			}
-		}
-	}
-}
-
-// --- exact small-sample percentile helper (used by tests & calibration) ---
-
-// ExactQuantile computes the exact q-quantile of values (nearest-rank).
-// It sorts a copy; intended for small calibration samples, not hot paths.
-func ExactQuantile(values []int64, q float64) int64 {
-	if len(values) == 0 {
-		return 0
-	}
-	cp := make([]int64, len(values))
-	copy(cp, values)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
-	if q <= 0 {
-		return cp[0]
-	}
-	if q >= 1 {
-		return cp[len(cp)-1]
-	}
-	rank := int(math.Ceil(q*float64(len(cp)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	return cp[rank]
 }

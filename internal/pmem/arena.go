@@ -203,6 +203,3 @@ func (a *Arena) Used() int64 {
 	defer a.mu.Unlock()
 	return a.used
 }
-
-// Capacity reports the underlying device size.
-func (a *Arena) Capacity() int64 { return int64(a.dev.Size()) }

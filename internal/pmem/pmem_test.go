@@ -250,6 +250,18 @@ func TestSizeClassProperty(t *testing.T) {
 
 // --- Ring ---
 
+// consume removes and returns the ring's oldest record, or ErrRingEmpty.
+func consume(r *Ring) ([]byte, error) {
+	batch, err := r.ConsumeBatch(1)
+	if err == nil && len(batch) == 0 {
+		err = ErrRingEmpty
+	}
+	if err != nil {
+		return nil, err
+	}
+	return batch[0], nil
+}
+
 func TestRingAppendConsume(t *testing.T) {
 	r, err := NewRing(OpenVolatile(4096, Latency{}))
 	if err != nil {
@@ -261,7 +273,7 @@ func TestRingAppendConsume(t *testing.T) {
 		}
 	}
 	for i := 0; i < 10; i++ {
-		got, err := r.Consume()
+		got, err := consume(r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -269,7 +281,7 @@ func TestRingAppendConsume(t *testing.T) {
 			t.Fatalf("got %q at %d", got, i)
 		}
 	}
-	if _, err := r.Consume(); err != ErrRingEmpty {
+	if _, err := consume(r); err != ErrRingEmpty {
 		t.Fatalf("want ErrRingEmpty, got %v", err)
 	}
 }
@@ -285,7 +297,7 @@ func TestRingWrapAround(t *testing.T) {
 		if _, err := r.Append(payload); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		got, err := r.Consume()
+		got, err := consume(r)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
@@ -345,7 +357,7 @@ func TestRingRecovery(t *testing.T) {
 	}
 	r.Append([]byte("survive-1"))
 	r.Append([]byte("survive-2"))
-	if _, err := r.Consume(); err != nil {
+	if _, err := consume(r); err != nil {
 		t.Fatal(err)
 	}
 	dev.Close()
@@ -362,7 +374,7 @@ func TestRingRecovery(t *testing.T) {
 	if r2.Len() == 0 {
 		t.Fatal("recovered ring should have one record")
 	}
-	got, err := r2.Consume()
+	got, err := consume(r2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +412,7 @@ func TestRingPropertyRoundTrip(t *testing.T) {
 			kept = append(kept, p)
 		}
 		for _, want := range kept {
-			got, err := r.Consume()
+			got, err := consume(r)
 			if err != nil {
 				return false
 			}

@@ -21,8 +21,8 @@ import (
 //	[64, 64+cap) data region, logical offsets wrap modulo cap
 //
 // Each record: 4-byte length, 4-byte CRC32C, payload.
-// Append persists the record region and the tail pointer; Consume persists
-// the head pointer. Recovery trusts the persisted pointers.
+// Append persists the record region and the tail pointer; ConsumeBatch
+// persists the head pointer. Recovery trusts the persisted pointers.
 type Ring struct {
 	mu  sync.Mutex
 	dev *Device
@@ -149,21 +149,6 @@ func (r *Ring) Append(payload []byte) (int64, error) {
 	return off, nil
 }
 
-// Consume removes and returns the oldest record.
-func (r *Ring) Consume() ([]byte, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	payload, next, err := r.peekLocked()
-	if err != nil {
-		return nil, err
-	}
-	r.head = next
-	if err := r.writeHeader(); err != nil {
-		return nil, err
-	}
-	return payload, nil
-}
-
 // ConsumeBatch removes up to max records, returning them oldest-first.
 // This is the "batch-moved to cloud storage" drain path.
 func (r *Ring) ConsumeBatch(max int) ([][]byte, error) {
@@ -219,6 +204,3 @@ func (r *Ring) Len() int64 {
 	defer r.mu.Unlock()
 	return r.tail - r.head
 }
-
-// Capacity reports the ring data capacity in bytes.
-func (r *Ring) Capacity() int64 { return r.cap }

@@ -137,3 +137,55 @@ func TestRefusesWhatItCannotBuild(t *testing.T) {
 		}
 	}
 }
+
+// TestBatchPutAllocs pins what one 256-pair write-through BatchPut of kv1
+// records allocates, raw and PBC-compressed, so a change to the batch write
+// path (engine, compressor, cache commit, LSM apply, WAL append) that adds
+// allocations fails here. Every batch writes fresh keys, and the 41 batches
+// (one warm-up) stay inside one memtable, so no flush runs in the window.
+// Write-back is left out: its flusher allocates on its own schedule. The
+// bounds are the counts Go 1.24 reads, with and without -race.
+func TestBatchPutAllocs(t *testing.T) {
+	ds := workload.NewKV1()
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		maxAllocs float64
+	}{
+		{"raw", Config{}, 282},
+		{"pbc", Config{Compression: "pbc", TrainingSamples: workload.Sample(ds, 500)}, 535},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Policy = cache.WriteThrough
+			tc.cfg.Dir = t.TempDir()
+			st, err := Open(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			const runs, pairs = 40, 256
+			batches := make([]map[string][]byte, runs+1)
+			for b := range batches {
+				batches[b] = make(map[string][]byte, pairs)
+				for i := 0; i < pairs; i++ {
+					id := int64(b*pairs + i)
+					batches[b][fmt.Sprintf("user%012d", id)] = ds.Record(id)
+				}
+			}
+			next := 0
+			allocs := testing.AllocsPerRun(runs, func() {
+				if err := st.BatchPut(batches[next]); err != nil {
+					t.Fatal(err)
+				}
+				next++
+			})
+			t.Logf("%s: %.0f allocs per %d-pair BatchPut", tc.name, allocs, pairs)
+			if allocs > tc.maxAllocs {
+				t.Errorf("%s: %.0f allocs per BatchPut, want at most %.0f", tc.name, allocs, tc.maxAllocs)
+			}
+			if flushes := st.DB.Stats().Flushes; flushes != 0 {
+				t.Fatalf("%d memtable flushes inside the window", flushes)
+			}
+		})
+	}
+}

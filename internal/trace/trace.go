@@ -1,20 +1,14 @@
 // Package trace implements the sample-based evaluation method of the cost
-// optimization framework (paper §5.3): record a representative period of
-// workload from production, then replay the key-value operation trace
-// against candidate configurations, measuring maximum performance and
-// space. It also synthesizes the two production case-study traces (§6.5)
-// from their published statistics.
+// optimization framework (paper §5.3): replay a representative period of
+// key-value operations against candidate configurations, measuring maximum
+// performance and space. Traces live in memory only; there is no file
+// format. The two production case-study traces (§6.5) are synthesized from
+// their published statistics by GenUserInfo and GenReconciliation.
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
-	"sort"
 
 	"tierbase/internal/workload"
 )
@@ -46,98 +40,6 @@ type Trace struct {
 	// TickHz converts ticks to seconds for interval statistics (how many
 	// ticks elapse per second of recorded wall time).
 	TickHz float64
-}
-
-// --- file format: [op 1B][tick varint][klen varint][key][vlen varint][val] ---
-
-// Save writes the trace to path.
-func (t *Trace) Save(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("trace: create: %w", err)
-	}
-	w := bufio.NewWriterSize(f, 256<<10)
-	var tmp [binary.MaxVarintLen64]byte
-	// header: name len + name + tickhz (as varint of millihertz)
-	n := binary.PutUvarint(tmp[:], uint64(len(t.Name)))
-	w.Write(tmp[:n])
-	w.WriteString(t.Name)
-	n = binary.PutUvarint(tmp[:], uint64(t.TickHz*1000))
-	w.Write(tmp[:n])
-	for _, e := range t.Entries {
-		w.WriteByte(byte(e.Op))
-		n = binary.PutUvarint(tmp[:], uint64(e.Tick))
-		w.Write(tmp[:n])
-		n = binary.PutUvarint(tmp[:], uint64(len(e.Key)))
-		w.Write(tmp[:n])
-		w.WriteString(e.Key)
-		n = binary.PutUvarint(tmp[:], uint64(len(e.Val)))
-		w.Write(tmp[:n])
-		w.Write(e.Val)
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// Load reads a trace from path.
-func Load(path string) (*Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("trace: open: %w", err)
-	}
-	defer f.Close()
-	r := bufio.NewReaderSize(f, 256<<10)
-	nameLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, fmt.Errorf("trace: header: %w", err)
-	}
-	nameBuf := make([]byte, nameLen)
-	if _, err := io.ReadFull(r, nameBuf); err != nil {
-		return nil, err
-	}
-	tickMilliHz, err := binary.ReadUvarint(r)
-	if err != nil {
-		return nil, err
-	}
-	t := &Trace{Name: string(nameBuf), TickHz: float64(tickMilliHz) / 1000}
-	for {
-		op, err := r.ReadByte()
-		if err == io.EOF {
-			return t, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		tick, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		klen, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		key := make([]byte, klen)
-		if _, err := io.ReadFull(r, key); err != nil {
-			return nil, err
-		}
-		vlen, err := binary.ReadUvarint(r)
-		if err != nil {
-			return nil, err
-		}
-		var val []byte
-		if vlen > 0 {
-			val = make([]byte, vlen)
-			if _, err := io.ReadFull(r, val); err != nil {
-				return nil, err
-			}
-		}
-		t.Entries = append(t.Entries, Entry{
-			Tick: int64(tick), Op: OpKind(op), Key: string(key), Val: val,
-		})
-	}
 }
 
 // --- statistics ---
@@ -191,24 +93,6 @@ func (t *Trace) Keys() []string {
 		out[i] = e.Key
 	}
 	return out
-}
-
-// Validate checks structural invariants (monotone ticks, ops populated).
-func (t *Trace) Validate() error {
-	var prev int64 = -1
-	for i, e := range t.Entries {
-		if e.Tick < prev {
-			return fmt.Errorf("trace: tick regression at %d", i)
-		}
-		prev = e.Tick
-		if e.Op != OpRead && e.Op != OpWrite && e.Op != OpDelete {
-			return fmt.Errorf("trace: bad op %q at %d", e.Op, i)
-		}
-		if e.Op == OpWrite && e.Val == nil {
-			return errors.New("trace: write without value")
-		}
-	}
-	return nil
 }
 
 // --- case-study trace generators (§6.5) ---
@@ -299,10 +183,4 @@ func GenReconciliation(o ReconciliationOptions) *Trace {
 		}
 	}
 	return t
-}
-
-// SortableByTick re-sorts entries by tick (generators emit in order; this
-// guards traces assembled from merged sources).
-func (t *Trace) SortByTick() {
-	sort.SliceStable(t.Entries, func(i, j int) bool { return t.Entries[i].Tick < t.Entries[j].Tick })
 }

@@ -1,47 +1,11 @@
 package trace
 
 import (
-	"bytes"
+	"errors"
+	"fmt"
 	"math"
-	"path/filepath"
 	"testing"
 )
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	tr := &Trace{Name: "test", TickHz: 2.5}
-	tr.Entries = []Entry{
-		{Tick: 0, Op: OpWrite, Key: "a", Val: []byte("v1")},
-		{Tick: 1, Op: OpRead, Key: "a"},
-		{Tick: 5, Op: OpDelete, Key: "a"},
-		{Tick: 9, Op: OpWrite, Key: "b", Val: []byte{0, 1, 2, 255}},
-	}
-	path := filepath.Join(t.TempDir(), "t.trace")
-	if err := tr.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != "test" || math.Abs(got.TickHz-2.5) > 1e-9 {
-		t.Fatalf("header: %q %f", got.Name, got.TickHz)
-	}
-	if len(got.Entries) != 4 {
-		t.Fatalf("entries %d", len(got.Entries))
-	}
-	for i := range tr.Entries {
-		w, g := tr.Entries[i], got.Entries[i]
-		if w.Tick != g.Tick || w.Op != g.Op || w.Key != g.Key || !bytes.Equal(w.Val, g.Val) {
-			t.Fatalf("entry %d: %+v vs %+v", i, w, g)
-		}
-	}
-}
-
-func TestLoadMissing(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "nope")); err == nil {
-		t.Fatal("missing file should fail")
-	}
-}
 
 func TestSummarize(t *testing.T) {
 	tr := &Trace{TickHz: 1}
@@ -72,26 +36,26 @@ func TestValidate(t *testing.T) {
 		{Tick: 0, Op: OpWrite, Key: "k", Val: []byte("v")},
 		{Tick: 1, Op: OpRead, Key: "k"},
 	}}
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad1 := &Trace{Entries: []Entry{{Tick: 5, Op: OpRead, Key: "k"}, {Tick: 1, Op: OpRead, Key: "k"}}}
-	if err := bad1.Validate(); err == nil {
+	if err := bad1.validate(); err == nil {
 		t.Fatal("tick regression not caught")
 	}
 	bad2 := &Trace{Entries: []Entry{{Tick: 0, Op: 'X', Key: "k"}}}
-	if err := bad2.Validate(); err == nil {
+	if err := bad2.validate(); err == nil {
 		t.Fatal("bad op not caught")
 	}
 	bad3 := &Trace{Entries: []Entry{{Tick: 0, Op: OpWrite, Key: "k"}}}
-	if err := bad3.Validate(); err == nil {
+	if err := bad3.validate(); err == nil {
 		t.Fatal("write without value not caught")
 	}
 }
 
 func TestGenUserInfoShape(t *testing.T) {
 	tr := GenUserInfo(UserInfoOptions{Ops: 30000})
-	if err := tr.Validate(); err != nil {
+	if err := tr.validate(); err != nil {
 		t.Fatal(err)
 	}
 	st := tr.Summarize()
@@ -116,7 +80,7 @@ func TestGenUserInfoShape(t *testing.T) {
 
 func TestGenReconciliationShape(t *testing.T) {
 	tr := GenReconciliation(ReconciliationOptions{Ops: 30000})
-	if err := tr.Validate(); err != nil {
+	if err := tr.validate(); err != nil {
 		t.Fatal(err)
 	}
 	st := tr.Summarize()
@@ -132,14 +96,31 @@ func TestGenReconciliationShape(t *testing.T) {
 	}
 }
 
-func TestKeysAndSort(t *testing.T) {
+func TestKeys(t *testing.T) {
 	tr := &Trace{Entries: []Entry{
-		{Tick: 2, Op: OpRead, Key: "b"},
-		{Tick: 1, Op: OpRead, Key: "a"},
+		{Tick: 1, Op: OpRead, Key: "b"},
+		{Tick: 2, Op: OpWrite, Key: "a", Val: []byte("v")},
 	}}
-	tr.SortByTick()
 	keys := tr.Keys()
-	if keys[0] != "a" || keys[1] != "b" {
+	if len(keys) != 2 || keys[0] != "b" || keys[1] != "a" {
 		t.Fatalf("keys %v", keys)
 	}
+}
+
+// validate checks structural invariants (monotone ticks, ops populated).
+func (t *Trace) validate() error {
+	var prev int64 = -1
+	for i, e := range t.Entries {
+		if e.Tick < prev {
+			return fmt.Errorf("trace: tick regression at %d", i)
+		}
+		prev = e.Tick
+		if e.Op != OpRead && e.Op != OpWrite && e.Op != OpDelete {
+			return fmt.Errorf("trace: bad op %q at %d", e.Op, i)
+		}
+		if e.Op == OpWrite && e.Val == nil {
+			return errors.New("trace: write without value")
+		}
+	}
+	return nil
 }

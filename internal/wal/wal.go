@@ -90,7 +90,6 @@ type Log struct {
 	stopCh  chan struct{}
 	doneCh  chan struct{}
 	syncErr error
-	appends int64
 	syncs   int64
 
 	// sealed holds the segments a SyncInterval rotation left open, oldest
@@ -256,7 +255,6 @@ func (l *Log) Append(payload []byte) error {
 		return fmt.Errorf("wal: append: %w", err)
 	}
 	l.size += int64(recHeaderSize + len(payload))
-	l.appends++
 	if l.opts.Policy == SyncAlways {
 		if err := l.flushSyncLocked(); err != nil {
 			return fmt.Errorf("wal: sync: %w", err)
@@ -316,13 +314,6 @@ func (l *Log) syncSealedLocked() error {
 	}
 	l.sealed = nil
 	return err
-}
-
-// Appends reports the number of appended records (monitoring).
-func (l *Log) Appends() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appends
 }
 
 // Syncs reports the number of sync operations performed.

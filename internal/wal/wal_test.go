@@ -246,17 +246,6 @@ func TestSyncNeverStillReplaysAfterClose(t *testing.T) {
 	}
 }
 
-func TestAppendsCounter(t *testing.T) {
-	l := openTestLog(t, Options{Policy: SyncNever})
-	defer l.Close()
-	for i := 0; i < 7; i++ {
-		l.Append([]byte("n"))
-	}
-	if l.Appends() != 7 {
-		t.Fatalf("appends = %d", l.Appends())
-	}
-}
-
 func TestReplayPropertyRoundTrip(t *testing.T) {
 	f := func(payloads [][]byte) bool {
 		dir, err := os.MkdirTemp("", "walprop")

@@ -1,8 +1,10 @@
 // Package workload implements a YCSB-style workload generator (paper §6.1):
-// key choosers (uniform, zipfian, scrambled zipfian, latest), operation
-// mixes (Workload A: 50/50 update-heavy; Workload B: 95/5 read-heavy),
-// and record datasets (a synthetic Cities dataset plus two machine-generated
-// KV datasets) used for data insertion in place of YCSB's random strings.
+// key choosers for the run phase (uniform, zipfian, scrambled zipfian,
+// latest, hotspot, shifting hotspot), operation mixes (Workload A: 50/50
+// update-heavy; Workload B: 95/5 read-heavy), and record datasets (a
+// synthetic Cities dataset plus two machine-generated KV datasets) used for
+// data insertion in place of YCSB's random strings. The load phase inserts
+// every key in index order (Spec.LoadOps) and needs no chooser.
 package workload
 
 import (
@@ -209,24 +211,6 @@ func (l *Latest) SetItemCount(n int64) {
 	}
 }
 
-// --- Sequential ---
-
-// Sequential returns 0,1,2,... and is used for the YCSB load phase.
-type Sequential struct{ next int64 }
-
-// NewSequential returns a sequential chooser starting at 0.
-func NewSequential() *Sequential { return &Sequential{} }
-
-// Next implements KeyChooser (ignores rng).
-func (s *Sequential) Next(_ *rand.Rand) int64 {
-	v := s.next
-	s.next++
-	return v
-}
-
-// SetItemCount implements KeyChooser (no-op).
-func (s *Sequential) SetItemCount(int64) {}
-
 // --- Hotspot ---
 
 // Hotspot sends hotOpFraction of operations to a hotSetFraction of the keys.
@@ -312,9 +296,6 @@ func NewShiftingHotspot(n int64, hotSetFraction, hotOpFraction float64, shiftEve
 		shiftEvery:     shiftEvery,
 	}
 }
-
-// Phase reports the current hot-window index (ops so far / shiftEvery).
-func (s *ShiftingHotspot) Phase() int64 { return s.ops / s.shiftEvery }
 
 // Next implements KeyChooser. Determinism: the phase advances purely on
 // the operation count, so a fixed seed replays the exact key sequence.

@@ -148,15 +148,6 @@ func TestLatestFavorsRecent(t *testing.T) {
 	}
 }
 
-func TestSequential(t *testing.T) {
-	s := NewSequential()
-	for i := int64(0); i < 100; i++ {
-		if v := s.Next(nil); v != i {
-			t.Fatalf("sequential: got %d want %d", v, i)
-		}
-	}
-}
-
 func TestHotspot(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	h := NewHotspot(1000, 0.01, 0.9)

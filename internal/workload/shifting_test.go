@@ -34,9 +34,6 @@ func TestShiftingHotspotRotates(t *testing.T) {
 	}
 
 	for phase := int64(0); phase < 3; phase++ {
-		if got := s.Phase(); got != phase {
-			t.Fatalf("phase %d: Phase() = %d", phase, got)
-		}
 		inHot := 0
 		for i := 0; i < shift; i++ {
 			if phaseHot(phase, s.Next(rng)) {

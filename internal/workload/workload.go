@@ -194,32 +194,3 @@ func (g *Generator) Ops(n int) []Op {
 	}
 	return out
 }
-
-// Stats summarizes an operation stream (used by tests and the advisor).
-type Stats struct {
-	Total   int
-	Reads   int
-	Writes  int
-	Uniques int
-	Bytes   int64
-}
-
-// Summarize computes stream statistics.
-func Summarize(ops []Op) Stats {
-	st := Stats{Total: len(ops)}
-	seen := make(map[string]struct{}, len(ops))
-	for _, op := range ops {
-		switch op.Kind {
-		case OpRead, OpScan:
-			st.Reads++
-		default:
-			st.Writes++
-		}
-		if _, ok := seen[op.Key]; !ok {
-			seen[op.Key] = struct{}{}
-			st.Uniques++
-		}
-		st.Bytes += int64(len(op.Value))
-	}
-	return st
-}
