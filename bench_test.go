@@ -20,7 +20,6 @@ import (
 	"tierbase/internal/compress"
 	"tierbase/internal/engine"
 	"tierbase/internal/lsm"
-	"tierbase/internal/pmem"
 
 	"tierbase/internal/workload"
 )
@@ -90,31 +89,6 @@ func BenchmarkAblationWriteBackBatch(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(remote.TotalRPCs())/float64(b.N), "rpc/op")
 			tr.Close()
-		})
-	}
-}
-
-// BenchmarkAblationPMemBatch measures the DRAM-staging bulk-transfer
-// optimization for PMem writes (§4.3).
-func BenchmarkAblationPMemBatch(b *testing.B) {
-	val := make([]byte, 256)
-	for _, batched := range []bool{true, false} {
-		name := "staged-64k"
-		batchMax := 64 << 10
-		if !batched {
-			name = "unstaged"
-			batchMax = 1 // degenerate staging: every put transfers
-		}
-		b.Run(name, func(b *testing.B) {
-			dev := pmem.OpenVolatile(1<<30, pmem.DefaultLatency)
-			arena := pmem.NewArena(dev, batchMax)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := arena.Put(val); err != nil {
-					b.Fatal(err)
-				}
-			}
-			arena.Sync()
 		})
 	}
 }

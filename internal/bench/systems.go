@@ -98,7 +98,7 @@ type TBSystem struct {
 	name     string
 	pool     *elastic.Pool
 	st       *stack.Stack
-	wlog     wal.Appender
+	wlog     appendLog
 	replicas int
 	opCost   time.Duration
 }
@@ -126,21 +126,25 @@ func BuildTierBase(cfg TBConfig, dir string) (*TBSystem, error) {
 	return s, nil
 }
 
+// appendLog is what the wal rows do with their log: append each write's
+// record, and close.
+type appendLog interface {
+	Append(payload []byte) error
+	Close() error
+}
+
 // openLog opens the wal rows' AOF-style log in dir: on disk, or staged in
 // a PMem ring in front of an unsynced disk log. Other rows have none.
-func openLog(persist, dir string) (wal.Appender, error) {
+func openLog(persist, dir string) (appendLog, error) {
 	switch persist {
 	case "wal":
 		return wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Policy: wal.SyncInterval})
 	case "wal-pmem":
-		ring, err := pmem.NewRing(pmem.OpenVolatile(8<<20, pmem.DefaultLatency))
-		if err != nil {
-			return nil, err
-		}
 		back, err := wal.Open(wal.Options{Dir: filepath.Join(dir, "wal"), Policy: wal.SyncNever})
 		if err != nil {
 			return nil, err
 		}
+		ring := pmem.NewRing(pmem.OpenVolatile(8<<20, pmem.DefaultLatency))
 		return wal.NewPMemLog(ring, back), nil
 	}
 	return nil, nil

@@ -126,6 +126,10 @@ var (
 // DefaultShards is the default number of lock stripes.
 const DefaultShards = 16
 
+// pmemMin is the smallest stored value, after compression, that goes to
+// the arena.
+const pmemMin = 64
+
 // Options configures an Engine.
 type Options struct {
 	// Compressor transparently encodes string values (nil = raw).
@@ -134,10 +138,9 @@ type Options struct {
 	CompressMin int
 	// Monitor observes compression outcomes for retrain decisions.
 	Monitor *compress.Monitor
-	// Arena offloads string values >= PMemMin bytes to persistent memory.
+	// Arena offloads string values of at least pmemMin stored bytes to
+	// persistent memory.
 	Arena *pmem.Arena
-	// PMemMin is the offload threshold (default 64 B).
-	PMemMin int
 	// Clock overrides time.Now for TTL tests.
 	Clock func() time.Time
 	// Shards is the number of lock stripes, rounded up to a power of two
@@ -149,9 +152,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.CompressMin <= 0 {
 		o.CompressMin = 16
-	}
-	if o.PMemMin <= 0 {
-		o.PMemMin = 64
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
@@ -453,7 +453,7 @@ func (e *Engine) encode(val []byte) staged {
 			st.val, st.flags = comp, flagCompressed
 		}
 	}
-	if a := e.opts.Arena; a != nil && len(st.val) >= e.opts.PMemMin {
+	if a := e.opts.Arena; a != nil && len(st.val) >= pmemMin {
 		// Arena full: fall back to DRAM.
 		if ref, err := a.Put(st.val); err == nil {
 			st.ref, st.flags = ref, st.flags|flagPMem

@@ -298,8 +298,8 @@ func TestCompressionMonitorWired(t *testing.T) {
 }
 
 func TestPMemOffload(t *testing.T) {
-	arena := pmem.NewArena(pmem.OpenVolatile(1<<20, pmem.Latency{}), 0)
-	e := New(Options{Arena: arena, PMemMin: 64})
+	arena := pmem.NewArena(pmem.OpenVolatile(1<<20, pmem.Latency{}))
+	e := New(Options{Arena: arena})
 	small := []byte("tiny")
 	big := bytes.Repeat([]byte("B"), 500)
 	e.Set("small", small)
@@ -327,14 +327,74 @@ func TestPMemWithCompression(t *testing.T) {
 	ds := workload.NewKV2()
 	dict := compress.NewDeflate(6, true)
 	dict.Train(workload.Sample(ds, 200))
-	arena := pmem.NewArena(pmem.OpenVolatile(1<<20, pmem.Latency{}), 0)
-	e := New(Options{Compressor: dict, Arena: arena, PMemMin: 32})
+	arena := pmem.NewArena(pmem.OpenVolatile(1<<20, pmem.Latency{}))
+	e := New(Options{Compressor: dict, Arena: arena})
 	val := ds.Record(7777)
 	e.Set("k", val)
+	if e.Stats().PMemUsed == 0 {
+		t.Fatal("compressed value should be in PMem")
+	}
 	got, err := e.Get("k")
 	if err != nil || !bytes.Equal(got, val) {
 		t.Fatalf("pmem+compress roundtrip: %v", err)
 	}
+}
+
+// TestPMemPlacement pins where encode puts a value: in the arena when its
+// stored bytes, after compression, are at least pmemMin, and in DRAM below
+// that or when the arena is full.
+func TestPMemPlacement(t *testing.T) {
+	newArena := func(size int) *pmem.Arena { return pmem.NewArena(pmem.OpenVolatile(size, pmem.Latency{})) }
+	roundTrip := func(t *testing.T, e *Engine, key string, val []byte) {
+		t.Helper()
+		if err := e.Set(key, val); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := e.Get(key); err != nil || !bytes.Equal(got, val) {
+			t.Fatalf("Get(%s) = %d B, %v; want the %d B written", key, len(got), err, len(val))
+		}
+	}
+
+	t.Run("threshold", func(t *testing.T) {
+		e := New(Options{Arena: newArena(1 << 20)})
+		roundTrip(t, e, "short", bytes.Repeat([]byte("s"), pmemMin-1))
+		if used := e.Stats().PMemUsed; used != 0 {
+			t.Fatalf("a %d B value put %d B in PMem", pmemMin-1, used)
+		}
+		roundTrip(t, e, "long", bytes.Repeat([]byte("l"), pmemMin))
+		if e.Stats().PMemUsed == 0 {
+			t.Fatalf("a %d B value stayed in DRAM", pmemMin)
+		}
+	})
+
+	t.Run("compressed below threshold", func(t *testing.T) {
+		e := New(Options{Compressor: compress.NewDeflate(6, false), Arena: newArena(1 << 20)})
+		roundTrip(t, e, "k", bytes.Repeat([]byte("c"), 4*pmemMin))
+		if used := e.Stats().PMemUsed; used != 0 {
+			t.Fatalf("a value compressed below %d B put %d B in PMem", pmemMin, used)
+		}
+	})
+
+	t.Run("arena full", func(t *testing.T) {
+		// The arena's 64 B header slot, then one 96 B size class: room
+		// for one 64 B value and its 4 B length.
+		e := New(Options{Arena: newArena(64 + 96)})
+		roundTrip(t, e, "first", bytes.Repeat([]byte("f"), pmemMin))
+		used := e.Stats().PMemUsed
+		if used == 0 {
+			t.Fatal("the first value stayed in DRAM")
+		}
+		roundTrip(t, e, "second", bytes.Repeat([]byte("s"), pmemMin))
+		if got := e.Stats().PMemUsed; got != used {
+			t.Fatalf("PMemUsed %d -> %d for a value the full arena has no room for", used, got)
+		}
+		if e.Del("second") != 1 {
+			t.Fatal("Del(second) found no key")
+		}
+		if got := e.Stats().PMemUsed; got != used {
+			t.Fatalf("deleting the DRAM value moved PMemUsed %d -> %d", used, got)
+		}
+	})
 }
 
 func TestHitMissStats(t *testing.T) {
@@ -384,8 +444,8 @@ func TestSnapshotWalkDecodesStrings(t *testing.T) {
 }
 
 func TestFlushAll(t *testing.T) {
-	arena := pmem.NewArena(pmem.OpenVolatile(1<<20, pmem.Latency{}), 0)
-	e := New(Options{Arena: arena, PMemMin: 8})
+	arena := pmem.NewArena(pmem.OpenVolatile(1<<20, pmem.Latency{}))
+	e := New(Options{Arena: arena})
 	for i := 0; i < 10; i++ {
 		e.Set(fmt.Sprintf("k%d", i), bytes.Repeat([]byte("v"), 100))
 	}

@@ -802,8 +802,8 @@ func oneStripeReadersAndOverwriters(t *testing.T, opts Options) {
 // mismatch error).
 func TestPMemReadersAndOverwriters(t *testing.T) {
 	for _, shards := range []int{1, DefaultShards} {
-		arena := pmem.NewArena(pmem.OpenVolatile(1<<20, pmem.Latency{}), 0)
-		e := New(Options{Shards: shards, Arena: arena, PMemMin: 64})
+		arena := pmem.NewArena(pmem.OpenVolatile(1<<20, pmem.Latency{}))
+		e := New(Options{Shards: shards, Arena: arena})
 		valOf := func(k string) []byte { return bytes.Repeat([]byte(k), 200) }
 		e.Set("a", valOf("a"))
 		e.Set("b", valOf("b"))

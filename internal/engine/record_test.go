@@ -113,14 +113,15 @@ func TestRecordLayout(t *testing.T) {
 }
 
 // TestRecordLayoutInEngine takes the same key and value lengths through an
-// engine of each value placement (raw, compressed, PMem), with and without
-// a TTL: what is written is read back, the books balance, and a record
-// past the slab limit is an allocation of its own.
+// engine of each value placement (raw, compressed, PMem, where values under
+// pmemMin stay in DRAM), with and without a TTL: what is written is read
+// back, the books balance, and a record past the slab limit is an
+// allocation of its own.
 func TestRecordLayoutInEngine(t *testing.T) {
 	for name, opts := range map[string]Options{
 		"raw":        {Shards: 1},
 		"compressed": {Shards: 1, Compressor: tailCompressor{}, CompressMin: 1},
-		"pmem":       {Shards: 1, Arena: pmem.NewArena(pmem.OpenVolatile(1<<20, pmem.Latency{}), 0), PMemMin: 1},
+		"pmem":       {Shards: 1, Arena: pmem.NewArena(pmem.OpenVolatile(1<<20, pmem.Latency{}))},
 	} {
 		e := New(opts)
 		type written struct {

@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"tierbase/internal/pmem"
 	"tierbase/internal/wal"
 )
 
@@ -287,53 +286,6 @@ func TestWALSegmentsReclaimedAfterFlush(t *testing.T) {
 	// remain. Allow one straggler for scheduling slack.
 	if len(segs) > 2 {
 		t.Fatalf("WAL segments not reclaimed: %d remain", len(segs))
-	}
-	if db.Stats().Flushes < 2 {
-		t.Fatalf("expected multiple background flushes, got %d", db.Stats().Flushes)
-	}
-}
-
-// TestPMemWALSegmentsReclaimedAfterFlush: the same reclamation guarantee
-// through a PMem-fronted WAL — PMemLog's Rotate drains its ring and
-// delegates to the backing log, so the file-backed tail of the WAL-PMem
-// strategy does not grow without bound.
-func TestPMemWALSegmentsReclaimedAfterFlush(t *testing.T) {
-	dir := t.TempDir()
-	db, err := Open(Options{
-		Dir:           dir,
-		MemtableBytes: 4 << 10,
-		WALFactory: func(walDir string) (wal.Appender, error) {
-			dev := pmem.OpenVolatile(64<<10, pmem.Latency{})
-			ring, err := pmem.NewRing(dev)
-			if err != nil {
-				return nil, err
-			}
-			back, err := wal.Open(wal.Options{Dir: walDir, Policy: wal.SyncNever})
-			if err != nil {
-				return nil, err
-			}
-			return wal.NewPMemLog(ring, back), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	val := bytes.Repeat([]byte("w"), 256)
-	for i := 0; i < 200; i++ {
-		if err := db.Put([]byte(fmt.Sprintf("seg%04d", i)), val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := filepath.Glob(filepath.Join(dir, "wal", "wal-*.log"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) > 2 {
-		t.Fatalf("PMem-backed WAL segments not reclaimed: %d remain", len(segs))
 	}
 	if db.Stats().Flushes < 2 {
 		t.Fatalf("expected multiple background flushes, got %d", db.Stats().Flushes)

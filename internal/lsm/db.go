@@ -42,8 +42,9 @@ type Options struct {
 	Compaction          CompactionStyle
 	DisableWAL          bool
 	WALSyncPolicy       wal.SyncPolicy
-	// WALFactory overrides WAL construction (e.g. PMem-backed WAL).
-	// If nil, a file-backed log in Dir/wal is used.
+	// WALFactory overrides WAL construction (e.g. a fault-injecting or
+	// tracing wrapper around a Log). If nil, a file-backed log in Dir/wal
+	// is used.
 	WALFactory func(dir string) (wal.Appender, error)
 }
 

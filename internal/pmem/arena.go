@@ -26,7 +26,6 @@ type Arena struct {
 	// write batching
 	batch    []pendingWrite
 	batchLen int
-	batchMax int
 }
 
 type pendingWrite struct {
@@ -59,26 +58,26 @@ func sizeClass(n int) int {
 	}
 }
 
-// NewArena creates an arena over dev. batchMax bounds the DRAM staging
-// buffer in bytes before an automatic flush to the device (0 = 64 KiB).
-func NewArena(dev *Device, batchMax int) *Arena {
-	if batchMax <= 0 {
-		batchMax = 64 << 10
-	}
+// NewArena creates an arena over dev.
+func NewArena(dev *Device) *Arena {
 	return &Arena{
-		dev:      dev,
-		next:     headerSlot, // offset 0..headerSlot reserved (Ref zero-value must stay invalid)
-		free:     make(map[int][]int64),
-		batchMax: batchMax,
+		dev:  dev,
+		next: headerSlot, // offset 0..headerSlot reserved (Ref zero-value must stay invalid)
+		free: make(map[int][]int64),
 	}
 }
 
-// headerSlot reserves the first bytes of the device so that offset 0 is
-// never a valid allocation (keeps Ref{} meaning "absent").
-const headerSlot = 64
+const (
+	// headerSlot reserves the first bytes of the device so that offset 0
+	// is never a valid allocation (keeps Ref{} meaning "absent").
+	headerSlot = 64
+	// batchMax bounds the DRAM staging buffer in bytes; a Put that fills
+	// it transfers the batch to the device.
+	batchMax = 64 << 10
+)
 
 // Put stores val and returns its ref. The data is staged in DRAM and
-// transferred in batches; call Sync for durability.
+// transferred in batches of batchMax bytes.
 func (a *Arena) Put(val []byte) (Ref, error) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
@@ -100,7 +99,7 @@ func (a *Arena) Put(val []byte) (Ref, error) {
 	a.batch = append(a.batch, pendingWrite{off: off, data: buf})
 	a.batchLen += len(buf)
 	a.used += int64(cls)
-	if a.batchLen >= a.batchMax {
+	if a.batchLen >= batchMax {
 		if err := a.drainLocked(); err != nil {
 			return Ref{}, err
 		}
@@ -139,19 +138,8 @@ func (a *Arena) drainLocked() error {
 	return nil
 }
 
-// Sync drains the staging buffer and flushes the device.
-func (a *Arena) Sync() error {
-	a.mu.Lock()
-	if err := a.drainLocked(); err != nil {
-		a.mu.Unlock()
-		return err
-	}
-	a.mu.Unlock()
-	return a.dev.Flush()
-}
-
 // Get fetches the value for ref. The staging buffer is consulted first so
-// unsynced values are readable (cache-coherent view).
+// values not yet transferred are readable (cache-coherent view).
 func (a *Arena) Get(ref Ref) ([]byte, error) {
 	if ref.IsZero() {
 		return nil, errors.New("pmem: zero ref")

@@ -1,26 +1,25 @@
 // Package pmem simulates a persistent-memory device (paper §4.3).
 //
 // The paper deploys Intel Optane DCPMM in App Direct mode. That hardware is
-// not available here, so — per the reproduction's substitution rule — this
-// package implements the closest synthetic equivalent exercising the same
-// code paths: a byte-addressable region that
+// not available here, so this package simulates what the paper's cost
+// argument reads off PMem: a byte-addressable region that
 //
-//   - persists across process restarts (file-backed),
+//   - has a fixed capacity, which callers fill and run out of,
 //   - is slower than DRAM by a configurable factor (injected latencies,
 //     asymmetric: writes cost more than reads, as on Optane),
-//   - is durable only after an explicit Flush (clwb/fence analog),
 //   - is cheaper per GB than DRAM in the cost model (see internal/core).
+//
+// The region is volatile: it lives in process memory and is gone when the
+// process exits, so nothing here recovers state across restarts.
 //
 // Three building blocks are provided: Device (raw region), Arena (value
 // allocator used for the DRAM-extension strategy: keys and indexes stay in
-// DRAM, values move to PMem), and Ring (a persistent ring buffer used for
-// WAL persistence before batch-moving to slower storage).
+// DRAM, values move to PMem), and Ring (the ring buffer the WAL-PMem log
+// stages records in before batch-moving them to slower storage).
 package pmem
 
 import (
 	"errors"
-	"fmt"
-	"os"
 	"sync"
 	"time"
 )
@@ -63,15 +62,12 @@ func (l Latency) writeCost(n int) time.Duration {
 	return l.WriteOp + l.WritePer*time.Duration((n+255)/256)
 }
 
-// Device is a byte-addressable persistent region.
+// Device is a byte-addressable simulated PMem region.
 type Device struct {
-	mu      sync.RWMutex
-	buf     []byte
-	file    *os.File // nil for volatile (test) devices
-	lat     Latency
-	dirty   bool
-	closed  bool
-	flushes int64
+	mu     sync.RWMutex
+	buf    []byte
+	lat    Latency
+	closed bool
 }
 
 // Errors returned by Device operations.
@@ -80,39 +76,8 @@ var (
 	ErrOutOfBounds = errors.New("pmem: access out of bounds")
 )
 
-// Open maps (creates or reopens) a device of the given size backed by path.
-// If the file exists its contents are recovered; size must match.
-func Open(path string, size int, lat Latency) (*Device, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("pmem: open %s: %w", path, err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("pmem: stat %s: %w", path, err)
-	}
-	buf := make([]byte, size)
-	if st.Size() > 0 {
-		if st.Size() != int64(size) {
-			f.Close()
-			return nil, fmt.Errorf("pmem: %s has size %d, want %d", path, st.Size(), size)
-		}
-		if _, err := f.ReadAt(buf, 0); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("pmem: recover %s: %w", path, err)
-		}
-	} else {
-		if err := f.Truncate(int64(size)); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("pmem: truncate %s: %w", path, err)
-		}
-	}
-	return &Device{buf: buf, file: f, lat: lat}, nil
-}
-
-// OpenVolatile creates an in-memory device with no backing file. Flush is a
-// no-op; used in tests and when modeling PMem purely as a capacity tier.
+// OpenVolatile creates an in-memory device of size bytes whose accesses
+// cost lat.
 func OpenVolatile(size int, lat Latency) *Device {
 	return &Device{buf: make([]byte, size), lat: lat}
 }
@@ -135,8 +100,7 @@ func (d *Device) ReadAt(p []byte, off int64) (int, error) {
 	return len(p), nil
 }
 
-// WriteAt copies p into the device at offset off. The write is visible to
-// readers immediately but durable only after Flush.
+// WriteAt copies p into the device at offset off.
 func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -148,71 +112,13 @@ func (d *Device) WriteAt(p []byte, off int64) (int, error) {
 	}
 	spinWait(d.lat.writeCost(len(p)))
 	copy(d.buf[off:], p)
-	d.dirty = true
 	return len(p), nil
 }
 
-// Flush makes all prior writes durable (persist-barrier analog).
-func (d *Device) Flush() error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if d.file == nil || !d.dirty {
-		return nil
-	}
-	if _, err := d.file.WriteAt(d.buf, 0); err != nil {
-		return fmt.Errorf("pmem: flush: %w", err)
-	}
-	d.dirty = false
-	d.flushes++
-	return nil
-}
-
-// FlushRange persists only [off, off+n), cheaper than a full Flush.
-func (d *Device) FlushRange(off int64, n int) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.closed {
-		return ErrClosed
-	}
-	if off < 0 || off+int64(n) > int64(len(d.buf)) {
-		return ErrOutOfBounds
-	}
-	if d.file == nil {
-		return nil
-	}
-	if _, err := d.file.WriteAt(d.buf[off:off+int64(n)], off); err != nil {
-		return fmt.Errorf("pmem: flush range: %w", err)
-	}
-	d.flushes++
-	return nil
-}
-
-// Flushes reports how many flush operations have completed (for tests).
-func (d *Device) Flushes() int64 {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return d.flushes
-}
-
-// Close flushes and releases the device.
+// Close marks the device closed; later reads and writes fail.
 func (d *Device) Close() error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil
-	}
-	d.mu.Unlock()
-	if err := d.Flush(); err != nil {
-		return err
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.closed = true
-	if d.file != nil {
-		return d.file.Close()
-	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -36,44 +35,6 @@ func TestDeviceBounds(t *testing.T) {
 	}
 	if _, err := d.ReadAt([]byte{0}, -1); err != ErrOutOfBounds {
 		t.Fatalf("want ErrOutOfBounds, got %v", err)
-	}
-}
-
-func TestDevicePersistence(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pmem.dat")
-	d, err := Open(path, 4096, Latency{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.WriteAt([]byte("durable"), 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	d2, err := Open(path, 4096, Latency{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	got := make([]byte, 7)
-	if _, err := d2.ReadAt(got, 7); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "durable" {
-		t.Fatalf("recovered %q", got)
-	}
-}
-
-func TestDeviceSizeMismatch(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "pmem.dat")
-	d, err := Open(path, 1024, Latency{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.Close()
-	if _, err := Open(path, 2048, Latency{}); err == nil {
-		t.Fatal("size mismatch should fail")
 	}
 }
 
@@ -130,8 +91,19 @@ func TestDeviceConcurrent(t *testing.T) {
 
 // --- Arena ---
 
+// drain transfers a's staged writes to its device, as a Put that fills the
+// staging buffer does.
+func drain(t testing.TB, a *Arena) {
+	t.Helper()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if err := a.drainLocked(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestArenaPutGet(t *testing.T) {
-	a := NewArena(OpenVolatile(1<<20, Latency{}), 0)
+	a := NewArena(OpenVolatile(1<<20, Latency{}))
 	ref, err := a.Put([]byte("value-1"))
 	if err != nil {
 		t.Fatal(err)
@@ -146,11 +118,9 @@ func TestArenaPutGet(t *testing.T) {
 }
 
 func TestArenaGetAfterSync(t *testing.T) {
-	a := NewArena(OpenVolatile(1<<20, Latency{}), 0)
+	a := NewArena(OpenVolatile(1<<20, Latency{}))
 	ref, _ := a.Put([]byte("synced"))
-	if err := a.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, a)
 	got, err := a.Get(ref)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +131,7 @@ func TestArenaGetAfterSync(t *testing.T) {
 }
 
 func TestArenaZeroRef(t *testing.T) {
-	a := NewArena(OpenVolatile(1<<20, Latency{}), 0)
+	a := NewArena(OpenVolatile(1<<20, Latency{}))
 	if _, err := a.Get(Ref{}); err == nil {
 		t.Fatal("zero ref should error")
 	}
@@ -169,9 +139,9 @@ func TestArenaZeroRef(t *testing.T) {
 }
 
 func TestArenaReuseAfterFree(t *testing.T) {
-	a := NewArena(OpenVolatile(1<<20, Latency{}), 0)
+	a := NewArena(OpenVolatile(1<<20, Latency{}))
 	ref1, _ := a.Put(make([]byte, 100))
-	a.Sync()
+	drain(t, a)
 	a.Free(ref1)
 	ref2, _ := a.Put(make([]byte, 100))
 	if ref1.Off != ref2.Off {
@@ -180,7 +150,7 @@ func TestArenaReuseAfterFree(t *testing.T) {
 }
 
 func TestArenaFull(t *testing.T) {
-	a := NewArena(OpenVolatile(256, Latency{}), 0)
+	a := NewArena(OpenVolatile(256, Latency{}))
 	var lastErr error
 	for i := 0; i < 100; i++ {
 		if _, err := a.Put(make([]byte, 64)); err != nil {
@@ -194,7 +164,7 @@ func TestArenaFull(t *testing.T) {
 }
 
 func TestArenaUsedAccounting(t *testing.T) {
-	a := NewArena(OpenVolatile(1<<20, Latency{}), 0)
+	a := NewArena(OpenVolatile(1<<20, Latency{}))
 	if a.Used() != 0 {
 		t.Fatal("fresh arena not empty")
 	}
@@ -209,7 +179,7 @@ func TestArenaUsedAccounting(t *testing.T) {
 }
 
 func TestArenaManyValuesRoundTrip(t *testing.T) {
-	a := NewArena(OpenVolatile(4<<20, Latency{}), 1024)
+	a := NewArena(OpenVolatile(4<<20, Latency{}))
 	rng := rand.New(rand.NewSource(9))
 	refs := make([]Ref, 0, 500)
 	vals := make([][]byte, 0, 500)
@@ -223,9 +193,7 @@ func TestArenaManyValuesRoundTrip(t *testing.T) {
 		refs = append(refs, ref)
 		vals = append(vals, v)
 	}
-	if err := a.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	drain(t, a)
 	for i, ref := range refs {
 		got, err := a.Get(ref)
 		if err != nil {
@@ -234,6 +202,31 @@ func TestArenaManyValuesRoundTrip(t *testing.T) {
 		if !bytes.Equal(got, vals[i]) {
 			t.Fatalf("value %d mismatch", i)
 		}
+	}
+}
+
+// BenchmarkAblationPMemBatch measures the DRAM-staging bulk-transfer
+// optimization for PMem writes (§4.3): staged Puts reach the device once
+// per batchMax bytes, unstaged ones once each.
+func BenchmarkAblationPMemBatch(b *testing.B) {
+	val := make([]byte, 256)
+	for _, staged := range []bool{true, false} {
+		name := "staged-64k"
+		if !staged {
+			name = "unstaged"
+		}
+		b.Run(name, func(b *testing.B) {
+			a := NewArena(OpenVolatile(1<<30, DefaultLatency))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := a.Put(val); err != nil {
+					b.Fatal(err)
+				}
+				if !staged {
+					drain(b, a)
+				}
+			}
+		})
 	}
 }
 
@@ -263,12 +256,9 @@ func consume(r *Ring) ([]byte, error) {
 }
 
 func TestRingAppendConsume(t *testing.T) {
-	r, err := NewRing(OpenVolatile(4096, Latency{}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewRing(OpenVolatile(4096, Latency{}))
 	for i := 0; i < 10; i++ {
-		if _, err := r.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
+		if err := r.Append([]byte(fmt.Sprintf("rec-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -287,14 +277,11 @@ func TestRingAppendConsume(t *testing.T) {
 }
 
 func TestRingWrapAround(t *testing.T) {
-	r, err := NewRing(OpenVolatile(ringHeaderSize+128, Latency{}))
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := NewRing(OpenVolatile(ringHeaderSize+128, Latency{}))
 	// Repeatedly fill and drain so offsets wrap several times.
 	payload := bytes.Repeat([]byte("x"), 40)
 	for round := 0; round < 20; round++ {
-		if _, err := r.Append(payload); err != nil {
+		if err := r.Append(payload); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		got, err := consume(r)
@@ -308,23 +295,20 @@ func TestRingWrapAround(t *testing.T) {
 }
 
 func TestRingFull(t *testing.T) {
-	r, err := NewRing(OpenVolatile(ringHeaderSize+64, Latency{}))
-	if err != nil {
+	r := NewRing(OpenVolatile(ringHeaderSize+64, Latency{}))
+	if err := r.Append(make([]byte, 40)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.Append(make([]byte, 40)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Append(make([]byte, 40)); err != ErrRingFull {
+	if err := r.Append(make([]byte, 40)); err != ErrRingFull {
 		t.Fatalf("want ErrRingFull, got %v", err)
 	}
-	if _, err := r.Append(make([]byte, 1000)); err != ErrTooLarge {
+	if err := r.Append(make([]byte, 1000)); err != ErrTooLarge {
 		t.Fatalf("want ErrTooLarge, got %v", err)
 	}
 }
 
 func TestRingConsumeBatch(t *testing.T) {
-	r, _ := NewRing(OpenVolatile(4096, Latency{}))
+	r := NewRing(OpenVolatile(4096, Latency{}))
 	for i := 0; i < 5; i++ {
 		r.Append([]byte{byte(i)})
 	}
@@ -345,46 +329,8 @@ func TestRingConsumeBatch(t *testing.T) {
 	}
 }
 
-func TestRingRecovery(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ring.dat")
-	dev, err := Open(path, 4096, Latency{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewRing(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.Append([]byte("survive-1"))
-	r.Append([]byte("survive-2"))
-	if _, err := consume(r); err != nil {
-		t.Fatal(err)
-	}
-	dev.Close()
-
-	dev2, err := Open(path, 4096, Latency{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dev2.Close()
-	r2, err := NewRing(dev2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Len() == 0 {
-		t.Fatal("recovered ring should have one record")
-	}
-	got, err := consume(r2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "survive-2" {
-		t.Fatalf("recovered %q", got)
-	}
-}
-
 func TestRingLen(t *testing.T) {
-	r, _ := NewRing(OpenVolatile(4096, Latency{}))
+	r := NewRing(OpenVolatile(4096, Latency{}))
 	if r.Len() != 0 {
 		t.Fatal("fresh ring not empty")
 	}
@@ -397,16 +343,13 @@ func TestRingLen(t *testing.T) {
 func TestRingPropertyRoundTrip(t *testing.T) {
 	// Property: any sequence of appends drains back in order with equal bytes.
 	f := func(payloads [][]byte) bool {
-		r, err := NewRing(OpenVolatile(1<<20, Latency{}))
-		if err != nil {
-			return false
-		}
+		r := NewRing(OpenVolatile(1<<20, Latency{}))
 		var kept [][]byte
 		for _, p := range payloads {
 			if len(p) > 1000 {
 				p = p[:1000]
 			}
-			if _, err := r.Append(p); err != nil {
+			if err := r.Append(p); err != nil {
 				return false
 			}
 			kept = append(kept, p)

@@ -3,12 +3,11 @@ package pmem
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/crc32"
 	"sync"
 )
 
-// Ring is a persistent ring buffer over a Device, implementing the paper's
+// Ring is a ring buffer over a Device, implementing the paper's
 // WAL-on-PMem strategy (§4.3): "WAL files are first written to a PMem-based
 // persistent ring buffer, then batch-moved to cloud storage, achieving high
 // throughput and real-time persistence".
@@ -17,12 +16,11 @@ import (
 //
 //	[0,  8)  head (consume offset, monotonically increasing logical offset)
 //	[8, 16)  tail (append offset, logical)
-//	[16,24)  capacity (sanity check on reopen)
 //	[64, 64+cap) data region, logical offsets wrap modulo cap
 //
-// Each record: 4-byte length, 4-byte CRC32C, payload.
-// Append persists the record region and the tail pointer; ConsumeBatch
-// persists the head pointer. Recovery trusts the persisted pointers.
+// Each record: 4-byte length, 4-byte CRC32C, payload. Append writes the
+// record and the tail pointer, ConsumeBatch the head pointer: the device
+// writes that persisting them would cost on PMem.
 type Ring struct {
 	mu  sync.Mutex
 	dev *Device
@@ -47,43 +45,18 @@ var (
 	ErrTooLarge  = errors.New("pmem: record larger than ring capacity")
 )
 
-// NewRing initializes (or recovers) a ring over dev. The usable capacity is
-// dev.Size() - 64 header bytes.
-func NewRing(dev *Device) (*Ring, error) {
-	if dev.Size() <= ringHeaderSize+recHeaderSize {
-		return nil, fmt.Errorf("pmem: device too small for ring (%d bytes)", dev.Size())
-	}
-	r := &Ring{dev: dev, cap: int64(dev.Size() - ringHeaderSize)}
-	hdr := make([]byte, 24)
-	if _, err := dev.ReadAt(hdr, 0); err != nil {
-		return nil, err
-	}
-	head := int64(binary.LittleEndian.Uint64(hdr[0:8]))
-	tail := int64(binary.LittleEndian.Uint64(hdr[8:16]))
-	capStored := int64(binary.LittleEndian.Uint64(hdr[16:24]))
-	if capStored != 0 && capStored != r.cap {
-		return nil, fmt.Errorf("pmem: ring capacity changed (%d -> %d)", capStored, r.cap)
-	}
-	if head < 0 || tail < head || tail-head > r.cap {
-		// Corrupt header — reset (a fresh device also lands here with 0,0).
-		head, tail = 0, 0
-	}
-	r.head, r.tail = head, tail
-	if err := r.writeHeader(); err != nil {
-		return nil, err
-	}
-	return r, nil
+// NewRing starts an empty ring over dev, which must be fresh. The usable
+// capacity is dev.Size() - 64 header bytes.
+func NewRing(dev *Device) *Ring {
+	return &Ring{dev: dev, cap: int64(dev.Size() - ringHeaderSize)}
 }
 
 func (r *Ring) writeHeader() error {
-	hdr := make([]byte, 24)
+	hdr := make([]byte, 16)
 	binary.LittleEndian.PutUint64(hdr[0:8], uint64(r.head))
 	binary.LittleEndian.PutUint64(hdr[8:16], uint64(r.tail))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(r.cap))
-	if _, err := r.dev.WriteAt(hdr, 0); err != nil {
-		return err
-	}
-	return r.dev.FlushRange(0, 24)
+	_, err := r.dev.WriteAt(hdr, 0)
+	return err
 }
 
 // writeWrapped writes p at logical offset lo, wrapping modulo cap.
@@ -92,21 +65,13 @@ func (r *Ring) writeWrapped(p []byte, lo int64) error {
 	first := r.cap - pos
 	if int64(len(p)) <= first {
 		_, err := r.dev.WriteAt(p, ringHeaderSize+pos)
-		if err != nil {
-			return err
-		}
-		return r.dev.FlushRange(ringHeaderSize+pos, len(p))
+		return err
 	}
 	if _, err := r.dev.WriteAt(p[:first], ringHeaderSize+pos); err != nil {
 		return err
 	}
-	if err := r.dev.FlushRange(ringHeaderSize+pos, int(first)); err != nil {
-		return err
-	}
-	if _, err := r.dev.WriteAt(p[first:], ringHeaderSize); err != nil {
-		return err
-	}
-	return r.dev.FlushRange(ringHeaderSize, len(p)-int(first))
+	_, err := r.dev.WriteAt(p[first:], ringHeaderSize)
+	return err
 }
 
 func (r *Ring) readWrapped(p []byte, lo int64) error {
@@ -123,30 +88,26 @@ func (r *Ring) readWrapped(p []byte, lo int64) error {
 	return err
 }
 
-// Append writes one record durably and returns its logical offset.
-func (r *Ring) Append(payload []byte) (int64, error) {
+// Append writes one record.
+func (r *Ring) Append(payload []byte) error {
 	need := int64(recHeaderSize + len(payload))
 	if need > r.cap {
-		return 0, ErrTooLarge
+		return ErrTooLarge
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.tail-r.head+need > r.cap {
-		return 0, ErrRingFull
+		return ErrRingFull
 	}
 	rec := make([]byte, need)
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(rec[4:8], crc32.Checksum(payload, crcTable))
 	copy(rec[recHeaderSize:], payload)
-	off := r.tail
-	if err := r.writeWrapped(rec, off); err != nil {
-		return 0, err
+	if err := r.writeWrapped(rec, r.tail); err != nil {
+		return err
 	}
 	r.tail += need
-	if err := r.writeHeader(); err != nil {
-		return 0, err
-	}
-	return off, nil
+	return r.writeHeader()
 }
 
 // ConsumeBatch removes up to max records, returning them oldest-first.

@@ -39,9 +39,9 @@ type Config struct {
 	// TrainingSamples pre-train the compressor (paper §4.2).
 	TrainingSamples [][]byte
 	// PMemBytes, when > 0, offloads values to a simulated PMem device of
-	// that size (paper §4.3), persisted at PMemPath when it is set.
+	// that size (paper §4.3): volatile, with PMem's capacity and injected
+	// latency.
 	PMemBytes int64
-	PMemPath  string
 	// Stripes is the engine's lock-stripe count (0 = engine default).
 	Stripes int
 	// StorageRTT injects a round trip on every storage call (0 = none).
@@ -72,16 +72,8 @@ func NewEngine(c Config) (*Engine, error) {
 	}
 	if c.PMemBytes > 0 {
 		// A simulated device without PMem's latency would be DRAM.
-		if c.PMemPath != "" {
-			dev, err := pmem.Open(c.PMemPath, int(c.PMemBytes), pmem.DefaultLatency)
-			if err != nil {
-				return nil, err
-			}
-			e.dev = dev
-		} else {
-			e.dev = pmem.OpenVolatile(int(c.PMemBytes), pmem.DefaultLatency)
-		}
-		e.Options.Arena = pmem.NewArena(e.dev, 0)
+		e.dev = pmem.OpenVolatile(int(c.PMemBytes), pmem.DefaultLatency)
+		e.Options.Arena = pmem.NewArena(e.dev)
 	}
 	return e, nil
 }

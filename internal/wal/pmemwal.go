@@ -8,12 +8,12 @@ import (
 	"tierbase/internal/pmem"
 )
 
-// PMemLog implements the paper's WAL-PMem strategy (§4.3): every append is
-// synchronously persisted to a PMem ring buffer (overcoming the disk IOPS
-// bottleneck while keeping per-transaction durability), and a background
+// PMemLog is the figure harness's WAL-PMem log (paper §4.3): every append
+// is written to a PMem ring buffer before it returns (per-transaction
+// persistence, without the disk's IOPS bottleneck), and a background
 // drainer batch-moves records to a conventional file-backed Log, keeping
 // the ring small. The backing log is required: it is where records live
-// once drained, and what Rotate and RemoveBefore act on.
+// once drained. PMemLog is not an Appender; the LSM's WAL is a Log.
 type PMemLog struct {
 	ring *pmem.Ring
 	back *Log // slower durable backing store
@@ -25,16 +25,18 @@ type PMemLog struct {
 	drainErr error
 
 	// drainMu serializes ring→backing moves. Drains run from the
-	// background loop, from Append backpressure, from Close, and from
-	// Rotate; without the lock two concurrent drains could interleave
-	// their batches out of append order in the backing log.
+	// background loop, from Append backpressure and from Close; without
+	// the lock two concurrent drains could interleave their batches out
+	// of append order in the backing log.
 	drainMu sync.Mutex
-
-	// DrainBatch is the max records moved per drain cycle.
-	DrainBatch int
-	// DrainEvery is the drain interval.
-	DrainEvery time.Duration
 }
+
+const (
+	// drainBatch is the max records moved per drain cycle.
+	drainBatch = 256
+	// drainEvery is the background drain interval.
+	drainEvery = 50 * time.Millisecond
+)
 
 // NewPMemLog builds a PMem-backed WAL draining into back, which must not
 // be nil; the PMemLog closes it. The caller owns the ring's device.
@@ -43,19 +45,17 @@ func NewPMemLog(ring *pmem.Ring, back *Log) *PMemLog {
 		panic("wal: NewPMemLog without a backing log")
 	}
 	l := &PMemLog{
-		ring:       ring,
-		back:       back,
-		stopCh:     make(chan struct{}),
-		doneCh:     make(chan struct{}),
-		DrainBatch: 256,
-		DrainEvery: 50 * time.Millisecond,
+		ring:   ring,
+		back:   back,
+		stopCh: make(chan struct{}),
+		doneCh: make(chan struct{}),
 	}
 	go l.drainLoop()
 	return l
 }
 
-// Append persists one record to PMem before returning (per-transaction
-// durability). If the ring is full it drains synchronously and retries.
+// Append writes one record to PMem before returning (per-transaction
+// persistence). If the ring is full it drains synchronously and retries.
 func (l *PMemLog) Append(payload []byte) error {
 	l.mu.Lock()
 	if l.closed {
@@ -70,7 +70,7 @@ func (l *PMemLog) Append(payload []byte) error {
 	l.mu.Unlock()
 
 	for {
-		_, err := l.ring.Append(payload)
+		err := l.ring.Append(payload)
 		if err == nil {
 			return nil
 		}
@@ -84,16 +84,11 @@ func (l *PMemLog) Append(payload []byte) error {
 	}
 }
 
-// drainOnce moves up to DrainBatch records from the ring to the backing log.
+// drainOnce moves up to drainBatch records from the ring to the backing log.
 func (l *PMemLog) drainOnce() error {
 	l.drainMu.Lock()
 	defer l.drainMu.Unlock()
-	return l.drainLocked()
-}
-
-// drainLocked is drainOnce's body; caller holds drainMu.
-func (l *PMemLog) drainLocked() error {
-	batch, err := l.ring.ConsumeBatch(l.DrainBatch)
+	batch, err := l.ring.ConsumeBatch(drainBatch)
 	if err != nil {
 		return fmt.Errorf("wal: pmem drain: %w", err)
 	}
@@ -110,7 +105,7 @@ func (l *PMemLog) drainLocked() error {
 
 func (l *PMemLog) drainLoop() {
 	defer close(l.doneCh)
-	t := time.NewTicker(l.DrainEvery)
+	t := time.NewTicker(drainEvery)
 	defer t.Stop()
 	for {
 		select {
@@ -127,16 +122,6 @@ func (l *PMemLog) drainLoop() {
 			return
 		}
 	}
-}
-
-// Sync is a no-op: every append is already durable in PMem.
-func (l *PMemLog) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	return l.drainErr
 }
 
 // Close stops the drainer, moves remaining records to the backing log, and
@@ -158,62 +143,3 @@ func (l *PMemLog) Close() error {
 	}
 	return l.back.Close()
 }
-
-// Rotate drains the ring into the backing log and rotates it, returning
-// the new active segment's sequence number. Callers serialize Rotate
-// against their own Appends (the LSM holds its commit lock), which
-// guarantees no record written after Rotate can land in a pre-rotation
-// segment — the invariant RemoveBefore reclamation rests on. Records of
-// the OLD memtable that the background drainer races into the new
-// segment are harmless: replay filters them by sequence number, they
-// are merely retained one rotation longer.
-func (l *PMemLog) Rotate() (int, error) {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if err := l.drainErr; err != nil {
-		l.mu.Unlock()
-		return 0, err
-	}
-	l.mu.Unlock()
-	l.drainMu.Lock()
-	defer l.drainMu.Unlock()
-	for l.ring.Len() > 0 {
-		if err := l.drainLocked(); err != nil {
-			return 0, err
-		}
-	}
-	return l.back.Rotate()
-}
-
-// RemoveBefore reclaims checkpointed backing-log segments (see
-// Log.RemoveBefore).
-func (l *PMemLog) RemoveBefore(seq int) error {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	l.mu.Unlock()
-	return l.back.RemoveBefore(seq)
-}
-
-// Appender is the WAL interface shared by Log and PMemLog; callers depend
-// only on this. Every Appender rotates and reclaims: the LSM seals the
-// active segment at each memtable rotation (Rotate returns the segment that
-// starts) and frees the segments a flush has checkpointed (RemoveBefore),
-// so a wrapper that forwards the interface keeps the log bounded.
-type Appender interface {
-	Append(payload []byte) error
-	Sync() error
-	Close() error
-	Rotate() (int, error)
-	RemoveBefore(seq int) error
-}
-
-var (
-	_ Appender = (*Log)(nil)
-	_ Appender = (*PMemLog)(nil)
-)

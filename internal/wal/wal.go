@@ -5,14 +5,15 @@
 //     configurable sync policy (always / every interval / never), matching
 //     the paper's "WAL mode ... uses SSDs and asynchronous disk flushes
 //     every second" (§6.2.2);
-//   - PMemLog (pmemwal.go): a persistent-memory ring buffer synced per
-//     transaction and batch-drained to a slower backing Log, which it
-//     always has, matching "WAL-PMem synchronizes to PMem per transaction"
-//     (§4.3, §6.2.2).
+//   - PMemLog (pmemwal.go): the figure harness's WAL-PMem log, a simulated
+//     persistent-memory ring written per transaction and batch-drained to
+//     a slower backing Log, which it always has, matching "WAL-PMem
+//     synchronizes to PMem per transaction" (§4.3, §6.2.2).
 //
-// Both implement Appender, and every Appender rotates and reclaims: Rotate
-// seals the active segment and RemoveBefore deletes checkpointed ones, so
-// the log a writer keeps is bounded by what is not yet checkpointed.
+// Log implements Appender, the interface the LSM writes its WAL through,
+// and every Appender rotates and reclaims: Rotate seals the active segment
+// and RemoveBefore deletes checkpointed ones, so the log a writer keeps is
+// bounded by what is not yet checkpointed. PMemLog only appends and closes.
 //
 // Record format: 4-byte little-endian length, 4-byte CRC32C, payload.
 // Replay stops reading a segment at a torn tail (see Replay for which
@@ -71,6 +72,21 @@ func (o *Options) fill() {
 		o.MaxSegmentBytes = 64 << 20
 	}
 }
+
+// Appender is the WAL interface the LSM depends on. Every Appender
+// rotates and reclaims: the LSM seals the active segment at each memtable
+// rotation (Rotate returns the segment that starts) and frees the segments
+// a flush has checkpointed (RemoveBefore), so a wrapper that forwards the
+// interface keeps the log bounded.
+type Appender interface {
+	Append(payload []byte) error
+	Sync() error
+	Close() error
+	Rotate() (int, error)
+	RemoveBefore(seq int) error
+}
+
+var _ Appender = (*Log)(nil)
 
 // Log is a segmented append-only write-ahead log.
 //

@@ -287,23 +287,20 @@ func TestReplayPropertyRoundTrip(t *testing.T) {
 
 // --- PMemLog ---
 
-func newTestPMemLog(t *testing.T, backDir string) (*PMemLog, *pmem.Device) {
+// newTestPMemLog opens a PMemLog over a zero-latency ring of ringBytes,
+// draining into a log in backDir.
+func newTestPMemLog(t *testing.T, ringBytes int, backDir string) *PMemLog {
 	t.Helper()
-	dev := pmem.OpenVolatile(64<<10, pmem.Latency{})
-	ring, err := pmem.NewRing(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
 	back, err := Open(Options{Dir: backDir, Policy: SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return NewPMemLog(ring, back), dev
+	return NewPMemLog(pmem.NewRing(pmem.OpenVolatile(ringBytes, pmem.Latency{})), back)
 }
 
 func TestPMemLogAppendDrain(t *testing.T) {
 	dir := t.TempDir()
-	l, _ := newTestPMemLog(t, dir)
+	l := newTestPMemLog(t, 64<<10, dir)
 	for i := 0; i < 100; i++ {
 		if err := l.Append([]byte(fmt.Sprintf("p-%d", i))); err != nil {
 			t.Fatal(err)
@@ -324,17 +321,8 @@ func TestPMemLogAppendDrain(t *testing.T) {
 
 func TestPMemLogBackpressure(t *testing.T) {
 	// Tiny ring forces synchronous drains under load.
-	dev := pmem.OpenVolatile(512, pmem.Latency{})
-	ring, err := pmem.NewRing(dev)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := t.TempDir()
-	back, err := Open(Options{Dir: dir, Policy: SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := NewPMemLog(ring, back)
+	l := newTestPMemLog(t, 512, dir)
 	for i := 0; i < 200; i++ {
 		if err := l.Append(bytes.Repeat([]byte("z"), 64)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -347,56 +335,5 @@ func TestPMemLogBackpressure(t *testing.T) {
 	Replay(dir, func([]byte) error { count++; return nil })
 	if count != 200 {
 		t.Fatalf("drained %d records, want 200", count)
-	}
-}
-
-func TestPMemLogRotateRemoveBefore(t *testing.T) {
-	dir := t.TempDir()
-	l, _ := newTestPMemLog(t, dir)
-	for i := 0; i < 50; i++ {
-		if err := l.Append([]byte(fmt.Sprintf("old-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	seg, err := l.Rotate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seg <= 0 {
-		t.Fatalf("rotate returned segment %d, want > 0", seg)
-	}
-	for i := 0; i < 50; i++ {
-		if err := l.Append([]byte(fmt.Sprintf("new-%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.RemoveBefore(seg); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Every pre-rotation record was drained into segments < seg, so
-	// after RemoveBefore only post-rotation records survive replay.
-	var got []string
-	if err := Replay(dir, func(p []byte) error { got = append(got, string(p)); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 50 {
-		t.Fatalf("replayed %d records, want 50", len(got))
-	}
-	for i, p := range got {
-		if want := fmt.Sprintf("new-%d", i); p != want {
-			t.Fatalf("record %d = %q, want %q", i, p, want)
-		}
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range segs {
-		if s < seg {
-			t.Fatalf("segment %d survived RemoveBefore(%d)", s, seg)
-		}
 	}
 }

@@ -82,11 +82,10 @@ type Options struct {
 	// for "pbc" and "zstd-d" to be effective.
 	TrainingSamples [][]byte
 	// PMemBytes, when > 0, creates a simulated persistent-memory arena of
-	// that size; values >= 64 B are offloaded to it (paper §4.3).
+	// that size; values of 64 B or more (after compression) are offloaded
+	// to it (paper §4.3). The simulation models PMem's capacity and
+	// latency; it is volatile, so nothing in it outlives the process.
 	PMemBytes int64
-	// PMemPath persists the PMem device at this file (optional; default
-	// volatile simulation).
-	PMemPath string
 	// ElasticThreading lets the gate switch single↔multi threaded (§4.4);
 	// otherwise Threads fixes the worker count (default 1, the paper's
 	// default single-thread event-loop mode).
@@ -121,7 +120,6 @@ func Open(opts Options) (*Store, error) {
 		CompressionLevel: opts.CompressionLevel,
 		TrainingSamples:  opts.TrainingSamples,
 		PMemBytes:        opts.PMemBytes,
-		PMemPath:         opts.PMemPath,
 		Stripes:          opts.Shards,
 		StorageRTT:       opts.StorageRTT,
 	}
