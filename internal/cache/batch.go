@@ -5,11 +5,11 @@ import "tierbase/internal/engine"
 // Batch operations on the tiered store: the cache-tier leg of the
 // MGET/MSET fast path. Cache hits resolve through the engine's lock-striped
 // MGet (one stripe lock per touched shard); the misses take Get's miss leg
-// (miss, tiered.go), whose storage half makes a single Storage.BatchGet
-// round trip for them — the optimization the paper credits for lowering
-// PC_miss. Writes take the RMW locks of the stripes they touch and go
-// through commit (tiered.go), as one key does: one storage round trip
-// (write-through) or one admission to the dirty set (write-back).
+// (miss, tiered.go), which fills them under their stripes' RMW locks with a
+// single Storage.BatchGet round trip — the optimization the paper credits
+// for lowering PC_miss. Writes take the RMW locks of the stripes they touch
+// and go through commit (tiered.go), as one key does: one storage round
+// trip (write-through) or one admission to the dirty set (write-back).
 
 // dedupeKeys drops duplicate keys while preserving first-occurrence
 // order; a duplicate-free input is returned as-is.
@@ -95,10 +95,13 @@ func (t *Tiered) BatchPut(entries map[string][]byte) error {
 	}
 	t.reqs.Add(int64(len(entries)))
 	ws := make([]write, 0, len(entries))
+	var held stripes
 	for k, v := range entries {
 		ws = append(ws, write{key: k, val: v})
+		held |= t.stripe(k)
 	}
-	defer t.lockKeys(ws)()
+	t.lock(held)
+	defer t.unlock(held)
 	return t.commit(ws, entries)
 }
 
@@ -126,7 +129,7 @@ func (t *Tiered) BatchDelete(keys []string) (int, error) {
 	for i, k := range uniq {
 		ws[i].key = k // no value: a delete
 	}
-	defer t.lockKeys(ws)()
+	defer t.unlock(t.lockKeys(uniq))
 
 	// Establish per-key existence before mutating. Keys the cache holds
 	// count immediately; the rest consult write-back dirty state and, as a

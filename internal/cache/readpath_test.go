@@ -170,3 +170,88 @@ func TestReadPathWork(t *testing.T) {
 		})
 	}
 }
+
+// parkedGet parks the first Get it serves, after reading storage and before
+// answering, until release closes: a miss whose storage read is out.
+type parkedGet struct {
+	Storage
+	once            sync.Once
+	parked, release chan struct{}
+}
+
+func (p *parkedGet) Get(key string) ([]byte, bool, error) {
+	v, ok, err := p.Storage.Get(key)
+	p.once.Do(func() {
+		close(p.parked)
+		<-p.release
+	})
+	return v, ok, err
+}
+
+func (p *parkedGet) FlushAll() error { return FlushStorage(p.Storage) }
+
+// TestFillOrdersWithWrites: a GET misses and its storage read is out when a
+// writer of the same key arrives. Whichever order the two take, a fill may
+// not land the older value over the acked write: once both have returned, a
+// fresh GET sees the writer's outcome. The writer is given 20 ms to return
+// while the read is parked, and the read is then let go.
+func TestFillOrdersWithWrites(t *testing.T) {
+	writers := []struct {
+		name  string
+		write func(tr *Tiered) error
+		want  []byte // nil: absent
+	}{
+		{"SET", func(tr *Tiered) error { return tr.Set("k", []byte("new")) }, []byte("new")},
+		{"DEL", func(tr *Tiered) error { return tr.Delete("k") }, nil},
+		{"FLUSHALL", func(tr *Tiered) error { return tr.FlushAll() }, nil},
+	}
+	for _, policy := range []Policy{WriteThrough, WriteBack} {
+		for _, w := range writers {
+			t.Run(policy.String()+"/"+w.name, func(t *testing.T) {
+				inner := NewMapStorage()
+				inner.Put("k", []byte("old"))
+				stor := &parkedGet{Storage: inner, parked: make(chan struct{}), release: make(chan struct{})}
+				tr, err := New(Options{
+					Policy: policy, Engine: engine.New(engine.Options{}), Storage: stor,
+					FlushInterval: time.Hour, FlushBatch: 1 << 20, MaxDirty: 1 << 20,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tr.Close()
+				read := make(chan error, 1)
+				go func() {
+					_, err := tr.Get("k")
+					read <- err
+				}()
+				<-stor.parked
+				wrote := make(chan error, 1)
+				go func() { wrote <- w.write(tr) }()
+				var werr error
+				select {
+				case werr = <-wrote:
+					wrote = nil
+				case <-time.After(20 * time.Millisecond):
+				}
+				close(stor.release)
+				if err := <-read; err != nil {
+					t.Fatalf("the parked GET: %v", err)
+				}
+				if wrote != nil {
+					werr = <-wrote
+				}
+				if werr != nil {
+					t.Fatalf("%s: %v", w.name, werr)
+				}
+				v, err := tr.Get("k")
+				if w.want == nil {
+					if err != ErrNotFound {
+						t.Fatalf("GET after %s: %q, %v; want absent", w.name, v, err)
+					}
+				} else if err != nil || !bytes.Equal(v, w.want) {
+					t.Fatalf("GET after %s: %q, %v; want %q", w.name, v, err, w.want)
+				}
+			})
+		}
+	}
+}

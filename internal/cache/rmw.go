@@ -15,14 +15,16 @@ import (
 // Mutate runs op, an in-place engine mutation of key, and commits what it
 // left behind:
 //
-//  1. The key is faulted in from the storage tier, so op composes with a
-//     value that was evicted or predates a restart (hold).
-//  2. op runs under key's RMW stripe lock. Without the lock two INCRs could
-//     commit their results out of engine order and the storage tier would
-//     converge on the older value. From the lock to the commit the key is
-//     pinned against capacity eviction (Tiered.pinned): a reader's miss-fill
-//     may run the eviction hand onto this stripe at any moment, and a key
-//     evicted between op and step 3 would be committed as a delete.
+//  1. Key's RMW stripe lock is taken, key is pinned against capacity
+//     eviction, and a key the engine lacks is filled from the storage tier
+//     under the lock, so op composes with a value that was evicted or
+//     predates a restart (hold).
+//  2. op runs under the lock. Without it two INCRs could commit their
+//     results out of engine order and the storage tier would converge on
+//     the older value. From the lock to the commit the key is pinned
+//     (Tiered.pinned): a miss on another stripe may run the eviction hand
+//     onto this one at any moment, and a key evicted between op and step 3
+//     would be committed as a delete.
 //  3. If op reports a change, the key's current engine state — a string, a
 //     collection as a typed blob, or its absence (a collection emptied by
 //     its last pop) — takes the route a Set or Delete takes (commit, in
@@ -60,26 +62,16 @@ func (t *Tiered) SetEncoded(key string, blob []byte) error {
 
 // hold is how an in-place mutation of key begins (Mutate, ExpireAt,
 // Persist): it returns with key's RMW stripe lock taken, key pinned against
-// capacity eviction, and key resident if any tier has it. The caller defers
-// release of the stripe it returns.
-//
-// The key is warmed before the lock, so that a cold key's storage read does
-// not hold up the stripe's other writers. That leaves a window: an eviction
-// between the warm and the lock, and an INCR of an evicted 41 would commit 1.
-// So once the key can no longer leave, hold looks again, and fetches a key
-// the engine lacks there and then. It calls the miss leg's storage half
-// (fetch), not Get: Get deletes a lapsed key through the tiers under this
-// same lock. A lapsed key is still in the engine and needs no fetch (the op
-// will find it absent), and a write-back tombstone means the storage copy is
-// the stale one. A key no tier has costs a second storage read this way.
+// capacity eviction, and key resident if any tier has it. A key the engine
+// lacks is filled under the lock as a miss fills it (fill), so no eviction
+// or write falls between the fill and the op; a lapsed key is deleted
+// through there, and under write-back a dirty entry means the storage copy
+// is the stale one. The caller defers release of the stripe it returns.
 func (t *Tiered) hold(key string) (stripe int) {
-	t.Warm(key)
 	si := t.pin(key)
-	if t.opts.Policy != CacheOnly && !t.eng.Exists(key) && !t.eng.Expired(key) {
-		if _, dirty := t.dirty.lookup(key); !dirty {
-			// As Warm: absent is the best answer left.
-			t.fetch([]string{key}, func(string, []byte, error) {})
-		}
+	if t.opts.Policy != CacheOnly && !t.eng.Exists(key) {
+		// As Warm: absent is the best answer left.
+		t.fill([]string{key}, func(string, []byte, error) {})
 	}
 	return si
 }

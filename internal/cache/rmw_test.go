@@ -300,11 +300,13 @@ func TestMutateKeyPinnedAgainstEviction(t *testing.T) {
 	}
 }
 
-// TestEvictionBetweenWarmAndLock: an in-place mutation warms its key before
-// it takes the key's RMW lock, and an eviction may fall between the two. The
-// test holds the stripe's RMW lock itself while the mutation starts, waits
-// for its warm to admit the key, evicts the key again and lets go: the
-// mutation must still compose with the stored 41, not with nothing.
+// TestEvictionBetweenWarmAndLock: a key warmed into the cache tier may be
+// evicted before an in-place mutation of it holds its RMW lock, and the
+// mutation fills the key only under that lock. With the cache at its budget
+// and the key warm, the test holds the stripe's RMW lock itself while the
+// mutation starts, evicts the key and lets go: the mutation must still
+// compose with the stored 41, not with nothing, and its fill's eviction
+// must pass over the key.
 func TestEvictionBetweenWarmAndLock(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -355,12 +357,17 @@ func TestEvictionBetweenWarmAndLock(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
+			if v, err := tr.Get("k"); err != nil || string(v) != "41" || !eng.Exists("k") {
+				t.Fatalf("Get k: %q, %v, resident %v; want a resident 41", v, err, eng.Exists("k"))
+			}
 			si := eng.ShardIndex("k")
 			tr.rmw[si].Lock()
 			done := make(chan error, 1)
 			go func() { done <- c.mutate(tr) }()
-			for !eng.Exists("k") { // the mutation's warm admits it
-				time.Sleep(time.Millisecond)
+			select {
+			case err := <-done:
+				t.Fatalf("the mutation ran while its stripe was locked: %v", err)
+			case <-time.After(20 * time.Millisecond):
 			}
 			for eng.Exists("k") {
 				eng.Evict(si, tr.pinned[si])
@@ -381,38 +388,6 @@ func TestEvictionBetweenWarmAndLock(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestMissTakesNoRMWLock: a read that misses goes to storage without its
-// key's RMW stripe lock, so it does not queue behind a write on the stripe.
-func TestMissTakesNoRMWLock(t *testing.T) {
-	stor := NewMapStorage()
-	eng := engine.New(engine.Options{})
-	tr, err := New(Options{Policy: WriteThrough, Engine: eng, Storage: stor})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	cold := sameStripeKeys(t, eng, "held", 1)[0]
-	if err := stor.Put(cold, []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	err = tr.Mutate("held", func() (bool, error) {
-		read := make(chan error, 1)
-		go func() {
-			_, err := tr.Get(cold)
-			read <- err
-		}()
-		select {
-		case err := <-read:
-			return false, err
-		case <-time.After(5 * time.Second):
-			return false, fmt.Errorf("miss of %s waited for the stripe's RMW lock", cold)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -21,7 +21,7 @@ import "tierbase/internal/replication"
 //     should return quickly (they run inside the write path's critical
 //     sections).
 //
-// Cache fills (singleflight miss population) and capacity evictions are
+// Cache fills (miss population) and capacity evictions are
 // NOT reported: they don't change the logical key space, and replicas
 // manage their own residency.
 type OpSink interface {

@@ -2,9 +2,9 @@
 // a cache tier (the in-memory engine) synchronized with a disaggregated
 // storage tier through write-through or write-back policies. It contains
 // the techniques the paper credits for a low miss penalty and low storage
-// cost: per-key write ordering (one stripe lock rule), dirty-data batching
-// with backpressure, batched and coalesced miss fetches, and cache-content
-// replication.
+// cost: per-key ordering of writes and fills (one stripe lock rule),
+// dirty-data batching with backpressure, batched miss fills, and
+// cache-content replication.
 package cache
 
 import (

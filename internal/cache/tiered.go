@@ -125,17 +125,13 @@ type Tiered struct {
 	// the stale round's BatchPut overwrites it with the older value.
 	flushMu sync.Mutex
 
-	// Singleflight state: at most one storage fetch per key is in flight;
-	// concurrent misses of the same key wait on the leader's result
-	// instead of issuing duplicate storage round trips.
-	flMu    sync.Mutex
-	flights map[string]*flight
-
-	// Per-stripe RMW locks: the one per-key write-ordering rule. rmw[i]
-	// covers every key in engine stripe i, and every write entry point holds
-	// the lock of each stripe it writes from before the storage write (or
-	// dirty-mark) until after the sink call; holders of several (batches,
-	// FlushAll) acquire in ascending index. See lockKey / lockKeys.
+	// Per-stripe RMW locks: the one per-key ordering rule. rmw[i] covers
+	// every key in engine stripe i, and every change to a key's cache-tier
+	// state, whether a write or a fill, holds its stripe's lock: a write
+	// from before the storage write (or dirty-mark) until after the sink
+	// call, a fill from before its storage read until after the admission.
+	// Holders of several (batches, FlushAll) acquire in ascending index.
+	// See lockKey / lockKeys.
 	rmw []sync.Mutex
 
 	// Replication sink (see sink.go); nil when replication is off.
@@ -156,15 +152,7 @@ type Tiered struct {
 	evictions atomic.Int64
 	flushed   atomic.Int64
 	batches   atomic.Int64
-	flShared  atomic.Int64 // miss fetches served by another caller's flight
-}
-
-// flight is one in-progress storage fetch of key; joiners block on done.
-type flight struct {
-	key  string
-	done chan struct{}
-	val  []byte // valid after done closes; nil when absent
-	err  error  // ErrNotFound when absent or storage is degraded; storage error otherwise
+	flShared  atomic.Int64 // misses that found their key filled after waiting for its stripe
 }
 
 // ErrClosed is returned after Close.
@@ -205,12 +193,11 @@ func New(opts Options) (*Tiered, error) {
 		health = rs.h
 	}
 	t := &Tiered{
-		opts:    opts,
-		eng:     opts.Engine,
-		health:  health,
-		flights: make(map[string]*flight),
-		dirty:   newDirtySet(opts.MaxDirty),
-		stopCh:  make(chan struct{}),
+		opts:   opts,
+		eng:    opts.Engine,
+		health: health,
+		dirty:  newDirtySet(opts.MaxDirty),
+		stopCh: make(chan struct{}),
 	}
 	nsh := opts.Engine.NumShards()
 	t.rmw = make([]sync.Mutex, nsh)
@@ -302,16 +289,8 @@ func (t *Tiered) Get(key string) (val []byte, err error) {
 // miss is the one miss leg of Get and BatchGet: it answers the keys the
 // cache tier did not hold — distinct keys, none a live collection — with one
 // call of answer per key: the value, or ErrNotFound, engine.ErrWrongType (a
-// collection) or a storage error. In order:
-//
-//  1. Cache-only: no other tier to ask.
-//  2. A key whose TTL lapsed while resident is deleted through every tier
-//     (expireThrough) and is absent: a storage copy or a dirty write of it
-//     would otherwise answer for it with no deadline. The probe takes the
-//     engine's read lock only, so only a lapsed key takes its RMW lock.
-//  3. Write-back: an unflushed value or delete of the key wins over what
-//     storage still holds.
-//  4. The rest are fetched (fetch).
+// collection) or a storage error. Cache-only has no other tier to ask; the
+// other policies fill the keys under the RMW locks of their stripes (fill).
 //
 // miss reuses keys' array.
 func (t *Tiered) miss(keys []string, answer func(key string, val []byte, err error)) {
@@ -321,8 +300,38 @@ func (t *Tiered) miss(keys []string, answer func(key string, val []byte, err err
 		}
 		return
 	}
+	defer t.unlock(t.lockKeys(keys))
+	t.fill(keys, answer)
+}
+
+// fill brings keys from the storage tier into the cache tier and answers
+// each as miss does. The caller holds the RMW lock of every stripe the keys
+// touch, so no write of them lands between the storage read and the
+// admission, and a fill never overwrites a newer write. In order:
+//
+//  1. A key the engine now holds — another caller filled or wrote it while
+//     this one waited for the lock — is answered from there and counted in
+//     Stats.Shared.
+//  2. A key whose TTL lapsed while resident is deleted through every tier
+//     (expireThrough) and is absent: a storage copy or a dirty write of it
+//     would otherwise answer for it with no deadline.
+//  3. Write-back: an unflushed value or delete of the key wins over what
+//     storage still holds.
+//  4. The rest make one storage round trip, Get for one key and BatchGet
+//     for more, and are admitted (admit); then the cache tier is brought
+//     back within its budget.
+//
+// fill reuses keys' array.
+func (t *Tiered) fill(keys []string, answer func(key string, val []byte, err error)) {
 	cold := keys[:0]
 	for _, k := range keys {
+		if t.eng.Exists(k) { // not Get: that would count an engine miss twice
+			if v, err := t.eng.Get(k); err != engine.ErrNotFound {
+				t.flShared.Add(1)
+				answer(k, v, err)
+				continue
+			}
+		}
 		if t.eng.Expired(k) && t.expireThrough(k) {
 			answer(k, nil, ErrNotFound)
 			continue
@@ -342,17 +351,58 @@ func (t *Tiered) miss(keys []string, answer func(key string, val []byte, err err
 		}
 		cold = append(cold, k)
 	}
-	t.fetch(cold, answer)
+	switch len(cold) {
+	case 0:
+		return
+	case 1:
+		v, ok, err := t.opts.Storage.Get(cold[0])
+		v, err = t.admit(cold[0], v, ok, err)
+		answer(cold[0], v, err)
+	default:
+		vals, err := t.opts.Storage.BatchGet(cold)
+		for _, k := range cold {
+			v, ok := vals[k]
+			v, e := t.admit(k, v, ok, err)
+			answer(k, v, e)
+		}
+	}
+	t.maybeEvict()
+}
+
+// admit takes key's storage answer (ok: present) into the cache tier and
+// returns what the reader is answered: a present value is set in the
+// engine, a typed blob loads as the collection it encodes, which string
+// readers see as the wrong type, and a degraded storage tier answers
+// absent.
+func (t *Tiered) admit(key string, v []byte, ok bool, err error) ([]byte, error) {
+	switch {
+	case errors.Is(err, ErrDegraded):
+		return nil, ErrNotFound // the cache tier is the best answer left
+	case err != nil:
+		return nil, err
+	case !ok:
+		return nil, ErrNotFound
+	case engine.IsTypedValue(v):
+		if err := t.eng.LoadEncoded(key, v); err != nil {
+			return nil, err
+		}
+		return nil, engine.ErrWrongType
+	}
+	if v == nil {
+		v = []byte{} // present empty value, not absent
+	}
+	v = engine.UnescapeStringValue(v)
+	t.eng.Set(key, v)
+	return v, nil
 }
 
 // expireThrough confirms key's TTL has lapsed and, if so, deletes it
-// through every tier under the key's RMW stripe lock: the engine drops it
-// here and commit carries the delete to storage and the sink like any
-// other. Reports whether an expired key was taken. TakeExpired rechecks
-// under the engine write lock, so a concurrent PERSIST or overwrite wins
-// the race and no live value is deleted.
+// through every tier: the engine drops it here and commit carries the
+// delete to storage and the sink like any other. The caller holds the key's
+// RMW stripe lock. Reports whether an expired key was taken. TakeExpired
+// rechecks under the engine write lock, so a concurrent PERSIST or
+// overwrite wins the race and no live value is deleted.
 func (t *Tiered) expireThrough(key string) bool {
-	defer t.lockKey(key).Unlock()
 	if !t.eng.TakeExpired(key) {
 		return false
 	}
@@ -390,100 +440,12 @@ func (t *Tiered) expirySweepLoop() {
 		for again := true; again && !t.closed.Load(); {
 			lapsed := t.eng.CollectExpired(expirySweepVisits)
 			for _, k := range lapsed {
+				mu := t.lockKey(k)
 				t.expireThrough(k)
+				mu.Unlock()
 			}
 			again = len(lapsed)*4 >= expirySweepVisits
 		}
-	}
-}
-
-// --- singleflight fetch ---
-
-// fetch is the storage half of the miss leg, and how hold fills a key under
-// its lock. It answers keys (distinct, none resident) as miss does:
-//
-//  1. Keys another caller is fetching join that flight; this caller leads
-//     the rest, so concurrent misses of one key make one storage read.
-//  2. One storage round trip for the led keys: Get for one key, BatchGet
-//     for more.
-//  3. Fetched values are admitted to the cache tier (admit) before the
-//     flights close, so joiners find the cache warm.
-//  4. The cache tier is brought back within its budget.
-func (t *Tiered) fetch(keys []string, answer func(key string, val []byte, err error)) {
-	if len(keys) == 0 {
-		return
-	}
-	lead, join := t.splitFlights(keys)
-	if len(lead) == 1 {
-		v, ok, err := t.opts.Storage.Get(lead[0].key)
-		t.admit(lead[0], v, ok, err)
-	} else if len(lead) > 1 {
-		ks := make([]string, len(lead))
-		for i, f := range lead {
-			ks[i] = f.key
-		}
-		vals, err := t.opts.Storage.BatchGet(ks)
-		for _, f := range lead {
-			v, ok := vals[f.key]
-			t.admit(f, v, ok, err)
-		}
-	}
-	t.flMu.Lock()
-	for _, f := range lead {
-		delete(t.flights, f.key)
-	}
-	t.flMu.Unlock()
-	for _, f := range lead {
-		close(f.done)
-		answer(f.key, f.val, f.err)
-	}
-	for _, f := range join {
-		<-f.done
-		t.flShared.Add(1)
-		answer(f.key, copyBytes(f.val), f.err)
-	}
-	t.maybeEvict()
-}
-
-// splitFlights registers a flight for each of keys nobody is fetching, which
-// this caller leads, and returns the ones already in flight to join.
-func (t *Tiered) splitFlights(keys []string) (lead, join []*flight) {
-	lead = make([]*flight, 0, len(keys))
-	t.flMu.Lock()
-	for _, k := range keys {
-		if f, ok := t.flights[k]; ok {
-			join = append(join, f)
-			continue
-		}
-		f := &flight{key: k, done: make(chan struct{})}
-		t.flights[k] = f
-		lead = append(lead, f)
-	}
-	t.flMu.Unlock()
-	return lead, join
-}
-
-// admit completes led flight f from its storage answer (ok: present) and
-// admits a present value into the cache tier: a typed blob as the collection
-// it encodes, which string readers see as the wrong type.
-func (t *Tiered) admit(f *flight, v []byte, ok bool, err error) {
-	switch {
-	case errors.Is(err, ErrDegraded):
-		f.err = ErrNotFound // the cache tier is the best answer left
-	case err != nil:
-		f.err = err
-	case !ok:
-		f.err = ErrNotFound
-	case engine.IsTypedValue(v):
-		if f.err = t.eng.LoadEncoded(f.key, v); f.err == nil {
-			f.err = engine.ErrWrongType
-		}
-	default:
-		if v == nil {
-			v = []byte{} // present empty value, not absent
-		}
-		f.val = engine.UnescapeStringValue(v)
-		t.eng.Set(f.key, f.val)
 	}
 }
 
@@ -497,24 +459,46 @@ func (t *Tiered) lockKey(key string) *sync.Mutex {
 	return mu
 }
 
-// lockKeys takes the RMW lock of every stripe the keys of ws touch, in
-// ascending index order (FlushAll's order, so multi-stripe holders never
-// deadlock), and returns the release: defer t.lockKeys(ws)().
-func (t *Tiered) lockKeys(ws []write) (unlock func()) {
-	touched := make([]bool, len(t.rmw))
-	for _, w := range ws {
-		touched[t.eng.ShardIndex(w.key)] = true
+// stripes is a set of RMW stripes: stripe si is bit si%64. Up to 64
+// stripes (the engine's default is 16) the set is exact; past that a bit
+// stands for every stripe congruent to it, which only locks more. It is a
+// value, so taking and releasing a batch's locks allocates nothing.
+type stripes uint64
+
+// allStripes is every stripe: FlushAll's set.
+const allStripes = ^stripes(0)
+
+// stripe is the set holding key's stripe.
+func (t *Tiered) stripe(key string) stripes {
+	return 1 << (t.eng.ShardIndex(key) % 64)
+}
+
+// lockKeys takes the RMW lock of every stripe keys touch and returns the
+// set for unlock: defer t.unlock(t.lockKeys(keys)).
+func (t *Tiered) lockKeys(keys []string) stripes {
+	var s stripes
+	for _, k := range keys {
+		s |= t.stripe(k)
 	}
-	for si, hit := range touched {
-		if hit {
+	t.lock(s)
+	return s
+}
+
+// lock takes the RMW lock of every stripe in s, in ascending index order:
+// the order every holder of several uses, so none deadlock.
+func (t *Tiered) lock(s stripes) {
+	for si := range t.rmw {
+		if s&(1<<(si%64)) != 0 {
 			t.rmw[si].Lock()
 		}
 	}
-	return func() {
-		for si, hit := range touched {
-			if hit {
-				t.rmw[si].Unlock()
-			}
+}
+
+// unlock releases what lock(s) took.
+func (t *Tiered) unlock(s stripes) {
+	for si := range t.rmw {
+		if s&(1<<(si%64)) != 0 {
+			t.rmw[si].Unlock()
 		}
 	}
 }
@@ -627,7 +611,7 @@ func (t *Tiered) Delete(key string) error {
 // Update is the read-modify-write entry point: fn receives the current
 // string value (or exists=false) and returns the new value (nil deletes). It
 // is a Mutate (rmw.go) whose op reads the engine, calls fn and sets or
-// deletes there, so it warms, locks, pins and commits as INCR or CAS do:
+// deletes there, so it locks, pins, fills and commits as INCR or CAS do:
 // concurrent Updates of one key never lose a write, a key whose TTL has
 // lapsed is absent, and a key that holds a collection is ErrWrongType. fn
 // must not call back into the store.
@@ -651,11 +635,11 @@ func (t *Tiered) Update(key string, fn func(old []byte, exists bool) []byte) err
 
 // ExpireAt sets key's TTL as an absolute UnixNano deadline, under the
 // key's RMW stripe lock so the TTL change orders against writes and the
-// replication sink. A key that lives only in the storage tier is faulted
-// in first (hold, rmw.go: TTLs are cache-tier state). Reports whether the
-// key existed. The deadline is absolute on the wire too (OpExpire):
-// replicas applying the op late still expire the key at the same instant
-// the master did.
+// replication sink. A key that lives only in the storage tier is filled
+// under the lock first (hold, rmw.go: TTLs are cache-tier state). Reports
+// whether the key existed. The deadline is absolute on the wire too
+// (OpExpire): replicas applying the op late still expire the key at the
+// same instant the master did.
 func (t *Tiered) ExpireAt(key string, at int64) bool {
 	if t.closed.Load() {
 		return false
@@ -699,14 +683,8 @@ func (t *Tiered) FlushAll() error {
 	if t.closed.Load() {
 		return ErrClosed
 	}
-	for i := range t.rmw {
-		t.rmw[i].Lock()
-	}
-	defer func() {
-		for i := range t.rmw {
-			t.rmw[i].Unlock()
-		}
-	}()
+	t.lock(allStripes)
+	defer t.unlock(allStripes)
 
 	if t.opts.Policy == WriteBack {
 		// Drop dirty state under flushMu so a concurrent flush round
@@ -747,7 +725,7 @@ type Stats struct {
 	Evictions         int64
 	Flushed           int64 // write-back entries flushed
 	Batches           int64 // write-back flush round trips
-	Shared            int64 // miss fetches coalesced onto another caller's flight
+	Shared            int64 // misses that found their key filled after waiting for its stripe
 	BackpressureWaits int64 // write-back writers that found the dirty set full
 	Dirty             int   // current dirty entries
 }

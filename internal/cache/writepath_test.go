@@ -615,6 +615,18 @@ func TestWritePathWork(t *testing.T) {
 				t.Fatal(err)
 			}
 		}, each(0, 2, 1)},
+		{"INCR on a key no tier has", func(t *testing.T, tr *Tiered) {
+			err := tr.Mutate("fresh", func() (bool, error) {
+				n, err := tr.Engine().IncrBy("fresh", 1)
+				if err == nil && n != 1 {
+					err = fmt.Errorf("INCR of an absent key = %d", n)
+				}
+				return err == nil, err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}, each(0, 2, 1)}, // one Get (and write-through's Put): the fill reads storage once
 		{"lapsed TTL reaped by the sweep", func(t *testing.T, tr *Tiered) {
 			nowNs.Add(int64(time.Hour))
 			deadline := time.Now().Add(5 * time.Second)

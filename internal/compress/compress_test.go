@@ -452,10 +452,6 @@ func TestMonitorRetrainOnRatioDrift(t *testing.T) {
 	if !m.RetrainNeeded() {
 		t.Fatalf("ratio drift not detected: ratio=%.3f", m.Ratio())
 	}
-	m.Reset(0.9)
-	if m.RetrainNeeded() || m.Records() != 0 {
-		t.Fatal("reset did not clear state")
-	}
 }
 
 func TestMonitorRetrainOnUnmatched(t *testing.T) {

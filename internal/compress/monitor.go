@@ -102,15 +102,6 @@ func (m *Monitor) RetrainNeeded() bool {
 	return false
 }
 
-// Reset clears counters after a retrain; baseline is the fresh
-// post-training ratio.
-func (m *Monitor) Reset(baseline float64) {
-	m.mu.Lock()
-	m.rawBytes, m.compBytes, m.records, m.unmatched = 0, 0, 0, 0
-	m.BaselineRatio = baseline
-	m.mu.Unlock()
-}
-
 // IsEscape reports whether a PBC-compressed buffer is an escape record
 // (used by callers to feed Monitor.Observe's unmatched flag).
 func IsEscape(compressed []byte) bool {

@@ -29,12 +29,6 @@ type ConfigEvaluator interface {
 	Measure(cfg Config) (Measured, error)
 }
 
-// ConfigEvaluatorFunc adapts a function to the interface.
-type ConfigEvaluatorFunc func(cfg Config) (Measured, error)
-
-// Measure implements ConfigEvaluator.
-func (f ConfigEvaluatorFunc) Measure(cfg Config) (Measured, error) { return f(cfg) }
-
 // Report is the outcome of a framework run.
 type Report struct {
 	Workload    Workload

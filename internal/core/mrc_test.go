@@ -162,7 +162,7 @@ func TestFrameworkFindOptimal(t *testing.T) {
 		"pbc":  {MaxPerfQPS: 50000, MaxSpaceGB: 8},
 		"bust": {},
 	}
-	eval := ConfigEvaluatorFunc(func(cfg Config) (Measured, error) {
+	eval := evalFunc(func(cfg Config) (Measured, error) {
 		m, ok := capabilities[cfg.Name]
 		if !ok || cfg.Name == "bust" {
 			return Measured{}, fmt.Errorf("unmeasurable")
@@ -189,7 +189,7 @@ func TestFrameworkFindOptimal(t *testing.T) {
 }
 
 func TestFrameworkAllFail(t *testing.T) {
-	eval := ConfigEvaluatorFunc(func(Config) (Measured, error) {
+	eval := evalFunc(func(Config) (Measured, error) {
 		return Measured{}, fmt.Errorf("nope")
 	})
 	if _, err := FindOptimal(wl, StandardContainer, []Config{{Name: "x"}}, eval, Tolerance{}); err == nil {
@@ -204,7 +204,7 @@ func TestFrameworkAllFail(t *testing.T) {
 // order, so two renderings of one report are the same text.
 func TestReportFailuresSorted(t *testing.T) {
 	failing := []string{"zstd-d", "pmem", "wt-4x", "deflate", "raw-big", "pbc-old"}
-	eval := ConfigEvaluatorFunc(func(cfg Config) (Measured, error) {
+	eval := evalFunc(func(cfg Config) (Measured, error) {
 		if cfg.Name == "raw" {
 			return Measured{MaxPerfQPS: 100000, MaxSpaceGB: 2}, nil
 		}
@@ -234,3 +234,8 @@ func TestReportFailuresSorted(t *testing.T) {
 		}
 	}
 }
+
+// evalFunc adapts a function to ConfigEvaluator.
+type evalFunc func(cfg Config) (Measured, error)
+
+func (f evalFunc) Measure(cfg Config) (Measured, error) { return f(cfg) }

@@ -46,19 +46,13 @@ func (e *Engine) forEachShardGroup(n int, keyAt func(i int) string, visit func(s
 	}
 }
 
-// MGet fetches many string values. The result aligns with keys: absent,
-// expired and wrong-typed keys yield a nil entry (Redis MGET semantics);
-// present values are always non-nil, even when empty. Each touched stripe
-// is read-locked once.
-func (e *Engine) MGet(keys []string) ([][]byte, error) {
-	vals, _, err := e.MGetDetail(keys)
-	return vals, err
-}
-
-// MGetDetail is MGet plus a per-key wrong-type flag, for callers (the
-// tiered cache) that must distinguish "nil because absent" (a miss worth
-// a storage fetch) from "nil because the key holds a list/set/hash"
-// (which a storage fetch must NOT overwrite).
+// MGetDetail fetches many string values. The result aligns with keys:
+// absent, expired and wrong-typed keys yield a nil entry (Redis MGET
+// semantics); present values are always non-nil, even when empty. Each
+// touched stripe is read-locked once. The per-key wrong-type flag is for
+// callers (the tiered cache) that must distinguish "nil because absent" (a
+// miss worth a storage fetch) from "nil because the key holds a
+// list/set/hash" (which a storage fetch must NOT overwrite).
 func (e *Engine) MGetDetail(keys []string) ([][]byte, []bool, error) {
 	out := make([][]byte, len(keys))
 	wrongType := make([]bool, len(keys))

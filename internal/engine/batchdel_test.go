@@ -14,7 +14,7 @@ func TestBatchExists(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Set("ttl", []byte("v"))
-	e.Expire("ttl", -time.Second) // already expired
+	expire(e, "ttl", -time.Second) // already expired
 	got := e.BatchExists([]string{"a", "empty", "list", "ttl", "nope"})
 	want := []bool{true, true, true, false, false}
 	for i, w := range want {

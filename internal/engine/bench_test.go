@@ -85,7 +85,7 @@ func benchmarkBatch(b *testing.B, batched bool, batchSize int) {
 				batch[i] = keys[base+i]
 			}
 			if batched {
-				if _, err := e.MGet(batch); err != nil {
+				if _, _, err := e.MGetDetail(batch); err != nil {
 					b.Fatal(err)
 				}
 			} else {

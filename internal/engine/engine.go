@@ -689,11 +689,6 @@ func (e *Engine) IncrBy(key string, delta int64) (int64, error) {
 
 // --- TTL ---
 
-// Expire sets a TTL; reports whether the key existed.
-func (e *Engine) Expire(key string, d time.Duration) bool {
-	return e.ExpireAt(key, e.now()+int64(d))
-}
-
 // ExpireAt sets an absolute expiry deadline (UnixNano on the engine's
 // clock); reports whether the key existed. Replication uses this form:
 // an op applied seconds late on a slow replica must expire the key at

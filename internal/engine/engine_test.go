@@ -13,6 +13,18 @@ import (
 	"tierbase/internal/workload"
 )
 
+// expire sets a TTL of d from the engine's clock; reports whether the key
+// existed.
+func expire(e *Engine, key string, d time.Duration) bool {
+	return e.ExpireAt(key, e.now()+int64(d))
+}
+
+// mget is MGetDetail without the wrong-type flags.
+func mget(e *Engine, keys []string) ([][]byte, error) {
+	vals, _, err := e.MGetDetail(keys)
+	return vals, err
+}
+
 func TestSetGetDel(t *testing.T) {
 	e := New(Options{})
 	if err := e.Set("k", []byte("v")); err != nil {
@@ -135,7 +147,7 @@ func TestTTLExpiry(t *testing.T) {
 	now := time.Unix(100, 0)
 	e := New(Options{Clock: func() time.Time { return now }})
 	e.Set("k", []byte("v"))
-	if !e.Expire("k", time.Second) {
+	if !expire(e, "k", time.Second) {
 		t.Fatal("expire on present key")
 	}
 	if ttl, ok := e.TTL("k"); !ok || ttl != time.Second {
@@ -154,7 +166,7 @@ func TestPersist(t *testing.T) {
 	now := time.Unix(100, 0)
 	e := New(Options{Clock: func() time.Time { return now }})
 	e.Set("k", []byte("v"))
-	e.Expire("k", time.Second)
+	expire(e, "k", time.Second)
 	if !e.Persist("k") {
 		t.Fatal("persist failed")
 	}
@@ -186,7 +198,7 @@ func TestSweepExpired(t *testing.T) {
 		k := fmt.Sprintf("k%d", i)
 		e.Set(k, []byte("v"))
 		if i%2 == 0 {
-			e.Expire(k, time.Second)
+			expire(e, k, time.Second)
 		}
 	}
 	now = now.Add(time.Minute)
@@ -203,7 +215,7 @@ func TestOverwriteResetsTTL(t *testing.T) {
 	now := time.Unix(100, 0)
 	e := New(Options{Clock: func() time.Time { return now }})
 	e.Set("k", []byte("v1"))
-	e.Expire("k", time.Second)
+	expire(e, "k", time.Second)
 	e.Set("k", []byte("v2"))
 	now = now.Add(time.Minute)
 	if !e.Exists("k") {

@@ -43,7 +43,7 @@ func TestEvictSecondChance(t *testing.T) {
 			hot[key(i)] = false // it was the first victim
 		}
 	}
-	if _, err := e.MGet([]string{key(5), key(15)}); err != nil {
+	if _, err := mget(e, []string{key(5), key(15)}); err != nil {
 		t.Fatal(err)
 	}
 	hot[key(5)], hot[key(15)] = e.Exists(key(5)), e.Exists(key(15))

@@ -39,7 +39,7 @@ func TestTakeExpired(t *testing.T) {
 	now := time.Unix(100, 0)
 	e := New(Options{Clock: func() time.Time { return now }})
 	e.Set("k", []byte("v"))
-	e.Expire("k", time.Second)
+	expire(e, "k", time.Second)
 	if e.TakeExpired("k") {
 		t.Fatal("took a live key")
 	}
@@ -63,7 +63,7 @@ func TestCollectExpired(t *testing.T) {
 		k := fmt.Sprintf("k%d", i)
 		e.Set(k, []byte("v"))
 		if i < 5 {
-			e.Expire(k, time.Second)
+			expire(e, k, time.Second)
 		}
 	}
 	if got := e.CollectExpired(100); len(got) != 0 {
@@ -168,7 +168,7 @@ func TestForEachEncodedChunkedSkipsExpired(t *testing.T) {
 	e := New(Options{Clock: func() time.Time { return now }})
 	e.Set("live", []byte("v"))
 	e.Set("dead", []byte("v"))
-	e.Expire("dead", time.Second)
+	expire(e, "dead", time.Second)
 	now = now.Add(time.Minute)
 	seen := map[string]bool{}
 	if err := e.ForEachEncodedChunked(0, func(chunk []SnapEntry) bool {

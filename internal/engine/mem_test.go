@@ -82,7 +82,7 @@ func fillHeapKeys(e *Engine, stored int, compressed, ttl bool) int64 {
 			panic(err)
 		}
 		if ttl {
-			e.Expire(key, time.Hour)
+			expire(e, key, time.Hour)
 		}
 	}
 	return int64(heapAfterGC()) - int64(before)

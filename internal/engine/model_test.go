@@ -722,7 +722,7 @@ func oneStripeReadersAndOverwriters(t *testing.T, opts Options) {
 				case 0:
 					e.Del(k)
 				case 1, 2:
-					e.Expire(k, time.Hour)
+					expire(e, k, time.Hour)
 				case 3:
 					e.Persist(k)
 				case 4:
@@ -752,7 +752,7 @@ func oneStripeReadersAndOverwriters(t *testing.T, opts Options) {
 					t.Errorf("Get %s: %.24x... (%d bytes) is no version of it", key(ki), v, len(v))
 					return
 				}
-				vals, _ := e.MGet([]string{key(ki), key(kj)})
+				vals, _ := mget(e, []string{key(ki), key(kj)})
 				for i, ki := range []int{ki, kj} {
 					if v := vals[i]; v != nil && !sameStripeValue(ki, v) {
 						t.Errorf("MGet %s: %.24x... (%d bytes) is no version of it", key(ki), v, len(v))
@@ -829,7 +829,7 @@ func TestPMemReadersAndOverwriters(t *testing.T) {
 			return check("Get", "a", v, err)
 		})
 		reader(func() bool {
-			vals, err := e.MGet([]string{"b", "a"})
+			vals, err := mget(e, []string{"b", "a"})
 			if err != nil {
 				return check("MGet", "b", nil, err)
 			}

@@ -74,7 +74,7 @@ func TestMGetBasic(t *testing.T) {
 	e := New(Options{})
 	e.Set("a", []byte("1"))
 	e.Set("b", []byte("2"))
-	vals, err := e.MGet([]string{"a", "missing", "b"})
+	vals, err := mget(e, []string{"a", "missing", "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,12 +89,12 @@ func TestMGetBasic(t *testing.T) {
 
 func TestMGetEmptyAndEmptyValue(t *testing.T) {
 	e := New(Options{})
-	if vals, err := e.MGet(nil); err != nil || len(vals) != 0 {
+	if vals, err := mget(e, nil); err != nil || len(vals) != 0 {
 		t.Fatalf("empty MGet: %v %v", vals, err)
 	}
 	// A present-but-empty value must be distinguishable from absent.
 	e.Set("empty", []byte{})
-	vals, err := e.MGet([]string{"empty", "absent"})
+	vals, err := mget(e, []string{"empty", "absent"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestMGetWrongTypeIsNil(t *testing.T) {
 	e := New(Options{})
 	e.Set("s", []byte("v"))
 	e.LPush("l", []byte("x"))
-	vals, err := e.MGet([]string{"s", "l"})
+	vals, err := mget(e, []string{"s", "l"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,9 +124,9 @@ func TestMGetExpired(t *testing.T) {
 	e := New(Options{Clock: func() time.Time { return now }})
 	e.Set("live", []byte("v"))
 	e.Set("dead", []byte("v"))
-	e.Expire("dead", time.Second)
+	expire(e, "dead", time.Second)
 	now = now.Add(time.Minute)
-	vals, err := e.MGet([]string{"live", "dead"})
+	vals, err := mget(e, []string{"live", "dead"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestMSetOverwritesWrongTypeAndClearsTTL(t *testing.T) {
 	e := New(Options{Clock: func() time.Time { return now }})
 	e.LPush("l", []byte("x"))
 	e.Set("t", []byte("v"))
-	e.Expire("t", time.Second)
+	expire(e, "t", time.Second)
 	e.MSet([]KV{{Key: "l", Val: []byte("str")}, {Key: "t", Val: []byte("v2")}})
 	if e.Type("l") != KindString {
 		t.Fatal("MSET must overwrite non-string keys (SET semantics)")
@@ -188,7 +188,7 @@ func TestBatchDel(t *testing.T) {
 	e.Set("a", []byte("1"))
 	e.Set("b", []byte("2"))
 	e.Set("dead", []byte("3"))
-	e.Expire("dead", time.Second)
+	expire(e, "dead", time.Second)
 	now = now.Add(time.Minute)
 	// Expired keys are removed but not counted as live deletions.
 	if n := e.BatchDel([]string{"a", "b", "dead", "missing"}); n != 2 {
@@ -226,7 +226,7 @@ func TestCollectExpiredResumesAcrossShards(t *testing.T) {
 	for i := 0; i < 400; i++ {
 		k := fmt.Sprintf("k%d", i)
 		e.Set(k, []byte("v"))
-		e.Expire(k, time.Second)
+		expire(e, k, time.Second)
 	}
 	now = now.Add(time.Minute)
 	// Small budgets must still drain everything over repeated calls: each
@@ -269,7 +269,7 @@ func TestConcurrentShardStress(t *testing.T) {
 				case 3:
 					e.IncrBy(fmt.Sprintf("ctr%d", i%4), 1)
 				case 4:
-					e.Expire(k, time.Millisecond)
+					expire(e, k, time.Millisecond)
 				case 5:
 					batch := []KV{
 						{Key: fmt.Sprintf("k%d", i%keySpace), Val: []byte("b1")},
@@ -278,7 +278,7 @@ func TestConcurrentShardStress(t *testing.T) {
 					}
 					e.MSet(batch)
 				case 6:
-					e.MGet([]string{
+					mget(e, []string{
 						fmt.Sprintf("k%d", i%keySpace),
 						fmt.Sprintf("k%d", (i+7)%keySpace),
 						fmt.Sprintf("k%d", (i+13)%keySpace),

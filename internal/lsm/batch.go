@@ -64,9 +64,6 @@ func (b *Batch) Delete(key []byte) {
 	b.bytes += int64(len(key))
 }
 
-// Len returns the number of queued operations.
-func (b *Batch) Len() int { return len(b.ops) }
-
 // Reset clears the batch for reuse.
 func (b *Batch) Reset() {
 	b.ops = b.ops[:0]

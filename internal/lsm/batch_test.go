@@ -103,8 +103,8 @@ func TestBatchReuseAfterReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Reset()
-	if b.Len() != 0 {
-		t.Fatalf("len after reset: %d", b.Len())
+	if len(b.ops) != 0 {
+		t.Fatalf("len after reset: %d", len(b.ops))
 	}
 	b.Put([]byte("r2"), []byte("v2"))
 	if err := db.Apply(b); err != nil {

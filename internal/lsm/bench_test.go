@@ -37,7 +37,7 @@ func fillTables(b *testing.B, db *DB, n, valSize int) {
 	batch := &Batch{}
 	for i := 0; i < n; i++ {
 		batch.Put([]byte(benchKey(i)), val)
-		if batch.Len() == 256 {
+		if len(batch.ops) == 256 {
 			if err := db.Apply(batch); err != nil {
 				b.Fatal(err)
 			}
@@ -233,7 +233,7 @@ func BenchmarkLSMSequentialLoad(b *testing.B) {
 				batch := &Batch{}
 				for k := 0; k < perWriter; k++ {
 					batch.Put([]byte(benchKey(2*k+w)), val)
-					if batch.Len() == batchKeys || k == perWriter-1 {
+					if len(batch.ops) == batchKeys || k == perWriter-1 {
 						if err := db.Apply(batch); err != nil {
 							errs <- err
 							return

@@ -24,22 +24,17 @@ const (
 )
 
 // Histogram is a concurrent log-bucketed histogram of int64 values
-// (typically latencies in nanoseconds). The zero value is NOT usable;
-// call NewHistogram.
+// (typically latencies in nanoseconds). The zero value is an empty
+// histogram.
 type Histogram struct {
 	counts [totalBuckets]atomic.Int64
 	total  atomic.Int64
 	sum    atomic.Int64
-	min    atomic.Int64
 	max    atomic.Int64
 }
 
 // NewHistogram returns an empty histogram.
-func NewHistogram() *Histogram {
-	h := &Histogram{}
-	h.min.Store(math.MaxInt64)
-	return h
-}
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // bucketIndex maps a value to its bucket.
 func bucketIndex(v int64) int {
@@ -76,12 +71,6 @@ func (h *Histogram) Record(v int64) {
 	h.total.Add(1)
 	h.sum.Add(v)
 	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
 			break
@@ -92,9 +81,6 @@ func (h *Histogram) Record(v int64) {
 // RecordDuration records a time.Duration in nanoseconds.
 func (h *Histogram) RecordDuration(d time.Duration) { h.Record(int64(d)) }
 
-// Count returns the number of recorded observations.
-func (h *Histogram) Count() int64 { return h.total.Load() }
-
 // Mean returns the arithmetic mean of recorded values, 0 if empty.
 func (h *Histogram) Mean() float64 {
 	n := h.total.Load()
@@ -102,14 +88,6 @@ func (h *Histogram) Mean() float64 {
 		return 0
 	}
 	return float64(h.sum.Load()) / float64(n)
-}
-
-// Min returns the smallest recorded value, 0 if empty.
-func (h *Histogram) Min() int64 {
-	if h.total.Load() == 0 {
-		return 0
-	}
-	return h.min.Load()
 }
 
 // Max returns the largest recorded value, 0 if empty.
@@ -172,14 +150,3 @@ func (h *Histogram) Quantile(q float64) int64 {
 
 // P99 is Quantile(0.99).
 func (h *Histogram) P99() int64 { return h.Quantile(0.99) }
-
-// Reset clears all recorded values.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.total.Store(0)
-	h.sum.Store(0)
-	h.min.Store(math.MaxInt64)
-	h.max.Store(0)
-}

@@ -4,8 +4,8 @@ import "sync/atomic"
 
 // MaxGauge tracks a running maximum (e.g. the worst replication-frame
 // write stall, the longest master-side write blocked behind a slow
-// replica link). Lock-free: Observe is a CAS loop on the hot path,
-// Load/Reset are single atomics. The zero value is ready to use.
+// replica link). Lock-free: Observe is a CAS loop on the hot path, Load
+// a single atomic. The zero value is ready to use.
 type MaxGauge struct {
 	max atomic.Int64
 }
@@ -23,8 +23,5 @@ func (g *MaxGauge) Observe(v int64) {
 	}
 }
 
-// Load returns the maximum observed since the last Reset (0 if none).
+// Load returns the maximum observed (0 if none).
 func (g *MaxGauge) Load() int64 { return g.max.Load() }
-
-// Reset clears the maximum and returns the value it held.
-func (g *MaxGauge) Reset() int64 { return g.max.Swap(0) }

@@ -171,7 +171,7 @@ var infoTable = []infoRow{
 	{"Tiering", "shard0_hits", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Hits }},
 	{"Tiering", "shard0_misses", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Misses }},
 	{"Tiering", "shard0_evictions", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Evictions }},
-	{"Tiering", "shard0_shared_fetches", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Shared }}, // misses that rode another caller's fetch
+	{"Tiering", "shard0_shared_fetches", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Shared }}, // misses that found their key filled after waiting for its stripe
 	{"Tiering", "shard0_miss_ratio", global, tiered, func(sn *infoSnap, _ int) any {
 		return strconv.FormatFloat(float64(sn.tiered.Misses)/float64(max(sn.tiered.Requests, 1)), 'f', 4, 64)
 	}},

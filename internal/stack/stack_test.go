@@ -189,3 +189,64 @@ func TestBatchPutAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestGetMissAllocs pins what a write-through read of keys the cache tier
+// does not hold allocates: a one-key Get and a 16-key BatchGet, each of keys
+// only the LSM has (written, then the node reopened), so every key takes the
+// miss leg: its stripe's RMW lock, one storage round trip and the fill. The
+// bounds are the counts Go 1.24 reads, with and without -race.
+func TestGetMissAllocs(t *testing.T) {
+	const runs, batch = 40, 16
+	dir := t.TempDir()
+	st, err := Open(Config{Policy: cache.WriteThrough, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gets, mgets := make([]string, runs+1), make([]string, (runs+1)*batch)
+	entries := make(map[string][]byte)
+	for i := range mgets {
+		mgets[i] = fmt.Sprintf("mget%06d", i)
+		entries[mgets[i]] = []byte("v")
+	}
+	for i := range gets {
+		gets[i] = fmt.Sprintf("get%06d", i)
+		entries[gets[i]] = []byte("v")
+	}
+	if err := st.BatchPut(entries); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	if st, err = Open(Config{Policy: cache.WriteThrough, Dir: dir}); err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+
+	next := 0
+	get := testing.AllocsPerRun(runs, func() {
+		if v, err := st.Get(gets[next]); err != nil || string(v) != "v" {
+			t.Fatalf("Get: %q, %v", v, err)
+		}
+		next++
+	})
+	next = 0
+	mget := testing.AllocsPerRun(runs, func() {
+		keys := mgets[next*batch : (next+1)*batch]
+		vals, err := st.BatchGet(keys)
+		if err != nil || len(vals) != batch || string(vals[keys[0]]) != "v" {
+			t.Fatalf("BatchGet: %d values, %v", len(vals), err)
+		}
+		next++
+	})
+	if st.Stats().Hits != 0 {
+		t.Fatalf("%d reads hit the cache tier; every one must miss", st.Stats().Hits)
+	}
+	t.Logf("allocs: Get miss %.0f, %d-key BatchGet of misses %.0f", get, batch, mget)
+	for _, c := range []struct {
+		name     string
+		got, max float64
+	}{{"Get miss", get, 5}, {"BatchGet of misses", mget, 67}} {
+		if c.got > c.max {
+			t.Errorf("%s: %.0f allocs, want at most %.0f", c.name, c.got, c.max)
+		}
+	}
+}
