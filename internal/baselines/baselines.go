@@ -142,14 +142,14 @@ func (r *RedisLike) Delete(key string) error {
 // value's robj (16 B), two sds headers and allocator rounding, ~64 B. The
 // stand-in stores its data in the TierBase engine but must not report the
 // engine's compact records as Redis's footprint, so it charges this
-// constant per key over the raw key and value bytes (as MemcachedLike
-// charges mcOverhead).
+// constant per key over the key bytes as written (the engine packs them)
+// and the value bytes (as MemcachedLike charges mcOverhead).
 const redisOverhead = 64
 
 // MemBytes implements System.
 func (r *RedisLike) MemBytes() int64 {
 	st := r.eng.Stats()
-	return st.PayloadBytes + redisOverhead*int64(st.Keys)
+	return st.PayloadBytes + st.PackedBytes + redisOverhead*int64(st.Keys)
 }
 
 // DiskBytes implements System: AOF bytes (grows until rewrite; we report
@@ -409,11 +409,13 @@ func (d *DragonflyLike) Delete(key string) error {
 	return nil
 }
 
-// MemBytes implements System.
+// MemBytes implements System: the engine's bytes, with the keys as
+// written, as Dragonfly stores them, and not packed as the engine does.
 func (d *DragonflyLike) MemBytes() int64 {
 	var total int64
 	for _, sh := range d.shards {
-		total += sh.eng.MemUsed()
+		st := sh.eng.Stats()
+		total += st.MemBytes + st.PackedBytes
 	}
 	return total
 }

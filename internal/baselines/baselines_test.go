@@ -243,3 +243,36 @@ func TestBuildRegistry(t *testing.T) {
 		t.Fatal("unknown system accepted")
 	}
 }
+
+// TestMemBytesChargeKeysAsWritten pins what RedisLike and DragonflyLike
+// report for a fixed fill of keys with long digit runs, which the engine
+// packs in its records. The systems they stand in for store keys as
+// written, so the figures are the ones they reported before the engine
+// packed keys, and fig1's and fig10's space columns for them stay put.
+func TestMemBytesChargeKeysAsWritten(t *testing.T) {
+	r, err := NewRedisLike("", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	d := NewDragonflyLike(4)
+	defer d.Close()
+	for i := 0; i < 20_000; i++ {
+		key := fmt.Sprintf("user:%012d", i*7919)
+		if i%3 == 0 {
+			key = fmt.Sprintf("txn:%015d:%d", i, i%10)
+		}
+		val := bytes.Repeat([]byte{'v'}, 16+i%48)
+		for _, s := range []System{r, d} {
+			if err := s.Set(key, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got, want := r.MemBytes(), int64(2436412); got != want {
+		t.Errorf("redis: MemBytes %d, want %d", got, want)
+	}
+	if got, want := d.MemBytes(), int64(1360252); got != want {
+		t.Errorf("dragonfly-m: MemBytes %d, want %d", got, want)
+	}
+}

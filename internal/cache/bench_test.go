@@ -136,7 +136,7 @@ func BenchmarkTieredSetDirtyEvictionScan(b *testing.B) {
 	})
 }
 
-// --- write-path benchmarks (the CI bench artifact's write coverage) ---
+// --- write-path benchmarks (the CI bench job's write coverage) ---
 
 // BenchmarkWTSetSameKey measures write-through writes from all goroutines
 // converging on ONE hot key: its RMW stripe lock, held across the storage

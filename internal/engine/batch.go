@@ -1,5 +1,7 @@
 package engine
 
+import "strings"
+
 // Batch operations: the engine-level fast path for MGET/MSET-style
 // traffic. Keys are grouped by lock stripe and each stripe lock is taken
 // exactly once per batch, so an N-key batch costs O(shards touched) lock
@@ -12,36 +14,49 @@ type KV struct {
 	Val []byte
 }
 
-// forEachShardGroup buckets positions of keys by stripe index (a stable
-// counting sort — three flat allocations, no per-bucket slices) and calls
-// visit once per touched shard with the input positions in input order and
-// every key's hash by position. keyAt adapts over []string and []KV.
-func (e *Engine) forEachShardGroup(n int, keyAt func(i int) string, visit func(s *shard, idxs []int, khs []uint32)) {
-	khs := make([]uint32, n)
+// onlyFirst is the positions of a one-key batch. Visitors only read them.
+var onlyFirst = []int{0}
+
+// forEachShardGroup packs every key once, into one buffer for the batch,
+// buckets positions of keys by stripe index (a stable counting sort — four
+// flat allocations, no per-bucket slices) and calls visit once per touched
+// shard with the input positions in input order and every key's probe by
+// position. keyAt adapts over []string and []KV.
+func (e *Engine) forEachShardGroup(n int, keyAt func(i int) string, visit func(s *shard, idxs []int, ps []probe)) {
+	ps := make([]probe, n)
+	total := 0
+	for i := range ps {
+		key := keyAt(i)
+		total += len(key) + strings.Count(key, "\xff") // the most it packs to
+	}
+	buf := make([]byte, total)
+	for i := range ps {
+		ps[i] = e.probe(keyAt(i), buf)
+		buf = buf[len(ps[i].packed):]
+	}
 	if n == 1 {
-		khs[0] = fnv1a(keyAt(0))
-		visit(e.shards[khs[0]&e.mask], []int{0}, khs)
+		visit(e.shards[ps[0].stripe], onlyFirst, ps)
 		return
 	}
 	nShards := len(e.shards)
-	counts := make([]int, nShards+1)
-	for i := 0; i < n; i++ {
-		khs[i] = fnv1a(keyAt(i))
-		counts[khs[i]&e.mask+1]++
+	counts := make([]int, 2*nShards+1) // counts, then where each stripe's next position goes
+	for i := range ps {
+		counts[ps[i].stripe+1]++
 	}
 	for s := 0; s < nShards; s++ {
 		counts[s+1] += counts[s]
 	}
+	fill := counts[nShards+1:]
+	copy(fill, counts[:nShards])
 	order := make([]int, n)
-	fill := append([]int(nil), counts[:nShards]...)
-	for i := 0; i < n; i++ {
-		si := khs[i] & e.mask
+	for i := range ps {
+		si := ps[i].stripe
 		order[fill[si]] = i
 		fill[si]++
 	}
 	for s := 0; s < nShards; s++ {
 		if lo, hi := counts[s], counts[s+1]; lo < hi {
-			visit(e.shards[s], order[lo:hi], khs)
+			visit(e.shards[s], order[lo:hi], ps)
 		}
 	}
 }
@@ -68,11 +83,11 @@ func (e *Engine) MGetDetail(keys []string) ([][]byte, []bool, error) {
 	pooled, scratch := getScratch() // the batch's compressed values, back to back
 	var err error                   // the first one take or finish returned
 
-	e.forEachShardGroup(len(keys), func(i int) string { return keys[i] }, func(s *shard, idxs []int, khs []uint32) {
+	e.forEachShardGroup(len(keys), func(i int) string { return keys[i] }, func(s *shard, idxs []int, ps []probe) {
 		var hits, misses int64
 		s.mu.RLock()
 		for _, i := range idxs {
-			en, ok := e.live(s, khs[i], keys[i])
+			en, ok := e.live(s, ps[i])
 			if !ok {
 				misses++
 				continue
@@ -128,10 +143,10 @@ func (e *Engine) MSet(pairs []KV) error {
 	for i, p := range pairs {
 		vals[i] = e.encode(p.Val)
 	}
-	e.forEachShardGroup(len(pairs), func(i int) string { return pairs[i].Key }, func(s *shard, idxs []int, khs []uint32) {
+	e.forEachShardGroup(len(pairs), func(i int) string { return pairs[i].Key }, func(s *shard, idxs []int, ps []probe) {
 		s.mu.Lock()
 		for _, i := range idxs {
-			e.publish(s, khs[i], pairs[i].Key, vals[i])
+			e.publish(s, ps[i], vals[i])
 		}
 		s.mu.Unlock()
 	})
@@ -146,10 +161,10 @@ func (e *Engine) BatchExists(keys []string) []bool {
 	if len(keys) == 0 {
 		return out
 	}
-	e.forEachShardGroup(len(keys), func(i int) string { return keys[i] }, func(s *shard, idxs []int, khs []uint32) {
+	e.forEachShardGroup(len(keys), func(i int) string { return keys[i] }, func(s *shard, idxs []int, ps []probe) {
 		s.mu.RLock()
 		for _, i := range idxs {
-			_, out[i] = e.live(s, khs[i], keys[i])
+			_, out[i] = e.live(s, ps[i])
 		}
 		s.mu.RUnlock()
 	})
@@ -177,10 +192,10 @@ func (e *Engine) BatchDelDetail(keys []string) []bool {
 	if len(keys) == 0 {
 		return existed
 	}
-	e.forEachShardGroup(len(keys), func(i int) string { return keys[i] }, func(s *shard, idxs []int, khs []uint32) {
+	e.forEachShardGroup(len(keys), func(i int) string { return keys[i] }, func(s *shard, idxs []int, ps []probe) {
 		s.mu.Lock()
 		for _, i := range idxs {
-			if en := s.lookup(khs[i], keys[i]); en.present() {
+			if en := s.lookup(ps[i]); en.present() {
 				existed[i] = !e.lapsed(en.expireAt())
 				e.remove(s, keys[i], en)
 			}

@@ -80,10 +80,11 @@ func appendLenString(b []byte, s string) []byte {
 // absent or expired. It is a write path's read-back, not a client read:
 // no hit is counted and the key's recency is left alone.
 func (e *Engine) Encode(key string) (val []byte, encoded bool, err error) {
-	kh, s := e.locate(key)
+	var kb keyBuf
+	k, s := e.locate(key, &kb)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	en, live := e.live(s, kh, key)
+	en, live := e.live(s, k)
 	if !live {
 		return nil, false, ErrNotFound
 	}
@@ -198,10 +199,11 @@ func (e *Engine) LoadEncoded(key string, blob []byte) error {
 	if len(p) != 0 {
 		return ErrBadEncoding
 	}
-	kh, s := e.locate(key)
+	var kb keyBuf
+	k, s := e.locate(key, &kb)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if en := s.lookup(kh, key); en.present() {
+	if en := s.lookup(k); en.present() {
 		e.remove(s, key, en)
 	}
 	e.addItem(s, key, it)

@@ -135,10 +135,11 @@ func (it *item) hdel(f string) bool {
 // what change charged the item, and a collection change left empty is
 // deleted. ErrWrongType when key holds another kind.
 func (e *Engine) update(key string, kind Kind, create bool, change func(it *item)) error {
-	kh, s := e.locate(key)
+	var kb keyBuf
+	k, s := e.locate(key, &kb)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	en := s.lookup(kh, key)
+	en := s.lookup(k)
 	if en.present() && e.lapsed(en.expireAt()) {
 		if !create {
 			return ErrNotFound
@@ -172,10 +173,11 @@ func (e *Engine) update(key string, kind Kind, create bool, change func(it *item
 // lock: ErrNotFound when key is absent, ErrWrongType when it holds another
 // kind.
 func (e *Engine) read(key string, kind Kind, look func(it *item)) error {
-	kh, s := e.locate(key)
+	var kb keyBuf
+	k, s := e.locate(key, &kb)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	en, ok := e.live(s, kh, key)
+	en, ok := e.live(s, k)
 	if !ok {
 		return ErrNotFound
 	}

@@ -13,7 +13,8 @@
 // by stripe and take each stripe lock exactly once.
 //
 // A string key is one contiguous, pointer-free record (record.go): one
-// byte of flags (compressed, PMem ref, has TTL) and key length, the key, an
+// byte of flags (compressed, PMem ref, has TTL) and key length, the key
+// with its digit runs packed (keypack.go), an
 // 8-byte deadline only if a TTL was ever set, then the value length and the
 // stored value (or the 12-byte pmem.Ref to it).
 //
@@ -24,10 +25,11 @@
 // through an open-addressing index (index.go): 8-byte slots of hash and
 // slab ref, linear probing with backward-shift deletion, between 7/16 and
 // 7/8 full at a steady population, no table at all while the stripe is
-// empty. The key's one FNV hash serves both levels: low bits pick the
-// stripe, a Fibonacci multiply spreads it over the slots. Tables and pages
-// hold no pointers, so the garbage collector marks a few hundred objects
-// per engine instead of one per key. README.md has the byte-level layout.
+// empty. The FNV hash of the key as written picks the stripe with its low
+// bits; that of the packed key, Fibonacci-multiplied, picks the slot. Tables
+// and pages hold no pointers, so the garbage collector marks a few hundred
+// objects per engine instead of one per key. README.md has the byte-level
+// layout.
 //
 // Collections (the rarer kinds, with mutable internals) keep a *item in a
 // per-stripe map beside the index. A key is in one or the other, and every
@@ -47,7 +49,8 @@
 // their size, the uncarved tail of each stripe's newest page) are
 // Stats().FreeBytes; TestMemUsedTracksHeap holds MemBytes + FreeBytes
 // within 5% of the Go heap. Stats().PayloadBytes is the part of MemBytes
-// that is keys and stored values; the rest is overhead.
+// that is keys (string keys as stored, packed) and stored values; the rest
+// is overhead.
 //
 // # Recency and eviction
 //
@@ -196,6 +199,7 @@ type shard struct {
 
 	sweepPos  atomic.Uint32 // where CollectExpired resumes in strs, as a hash like index.hand
 	collsTurn bool          // the clock hand is past the end of strs, among the collections
+	packed    int64         // bytes packing took off the string keys in payload; under mu
 
 	memUsed atomic.Int64 // DRAM bytes the contents occupy; written under mu
 	payload atomic.Int64 // of which keys and stored values; written under mu
@@ -246,21 +250,26 @@ func (e *Engine) ShardIndex(key string) int { return int(fnv1a(key) & e.mask) }
 // page the slot is in.
 func (e *Engine) ShardMemUsed(i int) int64 { return e.shards[i].memUsed.Load() }
 
+// FNV-1a's offset basis and prime.
+const (
+	fnvOffset = 2166136261
+	fnvPrime  = 16777619
+)
+
 // fnv1a is an inlined, allocation-free FNV-1a over the key bytes.
 func fnv1a[K string | []byte](key K) uint32 {
-	h := uint32(2166136261)
+	h := uint32(fnvOffset)
 	for i := 0; i < len(key); i++ {
 		h ^= uint32(key[i])
-		h *= 16777619
+		h *= fnvPrime
 	}
 	return h
 }
 
-// locate hashes key once for both levels: the low bits pick the stripe,
-// and the stripe's index spreads the same hash again (slotHash).
-func (e *Engine) locate(key string) (kh uint32, s *shard) {
-	kh = fnv1a(key)
-	return kh, e.shards[kh&e.mask]
+// locate packs key into buf, for the stripe's index, and picks the stripe.
+func (e *Engine) locate(key string, buf *keyBuf) (probe, *shard) {
+	k := e.probe(key, buf[:])
+	return k, e.shards[k.stripe]
 }
 
 // now returns the configured clock's time in unixnanos.
@@ -301,12 +310,12 @@ func (en entry) expireAt() int64 {
 	return 0
 }
 
-// lookup resolves key, lapsed or not. Caller holds s.mu (either mode).
-func (s *shard) lookup(kh uint32, key string) entry {
-	if at, rec := s.strs.find(slotHash(kh), key); at >= 0 {
+// lookup resolves k, lapsed or not. Caller holds s.mu (either mode).
+func (s *shard) lookup(k probe) entry {
+	if at, rec := s.strs.find(k.h, k.packed); at >= 0 {
 		return entry{rec: rec, at: at}
 	}
-	return entry{it: s.colls[key]}
+	return entry{it: s.colls[k.key]}
 }
 
 // touch marks en, which lookup returned, referenced: the clock hand gives
@@ -323,8 +332,8 @@ func (s *shard) touch(en entry) {
 
 // live is lookup honoring lazy expiration: a lapsed entry reads as absent
 // (it is deleted by write paths or the sweeper). Caller holds s.mu.
-func (e *Engine) live(s *shard, kh uint32, key string) (entry, bool) {
-	en := s.lookup(kh, key)
+func (e *Engine) live(s *shard, k probe) (entry, bool) {
+	en := s.lookup(k)
 	if !en.present() || e.lapsed(en.expireAt()) {
 		return entry{}, false
 	}
@@ -395,32 +404,33 @@ func (e *Engine) remove(s *shard, key string, en entry) {
 func (e *Engine) removeRecord(s *shard, at int, f fields) {
 	held := s.strs.held()
 	e.forget(s, f)
+	s.packed -= int64(unpackedLen(f.key) - len(f.key))
 	s.strs.remove(at, f.size)
 	s.memUsed.Add(s.strs.held() - held)
 }
 
-// publish makes st the string value of key, replacing whatever was there
+// publish makes st the string value of k, replacing whatever was there
 // and clearing any TTL. The record is assembled in its slot: no allocation
 // unless a page or a table has to grow.
-func (e *Engine) publish(s *shard, kh uint32, key string, st staged) {
-	if it, ok := s.colls[key]; ok {
-		e.removeItem(s, key, it)
+func (e *Engine) publish(s *shard, k probe, st staged) {
+	if it, ok := s.colls[k.key]; ok {
+		e.removeItem(s, k.key, it)
 	}
 	ix := &s.strs
 	held := ix.held()
-	h := slotHash(kh)
-	i, cur := ix.find(h, key)
-	ref, rec := ix.recs.alloc(recordLen(key, st.valueLen()))
-	writeRecord(rec, key, st)
+	i, cur := ix.find(k.h, k.packed)
+	ref, rec := ix.recs.alloc(recordLen(k.packed, st.valueLen()))
+	writeRecord(rec, k.packed, st)
 	if i >= 0 {
 		old := cur.parse()
 		e.forget(s, old)
 		ix.replace(i, ref, old.size)
 		ix.touch(i)
 	} else {
-		ix.insert(h, ref)
+		ix.insert(k.h, ref)
+		s.packed += int64(len(k.key) - len(k.packed))
 	}
-	s.payload.Add(payload(st.flags, len(key), len(st.val)))
+	s.payload.Add(payload(st.flags, len(k.packed), len(st.val)))
 	s.memUsed.Add(ix.held() - held)
 }
 
@@ -539,19 +549,21 @@ func putScratch(pooled *[]byte, scratch []byte) {
 
 // Set stores a string value, clearing any TTL.
 func (e *Engine) Set(key string, val []byte) error {
-	kh, s := e.locate(key)
+	var kb keyBuf
+	k, s := e.locate(key, &kb)
 	st := e.encode(val)
 	s.mu.Lock()
-	e.publish(s, kh, key, st)
+	e.publish(s, k, st)
 	s.mu.Unlock()
 	return nil
 }
 
 // SetNX stores val only if key is absent; reports whether it stored.
 func (e *Engine) SetNX(key string, val []byte) (bool, error) {
-	kh, s := e.locate(key)
+	var kb keyBuf
+	k, s := e.locate(key, &kb)
 	s.mu.RLock()
-	_, live := e.live(s, kh, key)
+	_, live := e.live(s, k)
 	s.mu.RUnlock()
 	if live {
 		return false, nil
@@ -561,20 +573,21 @@ func (e *Engine) SetNX(key string, val []byte) (bool, error) {
 	st := e.encode(val)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, live := e.live(s, kh, key); live {
+	if _, live := e.live(s, k); live {
 		e.discard(st)
 		return false, nil
 	}
-	e.publish(s, kh, key, st)
+	e.publish(s, k, st)
 	return true, nil
 }
 
 // Get fetches a string value: it looks the record up and copies its stored
 // value out under the stripe read lock, and decompresses outside.
 func (e *Engine) Get(key string) (val []byte, err error) {
-	kh, s := e.locate(key)
+	var kb keyBuf
+	k, s := e.locate(key, &kb)
 	s.mu.RLock()
-	en, ok := e.live(s, kh, key)
+	en, ok := e.live(s, k)
 	if !ok {
 		s.mu.RUnlock()
 		s.misses.Add(1)
@@ -607,42 +620,45 @@ func (e *Engine) Del(keys ...string) int { return e.BatchDel(keys) }
 
 // Exists reports whether key is live.
 func (e *Engine) Exists(key string) bool {
-	kh, s := e.locate(key)
+	var kb keyBuf
+	k, s := e.locate(key, &kb)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	_, ok := e.live(s, kh, key)
+	_, ok := e.live(s, k)
 	return ok
 }
 
 // Type returns the kind of key (KindNone if absent).
 func (e *Engine) Type(key string) Kind {
-	kh, s := e.locate(key)
+	var kb keyBuf
+	k, s := e.locate(key, &kb)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	en, _ := e.live(s, kh, key)
+	en, _ := e.live(s, k)
 	return en.kind()
 }
 
 // CompareAndSet replaces key's value with newVal only if the current value
 // equals oldVal (the paper's CAS operation). oldVal nil means "key absent".
 func (e *Engine) CompareAndSet(key string, oldVal, newVal []byte) error {
-	kh, s := e.locate(key)
+	var kb keyBuf
+	k, s := e.locate(key, &kb)
 	// Pre-encode outside the lock; wasted work only on mismatch.
 	st := e.encode(newVal)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := e.casCheck(s, kh, key, oldVal); err != nil {
+	if err := e.casCheck(s, k, oldVal); err != nil {
 		e.discard(st)
 		return err
 	}
-	e.publish(s, kh, key, st)
+	e.publish(s, k, st)
 	return nil
 }
 
 // casCheck reports whether key currently holds oldVal (nil = is absent).
 // Caller holds s.mu.
-func (e *Engine) casCheck(s *shard, kh uint32, key string, oldVal []byte) error {
-	en, ok := e.live(s, kh, key)
+func (e *Engine) casCheck(s *shard, k probe, oldVal []byte) error {
+	en, ok := e.live(s, k)
 	if !ok {
 		if oldVal != nil {
 			return ErrCASMismatch
@@ -664,11 +680,12 @@ func (e *Engine) casCheck(s *shard, kh uint32, key string, oldVal []byte) error 
 
 // IncrBy adds delta to the integer value at key (0 if absent).
 func (e *Engine) IncrBy(key string, delta int64) (int64, error) {
-	kh, s := e.locate(key)
+	var kb keyBuf
+	k, s := e.locate(key, &kb)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var cur int64
-	if en, ok := e.live(s, kh, key); ok {
+	if en, ok := e.live(s, k); ok {
 		if en.rec == nil {
 			return 0, ErrWrongType
 		}
@@ -683,7 +700,7 @@ func (e *Engine) IncrBy(key string, delta int64) (int64, error) {
 	cur += delta
 	// Counters are never compressed or offloaded.
 	var buf [20]byte
-	e.publish(s, kh, key, staged{val: appendInt(buf[:0], cur)})
+	e.publish(s, k, staged{val: appendInt(buf[:0], cur)})
 	return cur, nil
 }
 
@@ -694,10 +711,11 @@ func (e *Engine) IncrBy(key string, delta int64) (int64, error) {
 // an op applied seconds late on a slow replica must expire the key at
 // the master's wall-clock instant, not late-arrival + TTL.
 func (e *Engine) ExpireAt(key string, at int64) bool {
-	kh, s := e.locate(key)
+	var kb keyBuf
+	k, s := e.locate(key, &kb)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	en, ok := e.live(s, kh, key)
+	en, ok := e.live(s, k)
 	if !ok {
 		return false
 	}
@@ -729,10 +747,11 @@ func (e *Engine) ExpireAt(key string, at int64) bool {
 // (cache.Tiered) routes a tombstone through the write path when this
 // returns true.
 func (e *Engine) TakeExpired(key string) bool {
-	kh, s := e.locate(key)
+	var kb keyBuf
+	k, s := e.locate(key, &kb)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	en := s.lookup(kh, key)
+	en := s.lookup(k)
 	if !e.lapsed(en.expireAt()) {
 		return false
 	}
@@ -744,10 +763,11 @@ func (e *Engine) TakeExpired(key string) bool {
 // Expired reports whether key is resident with a lapsed TTL: a key
 // TakeExpired would take. Read lock only.
 func (e *Engine) Expired(key string) bool {
-	kh, s := e.locate(key)
+	var kb keyBuf
+	k, s := e.locate(key, &kb)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return e.lapsed(s.lookup(kh, key).expireAt())
+	return e.lapsed(s.lookup(k).expireAt())
 }
 
 // CollectExpired looks at the next limit or so keys of the engine and returns
@@ -768,7 +788,7 @@ func (e *Engine) CollectExpired(limit int) []string {
 		s.mu.RLock()
 		pos, end := s.strs.scan(s.sweepPos.Load(), &limit, func(rec record) {
 			if at := rec.deadline(); at != 0 && now >= at {
-				out = append(out, string(rec.parse().key))
+				out = append(out, unpackKey(rec.parse().key))
 			}
 		})
 		s.sweepPos.Store(pos)
@@ -791,10 +811,11 @@ func (e *Engine) Persist(key string) bool { return e.ExpireAt(key, 0) }
 
 // TTL returns the remaining lifetime; (0, false) if absent or no TTL.
 func (e *Engine) TTL(key string) (time.Duration, bool) {
-	kh, s := e.locate(key)
+	var kb keyBuf
+	k, s := e.locate(key, &kb)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	at := s.lookup(kh, key).expireAt()
+	at := s.lookup(k).expireAt()
 	now := e.now()
 	if at == 0 || now >= at {
 		return 0, false
@@ -875,7 +896,8 @@ func (e *Engine) Evict(i int, pinned func(key []byte) bool) bool {
 type Stats struct {
 	Keys         int
 	MemBytes     int64 // DRAM occupied: records, index tables, collections
-	PayloadBytes int64 // the part of MemBytes that is keys and stored values
+	PayloadBytes int64 // the part of MemBytes that is keys, string keys as stored (packed), and stored values
+	PackedBytes  int64 // what packing took off the string keys: PayloadBytes with them as written is this much more
 	IndexBytes   int64 // the part of MemBytes that is index tables, as allocated
 	FreeBytes    int64 // slab page bytes holding no record; beside MemBytes, not in it
 	PMemUsed     int64
@@ -892,6 +914,7 @@ func (e *Engine) Stats() Stats {
 		st.Keys += s.strs.n + len(s.colls)
 		st.FreeBytes += s.strs.recs.idle()
 		st.IndexBytes += s.strs.charge
+		st.PackedBytes += s.packed
 		s.mu.RUnlock()
 		st.MemBytes += s.memUsed.Load()
 		st.PayloadBytes += s.payload.Load()
@@ -970,7 +993,7 @@ func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEn
 		keys := make([]string, 0, s.strs.n+len(s.colls))
 		s.strs.each(func(rec record) bool {
 			if at := rec.deadline(); at == 0 || now < at {
-				keys = append(keys, string(rec.parse().key))
+				keys = append(keys, unpackKey(rec.parse().key))
 			}
 			return true
 		})
@@ -990,7 +1013,8 @@ func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEn
 			scratch = scratch[:0]
 			s.mu.RLock()
 			for ; i < len(keys) && (len(batch) == 0 || held < maxChunkBytes); i++ {
-				en, ok := e.live(s, fnv1a(keys[i]), keys[i])
+				var kb keyBuf
+				en, ok := e.live(s, e.probe(keys[i], kb[:]))
 				if !ok {
 					continue // deleted or lapsed since the key listing
 				}
@@ -1054,6 +1078,7 @@ func (e *Engine) FlushAll() {
 		s.colls = nil
 		s.memUsed.Store(0)
 		s.payload.Store(0)
+		s.packed = 0
 		s.mu.Unlock()
 	}
 }

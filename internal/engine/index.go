@@ -32,10 +32,8 @@ const (
 
 	// tagMul takes the tag from the top of a second product of the slot
 	// hash. Entries that meet in a run share the hash's top bits (their homes
-	// are close) and, in an engine of several stripes, its low bits (the
-	// stripe's); the product folds what lies between into the tag wherever
-	// that is, so a one-stripe engine and a million-slot table both get the
-	// bits the hash has left.
+	// are close); the product folds the rest into the tag, so a small table
+	// and a million-slot one both get the bits the hash has left.
 	tagMul = 0x85EBCA6B
 
 	minSlots = 8
@@ -74,15 +72,15 @@ type index struct {
 	// spill[k] is len(meta)+k.
 	spill []uint32
 
-	hand   int   // the clock hand, a position; it stays on its entry when runs shift and tables resize
-	charge int64 // bytes behind meta, refs and spill, as the allocator rounds them
-	recs   slab
+	hand     int    // the clock hand, a position; it stays on its entry when runs shift and tables resize
+	unpacked []byte // the key clock last handed pinned, as written
+	charge   int64  // bytes behind meta, refs and spill, as the allocator rounds them
+	recs     slab
 }
 
-// slotHash spreads the key hash for the index. The stripe was picked from
-// the low bits of kh, which are therefore equal across one index; a
-// Fibonacci multiply folds every bit into the high ones the home is taken
-// from.
+// slotHash spreads the hash of a packed key for the index: a Fibonacci
+// multiply folds every bit into the high ones the home is taken from. (The
+// stripe is picked by the hash of the key as written, not this one.)
 func slotHash(kh uint32) uint32 { return kh * 0x9E3779B1 }
 
 // tableLen is the length of a table asked to hold want slots: all that its
@@ -120,11 +118,11 @@ func (ix *index) record(at int) record {
 	return ix.recs.at(atomic.LoadUint32(ix.ref(at)) &^ refBit)
 }
 
-// find returns the position and the record of key, or -1. It reads probe
-// words from the key's home on, a record only behind a word that matches in
-// all 16 bits, and stops at the first entry whose home is past the key's:
-// a miss reads a record once in a few hundred times.
-func (ix *index) find(h uint32, key string) (int, record) {
+// find returns the position and the record of key, packed, or -1. It reads
+// probe words from the key's home on, a record only behind a word that
+// matches in all 16 bits, and stops at the first entry whose home is past
+// the key's: a miss reads a record once in a few hundred times.
+func (ix *index) find(h uint32, key []byte) (int, record) {
 	if ix.n == 0 {
 		return -1, nil
 	}
@@ -384,7 +382,8 @@ func (ix *index) scan(pos uint32, limit *int, fn func(rec record)) (next uint32,
 // pinned (nil: none is) holds its key it is passed over, and otherwise it is
 // the victim, whose position and parsed record clock returns with the hand
 // left on it, so that after the caller's remove the hand is on whatever
-// shifted in. With no victim it returns -1, and end tells whether it was the
+// shifted in. pinned gets the key unpacked, in a buffer the next call
+// reuses. With no victim it returns -1, and end tells whether it was the
 // positions that ran out (the hand is back at 0) or *look.
 func (ix *index) clock(look *int, lap int, pinned func(key []byte) bool) (at int, victim fields, end bool) {
 	at = ix.hand
@@ -399,7 +398,11 @@ func (ix *index) clock(look *int, lap int, pinned func(key []byte) bool) (at int
 			*look = lap
 			continue
 		}
-		if f := record(ix.recs.at(*p)).parse(); pinned == nil || !pinned(f.key) {
+		f := record(ix.recs.at(*p)).parse()
+		if pinned != nil {
+			ix.unpacked = appendUnpacked(ix.unpacked[:0], f.key)
+		}
+		if pinned == nil || !pinned(ix.unpacked) {
 			ix.hand = at
 			return at, f, false
 		}

@@ -12,6 +12,7 @@ import (
 // slot hash, one home at every table length and one tag: "c<i>" followed by
 // the four bytes that steer the hash to the target, found by meeting in the
 // middle (two bytes forward from the prefix, two backward from the target).
+// Each key is its own packed form, so the keys share the index's hash too.
 func collidingKeys(n int) []string {
 	const prime = 16777619
 	inverse := uint32(prime) // Newton: doubles the correct low bits each round
@@ -40,8 +41,11 @@ func collidingKeys(n int) []string {
 					continue
 				}
 				if tail, ok := back[s]; ok {
-					keys = append(keys, prefix+string([]byte{byte(b1), byte(b2), tail[0], tail[1]}))
-					break search
+					key := prefix + string([]byte{byte(b1), byte(b2), tail[0], tail[1]})
+					if string(packKey(key)) == key {
+						keys = append(keys, key)
+						break search
+					}
 				}
 			}
 		}
@@ -64,7 +68,7 @@ func TestCollidingKeysCollide(t *testing.T) {
 	keys := sharedHashKeys()
 	seen := map[string]bool{}
 	for _, k := range keys {
-		if fnv1a(k) != fnv1a(keys[0]) || seen[k] {
+		if fnv1a(packKey(k)) != fnv1a(keys[0]) || seen[k] {
 			t.Fatalf("%q: hash %#x, want %#x, distinct %v", k, fnv1a(k), fnv1a(keys[0]), !seen[k])
 		}
 		seen[k] = true
@@ -72,7 +76,8 @@ func TestCollidingKeysCollide(t *testing.T) {
 }
 
 // indexModel drives a bare index (its own slab, no engine around it) and a
-// map side by side. A record's value is one byte, so that a replace shows.
+// map side by side, keys packed as the engine packs them. A record's value
+// is one byte, so that a replace shows.
 type indexModel struct {
 	t     *testing.T
 	ix    index
@@ -82,10 +87,11 @@ type indexModel struct {
 
 func (m *indexModel) put(key string, v byte) {
 	ix := &m.ix
-	h := slotHash(fnv1a(key))
-	at, cur := ix.find(h, key)
-	ref, rec := ix.recs.alloc(recordLen(key, 1))
-	writeRecord(rec, key, staged{val: []byte{v}})
+	pk := packKey(key)
+	h := slotHash(fnv1a(pk))
+	at, cur := ix.find(h, pk)
+	ref, rec := ix.recs.alloc(recordLen(pk, 1))
+	writeRecord(rec, pk, staged{val: []byte{v}})
 	if at >= 0 {
 		ix.replace(at, ref, cur.parse().size)
 	} else {
@@ -96,7 +102,7 @@ func (m *indexModel) put(key string, v byte) {
 }
 
 func (m *indexModel) del(key string) {
-	at, rec := m.ix.find(slotHash(fnv1a(key)), key)
+	at, rec := m.ix.findKey(key)
 	if _, held := m.keys[key]; held != (at >= 0) {
 		m.t.Fatalf("find(%q) = %d, model holds it: %v", key, at, held)
 	}
@@ -115,8 +121,8 @@ func (m *indexModel) evict() {
 	for look := lap; look > 0; {
 		at, f, end := ix.clock(&look, lap, modelPinned)
 		if at >= 0 {
-			key := string(f.key)
-			if _, held := m.keys[key]; !held || modelPinned(f.key) {
+			key := unpackKey(f.key)
+			if _, held := m.keys[key]; !held || modelPinned([]byte(key)) {
 				m.t.Fatalf("clock took %q: held %v", key, held)
 			}
 			ix.remove(at, f.size)
@@ -142,7 +148,7 @@ func (m *indexModel) sweep(limit int) {
 	for pos, end := uint32(0), false; !end; {
 		left := limit
 		pos, end = m.ix.scan(pos, &left, func(rec record) {
-			key := string(rec.key())
+			key := unpackKey(rec.key())
 			if _, held := m.keys[key]; !held || seen[key] {
 				m.t.Fatalf("scan met %q: held %v, seen before %v", key, held, seen[key])
 			}
@@ -163,11 +169,11 @@ func (m *indexModel) check(cleared bool) {
 		m.t.Fatalf("index counts %d entries, model %d", ix.n, len(m.keys))
 	}
 	for key, v := range m.keys {
-		at, rec := ix.find(slotHash(fnv1a(key)), key)
+		at, rec := ix.findKey(key)
 		if at < 0 {
 			m.t.Fatalf("%q is lost", key)
 		}
-		if f := rec.parse(); string(f.key) != key || len(f.val) != 1 || f.val[0] != v || &ix.record(at)[0] != &rec[0] {
+		if f := rec.parse(); unpackKey(f.key) != key || len(f.val) != 1 || f.val[0] != v || &ix.record(at)[0] != &rec[0] {
 			m.t.Fatalf("%q resolves to the record of %q, value %v, want %v", key, f.key, f.val, v)
 		}
 		marked := *ix.ref(at)&refBit != 0
@@ -236,7 +242,7 @@ func FuzzIndex(f *testing.F) {
 				m.put(name(first), ops[3])
 			case 3:
 				key := name(first)
-				if at, _ := m.ix.find(slotHash(fnv1a(key)), key); at >= 0 {
+				if at, _ := m.ix.findKey(key); at >= 0 {
 					m.ix.touch(at)
 					m.marks[key] = true
 				} else if _, held := m.keys[key]; held {
@@ -253,7 +259,7 @@ func FuzzIndex(f *testing.F) {
 				m.del(name(first))
 			case 7:
 				key := name(first)
-				if at, _ := m.ix.find(slotHash(fnv1a(key)), key); at >= 0 {
+				if at, _ := m.ix.findKey(key); at >= 0 {
 					if _, held := m.keys[key]; !held {
 						t.Fatalf("find(%q) = %d, and the model does not hold it", key, at)
 					}
@@ -427,4 +433,16 @@ func TestResizeCarriesTheHand(t *testing.T) {
 	if missed > slack || twice > slack {
 		t.Fatalf("a lap across %d lengths missed %d keys and asked about %d twice; want at most %d of each", len(sizes), missed, twice, slack)
 	}
+}
+
+// packKey is key packed, as the engine stores it.
+func packKey(key string) []byte {
+	p, _ := appendPacked(nil, key)
+	return p
+}
+
+// findKey is find for key as written.
+func (ix *index) findKey(key string) (int, record) {
+	pk := packKey(key)
+	return ix.find(slotHash(fnv1a(pk)), pk)
 }

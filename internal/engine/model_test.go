@@ -55,10 +55,16 @@ func newModel(t *testing.T, seed int64, shards int) *model {
 func (m *model) key() string { return modelKey(m.rng.Intn(m.span)) }
 
 // modelKey names key i. One in seven is past maxShortKey bytes, where the
-// record keeps the key length in a uvarint of its own.
+// record keeps the key length in a uvarint of its own; of the rest, some
+// have a digit run that packs, and some a 0xFF byte as well.
 func modelKey(i int) string {
-	if i%7 == 0 {
+	switch {
+	case i%7 == 0:
 		return fmt.Sprintf("a-key-too-long-for-the-header-byte:k%d", i)
+	case i%5 == 0:
+		return fmt.Sprintf("k%015d", i)
+	case i%11 == 0:
+		return fmt.Sprintf("\xffk%06d", i)
 	}
 	return fmt.Sprintf("k%d", i)
 }
@@ -513,7 +519,7 @@ func checkBooks(e *Engine) error {
 	for si, s := range e.shards {
 		s.mu.RLock()
 		ix := &s.strs
-		mem, payload := ix.charge, int64(0)
+		mem, payload, packed := ix.charge, int64(0), int64(0)
 		var err error
 		ix.each(func(rec record) bool {
 			f := rec.parse()
@@ -523,8 +529,12 @@ func checkBooks(e *Engine) error {
 				mem += int64(slotSize(f.size))
 			}
 			payload += f.payload()
-			key := string(f.key)
-			if at, got := ix.find(slotHash(fnv1a(key)), key); at < 0 || &got[0] != &rec[0] {
+			key := unpackKey(f.key)
+			packed += int64(len(key) - len(f.key))
+			if string(packKey(key)) != string(f.key) {
+				err = fmt.Errorf("%q is stored as %q, which is not its packed form", key, f.key)
+			}
+			if at, got := ix.findKey(key); at < 0 || &got[0] != &rec[0] {
 				err = fmt.Errorf("record of %q not reachable from its home slot", key)
 			}
 			if _, both := s.colls[key]; both {
@@ -543,9 +553,9 @@ func checkBooks(e *Engine) error {
 		case err != nil:
 		case ix.n == 0 && (len(ix.recs.pages) != 0 || len(ix.recs.own) != 0):
 			err = fmt.Errorf("empty index keeps %d pages", len(ix.recs.pages))
-		case mem != s.memUsed.Load() || payload != s.payload.Load():
-			err = fmt.Errorf("accounts say mem %d payload %d, contents say %d and %d",
-				s.memUsed.Load(), s.payload.Load(), mem, payload)
+		case mem != s.memUsed.Load() || payload != s.payload.Load() || packed != s.packed:
+			err = fmt.Errorf("accounts say mem %d payload %d packed %d, contents say %d, %d and %d",
+				s.memUsed.Load(), s.payload.Load(), s.packed, mem, payload, packed)
 		default:
 			if err = checkIndex(ix); err == nil {
 				err = checkSlab(&ix.recs)

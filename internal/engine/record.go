@@ -12,9 +12,9 @@ import (
 //
 //	flags+len(key) | [uvarint len(key)] | key | [deadline] | uvarint len(value) | value
 //
-// Byte 0 holds the three flags in its low bits and the key length above
-// them; a key past maxShortKey bytes puts longKey there and its length in a
-// uvarint after. deadline (8 bytes, little-endian unixnanos, 0 = none) is
+// key is the key packed (keypack.go). Byte 0 holds the three flags in its
+// low bits and the key length above them; a key past maxShortKey bytes puts
+// longKey there and its length in a uvarint after. deadline (8 bytes, little-endian unixnanos, 0 = none) is
 // present only with flagTTL. value is the stored bytes: compressed with
 // flagCompressed, and with flagPMem not the bytes themselves but the
 // 12-byte pmem.Ref to them. The slice starts at the record and may run
@@ -68,7 +68,7 @@ func (st staged) valueLen() int {
 }
 
 // recordLen is the length of the record writeRecord builds.
-func recordLen(key string, vlen int) int {
+func recordLen(key []byte, vlen int) int {
 	n := 1 + len(key) + uvarintLen(uint64(vlen)) + vlen
 	if len(key) > maxShortKey {
 		n += uvarintLen(uint64(len(key)))
@@ -78,7 +78,7 @@ func recordLen(key string, vlen int) int {
 
 // writeRecord assembles the record, which has no TTL slot (withDeadline
 // adds one), into r, which is recordLen bytes.
-func writeRecord(r record, key string, st staged) {
+func writeRecord(r record, key []byte, st staged) {
 	n := 1
 	if len(key) <= maxShortKey {
 		r[0] = st.flags | byte(len(key))<<flagBits
@@ -113,14 +113,14 @@ func (r record) key() []byte {
 }
 
 // hasKey reports whether r is the record of key.
-func (r record) hasKey(key string) bool { return string(r.key()) == key }
+func (r record) hasKey(key []byte) bool { return string(r.key()) == string(key) }
 
 // hasShortKey is hasKey for a key of up to maxShortKey bytes, one whose
 // length byte 0 holds: no call to keySpan, and small enough to inline into
 // index.find, which runs it behind every probe word that matches.
-func (r record) hasShortKey(key string) bool {
+func (r record) hasShortKey(key []byte) bool {
 	k := int(r[0] >> flagBits)
-	return k != longKey && string(r[1:1+k]) == key
+	return k != longKey && string(r[1:1+k]) == string(key)
 }
 
 // stored is a record's value as kept. val aliases the record.
@@ -184,7 +184,7 @@ func (r record) withDeadline(dst record, at int64) {
 }
 
 // payload is the user bytes a record of these flags holds in DRAM: the
-// key, and the stored value unless it lives in PMem.
+// key as stored (packed), and the stored value unless it lives in PMem.
 func payload(flags byte, klen, vlen int) int64 {
 	if flags&flagPMem != 0 {
 		return int64(klen)

@@ -24,11 +24,11 @@ func recordRoundTrip(key string, vlen int, flags byte, deadline int64) error {
 		st.ref = pmem.Ref{Off: int64(vlen)<<20 + 5, Len: int32(vlen)}
 		want = nil
 	}
-	n := recordLen(key, st.valueLen())
+	n := recordLen([]byte(key), st.valueLen())
 	const slack = 16 // after the record, as in a page: writeRecord must leave it alone
 	buf := bytes.Repeat([]byte{0xA5}, n+8+slack)
 	rec := record(buf[:n])
-	writeRecord(rec, key, st)
+	writeRecord(rec, []byte(key), st)
 	rec = buf // a page slot runs past its record: nothing may rely on len(rec)
 
 	check := func(what string, r record, size int, flags byte, deadline int64) error {
@@ -36,8 +36,8 @@ func recordRoundTrip(key string, vlen int, flags byte, deadline int64) error {
 		// hasKey, and for a key byte 0 has room for hasShortKey with it.
 		agree := true
 		has := func(k string) bool {
-			got := r.hasKey(k)
-			agree = agree && (len(k) > maxShortKey || r.hasShortKey(k) == got)
+			got := r.hasKey([]byte(k))
+			agree = agree && (len(k) > maxShortKey || r.hasShortKey([]byte(k)) == got)
 			return got
 		}
 		switch {
@@ -105,10 +105,10 @@ func TestRecordLayout(t *testing.T) {
 			}
 		}
 	}
-	// What the ledger's hit-read key costs: its key, its stored value and
-	// two bytes.
-	if got := recordLen("user:000000001", 18); got != 14+18+2 {
-		t.Errorf("a 14 B key with an 18 B stored value is a %d B record, want 34", got)
+	// What the ledger's hit-read key costs: its key packed (k%015d is 9
+	// bytes), its stored value and two bytes.
+	if got := recordLen(packKey("k000000000123456"), 18); got != 9+18+2 {
+		t.Errorf("a 16 B key with an 18 B stored value is a %d B record, want 29", got)
 	}
 }
 

@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// Storage-tier benchmarks (CI tracks these in BENCH_<sha>.json).
+// Storage-tier benchmarks (the CI bench job runs each once per push).
 //
 // The interesting comparisons:
 //   - ApplyBatch16 vs 16×Put: one WAL record + one commit section vs 16.

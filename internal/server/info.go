@@ -106,7 +106,7 @@ var infoTable = []infoRow{
 	// tables as allocated, collections; the number the cache budget and the
 	// ledger read. It is payload + overhead.
 	{"Server", "mem_bytes", global, nil, func(sn *infoSnap, _ int) any { return sn.eng.MemBytes }},
-	{"Server", "mem_payload_bytes", global, nil, func(sn *infoSnap, _ int) any { return sn.eng.PayloadBytes }},                    // keys and stored values, after compression
+	{"Server", "mem_payload_bytes", global, nil, func(sn *infoSnap, _ int) any { return sn.eng.PayloadBytes }},                    // keys as stored (string keys packed) and stored values, after compression
 	{"Server", "mem_overhead_bytes", global, nil, func(sn *infoSnap, _ int) any { return sn.eng.MemBytes - sn.eng.PayloadBytes }}, // record headers, index tables, slot rounding
 	{"Server", "mem_index_bytes", global, nil, func(sn *infoSnap, _ int) any { return sn.eng.IndexBytes }},                        // the overhead's index tables, as allocated
 	// Slab page bytes that hold no record: freed slots and each stripe's
