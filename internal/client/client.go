@@ -1,13 +1,11 @@
 // Package client is the Go client for TierBase's RESP protocol (the
-// client tier of paper §3). It speaks RESP2 over TCP through a
-// multiplexed connection core: any number of goroutines share one
-// connection, concurrent requests drain to the wire in one buffered
-// write + flush per window, and same-window single-key GETs/SETs
-// auto-coalesce into MGET/MSET — the paper's access-path batching moved
-// client-side. Typed helpers sit over the raw Do interface, and a routed
-// variant consults a cluster routing table to reach the right shard
-// process with one multiplexed connection per node. See README.md for
-// the mux architecture and error model.
+// client tier of paper §3). A Client speaks RESP2 over one TCP
+// connection and holds one mutex for a whole round trip: a call writes
+// its commands in one write and reads their replies before the next call
+// starts. Connection errors are sticky. Typed helpers sit over the raw Do
+// interface, and a routed variant consults a cluster routing table to
+// reach the right shard process with one Client per node. See README.md
+// for the error model.
 package client
 
 import (
@@ -37,43 +35,25 @@ func (c *Client) Close() error {
 	return c.closeErr
 }
 
-// Do sends one command and reads its reply. Do never coalesces: the
-// command ships verbatim (sharing the drain window's flush), so raw
-// single-command semantics — including error replies like WRONGTYPE —
-// are exactly the server's.
+// Do sends one command and reads its reply; error replies like
+// WRONGTYPE are the server's.
 // Reply types: string (simple/bulk), int64, []interface{}, Nil error.
 func (c *Client) Do(args ...string) (interface{}, error) {
-	return c.doKind(kindOther, args)
-}
-
-func (c *Client) doKind(kind callKind, args []string) (interface{}, error) {
-	cl := newCall(kind, [][]string{args})
-	if err := c.enqueue(cl); err != nil {
-		return nil, err
-	}
-	<-cl.done
-	return cl.replies[0], cl.errs[0]
+	var reply [1]interface{}
+	var err [1]error
+	c.roundTrip([][]string{args}, reply[:], err[:])
+	return reply[0], err[0]
 }
 
 // Pipeline sends multiple commands in one round trip and returns their
-// replies in order. The commands ship verbatim back to back (no
-// coalescing inside a pipeline), sharing the drain window — and hence
-// the flush — with whatever else is in flight.
+// replies in order.
 func (c *Client) Pipeline(cmds [][]string) ([]interface{}, []error) {
-	if len(cmds) == 0 {
-		return []interface{}{}, []error{}
+	replies := make([]interface{}, len(cmds))
+	errs := make([]error, len(cmds))
+	if len(cmds) > 0 {
+		c.roundTrip(cmds, replies, errs)
 	}
-	cl := newCall(kindOther, cmds)
-	if err := c.enqueue(cl); err != nil {
-		outs := make([]interface{}, len(cmds))
-		errs := make([]error, len(cmds))
-		for i := range errs {
-			errs[i] = err
-		}
-		return outs, errs
-	}
-	<-cl.done
-	return cl.replies, cl.errs
+	return replies, errs
 }
 
 // --- typed helpers ---
@@ -90,21 +70,17 @@ func (c *Client) Ping() error {
 	return nil
 }
 
-// Set stores key=val. Concurrent Sets sharing a drain window coalesce
-// into one MSET (reply semantics are identical either way).
+// Set stores key=val with one SET.
 func (c *Client) Set(key, val string) error {
-	_, err := c.doKind(kindSet, []string{"SET", key, val})
+	_, err := c.Do("SET", key, val)
 	return err
 }
 
-// Get fetches key (Nil if absent). Gets always ride the drain window's
-// MGET — one key alone or many coalesced — so their semantics are
-// MGET's in every window shape: like Redis, a key holding a non-string
-// value reads as absent (Nil) rather than a WRONGTYPE error, and never
-// differently depending on unrelated concurrent traffic. Use
-// Do("GET", key) for strict single-command semantics.
+// Get fetches key with one GET (Nil if absent). A key that holds a
+// collection answers the server's WRONGTYPE error; MGet reads it as
+// absent instead.
 func (c *Client) Get(key string) (string, error) {
-	v, err := c.doKind(kindGet, []string{"GET", key})
+	v, err := c.Do("GET", key)
 	if err != nil {
 		return "", err
 	}

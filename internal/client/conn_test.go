@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,8 +15,7 @@ import (
 )
 
 // stubServer is a minimal in-test RESP server that records every command
-// it receives, so tests can assert what actually crossed the wire (e.g.
-// that a window of concurrent GETs arrived as one MGET).
+// it receives, so tests can assert what actually crossed the wire.
 type stubServer struct {
 	ln net.Listener
 	wg sync.WaitGroup
@@ -205,245 +205,8 @@ func dialStub(t *testing.T, s *stubServer) *Client {
 	return c
 }
 
-// gateWriter blocks the client's writer before its next drain so a test
-// can pile concurrent requests into one deterministic window; the
-// returned release function opens the gate.
-func gateWriter(c *Client) (release func()) {
-	gate := make(chan struct{})
-	c.mu.Lock()
-	c.testGate = gate
-	c.mu.Unlock()
-	return func() { close(gate) }
-}
-
-func waitPending(t *testing.T, c *Client, want int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		c.mu.Lock()
-		n := 0
-		for _, cl := range c.pending {
-			n += len(cl.cmds)
-		}
-		c.mu.Unlock()
-		if n == want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pending=%d, want %d", n, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestDrainWindowCoalescesGetsIntoOneMGET is the acceptance-criteria
-// test: K concurrent single-key Gets sharing one drain window must reach
-// the server as exactly one MGET (one round trip), with each caller
-// receiving its own key's value.
-func TestDrainWindowCoalescesGetsIntoOneMGET(t *testing.T) {
-	const K = 16
-	srv := startStub(t)
-	c := dialStub(t, srv)
-	key := func(i int) string { return fmt.Sprintf("k%02d", i) }
-	val := func(i int) string { return fmt.Sprintf("v%02d", i) }
-	for i := 0; i < K; i++ {
-		if err := c.Set(key(i), val(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	before := srv.counts()
-
-	release := gateWriter(c)
-	vals := make([]string, K)
-	errs := make([]error, K)
-	var wg sync.WaitGroup
-	for i := 0; i < K; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			vals[i], errs[i] = c.Get(key(i))
-		}(i)
-	}
-	waitPending(t, c, K) // every Get is queued; the writer is gated
-	release()
-	wg.Wait()
-
-	for i := 0; i < K; i++ {
-		if errs[i] != nil {
-			t.Fatalf("get %d: %v", i, errs[i])
-		}
-		if vals[i] != val(i) {
-			t.Fatalf("get %d: got %q, want %q (cross-matched reply?)", i, vals[i], val(i))
-		}
-	}
-	after := srv.counts()
-	if got := after["MGET"] - before["MGET"]; got != 1 {
-		t.Fatalf("window produced %d MGETs on the wire, want exactly 1", got)
-	}
-	if got := after["GET"] - before["GET"]; got != 0 {
-		t.Fatalf("window leaked %d plain GETs, want 0", got)
-	}
-	if mget := srv.lastOf("MGET"); len(mget)-1 != K {
-		t.Fatalf("wire MGET carried %d keys, want %d", len(mget)-1, K)
-	}
-	st := c.Stats()
-	if st.CoalescedGets != K {
-		t.Fatalf("CoalescedGets=%d, want %d", st.CoalescedGets, K)
-	}
-}
-
-// TestDrainWindowCoalescesSetsIntoOneMSET is the write-side twin: K
-// concurrent Sets in one window arrive as one MSET and every value
-// lands.
-func TestDrainWindowCoalescesSetsIntoOneMSET(t *testing.T) {
-	const K = 8
-	srv := startStub(t)
-	c := dialStub(t, srv)
-	key := func(i int) string { return fmt.Sprintf("s%02d", i) }
-	val := func(i int) string { return fmt.Sprintf("w%02d", i) }
-
-	release := gateWriter(c)
-	errs := make([]error, K)
-	var wg sync.WaitGroup
-	for i := 0; i < K; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = c.Set(key(i), val(i))
-		}(i)
-	}
-	waitPending(t, c, K)
-	release()
-	wg.Wait()
-
-	for i := 0; i < K; i++ {
-		if errs[i] != nil {
-			t.Fatalf("set %d: %v", i, errs[i])
-		}
-	}
-	counts := srv.counts()
-	if counts["MSET"] != 1 || counts["SET"] != 0 {
-		t.Fatalf("wire saw MSET=%d SET=%d, want 1/0", counts["MSET"], counts["SET"])
-	}
-	for i := 0; i < K; i++ {
-		if v, err := c.Get(key(i)); err != nil || v != val(i) {
-			t.Fatalf("readback %d: %q %v", i, v, err)
-		}
-	}
-	if st := c.Stats(); st.CoalescedSets != K {
-		t.Fatalf("CoalescedSets=%d, want %d", st.CoalescedSets, K)
-	}
-}
-
-// TestTypedGetAlwaysRidesMGET: a lone typed Get ships as a one-key MGET
-// (so Get has MGET semantics deterministically, whatever the window
-// holds), while raw Do("GET", ...) ships verbatim and never coalesces.
-func TestTypedGetAlwaysRidesMGET(t *testing.T) {
-	srv := startStub(t)
-	c := dialStub(t, srv)
-	if err := c.Set("solo", "x"); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := c.Get("solo"); err != nil || v != "x" {
-		t.Fatalf("get: %q %v", v, err)
-	}
-	counts := srv.counts()
-	if counts["GET"] != 0 || counts["MGET"] != 1 {
-		t.Fatalf("typed Get wire: GET=%d MGET=%d, want 0/1", counts["GET"], counts["MGET"])
-	}
-	if mget := srv.lastOf("MGET"); len(mget) != 2 || mget[1] != "solo" {
-		t.Fatalf("one-key MGET malformed: %v", mget)
-	}
-	if st := c.Stats(); st.CoalescedGets != 0 {
-		t.Fatalf("a lone Get is not coalescing: CoalescedGets=%d, want 0", st.CoalescedGets)
-	}
-	if v, err := c.Do("GET", "solo"); err != nil || v != "x" {
-		t.Fatalf("raw GET: %v %v", v, err)
-	}
-	counts = srv.counts()
-	if counts["GET"] != 1 || counts["MGET"] != 1 {
-		t.Fatalf("raw Do wire: GET=%d MGET=%d, want 1/1", counts["GET"], counts["MGET"])
-	}
-}
-
-// TestMixedWindow: pipelines and Do calls share the window with
-// coalesced gets/sets without replies crossing.
-func TestMixedWindow(t *testing.T) {
-	srv := startStub(t)
-	c := dialStub(t, srv)
-	if err := c.Set("p", "q"); err != nil {
-		t.Fatal(err)
-	}
-
-	release := gateWriter(c)
-	var wg sync.WaitGroup
-	var getV string
-	var getErr error
-	var pipeOuts []interface{}
-	var pipeErrs []error
-	var setErr error
-	wg.Add(3)
-	go func() { defer wg.Done(); getV, getErr = c.Get("p") }()
-	go func() {
-		defer wg.Done()
-		pipeOuts, pipeErrs = c.Pipeline([][]string{{"PING"}, {"GET", "p"}, {"GET", "absent"}})
-	}()
-	go func() { defer wg.Done(); setErr = c.Set("w", "z") }()
-	waitPending(t, c, 5)
-	release()
-	wg.Wait()
-
-	if getErr != nil || getV != "q" {
-		t.Fatalf("get: %q %v", getV, getErr)
-	}
-	if setErr != nil {
-		t.Fatalf("set: %v", setErr)
-	}
-	if pipeErrs[0] != nil || pipeOuts[0] != "PONG" {
-		t.Fatalf("pipe[0]: %v %v", pipeOuts[0], pipeErrs[0])
-	}
-	if pipeErrs[1] != nil || pipeOuts[1] != "q" {
-		t.Fatalf("pipe[1]: %v %v", pipeOuts[1], pipeErrs[1])
-	}
-	if pipeErrs[2] != Nil {
-		t.Fatalf("pipe[2]: %v %v, want Nil", pipeOuts[2], pipeErrs[2])
-	}
-	if st := c.Stats(); st.Flushes != 2 { // warm-up SET, then the window
-		t.Fatalf("flushes=%d, want 2", st.Flushes)
-	}
-}
-
-// TestCoalescedGetDemuxesNil: absent keys inside a coalesced MGET come
-// back as Nil, exactly like a plain GET.
-func TestCoalescedGetDemuxesNil(t *testing.T) {
-	srv := startStub(t)
-	c := dialStub(t, srv)
-	if err := c.Set("have", "v"); err != nil {
-		t.Fatal(err)
-	}
-	release := gateWriter(c)
-	var wg sync.WaitGroup
-	var haveV, missV string
-	var haveErr, missErr error
-	wg.Add(2)
-	go func() { defer wg.Done(); haveV, haveErr = c.Get("have") }()
-	go func() { defer wg.Done(); missV, missErr = c.Get("miss") }()
-	waitPending(t, c, 2)
-	release()
-	wg.Wait()
-	if haveErr != nil || haveV != "v" {
-		t.Fatalf("have: %q %v", haveV, haveErr)
-	}
-	if missErr != Nil || missV != "" {
-		t.Fatalf("miss: %q %v, want Nil", missV, missErr)
-	}
-	if counts := srv.counts(); counts["MGET"] != 1 {
-		t.Fatalf("MGET count=%d, want 1", counts["MGET"])
-	}
-}
-
 // TestConnectionErrorIsSticky reproduces the old desync bug's setup: the
-// server dies mid-conversation. The mux must fail every in-flight call
+// server dies mid-conversation. The client must fail every in-flight call
 // AND every later call with the sticky error — never read a stale reply.
 func TestConnectionErrorIsSticky(t *testing.T) {
 	srv := startStub(t)
@@ -550,32 +313,91 @@ func TestIntegerCommandsRefuseOtherReplies(t *testing.T) {
 	}
 }
 
-// TestCloseFailsInflight: Close while calls are gated in the pending
-// queue releases every waiter with ErrClosed instead of hanging.
+// TestCloseFailsInflight: Close while a round trip waits on a server that
+// never answers releases it with ErrClosed instead of hanging, and every
+// later call fails fast with the same error.
 func TestCloseFailsInflight(t *testing.T) {
 	srv := startStub(t)
+	srv.hook = func(args []string) string {
+		if strings.EqualFold(args[0], "MUTE") {
+			return "$5\r\nab" // half a reply: the client waits on the rest
+		}
+		return ""
+	}
+	c := dialStub(t, srv)
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Do("MUTE")
+		done <- err
+	}()
+	for srv.counts()["MUTE"] == 0 { // the round trip is on the wire
+		time.Sleep(time.Millisecond)
+	}
+	c.Close()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("blocked Do: %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not release the blocked round trip")
+	}
+	start := time.Now()
+	if _, err := c.Do("PING"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("call after Close: %v, want ErrClosed", err)
+	}
+	if _, errs := c.Pipeline([][]string{{"PING"}, {"PING"}}); !errors.Is(errs[0], ErrClosed) || !errors.Is(errs[1], ErrClosed) {
+		t.Fatalf("pipeline after Close: %v", errs)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("fail-fast took %v", d)
+	}
+}
+
+// TestGetSendsGET: a typed Get ships as one GET, so a key that holds a
+// collection answers the server's WRONGTYPE error, as Do("GET", k) does,
+// while MGet reads it as absent.
+func TestGetSendsGET(t *testing.T) {
+	srv := startStub(t)
+	srv.hook = func(args []string) string {
+		switch cmd := strings.ToUpper(args[0]); {
+		case cmd == "GET" && args[1] == "h":
+			return "-WRONGTYPE Operation against a key holding the wrong kind of value\r\n"
+		case cmd == "MGET":
+			return "*1\r\n$-1\r\n"
+		}
+		return ""
+	}
+	c := dialStub(t, srv)
+	if v, err := c.Get("h"); err == nil || !strings.HasPrefix(err.Error(), "WRONGTYPE") {
+		t.Fatalf("Get on a hash key: %q, %v; want WRONGTYPE", v, err)
+	}
+	if got, err := c.MGet("h"); err != nil || len(got) != 0 {
+		t.Fatalf("MGet on a hash key: %v, %v; want it absent", got, err)
+	}
+	if n := srv.counts(); n["GET"] != 1 || n["MGET"] != 1 {
+		t.Fatalf("wire saw GET=%d MGET=%d, want 1/1", n["GET"], n["MGET"])
+	}
+	if err := c.Err(); err != nil {
+		t.Fatalf("an error reply broke the client: %v", err)
+	}
+}
+
+// TestClientStartsNoGoroutine: a Client is a socket and a mutex; Dial and
+// a round trip leave no goroutine of the client's own running.
+func TestClientStartsNoGoroutine(t *testing.T) {
+	srv := startStub(t)
+	before := runtime.NumGoroutine()
 	c, err := Dial(srv.addr())
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := gateWriter(c)
-	const K = 8
-	errs := make([]error, K)
-	var wg sync.WaitGroup
-	for i := 0; i < K; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = c.Do("PING")
-		}(i)
+	defer c.Close()
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
 	}
-	waitPending(t, c, K)
-	c.Close()
-	release() // writer wakes, sees the sticky error, exits
-	wg.Wait()
-	for i, e := range errs {
-		if !errors.Is(e, ErrClosed) {
-			t.Fatalf("call %d: %v, want ErrClosed", i, e)
-		}
+	// The stub serves the connection on one goroutine of its own.
+	if after := runtime.NumGoroutine(); after > before+1 {
+		t.Fatalf("goroutines %d -> %d: the client started %d", before, after, after-before-1)
 	}
 }

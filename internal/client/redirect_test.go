@@ -56,7 +56,7 @@ type swapRouter struct{ addr atomic.Value }
 func (r *swapRouter) AddrFor(string) string { return r.addr.Load().(string) }
 
 // movedHook makes a stub answer -MOVED to target for any command that
-// touches key k (SET/MSET/GET/MGET — coalesced shapes included).
+// touches key k (SET/MSET/GET/MGET).
 func movedHook(k, target string) func(args []string) string {
 	return func(args []string) string {
 		for _, a := range args[1:] {

@@ -22,12 +22,11 @@ const maxRedirects = 4
 // herd of redirected callers collapses into one refresh per interval.
 const refreshMinInterval = 50 * time.Millisecond
 
-// Routed is a cluster-aware client: one multiplexed connection per node,
-// commands routed by key. It mirrors "TierBase clients ... retrieve
-// cluster routing information from the coordinator cluster for direct
-// data access". Every caller routing to the same node shares that node's
-// mux, so concurrent single-key traffic coalesces per node exactly as it
-// does on a plain Client. Dials happen outside the routing lock with
+// Routed is a cluster-aware client: one Client per node, commands routed
+// by key. It mirrors "TierBase clients ... retrieve cluster routing
+// information from the coordinator cluster for direct data access".
+// Every caller routing to the same node shares that node's Client, and so
+// takes turns on its connection. Dials happen outside the routing lock with
 // per-address singleflight: while one node is unreachable, only callers
 // of that node wait on the dial — routing to healthy nodes never blocks.
 //
@@ -69,7 +68,7 @@ func NewRouted(router Router) *Routed {
 	}
 }
 
-// clientForAddr returns the live mux for addr, dialing if needed. A
+// clientForAddr returns the live Client for addr, dialing if needed. A
 // cached client whose connection went sticky-broken is dropped and
 // redialed, so one failed node round trip doesn't poison the address
 // forever. Dial errors are not cached: each new round of callers retries.

@@ -79,6 +79,7 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -124,6 +125,7 @@ var (
 	ErrWrongType   = errors.New("engine: operation against wrong value type")
 	ErrCASMismatch = errors.New("engine: compare-and-set mismatch")
 	ErrNotInteger  = errors.New("engine: value is not an integer")
+	ErrOverflow    = errors.New("engine: increment or decrement would overflow")
 )
 
 // DefaultShards is the default number of lock stripes.
@@ -678,7 +680,9 @@ func (e *Engine) casCheck(s *shard, k probe, oldVal []byte) error {
 	return nil
 }
 
-// IncrBy adds delta to the integer value at key (0 if absent).
+// IncrBy adds delta to the integer value at key (0 if absent). A stored
+// value outside int64 is ErrNotInteger, and a sum outside it is
+// ErrOverflow; either leaves the value as it was.
 func (e *Engine) IncrBy(key string, delta int64) (int64, error) {
 	var kb keyBuf
 	k, s := e.locate(key, &kb)
@@ -693,15 +697,18 @@ func (e *Engine) IncrBy(key string, delta int64) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		if cur, err = parseInt(raw); err != nil {
+		if cur, err = strconv.ParseInt(string(raw), 10, 64); err != nil {
 			return 0, ErrNotInteger
 		}
 	}
-	cur += delta
+	sum := cur + delta
+	if (sum > cur) != (delta > 0) {
+		return 0, ErrOverflow
+	}
 	// Counters are never compressed or offloaded.
 	var buf [20]byte
-	e.publish(s, k, staged{val: appendInt(buf[:0], cur)})
-	return cur, nil
+	e.publish(s, k, staged{val: strconv.AppendInt(buf[:0], sum, 10)})
+	return sum, nil
 }
 
 // --- TTL ---
@@ -1081,50 +1088,4 @@ func (e *Engine) FlushAll() {
 		s.packed = 0
 		s.mu.Unlock()
 	}
-}
-
-// --- small helpers ---
-
-func parseInt(b []byte) (int64, error) {
-	if len(b) == 0 {
-		return 0, ErrNotInteger
-	}
-	neg := false
-	i := 0
-	if b[0] == '-' {
-		neg = true
-		i = 1
-		if len(b) == 1 {
-			return 0, ErrNotInteger
-		}
-	}
-	var v int64
-	for ; i < len(b); i++ {
-		if b[i] < '0' || b[i] > '9' {
-			return 0, ErrNotInteger
-		}
-		v = v*10 + int64(b[i]-'0')
-	}
-	if neg {
-		v = -v
-	}
-	return v, nil
-}
-
-func appendInt(out []byte, v int64) []byte {
-	if v < 0 {
-		out = append(out, '-')
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	if v == 0 {
-		return append(out, '0')
-	}
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(out, buf[i:]...)
 }

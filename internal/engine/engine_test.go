@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -495,21 +497,69 @@ func TestConcurrentMixedOps(t *testing.T) {
 	}
 }
 
+// TestParseAppendIntRoundTrip: a counter is stored as its decimal text,
+// so every int64, the two ends included, reads back through IncrBy and is
+// written back as the same digits.
 func TestParseAppendIntRoundTrip(t *testing.T) {
+	e := New(Options{})
 	f := func(v int64) bool {
-		got, err := parseInt(appendInt(nil, v))
-		return err == nil && got == v
+		text := strconv.FormatInt(v, 10)
+		e.Set("n", []byte(text))
+		got, err := e.IncrBy("n", 0)
+		raw, _ := e.Get("n")
+		return err == nil && got == v && string(raw) == text
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := parseInt([]byte("")); err == nil {
-		t.Fatal("empty should fail")
+	for _, v := range []int64{0, -1, math.MaxInt64, math.MinInt64} {
+		if !f(v) {
+			t.Fatalf("%d did not round trip", v)
+		}
 	}
-	if _, err := parseInt([]byte("-")); err == nil {
-		t.Fatal("bare minus should fail")
+}
+
+// TestIncrByRefusesOutOfRange: a stored value that is not an int64 is
+// ErrNotInteger, a step past either end of int64 is ErrOverflow, and
+// either leaves the value as it was. The ends themselves are reachable.
+func TestIncrByRefusesOutOfRange(t *testing.T) {
+	e := New(Options{})
+	for _, bad := range []string{"", "-", "12x", "99999999999999999999", "-9223372036854775809"} {
+		e.Set("n", []byte(bad))
+		if v, err := e.IncrBy("n", 1); err != ErrNotInteger {
+			t.Fatalf("INCR of %q: %d, %v; want ErrNotInteger", bad, v, err)
+		}
+		if raw, _ := e.Get("n"); string(raw) != bad {
+			t.Fatalf("refused INCR changed %q to %q", bad, raw)
+		}
 	}
-	if _, err := parseInt([]byte("12x")); err == nil {
-		t.Fatal("junk should fail")
+	for _, c := range []struct{ start, delta int64 }{
+		{math.MaxInt64, 1},
+		{math.MinInt64, -1},
+		{math.MinInt64 + 1, -2},
+		{-1, math.MinInt64},
+		{1, math.MaxInt64},
+	} {
+		start := strconv.FormatInt(c.start, 10)
+		e.Set("n", []byte(start))
+		if v, err := e.IncrBy("n", c.delta); err != ErrOverflow {
+			t.Fatalf("%s + %d: %d, %v; want ErrOverflow", start, c.delta, v, err)
+		}
+		if raw, _ := e.Get("n"); string(raw) != start {
+			t.Fatalf("refused %s + %d stored %q", start, c.delta, raw)
+		}
+	}
+	for _, c := range []struct{ start, delta, want int64 }{
+		{math.MaxInt64 - 1, 1, math.MaxInt64},
+		{math.MinInt64 + 1, -1, math.MinInt64},
+		{-1, math.MinInt64 + 1, math.MinInt64},
+	} {
+		e.Set("n", []byte(strconv.FormatInt(c.start, 10)))
+		if v, err := e.IncrBy("n", c.delta); err != nil || v != c.want {
+			t.Fatalf("%d + %d: %d, %v; want %d", c.start, c.delta, v, err, c.want)
+		}
+		if raw, _ := e.Get("n"); string(raw) != strconv.FormatInt(c.want, 10) {
+			t.Fatalf("%d + %d stored %q", c.start, c.delta, raw)
+		}
 	}
 }

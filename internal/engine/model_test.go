@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -223,7 +224,7 @@ func (m *model) step(shrinking bool) {
 		if cur != nil {
 			if cur.kind != KindString {
 				want = ErrWrongType
-			} else if base, want = parseInt(cur.str); want != nil {
+			} else if base, want = strconv.ParseInt(string(cur.str), 10, 64); want != nil {
 				want = ErrNotInteger
 			}
 		}
@@ -232,7 +233,7 @@ func (m *model) step(shrinking bool) {
 			m.fail("IncrBy", k, got, err, "want", base+delta, want)
 		}
 		if want == nil {
-			m.setStr(k, appendInt(nil, base+delta))
+			m.setStr(k, strconv.AppendInt(nil, base+delta, 10))
 		}
 	case op < 58:
 		at := m.now.Load() + int64(m.rng.Intn(40)) - 2 // a few already lapsed

@@ -357,7 +357,8 @@ func cmdSetNX(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte
 }
 
 // incrBy serves the four counters: sign is the direction, operand says
-// whether args[2] gives the step.
+// whether args[2] gives the step. A decrement by math.MinInt64 has no
+// int64 negation, so it is refused as the overflow it is.
 func incrBy(sign int64, operand bool) mutateFn {
 	return func(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte, bool, error) {
 		delta := int64(1)
@@ -366,6 +367,9 @@ func incrBy(sign int64, operand bool) mutateFn {
 			if delta, err = strconv.ParseInt(string(args[2]), 10, 64); err != nil {
 				return resp.AppendError(out, errNotInteger), false, nil
 			}
+		}
+		if sign < 0 && delta == math.MinInt64 {
+			return out, false, engine.ErrOverflow
 		}
 		v, err := eng.IncrBy(key, sign*delta)
 		return resp.AppendInt(out, v), err == nil, err

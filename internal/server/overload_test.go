@@ -15,7 +15,7 @@ import (
 
 // rawDial opens a plain TCP connection to the server — the overload
 // drills need protocol-level control (half-written commands, unread
-// replies) the mux client deliberately hides.
+// replies) the client deliberately hides.
 func rawDial(t *testing.T, addr string) net.Conn {
 	t.Helper()
 	nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
@@ -46,7 +46,7 @@ func pingRaw(t *testing.T, nc net.Conn) string {
 // freed by a disconnect is immediately reusable.
 func TestMaxConnAdmission(t *testing.T) {
 	s, c := startTestServer(t, Config{Overload: OverloadConfig{MaxConns: 2}})
-	if err := c.Ping(); err != nil { // the mux client holds slot 1
+	if err := c.Ping(); err != nil { // the client holds slot 1
 		t.Fatal(err)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -512,6 +513,67 @@ func TestInfoAckLagNeverUnderflows(t *testing.T) {
 	master.repl.acks.Ack("ahead", master.repl.log.Seq()+3)
 	if got := infoField(t, mc, "replication", "replica0"); !strings.HasSuffix(got, ",ack_lag=0") {
 		t.Fatalf("replica0:%s, want ack_lag=0", got)
+	}
+}
+
+// TestMuteCoordinatorBoundsCloseAndShutdown: a coordinator that accepts
+// connections and never answers holds a REGISTER, HEARTBEAT or DEREGISTER
+// for at most four heartbeat intervals, so Close and Shutdown still
+// return.
+func TestMuteCoordinatorBoundsCloseAndShutdown(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var conns []net.Conn
+	go func() {
+		for {
+			nc, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			mu.Lock()
+			conns = append(conns, nc)
+			mu.Unlock()
+		}
+	}()
+	t.Cleanup(func() {
+		ln.Close()
+		mu.Lock()
+		defer mu.Unlock()
+		for _, nc := range conns {
+			nc.Close()
+		}
+	})
+	accepted := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(conns)
+	}
+	for _, stop := range []struct {
+		name string
+		fn   func(*Server) error
+	}{{"Close", (*Server).Close}, {"Shutdown", (*Server).Shutdown}} {
+		t.Run(stop.name, func(t *testing.T) {
+			before := accepted()
+			s, err := Start(Config{Addr: "127.0.0.1:0", Replication: ReplicationConfig{
+				NodeID: "n1", CoordinatorAddr: ln.Addr().String(), HeartbeatInterval: 20 * time.Millisecond,
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for accepted() == before { // the heartbeat loop has dialed
+				time.Sleep(time.Millisecond)
+			}
+			done := make(chan error, 1)
+			go func() { done <- stop.fn(s) }()
+			select {
+			case <-done:
+			case <-time.After(2 * time.Second):
+				t.Fatalf("%s hung behind a coordinator that never answers", stop.name)
+			}
+		})
 	}
 }
 

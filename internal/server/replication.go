@@ -850,12 +850,12 @@ func (r *serverRepl) heartbeatLoop() {
 					role = "replica"
 					masterAddr = r.currentMasterAddr()
 				}
-				if _, err := cc.Do("CLUSTER", "REGISTER", r.cfg.NodeID, r.advertiseAddr(), role, masterAddr); err == nil {
+				if _, err := r.coordDo(cc, "CLUSTER", "REGISTER", r.cfg.NodeID, r.advertiseAddr(), role, masterAddr); err == nil {
 					registered = true
 				} else {
 					ok = false
 				}
-			} else if _, err := cc.Do("CLUSTER", "HEARTBEAT", r.cfg.NodeID); err != nil {
+			} else if _, err := r.coordDo(cc, "CLUSTER", "HEARTBEAT", r.cfg.NodeID); err != nil {
 				if strings.Contains(err.Error(), "UNKNOWNNODE") {
 					registered = false
 				}
@@ -891,5 +891,15 @@ func (r *serverRepl) deregister() {
 		return
 	}
 	defer cc.Close()
-	cc.Do("CLUSTER", "DEREGISTER", r.cfg.NodeID)
+	r.coordDo(cc, "CLUSTER", "DEREGISTER", r.cfg.NodeID)
+}
+
+// coordDo is one coordinator round trip, bounded by four heartbeat
+// intervals: a coordinator that accepts and never answers has cc closed
+// under the call, which fails it and leaves cc broken for a redial. Close
+// and Shutdown wait on these calls.
+func (r *serverRepl) coordDo(cc *client.Client, args ...string) (interface{}, error) {
+	t := time.AfterFunc(4*r.cfg.HeartbeatInterval, func() { cc.Close() })
+	defer t.Stop()
+	return cc.Do(args...)
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -102,6 +103,42 @@ func TestCounters(t *testing.T) {
 	}
 	if _, err := c.Do("INCRBY", "ctr", "junk"); err == nil {
 		t.Fatal("junk delta accepted")
+	}
+}
+
+// TestCountersRefuseOutOfRange: a stored value past int64 is not an
+// integer, and a step past either end of int64 is refused with the
+// overflow error and leaves the value as it was, as Redis does.
+func TestCountersRefuseOutOfRange(t *testing.T) {
+	_, c := startTestServer(t, Config{})
+	for _, tc := range []struct {
+		start string
+		cmd   []string
+		want  string
+	}{
+		{"99999999999999999999", []string{"INCR", "n"}, "not an integer"},
+		{"9223372036854775807", []string{"INCR", "n"}, "overflow"},
+		{"-9223372036854775807", []string{"DECRBY", "n", "2"}, "overflow"},
+		{"0", []string{"DECRBY", "n", "-9223372036854775808"}, "overflow"},
+		{"1", []string{"INCRBY", "n", "9223372036854775807"}, "overflow"},
+	} {
+		if err := c.Set("n", tc.start); err != nil {
+			t.Fatal(err)
+		}
+		if v, err := c.Do(tc.cmd...); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%v on %s: %v, %v; want an error containing %q", tc.cmd, tc.start, v, err, tc.want)
+		}
+		if v, err := c.Get("n"); err != nil || v != tc.start {
+			t.Fatalf("refused %v changed %s to %q (%v)", tc.cmd, tc.start, v, err)
+		}
+	}
+	// DECR reaches MinInt64 and stores its digits.
+	c.Set("n", "-9223372036854775807")
+	if v, err := c.Do("DECR", "n"); err != nil || v != int64(math.MinInt64) {
+		t.Fatalf("DECR to MinInt64: %v, %v", v, err)
+	}
+	if v, err := c.Get("n"); err != nil || v != "-9223372036854775808" {
+		t.Fatalf("MinInt64 stored as %q (%v)", v, err)
 	}
 }
 
