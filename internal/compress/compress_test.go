@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -113,19 +115,20 @@ func pbcRecords() int64 {
 }
 
 // TestPBCPatternsExtracted trains the way the server trains (Sample(ds,
-// 500)) and pins what a record then costs. The engine adds 19 B of record
-// header to a 16 B key's value and the allocator's classes run 32, 48, 64:
-// a KV1 value over 29 B puts the ledger's hit-read record back in the 64 B
-// class. The unit budget is 26 B so that fails here first.
+// 500)) and pins what a record then costs. The engine stores a value's
+// bytes exactly (no size classes), so every byte here is a byte of the
+// ledger's hit-read DRAM footprint. The budgets sit just above the bit-field
+// format's figures over records 0..19999: KV1 longest 16 B at ratio 0.0781,
+// KV2 23 B at 0.1511, cities 0.5192.
 func TestPBCPatternsExtracted(t *testing.T) {
 	for _, tc := range []struct {
 		ds       workload.Dataset
 		maxLen   int     // longest compressed record
 		maxRatio float64 // compressed/raw over all records
 	}{
-		{workload.NewKV1(), 26, 0.14},
-		{workload.NewKV2(), 40, 0.25},
-		{workload.NewCities(), 1 << 20, 0.721}, // the per-slot-tagged format's ratio
+		{workload.NewKV1(), 16, 0.080},
+		{workload.NewKV2(), 24, 0.155},
+		{workload.NewCities(), 1 << 20, 0.53},
 	} {
 		p := NewPBC()
 		p.Train(workload.Sample(tc.ds, 500))
@@ -199,7 +202,8 @@ func TestPBCUntrainedEscapes(t *testing.T) {
 }
 
 // numericPBC is trained on "id=<n>;pad=<4 digits>": a literal, a
-// variable-width number, a literal, a fixed-width number.
+// variable-width number (0..693: base 0, 10 bits), a literal, a fixed-width
+// number (0000..0099: base 0, 7 bits). The bit field is 17 bits, 3 bytes.
 func numericPBC() *PBC {
 	p := NewPBC()
 	var samples [][]byte
@@ -214,17 +218,18 @@ func TestPBCNumericSlots(t *testing.T) {
 	p := numericPBC()
 	for _, tc := range []struct {
 		src  string
-		size int // header + payload bytes; no per-slot mode byte
+		size int // header + bitmap + bit field + payload bytes; no per-slot mode byte
 	}{
-		{"id=999999;pad=0042", 1 + 3 + 1},
-		{"id=0;pad=0000", 1 + 1 + 1},
-		{"id=123;pad=9999", 1 + 1 + 2},
+		// Past the trained range: the all-ones code, then the excess.
+		{"id=999999;pad=0042", 1 + 3 + 3}, // uvarint(999999 - 1023)
+		{"id=0;pad=0000", 1 + 3},
+		{"id=123;pad=9999", 1 + 3 + 2}, // uvarint(9999 - 127)
 		// 20 digits do not fit a uint64 slot: that slot alone goes raw
-		// (bitmap + length + digits), the other stays a number.
-		{"id=12345678901234567890;pad=0042", 1 + 1 + 21 + 1},
+		// (bitmap + length + digits), the other stays in the field.
+		{"id=12345678901234567890;pad=0042", 1 + 1 + 3 + 21},
 		// Leading zero in a variable-width slot, wrong width in a fixed one.
-		{"id=007;pad=0042", 1 + 1 + 4 + 1},
-		{"id=7;pad=42", 1 + 1 + 1 + 3},
+		{"id=007;pad=0042", 1 + 1 + 3 + 4},
+		{"id=7;pad=42", 1 + 1 + 3 + 3},
 	} {
 		comp := p.Compress([]byte(tc.src))
 		got, err := p.Decompress(comp)
@@ -233,6 +238,92 @@ func TestPBCNumericSlots(t *testing.T) {
 		}
 		if IsEscape(comp) || len(comp) != tc.size {
 			t.Errorf("%q compressed to %d B (% x), want %d", tc.src, len(comp), comp, tc.size)
+		}
+	}
+}
+
+// TestPBCBitField: enum and single-chunk number slots share one bit field,
+// and a number past its trained width costs the all-ones code plus a uvarint
+// of the excess, not an exception.
+func TestPBCBitField(t *testing.T) {
+	ds := workload.NewKV1()
+	p := NewPBC()
+	p.Train(workload.Sample(ds, 500))
+	pat := &p.set.Load().patterns[0]
+	rec := ds.Record(77) // a ledger key's value: its index is within the sample's range
+	clean := p.Compress(rec)
+	if IsEscape(clean) || hasException(clean) || len(clean) != 1+pat.fieldBytes || len(clean) != 14 {
+		t.Fatalf("in-range KV1 record compressed to %d B (% x), want 14: header + %d field bytes",
+			len(clean), clean, pat.fieldBytes)
+	}
+
+	prefix, uid := pat.segs[0].literal, pat.segs[1] // `{"user_id":"`, its 12 digits
+	if uid.kind != slotNum || uid.bits == 0 {
+		t.Fatalf("user_id is not a bit-field number: %+v", uid)
+	}
+	code := ones(uid.bits)
+	var hi uint64 // the sample's largest user_id
+	for _, s := range workload.Sample(ds, 500) {
+		n, _ := strconv.ParseUint(string(s[len(prefix):][:12]), 10, 64)
+		hi = max(hi, n)
+	}
+	for _, id := range []uint64{uid.base + code, hi + 1e9} {
+		mut := bytes.Replace(rec, []byte("208800000077"), strconv.AppendUint(nil, id, 10), 1)
+		comp := p.Compress(mut)
+		got, err := p.Decompress(comp)
+		if err != nil || !bytes.Equal(got, mut) {
+			t.Fatalf("user_id %d: roundtrip %q -> %q (%v)", id, mut, got, err)
+		}
+		excess := binary.AppendUvarint(nil, id-uid.base-code)
+		if IsEscape(comp) || hasException(comp) || len(comp) != len(clean)+len(excess) {
+			t.Errorf("user_id %d: %d B (% x), want %d + uvarint excess %d B, no bitmap",
+				id, len(comp), comp, len(clean), len(excess))
+		}
+	}
+
+	// 19-digit values with base 0 need all 64 bits; the all-ones code is
+	// MaxUint64, which no 19-digit value reaches.
+	wide := NewPBC()
+	var samples [][]byte
+	for _, n := range []string{"1000000000000000000", "9999999999999999999", "4611686018427387904", "9223372036854775808"} {
+		samples = append(samples, []byte("n="+n), []byte("n="+n))
+	}
+	wide.Train(samples)
+	if seg := wide.set.Load().patterns[0].segs[1]; seg.kind != slotNum || seg.bits != 64 || seg.base != 0 {
+		t.Fatalf("wide slot trained as %+v, want a 64-bit number, base 0", seg)
+	}
+	for _, n := range []string{"9999999999999999999", "9999999999999999998", "9223372036854775807",
+		"9223372036854775808", "0", "18446744073709551614", "18446744073709551615", "18446744073709551616"} {
+		src := []byte("n=" + n)
+		comp := wide.Compress(src)
+		if got, err := wide.Decompress(comp); err != nil || !bytes.Equal(got, src) {
+			t.Fatalf("%s: roundtrip -> %q (%v)", n, got, err)
+		}
+		if exc := len(n) > maxNumDigits; IsEscape(comp) || hasException(comp) != exc || !exc && len(comp) != 1+8 {
+			t.Errorf("%s: % x, want header + 8 field bytes (20 digits: an exception)", n, comp)
+		}
+	}
+	allOnes := []byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+	if got, err := wide.Decompress(append(allOnes, 0)); err != nil || string(got) != "n=18446744073709551615" {
+		t.Errorf("all-ones code + excess 0: %q (%v), want MaxUint64", got, err)
+	}
+
+	// The all-ones code with a truncated or overflowing excess is corrupt.
+	num := numericPBC()
+	idOnes := []byte{2, 0xff, 0x03, 0} // num: id's 10 bits all set, pad 0
+	for _, tc := range []struct {
+		name string
+		p    *PBC
+		src  []byte
+	}{
+		{"no excess", num, idOnes},
+		{"truncated excess", num, append(slices.Clone(idOnes), 0x80)},
+		{"excess past uint64", num, append(slices.Clone(idOnes), 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)},
+		{"code + excess wraps", num, append(slices.Clone(idOnes), maxUvarint...)},
+		{"64-bit code + 1", wide, append(slices.Clone(allOnes), 1)},
+	} {
+		if out, err := tc.p.Decompress(tc.src); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: % x decoded to %q (%v), want ErrCorrupt", tc.name, tc.src, out, err)
 		}
 	}
 }

@@ -2,6 +2,10 @@ package compress
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -15,6 +19,15 @@ func fuzzPBC() *PBC {
 	p := NewPBC()
 	p.Train(append(workload.Sample(workload.NewKV1(), 300), workload.Sample(workload.NewKV2(), 300)...))
 	return p
+}
+
+// maxUvarint is the largest 10-byte uvarint, MaxUint64.
+var maxUvarint = binary.AppendUvarint(nil, math.MaxUint64)
+
+// patternOf returns the pattern a matched record selects.
+func patternOf(p *PBC, rec []byte) *pattern {
+	set := p.set.Load()
+	return &set.patterns[set.byShape[shapeHash(rec)]]
 }
 
 // FuzzPBCRoundTrip: Compress is lossless for any input, whether it matches
@@ -41,6 +54,12 @@ func FuzzPBCRoundTrip(f *testing.F) {
 		f.Add(seed)
 	}
 	p := fuzzPBC()
+	// user_id at its slot's all-ones code (code + uvarint 0), and far past
+	// the sample's maximum (code + a long uvarint).
+	uid := patternOf(p, kv1).segs[1] // after `{"user_id":"`
+	for _, id := range []uint64{uid.base + ones(uid.bits), uid.base + 1e15} {
+		f.Add(replace(kv1, "208800000077", strconv.FormatUint(id, 10)))
+	}
 	f.Fuzz(func(t *testing.T, src []byte) {
 		comp := p.Compress(src)
 		got, err := p.Decompress(comp)
@@ -55,23 +74,41 @@ func FuzzPBCRoundTrip(f *testing.F) {
 
 // FuzzPBCDecompress feeds the decoder arbitrary bytes: it must not panic,
 // and what it returns is bounded by the pattern's own bytes (literals, enum
-// values, fixed widths) plus what src can carry: 20 digits per uvarint, raw
-// bytes one for one, DEFLATE's 1032:1 inside a deflated raw slot.
+// values, fixed widths, 20 digits per variable-width numeric slot) plus what
+// src can carry: 20 digits per chunk uvarint, raw bytes one for one,
+// DEFLATE's 1032:1 inside a deflated raw slot.
 func FuzzPBCDecompress(f *testing.F) {
 	p := fuzzPBC()
-	for _, rec := range [][]byte{workload.NewKV1().Record(5), workload.NewKV2().Record(5), []byte("unmatched")} {
+	recs := [][]byte{workload.NewKV1().Record(5), workload.NewKV2().Record(5), []byte("unmatched")}
+	for _, rec := range recs {
 		comp := p.Compress(rec)
 		f.Add(comp)
 		f.Add(comp[:len(comp)-1])
-		f.Add(append(comp[:1:1], 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01))
+		f.Add(append(comp[:1:1], maxUvarint...))
 		comp[0] |= 1 // claim an exception bitmap that is not there
 		f.Add(comp)
+	}
+	// Every bit-field number at its all-ones code, followed by nothing or by
+	// the largest 10-byte uvarint.
+	for _, rec := range recs[:2] {
+		pat, comp := patternOf(p, rec), p.Compress(rec)
+		for _, seg := range pat.segs {
+			if seg.kind == slotNum && seg.bits > 0 {
+				putBits(comp[1:], seg.bitOff, seg.bits, ones(seg.bits)) // no exception bitmap
+			}
+		}
+		head := slices.Clip(comp[:1+pat.fieldBytes])
+		f.Add(head)
+		f.Add(append(head, maxUvarint...))
 	}
 	fixed := 0
 	for _, pat := range p.set.Load().patterns {
 		n := 0
 		for _, seg := range pat.segs {
 			n += len(seg.literal) + seg.width
+			if seg.kind == slotNum && seg.width == 0 {
+				n += 20 // digits of a variable-width number, in the field or not
+			}
 			longest := 0
 			for _, v := range seg.values {
 				longest = max(longest, len(v))

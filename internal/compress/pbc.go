@@ -53,8 +53,8 @@ type slotKind uint8
 
 const (
 	slotRaw  slotKind = iota // uvarint(len<<1 | deflated) + bytes
-	slotEnum                 // index into values, in the record's enum bit field
-	slotNum                  // uvarint(value - base) per chunk of digits
+	slotEnum                 // index into values, in the record's bit field
+	slotNum                  // value - base in the bit field, or uvarint per chunk of digits
 )
 
 // segment is one element of a pattern: a fixed literal or a variable slot.
@@ -65,8 +65,8 @@ type segment struct {
 	kind  slotKind
 
 	values [][]byte // slotEnum: the closed value set, sorted
-	bitOff int      // slotEnum: position in the enum bit field
-	bits   int      // slotEnum: width there, ceil(log2(len(values)))
+	bitOff int      // position in the record's bit field
+	bits   int      // width there; 0: the slot is not in the field (raw, chunked number)
 
 	width int    // slotNum: digit count when fixed-width (leading zeros kept), else 0
 	chunk int    // slotNum: digits per uvarint (a 21-digit id is two chunks)
@@ -74,10 +74,10 @@ type segment struct {
 }
 
 type pattern struct {
-	segs      []segment
-	slots     int // exception bitmap is (slots+7)/8 bytes
-	enumBytes int // enum bit field size
-	sizeHint  int // decoded length of a record whose slots stay within what training saw
+	segs       []segment
+	slots      int // exception bitmap is (slots+7)/8 bytes
+	fieldBytes int // bit field size: every enum and single-chunk number slot
+	sizeHint   int // decoded length of a record whose slots stay within what training saw
 }
 
 // zeros left-pads a fixed-width chunk.
@@ -248,7 +248,7 @@ func (p *PBC) Train(samples [][]byte) error {
 // segment); otherwise it becomes a slot whose type trainSlot decides.
 func extractPattern(members [][]token) pattern {
 	var pat pattern
-	enumBits := 0
+	fieldBits := 0
 	col := make([][]byte, len(members))
 	for pos, first := range members[0] {
 		allEqual, class := true, first.class
@@ -272,15 +272,13 @@ func extractPattern(members [][]token) pattern {
 			continue
 		}
 		seg, maxLen := trainSlot(class, col)
-		if seg.kind == slotEnum {
-			seg.bitOff = enumBits
-			enumBits += seg.bits
-		}
+		seg.bitOff = fieldBits
+		fieldBits += seg.bits
 		pat.segs = append(pat.segs, seg)
 		pat.slots++
 		pat.sizeHint += maxLen
 	}
-	pat.enumBytes = (enumBits + 7) / 8
+	pat.fieldBytes = (fieldBits + 7) / 8
 	return pat
 }
 
@@ -293,7 +291,9 @@ func extractPattern(members [][]token) pattern {
 //     digits. base is the sample minimum rounded down to the smallest power
 //     of ten above the sample spread, so ids and timestamps that share
 //     their high digits cost only their low ones, while a field that
-//     starts at 0 keeps base 0.
+//     starts at 0 keeps base 0. A single-chunk number takes the bits the
+//     sample's value - base needs; a value at or above that width's
+//     all-ones code writes the code and its excess as a uvarint.
 //   - Other runs become slotEnum when the sample shows a small closed set:
 //     at most maxEnumCard distinct values, each seen twice on average.
 //   - Everything else is slotRaw.
@@ -340,6 +340,7 @@ func trainSlot(class tokenClass, col [][]byte) (segment, int) {
 				break // spread as wide as the values: nothing to subtract
 			}
 		}
+		seg.bits = max(1, bits.Len64(hi-seg.base))
 	}
 	return seg, maxLen
 }
@@ -365,13 +366,13 @@ func (p *PBC) Compress(src []byte) []byte {
 }
 
 // encode walks the pattern against src and appends the record to dst:
-// header, exception bitmap (only when a slot needed it), enum bit field,
-// slot payloads. ok is false when src is not an instance of the pattern.
+// header, exception bitmap (only when a slot needed it), bit field, slot
+// payloads. ok is false when src is not an instance of the pattern.
 func (pat *pattern) encode(dst []byte, id uint64, src []byte, residual *Deflate) ([]byte, bool) {
 	dst = binary.AppendUvarint(dst, (id+1)<<1)
 	hdr, bitmap := len(dst), (pat.slots+7)/8
-	enum := hdr + bitmap
-	for i := 0; i < bitmap+pat.enumBytes; i++ {
+	field := hdr + bitmap
+	for i := 0; i < bitmap+pat.fieldBytes; i++ {
 		dst = append(dst, 0) // not append(dst, make(...)...): that allocates under -race
 	}
 	pos, slot, exception := 0, 0, false
@@ -396,11 +397,7 @@ func (pat *pattern) encode(dst []byte, id uint64, src []byte, residual *Deflate)
 		case slotEnum:
 			var idx int
 			if idx, fits = enumIndex(seg.values, text); fits {
-				v := uint(idx) << (seg.bitOff & 7) // at most 8+7 bits
-				dst[enum+seg.bitOff>>3] |= byte(v)
-				if v > 0xff {
-					dst[enum+seg.bitOff>>3+1] |= byte(v >> 8)
-				}
+				putBits(dst[field:], seg.bitOff, seg.bits, uint64(idx))
 			}
 		case slotNum:
 			if seg.width > 0 {
@@ -410,7 +407,13 @@ func (pat *pattern) encode(dst []byte, id uint64, src []byte, residual *Deflate)
 			}
 			n := min(len(text), seg.chunk)
 			first := parseDigits(text[:n])
-			if fits = fits && first >= seg.base; fits {
+			if fits = fits && first >= seg.base; fits && seg.bits > 0 {
+				v, code := first-seg.base, ones(seg.bits)
+				putBits(dst[field:], seg.bitOff, seg.bits, min(v, code))
+				if v >= code {
+					dst = binary.AppendUvarint(dst, v-code)
+				}
+			} else if fits {
 				dst = binary.AppendUvarint(dst, first-seg.base)
 				for rest := text[n:]; len(rest) > 0; rest = rest[n:] {
 					n = min(len(rest), seg.chunk)
@@ -434,7 +437,7 @@ func (pat *pattern) encode(dst []byte, id uint64, src []byte, residual *Deflate)
 	if exception {
 		dst[0] |= 1 // the header's low bit; (id+1)<<1 left it clear
 	} else {
-		dst = append(dst[:hdr], dst[enum:]...)
+		dst = append(dst[:hdr], dst[field:]...)
 	}
 	return dst, true
 }
@@ -446,6 +449,31 @@ func parseDigits(b []byte) uint64 {
 		v = v*10 + uint64(c-'0')
 	}
 	return v
+}
+
+// ones is the all-ones code of an n-bit slot, 1 <= n <= 64.
+func ones(n int) uint64 { return ^uint64(0) >> (64 - n) }
+
+// putBits ORs v, which fits in n bits, into field at bit off, LSB first.
+func putBits(field []byte, off, n int, v uint64) {
+	for end := off + n; off < end; {
+		field[off>>3] |= byte(v << (off & 7))
+		w := 8 - off&7
+		v >>= w
+		off += w
+	}
+}
+
+// getBits reads the n bits putBits wrote at off.
+func getBits(field []byte, off, n int) uint64 {
+	var v uint64
+	for got := 0; got < n; {
+		v |= uint64(field[off>>3]>>(off&7)) << got
+		w := 8 - off&7
+		got += w
+		off += w
+	}
+	return v & ones(n)
 }
 
 // enumIndex finds text in the sorted value set.
@@ -503,13 +531,13 @@ func (p *PBC) Decompress(src []byte) ([]byte, error) {
 	if hdr&1 != 0 {
 		bitmapBytes = (pat.slots + 7) / 8
 	}
-	if len(src)-pos < bitmapBytes+pat.enumBytes {
+	if len(src)-pos < bitmapBytes+pat.fieldBytes {
 		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
 	bitmap := src[pos : pos+bitmapBytes]
 	pos += bitmapBytes
-	enum := src[pos : pos+pat.enumBytes]
-	pos += pat.enumBytes
+	field := src[pos : pos+pat.fieldBytes]
+	pos += pat.fieldBytes
 
 	out := make([]byte, 0, pat.sizeHint)
 	slot := 0
@@ -526,23 +554,32 @@ func (p *PBC) Decompress(src []byte) ([]byte, error) {
 		slot++
 		switch kind {
 		case slotEnum:
-			v := uint(enum[seg.bitOff>>3]) >> (seg.bitOff & 7)
-			if seg.bitOff&7+seg.bits > 8 {
-				v |= uint(enum[seg.bitOff>>3+1]) << (8 - seg.bitOff&7)
-			}
-			if v &= 1<<seg.bits - 1; v >= uint(len(seg.values)) {
+			v := getBits(field, seg.bitOff, seg.bits)
+			if v >= uint64(len(seg.values)) {
 				return nil, fmt.Errorf("%w: bad enum slot", ErrCorrupt)
 			}
 			out = append(out, seg.values[v]...)
 		case slotNum:
 			base := seg.base
-			// One chunk when variable-width, else chunks until width digits are out.
+			// One chunk when variable-width, else chunks until width digits are
+			// out. A single chunk sits in the field and reads a uvarint only
+			// at its all-ones code; a chunked number reads one per chunk.
 			for done := 0; done == 0 || done < seg.width; done += seg.chunk {
-				v, n := binary.Uvarint(src[pos:])
-				if n <= 0 || v+base < v {
+				var v uint64
+				if seg.bits > 0 {
+					v = getBits(field, seg.bitOff, seg.bits)
+				}
+				if seg.bits == 0 || v == ones(seg.bits) {
+					x, n := binary.Uvarint(src[pos:])
+					if n <= 0 || v+x < v {
+						return nil, fmt.Errorf("%w: bad numeric slot", ErrCorrupt)
+					}
+					v += x
+					pos += n
+				}
+				if v+base < v {
 					return nil, fmt.Errorf("%w: bad numeric slot", ErrCorrupt)
 				}
-				pos += n
 				var digits [20]byte
 				text := strconv.AppendUint(digits[:0], v+base, 10)
 				if seg.width > 0 { // left-pad the chunk to its width in one step

@@ -34,12 +34,17 @@ func BenchmarkPBCCompress(b *testing.B) {
 	for _, ds := range pbcBenchDatasets() {
 		b.Run(ds.Name(), func(b *testing.B) {
 			p, recs, mean := pbcBenchSet(b, ds)
+			comp := 0
+			for _, r := range recs {
+				comp += len(p.Compress(r))
+			}
 			b.ReportAllocs()
 			b.SetBytes(mean)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				benchSink = p.Compress(recs[i%len(recs)])
 			}
+			b.ReportMetric(float64(comp)/float64(len(recs)), "B/record")
 		})
 	}
 }
