@@ -81,7 +81,7 @@ func run(args []string, out io.Writer) error {
 
 	spec := workload.DefaultSpec(int64(*keys))
 	spec.Dataset, spec.Distribution = ds, *dist
-	spec.Mix = workload.Mix{ReadProportion: *readRatio, UpdateProportion: 1 - *readRatio}
+	spec.Mix = workload.Mix{ReadProportion: *readRatio}
 	dir, err := os.MkdirTemp("", "cost-advisor")
 	if err != nil {
 		return err

@@ -69,10 +69,3 @@ func main() {
 	fmt.Printf("  raw vs pbc break-even: %.0f s\n", be)
 	fmt.Printf("  a record accessed every %0.f+ s belongs in the compressed tier\n", be)
 }
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -26,10 +26,10 @@
 // in-memory part of an op runs on the instance's pool; a tiered row's
 // round trip to its storage tier runs off it, on the caller. That stands in
 // for the paper's non-blocking storage path (§4.1: the event loop stays
-// responsive while a storage write is in flight). tierbase-server and the
-// embedded Store run the whole op on a worker; measured that way the
-// tiered rows' PC grows several-fold and the cheapest configuration of
-// fig13b moves off wb-5X (ROADMAP, Known gaps). The paper's cost shapes
+// responsive while a storage write is in flight). tierbase-server runs the
+// whole op on a worker (the embedded Store has no pool and runs it on the
+// caller); measured that way the tiered rows' PC grows several-fold and the
+// cheapest configuration of fig13b moves off wb-5X (ROADMAP, Known gaps). The paper's cost shapes
 // depend on a non-blocking storage path the shipping code does not have.
 package bench
 
@@ -117,13 +117,6 @@ func (r *Result) String() string {
 		fmt.Fprintf(&b, "note: %s\n", n)
 	}
 	return b.String()
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Experiment is one registered driver.

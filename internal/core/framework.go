@@ -17,10 +17,6 @@ import (
 // Config names one candidate storage configuration to evaluate.
 type Config struct {
 	Name string
-	// Params carries configuration-specific knobs (compressor name,
-	// cache ratio, policy, threading mode, ...), interpreted by the
-	// evaluator.
-	Params map[string]string
 }
 
 // ConfigEvaluator performs steps 2-3 of the framework for one candidate:

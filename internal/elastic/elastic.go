@@ -70,10 +70,10 @@ type PoolOptions struct {
 // ErrStopped is returned by SubmitWait after Stop.
 var ErrStopped = errors.New("elastic: pool stopped")
 
-// Pool is an elastically sized gate: at most Workers() callers run inside
-// it at once. Everything below mu is guarded by it, and one invariant
-// holds whenever it is released: a caller waits only while every slot is
-// taken (running >= slots).
+// Pool is an elastically sized gate: at most Stats().Workers callers run
+// inside it at once. Everything below mu is guarded by it, and one
+// invariant holds whenever it is released: a caller waits only while every
+// slot is taken (running >= slots).
 type Pool struct {
 	opts PoolOptions
 
@@ -210,17 +210,9 @@ func (p *Pool) shrinkIfCalm() {
 	}
 }
 
-// Workers returns the current slot count.
-func (p *Pool) Workers() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.settle()
-	return p.slots
-}
-
 // Mode reports single vs boost.
 func (p *Pool) Mode() Mode {
-	if p.Workers() > 1 {
+	if p.Stats().Workers > 1 {
 		return Boost
 	}
 	return Single

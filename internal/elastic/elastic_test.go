@@ -80,8 +80,8 @@ func TestSingleModeRunsOneAtATime(t *testing.T) {
 func TestPoolStartsSingle(t *testing.T) {
 	p := NewPool(PoolOptions{MaxWorkers: 8})
 	defer p.Stop()
-	if p.Workers() != 1 || p.Mode() != Single {
-		t.Fatalf("workers=%d mode=%v", p.Workers(), p.Mode())
+	if p.Stats().Workers != 1 || p.Mode() != Single {
+		t.Fatalf("workers=%d mode=%v", p.Stats().Workers, p.Mode())
 	}
 	if Single.String() != "single" || Boost.String() != "boost" {
 		t.Fatal("mode names")
@@ -93,24 +93,24 @@ func TestPoolStartsSingle(t *testing.T) {
 func TestPoolFixedMode(t *testing.T) {
 	p := NewPool(PoolOptions{MaxWorkers: 8, Fixed: 4})
 	defer p.Stop()
-	if p.Workers() != 4 {
-		t.Fatalf("fixed workers %d", p.Workers())
+	if p.Stats().Workers != 4 {
+		t.Fatalf("fixed workers %d", p.Stats().Workers)
 	}
 	release := make(chan struct{})
 	defer close(release) // before Stop, which waits for the callers
 	var inside atomic.Int32
 	burst(p, 4, func() { inside.Add(1); <-release })
 	waitFor(t, "four callers inside a four-slot gate", func() bool { return inside.Load() == 4 })
-	if p.Workers() != 4 {
-		t.Fatalf("fixed pool scaled to %d", p.Workers())
+	if p.Stats().Workers != 4 {
+		t.Fatalf("fixed pool scaled to %d", p.Stats().Workers)
 	}
 }
 
 func TestPoolFixedClampedToMax(t *testing.T) {
 	p := NewPool(PoolOptions{MaxWorkers: 2, Fixed: 10})
 	defer p.Stop()
-	if p.Workers() != 2 {
-		t.Fatalf("clamp failed: %d", p.Workers())
+	if p.Stats().Workers != 2 {
+		t.Fatalf("clamp failed: %d", p.Stats().Workers)
 	}
 }
 
@@ -119,7 +119,7 @@ func TestPoolBoostsUnderBurst(t *testing.T) {
 	defer p.Stop()
 	// Saturate the one slot with slow callers to build a backlog.
 	wait := burst(p, 200, func() { time.Sleep(time.Millisecond) })
-	waitFor(t, "a boost", func() bool { return p.Workers() >= 2 })
+	waitFor(t, "a boost", func() bool { return p.Stats().Workers >= 2 })
 	if p.Mode() != Boost {
 		t.Fatal("mode should be boost")
 	}
@@ -133,7 +133,7 @@ func TestPoolScalesBackAfterCalm(t *testing.T) {
 	p := NewPool(PoolOptions{MaxWorkers: 4})
 	defer p.Stop()
 	burst(p, 100, func() { time.Sleep(500 * time.Microsecond) })()
-	waitFor(t, "the shrink back to one slot", func() bool { return p.Workers() == 1 })
+	waitFor(t, "the shrink back to one slot", func() bool { return p.Stats().Workers == 1 })
 	if p.Stats().Shrinks == 0 {
 		t.Fatal("shrink counter zero")
 	}
@@ -211,16 +211,16 @@ func TestBoostAtAdmissionShrinkAfterCooldown(t *testing.T) {
 	enter()
 	waitFor(t, "caller to queue", func() bool { return p.inGate() == 1+boostDepth })
 	queued := time.Now()
-	if w, st := p.Workers(), p.Stats(); w != 2 || st.Boosts != 1 || st.Backlog != boostDepth-1 {
+	if w, st := p.Stats().Workers, p.Stats(); w != 2 || st.Boosts != 1 || st.Backlog != boostDepth-1 {
 		t.Fatalf("after %d callers queued: workers %d, %+v; want 2 slots, 1 boost", boostDepth, w, st)
 	}
 	close(hold)
 	wg.Wait()
-	if time.Since(queued) < cooldown/2 && p.Workers() != 2 {
+	if time.Since(queued) < cooldown/2 && p.Stats().Workers != 2 {
 		t.Fatalf("shrank %v after a caller waited, inside the %v cooldown", time.Since(queued), cooldown)
 	}
 	time.Sleep(cooldown)
-	if w, m, st := p.Workers(), p.Mode(), p.Stats(); w != 1 || m != Single || st.Shrinks != 1 {
+	if w, m, st := p.Stats().Workers, p.Mode(), p.Stats(); w != 1 || m != Single || st.Shrinks != 1 {
 		t.Fatalf("after the cooldown: workers %d, mode %v, %+v; want 1 slot, single, 1 shrink", w, m, st)
 	}
 	p.Stop()

@@ -34,11 +34,15 @@ func (db *DB) compactOnce() bool {
 	}
 }
 
+// levelMultiplier is the ratio of each level's byte budget to the one
+// above it, from L1 down.
+const levelMultiplier = 10
+
 // levelLimit returns the byte budget for level l (l >= 1).
 func (db *DB) levelLimit(l int) int64 {
 	limit := db.opts.BaseLevelBytes
 	for i := 1; i < l; i++ {
-		limit *= int64(db.opts.LevelMultiplier)
+		limit *= levelMultiplier
 	}
 	return limit
 }

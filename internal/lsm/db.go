@@ -36,7 +36,6 @@ type Options struct {
 	BlockCacheBytes     int64 // default 8 MiB; 0 uses default, -1 disables
 	L0CompactionTrigger int   // default 4
 	BaseLevelBytes      int64 // L1 size limit; default 16 MiB
-	LevelMultiplier     int   // default 10
 	MaxLevels           int   // default 7
 	TargetFileBytes     int64 // compaction output split size; default 2 MiB
 	Compaction          CompactionStyle
@@ -69,9 +68,6 @@ func (o *Options) fill() {
 	}
 	if o.BaseLevelBytes <= 0 {
 		o.BaseLevelBytes = 16 << 20
-	}
-	if o.LevelMultiplier <= 0 {
-		o.LevelMultiplier = 10
 	}
 	if o.MaxLevels <= 0 {
 		o.MaxLevels = 7

@@ -3,7 +3,9 @@
 // behind a simulated network hop) and the cache.Tiered store over them.
 // The embedded store, tierbase-server, the paper-figure harness and the
 // cost advisor all build through it, so each of them runs the stack the
-// others run.
+// others run. Admission is not part of a stack: tierbase-server and the
+// harness each put an elastic pool in front of theirs, and the embedded
+// store calls its stack on the caller's goroutine.
 //
 // There are two halves because server.Start builds its node's engine
 // itself: NewEngine gives the options the engine is built from, and
@@ -42,8 +44,6 @@ type Config struct {
 	// that size (paper §4.3): volatile, with PMem's capacity and injected
 	// latency.
 	PMemBytes int64
-	// Stripes is the engine's lock-stripe count (0 = engine default).
-	Stripes int
 	// StorageRTT injects a round trip on every storage call (0 = none).
 	StorageRTT time.Duration
 }
@@ -57,7 +57,7 @@ type Engine struct {
 
 // NewEngine trains c's compressor and opens its PMem device.
 func NewEngine(c Config) (*Engine, error) {
-	e := &Engine{Options: engine.Options{Shards: c.Stripes}}
+	e := &Engine{}
 	if c.Compression != "" {
 		comp, err := compress.ByName(c.Compression, c.CompressionLevel)
 		if err != nil {

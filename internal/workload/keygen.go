@@ -1,10 +1,11 @@
 // Package workload implements a YCSB-style workload generator (paper §6.1):
-// key choosers for the run phase (uniform, zipfian, scrambled zipfian,
-// latest, hotspot, shifting hotspot), operation mixes (Workload A: 50/50
-// update-heavy; Workload B: 95/5 read-heavy), and record datasets (a
-// synthetic Cities dataset plus two machine-generated KV datasets) used for
-// data insertion in place of YCSB's random strings. The load phase inserts
-// every key in index order (Spec.LoadOps) and needs no chooser.
+// key choosers over a fixed population for the run phase (uniform,
+// zipfian, scrambled zipfian, latest, hotspot, shifting hotspot),
+// read/update mixes (Workload A: 50/50 update-heavy; Workload B: 95/5
+// read-heavy), and record datasets (a synthetic Cities dataset plus two
+// machine-generated KV datasets) used for data insertion in place of YCSB's
+// random strings. The load phase inserts every key in index order
+// (Spec.LoadOps) and needs no chooser.
 package workload
 
 import (
@@ -17,8 +18,6 @@ import (
 type KeyChooser interface {
 	// Next returns a key index using the supplied source of randomness.
 	Next(rng *rand.Rand) int64
-	// SetItemCount updates the population size (for insert-growing workloads).
-	SetItemCount(n int64)
 }
 
 // --- Uniform ---
@@ -37,28 +36,19 @@ func NewUniform(n int64) *Uniform {
 // Next implements KeyChooser.
 func (u *Uniform) Next(rng *rand.Rand) int64 { return rng.Int63n(u.n) }
 
-// SetItemCount implements KeyChooser.
-func (u *Uniform) SetItemCount(n int64) {
-	if n > 0 {
-		u.n = n
-	}
-}
-
 // --- Zipfian (Gray et al. quick method, as used by YCSB) ---
 
 // Zipfian generates keys with a zipfian distribution: item 0 is most
 // popular, with popularity decaying as rank^-theta. This reproduces the
 // skewed access patterns the paper's tiered-storage analysis targets (§2.5.2).
 type Zipfian struct {
-	items         int64
-	theta         float64
-	alpha         float64
-	zetan         float64
-	zeta2theta    float64
-	eta           float64
-	countForZeta  int64
-	allowItemGrow bool
-	base          int64
+	items        int64
+	theta        float64
+	alpha        float64
+	zetan        float64
+	zeta2theta   float64
+	eta          float64
+	countForZeta int64
 }
 
 // ZipfianTheta is YCSB's default skew constant.
@@ -69,7 +59,7 @@ func NewZipfian(n int64, theta float64) *Zipfian {
 	if n < 1 {
 		n = 1
 	}
-	z := &Zipfian{items: n, theta: theta, allowItemGrow: true}
+	z := &Zipfian{items: n, theta: theta}
 	z.zeta2theta = zetaStatic(2, theta)
 	z.alpha = 1.0 / (1.0 - theta)
 	z.zetan = zetaStatic(n, theta)
@@ -100,9 +90,10 @@ func zetaIncr(oldN int64, n int64, theta, oldZeta float64) float64 {
 	return sum
 }
 
-// SetItemCount implements KeyChooser; recomputes zeta incrementally.
+// SetItemCount grows the population to n (a smaller n is ignored),
+// extending zeta incrementally.
 func (z *Zipfian) SetItemCount(n int64) {
-	if n <= z.items || !z.allowItemGrow {
+	if n <= z.items {
 		return
 	}
 	z.zetan = zetaIncr(z.countForZeta, n, z.theta, z.zetan)
@@ -116,14 +107,14 @@ func (z *Zipfian) Next(rng *rand.Rand) int64 {
 	u := rng.Float64()
 	uz := u * z.zetan
 	if uz < 1.0 {
-		return z.base
+		return 0
 	}
 	if uz < 1.0+math.Pow(0.5, z.theta) {
-		return z.base + 1
+		return 1
 	}
-	idx := z.base + int64(float64(z.items)*math.Pow(z.eta*u-z.eta+1, z.alpha))
-	if idx >= z.base+z.items {
-		idx = z.base + z.items - 1
+	idx := int64(float64(z.items) * math.Pow(z.eta*u-z.eta+1, z.alpha))
+	if idx >= z.items {
+		idx = z.items - 1
 	}
 	return idx
 }
@@ -150,14 +141,6 @@ func NewScrambledZipfian(n int64, theta float64) *ScrambledZipfian {
 func (s *ScrambledZipfian) Next(rng *rand.Rand) int64 {
 	r := s.z.Next(rng)
 	return int64(fnvHash64(uint64(r)) % uint64(s.n))
-}
-
-// SetItemCount implements KeyChooser.
-func (s *ScrambledZipfian) SetItemCount(n int64) {
-	if n > s.n {
-		s.n = n
-		s.z.SetItemCount(n)
-	}
 }
 
 // fnvHash64 is the FNV-1a 64-bit hash of an integer, used for scrambling.
@@ -203,14 +186,6 @@ func (l *Latest) Next(rng *rand.Rand) int64 {
 	return idx
 }
 
-// SetItemCount implements KeyChooser.
-func (l *Latest) SetItemCount(n int64) {
-	if n > 0 {
-		l.n = n
-		l.z.SetItemCount(n)
-	}
-}
-
 // --- Hotspot ---
 
 // Hotspot sends hotOpFraction of operations to a hotSetFraction of the keys.
@@ -250,13 +225,6 @@ func (h *Hotspot) Next(rng *rand.Rand) int64 {
 		return rng.Int63n(h.n)
 	}
 	return hotN + rng.Int63n(coldN)
-}
-
-// SetItemCount implements KeyChooser.
-func (h *Hotspot) SetItemCount(n int64) {
-	if n > 0 {
-		h.n = n
-	}
 }
 
 // --- Shifting hotspot ---
@@ -318,11 +286,4 @@ func (s *ShiftingHotspot) Next(rng *rand.Rand) int64 {
 	}
 	// Offset past the hot window, wrapping around the key space.
 	return (start + hotN + rng.Int63n(coldN)) % s.n
-}
-
-// SetItemCount implements KeyChooser.
-func (s *ShiftingHotspot) SetItemCount(n int64) {
-	if n > 0 {
-		s.n = n
-	}
 }

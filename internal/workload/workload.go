@@ -13,8 +13,6 @@ const (
 	OpRead OpKind = iota
 	OpUpdate
 	OpInsert
-	OpScan
-	OpReadModifyWrite
 )
 
 // String names the operation kind.
@@ -26,10 +24,6 @@ func (k OpKind) String() string {
 		return "UPDATE"
 	case OpInsert:
 		return "INSERT"
-	case OpScan:
-		return "SCAN"
-	case OpReadModifyWrite:
-		return "RMW"
 	default:
 		return fmt.Sprintf("OpKind(%d)", uint8(k))
 	}
@@ -42,21 +36,18 @@ type Op struct {
 	Value []byte // nil for reads
 }
 
-// Mix declares operation proportions; they should sum to ~1.0.
+// Mix declares the run phase's operation proportions: ReadProportion of
+// the operations are reads, and the rest are updates.
 type Mix struct {
-	ReadProportion   float64
-	UpdateProportion float64
-	InsertProportion float64
-	ScanProportion   float64
-	RMWProportion    float64
+	ReadProportion float64
 }
 
 // Standard YCSB mixes used in the paper's evaluation (§6.1).
 var (
 	// MixA is YCSB Workload A: update-heavy, 50% reads / 50% updates.
-	MixA = Mix{ReadProportion: 0.5, UpdateProportion: 0.5}
+	MixA = Mix{ReadProportion: 0.5}
 	// MixB is YCSB Workload B: read-heavy, 95% reads / 5% updates.
-	MixB = Mix{ReadProportion: 0.95, UpdateProportion: 0.05}
+	MixB = Mix{ReadProportion: 0.95}
 )
 
 // Spec fully describes a workload: population, key distribution, mix and
@@ -122,8 +113,6 @@ type Generator struct {
 	spec    Spec
 	rng     *rand.Rand
 	chooser KeyChooser
-	// insertCount tracks how many records exist (grows with inserts).
-	insertCount int64
 }
 
 // NewGenerator builds a Generator for the spec, offset differentiates
@@ -151,7 +140,7 @@ func NewGenerator(spec Spec, offset int64) *Generator {
 	default:
 		chooser = NewScrambledZipfian(spec.RecordCount, theta)
 	}
-	return &Generator{spec: spec, rng: rng, chooser: chooser, insertCount: spec.RecordCount}
+	return &Generator{spec: spec, rng: rng, chooser: chooser}
 }
 
 // LoadOps returns the load-phase insert stream for the whole population.
@@ -165,25 +154,11 @@ func (s Spec) LoadOps() []Op {
 
 // Next generates the next run-phase operation.
 func (g *Generator) Next() Op {
-	p := g.rng.Float64()
-	m := g.spec.Mix
-	switch {
-	case p < m.ReadProportion:
+	if g.rng.Float64() < g.spec.Mix.ReadProportion {
 		return Op{Kind: OpRead, Key: g.spec.Key(g.chooser.Next(g.rng))}
-	case p < m.ReadProportion+m.UpdateProportion:
-		i := g.chooser.Next(g.rng)
-		return Op{Kind: OpUpdate, Key: g.spec.Key(i), Value: g.spec.Dataset.Record(i + g.rng.Int63n(1024))}
-	case p < m.ReadProportion+m.UpdateProportion+m.InsertProportion:
-		i := g.insertCount
-		g.insertCount++
-		g.chooser.SetItemCount(g.insertCount)
-		return Op{Kind: OpInsert, Key: g.spec.Key(i), Value: g.spec.Dataset.Record(i)}
-	case p < m.ReadProportion+m.UpdateProportion+m.InsertProportion+m.ScanProportion:
-		return Op{Kind: OpScan, Key: g.spec.Key(g.chooser.Next(g.rng))}
-	default:
-		i := g.chooser.Next(g.rng)
-		return Op{Kind: OpReadModifyWrite, Key: g.spec.Key(i), Value: g.spec.Dataset.Record(i + 1)}
 	}
+	i := g.chooser.Next(g.rng)
+	return Op{Kind: OpUpdate, Key: g.spec.Key(i), Value: g.spec.Dataset.Record(i + g.rng.Int63n(1024))}
 }
 
 // Ops generates n run-phase operations.

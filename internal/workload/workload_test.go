@@ -167,20 +167,6 @@ func TestGeneratorKeysInPopulation(t *testing.T) {
 	}
 }
 
-func TestGeneratorInsertGrowsPopulation(t *testing.T) {
-	spec := DefaultSpec(100)
-	spec.Mix = Mix{InsertProportion: 1.0}
-	g := NewGenerator(spec, 0)
-	op1 := g.Next()
-	op2 := g.Next()
-	if op1.Key == op2.Key {
-		t.Fatal("inserts should use fresh keys")
-	}
-	if op1.Key != spec.Key(100) || op2.Key != spec.Key(101) {
-		t.Fatalf("inserts should extend population: %s, %s", op1.Key, op2.Key)
-	}
-}
-
 func TestGeneratorsWithDistinctOffsetsDiffer(t *testing.T) {
 	spec := DefaultSpec(1000)
 	a := NewGenerator(spec, 0).Ops(50)
@@ -211,8 +197,7 @@ func TestSummarize(t *testing.T) {
 
 func TestOpKindString(t *testing.T) {
 	if OpRead.String() != "READ" || OpUpdate.String() != "UPDATE" ||
-		OpInsert.String() != "INSERT" || OpScan.String() != "SCAN" ||
-		OpReadModifyWrite.String() != "RMW" {
+		OpInsert.String() != "INSERT" {
 		t.Fatal("OpKind names wrong")
 	}
 	if OpKind(99).String() == "" {
@@ -248,10 +233,9 @@ func summarize(ops []Op) stats {
 	st := stats{Total: len(ops)}
 	seen := make(map[string]struct{}, len(ops))
 	for _, op := range ops {
-		switch op.Kind {
-		case OpRead, OpScan:
+		if op.Kind == OpRead {
 			st.Reads++
-		default:
+		} else {
 			st.Writes++
 		}
 		if _, ok := seen[op.Key]; !ok {

@@ -6,8 +6,10 @@
 // machinery: a tiered cache/storage architecture with write-through or
 // write-back synchronization, pre-trained compression (dictionary DEFLATE
 // as the Zstd analog, plus pattern-based compression), a simulated
-// persistent-memory tier, elastic threading, and the Space-Performance
-// Cost Model for configuration selection.
+// persistent-memory tier, and the Space-Performance Cost Model for
+// configuration selection. Elastic threading (paper §4.4) belongs to a
+// node's event loop, so it lives in cmd/tierbase-server; an embedded
+// Store runs each call on the caller's goroutine.
 //
 // The cache-tier engine is lock-striped: keys hash onto power-of-two
 // shards with independent locks, so concurrent operations on different
@@ -40,12 +42,12 @@ package tierbase
 
 import (
 	"errors"
+	"sync"
 	"time"
 
 	"tierbase/internal/cache"
 	"tierbase/internal/compress"
 	"tierbase/internal/core"
-	"tierbase/internal/elastic"
 	"tierbase/internal/engine"
 	"tierbase/internal/stack"
 )
@@ -86,28 +88,22 @@ type Options struct {
 	// to it (paper §4.3). The simulation models PMem's capacity and
 	// latency; it is volatile, so nothing in it outlives the process.
 	PMemBytes int64
-	// ElasticThreading lets the gate switch single↔multi threaded (§4.4);
-	// otherwise Threads fixes the worker count (default 1, the paper's
-	// default single-thread event-loop mode).
-	ElasticThreading bool
-	Threads          int
-	// MaxThreads caps elastic growth (default 4).
-	MaxThreads int
 	// StorageRTT injects a disaggregation round-trip latency on storage
 	// tier calls (models the remote hop; default 0).
 	StorageRTT time.Duration
-	// Shards is the number of cache-engine lock stripes (rounded up to a
-	// power of two; default engine.DefaultShards). 1 disables striping.
-	Shards int
 }
 
-// Store is an embedded TierBase instance.
+// Store is an embedded TierBase instance. Its methods are safe for
+// concurrent use and run on the calling goroutine.
 type Store struct {
 	eng    *engine.Engine
 	tiered *stack.Stack
 	engOpt *stack.Engine // owns the PMem device eng's arena writes to
-	pool   *elastic.Pool
 	mon    *compress.Monitor
+	// life is held shared by every call and exclusively by Close, so Close
+	// waits for the calls in flight and every later call sees closed.
+	life   sync.RWMutex
+	closed bool
 }
 
 // Open builds a Store from options.
@@ -120,7 +116,6 @@ func Open(opts Options) (*Store, error) {
 		CompressionLevel: opts.CompressionLevel,
 		TrainingSamples:  opts.TrainingSamples,
 		PMemBytes:        opts.PMemBytes,
-		Stripes:          opts.Shards,
 		StorageRTT:       opts.StorageRTT,
 	}
 	eo, err := stack.NewEngine(cfg)
@@ -137,23 +132,19 @@ func Open(opts Options) (*Store, error) {
 		eo.Close()
 		return nil, err
 	}
-
-	poolOpts := elastic.PoolOptions{MaxWorkers: opts.MaxThreads}
-	if !opts.ElasticThreading {
-		poolOpts.Fixed = max(opts.Threads, 1)
-	}
-	s.pool = elastic.NewPool(poolOpts)
 	return s, nil
 }
 
-// do runs fn through the store's elastic gate and returns its error, or
-// the gate's when it has stopped.
+// do runs fn unless the store is closed, and keeps Close from closing the
+// tiers under it. fn (and so an Update callback) must not call the store:
+// a Close waiting for the lock would block that inner call.
 func (s *Store) do(fn func() error) error {
-	var err error
-	if perr := s.pool.SubmitWait(func() { err = fn() }); perr != nil {
-		return perr
+	s.life.RLock()
+	defer s.life.RUnlock()
+	if s.closed {
+		return ErrClosed
 	}
-	return err
+	return fn()
 }
 
 // Set stores key = val.
@@ -247,6 +238,8 @@ var (
 	ErrNotFound = errors.New("tierbase: key not found")
 	// ErrCASMismatch reports a failed compare-and-set.
 	ErrCASMismatch = errors.New("tierbase: compare-and-set mismatch")
+	// ErrClosed reports a call made after Close.
+	ErrClosed = errors.New("tierbase: store closed")
 )
 
 // Stats summarizes store state for monitoring and cost measurement.
@@ -263,7 +256,6 @@ type Stats struct {
 	// BackpressureWaits counts write-back writers that blocked because
 	// their write-path stripe's dirty budget was full.
 	BackpressureWaits int64
-	Workers           int
 	CompressionRatio  float64 // observed compressed/raw (1 = none)
 }
 
@@ -281,7 +273,6 @@ func (s *Store) Stats() Stats {
 		MissRatio:         s.tiered.MissRatio(),
 		DirtyEntries:      cst.Dirty,
 		BackpressureWaits: cst.BackpressureWaits,
-		Workers:           s.pool.Workers(),
 	}
 	if s.tiered.DB != nil {
 		st.StorageDiskBytes = s.tiered.DB.Stats().DiskBytes
@@ -296,9 +287,15 @@ func (s *Store) Stats() Stats {
 // FlushDirty forces write-back dirty data to the storage tier.
 func (s *Store) FlushDirty() error { return s.tiered.FlushDirty() }
 
-// Close flushes and releases all resources.
+// Close waits for the calls in flight, then flushes and releases all
+// resources. Later calls return ErrClosed; a second Close does nothing.
 func (s *Store) Close() error {
-	s.pool.Stop()
+	s.life.Lock()
+	defer s.life.Unlock()
+	if s.closed {
+		return nil
+	}
+	s.closed = true
 	err := s.tiered.Close()
 	if perr := s.engOpt.Close(); err == nil {
 		err = perr

@@ -2,6 +2,7 @@ package tierbase
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -183,47 +184,6 @@ func TestTTLAndEngineAccess(t *testing.T) {
 	}
 }
 
-func TestElasticOption(t *testing.T) {
-	s, err := Open(Options{ElasticThreading: true, MaxThreads: 4, Compression: "zstd-b", CompressionLevel: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Stats().Workers != 1 {
-		t.Fatalf("elastic should start single: %d", s.Stats().Workers)
-	}
-
-	// Saturating callers: each keeps one call in flight, so the backlog is
-	// the callers waiting for the one worker, and that must boost it.
-	val := bytes.Repeat(workload.NewKV1().Record(1), 24)[:4096]
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s.Set(fmt.Sprintf("c%d-%d", g, i%64), val)
-			}
-		}()
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for s.Stats().Workers < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	workers := s.Stats().Workers
-	close(stop)
-	wg.Wait()
-	if workers < 2 {
-		t.Fatalf("16 saturating callers left the pool at %d worker", workers)
-	}
-}
-
 func TestEvictionWithCapacity(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(Options{Policy: WriteThrough, Dir: dir, CacheCapacityBytes: 4 << 10})
@@ -362,9 +322,9 @@ func TestInPlaceOpsReachStorage(t *testing.T) {
 }
 
 // TestConcurrentUpdateLosesNoIncrement: Update is atomic per key — with
-// several pool workers running it at once no read-modify-write is lost.
+// several goroutines running it at once no read-modify-write is lost.
 func TestConcurrentUpdateLosesNoIncrement(t *testing.T) {
-	s, err := Open(Options{Policy: WriteBack, Dir: t.TempDir(), Threads: 4})
+	s, err := Open(Options{Policy: WriteBack, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,5 +350,162 @@ func TestConcurrentUpdateLosesNoIncrement(t *testing.T) {
 	wg.Wait()
 	if v, err := s.Get("ctr"); err != nil || string(v) != strconv.Itoa(workers*each) {
 		t.Fatalf("ctr = %q %v, want %d", v, err, workers*each)
+	}
+}
+
+// TestStoreCallsRunConcurrently: a Store call runs on its caller's
+// goroutine, so a call on one key does not queue behind a call on another.
+func TestStoreCallsRunConcurrently(t *testing.T) {
+	s, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.Set("b", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	updated := make(chan error, 1)
+	go func() {
+		updated <- s.Update("a", func([]byte, bool) []byte {
+			close(entered)
+			<-release
+			return []byte("x")
+		})
+	}()
+	<-entered
+	got := make(chan error, 1)
+	go func() { _, err := s.Get("b"); got <- err }()
+	select {
+	case err := <-got:
+		close(release)
+		if err != nil {
+			t.Fatalf("Get(b): %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		close(release)
+		t.Fatal("Get(b) still waiting after 2s behind a blocked Update(a)")
+	}
+	if err := <-updated; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestStoreCloseWaitsForCalls: Close does not close the tiers under a call
+// in flight, and that call's write is flushed; a call after Close fails.
+func TestStoreCloseWaitsForCalls(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(Options{Policy: WriteBack, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	updated := make(chan error, 1)
+	go func() {
+		updated <- s.Update("a", func([]byte, bool) []byte {
+			close(entered)
+			<-release
+			return []byte("x")
+		})
+	}()
+	<-entered
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case <-closed:
+		close(release)
+		t.Fatal("Close returned while an Update was in flight")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-updated; err != nil {
+		t.Fatalf("in-flight Update: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if err := s.Set("a", []byte("y")); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Set after Close = %v, want ErrClosed", err)
+	}
+
+	s, err = Open(Options{Policy: WriteBack, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if v, err := s.Get("a"); err != nil || string(v) != "x" {
+		t.Fatalf("a after reopen = %q %v, want the in-flight Update's x", v, err)
+	}
+}
+
+// TestStoreMixedOpsUnderWriteBack: IncrBy, CompareAndSet, MSet, MGet,
+// Expire, FlushDirty and BatchDelete run at once on overlapping keys, under
+// write-back with a cache small enough to evict. No call fails, and no
+// increment is lost.
+func TestStoreMixedOpsUnderWriteBack(t *testing.T) {
+	s, err := Open(Options{Policy: WriteBack, Dir: t.TempDir(), CacheCapacityBytes: 2 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const workers, each, counters = 4, 300, 4
+	val := bytes.Repeat([]byte("v"), 100)
+	key := func(i int) string { return fmt.Sprintf("k%d", i%16) }
+	ctr := func(i int) string { return fmt.Sprintf("n%d", i%counters) }
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				j := g*each + i
+				if _, err := s.IncrBy(ctr(j), 1); err != nil {
+					t.Errorf("IncrBy: %v", err)
+					return
+				}
+				var err error
+				switch i % 5 {
+				case 0:
+					err = s.CompareAndSet(key(j), nil, val)
+					if errors.Is(err, ErrCASMismatch) {
+						err = nil
+					}
+				case 1:
+					err = s.MSet(map[string][]byte{key(j): val, key(j + 1): val, key(j + 7): val})
+				case 2:
+					_, err = s.MGet(key(j), key(j+3), ctr(j), ctr(j+1))
+				case 3:
+					s.Expire(key(j+2), time.Hour)
+					s.Expire(ctr(j), time.Hour)
+					// Clean keys are what the cache can evict.
+					err = s.FlushDirty()
+				case 4:
+					_, err = s.BatchDelete(key(j), key(j+5))
+				}
+				if err != nil {
+					t.Errorf("op %d: %v", i%5, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s.tiered.Stats().Evictions == 0 {
+		t.Fatal("the cache never evicted")
+	}
+	var total int
+	for c := 0; c < counters; c++ {
+		v, err := s.Get(ctr(c))
+		if err != nil {
+			t.Fatalf("%s: %v", ctr(c), err)
+		}
+		n, err := strconv.Atoi(string(v))
+		if err != nil {
+			t.Fatalf("%s = %q", ctr(c), v)
+		}
+		total += n
+	}
+	if total != workers*each {
+		t.Fatalf("counters sum to %d, want %d", total, workers*each)
 	}
 }
