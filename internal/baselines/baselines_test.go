@@ -247,8 +247,12 @@ func TestBuildRegistry(t *testing.T) {
 // TestMemBytesChargeKeysAsWritten pins what RedisLike and DragonflyLike
 // report for a fixed fill of keys with long digit runs, which the engine
 // packs in its records. The systems they stand in for store keys as
-// written, so the figures are the ones they reported before the engine
-// packed keys, and fig1's and fig10's space columns for them stay put.
+// written, so packing moves neither figure. DragonflyLike's shards are
+// engines, so its figure does follow the engine's index: 1 360 252 with
+// quarter growth steps, 1 424 508 with eighth steps spread over writes, of
+// which 80 640 are the old tables of the ten loaded stripes whose last
+// resize is still under way when the fill ends (a pin of the index format,
+// as TestLedgerKeyShape is).
 func TestMemBytesChargeKeysAsWritten(t *testing.T) {
 	r, err := NewRedisLike("", 1)
 	if err != nil {
@@ -272,7 +276,7 @@ func TestMemBytesChargeKeysAsWritten(t *testing.T) {
 	if got, want := r.MemBytes(), int64(2436412); got != want {
 		t.Errorf("redis: MemBytes %d, want %d", got, want)
 	}
-	if got, want := d.MemBytes(), int64(1360252); got != want {
+	if got, want := d.MemBytes(), int64(1424508); got != want {
 		t.Errorf("dragonfly-m: MemBytes %d, want %d", got, want)
 	}
 }

@@ -199,7 +199,7 @@ type shard struct {
 	strs  index
 	colls map[string]*item // nil until the stripe holds a collection
 
-	sweepPos  atomic.Uint32 // where CollectExpired resumes in strs, as a hash like index.hand
+	sweepPos  atomic.Uint32 // where CollectExpired resumes in strs: the slot hash index.scan returned
 	collsTurn bool          // the clock hand is past the end of strs, among the collections
 	packed    int64         // bytes packing took off the string keys in payload; under mu
 
@@ -426,8 +426,8 @@ func (e *Engine) publish(s *shard, k probe, st staged) {
 	if i >= 0 {
 		old := cur.parse()
 		e.forget(s, old)
+		ix.touch(i) // before replace, which may move entries
 		ix.replace(i, ref, old.size)
-		ix.touch(i)
 	} else {
 		ix.insert(k.h, ref)
 		s.packed += int64(len(k.key) - len(k.packed))
@@ -780,7 +780,7 @@ func (e *Engine) Expired(key string) bool {
 // CollectExpired looks at the next limit or so keys of the engine and returns
 // those whose TTL has lapsed but whose entries still occupy their stripe
 // (the active expiration cycle; lazy expiry handles access). It resumes where
-// the last call stopped, stripe after stripe and slot after slot, so calls
+// the last call stopped, stripe after stripe and in hash order, so calls
 // with a small limit cover the keyspace between them; one call enters each
 // stripe at most once. A stripe's collections are looked at together when
 // its table ends, because a map has no place to resume from. Read locks

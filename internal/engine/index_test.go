@@ -205,13 +205,20 @@ func (m *indexModel) check(cleared bool) {
 // one hash (64 fill the reach of their home, the rest live in the spill),
 // and ones past maxShortKey bytes. After every operation the index is
 // compared with a map: every key found with its own value and its own
-// reference bit, no other key found, counts, charge and shape right.
+// reference bit, no other key found, counts, charge and shape right, both
+// tables in hash order while a resize is under way.
 func FuzzIndex(f *testing.F) {
 	grow := []byte{0, 0, 0, 255, 0, 1, 0, 255, 0, 2, 0, 255, 0, 3, 0, 255} // 1024 ordinary keys
 	f.Add(grow)
 	f.Add(append(append([]byte{}, grow...), 1, 0, 0, 255, 1, 1, 0, 255, 1, 2, 0, 255, 5, 0, 0, 0, 1, 3, 0, 250))      // and back down
 	f.Add([]byte{0, 16, 0, 199, 2, 16, 70, 0, 3, 16, 90, 0, 4, 0, 0, 0, 1, 16, 0, 150, 0, 16, 0, 199, 1, 16, 0, 199}) // the shared hash
 	f.Add([]byte{0, 17, 0, 40, 0, 0, 0, 40, 4, 0, 0, 0, 4, 0, 0, 0, 5, 0, 0, 7, 1, 17, 0, 40})                        // long keys
+	// 1024 keys leave a table growing from 1152 slots to 1344, front 282 of
+	// the old one, and 1024 less 269 one shrinking from 1344 to 1152, front
+	// 17: scans, evictions, touches and removes then cross the bound.
+	across := []byte{5, 0, 0, 9, 4, 0, 0, 0, 6, 1, 44, 0, 3, 1, 50, 0, 5, 0, 0, 99, 4, 0, 0, 2, 2, 1, 144, 7, 1, 0, 0, 49, 5, 0, 0, 255}
+	f.Add(append(append([]byte{}, grow...), across...))
+	f.Add(append(append(append([]byte{}, grow...), 1, 0, 0, 255, 1, 1, 0, 12), across...))
 	shared := sharedHashKeys()
 	name := func(i int) string {
 		switch {
@@ -352,12 +359,16 @@ func TestSpillHoldsWhatNoLengthSeparates(t *testing.T) {
 	}
 	// Keys of one hash alone in a stripe: the table grows until its tail is
 	// a whole reach, which they fill, and the rest spill (and count towards
-	// the table's load as every entry does).
+	// the table's load as every entry does), once the writes that follow
+	// have finished the last resize.
 	e = New(Options{Shards: 1})
 	for _, k := range shared {
 		e.Set(k, nil)
 	}
 	ix = &e.shards[0].strs
+	for ix.old.meta != nil {
+		e.Set(shared[0], nil)
+	}
 	if got, want := len(ix.spill), len(shared)-(reach+1); got != want || len(ix.meta) > 2*len(shared) {
 		t.Fatalf("%d keys of one hash alone: %d spilled beside %d slots, want %d beside %d at most", len(shared), got, len(ix.meta), want, 2*len(shared))
 	}
@@ -432,6 +443,159 @@ func TestResizeCarriesTheHand(t *testing.T) {
 	t.Logf("over %d lengths: %d keys missed, %d asked about twice", len(sizes), missed, twice)
 	if missed > slack || twice > slack {
 		t.Fatalf("a lap across %d lengths missed %d keys and asked about %d twice; want at most %d of each", len(sizes), missed, twice, slack)
+	}
+}
+
+// TestResizeKeepsTheHandsPlace: a resize, grow or shrink, leaves every
+// entry the clock hand had not passed at or after it, and every entry it had
+// passed before it. Entries that share a home used to sit in the order they
+// came in, so a resize that parted them over two homes could put one on the
+// wrong side of the hand it carried; in full hash order a resize keeps
+// every entry's place relative to every other, and to the hand. Seeded:
+// 25 one-stripe tables of 150-349 random keys, rebuilt in one hold, and 4
+// of 1000-1399, whose resizes are spread, each brought to one write short
+// of a resize, the hand put on every 7th (29th) slot in turn, then the
+// write that resizes and the overwrites that finish it.
+func TestResizeKeepsTheHandsPlace(t *testing.T) {
+	// behind says which keys are behind the hand. A hand past the last entry
+	// has ended its lap: it is the next one's start, and none is behind it.
+	behind := func(ix *index, keys []string) map[string]bool {
+		out, ended := map[string]bool{}, true
+		for _, k := range keys {
+			if at, _ := ix.findKey(k); at >= 0 {
+				out[k] = at < ix.hand
+				ended = ended && out[k]
+			}
+		}
+		if ended {
+			clear(out)
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(58))
+	resizes, wrong := 0, 0
+	for round := 0; round < 29; round++ {
+		n, seed, every := 150+rng.Intn(200), rng.Int63(), 7
+		if round >= 25 {
+			n, every = 1000+rng.Intn(400), 29
+		}
+		for _, grow := range []bool{true, false} {
+			// ready is the table one write short of the resize, and the
+			// keys in it in the order they went in.
+			ready := func() (*indexModel, []string) {
+				r := rand.New(rand.NewSource(seed))
+				m := &indexModel{t: t, keys: map[string]byte{}, marks: map[string]bool{}}
+				var keys []string
+				add := func() {
+					keys = append(keys, fmt.Sprintf("%x", r.Uint64()))
+					m.put(keys[len(keys)-1], 0)
+				}
+				for len(keys) < n {
+					add()
+				}
+				ix := &m.ix
+				if grow {
+					for (ix.n+1)*8 <= len(ix.meta)*7 {
+						add()
+					}
+				} else {
+					for len(keys) > 1 && (ix.n-1)*16 >= len(ix.meta)*9 {
+						m.del(keys[len(keys)-1])
+						keys = keys[:len(keys)-1]
+					}
+				}
+				for ix.positions() != len(ix.meta)+len(ix.spill) { // a resize under way
+					m.put(keys[0], 0)
+				}
+				return m, keys
+			}
+			m, _ := ready()
+			for hand := 0; hand < len(m.ix.meta); hand += every {
+				m, keys := ready()
+				ix := &m.ix
+				ix.hand = hand
+				before, size := behind(ix, keys), len(ix.meta)
+				if grow {
+					m.put("a key that is new", 0)
+				} else {
+					m.del(keys[0])
+					delete(before, keys[0])
+				}
+				for ix.positions() != len(ix.meta)+len(ix.spill) {
+					m.put(keys[1], 0)
+				}
+				if len(ix.meta) == size {
+					t.Fatalf("round %d (grow %v): the table stayed at %d slots", round, grow, size)
+				}
+				resizes++
+				after := behind(ix, keys)
+				for k, was := range before {
+					if after[k] != was {
+						if wrong++; wrong <= 5 {
+							at, _ := ix.findKey(k)
+							t.Errorf("round %d (grow %v), %d to %d slots, hand on slot %d: %q now in slot %d, the hand on %d; behind it before: %v",
+								round, grow, size, len(ix.meta), hand, k, at, ix.hand, was)
+						}
+						break
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d of %d resizes left an entry on the wrong side of the hand", wrong, resizes)
+	if wrong > 0 {
+		t.Fatalf("%d of %d resizes left an entry on the wrong side of the hand", wrong, resizes)
+	}
+}
+
+// TestResizeIsSpreadOverWrites counts what a write pays for resizes: once
+// the table is spreadFrom slots long no Set or Del re-hashes more than
+// moves records (a shorter table, at most 896 entries, is rebuilt in one
+// hold), while a one-stripe engine grows from nothing to 200k keys, with
+// overwrites between, and shrinks back to nothing, through some ninety
+// table lengths. A resize that rebuilt its table under one lock hold
+// re-hashed every entry the stripe held.
+func TestResizeIsSpreadOverWrites(t *testing.T) {
+	e := New(Options{Shards: 1})
+	ix := &e.shards[0].strs
+	rng := rand.New(rand.NewSource(13))
+	keys := make([]string, 200_000)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("user:%011d", rng.Int63n(1e11))
+	}
+	worst, small, lengths, resizing := 0, 0, map[int]bool{}, 0
+	write := func(op func()) {
+		before, short := ix.rehashed, len(ix.meta) < spreadFrom
+		op()
+		if short || len(ix.meta) < spreadFrom {
+			small = max(small, ix.rehashed-before)
+		} else {
+			worst = max(worst, ix.rehashed-before)
+		}
+		lengths[len(ix.meta)] = true
+		if ix.old.meta != nil {
+			resizing++
+		}
+	}
+	for i, k := range keys {
+		write(func() { e.Set(k, []byte("v")) })
+		if i%3 == 0 {
+			write(func() { e.Set(keys[i/2], []byte("w")) }) // an overwrite
+		}
+	}
+	grew := ix.rehashed
+	rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
+	for _, k := range keys {
+		write(func() { e.Del(k) })
+	}
+	t.Logf("%d table lengths, %d writes with a resize under way, %.2f re-hashes per key inserted, %.2f per key deleted, at most %d in one write (%d below %d slots)",
+		len(lengths), resizing, float64(grew)/float64(len(keys)), float64(ix.rehashed-grew)/float64(len(keys)), worst, small, spreadFrom)
+	if worst > moves || small > spreadFrom*7/8 || len(lengths) < 30 || e.Len() != 0 {
+		t.Fatalf("a write re-hashed %d records (want %d at most; %d below %d slots) over %d table lengths; %d keys left",
+			worst, moves, small, spreadFrom, len(lengths), e.Len())
+	}
+	if err := checkBooks(e); err != nil {
+		t.Fatal(err)
 	}
 }
 

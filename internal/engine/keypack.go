@@ -22,7 +22,7 @@ import (
 // and since unpack inverts pack, two keys pack equal only if they are
 // equal.
 //
-// The index hashes and compares packed keys, and resize rehashes them from
+// The index hashes and compares packed keys, and a resize rehashes them from
 // records; everything outside the engine, and the stripe choice, sees the
 // key as written. A key leaves a record through unpack: the clock's pinned
 // call, CollectExpired and ForEachEncodedChunked's key listing.

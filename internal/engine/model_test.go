@@ -570,63 +570,83 @@ func checkBooks(e *Engine) error {
 	return nil
 }
 
-// checkIndex verifies the table's shape: a length that fills its two
-// allocations, charged as allocated; between 9/16 and 7/8 full unless it is
-// as short as tables get; every entry under the probe word of its key's
-// hash, at its home or within reach after it with no empty slot between;
-// entries in home order; the last slot empty; the count right; and no table
+// checkIndex verifies the tables' shape: lengths that fill their two
+// allocations, charged as allocated with the spill; the table between 9/16
+// and 7/8 full unless it is as short as tables get; in each table every
+// entry under the probe word of its key's hash, at its home or within reach
+// after it with no empty slot between (from the front on, in the old
+// table), in hash order, and the last slot empty; while a resize is under
+// way, nothing in the new table hashing above bound and the old table's
+// first entry in slot front with hash bound; the count right; and no table
 // at all without an entry.
 func checkIndex(ix *index) error {
 	size := len(ix.meta)
+	resizing := ix.old.meta != nil
 	if ix.n == 0 {
-		if size != 0 || ix.spill != nil || ix.charge != 0 {
-			return fmt.Errorf("empty index keeps a %d-slot table, %d spilled, %d bytes charged", size, len(ix.spill), ix.charge)
+		if size != 0 || resizing || ix.spill != nil || ix.charge != 0 {
+			return fmt.Errorf("empty index keeps a %d-slot table, %d old, %d spilled, %d bytes charged", size, len(ix.old.meta), len(ix.spill), ix.charge)
 		}
 		return nil
 	}
-	charge, shrunk := allocBytes(2*size)+allocBytes(4*size), tableLen(max(minSlots, size*4/5))
+	charge, shrunk := ix.table.bytes()+ix.old.bytes(), tableLen(max(minSlots, size*4/5))
 	if ix.spill != nil {
 		charge += allocBytes(4 * cap(ix.spill))
 	}
 	switch {
-	case size < minSlots || size != tableLen(size) || len(ix.refs) != size || int(ix.homes) != size-min(maxTail, size/2):
-		return fmt.Errorf("table of %d slots, %d refs, %d homes", size, len(ix.refs), ix.homes)
 	case ix.charge != charge:
-		return fmt.Errorf("table of %d slots and spill of %d charged %d bytes, allocated %d", size, cap(ix.spill), ix.charge, charge)
+		return fmt.Errorf("tables of %d and %d slots and spill of %d charged %d bytes, allocated %d", size, len(ix.old.meta), cap(ix.spill), ix.charge, charge)
 	case ix.n*8 > size*7 || (ix.n*16 < size*9 && shrunk < size && shrunk >= 2*maxTail && ix.spill == nil):
 		// (A table shorter than that may have been tried and found too
 		// short, its tail being under a full reach, and what has spilled
 		// from this one may have been what the shorter one could not place.)
 		return fmt.Errorf("%d entries in %d slots", ix.n, size)
-	case ix.spill != nil && size < 2*maxTail:
+	case ix.spill != nil && size < 2*maxTail && !resizing:
 		return fmt.Errorf("%d spilled beside a table of %d slots, which is free to grow", len(ix.spill), size)
-	case ix.meta[size-1] != 0:
-		return fmt.Errorf("last slot of %d is in use", size)
 	case ix.spill != nil && len(ix.spill) == 0:
 		return fmt.Errorf("empty spill kept")
 	}
-	n, last := len(ix.spill), 0
-	for i, m := range ix.meta {
-		if m == 0 {
+	n := len(ix.spill)
+	for _, t := range []*table{&ix.table, &ix.old} {
+		size := len(t.meta)
+		if t.meta == nil {
 			continue
 		}
-		n++
-		h := slotHash(fnv1a(record(ix.recs.at(ix.refs[i] &^ refBit)).key()))
-		home := ix.home(h)
 		switch {
-		case m != word(h, home):
-			return fmt.Errorf("slot %d: probe word %#x, its key's is %#x", i, m, word(h, home))
-		case i < home || i-home > reach || away(i, m) != i-home:
-			return fmt.Errorf("slot %d: entry of home %d", i, home)
-		case home < last:
-			return fmt.Errorf("slot %d: entry of home %d behind one of home %d", i, home, last)
+		case size < minSlots || size != tableLen(size) || len(t.refs) != size || int(t.homes) != size-min(maxTail, size/2):
+			return fmt.Errorf("table of %d slots, %d refs, %d homes", size, len(t.refs), t.homes)
+		case t.meta[size-1] != 0:
+			return fmt.Errorf("last slot of %d is in use", size)
 		}
-		for j := home; j < i; j++ {
-			if ix.meta[j] == 0 {
-				return fmt.Errorf("slot %d: empty slot %d between the entry and its home %d", i, j, home)
+		first, last := true, uint32(0)
+		for i, m := range t.meta {
+			if m == 0 {
+				continue
 			}
+			n++
+			h := ix.keyHash(t.refs[i])
+			home, w := t.word(h)
+			switch {
+			case m != w:
+				return fmt.Errorf("slot %d of %d: probe word %#x, its key's is %#x", i, size, m, w)
+			case i < home || i-home > reach || away(i, m) != i-home:
+				return fmt.Errorf("slot %d of %d: entry of home %d", i, size, home)
+			case !first && h < last:
+				return fmt.Errorf("slot %d of %d: entry of hash %#x behind one of hash %#x", i, size, h, last)
+			case t == &ix.table && resizing && h > ix.bound:
+				return fmt.Errorf("slot %d of %d: entry of hash %#x in the new table, above the bound %#x", i, size, h, ix.bound)
+			case t == &ix.old && first && (i != ix.front || h != ix.bound):
+				return fmt.Errorf("old table's first entry in slot %d of hash %#x, front %d bound %#x", i, h, ix.front, ix.bound)
+			}
+			for j := max(home, ix.floor(t)); j < i; j++ {
+				if t.meta[j] == 0 {
+					return fmt.Errorf("slot %d of %d: empty slot %d between the entry and its home %d", i, size, j, home)
+				}
+			}
+			first, last = false, h
 		}
-		last = home
+		if t == &ix.old && first {
+			return fmt.Errorf("an empty old table of %d slots kept", size)
+		}
 	}
 	if n != ix.n {
 		return fmt.Errorf("index counts %d entries, holds %d", ix.n, n)
@@ -800,6 +820,87 @@ func oneStripeReadersAndOverwriters(t *testing.T, opts Options) {
 	readers.Wait()
 	if err := checkBooks(e); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReadersAcrossSpreadResizes is the -race leg of a resize spread over
+// writes: one stripe grows to 5000 keys and shrinks back to none, so for
+// most of the run a resize is under way and entries move from the old
+// table to the new under the write lock, while readers Get every key that
+// is certainly there and find it with its value, a sweeper scans the
+// stripe under the read lock from the hash it stopped at, and a second
+// writer overwrites keys (each overwrite moves entries too).
+func TestReadersAcrossSpreadResizes(t *testing.T) {
+	e := New(Options{Shards: 1})
+	const n = 5000
+	key := func(i int) string { return fmt.Sprintf("key:%06d", i) }
+	val := func(i int) []byte { return []byte(strconv.Itoa(i)) }
+	// Keys [0, alive) are certainly present: the writer raises alive after
+	// an insert and lowers it before a delete.
+	var alive atomic.Int64
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer stop.Store(true)
+		for i := 0; i < n; i++ {
+			e.Set(key(i), val(i))
+			alive.Store(int64(i + 1))
+		}
+		for i := n - 1; i >= 0; i-- {
+			alive.Store(int64(i))
+			e.Del(key(i))
+		}
+	}()
+	errs := make(chan error, 4)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for !stop.Load() {
+				a := alive.Load()
+				if a == 0 {
+					continue
+				}
+				i := int(rng.Int63n(a))
+				if v, err := e.Get(key(i)); err != nil || string(v) != string(val(i)) {
+					if int64(i) < alive.Load() { // not deleted since
+						errs <- fmt.Errorf("Get(%s) = %q, %v with %d keys certainly present", key(i), v, err, alive.Load())
+						return
+					}
+				}
+			}
+		}(int64(r))
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for !stop.Load() {
+			if got := e.CollectExpired(64); len(got) != 0 {
+				errs <- fmt.Errorf("the sweep found %d lapsed keys where none has a TTL", len(got))
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(9))
+		for !stop.Load() {
+			if a := alive.Load(); a > 0 {
+				i := int(rng.Int63n(a))
+				e.CompareAndSet(key(i), val(i), val(i)) // an overwrite, never a resurrection
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := checkBooks(e); err != nil || e.Len() != 0 {
+		t.Fatalf("after the run: %d keys, %v", e.Len(), err)
 	}
 }
 

@@ -179,7 +179,7 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 	for _, lvl := range man.Levels {
-		for _, meta := range lvl {
+		for i, meta := range lvl {
 			r, err := openTable(opts.Dir, meta, db.cache)
 			if err != nil {
 				abort()
@@ -188,8 +188,13 @@ func Open(opts Options) (*DB, error) {
 			readers[meta.Num] = r
 			// A new write must outnumber every version in the tables, or it
 			// loses to an older version of its key at the next compaction;
-			// the manifest's last_seq is not trusted to say so.
-			db.seq = max(db.seq, r.maxSeq())
+			// the manifest's last_seq is not trusted to say so, each table's
+			// own max_seq is, and a table listed without one is read (once:
+			// the next manifest saved records what the read found).
+			if meta.MaxSeq == 0 {
+				lvl[i].MaxSeq = r.maxSeq()
+			}
+			db.seq = max(db.seq, lvl[i].MaxSeq)
 		}
 	}
 	db.current = newVersion(man, readers)

@@ -2,8 +2,10 @@ package lsm
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -185,6 +187,98 @@ func TestDBCleanReopen(t *testing.T) {
 	db2.Put([]byte("new"), []byte("v"))
 	if db2.Stats().SequenceNumber <= s1 {
 		t.Fatal("sequence did not advance after reopen")
+	}
+}
+
+// TestOpenReadsNoTableBlock: Open numbers the next write from each table's
+// max_seq in the manifest and reads no data block, where it read every
+// block of every table. A manifest written before tables carried max_seq,
+// or one whose sum no longer matches (here every max_seq and last_seq
+// lowered), is read the old way, block by block. Either way a write after
+// Open outnumbers every version in the tables and survives a compaction.
+func TestOpenReadsNoTableBlock(t *testing.T) {
+	opts := Options{Dir: t.TempDir(), DisableWAL: true, MemtableBytes: 4 << 10, L0CompactionTrigger: 2,
+		BaseLevelBytes: 16 << 10, TargetFileBytes: 8 << 10, BlockBytes: 512}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%04d", i)) }
+	db, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	val := bytes.Repeat([]byte("v"), 64)
+	for i := 0; i < 2000; i++ {
+		db.Put(key(i%500), append(val, byte(i)))
+	}
+	db.Flush()
+	db.CompactAll()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// reopen opens the DB, counts the blocks Open read and the blocks there
+	// are, and overwrites a key that every table's versions must lose to.
+	reopen := func(round int) (reads, blocks int) {
+		db, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range db.current.readers {
+			reads += int(r.reads.Load())
+			blocks += len(r.index)
+		}
+		over := []byte(fmt.Sprintf("round %d", round))
+		for i := 0; i < 500; i += 50 {
+			db.Put(key(i), over)
+		}
+		db.Flush()
+		db.CompactAll()
+		for i := 0; i < 500; i += 50 {
+			if v, err := db.Get(key(i)); err != nil || !bytes.Equal(v, over) {
+				t.Fatalf("round %d: %s = %q, %v after a compaction, want %q", round, key(i), v, err, over)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return reads, blocks
+	}
+	// rewrite edits the manifest on disk as edit says.
+	rewrite := func(edit func(m *manifest)) {
+		m, err := loadManifest(opts.Dir, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(m)
+		data, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(manifestPath(opts.Dir), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if reads, blocks := reopen(1); reads != 0 || blocks == 0 {
+		t.Fatalf("Open read %d of %d table blocks, want none", reads, blocks)
+	}
+	rewrite(func(m *manifest) { // as written before: no max_seq, no sum
+		for _, lvl := range m.Levels {
+			for i := range lvl {
+				lvl[i].MaxSeq = 0
+			}
+		}
+		m.Sum = 0
+	})
+	if reads, blocks := reopen(2); reads != blocks {
+		t.Fatalf("Open of a manifest without max_seq read %d of %d table blocks, want all", reads, blocks)
+	}
+	rewrite(func(m *manifest) { // damaged under its sum
+		m.Sum, m.LastSeq = m.sum(), 1
+		for _, lvl := range m.Levels {
+			for i := range lvl {
+				lvl[i].MaxSeq = 1
+			}
+		}
+	})
+	if reads, blocks := reopen(3); reads != blocks {
+		t.Fatalf("Open of a manifest whose sum does not match read %d of %d table blocks, want all", reads, blocks)
 	}
 }
 

@@ -46,7 +46,9 @@ func FuzzManifest(f *testing.F) {
 		}
 	}
 	seed := func(next, last uint64, levels ...[]tableMeta) {
-		data, err := json.Marshal(&manifest{NextFile: next, LastSeq: last, Levels: levels})
+		m := &manifest{NextFile: next, LastSeq: last, Levels: levels}
+		m.Sum = m.sum()
+		data, err := json.Marshal(m)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -64,6 +66,15 @@ func FuzzManifest(f *testing.F) {
 	seed(5, seq, nil, []tableMeta{neg})
 	seed(1<<64-1, seq, []tableMeta{t1})                               // a next_file that wraps
 	seed(5, 0, []tableMeta{t1, t2}, []tableMeta{t3}, []tableMeta{t4}) // last_seq below the tables' versions
+	old := []tableMeta{t1, t2, t3, t4}                                // as written before tables carried max_seq and manifests a sum
+	for i := range old {
+		old[i].MaxSeq = 0
+	}
+	data, err := json.Marshal(&manifest{NextFile: 5, LastSeq: seq, Levels: [][]tableMeta{old[:2], old[2:3], old[3:]}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"levels":[[{"num":9}]]}`)) // a table that is not there
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -17,6 +18,11 @@ type manifest struct {
 	NextFile uint64        `json:"next_file"`
 	LastSeq  uint64        `json:"last_seq"`
 	Levels   [][]tableMeta `json:"levels"`
+	// Sum is the CRC-32C of the manifest marshalled with Sum 0. A table's
+	// max_seq is believed only under a sum that matches: a damaged manifest
+	// that understated one would number new writes below versions the table
+	// holds, and the next compaction would keep the old ones.
+	Sum uint32 `json:"sum,omitempty"`
 }
 
 const manifestName = "MANIFEST.json"
@@ -35,6 +41,13 @@ func loadManifest(dir string, maxLevels int) (*manifest, error) {
 	}
 	if err := json.Unmarshal(data, m); err != nil {
 		return nil, fmt.Errorf("lsm: parse manifest: %w", err)
+	}
+	if m.Sum != m.sum() {
+		for _, lvl := range m.Levels {
+			for i := range lvl {
+				lvl[i].MaxSeq = 0 // Open reads the table instead
+			}
+		}
 	}
 	if err := m.check(maxLevels); err != nil {
 		return nil, fmt.Errorf("lsm: manifest: %w", err)
@@ -88,8 +101,17 @@ func (m *manifest) check(maxLevels int) error {
 	return nil
 }
 
-// save atomically persists the manifest.
+// sum is what Sum should be.
+func (m *manifest) sum() uint32 {
+	c := *m
+	c.Sum = 0
+	data, _ := json.Marshal(&c) // numbers, byte strings and slices of them: it cannot fail
+	return crc32.Checksum(data, crcTableCasta)
+}
+
+// save atomically persists the manifest, summed.
 func (m *manifest) save(dir string) error {
+	m.Sum = m.sum()
 	data, err := json.Marshal(m)
 	if err != nil {
 		return fmt.Errorf("lsm: marshal manifest: %w", err)

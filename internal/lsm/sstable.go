@@ -52,6 +52,11 @@ type tableMeta struct {
 	Count    int64  `json:"count"`
 	Smallest []byte `json:"smallest"`
 	Largest  []byte `json:"largest"`
+	// MaxSeq is the highest sequence number in the table, so that Open need
+	// read no block to number the next write; 0 where it is not known: in a
+	// manifest written before it was recorded, or one whose sum does not
+	// match (sequences start at 1).
+	MaxSeq uint64 `json:"max_seq,omitempty"`
 }
 
 func tableFileName(dir string, num uint64) string {
@@ -72,6 +77,7 @@ type tableBuilder struct {
 	hashes    []uint64 // bloomHash of every key added: h1, h2, h1, h2, ...
 	off       uint64
 	count     int64
+	maxSeq    uint64
 	smallest  []byte
 	largest   []byte // the last key added
 }
@@ -118,6 +124,7 @@ func (b *tableBuilder) add(key []byte, e memEntry) error {
 	h1, h2 := bloomHash(key)
 	b.hashes = append(b.hashes, h1, h2)
 	b.count++
+	b.maxSeq = max(b.maxSeq, e.seq)
 	if len(b.blockBuf) >= b.blockSize {
 		return b.finishBlock()
 	}
@@ -210,6 +217,7 @@ func (b *tableBuilder) finish(num uint64) (tableMeta, error) {
 		Count:    b.count,
 		Smallest: b.smallest,
 		Largest:  b.largest,
+		MaxSeq:   b.maxSeq,
 	}, nil
 }
 
@@ -235,6 +243,7 @@ type tableReader struct {
 
 	refs     atomic.Int32
 	obsolete atomic.Bool
+	reads    atomic.Int64 // blocks read from the file
 }
 
 func (t *tableReader) ref() { t.refs.Add(1) }
@@ -363,6 +372,7 @@ func (t *tableReader) readBlock(i int, scratch *[]byte) ([]byte, error) {
 			return blk, nil
 		}
 	}
+	t.reads.Add(1)
 	var blk []byte
 	if foreground {
 		blk = make([]byte, e.length)
@@ -385,7 +395,8 @@ func (t *tableReader) readBlock(i int, scratch *[]byte) ([]byte, error) {
 }
 
 // maxSeq returns the highest sequence number in the table's readable
-// blocks, reading each once round the block cache. A block that fails its
+// blocks, reading each once round the block cache: what Open does for a
+// table whose manifest entry predates MaxSeq. A block that fails its
 // checksum is skipped: reads of it fail on their own.
 func (t *tableReader) maxSeq() uint64 {
 	var top uint64
