@@ -27,9 +27,6 @@ var exportAllowlist = map[string]string{
 	// Kept on purpose although only tests call them today.
 	"NewCluster":    "internal/client: the server and e2e tests drive nodes through it",
 	"Pipeline":      "internal/client: the server and e2e tests drive nodes through it",
-	"Unlink":        "internal/client: the server and e2e tests drive nodes through it",
-	"Incr":          "internal/client: the server and e2e tests drive nodes through it",
-	"CAS":           "internal/client: the server and e2e tests drive nodes through it",
 	"NewMapStorage": "cache: the in-memory Storage tests stand a tier on",
 	"TotalRPCs":     "cache.Remote: the RPC count its tests assert",
 	"RetrainNeeded": "compress.Monitor: waits for the retrain trigger",

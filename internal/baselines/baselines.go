@@ -25,11 +25,8 @@ import (
 
 // System is the uniform surface the benchmark harness drives.
 type System interface {
-	// Name labels the system in experiment output.
-	Name() string
 	Set(key string, val []byte) error
 	Get(key string) ([]byte, error)
-	Delete(key string) error
 	// MemBytes approximates DRAM resident bytes.
 	MemBytes() int64
 	// DiskBytes approximates persistent bytes (0 for pure caches).
@@ -46,7 +43,6 @@ var ErrNotFound = errors.New("baselines: key not found")
 // and keeps everything in DRAM; with AOF enabled, every write is appended
 // to a log fsynced once per second (appendfsync everysec).
 type RedisLike struct {
-	name string
 	eng  *engine.Engine
 	pool *elastic.Pool
 	aof  *wal.Log
@@ -60,12 +56,8 @@ func NewRedisLike(dir string, threads int) (*RedisLike, error) {
 		threads = 1
 	}
 	r := &RedisLike{
-		name: "redis",
 		eng:  engine.New(engine.Options{}),
 		pool: elastic.NewPool(elastic.PoolOptions{Fixed: threads, MaxWorkers: threads}),
-	}
-	if threads > 1 {
-		r.name = "redis-m"
 	}
 	if dir != "" {
 		log, err := wal.Open(wal.Options{Dir: dir, Policy: wal.SyncInterval})
@@ -73,17 +65,14 @@ func NewRedisLike(dir string, threads int) (*RedisLike, error) {
 			return nil, err
 		}
 		r.aof = log
-		r.name = "redis-aof"
 	}
 	return r, nil
 }
 
-// Name implements System.
-func (r *RedisLike) Name() string { return r.name }
-
-func encodeAOF(op byte, key string, val []byte) []byte {
+// encodeAOF is a SET's AOF record.
+func encodeAOF(key string, val []byte) []byte {
 	buf := make([]byte, 1+4+len(key)+len(val))
-	buf[0] = op
+	buf[0] = 'S'
 	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(key)))
 	copy(buf[5:], key)
 	copy(buf[5+len(key):], val)
@@ -95,7 +84,7 @@ func (r *RedisLike) Set(key string, val []byte) error {
 	var err error
 	perr := r.pool.SubmitWait(func() {
 		if r.aof != nil {
-			if err = r.aof.Append(encodeAOF('S', key, val)); err != nil {
+			if err = r.aof.Append(encodeAOF(key, val)); err != nil {
 				return
 			}
 		}
@@ -121,23 +110,6 @@ func (r *RedisLike) Get(key string) ([]byte, error) {
 	return v, err
 }
 
-// Delete implements System.
-func (r *RedisLike) Delete(key string) error {
-	var err error
-	perr := r.pool.SubmitWait(func() {
-		if r.aof != nil {
-			if err = r.aof.Append(encodeAOF('D', key, nil)); err != nil {
-				return
-			}
-		}
-		r.eng.Del(key)
-	})
-	if perr != nil {
-		return perr
-	}
-	return err
-}
-
 // redisOverhead is Redis's per-key bookkeeping: a dictEntry (24 B), the
 // value's robj (16 B), two sds headers and allocator rounding, ~64 B. The
 // stand-in stores its data in the TierBase engine but must not report the
@@ -160,9 +132,6 @@ func (r *RedisLike) DiskBytes() int64 {
 	}
 	return r.MemBytes() // post-rewrite AOF ≈ dataset size
 }
-
-// Engine exposes the engine (for replication in cost benches).
-func (r *RedisLike) Engine() *engine.Engine { return r.eng }
 
 // Close implements System.
 func (r *RedisLike) Close() error {
@@ -218,9 +187,6 @@ func NewMemcachedLike(capBytes int64, nShards int) *MemcachedLike {
 	}
 	return m
 }
-
-// Name implements System.
-func (m *MemcachedLike) Name() string { return "memcached-m" }
 
 func (m *MemcachedLike) shard(key string) *mcShard {
 	var h uint32 = 2166136261
@@ -297,19 +263,6 @@ func (m *MemcachedLike) Get(key string) ([]byte, error) {
 	return append([]byte(nil), it.val...), nil
 }
 
-// Delete implements System.
-func (m *MemcachedLike) Delete(key string) error {
-	s := m.shard(key)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if it, ok := s.items[key]; ok {
-		s.unlink(it)
-		delete(s.items, key)
-		s.used -= int64(len(it.key)+len(it.val)) + mcOverhead
-	}
-	return nil
-}
-
 // MemBytes implements System.
 func (m *MemcachedLike) MemBytes() int64 {
 	var total int64
@@ -365,9 +318,6 @@ func NewDragonflyLike(nShards int) *DragonflyLike {
 	return d
 }
 
-// Name implements System.
-func (d *DragonflyLike) Name() string { return "dragonfly-m" }
-
 func (d *DragonflyLike) shard(key string) *dfShard {
 	var h uint32 = 2166136261
 	for i := 0; i < len(key); i++ {
@@ -401,12 +351,6 @@ func (d *DragonflyLike) Get(key string) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	return v, err
-}
-
-// Delete implements System.
-func (d *DragonflyLike) Delete(key string) error {
-	d.do(key, func(e *engine.Engine) { e.Del(key) })
-	return nil
 }
 
 // MemBytes implements System: the engine's bytes, with the keys as
@@ -444,7 +388,6 @@ func (d *DragonflyLike) Close() error {
 // to the cache-class stores, which would invert the PC ordering the
 // paper reports in Fig. 11/12.
 type LSMStore struct {
-	name    string
 	db      *lsm.DB
 	reqCost time.Duration
 }
@@ -471,7 +414,7 @@ func NewCassandraLike(dir string) (*LSMStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LSMStore{name: "cassandra", db: db, reqCost: 20 * time.Microsecond}, nil
+	return &LSMStore{db: db, reqCost: 20 * time.Microsecond}, nil
 }
 
 // NewHBaseLike builds a leveled LSM store with a block cache (HBase's
@@ -487,11 +430,8 @@ func NewHBaseLike(dir string) (*LSMStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &LSMStore{name: "hbase", db: db, reqCost: 24 * time.Microsecond}, nil
+	return &LSMStore{db: db, reqCost: 24 * time.Microsecond}, nil
 }
-
-// Name implements System.
-func (s *LSMStore) Name() string { return s.name }
 
 // Set implements System.
 func (s *LSMStore) Set(key string, val []byte) error {
@@ -507,12 +447,6 @@ func (s *LSMStore) Get(key string) ([]byte, error) {
 		return nil, ErrNotFound
 	}
 	return v, err
-}
-
-// Delete implements System.
-func (s *LSMStore) Delete(key string) error {
-	spinCost(s.reqCost)
-	return s.db.Delete([]byte(key))
 }
 
 // MemBytes implements System: memtable + block cache.

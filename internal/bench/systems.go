@@ -95,7 +95,6 @@ func spin(d time.Duration) {
 // per-op CPU cost and replica accounting. It implements the same surface
 // as baselines.System.
 type TBSystem struct {
-	name     string
 	pool     *elastic.Pool
 	st       *stack.Stack
 	wlog     appendLog
@@ -114,10 +113,7 @@ func BuildTierBase(cfg TBConfig, dir string) (*TBSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &TBSystem{name: cfg.Name, st: st, opCost: cfg.OpCost, replicas: cfg.Replicas}
-	if s.name == "" {
-		s.name = "tierbase"
-	}
+	s := &TBSystem{st: st, opCost: cfg.OpCost, replicas: cfg.Replicas}
 	if s.wlog, err = openLog(cfg.Persist, dir); err != nil {
 		st.Close()
 		return nil, err
@@ -149,9 +145,6 @@ func openLog(persist, dir string) (appendLog, error) {
 	}
 	return nil, nil
 }
-
-// Name implements the system surface.
-func (s *TBSystem) Name() string { return s.name }
 
 // do is the harness's dispatch model. The op's in-memory part — its CPU
 // cost and, for the wal rows, the log append of rec — runs on the pool. A
@@ -199,11 +192,6 @@ func (s *TBSystem) Set(key string, val []byte) error {
 func (s *TBSystem) Get(key string) (v []byte, err error) {
 	err = s.do(nil, func() (err error) { v, err = s.st.Get(key); return })
 	return v, err
-}
-
-// Delete removes key; the wal rows log it first.
-func (s *TBSystem) Delete(key string) error {
-	return s.do(append([]byte{'D'}, key...), func() error { return s.st.Delete(key) })
 }
 
 // MemBytes sums DRAM across primary and replicas.

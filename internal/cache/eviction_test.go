@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"tierbase/internal/core"
 	"tierbase/internal/engine"
@@ -317,5 +318,23 @@ func TestSmallBudgetHoldsWhatItHeld(t *testing.T) {
 			t.Errorf("%d-byte values: %d keys resident in %d bytes, want at least %d in at most 2048", vlen, got, eng.MemUsed(), held)
 		}
 		tr.Close()
+	}
+}
+
+// TestExpireKeepsTheBudget: a key's first TTL moves its record to a slot with
+// room for the deadline, so EXPIRE grows the cache tier as a write does, and
+// as a write does it evicts back within the budget.
+func TestExpireKeepsTheBudget(t *testing.T) {
+	const budget = 2048
+	key := func(i int64) string { return fmt.Sprintf("k%03d", i) }
+	tr := newReadStore(t, 1, 100, budget, key)
+	at := time.Now().Add(time.Hour).UnixNano()
+	for i := int64(0); i < 100; i++ {
+		if !tr.ExpireAt(key(i), at) {
+			t.Fatalf("EXPIRE %s found no key", key(i))
+		}
+		if m := tr.eng.MemUsed(); m > budget {
+			t.Fatalf("after EXPIRE %s the cache tier holds %d bytes, over its %d", key(i), m, budget)
+		}
 	}
 }

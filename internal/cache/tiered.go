@@ -639,7 +639,8 @@ func (t *Tiered) Update(key string, fn func(old []byte, exists bool) []byte) err
 // under the lock first (hold, rmw.go: TTLs are cache-tier state). Reports
 // whether the key existed. The deadline is absolute on the wire too
 // (OpExpire): replicas applying the op late still expire the key at the
-// same instant the master did.
+// same instant the master did. A key's first TTL grows its record by the
+// deadline, so ExpireAt evicts back within the budget as a write does.
 func (t *Tiered) ExpireAt(key string, at int64) bool {
 	if t.closed.Load() {
 		return false
@@ -648,6 +649,7 @@ func (t *Tiered) ExpireAt(key string, at int64) bool {
 	if !t.eng.ExpireAt(key, at) {
 		return false
 	}
+	t.maybeEvict()
 	if t.sink != nil {
 		t.sink.Replicate(replication.ExpireOp(key, at))
 	}

@@ -133,43 +133,16 @@ func (c *Client) MSet(pairs map[string]string) error {
 // any tier (the server consults the storage tier for keys the cache no
 // longer holds).
 func (c *Client) Del(keys ...string) (int64, error) {
-	return c.del("DEL", keys)
-}
-
-// Unlink is DEL's non-blocking alias (Redis UNLINK); TierBase treats the
-// two identically.
-func (c *Client) Unlink(keys ...string) (int64, error) {
-	return c.del("UNLINK", keys)
-}
-
-func (c *Client) del(cmd string, keys []string) (int64, error) {
 	if len(keys) == 0 {
 		return 0, nil
 	}
-	return c.doInt(append([]string{cmd}, keys...)...)
-}
-
-// Incr increments a counter.
-func (c *Client) Incr(key string) (int64, error) {
-	return c.doInt("INCR", key)
-}
-
-// CAS performs compare-and-set; returns whether the swap happened.
-func (c *Client) CAS(key, oldVal, newVal string) (bool, error) {
-	n, err := c.doInt("CAS", key, oldVal, newVal)
-	return n == 1, err
-}
-
-// doInt runs a command whose reply is an integer; any other reply is an
-// error, not a panic.
-func (c *Client) doInt(args ...string) (int64, error) {
-	v, err := c.Do(args...)
+	v, err := c.Do(append([]string{"DEL"}, keys...)...)
 	if err != nil {
 		return 0, err
 	}
 	n, ok := v.(int64)
 	if !ok {
-		return 0, fmt.Errorf("client: unexpected %s reply %T", args[0], v)
+		return 0, fmt.Errorf("client: unexpected DEL reply %T", v)
 	}
 	return n, nil
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"maps"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -26,9 +25,10 @@ const refreshMinInterval = 50 * time.Millisecond
 // by key. It mirrors "TierBase clients ... retrieve cluster routing
 // information from the coordinator cluster for direct data access".
 // Every caller routing to the same node shares that node's Client, and so
-// takes turns on its connection. Dials happen outside the routing lock with
-// per-address singleflight: while one node is unreachable, only callers
-// of that node wait on the dial — routing to healthy nodes never blocks.
+// takes turns on its connection. Every step runs on the caller's
+// goroutine, and dials happen outside the routing lock: while one node is
+// unreachable, only callers of that node wait on a dial — routing to
+// healthy nodes never blocks.
 //
 // Redirect handling is typed (errors.As, no reply-text sniffing): a
 // *MovedError triggers a routing refresh (when the Router supports it)
@@ -39,7 +39,6 @@ type Routed struct {
 	router Router
 	mu     sync.Mutex
 	conns  map[string]*Client
-	dials  map[string]*dialFlight
 	closed bool
 
 	// refreshFn refetches routing state (set by NewCluster; nil for a
@@ -50,65 +49,43 @@ type Routed struct {
 	lastRefresh time.Time
 }
 
-// dialFlight is the per-address singleflight state: the first caller
-// needing an address dials with rc.mu released; later callers of the
-// same address wait on done and share the outcome.
-type dialFlight struct {
-	done chan struct{}
-	c    *Client
-	err  error
-}
-
 // NewRouted builds a routed client over a Router.
 func NewRouted(router Router) *Routed {
-	return &Routed{
-		router: router,
-		conns:  make(map[string]*Client),
-		dials:  make(map[string]*dialFlight),
-	}
+	return &Routed{router: router, conns: make(map[string]*Client)}
 }
 
 // clientForAddr returns the live Client for addr, dialing if needed. A
-// cached client whose connection went sticky-broken is dropped and
-// redialed, so one failed node round trip doesn't poison the address
-// forever. Dial errors are not cached: each new round of callers retries.
+// cached client whose connection went sticky-broken is replaced by a new
+// dial, so one failed node round trip doesn't poison the address forever.
+// Dial errors are not cached: each new caller retries. Callers that find
+// no live client each dial; the first to store a live one wins, and the
+// others close theirs and use it.
 func (rc *Routed) clientForAddr(addr string) (*Client, error) {
 	rc.mu.Lock()
-	if rc.closed {
-		rc.mu.Unlock()
+	c, closed := rc.conns[addr], rc.closed
+	rc.mu.Unlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	if c, ok := rc.conns[addr]; ok {
-		if c.Err() == nil {
-			rc.mu.Unlock()
-			return c, nil
-		}
-		delete(rc.conns, addr) // broken: fall through to redial
+	if c != nil && c.Err() == nil {
+		return c, nil
 	}
-	if d, ok := rc.dials[addr]; ok {
-		rc.mu.Unlock()
-		<-d.done
-		return d.c, d.err
-	}
-	d := &dialFlight{done: make(chan struct{})}
-	rc.dials[addr] = d
-	rc.mu.Unlock()
-
 	c, err := Dial(addr)
+	if err != nil {
+		return nil, err
+	}
 	rc.mu.Lock()
-	delete(rc.dials, addr)
-	closedUnderUs := rc.closed
-	if err == nil && !closedUnderUs {
-		rc.conns[addr] = c
-	}
-	rc.mu.Unlock()
-	if err == nil && closedUnderUs {
+	defer rc.mu.Unlock()
+	if rc.closed {
 		c.Close()
-		c, err = nil, ErrClosed
+		return nil, ErrClosed
 	}
-	d.c, d.err = c, err
-	close(d.done)
-	return c, err
+	if old := rc.conns[addr]; old != nil && old.Err() == nil {
+		c.Close()
+		return old, nil
+	}
+	rc.conns[addr] = c
+	return c, nil
 }
 
 // Refresh refetches the routing table immediately (no rate limit).
@@ -226,12 +203,10 @@ func (rc *Routed) doRouted(key string, fn func(c *Client) error) error {
 	})
 }
 
-// fanOut is one attempt at a batch: keys group by owning node, do runs once
-// per node on that node's keys, all nodes in parallel, and the first error
-// is the batch's. do merges its own result, under its own lock.
+// fanOut is one attempt at a batch: keys group by owning node, and do
+// runs once per node on that node's keys, one node after another. The
+// first error ends the attempt and is the batch's.
 func (rc *Routed) fanOut(keys []string, do func(c *Client, nodeKeys []string) error) error {
-	// Route every key before spawning anything: returning mid-iteration
-	// would orphan per-node goroutines already in flight.
 	groups := make(map[string][]string)
 	for _, k := range keys {
 		addr := rc.router.AddrFor(k)
@@ -240,28 +215,16 @@ func (rc *Routed) fanOut(keys []string, do func(c *Client, nodeKeys []string) er
 		}
 		groups[addr] = append(groups[addr], k)
 	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	var firstErr error
 	for addr, nodeKeys := range groups {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			c, err := rc.clientForAddr(addr)
-			if err == nil {
-				err = do(c, nodeKeys)
-			}
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}()
+		c, err := rc.clientForAddr(addr)
+		if err == nil {
+			err = do(c, nodeKeys)
+		}
+		if err != nil {
+			return err
+		}
 	}
-	wg.Wait()
-	return firstErr
+	return nil
 }
 
 // Set routes a SET by key, following redirects.
@@ -283,18 +246,15 @@ func (rc *Routed) Get(key string) (string, error) {
 }
 
 // MGet fetches many keys across the cluster: keys group by owning node,
-// each node receives one MGET, and the node round trips run in parallel.
-// Absent keys are omitted from the result. Redirects and node failures
-// re-split the batch against a refreshed table.
+// and each node receives one MGET. Absent keys are omitted from the
+// result. Redirects and node failures re-split the batch against a
+// refreshed table.
 func (rc *Routed) MGet(keys ...string) (map[string]string, error) {
 	var out map[string]string
 	err := rc.retry(false, func(string) error {
 		out = make(map[string]string, len(keys))
-		var mu sync.Mutex
 		return rc.fanOut(keys, func(c *Client, nodeKeys []string) error {
 			got, err := c.MGet(nodeKeys...)
-			mu.Lock()
-			defer mu.Unlock()
 			maps.Copy(out, got)
 			return err
 		})
@@ -305,47 +265,8 @@ func (rc *Routed) MGet(keys ...string) (map[string]string, error) {
 	return out, nil
 }
 
-// MSet stores many pairs across the cluster: pairs group by owning node,
-// one MSET per node, node round trips in parallel. Redirects and node
-// failures re-split the batch against a refreshed table.
-func (rc *Routed) MSet(pairs map[string]string) error {
-	keys := make([]string, 0, len(pairs))
-	for k := range pairs {
-		keys = append(keys, k)
-	}
-	return rc.retry(false, func(string) error {
-		return rc.fanOut(keys, func(c *Client, nodeKeys []string) error {
-			sub := make(map[string]string, len(nodeKeys))
-			for _, k := range nodeKeys {
-				sub[k] = pairs[k]
-			}
-			return c.MSet(sub)
-		})
-	})
-}
-
-// Del removes keys across the cluster: keys group by owning node, each
-// node receives one DEL, node round trips run in parallel, and the
-// deleted counts sum. Redirects and node failures re-split the batch
-// against a refreshed table.
-func (rc *Routed) Del(keys ...string) (int64, error) {
-	var total atomic.Int64
-	err := rc.retry(false, func(string) error {
-		total.Store(0)
-		return rc.fanOut(keys, func(c *Client, nodeKeys []string) error {
-			n, err := c.Del(nodeKeys...)
-			total.Add(n)
-			return err
-		})
-	})
-	if err != nil {
-		return 0, err
-	}
-	return total.Load(), nil
-}
-
-// Close closes all node connections. Dials still in flight complete and
-// are closed on arrival; callers waiting on them get ErrClosed.
+// Close closes all node connections. A dial still in flight is closed on
+// arrival, and its caller gets ErrClosed.
 func (rc *Routed) Close() error {
 	rc.mu.Lock()
 	rc.closed = true

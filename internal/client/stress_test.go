@@ -270,3 +270,56 @@ func TestRoutedRedialsBrokenNode(t *testing.T) {
 type singleRouter string
 
 func (r singleRouter) AddrFor(string) string { return string(r) }
+
+// TestRoutedConcurrentDialsKeepOneClient: callers that reach a node before
+// any client to it exists each dial it; the first client stored serves them
+// all, and the others are closed, so the node is left with one connection
+// from this Routed.
+func TestRoutedConcurrentDialsKeepOneClient(t *testing.T) {
+	s, err := server.Start(server.Config{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rc := client.NewRouted(singleRouter(s.Addr()))
+	defer rc.Close()
+
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			key := fmt.Sprintf("k%d", g)
+			if err := rc.Set(key, key); err != nil {
+				t.Errorf("set %s: %v", key, err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	probe, err := client.Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer probe.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		info, err := probe.Info("overload")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info["connected_clients"] == "2" { // the Routed's one and the probe
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("connected_clients = %s, want the Routed's one and the probe's", info["connected_clients"])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got, err := rc.MGet("k0", "k7"); err != nil || got["k0"] != "k0" || got["k7"] != "k7" {
+		t.Fatalf("mget after the dial race: %v %v", got, err)
+	}
+}

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 )
 
 // A string key is stored in its record packed: each maximal run of ASCII
@@ -117,7 +118,9 @@ func appendUnpacked(dst, packed []byte) []byte {
 			i++
 			v = v<<8 | uint64(packed[i])
 		}
-		dst = append(dst, make([]byte, n)...)
+		// Grown in place, not by append of a make: the compiler turns that
+		// into no allocation only when race instrumentation is off.
+		dst = slices.Grow(dst, n)[:len(dst)+n]
 		for k := len(dst) - 1; k >= len(dst)-n; k-- {
 			dst[k] = byte('0' + v%10)
 			v /= 10

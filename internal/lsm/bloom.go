@@ -18,29 +18,23 @@ import (
 )
 
 // bloomFilter is a standard Bloom filter with double hashing
-// (Kirsch-Mitzenmacher), k derived from bits-per-key.
+// (Kirsch-Mitzenmacher).
 type bloomFilter struct {
 	bits []byte
 	k    uint32
 }
 
-// newBloom sizes a filter for n keys at bitsPerKey.
-func newBloom(n int, bitsPerKey int) *bloomFilter {
-	if bitsPerKey < 1 {
-		bitsPerKey = 10
-	}
-	nBits := n * bitsPerKey
-	if nBits < 64 {
-		nBits = 64
-	}
-	k := uint32(float64(bitsPerKey) * 0.69) // ln2 * bitsPerKey
-	if k < 1 {
-		k = 1
-	}
-	if k > maxBloomK {
-		k = maxBloomK
-	}
-	return &bloomFilter{bits: make([]byte, (nBits+7)/8), k: k}
+// Every table's filter spends bloomBitsPerKey bits a key and probes bloomK
+// times (ln 2 × bloomBitsPerKey, rounded down): about 1 % false positives.
+const (
+	bloomBitsPerKey = 10
+	bloomK          = 6
+)
+
+// newBloom sizes a filter for n keys.
+func newBloom(n int) *bloomFilter {
+	nBits := max(n*bloomBitsPerKey, 64)
+	return &bloomFilter{bits: make([]byte, (nBits+7)/8), k: bloomK}
 }
 
 // FNV-1a, 64 bit: bloomHash is hash/fnv's New64a written out, because a
@@ -101,8 +95,8 @@ func (b *bloomFilter) Marshal() []byte {
 
 var errBadBloom = errors.New("lsm: bad sstable bloom block")
 
-// maxBloomK is the most probes newBloom asks for; a filter that claims more
-// was not written by Marshal.
+// maxBloomK is the most probes a filter read from a table may claim; a
+// filter that claims more is damaged.
 const maxBloomK = 30
 
 // unmarshalBloom decodes a filter produced by Marshal. A block too short

@@ -32,7 +32,6 @@ type Options struct {
 	MemtableBytes       int64 // flush threshold; default 4 MiB
 	MaxImmutables       int   // sealed-memtable backlog before writers wait; default 2
 	BlockBytes          int   // data block target; default 4 KiB
-	BloomBitsPerKey     int   // 0 = default 10; -1 disables bloom filters
 	BlockCacheBytes     int64 // default 8 MiB; 0 uses default, -1 disables
 	L0CompactionTrigger int   // default 4
 	BaseLevelBytes      int64 // L1 size limit; default 16 MiB
@@ -56,9 +55,6 @@ func (o *Options) fill() {
 	}
 	if o.BlockBytes <= 0 {
 		o.BlockBytes = 4 << 10
-	}
-	if o.BloomBitsPerKey == 0 {
-		o.BloomBitsPerKey = 10
 	}
 	if o.BlockCacheBytes == 0 {
 		o.BlockCacheBytes = 8 << 20

@@ -591,15 +591,6 @@ func TestDBStats(t *testing.T) {
 	}
 }
 
-func TestDBDisabledBloomStillWorks(t *testing.T) {
-	db := testDB(t, Options{BloomBitsPerKey: -1, DisableWAL: true})
-	db.Put([]byte("nb"), []byte("v"))
-	db.Flush()
-	if v, err := db.Get([]byte("nb")); err != nil || string(v) != "v" {
-		t.Fatalf("%q %v", v, err)
-	}
-}
-
 // helpers avoiding os import churn in the property test
 
 func newTempDir() (string, error) { return mkdirTemp("", "lsmprop") }

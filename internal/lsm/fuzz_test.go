@@ -27,7 +27,7 @@ func FuzzManifest(f *testing.F) {
 	metas := make([]tableMeta, len(tables))
 	seq := uint64(0)
 	for i, tt := range tables {
-		tb, err := newTableBuilder(tableFileName(src, tt.num), 128, 10)
+		tb, err := newTableBuilder(tableFileName(src, tt.num), 128)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -154,7 +154,7 @@ func FuzzManifest(f *testing.F) {
 func FuzzOpenTable(f *testing.F) {
 	// One real table, small enough that the engine can minimise around it.
 	seedDir := f.TempDir()
-	tb, err := newTableBuilder(tableFileName(seedDir, 1), 128, 10)
+	tb, err := newTableBuilder(tableFileName(seedDir, 1), 128)
 	if err != nil {
 		f.Fatal(err)
 	}

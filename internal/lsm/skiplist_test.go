@@ -156,7 +156,7 @@ func TestSkiplistLarge(t *testing.T) {
 }
 
 func TestBloomNoFalseNegatives(t *testing.T) {
-	b := newBloom(1000, 10)
+	b := newBloom(1000)
 	for i := 0; i < 1000; i++ {
 		b.add(bloomHash([]byte(fmt.Sprintf("key-%d", i))))
 	}
@@ -168,7 +168,7 @@ func TestBloomNoFalseNegatives(t *testing.T) {
 }
 
 func TestBloomRejectsMost(t *testing.T) {
-	b := newBloom(1000, 10)
+	b := newBloom(1000)
 	for i := 0; i < 1000; i++ {
 		b.add(bloomHash([]byte(fmt.Sprintf("key-%d", i))))
 	}
@@ -185,7 +185,7 @@ func TestBloomRejectsMost(t *testing.T) {
 }
 
 func TestBloomMarshalRoundTrip(t *testing.T) {
-	b := newBloom(100, 10)
+	b := newBloom(100)
 	b.add(bloomHash([]byte("present")))
 	b2, err := unmarshalBloom(b.Marshal())
 	if err != nil {

@@ -70,7 +70,6 @@ type tableBuilder struct {
 	w         *bufio.Writer
 	path      string
 	blockSize int
-	bloomBPK  int
 
 	blockBuf  []byte // the data block being filled
 	indexEnts []indexEntry
@@ -89,7 +88,7 @@ type indexEntry struct {
 	crc     uint32
 }
 
-func newTableBuilder(path string, blockSize, bloomBitsPerKey int) (*tableBuilder, error) {
+func newTableBuilder(path string, blockSize int) (*tableBuilder, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: create table: %w", err)
@@ -99,7 +98,7 @@ func newTableBuilder(path string, blockSize, bloomBitsPerKey int) (*tableBuilder
 	}
 	return &tableBuilder{
 		f: f, w: bufio.NewWriterSize(f, 256<<10), path: path,
-		blockSize: blockSize, bloomBPK: bloomBitsPerKey,
+		blockSize: blockSize,
 	}, nil
 }
 
@@ -180,7 +179,7 @@ func (b *tableBuilder) finish(num uint64) (tableMeta, error) {
 	b.off += uint64(idx.Len())
 
 	// bloom
-	bloom := newBloom(len(b.hashes)/2, b.bloomBPK)
+	bloom := newBloom(len(b.hashes) / 2)
 	for i := 0; i < len(b.hashes); i += 2 {
 		bloom.add(b.hashes[i], b.hashes[i+1])
 	}

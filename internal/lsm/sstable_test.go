@@ -12,7 +12,7 @@ import (
 
 func buildTestTable(t *testing.T, dir string, n int, cache *blockCache) (*tableReader, tableMeta) {
 	t.Helper()
-	tb, err := newTableBuilder(tableFileName(dir, 1), 512, 10)
+	tb, err := newTableBuilder(tableFileName(dir, 1), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestSSTableMissingKeys(t *testing.T) {
 
 func TestSSTableOutOfOrderRejected(t *testing.T) {
 	dir := t.TempDir()
-	tb, err := newTableBuilder(tableFileName(dir, 1), 512, 10)
+	tb, err := newTableBuilder(tableFileName(dir, 1), 512)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestSSTableIteratorSeekGE(t *testing.T) {
 
 func TestSSTableTombstonesPreserved(t *testing.T) {
 	dir := t.TempDir()
-	tb, _ := newTableBuilder(tableFileName(dir, 1), 512, 10)
+	tb, _ := newTableBuilder(tableFileName(dir, 1), 512)
 	tb.add([]byte("dead"), memEntry{seq: 5, kind: kindDelete})
 	tb.add([]byte("live"), memEntry{seq: 6, value: []byte("v")})
 	meta, err := tb.finish(1)
@@ -282,7 +282,7 @@ func TestGoldenTableFromParentBuilder(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	tb, err := newTableBuilder(tableFileName(dir, 7), 512, 10)
+	tb, err := newTableBuilder(tableFileName(dir, 7), 512)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -333,7 +333,7 @@ func TestElasticModeChangeStress(t *testing.T) {
 					case 1:
 						c.Get(fmt.Sprintf("cold%d-%d-%d", b, g, i))
 					case 2:
-						if _, err := c.Incr(fmt.Sprintf("ctr%d", g)); err != nil {
+						if _, err := c.Do("INCR", fmt.Sprintf("ctr%d", g)); err != nil {
 							t.Errorf("incr: %v", err)
 							return
 						}

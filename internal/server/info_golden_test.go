@@ -139,7 +139,7 @@ func goldenWorkload(t *testing.T, c *client.Client) {
 	if n, err := c.Del("gk07"); err != nil || n != 1 {
 		t.Fatalf("DEL: %d %v", n, err)
 	}
-	if _, err := c.Incr("counter"); err != nil {
+	if _, err := c.Do("INCR", "counter"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Do("MSET", "m0", "a", "m1", "bb", "m2", "ccc"); err != nil {

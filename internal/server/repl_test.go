@@ -70,7 +70,7 @@ func TestReplicationStreamsWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := mc.Incr("counter"); err != nil {
+	if _, err := mc.Do("INCR", "counter"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := mc.Do("LPUSH", "list", "a", "b", "c"); err != nil {
@@ -475,7 +475,7 @@ func TestSetIncrOrderingConverges(t *testing.T) {
 						t.Error(err)
 						return
 					}
-				} else if _, err := c.Incr("hot"); err != nil {
+				} else if _, err := c.Do("INCR", "hot"); err != nil {
 					// INCR on a non-integer SET value is a legal error.
 					if !strings.Contains(err.Error(), "integer") {
 						t.Error(err)

@@ -362,7 +362,7 @@ func TestTornFullSyncStartsOver(t *testing.T) {
 		t.Fatal("the replica never redialed after the torn snapshot")
 	}
 	for i := 0; i <= p-10; i++ { // the new master's head passes p
-		if _, err := nmc.Incr("counter"); err != nil {
+		if _, err := nmc.Do("INCR", "counter"); err != nil {
 			t.Fatal(err)
 		}
 	}

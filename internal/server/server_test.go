@@ -60,7 +60,7 @@ func TestStringCommands(t *testing.T) {
 		t.Fatalf("del: %d %v", n, err)
 	}
 	c.Set("u", "v")
-	if n, err := c.Unlink("u", "missing"); err != nil || n != 1 {
+	if n, err := c.Do("UNLINK", "u", "missing"); err != nil || n != int64(1) {
 		t.Fatalf("unlink: %d %v", n, err)
 	}
 	// SETNX
@@ -85,8 +85,8 @@ func TestStringCommands(t *testing.T) {
 
 func TestCounters(t *testing.T) {
 	_, c := startTestServer(t, Config{})
-	n, err := c.Incr("ctr")
-	if err != nil || n != 1 {
+	n, err := c.Do("INCR", "ctr")
+	if err != nil || n != int64(1) {
 		t.Fatalf("incr: %d %v", n, err)
 	}
 	v, _ := c.Do("INCRBY", "ctr", "10")
@@ -145,12 +145,12 @@ func TestCountersRefuseOutOfRange(t *testing.T) {
 func TestCASCommand(t *testing.T) {
 	_, c := startTestServer(t, Config{})
 	c.Set("k", "v1")
-	ok, err := c.CAS("k", "v1", "v2")
-	if err != nil || !ok {
+	ok, err := c.Do("CAS", "k", "v1", "v2")
+	if err != nil || ok != int64(1) {
 		t.Fatalf("cas: %v %v", ok, err)
 	}
-	ok, err = c.CAS("k", "v1", "v3")
-	if err != nil || ok {
+	ok, err = c.Do("CAS", "k", "v1", "v3")
+	if err != nil || ok != int64(0) {
 		t.Fatalf("stale cas: %v %v", ok, err)
 	}
 	v, _ := c.Get("k")

@@ -441,7 +441,9 @@ func TestStoreCloseWaitsForCalls(t *testing.T) {
 // TestStoreMixedOpsUnderWriteBack: IncrBy, CompareAndSet, MSet, MGet,
 // Expire, FlushDirty and BatchDelete run at once on overlapping keys, under
 // write-back with a cache small enough to evict. No call fails, and no
-// increment is lost.
+// increment is lost. The 20 keys the workers share fit the 2 KB budget
+// about as often as not, so the cache starts over it: clean keys worth
+// several times the budget, which the workers' first writes evict.
 func TestStoreMixedOpsUnderWriteBack(t *testing.T) {
 	s, err := Open(Options{Policy: WriteBack, Dir: t.TempDir(), CacheCapacityBytes: 2 << 10})
 	if err != nil {
@@ -450,6 +452,14 @@ func TestStoreMixedOpsUnderWriteBack(t *testing.T) {
 	defer s.Close()
 	const workers, each, counters = 4, 300, 4
 	val := bytes.Repeat([]byte("v"), 100)
+	for i := 0; i < 64; i++ {
+		if err := s.Set(fmt.Sprintf("fill%d", i), val); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.FlushDirty(); err != nil {
+		t.Fatal(err)
+	}
 	key := func(i int) string { return fmt.Sprintf("k%d", i%16) }
 	ctr := func(i int) string { return fmt.Sprintf("n%d", i%counters) }
 	var wg sync.WaitGroup
