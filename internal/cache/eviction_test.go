@@ -338,3 +338,61 @@ func TestExpireKeepsTheBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestEvictionPassesAPinnedStripe: a stripe whose every key is dirty is
+// passed over, not the end of the attempt. The hand is put just before such
+// a stripe while the others hold clean keys, and one more dirty write there
+// takes the cache over its budget: the write must leave it within the
+// budget, by evicting from the stripes after it.
+func TestEvictionPassesAPinnedStripe(t *testing.T) {
+	val := bytes.Repeat([]byte("v"), 100)
+	probe := engine.New(engine.Options{})
+	const pinned = 3
+	var clean, dirty []string
+	for i := 0; len(clean) < 30 || len(dirty) < 6; i++ {
+		k := fmt.Sprintf("k%03d", i)
+		if probe.ShardIndex(k) != pinned {
+			clean = append(clean, k)
+		} else {
+			dirty = append(dirty, k)
+		}
+	}
+	clean, trigger, dirty := clean[:30], dirty[5], dirty[:5]
+	for _, k := range append(clean, dirty...) {
+		probe.Set(k, val)
+	}
+	capacity := probe.MemUsed() // all but the trigger fit exactly
+
+	eng := engine.New(engine.Options{})
+	tr, err := New(Options{
+		Policy: WriteBack, Engine: eng, Storage: NewMapStorage(),
+		CacheCapacityBytes: capacity,
+		FlushInterval:      time.Hour, FlushBatch: 100000, MaxDirty: 100000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	for _, k := range clean {
+		tr.Set(k, val)
+	}
+	tr.FlushDirty()
+	for _, k := range dirty {
+		tr.Set(k, val)
+	}
+	if eng.Len() != len(clean)+len(dirty) || eng.MemUsed() != capacity {
+		t.Fatalf("set-up evicted: %d keys in %d bytes, budget %d", eng.Len(), eng.MemUsed(), capacity)
+	}
+	n := uint32(len(tr.pinned))
+	tr.evictHand.Store(pinned + n - 1) // the next stripe the hand takes is the dirty one
+	tr.Set(trigger, val)
+	if m := eng.MemUsed(); m > capacity {
+		t.Fatalf("after a write to the all-dirty stripe the cache tier holds %d bytes, over its %d, with %d keys resident",
+			m, capacity, eng.Len())
+	}
+	for _, k := range append(dirty, trigger) {
+		if !eng.Exists(k) {
+			t.Fatalf("dirty key %s evicted", k)
+		}
+	}
+}

@@ -238,9 +238,9 @@ func New(opts Options) (*Tiered, error) {
 // check runs under the engine's stripe lock a key cannot turn dirty between
 // the check and its removal. So is the key of a Mutate in flight, whose
 // outcome is read back from the engine (rmw.go). A stripe whose every
-// resident key is pinned ends the attempt after one lap of that stripe; the
-// next attempt starts at the stripe after it, and the flusher's next round
-// unpins the rest.
+// resident key is pinned gives up after a lap of its own and the hand goes
+// on to the next; the attempt ends when a whole round of the stripes has
+// evicted nothing, and the flusher's next round unpins the rest.
 func (t *Tiered) maybeEvict() {
 	capacity := t.opts.CacheCapacityBytes
 	if capacity <= 0 {
@@ -253,14 +253,15 @@ func (t *Tiered) maybeEvict() {
 		return
 	}
 	n := uint32(len(t.pinned))
-	for t.eng.MemUsed() > capacity {
+	for idle := uint32(0); idle < n && t.eng.MemUsed() > capacity; {
 		si := int(t.evictHand.Add(1) % n)
-		if t.eng.ShardMemUsed(si) == 0 {
-			continue // an empty stripe costs an atomic load and no lock
+		// An empty stripe costs an atomic load and no lock; one whose every
+		// key is pinned, a lap of its own.
+		if t.eng.ShardMemUsed(si) == 0 || !t.eng.Evict(si, t.pinned[si]) {
+			idle++
+			continue
 		}
-		if !t.eng.Evict(si, t.pinned[si]) {
-			return // every key there is pinned; the flusher will unblock us
-		}
+		idle = 0
 		t.evictions.Add(1)
 	}
 }

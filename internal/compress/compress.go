@@ -34,6 +34,10 @@ type Compressor interface {
 	Compress(src []byte) []byte
 	// Decompress reverses Compress.
 	Decompress(src []byte) ([]byte, error)
+	// Len is the length of the one encoding enc starts with: what follows
+	// it in enc is not read. An encoding whose end only the caller knows
+	// (Raw's, PBC's escape) takes all of enc.
+	Len(enc []byte) (int, error)
 }
 
 // ErrCorrupt reports undecodable compressed data.
@@ -53,6 +57,11 @@ func (Raw) Compress(src []byte) []byte { return src }
 
 // Decompress implements Compressor.
 func (Raw) Decompress(src []byte) ([]byte, error) { return src, nil }
+
+// Len implements Compressor: a raw value has no end of its own. The engine
+// never stores one as compressed, since keeping it does not make it
+// shorter.
+func (Raw) Len(enc []byte) (int, error) { return len(enc), nil }
 
 // ByName constructs a compressor from its name; level applies to deflate
 // variants (1..9; 0 = default 6).

@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -40,6 +41,47 @@ func TestRoundTripAllCompressors(t *testing.T) {
 			if !bytes.Equal(got, rec) {
 				t.Fatalf("%s: roundtrip mismatch:\n got %q\nwant %q", c.Name(), got, rec)
 			}
+			// Every encoding but raw's ends where it says it does.
+			enc, want := comp, len(comp)
+			if c.Name() != "raw" {
+				enc = append(slices.Clip(comp), 0xA5, 0x80, 0)
+			}
+			if n, err := c.Len(enc); n != want || err != nil {
+				t.Fatalf("%s: Len = %d (%v), want %d", c.Name(), n, err, want)
+			}
+		}
+	}
+}
+
+// TestPBCManyPatterns trains 256 patterns, so that a pattern id takes 8
+// bits and the header bits run into a record's second byte: every record
+// round-trips, ends where Len says, and no matched record starts with the
+// escape byte.
+func TestPBCManyPatterns(t *testing.T) {
+	var samples, recs [][]byte
+	for i := 0; i < 256; i++ {
+		for j := 0; j < 4; j++ {
+			// Token counts differ from one i to the next: no two shapes merge.
+			rec := []byte(strings.Repeat("a-", i) + "n=" + strconv.Itoa(i*4+j))
+			samples = append(samples, rec)
+			recs = append(recs, rec, append(slices.Clip(rec), '7'))
+		}
+	}
+	p := NewPBC()
+	p.Train(samples)
+	if n := len(p.set.Load().patterns); n < 200 {
+		t.Fatalf("%d patterns, want 256", n)
+	}
+	for _, rec := range recs {
+		comp := p.Compress(rec)
+		if IsEscape(comp) {
+			t.Fatalf("%q escaped", rec)
+		}
+		if got, err := p.Decompress(comp); err != nil || !bytes.Equal(got, rec) {
+			t.Fatalf("%q -> % x -> %q (%v)", rec, comp, got, err)
+		}
+		if n, err := p.Len(append(slices.Clip(comp), 0, 0)); n != len(comp) || err != nil {
+			t.Fatalf("%q: Len = %d (%v), want %d", rec, n, err, len(comp))
 		}
 	}
 }
@@ -164,7 +206,7 @@ func TestPBCPatternsExtracted(t *testing.T) {
 }
 
 // hasException reports whether a matched record carries an exception bitmap.
-func hasException(comp []byte) bool { return comp[0]&1 != 0 }
+func hasException(comp []byte) bool { return comp[0]&headException != 0 }
 
 // TestPBCNoExceptionsOnTrainedSchema: a schema's closed value sets and
 // number ranges are all in the training sample, so live records of that
@@ -203,7 +245,8 @@ func TestPBCUntrainedEscapes(t *testing.T) {
 
 // numericPBC is trained on "id=<n>;pad=<4 digits>": a literal, a
 // variable-width number (0..693: base 0, 10 bits), a literal, a fixed-width
-// number (0000..0099: base 0, 7 bits). The bit field is 17 bits, 3 bytes.
+// number (0000..0099: base 0, 7 bits). One pattern, so its id takes no
+// bits: the bit field is the 2 header bits and 17 slot bits, 3 bytes.
 func numericPBC() *PBC {
 	p := NewPBC()
 	var samples [][]byte
@@ -218,18 +261,18 @@ func TestPBCNumericSlots(t *testing.T) {
 	p := numericPBC()
 	for _, tc := range []struct {
 		src  string
-		size int // header + bitmap + bit field + payload bytes; no per-slot mode byte
+		size int // bit field (header bits included) + bitmap + payload bytes; no per-slot mode byte
 	}{
 		// Past the trained range: the all-ones code, then the excess.
-		{"id=999999;pad=0042", 1 + 3 + 3}, // uvarint(999999 - 1023)
-		{"id=0;pad=0000", 1 + 3},
-		{"id=123;pad=9999", 1 + 3 + 2}, // uvarint(9999 - 127)
+		{"id=999999;pad=0042", 3 + 3}, // uvarint(999999 - 1023)
+		{"id=0;pad=0000", 3},
+		{"id=123;pad=9999", 3 + 2}, // uvarint(9999 - 127)
 		// 20 digits do not fit a uint64 slot: that slot alone goes raw
 		// (bitmap + length + digits), the other stays in the field.
-		{"id=12345678901234567890;pad=0042", 1 + 1 + 3 + 21},
+		{"id=12345678901234567890;pad=0042", 3 + 1 + 21},
 		// Leading zero in a variable-width slot, wrong width in a fixed one.
-		{"id=007;pad=0042", 1 + 1 + 3 + 4},
-		{"id=7;pad=42", 1 + 1 + 3 + 3},
+		{"id=007;pad=0042", 3 + 1 + 4},
+		{"id=7;pad=42", 3 + 1 + 3},
 	} {
 		comp := p.Compress([]byte(tc.src))
 		got, err := p.Decompress(comp)
@@ -238,6 +281,9 @@ func TestPBCNumericSlots(t *testing.T) {
 		}
 		if IsEscape(comp) || len(comp) != tc.size {
 			t.Errorf("%q compressed to %d B (% x), want %d", tc.src, len(comp), comp, tc.size)
+		}
+		if n, err := p.Len(append(comp, 0xA5, 0)); n != len(comp) || err != nil {
+			t.Errorf("%q: Len = %d (%v), want %d", tc.src, n, err, len(comp))
 		}
 	}
 }
@@ -252,8 +298,8 @@ func TestPBCBitField(t *testing.T) {
 	pat := &p.set.Load().patterns[0]
 	rec := ds.Record(77) // a ledger key's value: its index is within the sample's range
 	clean := p.Compress(rec)
-	if IsEscape(clean) || hasException(clean) || len(clean) != 1+pat.fieldBytes || len(clean) != 14 {
-		t.Fatalf("in-range KV1 record compressed to %d B (% x), want 14: header + %d field bytes",
+	if IsEscape(clean) || hasException(clean) || len(clean) != pat.fieldBytes || len(clean) != 13 {
+		t.Fatalf("in-range KV1 record compressed to %d B (% x), want 13: the %d field bytes, header bits included",
 			len(clean), clean, pat.fieldBytes)
 	}
 
@@ -299,18 +345,19 @@ func TestPBCBitField(t *testing.T) {
 		if got, err := wide.Decompress(comp); err != nil || !bytes.Equal(got, src) {
 			t.Fatalf("%s: roundtrip -> %q (%v)", n, got, err)
 		}
-		if exc := len(n) > maxNumDigits; IsEscape(comp) || hasException(comp) != exc || !exc && len(comp) != 1+8 {
-			t.Errorf("%s: % x, want header + 8 field bytes (20 digits: an exception)", n, comp)
+		if exc := len(n) > maxNumDigits; IsEscape(comp) || hasException(comp) != exc || !exc && len(comp) != 9 {
+			t.Errorf("%s: % x, want 9 field bytes: 2 header bits and 64 (20 digits: an exception)", n, comp)
 		}
 	}
-	allOnes := []byte{2, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
+	// Header bits 01 (matched, no bitmap), then the 64 bits all set.
+	allOnes := []byte{0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x03}
 	if got, err := wide.Decompress(append(allOnes, 0)); err != nil || string(got) != "n=18446744073709551615" {
 		t.Errorf("all-ones code + excess 0: %q (%v), want MaxUint64", got, err)
 	}
 
 	// The all-ones code with a truncated or overflowing excess is corrupt.
 	num := numericPBC()
-	idOnes := []byte{2, 0xff, 0x03, 0} // num: id's 10 bits all set, pad 0
+	idOnes := []byte{0xfd, 0x0f, 0} // num: header bits 01, id's 10 bits all set, pad 0
 	for _, tc := range []struct {
 		name string
 		p    *PBC
@@ -374,10 +421,13 @@ func TestPBCDecompressBoundedWork(t *testing.T) {
 		append(binary.AppendUvarint([]byte{1, 3}, 20000), 0),
 		append(binary.AppendUvarint([]byte{1, 3}, 200000), 0),
 		append(append([]byte{1, 3}, huge...), 0),
-		// This format: a fixed-width slot holding more digits than trained,
-		// a raw exception longer than the buffer, a truncated bitmap.
-		append([]byte{2, 1}, huge...),
-		append(append([]byte{3, 0b11}, huge...), 0),
+		// This format: a fixed-width slot holding more digits than trained
+		// (pad's 7 bits, 12-18, at the all-ones code, then a huge excess), a
+		// raw exception longer than the buffer, a truncated bitmap, a
+		// truncated field.
+		append([]byte{0x01, 0xf0, 0x07}, huge...),
+		append(append([]byte{0x03, 0, 0, 0b11}, huge...), 0),
+		{0x03, 0, 0},
 		{3},
 	} {
 		var before, after runtime.MemStats
@@ -414,6 +464,9 @@ func TestPBCAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(200, func() { benchSink, _ = p.Decompress(comp) }); n != 1 {
 			t.Errorf("%s: Decompress allocates %.0f times, want 1", ds.Name(), n)
+		}
+		if n := testing.AllocsPerRun(200, func() { p.Len(comp) }); n != 0 {
+			t.Errorf("%s: Len allocates %.0f times, want 0", ds.Name(), n)
 		}
 	}
 }

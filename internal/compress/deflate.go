@@ -3,6 +3,7 @@ package compress
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
@@ -65,15 +66,29 @@ type pooledWriter struct {
 	gen int
 }
 
-// Compress implements Compressor.
+// Compress implements Compressor: the DEFLATE stream behind a uvarint of
+// its length, so that the encoding delimits itself (Len).
 func (d *Deflate) Compress(src []byte) []byte {
+	out := d.stream(src, binary.MaxVarintLen64)
+	var frame [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(frame[:], uint64(len(out)-len(frame)))
+	start := len(frame) - w
+	copy(out[start:], frame[:w])
+	return out[start:]
+}
+
+// stream returns src's DEFLATE stream, unframed, after pad (at most
+// binary.MaxVarintLen64) bytes of room for a frame.
+func (d *Deflate) stream(src []byte, pad int) []byte {
 	d.mu.RLock()
 	dict := d.dict
 	gen := d.wgen
 	d.mu.RUnlock()
 
 	var buf bytes.Buffer
-	buf.Grow(len(src)/2 + 16)
+	buf.Grow(pad + len(src)/2 + 16)
+	var room [binary.MaxVarintLen64]byte
+	buf.Write(room[:pad])
 	var fw *flate.Writer
 	if pw, ok := d.wpool.Get().(*pooledWriter); ok && pw.gen == gen {
 		fw = pw.w
@@ -96,8 +111,26 @@ func (d *Deflate) Compress(src []byte) []byte {
 	return buf.Bytes()
 }
 
-// Decompress implements Compressor.
+// Len implements Compressor: the length uvarint and the stream it counts.
+func (d *Deflate) Len(enc []byte) (int, error) {
+	l, n := binary.Uvarint(enc)
+	if n <= 0 || l > uint64(len(enc)-n) {
+		return 0, fmt.Errorf("%w: bad deflate frame", ErrCorrupt)
+	}
+	return n + int(l), nil
+}
+
+// Decompress implements Compressor. The frame must span src exactly.
 func (d *Deflate) Decompress(src []byte) ([]byte, error) {
+	l, n := binary.Uvarint(src)
+	if n <= 0 || l != uint64(len(src)-n) {
+		return nil, fmt.Errorf("%w: bad deflate frame", ErrCorrupt)
+	}
+	return d.inflate(src[n:])
+}
+
+// inflate reverses stream.
+func (d *Deflate) inflate(src []byte) ([]byte, error) {
 	d.mu.RLock()
 	dict := d.dict
 	d.mu.RUnlock()

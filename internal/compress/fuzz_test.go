@@ -31,7 +31,8 @@ func patternOf(p *PBC, rec []byte) *pattern {
 }
 
 // FuzzPBCRoundTrip: Compress is lossless for any input, whether it matches
-// a pattern cleanly, needs exceptions, or escapes.
+// a pattern cleanly, needs exceptions, or escapes, and a matched record ends
+// where Len says, whatever follows it.
 func FuzzPBCRoundTrip(f *testing.F) {
 	kv1, kv2 := workload.NewKV1().Record(77), workload.NewKV2().Record(77)
 	replace := func(rec []byte, old, new string) []byte {
@@ -69,6 +70,13 @@ func FuzzPBCRoundTrip(f *testing.F) {
 		if IsEscape(comp) && len(comp) != len(src)+1 {
 			t.Fatalf("%q: malformed escape % x", src, comp)
 		}
+		enc := comp
+		if !IsEscape(comp) { // an escape has no end of its own
+			enc = append(slices.Clip(comp), src...)
+		}
+		if n, err := p.Len(enc); n != len(comp) || err != nil {
+			t.Fatalf("%q -> % x: Len = %d (%v), want %d", src, comp, n, err, len(comp))
+		}
 	})
 }
 
@@ -76,7 +84,9 @@ func FuzzPBCRoundTrip(f *testing.F) {
 // and what it returns is bounded by the pattern's own bytes (literals, enum
 // values, fixed widths, 20 digits per variable-width numeric slot) plus what
 // src can carry: 20 digits per chunk uvarint, raw bytes one for one,
-// DEFLATE's 1032:1 inside a deflated raw slot.
+// DEFLATE's 1032:1 inside a deflated raw slot. Len, the same walk writing
+// nothing, must not panic either, must stay within src, and must say src
+// is one record wherever Decompress decodes it.
 func FuzzPBCDecompress(f *testing.F) {
 	p := fuzzPBC()
 	recs := [][]byte{workload.NewKV1().Record(5), workload.NewKV2().Record(5), []byte("unmatched")}
@@ -85,7 +95,7 @@ func FuzzPBCDecompress(f *testing.F) {
 		f.Add(comp)
 		f.Add(comp[:len(comp)-1])
 		f.Add(append(comp[:1:1], maxUvarint...))
-		comp[0] |= 1 // claim an exception bitmap that is not there
+		comp[0] |= headException // claim an exception bitmap that is not there
 		f.Add(comp)
 	}
 	// Every bit-field number at its all-ones code, followed by nothing or by
@@ -94,10 +104,10 @@ func FuzzPBCDecompress(f *testing.F) {
 		pat, comp := patternOf(p, rec), p.Compress(rec)
 		for _, seg := range pat.segs {
 			if seg.kind == slotNum && seg.bits > 0 {
-				putBits(comp[1:], seg.bitOff, seg.bits, ones(seg.bits)) // no exception bitmap
+				putBits(comp, seg.bitOff, seg.bits, ones(seg.bits)) // no exception bitmap
 			}
 		}
-		head := slices.Clip(comp[:1+pat.fieldBytes])
+		head := slices.Clip(comp[:pat.fieldBytes])
 		f.Add(head)
 		f.Add(append(head, maxUvarint...))
 	}
@@ -118,9 +128,16 @@ func FuzzPBCDecompress(f *testing.F) {
 		fixed = max(fixed, n)
 	}
 	f.Fuzz(func(t *testing.T, src []byte) {
+		n, lerr := p.Len(src)
+		if lerr == nil && (n <= 0 || n > len(src)) {
+			t.Fatalf("% x: Len = %d of %d B", src, n, len(src))
+		}
 		out, err := p.Decompress(src)
 		if err != nil {
 			return
+		}
+		if lerr != nil || n != len(src) {
+			t.Fatalf("% x decodes, but Len = %d (%v)", src, n, lerr)
 		}
 		if limit := fixed + 1032*len(src); len(out) > limit {
 			t.Fatalf("%d B in, %d B out, limit %d", len(src), len(out), limit)

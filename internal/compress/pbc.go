@@ -30,6 +30,7 @@ type PBC struct {
 type patternSet struct {
 	patterns []pattern
 	byShape  map[uint64]int32 // shapeHash of a member record -> pattern index
+	idBits   int              // width of the pattern id in a record's header bits: bits.Len(len(patterns) - 1)
 }
 
 // token classes
@@ -38,7 +39,7 @@ type tokenClass uint8
 const (
 	classDelim tokenClass = iota // punctuation/whitespace run (kept literal)
 	classDigit                   // [0-9]+
-	classAlpha                   // [A-Za-z]+
+	classAlpha                   // [A-Za-z_]+: a snake_case word is one token
 	classMixed                   // slot whose members disagree on class
 )
 
@@ -75,16 +76,25 @@ type segment struct {
 
 type pattern struct {
 	segs       []segment
-	slots      int // exception bitmap is (slots+7)/8 bytes
-	fieldBytes int // bit field size: every enum and single-chunk number slot
-	sizeHint   int // decoded length of a record whose slots stay within what training saw
+	slots      int    // exception bitmap is (slots+7)/8 bytes
+	head       uint64 // the header bits: 1, the exception flag clear, the pattern id from bit 2
+	fieldBytes int    // bit field size: the header bits, then every enum and single-chunk number slot
+	sizeHint   int    // decoded length of a record whose slots stay within what training saw
 }
 
 // zeros left-pads a fixed-width chunk.
 var zeros = strings.Repeat("0", maxNumDigits)
 
-// escape pattern id: record stored verbatim.
+// pbcEscape is an escape record's first byte: the record is stored
+// verbatim after it. A matched record's first byte has bit 0 set.
 const pbcEscape = 0
+
+// Header bits, the lowest of a matched record's bit field.
+const (
+	headMatched   = 1 // always set: a matched record's first byte is never pbcEscape
+	headException = 2 // an exception bitmap follows the field
+	headBits      = 2 // the pattern id starts here
+)
 
 const (
 	maxEnumCard  = 200 // bounds enum tables per slot
@@ -109,7 +119,7 @@ var classTable = func() (t [256]tokenClass) {
 		switch {
 		case b >= '0' && b <= '9':
 			t[b] = classDigit
-		case (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z'):
+		case (b >= 'a' && b <= 'z') || (b >= 'A' && b <= 'Z') || b == '_':
 			t[b] = classAlpha
 		}
 	}
@@ -231,13 +241,15 @@ func (p *PBC) Train(samples [][]byte) error {
 		}
 	}
 
-	set := &patternSet{byShape: map[uint64]int32{}}
-	for _, m := range merged {
+	set := &patternSet{byShape: map[uint64]int32{}, idBits: bits.Len(uint(max(len(merged), 1) - 1))}
+	for i, m := range merged {
 		// Every member shape selects the merged pattern.
 		for _, h := range m.shapes {
-			set.byShape[h] = int32(len(set.patterns))
+			set.byShape[h] = int32(i)
 		}
-		set.patterns = append(set.patterns, extractPattern(m.toks))
+		pat := extractPattern(m.toks, headBits+set.idBits)
+		pat.head = headMatched | uint64(i)<<headBits
+		set.patterns = append(set.patterns, pat)
 	}
 	p.set.Store(set)
 	return nil
@@ -245,10 +257,10 @@ func (p *PBC) Train(samples [][]byte) error {
 
 // extractPattern turns a cluster into a pattern: a position is a literal
 // iff every member agrees byte-for-byte (adjacent literals fuse into one
-// segment); otherwise it becomes a slot whose type trainSlot decides.
-func extractPattern(members [][]token) pattern {
+// segment); otherwise it becomes a slot whose type trainSlot decides. The
+// bit field's first fieldBits bits are the header's.
+func extractPattern(members [][]token, fieldBits int) pattern {
 	var pat pattern
-	fieldBits := 0
 	col := make([][]byte, len(members))
 	for pos, first := range members[0] {
 		allEqual, class := true, first.class
@@ -353,28 +365,28 @@ func (p *PBC) Compress(src []byte) []byte {
 	if set := p.set.Load(); set != nil {
 		if id, ok := set.byShape[shapeHash(src)]; ok {
 			var scratch [scratchBytes]byte
-			if enc, ok := set.patterns[id].encode(scratch[:0], uint64(id), src, p.residual); ok {
+			if enc, ok := set.patterns[id].encode(scratch[:0], src, p.residual); ok {
 				return append([]byte(nil), enc...)
 			}
 		}
 	}
-	// Escape: pattern id 0, verbatim payload.
+	// Escape: pbcEscape, then src verbatim.
 	out := make([]byte, 1+len(src))
 	out[0] = pbcEscape
 	copy(out[1:], src)
 	return out
 }
 
-// encode walks the pattern against src and appends the record to dst:
-// header, exception bitmap (only when a slot needed it), bit field, slot
-// payloads. ok is false when src is not an instance of the pattern.
-func (pat *pattern) encode(dst []byte, id uint64, src []byte, residual *Deflate) ([]byte, bool) {
-	dst = binary.AppendUvarint(dst, (id+1)<<1)
-	hdr, bitmap := len(dst), (pat.slots+7)/8
-	field := hdr + bitmap
-	for i := 0; i < bitmap+pat.fieldBytes; i++ {
+// encode walks the pattern against src and appends the record to dst: bit
+// field (header bits first), exception bitmap (only when a slot needed it),
+// slot payloads. ok is false when src is not an instance of the pattern.
+func (pat *pattern) encode(dst []byte, src []byte, residual *Deflate) ([]byte, bool) {
+	field, bitmap := len(dst), (pat.slots+7)/8
+	exc := field + pat.fieldBytes
+	for i := 0; i < pat.fieldBytes+bitmap; i++ {
 		dst = append(dst, 0) // not append(dst, make(...)...): that allocates under -race
 	}
+	putBits(dst[field:], 0, bits.Len64(pat.head), pat.head)
 	pos, slot, exception := 0, 0, false
 	for i := range pat.segs {
 		seg := &pat.segs[i]
@@ -426,7 +438,7 @@ func (pat *pattern) encode(dst []byte, id uint64, src []byte, residual *Deflate)
 		}
 		if !fits {
 			exception = true
-			dst[hdr+slot>>3] |= 1 << (slot & 7)
+			dst[exc+slot>>3] |= 1 << (slot & 7)
 			dst = appendRaw(dst, text, residual)
 		}
 		slot++
@@ -435,9 +447,9 @@ func (pat *pattern) encode(dst []byte, id uint64, src []byte, residual *Deflate)
 		return nil, false
 	}
 	if exception {
-		dst[0] |= 1 // the header's low bit; (id+1)<<1 left it clear
+		dst[field] |= headException
 	} else {
-		dst = append(dst[:hdr], dst[field:]...)
+		dst = append(dst[:exc], dst[exc+bitmap:]...)
 	}
 	return dst, true
 }
@@ -498,7 +510,7 @@ func enumIndex(values [][]byte, text []byte) (int, bool) {
 // compressed further", §4.2) when that shrinks them.
 func appendRaw(dst, text []byte, residual *Deflate) []byte {
 	if len(text) >= deflateMin {
-		if comp := residual.Compress(text); len(comp) < len(text) {
+		if comp := residual.stream(text, 0); len(comp) < len(text) {
 			dst = binary.AppendUvarint(dst, uint64(len(comp))<<1|1)
 			return append(dst, comp...)
 		}
@@ -514,37 +526,65 @@ func appendRaw(dst, text []byte, residual *Deflate) []byte {
 // are bounded by the pattern plus len(src) (times DEFLATE's own 1032:1 for
 // a deflated raw slot).
 func (p *PBC) Decompress(src []byte) ([]byte, error) {
+	out, n, err := p.walk(src, true)
+	if err == nil && n != len(src) {
+		return nil, fmt.Errorf("%w: trailing bytes", ErrCorrupt)
+	}
+	return out, err
+}
+
+// Len implements Compressor: the walk Decompress makes, writing nothing. A
+// matched record ends where its pattern says; an escape takes all of enc.
+func (p *PBC) Len(enc []byte) (int, error) {
+	_, n, err := p.walk(enc, false)
+	return n, err
+}
+
+// walk reads the one record src starts with and returns its length and,
+// when write is set, its decoded bytes. Without write it reads only what
+// says where the record ends: the header, the bitmap, and the payload of
+// every slot that has one.
+func (p *PBC) walk(src []byte, write bool) (out []byte, pos int, err error) {
 	if len(src) == 0 {
-		return nil, ErrCorrupt
+		return nil, 0, ErrCorrupt
 	}
 	if src[0] == pbcEscape {
-		return append([]byte(nil), src[1:]...), nil
+		if write {
+			out = append([]byte(nil), src[1:]...)
+		}
+		return out, len(src), nil
 	}
 	set := p.set.Load()
-	hdr, pos := binary.Uvarint(src)
-	if set == nil || pos <= 0 || hdr>>1 == 0 || hdr>>1 > uint64(len(set.patterns)) {
-		return nil, fmt.Errorf("%w: bad pattern id", ErrCorrupt)
+	if set == nil || len(src) < (headBits+set.idBits+7)/8 {
+		return nil, 0, fmt.Errorf("%w: bad pattern id", ErrCorrupt)
 	}
-	pat := &set.patterns[hdr>>1-1]
+	id := getBits(src, headBits, set.idBits)
+	if id >= uint64(len(set.patterns)) {
+		return nil, 0, fmt.Errorf("%w: bad pattern id", ErrCorrupt)
+	}
+	pat := &set.patterns[id]
 
 	bitmapBytes := 0
-	if hdr&1 != 0 {
+	if src[0]&headException != 0 {
 		bitmapBytes = (pat.slots + 7) / 8
 	}
-	if len(src)-pos < bitmapBytes+pat.fieldBytes {
-		return nil, fmt.Errorf("%w: truncated header", ErrCorrupt)
+	if len(src) < pat.fieldBytes+bitmapBytes {
+		return nil, 0, fmt.Errorf("%w: truncated header", ErrCorrupt)
 	}
-	bitmap := src[pos : pos+bitmapBytes]
-	pos += bitmapBytes
-	field := src[pos : pos+pat.fieldBytes]
-	pos += pat.fieldBytes
+	field := src[:pat.fieldBytes]
+	bitmap := src[pat.fieldBytes : pat.fieldBytes+bitmapBytes]
+	pos = pat.fieldBytes + bitmapBytes
 
-	out := make([]byte, 0, pat.sizeHint)
+	if write {
+		out = make([]byte, 0, pat.sizeHint)
+	}
 	slot := 0
 	for i := range pat.segs {
 		seg := &pat.segs[i]
 		if len(seg.literal) > 0 {
-			out = append(out, seg.literal...)
+			if write {
+				out = append(out, seg.literal...)
+			}
 			continue
 		}
 		kind := seg.kind
@@ -554,9 +594,12 @@ func (p *PBC) Decompress(src []byte) ([]byte, error) {
 		slot++
 		switch kind {
 		case slotEnum:
+			if !write {
+				continue // all in the field
+			}
 			v := getBits(field, seg.bitOff, seg.bits)
 			if v >= uint64(len(seg.values)) {
-				return nil, fmt.Errorf("%w: bad enum slot", ErrCorrupt)
+				return nil, 0, fmt.Errorf("%w: bad enum slot", ErrCorrupt)
 			}
 			out = append(out, seg.values[v]...)
 		case slotNum:
@@ -572,47 +615,48 @@ func (p *PBC) Decompress(src []byte) ([]byte, error) {
 				if seg.bits == 0 || v == ones(seg.bits) {
 					x, n := binary.Uvarint(src[pos:])
 					if n <= 0 || v+x < v {
-						return nil, fmt.Errorf("%w: bad numeric slot", ErrCorrupt)
+						return nil, 0, fmt.Errorf("%w: bad numeric slot", ErrCorrupt)
 					}
 					v += x
 					pos += n
 				}
 				if v+base < v {
-					return nil, fmt.Errorf("%w: bad numeric slot", ErrCorrupt)
+					return nil, 0, fmt.Errorf("%w: bad numeric slot", ErrCorrupt)
 				}
-				var digits [20]byte
-				text := strconv.AppendUint(digits[:0], v+base, 10)
-				if seg.width > 0 { // left-pad the chunk to its width in one step
-					w := min(seg.chunk, seg.width-done)
-					if len(text) > w {
-						return nil, fmt.Errorf("%w: numeric slot wider than trained", ErrCorrupt)
+				if write {
+					var digits [20]byte
+					text := strconv.AppendUint(digits[:0], v+base, 10)
+					if seg.width > 0 { // left-pad the chunk to its width in one step
+						w := min(seg.chunk, seg.width-done)
+						if len(text) > w {
+							return nil, 0, fmt.Errorf("%w: numeric slot wider than trained", ErrCorrupt)
+						}
+						out = append(out, zeros[:w-len(text)]...)
 					}
-					out = append(out, zeros[:w-len(text)]...)
+					out = append(out, text...)
 				}
-				out = append(out, text...)
 				base = 0
 			}
 		case slotRaw:
 			l, n := binary.Uvarint(src[pos:])
 			if n <= 0 || l>>1 > uint64(len(src)-pos-n) {
-				return nil, fmt.Errorf("%w: bad raw slot", ErrCorrupt)
+				return nil, 0, fmt.Errorf("%w: bad raw slot", ErrCorrupt)
 			}
 			pos += n
 			body := src[pos : pos+int(l>>1)]
 			pos += len(body)
+			if !write {
+				continue
+			}
 			if l&1 != 0 {
-				var err error
-				if body, err = p.residual.Decompress(body); err != nil {
-					return nil, err
+				if body, err = p.residual.inflate(body); err != nil {
+					return nil, 0, err
 				}
 			}
 			out = append(out, body...)
 		}
 	}
-	if pos != len(src) {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrCorrupt)
-	}
-	return out, nil
+	return out, pos, nil
 }
 
 var _ Compressor = (*PBC)(nil)

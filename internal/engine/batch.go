@@ -97,7 +97,7 @@ func (e *Engine) MGetDetail(keys []string) ([][]byte, []bool, error) {
 				continue
 			}
 			s.touch(en)
-			f := en.rec.parse()
+			f := s.strs.parse(en.rec)
 			var terr error
 			recs[i].flags = f.flags
 			if recs[i].data, scratch, terr = e.take(f.stored, scratch); terr != nil && err == nil {

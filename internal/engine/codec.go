@@ -95,7 +95,7 @@ func (e *Engine) Encode(key string) (val []byte, encoded bool, err error) {
 		}
 		return blob, true, nil
 	}
-	f := en.rec.parse()
+	f := s.strs.parse(en.rec)
 	data, _, err := e.take(f.stored, nil)
 	if err == nil {
 		val, err = e.finish(f.flags, data)

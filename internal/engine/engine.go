@@ -15,8 +15,9 @@
 // A string key is one contiguous, pointer-free record (record.go): one
 // byte of flags (compressed, PMem ref, has TTL) and key length, the key
 // with its digit runs packed (keypack.go), an
-// 8-byte deadline only if a TTL was ever set, then the value length and the
-// stored value (or the 12-byte pmem.Ref to it).
+// 8-byte deadline only if a TTL was ever set, then the stored value (or the
+// 12-byte pmem.Ref to it), behind its length only if it is raw: a
+// compressed value's codec says where it ends.
 //
 // Records live in their stripe's slab (slab.go), not in allocations of
 // their own: 16 KiB pointer-free pages carved into slots of exactly the
@@ -232,7 +233,7 @@ func New(opts Options) *Engine {
 		opts:   opts,
 	}
 	for i := range e.shards {
-		e.shards[i] = &shard{}
+		e.shards[i] = &shard{strs: index{codec: opts.Compressor}}
 	}
 	return e
 }
@@ -399,7 +400,7 @@ func (e *Engine) remove(s *shard, key string, en entry) {
 		e.removeItem(s, key, en.it)
 		return
 	}
-	e.removeRecord(s, en.at, en.rec.parse())
+	e.removeRecord(s, en.at, s.strs.parse(en.rec))
 }
 
 // removeRecord deletes the string in slot at, whose record parsed to f.
@@ -421,10 +422,10 @@ func (e *Engine) publish(s *shard, k probe, st staged) {
 	ix := &s.strs
 	held := ix.held()
 	i, cur := ix.find(k.h, k.packed)
-	ref, rec := ix.recs.alloc(recordLen(k.packed, st.valueLen()))
+	ref, rec := ix.recs.alloc(recordLen(k.packed, st))
 	writeRecord(rec, k.packed, st)
 	if i >= 0 {
-		old := cur.parse()
+		old := ix.parse(cur)
 		e.forget(s, old)
 		ix.touch(i) // before replace, which may move entries
 		ix.replace(i, ref, old.size)
@@ -600,7 +601,7 @@ func (e *Engine) Get(key string) (val []byte, err error) {
 		return nil, ErrWrongType
 	}
 	s.touch(en)
-	f := en.rec.parse()
+	f := s.strs.parse(en.rec)
 	var pooled *[]byte
 	var scratch []byte
 	if f.flags&flagCompressed != 0 {
@@ -670,7 +671,7 @@ func (e *Engine) casCheck(s *shard, k probe, oldVal []byte) error {
 	if en.rec == nil {
 		return ErrWrongType
 	}
-	cur, err := e.view(en.rec.parse().stored)
+	cur, err := e.view(s.strs.parse(en.rec).stored)
 	if err != nil {
 		return err
 	}
@@ -693,7 +694,7 @@ func (e *Engine) IncrBy(key string, delta int64) (int64, error) {
 		if en.rec == nil {
 			return 0, ErrWrongType
 		}
-		raw, err := e.view(en.rec.parse().stored)
+		raw, err := e.view(s.strs.parse(en.rec).stored)
 		if err != nil {
 			return 0, err
 		}
@@ -737,10 +738,10 @@ func (e *Engine) ExpireAt(key string, at int64) bool {
 		// the record's own bytes change hands.
 		ix := &s.strs
 		held := ix.held()
-		size := en.rec.parse().size
-		ref, rec := ix.recs.alloc(size + 8)
-		en.rec.withDeadline(rec, at)
-		ix.replace(en.at, ref, size)
+		f := ix.parse(en.rec)
+		ref, rec := ix.recs.alloc(f.size + 8)
+		en.rec.withDeadline(rec, f, at)
+		ix.replace(en.at, ref, f.size)
 		s.memUsed.Add(ix.held() - held)
 	}
 	return true
@@ -787,17 +788,23 @@ func (e *Engine) Expired(key string) bool {
 // only — the caller confirms and deletes each key through TakeExpired
 // (directly or via the tiered delete-through path), which rechecks under
 // the write lock so a concurrent PERSIST or overwrite wins the race.
+//
+// In a stripe with an index resize under way the sweep also moves as many
+// entries across as it looked at (settle), so that a stripe that is no
+// longer written does not keep both tables.
 func (e *Engine) CollectExpired(limit int) []string {
 	var out []string
 	now := e.now()
 	for n := len(e.shards); n > 0 && limit > 0; n-- {
 		s := e.shards[e.sweepCursor.Load()&e.mask]
 		s.mu.RLock()
+		before := limit
 		pos, end := s.strs.scan(s.sweepPos.Load(), &limit, func(rec record) {
 			if at := rec.deadline(); at != 0 && now >= at {
-				out = append(out, unpackKey(rec.parse().key))
+				out = append(out, unpackKey(rec.key()))
 			}
 		})
+		resizing := s.strs.old.meta != nil
 		s.sweepPos.Store(pos)
 		if end {
 			for key, it := range s.colls {
@@ -809,8 +816,29 @@ func (e *Engine) CollectExpired(limit int) []string {
 			e.sweepCursor.Add(1)
 		}
 		s.mu.RUnlock()
+		if resizing {
+			s.settle(before - limit)
+		}
 	}
 	return out
+}
+
+// settle moves up to k (and at least moves) entries of the index resize
+// under way in s across, moves at a time under the write lock, as that many
+// writes would.
+func (s *shard) settle(k int) {
+	for done := 0; done == 0 || done < k; done += moves {
+		s.mu.Lock()
+		ix := &s.strs
+		if ix.old.meta == nil {
+			s.mu.Unlock()
+			return
+		}
+		held := ix.held()
+		ix.migrate(moves)
+		s.memUsed.Add(ix.held() - held)
+		s.mu.Unlock()
+	}
 }
 
 // Persist clears a TTL; reports whether the key existed.
@@ -1000,7 +1028,7 @@ func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEn
 		keys := make([]string, 0, s.strs.n+len(s.colls))
 		s.strs.each(func(rec record) bool {
 			if at := rec.deadline(); at == 0 || now < at {
-				keys = append(keys, unpackKey(rec.parse().key))
+				keys = append(keys, unpackKey(rec.key()))
 			}
 			return true
 		})
@@ -1027,7 +1055,7 @@ func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEn
 				}
 				p := pending{key: keys[i]}
 				if en.rec != nil {
-					f := en.rec.parse()
+					f := s.strs.parse(en.rec)
 					p.at = en.rec.deadline()
 					p.flags = f.flags
 					if p.data, scratch, err = e.take(f.stored, scratch); err != nil {
@@ -1077,11 +1105,11 @@ func (e *Engine) FlushAll() {
 		s.mu.Lock()
 		if e.opts.Arena != nil {
 			s.strs.each(func(rec record) bool {
-				e.freeRef(rec.parse().stored)
+				e.freeRef(s.strs.parse(rec).stored)
 				return true
 			})
 		}
-		s.strs = index{}
+		s.strs = index{codec: s.strs.codec}
 		s.colls = nil
 		s.memUsed.Store(0)
 		s.payload.Store(0)

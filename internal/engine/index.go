@@ -3,6 +3,8 @@ package engine
 import (
 	"reflect"
 	"sync/atomic"
+
+	"tierbase/internal/compress"
 )
 
 // An index entry is six bytes in two arrays: a 16-bit probe word in meta,
@@ -110,6 +112,7 @@ type index struct {
 	charge   int64  // bytes behind both tables and the spill, as the allocator rounds them
 	rehashed int    // records hashed again to move their entries between tables, ever
 	recs     slab
+	codec    compress.Compressor // the engine's, which says where a compressed value ends (parse)
 }
 
 // slotHash spreads the hash of a packed key for the index: a Fibonacci
@@ -664,7 +667,7 @@ func (ix *index) clock(look *int, lap int, pinned func(key []byte) bool) (at int
 			*look = lap
 			continue
 		}
-		f := record(ix.recs.at(*p)).parse()
+		f := ix.parse(ix.recs.at(*p))
 		if pinned != nil {
 			ix.unpacked = appendUnpacked(ix.unpacked[:0], f.key)
 		}

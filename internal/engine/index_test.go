@@ -90,10 +90,11 @@ func (m *indexModel) put(key string, v byte) {
 	pk := packKey(key)
 	h := slotHash(fnv1a(pk))
 	at, cur := ix.find(h, pk)
-	ref, rec := ix.recs.alloc(recordLen(pk, 1))
-	writeRecord(rec, pk, staged{val: []byte{v}})
+	st := staged{val: []byte{v}}
+	ref, rec := ix.recs.alloc(recordLen(pk, st))
+	writeRecord(rec, pk, st)
 	if at >= 0 {
-		ix.replace(at, ref, cur.parse().size)
+		ix.replace(at, ref, ix.parse(cur).size)
 	} else {
 		ix.insert(h, ref)
 		m.marks[key] = true
@@ -107,7 +108,7 @@ func (m *indexModel) del(key string) {
 		m.t.Fatalf("find(%q) = %d, model holds it: %v", key, at, held)
 	}
 	if at >= 0 {
-		m.ix.remove(at, rec.parse().size)
+		m.ix.remove(at, m.ix.parse(rec).size)
 		delete(m.keys, key)
 		delete(m.marks, key)
 	}
@@ -173,7 +174,7 @@ func (m *indexModel) check(cleared bool) {
 		if at < 0 {
 			m.t.Fatalf("%q is lost", key)
 		}
-		if f := rec.parse(); unpackKey(f.key) != key || len(f.val) != 1 || f.val[0] != v || &ix.record(at)[0] != &rec[0] {
+		if f := ix.parse(rec); unpackKey(f.key) != key || len(f.val) != 1 || f.val[0] != v || &ix.record(at)[0] != &rec[0] {
 			m.t.Fatalf("%q resolves to the record of %q, value %v, want %v", key, f.key, f.val, v)
 		}
 		marked := *ix.ref(at)&refBit != 0

@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"tierbase/internal/compress"
+	"tierbase/internal/workload"
 )
 
 // TestKeyPackForm pins the packed form of one key of each shape: a digit
@@ -132,5 +135,44 @@ func TestLedgerKeyShape(t *testing.T) {
 		if run, spilled := longestRun(e); spilled != 0 || run > reach*3/4 {
 			t.Errorf("%d keys: longest run %d of a reach of %d, %d spilled", n, run, reach, spilled)
 		}
+	}
+}
+
+// TestLedgerRecordShape pins what a hit-read key's record costs, as a format
+// pin: 200 000 k%015d keys with workload.NewKV1 values under PBC trained as
+// the server trains it (Sample(kv1, 500)). A value whose numbers lie inside
+// the sample's ranges compresses to the 13 bytes of PBC's bit field, header
+// bits included, and its record is 23 bytes: the flags-and-length byte, the
+// 9-byte packed key and the value, with no value length. The rest carry an
+// excess past a slot's all-ones code. MemUsed is every record at its slot
+// and the sixteen 14 336-slot tables of TestLedgerKeyShape, to the byte.
+func TestLedgerRecordShape(t *testing.T) {
+	ds := workload.NewKV1()
+	c := compress.NewPBC()
+	c.Train(workload.Sample(ds, 500))
+	e := New(Options{Compressor: c})
+	const n = 200_000
+	for i := 0; i < n; i++ {
+		e.Set(fmt.Sprintf("k%015d", i), ds.Record(int64(i)))
+	}
+	sizes := map[int]int{}
+	var slots int64
+	for _, s := range e.shards {
+		s.strs.each(func(rec record) bool {
+			f := s.strs.parse(rec)
+			if f.flags != flagCompressed || len(f.key) != 9 || f.size != 1+9+len(f.val) {
+				t.Fatalf("record of %q: flags %#x, %d B for a %d B value", unpackKey(f.key), f.flags, f.size, len(f.val))
+			}
+			sizes[f.size]++
+			slots += int64(slotSize(f.size))
+			return true
+		})
+	}
+	if want := map[int]int{23: 193_790, 24: 6_165, 25: 45}; fmt.Sprint(sizes) != fmt.Sprint(want) {
+		t.Errorf("records by size %v, want %v", sizes, want)
+	}
+	st := e.Stats()
+	if st.IndexBytes != 1_376_256 || e.MemUsed() != slots+st.IndexBytes || e.MemUsed() != 5_982_511 {
+		t.Errorf("MemUsed %d: %d of records, %d of index", e.MemUsed(), slots, st.IndexBytes)
 	}
 }

@@ -17,9 +17,10 @@ import (
 const heapKeys = 100_000
 
 // tailCompressor is the tests' stand-in for a trained compressor: it
-// stores a value as the length of its run of trailing zero bytes followed
-// by the bytes before the run, so a test picks the stored size exactly by
-// choosing how much of a value is zero tail.
+// stores a value as the length of the bytes before its run of trailing
+// zero bytes and the length of the run, then those bytes, so a test picks
+// the stored size exactly by choosing how much of a value is zero tail,
+// and the encoding says where it ends, as a real codec's does.
 type tailCompressor struct{}
 
 func (tailCompressor) Name() string         { return "tail" }
@@ -27,25 +28,44 @@ func (tailCompressor) Train([][]byte) error { return nil }
 
 func (tailCompressor) Compress(src []byte) []byte {
 	body := bytes.TrimRight(src, "\x00")
-	out := make([]byte, 0, binary.MaxVarintLen64+len(body)) // one allocation, like a real codec
+	out := make([]byte, 0, 2*binary.MaxVarintLen64+len(body)) // one allocation, like a real codec
+	out = binary.AppendUvarint(out, uint64(len(body)))
 	out = binary.AppendUvarint(out, uint64(len(src)-len(body)))
 	return append(out, body...)
 }
 
+// tailHeader reads the two lengths, and where the body starts.
+func tailHeader(src []byte) (body, zeros uint64, n int, err error) {
+	body, w := binary.Uvarint(src)
+	if w <= 0 {
+		return 0, 0, 0, compress.ErrCorrupt
+	}
+	zeros, z := binary.Uvarint(src[w:])
+	if z <= 0 || body > uint64(len(src)-w-z) {
+		return 0, 0, 0, compress.ErrCorrupt
+	}
+	return body, zeros, w + z, nil
+}
+
 func (tailCompressor) Decompress(src []byte) ([]byte, error) {
-	zeros, n := binary.Uvarint(src)
-	if n <= 0 {
+	body, zeros, n, err := tailHeader(src)
+	if err != nil || uint64(len(src)-n) != body {
 		return nil, compress.ErrCorrupt
 	}
-	out := make([]byte, len(src)-n+int(zeros))
+	out := make([]byte, int(body+zeros))
 	copy(out, src[n:])
 	return out, nil
+}
+
+func (tailCompressor) Len(enc []byte) (int, error) {
+	body, _, n, err := tailHeader(enc)
+	return n + int(body), err
 }
 
 var _ compress.Compressor = tailCompressor{}
 
 // zeroTailed returns a value of n random non-zero bytes followed by tail
-// zero bytes: tailCompressor stores it in n+1 bytes.
+// zero bytes: tailCompressor stores it in n+2 bytes (up to 127 of each).
 func zeroTailed(rng *rand.Rand, n, tail int) []byte {
 	val := make([]byte, n+tail)
 	rng.Read(val[:n])
@@ -75,7 +95,7 @@ func fillHeapKeys(e *Engine, stored int, compressed, ttl bool) int64 {
 	for i := 0; i < heapKeys; i++ {
 		val := zeroTailed(rng, stored, 0)
 		if compressed {
-			val = zeroTailed(rng, stored-1, stored+1)
+			val = zeroTailed(rng, stored-2, stored+2)
 		}
 		key := fmt.Sprintf("user:%09d", i)
 		if err := e.Set(key, val); err != nil {

@@ -523,7 +523,7 @@ func checkBooks(e *Engine) error {
 		mem, payload, packed := ix.charge, int64(0), int64(0)
 		var err error
 		ix.each(func(rec record) bool {
-			f := rec.parse()
+			f := ix.parse(rec)
 			if f.size > slabLimit {
 				mem += allocBytes(f.size) + ownEntryBytes
 			} else {
@@ -901,6 +901,71 @@ func TestReadersAcrossSpreadResizes(t *testing.T) {
 	}
 	if err := checkBooks(e); err != nil || e.Len() != 0 {
 		t.Fatalf("after the run: %d keys, %v", e.Len(), err)
+	}
+}
+
+// TestSweepFinishesAResize: a fill that stops while an index resize is under
+// way, followed by nothing but expiry sweeps and reads. The sweeps move the
+// old table's entries across, as many as they look at, so the index falls
+// back to its size at rest within a sweep of every key, and every key reads
+// back throughout, as readers running beside the sweeps check.
+func TestSweepFinishesAResize(t *testing.T) {
+	e := New(Options{Shards: 1})
+	s := e.shards[0]
+	key := func(i int) string { return fmt.Sprintf("key:%06d", i) }
+	val := func(i int) []byte { return []byte(strconv.Itoa(i)) }
+	n := 0
+	for ; n < 20_000 || s.strs.old.meta == nil; n++ {
+		e.Set(key(n), val(n))
+	}
+	rest := s.strs.table.bytes() // the new table alone
+	if got := e.Stats().IndexBytes; got <= rest {
+		t.Fatalf("a resize under way charges %d B of index, the new table alone %d", got, rest)
+	}
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for !stop.Load() {
+				i := rng.Intn(n)
+				if v, err := e.Get(key(i)); err != nil || string(v) != string(val(i)) {
+					errs <- fmt.Errorf("Get(%s) = %q, %v during the sweeps", key(i), v, err)
+					return
+				}
+			}
+		}(int64(r))
+	}
+	const limit = 64
+	sweeps := 0
+	for ; sweeps <= n/limit+1; sweeps++ {
+		s.mu.RLock()
+		resizing := s.strs.old.meta != nil
+		s.mu.RUnlock()
+		if !resizing {
+			break
+		}
+		e.CollectExpired(limit)
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := e.Stats().IndexBytes; got != rest {
+		t.Fatalf("after %d sweeps of %d keys the index charges %d B, at rest %d", sweeps, limit, got, rest)
+	}
+	if err := checkBooks(e); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		if v, err := e.Get(key(i)); err != nil || string(v) != string(val(i)) {
+			t.Fatalf("Get(%s) = %q, %v after the sweeps", key(i), v, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/bits"
 
 	"tierbase/internal/pmem"
@@ -10,15 +11,18 @@ import (
 // record is everything the engine keeps for one string key, contiguous and
 // pointer-free, in a slot of its stripe's slab (slab.go):
 //
-//	flags+len(key) | [uvarint len(key)] | key | [deadline] | uvarint len(value) | value
+//	flags+len(key) | [uvarint len(key)] | key | [deadline] | [uvarint len(value)] | value
 //
 // key is the key packed (keypack.go). Byte 0 holds the three flags in its
 // low bits and the key length above them; a key past maxShortKey bytes puts
-// longKey there and its length in a uvarint after. deadline (8 bytes, little-endian unixnanos, 0 = none) is
-// present only with flagTTL. value is the stored bytes: compressed with
-// flagCompressed, and with flagPMem not the bytes themselves but the
-// 12-byte pmem.Ref to them. The slice starts at the record and may run
-// past its end (to the end of its page): parse().size is its length.
+// longKey there and its length in a uvarint after. deadline (8 bytes,
+// little-endian unixnanos, 0 = none) is present only with flagTTL. value is
+// the stored bytes: compressed with flagCompressed, and with flagPMem not
+// the bytes themselves but the 12-byte pmem.Ref to them. The value's length
+// is written only where nothing else gives it, for a raw value in DRAM: a
+// ref is refBytes long, and a compressed value ends where its codec's Len
+// says. The slice starts at the record and may run past its end (to the
+// end of its page): index.parse(r).size is its length.
 //
 // A record is written once, in place, under the stripe write lock; after
 // that only its deadline changes, also under the write lock. Its slot is
@@ -67,9 +71,17 @@ func (st staged) valueLen() int {
 	return len(st.val)
 }
 
+// lengthed reports whether a value stored with these flags carries its
+// length in the record: a raw value in DRAM.
+func lengthed(flags byte) bool { return flags&(flagCompressed|flagPMem) == 0 }
+
 // recordLen is the length of the record writeRecord builds.
-func recordLen(key []byte, vlen int) int {
-	n := 1 + len(key) + uvarintLen(uint64(vlen)) + vlen
+func recordLen(key []byte, st staged) int {
+	vlen := st.valueLen()
+	n := 1 + len(key) + vlen
+	if lengthed(st.flags) {
+		n += uvarintLen(uint64(vlen))
+	}
 	if len(key) > maxShortKey {
 		n += uvarintLen(uint64(len(key)))
 	}
@@ -87,7 +99,9 @@ func writeRecord(r record, key []byte, st staged) {
 		n += binary.PutUvarint(r[1:], uint64(len(key)))
 	}
 	n += copy(r[n:], key)
-	n += binary.PutUvarint(r[n:], uint64(st.valueLen()))
+	if lengthed(st.flags) {
+		n += binary.PutUvarint(r[n:], uint64(len(st.val)))
+	}
 	if st.flags&flagPMem != 0 {
 		binary.LittleEndian.PutUint64(r[n:], uint64(st.ref.Off))
 		binary.LittleEndian.PutUint32(r[n+8:], uint32(st.ref.Len))
@@ -134,12 +148,16 @@ type fields struct {
 	stored
 	key      []byte
 	deadline int64 // 0 = none
-	head     int   // offset of the value length: the header before it ends with the deadline, if any
+	head     int   // where the key, and the deadline if any, end: the value's length or the value follows
 	size     int   // length of the record
 }
 
-// parse splits r into its fields.
-func (r record) parse() fields {
+// parse splits r, one of ix's records, into its fields. A compressed value
+// is measured by the stripe's codec, which delimits what it wrote. One that
+// the codec cannot measure, or that runs past the end of r's page, is a
+// broken invariant of the engine's own bytes, as a slab book error would
+// be: parse panics.
+func (ix *index) parse(r record) fields {
 	f := fields{stored: stored{flags: r[0] & flagMask}}
 	off, n := r.keySpan()
 	f.key = r[off : off+n]
@@ -149,14 +167,26 @@ func (r record) parse() fields {
 		off += 8
 	}
 	f.head = off
-	vlen, w := uvarint(r[off:])
-	off += w
-	f.size = off + int(vlen)
+	var vlen int
+	switch {
+	case f.flags&flagPMem != 0:
+		vlen = refBytes
+	case f.flags&flagCompressed != 0:
+		var err error
+		if vlen, err = ix.codec.Len(r[off:]); err != nil || vlen > len(r)-off {
+			panic(fmt.Sprintf("engine: a compressed value its codec cannot delimit in its page: %d of %d bytes (%v)", vlen, len(r)-off, err))
+		}
+	default:
+		l, w := uvarint(r[off:])
+		off += w
+		vlen = int(l)
+	}
+	f.size = off + vlen
 	f.val = r[off:f.size:f.size]
 	return f
 }
 
-// deadline is parse().deadline without the parse: 0 at once for a record
+// deadline is parse(r).deadline without the parse: 0 at once for a record
 // with no TTL slot (most of them, on every read).
 func (r record) deadline() int64 {
 	if r[0]&flagTTL == 0 {
@@ -173,10 +203,9 @@ func (r record) setDeadline(at int64) {
 	binary.LittleEndian.PutUint64(r[off+n:], uint64(at))
 }
 
-// withDeadline copies r, which has no TTL slot, into dst, 8 bytes longer,
-// with one set to at.
-func (r record) withDeadline(dst record, at int64) {
-	f := r.parse()
+// withDeadline copies r, which has no TTL slot and parses to f, into dst,
+// 8 bytes longer, with one set to at.
+func (r record) withDeadline(dst record, f fields, at int64) {
 	copy(dst, r[:f.head])
 	dst[0] |= flagTTL
 	binary.LittleEndian.PutUint64(dst[f.head:], uint64(at))

@@ -13,18 +13,25 @@ import (
 // flags) and takes it through everything the engine does to one: recordLen
 // is the bytes writeRecord writes and parse reads back, hasKey tells the
 // key from its neighbours, withDeadline moves it to a slot with a TTL and
-// setDeadline rewrites that in place, neither disturbing key or value.
+// setDeadline rewrites that in place, neither disturbing key or value. A
+// compressed value is tailCompressor's encoding of vlen bytes, which the
+// record measures with the codec's Len: only a raw value in DRAM carries
+// its length.
 func recordRoundTrip(key string, vlen int, flags byte, deadline int64) error {
 	st := staged{flags: flags, val: make([]byte, vlen)}
 	for i := range st.val {
-		st.val[i] = byte(i*7 + len(key))
+		st.val[i] = byte(i*7+len(key)) | 1
+	}
+	if flags&flagCompressed != 0 {
+		st.val = tailCompressor{}.Compress(st.val)
 	}
 	want := st.val
 	if flags&flagPMem != 0 {
 		st.ref = pmem.Ref{Off: int64(vlen)<<20 + 5, Len: int32(vlen)}
 		want = nil
 	}
-	n := recordLen([]byte(key), st.valueLen())
+	ix := &index{codec: tailCompressor{}}
+	n := recordLen([]byte(key), st)
 	const slack = 16 // after the record, as in a page: writeRecord must leave it alone
 	buf := bytes.Repeat([]byte{0xA5}, n+8+slack)
 	rec := record(buf[:n])
@@ -32,7 +39,7 @@ func recordRoundTrip(key string, vlen int, flags byte, deadline int64) error {
 	rec = buf // a page slot runs past its record: nothing may rely on len(rec)
 
 	check := func(what string, r record, size int, flags byte, deadline int64) error {
-		f := r.parse()
+		f := ix.parse(r)
 		// hasKey, and for a key byte 0 has room for hasShortKey with it.
 		agree := true
 		has := func(k string) bool {
@@ -49,8 +56,10 @@ func recordRoundTrip(key string, vlen int, flags byte, deadline int64) error {
 			return fmt.Errorf("%s: key %q, want %q", what, f.key, key)
 		case f.deadline != deadline || r.deadline() != deadline:
 			return fmt.Errorf("%s: deadline %d / %d, want %d", what, f.deadline, r.deadline(), deadline)
-		case f.head+uvarintLen(uint64(len(f.val)))+len(f.val) != size:
-			return fmt.Errorf("%s: head %d + value of %d bytes is not the record's %d", what, f.head, len(f.val), size)
+		case lengthed(flags) && f.head+uvarintLen(uint64(len(f.val)))+len(f.val) != size:
+			return fmt.Errorf("%s: head %d + length + value of %d bytes is not the record's %d", what, f.head, len(f.val), size)
+		case !lengthed(flags) && f.head+len(f.val) != size:
+			return fmt.Errorf("%s: head %d + value of %d bytes, no length, is not the record's %d", what, f.head, len(f.val), size)
 		case want != nil && !bytes.Equal(f.val, want):
 			return fmt.Errorf("%s: value changed", what)
 		case want == nil && f.ref() != st.ref:
@@ -75,7 +84,7 @@ func recordRoundTrip(key string, vlen int, flags byte, deadline int64) error {
 		return err
 	}
 	dst := record(bytes.Repeat([]byte{0xA5}, n+8+slack))
-	rec.withDeadline(dst, deadline)
+	rec.withDeadline(dst, ix.parse(rec), deadline)
 	if err := check("withDeadline", dst, n+8, flags|flagTTL, deadline); err != nil {
 		return err
 	}
@@ -106,9 +115,13 @@ func TestRecordLayout(t *testing.T) {
 		}
 	}
 	// What the ledger's hit-read key costs: its key packed (k%015d is 9
-	// bytes), its stored value and two bytes.
-	if got := recordLen(packKey("k000000000123456"), 18); got != 9+18+2 {
-		t.Errorf("a 16 B key with an 18 B stored value is a %d B record, want 29", got)
+	// bytes), its stored value and one byte; a raw value adds its length.
+	k := packKey("k000000000123456")
+	if got := recordLen(k, staged{flags: flagCompressed, val: make([]byte, 13)}); got != 1+9+13 {
+		t.Errorf("a 16 B key with a 13 B compressed value is a %d B record, want 23", got)
+	}
+	if got := recordLen(k, staged{val: make([]byte, 18)}); got != 1+9+1+18 {
+		t.Errorf("a 16 B key with an 18 B raw value is a %d B record, want 29", got)
 	}
 }
 
@@ -170,7 +183,9 @@ func TestRecordLayoutInEngine(t *testing.T) {
 
 // FuzzRecordHeader feeds the round trip (flags, key length, value length,
 // deadline) tuples: any key length on either side of the header byte's
-// limit, values into the own-allocation range.
+// limit, values into the own-allocation range, and every placement of the
+// value: raw with its length, compressed and measured by the stub codec's
+// Len, and a PMem ref, neither with a length.
 func FuzzRecordHeader(f *testing.F) {
 	f.Add(byte(0), uint16(14), uint16(18), int64(0))
 	f.Add(byte(flagCompressed), uint16(maxShortKey), uint16(127), int64(1))
