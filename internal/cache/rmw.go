@@ -26,8 +26,9 @@ import (
 //     onto this one at any moment, and a key evicted between op and step 3
 //     would be committed as a delete.
 //  3. If op reports a change, the key's current engine state — a string, a
-//     collection as a typed blob, or its absence (a collection emptied by
-//     its last pop) — takes the route a Set or Delete takes (commit, in
+//     collection's record bytes (its typed blob, copied as they are), or
+//     its absence (a collection emptied by its last pop) — takes the route
+//     a Set or Delete takes (commit, in
 //     tiered.go): to storage by policy and to the replication sink, but
 //     NOT back into the engine. The state is read from there, and
 //     replaying a captured value could roll back a newer concurrent update.

@@ -92,7 +92,7 @@ func (e *Engine) MGetDetail(keys []string) ([][]byte, []bool, error) {
 				misses++
 				continue
 			}
-			if en.rec == nil {
+			if en.rec.isColl() {
 				wrongType[i] = true // nil entry, counts as neither
 				continue
 			}
@@ -197,7 +197,7 @@ func (e *Engine) BatchDelDetail(keys []string) []bool {
 		for _, i := range idxs {
 			if en := s.lookup(ps[i]); en.present() {
 				existed[i] = !e.lapsed(en.expireAt())
-				e.remove(s, keys[i], en)
+				e.remove(s, en)
 			}
 		}
 		s.mu.Unlock()

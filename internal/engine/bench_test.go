@@ -105,29 +105,39 @@ func BenchmarkEngineMGetBatch16(b *testing.B) { benchmarkBatch(b, true, 16) }
 // benchmarkRandomKey measures one call on a uniformly random key of a
 // 200k-key engine: the ledger's population and access pattern, where the
 // index slot and the record are usually not in cache. (GetLoop16 and
-// MGetBatch16 read runs of 16 neighbouring keys out of 16k.)
-func benchmarkRandomKey(b *testing.B, op func(e *Engine, key string, val []byte)) {
+// MGetBatch16 read runs of 16 neighbouring keys out of 16k.) keyFormat
+// names a key from a random number below 1e9; mem-B/key is what the engine
+// charges a key of the population.
+func benchmarkRandomKey(b *testing.B, keyFormat string, op func(e *Engine, key string, val []byte)) {
 	e := New(Options{})
 	rng := rand.New(rand.NewSource(1))
 	keys := make([]string, 200_000)
 	val := zeroTailed(rng, 18, 0)
 	for i := range keys {
-		keys[i] = fmt.Sprintf("user:%09d", rng.Intn(1e9))
+		keys[i] = fmt.Sprintf(keyFormat, rng.Intn(1e9))
 		e.Set(keys[i], val)
 	}
+	perKey := float64(e.MemUsed()) / float64(e.Len())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op(e, keys[rng.Intn(len(keys))], val)
 	}
+	b.ReportMetric(perKey, "mem-B/key")
 }
 
-func BenchmarkEngineGetRandom(b *testing.B) {
-	benchmarkRandomKey(b, func(e *Engine, key string, _ []byte) { e.Get(key) })
-}
+func getRandom(e *Engine, key string, _ []byte)   { e.Get(key) }
+func setRandom(e *Engine, key string, val []byte) { e.Set(key, val) }
 
-func BenchmarkEngineSetRandom(b *testing.B) {
-	benchmarkRandomKey(b, func(e *Engine, key string, val []byte) { e.Set(key, val) })
+func BenchmarkEngineGetRandom(b *testing.B) { benchmarkRandomKey(b, "user:%09d", getRandom) }
+func BenchmarkEngineSetRandom(b *testing.B) { benchmarkRandomKey(b, "user:%09d", setRandom) }
+
+// BenchmarkEngineMidKey is GetRandom and SetRandom on keys that pack to 18
+// bytes, past maxShortKey: each record writes its key length in a byte of
+// its own, and the index compares the key through hasKey, not hasShortKey.
+func BenchmarkEngineMidKey(b *testing.B) {
+	b.Run("Get", func(b *testing.B) { benchmarkRandomKey(b, "user:%09d:session", getRandom) })
+	b.Run("Set", func(b *testing.B) { benchmarkRandomKey(b, "user:%09d:session", setRandom) })
 }
 
 // BenchmarkEngineHeapPerKey reports what one key costs and what the engine
@@ -180,65 +190,67 @@ func BenchmarkEngineGrow(b *testing.B) {
 	b.ReportMetric(float64(worst), "max-rehash/op")
 }
 
-// BenchmarkEngineCollections is one write or read of each collection kind:
-// allocs/op and B/op say what the element model copies and what a
-// command's lock-and-lookup costs. A push or add onto an absent key
-// creates the collection and the pop or remove that empties it deletes it,
-// so those rows pay for the item as well as the element. Each row runs
-// once before it is timed, so -benchtime 1x reads the same allocs/op as a
-// long run.
+// BenchmarkEngineCollections is one write or read of each collection kind
+// on a collection of 8, 64 and 1 024 elements: allocs/op and B/op say what
+// a command copies, and ns/op what its walk of the collection costs. A
+// write decodes the collection's record, changes it and writes it to a new
+// slot, so its price grows with the collection. Each row runs once before
+// it is timed, so -benchtime 1x reads the same allocs/op as a long run.
 func BenchmarkEngineCollections(b *testing.B) {
 	elem := []byte("element-000001")
 	small := []byte("v1")
+	member := func(i int) string { return fmt.Sprintf("member-%07d", i) }
 	rows := []struct {
-		name  string
-		setup func(e *Engine)
-		op    func(e *Engine, i int)
+		name string
+		fill func(e *Engine, i int)                // adds element i
+		op   func(e *Engine, mid string, n, i int) // mid is element n/2's member or field
 	}{
-		{"RPush+LPop", nil, func(e *Engine, _ int) {
+		{"RPush+LPop", func(e *Engine, _ int) { e.RPush("list", elem) }, func(e *Engine, _ string, _, _ int) {
 			e.RPush("list", elem)
 			e.LPop("list")
 		}},
-		{"SAdd+SRem", nil, func(e *Engine, _ int) {
-			e.SAdd("set", "member-0000001")
-			e.SRem("set", "member-0000001")
+		{"SAdd+SRem", func(e *Engine, i int) { e.SAdd("set", member(i)) }, func(e *Engine, _ string, _, _ int) {
+			e.SAdd("set", "member-absent")
+			e.SRem("set", "member-absent")
 		}},
-		{"ZAdd", func(e *Engine) {
-			for i := 0; i < 16; i++ {
-				e.ZAdd("zset", fmt.Sprintf("member-%02d", i), float64(i))
-			}
-		}, func(e *Engine, i int) {
-			e.ZAdd("zset", "member-07", float64(i&31)) // a re-score
+		{"ZAdd", func(e *Engine, i int) { e.ZAdd("zset", member(i), float64(i)) }, func(e *Engine, mid string, n, i int) {
+			e.ZAdd("zset", mid, float64(i%(2*n))) // a re-score
 		}},
-		{"HSet+HGet", func(e *Engine) {
-			e.HSet("hash", "field", small)
-		}, func(e *Engine, _ int) {
-			e.HSet("hash", "field", small)
-			e.HGet("hash", "field")
+		{"HSet+HGet", func(e *Engine, i int) { e.HSet("hash", member(i), small) }, func(e *Engine, mid string, _, _ int) {
+			e.HSet("hash", mid, small)
+			e.HGet("hash", mid)
 		}},
-		{"LLen", func(e *Engine) {
-			e.RPush("list", small, small, small, small)
-		}, func(e *Engine, _ int) {
+		{"HGet", func(e *Engine, i int) { e.HSet("hash", member(i), small) }, func(e *Engine, mid string, _, _ int) {
+			e.HGet("hash", mid)
+		}},
+		{"SIsMember", func(e *Engine, i int) { e.SAdd("set", member(i)) }, func(e *Engine, mid string, _, _ int) {
+			e.SIsMember("set", mid)
+		}},
+		{"ZScore", func(e *Engine, i int) { e.ZAdd("zset", member(i), float64(i)) }, func(e *Engine, mid string, _, _ int) {
+			e.ZScore("zset", mid)
+		}},
+		{"LLen", func(e *Engine, _ int) { e.RPush("list", small) }, func(e *Engine, _ string, _, _ int) {
 			e.LLen("list")
 		}},
-		{"LRange", func(e *Engine) {
-			e.RPush("list", small, small, small, small)
-		}, func(e *Engine, _ int) {
+		{"LRange", func(e *Engine, _ int) { e.RPush("list", small) }, func(e *Engine, _ string, _, _ int) {
 			e.LRange("list", 0, -1)
 		}},
 	}
 	for _, row := range rows {
-		b.Run(row.name, func(b *testing.B) {
-			e := New(Options{})
-			if row.setup != nil {
-				row.setup(e)
-			}
-			row.op(e, 0) // the stripe's first collection makes its map: not a row's cost
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				row.op(e, i)
-			}
-		})
+		for _, n := range []int{8, 64, 1024} {
+			b.Run(fmt.Sprintf("%s/n=%d", row.name, n), func(b *testing.B) {
+				e := New(Options{})
+				for i := 0; i < n; i++ {
+					row.fill(e, i)
+				}
+				mid := member(n / 2)
+				row.op(e, mid, n, 0)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					row.op(e, mid, n, i)
+				}
+			})
+		}
 	}
 }

@@ -1,15 +1,17 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
 )
 
-// Typed-value codec: snapshots collection items (lists, sets, sorted
-// sets, hashes) into self-describing byte blobs so the tiered write path
-// can persist them through the string-only storage tier and reinstall
-// them on a cache miss (including after a process restart).
+// Typed-value codec: a collection (list, set, sorted set, hash) as one
+// self-describing byte blob. It is the collection's value in its engine
+// record (collections.go), and the form in which it travels through the
+// string-only storage tier and to replicas and is reinstalled on a cache
+// miss (including after a process restart).
 //
 // Blob format:
 //
@@ -19,6 +21,11 @@ import (
 // set element:   uvarint len | member
 // zset element:  uvarint len | member | 8-byte big-endian float64 bits
 // hash element:  uvarint flen | field | uvarint vlen | value
+//
+// A blob is canonical: every uvarint is as short as it can be, count is at
+// least 1, no set member, sorted-set member or hash field repeats, and a
+// sorted set's elements ascend by (score, member) with no NaN score.
+// LoadEncoded refuses any other blob.
 //
 // Raw string values share the same storage namespace, so a string that
 // happens to begin with 0xFF is escaped on its way to storage as
@@ -75,8 +82,8 @@ func appendLenString(b []byte, s string) []byte {
 }
 
 // Encode snapshots key's current state in the form it travels to the
-// storage tier and to replicas: a string's value (encoded false) or a
-// collection's typed blob (encoded true). ErrNotFound when the key is
+// storage tier and to replicas: a string's value (encoded false) or a copy
+// of a collection's blob (encoded true). ErrNotFound when the key is
 // absent or expired. It is a write path's read-back, not a client read:
 // no hit is counted and the key's recency is left alone.
 func (e *Engine) Encode(key string) (val []byte, encoded bool, err error) {
@@ -88,124 +95,140 @@ func (e *Engine) Encode(key string) (val []byte, encoded bool, err error) {
 	if !live {
 		return nil, false, ErrNotFound
 	}
-	if en.rec == nil {
-		blob, ok := encodeCollectionLocked(en.it)
-		if !ok {
-			return nil, false, ErrBadEncoding
-		}
-		return blob, true, nil
-	}
 	f := s.strs.parse(en.rec)
 	data, _, err := e.take(f.stored, nil)
 	if err == nil {
 		val, err = e.finish(f.flags, data)
 	}
-	return val, false, err
+	return val, en.rec.isColl(), err
 }
 
-// encodeCollectionLocked builds the typed blob for a non-string item.
-// The caller holds the item's shard lock (read or write).
-func encodeCollectionLocked(it *item) (blob []byte, ok bool) {
-	blob = append(blob, typedMarker, byte(it.kind))
-	switch it.kind {
-	case KindList:
-		blob = appendUvarint(blob, uint64(len(it.list)))
-		for _, v := range it.list {
-			blob = appendLenBytes(blob, v)
-		}
-	case KindSet:
-		blob = appendUvarint(blob, uint64(len(it.set)))
-		for m := range it.set {
-			blob = appendLenString(blob, m)
-		}
-	case KindZSet:
-		blob = appendUvarint(blob, uint64(len(it.zset.sorted)))
-		for _, ent := range it.zset.sorted {
-			blob = appendLenString(blob, ent.member)
-			var fb [8]byte
-			binary.BigEndian.PutUint64(fb[:], math.Float64bits(ent.score))
-			blob = append(blob, fb[:]...)
-		}
-	case KindHash:
-		blob = appendUvarint(blob, uint64(len(it.hash)))
-		for f, v := range it.hash {
-			blob = appendLenString(blob, f)
-			blob = appendLenBytes(blob, v)
-		}
-	default:
-		return nil, false
+// readUvarint reads the canonical uvarint p starts with, and returns it and
+// the rest of p.
+func readUvarint(p []byte) (uint64, []byte, error) {
+	if len(p) > 0 && p[0] < 0x80 {
+		return uint64(p[0]), p[1:], nil
 	}
-	return blob, true
+	v, n := binary.Uvarint(p)
+	if n <= 0 || n != uvarintLen(v) {
+		return 0, nil, ErrBadEncoding
+	}
+	return v, p[n:], nil
 }
 
 // readLenBytes decodes one uvarint-length-prefixed element, returning the
-// element (aliasing p) and the remainder.
+// element (aliasing p) and the remainder. A length under 128, one byte and
+// canonical, is read here without a call: it is most of them, and a walk
+// of a collection reads one or two an element.
 func readLenBytes(p []byte) ([]byte, []byte, error) {
-	l, n := binary.Uvarint(p)
-	if n <= 0 || l > uint64(len(p)-n) {
+	if len(p) > 0 && int(p[0]) < min(len(p), 0x80) {
+		return p[1 : 1+p[0]], p[1+p[0]:], nil
+	}
+	return readLongBytes(p)
+}
+
+// readLongBytes is readLenBytes for every length.
+func readLongBytes(p []byte) ([]byte, []byte, error) {
+	l, p, err := readUvarint(p)
+	if err != nil || l > uint64(len(p)) {
 		return nil, nil, ErrBadEncoding
 	}
-	p = p[n:]
 	return p[:l], p[l:], nil
 }
 
-// LoadEncoded decodes a typed blob (produced by Encode) and
-// installs it at key, replacing any existing entry. The installed item
-// has no TTL: TTL state is cache-tier-only and does not survive the trip
-// through storage. All element bytes are copied out of blob. A blob of no
-// element is corrupt: Encode never writes one, as no empty collection
-// exists.
-func (e *Engine) LoadEncoded(key string, blob []byte) error {
+// elem is one element of a collection: key is a list's value, a set's or
+// sorted set's member or a hash's field, val a hash field's value and
+// score a sorted-set member's. key and val alias the blob.
+type elem struct {
+	key, val []byte
+	score    float64
+}
+
+// nextElem decodes the element of a collection of kind that p, the
+// elements of its blob, starts with, and how many bytes of p it takes.
+func nextElem(kind Kind, p []byte) (el elem, n int, err error) {
+	var rest []byte
+	if el.key, rest, err = readLenBytes(p); err != nil {
+		return el, 0, err
+	}
+	switch kind {
+	case KindZSet:
+		if len(rest) < 8 {
+			return el, 0, ErrBadEncoding
+		}
+		el.score = math.Float64frombits(binary.BigEndian.Uint64(rest))
+		rest = rest[8:]
+	case KindHash:
+		if el.val, rest, err = readLenBytes(rest); err != nil {
+			return el, 0, err
+		}
+	}
+	return el, len(p) - len(rest), nil
+}
+
+// zless is a sorted set's order: by score, then by member.
+func zless(a, b elem) bool {
+	if a.score != b.score {
+		return a.score < b.score
+	}
+	return bytes.Compare(a.key, b.key) < 0
+}
+
+// checkBlob reports ErrBadEncoding unless blob is a canonical collection
+// blob.
+func checkBlob(blob []byte) error {
 	if !IsTypedValue(blob) {
 		return ErrBadEncoding
 	}
 	kind := Kind(blob[1])
-	p := blob[2:]
-	count, n := binary.Uvarint(p)
+	count, p, err := readUvarint(blob[2:])
 	// Every element takes at least one byte, so a count past the bytes
 	// left is corrupt; checked before it sizes an allocation.
-	if n <= 0 || count == 0 || count > uint64(len(p)-n) {
+	if err != nil || kind < KindList || kind > KindHash || count == 0 || count > uint64(len(p)) {
 		return ErrBadEncoding
 	}
-	p = p[n:]
-	it := newItem(key, kind, int(count))
+	var seen map[string]struct{} // the members or fields so far
+	if kind != KindList {
+		seen = make(map[string]struct{}, count)
+	}
+	var prev elem
 	for i := uint64(0); i < count; i++ {
-		el, rest, err := readLenBytes(p)
+		el, n, err := nextElem(kind, p)
 		if err != nil {
 			return err
 		}
-		switch kind {
-		case KindList:
-			it.push(el, false)
-		case KindSet:
-			it.sadd(string(el))
-		case KindZSet:
-			if len(rest) < 8 {
+		if seen != nil {
+			if _, dup := seen[string(el.key)]; dup {
 				return ErrBadEncoding
 			}
-			it.zadd(string(el), math.Float64frombits(binary.BigEndian.Uint64(rest)))
-			rest = rest[8:]
-		case KindHash:
-			var v []byte
-			if v, rest, err = readLenBytes(rest); err != nil {
-				return err
-			}
-			it.hset(string(el), v)
-		default:
+			seen[string(el.key)] = struct{}{}
+		}
+		if kind == KindZSet && (math.IsNaN(el.score) || i > 0 && !zless(prev, el)) {
 			return ErrBadEncoding
 		}
-		p = rest
+		prev, p = el, p[n:]
 	}
 	if len(p) != 0 {
 		return ErrBadEncoding
 	}
+	return nil
+}
+
+// LoadEncoded installs blob, a collection's typed encoding (Encode), as
+// key's value, replacing any existing entry. The installed collection has
+// no TTL: TTL state is cache-tier-only and does not survive the trip
+// through storage. The blob is copied into the key's record. It must be
+// canonical (checkBlob), which every blob Encode returns is: ErrBadEncoding
+// otherwise, with the engine left as it was. A blob of no element is
+// refused with the rest, as no empty collection exists.
+func (e *Engine) LoadEncoded(key string, blob []byte) error {
+	if err := checkBlob(blob); err != nil {
+		return err
+	}
 	var kb keyBuf
 	k, s := e.locate(key, &kb)
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if en := s.lookup(k); en.present() {
-		e.remove(s, key, en)
-	}
-	e.addItem(s, key, it)
+	e.publish(s, k, staged{flags: flagColl, val: blob})
+	s.mu.Unlock()
 	return nil
 }

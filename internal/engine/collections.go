@@ -1,140 +1,153 @@
 package engine
 
 import (
+	"encoding/binary"
+	"errors"
+	"iter"
+	"math"
+	"slices"
 	"sort"
 )
 
 // This file implements the non-string data types: lists, sets, sorted sets
-// and hashes (the wide-column surface). Collection payloads always live in
-// DRAM; compression and PMem offload apply to string values only, matching
-// TierBase's deployment (values dominate memory in the string-heavy
-// production workloads the paper evaluates).
+// and hashes (the wide-column surface). A collection is a record like a
+// string's, flagged flagColl, whose value is its blob (codec.go): the bytes
+// Encode returns, in DRAM and raw, never compressed or offloaded to PMem.
+// It is charged its slot like any record. A list's elements are the list, a
+// set's members and a hash's fields are in the order they were added, and
+// a sorted set's elements ascend by (score, member).
 //
-// A collection changes one way. Its element model is the add and remove
-// operations on item below: each copies an element in and charges it from
-// elemBytes, and LoadEncoded builds an item with the same operations. Every
-// write command runs one of them through update, every read command reads
-// through read. update is the only place a collection emptied by a write is
-// deleted, so no empty collection ever exists.
+// Every write command runs through update: it walks the elements under the
+// stripe's write lock, writes the collection it leaves to a new slot, and
+// deletes the key if that holds no element, so no empty collection ever
+// exists. Every read command walks the elements through read, under the
+// read lock, and copies out what it returns. Either way a command on an
+// n-element collection walks and copies O(n) bytes.
 
-// elemBytes is what an element costs a collection beyond its own bytes, by
-// kind: a list's slice header; a set's map slot; a sorted set's map slot and
-// its entry in the score order; a hash's map slot and value header.
-var elemBytes = [...]int64{KindList: 24, KindSet: 16, KindZSet: 32, KindHash: 32}
+// ErrNaNScore refuses a sorted-set score that is NaN, which has no place in
+// the order.
+var ErrNaNScore = errors.New("engine: sorted-set score is NaN")
 
-// charge books payload element bytes and elems elements (negative to
-// refund them) to the item.
-func (it *item) charge(payload, elems int) {
-	it.payload += int64(payload)
-	it.memBytes += int64(payload) + int64(elems)*elemBytes[it.kind]
+// coll is a collection's blob taken apart: its kind, its element count and
+// its elements, aliasing the blob.
+type coll struct {
+	kind  Kind
+	n     int
+	elems []byte
 }
 
-// size is the element count.
-func (it *item) size() int {
-	switch it.kind {
-	case KindList:
-		return len(it.list)
-	case KindSet:
-		return len(it.set)
-	case KindZSet:
-		return len(it.zset.scores)
-	case KindHash:
-		return len(it.hash)
+// blobColl takes apart blob, a record's collection blob, which
+// LoadEncoded or update wrote and is therefore canonical.
+func blobColl(blob []byte) coll {
+	n, w := uvarint(blob[2:])
+	return coll{kind: Kind(blob[1]), n: int(n), elems: blob[2+w:]}
+}
+
+// all yields c's elements in order, each with its encoding.
+func (c coll) all() iter.Seq2[elem, []byte] {
+	return func(yield func(elem, []byte) bool) {
+		for p := c.elems; len(p) > 0; {
+			el, n, err := nextElem(c.kind, p)
+			if err != nil {
+				panic("engine: a collection record its own decoder refuses")
+			}
+			if !yield(el, p[:n]) {
+				return
+			}
+			p = p[n:]
+		}
 	}
-	return 0
 }
 
-// clone copies an element in or out of a collection. The copy is never nil,
-// even of an empty element: an empty value is present, and nil reads as
-// absent.
+// find returns c's element known by key: a member or a field.
+func (c coll) find(key string) (elem, bool) {
+	for el := range c.all() {
+		if string(el.key) == key {
+			return el, true
+		}
+	}
+	return elem{}, false
+}
+
+// args is a command's members or fields, found by a scan when they are few
+// and through a map when they are many, so a command of m arguments on an
+// n-element collection costs O(n+m) compares, not O(n·m).
+type args struct {
+	keys  []string
+	first map[string]int // each key's first position, past argsScanMax keys
+}
+
+// argsScanMax is the most arguments args finds by a scan.
+const argsScanMax = 8
+
+func newArgs(keys []string) args {
+	a := args{keys: keys}
+	if len(keys) > argsScanMax {
+		a.first = make(map[string]int, len(keys))
+		for i := len(keys) - 1; i >= 0; i-- {
+			a.first[keys[i]] = i
+		}
+	}
+	return a
+}
+
+// find is the position of key's first occurrence among a's keys, or -1.
+func (a args) find(key []byte) int {
+	if a.first != nil {
+		if i, ok := a.first[string(key)]; ok {
+			return i
+		}
+		return -1
+	}
+	for i, k := range a.keys {
+		if k == string(key) {
+			return i
+		}
+	}
+	return -1
+}
+
+// firstOf is the position of the first occurrence of a.keys[i].
+func (a args) firstOf(i int) int {
+	if a.first != nil {
+		return a.first[a.keys[i]]
+	}
+	return slices.Index(a.keys, a.keys[i])
+}
+
+// clone copies an element out of a collection. The copy is never nil, even
+// of an empty element: an empty value is present, and nil reads as absent.
 func clone(v []byte) []byte {
 	c := make([]byte, len(v))
 	copy(c, v)
 	return c
 }
 
-func (it *item) push(v []byte, head bool) {
-	v = clone(v)
-	if head {
-		it.list = append([][]byte{v}, it.list...)
-	} else {
-		it.list = append(it.list, v)
-	}
-	it.charge(len(v), 1)
-}
+// collHead is the room update leaves in front of the elements it builds for
+// the blob's header: the marker, the kind and the longest count.
+const collHead = 2 + binary.MaxVarintLen64
 
-func (it *item) pop(head bool) (v []byte) {
-	if n := len(it.list) - 1; head {
-		v, it.list = it.list[0], it.list[1:]
-	} else {
-		v, it.list = it.list[n], it.list[:n]
+// collOf is en, a live entry of s, as a collection of kind: ErrWrongType
+// when it holds another kind. Caller holds s.mu.
+func (s *shard) collOf(en entry, kind Kind) (coll, error) {
+	if !en.rec.isColl() {
+		return coll{}, ErrWrongType
 	}
-	it.charge(-len(v), -1)
-	return v
-}
-
-func (it *item) sadd(m string) bool {
-	if _, ok := it.set[m]; ok {
-		return false
+	c := blobColl(s.strs.parse(en.rec).val)
+	if c.kind != kind {
+		return coll{}, ErrWrongType
 	}
-	it.set[m] = struct{}{}
-	it.charge(len(m), 1)
-	return true
-}
-
-func (it *item) srem(m string) bool {
-	if _, ok := it.set[m]; !ok {
-		return false
-	}
-	delete(it.set, m)
-	it.charge(-len(m), -1)
-	return true
-}
-
-func (it *item) zadd(m string, score float64) bool {
-	isNew := it.zset.insert(m, score)
-	if isNew {
-		it.charge(len(m), 1)
-	}
-	return isNew
-}
-
-func (it *item) zrem(m string) bool {
-	sc, ok := it.zset.scores[m]
-	if ok {
-		it.zset.remove(m, sc)
-		it.charge(-len(m), -1)
-	}
-	return ok
-}
-
-func (it *item) hset(f string, v []byte) bool {
-	old, had := it.hash[f]
-	v = clone(v)
-	it.hash[f] = v
-	if had {
-		it.charge(len(v)-len(old), 0)
-	} else {
-		it.charge(len(f)+len(v), 1)
-	}
-	return !had
-}
-
-func (it *item) hdel(f string) bool {
-	v, ok := it.hash[f]
-	if ok {
-		delete(it.hash, f)
-		it.charge(-len(f)-len(v), -1)
-	}
-	return ok
+	return c, nil
 }
 
 // update runs change on key's live collection of kind under the stripe's
 // write lock. An absent (or lapsed) key is ErrNotFound unless create is
-// set, when change gets a new empty collection. The stripe is then charged
-// what change charged the item, and a collection change left empty is
-// deleted. ErrWrongType when key holds another kind.
-func (e *Engine) update(key string, kind Kind, create bool, change func(it *item)) error {
+// set, when change gets a collection of no element. change appends the
+// elements of the collection it leaves to out and returns out and their
+// count, or nil when it leaves the collection as it was. The key's record
+// is then written to a new slot with the deadline it had, or deleted if no
+// element is left. ErrWrongType when key holds another kind.
+func (e *Engine) update(key string, kind Kind, create bool, change func(c coll, out []byte) ([]byte, int)) error {
 	var kb keyBuf
 	k, s := e.locate(key, &kb)
 	s.mu.Lock()
@@ -144,35 +157,44 @@ func (e *Engine) update(key string, kind Kind, create bool, change func(it *item
 		if !create {
 			return ErrNotFound
 		}
-		e.remove(s, key, en)
+		e.remove(s, en)
 		en = entry{}
 	}
-	switch {
-	case en.present() && en.kind() != kind:
-		return ErrWrongType
-	case en.present():
+	c, st := coll{kind: kind}, staged{flags: flagColl}
+	if en.present() {
+		var err error
+		if c, err = s.collOf(en, kind); err != nil {
+			return err
+		}
 		s.touch(en)
-	case !create:
+		if en.rec[0]&flagTTL != 0 {
+			st.flags, st.at = st.flags|flagTTL, en.rec.deadline()
+		}
+	} else if !create {
 		return ErrNotFound
+	}
+	pooled, scratch := getScratch()
+	out, n := change(c, slices.Grow(scratch, collHead)[:collHead])
+	switch {
+	case out == nil:
+	case n == 0:
+		e.remove(s, en)
 	default:
-		en.it = newItem(key, kind, 0)
-		e.addItem(s, key, en.it)
+		h := 2 + uvarintLen(uint64(n))
+		st.val = out[collHead-h:]
+		st.val[0], st.val[1] = typedMarker, byte(kind)
+		binary.PutUvarint(st.val[2:], uint64(n))
+		e.publish(s, k, st)
+		scratch = out
 	}
-	it := en.it
-	mem, payload := it.memBytes, it.payload
-	change(it)
-	s.memUsed.Add(it.memBytes - mem)
-	s.payload.Add(it.payload - payload)
-	if it.size() == 0 {
-		e.removeItem(s, key, it)
-	}
+	putScratch(pooled, scratch)
 	return nil
 }
 
 // read runs look on key's live collection of kind under the stripe's read
 // lock: ErrNotFound when key is absent, ErrWrongType when it holds another
-// kind.
-func (e *Engine) read(key string, kind Kind, look func(it *item)) error {
+// kind. What look keeps of the collection it must copy.
+func (e *Engine) read(key string, kind Kind, look func(c coll)) error {
 	var kb keyBuf
 	k, s := e.locate(key, &kb)
 	s.mu.RLock()
@@ -181,11 +203,12 @@ func (e *Engine) read(key string, kind Kind, look func(it *item)) error {
 	if !ok {
 		return ErrNotFound
 	}
-	if en.kind() != kind {
-		return ErrWrongType
+	c, err := s.collOf(en, kind)
+	if err != nil {
+		return err
 	}
 	s.touch(en)
-	look(en.it)
+	look(c)
 	return nil
 }
 
@@ -201,15 +224,14 @@ func absentIsZero(err error) error {
 // card is the element count of key's collection of kind (0 if absent).
 func (e *Engine) card(key string, kind Kind) (int, error) {
 	var n int
-	err := e.read(key, kind, func(it *item) { n = it.size() })
+	err := e.read(key, kind, func(c coll) { n = c.n })
 	return n, absentIsZero(err)
 }
 
-// window is s[start..stop] by Redis's range rules: both ends inclusive, a
-// negative index counting from the end, ends past either edge clamped to it.
-// nil when the range holds nothing.
-func window[T any](s []T, start, stop int) []T {
-	n := len(s)
+// window is the elements [lo, hi) of n that [start, stop] covers by Redis's
+// range rules: both ends inclusive, a negative index counting from the end,
+// ends past either edge clamped to it. lo == hi when it covers none.
+func window(n, start, stop int) (lo, hi int) {
 	if start < 0 {
 		start += n
 	}
@@ -218,9 +240,22 @@ func window[T any](s []T, start, stop int) []T {
 	}
 	start, stop = max(start, 0), min(stop, n-1)
 	if start > stop {
-		return nil
+		return 0, 0
 	}
-	return s[start : stop+1]
+	return start, stop + 1
+}
+
+// ranged yields the elements [lo, hi) of c.
+func (c coll) ranged(lo, hi int) iter.Seq[elem] {
+	return func(yield func(elem) bool) {
+		i := 0
+		for el := range c.all() {
+			if i >= hi || i >= lo && !yield(el) {
+				return
+			}
+			i++
+		}
+	}
 }
 
 // --- lists ---
@@ -236,11 +271,24 @@ func (e *Engine) RPush(key string, vals ...[]byte) (int, error) {
 }
 
 func (e *Engine) push(key string, vals [][]byte, head bool) (n int, err error) {
-	err = e.update(key, KindList, true, func(it *item) {
-		for _, v := range vals {
-			it.push(v, head)
+	err = e.update(key, KindList, true, func(c coll, out []byte) ([]byte, int) {
+		n = c.n + len(vals)
+		if len(vals) == 0 {
+			return nil, n
 		}
-		n = len(it.list)
+		if !head {
+			out = append(out, c.elems...)
+		}
+		for i := range vals {
+			if head {
+				i = len(vals) - 1 - i // each goes in front of the one before
+			}
+			out = appendLenBytes(out, vals[i])
+		}
+		if head {
+			out = append(out, c.elems...)
+		}
+		return out, n
 	})
 	return n, err
 }
@@ -252,7 +300,20 @@ func (e *Engine) LPop(key string) ([]byte, error) { return e.pop(key, true) }
 func (e *Engine) RPop(key string) ([]byte, error) { return e.pop(key, false) }
 
 func (e *Engine) pop(key string, head bool) (v []byte, err error) {
-	err = e.update(key, KindList, false, func(it *item) { v = it.pop(head) })
+	err = e.update(key, KindList, false, func(c coll, out []byte) ([]byte, int) {
+		var gone []byte // the element's encoding
+		for el, enc := range c.all() {
+			v, gone = el.key, enc
+			if head {
+				break
+			}
+		}
+		v = clone(v)
+		if head {
+			return append(out, c.elems[len(gone):]...), c.n - 1
+		}
+		return append(out, c.elems[:len(c.elems)-len(gone)]...), c.n - 1
+	})
 	return v, err
 }
 
@@ -261,11 +322,11 @@ func (e *Engine) LLen(key string) (int, error) { return e.card(key, KindList) }
 
 // LRange returns elements [start, stop] with Redis negative-index rules.
 func (e *Engine) LRange(key string, start, stop int) (out [][]byte, err error) {
-	err = e.read(key, KindList, func(it *item) {
-		if w := window(it.list, start, stop); w != nil {
-			out = make([][]byte, len(w))
-			for i, v := range w {
-				out[i] = clone(v)
+	err = e.read(key, KindList, func(c coll) {
+		if lo, hi := window(c.n, start, stop); lo < hi {
+			out = make([][]byte, 0, hi-lo)
+			for el := range c.ranged(lo, hi) {
+				out = append(out, clone(el.key))
 			}
 		}
 	})
@@ -276,31 +337,63 @@ func (e *Engine) LRange(key string, start, stop int) (out [][]byte, err error) {
 
 // SAdd inserts members; returns how many were new.
 func (e *Engine) SAdd(key string, members ...string) (added int, err error) {
-	err = e.update(key, KindSet, true, func(it *item) {
-		for _, m := range members {
-			if it.sadd(m) {
+	a := newArgs(members)
+	var few [argsScanMax]bool
+	had := few[:] // had[i]: the set holds, or an earlier argument added, a.keys[i]
+	if len(members) > len(few) {
+		had = make([]bool, len(members))
+	}
+	err = e.update(key, KindSet, true, func(c coll, out []byte) ([]byte, int) {
+		out = append(out, c.elems...)
+		for el := range c.all() {
+			if i := a.find(el.key); i >= 0 {
+				had[i] = true
+			}
+		}
+		for i, m := range members {
+			if j := a.firstOf(i); !had[j] {
+				had[j] = true
+				out = appendLenString(out, m)
 				added++
 			}
 		}
+		if added == 0 {
+			return nil, c.n
+		}
+		return out, c.n + added
 	})
 	return added, err
 }
 
+// remove appends the elements of c that keys does not name to out, and
+// returns out and how many it left out, or nil when it left out none.
+func (c coll) remove(out []byte, keys []string) ([]byte, int) {
+	a, removed := newArgs(keys), 0
+	for el, enc := range c.all() {
+		if a.find(el.key) >= 0 {
+			removed++
+		} else {
+			out = append(out, enc...)
+		}
+	}
+	if removed == 0 {
+		return nil, 0
+	}
+	return out, removed
+}
+
 // SRem removes members; returns how many were present.
 func (e *Engine) SRem(key string, members ...string) (removed int, err error) {
-	err = e.update(key, KindSet, false, func(it *item) {
-		for _, m := range members {
-			if it.srem(m) {
-				removed++
-			}
-		}
+	err = e.update(key, KindSet, false, func(c coll, out []byte) ([]byte, int) {
+		out, removed = c.remove(out, members)
+		return out, c.n - removed
 	})
 	return removed, absentIsZero(err)
 }
 
 // SIsMember reports membership.
 func (e *Engine) SIsMember(key, member string) (ok bool, err error) {
-	err = e.read(key, KindSet, func(it *item) { _, ok = it.set[member] })
+	err = e.read(key, KindSet, func(c coll) { _, ok = c.find(member) })
 	return ok, absentIsZero(err)
 }
 
@@ -309,10 +402,10 @@ func (e *Engine) SCard(key string) (int, error) { return e.card(key, KindSet) }
 
 // SMembers returns all members, sorted for determinism.
 func (e *Engine) SMembers(key string) (out []string, err error) {
-	err = e.read(key, KindSet, func(it *item) {
-		out = make([]string, 0, len(it.set))
-		for m := range it.set {
-			out = append(out, m)
+	err = e.read(key, KindSet, func(c coll) {
+		out = make([]string, 0, c.n)
+		for el := range c.all() {
+			out = append(out, string(el.key))
 		}
 	})
 	sort.Strings(out)
@@ -321,64 +414,54 @@ func (e *Engine) SMembers(key string) (out []string, err error) {
 
 // --- sorted sets ---
 
-// zset keeps member→score plus a score-ordered slice for range queries.
-type zset struct {
-	scores map[string]float64
-	sorted []zentry // ascending (score, member)
+// appendZElem appends a sorted set's element to a blob.
+func appendZElem(b []byte, member string, score float64) []byte {
+	b = appendLenString(b, member)
+	return binary.BigEndian.AppendUint64(b, math.Float64bits(score))
 }
 
-type zentry struct {
-	member string
-	score  float64
-}
-
-func zless(a, b zentry) bool {
-	if a.score != b.score {
-		return a.score < b.score
-	}
-	return a.member < b.member
-}
-
-func (z *zset) insert(member string, score float64) (isNew bool) {
-	if old, ok := z.scores[member]; ok {
-		if old == score {
-			return false
-		}
-		z.remove(member, old)
-	} else {
-		isNew = true
-	}
-	z.scores[member] = score
-	ent := zentry{member, score}
-	i := sort.Search(len(z.sorted), func(i int) bool { return !zless(z.sorted[i], ent) })
-	z.sorted = append(z.sorted, zentry{})
-	copy(z.sorted[i+1:], z.sorted[i:])
-	z.sorted[i] = ent
-	return isNew
-}
-
-func (z *zset) remove(member string, score float64) {
-	ent := zentry{member, score}
-	i := sort.Search(len(z.sorted), func(i int) bool { return !zless(z.sorted[i], ent) })
-	for i < len(z.sorted) && z.sorted[i].member != member {
-		i++
-	}
-	if i < len(z.sorted) {
-		z.sorted = append(z.sorted[:i], z.sorted[i+1:]...)
-	}
-	delete(z.scores, member)
-}
-
-// ZAdd inserts or updates a member; returns whether it was new.
+// ZAdd inserts or updates a member; returns whether it was new. A NaN
+// score is ErrNaNScore.
 func (e *Engine) ZAdd(key, member string, score float64) (isNew bool, err error) {
-	err = e.update(key, KindZSet, true, func(it *item) { isNew = it.zadd(member, score) })
+	if math.IsNaN(score) {
+		return false, ErrNaNScore
+	}
+	ent := elem{key: []byte(member), score: score}
+	err = e.update(key, KindZSet, true, func(c coll, out []byte) ([]byte, int) {
+		isNew = true
+		placed := false
+		for el, enc := range c.all() {
+			if string(el.key) == member {
+				isNew = false
+				if el.score == score {
+					return nil, c.n
+				}
+				continue
+			}
+			if !placed && zless(ent, el) {
+				out, placed = appendZElem(out, member, score), true
+			}
+			out = append(out, enc...)
+		}
+		if !placed {
+			out = appendZElem(out, member, score)
+		}
+		if isNew {
+			return out, c.n + 1
+		}
+		return out, c.n
+	})
 	return isNew, err
 }
 
 // ZScore returns a member's score.
 func (e *Engine) ZScore(key, member string) (sc float64, err error) {
 	ok := false
-	err = e.read(key, KindZSet, func(it *item) { sc, ok = it.zset.scores[member] })
+	err = e.read(key, KindZSet, func(c coll) {
+		var el elem
+		el, ok = c.find(member)
+		sc = el.score
+	})
 	if err == nil && !ok {
 		err = ErrNotFound
 	}
@@ -387,7 +470,11 @@ func (e *Engine) ZScore(key, member string) (sc float64, err error) {
 
 // ZRem removes a member; reports whether it was present.
 func (e *Engine) ZRem(key, member string) (removed bool, err error) {
-	err = e.update(key, KindZSet, false, func(it *item) { removed = it.zrem(member) })
+	err = e.update(key, KindZSet, false, func(c coll, out []byte) ([]byte, int) {
+		out, n := c.remove(out, []string{member})
+		removed = n == 1
+		return out, c.n - n
+	})
 	return removed, absentIsZero(err)
 }
 
@@ -402,11 +489,11 @@ type ZMember struct {
 
 // ZRange returns members by rank [start, stop], Redis negative-index rules.
 func (e *Engine) ZRange(key string, start, stop int) (out []ZMember, err error) {
-	err = e.read(key, KindZSet, func(it *item) {
-		if w := window(it.zset.sorted, start, stop); w != nil {
-			out = make([]ZMember, len(w))
-			for i, z := range w {
-				out[i] = ZMember{z.member, z.score}
+	err = e.read(key, KindZSet, func(c coll) {
+		if lo, hi := window(c.n, start, stop); lo < hi {
+			out = make([]ZMember, 0, hi-lo)
+			for el := range c.ranged(lo, hi) {
+				out = append(out, ZMember{string(el.key), el.score})
 			}
 		}
 	})
@@ -417,15 +504,29 @@ func (e *Engine) ZRange(key string, start, stop int) (out []ZMember, err error) 
 
 // HSet stores a field; reports whether the field was new.
 func (e *Engine) HSet(key, field string, val []byte) (isNew bool, err error) {
-	err = e.update(key, KindHash, true, func(it *item) { isNew = it.hset(field, val) })
+	err = e.update(key, KindHash, true, func(c coll, out []byte) ([]byte, int) {
+		isNew = true
+		for el, enc := range c.all() {
+			if string(el.key) == field {
+				isNew = false
+				out = appendLenBytes(appendLenString(out, field), val)
+			} else {
+				out = append(out, enc...)
+			}
+		}
+		if isNew {
+			return appendLenBytes(appendLenString(out, field), val), c.n + 1
+		}
+		return out, c.n
+	})
 	return isNew, err
 }
 
 // HGet fetches a field.
 func (e *Engine) HGet(key, field string) (v []byte, err error) {
-	err = e.read(key, KindHash, func(it *item) {
-		if cur, ok := it.hash[field]; ok {
-			v = clone(cur)
+	err = e.read(key, KindHash, func(c coll) {
+		if el, ok := c.find(field); ok {
+			v = clone(el.val)
 		}
 	})
 	if err == nil && v == nil {
@@ -436,12 +537,9 @@ func (e *Engine) HGet(key, field string) (v []byte, err error) {
 
 // HDel removes fields; returns how many existed.
 func (e *Engine) HDel(key string, fields ...string) (n int, err error) {
-	err = e.update(key, KindHash, false, func(it *item) {
-		for _, f := range fields {
-			if it.hdel(f) {
-				n++
-			}
-		}
+	err = e.update(key, KindHash, false, func(c coll, out []byte) ([]byte, int) {
+		out, n = c.remove(out, fields)
+		return out, c.n - n
 	})
 	return n, absentIsZero(err)
 }
@@ -457,10 +555,10 @@ type HashField struct {
 
 // HGetAll returns every field of the hash, sorted by field name.
 func (e *Engine) HGetAll(key string) (out []HashField, err error) {
-	err = e.read(key, KindHash, func(it *item) {
-		out = make([]HashField, 0, len(it.hash))
-		for f, v := range it.hash {
-			out = append(out, HashField{f, clone(v)})
+	err = e.read(key, KindHash, func(c coll) {
+		out = make([]HashField, 0, c.n)
+		for el := range c.all() {
+			out = append(out, HashField{string(el.key), clone(el.val)})
 		}
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Field < out[j].Field })

@@ -2,8 +2,14 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestListPushPop(t *testing.T) {
@@ -323,5 +329,186 @@ func TestNoEmptyCollection(t *testing.T) {
 	}
 	if n, m := e.Len(), e.MemUsed(); n != 0 || m != 0 {
 		t.Fatalf("empty blobs left %d keys, %d bytes", n, m)
+	}
+}
+
+// TestZAddRefusesNaN: NaN compares false with every score, so a NaN member
+// would break the order a sorted set's blob is kept in. ZAdd refuses it and
+// leaves the set as it was; LoadEncoded refuses a blob that holds one.
+func TestZAddRefusesNaN(t *testing.T) {
+	e := New(Options{})
+	for m, sc := range map[string]float64{"a": 3, "b": 1, "c": 2, "d": 0} {
+		e.ZAdd("z", m, sc)
+	}
+	if isNew, err := e.ZAdd("z", "n", math.NaN()); err != ErrNaNScore || isNew {
+		t.Fatalf("ZAdd of NaN: %v, %v", isNew, err)
+	}
+	if _, err := e.ZAdd("z", "a", math.NaN()); err != ErrNaNScore {
+		t.Fatalf("re-score to NaN: %v", err)
+	}
+	if _, err := e.ZAdd("fresh", "n", math.NaN()); err != ErrNaNScore || e.Exists("fresh") {
+		t.Fatalf("ZAdd of NaN onto an absent key: %v, exists %v", err, e.Exists("fresh"))
+	}
+	got, _ := e.ZRange("z", 0, -1)
+	if fmt.Sprint(got) != "[{d 0} {b 1} {c 2} {a 3}]" {
+		t.Fatalf("ZRange after refused NaNs: %v", got)
+	}
+	blob, _, _ := e.Encode("z")
+	nan := append([]byte{typedMarker, byte(KindZSet), 1}, appendZElem(nil, "n", math.NaN())...)
+	for _, b := range [][]byte{nan, append(blob[:2:2], append([]byte{5}, append(blob[3:], nan[3:]...)...)...)} {
+		if err := e.LoadEncoded("y", b); err != ErrBadEncoding {
+			t.Fatalf("blob with a NaN score: %v", err)
+		}
+	}
+}
+
+// TestCollectionReadersAndWriters: a collection's reads walk its record
+// under the read lock while writes replace that record with a new slot and
+// free the old one, which strings on the same stripe then reuse. Readers
+// check that every element they copied out is one some writer wrote, and
+// that sets, sorted sets and hashes read back distinct and in order, while
+// writers push and pop, add and remove, re-score and overwrite on the same
+// keys and Set strings of assorted sizes beside them. Run it under -race.
+func TestCollectionReadersAndWriters(t *testing.T) {
+	e := New(Options{Shards: 1})
+	const rounds = 3000
+	member := func(rng *rand.Rand) string { return fmt.Sprintf("m%02d", rng.Intn(24)) }
+	var writers, readers sync.WaitGroup
+	var stop atomic.Bool
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(seed int64) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < rounds; i++ {
+				m := member(rng)
+				switch rng.Intn(9) {
+				case 0:
+					e.RPush("list", []byte("v"+m), []byte("v"+strings.Repeat("7", rng.Intn(40))))
+				case 1:
+					e.LPush("list", []byte("v"+m))
+					e.RPop("list")
+				case 2:
+					e.LPop("list")
+				case 3:
+					e.SAdd("set", m, member(rng))
+				case 4:
+					e.SRem("set", m)
+				case 5:
+					e.ZAdd("zset", m, float64(rng.Intn(8)))
+				case 6:
+					e.ZRem("zset", m)
+				case 7:
+					e.HSet("hash", m, []byte("val-"+m+strings.Repeat("-", rng.Intn(40))))
+					e.HDel("hash", member(rng))
+				default:
+					e.Set(fmt.Sprintf("str%d", rng.Intn(16)), make([]byte, rng.Intn(200)))
+				}
+			}
+		}(int64(w))
+	}
+	fail := func(what string, got any) {
+		t.Errorf("%s read back %.300v", what, got)
+		stop.Store(true)
+	}
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for !stop.Load() {
+				list, err := e.LRange("list", 0, -1)
+				for _, v := range list {
+					if len(v) == 0 || v[0] != 'v' || strings.Trim(string(v[1:]), "m0123456789") != "" {
+						fail("LRange", list)
+					}
+				}
+				members, err2 := e.SMembers("set")
+				for i, m := range members {
+					if len(m) != 3 || m[0] != 'm' || i > 0 && members[i-1] >= m {
+						fail("SMembers", members)
+					}
+				}
+				zs, err3 := e.ZRange("zset", 0, -1)
+				for i, z := range zs {
+					if len(z.Member) != 3 || z.Score != math.Trunc(z.Score) || i > 0 && !(zs[i-1].Score < z.Score || zs[i-1].Score == z.Score && zs[i-1].Member < z.Member) {
+						fail("ZRange", zs)
+					}
+				}
+				fields, err4 := e.HGetAll("hash")
+				for i, f := range fields {
+					if !strings.HasPrefix(string(f.Value), "val-"+f.Field) || i > 0 && fields[i-1].Field >= f.Field {
+						fail("HGetAll", fields)
+					}
+				}
+				for _, err := range []error{err, err2, err3, err4} {
+					if err != nil {
+						fail("a read's error", err)
+					}
+				}
+			}
+		}()
+	}
+	writers.Wait()
+	stop.Store(true)
+	readers.Wait()
+	if err := checkBooks(e); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestManyArgumentCommands runs SADD, SREM and HDEL with many arguments,
+// repeats among them, on collections that hold some of them. Past a few
+// arguments each command finds its arguments through a map: the counts it
+// answers and the elements it leaves must be what one argument at a time
+// would leave, and a command of m arguments on an n-element collection
+// must cost O(n+m), not O(n·m), so 1<<17 members in one SADD take well
+// under a second, not the tens of seconds a scan per member takes.
+func TestManyArgumentCommands(t *testing.T) {
+	e := New(Options{})
+	e.SAdd("s", "m3", "m7")
+	batch := []string{"m1", "m2", "m3", "m1", "m4", "m5", "m6", "m7", "m8", "m9", "m2"}
+	if n, err := e.SAdd("s", batch...); err != nil || n != 7 {
+		t.Fatalf("SADD of 11 members, 9 distinct, 2 held: %d %v, want 7", n, err)
+	}
+	if got, _ := e.SMembers("s"); fmt.Sprint(got) != "[m1 m2 m3 m4 m5 m6 m7 m8 m9]" {
+		t.Fatalf("members %v", got)
+	}
+	if n, _ := e.SRem("s", "m1", "m1", "m2", "x", "m3", "m4", "m5", "m6", "m7", "y"); n != 7 {
+		t.Fatalf("SREM of 7 held members, one twice: %d", n)
+	}
+	if got, _ := e.SMembers("s"); fmt.Sprint(got) != "[m8 m9]" {
+		t.Fatalf("members after SREM %v", got)
+	}
+	for i := 0; i < 12; i++ {
+		e.HSet("h", fmt.Sprintf("f%d", i), []byte("v"))
+	}
+	fields := []string{"f0", "f2", "f4", "f6", "f8", "f10", "f0", "g", "h", "f11"}
+	if n, _ := e.HDel("h", fields...); n != 7 {
+		t.Fatalf("HDEL of 7 held fields, one twice: %d", n)
+	}
+	if n, _ := e.HLen("h"); n != 5 {
+		t.Fatalf("HLEN after HDEL %d, want 5", n)
+	}
+
+	const m = 1 << 17
+	members := make([]string, m)
+	for i := range members {
+		members[i] = fmt.Sprintf("member-%07d", i)
+	}
+	start := time.Now()
+	if n, _ := e.SAdd("big", members[:m/2]...); n != m/2 {
+		t.Fatalf("first SADD added %d, want %d", n, m/2)
+	}
+	if n, _ := e.SAdd("big", members...); n != m/2 {
+		t.Fatalf("second SADD added %d, want %d", n, m/2)
+	}
+	if n, _ := e.SRem("big", members...); n != m {
+		t.Fatalf("SREM removed %d, want %d", n, m)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("SADD, SADD and SREM of %d members took %v", m, took)
+	}
+	if n, _ := e.SCard("big"); n != 0 {
+		t.Fatalf("SCARD after SREM of every member: %d", n)
 	}
 }

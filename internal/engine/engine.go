@@ -12,12 +12,13 @@
 // stripes never contend. Batch operations (MGet/MSet/BatchDel) group keys
 // by stripe and take each stripe lock exactly once.
 //
-// A string key is one contiguous, pointer-free record (record.go): one
-// byte of flags (compressed, PMem ref, has TTL) and key length, the key
-// with its digit runs packed (keypack.go), an
-// 8-byte deadline only if a TTL was ever set, then the stored value (or the
-// 12-byte pmem.Ref to it), behind its length only if it is raw: a
-// compressed value's codec says where it ends.
+// Every key is one contiguous, pointer-free record (record.go): one byte
+// of flags (compressed, PMem ref, has TTL, collection) and key length, the
+// key with its digit runs packed (keypack.go), an 8-byte deadline only if
+// a TTL was ever set, then the stored value (or the 12-byte pmem.Ref to
+// it), behind its length only if it is raw: a compressed value's codec
+// says where it ends. A collection's value is its blob, the form Encode
+// returns (collections.go).
 //
 // Records live in their stripe's slab (slab.go), not in allocations of
 // their own: 16 KiB pointer-free pages carved into slots of exactly the
@@ -32,31 +33,26 @@
 // objects per engine instead of one per key. README.md has the byte-level
 // layout.
 //
-// Collections (the rarer kinds, with mutable internals) keep a *item in a
-// per-stripe map beside the index. A key is in one or the other, and every
-// keyed operation resolves it through shard.lookup, so type crossing (SET
-// over a hash, GET on a list) behaves the same whichever side holds it.
-//
 // # Accounting
 //
 // MemUsed, ShardMemUsed and Stats().MemBytes are the bytes the engine's
 // contents occupy: every record at its slot (own allocations at the Go
-// allocator's size class), every index table as allocated, and for
-// collections a fixed cost from the item's size and its map slot plus
-// their elements. A delete or an eviction takes the record's slot off at
-// once. The cache budget, the overload watermark, cost-advisor and the
+// allocator's size class), a collection's as a string's, and every index
+// table as allocated. A delete or an eviction takes the record's slot off
+// at once. The cache budget, the overload watermark, cost-advisor and the
 // perf ledger all read this number, and an empty engine reports 0. Page
 // bytes that hold no record (freed slots waiting for the next record of
 // their size, the uncarved tail of each stripe's newest page) are
 // Stats().FreeBytes; TestMemUsedTracksHeap holds MemBytes + FreeBytes
-// within 5% of the Go heap. Stats().PayloadBytes is the part of MemBytes
-// that is keys (string keys as stored, packed) and stored values; the rest
-// is overhead.
+// within 5% of the Go heap, and TestChargeMatchesHeap MemBytes within 15%
+// of it for every kind of key. Stats().PayloadBytes is the part of
+// MemBytes that is keys (as stored, packed) and stored values; the rest is
+// overhead.
 //
 // # Recency and eviction
 //
 // Every resident key has one reference bit: bit 30 of its index entry's ref
-// word (a slab ref leaves it clear), or a flag in a collection's item. A
+// word (a slab ref leaves it clear). A
 // read or a write that serves a caller sets it while holding the stripe
 // lock it holds anyway, the read lock included: test, then an atomic or.
 // Evict is CLOCK over the stripe's own index: a hand walks the slots,
@@ -66,15 +62,15 @@
 //
 // # Concurrency
 //
-// The engine is safe for concurrent use. A stripe's index, slab,
-// collection map and accounts change only under its write lock; the one
+// The engine is safe for concurrent use. A stripe's index, slab and
+// accounts change only under its write lock; the one
 // exception is the reference bit, which readers set (index.touch), so the
 // ref word is loaded atomically under the read lock. Slots are reused, so
 // there is one reader rule: nothing that aliases engine-owned storage
 // leaves the stripe lock. A reader copies the stored bytes out
 // under the read lock (a raw value straight into its result, a compressed
-// one into scratch, a PMem one through Arena.Get) and decompresses with
-// no lock held; see take.
+// one into scratch, a PMem one through Arena.Get, a collection's elements
+// one by one) and decompresses with no lock held; see take.
 package engine
 
 import (
@@ -177,32 +173,15 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// item is one collection (list, set, sorted set or hash). String keys have
-// no item: they live in records (record.go).
-type item struct {
-	kind     Kind
-	ref      atomic.Bool // read or written since the clock hand last passed; fits in kind's padding
-	list     [][]byte
-	set      map[string]struct{}
-	zset     *zset
-	hash     map[string][]byte
-	expireAt int64 // unixnano; 0 = no expiry
-	memBytes int64 // accounted DRAM footprint
-	payload  int64 // the part of memBytes that is key and element bytes
-}
-
-// shard is one lock stripe: its own index and slab of string records, map
-// of collections and counters, so hot shards never contend with cold ones
-// (not on the lock, not on the stat cachelines). A key is in strs or in
-// colls, never both.
+// shard is one lock stripe: its own index and slab of records and its
+// counters, so hot shards never contend with cold ones (not on the lock,
+// not on the stat cachelines).
 type shard struct {
-	mu    sync.RWMutex
-	strs  index
-	colls map[string]*item // nil until the stripe holds a collection
+	mu   sync.RWMutex
+	strs index
 
-	sweepPos  atomic.Uint32 // where CollectExpired resumes in strs: the slot hash index.scan returned
-	collsTurn bool          // the clock hand is past the end of strs, among the collections
-	packed    int64         // bytes packing took off the string keys in payload; under mu
+	sweepPos atomic.Uint32 // where CollectExpired resumes in strs: the slot hash index.scan returned
+	packed   int64         // bytes packing took off the keys in payload; under mu
 
 	memUsed atomic.Int64 // DRAM bytes the contents occupy; written under mu
 	payload atomic.Int64 // of which keys and stored values; written under mu
@@ -282,56 +261,34 @@ func (e *Engine) now() int64 { return e.opts.Clock().UnixNano() }
 // never read the clock.
 func (e *Engine) lapsed(at int64) bool { return at != 0 && e.now() >= at }
 
-// entry is what a key resolves to in its stripe: a string record, a
-// collection, or (the zero entry) nothing.
+// entry is what a key resolves to in its stripe: its record, or (the zero
+// entry) nothing.
 type entry struct {
 	rec record
 	at  int // rec's position in the index
-	it  *item
 }
 
-func (en entry) present() bool { return en.rec != nil || en.it != nil }
-
-func (en entry) kind() Kind {
-	switch {
-	case en.rec != nil:
-		return KindString
-	case en.it != nil:
-		return en.it.kind
-	}
-	return KindNone
-}
+func (en entry) present() bool { return en.rec != nil }
 
 // expireAt is the entry's deadline, 0 when it has none or is absent.
 func (en entry) expireAt() int64 {
-	switch {
-	case en.rec != nil:
-		return en.rec.deadline()
-	case en.it != nil:
-		return en.it.expireAt
+	if en.rec == nil {
+		return 0
 	}
-	return 0
+	return en.rec.deadline()
 }
 
 // lookup resolves k, lapsed or not. Caller holds s.mu (either mode).
 func (s *shard) lookup(k probe) entry {
-	if at, rec := s.strs.find(k.h, k.packed); at >= 0 {
-		return entry{rec: rec, at: at}
-	}
-	return entry{it: s.colls[k.key]}
+	at, rec := s.strs.find(k.h, k.packed)
+	return entry{rec: rec, at: at}
 }
 
 // touch marks en, which lookup returned, referenced: the clock hand gives
 // it another lap before Evict may take it. Reads and writes that serve a
 // caller touch; existence probes, TTL changes and snapshot walks do not.
 // Caller holds s.mu (either mode).
-func (s *shard) touch(en entry) {
-	if en.rec != nil {
-		s.strs.touch(en.at)
-	} else if !en.it.ref.Load() {
-		en.it.ref.Store(true)
-	}
-}
+func (s *shard) touch(en entry) { s.strs.touch(en.at) }
 
 // live is lookup honoring lazy expiration: a lapsed entry reads as absent
 // (it is deleted by write paths or the sweeper). Caller holds s.mu.
@@ -344,33 +301,6 @@ func (e *Engine) live(s *shard, k probe) (entry, bool) {
 }
 
 // --- publishing and removing entries (caller holds s.mu write lock) ---
-
-// collSlotBytes is the map[string]*item slot a collection occupies: a
-// 16-byte key header, the pointer and a control byte, at the 1/2 to 7/8
-// load a Go map runs at.
-const collSlotBytes = 48
-
-// newItem starts an empty collection of kind for key, with room for size
-// elements, charged its cost before the first element: the item, its map
-// slot and the key string the map holds.
-func newItem(key string, kind Kind, size int) *item {
-	it := &item{
-		kind:     kind,
-		memBytes: allocBytes(itemBytes) + collSlotBytes + allocBytes(len(key)),
-		payload:  int64(len(key)),
-	}
-	switch kind {
-	case KindList:
-		it.list = make([][]byte, 0, size)
-	case KindSet:
-		it.set = make(map[string]struct{}, size)
-	case KindZSet:
-		it.zset = &zset{scores: make(map[string]float64, size), sorted: make([]zentry, 0, size)}
-	case KindHash:
-		it.hash = make(map[string][]byte, size)
-	}
-	return it
-}
 
 // freeRef returns a value's PMem, if that is where it lives, to the arena.
 func (e *Engine) freeRef(st stored) {
@@ -387,23 +317,12 @@ func (e *Engine) forget(s *shard, f fields) {
 	s.payload.Add(-f.payload())
 }
 
-// removeItem deletes the collection it, which is key's entry.
-func (e *Engine) removeItem(s *shard, key string, it *item) {
-	delete(s.colls, key)
-	s.memUsed.Add(-it.memBytes)
-	s.payload.Add(-it.payload)
-}
-
-// remove deletes en, which lookup returned for key.
-func (e *Engine) remove(s *shard, key string, en entry) {
-	if en.it != nil {
-		e.removeItem(s, key, en.it)
-		return
-	}
+// remove deletes en, which lookup returned.
+func (e *Engine) remove(s *shard, en entry) {
 	e.removeRecord(s, en.at, s.strs.parse(en.rec))
 }
 
-// removeRecord deletes the string in slot at, whose record parsed to f.
+// removeRecord deletes the key in slot at, whose record parsed to f.
 func (e *Engine) removeRecord(s *shard, at int, f fields) {
 	held := s.strs.held()
 	e.forget(s, f)
@@ -412,13 +331,11 @@ func (e *Engine) removeRecord(s *shard, at int, f fields) {
 	s.memUsed.Add(s.strs.held() - held)
 }
 
-// publish makes st the string value of k, replacing whatever was there
-// and clearing any TTL. The record is assembled in its slot: no allocation
-// unless a page or a table has to grow.
+// publish makes st the value of k, replacing whatever was there, and its
+// deadline the one st carries (none, for a string). The record is
+// assembled in its slot: no allocation unless a page or a table has to
+// grow.
 func (e *Engine) publish(s *shard, k probe, st staged) {
-	if it, ok := s.colls[k.key]; ok {
-		e.removeItem(s, k.key, it)
-	}
 	ix := &s.strs
 	held := ix.held()
 	i, cur := ix.find(k.h, k.packed)
@@ -435,18 +352,6 @@ func (e *Engine) publish(s *shard, k probe, st staged) {
 	}
 	s.payload.Add(payload(st.flags, len(k.packed), len(st.val)))
 	s.memUsed.Add(ix.held() - held)
-}
-
-// addItem makes the collection it the entry for key, which has none. Like
-// a string (index.insert) it starts referenced.
-func (e *Engine) addItem(s *shard, key string, it *item) {
-	if s.colls == nil {
-		s.colls = make(map[string]*item)
-	}
-	s.colls[key] = it
-	it.ref.Store(true)
-	s.memUsed.Add(it.memBytes)
-	s.payload.Add(it.payload)
 }
 
 // --- value encode/decode (compression + PMem placement) ---
@@ -596,7 +501,7 @@ func (e *Engine) Get(key string) (val []byte, err error) {
 		s.misses.Add(1)
 		return nil, ErrNotFound
 	}
-	if en.rec == nil {
+	if en.rec.isColl() {
 		s.mu.RUnlock()
 		return nil, ErrWrongType
 	}
@@ -637,8 +542,14 @@ func (e *Engine) Type(key string) Kind {
 	k, s := e.locate(key, &kb)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	en, _ := e.live(s, k)
-	return en.kind()
+	switch en, ok := e.live(s, k); {
+	case !ok:
+		return KindNone
+	case !en.rec.isColl():
+		return KindString
+	default:
+		return blobColl(s.strs.parse(en.rec).val).kind
+	}
 }
 
 // CompareAndSet replaces key's value with newVal only if the current value
@@ -668,7 +579,7 @@ func (e *Engine) casCheck(s *shard, k probe, oldVal []byte) error {
 		}
 		return nil
 	}
-	if en.rec == nil {
+	if en.rec.isColl() {
 		return ErrWrongType
 	}
 	cur, err := e.view(s.strs.parse(en.rec).stored)
@@ -691,7 +602,7 @@ func (e *Engine) IncrBy(key string, delta int64) (int64, error) {
 	defer s.mu.Unlock()
 	var cur int64
 	if en, ok := e.live(s, k); ok {
-		if en.rec == nil {
+		if en.rec.isColl() {
 			return 0, ErrWrongType
 		}
 		raw, err := e.view(s.strs.parse(en.rec).stored)
@@ -728,8 +639,6 @@ func (e *Engine) ExpireAt(key string, at int64) bool {
 		return false
 	}
 	switch {
-	case en.it != nil:
-		en.it.expireAt = at
 	case en.rec[0]&flagTTL != 0:
 		en.rec.setDeadline(at)
 	case at != 0:
@@ -763,7 +672,7 @@ func (e *Engine) TakeExpired(key string) bool {
 	if !e.lapsed(en.expireAt()) {
 		return false
 	}
-	e.remove(s, key, en)
+	e.remove(s, en)
 	s.expired.Add(1)
 	return true
 }
@@ -783,11 +692,10 @@ func (e *Engine) Expired(key string) bool {
 // (the active expiration cycle; lazy expiry handles access). It resumes where
 // the last call stopped, stripe after stripe and in hash order, so calls
 // with a small limit cover the keyspace between them; one call enters each
-// stripe at most once. A stripe's collections are looked at together when
-// its table ends, because a map has no place to resume from. Read locks
-// only — the caller confirms and deletes each key through TakeExpired
-// (directly or via the tiered delete-through path), which rechecks under
-// the write lock so a concurrent PERSIST or overwrite wins the race.
+// stripe at most once. Read locks only — the caller confirms and deletes
+// each key through TakeExpired (directly or via the tiered delete-through
+// path), which rechecks under the write lock so a concurrent PERSIST or
+// overwrite wins the race.
 //
 // In a stripe with an index resize under way the sweep also moves as many
 // entries across as it looked at (settle), so that a stripe that is no
@@ -807,12 +715,6 @@ func (e *Engine) CollectExpired(limit int) []string {
 		resizing := s.strs.old.meta != nil
 		s.sweepPos.Store(pos)
 		if end {
-			for key, it := range s.colls {
-				if it.expireAt != 0 && now >= it.expireAt {
-					out = append(out, key)
-				}
-			}
-			limit -= len(s.colls)
 			e.sweepCursor.Add(1)
 		}
 		s.mu.RUnlock()
@@ -861,12 +763,12 @@ func (e *Engine) TTL(key string) (time.Duration, bool) {
 // --- eviction ---
 
 // Evict removes one key from stripe i, or reports false when the stripe
-// holds nothing it may remove. It is CLOCK over the stripe's own
-// contents: a hand walks the index in slot order, then the collections, and
-// around again; a key read or written since the hand last passed it (touch)
-// loses its mark and stays for another lap, and the hand does not so much
-// as read its record; an unmarked key that pinned (nil: none is) holds is
-// passed over, and the first key with neither excuse goes. The hand stays
+// holds nothing it may remove. It is CLOCK over the stripe's own index: a
+// hand walks it in slot order and around again; a key read or written
+// since the hand last passed it (touch) loses its mark and stays for
+// another lap, and the hand does not so much as read its record; an
+// unmarked key that pinned (nil: none is) holds is passed over, and the
+// first key with neither excuse goes. The hand stays
 // where it stopped for the next call.
 //
 // pinned is asked only about unmarked keys, so a pinned key loses its mark
@@ -885,42 +787,16 @@ func (e *Engine) Evict(i int, pinned func(key []byte) bool) bool {
 	defer s.mu.Unlock()
 	// The hand gives up a lap after the last mark it cleared: by then every
 	// key it saw was pinned. That is two laps at most.
-	lap := s.strs.n + len(s.colls)
+	lap := s.strs.n
 	for look := lap; look > 0; {
-		if !s.collsTurn {
-			at, victim, end := s.strs.clock(&look, lap, pinned)
-			if at >= 0 {
-				e.removeRecord(s, at, victim)
-				return true
-			}
-			if !end {
-				break
-			}
-			s.collsTurn = true
+		at, victim, end := s.strs.clock(&look, lap, pinned)
+		if at >= 0 {
+			e.removeRecord(s, at, victim)
+			return true
 		}
-		// A map has no position to resume from, so the hand's pass over the
-		// collections is spread over calls another way: each call takes one
-		// unmarked collection, and the call that finds none clears every
-		// mark and moves the hand on.
-		marked := false
-		for key, it := range s.colls {
-			switch {
-			case it.ref.Load():
-				marked = true
-			case pinned != nil && pinned([]byte(key)):
-			default:
-				e.removeItem(s, key, it)
-				return true
-			}
+		if !end {
+			break
 		}
-		look -= len(s.colls)
-		if marked {
-			look = lap
-			for _, it := range s.colls {
-				it.ref.Store(false)
-			}
-		}
-		s.collsTurn = false
 	}
 	return false
 }
@@ -930,9 +806,9 @@ func (e *Engine) Evict(i int, pinned func(key []byte) bool) bool {
 // Stats summarizes engine state.
 type Stats struct {
 	Keys         int
-	MemBytes     int64 // DRAM occupied: records, index tables, collections
-	PayloadBytes int64 // the part of MemBytes that is keys, string keys as stored (packed), and stored values
-	PackedBytes  int64 // what packing took off the string keys: PayloadBytes with them as written is this much more
+	MemBytes     int64 // DRAM occupied: records and index tables
+	PayloadBytes int64 // the part of MemBytes that is keys as stored (packed) and stored values
+	PackedBytes  int64 // what packing took off the keys: PayloadBytes with them as written is this much more
 	IndexBytes   int64 // the part of MemBytes that is index tables, as allocated
 	FreeBytes    int64 // slab page bytes holding no record; beside MemBytes, not in it
 	PMemUsed     int64
@@ -946,7 +822,7 @@ func (e *Engine) Stats() Stats {
 	var st Stats
 	for _, s := range e.shards {
 		s.mu.RLock()
-		st.Keys += s.strs.n + len(s.colls)
+		st.Keys += s.strs.n
 		st.FreeBytes += s.strs.recs.idle()
 		st.IndexBytes += s.strs.charge
 		st.PackedBytes += s.packed
@@ -964,8 +840,8 @@ func (e *Engine) Stats() Stats {
 }
 
 // MemUsed returns the DRAM bytes the engine's contents occupy, summed
-// across shards: every record at its slot, every index table as
-// allocated, and the accounted cost of collections.
+// across shards: every record at its slot and every index table as
+// allocated.
 func (e *Engine) MemUsed() int64 {
 	var total int64
 	for _, s := range e.shards {
@@ -979,7 +855,7 @@ func (e *Engine) Len() int {
 	n := 0
 	for _, s := range e.shards {
 		s.mu.RLock()
-		n += s.strs.n + len(s.colls)
+		n += s.strs.n
 		s.mu.RUnlock()
 	}
 	return n
@@ -1000,7 +876,7 @@ type SnapEntry struct {
 // in ExpireAt. Per stripe it lists the live keys, then alternates two
 // steps until the list is done: under a short
 // read lock, copy out up to maxChunkBytes (<= 0: 1 MiB) of stored values
-// (take) and collection blobs (serialized there); with no lock held,
+// and collection blobs (take); with no lock held,
 // decompress the values and hand fn a chunk each time maxChunkBytes of
 // keys and decoded values has piled up. A stalled replica socket inside fn
 // never blocks writers, and buffered memory stays O(chunk) whatever the
@@ -1017,26 +893,20 @@ func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEn
 	type pending struct {
 		key   string
 		at    int64  // the key's deadline
-		flags byte   // strings: the record's
-		data  []byte // strings: what take copied out
-		blob  []byte // collections
+		flags byte   // the record's
+		data  []byte // what take copied out
 	}
 	var scratch []byte // compressed values of the batch in hand
 	for _, s := range e.shards {
 		s.mu.RLock()
 		now := e.now()
-		keys := make([]string, 0, s.strs.n+len(s.colls))
+		keys := make([]string, 0, s.strs.n)
 		s.strs.each(func(rec record) bool {
 			if at := rec.deadline(); at == 0 || now < at {
 				keys = append(keys, unpackKey(rec.key()))
 			}
 			return true
 		})
-		for k, it := range s.colls {
-			if it.expireAt == 0 || now < it.expireAt {
-				keys = append(keys, k)
-			}
-		}
 		s.mu.RUnlock()
 
 		var chunk []SnapEntry
@@ -1053,21 +923,12 @@ func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEn
 				if !ok {
 					continue // deleted or lapsed since the key listing
 				}
-				p := pending{key: keys[i]}
-				if en.rec != nil {
-					f := s.strs.parse(en.rec)
-					p.at = en.rec.deadline()
-					p.flags = f.flags
-					if p.data, scratch, err = e.take(f.stored, scratch); err != nil {
-						break
-					}
-					held += f.size
-				} else if p.blob, ok = encodeCollectionLocked(en.it); ok {
-					p.at = en.it.expireAt
-					held += len(p.blob)
-				} else {
-					continue
+				f := s.strs.parse(en.rec)
+				p := pending{key: keys[i], at: f.deadline, flags: f.flags}
+				if p.data, scratch, err = e.take(f.stored, scratch); err != nil {
+					break
 				}
+				held += f.size
 				batch = append(batch, p)
 			}
 			s.mu.RUnlock()
@@ -1075,13 +936,11 @@ func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEn
 				return err
 			}
 			for _, p := range batch {
-				val := p.blob
-				if val == nil {
-					if val, err = e.finish(p.flags, p.data); err != nil {
-						return err
-					}
+				var val []byte
+				if val, err = e.finish(p.flags, p.data); err != nil {
+					return err
 				}
-				chunk = append(chunk, SnapEntry{Key: p.key, Val: val, Encoded: p.blob != nil, ExpireAt: p.at})
+				chunk = append(chunk, SnapEntry{Key: p.key, Val: val, Encoded: p.flags&flagColl != 0, ExpireAt: p.at})
 				if size += len(p.key) + len(val); size >= maxChunkBytes {
 					if !fn(chunk) {
 						return nil
@@ -1110,7 +969,6 @@ func (e *Engine) FlushAll() {
 			})
 		}
 		s.strs = index{codec: s.strs.codec}
-		s.colls = nil
 		s.memUsed.Store(0)
 		s.payload.Store(0)
 		s.packed = 0

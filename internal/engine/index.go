@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"reflect"
 	"sync/atomic"
 
 	"tierbase/internal/compress"
@@ -54,9 +53,6 @@ const (
 	spreadFrom = 1024
 )
 
-// itemBytes is the allocation behind a collection's *item.
-var itemBytes = int(reflect.TypeOf(item{}).Size())
-
 // table is the index at one length: a probe word and a ref word a slot.
 type table struct {
 	meta  []uint16
@@ -64,7 +60,7 @@ type table struct {
 	homes uint32   // home slots: len(meta) less the tail
 }
 
-// index is an open-addressing hash table from key to string record, and the
+// index is an open-addressing hash table from key to record, and the
 // slab the records live in. A key's home is its slot hash scaled onto the
 // table's home slots, and its tag the bits of the hash that come next, so a
 // table of any length is in hash order: an entry sits at its home or after
@@ -312,8 +308,13 @@ func (ix *index) insert(h, ref uint32) {
 
 // put places a new entry of hash h in the table that holds its hash. If the
 // hand is on the stretch that moves, it moves with it: the new entry is
-// behind it, a lap away. It reports false, with nothing moved, where there
-// is no slot within reach.
+// behind it, a lap away. A new entry in the empty slot the hand is on,
+// where nothing moves, stays under the hand: it enters marked, so the hand
+// passes it with a lap to go all the same. Moving the hand on instead would
+// put it on the entry that follows and keep it there while entries land
+// before it, so that this one entry (a stripe's first key, say) would be
+// the one taken whenever a lap finds every key marked. It reports false,
+// with nothing moved, where there is no slot within reach.
 func (ix *index) put(h, ref uint32) bool {
 	t, off := &ix.table, 0
 	if ix.old.meta != nil && h >= ix.bound {
@@ -323,7 +324,7 @@ func (ix *index) put(h, ref uint32) bool {
 	if i < 0 {
 		return false
 	}
-	if off+i <= ix.hand && ix.hand <= off+end {
+	if off+i <= ix.hand && ix.hand <= off+end && i < end {
 		ix.hand++
 	}
 	return true

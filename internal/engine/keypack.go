@@ -6,7 +6,7 @@ import (
 	"slices"
 )
 
-// A string key is stored in its record packed: each maximal run of ASCII
+// A key is stored in its record packed: each maximal run of ASCII
 // digits, cut into pieces of at most maxRun digits from its start, is
 // written as
 //
@@ -49,8 +49,7 @@ var runBytes = func() (w [maxRun + 1]int) {
 type keyBuf [64]byte
 
 // probe is a key as the engine looks it up: as written, for the stripe
-// choice, the collections map and the accounts, and packed with its slot
-// hash, for the index.
+// choice and the accounts, and packed with its slot hash, for the index.
 type probe struct {
 	key    string
 	packed []byte

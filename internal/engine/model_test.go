@@ -404,13 +404,14 @@ func (m *model) step(shrinking bool) {
 		}
 	default:
 		// LoadEncoded installs a set over whatever the key held.
-		it := &item{kind: KindSet, set: map[string]struct{}{}}
 		v := &mval{kind: KindSet, set: map[string]bool{}}
 		for i := 1 + m.rng.Intn(4); i > 0; i-- {
-			member := fmt.Sprint(m.rng.Intn(6))
-			it.set[member], v.set[member] = struct{}{}, true
+			v.set[fmt.Sprint(m.rng.Intn(6))] = true
 		}
-		blob, _ := encodeCollectionLocked(it)
+		blob := []byte{typedMarker, byte(KindSet), byte(len(v.set))}
+		for member := range v.set {
+			blob = appendLenString(blob, member)
+		}
 		if err := e.LoadEncoded(k, blob); err != nil {
 			m.fail("LoadEncoded", err)
 		}
@@ -495,7 +496,8 @@ func (m *model) check() {
 				m.fail("ZRange", k, got, err)
 			}
 			if !sort.SliceIsSorted(got, func(i, j int) bool {
-				return zless(zentry{got[i].Member, got[i].Score}, zentry{got[j].Member, got[j].Score})
+				a, b := got[i], got[j]
+				return a.Score < b.Score || a.Score == b.Score && a.Member < b.Member
 			}) {
 				m.fail("ZRange order", k, got)
 			}
@@ -512,10 +514,10 @@ func (m *model) check() {
 }
 
 // checkBooks recomputes every stripe's accounts from what it holds and
-// verifies that every record is reachable through find, that no key is both
-// a string and a collection, that an empty stripe holds neither table nor
-// page, and that the index's and the slab's own invariants hold (checkIndex,
-// checkSlab).
+// verifies that every record is reachable through find, that every
+// collection is a canonical blob (so holds an element), that an empty
+// stripe holds neither table nor page, and that the index's and the slab's
+// own invariants hold (checkIndex, checkSlab).
 func checkBooks(e *Engine) error {
 	for si, s := range e.shards {
 		s.mu.RLock()
@@ -538,18 +540,11 @@ func checkBooks(e *Engine) error {
 			if at, got := ix.findKey(key); at < 0 || &got[0] != &rec[0] {
 				err = fmt.Errorf("record of %q not reachable from its home slot", key)
 			}
-			if _, both := s.colls[key]; both {
-				err = fmt.Errorf("%q is both a string and a collection", key)
+			if rec.isColl() && checkBlob(f.val) != nil {
+				err = fmt.Errorf("collection %q is not a canonical blob of at least one element", key)
 			}
 			return err == nil
 		})
-		for key, it := range s.colls {
-			if it.size() == 0 {
-				err = fmt.Errorf("collection %q is empty", key)
-			}
-			mem += it.memBytes
-			payload += it.payload
-		}
 		switch {
 		case err != nil:
 		case ix.n == 0 && (len(ix.recs.pages) != 0 || len(ix.recs.own) != 0):

@@ -8,21 +8,22 @@ import (
 	"tierbase/internal/pmem"
 )
 
-// record is everything the engine keeps for one string key, contiguous and
+// record is everything the engine keeps for one key, contiguous and
 // pointer-free, in a slot of its stripe's slab (slab.go):
 //
 //	flags+len(key) | [uvarint len(key)] | key | [deadline] | [uvarint len(value)] | value
 //
-// key is the key packed (keypack.go). Byte 0 holds the three flags in its
+// key is the key packed (keypack.go). Byte 0 holds the four flags in its
 // low bits and the key length above them; a key past maxShortKey bytes puts
 // longKey there and its length in a uvarint after. deadline (8 bytes,
 // little-endian unixnanos, 0 = none) is present only with flagTTL. value is
-// the stored bytes: compressed with flagCompressed, and with flagPMem not
-// the bytes themselves but the 12-byte pmem.Ref to them. The value's length
-// is written only where nothing else gives it, for a raw value in DRAM: a
-// ref is refBytes long, and a compressed value ends where its codec's Len
-// says. The slice starts at the record and may run past its end (to the
-// end of its page): index.parse(r).size is its length.
+// a string's stored bytes: compressed with flagCompressed, and with
+// flagPMem not the bytes themselves but the 12-byte pmem.Ref to them. With
+// flagColl it is a collection's blob (collections.go), in DRAM and raw.
+// The value's length is written only where nothing else gives it, for a
+// raw value in DRAM: a ref is refBytes long, and a compressed value ends
+// where its codec's Len says. The slice starts at the record and may run
+// past its end (to the end of its page): index.parse(r).size is its length.
 //
 // A record is written once, in place, under the stripe write lock; after
 // that only its deadline changes, also under the write lock. Its slot is
@@ -34,8 +35,9 @@ const (
 	flagCompressed = 1 << iota
 	flagPMem
 	flagTTL
+	flagColl
 
-	flagBits    = 3                // byte 0 above them is the key length
+	flagBits    = 4                // byte 0 above them is the key length
 	longKey     = 0xFF >> flagBits // or this: a uvarint key length follows
 	maxShortKey = longKey - 1      // the longest key byte 0 holds the length of
 	flagMask    = 1<<flagBits - 1
@@ -56,11 +58,13 @@ func uvarint(b []byte) (uint64, int) {
 func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // staged is a value as it will be stored, ready to be written into a
-// record: what encode hands to publish. val may alias the caller's bytes.
+// record: what encode, a collection's update and LoadEncoded hand to
+// publish. val may alias the caller's bytes.
 type staged struct {
 	flags byte
 	val   []byte   // the stored bytes, unless flags has flagPMem
 	ref   pmem.Ref // where they are, if it has
+	at    int64    // the deadline, if flags has flagTTL
 }
 
 // valueLen is the length of the record's value field.
@@ -79,6 +83,9 @@ func lengthed(flags byte) bool { return flags&(flagCompressed|flagPMem) == 0 }
 func recordLen(key []byte, st staged) int {
 	vlen := st.valueLen()
 	n := 1 + len(key) + vlen
+	if st.flags&flagTTL != 0 {
+		n += 8
+	}
 	if lengthed(st.flags) {
 		n += uvarintLen(uint64(vlen))
 	}
@@ -88,8 +95,7 @@ func recordLen(key []byte, st staged) int {
 	return n
 }
 
-// writeRecord assembles the record, which has no TTL slot (withDeadline
-// adds one), into r, which is recordLen bytes.
+// writeRecord assembles the record into r, which is recordLen bytes.
 func writeRecord(r record, key []byte, st staged) {
 	n := 1
 	if len(key) <= maxShortKey {
@@ -99,6 +105,10 @@ func writeRecord(r record, key []byte, st staged) {
 		n += binary.PutUvarint(r[1:], uint64(len(key)))
 	}
 	n += copy(r[n:], key)
+	if st.flags&flagTTL != 0 {
+		binary.LittleEndian.PutUint64(r[n:], uint64(st.at))
+		n += 8
+	}
 	if lengthed(st.flags) {
 		n += binary.PutUvarint(r[n:], uint64(len(st.val)))
 	}
@@ -125,6 +135,9 @@ func (r record) key() []byte {
 	off, n := r.keySpan()
 	return r[off : off+n]
 }
+
+// isColl reports whether r is a collection's record.
+func (r record) isColl() bool { return r[0]&flagColl != 0 }
 
 // hasKey reports whether r is the record of key.
 func (r record) hasKey(key []byte) bool { return string(r.key()) == string(key) }

@@ -101,7 +101,7 @@ func recordRoundTrip(key string, vlen int, flags byte, deadline int64) error {
 // and two-byte value lengths, a record past the slab limit, and every
 // combination of flags.
 func TestRecordLayout(t *testing.T) {
-	for _, klen := range []int{0, 1, 30, 31, 32, 127, 128, 300} {
+	for _, klen := range []int{0, 1, 14, 15, 16, 30, 31, 32, 127, 128, 300} {
 		key := strings.Repeat("k", klen)
 		if klen > 0 {
 			key = key[:klen-1] + "z"
@@ -142,7 +142,7 @@ func TestRecordLayoutInEngine(t *testing.T) {
 			ttl bool
 		}
 		keys := map[string]written{}
-		for _, klen := range []int{0, 1, 30, 31, 32, 127, 128, 300} {
+		for _, klen := range []int{0, 1, 14, 15, 16, 30, 31, 32, 127, 128, 300} {
 			for _, vlen := range []int{0, 1, 127, 128, 1100} {
 				key := strings.Repeat("k", klen) + fmt.Sprint(vlen)
 				val := bytes.Repeat([]byte{byte(klen + 1)}, vlen)

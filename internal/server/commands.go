@@ -480,7 +480,7 @@ func cmdSMembers(s *Server, key string, _ [][]byte, out []byte) ([]byte, error) 
 
 func cmdZAdd(eng *engine.Engine, key string, args [][]byte, out []byte) ([]byte, bool, error) {
 	score, err := strconv.ParseFloat(string(args[2]), 64)
-	if err != nil {
+	if err != nil || math.IsNaN(score) {
 		return resp.AppendError(out, "value is not a valid float"), false, nil
 	}
 	// Changed even when the member is not new: its score may have moved.

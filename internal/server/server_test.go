@@ -259,6 +259,22 @@ func TestZSetCommands(t *testing.T) {
 	}
 }
 
+// TestZAddRefusesNaN: ParseFloat reads "nan", and a NaN score has no place
+// in a sorted set's order, so ZADD answers it as Redis does and stores
+// nothing.
+func TestZAddRefusesNaN(t *testing.T) {
+	_, c := startTestServer(t, Config{})
+	c.Do("ZADD", "z", "1", "a")
+	for _, score := range []string{"nan", "NaN", "-nan"} {
+		if _, err := c.Do("ZADD", "z", score, "n"); err == nil || !strings.Contains(err.Error(), "not a valid float") {
+			t.Errorf("ZADD z %s n: %v", score, err)
+		}
+	}
+	if arr, _ := c.Do("ZRANGE", "z", "0", "-1"); len(arr.([]interface{})) != 1 {
+		t.Errorf("ZRANGE after refused NaNs: %v", arr)
+	}
+}
+
 func TestHashCommands(t *testing.T) {
 	_, c := startTestServer(t, Config{})
 	v, _ := c.Do("HSET", "h", "f1", "v1")
