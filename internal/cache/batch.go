@@ -156,7 +156,11 @@ func (t *Tiered) BatchDelete(keys []string) (int, error) {
 		unknown = live
 	}
 	if t.opts.Policy != CacheOnly && len(unknown) > 0 {
-		svals, err := t.opts.Storage.BatchGet(unknown)
+		var svals map[string][]byte
+		err := t.store(true, func(s Storage) (err error) {
+			svals, err = s.BatchGet(unknown)
+			return err
+		})
 		if err != nil {
 			return 0, err // nothing deleted yet; surface the failure
 		}

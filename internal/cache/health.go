@@ -9,22 +9,26 @@ import (
 // Storage-tier graceful degradation. The storage tier is a network hop
 // away (paper §3's disaggregation), so transient failures — a slow disk,
 // a flapping link, a restarting UCS node — are a matter of when, not if.
-// Rather than surfacing every blip to clients, the tiered store wraps its
-// Storage in retryStorage at construction: every storage call gets a
-// bounded retry-with-backoff, and a run of consecutive failures trips the
-// store into DEGRADED mode, where reads serve from the cache tier only
-// (a miss reports absent instead of stalling on a dead disk) and writes
-// fail fast. One probe per DegradedProbeInterval keeps testing the
-// storage tier; the first success heals the store back to normal.
+// Rather than surfacing every blip to clients, every storage call the
+// tiered store makes — a fill's Get or BatchGet, BatchDelete's existence
+// BatchGet, a write-through commit, a write-back flush, FlushAll's clear —
+// is an op passed to one function, Tiered.store: it gets a bounded
+// retry-with-backoff (2 retries, 5 ms doubling, by default), and a run of
+// consecutive failed calls (3) trips the store into DEGRADED mode, where
+// reads serve from the cache tier only (a fill answers absent instead of
+// stalling on a dead disk, BatchDelete returns ErrDegraded) and writes
+// make one attempt with no retries. One probe per DegradedProbeInterval
+// (500 ms) keeps testing the storage tier; the first success heals the
+// store back to normal. Backoff sleeps run under the caller's RMW stripe
+// locks, and on the server under its gate slot.
 
 // ErrDegraded reports a storage read short-circuited because the store
-// is in degraded (cache-only) mode. Read paths translate it to "absent";
-// read-modify-write and delete paths surface it, since guessing absence
-// there could clobber stored data once the tier recovers.
+// is in degraded (cache-only) mode. A fill translates it to "absent";
+// BatchDelete surfaces it, since it cannot count keys it cannot see.
 var ErrDegraded = errors.New("cache: storage degraded, serving cache tier only")
 
-// storageHealth is the shared health state behind retryStorage — all
-// atomics, read on every storage call.
+// storageHealth is the health state behind Tiered.store — all atomics,
+// read on every storage call.
 type storageHealth struct {
 	errors      atomic.Int64 // failed storage attempts (each retry counts)
 	retries     atomic.Int64 // retry attempts after a failure
@@ -87,116 +91,37 @@ func (h *storageHealth) snapshot() HealthStats {
 	}
 }
 
-// retryStorage decorates a Storage with bounded retry-with-backoff and
-// the degradation state machine. It is installed by New() in place of
-// Options.Storage, so every existing call site — write-through commits,
-// write-back flushes, miss fetches, batch round trips — inherits the
-// behavior without knowing about it.
-type retryStorage struct {
-	inner         Storage
-	h             *storageHealth
-	retries       int           // extra attempts after the first failure
-	backoff       time.Duration // sleep before retry i is backoff << i
-	degradeAfter  int64
-	probeInterval time.Duration
-}
-
-func newRetryStorage(inner Storage, retries int, backoff time.Duration,
-	degradeAfter int64, probeInterval time.Duration) *retryStorage {
-	return &retryStorage{
-		inner:         inner,
-		h:             &storageHealth{},
-		retries:       retries,
-		backoff:       backoff,
-		degradeAfter:  degradeAfter,
-		probeInterval: probeInterval,
-	}
-}
-
-// do runs one storage operation under the retry/degradation policy.
-// Reads are gated first: a degraded store short-circuits them (cache-only
-// serving) except for the elected probe. While degraded, ops fail fast —
-// a single attempt with no retry sleeps — so a dead disk costs one quick
-// error, not retries*backoff per call; the attempt itself still doubles
-// as a recovery signal.
-func (r *retryStorage) do(read bool, op func() error) error {
-	if read && !r.h.allowRead(r.probeInterval) {
-		r.h.degradedOps.Add(1)
+// store runs one storage call, op, under the retry and degradation policy:
+// every call the tiered store makes to its storage tier passes through
+// here, as an op handed the store's Storage. Reads are gated first: a
+// degraded store short-circuits them (cache-only serving) except for the
+// elected probe. A failed attempt is retried after a backoff that doubles
+// from StorageRetryBackoff, up to StorageRetries times. While degraded,
+// ops fail fast — a single attempt with no retry sleeps — so a dead disk
+// costs one quick error, not retries*backoff per call; the attempt itself
+// still doubles as a recovery signal. The sleeps run under whatever locks
+// the caller holds.
+func (t *Tiered) store(read bool, op func(Storage) error) error {
+	h := &t.health
+	if read && !h.allowRead(t.opts.DegradedProbeInterval) {
+		h.degradedOps.Add(1)
 		return ErrDegraded
 	}
-	attempts := r.retries
-	if r.h.degraded.Load() {
+	attempts := t.opts.StorageRetries
+	if h.degraded.Load() {
 		attempts = 0
 	}
 	for i := 0; ; i++ {
-		err := op()
+		err := op(t.opts.Storage)
 		if err == nil {
-			r.h.success()
+			h.success()
 			return nil
 		}
-		r.h.failure(r.degradeAfter)
+		h.failure(int64(t.opts.DegradeAfter))
 		if i >= attempts {
 			return err
 		}
-		r.h.retries.Add(1)
-		time.Sleep(r.backoff << i)
+		h.retries.Add(1)
+		time.Sleep(t.opts.StorageRetryBackoff << i)
 	}
 }
-
-// Get implements Storage.
-func (r *retryStorage) Get(key string) ([]byte, bool, error) {
-	var val []byte
-	var ok bool
-	err := r.do(true, func() error {
-		var e error
-		val, ok, e = r.inner.Get(key)
-		return e
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return val, ok, nil
-}
-
-// Put implements Storage.
-func (r *retryStorage) Put(key string, val []byte) error {
-	return r.do(false, func() error { return r.inner.Put(key, val) })
-}
-
-// Delete implements Storage.
-func (r *retryStorage) Delete(key string) error {
-	return r.do(false, func() error { return r.inner.Delete(key) })
-}
-
-// BatchGet implements Storage.
-func (r *retryStorage) BatchGet(keys []string) (map[string][]byte, error) {
-	var out map[string][]byte
-	err := r.do(true, func() error {
-		var e error
-		out, e = r.inner.BatchGet(keys)
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// BatchPut implements Storage.
-func (r *retryStorage) BatchPut(entries map[string][]byte) error {
-	return r.do(false, func() error { return r.inner.BatchPut(entries) })
-}
-
-// BatchDelete implements Storage.
-func (r *retryStorage) BatchDelete(keys []string) error {
-	return r.do(false, func() error { return r.inner.BatchDelete(keys) })
-}
-
-// FlushAll implements StorageFlusher by forwarding to the inner storage
-// (FlushStorage reports an error if it doesn't support bulk clears).
-func (r *retryStorage) FlushAll() error {
-	return r.do(false, func() error { return FlushStorage(r.inner) })
-}
-
-var _ Storage = (*retryStorage)(nil)
-var _ StorageFlusher = (*retryStorage)(nil)

@@ -3,6 +3,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -130,6 +131,139 @@ func (c *countingStorage) BatchDelete(keys []string) error {
 		return err
 	}
 	return c.inner.BatchDelete(keys)
+}
+func (c *countingStorage) FlushAll() error {
+	if err := c.gate(); err != nil {
+		return err
+	}
+	return FlushStorage(c.inner)
+}
+
+// TestStoragePolicyCoversEveryRoute runs each route that calls the storage
+// tier against a store whose first storage call fails, and against a
+// degraded one. A route that called Storage around the retry policy would
+// either surface the injected failure or make a call the degraded store
+// must not.
+func TestStoragePolicyCoversEveryRoute(t *testing.T) {
+	// Each route runs over "a" and "b", which storage holds and the cache
+	// tier does not, and renders what it answered.
+	routes := []struct {
+		name   string
+		policy Policy
+		read   bool
+		run    func(ts *Tiered) (string, error)
+		want   string // the answer with one injected failure
+		stored string // storage afterwards
+		// degraded is the answer of a read route when the store is degraded.
+		degraded    string
+		degradedErr error
+	}{
+		{name: "Get miss", policy: WriteThrough, read: true,
+			run: func(ts *Tiered) (string, error) {
+				v, err := ts.Get("a")
+				return string(v), err
+			},
+			want: "1", stored: "a=1 b=2", degradedErr: ErrNotFound},
+		{name: "BatchGet miss", policy: WriteThrough, read: true,
+			run: func(ts *Tiered) (string, error) {
+				m, err := ts.BatchGet([]string{"a", "b"})
+				return fmt.Sprintf("%q %q", m["a"], m["b"]), err
+			},
+			want: `"1" "2"`, stored: "a=1 b=2", degraded: `"" ""`},
+		{name: "BatchDelete storage-only", policy: WriteThrough, read: true,
+			run: func(ts *Tiered) (string, error) {
+				n, err := ts.BatchDelete([]string{"a", "b"})
+				return fmt.Sprint(n), err
+			},
+			want: "2", stored: "", degraded: "0", degradedErr: ErrDegraded},
+		{name: "write-through Set", policy: WriteThrough,
+			run:    func(ts *Tiered) (string, error) { return "", ts.Set("c", []byte("3")) },
+			stored: "a=1 b=2 c=3"},
+		{name: "write-through BatchPut", policy: WriteThrough,
+			run: func(ts *Tiered) (string, error) {
+				return "", ts.BatchPut(map[string][]byte{"c": []byte("3"), "d": []byte("4")})
+			},
+			stored: "a=1 b=2 c=3 d=4"},
+		{name: "write-back FlushDirty", policy: WriteBack,
+			run: func(ts *Tiered) (string, error) {
+				if err := ts.Set("c", []byte("3")); err != nil {
+					return "", err
+				}
+				return "", ts.FlushDirty()
+			},
+			stored: "a=1 b=2 c=3"},
+		{name: "FlushAll", policy: WriteThrough,
+			run:    func(ts *Tiered) (string, error) { return "", ts.FlushAll() },
+			stored: ""},
+	}
+	setup := func(t *testing.T, policy Policy, failFirst int64) (*Tiered, *MapStorage, *atomic.Int64) {
+		st := NewMapStorage()
+		st.Put("a", []byte("1"))
+		st.Put("b", []byte("2"))
+		calls := &atomic.Int64{}
+		ts, err := New(Options{
+			Policy:                policy,
+			Engine:                engine.New(engine.Options{}),
+			Storage:               &countingStorage{inner: st, calls: calls, failFirst: failFirst},
+			FlushInterval:         time.Hour, // FlushDirty is the only flush
+			StorageRetries:        2,
+			StorageRetryBackoff:   time.Millisecond,
+			DegradeAfter:          1,
+			DegradedProbeInterval: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ts.Close() })
+		return ts, st, calls
+	}
+	for _, r := range routes {
+		t.Run(r.name+"/one failure", func(t *testing.T) {
+			ts, st, _ := setup(t, r.policy, 1)
+			got, err := r.run(ts)
+			if err != nil || got != r.want {
+				t.Fatalf("answer = %q, %v; want %q", got, err, r.want)
+			}
+			if h := ts.Health(); h.StorageRetries != 1 || h.StorageErrors != 1 || h.Degraded {
+				t.Fatalf("one injected failure: %+v", h)
+			}
+			var held []string
+			for _, k := range []string{"a", "b", "c", "d"} {
+				if v, ok, _ := st.Get(k); ok {
+					held = append(held, k+"="+string(v))
+				}
+			}
+			if s := strings.Join(held, " "); s != r.stored {
+				t.Fatalf("storage holds %q, want %q", s, r.stored)
+			}
+		})
+		t.Run(r.name+"/degraded", func(t *testing.T) {
+			ts, _, calls := setup(t, r.policy, 1<<40)
+			// The first failed read degrades the store and the next one
+			// spends the probe; the route then runs with none due.
+			for _, k := range []string{"trip", "probe"} {
+				if _, err := ts.Get(k); !errors.Is(err, errFlaky) {
+					t.Fatalf("Get(%s) = %v, want the injected failure", k, err)
+				}
+			}
+			if !ts.Health().Degraded {
+				t.Fatalf("not degraded: %+v", ts.Health())
+			}
+			before := calls.Load()
+			got, err := r.run(ts)
+			made := calls.Load() - before
+			if r.read {
+				if made != 0 || got != r.degraded || err != r.degradedErr {
+					t.Fatalf("degraded read: %d storage calls, answer %q, %v; want none, %q, %v",
+						made, got, err, r.degraded, r.degradedErr)
+				}
+				return
+			}
+			if made != 1 || !errors.Is(err, errFlaky) {
+				t.Fatalf("degraded write: %d attempts, %v; want one, the injected failure", made, err)
+			}
+		})
+	}
 }
 
 func TestDegradedModeServesCacheOnlyAndHeals(t *testing.T) {

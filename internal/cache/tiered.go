@@ -138,8 +138,8 @@ type Tiered struct {
 	sink OpSink
 
 	// Storage-tier health: retry counters and the degraded-mode state
-	// machine (see health.go); nil under CacheOnly.
-	health *storageHealth
+	// machine behind store (health.go); zero under CacheOnly.
+	health storageHealth
 
 	stopCh chan struct{}
 	wg     sync.WaitGroup
@@ -180,22 +180,9 @@ func New(opts Options) (*Tiered, error) {
 	if opts.Policy != CacheOnly && opts.Storage == nil {
 		return nil, errors.New("cache: Storage required for tiered policies")
 	}
-	// Decorate the storage tier with retry + degradation (health.go)
-	// before anything captures opts.Storage: every call site below —
-	// write-through commits, write-back flushes, miss fetches, batch
-	// round trips — then inherits the policy transparently.
-	var health *storageHealth
-	if opts.Policy != CacheOnly {
-		rs := newRetryStorage(opts.Storage, opts.StorageRetries,
-			opts.StorageRetryBackoff, int64(opts.DegradeAfter),
-			opts.DegradedProbeInterval)
-		opts.Storage = rs
-		health = rs.h
-	}
 	t := &Tiered{
 		opts:   opts,
 		eng:    opts.Engine,
-		health: health,
 		dirty:  newDirtySet(opts.MaxDirty),
 		stopCh: make(chan struct{}),
 	}
@@ -356,11 +343,20 @@ func (t *Tiered) fill(keys []string, answer func(key string, val []byte, err err
 	case 0:
 		return
 	case 1:
-		v, ok, err := t.opts.Storage.Get(cold[0])
+		var v []byte
+		var ok bool
+		err := t.store(true, func(s Storage) (err error) {
+			v, ok, err = s.Get(cold[0])
+			return err
+		})
 		v, err = t.admit(cold[0], v, ok, err)
 		answer(cold[0], v, err)
 	default:
-		vals, err := t.opts.Storage.BatchGet(cold)
+		var vals map[string][]byte
+		err := t.store(true, func(s Storage) (err error) {
+			vals, err = s.BatchGet(cold)
+			return err
+		})
 		for _, k := range cold {
 			v, ok := vals[k]
 			v, e := t.admit(k, v, ok, err)
@@ -701,7 +697,7 @@ func (t *Tiered) FlushAll() error {
 
 	var err error
 	if t.opts.Policy != CacheOnly {
-		err = FlushStorage(t.opts.Storage)
+		err = t.store(false, FlushStorage)
 	}
 	if t.sink != nil {
 		t.sink.Replicate(replication.Op{Kind: replication.OpFlushAll})
@@ -711,12 +707,7 @@ func (t *Tiered) FlushAll() error {
 
 // Health reports storage-tier health (retry/degradation counters); the
 // zero value under CacheOnly, which has no storage tier.
-func (t *Tiered) Health() HealthStats {
-	if t.health == nil {
-		return HealthStats{}
-	}
-	return t.health.snapshot()
-}
+func (t *Tiered) Health() HealthStats { return t.health.snapshot() }
 
 // --- stats ---
 

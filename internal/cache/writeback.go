@@ -290,7 +290,7 @@ func (t *Tiered) flushDirty(max int) error {
 		}
 		batch[f.key] = v
 	}
-	if err := t.opts.Storage.BatchPut(batch); err != nil {
+	if err := t.store(false, func(s Storage) error { return s.BatchPut(batch) }); err != nil {
 		return err
 	}
 	t.dirty.settle(taken)

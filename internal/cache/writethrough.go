@@ -31,31 +31,34 @@ import (
 //     do not share WAL appends there either. ROADMAP "Parked" says what
 //     would bring coalescing back.
 
-// wtCommit makes a write-through commit's one storage call: Put or Delete
-// for one key; for a batch, BatchDelete when every write deletes, else
-// BatchPut of the caller's map (nil values delete). Raw strings are escaped
+// wtCommit makes a write-through commit's one storage call, through store:
+// Put or Delete for one key; for a batch, BatchDelete when every write
+// deletes, else BatchPut of the caller's map (nil values delete). Its
+// arguments are built once, outside the retried op. Raw strings are escaped
 // so they never collide with typed blobs. On failure every key of ws is
 // invalidated in the cache tier.
 func (t *Tiered) wtCommit(ws []write, entries map[string][]byte) error {
-	var err error
+	var op func(Storage) error
 	switch {
 	case len(ws) != 1 && allDeletes(ws):
 		keys := make([]string, len(ws))
 		for i, w := range ws {
 			keys[i] = w.key
 		}
-		err = t.opts.Storage.BatchDelete(keys)
+		op = func(s Storage) error { return s.BatchDelete(keys) }
 	case len(ws) != 1:
-		err = t.opts.Storage.BatchPut(escapeEntries(entries))
+		entries = escapeEntries(entries)
+		op = func(s Storage) error { return s.BatchPut(entries) }
 	case ws[0].val == nil:
-		err = t.opts.Storage.Delete(ws[0].key)
+		op = func(s Storage) error { return s.Delete(ws[0].key) }
 	default:
 		stored := ws[0].val
 		if !ws[0].enc {
 			stored = engine.EscapeStringValue(stored)
 		}
-		err = t.opts.Storage.Put(ws[0].key, stored)
+		op = func(s Storage) error { return s.Put(ws[0].key, stored) }
 	}
+	err := t.store(false, op)
 	if err != nil {
 		for _, w := range ws {
 			t.eng.Del(w.key)

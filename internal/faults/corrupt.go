@@ -32,24 +32,3 @@ func FlipBit(path string, offset int64, bit uint) error {
 	}
 	return nil
 }
-
-// FlipBytes XORs every byte in [offset, offset+n) with 0xFF — a denser
-// corruption burst for when a single bit flip could land in slack space.
-func FlipBytes(path string, offset, n int64) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	buf := make([]byte, n)
-	if _, err := f.ReadAt(buf, offset); err != nil {
-		return fmt.Errorf("faults: read bytes to flip: %w", err)
-	}
-	for i := range buf {
-		buf[i] ^= 0xFF
-	}
-	if _, err := f.WriteAt(buf, offset); err != nil {
-		return fmt.Errorf("faults: write flipped bytes: %w", err)
-	}
-	return nil
-}

@@ -1,9 +1,10 @@
 // Package faults is a deterministic fault-injection seam for chaos
-// drills: a net.Conn wrapper (injected latency, throughput caps,
-// byte-level stalls, one-sided partitions, scripted resets) pluggable
-// into server accept loops and client/replica dials, a TCP proxy for
-// cross-process drills, and error-and-latency injectors for the disk
-// seams (cache.Storage, wal.Appender).
+// drills: a net.Conn wrapper, WrapConn (injected latency, throughput caps,
+// byte-level stalls, one-sided partitions, scripted resets), which a
+// server applies to every accepted connection through
+// server.Config.WrapConn; a TCP proxy, Proxy, for links between processes;
+// and error-and-latency injectors for the disk seams (cache.Storage,
+// wal.Appender).
 //
 // Faults are scripted, never random: every control is an explicit
 // toggle or countdown the test flips, so a drill that fails replays the
@@ -23,8 +24,8 @@ import (
 var ErrInjectedReset = errors.New("faults: injected connection reset")
 
 // Injector is the shared control surface for one fault domain (one
-// link, one listener, one proxy). All methods are safe for concurrent
-// use; zero value = no faults.
+// link, one server's connections, one proxy). All methods are safe for
+// concurrent use; zero value = no faults.
 type Injector struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -258,37 +259,4 @@ func (c *Conn) Close() error {
 	err := c.Conn.Close()
 	c.inj.wake()
 	return err
-}
-
-// Listener wraps accepted connections with a shared injector — the
-// server-accept-loop seam.
-type Listener struct {
-	net.Listener
-	inj *Injector
-}
-
-// WrapListener applies i's faults to every conn ln accepts.
-func WrapListener(ln net.Listener, i *Injector) *Listener {
-	return &Listener{Listener: ln, inj: i}
-}
-
-// Accept implements net.Listener.
-func (l *Listener) Accept() (net.Conn, error) {
-	nc, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return WrapConn(nc, l.inj), nil
-}
-
-// Dialer returns a dial function (the replica/client dial seam) whose
-// connections carry i's faults.
-func Dialer(i *Injector) func(addr string, timeout time.Duration) (net.Conn, error) {
-	return func(addr string, timeout time.Duration) (net.Conn, error) {
-		nc, err := net.DialTimeout("tcp", addr, timeout)
-		if err != nil {
-			return nil, err
-		}
-		return WrapConn(nc, i), nil
-	}
 }
