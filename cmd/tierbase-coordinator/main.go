@@ -11,7 +11,9 @@
 package main
 
 import (
+	"errors"
 	"flag"
+	"io"
 	"log"
 	"os"
 	"os/signal"
@@ -22,26 +24,40 @@ import (
 )
 
 func main() {
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	if err := run(os.Args[1:], os.Stderr, sig); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatalf("tierbase-coordinator: %v", err)
+	}
+}
+
+// run serves the coordinator args describe, logging to logw, until stop
+// delivers a signal.
+func run(args []string, logw io.Writer, stop <-chan os.Signal) error {
+	fs := flag.NewFlagSet("tierbase-coordinator", flag.ContinueOnError)
+	fs.SetOutput(logw)
 	var (
-		addr          = flag.String("addr", "127.0.0.1:7000", "listen address")
-		hbTimeout     = flag.Duration("heartbeat-timeout", 2*time.Second, "silence after which a node is failed")
-		checkInterval = flag.Duration("check-interval", 500*time.Millisecond, "failure-detection sweep period (0 disables failover)")
+		addr          = fs.String("addr", "127.0.0.1:7000", "listen address")
+		hbTimeout     = fs.Duration("heartbeat-timeout", 2*time.Second, "silence after which a node is failed")
+		checkInterval = fs.Duration("check-interval", 500*time.Millisecond, "failure-detection sweep period (0 disables failover)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *hbTimeout <= 0 {
+		return errors.New("-heartbeat-timeout must be positive")
+	}
 
 	coord := cluster.NewCoordinator()
 	coord.HeartbeatTimeout = *hbTimeout
-
 	cs, err := cluster.StartCoordServer(*addr, coord, *checkInterval)
 	if err != nil {
-		log.Fatalf("tierbase-coordinator: %v", err)
+		return err
 	}
-	log.Printf("tierbase-coordinator listening on %s (heartbeat timeout %v, check every %v)",
+	logger := log.New(logw, "", log.LstdFlags)
+	logger.Printf("tierbase-coordinator listening on %s (heartbeat timeout %v, check every %v)",
 		cs.Addr(), *hbTimeout, *checkInterval)
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	<-sig
-	log.Print("shutting down")
-	cs.Close()
+	<-stop
+	logger.Print("shutting down")
+	return cs.Close()
 }

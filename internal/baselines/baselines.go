@@ -69,8 +69,8 @@ func NewRedisLike(dir string, threads int) (*RedisLike, error) {
 	return r, nil
 }
 
-// encodeAOF is a SET's AOF record.
-func encodeAOF(key string, val []byte) []byte {
+// EncodeAOF is a SET's AOF record: 'S', a 4-byte key length, key, value.
+func EncodeAOF(key string, val []byte) []byte {
 	buf := make([]byte, 1+4+len(key)+len(val))
 	buf[0] = 'S'
 	binary.LittleEndian.PutUint32(buf[1:5], uint32(len(key)))
@@ -84,7 +84,7 @@ func (r *RedisLike) Set(key string, val []byte) error {
 	var err error
 	perr := r.pool.SubmitWait(func() {
 		if r.aof != nil {
-			if err = r.aof.Append(encodeAOF(key, val)); err != nil {
+			if err = r.aof.Append(EncodeAOF(key, val)); err != nil {
 				return
 			}
 		}
@@ -392,8 +392,8 @@ type LSMStore struct {
 	reqCost time.Duration
 }
 
-// spinCost busy-waits to model CPU-bound request-path work.
-func spinCost(d time.Duration) {
+// Spin busy-waits for d, holding its core as CPU-bound work does.
+func Spin(d time.Duration) {
 	if d <= 0 {
 		return
 	}
@@ -435,13 +435,13 @@ func NewHBaseLike(dir string) (*LSMStore, error) {
 
 // Set implements System.
 func (s *LSMStore) Set(key string, val []byte) error {
-	spinCost(s.reqCost)
+	Spin(s.reqCost)
 	return s.db.Put([]byte(key), val)
 }
 
 // Get implements System.
 func (s *LSMStore) Get(key string) ([]byte, error) {
-	spinCost(s.reqCost)
+	Spin(s.reqCost)
 	v, err := s.db.Get([]byte(key))
 	if err == lsm.ErrNotFound {
 		return nil, ErrNotFound

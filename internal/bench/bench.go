@@ -2,10 +2,15 @@
 // the paper's evaluation (§6), each regenerating the same rows/series the
 // paper reports, using the cost-optimization framework of §5.3 (load a
 // snapshot, replay operations, measure MaxPerf/MaxSpace, compute costs).
-// measureTB is that loop's one measurement of a TierBase row; pricing is
-// internal/core's (PerCostUnit, SmoothPC/SmoothSC). The harness is also
-// the framework's ConfigEvaluator (Evaluator), which cost-advisor runs on
-// the workload its flags describe.
+// A cost figure is one list of rows (row: a label, the instance it is
+// priced on, a replica count, and a TierBase configuration or a baseline's
+// name) measured by one loop, measureRows, which hands each row to
+// measureTB or measureBaseline and then counts its replicas, on DRAM and
+// PMem alike, for every kind of row; pricing is internal/core's
+// (PerCostUnit, SmoothPC/SmoothSC). fig7 and fig8 open their rows the same
+// way and drive each through one set of YCSB phases (runPhases). The
+// harness is also the framework's ConfigEvaluator (Evaluator), which
+// cost-advisor runs on the workload its flags describe.
 //
 // Scaling note: the paper's testbed runs Redis-class
 // systems at ~100k QPS/core against 10 GB datasets. This harness runs
@@ -20,7 +25,8 @@
 // what the row's name says (compressor, PMem,
 // policy, cache ratio, storage RTT). What the harness adds is its own model
 // of a deployment: an elastic pool per instance, the wal/wal-pmem rows'
-// AOF-style log, a per-op CPU cost (fig9) and replicas counted as DRAM.
+// AOF-style log (baselines.EncodeAOF's records, as redis-aof writes), a
+// per-op CPU cost (fig9) and a row's replicas.
 //
 // One part of that model departs from the shipping code on purpose. The
 // in-memory part of an op runs on the instance's pool; a tiered row's
@@ -34,12 +40,16 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
 	"sync"
 	"time"
 
+	"tierbase/internal/baselines"
+	"tierbase/internal/cache"
+	"tierbase/internal/engine"
 	"tierbase/internal/metrics"
 	"tierbase/internal/workload"
 )
@@ -190,7 +200,7 @@ func drive(sys kvOp, ops []workload.Op, workers int) driveResult {
 				switch op.Kind {
 				case workload.OpRead:
 					_, err = sys.Get(op.Key)
-					if err != nil && isNotFound(err) {
+					if isNotFound(err) {
 						err = nil
 					}
 				default:
@@ -217,11 +227,10 @@ func drive(sys kvOp, ops []workload.Op, workers int) driveResult {
 	}
 }
 
+// isNotFound reports an absent key as the systems the harness drives
+// answer it: TierBase's cache tier, a bare engine (tab2) and the baselines.
 func isNotFound(err error) bool {
-	// The harness spans several packages' not-found errors; string match
-	// keeps it dependency-light here.
-	s := err.Error()
-	return strings.Contains(s, "not found") || strings.Contains(s, "nil reply")
+	return errors.Is(err, cache.ErrNotFound) || errors.Is(err, engine.ErrNotFound) || errors.Is(err, baselines.ErrNotFound)
 }
 
 // fmtQPS renders throughput in kqps.

@@ -81,7 +81,7 @@ func TestMeasureOverheadSane(t *testing.T) {
 	ds := workload.NewKV1()
 	spec := workload.WorkloadB(200, ds)
 	load, run := spec.LoadOps(), NewOpsMulti(spec, 400, 1)
-	raw, err := measureTB(TBConfig{Name: "raw", Threads: 1}, cacheInst, t.TempDir(), load, run, 1)
+	raw, err := measureTB(row{"raw", cacheInst, 0, &TBConfig{Threads: 1}}, t.TempDir(), load, run, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestMeasureOverheadSane(t *testing.T) {
 	if raw.fp.PMem != 0 || raw.fp.Disk != 0 {
 		t.Fatalf("raw config should use DRAM alone: %+v", raw.fp)
 	}
-	pbc, err := measureTB(TBConfig{Name: "pbc", Threads: 1, Compressor: "pbc", TrainOn: ds}, cacheInst, t.TempDir(), load, run, 1)
+	pbc, err := measureTB(row{"pbc", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "pbc", TrainOn: ds}}, t.TempDir(), load, run, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,36 +349,35 @@ func TestRowsAreTheirConfiguration(t *testing.T) {
 	ds := workload.NewKV1()
 	spec := workload.WorkloadB(600, ds)
 	load, run := spec.LoadOps(), NewOpsMulti(spec, 1200, 2)
-	measure := func(cfg TBConfig) costSUT {
+	measure := func(name string, cfg TBConfig) costSUT {
 		t.Helper()
-		sut, err := measureTB(cfg, cacheInst, t.TempDir(), load, run, 2)
+		sut, err := measureTB(row{name, cacheInst, 0, &cfg}, t.TempDir(), load, run, 2)
 		if err != nil {
-			t.Fatalf("%s: %v", cfg.Name, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		return sut
 	}
-	raw := measure(TBConfig{Name: "raw", Threads: 1})
+	raw := measure("raw", TBConfig{Threads: 1})
 	if raw.fp.DRAM < 1 || raw.fp.DRAM > 3 || raw.fp.PMem != 0 || raw.fp.Disk != 0 || raw.tiered {
 		t.Fatalf("raw: %+v", raw)
 	}
-	for _, cfg := range []TBConfig{
-		{Name: "pbc", Threads: 1, Compressor: "pbc", TrainOn: ds},
-		{Name: "zstd-dict-l1", Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds},
-		{Name: "zstd-l9", Threads: 1, Compressor: "zstd-b", CompressLevel: 9, TrainOn: ds},
+	for name, cfg := range map[string]TBConfig{
+		"pbc":          {Threads: 1, Compressor: "pbc", TrainOn: ds},
+		"zstd-dict-l1": {Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds},
+		"zstd-l9":      {Threads: 1, Compressor: "zstd-b", CompressLevel: 9, TrainOn: ds},
 	} {
-		if got := measure(cfg).fp.DRAM; got >= raw.fp.DRAM {
-			t.Errorf("%s holds %.3f DRAM bytes a logical byte, raw %.3f", cfg.Name, got, raw.fp.DRAM)
+		if got := measure(name, cfg).fp.DRAM; got >= raw.fp.DRAM {
+			t.Errorf("%s holds %.3f DRAM bytes a logical byte, raw %.3f", name, got, raw.fp.DRAM)
 		}
 	}
-	if pm := measure(TBConfig{Name: "pmem", Threads: 1, PMem: true}); pm.fp.PMem <= 0 {
+	if pm := measure("pmem", TBConfig{Threads: 1, PMem: true}); pm.fp.PMem <= 0 {
 		t.Errorf("pmem row offloads nothing: %+v", pm.fp)
 	}
 	for _, persist := range []string{"wt", "wb"} {
-		cfg := TBConfig{Name: persist + "-5X", Threads: 1, Persist: persist, CacheRatioX: 5,
-			ExpectedLogicalBytes: logicalBytes(load), RTT: missRTT}
-		sut := measure(cfg)
+		sut := measure(persist+"-5X", TBConfig{Threads: 1, Persist: persist, CacheRatioX: 5,
+			ExpectedLogicalBytes: logicalBytes(load), RTT: missRTT})
 		if !sut.tiered || sut.mr <= 0 || sut.fp.DRAM >= raw.fp.DRAM || sut.fp.Disk <= 0 {
-			t.Errorf("%s: tiered %v, MR %.3f, DRAM %.3f (raw %.3f), disk %.3f", cfg.Name,
+			t.Errorf("%s: tiered %v, MR %.3f, DRAM %.3f (raw %.3f), disk %.3f", sut.name,
 				sut.tiered, sut.mr, sut.fp.DRAM, raw.fp.DRAM, sut.fp.Disk)
 		}
 	}
@@ -404,6 +403,34 @@ func TestRowsAreTheirConfiguration(t *testing.T) {
 		})
 		if logged < int64(len(val)) {
 			t.Errorf("%s row logged %d bytes for a %d-byte value", persist, logged, len(val))
+		}
+	}
+}
+
+// TestReplicasCountOnEveryRowKind: a row's replica count is one more copy
+// of what it holds in DRAM and PMem, whatever kind of row it is. One
+// worker replays the same ops in the same order at 0 and at 1 replica, so
+// the two measurements differ by that copy alone.
+func TestReplicasCountOnEveryRowKind(t *testing.T) {
+	spec := workload.WorkloadB(300, workload.NewKV1())
+	load, run := spec.LoadOps(), NewOpsMulti(spec, 600, 1)
+	for _, r := range []row{
+		{"tierbase-pmem", pmemInst, 0, &TBConfig{Threads: 1, PMem: true}},
+		{"redis", cacheInst, 0, nil},
+	} {
+		dual := r
+		dual.replicas = 1
+		suts, err := measureRows([]row{r, dual}, t.TempDir(), load, run, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, two := suts[0].fp, suts[1].fp
+		if one.DRAM <= 0 || (r.tb != nil) != (one.PMem > 0) {
+			t.Fatalf("%s holds DRAM %.4f, PMem %.4f a logical byte", r.name, one.DRAM, one.PMem)
+		}
+		if two.DRAM != 2*one.DRAM || two.PMem != 2*one.PMem {
+			t.Errorf("%s with a replica holds DRAM %.4f, PMem %.4f; without, %.4f and %.4f",
+				r.name, two.DRAM, two.PMem, one.DRAM, one.PMem)
 		}
 	}
 }

@@ -3,8 +3,10 @@ package bench
 import (
 	"fmt"
 	"path/filepath"
+	"sync"
 	"time"
 
+	"tierbase/internal/baselines"
 	"tierbase/internal/core"
 	"tierbase/internal/workload"
 )
@@ -60,23 +62,130 @@ func price(suts []costSUT, declQPS, declDataGB float64) []core.Evaluation {
 	return core.Evaluate(core.Workload{QPS: declQPS, DataSizeGB: declDataGB}, core.StandardContainer, ms)
 }
 
+// row is one system a figure measures and prices: its label, the
+// instance it is priced on, how many replicas a deployment runs beside the
+// primary, and what it is — a TierBase configuration, or, when tb is nil,
+// the baseline baselines.Build builds under the row's name.
+type row struct {
+	name     string
+	inst     core.Instance
+	replicas int
+	tb       *TBConfig
+}
+
+// measureRows is §5.3's loop over a figure's rows, in order, each on the
+// same load and replay from workers, persistent ones under dir/<name>. A
+// replica mirrors its primary, so it counts once more on DRAM and on PMem:
+// this is the one place replicas are counted.
+func measureRows(rows []row, dir string, load, run []workload.Op, workers int) ([]costSUT, error) {
+	suts := make([]costSUT, len(rows))
+	for i, r := range rows {
+		measure := measureBaseline
+		if r.tb != nil {
+			measure = measureTB
+		}
+		s, err := measure(r, filepath.Join(dir, r.name), load, run, workers)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", r.name, err)
+		}
+		s.fp.DRAM *= float64(1 + r.replicas)
+		s.fp.PMem *= float64(1 + r.replicas)
+		suts[i] = s
+	}
+	return suts, nil
+}
+
+// measureTB measures one TierBase row: build it, load the snapshot, settle
+// it (dirty keys flushed, the storage tier flushed and compacted, as a
+// snapshot at rest is), replay run over workers, flush what the replay
+// left dirty, and read throughput and footprint.
+func measureTB(r row, dir string, load, run []workload.Op, workers int) (costSUT, error) {
+	sys, err := BuildTierBase(*r.tb, dir)
+	if err != nil {
+		return costSUT{}, err
+	}
+	defer sys.Close()
+	for _, op := range load {
+		if err := sys.Set(op.Key, op.Value); err != nil {
+			return costSUT{}, err
+		}
+	}
+	if err := sys.st.FlushDirty(); err != nil {
+		return costSUT{}, err
+	}
+	if db := sys.st.DB; db != nil {
+		db.Flush()
+		db.CompactAll()
+	}
+	dr := drive(sys, run, workers)
+	if err := sys.st.FlushDirty(); err != nil {
+		return costSUT{}, err
+	}
+	logical := float64(logicalBytes(load))
+	return costSUT{
+		name: r.name,
+		inst: r.inst,
+		qps:  dr.QPS,
+		fp: core.Footprint{
+			DRAM: float64(sys.MemBytes()) / logical,
+			PMem: float64(sys.PMemBytes()) / logical,
+			Disk: float64(sys.DiskBytes()) / logical,
+		},
+		tiered: sys.st.DB != nil,
+		mr:     sys.st.MissRatio(),
+	}, nil
+}
+
+// measureBaseline measures one comparison system the same way; the LSM
+// stores are flushed and compacted after the load, as TierBase's storage
+// tier is.
+func measureBaseline(r row, dir string, load, run []workload.Op, workers int) (costSUT, error) {
+	sys, err := baselines.Build(r.name, dir)
+	if err != nil {
+		return costSUT{}, err
+	}
+	defer sys.Close()
+	for _, op := range load {
+		if err := sys.Set(op.Key, op.Value); err != nil {
+			return costSUT{}, err
+		}
+	}
+	if ls, ok := sys.(*baselines.LSMStore); ok {
+		ls.DB().Flush()
+		ls.DB().CompactAll()
+	}
+	dr := drive(sys, run, workers)
+	logical := float64(logicalBytes(load))
+	return costSUT{
+		name: r.name,
+		inst: r.inst,
+		qps:  dr.QPS,
+		fp: core.Footprint{
+			DRAM: float64(sys.MemBytes()) / logical,
+			Disk: float64(sys.DiskBytes()) / logical,
+		},
+	}, nil
+}
+
+// logicalBytes is the key and value bytes ops write.
+func logicalBytes(ops []workload.Op) int64 {
+	var n int64
+	for _, op := range ops {
+		n += int64(len(op.Key) + len(op.Value))
+	}
+	return n
+}
+
 // Evaluator is the harness as the cost framework's ConfigEvaluator, the
 // one cost-advisor runs core.FindOptimal over. Its rows are raw, pmem,
 // zstd-d and pbc, and a write-through row whose cache holds a fraction of
-// the data; each is measured once by measureTB on one workload and
-// reported per unit of its own instance's cost, before any tolerance.
+// the data; the first Measure measures them all by measureRows on one
+// workload, and each is reported per unit of its own instance's cost,
+// before any tolerance.
 type Evaluator struct {
-	refQPS    float64
-	dir       string
-	load, run []workload.Op
-	rows      []costRow
-	suts      map[string]costSUT
-}
-
-// costRow is a TierBase row and the instance it is priced on.
-type costRow struct {
-	cfg  TBConfig
-	inst core.Instance
+	refQPS float64
+	rows   []row
+	suts   func() (map[string]costSUT, error)
 }
 
 // NewEvaluator measures rows on spec: its population loaded, ops
@@ -86,41 +195,44 @@ type costRow struct {
 func NewEvaluator(spec workload.Spec, ops int, cacheRatio, refQPS float64, dir string) *Evaluator {
 	load := spec.LoadOps()
 	ds, x := spec.Dataset, 1/cacheRatio
-	return &Evaluator{
-		refQPS: refQPS, dir: dir, load: load, run: NewOpsMulti(spec, ops, 4),
-		rows: []costRow{
-			{TBConfig{Name: "raw", Threads: 1}, cacheInst},
-			{TBConfig{Name: "pmem", Threads: 1, PMem: true}, pmemInst},
-			{TBConfig{Name: "zstd-d", Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds}, cacheInst},
-			{TBConfig{Name: "pbc", Threads: 1, Compressor: "pbc", TrainOn: ds}, cacheInst},
-			{TBConfig{Name: fmt.Sprintf("wt-%.3gX", x), Threads: 1, Persist: "wt", CacheRatioX: x,
-				ExpectedLogicalBytes: logicalBytes(load), RTT: missRTT}, cacheInst},
-		},
-		suts: map[string]costSUT{},
+	rows := []row{
+		{"raw", cacheInst, 0, &TBConfig{Threads: 1}},
+		{"pmem", pmemInst, 0, &TBConfig{Threads: 1, PMem: true}},
+		{"zstd-d", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds}},
+		{"pbc", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "pbc", TrainOn: ds}},
+		{fmt.Sprintf("wt-%.3gX", x), cacheInst, 0, &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: x,
+			ExpectedLogicalBytes: logicalBytes(load), RTT: missRTT}},
 	}
+	return &Evaluator{refQPS: refQPS, rows: rows, suts: sync.OnceValues(func() (map[string]costSUT, error) {
+		suts, err := measureRows(rows, dir, load, NewOpsMulti(spec, ops, 4), 4)
+		m := make(map[string]costSUT, len(suts))
+		for _, s := range suts {
+			m[s.name] = s
+		}
+		return m, err
+	})}
 }
 
 // Configs names the rows, raw first.
 func (e *Evaluator) Configs() []core.Config {
 	out := make([]core.Config, len(e.rows))
 	for i, r := range e.rows {
-		out[i] = core.Config{Name: r.cfg.Name}
+		out[i] = core.Config{Name: r.name}
 	}
 	return out
 }
 
 // Measure implements core.ConfigEvaluator.
 func (e *Evaluator) Measure(cfg core.Config) (core.Measured, error) {
-	s, err := e.measure(cfg.Name)
-	if err != nil {
+	suts, err := e.suts()
+	s, ok := suts[cfg.Name]
+	switch {
+	case err != nil:
 		return core.Measured{}, err
-	}
-	if e.refQPS > 0 {
-		raw, err := e.measure("raw")
-		if err != nil {
-			return core.Measured{}, err
-		}
-		s.qps *= e.refQPS / raw.qps
+	case !ok:
+		return core.Measured{}, fmt.Errorf("bench: no row %q", cfg.Name)
+	case e.refQPS > 0:
+		s.qps *= e.refQPS / suts["raw"].qps
 	}
 	return s.measured(), nil
 }
@@ -128,23 +240,7 @@ func (e *Evaluator) Measure(cfg core.Config) (core.Measured, error) {
 // MissRatio is the miss ratio a measured tiered row saw; ok is false for
 // any other row.
 func (e *Evaluator) MissRatio(name string) (mr float64, ok bool) {
-	s, ok := e.suts[name]
+	suts, _ := e.suts()
+	s, ok := suts[name]
 	return s.mr, ok && s.tiered
-}
-
-// measure runs the named row once and remembers what it measured.
-func (e *Evaluator) measure(name string) (costSUT, error) {
-	if s, ok := e.suts[name]; ok {
-		return s, nil
-	}
-	for _, r := range e.rows {
-		if r.cfg.Name == name {
-			s, err := measureTB(r.cfg, r.inst, filepath.Join(e.dir, name), e.load, e.run, 4)
-			if err == nil {
-				e.suts[name] = s
-			}
-			return s, err
-		}
-	}
-	return costSUT{}, fmt.Errorf("bench: no row %q", name)
 }

@@ -82,7 +82,8 @@ func TestAdvisorPricesPMemOnItsContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp := e.suts["pmem"].fp
+	suts, _ := e.suts()
+	fp := suts["pmem"].fp
 	if fp.PMem <= 0 {
 		t.Fatalf("pmem row holds nothing in PMem: %+v", fp)
 	}
@@ -93,7 +94,7 @@ func TestAdvisorPricesPMemOnItsContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !near(raw.MaxPerfQPS, 100000) || !near(pm.MaxPerfQPS, e.suts["pmem"].qps/e.suts["raw"].qps*100000/1.25) {
+	if !near(raw.MaxPerfQPS, 100000) || !near(pm.MaxPerfQPS, suts["pmem"].qps/suts["raw"].qps*100000/1.25) {
 		t.Fatalf("raw %.0f QPS, pmem %.0f QPS a cost unit", raw.MaxPerfQPS, pm.MaxPerfQPS)
 	}
 }

@@ -1,103 +1,14 @@
 package bench
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
 
-	"tierbase/internal/baselines"
 	"tierbase/internal/core"
 	"tierbase/internal/trace"
 	"tierbase/internal/workload"
 )
-
-// measureTB is §5.3's loop for one TierBase row on inst: build it, load
-// the snapshot, settle it (dirty keys flushed, the storage tier flushed and
-// compacted, as a snapshot at rest is), replay run over workers, flush what
-// the replay left dirty, and read throughput and footprint.
-func measureTB(cfg TBConfig, inst core.Instance, dir string, load, run []workload.Op, workers int) (costSUT, error) {
-	sys, err := BuildTierBase(cfg, dir)
-	if err != nil {
-		return costSUT{}, err
-	}
-	defer sys.Close()
-	for _, op := range load {
-		if err := sys.Set(op.Key, op.Value); err != nil {
-			return costSUT{}, err
-		}
-	}
-	if err := sys.st.FlushDirty(); err != nil {
-		return costSUT{}, err
-	}
-	if db := sys.st.DB; db != nil {
-		db.Flush()
-		db.CompactAll()
-	}
-	dr := drive(sys, run, workers)
-	if err := sys.st.FlushDirty(); err != nil {
-		return costSUT{}, err
-	}
-	logical := float64(logicalBytes(load))
-	return costSUT{
-		name: cfg.Name,
-		inst: inst,
-		qps:  dr.QPS,
-		fp: core.Footprint{
-			DRAM: float64(sys.MemBytes()) / logical,
-			PMem: float64(sys.PMemBytes()) / logical,
-			Disk: float64(sys.DiskBytes()) / logical,
-		},
-		tiered: sys.st.DB != nil,
-		mr:     sys.st.MissRatio(),
-	}, nil
-}
-
-// baselineRow is a comparison system in a cost figure: its
-// baselines.Build name, which is also the row's label, and how many copies
-// of its DRAM a deployment holds (dual replicas = 2).
-type baselineRow struct {
-	name     string
-	inst     core.Instance
-	dramMult float64
-}
-
-// measureBaselines does the same for comparison systems, each on the same
-// load and replay, persistent ones under dir.
-func measureBaselines(dir string, rows []baselineRow, load, run []workload.Op) ([]costSUT, error) {
-	logical := float64(logicalBytes(load))
-	var suts []costSUT
-	for _, b := range rows {
-		sys, err := baselines.Build(b.name, filepath.Join(dir, b.name))
-		if err != nil {
-			return nil, err
-		}
-		for _, op := range load {
-			sys.Set(op.Key, op.Value)
-		}
-		if ls, ok := sys.(*baselines.LSMStore); ok {
-			ls.DB().Flush()
-			ls.DB().CompactAll()
-		}
-		dr := drive(sys, run, 4)
-		suts = append(suts, costSUT{
-			name: b.name, inst: b.inst, qps: dr.QPS,
-			fp: core.Footprint{
-				DRAM: float64(sys.MemBytes()) * b.dramMult / logical,
-				Disk: float64(sys.DiskBytes()) / logical,
-			},
-		})
-		sys.Close()
-	}
-	return suts, nil
-}
-
-// logicalBytes is the key and value bytes ops write.
-func logicalBytes(ops []workload.Op) int64 {
-	var n int64
-	for _, op := range ops {
-		n += int64(len(op.Key) + len(op.Value))
-	}
-	return n
-}
 
 // RunFig10 reproduces Figure 10: cost of caching systems under 50/50 and
 // 95/5 mixes. The declared workload is 10 GB with QPS = 0.8 × the
@@ -105,51 +16,23 @@ func logicalBytes(ops []workload.Op) int64 {
 // positioning).
 func RunFig10(o RunOpts) (*Result, error) {
 	o.fill()
-	nRecords := int64(o.n(3000))
-	nOps := o.n(12000)
 	ds := workload.NewCities()
 	res := &Result{
 		ID: "fig10", Title: "Cost of caching systems",
 		Header: []string{"mix", "system", "cost_GB(SC)", "cost_QPS(PC)", "cost"},
 	}
-	for _, mix := range []struct {
-		label string
-		spec  workload.Spec
-	}{
-		{"50/50", workload.WorkloadA(nRecords, ds)},
-		{"95/5", workload.WorkloadB(nRecords, ds)},
-	} {
-		var suts []costSUT
-		load, run := mix.spec.LoadOps(), NewOpsMulti(mix.spec, nOps, 4)
-		// TierBase configurations.
-		tbConfigs := []costRow{
-			{TBConfig{Name: "tierbase-s", Threads: 1}, cacheInst},
-			{TBConfig{Name: "tierbase-e", Threads: 0}, cacheInst},
-			{TBConfig{Name: "tierbase-zstd", Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds}, cacheInst},
-			{TBConfig{Name: "tierbase-pbc", Threads: 1, Compressor: "pbc", TrainOn: ds}, cacheInst},
-			{TBConfig{Name: "tierbase-pmem", Threads: 1, PMem: true}, pmemInst},
-		}
-		for _, tc := range tbConfigs {
-			sut, err := measureTB(tc.cfg, tc.inst, filepath.Join(o.Dir, "fig10", tc.cfg.Name), load, run, 4)
-			if err != nil {
-				return nil, err
-			}
-			suts = append(suts, sut)
-		}
-		base, err := measureBaselines(filepath.Join(o.Dir, "fig10"), []baselineRow{
-			{"redis-s", cacheInst, 1},
-			{"memcached-m", bigInst, 1},
-			{"dragonfly-m", bigInst, 1},
-		}, load, run)
-		if err != nil {
-			return nil, err
-		}
-		suts = append(suts, base...)
-
-		// Declared workload relative to the single-thread reference.
-		for _, e := range price(suts, 0.8*suts[0].qps, 10) {
-			res.AddRow(mix.label, e.Measured.Config, fmtF(e.SC), fmtF(e.PC), fmtF(e.Cost))
-		}
+	err := costMixes(res, o.Dir, int64(o.n(3000)), o.n(12000), ds, 0.8, []row{
+		{"tierbase-s", cacheInst, 0, &TBConfig{Threads: 1}},
+		{"tierbase-e", cacheInst, 0, &TBConfig{Threads: 0}},
+		{"tierbase-zstd", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds}},
+		{"tierbase-pbc", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "pbc", TrainOn: ds}},
+		{"tierbase-pmem", pmemInst, 0, &TBConfig{Threads: 1, PMem: true}},
+		{"redis-s", cacheInst, 0, nil},
+		{"memcached-m", bigInst, 0, nil},
+		{"dragonfly-m", bigInst, 0, nil},
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.AddNote("declared workload: 10GB, QPS=0.8×MaxPerf(tierbase-s); paper shape: memcached lowest SC among plain caches; pmem/compression cut TierBase SC below memcached; elastic halves PC")
 	return res, nil
@@ -157,17 +40,38 @@ func RunFig10(o RunOpts) (*Result, error) {
 
 // RunFig11 reproduces Figure 11: cost of databases with persistence.
 // Declared workload: 10 GB at QPS = 0.4 × the TierBase-WAL reference
-// (the paper's 40k positioning), all on 4c16g instances.
+// (the paper's 40k positioning). The tiered rows' cache tier runs on
+// standard containers and their storage tier on storInst; the rest run on
+// 4c16g instances.
 func RunFig11(o RunOpts) (*Result, error) {
 	o.fill()
 	nRecords := int64(o.n(3000))
-	nOps := o.n(10000)
 	ds := workload.NewCities()
 	expected := nRecords * int64(ds.AvgRecordSize()+16)
 	res := &Result{
 		ID: "fig11", Title: "Cost of databases with persistence",
 		Header: []string{"mix", "system", "SpaceCost", "PerformanceCost", "cost"},
 	}
+	err := costMixes(res, o.Dir, nRecords, o.n(10000), ds, 0.4, []row{
+		{"tierbase-wal", bigInst, 1, &TBConfig{Threads: 1, Persist: "wal"}},
+		{"tierbase-wal-pmem", bigInst, 1, &TBConfig{Threads: 1, Persist: "wal-pmem"}},
+		{"tierbase-wt-10X", cacheInst, 0, &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 10, ExpectedLogicalBytes: expected, RTT: missRTT}},
+		{"tierbase-wb-10X", cacheInst, 1, &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 10, ExpectedLogicalBytes: expected, RTT: missRTT}},
+		{"redis-aof", bigInst, 1, nil}, // dual replica
+		{"cassandra", bigInst, 0, nil},
+		{"hbase", bigInst, 0, nil},
+	})
+	if err != nil {
+		return nil, err
+	}
+	res.AddNote("paper shape: cassandra/hbase high PC low SC; redis-aof/tierbase-wal low PC high SC; tiered wt/wb balance both; wb beats wt on 50/50, converges on 95/5")
+	return res, nil
+}
+
+// costMixes measures rows on YCSB workloads A (50/50) and B (95/5) of
+// nRecords ds records and nOps operations, and adds every row to res
+// priced for a declared 10 GB at ref × the first row's QPS.
+func costMixes(res *Result, dir string, nRecords int64, nOps int, ds workload.Dataset, ref float64, rows []row) error {
 	for _, mix := range []struct {
 		label string
 		spec  workload.Spec
@@ -175,39 +79,15 @@ func RunFig11(o RunOpts) (*Result, error) {
 		{"50/50", workload.WorkloadA(nRecords, ds)},
 		{"95/5", workload.WorkloadB(nRecords, ds)},
 	} {
-		var suts []costSUT
-		load, run := mix.spec.LoadOps(), NewOpsMulti(mix.spec, nOps, 4)
-		// Tiered rows: the cache tier on standard containers, the storage
-		// tier on storInst.
-		tbConfigs := []costRow{
-			{TBConfig{Name: "tierbase-wal", Threads: 1, Persist: "wal", Replicas: 1}, bigInst},
-			{TBConfig{Name: "tierbase-wal-pmem", Threads: 1, Persist: "wal-pmem", Replicas: 1}, bigInst},
-			{TBConfig{Name: "tierbase-wt-10X", Threads: 1, Persist: "wt", CacheRatioX: 10, ExpectedLogicalBytes: expected, RTT: missRTT}, cacheInst},
-			{TBConfig{Name: "tierbase-wb-10X", Threads: 1, Persist: "wb", CacheRatioX: 10, ExpectedLogicalBytes: expected, Replicas: 1, RTT: missRTT}, cacheInst},
-		}
-		for _, tc := range tbConfigs {
-			sut, err := measureTB(tc.cfg, tc.inst, filepath.Join(o.Dir, "fig11", tc.cfg.Name+mix.label), load, run, 4)
-			if err != nil {
-				return nil, err
-			}
-			suts = append(suts, sut)
-		}
-		base, err := measureBaselines(filepath.Join(o.Dir, "fig11", mix.label), []baselineRow{
-			{"redis-aof", bigInst, 2}, // dual replica
-			{"cassandra", bigInst, 1},
-			{"hbase", bigInst, 1},
-		}, load, run)
+		suts, err := measureRows(rows, filepath.Join(dir, res.ID, mix.label), mix.spec.LoadOps(), NewOpsMulti(mix.spec, nOps, 4), 4)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		suts = append(suts, base...)
-
-		for _, e := range price(suts, 0.4*suts[0].qps, 10) { // tierbase-wal reference
+		for _, e := range price(suts, ref*suts[0].qps, 10) {
 			res.AddRow(mix.label, e.Measured.Config, fmtF(e.SC), fmtF(e.PC), fmtF(e.Cost))
 		}
 	}
-	res.AddNote("paper shape: cassandra/hbase high PC low SC; redis-aof/tierbase-wal low PC high SC; tiered wt/wb balance both; wb beats wt on 50/50, converges on 95/5")
-	return res, nil
+	return nil
 }
 
 // traceOps turns trace entries into the ops drive replays.
@@ -222,45 +102,6 @@ func traceOps(entries []trace.Entry) []workload.Op {
 		}
 	}
 	return ops
-}
-
-// caseStudyMeasurements measures every fig12 system on a trace. preload
-// seeds the full key population (the sampled data snapshot of §5.3).
-func caseStudyMeasurements(o RunOpts, tr *trace.Trace, preload []workload.Op, tag string) ([]costSUT, error) {
-	expected := logicalBytes(preload)
-	run := traceOps(tr.Entries)
-	ds := workload.NewKV1()
-	if tag == "recon" {
-		ds = workload.NewKV2()
-	}
-
-	var suts []costSUT
-	tbConfigs := []costRow{
-		{TBConfig{Name: "tierbase-raw", Threads: 1}, cacheInst},
-		{TBConfig{Name: "tierbase-e", Threads: 0}, cacheInst},
-		{TBConfig{Name: "tierbase-pmem", Threads: 1, PMem: true}, pmemInst},
-		{TBConfig{Name: "tierbase-pbc", Threads: 1, Compressor: "pbc", TrainOn: ds}, cacheInst},
-		{TBConfig{Name: "tierbase-wt-4X", Threads: 1, Persist: "wt", CacheRatioX: 4, ExpectedLogicalBytes: expected, RTT: missRTT}, cacheInst},
-		{TBConfig{Name: "tierbase-wb-4X", Threads: 1, Persist: "wb", CacheRatioX: 4, ExpectedLogicalBytes: expected, Replicas: 1, RTT: missRTT}, cacheInst},
-	}
-	for _, tc := range tbConfigs {
-		sut, err := measureTB(tc.cfg, tc.inst, filepath.Join(o.Dir, "fig12", tag+tc.cfg.Name), preload, run, 4)
-		if err != nil {
-			return nil, err
-		}
-		suts = append(suts, sut)
-	}
-	base, err := measureBaselines(filepath.Join(o.Dir, "fig12", tag), []baselineRow{
-		{"redis", cacheInst, 2}, // dual-replica reliability per §6.5.1
-		{"memcached-m", bigInst, 2},
-		{"dragonfly-m", bigInst, 2},
-		{"cassandra", bigInst, 1},
-		{"hbase", bigInst, 1},
-	}, preload, run)
-	if err != nil {
-		return nil, err
-	}
-	return append(suts, base...), nil
 }
 
 // tracePreload is the snapshot a trace replays against: every key it
@@ -283,32 +124,48 @@ func tracePreload(tr *trace.Trace, ds workload.Dataset) []workload.Op {
 	return preload
 }
 
-// RunFig12 reproduces Figure 12: replayed case-study costs.
+// RunFig12 reproduces Figure 12: replayed case-study costs. Each case
+// measures every system on its trace, the trace's keys preloaded (the
+// sampled data snapshot of §5.3).
 func RunFig12(o RunOpts) (*Result, error) {
 	o.fill()
 	res := &Result{
 		ID: "fig12", Title: "Case studies (replayed traces)",
 		Header: []string{"case", "system", "cost_GB(SC)", "cost_QPS(PC)", "cost", "MR"},
 	}
-	// Case 1: User Info Service (read-heavy 32:1, zipfian).
-	ui := trace.GenUserInfo(trace.UserInfoOptions{Ops: o.n(25000)})
-	uiPre := tracePreload(ui, workload.NewKV1())
-	suts, err := caseStudyMeasurements(o, ui, uiPre, "ui")
-	if err != nil {
-		return nil, err
-	}
-	for i, e := range price(suts, suts[0].qps, 20) { // tierbase-raw reference
-		res.AddRow("userinfo", e.Measured.Config, fmtF(e.SC), fmtF(e.PC), fmtF(e.Cost), fmtF(suts[i].mr))
-	}
-	// Case 2: Capital Reconciliation (1:1, temporal skew).
-	rc := trace.GenReconciliation(trace.ReconciliationOptions{Ops: o.n(25000)})
-	rcPre := tracePreload(rc, workload.NewKV2())
-	suts2, err := caseStudyMeasurements(o, rc, rcPre, "recon")
-	if err != nil {
-		return nil, err
-	}
-	for i, e := range price(suts2, 0.2*suts2[0].qps, 10) {
-		res.AddRow("reconciliation", e.Measured.Config, fmtF(e.SC), fmtF(e.PC), fmtF(e.Cost), fmtF(suts2[i].mr))
+	for _, c := range []struct {
+		label       string
+		tr          *trace.Trace
+		ds          workload.Dataset
+		ref, dataGB float64 // declared QPS (× tierbase-raw's) and size
+	}{
+		// User Info Service: read-heavy 32:1, zipfian.
+		{"userinfo", trace.GenUserInfo(trace.UserInfoOptions{Ops: o.n(25000)}), workload.NewKV1(), 1, 20},
+		// Capital Reconciliation: 1:1, temporal skew.
+		{"reconciliation", trace.GenReconciliation(trace.ReconciliationOptions{Ops: o.n(25000)}), workload.NewKV2(), 0.2, 10},
+	} {
+		pre := tracePreload(c.tr, c.ds)
+		expected := logicalBytes(pre)
+		suts, err := measureRows([]row{
+			{"tierbase-raw", cacheInst, 0, &TBConfig{Threads: 1}},
+			{"tierbase-e", cacheInst, 0, &TBConfig{Threads: 0}},
+			{"tierbase-pmem", pmemInst, 0, &TBConfig{Threads: 1, PMem: true}},
+			{"tierbase-pbc", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "pbc", TrainOn: c.ds}},
+			{"tierbase-wt-4X", cacheInst, 0, &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 4, ExpectedLogicalBytes: expected, RTT: missRTT}},
+			{"tierbase-wb-4X", cacheInst, 1, &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 4, ExpectedLogicalBytes: expected, RTT: missRTT}},
+			// Dual-replica reliability per §6.5.1.
+			{"redis", cacheInst, 1, nil},
+			{"memcached-m", bigInst, 1, nil},
+			{"dragonfly-m", bigInst, 1, nil},
+			{"cassandra", bigInst, 0, nil},
+			{"hbase", bigInst, 0, nil},
+		}, filepath.Join(o.Dir, "fig12", c.label), pre, traceOps(c.tr.Entries), 4)
+		if err != nil {
+			return nil, err
+		}
+		for i, e := range price(suts, c.ref*suts[0].qps, c.dataGB) {
+			res.AddRow(c.label, e.Measured.Config, fmtF(e.SC), fmtF(e.PC), fmtF(e.Cost), fmtF(suts[i].mr))
+		}
 	}
 	res.AddNote("case1 shape: in-memory stores low PC / high SC; PBC halves TierBase SC (62%% cost cut vs raw); case2 shape: wt cuts PC vs cassandra, wb cuts further; tiering cuts ≥37%% vs cassandra/hbase")
 	return res, nil
@@ -325,21 +182,15 @@ func RunFig1(o RunOpts) (*Result, error) {
 	ui := trace.GenUserInfo(trace.UserInfoOptions{Ops: o.n(20000)})
 	pre := tracePreload(ui, workload.NewKV1())
 	logical := logicalBytes(pre)
-	configs := []costRow{
-		{TBConfig{Name: "tierbase-raw", Threads: 1}, cacheInst},
-		{TBConfig{Name: "tierbase-pmem", Threads: 1, PMem: true}, pmemInst},
-		{TBConfig{Name: "tierbase-pbc", Threads: 1, Compressor: "pbc", TrainOn: workload.NewKV1()}, cacheInst},
-		{TBConfig{Name: "tierbase-wb-5X", Threads: 1, Persist: "wb", CacheRatioX: 5, ExpectedLogicalBytes: logical, Replicas: 1, RTT: missRTT}, cacheInst},
-		{TBConfig{Name: "tierbase-wt-5X", Threads: 1, Persist: "wt", CacheRatioX: 5, ExpectedLogicalBytes: logical, RTT: missRTT}, cacheInst},
-	}
-	var suts []costSUT
-	run := traceOps(ui.Entries)
-	for _, tc := range configs {
-		sut, err := measureTB(tc.cfg, tc.inst, filepath.Join(o.Dir, "fig1", tc.cfg.Name), pre, run, 4)
-		if err != nil {
-			return nil, err
-		}
-		suts = append(suts, sut)
+	suts, err := measureRows([]row{
+		{"tierbase-raw", cacheInst, 0, &TBConfig{Threads: 1}},
+		{"tierbase-pmem", pmemInst, 0, &TBConfig{Threads: 1, PMem: true}},
+		{"tierbase-pbc", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "pbc", TrainOn: workload.NewKV1()}},
+		{"tierbase-wb-5X", cacheInst, 1, &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 5, ExpectedLogicalBytes: logical, RTT: missRTT}},
+		{"tierbase-wt-5X", cacheInst, 0, &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 5, ExpectedLogicalBytes: logical, RTT: missRTT}},
+	}, filepath.Join(o.Dir, "fig1"), pre, traceOps(ui.Entries), 4)
+	if err != nil {
+		return nil, err
 	}
 	evals := price(suts, suts[0].qps, 20)
 	var maxCost float64
@@ -366,24 +217,18 @@ func RunFig13a(o RunOpts) (*Result, error) {
 		ID: "fig13a", Title: "Compression-level space-performance trade-off",
 		Header: []string{"config", "SpaceCost", "PerformanceCost", "cost"},
 	}
-	configs := []TBConfig{
-		{Name: "raw", Threads: 1},
-		{Name: "zstd-l1", Threads: 1, Compressor: "zstd-b", CompressLevel: 1, TrainOn: ds},
-		{Name: "zstd-l6", Threads: 1, Compressor: "zstd-b", CompressLevel: 6, TrainOn: ds},
-		{Name: "zstd-l9", Threads: 1, Compressor: "zstd-b", CompressLevel: 9, TrainOn: ds},
-		{Name: "zstd-dict-l1", Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds},
-		{Name: "zstd-dict-l6", Threads: 1, Compressor: "zstd-d", CompressLevel: 6, TrainOn: ds},
-		{Name: "zstd-dict-l9", Threads: 1, Compressor: "zstd-d", CompressLevel: 9, TrainOn: ds},
-		{Name: "pbc", Threads: 1, Compressor: "pbc", TrainOn: ds},
-	}
-	var suts []costSUT
-	load, run := spec.LoadOps(), NewOpsMulti(spec, nOps, 4)
-	for _, cfg := range configs {
-		sut, err := measureTB(cfg, cacheInst, "", load, run, 4)
-		if err != nil {
-			return nil, err
-		}
-		suts = append(suts, sut)
+	suts, err := measureRows([]row{
+		{"raw", cacheInst, 0, &TBConfig{Threads: 1}},
+		{"zstd-l1", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "zstd-b", CompressLevel: 1, TrainOn: ds}},
+		{"zstd-l6", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "zstd-b", CompressLevel: 6, TrainOn: ds}},
+		{"zstd-l9", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "zstd-b", CompressLevel: 9, TrainOn: ds}},
+		{"zstd-dict-l1", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds}},
+		{"zstd-dict-l6", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "zstd-d", CompressLevel: 6, TrainOn: ds}},
+		{"zstd-dict-l9", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "zstd-d", CompressLevel: 9, TrainOn: ds}},
+		{"pbc", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "pbc", TrainOn: ds}},
+	}, filepath.Join(o.Dir, "fig13a"), spec.LoadOps(), NewOpsMulti(spec, nOps, 4), 4)
+	if err != nil {
+		return nil, err
 	}
 	for _, e := range price(suts, suts[0].qps, 20) {
 		res.AddRow(e.Measured.Config, fmtF(e.SC), fmtF(e.PC), fmtF(e.Cost))
@@ -405,21 +250,14 @@ func RunFig13b(o RunOpts) (*Result, error) {
 		ID: "fig13b", Title: "Cache-ratio space-performance trade-off",
 		Header: []string{"config", "SpaceCost", "PerformanceCost", "cost", "MR"},
 	}
-	configs := []TBConfig{
-		{Name: "in-mem", Threads: 1},
-		{Name: "wb-2X", Threads: 1, Persist: "wb", CacheRatioX: 2, ExpectedLogicalBytes: logical, Replicas: 1, RTT: missRTT},
-		{Name: "wb-3X", Threads: 1, Persist: "wb", CacheRatioX: 3, ExpectedLogicalBytes: logical, Replicas: 1, RTT: missRTT},
-		{Name: "wb-4X", Threads: 1, Persist: "wb", CacheRatioX: 4, ExpectedLogicalBytes: logical, Replicas: 1, RTT: missRTT},
-		{Name: "wb-5X", Threads: 1, Persist: "wb", CacheRatioX: 5, ExpectedLogicalBytes: logical, Replicas: 1, RTT: missRTT},
+	rows := []row{{"in-mem", cacheInst, 0, &TBConfig{Threads: 1}}}
+	for x := 2; x <= 5; x++ {
+		rows = append(rows, row{fmt.Sprintf("wb-%dX", x), cacheInst, 1,
+			&TBConfig{Threads: 1, Persist: "wb", CacheRatioX: float64(x), ExpectedLogicalBytes: logical, RTT: missRTT}})
 	}
-	var suts []costSUT
-	run := traceOps(ui.Entries)
-	for _, cfg := range configs {
-		sut, err := measureTB(cfg, cacheInst, filepath.Join(o.Dir, "fig13b", cfg.Name), pre, run, 4)
-		if err != nil {
-			return nil, err
-		}
-		suts = append(suts, sut)
+	suts, err := measureRows(rows, filepath.Join(o.Dir, "fig13b"), pre, traceOps(ui.Entries), 4)
+	if err != nil {
+		return nil, err
 	}
 	evals := price(suts, suts[0].qps, 20)
 	for i, e := range evals {
@@ -448,19 +286,17 @@ func RunTable3(o RunOpts) (*Result, error) {
 		ID: "tab3", Title: "Break-even intervals between configurations",
 		Header: []string{"fast", "slow", "interval_s"},
 	}
-	configs := []costRow{
-		{TBConfig{Name: "raw", Threads: 1}, cacheInst},
-		{TBConfig{Name: "pmem", Threads: 1, PMem: true}, pmemInst},
-		{TBConfig{Name: "pbc", Threads: 1, Compressor: "pbc", TrainOn: ds}, cacheInst},
+	suts, err := measureRows([]row{
+		{"raw", cacheInst, 0, &TBConfig{Threads: 1}},
+		{"pmem", pmemInst, 0, &TBConfig{Threads: 1, PMem: true}},
+		{"pbc", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "pbc", TrainOn: ds}},
+	}, filepath.Join(o.Dir, "tab3"), spec.LoadOps(), NewOpsMulti(spec, nOps, 4), 4)
+	if err != nil {
+		return nil, err
 	}
-	var measured []core.Measured
-	load, run := spec.LoadOps(), NewOpsMulti(spec, nOps, 4)
-	for _, tc := range configs {
-		sut, err := measureTB(tc.cfg, tc.inst, "", load, run, 4)
-		if err != nil {
-			return nil, err
-		}
-		measured = append(measured, core.DefaultTolerance.Apply(sut.measured()))
+	measured := make([]core.Measured, len(suts))
+	for i, s := range suts {
+		measured[i] = core.DefaultTolerance.Apply(s.measured())
 	}
 	recSize := float64(ds.AvgRecordSize())
 	table := core.BreakEvenTable(core.StandardContainer, measured, recSize)

@@ -3,6 +3,8 @@ package bench
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -14,85 +16,60 @@ import (
 
 // RunFig7 reproduces Figure 7: throughput and p99 latency of TierBase,
 // Redis, Memcached and Dragonfly in single-thread and multi-thread modes
-// across YCSB load / A / B phases.
+// across YCSB load / A / B phases. A row's name is its system and its
+// mode: -s single-thread, -m multi-thread.
 func RunFig7(o RunOpts) (*Result, error) {
 	o.fill()
-	nRecords := int64(o.n(5000))
-	nOps := o.n(20000)
 	res := &Result{
 		ID: "fig7", Title: "Caching systems performance (kqps / p99 µs)",
 		Header: []string{"system", "mode", "phase", "kqps", "p99_us"},
 	}
-
-	type sut struct {
-		name, mode string
-		sys        kvOp
-		workers    int
-		close      func()
-	}
-	var suts []sut
-
-	mkTB := func(name string, threads, workers int) (sut, error) {
-		s, err := BuildTierBase(TBConfig{Name: name, Threads: threads}, "")
-		if err != nil {
-			return sut{}, err
+	for _, r := range []row{
+		{name: "tierbase-s", tb: &TBConfig{Threads: 1}},
+		{name: "tierbase-m", tb: &TBConfig{Threads: 4}},
+		{name: "redis-s"}, {name: "redis-m"}, {name: "memcached-m"}, {name: "dragonfly-m"},
+	} {
+		system, mode, _ := strings.Cut(r.name, "-")
+		mode = map[string]string{"s": "single", "m": "multi"}[mode]
+		if err := runPhases(res, r, "", int64(o.n(5000)), o.n(20000), system, mode); err != nil {
+			return nil, err
 		}
-		mode := "single"
-		if threads > 1 {
-			mode = "multi"
-		}
-		return sut{name: "tierbase", mode: mode, sys: s, workers: workers, close: func() { s.Close() }}, nil
-	}
-	tbS, err := mkTB("tierbase-s", 1, 4)
-	if err != nil {
-		return nil, err
-	}
-	suts = append(suts, tbS)
-	tbM, err := mkTB("tierbase-m", 4, 4)
-	if err != nil {
-		return nil, err
-	}
-	suts = append(suts, tbM)
-
-	redisS, err := baselines.NewRedisLike("", 1)
-	if err != nil {
-		return nil, err
-	}
-	suts = append(suts, sut{name: "redis", mode: "single", sys: redisS, workers: 4, close: func() { redisS.Close() }})
-	redisM, err := baselines.NewRedisLike("", 4)
-	if err != nil {
-		return nil, err
-	}
-	suts = append(suts, sut{name: "redis", mode: "multi", sys: redisM, workers: 4, close: func() { redisM.Close() }})
-
-	mc := baselines.NewMemcachedLike(0, 4)
-	suts = append(suts, sut{name: "memcached", mode: "multi", sys: mc, workers: 4, close: func() { mc.Close() }})
-	df := baselines.NewDragonflyLike(4)
-	suts = append(suts, sut{name: "dragonfly", mode: "multi", sys: df, workers: 4, close: func() { df.Close() }})
-
-	ds := workload.NewCities()
-	for _, st := range suts {
-		// Load phase.
-		spec := workload.WorkloadA(nRecords, ds)
-		loadOps := spec.LoadOps()
-		dr := drive(st.sys, loadOps, st.workers)
-		res.AddRow(st.name, st.mode, "load", fmtQPS(dr.QPS), fmtDur(dr.P99))
-		// Workload A and B run phases.
-		for _, ph := range []struct {
-			name string
-			spec workload.Spec
-		}{
-			{"A", workload.WorkloadA(nRecords, ds)},
-			{"B", workload.WorkloadB(nRecords, ds)},
-		} {
-			ops := NewOpsMulti(ph.spec, nOps, st.workers)
-			dr := drive(st.sys, ops, st.workers)
-			res.AddRow(st.name, st.mode, ph.name, fmtQPS(dr.QPS), fmtDur(dr.P99))
-		}
-		st.close()
 	}
 	res.AddNote("paper shape: single-thread TierBase≈Redis > Memcached/Dragonfly; multi-thread Memcached/Dragonfly > TierBase/Redis")
 	return res, nil
+}
+
+// runPhases opens r's system — its TierBase configuration, or the baseline
+// of its name, persistent files under dir — and drives it through YCSB's
+// load phase and then workloads A and B on nRecords Cities records, nOps
+// operations each, from four workers. It adds a row to res for each
+// phase: label, the phase, kqps and p99.
+func runPhases(res *Result, r row, dir string, nRecords int64, nOps int, label ...string) error {
+	var sys baselines.System
+	var err error
+	if r.tb != nil {
+		sys, err = BuildTierBase(*r.tb, dir)
+	} else {
+		sys, err = baselines.Build(r.name, dir)
+	}
+	if err != nil {
+		return err
+	}
+	defer sys.Close()
+	ds := workload.NewCities()
+	a := workload.WorkloadA(nRecords, ds)
+	for _, ph := range []struct {
+		name string
+		ops  []workload.Op
+	}{
+		{"load", a.LoadOps()},
+		{"A", NewOpsMulti(a, nOps, 4)},
+		{"B", NewOpsMulti(workload.WorkloadB(nRecords, ds), nOps, 4)},
+	} {
+		dr := drive(sys, ph.ops, 4)
+		res.AddRow(slices.Concat(label, []string{ph.name, fmtQPS(dr.QPS), fmtDur(dr.P99)})...)
+	}
+	return nil
 }
 
 // NewOpsMulti generates n run-phase ops from independent per-worker
@@ -115,42 +92,21 @@ func NewOpsMulti(spec workload.Spec, n, workers int) []workload.Op {
 // (WAL, WAL-PMem, write-back, write-through) in single-thread mode.
 func RunFig8(o RunOpts) (*Result, error) {
 	o.fill()
-	nRecords := int64(o.n(3000))
-	nOps := o.n(12000)
 	res := &Result{
 		ID: "fig8", Title: "Persistence mechanisms (kqps / p99 µs)",
 		Header: []string{"mechanism", "phase", "kqps", "p99_us"},
 	}
-	ds := workload.NewCities()
-	expected := nRecords * int64(ds.AvgRecordSize()+16)
-
-	configs := []TBConfig{
-		{Name: "wal", Threads: 1, Persist: "wal"},
-		{Name: "wal-pmem", Threads: 1, Persist: "wal-pmem"},
-		{Name: "write-back", Threads: 1, Persist: "wb", CacheRatioX: 1, ExpectedLogicalBytes: expected, RTT: missRTT},
-		{Name: "write-through", Threads: 1, Persist: "wt", CacheRatioX: 1, ExpectedLogicalBytes: expected, RTT: missRTT},
-	}
-	for _, cfg := range configs {
-		dir := filepath.Join(o.Dir, "fig8-"+cfg.Name)
-		sys, err := BuildTierBase(cfg, dir)
-		if err != nil {
+	nRecords := int64(o.n(3000))
+	expected := nRecords * int64(workload.NewCities().AvgRecordSize()+16)
+	for _, r := range []row{
+		{name: "wal", tb: &TBConfig{Threads: 1, Persist: "wal"}},
+		{name: "wal-pmem", tb: &TBConfig{Threads: 1, Persist: "wal-pmem"}},
+		{name: "write-back", tb: &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 1, ExpectedLogicalBytes: expected, RTT: missRTT}},
+		{name: "write-through", tb: &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 1, ExpectedLogicalBytes: expected, RTT: missRTT}},
+	} {
+		if err := runPhases(res, r, filepath.Join(o.Dir, "fig8-"+r.name), nRecords, o.n(12000), r.name); err != nil {
 			return nil, err
 		}
-		spec := workload.WorkloadA(nRecords, ds)
-		dr := drive(sys, spec.LoadOps(), 4)
-		res.AddRow(cfg.Name, "load", fmtQPS(dr.QPS), fmtDur(dr.P99))
-		for _, ph := range []struct {
-			name string
-			spec workload.Spec
-		}{
-			{"A", workload.WorkloadA(nRecords, ds)},
-			{"B", workload.WorkloadB(nRecords, ds)},
-		} {
-			ops := NewOpsMulti(ph.spec, nOps, 4)
-			dr := drive(sys, ops, 4)
-			res.AddRow(cfg.Name, ph.name, fmtQPS(dr.QPS), fmtDur(dr.P99))
-		}
-		sys.Close()
 	}
 	res.AddNote("paper shape: write-back > WAL > WAL-PMem > write-through on load/A; gap narrows on read-heavy B")
 	return res, nil
@@ -300,23 +256,15 @@ func RunFig9(o RunOpts) (*Result, error) {
 		return samples
 	}
 
-	type sysDef struct {
-		name    string
-		threads int // 0 = elastic
-		workers int
-	}
-	defs := []sysDef{
-		{"tierbase-s", 1, 8},
-		{"tierbase-e", 0, 8},
-		{"tierbase-m", 4, 8},
-	}
-	series := make([][]float64, len(defs))
-	for i, d := range defs {
-		sys, err := BuildTierBase(TBConfig{Name: d.name, Threads: d.threads, OpCost: opCost}, "")
+	// The header's series: single-thread, elastic and four workers.
+	threads := []int{1, 0, 4}
+	series := make([][]float64, len(threads))
+	for i, n := range threads {
+		sys, err := BuildTierBase(TBConfig{Threads: n, OpCost: opCost}, "")
 		if err != nil {
 			return nil, err
 		}
-		series[i] = timeline(sys, d.workers)
+		series[i] = timeline(sys, 8)
 		sys.Close()
 	}
 	nSamples := len(series[0])
@@ -326,11 +274,11 @@ func RunFig9(o RunOpts) (*Result, error) {
 		}
 	}
 	for s := 0; s < nSamples; s++ {
-		row := []string{fmt.Sprintf("%d", (s+1)*int(window.Milliseconds()))}
-		for i := range defs {
-			row = append(row, fmtQPS(series[i][s]))
+		cells := []string{fmt.Sprintf("%d", (s+1)*int(window.Milliseconds()))}
+		for i := range threads {
+			cells = append(cells, fmtQPS(series[i][s]))
 		}
-		res.AddRow(row...)
+		res.AddRow(cells...)
 	}
 	res.AddNote("burst window: t in (1500ms, 4500ms]; paper shape: -e matches -s at rest and approaches -m during the burst")
 	res.AddNote("redis-s/redis-m are not run: a fixed one- or four-worker pool over this stack is tierbase-s/-m")

@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"tierbase/internal/baselines"
 	"tierbase/internal/cache"
 	"tierbase/internal/elastic"
 	"tierbase/internal/pmem"
@@ -17,7 +18,6 @@ import (
 // experiments sweep (§6.4.1 naming: -s/-e/-m threading, -PMem, -Zstd/-PBC,
 // -WAL/-WAL-PMem, -wt-NX/-wb-NX).
 type TBConfig struct {
-	Name string
 	// Threads: 1 = single (-s), 0 = elastic (-e), n>1 = fixed multi (-m).
 	Threads int
 	// Compressor: "", "pbc", "zstd-d" (deflate-dict), "zstd-b" (deflate).
@@ -35,10 +35,6 @@ type TBConfig struct {
 	CacheRatioX float64
 	// ExpectedLogicalBytes sizes the cache for CacheRatioX.
 	ExpectedLogicalBytes int64
-	// Replicas is how many cache-tier replica instances the deployment
-	// runs beside the primary (dual-replica reliability). A replica mirrors
-	// the primary, so MemBytes/PMemBytes count it as one more instance.
-	Replicas int
 	// RTT models the disaggregation hop to the storage tier.
 	RTT time.Duration
 	// OpCost injects per-operation request-processing CPU cost (command
@@ -79,27 +75,15 @@ func (cfg TBConfig) stackConfig(dir string) (stack.Config, error) {
 	return c, nil
 }
 
-// spin busy-waits (models CPU work, unlike time.Sleep which yields).
-func spin(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-	}
-}
-
 // TBSystem is a TierBase configuration as the harness drives it: the
 // shipping stack (internal/stack) on an elastic pool, plus what is the
-// harness's own — the dispatch model, the wal/wal-pmem rows' log, the
-// per-op CPU cost and replica accounting. It implements the same surface
-// as baselines.System.
+// harness's own — the dispatch model, the wal/wal-pmem rows' log and the
+// per-op CPU cost. It implements baselines.System.
 type TBSystem struct {
-	pool     *elastic.Pool
-	st       *stack.Stack
-	wlog     appendLog
-	replicas int
-	opCost   time.Duration
+	pool   *elastic.Pool
+	st     *stack.Stack
+	wlog   appendLog
+	opCost time.Duration
 }
 
 // BuildTierBase wires a TierBase configuration. dir is used by persistent
@@ -113,7 +97,7 @@ func BuildTierBase(cfg TBConfig, dir string) (*TBSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &TBSystem{st: st, opCost: cfg.OpCost, replicas: cfg.Replicas}
+	s := &TBSystem{st: st, opCost: cfg.OpCost}
 	if s.wlog, err = openLog(cfg.Persist, dir); err != nil {
 		st.Close()
 		return nil, err
@@ -156,7 +140,7 @@ func (s *TBSystem) do(rec []byte, op func() error) error {
 	offPool := s.st.DB != nil
 	var err error
 	perr := s.pool.SubmitWait(func() {
-		spin(s.opCost)
+		baselines.Spin(s.opCost)
 		if s.wlog != nil && rec != nil {
 			if err = s.wlog.Append(rec); err != nil {
 				return
@@ -179,11 +163,7 @@ func (s *TBSystem) do(rec []byte, op func() error) error {
 func (s *TBSystem) Set(key string, val []byte) error {
 	var rec []byte
 	if s.wlog != nil {
-		rec = make([]byte, 0, len(key)+len(val)+8)
-		rec = append(rec, 'S')
-		rec = append(rec, byte(len(key)), byte(len(key)>>8))
-		rec = append(rec, key...)
-		rec = append(rec, val...)
+		rec = baselines.EncodeAOF(key, val)
 	}
 	return s.do(rec, func() error { return s.st.Set(key, val) })
 }
@@ -194,15 +174,11 @@ func (s *TBSystem) Get(key string) (v []byte, err error) {
 	return v, err
 }
 
-// MemBytes sums DRAM across primary and replicas.
-func (s *TBSystem) MemBytes() int64 {
-	return s.st.Engine().MemUsed() * int64(1+s.replicas)
-}
+// MemBytes reports DRAM bytes in use.
+func (s *TBSystem) MemBytes() int64 { return s.st.Engine().MemUsed() }
 
 // PMemBytes reports persistent-memory bytes in use.
-func (s *TBSystem) PMemBytes() int64 {
-	return s.st.Engine().Stats().PMemUsed * int64(1+s.replicas)
-}
+func (s *TBSystem) PMemBytes() int64 { return s.st.Engine().Stats().PMemUsed }
 
 // DiskBytes reports storage-tier bytes.
 func (s *TBSystem) DiskBytes() int64 {

@@ -34,9 +34,14 @@ import (
 //     replaying a captured value could roll back a newer concurrent update.
 //
 // op must not call back into the store. An error from op, or a change it
-// does not report, commits nothing.
+// does not report, commits nothing. A fill that fails in step 1 — a storage
+// error, ErrDegraded included — is returned and op does not run.
 func (t *Tiered) Mutate(key string, op func() (changed bool, err error)) error {
-	defer t.release(t.hold(key))
+	si, err := t.hold(key)
+	defer t.release(si)
+	if err != nil {
+		return err
+	}
 	changed, err := op()
 	if err != nil || !changed {
 		return err
@@ -67,14 +72,20 @@ func (t *Tiered) SetEncoded(key string, blob []byte) error {
 // lacks is filled under the lock as a miss fills it (fill), so no eviction
 // or write falls between the fill and the op; a lapsed key is deleted
 // through there, and under write-back a dirty entry means the storage copy
-// is the stale one. The caller defers release of the stripe it returns.
-func (t *Tiered) hold(key string) (stripe int) {
+// is the stale one. The caller defers release of the stripe it returns,
+// and runs no op when err, the fill's storage error (ErrDegraded
+// included), is set: run as if the key were absent, the op's result would
+// overwrite the value storage holds.
+func (t *Tiered) hold(key string) (stripe int, err error) {
 	si := t.pin(key)
 	if t.opts.Policy != CacheOnly && !t.eng.Exists(key) {
-		// As Warm: absent is the best answer left.
-		t.fill([]string{key}, func(string, []byte, error) {})
+		t.fill([]string{key}, func(_ string, _ []byte, e error) {
+			if e != ErrNotFound && e != engine.ErrWrongType {
+				err = e
+			}
+		})
 	}
-	return si
+	return si, err
 }
 
 // pin takes key's RMW stripe lock and pins key against capacity eviction.

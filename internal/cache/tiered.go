@@ -277,8 +277,9 @@ func (t *Tiered) Get(key string) (val []byte, err error) {
 // miss is the one miss leg of Get and BatchGet: it answers the keys the
 // cache tier did not hold — distinct keys, none a live collection — with one
 // call of answer per key: the value, or ErrNotFound, engine.ErrWrongType (a
-// collection) or a storage error. Cache-only has no other tier to ask; the
-// other policies fill the keys under the RMW locks of their stripes (fill).
+// collection) or a storage error; a degraded storage tier answers absent.
+// Cache-only has no other tier to ask; the other policies fill the keys
+// under the RMW locks of their stripes (fill).
 //
 // miss reuses keys' array.
 func (t *Tiered) miss(keys []string, answer func(key string, val []byte, err error)) {
@@ -289,11 +290,17 @@ func (t *Tiered) miss(keys []string, answer func(key string, val []byte, err err
 		return
 	}
 	defer t.unlock(t.lockKeys(keys))
-	t.fill(keys, answer)
+	t.fill(keys, func(k string, v []byte, err error) {
+		if errors.Is(err, ErrDegraded) {
+			err = ErrNotFound // the cache tier is the best answer left
+		}
+		answer(k, v, err)
+	})
 }
 
 // fill brings keys from the storage tier into the cache tier and answers
-// each as miss does. The caller holds the RMW lock of every stripe the keys
+// each as miss does, except that a degraded storage tier answers
+// ErrDegraded. The caller holds the RMW lock of every stripe the keys
 // touch, so no write of them lands between the storage read and the
 // admission, and a fill never overwrites a newer write. In order:
 //
@@ -368,13 +375,10 @@ func (t *Tiered) fill(keys []string, answer func(key string, val []byte, err err
 
 // admit takes key's storage answer (ok: present) into the cache tier and
 // returns what the reader is answered: a present value is set in the
-// engine, a typed blob loads as the collection it encodes, which string
-// readers see as the wrong type, and a degraded storage tier answers
-// absent.
+// engine, and a typed blob loads as the collection it encodes, which
+// string readers see as the wrong type.
 func (t *Tiered) admit(key string, v []byte, ok bool, err error) ([]byte, error) {
 	switch {
-	case errors.Is(err, ErrDegraded):
-		return nil, ErrNotFound // the cache tier is the best answer left
 	case err != nil:
 		return nil, err
 	case !ok:
@@ -634,7 +638,8 @@ func (t *Tiered) Update(key string, fn func(old []byte, exists bool) []byte) err
 // key's RMW stripe lock so the TTL change orders against writes and the
 // replication sink. A key that lives only in the storage tier is filled
 // under the lock first (hold, rmw.go: TTLs are cache-tier state). Reports
-// whether the key existed. The deadline is absolute on the wire too
+// whether the key existed; a failed fill reports false and sets nothing.
+// The deadline is absolute on the wire too
 // (OpExpire): replicas applying the op late still expire the key at the
 // same instant the master did. A key's first TTL grows its record by the
 // deadline, so ExpireAt evicts back within the budget as a write does.
@@ -642,8 +647,9 @@ func (t *Tiered) ExpireAt(key string, at int64) bool {
 	if t.closed.Load() {
 		return false
 	}
-	defer t.release(t.hold(key))
-	if !t.eng.ExpireAt(key, at) {
+	si, err := t.hold(key)
+	defer t.release(si)
+	if err != nil || !t.eng.ExpireAt(key, at) {
 		return false
 	}
 	t.maybeEvict()
@@ -654,13 +660,15 @@ func (t *Tiered) ExpireAt(key string, at int64) bool {
 }
 
 // Persist clears key's TTL under its RMW stripe lock, faulting the key in
-// like ExpireAt; reports whether the key existed.
+// like ExpireAt; reports whether the key existed, and false if the fill
+// failed.
 func (t *Tiered) Persist(key string) bool {
 	if t.closed.Load() {
 		return false
 	}
-	defer t.release(t.hold(key))
-	if !t.eng.Persist(key) {
+	si, err := t.hold(key)
+	defer t.release(si)
+	if err != nil || !t.eng.Persist(key) {
 		return false
 	}
 	if t.sink != nil {
