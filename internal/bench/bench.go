@@ -45,6 +45,7 @@ import (
 	"math"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tierbase/internal/baselines"
@@ -169,61 +170,63 @@ type driveResult struct {
 	Errors int
 }
 
+// driveFloor is the least time drive measures for: a replay shorter than
+// this is repeated, so that a row's throughput is not one clock sample of a
+// sub-millisecond run.
+const driveFloor = 20 * time.Millisecond
+
 // drive replays ops against sys with the given concurrency, measuring
-// throughput and latency. Missing keys on Get are not errors (cold reads).
+// throughput and latency. Each worker replays its share of ops in whole
+// passes until driveFloor has passed since every worker was ready, and the
+// throughput is the ops run over the time they took. Errors counts the ops
+// that failed in each worker's first pass; missing keys on Get are not
+// errors (cold reads).
 func drive(sys kvOp, ops []workload.Op, workers int) driveResult {
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(workers, 1)
 	hist := metrics.NewHistogram()
-	var errs int64
-	var mu sync.Mutex
-	var wg sync.WaitGroup
+	var errs, done atomic.Int64
+	var ready, wg sync.WaitGroup
+	var start time.Time
+	begin := make(chan struct{})
 	chunk := (len(ops) + workers - 1) / workers
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(ops) {
-			hi = len(ops)
-		}
-		if lo >= hi {
-			continue
-		}
+	for lo := 0; lo < len(ops); lo += chunk {
+		ready.Add(1)
 		wg.Add(1)
 		go func(ops []workload.Op) {
 			defer wg.Done()
-			local := 0
-			for _, op := range ops {
-				t0 := time.Now()
-				var err error
-				switch op.Kind {
-				case workload.OpRead:
-					_, err = sys.Get(op.Key)
-					if isNotFound(err) {
-						err = nil
+			ready.Done()
+			<-begin
+			for pass := 0; pass == 0 || time.Since(start) < driveFloor; pass++ {
+				for _, op := range ops {
+					t0 := time.Now()
+					var err error
+					switch op.Kind {
+					case workload.OpRead:
+						_, err = sys.Get(op.Key)
+						if isNotFound(err) {
+							err = nil
+						}
+					default:
+						err = sys.Set(op.Key, op.Value)
 					}
-				default:
-					err = sys.Set(op.Key, op.Value)
+					hist.RecordDuration(time.Since(t0))
+					if err != nil && pass == 0 {
+						errs.Add(1)
+					}
 				}
-				hist.RecordDuration(time.Since(t0))
-				if err != nil {
-					local++
-				}
+				done.Add(int64(len(ops)))
 			}
-			mu.Lock()
-			errs += int64(local)
-			mu.Unlock()
-		}(ops[lo:hi])
+		}(ops[lo:min(lo+chunk, len(ops))])
 	}
+	ready.Wait()
+	start = time.Now()
+	close(begin)
 	wg.Wait()
-	elapsed := time.Since(start).Seconds()
-	qps := float64(len(ops)) / elapsed
 	return driveResult{
-		QPS:    qps,
+		QPS:    float64(done.Load()) / time.Since(start).Seconds(),
 		P99:    time.Duration(hist.P99()),
 		Mean:   time.Duration(int64(hist.Mean())),
-		Errors: int(errs),
+		Errors: int(errs.Load()),
 	}
 }
 

@@ -6,7 +6,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
+	"tierbase/internal/baselines"
 	"tierbase/internal/workload"
 )
 
@@ -64,6 +66,33 @@ func TestDriveCountsErrors(t *testing.T) {
 		t.Fatalf("errors %d", dr.Errors)
 	}
 }
+
+// TestDriveTimesAFloorOfWholePasses: a replay far shorter than driveFloor
+// is repeated in whole passes until the floor has passed, and its
+// throughput is the ops run over that time, so a system whose every call
+// costs a fixed time reads within a few percent of one call over that
+// time, and never more.
+func TestDriveTimesAFloorOfWholePasses(t *testing.T) {
+	const cost = 50 * time.Microsecond
+	ops := []workload.Op{{Kind: workload.OpRead, Key: "a"}, {Kind: workload.OpUpdate, Key: "b"}}
+	start := time.Now()
+	dr := drive(spinKV{cost}, ops, 1)
+	if took := time.Since(start); took < driveFloor {
+		t.Fatalf("drive returned after %v, under its floor of %v", took, driveFloor)
+	}
+	if want := float64(time.Second / cost); dr.QPS > want || dr.QPS < 0.9*want {
+		t.Fatalf("QPS %.0f for calls of %v each, want %.0f less at most a tenth", dr.QPS, cost, want)
+	}
+	if dr.Errors != 0 {
+		t.Fatalf("errors %d", dr.Errors)
+	}
+}
+
+// spinKV is a system whose every call costs cost of CPU.
+type spinKV struct{ cost time.Duration }
+
+func (s spinKV) Set(string, []byte) error   { baselines.Spin(s.cost); return nil }
+func (s spinKV) Get(string) ([]byte, error) { baselines.Spin(s.cost); return nil, nil }
 
 type failingKV struct{}
 

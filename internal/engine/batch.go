@@ -64,7 +64,8 @@ func (e *Engine) forEachShardGroup(n int, keyAt func(i int) string, visit func(s
 // MGetDetail fetches many string values. The result aligns with keys:
 // absent, expired and wrong-typed keys yield a nil entry (Redis MGET
 // semantics); present values are always non-nil, even when empty. Each
-// touched stripe is read-locked once. The per-key wrong-type flag is for
+// touched stripe is read-locked once, and each value is decoded under it
+// (value). The per-key wrong-type flag is for
 // callers (the tiered cache) that must distinguish "nil because absent" (a
 // miss worth a storage fetch) from "nil because the key holds a
 // list/set/hash" (which a storage fetch must NOT overwrite).
@@ -74,15 +75,7 @@ func (e *Engine) MGetDetail(keys []string) ([][]byte, []bool, error) {
 	if len(keys) == 0 {
 		return out, wrongType, nil
 	}
-	// What each found string's take returned; flags say how to finish it.
-	type taken struct {
-		flags byte
-		data  []byte // stays nil where no string was found
-	}
-	recs := make([]taken, len(keys))
-	pooled, scratch := getScratch() // the batch's compressed values, back to back
-	var err error                   // the first one take or finish returned
-
+	var err error // the first one value returned
 	e.forEachShardGroup(len(keys), func(i int) string { return keys[i] }, func(s *shard, idxs []int, ps []probe) {
 		var hits, misses int64
 		s.mu.RLock()
@@ -97,11 +90,9 @@ func (e *Engine) MGetDetail(keys []string) ([][]byte, []bool, error) {
 				continue
 			}
 			s.touch(en)
-			f := s.strs.parse(en.rec)
-			var terr error
-			recs[i].flags = f.flags
-			if recs[i].data, scratch, terr = e.take(f.stored, scratch); terr != nil && err == nil {
-				err = terr
+			var verr error
+			if out[i], verr = e.value(s.strs.parse(en.rec).stored); verr != nil && err == nil {
+				err = verr
 			}
 			hits++
 		}
@@ -113,18 +104,6 @@ func (e *Engine) MGetDetail(keys []string) ([][]byte, []bool, error) {
 			s.misses.Add(misses)
 		}
 	})
-
-	// Decompress outside all locks (the expensive part must not serialize
-	// the stripe).
-	for i := range keys {
-		if err != nil {
-			break
-		}
-		if recs[i].data != nil {
-			out[i], err = e.finish(recs[i].flags, recs[i].data)
-		}
-	}
-	putScratch(pooled, scratch)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -146,7 +125,7 @@ func (e *Engine) MSet(pairs []KV) error {
 	e.forEachShardGroup(len(pairs), func(i int) string { return pairs[i].Key }, func(s *shard, idxs []int, ps []probe) {
 		s.mu.Lock()
 		for _, i := range idxs {
-			e.publish(s, ps[i], vals[i])
+			e.publish(s, ps[i], s.lookup(ps[i]), vals[i])
 		}
 		s.mu.Unlock()
 	})

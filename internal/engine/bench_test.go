@@ -6,6 +6,9 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"tierbase/internal/compress"
+	"tierbase/internal/workload"
 )
 
 // Parallel mixed-workload benchmarks: the artifact behind the sharding
@@ -27,12 +30,13 @@ func benchKeys() []string {
 	return keys
 }
 
-func benchmarkParallelMixed(b *testing.B, shards int) {
-	e := New(Options{Shards: shards})
+// benchmarkParallelMixed runs the mix on an engine of opts whose key i
+// holds vals[i%len(vals)], which is also what a SET of it writes.
+func benchmarkParallelMixed(b *testing.B, opts Options, vals [][]byte) {
+	e := New(opts)
 	keys := benchKeys()
-	val := make([]byte, 64)
-	for _, k := range keys {
-		e.Set(k, val)
+	for i, k := range keys {
+		e.Set(k, vals[i%len(vals)])
 	}
 	var seed atomic.Int64
 	b.ResetTimer()
@@ -49,7 +53,7 @@ func benchmarkParallelMixed(b *testing.B, shards int) {
 			case r < 7:
 				e.Get(k)
 			case r < 9:
-				e.Set(k, val)
+				e.Set(k, vals[idx%len(vals)])
 			default:
 				e.IncrBy("ctr"+k[len(k)-2:], 1)
 			}
@@ -57,13 +61,35 @@ func benchmarkParallelMixed(b *testing.B, shards int) {
 	})
 }
 
+// zeros64 is the raw mix's one value.
+var zeros64 = [][]byte{make([]byte, 64)}
+
 // BenchmarkEngineParallelMixed1Shard is the pre-refactor single-mutex
 // baseline (Shards: 1 reproduces it exactly).
-func BenchmarkEngineParallelMixed1Shard(b *testing.B) { benchmarkParallelMixed(b, 1) }
+func BenchmarkEngineParallelMixed1Shard(b *testing.B) {
+	benchmarkParallelMixed(b, Options{Shards: 1}, zeros64)
+}
+
+// BenchmarkEngineParallelMixed1ShardPBC is the single-mutex mix with KV1
+// values under a trained PBC codec, the shape of the ledger's hit-read:
+// every GET decodes its value under the stripe's read lock, where SETs to
+// the stripe wait for it.
+func BenchmarkEngineParallelMixed1ShardPBC(b *testing.B) {
+	ds := workload.NewKV1()
+	pbc := compress.NewPBC()
+	pbc.Train(workload.Sample(ds, 200))
+	vals := make([][]byte, 1024)
+	for i := range vals {
+		vals[i] = ds.Record(int64(i))
+	}
+	benchmarkParallelMixed(b, Options{Shards: 1, Compressor: pbc}, vals)
+}
 
 // BenchmarkEngineParallelMixedSharded is the striped engine at the
 // default stripe count.
-func BenchmarkEngineParallelMixedSharded(b *testing.B) { benchmarkParallelMixed(b, DefaultShards) }
+func BenchmarkEngineParallelMixedSharded(b *testing.B) {
+	benchmarkParallelMixed(b, Options{Shards: DefaultShards}, zeros64)
+}
 
 // benchmarkBatch measures the batch fast path against the equivalent
 // single-op loop: one stripe lock per touched shard vs one per key.

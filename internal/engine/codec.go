@@ -95,11 +95,7 @@ func (e *Engine) Encode(key string) (val []byte, encoded bool, err error) {
 	if !live {
 		return nil, false, ErrNotFound
 	}
-	f := s.strs.parse(en.rec)
-	data, _, err := e.take(f.stored, nil)
-	if err == nil {
-		val, err = e.finish(f.flags, data)
-	}
+	val, err = e.value(s.strs.parse(en.rec).stored)
 	return val, en.rec.isColl(), err
 }
 
@@ -228,7 +224,7 @@ func (e *Engine) LoadEncoded(key string, blob []byte) error {
 	var kb keyBuf
 	k, s := e.locate(key, &kb)
 	s.mu.Lock()
-	e.publish(s, k, staged{flags: flagColl, val: blob})
+	e.publish(s, k, s.lookup(k), staged{flags: flagColl, val: blob})
 	s.mu.Unlock()
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 )
 
 // This file implements the non-string data types: lists, sets, sorted sets
@@ -123,6 +124,14 @@ func clone(v []byte) []byte {
 	return c
 }
 
+// scratchPool holds the buffers update builds a collection's elements in
+// before publish copies them into the record's slot.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledScratch keeps one huge collection from pinning its buffer in
+// the pool.
+const maxPooledScratch = 64 << 10
+
 // collHead is the room update leaves in front of the elements it builds for
 // the blob's header: the marker, the kind and the longest count.
 const collHead = 2 + binary.MaxVarintLen64
@@ -152,16 +161,12 @@ func (e *Engine) update(key string, kind Kind, create bool, change func(c coll, 
 	k, s := e.locate(key, &kb)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	en := s.lookup(k)
-	if en.present() && e.lapsed(en.expireAt()) {
-		if !create {
-			return ErrNotFound
-		}
-		e.remove(s, en)
-		en = entry{}
+	en, ok := e.live(s, k)
+	if !ok && !create {
+		return ErrNotFound
 	}
 	c, st := coll{kind: kind}, staged{flags: flagColl}
-	if en.present() {
+	if ok {
 		var err error
 		if c, err = s.collOf(en, kind); err != nil {
 			return err
@@ -170,11 +175,9 @@ func (e *Engine) update(key string, kind Kind, create bool, change func(c coll, 
 		if en.rec[0]&flagTTL != 0 {
 			st.flags, st.at = st.flags|flagTTL, en.rec.deadline()
 		}
-	} else if !create {
-		return ErrNotFound
 	}
-	pooled, scratch := getScratch()
-	out, n := change(c, slices.Grow(scratch, collHead)[:collHead])
+	pooled := scratchPool.Get().(*[]byte)
+	out, n := change(c, slices.Grow((*pooled)[:0], collHead)[:collHead])
 	switch {
 	case out == nil:
 	case n == 0:
@@ -184,10 +187,12 @@ func (e *Engine) update(key string, kind Kind, create bool, change func(c coll, 
 		st.val = out[collHead-h:]
 		st.val[0], st.val[1] = typedMarker, byte(kind)
 		binary.PutUvarint(st.val[2:], uint64(n))
-		e.publish(s, k, st)
-		scratch = out
+		e.publish(s, k, en, st) // a lapsed record, of any kind, is replaced
 	}
-	putScratch(pooled, scratch)
+	if out != nil && cap(out) <= maxPooledScratch {
+		*pooled = out
+	}
+	scratchPool.Put(pooled)
 	return nil
 }
 

@@ -67,10 +67,10 @@
 // exception is the reference bit, which readers set (index.touch), so the
 // ref word is loaded atomically under the read lock. Slots are reused, so
 // there is one reader rule: nothing that aliases engine-owned storage
-// leaves the stripe lock. A reader copies the stored bytes out
-// under the read lock (a raw value straight into its result, a compressed
-// one into scratch, a PMem one through Arena.Get, a collection's elements
-// one by one) and decompresses with no lock held; see take.
+// leaves the stripe lock. A value leaves through value, which decodes it
+// (or copies it, if it is raw) straight from its slot under the read lock
+// into a slice the caller owns; a collection read copies out the elements
+// it returns.
 package engine
 
 import (
@@ -290,14 +290,13 @@ func (s *shard) lookup(k probe) entry {
 // Caller holds s.mu (either mode).
 func (s *shard) touch(en entry) { s.strs.touch(en.at) }
 
-// live is lookup honoring lazy expiration: a lapsed entry reads as absent
-// (it is deleted by write paths or the sweeper). Caller holds s.mu.
-func (e *Engine) live(s *shard, k probe) (entry, bool) {
-	en := s.lookup(k)
-	if !en.present() || e.lapsed(en.expireAt()) {
-		return entry{}, false
-	}
-	return en, true
+// live is lookup honoring lazy expiration: ok is false for a lapsed entry
+// as for an absent one, but the lapsed entry is still returned, so that a
+// write replaces it (publish) rather than adding a second record of its
+// key. Caller holds s.mu.
+func (e *Engine) live(s *shard, k probe) (en entry, ok bool) {
+	en = s.lookup(k)
+	return en, en.present() && !e.lapsed(en.expireAt())
 }
 
 // --- publishing and removing entries (caller holds s.mu write lock) ---
@@ -331,21 +330,21 @@ func (e *Engine) removeRecord(s *shard, at int, f fields) {
 	s.memUsed.Add(s.strs.held() - held)
 }
 
-// publish makes st the value of k, replacing whatever was there, and its
-// deadline the one st carries (none, for a string). The record is
-// assembled in its slot: no allocation unless a page or a table has to
-// grow.
-func (e *Engine) publish(s *shard, k probe, st staged) {
+// publish makes st the value of k, and its deadline the one st carries
+// (none, for a string). en is what lookup (or live) found for k under this
+// same write lock: its record, live or lapsed, is replaced; where it found
+// none, the record is inserted. The record is assembled in its slot: no
+// allocation unless a page or a table has to grow.
+func (e *Engine) publish(s *shard, k probe, en entry, st staged) {
 	ix := &s.strs
 	held := ix.held()
-	i, cur := ix.find(k.h, k.packed)
 	ref, rec := ix.recs.alloc(recordLen(k.packed, st))
 	writeRecord(rec, k.packed, st)
-	if i >= 0 {
-		old := ix.parse(cur)
+	if en.present() {
+		old := ix.parse(en.rec)
 		e.forget(s, old)
-		ix.touch(i) // before replace, which may move entries
-		ix.replace(i, ref, old.size)
+		ix.touch(en.at) // before replace, which may move entries
+		ix.replace(en.at, ref, old.size)
 	} else {
 		ix.insert(k.h, ref)
 		s.packed += int64(len(k.key) - len(k.packed))
@@ -387,36 +386,6 @@ func (e *Engine) discard(st staged) {
 	}
 }
 
-// take copies a record's stored value out of the stripe: a raw value into
-// a fresh slice that is the caller's result, a compressed one onto
-// scratch, one in PMem through Arena.Get. Caller holds s.mu; nothing take
-// returns aliases the record, so the caller may unlock and then finish.
-func (e *Engine) take(st stored, scratch []byte) (data, grown []byte, err error) {
-	switch {
-	case st.flags&flagPMem != 0:
-		data, err = e.opts.Arena.Get(st.ref())
-	case st.flags&flagCompressed != 0:
-		n := len(scratch)
-		scratch = append(scratch, st.val...)
-		data = scratch[n:]
-	default:
-		// Always non-nil: a present empty value must stay distinguishable
-		// from an absent key (nil).
-		data = make([]byte, len(st.val))
-		copy(data, st.val)
-	}
-	return data, scratch, err
-}
-
-// finish turns what take returned for a record of these flags into the
-// value's logical bytes. Runs outside the stripe lock.
-func (e *Engine) finish(flags byte, data []byte) ([]byte, error) {
-	if flags&flagCompressed != 0 {
-		return e.opts.Compressor.Decompress(data)
-	}
-	return data, nil
-}
-
 // view returns the logical bytes of a record's value for a caller that
 // keeps holding s.mu while it looks at them: a raw value is the record's
 // own bytes, not a copy.
@@ -428,29 +397,23 @@ func (e *Engine) view(st stored) ([]byte, error) {
 			return nil, err
 		}
 	}
-	return e.finish(st.flags, data)
-}
-
-// scratchPool holds the buffers Get and MGet copy compressed values into
-// on their way out of the stripe lock. (A stack buffer would be moved to
-// the heap: it is passed to Compressor.Decompress, an interface method.)
-var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// maxPooledScratch keeps one huge value from pinning its buffer in the pool.
-const maxPooledScratch = 64 << 10
-
-// getScratch takes an empty buffer from the pool; putScratch hands it
-// back as it has grown. putScratch(nil, nil) does nothing.
-func getScratch() (pooled *[]byte, scratch []byte) {
-	pooled = scratchPool.Get().(*[]byte)
-	return pooled, (*pooled)[:0]
-}
-
-func putScratch(pooled *[]byte, scratch []byte) {
-	if pooled != nil && cap(scratch) <= maxPooledScratch {
-		*pooled = scratch
-		scratchPool.Put(pooled)
+	if st.flags&flagCompressed != 0 {
+		return e.opts.Compressor.Decompress(data)
 	}
+	return data, nil
+}
+
+// value is the one way a value leaves the engine: its logical bytes, in a
+// slice the caller owns, decoded under s.mu (which the caller holds)
+// straight from the slot. A compressed value's decoding and a PMem value's
+// Arena.Get are fresh slices already; a raw value in DRAM is copied, never
+// to nil, as a present empty value must stay distinguishable from an absent
+// key.
+func (e *Engine) value(st stored) ([]byte, error) {
+	if st.flags&(flagCompressed|flagPMem) == 0 {
+		return clone(st.val), nil
+	}
+	return e.view(st)
 }
 
 // --- string operations ---
@@ -461,7 +424,7 @@ func (e *Engine) Set(key string, val []byte) error {
 	k, s := e.locate(key, &kb)
 	st := e.encode(val)
 	s.mu.Lock()
-	e.publish(s, k, st)
+	e.publish(s, k, s.lookup(k), st)
 	s.mu.Unlock()
 	return nil
 }
@@ -481,45 +444,32 @@ func (e *Engine) SetNX(key string, val []byte) (bool, error) {
 	st := e.encode(val)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, live := e.live(s, k); live {
+	en, live := e.live(s, k)
+	if live {
 		e.discard(st)
 		return false, nil
 	}
-	e.publish(s, k, st)
+	e.publish(s, k, en, st)
 	return true, nil
 }
 
-// Get fetches a string value: it looks the record up and copies its stored
-// value out under the stripe read lock, and decompresses outside.
-func (e *Engine) Get(key string) (val []byte, err error) {
+// Get fetches a string value, decoded under the stripe read lock (value).
+func (e *Engine) Get(key string) ([]byte, error) {
 	var kb keyBuf
 	k, s := e.locate(key, &kb)
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	en, ok := e.live(s, k)
 	if !ok {
-		s.mu.RUnlock()
 		s.misses.Add(1)
 		return nil, ErrNotFound
 	}
 	if en.rec.isColl() {
-		s.mu.RUnlock()
 		return nil, ErrWrongType
 	}
 	s.touch(en)
-	f := s.strs.parse(en.rec)
-	var pooled *[]byte
-	var scratch []byte
-	if f.flags&flagCompressed != 0 {
-		pooled, scratch = getScratch()
-	}
-	data, scratch, err := e.take(f.stored, scratch)
-	s.mu.RUnlock()
 	s.hits.Add(1)
-	if err == nil {
-		val, err = e.finish(f.flags, data)
-	}
-	putScratch(pooled, scratch)
-	return val, err
+	return e.value(s.strs.parse(en.rec).stored)
 }
 
 // Del removes keys; returns how many existed. Multi-key deletes group by
@@ -561,35 +511,36 @@ func (e *Engine) CompareAndSet(key string, oldVal, newVal []byte) error {
 	st := e.encode(newVal)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := e.casCheck(s, k, oldVal); err != nil {
+	en, err := e.casCheck(s, k, oldVal)
+	if err != nil {
 		e.discard(st)
 		return err
 	}
-	e.publish(s, k, st)
+	e.publish(s, k, en, st)
 	return nil
 }
 
-// casCheck reports whether key currently holds oldVal (nil = is absent).
-// Caller holds s.mu.
-func (e *Engine) casCheck(s *shard, k probe, oldVal []byte) error {
+// casCheck reports whether key currently holds oldVal (nil = is absent),
+// and returns what live found for it. Caller holds s.mu.
+func (e *Engine) casCheck(s *shard, k probe, oldVal []byte) (entry, error) {
 	en, ok := e.live(s, k)
 	if !ok {
 		if oldVal != nil {
-			return ErrCASMismatch
+			return en, ErrCASMismatch
 		}
-		return nil
+		return en, nil
 	}
 	if en.rec.isColl() {
-		return ErrWrongType
+		return en, ErrWrongType
 	}
 	cur, err := e.view(s.strs.parse(en.rec).stored)
 	if err != nil {
-		return err
+		return en, err
 	}
 	if oldVal == nil || !bytes.Equal(cur, oldVal) {
-		return ErrCASMismatch
+		return en, ErrCASMismatch
 	}
-	return nil
+	return en, nil
 }
 
 // IncrBy adds delta to the integer value at key (0 if absent). A stored
@@ -601,7 +552,8 @@ func (e *Engine) IncrBy(key string, delta int64) (int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var cur int64
-	if en, ok := e.live(s, k); ok {
+	en, ok := e.live(s, k)
+	if ok {
 		if en.rec.isColl() {
 			return 0, ErrWrongType
 		}
@@ -619,7 +571,7 @@ func (e *Engine) IncrBy(key string, delta int64) (int64, error) {
 	}
 	// Counters are never compressed or offloaded.
 	var buf [20]byte
-	e.publish(s, k, staged{val: strconv.AppendInt(buf[:0], sum, 10)})
+	e.publish(s, k, en, staged{val: strconv.AppendInt(buf[:0], sum, 10)})
 	return sum, nil
 }
 
@@ -873,12 +825,10 @@ type SnapEntry struct {
 // replication full-sync snapshots feeding a socket. It visits every live
 // key of every kind: strings yield their decoded value, collections a
 // typed blob (Encode format) with Encoded set, and every key its deadline
-// in ExpireAt. Per stripe it lists the live keys, then alternates two
-// steps until the list is done: under a short
-// read lock, copy out up to maxChunkBytes (<= 0: 1 MiB) of stored values
-// and collection blobs (take); with no lock held,
-// decompress the values and hand fn a chunk each time maxChunkBytes of
-// keys and decoded values has piled up. A stalled replica socket inside fn
+// in ExpireAt. Per stripe it lists the live keys, then fills one chunk at a
+// time under a short read lock, taking each key's value out (value) until
+// maxChunkBytes (<= 0: 1 MiB) of keys and decoded values has piled up, and
+// hands fn the chunk with no lock held. A stalled replica socket inside fn
 // never blocks writers, and buffered memory stays O(chunk) whatever the
 // compression ratio.
 //
@@ -890,13 +840,6 @@ func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEn
 	if maxChunkBytes <= 0 {
 		maxChunkBytes = 1 << 20
 	}
-	type pending struct {
-		key   string
-		at    int64  // the key's deadline
-		flags byte   // the record's
-		data  []byte // what take copied out
-	}
-	var scratch []byte // compressed values of the batch in hand
 	for _, s := range e.shards {
 		s.mu.RLock()
 		now := e.now()
@@ -909,48 +852,31 @@ func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEn
 		})
 		s.mu.RUnlock()
 
-		var chunk []SnapEntry
-		size := 0
-		for i := 0; i < len(keys); {
-			var batch []pending
+		for len(keys) > 0 {
+			var chunk []SnapEntry
 			var err error
-			held := 0
-			scratch = scratch[:0]
 			s.mu.RLock()
-			for ; i < len(keys) && (len(batch) == 0 || held < maxChunkBytes); i++ {
+			for size := 0; len(keys) > 0 && size < maxChunkBytes; keys = keys[1:] {
 				var kb keyBuf
-				en, ok := e.live(s, e.probe(keys[i], kb[:]))
+				en, ok := e.live(s, e.probe(keys[0], kb[:]))
 				if !ok {
 					continue // deleted or lapsed since the key listing
 				}
 				f := s.strs.parse(en.rec)
-				p := pending{key: keys[i], at: f.deadline, flags: f.flags}
-				if p.data, scratch, err = e.take(f.stored, scratch); err != nil {
+				var val []byte
+				if val, err = e.value(f.stored); err != nil {
 					break
 				}
-				held += f.size
-				batch = append(batch, p)
+				chunk = append(chunk, SnapEntry{Key: keys[0], Val: val, Encoded: en.rec.isColl(), ExpireAt: f.deadline})
+				size += len(keys[0]) + len(val)
 			}
 			s.mu.RUnlock()
 			if err != nil {
 				return err
 			}
-			for _, p := range batch {
-				var val []byte
-				if val, err = e.finish(p.flags, p.data); err != nil {
-					return err
-				}
-				chunk = append(chunk, SnapEntry{Key: p.key, Val: val, Encoded: p.flags&flagColl != 0, ExpireAt: p.at})
-				if size += len(p.key) + len(val); size >= maxChunkBytes {
-					if !fn(chunk) {
-						return nil
-					}
-					chunk, size = nil, 0
-				}
+			if len(chunk) > 0 && !fn(chunk) {
+				return nil
 			}
-		}
-		if len(chunk) > 0 && !fn(chunk) {
-			return nil
 		}
 	}
 	return nil

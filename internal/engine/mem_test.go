@@ -220,15 +220,24 @@ func TestMemUsedTracksHeapOwnAllocations(t *testing.T) {
 	runtime.KeepAlive(e)
 }
 
-// TestEngineAllocs pins the allocations of the three hot calls: a raw Set
-// over an existing key assembles the record in its slot, a compressed one
+// TestEngineAllocs pins the allocations of the hot calls: a raw Set over
+// an existing key assembles the record in its slot, a compressed one
 // allocates only the codec's result, and a Get only the value it returns.
+// An MGetDetail of 16 keys allocates the 16 values it returns and six
+// slices of its own: the results, the wrong-type flags, and the batch's
+// probes, packed keys, stripe counts and order.
 func TestEngineAllocs(t *testing.T) {
 	raw, comp := New(Options{}), New(Options{Compressor: tailCompressor{}})
 	rng := rand.New(rand.NewSource(4))
 	val, tailed := zeroTailed(rng, 64, 0), zeroTailed(rng, 40, 40)
 	raw.Set("k", val)
 	comp.Set("k", tailed)
+	keys := make([]string, 16)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("key:%02d", i)
+		raw.Set(keys[i], val)
+		comp.Set(keys[i], tailed)
+	}
 	for _, c := range []struct {
 		name string
 		want float64
@@ -238,6 +247,8 @@ func TestEngineAllocs(t *testing.T) {
 		{"raw Get", 1, func() { raw.Get("k") }},
 		{"compressed Set", 1, func() { comp.Set("k", tailed) }},
 		{"compressed Get", 1, func() { comp.Get("k") }},
+		{"raw MGetDetail of 16", 22, func() { raw.MGetDetail(keys) }},
+		{"compressed MGetDetail of 16", 22, func() { comp.MGetDetail(keys) }},
 	} {
 		if got := testing.AllocsPerRun(200, c.fn); got != c.want {
 			t.Errorf("%s: %.1f allocs, want %.0f", c.name, got, c.want)

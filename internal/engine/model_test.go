@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -1034,5 +1035,231 @@ func TestPMemReadersAndOverwriters(t *testing.T) {
 		if err := checkBooks(e); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// versionValue is version v of key ki: an 8-byte header naming both and
+// the body's length, body non-zero bytes drawn from them, and tail zero
+// bytes, which tailCompressor drops.
+func versionValue(ki, v, body, tail int) []byte {
+	val := make([]byte, 8+body+tail)
+	val[0] = byte(ki)
+	binary.LittleEndian.PutUint32(val[1:], uint32(v))
+	binary.LittleEndian.PutUint16(val[5:], uint16(body))
+	val[7] = 1
+	x := uint32(v*131 + ki)
+	for i := 8; i < 8+body; i++ {
+		x = x*1664525 + 1013904223
+		val[i] = byte(x>>24) | 1
+	}
+	return val
+}
+
+// isVersion reports whether val is a version of key ki that was written by
+// the time issued versions had been handed out.
+func isVersion(ki int, val []byte, issued int64) bool {
+	if len(val) < 8 || int(val[0]) != ki {
+		return false
+	}
+	v := int(binary.LittleEndian.Uint32(val[1:]))
+	body := int(binary.LittleEndian.Uint16(val[5:]))
+	return v >= 1 && int64(v) <= issued && 8+body <= len(val) &&
+		bytes.Equal(val, versionValue(ki, v, body, len(val)-8-body))
+}
+
+// TestOneStripeDecodeUnderReadLock: every value leaves the engine decoded
+// (or copied) from its slot under the stripe read lock, so it is exactly
+// one version that was written, even while writers overwrite the same keys
+// with values of other sizes and delete them, so that freed slots (and
+// freed arena offsets) are handed to other keys at once. Readers use Get,
+// MGetDetail and the snapshot walk. It runs once with compressed values
+// (tailCompressor) and once with values in a PMem arena.
+func TestOneStripeDecodeUnderReadLock(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		opts Options
+		tail bool // whether values have a zero tail, which the codec drops
+	}{
+		{"compressed", Options{Shards: 1, Compressor: tailCompressor{}}, true},
+		{"pmem", Options{Shards: 1, Arena: pmem.NewArena(pmem.OpenVolatile(1<<20, pmem.Latency{}))}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := New(c.opts)
+			const keys, rounds = 16, 5000
+			key := func(i int) string { return fmt.Sprintf("hot%02d", i) }
+			var issued atomic.Int64
+			// Four body lengths, so that a slot or an arena offset a
+			// write frees is soon another key's.
+			set := func(rng *rand.Rand, ki int) {
+				body, tail := 56+16*rng.Intn(4), 0
+				if c.tail {
+					tail = 64 * rng.Intn(2)
+				}
+				e.Set(key(ki), versionValue(ki, int(issued.Add(1)), body, tail))
+			}
+			rng := rand.New(rand.NewSource(1))
+			for ki := 0; ki < keys; ki++ {
+				set(rng, ki)
+			}
+			check := func(op string, ki int, v []byte) bool {
+				if v != nil && !isVersion(ki, v, issued.Load()) {
+					t.Errorf("%s %s: %.16x... (%d bytes) is no version written", op, key(ki), v, len(v))
+					return false
+				}
+				return true
+			}
+			var writers, readers sync.WaitGroup
+			var stop atomic.Bool
+			for w := 0; w < 2; w++ {
+				writers.Add(1)
+				go func(seed int64) {
+					defer writers.Done()
+					rng := rand.New(rand.NewSource(seed))
+					for i := 0; i < rounds; i++ {
+						if ki := rng.Intn(keys); rng.Intn(8) == 0 {
+							e.Del(key(ki))
+						} else {
+							set(rng, ki)
+						}
+					}
+				}(int64(10 + w))
+			}
+			reader := func(read func(rng *rand.Rand) bool) {
+				readers.Add(1)
+				go func(rng *rand.Rand) {
+					defer readers.Done()
+					for !stop.Load() && read(rng) {
+					}
+				}(rand.New(rand.NewSource(rng.Int63())))
+			}
+			reader(func(rng *rand.Rand) bool {
+				ki := rng.Intn(keys)
+				v, err := e.Get(key(ki))
+				if err != nil && err != ErrNotFound {
+					t.Errorf("Get %s: %v", key(ki), err)
+					return false
+				}
+				return check("Get", ki, v)
+			})
+			reader(func(rng *rand.Rand) bool {
+				kis := []int{rng.Intn(keys), rng.Intn(keys), rng.Intn(keys)}
+				vals, _, err := e.MGetDetail([]string{key(kis[0]), key(kis[1]), key(kis[2])})
+				if err != nil {
+					t.Errorf("MGetDetail: %v", err)
+					return false
+				}
+				for i, ki := range kis {
+					if !check("MGetDetail", ki, vals[i]) {
+						return false
+					}
+				}
+				return true
+			})
+			reader(func(*rand.Rand) bool {
+				err := e.ForEachEncodedChunked(512, func(chunk []SnapEntry) bool {
+					for _, p := range chunk {
+						var ki int
+						fmt.Sscanf(p.Key, "hot%d", &ki)
+						if !check("walk", ki, p.Val) {
+							return false
+						}
+					}
+					return true
+				})
+				if err != nil {
+					t.Errorf("walk: %v", err)
+				}
+				return !t.Failed()
+			})
+			writers.Wait()
+			stop.Store(true)
+			readers.Wait()
+			if err := checkBooks(e); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestWritesReplaceALapsedKey: a write that finds its key lapsed replaces
+// the lapsed record in place; it never adds a second record of the key. For
+// SetNX, CompareAndSet from absent, IncrBy, RPush and LoadEncoded over a key
+// whose TTL has lapsed, the engine afterwards holds one key with no TTL and
+// the written value, and its books match those of an engine where the same
+// write found the key absent.
+func TestWritesReplaceALapsedKey(t *testing.T) {
+	blob, _, err := func() ([]byte, bool, error) {
+		e := New(Options{})
+		e.SAdd("s", "a", "b")
+		return e.Encode("s")
+	}()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		write func(e *Engine) error
+		want  string // what GET answers after it, or the type
+	}{
+		{"SetNX", func(e *Engine) error {
+			if ok, err := e.SetNX("k", []byte("new")); !ok || err != nil {
+				return fmt.Errorf("SetNX = %v, %v", ok, err)
+			}
+			return nil
+		}, "new"},
+		{"CompareAndSet", func(e *Engine) error { return e.CompareAndSet("k", nil, []byte("new")) }, "new"},
+		{"IncrBy", func(e *Engine) error {
+			if n, err := e.IncrBy("k", 7); n != 7 || err != nil {
+				return fmt.Errorf("IncrBy = %d, %v", n, err)
+			}
+			return nil
+		}, "7"},
+		{"RPush", func(e *Engine) error {
+			if n, err := e.RPush("k", []byte("x")); n != 1 || err != nil {
+				return fmt.Errorf("RPush = %d, %v", n, err)
+			}
+			return nil
+		}, "list"},
+		{"LoadEncoded", func(e *Engine) error { return e.LoadEncoded("k", blob) }, "set"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			now := time.Unix(1000, 0)
+			clock := func() time.Time { return now }
+			lapsed, fresh := New(Options{Shards: 1, Clock: clock}), New(Options{Shards: 1, Clock: clock})
+			lapsed.Set("k", bytes.Repeat([]byte("old"), 20))
+			expire(lapsed, "k", time.Second)
+			now = now.Add(2 * time.Second)
+			for _, e := range []*Engine{lapsed, fresh} {
+				e.Set("other", []byte("v"))
+				if err := c.write(e); err != nil {
+					t.Fatal(err)
+				}
+				if err := checkBooks(e); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n, keys := lapsed.Len(), lapsed.Stats().Keys; n != 2 || keys != 2 {
+				t.Fatalf("Len %d, Stats().Keys %d after the write over a lapsed key, want 2", n, keys)
+			}
+			if _, ok := lapsed.TTL("k"); ok || lapsed.Expired("k") {
+				t.Fatal("the written key kept the lapsed record's deadline")
+			}
+			if got, want := lapsed.MemUsed(), fresh.MemUsed(); got != want {
+				t.Errorf("MemUsed %d, %d where the key was absent", got, want)
+			}
+			gs, fs := lapsed.Stats(), fresh.Stats()
+			if gs.PayloadBytes != fs.PayloadBytes || gs.PackedBytes != fs.PackedBytes || gs.IndexBytes != fs.IndexBytes {
+				t.Errorf("Stats %+v, %+v where the key was absent", gs, fs)
+			}
+			v, err := lapsed.Get("k")
+			if got := string(v); err == ErrWrongType {
+				got = lapsed.Type("k").String()
+				if got != c.want {
+					t.Errorf("k is a %s, want %s", got, c.want)
+				}
+			} else if got != c.want {
+				t.Errorf("Get(k) = %q, %v, want %q", got, err, c.want)
+			}
+		})
 	}
 }
