@@ -77,6 +77,56 @@ func TestCapacityModeMemUsedTracksHeap(t *testing.T) {
 	}
 }
 
+// TestKeyModelOverflowStrandsOneGeneration: a CacheOnly fill of ascending
+// k%015d keys at half the capacity the whole fill takes, run past 524 287,
+// the largest value of the 2-byte width every stripe's key model learns
+// while its table is short. From there a new key takes its full form, 4
+// bytes longer, while the model-form keys before it are evicted; no record
+// takes their slots again. So the slab strands them once per stripe, at
+// most the model-form records resident at the crossing, and the heap is
+// still MemUsed + FreeBytes within 2%. The fill is deterministic, and its
+// idle bytes are pinned: 3 653 758, 0.57 of the 429 324 model-form records
+// resident at the crossing (the full-form keys that follow evict 243k of
+// them).
+func TestKeyModelOverflowStrandsOneGeneration(t *testing.T) {
+	const keys, crossing = 700_000, 1 << 19
+	val := make([]byte, 8)
+	fill := func(capacity int64) (used, idle, heap, crossed int64) {
+		before := heapAfterGC()
+		eng := engine.New(engine.Options{})
+		tr, err := New(Options{Policy: CacheOnly, Engine: eng, CacheCapacityBytes: capacity})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		for i := 0; i < keys; i++ {
+			if i == crossing {
+				crossed = int64(eng.Len())
+			}
+			if err := tr.Set(fmt.Sprintf("k%015d", i), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		heap = heapAfterGC() - before
+		runtime.KeepAlive(tr)
+		return eng.MemUsed(), eng.Stats().FreeBytes, heap, crossed
+	}
+	whole, _, _, _ := fill(1 << 30)
+	used, idle, heap, crossed := fill(whole / 2)
+	// A model-form record: the header byte, 'k', the mark, the length byte,
+	// 2 bytes of value, the value's length byte and its 8 bytes.
+	const modelRecord = 1 + 5 + 1 + 8
+	ratio := float64(heap) / float64(used+idle)
+	t.Logf("%d resident at the crossing, %d bytes charged, %d idle (%.2f of the model-form records resident then), heap/(charged+idle) %.3f",
+		crossed, used, idle, float64(idle)/float64(crossed*modelRecord), ratio)
+	if ratio < 0.98 || ratio > 1.02 {
+		t.Errorf("heap grew %d bytes for %d charged and %d idle: ratio %.3f outside [0.98, 1.02]", heap, used, idle, ratio)
+	}
+	if idle > crossed*modelRecord || idle != 3_653_758 {
+		t.Errorf("%d bytes idle, want 3 653 758 and at most the %d model-form records resident at the crossing", idle, crossed)
+	}
+}
+
 // clockVsLRU replays trace (key indexes) as Gets against a write-through
 // Tiered over an engine of so many stripes whose capacity holds about
 // residentKeys of the keys storage has, and returns its hit ratio next to

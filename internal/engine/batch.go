@@ -1,7 +1,5 @@
 package engine
 
-import "strings"
-
 // Batch operations: the engine-level fast path for MGET/MSET-style
 // traffic. Keys are grouped by lock stripe and each stripe lock is taken
 // exactly once per batch, so an N-key batch costs O(shards touched) lock
@@ -17,22 +15,23 @@ type KV struct {
 // onlyFirst is the positions of a one-key batch. Visitors only read them.
 var onlyFirst = []int{0}
 
-// forEachShardGroup packs every key once, into one buffer for the batch,
-// buckets positions of keys by stripe index (a stable counting sort — four
-// flat allocations, no per-bucket slices) and calls visit once per touched
-// shard with the input positions in input order and every key's probe by
-// position. keyAt adapts over []string and []KV.
+// forEachShardGroup hashes every key once, gives each room to be packed in
+// one buffer for the batch, buckets positions of keys by stripe index (a
+// stable counting sort — four flat allocations, no per-bucket slices) and
+// calls visit once per touched shard with the input positions in input
+// order and every key's probe by position. keyAt adapts over []string and
+// []KV.
 func (e *Engine) forEachShardGroup(n int, keyAt func(i int) string, visit func(s *shard, idxs []int, ps []probe)) {
 	ps := make([]probe, n)
 	total := 0
 	for i := range ps {
-		key := keyAt(i)
-		total += len(key) + strings.Count(key, "\xff") // the most it packs to
+		total += 2 * len(keyAt(i))
 	}
 	buf := make([]byte, total)
 	for i := range ps {
-		ps[i] = e.probe(keyAt(i), buf)
-		buf = buf[len(ps[i].packed):]
+		key := keyAt(i)
+		ps[i] = e.probe(key, buf[:0:2*len(key)])
+		buf = buf[2*len(key):]
 	}
 	if n == 1 {
 		visit(e.shards[ps[0].stripe], onlyFirst, ps)

@@ -24,14 +24,13 @@
 // their own: 16 KiB pointer-free pages carved into slots of exactly the
 // record's size, a free list per slot size, and a side table of own
 // allocations for records past 1 KiB. Each stripe finds its records
-// through an open-addressing index (index.go): 8-byte slots of hash and
-// slab ref, linear probing with backward-shift deletion, between 7/16 and
-// 7/8 full at a steady population, no table at all while the stripe is
-// empty. The FNV hash of the key as written picks the stripe with its low
-// bits; that of the packed key, Fibonacci-multiplied, picks the slot. Tables
-// and pages hold no pointers, so the garbage collector marks a few hundred
-// objects per engine instead of one per key. README.md has the byte-level
-// layout.
+// through an open-addressing index (index.go): 6-byte entries of probe
+// word and slab ref, in hash order with backward-shift deletion, between
+// 9/16 and 7/8 full at a steady population, no table at all while the
+// stripe is empty. One FNV hash of the key as written picks the stripe with its low
+// bits and, Fibonacci-multiplied, the slot. Tables and pages hold no
+// pointers, so the garbage collector marks a few hundred objects per engine
+// instead of one per key. README.md has the byte-level layout.
 //
 // # Accounting
 //
@@ -181,10 +180,9 @@ type shard struct {
 	strs index
 
 	sweepPos atomic.Uint32 // where CollectExpired resumes in strs: the slot hash index.scan returned
-	packed   int64         // bytes packing took off the keys in payload; under mu
 
 	memUsed atomic.Int64 // DRAM bytes the contents occupy; written under mu
-	payload atomic.Int64 // of which keys and stored values; written under mu
+	payload atomic.Int64 // keys as written and stored values in DRAM; written under mu (PayloadBytes takes strs.packed off)
 	hits    atomic.Int64
 	misses  atomic.Int64
 	expired atomic.Int64
@@ -248,9 +246,35 @@ func fnv1a[K string | []byte](key K) uint32 {
 	return h
 }
 
-// locate packs key into buf, for the stripe's index, and picks the stripe.
+// probe is a key as the engine looks it up: as written, for the accounts,
+// with its hash, and with room to be packed in for the index.
+type probe struct {
+	key    string
+	room   []byte // where lookup packs key, under the stripe lock: room for 2*len(key) bytes (appendPacked)
+	h      uint32 // slotHash of the key's fnv1a
+	stripe uint32 // the low bits of the same fnv1a
+}
+
+// probe hashes key, once, for its stripe and its slot. room is where
+// lookup is to pack it: 2*len(key) bytes at least, so that packing never
+// moves it.
+func (e *Engine) probe(key string, room []byte) probe {
+	kh := fnv1a(key)
+	return probe{key: key, room: room[:0], h: slotHash(kh), stripe: kh & e.mask}
+}
+
+// roomIn is buf, or the heap for a key too long to pack in it.
+func roomIn(buf *keyBuf, key string) []byte {
+	if 2*len(key) > len(buf) {
+		return make([]byte, 2*len(key))
+	}
+	return buf[:]
+}
+
+// locate hashes key and picks its stripe; lookup packs it into buf, or
+// onto the heap if it is too long for that.
 func (e *Engine) locate(key string, buf *keyBuf) (probe, *shard) {
-	k := e.probe(key, buf[:])
+	k := e.probe(key, roomIn(buf, key))
 	return k, e.shards[k.stripe]
 }
 
@@ -261,11 +285,12 @@ func (e *Engine) now() int64 { return e.opts.Clock().UnixNano() }
 // never read the clock.
 func (e *Engine) lapsed(at int64) bool { return at != 0 && e.now() >= at }
 
-// entry is what a key resolves to in its stripe: its record, or (the zero
-// entry) nothing.
+// entry is what a key resolves to in its stripe: its record, or (rec nil)
+// nothing, and the length of the key packed under the stripe's model.
 type entry struct {
-	rec record
-	at  int // rec's position in the index
+	rec  record
+	at   int // rec's position in the index
+	klen int // of the key packed in its probe's room
 }
 
 func (en entry) present() bool { return en.rec != nil }
@@ -278,10 +303,12 @@ func (en entry) expireAt() int64 {
 	return en.rec.deadline()
 }
 
-// lookup resolves k, lapsed or not. Caller holds s.mu (either mode).
+// lookup packs k into its room under the stripe's model and resolves it,
+// lapsed or not. Caller holds s.mu (either mode).
 func (s *shard) lookup(k probe) entry {
-	at, rec := s.strs.find(k.h, k.packed)
-	return entry{rec: rec, at: at}
+	packed := appendPacked(&s.strs.model, k.room, k.key)
+	at, rec := s.strs.find(k.h, packed)
+	return entry{rec: rec, at: at, klen: len(packed)}
 }
 
 // touch marks en, which lookup returned, referenced: the clock hand gives
@@ -308,12 +335,13 @@ func (e *Engine) freeRef(st stored) {
 	}
 }
 
-// forget takes the payload of the record whose fields are f out of the
-// accounts and frees the PMem its value occupies. The caller then takes the
-// record out of the index, which frees its slot, and settles memUsed.
-func (e *Engine) forget(s *shard, f fields) {
+// forget takes the payload of the record whose fields are f, and whose key
+// is klen bytes as written, out of the accounts and frees the PMem its
+// value occupies. The caller then takes the record out of the index, which
+// frees its slot, and settles memUsed.
+func (e *Engine) forget(s *shard, f fields, klen int) {
 	e.freeRef(f.stored)
-	s.payload.Add(-f.payload())
+	s.payload.Add(-payload(f.flags, klen, len(f.val)))
 }
 
 // remove deletes en, which lookup returned.
@@ -324,32 +352,35 @@ func (e *Engine) remove(s *shard, en entry) {
 // removeRecord deletes the key in slot at, whose record parsed to f.
 func (e *Engine) removeRecord(s *shard, at int, f fields) {
 	held := s.strs.held()
-	e.forget(s, f)
-	s.packed -= int64(unpackedLen(f.key) - len(f.key))
+	klen := s.strs.model.unpackedLen(f.key)
+	e.forget(s, f, klen)
+	s.strs.packed -= int64(klen - len(f.key))
 	s.strs.remove(at, f.size)
 	s.memUsed.Add(s.strs.held() - held)
 }
 
 // publish makes st the value of k, and its deadline the one st carries
 // (none, for a string). en is what lookup (or live) found for k under this
-// same write lock: its record, live or lapsed, is replaced; where it found
-// none, the record is inserted. The record is assembled in its slot: no
+// same write lock, and packed k for: its record, live or lapsed, is
+// replaced; where it found none, the record is inserted (and re-packed, if
+// the insert widens the model). The record is assembled in its slot: no
 // allocation unless a page or a table has to grow.
 func (e *Engine) publish(s *shard, k probe, en entry, st staged) {
 	ix := &s.strs
 	held := ix.held()
-	ref, rec := ix.recs.alloc(recordLen(k.packed, st))
-	writeRecord(rec, k.packed, st)
+	packed := k.room[:en.klen] // where lookup packed it
+	ref, rec := ix.recs.alloc(recordLen(packed, st))
+	writeRecord(rec, packed, st)
 	if en.present() {
 		old := ix.parse(en.rec)
-		e.forget(s, old)
+		e.forget(s, old, len(k.key))
 		ix.touch(en.at) // before replace, which may move entries
 		ix.replace(en.at, ref, old.size)
 	} else {
+		ix.packed += int64(len(k.key) - len(packed))
 		ix.insert(k.h, ref)
-		s.packed += int64(len(k.key) - len(k.packed))
 	}
-	s.payload.Add(payload(st.flags, len(k.packed), len(st.val)))
+	s.payload.Add(payload(st.flags, len(k.key), len(st.val)))
 	s.memUsed.Add(ix.held() - held)
 }
 
@@ -661,7 +692,7 @@ func (e *Engine) CollectExpired(limit int) []string {
 		before := limit
 		pos, end := s.strs.scan(s.sweepPos.Load(), &limit, func(rec record) {
 			if at := rec.deadline(); at != 0 && now >= at {
-				out = append(out, unpackKey(rec.key()))
+				out = append(out, s.strs.model.unpackKey(rec.key()))
 			}
 		})
 		resizing := s.strs.old.meta != nil
@@ -760,7 +791,7 @@ type Stats struct {
 	Keys         int
 	MemBytes     int64 // DRAM occupied: records and index tables
 	PayloadBytes int64 // the part of MemBytes that is keys as stored (packed) and stored values
-	PackedBytes  int64 // what packing took off the keys: PayloadBytes with them as written is this much more
+	PackedBytes  int64 // what packing, under each stripe's key model, took off the keys: PayloadBytes with them as written is this much more
 	IndexBytes   int64 // the part of MemBytes that is index tables, as allocated
 	FreeBytes    int64 // slab page bytes holding no record; beside MemBytes, not in it
 	PMemUsed     int64
@@ -777,10 +808,10 @@ func (e *Engine) Stats() Stats {
 		st.Keys += s.strs.n
 		st.FreeBytes += s.strs.recs.idle()
 		st.IndexBytes += s.strs.charge
-		st.PackedBytes += s.packed
+		st.PackedBytes += s.strs.packed
+		st.PayloadBytes += s.payload.Load() - s.strs.packed
 		s.mu.RUnlock()
 		st.MemBytes += s.memUsed.Load()
-		st.PayloadBytes += s.payload.Load()
 		st.Hits += s.hits.Load()
 		st.Misses += s.misses.Load()
 		st.Expired += s.expired.Load()
@@ -846,7 +877,7 @@ func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEn
 		keys := make([]string, 0, s.strs.n)
 		s.strs.each(func(rec record) bool {
 			if at := rec.deadline(); at == 0 || now < at {
-				keys = append(keys, unpackKey(rec.key()))
+				keys = append(keys, s.strs.model.unpackKey(rec.key()))
 			}
 			return true
 		})
@@ -858,7 +889,7 @@ func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEn
 			s.mu.RLock()
 			for size := 0; len(keys) > 0 && size < maxChunkBytes; keys = keys[1:] {
 				var kb keyBuf
-				en, ok := e.live(s, e.probe(keys[0], kb[:]))
+				en, ok := e.live(s, e.probe(keys[0], roomIn(&kb, keys[0])))
 				if !ok {
 					continue // deleted or lapsed since the key listing
 				}
@@ -897,7 +928,6 @@ func (e *Engine) FlushAll() {
 		s.strs = index{codec: s.strs.codec}
 		s.memUsed.Store(0)
 		s.payload.Store(0)
-		s.packed = 0
 		s.mu.Unlock()
 	}
 }

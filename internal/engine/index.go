@@ -109,11 +109,21 @@ type index struct {
 	rehashed int    // records hashed again to move their entries between tables, ever
 	recs     slab
 	codec    compress.Compressor // the engine's, which says where a compressed value ends (parse)
+
+	// model is what every record's key is packed under (keypack.go). It
+	// changes only in remodel, after a rebuild that runs in one hold
+	// (rebuilt), at the end of the write that made it.
+	model   keyModel
+	rebuilt bool
+	// packed is the bytes packing takes off the keys of the records: the
+	// engine adds a key's when it inserts it and takes them off when it
+	// removes it, and remodel adds what re-packing takes off.
+	packed int64
 }
 
-// slotHash spreads the hash of a packed key for the index: a Fibonacci
+// slotHash spreads fnv1a of a key as written for the index: a Fibonacci
 // multiply folds every bit into the high ones the home is taken from. (The
-// stripe is picked by the hash of the key as written, not this one.)
+// stripe is picked by the low bits of the same fnv1a.)
 func slotHash(kh uint32) uint32 { return kh * 0x9E3779B1 }
 
 // tableLen is the length of a table asked to hold want slots: all that its
@@ -162,9 +172,10 @@ func (ix *index) held() int64 { return ix.charge + ix.recs.held() }
 // away is how far the entry with probe word m in slot i is from its home.
 func away(i int, m uint16) int { return (i - int(m>>tagBits)) & reach }
 
-// keyHash is the slot hash of the key of the record ref names.
+// keyHash is the slot hash of the key of the record ref names: that of the
+// key as written, which the record holds packed.
 func (ix *index) keyHash(ref uint32) uint32 {
-	return slotHash(fnv1a(record(ix.recs.at(ref &^ refBit)).key()))
+	return slotHash(ix.model.hash(record(ix.recs.at(ref &^ refBit)).key()))
 }
 
 // rehash is keyHash under the write lock, counted: a probe word keeps 15
@@ -201,11 +212,12 @@ func (ix *index) record(at int) record {
 	return ix.recs.at(atomic.LoadUint32(ix.ref(at)) &^ refBit)
 }
 
-// find returns the position and the record of key, packed, or -1. One
-// compare against bound picks the table (both, for a hash equal to it). It
-// reads probe words from the key's home on, a record only behind a word
-// that matches in all 16 bits, and stops at the first entry that sorts
-// after the key: a miss reads a record once in a few hundred times.
+// find returns the position and the record of key, packed under the
+// index's model, or -1. One compare against bound picks the table (both,
+// for a hash equal to it). It reads probe words from the key's home on, a
+// record only behind a word that matches in all 16 bits, and stops at the
+// first entry that sorts after the key: a miss reads a record once in a
+// few hundred times.
 func (ix *index) find(h uint32, key []byte) (int, record) {
 	if ix.n == 0 {
 		return -1, nil
@@ -383,10 +395,11 @@ func (ix *index) setSpill(spill []uint32) {
 // begin starts a resize to size slots: the table becomes the old one, and
 // from here on every write moves some of its entries into the new one
 // (step). Both are charged until the old one is empty. A table shorter than
-// spreadFrom is emptied at once. A resize still under way is first finished
-// in one go. The bounds make that rare: moving everything takes a sixteenth
-// of the entries' worth of writes, and reaching the next resize at least an
-// eighth.
+// spreadFrom is emptied at once, and then, at the end of the write (step),
+// the key model may widen (remodel). A resize still under way is first
+// finished in one go. The bounds make that rare: moving everything takes a
+// sixteenth of the entries' worth of writes, and reaching the next resize
+// at least an eighth.
 func (ix *index) begin(size int) {
 	ix.finish()
 	old := ix.table
@@ -409,6 +422,50 @@ func (ix *index) begin(size int) {
 	ix.advance(0)
 	if len(old.meta) < spreadFrom {
 		ix.finish()
+		ix.rebuilt = true
+	}
+}
+
+// remodel widens the key model to hold the digit pieces of every key the
+// index holds (keyModel.widen) and, if that changes it, re-packs every
+// record under it (setModel).
+func (ix *index) remodel() {
+	model := ix.model
+	var buf keyBuf
+	for at := 0; at < ix.positions(); at++ {
+		if ix.used(at) {
+			model.widen(ix.model.appendUnpacked(buf[:0], ix.record(at).key()))
+		}
+	}
+	if model != ix.model {
+		ix.setModel(model)
+	}
+}
+
+// setModel makes model the index's and re-packs every record under it into
+// a slot of a fresh slab: the old slab goes back to the heap whole, with
+// the slots of the sizes its records no longer have, which no record would
+// take again. Entries keep their places and their reference bits: a slot
+// hash is that of the key as written.
+func (ix *index) setModel(model keyModel) {
+	from, recs := ix.model, ix.recs
+	ix.model, ix.recs = model, slab{}
+	var buf, kb keyBuf
+	for at := 0; at < ix.positions(); at++ {
+		if !ix.used(at) {
+			continue
+		}
+		p := ix.ref(at)
+		f := ix.parse(recs.at(*p &^ refBit))
+		key := appendPacked(&model, kb[:0], from.appendUnpacked(buf[:0], f.key))
+		st := staged{flags: f.flags, val: f.val, at: f.deadline}
+		if f.flags&flagPMem != 0 {
+			st.ref = f.ref()
+		}
+		ref, rec := ix.recs.alloc(recordLen(key, st))
+		writeRecord(rec, key, st)
+		ix.packed += int64(len(f.key) - len(key))
+		*p = ref | *p&refBit
 	}
 }
 
@@ -420,10 +477,15 @@ func (ix *index) finish() {
 }
 
 // step spends what is left of a write's budget of moves re-hashed records,
-// and at least one, on moving entries across (migrate). since is where the
-// rehashed count stood when the write began.
+// and at least one, on moving entries across (migrate), and lets the key
+// model widen after a rebuild in one hold, once the write's own record is
+// in place. since is where the rehashed count stood when the write began.
 func (ix *index) step(since int) {
 	ix.migrate(max(1, moves-(ix.rehashed-since)))
+	if ix.rebuilt {
+		ix.rebuilt = false
+		ix.remodel()
+	}
 }
 
 // migrate moves up to k (at most moves) of the old table's first entries to
@@ -451,7 +513,7 @@ func (ix *index) migrate(k int) {
 	}
 	var hashes [moves]uint32
 	for j := range n {
-		hashes[j] = slotHash(fnv1a(keys[j]))
+		hashes[j] = slotHash(ix.model.hash(keys[j]))
 	}
 	ix.rehashed += n
 	for j := 0; j < min(k, n+1); j++ {
@@ -670,7 +732,7 @@ func (ix *index) clock(look *int, lap int, pinned func(key []byte) bool) (at int
 		}
 		f := ix.parse(ix.recs.at(*p))
 		if pinned != nil {
-			ix.unpacked = appendUnpacked(ix.unpacked[:0], f.key)
+			ix.unpacked = ix.model.appendUnpacked(ix.unpacked[:0], f.key)
 		}
 		if pinned == nil || !pinned(ix.unpacked) {
 			ix.hand = at

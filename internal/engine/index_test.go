@@ -12,7 +12,6 @@ import (
 // slot hash, one home at every table length and one tag: "c<i>" followed by
 // the four bytes that steer the hash to the target, found by meeting in the
 // middle (two bytes forward from the prefix, two backward from the target).
-// Each key is its own packed form, so the keys share the index's hash too.
 func collidingKeys(n int) []string {
 	const prime = 16777619
 	inverse := uint32(prime) // Newton: doubles the correct low bits each round
@@ -41,11 +40,8 @@ func collidingKeys(n int) []string {
 					continue
 				}
 				if tail, ok := back[s]; ok {
-					key := prefix + string([]byte{byte(b1), byte(b2), tail[0], tail[1]})
-					if string(packKey(key)) == key {
-						keys = append(keys, key)
-						break search
-					}
+					keys = append(keys, prefix+string([]byte{byte(b1), byte(b2), tail[0], tail[1]}))
+					break search
 				}
 			}
 		}
@@ -68,7 +64,7 @@ func TestCollidingKeysCollide(t *testing.T) {
 	keys := sharedHashKeys()
 	seen := map[string]bool{}
 	for _, k := range keys {
-		if fnv1a(packKey(k)) != fnv1a(keys[0]) || seen[k] {
+		if fnv1a(k) != fnv1a(keys[0]) || seen[k] {
 			t.Fatalf("%q: hash %#x, want %#x, distinct %v", k, fnv1a(k), fnv1a(keys[0]), !seen[k])
 		}
 		seen[k] = true
@@ -76,8 +72,8 @@ func TestCollidingKeysCollide(t *testing.T) {
 }
 
 // indexModel drives a bare index (its own slab, no engine around it) and a
-// map side by side, keys packed as the engine packs them. A record's value
-// is one byte, so that a replace shows.
+// map side by side, keys packed and hashed as the engine packs and hashes
+// them. A record's value is one byte, so that a replace shows.
 type indexModel struct {
 	t     *testing.T
 	ix    index
@@ -87,8 +83,8 @@ type indexModel struct {
 
 func (m *indexModel) put(key string, v byte) {
 	ix := &m.ix
-	pk := packKey(key)
-	h := slotHash(fnv1a(pk))
+	pk := ix.pack(key)
+	h := slotHash(fnv1a(key))
 	at, cur := ix.find(h, pk)
 	st := staged{val: []byte{v}}
 	ref, rec := ix.recs.alloc(recordLen(pk, st))
@@ -96,6 +92,7 @@ func (m *indexModel) put(key string, v byte) {
 	if at >= 0 {
 		ix.replace(at, ref, ix.parse(cur).size)
 	} else {
+		ix.packed += int64(len(key) - len(pk))
 		ix.insert(h, ref)
 		m.marks[key] = true
 	}
@@ -108,7 +105,9 @@ func (m *indexModel) del(key string) {
 		m.t.Fatalf("find(%q) = %d, model holds it: %v", key, at, held)
 	}
 	if at >= 0 {
-		m.ix.remove(at, m.ix.parse(rec).size)
+		f := m.ix.parse(rec)
+		m.ix.packed -= int64(len(key) - len(f.key))
+		m.ix.remove(at, f.size)
 		delete(m.keys, key)
 		delete(m.marks, key)
 	}
@@ -122,10 +121,11 @@ func (m *indexModel) evict() {
 	for look := lap; look > 0; {
 		at, f, end := ix.clock(&look, lap, modelPinned)
 		if at >= 0 {
-			key := unpackKey(f.key)
+			key := ix.model.unpackKey(f.key)
 			if _, held := m.keys[key]; !held || modelPinned([]byte(key)) {
 				m.t.Fatalf("clock took %q: held %v", key, held)
 			}
+			ix.packed -= int64(len(key) - len(f.key))
 			ix.remove(at, f.size)
 			delete(m.keys, key)
 			delete(m.marks, key)
@@ -149,7 +149,7 @@ func (m *indexModel) sweep(limit int) {
 	for pos, end := uint32(0), false; !end; {
 		left := limit
 		pos, end = m.ix.scan(pos, &left, func(rec record) {
-			key := unpackKey(rec.key())
+			key := m.ix.model.unpackKey(rec.key())
 			if _, held := m.keys[key]; !held || seen[key] {
 				m.t.Fatalf("scan met %q: held %v, seen before %v", key, held, seen[key])
 			}
@@ -161,22 +161,26 @@ func (m *indexModel) sweep(limit int) {
 	}
 }
 
-// check compares the index with the model key by key and mark by mark.
-// cleared says the hand has run since the last check: marks may have gone,
-// none may have appeared.
+// check compares the index with the model key by key and mark by mark, and
+// every key's record with its packed form under the index's model, and
+// what packing took off with the books. cleared says the hand has run since
+// the last check: marks may have gone, none may have appeared.
 func (m *indexModel) check(cleared bool) {
 	ix := &m.ix
 	if ix.n != len(m.keys) {
 		m.t.Fatalf("index counts %d entries, model %d", ix.n, len(m.keys))
 	}
+	packed := int64(0)
 	for key, v := range m.keys {
 		at, rec := ix.findKey(key)
 		if at < 0 {
 			m.t.Fatalf("%q is lost", key)
 		}
-		if f := ix.parse(rec); unpackKey(f.key) != key || len(f.val) != 1 || f.val[0] != v || &ix.record(at)[0] != &rec[0] {
-			m.t.Fatalf("%q resolves to the record of %q, value %v, want %v", key, f.key, f.val, v)
+		f := ix.parse(rec)
+		if string(f.key) != string(ix.pack(key)) || len(f.val) != 1 || f.val[0] != v || &ix.record(at)[0] != &rec[0] {
+			m.t.Fatalf("%q resolves to the record of %q, value %v, want %v", key, ix.model.unpackKey(f.key), f.val, v)
 		}
+		packed += int64(len(key) - len(f.key))
 		marked := *ix.ref(at)&refBit != 0
 		if marked != m.marks[key] && !(cleared && !marked) {
 			m.t.Fatalf("%q: reference bit %v, want %v", key, marked, m.marks[key])
@@ -187,6 +191,9 @@ func (m *indexModel) check(cleared bool) {
 	ix.each(func(record) bool { n++; return true })
 	if n != len(m.keys) {
 		m.t.Fatalf("each visits %d records, model holds %d", n, len(m.keys))
+	}
+	if packed != ix.packed {
+		m.t.Fatalf("packing took %d bytes off the keys, the index says %d", packed, ix.packed)
 	}
 	if ix.held() != ix.charge+ix.recs.held() {
 		m.t.Fatalf("held() = %d, table %d + records %d", ix.held(), ix.charge, ix.recs.held())
@@ -200,14 +207,18 @@ func (m *indexModel) check(cleared bool) {
 }
 
 // FuzzIndex drives the table with a byte-coded stream of inserts, replaces,
-// removes, finds, touches, evictions and scans, singly and in runs of up to
-// 256 keys so that a short input reaches tables of a few thousand slots and
-// back to none, over three kinds of key: 4096 ordinary ones, 200 that share
-// one hash (64 fill the reach of their home, the rest live in the spill),
-// and ones past maxShortKey bytes. After every operation the index is
+// removes, finds, touches, evictions, scans and re-models, singly and in
+// runs of up to 256 keys so that a short input reaches tables of a few
+// thousand slots and back to none, over three kinds of key: 4096 ordinary
+// ones, 200 that share one hash (64 fill the reach of their home, the rest
+// live in the spill), and ones past maxShortKey bytes, whose 19-digit
+// pieces take values of every width. A re-model sets the model back to
+// zero (odd count), so that the keys take their full forms until a rebuild
+// widens it, or widens it now (even). After every operation the index is
 // compared with a map: every key found with its own value and its own
-// reference bit, no other key found, counts, charge and shape right, both
-// tables in hash order while a resize is under way.
+// reference bit and stored in its packed form under the model, no other key
+// found, counts, charge, what packing took off and shape right, both tables
+// in hash order while a resize is under way.
 func FuzzIndex(f *testing.F) {
 	grow := []byte{0, 0, 0, 255, 0, 1, 0, 255, 0, 2, 0, 255, 0, 3, 0, 255} // 1024 ordinary keys
 	f.Add(grow)
@@ -220,6 +231,7 @@ func FuzzIndex(f *testing.F) {
 	across := []byte{5, 0, 0, 9, 4, 0, 0, 0, 6, 1, 44, 0, 3, 1, 50, 0, 5, 0, 0, 99, 4, 0, 0, 2, 2, 1, 144, 7, 1, 0, 0, 49, 5, 0, 0, 255}
 	f.Add(append(append([]byte{}, grow...), across...))
 	f.Add(append(append(append([]byte{}, grow...), 1, 0, 0, 255, 1, 1, 0, 12), across...))
+	f.Add([]byte{0, 17, 0, 255, 8, 0, 0, 1, 0, 17, 0x40, 40, 8, 0, 0, 0, 1, 17, 0, 100, 8, 0, 0, 1, 1, 17, 0x60, 60}) // re-models
 	shared := sharedHashKeys()
 	name := func(i int) string {
 		switch {
@@ -228,7 +240,7 @@ func FuzzIndex(f *testing.F) {
 		case i < 4096+len(shared):
 			return shared[i-4096]
 		default:
-			return fmt.Sprintf("a-key-too-long-for-the-header-byte:k%d", i)
+			return fmt.Sprintf("a-key-too-long-for-the-header-byte:%019d", uint64(i)<<(i%50))
 		}
 	}
 	f.Fuzz(func(t *testing.T, ops []byte) {
@@ -237,7 +249,7 @@ func FuzzIndex(f *testing.F) {
 		for ; len(ops) >= 4; ops = ops[4:] {
 			first, count := int(binary.BigEndian.Uint16(ops[1:]))%4608, int(ops[3])
 			cleared := false
-			switch ops[0] % 8 {
+			switch ops[0] % 9 {
 			case 0:
 				for i := 0; i <= count; i++ {
 					m.put(name(first+i), ops[3])
@@ -271,6 +283,12 @@ func FuzzIndex(f *testing.F) {
 					if _, held := m.keys[key]; !held {
 						t.Fatalf("find(%q) = %d, and the model does not hold it", key, at)
 					}
+				}
+			case 8:
+				if count%2 == 1 {
+					m.ix.setModel(keyModel{})
+				} else {
+					m.ix.remodel()
 				}
 			}
 			m.check(cleared)
@@ -600,14 +618,10 @@ func TestResizeIsSpreadOverWrites(t *testing.T) {
 	}
 }
 
-// packKey is key packed, as the engine stores it.
-func packKey(key string) []byte {
-	p, _ := appendPacked(nil, key)
-	return p
-}
+// pack is key packed under the index's model, as the engine stores it.
+func (ix *index) pack(key string) []byte { return appendPacked(&ix.model, nil, key) }
 
 // findKey is find for key as written.
 func (ix *index) findKey(key string) (int, record) {
-	pk := packKey(key)
-	return ix.find(slotHash(fnv1a(pk)), pk)
+	return ix.find(slotHash(fnv1a(key)), ix.pack(key))
 }

@@ -1,35 +1,48 @@
 package engine
 
 import (
-	"encoding/binary"
+	"math"
 	"math/bits"
 	"slices"
 )
 
-// A key is stored in its record packed: each maximal run of ASCII
-// digits, cut into pieces of at most maxRun digits from its start, is
-// written as
+// A key is stored in its record packed under its stripe's key model: each
+// maximal run of ASCII digits, cut into pieces of at most maxRun digits
+// from its start, is written, wherever that is shorter than the digits, as
 //
-//	packMark | len(piece)<<3 + the value's top 3 bits | the rest of the value, big-endian
+//	modelMark | len(piece)<<3 + the value's top 3 bits | the rest, big-endian, in the model's width for len(piece)
 //
-// wherever that is shorter than the digits themselves, and a literal
-// packMark byte is written as packMark 0. Every other byte, and every piece
-// the mark would not shorten, is written as it is. The value takes as many
-// bytes as the largest value of that many digits needs (runBytes), not as
-// few as it could: keys that differ only in their digits pack to one
-// length, so their records are one size and reuse one another's slab slots
-// (slots are exact, and a freed slot goes only to a record of its size). So
-// "k000000000123456" (16 bytes) is 'k' FF 78 00 00 00 01 E2 40 (9 bytes),
-// and since unpack inverts pack, two keys pack equal only if they are
-// equal.
+// when the value fits that width, and otherwise in its full form,
 //
-// The index hashes and compares packed keys, and a resize rehashes them from
-// records; everything outside the engine, and the stripe choice, sees the
-// key as written. A key leaves a record through unpack: the clock's pinned
-// call, CollectExpired and ForEachEncodedChunked's key listing.
+//	packMark | len(piece)<<3 + the value's top 3 bits | the rest, big-endian, in runBytes[len(piece)]-1 bytes
+//
+// A literal 0xFF byte is written packMark 0 and a literal 0xFE packMark 1.
+// Every other byte, and every piece neither form would shorten, is written
+// as it is. The mark says which width a piece takes, so the packed bytes
+// alone tell the two forms apart: record byte 0 has no bit to spare.
+//
+// A model (keyModel) starts at width 0 for every digit count (a value
+// below 8) and only ever widens, in an index rebuild that runs in one lock
+// hold (index.remodel): a stripe's model is fixed once its table is
+// spreadFrom slots long. Keys that fit it and differ only in their digits
+// pack to one length, so their records are one size and reuse one
+// another's slab slots (slots are exact, and a freed slot goes only to a
+// record of its size). Under the model {15: 2} that a stripe of the
+// ledger's keys learns, "k000000000123456" (16 bytes) is 'k' FE 79 E2 40 (5
+// bytes); past 524 287 a 15-digit value takes its full form, 'k' FF 78 and
+// 6 bytes (9). Since unpack inverts pack, two keys pack equal under one
+// model only if they are equal.
+//
+// The index compares packed keys, but hashes keys as written: the slot hash
+// and the stripe come from one fnv1a of the key (probe), and a resize
+// streams a record's key, unpacked, through FNV (keyModel.hash). So a
+// re-pack moves no entry. Everything outside the engine sees the key as
+// written; a key leaves a record through unpack: the clock's pinned call,
+// CollectExpired and ForEachEncodedChunked's key listing.
 const (
-	packMark = 0xFF
-	maxRun   = 19 // the most digits a uint64 always holds
+	packMark  = 0xFF
+	modelMark = 0xFE
+	maxRun    = 19 // the most digits a uint64 always holds
 )
 
 // runBytes[n] is what a piece of n digits takes after packMark: its length
@@ -39,83 +52,117 @@ var runBytes = func() (w [maxRun + 1]int) {
 	top := uint64(0)
 	for n := 1; n <= maxRun; n++ {
 		top = top*10 + 9
-		w[n] = 1 + (max(bits.Len64(top)-3, 0)+7)/8
+		w[n] = 1 + width(top)
 	}
 	return w
 }()
 
-// keyBuf is room on a caller's stack for a packed key: one that packs
-// longer than this goes to the heap.
-type keyBuf [64]byte
+// width is the fewest whole bytes that hold v beside the 3 bits of the
+// byte that holds a piece's length.
+func width(v uint64) int { return (max(bits.Len64(v)-3, 0) + 7) / 8 }
 
-// probe is a key as the engine looks it up: as written, for the stripe
-// choice and the accounts, and packed with its slot hash, for the index.
-type probe struct {
-	key    string
-	packed []byte
-	h      uint32 // slotHash of packed
-	stripe uint32
-}
+// keyModel is the width, in bytes after the length byte, that a stripe
+// gives a piece of each digit count, at most runBytes[n]-1.
+type keyModel [maxRun + 1]uint8
 
-// probe packs key into buf.
-func (e *Engine) probe(key string, buf []byte) probe {
-	p, kh := appendPacked(buf[:0], key)
-	return probe{key: key, packed: p, h: slotHash(fnv1a(p)), stripe: kh & e.mask}
-}
+// keyBuf is room on a caller's stack for a key, packed or not: one that
+// takes more than this goes to the heap.
+type keyBuf [128]byte
 
-// appendPacked appends the packed form of key to dst, and returns with it
-// fnv1a(key), the hash of the key as written that picks its stripe: one
-// pass over the key makes both.
-func appendPacked(dst []byte, key string) ([]byte, uint32) {
-	h := uint32(fnvOffset)
+// appendPacked appends the packed form of key under m to dst. It writes
+// into room for two bytes a byte of key, the most any byte packs to, which
+// a caller's buffer of that much spares it from allocating.
+func appendPacked[K string | []byte](m *keyModel, dst []byte, key K) []byte {
+	dst = slices.Grow(dst, 2*len(key))
+	o := len(dst)
+	dst = dst[:cap(dst)]
 	for i := 0; i < len(key); {
-		j := i
-		for ; j < len(key) && key[j]-'0' > 9; j++ {
-			h = (h ^ uint32(key[j])) * fnvPrime
-			if key[j] == packMark {
-				dst = append(append(dst, key[i:j+1]...), 0)
-				i = j + 1
+		if c := key[i]; c-'0' > 9 {
+			if c >= modelMark {
+				dst[o], dst[o+1] = packMark, packMark-c
+				o += 2
+			} else {
+				dst[o] = c
+				o++
 			}
+			i++
+			continue
 		}
-		dst = append(dst, key[i:j]...)
-		i = j
+		j := i
 		var v uint64
+		for ; j+8 <= len(key) && j+8-i <= maxRun; j += 8 {
+			x := uint64(key[j]) | uint64(key[j+1])<<8 | uint64(key[j+2])<<16 | uint64(key[j+3])<<24 |
+				uint64(key[j+4])<<32 | uint64(key[j+5])<<40 | uint64(key[j+6])<<48 | uint64(key[j+7])<<56
+			d, ok := eightDigits(x)
+			if !ok {
+				break
+			}
+			v = v*1e8 + d
+		}
 		for ; j < len(key) && j-i < maxRun && key[j]-'0' <= 9; j++ {
-			h = (h ^ uint32(key[j])) * fnvPrime
 			v = v*10 + uint64(key[j]-'0')
 		}
-		if n := j - i; 1+runBytes[n] < n {
-			var be [8]byte
-			binary.BigEndian.PutUint64(be[:], v)
-			w := runBytes[n] - 1 // the bytes after the one that holds n
-			dst = append(dst, packMark, byte(n)<<3|byte(v>>(8*w)))
-			dst = append(dst, be[8-w:]...)
+		n := j - i
+		mark, w := byte(modelMark), int(m[n])
+		if v>>(3+8*w) != 0 {
+			mark, w = packMark, runBytes[n]-1
+		}
+		if 2+w < n {
+			dst[o], dst[o+1] = mark, byte(n)<<3|byte(v>>(8*w))
+			o += 2
+			for k := w - 1; k >= 0; k-- {
+				dst[o] = byte(v >> (8 * k))
+				o++
+			}
 		} else {
-			dst = append(dst, key[i:j]...)
+			o += copy(dst[o:], key[i:j])
 		}
 		i = j
 	}
-	return dst, h
+	return dst[:o]
 }
 
-// appendUnpacked appends the key whose packed form is packed to dst.
-func appendUnpacked(dst, packed []byte) []byte {
-	for i := 0; i < len(packed); i++ {
-		c := packed[i]
-		if c != packMark {
+// eightDigits is the value of the eight ASCII digits in x, the first in its
+// lowest byte, and whether they are all digits: a byte is one when its high
+// nibble is 3 and adding 6 leaves it so (a carry out of a byte comes only
+// from one that is no digit).
+func eightDigits(x uint64) (uint64, bool) {
+	if x&0xF0F0F0F0F0F0F0F0|(x+0x0606060606060606)&0xF0F0F0F0F0F0F0F0>>4 != 0x3333333333333333 {
+		return 0, false
+	}
+	x -= 0x3030303030303030
+	x = x*10 + x>>8 // each byte pair holds two digits' value in its low byte
+	return (x&0x000000FF000000FF*(100+1000000<<32) + x>>16&0x000000FF000000FF*(1+10000<<32)) >> 32, true
+}
+
+// next decodes what starts at packed[i]: a byte of the key (n = 0), or a
+// piece of n digits of value v. j is where the next one starts.
+func (m *keyModel) next(packed []byte, i int) (c byte, n int, v uint64, j int) {
+	if c = packed[i]; c < modelMark {
+		return c, 0, 0, i + 1
+	}
+	if n = int(packed[i+1] >> 3); n == 0 {
+		return packMark - packed[i+1], 0, 0, i + 2
+	}
+	w := int(m[n])
+	if c == packMark {
+		w = runBytes[n] - 1
+	}
+	v = uint64(packed[i+1] & 7)
+	for j = i + 2; j < i+2+w; j++ {
+		v = v<<8 | uint64(packed[j])
+	}
+	return 0, n, v, j
+}
+
+// appendUnpacked appends the key whose packed form under m is packed to dst.
+func (m *keyModel) appendUnpacked(dst, packed []byte) []byte {
+	for i := 0; i < len(packed); {
+		c, n, v, j := m.next(packed, i)
+		i = j
+		if n == 0 {
 			dst = append(dst, c)
 			continue
-		}
-		i++
-		n := int(packed[i] >> 3)
-		if n == 0 {
-			dst = append(dst, packMark)
-			continue
-		}
-		v := uint64(packed[i] & 7)
-		for end := i + runBytes[n] - 1; i < end; {
-			i++
-			v = v<<8 | uint64(packed[i])
 		}
 		// Grown in place, not by append of a make: the compiler turns that
 		// into no allocation only when race instrumentation is off.
@@ -128,26 +175,119 @@ func appendUnpacked(dst, packed []byte) []byte {
 	return dst
 }
 
-// unpackKey is the key whose packed form is packed.
-func unpackKey(packed []byte) string {
+// unpackKey is the key whose packed form under m is packed.
+func (m *keyModel) unpackKey(packed []byte) string {
 	var buf keyBuf
-	return string(appendUnpacked(buf[:0], packed))
+	return string(m.appendUnpacked(buf[:0], packed))
 }
 
-// unpackedLen is len(unpackKey(packed)) without building the key.
-func unpackedLen(packed []byte) int {
-	n := len(packed)
-	for i := 0; i < len(packed); i++ {
-		if packed[i] != packMark {
+// unpackedLen is len(m.unpackKey(packed)) without building the key.
+func (m *keyModel) unpackedLen(packed []byte) int {
+	size := 0
+	for i := 0; i < len(packed); {
+		_, n, _, j := m.next(packed, i)
+		size += max(n, 1)
+		i = j
+	}
+	return size
+}
+
+// hash is fnv1a of the key whose packed form under m is packed, streamed
+// through FNV a byte and a piece at a time: no key is built. It is what a
+// resize pays a record, so the bytes that stand for themselves take no call.
+func (m *keyModel) hash(packed []byte) uint32 {
+	h := uint32(fnvOffset)
+	for i := 0; i < len(packed); {
+		if c := packed[i]; c < modelMark {
+			h = (h ^ uint32(c)) * fnvPrime
+			i++
 			continue
 		}
-		if run := int(packed[i+1] >> 3); run == 0 {
-			n--
-			i++
+		c, n, v, j := m.next(packed, i)
+		if n == 0 {
+			h = (h ^ uint32(c)) * fnvPrime
 		} else {
-			n += run - 1 - runBytes[run]
-			i += runBytes[run]
+			h = hashDigits(h, n, v)
+		}
+		i = j
+	}
+	return h
+}
+
+// zeroRun, pairRun and fnvPow fold digits into an FNV-1a state a run at a
+// time. Xoring in a byte below 64 changes only the state's low 6 bits, so m
+// such bytes take a state h to (h &^ 63)·p^m plus a function of h & 63 and
+// the bytes alone: zeroRun[m][h & 63] for m '0's, pairRun[d][h & 63] for the
+// two digits of d. fnvPow[m] is p^m.
+var (
+	fnvPow  [maxRun + 1]uint32
+	zeroRun [maxRun + 1][64]uint32
+	pairRun [100][64]uint32
+)
+
+func init() {
+	fnvPow[0] = 1
+	for m := 1; m <= maxRun; m++ {
+		fnvPow[m] = fnvPow[m-1] * fnvPrime
+	}
+	for l := range uint32(64) {
+		h := l
+		for m := 0; m <= maxRun; m++ {
+			zeroRun[m][l] = h
+			h = (h ^ '0') * fnvPrime
+		}
+		for d := range uint32(100) {
+			pairRun[d][l] = ((l^('0'+d/10))*fnvPrime ^ ('0' + d%10)) * fnvPrime
 		}
 	}
-	return n
+}
+
+// hashDigits folds v, written as n decimal digits, into the FNV-1a state h:
+// its leading zeros in one step, then its digits two at a time, from the
+// pairs divisions by 100 leave (32-bit ones once v fits 32 bits).
+func hashDigits(h uint32, n int, v uint64) uint32 {
+	var pairs [maxRun / 2]uint8 // the last two digits first
+	k := 0
+	for ; v > math.MaxUint32; k++ {
+		pairs[k] = uint8(v % 100)
+		v /= 100
+	}
+	x := uint32(v)
+	for ; x >= 100; k++ {
+		pairs[k] = uint8(x % 100)
+		x /= 100
+	}
+	switch {
+	case x >= 10:
+		h = (h&^63)*fnvPow[n-2*k-2] + zeroRun[n-2*k-2][h&63]
+		h = (h&^63)*fnvPow[2] + pairRun[x][h&63]
+	case x > 0:
+		h = (h&^63)*fnvPow[n-2*k-1] + zeroRun[n-2*k-1][h&63]
+		h = (h ^ ('0' + x)) * fnvPrime
+	default:
+		h = (h&^63)*fnvPow[n-2*k] + zeroRun[n-2*k][h&63]
+	}
+	for k--; k >= 0; k-- {
+		h = (h&^63)*fnvPow[2] + pairRun[pairs[k]][h&63]
+	}
+	return h
+}
+
+// widen widens m to hold every digit piece of key, as written, that a
+// piece at the width that holds it would shorten.
+func (m *keyModel) widen(key []byte) {
+	for i := 0; i < len(key); {
+		for i < len(key) && key[i]-'0' > 9 {
+			i++
+		}
+		j := i
+		var v uint64
+		for ; j < len(key) && j-i < maxRun && key[j]-'0' <= 9; j++ {
+			v = v*10 + uint64(key[j]-'0')
+		}
+		if n, w := j-i, width(v); 2+w < n {
+			m[n] = max(m[n], uint8(w))
+		}
+		i = j
+	}
 }

@@ -10,64 +10,135 @@ import (
 	"tierbase/internal/workload"
 )
 
+// ledgerModel is the key model a stripe of the ledger's k%015d keys learns:
+// 2 bytes beside the length byte's 3 bits for a 15-digit piece, values up
+// to 524 287.
+var ledgerModel = keyModel{15: 2}
+
+// pack is key packed under m.
+func pack(m keyModel, key string) []byte { return appendPacked(&m, nil, key) }
+
 // TestKeyPackForm pins the packed form of one key of each shape: a digit
-// run the mark shortens, one it does not, a run past maxRun digits, and a
-// literal 0xFF.
+// piece that fits the model, at either end of a width, one that does not, a
+// piece neither form shortens, a run past maxRun digits, and literal 0xFF
+// and 0xFE bytes.
 func TestKeyPackForm(t *testing.T) {
 	for _, c := range []struct {
-		key  string
-		want []byte
+		model keyModel
+		key   string
+		want  []byte
 	}{
-		{"", nil},
-		{"k000000000123456", []byte{'k', packMark, 15 << 3, 0, 0, 0, 0x01, 0xE2, 0x40}},
-		{"user:000000000042", []byte{'u', 's', 'e', 'r', ':', packMark, 12 << 3, 0, 0, 0, 0, 42}},
-		{"k1234", []byte("k1234")}, // 4 bytes either way
-		{"k01234", []byte{'k', packMark, 5 << 3, 0x04, 0xD2}},
-		{"99999", []byte{packMark, 5<<3 | 1, 0x86, 0x9F}},
-		{strings.Repeat("0", 21), []byte{packMark, 19 << 3, 0, 0, 0, 0, 0, 0, 0, 0, '0', '0'}},
-		{"a\xffb", []byte{'a', packMark, 0, 'b'}},
+		{keyModel{}, "", nil},
+		{keyModel{}, "k000000000123456", []byte{'k', packMark, 15 << 3, 0, 0, 0, 0x01, 0xE2, 0x40}},
+		{ledgerModel, "k000000000123456", []byte{'k', modelMark, 15<<3 | 1, 0xE2, 0x40}},
+		{ledgerModel, "k000000000524287", []byte{'k', modelMark, 15<<3 | 7, 0xFF, 0xFF}},
+		{ledgerModel, "k000000000524288", []byte{'k', packMark, 15 << 3, 0, 0, 0, 0x08, 0, 0}},
+		{keyModel{}, "user:000000000042", []byte{'u', 's', 'e', 'r', ':', packMark, 12 << 3, 0, 0, 0, 0, 42}},
+		{keyModel{12: 1}, "user:000000000042", []byte{'u', 's', 'e', 'r', ':', modelMark, 12 << 3, 42}},
+		{keyModel{}, "k007", []byte{'k', modelMark, 3<<3 | 7}},
+		{keyModel{}, "k1234", []byte("k1234")}, // 4 bytes either way
+		{keyModel{4: 1}, "k1234", []byte{'k', modelMark, 4<<3 | 4, 0xD2}},
+		{keyModel{}, "k01234", []byte{'k', packMark, 5 << 3, 0x04, 0xD2}},
+		{keyModel{}, "99999", []byte{packMark, 5<<3 | 1, 0x86, 0x9F}},
+		{keyModel{}, strings.Repeat("0", 21), []byte{modelMark, 19 << 3, '0', '0'}},
+		{keyModel{}, "a\xffb", []byte{'a', packMark, 0, 'b'}},
+		{keyModel{}, "a\xfeb", []byte{'a', packMark, 1, 'b'}},
 	} {
-		if got := packKey(c.key); !bytes.Equal(got, c.want) {
-			t.Errorf("pack(%q) = %x, want %x", c.key, got, c.want)
+		if got := pack(c.model, c.key); !bytes.Equal(got, c.want) {
+			t.Errorf("pack(%v, %q) = %x, want %x", c.model, c.key, got, c.want)
 		}
 	}
 }
 
-// FuzzKeyPack checks that unpack inverts pack, that what pack writes is
-// the one packed form of its key (it unpacks and packs back to itself),
-// that no two keys pack equal, and that how long a key packs depends on
-// where its digits are and not on what they are.
+// modelOf is the key model widths spell: widths[n-1] is the width of n
+// digits, taken modulo the widths n may have.
+func modelOf(widths []byte) (m keyModel) {
+	for n := 1; n <= min(maxRun, len(widths)); n++ {
+		m[n] = widths[n-1] % uint8(runBytes[n])
+	}
+	return m
+}
+
+// pieceLen is what a piece of n digits takes at width w: the mark, the
+// length byte and w bytes, or its digits where that is no shorter.
+func pieceLen(n, w int) int {
+	if 2+w < n {
+		return 2 + w
+	}
+	return n
+}
+
+// misfitCost is how many bytes more key packs to under m than the key of
+// its shape whose digits are all 0: for each digit piece that does not fit
+// m, its full form's length (or its digits') less its model form's.
+func misfitCost(m keyModel, key string) int {
+	cost := 0
+	for i := 0; i < len(key); {
+		for i < len(key) && key[i]-'0' > 9 {
+			i++
+		}
+		j := i
+		var v uint64
+		for ; j < len(key) && j-i < maxRun && key[j]-'0' <= 9; j++ {
+			v = v*10 + uint64(key[j]-'0')
+		}
+		if n := j - i; n > 0 && width(v) > int(m[n]) {
+			cost += pieceLen(n, runBytes[n]-1) - pieceLen(n, int(m[n]))
+		}
+		i = j
+	}
+	return cost
+}
+
+// FuzzKeyPack checks, under a model drawn from widths: that unpack inverts
+// pack, and hash and unpackedLen read the key as written; that what pack
+// writes is the one packed form of its key (it unpacks and packs back to
+// itself, from a string or a []byte) and no longer than its escaped self;
+// that two keys pack equal only if they are equal; and that a key packs to
+// one length per shape as long as its digit pieces fit the model, each one
+// that does not taking its full form (or its digits, where that is no
+// shorter).
 func FuzzKeyPack(f *testing.F) {
 	nines := strings.Repeat("9", 40)
 	for _, seed := range [][2]string{
 		{"", "0"},
 		{"\xff", "\xff\x00"},
-		{"\xff\x0f\x01", "\xff\xff"},
+		{"\xff\x0f\x01", "\xff\xfe"},
 		{"k000000000123456", "k000000000123457"},
 		{nines[:19], nines[:20]},
 		{nines, "x" + strings.Repeat("0", 40)},
 		{"00001234", "1234"},
 		{"txn:000000000000007", "user:000000000007"},
+		{"1234567:12345678", "1234567\xfa12345678/9"},
 	} {
-		f.Add(seed[0], seed[1])
+		f.Add(seed[0], seed[1], []byte(nil))
 	}
-	f.Fuzz(func(t *testing.T, a, b string) {
-		pa, pb := packKey(a), packKey(b)
+	// One below and one above each width a 15-digit piece may have, under
+	// the model that gives it that width.
+	for w := 0; w < runBytes[15]; w++ {
+		widths := make([]byte, 15)
+		widths[14] = byte(w)
+		top := uint64(1) << (3 + 8*w)
+		f.Add(fmt.Sprintf("k%015d", top-1), fmt.Sprintf("k%015d", top), widths)
+	}
+	f.Fuzz(func(t *testing.T, a, b string, widths []byte) {
+		m := modelOf(widths)
+		pa, pb := pack(m, a), pack(m, b)
 		for _, c := range []struct {
 			key    string
 			packed []byte
 		}{{a, pa}, {b, pb}} {
-			if got := unpackKey(c.packed); got != c.key {
-				t.Fatalf("%q packs to %x, which unpacks to %q", c.key, c.packed, got)
+			if got := m.unpackKey(c.packed); got != c.key {
+				t.Fatalf("%q packs to %x under %v, which unpacks to %q", c.key, c.packed, m, got)
 			}
-			if n := unpackedLen(c.packed); n != len(c.key) {
-				t.Fatalf("%q packs to %x, of unpacked length %d", c.key, c.packed, n)
+			if n, h := m.unpackedLen(c.packed), m.hash(c.packed); n != len(c.key) || h != fnv1a(c.key) {
+				t.Fatalf("%q packs to %x under %v, of unpacked length %d and hash %#x", c.key, c.packed, m, n, h)
 			}
-			if again := packKey(unpackKey(c.packed)); !bytes.Equal(again, c.packed) {
-				t.Fatalf("%q packs to %x, then to %x", c.key, c.packed, again)
+			if again := pack(m, m.unpackKey(c.packed)); !bytes.Equal(again, c.packed) || !bytes.Equal(appendPacked(&m, nil, []byte(c.key)), c.packed) {
+				t.Fatalf("%q packs to %x under %v, then to %x", c.key, c.packed, m, again)
 			}
-			if len(c.packed) > len(c.key)+strings.Count(c.key, "\xff") {
-				t.Fatalf("%q packs to %x, longer than its escaped self", c.key, c.packed)
+			if len(c.packed) > len(c.key)+strings.Count(c.key, "\xfe")+strings.Count(c.key, "\xff") {
+				t.Fatalf("%q packs to %x under %v, longer than its escaped self", c.key, c.packed, m)
 			}
 			zeroed := []byte(c.key)
 			for i, d := range zeroed {
@@ -75,12 +146,12 @@ func FuzzKeyPack(f *testing.F) {
 					zeroed[i] = '0'
 				}
 			}
-			if z := packKey(string(zeroed)); len(z) != len(c.packed) {
-				t.Fatalf("%q packs to %d bytes, %q to %d", c.key, len(c.packed), zeroed, len(z))
+			if z := pack(m, string(zeroed)); len(c.packed) != len(z)+misfitCost(m, c.key) {
+				t.Fatalf("%q packs to %d bytes under %v, %q to %d, and its pieces that do not fit cost %d", c.key, len(c.packed), m, zeroed, len(z), misfitCost(m, c.key))
 			}
 		}
 		if a != b && bytes.Equal(pa, pb) {
-			t.Fatalf("%q and %q both pack to %x", a, b, pa)
+			t.Fatalf("%q and %q both pack to %x under %v", a, b, pa, m)
 		}
 	})
 }
@@ -103,15 +174,17 @@ func longestRun(e *Engine) (run, spilled int) {
 }
 
 // TestLedgerKeyShape pins what the ledger's keys (k%015d, 18-byte values)
-// cost, as a format pin: 200 000 of them take exactly 7 176 256 bytes,
-// which is 7 bytes a key less than with keys stored as written (the mark
-// and 7 bytes of length and value where there were 15 digits), and 1 376 256
-// of it is index: sixteen tables of 14 336 slots, 0.87 full, every resize
-// done by the time the fill ends. At 200k and 1M keys nothing spills
-// and no entry is within a quarter of the reach of its limit (the longest
-// runs are 39 and 43 slots: what random hashes give at those loads, since
-// the stripe is chosen by the hash of the key as written and the slot by
-// that of the key packed).
+// cost, as a format pin: every stripe learns the model {15: 2} while its
+// table is short (the largest key at its last one-hold rebuild is about
+// 10.8k, under the 524 287 that 2 bytes hold), and 200 000 keys take
+// exactly 6 376 256 bytes, every key 5 bytes packed ('k', the mark, the
+// length byte and 2 bytes), which is 11 bytes a key less than with keys
+// stored as written, and 1 376 256 of it is index: sixteen tables of 14 336
+// slots, 0.87 full, every resize done by the time the fill ends. At 200k and
+// 1M keys nothing spills and no entry is within a quarter of the reach of
+// its limit, though the stripe and the slot now come from one fnv1a of the
+// key: the stripe from its low bits, the home from the high bits of its
+// Fibonacci product.
 func TestLedgerKeyShape(t *testing.T) {
 	for _, n := range []int{200_000, 1_000_000} {
 		e := New(Options{})
@@ -120,19 +193,32 @@ func TestLedgerKeyShape(t *testing.T) {
 			e.Set(fmt.Sprintf("k%015d", i), val)
 		}
 		if n == 200_000 {
-			saved := int64(n * 7)
+			for _, s := range e.shards {
+				if s.strs.model != ledgerModel {
+					t.Fatalf("a stripe learned the model %v, want %v", s.strs.model, ledgerModel)
+				}
+				s.strs.each(func(rec record) bool {
+					if k := rec.key(); len(k) != 5 {
+						t.Fatalf("%q packs to %x", s.strs.model.unpackKey(k), k)
+					}
+					return true
+				})
+			}
+			saved := int64(n * 11)
 			st := e.Stats()
 			if st.PackedBytes != saved {
 				t.Errorf("packing saved %d bytes, want %d", st.PackedBytes, saved)
 			}
-			if got, want := e.MemUsed(), 8_576_256-saved; got != want {
+			if got, want := e.MemUsed(), 8_576_256-saved; got != want || got != 6_376_256 {
 				t.Errorf("MemUsed %d, want %d", got, want)
 			}
 			if st.IndexBytes != 1_376_256 || st.PayloadBytes+st.PackedBytes != int64(n)*(16+18) {
 				t.Errorf("index %d bytes, payload %d + %d packed away", st.IndexBytes, st.PayloadBytes, st.PackedBytes)
 			}
 		}
-		if run, spilled := longestRun(e); spilled != 0 || run > reach*3/4 {
+		run, spilled := longestRun(e)
+		t.Logf("%d keys: longest run %d", n, run)
+		if spilled != 0 || run > reach*3/4 {
 			t.Errorf("%d keys: longest run %d of a reach of %d, %d spilled", n, run, reach, spilled)
 		}
 	}
@@ -142,8 +228,8 @@ func TestLedgerKeyShape(t *testing.T) {
 // pin: 200 000 k%015d keys with workload.NewKV1 values under PBC trained as
 // the server trains it (Sample(kv1, 500)). A value whose numbers lie inside
 // the sample's ranges compresses to the 13 bytes of PBC's bit field, header
-// bits included, and its record is 23 bytes: the flags-and-length byte, the
-// 9-byte packed key and the value, with no value length. The rest carry an
+// bits included, and its record is 19 bytes: the flags-and-length byte, the
+// 5-byte packed key and the value, with no value length. The rest carry an
 // excess past a slot's all-ones code. MemUsed is every record at its slot
 // and the sixteen 14 336-slot tables of TestLedgerKeyShape, to the byte.
 func TestLedgerRecordShape(t *testing.T) {
@@ -160,19 +246,19 @@ func TestLedgerRecordShape(t *testing.T) {
 	for _, s := range e.shards {
 		s.strs.each(func(rec record) bool {
 			f := s.strs.parse(rec)
-			if f.flags != flagCompressed || len(f.key) != 9 || f.size != 1+9+len(f.val) {
-				t.Fatalf("record of %q: flags %#x, %d B for a %d B value", unpackKey(f.key), f.flags, f.size, len(f.val))
+			if f.flags != flagCompressed || len(f.key) != 5 || f.size != 1+5+len(f.val) {
+				t.Fatalf("record of %q: flags %#x, %d B for a %d B value", s.strs.model.unpackKey(f.key), f.flags, f.size, len(f.val))
 			}
 			sizes[f.size]++
 			slots += int64(slotSize(f.size))
 			return true
 		})
 	}
-	if want := map[int]int{23: 193_790, 24: 6_165, 25: 45}; fmt.Sprint(sizes) != fmt.Sprint(want) {
+	if want := map[int]int{19: 193_790, 20: 6_165, 21: 45}; fmt.Sprint(sizes) != fmt.Sprint(want) {
 		t.Errorf("records by size %v, want %v", sizes, want)
 	}
 	st := e.Stats()
-	if st.IndexBytes != 1_376_256 || e.MemUsed() != slots+st.IndexBytes || e.MemUsed() != 5_982_511 {
+	if st.IndexBytes != 1_376_256 || e.MemUsed() != slots+st.IndexBytes || e.MemUsed() != 5_182_511 {
 		t.Errorf("MemUsed %d: %d of records, %d of index", e.MemUsed(), slots, st.IndexBytes)
 	}
 }

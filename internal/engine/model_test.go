@@ -278,6 +278,21 @@ func (m *model) step(shrinking bool) {
 	case op < 67 && m.rng.Intn(8) == 0:
 		e.FlushAll()
 		m.keys = map[string]*mval{}
+	case op < 67 && m.rng.Intn(7) < 2:
+		// A re-model: one stripe's key model set back to zero, so that its
+		// keys take their full forms beside the model forms of keys small
+		// enough for it until a rebuild widens it again, or widened now to
+		// hold every key the stripe has.
+		s := e.shards[m.rng.Intn(e.NumShards())]
+		s.mu.Lock()
+		held := s.strs.held()
+		if m.rng.Intn(2) == 0 {
+			s.strs.setModel(keyModel{})
+		} else {
+			s.strs.remodel()
+		}
+		s.memUsed.Add(s.strs.held() - held)
+		s.mu.Unlock()
 	case op < 72:
 		elem := m.val()
 		v, ok := m.coll(k, KindList)
@@ -514,8 +529,10 @@ func (m *model) check() {
 	}
 }
 
-// checkBooks recomputes every stripe's accounts from what it holds and
-// verifies that every record is reachable through find, that every
+// checkBooks recomputes every stripe's accounts from what it holds (keys
+// unpacked under the stripe's model, and what packing took off them) and
+// verifies that every key is stored in its packed form under that model,
+// that every record is reachable through find, that every
 // collection is a canonical blob (so holds an element), that an empty
 // stripe holds neither table nor page, and that the index's and the slab's
 // own invariants hold (checkIndex, checkSlab).
@@ -523,7 +540,7 @@ func checkBooks(e *Engine) error {
 	for si, s := range e.shards {
 		s.mu.RLock()
 		ix := &s.strs
-		mem, payload, packed := ix.charge, int64(0), int64(0)
+		mem, users, packed := ix.charge, int64(0), int64(0)
 		var err error
 		ix.each(func(rec record) bool {
 			f := ix.parse(rec)
@@ -532,11 +549,11 @@ func checkBooks(e *Engine) error {
 			} else {
 				mem += int64(slotSize(f.size))
 			}
-			payload += f.payload()
-			key := unpackKey(f.key)
+			key := ix.model.unpackKey(f.key)
+			users += payload(f.flags, len(key), len(f.val))
 			packed += int64(len(key) - len(f.key))
-			if string(packKey(key)) != string(f.key) {
-				err = fmt.Errorf("%q is stored as %q, which is not its packed form", key, f.key)
+			if string(ix.pack(key)) != string(f.key) {
+				err = fmt.Errorf("%q is stored as %x, which is not its packed form under %v", key, f.key, ix.model)
 			}
 			if at, got := ix.findKey(key); at < 0 || &got[0] != &rec[0] {
 				err = fmt.Errorf("record of %q not reachable from its home slot", key)
@@ -550,9 +567,9 @@ func checkBooks(e *Engine) error {
 		case err != nil:
 		case ix.n == 0 && (len(ix.recs.pages) != 0 || len(ix.recs.own) != 0):
 			err = fmt.Errorf("empty index keeps %d pages", len(ix.recs.pages))
-		case mem != s.memUsed.Load() || payload != s.payload.Load() || packed != s.packed:
+		case mem != s.memUsed.Load() || users != s.payload.Load() || packed != ix.packed:
 			err = fmt.Errorf("accounts say mem %d payload %d packed %d, contents say %d, %d and %d",
-				s.memUsed.Load(), s.payload.Load(), s.packed, mem, payload, packed)
+				s.memUsed.Load(), s.payload.Load(), ix.packed, mem, users, packed)
 		default:
 			if err = checkIndex(ix); err == nil {
 				err = checkSlab(&ix.recs)
@@ -897,6 +914,88 @@ func TestReadersAcrossSpreadResizes(t *testing.T) {
 	}
 	if err := checkBooks(e); err != nil || e.Len() != 0 {
 		t.Fatalf("after the run: %d keys, %v", e.Len(), err)
+	}
+}
+
+// TestReadersAcrossRemodels is the -race leg of the key model: with every
+// key on one stripe, a writer inserts k%015d keys whose values are i^5, so
+// that rebuild after rebuild finds keys its model does not fit and widens
+// it, re-packing every record into a fresh slab under the write lock; after
+// each insert it overwrites an earlier key, which swaps that key's ref.
+// Readers Get and MGet keys certainly present, each packed under the model
+// its reader finds under the read lock. A reader that packed under a stale
+// model, or read a record in a slab a re-model let go of, misses a present
+// key or returns another key's value. Every round starts from an empty
+// engine, and in each the model must widen at least four times.
+func TestReadersAcrossRemodels(t *testing.T) {
+	const rounds, n = 12, 900
+	key := func(i int) string { x := uint64(i); return fmt.Sprintf("k%015d", x*x*x*x*x) }
+	val := func(i, version int) []byte { return []byte(fmt.Sprintf("%d:%d", i, version)) }
+	isVal := func(i int, v []byte) bool { return bytes.HasPrefix(v, []byte(strconv.Itoa(i)+":")) }
+	for round := 0; round < rounds; round++ {
+		e := New(Options{Shards: 1})
+		s := e.shards[0]
+		// Keys [0, alive) are certainly present: the writer raises alive
+		// after an insert.
+		var alive atomic.Int64
+		var stop atomic.Bool
+		var wg sync.WaitGroup
+		widened := 0
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer stop.Store(true)
+			rng := rand.New(rand.NewSource(int64(round)))
+			for i := 0; i < n; i++ {
+				s.mu.RLock()
+				before := s.strs.model
+				s.mu.RUnlock()
+				e.Set(key(i), val(i, 0))
+				alive.Store(int64(i + 1))
+				j := rng.Intn(i + 1)
+				e.Set(key(j), val(j, i+1))
+				s.mu.RLock()
+				if s.strs.model != before {
+					widened++
+				}
+				s.mu.RUnlock()
+			}
+		}()
+		errs := make(chan error, 2)
+		for r := 0; r < 2; r++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for !stop.Load() {
+					a := alive.Load()
+					if a == 0 {
+						continue
+					}
+					i := int(rng.Int63n(a))
+					if v, err := e.Get(key(i)); err != nil || !isVal(i, v) {
+						errs <- fmt.Errorf("Get(%s) = %q, %v with %d keys present", key(i), v, err, a)
+						return
+					}
+					batch := []int{i, int(rng.Int63n(a)), int(rng.Int63n(a))}
+					vals, _, err := e.MGetDetail([]string{key(batch[0]), key(batch[1]), key(batch[2])})
+					for b, i := range batch {
+						if err != nil || !isVal(i, vals[b]) {
+							errs <- fmt.Errorf("MGetDetail(%s) = %q, %v with %d keys present", key(i), vals, err, a)
+							return
+						}
+					}
+				}
+			}(int64(100*round + r))
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if err := checkBooks(e); err != nil || e.Len() != n || widened < 4 {
+			t.Fatalf("round %d: %d keys, the model widened %d times to %v; %v", round, e.Len(), widened, s.strs.model, err)
+		}
 	}
 }
 

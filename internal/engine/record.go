@@ -13,9 +13,10 @@ import (
 //
 //	flags+len(key) | [uvarint len(key)] | key | [deadline] | [uvarint len(value)] | value
 //
-// key is the key packed (keypack.go). Byte 0 holds the four flags in its
-// low bits and the key length above them; a key past maxShortKey bytes puts
-// longKey there and its length in a uvarint after. deadline (8 bytes,
+// key is the key packed under its stripe's key model (keypack.go). Byte 0
+// holds the four flags in its low bits and the key length above them; a key
+// past maxShortKey bytes puts longKey there and its length in a uvarint
+// after. deadline (8 bytes,
 // little-endian unixnanos, 0 = none) is present only with flagTTL. value is
 // a string's stored bytes: compressed with flagCompressed, and with
 // flagPMem not the bytes themselves but the 12-byte pmem.Ref to them. With
@@ -225,16 +226,15 @@ func (r record) withDeadline(dst record, f fields, at int64) {
 	copy(dst[f.head+8:], r[f.head:f.size])
 }
 
-// payload is the user bytes a record of these flags holds in DRAM: the
-// key as stored (packed), and the stored value unless it lives in PMem.
+// payload is the user bytes of a record of these flags whose key is klen
+// bytes: the key, and the stored value unless it lives in PMem. A stripe
+// counts its keys as written, and PayloadBytes takes what packing took off.
 func payload(flags byte, klen, vlen int) int64 {
 	if flags&flagPMem != 0 {
 		return int64(klen)
 	}
 	return int64(klen + vlen)
 }
-
-func (f fields) payload() int64 { return payload(f.flags, len(f.key), len(f.val)) }
 
 // ref is the PMem location of a flagPMem record's value.
 func (st stored) ref() pmem.Ref {

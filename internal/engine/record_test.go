@@ -64,8 +64,8 @@ func recordRoundTrip(key string, vlen int, flags byte, deadline int64) error {
 			return fmt.Errorf("%s: value changed", what)
 		case want == nil && f.ref() != st.ref:
 			return fmt.Errorf("%s: ref %+v, want %+v", what, f.ref(), st.ref)
-		case f.payload() != payload(st.flags, len(key), len(st.val)):
-			return fmt.Errorf("%s: payload %d, staged value says %d", what, f.payload(), payload(st.flags, len(key), len(st.val)))
+		case payload(f.flags, len(f.key), len(f.val)) != payload(st.flags, len(key), len(st.val)):
+			return fmt.Errorf("%s: payload %d, staged value says %d", what, payload(f.flags, len(f.key), len(f.val)), payload(st.flags, len(key), len(st.val)))
 		case !has(key) || has(key+"x") || has("x"+key):
 			return fmt.Errorf("%s: hasKey does not tell %q from a longer key", what, key)
 		case len(key) > 0 && (has(key[1:]) || has(key[:len(key)-1]+"\x00")):
@@ -114,14 +114,15 @@ func TestRecordLayout(t *testing.T) {
 			}
 		}
 	}
-	// What the ledger's hit-read key costs: its key packed (k%015d is 9
-	// bytes), its stored value and one byte; a raw value adds its length.
-	k := packKey("k000000000123456")
-	if got := recordLen(k, staged{flags: flagCompressed, val: make([]byte, 13)}); got != 1+9+13 {
-		t.Errorf("a 16 B key with a 13 B compressed value is a %d B record, want 23", got)
+	// What the ledger's hit-read key costs: its key packed (k%015d is 5
+	// bytes under the model its stripes learn), its stored value and one
+	// byte; a raw value adds its length.
+	k := pack(ledgerModel, "k000000000123456")
+	if got := recordLen(k, staged{flags: flagCompressed, val: make([]byte, 13)}); got != 1+5+13 {
+		t.Errorf("a 16 B key with a 13 B compressed value is a %d B record, want 19", got)
 	}
-	if got := recordLen(k, staged{val: make([]byte, 18)}); got != 1+9+1+18 {
-		t.Errorf("a 16 B key with an 18 B raw value is a %d B record, want 29", got)
+	if got := recordLen(k, staged{val: make([]byte, 18)}); got != 1+5+1+18 {
+		t.Errorf("a 16 B key with an 18 B raw value is a %d B record, want 25", got)
 	}
 }
 
