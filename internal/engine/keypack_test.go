@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"tierbase/internal/compress"
+	"tierbase/internal/pmem"
 	"tierbase/internal/workload"
 )
 
@@ -260,5 +261,71 @@ func TestLedgerRecordShape(t *testing.T) {
 	st := e.Stats()
 	if st.IndexBytes != 1_376_256 || e.MemUsed() != slots+st.IndexBytes || e.MemUsed() != 5_182_511 {
 		t.Errorf("MemUsed %d: %d of records, %d of index", e.MemUsed(), slots, st.IndexBytes)
+	}
+}
+
+// TestRemodelCarriesEveryRecordKind: a re-model re-packs every record into
+// a fresh slab, and each kind of record comes through it whole. One stripe
+// with an arena takes k%015d keys whose values are i^5, so that rebuild
+// after rebuild widens its model, as raw strings, PMem values (which keep
+// their arena ref: the arena's bytes do not move or grow), strings with a
+// deadline and sets; every key then reads back as written, and the books
+// balance.
+func TestRemodelCarriesEveryRecordKind(t *testing.T) {
+	arena := pmem.NewArena(pmem.OpenVolatile(1<<22, pmem.Latency{}))
+	e := New(Options{Shards: 1, Arena: arena})
+	ix := &e.shards[0].strs
+	key := func(i int) string { x := uint64(i); return fmt.Sprintf("k%015d", x*x*x*x*x) }
+	long := func(i int) []byte { return bytes.Repeat([]byte{byte(i)}, 100) }
+	const n = 900
+	models := map[keyModel]bool{}
+	var used int64
+	for i := 0; i < n; i++ {
+		switch i % 4 {
+		case 0:
+			e.Set(key(i), []byte(key(i)))
+		case 1:
+			e.Set(key(i), long(i))
+			if used == arena.Used() {
+				t.Fatalf("%s: a 100-byte value stayed out of the arena", key(i))
+			}
+			used = arena.Used()
+		case 2:
+			e.Set(key(i), []byte(key(i)))
+			e.ExpireAt(key(i), int64(4e18)+int64(i)) // far ahead
+		case 3:
+			e.SAdd(key(i), key(i), "x")
+		}
+		models[ix.model] = true
+		if arena.Used() != used {
+			t.Fatalf("after %d keys the arena holds %d bytes, %d before", i+1, arena.Used(), used)
+		}
+	}
+	if len(models) < 5 {
+		t.Fatalf("the model took only %d values: %v", len(models), models)
+	}
+	for i := 0; i < n; i++ {
+		k := key(i)
+		switch i % 4 {
+		case 0:
+			if v, err := e.Get(k); err != nil || string(v) != k {
+				t.Fatalf("Get(%s) = %q, %v", k, v, err)
+			}
+		case 1:
+			if v, err := e.Get(k); err != nil || !bytes.Equal(v, long(i)) {
+				t.Fatalf("Get(%s) = %q, %v", k, v, err)
+			}
+		case 2:
+			if d, ok := e.TTL(k); !ok || d <= 0 {
+				t.Fatalf("TTL(%s) = %v, %v", k, d, ok)
+			}
+		case 3:
+			if ok, err := e.SIsMember(k, k); !ok || err != nil {
+				t.Fatalf("SIsMember(%s) = %v, %v", k, ok, err)
+			}
+		}
+	}
+	if err := checkBooks(e); err != nil {
+		t.Fatal(err)
 	}
 }
