@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"math"
 	"math/bits"
 	"slices"
 )
@@ -35,7 +34,7 @@ import (
 //
 // The index compares packed keys, but hashes keys as written: the slot hash
 // and the stripe come from one fnv1a of the key (probe), and a resize
-// streams a record's key, unpacked, through FNV (keyModel.hash). So a
+// hashes a record's key unpacked, on the stack (keyModel.hash). So a
 // re-pack moves no entry. Everything outside the engine sees the key as
 // written; a key leaves a record through unpack: the clock's pinned call,
 // CollectExpired and ForEachEncodedChunked's key listing.
@@ -90,15 +89,6 @@ func appendPacked[K string | []byte](m *keyModel, dst []byte, key K) []byte {
 		}
 		j := i
 		var v uint64
-		for ; j+8 <= len(key) && j+8-i <= maxRun; j += 8 {
-			x := uint64(key[j]) | uint64(key[j+1])<<8 | uint64(key[j+2])<<16 | uint64(key[j+3])<<24 |
-				uint64(key[j+4])<<32 | uint64(key[j+5])<<40 | uint64(key[j+6])<<48 | uint64(key[j+7])<<56
-			d, ok := eightDigits(x)
-			if !ok {
-				break
-			}
-			v = v*1e8 + d
-		}
 		for ; j < len(key) && j-i < maxRun && key[j]-'0' <= 9; j++ {
 			v = v*10 + uint64(key[j]-'0')
 		}
@@ -120,19 +110,6 @@ func appendPacked[K string | []byte](m *keyModel, dst []byte, key K) []byte {
 		i = j
 	}
 	return dst[:o]
-}
-
-// eightDigits is the value of the eight ASCII digits in x, the first in its
-// lowest byte, and whether they are all digits: a byte is one when its high
-// nibble is 3 and adding 6 leaves it so (a carry out of a byte comes only
-// from one that is no digit).
-func eightDigits(x uint64) (uint64, bool) {
-	if x&0xF0F0F0F0F0F0F0F0|(x+0x0606060606060606)&0xF0F0F0F0F0F0F0F0>>4 != 0x3333333333333333 {
-		return 0, false
-	}
-	x -= 0x3030303030303030
-	x = x*10 + x>>8 // each byte pair holds two digits' value in its low byte
-	return (x&0x000000FF000000FF*(100+1000000<<32) + x>>16&0x000000FF000000FF*(1+10000<<32)) >> 32, true
 }
 
 // next decodes what starts at packed[i]: a byte of the key (n = 0), or a
@@ -192,85 +169,11 @@ func (m *keyModel) unpackedLen(packed []byte) int {
 	return size
 }
 
-// hash is fnv1a of the key whose packed form under m is packed, streamed
-// through FNV a byte and a piece at a time: no key is built. It is what a
-// resize pays a record, so the bytes that stand for themselves take no call.
+// hash is fnv1a of the key whose packed form under m is packed: what a
+// resize pays a record to learn its slot.
 func (m *keyModel) hash(packed []byte) uint32 {
-	h := uint32(fnvOffset)
-	for i := 0; i < len(packed); {
-		if c := packed[i]; c < modelMark {
-			h = (h ^ uint32(c)) * fnvPrime
-			i++
-			continue
-		}
-		c, n, v, j := m.next(packed, i)
-		if n == 0 {
-			h = (h ^ uint32(c)) * fnvPrime
-		} else {
-			h = hashDigits(h, n, v)
-		}
-		i = j
-	}
-	return h
-}
-
-// zeroRun, pairRun and fnvPow fold digits into an FNV-1a state a run at a
-// time. Xoring in a byte below 64 changes only the state's low 6 bits, so m
-// such bytes take a state h to (h &^ 63)·p^m plus a function of h & 63 and
-// the bytes alone: zeroRun[m][h & 63] for m '0's, pairRun[d][h & 63] for the
-// two digits of d. fnvPow[m] is p^m.
-var (
-	fnvPow  [maxRun + 1]uint32
-	zeroRun [maxRun + 1][64]uint32
-	pairRun [100][64]uint32
-)
-
-func init() {
-	fnvPow[0] = 1
-	for m := 1; m <= maxRun; m++ {
-		fnvPow[m] = fnvPow[m-1] * fnvPrime
-	}
-	for l := range uint32(64) {
-		h := l
-		for m := 0; m <= maxRun; m++ {
-			zeroRun[m][l] = h
-			h = (h ^ '0') * fnvPrime
-		}
-		for d := range uint32(100) {
-			pairRun[d][l] = ((l^('0'+d/10))*fnvPrime ^ ('0' + d%10)) * fnvPrime
-		}
-	}
-}
-
-// hashDigits folds v, written as n decimal digits, into the FNV-1a state h:
-// its leading zeros in one step, then its digits two at a time, from the
-// pairs divisions by 100 leave (32-bit ones once v fits 32 bits).
-func hashDigits(h uint32, n int, v uint64) uint32 {
-	var pairs [maxRun / 2]uint8 // the last two digits first
-	k := 0
-	for ; v > math.MaxUint32; k++ {
-		pairs[k] = uint8(v % 100)
-		v /= 100
-	}
-	x := uint32(v)
-	for ; x >= 100; k++ {
-		pairs[k] = uint8(x % 100)
-		x /= 100
-	}
-	switch {
-	case x >= 10:
-		h = (h&^63)*fnvPow[n-2*k-2] + zeroRun[n-2*k-2][h&63]
-		h = (h&^63)*fnvPow[2] + pairRun[x][h&63]
-	case x > 0:
-		h = (h&^63)*fnvPow[n-2*k-1] + zeroRun[n-2*k-1][h&63]
-		h = (h ^ ('0' + x)) * fnvPrime
-	default:
-		h = (h&^63)*fnvPow[n-2*k] + zeroRun[n-2*k][h&63]
-	}
-	for k--; k >= 0; k-- {
-		h = (h&^63)*fnvPow[2] + pairRun[pairs[k]][h&63]
-	}
-	return h
+	var buf keyBuf
+	return fnv1a(m.appendUnpacked(buf[:0], packed))
 }
 
 // widen widens m to hold every digit piece of key, as written, that a
