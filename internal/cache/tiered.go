@@ -171,8 +171,24 @@ func copyBytes(b []byte) []byte {
 	return out
 }
 
-// New builds a Tiered store.
+// New builds a Tiered store and starts its background loops.
 func New(opts Options) (*Tiered, error) {
+	t, err := build(opts)
+	if err != nil {
+		return nil, err
+	}
+	if t.opts.Policy == WriteBack {
+		t.wg.Add(1)
+		go t.flushLoop()
+	}
+	t.wg.Add(1)
+	go t.expirySweepLoop()
+	return t, nil
+}
+
+// build is New without the background loops: the write-back flusher and
+// the expiry sweep.
+func build(opts Options) (*Tiered, error) {
 	opts.fill()
 	if opts.Engine == nil {
 		return nil, errors.New("cache: Engine required")
@@ -200,12 +216,6 @@ func New(opts Options) (*Tiered, error) {
 			return writeBack && t.dirty.holds(key)
 		}
 	}
-	if opts.Policy == WriteBack {
-		t.wg.Add(1)
-		go t.flushLoop()
-	}
-	t.wg.Add(1)
-	go t.expirySweepLoop()
 	return t, nil
 }
 

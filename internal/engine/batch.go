@@ -25,13 +25,14 @@ func (e *Engine) forEachShardGroup(n int, keyAt func(i int) string, visit func(s
 	ps := make([]probe, n)
 	total := 0
 	for i := range ps {
-		total += 2 * len(keyAt(i))
+		total += packRoom(len(keyAt(i)))
 	}
 	buf := make([]byte, total)
 	for i := range ps {
 		key := keyAt(i)
-		ps[i] = e.probe(key, buf[:0:2*len(key)])
-		buf = buf[2*len(key):]
+		n := packRoom(len(key))
+		ps[i] = e.probe(key, buf[:0:n])
+		buf = buf[n:]
 	}
 	if n == 1 {
 		visit(e.shards[ps[0].stripe], onlyFirst, ps)

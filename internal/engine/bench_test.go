@@ -131,39 +131,52 @@ func BenchmarkEngineMGetBatch16(b *testing.B) { benchmarkBatch(b, true, 16) }
 // benchmarkRandomKey measures one call on a uniformly random key of a
 // 200k-key engine: the ledger's population and access pattern, where the
 // index slot and the record are usually not in cache. (GetLoop16 and
-// MGetBatch16 read runs of 16 neighbouring keys out of 16k.) keyFormat
-// names a key from a random number below 1e9; mem-B/key is what the engine
-// charges a key of the population.
-func benchmarkRandomKey(b *testing.B, keyFormat string, op func(e *Engine, key string, val []byte)) {
+// MGetBatch16 read runs of 16 neighbouring keys out of 16k.) name makes a
+// key of a random number below 1e9; mem-B/key is what the engine charges a
+// key of the population, and key-B what its key takes packed.
+func benchmarkRandomKey(b *testing.B, name func(n int) string, op func(e *Engine, key string, val []byte)) {
 	e := New(Options{})
 	rng := rand.New(rand.NewSource(1))
 	keys := make([]string, 200_000)
 	val := zeroTailed(rng, 18, 0)
 	for i := range keys {
-		keys[i] = fmt.Sprintf(keyFormat, rng.Intn(1e9))
+		keys[i] = name(rng.Intn(1e9))
 		e.Set(keys[i], val)
 	}
 	perKey := float64(e.MemUsed()) / float64(e.Len())
+	keyBytes := float64(e.Stats().PayloadBytes)/float64(e.Len()) - float64(len(val))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		op(e, keys[rng.Intn(len(keys))], val)
 	}
 	b.ReportMetric(perKey, "mem-B/key")
+	b.ReportMetric(keyBytes, "key-B")
+}
+
+// keyOf is the key maker for keys of format, which takes the number.
+func keyOf(format string) func(n int) string {
+	return func(n int) string { return fmt.Sprintf(format, n) }
 }
 
 func getRandom(e *Engine, key string, _ []byte)   { e.Get(key) }
 func setRandom(e *Engine, key string, val []byte) { e.Set(key, val) }
 
-func BenchmarkEngineGetRandom(b *testing.B) { benchmarkRandomKey(b, "user:%09d", getRandom) }
-func BenchmarkEngineSetRandom(b *testing.B) { benchmarkRandomKey(b, "user:%09d", setRandom) }
+func BenchmarkEngineGetRandom(b *testing.B) { benchmarkRandomKey(b, keyOf("user:%09d"), getRandom) }
+func BenchmarkEngineSetRandom(b *testing.B) { benchmarkRandomKey(b, keyOf("user:%09d"), setRandom) }
 
-// BenchmarkEngineMidKey is GetRandom and SetRandom on keys that pack to 18
+// BenchmarkEngineMidKey is GetRandom and SetRandom on keys that pack to 19
 // bytes, past maxShortKey: each record writes its key length in a byte of
 // its own, and the index compares the key through hasKey, not hasShortKey.
+// The keys take three prefixes in turn, so that no shape is most of a
+// stripe's keys and each key takes its ordinary form: user:%09d:session
+// keys alone would pack to their stripe's shape, 5 bytes.
 func BenchmarkEngineMidKey(b *testing.B) {
-	b.Run("Get", func(b *testing.B) { benchmarkRandomKey(b, "user:%09d:session", getRandom) })
-	b.Run("Set", func(b *testing.B) { benchmarkRandomKey(b, "user:%09d:session", setRandom) })
+	name := func(n int) string {
+		return fmt.Sprintf("%s:%09d:session", [...]string{"user", "cart", "item"}[n%3], n)
+	}
+	b.Run("Get", func(b *testing.B) { benchmarkRandomKey(b, name, getRandom) })
+	b.Run("Set", func(b *testing.B) { benchmarkRandomKey(b, name, setRandom) })
 }
 
 // BenchmarkEngineHeapPerKey reports what one key costs and what the engine
@@ -176,13 +189,29 @@ func BenchmarkEngineHeapPerKey(b *testing.B) {
 	var st Stats
 	for i := 0; i < b.N; i++ {
 		e := New(Options{})
-		heap = fillHeapKeys(e, 18, false, false)
+		heap = fillHeapKeys(e, "user:%09d", 18, false, false)
 		st = e.Stats()
 		runtime.KeepAlive(e)
 	}
 	b.ReportMetric(float64(heap)/heapKeys, "heap-B/key")
 	b.ReportMetric(float64(st.MemBytes)/heapKeys, "accounted-B/key")
 	b.ReportMetric(float64(st.FreeBytes)/heapKeys, "free-B/key")
+}
+
+// BenchmarkEngineHeapPerSessionKey is HeapPerKey with user:%09d:session
+// keys (22 B), which pack to their stripe's shape: the value alone.
+func BenchmarkEngineHeapPerSessionKey(b *testing.B) {
+	var heap int64
+	var st Stats
+	for i := 0; i < b.N; i++ {
+		e := New(Options{})
+		heap = fillHeapKeys(e, "user:%09d:session", 18, false, false)
+		st = e.Stats()
+		runtime.KeepAlive(e)
+	}
+	b.ReportMetric(float64(heap)/heapKeys, "heap-B/key")
+	b.ReportMetric(float64(st.MemBytes)/heapKeys, "accounted-B/key")
+	b.ReportMetric(float64(st.PayloadBytes)/heapKeys-18, "key-B")
 }
 
 // BenchmarkEngineGrow is what a growing population pays for an index that

@@ -14,7 +14,8 @@
 //
 // Every key is one contiguous, pointer-free record (record.go): one byte
 // of flags (compressed, PMem ref, has TTL, collection) and key length, the
-// key with its digit runs packed (keypack.go), an 8-byte deadline only if
+// key packed (keypack.go: a key of its stripe's shape is its number alone,
+// others have their digit runs packed), an 8-byte deadline only if
 // a TTL was ever set, then the stored value (or the 12-byte pmem.Ref to
 // it), behind its length only if it is raw: a compressed value's codec
 // says where it ends. A collection's value is its blob, the form Encode
@@ -250,14 +251,14 @@ func fnv1a[K string | []byte](key K) uint32 {
 // with its hash, and with room to be packed in for the index.
 type probe struct {
 	key    string
-	room   []byte // where lookup packs key, under the stripe lock: room for 2*len(key) bytes (appendPacked)
+	room   []byte // where lookup packs key, under the stripe lock: room for packRoom(len(key)) bytes (appendPacked)
 	h      uint32 // slotHash of the key's fnv1a
 	stripe uint32 // the low bits of the same fnv1a
 }
 
 // probe hashes key, once, for its stripe and its slot. room is where
-// lookup is to pack it: 2*len(key) bytes at least, so that packing never
-// moves it.
+// lookup is to pack it: packRoom(len(key)) bytes at least, so that packing
+// never moves it.
 func (e *Engine) probe(key string, room []byte) probe {
 	kh := fnv1a(key)
 	return probe{key: key, room: room[:0], h: slotHash(kh), stripe: kh & e.mask}
@@ -265,8 +266,8 @@ func (e *Engine) probe(key string, room []byte) probe {
 
 // roomIn is buf, or the heap for a key too long to pack in it.
 func roomIn(buf *keyBuf, key string) []byte {
-	if 2*len(key) > len(buf) {
-		return make([]byte, 2*len(key))
+	if n := packRoom(len(key)); n > len(buf) {
+		return make([]byte, n)
 	}
 	return buf[:]
 }
@@ -363,7 +364,7 @@ func (e *Engine) removeRecord(s *shard, at int, f fields) {
 // (none, for a string). en is what lookup (or live) found for k under this
 // same write lock, and packed k for: its record, live or lapsed, is
 // replaced; where it found none, the record is inserted (and re-packed, if
-// the insert widens the model). The record is assembled in its slot: no
+// the insert changes the model). The record is assembled in its slot: no
 // allocation unless a page or a table has to grow.
 func (e *Engine) publish(s *shard, k probe, en entry, st staged) {
 	ix := &s.strs

@@ -426,20 +426,66 @@ func (ix *index) begin(size int) {
 	}
 }
 
-// remodel widens the key model to hold the digit pieces of every key the
-// index holds (keyModel.widen) and, if that changes it, re-packs every
-// record under it (setModel).
+// remodel widens the key model's widths to hold the digit pieces of every
+// key the index holds (widths.widen), gives it the shape more than half of
+// them have (learnShape) and, if that changes it, re-packs every record
+// under it (setModel). A vote finds the one shape that can be a majority's
+// (Boyer-Moore: a key of another shape cancels one vote), with nothing to
+// allocate for a key of up to 128 bytes.
 func (ix *index) remodel() {
 	model := ix.model
-	var buf keyBuf
+	var buf, cb keyBuf
+	cand, votes := cb[:0], 0
 	for at := 0; at < ix.positions(); at++ {
-		if ix.used(at) {
-			model.widen(ix.model.appendUnpacked(buf[:0], ix.record(at).key()))
+		if !ix.used(at) {
+			continue
+		}
+		key := ix.model.appendUnpacked(buf[:0], ix.record(at).key())
+		model.widen(key)
+		switch {
+		case votes == 0:
+			cand, votes = append(cand[:0], key...), 1
+		case sameShape(cand, key):
+			votes++
+		default:
+			votes--
 		}
 	}
+	model.shape = ix.learnShape(&model.widths, shapeOf(cand, &ix.model.shape))
 	if model != ix.model {
 		ix.setModel(model)
 	}
+}
+
+// learnShape is s, at the size its keys among the index's need, if more
+// than half of the keys are of it and it packs the largest of them
+// shorter than the widths w would; otherwise no shape. While the shape is
+// the model's already, its size only grows.
+func (ix *index) learnShape(w *widths, s shape) shape {
+	if s.size == 0 {
+		return shape{}
+	}
+	var buf, lb keyBuf
+	largest, count, top := lb[:0], 0, uint64(0)
+	for at := 0; at < ix.positions(); at++ {
+		if !ix.used(at) {
+			continue
+		}
+		key := ix.model.appendUnpacked(buf[:0], ix.record(at).key())
+		if v, ok := shapeValue(&s, key); ok {
+			if count++; count == 1 || v > top {
+				largest, top = append(largest[:0], key...), v
+			}
+		}
+	}
+	s.size = uint8(width(top) + 1)
+	if old := ix.model.shape; old.prefix == s.prefix && old.suffix == s.suffix && old.n == s.n {
+		s.size = max(s.size, old.size)
+	}
+	if 2*count <= ix.n || int(s.size) >= len(appendOrdinary(w, buf[:0], largest)) {
+		return shape{}
+	}
+	return s
 }
 
 // setModel makes model the index's and re-packs every record under it into

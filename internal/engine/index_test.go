@@ -214,7 +214,9 @@ func (m *indexModel) check(cleared bool) {
 // live in the spill), and ones past maxShortKey bytes, whose 19-digit
 // pieces take values of every width. A re-model (an op byte of 248 or
 // more) sets the model back to zero (odd count), so that the keys take
-// their full forms until a rebuild widens it, or widens it now (even).
+// their full forms until a rebuild widens it, learns it now from every key
+// (count 0 mod 4), or gives it the shape of the op's first key (2 mod 4),
+// in a size from the count that may be too small for some keys of it.
 // After every operation the index is compared with a map: every key found
 // with its own value and its own reference bit and stored in its packed
 // form under the model, no other key found, counts, charge, what packing
@@ -233,6 +235,7 @@ func FuzzIndex(f *testing.F) {
 	f.Add(append(append([]byte{}, grow...), across...))
 	f.Add(append(append(append([]byte{}, grow...), 1, 0, 0, 255, 1, 1, 0, 12), across...))
 	f.Add([]byte{0, 17, 0, 255, 248, 0, 0, 1, 0, 17, 0x40, 40, 248, 0, 0, 0, 1, 17, 0, 100, 248, 0, 0, 1, 1, 17, 0x60, 60}) // re-models
+	f.Add([]byte{0, 0, 0, 255, 248, 0, 100, 6, 0, 0, 0x40, 50, 248, 0, 0, 0, 1, 0, 0, 20, 248, 17, 0, 2, 1, 0, 0x20, 80})   // shapes
 	shared := sharedHashKeys()
 	name := func(i int) string {
 		switch {
@@ -290,10 +293,13 @@ func FuzzIndex(f *testing.F) {
 					}
 				}
 			case 8:
-				if count%2 == 1 {
-					m.ix.setModel(keyModel{})
-				} else {
+				switch count % 4 {
+				case 0:
 					m.ix.remodel()
+				case 2:
+					m.ix.setModel(shapedModel(m.ix.model, name(first), count/4))
+				default:
+					m.ix.setModel(keyModel{})
 				}
 			}
 			m.check(cleared)
@@ -621,6 +627,15 @@ func TestResizeIsSpreadOverWrites(t *testing.T) {
 	if err := checkBooks(e); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// shapedModel is m with the shape of key, in a size of 1 to the most its
+// digits may need picked by size.
+func shapedModel(m keyModel, key string, size int) keyModel {
+	if m.shape = shapeOf([]byte(key), &m.shape); m.size != 0 {
+		m.size = uint8(1 + size%int(m.size))
+	}
+	return m
 }
 
 // pack is key packed under the index's model, as the engine stores it.

@@ -2,7 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -13,16 +15,18 @@ import (
 
 // ledgerModel is the key model a stripe of the ledger's k%015d keys learns:
 // 2 bytes beside the length byte's 3 bits for a 15-digit piece, values up
-// to 524 287.
-var ledgerModel = keyModel{15: 2}
+// to 524 287, and the shape 'k', 15 digits, "" in 3 bytes, values up to
+// 16 777 215.
+var ledgerModel = keyModel{widths{15: 2}, shape{prefix: "k", n: 15, size: 3}}
 
 // pack is key packed under m.
 func pack(m keyModel, key string) []byte { return appendPacked(&m, nil, key) }
 
-// TestKeyPackForm pins the packed form of one key of each shape: a digit
-// piece that fits the model, at either end of a width, one that does not, a
-// piece neither form shortens, a run past maxRun digits, and literal 0xFF
-// and 0xFE bytes.
+// TestKeyPackForm pins the packed form of one key of each kind: a key of
+// the shape, at either end of its size and past it, one of its length in
+// ordinary form (padded), one of another prefix, a digit piece that fits
+// the widths, at either end of a width, one that does not, a piece neither
+// form shortens, a run past maxRun digits, and literal 0xFF and 0xFE bytes.
 func TestKeyPackForm(t *testing.T) {
 	for _, c := range []struct {
 		model keyModel
@@ -30,15 +34,23 @@ func TestKeyPackForm(t *testing.T) {
 		want  []byte
 	}{
 		{keyModel{}, "", nil},
+		{ledgerModel, "", nil},
 		{keyModel{}, "k000000000123456", []byte{'k', packMark, 15 << 3, 0, 0, 0, 0x01, 0xE2, 0x40}},
-		{ledgerModel, "k000000000123456", []byte{'k', modelMark, 15<<3 | 1, 0xE2, 0x40}},
-		{ledgerModel, "k000000000524287", []byte{'k', modelMark, 15<<3 | 7, 0xFF, 0xFF}},
-		{ledgerModel, "k000000000524288", []byte{'k', packMark, 15 << 3, 0, 0, 0, 0x08, 0, 0}},
+		{ledgerModel, "k000000000123456", []byte{0x01, 0xE2, 0x40}},
+		{ledgerModel, "k000000000000000", []byte{0, 0, 0}},
+		{ledgerModel, "k000000016777215", []byte{0xFF, 0xFF, 0xFF}},
+		{ledgerModel, "k000000016777216", []byte{'k', packMark, 15 << 3, 0, 0, 0x01, 0, 0, 0}},
+		{ledgerModel, "k12", []byte{'k', '1', '2', packMark, padByte}},
+		{ledgerModel, "\xfe", []byte{packMark, 1}},
+		{keyModel{widths{15: 2}, shape{}}, "k000000000123456", []byte{'k', modelMark, 15<<3 | 1, 0xE2, 0x40}},
+		{ledgerModel, "j000000000123456", []byte{'j', modelMark, 15<<3 | 1, 0xE2, 0x40}},
+		{ledgerModel, "j000000000524287", []byte{'j', modelMark, 15<<3 | 7, 0xFF, 0xFF}},
+		{ledgerModel, "j000000000524288", []byte{'j', packMark, 15 << 3, 0, 0, 0, 0x08, 0, 0}},
 		{keyModel{}, "user:000000000042", []byte{'u', 's', 'e', 'r', ':', packMark, 12 << 3, 0, 0, 0, 0, 42}},
-		{keyModel{12: 1}, "user:000000000042", []byte{'u', 's', 'e', 'r', ':', modelMark, 12 << 3, 42}},
+		{keyModel{widths: widths{12: 1}}, "user:000000000042", []byte{'u', 's', 'e', 'r', ':', modelMark, 12 << 3, 42}},
 		{keyModel{}, "k007", []byte{'k', modelMark, 3<<3 | 7}},
 		{keyModel{}, "k1234", []byte("k1234")}, // 4 bytes either way
-		{keyModel{4: 1}, "k1234", []byte{'k', modelMark, 4<<3 | 4, 0xD2}},
+		{keyModel{widths: widths{4: 1}}, "k1234", []byte{'k', modelMark, 4<<3 | 4, 0xD2}},
 		{keyModel{}, "k01234", []byte{'k', packMark, 5 << 3, 0x04, 0xD2}},
 		{keyModel{}, "99999", []byte{packMark, 5<<3 | 1, 0x86, 0x9F}},
 		{keyModel{}, strings.Repeat("0", 21), []byte{modelMark, 19 << 3, '0', '0'}},
@@ -51,11 +63,17 @@ func TestKeyPackForm(t *testing.T) {
 	}
 }
 
-// modelOf is the key model widths spell: widths[n-1] is the width of n
-// digits, taken modulo the widths n may have.
-func modelOf(widths []byte) (m keyModel) {
-	for n := 1; n <= min(maxRun, len(widths)); n++ {
-		m[n] = widths[n-1] % uint8(runBytes[n])
+// modelOf is the key model ws and the rest spell: ws[n-1] is the width of
+// n digits, taken modulo the widths n may have, and the shape is prefix,
+// 1 + n%maxRun digits, suffix, in size bytes modulo the sizes its digits
+// may have (0: no shape).
+func modelOf(ws []byte, prefix, suffix string, n, size byte) (m keyModel) {
+	for n := 1; n <= min(maxRun, len(ws)); n++ {
+		m.widths[n] = ws[n-1] % uint8(runBytes[n])
+	}
+	n = 1 + n%maxRun
+	if size %= uint8(runBytes[n]) + 1; size != 0 {
+		m.shape = shape{prefix: prefix, suffix: suffix, n: n, size: size}
 	}
 	return m
 }
@@ -69,10 +87,11 @@ func pieceLen(n, w int) int {
 	return n
 }
 
-// misfitCost is how many bytes more key packs to under m than the key of
-// its shape whose digits are all 0: for each digit piece that does not fit
-// m, its full form's length (or its digits') less its model form's.
-func misfitCost(m keyModel, key string) int {
+// misfitCost is how many bytes more key's ordinary form is under w than
+// that of the key of its form whose digits are all 0: for each digit piece
+// that does not fit w, its full form's length (or its digits') less its
+// model form's.
+func misfitCost(w widths, key string) int {
 	cost := 0
 	for i := 0; i < len(key); {
 		for i < len(key) && key[i]-'0' > 9 {
@@ -83,22 +102,38 @@ func misfitCost(m keyModel, key string) int {
 		for ; j < len(key) && j-i < maxRun && key[j]-'0' <= 9; j++ {
 			v = v*10 + uint64(key[j]-'0')
 		}
-		if n := j - i; n > 0 && width(v) > int(m[n]) {
-			cost += pieceLen(n, runBytes[n]-1) - pieceLen(n, int(m[n]))
+		if n := j - i; n > 0 && width(v) > int(w[n]) {
+			cost += pieceLen(n, runBytes[n]-1) - pieceLen(n, int(w[n]))
 		}
 		i = j
 	}
 	return cost
 }
 
-// FuzzKeyPack checks, under a model drawn from widths: that unpack inverts
-// pack, and hash and unpackedLen read the key as written; that what pack
-// writes is the one packed form of its key (it unpacks and packs back to
-// itself, from a string or a []byte) and no longer than its escaped self;
-// that two keys pack equal only if they are equal; and that a key packs to
-// one length per shape as long as its digit pieces fit the model, each one
-// that does not taking its full form (or its digits, where that is no
-// shorter).
+// ofShape reports whether key is prefix, n digits, suffix, and if so the
+// digits' value.
+func ofShape(s shape, key string) (v uint64, ok bool) {
+	mid, fore := strings.CutPrefix(key, s.prefix)
+	mid, aft := strings.CutSuffix(mid, s.suffix)
+	if !fore || !aft || len(mid) != int(s.n) {
+		return 0, false
+	}
+	v, err := strconv.ParseUint(mid, 10, 64)
+	return v, err == nil
+}
+
+// FuzzKeyPack checks, under a model drawn from widths and a shape: that
+// unpack inverts pack, and hash and unpackedLen read the key as written;
+// that what pack writes is the one packed form of its key (it unpacks and
+// packs back to itself, from a string or a []byte); that two keys pack
+// equal only if they are equal; that a key of the shape whose value fits
+// its size packs to the value alone, in size bytes, and every other key to
+// its ordinary form, padded with packMark padByte where that is size bytes
+// long (so a key of the shape past its size falls back to the ordinary
+// form); and that the ordinary form is no longer than the key escaped, and
+// one length per form of key as long as its digit pieces fit the widths,
+// each one that does not taking its full form (or its digits, where that
+// is no shorter).
 func FuzzKeyPack(f *testing.F) {
 	nines := strings.Repeat("9", 40)
 	for _, seed := range [][2]string{
@@ -112,18 +147,25 @@ func FuzzKeyPack(f *testing.F) {
 		{"txn:000000000000007", "user:000000000007"},
 		{"1234567:12345678", "1234567\xfa12345678/9"},
 	} {
-		f.Add(seed[0], seed[1], []byte(nil))
+		f.Add(seed[0], seed[1], []byte(nil), "", "", byte(0), byte(0))
 	}
 	// One below and one above each width a 15-digit piece may have, under
 	// the model that gives it that width.
 	for w := 0; w < runBytes[15]; w++ {
-		widths := make([]byte, 15)
-		widths[14] = byte(w)
+		ws := make([]byte, 15)
+		ws[14] = byte(w)
 		top := uint64(1) << (3 + 8*w)
-		f.Add(fmt.Sprintf("k%015d", top-1), fmt.Sprintf("k%015d", top), widths)
+		f.Add(fmt.Sprintf("k%015d", top-1), fmt.Sprintf("k%015d", top), ws, "", "", byte(0), byte(0))
 	}
-	f.Fuzz(func(t *testing.T, a, b string, widths []byte) {
-		m := modelOf(widths)
+	// Under the ledger's model: a key of its shape and one past its size;
+	// the empty key and one whose ordinary form is the shape's length.
+	ws := make([]byte, 15)
+	ws[14] = 2
+	f.Add("k000000000123456", "k000000016777216", ws, "k", "", byte(14), byte(3))
+	f.Add("", "k12", ws, "k", "", byte(14), byte(3))
+	f.Add("user:000000042:session", "user:000000042:sessio\xfe", ws, "user:", ":session", byte(8), byte(4))
+	f.Fuzz(func(t *testing.T, a, b string, ws []byte, prefix, suffix string, n, size byte) {
+		m := modelOf(ws, prefix, suffix, n, size)
 		pa, pb := pack(m, a), pack(m, b)
 		for _, c := range []struct {
 			key    string
@@ -138,8 +180,19 @@ func FuzzKeyPack(f *testing.F) {
 			if again := pack(m, m.unpackKey(c.packed)); !bytes.Equal(again, c.packed) || !bytes.Equal(appendPacked(&m, nil, []byte(c.key)), c.packed) {
 				t.Fatalf("%q packs to %x under %v, then to %x", c.key, c.packed, m, again)
 			}
-			if len(c.packed) > len(c.key)+strings.Count(c.key, "\xfe")+strings.Count(c.key, "\xff") {
-				t.Fatalf("%q packs to %x under %v, longer than its escaped self", c.key, c.packed, m)
+			ord := appendOrdinary(&m.widths, nil, c.key)
+			want := ord
+			if v, ok := ofShape(m.shape, c.key); ok && m.size != 0 && (m.size >= 8 || v < 1<<(8*m.size)) {
+				want = binary.BigEndian.AppendUint64(nil, v)
+				want = append(make([]byte, max(0, int(m.size)-8)), want[max(0, 8-int(m.size)):]...)
+			} else if m.size != 0 && len(ord) == int(m.size) {
+				want = append(ord, packMark, padByte)
+			}
+			if !bytes.Equal(c.packed, want) {
+				t.Fatalf("%q packs to %x under %v, want %x (ordinary form %x)", c.key, c.packed, m, want, ord)
+			}
+			if len(ord) > len(c.key)+strings.Count(c.key, "\xfe")+strings.Count(c.key, "\xff") {
+				t.Fatalf("%q packs to %x under %v, longer than its escaped self", c.key, ord, m)
 			}
 			zeroed := []byte(c.key)
 			for i, d := range zeroed {
@@ -147,8 +200,8 @@ func FuzzKeyPack(f *testing.F) {
 					zeroed[i] = '0'
 				}
 			}
-			if z := pack(m, string(zeroed)); len(c.packed) != len(z)+misfitCost(m, c.key) {
-				t.Fatalf("%q packs to %d bytes under %v, %q to %d, and its pieces that do not fit cost %d", c.key, len(c.packed), m, zeroed, len(z), misfitCost(m, c.key))
+			if z := appendOrdinary(&m.widths, nil, zeroed); len(ord) != len(z)+misfitCost(m.widths, c.key) {
+				t.Fatalf("%q takes %d bytes in ordinary form under %v, %q %d, and its pieces that do not fit cost %d", c.key, len(ord), m, zeroed, len(z), misfitCost(m.widths, c.key))
 			}
 		}
 		if a != b && bytes.Equal(pa, pb) {
@@ -175,12 +228,12 @@ func longestRun(e *Engine) (run, spilled int) {
 }
 
 // TestLedgerKeyShape pins what the ledger's keys (k%015d, 18-byte values)
-// cost, as a format pin: every stripe learns the model {15: 2} while its
-// table is short (the largest key at its last one-hold rebuild is about
-// 10.8k, under the 524 287 that 2 bytes hold), and 200 000 keys take
-// exactly 6 376 256 bytes, every key 5 bytes packed ('k', the mark, the
-// length byte and 2 bytes), which is 11 bytes a key less than with keys
-// stored as written, and 1 376 256 of it is index: sixteen tables of 14 336
+// cost, as a format pin: every stripe learns ledgerModel while its table
+// is short (the largest key at its last one-hold rebuild is about 10.8k,
+// which takes the 2-byte width, and the shape's 3 bytes hold 16 777 215),
+// and 200 000 keys take exactly 5 976 256 bytes, every key 3 bytes packed
+// (its value alone), which is 13 bytes a key less than with keys stored as
+// written, and 1 376 256 of it is index: sixteen tables of 14 336
 // slots, 0.87 full, every resize done by the time the fill ends. At 200k and
 // 1M keys nothing spills and no entry is within a quarter of the reach of
 // its limit, though the stripe and the slot now come from one fnv1a of the
@@ -199,18 +252,18 @@ func TestLedgerKeyShape(t *testing.T) {
 					t.Fatalf("a stripe learned the model %v, want %v", s.strs.model, ledgerModel)
 				}
 				s.strs.each(func(rec record) bool {
-					if k := rec.key(); len(k) != 5 {
+					if k := rec.key(); len(k) != 3 {
 						t.Fatalf("%q packs to %x", s.strs.model.unpackKey(k), k)
 					}
 					return true
 				})
 			}
-			saved := int64(n * 11)
+			saved := int64(n * 13)
 			st := e.Stats()
 			if st.PackedBytes != saved {
 				t.Errorf("packing saved %d bytes, want %d", st.PackedBytes, saved)
 			}
-			if got, want := e.MemUsed(), 8_576_256-saved; got != want || got != 6_376_256 {
+			if got, want := e.MemUsed(), 8_576_256-saved; got != want || got != 5_976_256 {
 				t.Errorf("MemUsed %d, want %d", got, want)
 			}
 			if st.IndexBytes != 1_376_256 || st.PayloadBytes+st.PackedBytes != int64(n)*(16+18) {
@@ -229,8 +282,8 @@ func TestLedgerKeyShape(t *testing.T) {
 // pin: 200 000 k%015d keys with workload.NewKV1 values under PBC trained as
 // the server trains it (Sample(kv1, 500)). A value whose numbers lie inside
 // the sample's ranges compresses to the 13 bytes of PBC's bit field, header
-// bits included, and its record is 19 bytes: the flags-and-length byte, the
-// 5-byte packed key and the value, with no value length. The rest carry an
+// bits included, and its record is 17 bytes: the flags-and-length byte, the
+// 3-byte packed key and the value, with no value length. The rest carry an
 // excess past a slot's all-ones code. MemUsed is every record at its slot
 // and the sixteen 14 336-slot tables of TestLedgerKeyShape, to the byte.
 func TestLedgerRecordShape(t *testing.T) {
@@ -247,7 +300,7 @@ func TestLedgerRecordShape(t *testing.T) {
 	for _, s := range e.shards {
 		s.strs.each(func(rec record) bool {
 			f := s.strs.parse(rec)
-			if f.flags != flagCompressed || len(f.key) != 5 || f.size != 1+5+len(f.val) {
+			if f.flags != flagCompressed || len(f.key) != 3 || f.size != 1+3+len(f.val) {
 				t.Fatalf("record of %q: flags %#x, %d B for a %d B value", s.strs.model.unpackKey(f.key), f.flags, f.size, len(f.val))
 			}
 			sizes[f.size]++
@@ -255,11 +308,11 @@ func TestLedgerRecordShape(t *testing.T) {
 			return true
 		})
 	}
-	if want := map[int]int{19: 193_790, 20: 6_165, 21: 45}; fmt.Sprint(sizes) != fmt.Sprint(want) {
+	if want := map[int]int{17: 193_790, 18: 6_165, 19: 45}; fmt.Sprint(sizes) != fmt.Sprint(want) {
 		t.Errorf("records by size %v, want %v", sizes, want)
 	}
 	st := e.Stats()
-	if st.IndexBytes != 1_376_256 || e.MemUsed() != slots+st.IndexBytes || e.MemUsed() != 5_182_511 {
+	if st.IndexBytes != 1_376_256 || e.MemUsed() != slots+st.IndexBytes || e.MemUsed() != 4_782_511 {
 		t.Errorf("MemUsed %d: %d of records, %d of index", e.MemUsed(), slots, st.IndexBytes)
 	}
 }

@@ -84,12 +84,12 @@ func heapAfterGC() uint64 {
 	return ms.HeapAlloc
 }
 
-// fillHeapKeys stores heapKeys 14-byte keys whose stored value is stored
-// bytes long (compressed from twice that when compressed is set), with a
-// TTL on each when ttl is set, and returns the heap growth the engine
-// caused. Keys are formatted on the fly: the engine must own every byte
-// it keeps.
-func fillHeapKeys(e *Engine, stored int, compressed, ttl bool) int64 {
+// fillHeapKeys stores heapKeys keys of keyFormat (of key i) whose stored
+// value is stored bytes long (compressed from twice that when compressed
+// is set), with a TTL on each when ttl is set, and returns the heap growth
+// the engine caused. Keys are formatted on the fly: the engine must own
+// every byte it keeps.
+func fillHeapKeys(e *Engine, keyFormat string, stored int, compressed, ttl bool) int64 {
 	rng := rand.New(rand.NewSource(1))
 	before := heapAfterGC()
 	for i := 0; i < heapKeys; i++ {
@@ -97,7 +97,7 @@ func fillHeapKeys(e *Engine, stored int, compressed, ttl bool) int64 {
 		if compressed {
 			val = zeroTailed(rng, stored-2, stored+2)
 		}
-		key := fmt.Sprintf("user:%09d", i)
+		key := fmt.Sprintf(keyFormat, i)
 		if err := e.Set(key, val); err != nil {
 			panic(err)
 		}
@@ -144,7 +144,7 @@ func TestMemUsedTracksHeap(t *testing.T) {
 						opts.Compressor = tailCompressor{}
 					}
 					e := New(opts)
-					heap := fillHeapKeys(e, stored, compressed, ttl)
+					heap := fillHeapKeys(e, "user:%09d", stored, compressed, ttl)
 					perKey := heldVsHeap(t, e, heap, heapKeys)
 					// The ledger's hit-read record, then and now: one
 					// allocation per record behind a 16-byte slot spent

@@ -281,15 +281,19 @@ func (m *model) step(shrinking bool) {
 	case op < 67 && m.rng.Intn(7) < 2:
 		// A re-model: one stripe's key model set back to zero, so that its
 		// keys take their full forms beside the model forms of keys small
-		// enough for it until a rebuild widens it again, or widened now to
-		// hold every key the stripe has.
+		// enough for it until a rebuild widens it again; learned now from
+		// every key the stripe has; or given the shape of the op's key, in
+		// a size that may be too small for some keys of it.
 		s := e.shards[m.rng.Intn(e.NumShards())]
 		s.mu.Lock()
 		held := s.strs.held()
-		if m.rng.Intn(2) == 0 {
+		switch m.rng.Intn(3) {
+		case 0:
 			s.strs.setModel(keyModel{})
-		} else {
+		case 1:
 			s.strs.remodel()
+		default:
+			s.strs.setModel(shapedModel(s.strs.model, k, m.rng.Intn(256)))
 		}
 		s.memUsed.Add(s.strs.held() - held)
 		s.mu.Unlock()
@@ -918,18 +922,28 @@ func TestReadersAcrossSpreadResizes(t *testing.T) {
 }
 
 // TestReadersAcrossRemodels is the -race leg of the key model: with every
-// key on one stripe, a writer inserts k%015d keys whose values are i^5, so
-// that rebuild after rebuild finds keys its model does not fit and widens
-// it, re-packing every record into a fresh slab under the write lock; after
-// each insert it overwrites an earlier key, which swaps that key's ref.
+// key on one stripe, a writer inserts keys of 15 digits whose values are
+// i^5, so that rebuild after rebuild finds keys its model does not fit and
+// widens it, re-packing every record into a fresh slab under the write
+// lock; after each insert it overwrites an earlier key, which swaps that
+// key's ref. The first third of the keys start with 'k' and the rest with
+// 'j', so the shape the stripe learns grows in size and then changes its
+// prefix, and every key of one shape changes its packed form for another.
 // Readers Get and MGet keys certainly present, each packed under the model
 // its reader finds under the read lock. A reader that packed under a stale
 // model, or read a record in a slab a re-model let go of, misses a present
 // key or returns another key's value. Every round starts from an empty
-// engine, and in each the model must widen at least four times.
+// engine, and in each the model must change at least four times, once to a
+// shape of another prefix.
 func TestReadersAcrossRemodels(t *testing.T) {
 	const rounds, n = 12, 900
-	key := func(i int) string { x := uint64(i); return fmt.Sprintf("k%015d", x*x*x*x*x) }
+	key := func(i int) string {
+		x, prefix := uint64(i), "k"
+		if i >= n/3 {
+			prefix = "j"
+		}
+		return fmt.Sprintf("%s%015d", prefix, x*x*x*x*x)
+	}
 	val := func(i, version int) []byte { return []byte(fmt.Sprintf("%d:%d", i, version)) }
 	isVal := func(i int, v []byte) bool { return bytes.HasPrefix(v, []byte(strconv.Itoa(i)+":")) }
 	for round := 0; round < rounds; round++ {
@@ -940,7 +954,7 @@ func TestReadersAcrossRemodels(t *testing.T) {
 		var alive atomic.Int64
 		var stop atomic.Bool
 		var wg sync.WaitGroup
-		widened := 0
+		widened, reshaped := 0, 0
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -955,8 +969,11 @@ func TestReadersAcrossRemodels(t *testing.T) {
 				j := rng.Intn(i + 1)
 				e.Set(key(j), val(j, i+1))
 				s.mu.RLock()
-				if s.strs.model != before {
+				if after := s.strs.model; after != before {
 					widened++
+					if before.size != 0 && after.prefix != before.prefix {
+						reshaped++
+					}
 				}
 				s.mu.RUnlock()
 			}
@@ -993,8 +1010,8 @@ func TestReadersAcrossRemodels(t *testing.T) {
 		for err := range errs {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if err := checkBooks(e); err != nil || e.Len() != n || widened < 4 {
-			t.Fatalf("round %d: %d keys, the model widened %d times to %v; %v", round, e.Len(), widened, s.strs.model, err)
+		if err := checkBooks(e); err != nil || e.Len() != n || widened < 4 || reshaped < 1 {
+			t.Fatalf("round %d: %d keys, the model changed %d times (%d to another prefix) to %v; %v", round, e.Len(), widened, reshaped, s.strs.model, err)
 		}
 	}
 }

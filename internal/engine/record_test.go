@@ -114,15 +114,15 @@ func TestRecordLayout(t *testing.T) {
 			}
 		}
 	}
-	// What the ledger's hit-read key costs: its key packed (k%015d is 5
-	// bytes under the model its stripes learn), its stored value and one
-	// byte; a raw value adds its length.
+	// What the ledger's hit-read key costs: its key packed (k%015d is 3
+	// bytes under the model its stripes learn: its shape's), its stored
+	// value and one byte; a raw value adds its length.
 	k := pack(ledgerModel, "k000000000123456")
-	if got := recordLen(k, staged{flags: flagCompressed, val: make([]byte, 13)}); got != 1+5+13 {
-		t.Errorf("a 16 B key with a 13 B compressed value is a %d B record, want 19", got)
+	if got := recordLen(k, staged{flags: flagCompressed, val: make([]byte, 13)}); got != 1+3+13 {
+		t.Errorf("a 16 B key with a 13 B compressed value is a %d B record, want 17", got)
 	}
-	if got := recordLen(k, staged{val: make([]byte, 18)}); got != 1+5+1+18 {
-		t.Errorf("a 16 B key with an 18 B raw value is a %d B record, want 25", got)
+	if got := recordLen(k, staged{val: make([]byte, 18)}); got != 1+3+1+18 {
+		t.Errorf("a 16 B key with an 18 B raw value is a %d B record, want 23", got)
 	}
 }
 
