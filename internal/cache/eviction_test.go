@@ -81,17 +81,18 @@ func TestCapacityModeMemUsedTracksHeap(t *testing.T) {
 // keys at half the capacity the whole fill takes, where from key 524 288
 // on the keys take a second prefix, m. Every stripe learns the shape 'k',
 // 15 digits, "" while its table is short, and a key of it packs to 3
-// bytes; from the crossing a new key leaves the shape and takes its
-// ordinary form, 9 bytes ('m', the mark, the length byte and 6 bytes: its
-// value is past what the 2-byte width holds), while the shaped keys before
-// it are evicted; no record takes their slots again. So the slab strands
+// bytes, in a bare record (no header byte: the stripe knows it); from the
+// crossing a new key leaves the shape and takes its ordinary form, 9 bytes
+// ('m', the mark, the length byte and 6 bytes: its value is past what the
+// 2-byte width holds), in a record with its header byte, while the shaped
+// keys before it are evicted; no record takes their slots again. So the slab strands
 // them once per stripe, at most the shaped records resident at the
 // crossing, and the heap is still MemUsed + FreeBytes within 2%. The fill
 // repeats exactly, because its store runs no expiry sweep (build, not New):
 // the sweep settles index resizes on a 100 ms ticker, so where a fill's
 // memory stood at each Set, and what it evicted, would depend on timing.
-// Its idle bytes are pinned: 3 391 601, 0.58 of the bytes of the 446 194
-// shaped records resident at the crossing.
+// Its charged and idle bytes are pinned: 8 059 535 and 3 663 857, 0.68 of
+// the bytes of the 450 290 shaped records resident at the crossing.
 func TestKeyModelOverflowStrandsOneGeneration(t *testing.T) {
 	const keys, crossing = 700_000, 1 << 19
 	val := make([]byte, 8)
@@ -121,17 +122,17 @@ func TestKeyModelOverflowStrandsOneGeneration(t *testing.T) {
 	}
 	whole, _, _, _ := fill(1 << 30)
 	used, idle, heap, crossed := fill(whole / 2)
-	// A shaped record: the header byte, the 3-byte key, the value's length
-	// byte and its 8 bytes.
-	const shapedRecord = 1 + 3 + 1 + 8
+	// A shaped record, bare: the 3-byte key, the value's length byte and
+	// its 8 bytes.
+	const shapedRecord = 3 + 1 + 8
 	ratio := float64(heap) / float64(used+idle)
 	t.Logf("%d resident at the crossing, %d bytes charged, %d idle (%.2f of the shaped records resident then), heap/(charged+idle) %.3f",
 		crossed, used, idle, float64(idle)/float64(crossed*shapedRecord), ratio)
 	if ratio < 0.98 || ratio > 1.02 {
 		t.Errorf("heap grew %d bytes for %d charged and %d idle: ratio %.3f outside [0.98, 1.02]", heap, used, idle, ratio)
 	}
-	if idle > crossed*shapedRecord || idle != 3_391_601 {
-		t.Errorf("%d bytes idle, want 3 391 601 and at most the %d shaped records resident at the crossing", idle, crossed)
+	if idle > crossed*shapedRecord || idle != 3_663_857 || used != 8_059_535 {
+		t.Errorf("%d bytes charged, %d idle, want 8 059 535 and 3 663 857, at most the %d shaped records resident at the crossing", used, idle, crossed)
 	}
 }
 

@@ -172,7 +172,7 @@ func (e *Engine) update(key string, kind Kind, create bool, change func(c coll, 
 			return err
 		}
 		s.touch(en)
-		if en.rec[0]&flagTTL != 0 {
+		if en.rec.head&flagTTL != 0 {
 			st.flags, st.at = st.flags|flagTTL, en.rec.deadline()
 		}
 	}

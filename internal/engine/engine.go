@@ -19,17 +19,21 @@
 // a TTL was ever set, then the stored value (or the 12-byte pmem.Ref to
 // it), behind its length only if it is raw: a compressed value's codec
 // says where it ends. A collection's value is its blob, the form Encode
-// returns (collections.go).
+// returns (collections.go). A string record whose key is of its stripe's
+// shape, with no deadline and its value in the engine's plain form, is
+// stored without the header byte, which is the same for every such record
+// of the stripe: its index entry says so.
 //
 // Records live in their stripe's slab (slab.go), not in allocations of
 // their own: 16 KiB pointer-free pages carved into slots of exactly the
 // record's size, a free list per slot size, and a side table of own
 // allocations for records past 1 KiB. Each stripe finds its records
-// through an open-addressing index (index.go): 6-byte entries of probe
-// word and slab ref, in hash order with backward-shift deletion, between
-// 9/16 and 7/8 full at a steady population, no table at all while the
-// stripe is empty. One FNV hash of the key as written picks the stripe with its low
-// bits and, Fibonacci-multiplied, the slot. Tables and pages hold no
+// through an open-addressing index (index.go): 5-byte entries of probe
+// word, reference bit and slab ref (6 once the stripe's slab passes 4 MiB),
+// in hash order with backward-shift deletion, between 9/16 and 7/8 full
+// at a steady population, no table at all while the stripe is empty. One
+// FNV hash of the key as written picks the stripe with its low bits and,
+// Fibonacci-multiplied, the slot. Tables and pages hold no
 // pointers, so the garbage collector marks a few hundred objects per engine
 // instead of one per key. README.md has the byte-level layout.
 //
@@ -51,8 +55,8 @@
 //
 // # Recency and eviction
 //
-// Every resident key has one reference bit: bit 30 of its index entry's ref
-// word (a slab ref leaves it clear). A
+// Every resident key has one reference bit: bit 16 of its index entry's
+// word, beside the probe word and the ref's low half. A
 // read or a write that serves a caller sets it while holding the stripe
 // lock it holds anyway, the read lock included: test, then an atomic or.
 // Evict is CLOCK over the stripe's own index: a hand walks the slots,
@@ -64,8 +68,8 @@
 //
 // The engine is safe for concurrent use. A stripe's index, slab and
 // accounts change only under its write lock; the one
-// exception is the reference bit, which readers set (index.touch), so the
-// ref word is loaded atomically under the read lock. Slots are reused, so
+// exception is the reference bit, which readers set (index.touch), so an
+// entry's word is loaded atomically under the read lock. Slots are reused, so
 // there is one reader rule: nothing that aliases engine-owned storage
 // leaves the stripe lock. A value leaves through value, which decodes it
 // (or copies it, if it is raw) straight from its slot under the read lock
@@ -286,19 +290,19 @@ func (e *Engine) now() int64 { return e.opts.Clock().UnixNano() }
 // never read the clock.
 func (e *Engine) lapsed(at int64) bool { return at != 0 && e.now() >= at }
 
-// entry is what a key resolves to in its stripe: its record, or (rec nil)
-// nothing, and the length of the key packed under the stripe's model.
+// entry is what a key resolves to in its stripe: its record, or (rec.body
+// nil) nothing, and the length of the key packed under the stripe's model.
 type entry struct {
 	rec  record
 	at   int // rec's position in the index
 	klen int // of the key packed in its probe's room
 }
 
-func (en entry) present() bool { return en.rec != nil }
+func (en entry) present() bool { return en.rec.body != nil }
 
 // expireAt is the entry's deadline, 0 when it has none or is absent.
 func (en entry) expireAt() int64 {
-	if en.rec == nil {
+	if en.rec.body == nil {
 		return 0
 	}
 	return en.rec.deadline()
@@ -364,21 +368,20 @@ func (e *Engine) removeRecord(s *shard, at int, f fields) {
 // (none, for a string). en is what lookup (or live) found for k under this
 // same write lock, and packed k for: its record, live or lapsed, is
 // replaced; where it found none, the record is inserted (and re-packed, if
-// the insert changes the model). The record is assembled in its slot: no
-// allocation unless a page or a table has to grow.
+// the insert changes the model). The record is assembled in its slot,
+// bare or not as its stripe's rule says (index.store): no allocation
+// unless a page or a table has to grow.
 func (e *Engine) publish(s *shard, k probe, en entry, st staged) {
 	ix := &s.strs
 	held := ix.held()
-	packed := k.room[:en.klen] // where lookup packed it
-	ref, rec := ix.recs.alloc(recordLen(packed, st))
-	writeRecord(rec, packed, st)
+	ref := ix.store(k.room[:en.klen], st) // where lookup packed it
 	if en.present() {
 		old := ix.parse(en.rec)
 		e.forget(s, old, len(k.key))
 		ix.touch(en.at) // before replace, which may move entries
 		ix.replace(en.at, ref, old.size)
 	} else {
-		ix.packed += int64(len(k.key) - len(packed))
+		ix.packed += int64(len(k.key) - en.klen)
 		ix.insert(k.h, ref)
 	}
 	s.payload.Add(payload(st.flags, len(k.key), len(st.val)))
@@ -623,16 +626,17 @@ func (e *Engine) ExpireAt(key string, at int64) bool {
 		return false
 	}
 	switch {
-	case en.rec[0]&flagTTL != 0:
+	case en.rec.head&flagTTL != 0:
 		en.rec.setDeadline(at)
 	case at != 0:
 		// First TTL on this record: move it to a slot with room for the
-		// deadline. The copy carries the same value (or PMem ref), so only
-		// the record's own bytes change hands.
+		// deadline, and for its header byte if it was bare. The copy
+		// carries the same value (or PMem ref), so only the record's own
+		// bytes change hands.
 		ix := &s.strs
 		held := ix.held()
 		f := ix.parse(en.rec)
-		ref, rec := ix.recs.alloc(f.size + 8)
+		ref, rec := ix.alloc(f.size - en.rec.headLen() + 1 + 8)
 		en.rec.withDeadline(rec, f, at)
 		ix.replace(en.at, ref, f.size)
 		s.memUsed.Add(ix.held() - held)
@@ -696,7 +700,7 @@ func (e *Engine) CollectExpired(limit int) []string {
 				out = append(out, s.strs.model.unpackKey(rec.key()))
 			}
 		})
-		resizing := s.strs.old.meta != nil
+		resizing := s.strs.old.words != nil
 		s.sweepPos.Store(pos)
 		if end {
 			e.sweepCursor.Add(1)
@@ -716,7 +720,7 @@ func (s *shard) settle(k int) {
 	for done := 0; done == 0 || done < k; done += moves {
 		s.mu.Lock()
 		ix := &s.strs
-		if ix.old.meta == nil {
+		if ix.old.words == nil {
 			s.mu.Unlock()
 			return
 		}

@@ -6,30 +6,48 @@ import (
 	"tierbase/internal/compress"
 )
 
-// An index entry is six bytes in two arrays: a 16-bit probe word in meta,
-// which is all that probing reads, and a 32-bit ref word in refs, read only
-// behind a probe word that matches. Neither holds a pointer, so the garbage
-// collector never looks inside a table.
+// An index entry is five bytes in two arrays (six once its stripe's slab
+// has passed 4 MiB): a 32-bit word in words, which is all that probing
+// reads, and the rest of the record's ref in high, read only behind a word
+// whose probe bits match. Neither holds a pointer, so the garbage collector
+// never looks inside a table.
 //
-//	meta[i]  bit 15     occupied (an empty slot is 0)
-//	         bits 9-14  the low 6 bits of the entry's home slot
-//	         bits 0-8   tag: the 9 hash bits that come next after the home
-//	refs[i]  bit 31     ownTag (slab.go)
-//	         bit 30     refBit: read or written since the clock hand last passed
-//	         bits 0-29  where the record is (slab.at)
+//	words[i]  bit 31      occupied (an empty slot is 0)
+//	          bits 25-30  the low 6 bits of the entry's home slot
+//	          bits 17-24  tag: the 8 hash bits that come next after the home
+//	          bit 16      refBit: read or written since the clock hand last passed
+//	          bits 0-15   the ref's low 16 bits
+//	high[i]   1 byte:     ownTag, bareRef, the ref's bits 16-21
+//	          or 2 bytes: the ref's bits 16-31
 //
-// refs[i] is the one word of a stripe that changes under the read lock: a
-// hit sets refBit in it (touch). Readers therefore load it atomically;
-// whoever holds the write lock has the table to itself and reads and writes
-// it plainly. (It is not an atomic.Uint32 because entries are copied when
-// runs shift and tables resize; the bit is in the ref and not in the probe
-// word because sync/atomic has no 16-bit OR.)
+// A ref is the slab's name for the record's slot (slab.at), with bareRef
+// set if the record is stored without its header byte (record.go): ownTag
+// in bit 31, bareRef in bit 30, the address in bits 0-29. A table's high
+// is 1 byte a slot while its stripe's slab has handed out no address of
+// more than 22 bits (page refs under 4 MiB a stripe) and 2 bytes after
+// that: the first ref past that widens the index's tables, in place and
+// once (widen).
+//
+// A word is the one thing in a stripe that changes under the read lock: a
+// hit sets refBit in it (touch). Readers therefore load words atomically;
+// whoever holds the write lock has the table to itself and reads and
+// writes it plainly. (It is not an atomic.Uint32 because entries are
+// copied when runs shift and tables resize.) high changes only under the
+// write lock.
 const (
-	occupied = 1 << 15
-	tagBits  = 9
-	reach    = 1<<6 - 1 // the farthest an entry sits from its home
+	occupied  = 1 << 31
+	homeShift = 25
+	tagBits   = 8
+	tagShift  = 17
+	probeMask = ^uint32(1<<tagShift - 1) // occupied, home and tag: the probe word
+	reach     = 1<<6 - 1                 // the farthest an entry sits from its home
 
-	refBit = 1 << 30
+	refBit  = 1 << 16
+	lowMask = 1<<16 - 1
+
+	bareRef   = 1 << 30 // in a ref: the record has no header byte
+	addrMask  = bareRef - 1
+	narrowRef = 1 << 22 // the addresses a 1-byte high holds
 
 	minSlots = 8
 	maxTail  = reach + 1 // slots past the last home: a full reach, and the last stays empty
@@ -53,12 +71,18 @@ const (
 	spreadFrom = 1024
 )
 
-// table is the index at one length: a probe word and a ref word a slot.
+// table is the index at one length: a word and a high part a slot.
 type table struct {
-	meta  []uint16
-	refs  []uint32 // as long as meta
-	homes uint32   // home slots: len(meta) less the tail
+	words []uint32
+	high  []byte // hw bytes a slot
+	hw    int    // 1 or 2
+	homes uint32 // home slots: len(words) less the tail
 }
+
+// spilled is an entry out of a table: its ref, and a word that holds its
+// reference bit and nothing else. It is what the spill keeps, and what
+// moves an entry from one table to another.
+type spilled struct{ ref, word uint32 }
 
 // index is an open-addressing hash table from key to record, and the
 // slab the records live in. A key's home is its slot hash scaled onto the
@@ -94,12 +118,12 @@ type index struct {
 
 	n int // entries, the spill's included
 
-	// spill holds the ref words of entries no table length could place: 64
-	// keys of one hash fill the reach of their one home. Only a table with a
-	// whole reach for a tail spills for good (a shorter one grows instead),
-	// so apart from an entry parked there until a resize under way is done
-	// it is nil unless somebody collides FNV-1a on purpose.
-	spill []uint32
+	// spill holds the entries no table length could place: 64 keys of one
+	// hash fill the reach of their one home. Only a table with a whole
+	// reach for a tail spills for good (a shorter one grows instead), so
+	// apart from an entry parked there until a resize under way is done it
+	// is nil unless somebody collides FNV-1a on purpose.
+	spill []spilled
 
 	// Positions run through table, then old, then the spill: that is hash
 	// order, the spill aside.
@@ -108,6 +132,7 @@ type index struct {
 	charge   int64  // bytes behind both tables and the spill, as the allocator rounds them
 	rehashed int    // records hashed again to move their entries between tables, ever
 	recs     slab
+	wide     bool                // the tables have 2-byte highs: the slab has handed out an address past narrowRef
 	codec    compress.Compressor // the engine's, which says where a compressed value ends (parse)
 
 	// model is what every record's key is packed under (keypack.go). It
@@ -126,32 +151,41 @@ type index struct {
 // stripe is picked by the low bits of the same fnv1a.)
 func slotHash(kh uint32) uint32 { return kh * 0x9E3779B1 }
 
-// tableLen is the length of a table asked to hold want slots: all that its
-// two allocations have room for once the allocator has rounded them up.
-func tableLen(want int) int {
-	return int(min(allocBytes(2*want)/2, allocBytes(4*want)/4))
+// tableLen is the length of a table of hw-byte highs asked to hold want
+// slots: all that its two allocations have room for once the allocator
+// has rounded them up.
+func tableLen(want, hw int) int {
+	return int(min(allocBytes(4*want)/4, allocBytes(hw*want)/int64(hw)))
+}
+
+// highWidth is the bytes of high a table of the index takes a slot.
+func (ix *index) highWidth() int {
+	if ix.wide {
+		return 2
+	}
+	return 1
 }
 
 // grown is the length a table of size slots grows to: an eighth more, or a
 // quarter below spreadFrom. (Quarter steps from 8 slots reach 1024, where
 // eighth steps take over.)
-func grown(size int) int {
+func (ix *index) grown(size int) int {
 	if size < spreadFrom {
-		return tableLen(max(minSlots, size+size/4))
+		return tableLen(max(minSlots, size+size/4), ix.highWidth())
 	}
-	return tableLen(size + size/8)
+	return tableLen(size+size/8, ix.highWidth())
 }
 
-func newTable(size int) table {
-	return table{meta: make([]uint16, size), refs: make([]uint32, size), homes: uint32(size - min(maxTail, size/2))}
+func newTable(size, hw int) table {
+	return table{words: make([]uint32, size), high: make([]byte, hw*size), hw: hw, homes: uint32(size - min(maxTail, size/2))}
 }
 
 // bytes is what the allocator spends on the table's two arrays.
 func (t *table) bytes() int64 {
-	if t.meta == nil {
+	if t.words == nil {
 		return 0
 	}
-	return allocBytes(2*len(t.meta)) + allocBytes(4*len(t.meta))
+	return allocBytes(4*len(t.words)) + allocBytes(len(t.high))
 }
 
 // word returns the home of an entry of hash h and its probe word. Both come
@@ -159,26 +193,126 @@ func (t *table) bytes() int64 {
 // low half, the bits of the hash that come after the home's at this length.
 // So (home, tag) is in hash order, and entries that meet in a run, which
 // share the home's bits, differ in the tag's.
-func (t *table) word(h uint32) (home int, w uint16) {
+func (t *table) word(h uint32) (home int, w uint32) {
 	p := uint64(h) * uint64(t.homes)
 	home = int(p >> 32)
-	return home, occupied | uint16(home&reach)<<tagBits | uint16(uint32(p)>>(32-tagBits))
+	return home, occupied | uint32(home&reach)<<homeShift | uint32(p)>>(32-tagBits)<<tagShift
+}
+
+// refOf is the ref of the entry in slot i, whose word is w.
+func (t *table) refOf(i int, w uint32) uint32 {
+	if t.hw == 1 {
+		b := uint32(t.high[i])
+		return b&0xC0<<24 | b&0x3F<<16 | w&lowMask
+	}
+	return uint32(t.high[2*i])<<16 | uint32(t.high[2*i+1])<<24 | w&lowMask
+}
+
+// setRef makes ref the ref of the entry in slot i, which keeps its probe
+// word and reference bit.
+func (t *table) setRef(i int, ref uint32) {
+	t.words[i] = t.words[i]&^lowMask | ref&lowMask
+	t.setHigh(i, ref)
+}
+
+// setHigh writes what slot i's high part keeps of ref.
+func (t *table) setHigh(i int, ref uint32) {
+	if t.hw == 1 {
+		t.high[i] = byte(ref>>24)&0xC0 | byte(ref>>16)&0x3F
+	} else {
+		t.high[2*i], t.high[2*i+1] = byte(ref>>16), byte(ref>>24)
+	}
+}
+
+// set puts e in slot i under probe word w.
+func (t *table) set(i int, w uint32, e spilled) {
+	t.words[i] = w | e.word&refBit | e.ref&lowMask
+	t.setHigh(i, e.ref)
+}
+
+// entry is the entry in slot i, out of its table.
+func (t *table) entry(i int) spilled {
+	w := t.words[i]
+	return spilled{ref: t.refOf(i, w), word: w & refBit}
+}
+
+// shift copies the n entries from slot from on to slot to on.
+func (t *table) shift(to, from, n int) {
+	copy(t.words[to:to+n], t.words[from:from+n])
+	copy(t.high[to*t.hw:(to+n)*t.hw], t.high[from*t.hw:(from+n)*t.hw])
+}
+
+// clear empties slot i.
+func (t *table) clear(i int) {
+	t.words[i] = 0
+	t.setHigh(i, 0)
 }
 
 // held is the bytes the index charges its stripe: the tables and the spill
 // as allocated, and every record's slot or own allocation.
 func (ix *index) held() int64 { return ix.charge + ix.recs.held() }
 
-// away is how far the entry with probe word m in slot i is from its home.
-func away(i int, m uint16) int { return (i - int(m>>tagBits)) & reach }
+// away is how far the entry with word m in slot i is from its home.
+func away(i int, m uint32) int { return (i - int(m>>homeShift)) & reach }
+
+// rec is the record ref names.
+func (ix *index) rec(ref uint32) record {
+	return view(ix.recs.at(ref&^bareRef), ref, ix.bareHead())
+}
+
+// alloc returns a slot of n bytes for a record and its ref. A ref whose
+// address the tables' highs cannot hold widens them first.
+func (ix *index) alloc(n int) (uint32, []byte) {
+	ref, buf := ix.recs.alloc(n)
+	if ref&addrMask >= narrowRef && !ix.wide {
+		ix.widen()
+	}
+	return ref, buf
+}
+
+// store writes the record of key, packed under the model, and st into a
+// slot of its own, bare if the rule says so, and returns its ref.
+func (ix *index) store(key []byte, st staged) uint32 {
+	if ix.bare(key, st.flags) {
+		ref, buf := ix.alloc(recordLen(key, st) - 1)
+		writeBody(buf, key, st)
+		return ref | bareRef
+	}
+	ref, buf := ix.alloc(recordLen(key, st))
+	writeRecord(buf, key, st)
+	return ref
+}
+
+// free releases the slot of the record of size bytes that ref names.
+func (ix *index) free(ref uint32, size int) { ix.recs.release(ref&^bareRef, size) }
+
+// widen gives the index's tables, the old one too while a resize is under
+// way, 2-byte highs at the lengths they have, and every table it makes from
+// here on: the slab is about to hand out a ref that a 1-byte high cannot
+// hold. Every entry keeps its slot, so a position found before holds.
+func (ix *index) widen() {
+	ix.wide = true
+	for _, t := range []*table{&ix.table, &ix.old} {
+		if t.words == nil {
+			continue
+		}
+		ix.charge -= t.bytes()
+		high := make([]byte, 2*len(t.words))
+		for i, b := range t.high {
+			high[2*i], high[2*i+1] = b&0x3F, b&0xC0
+		}
+		t.high, t.hw = high, 2
+		ix.charge += t.bytes()
+	}
+}
 
 // keyHash is the slot hash of the key of the record ref names: that of the
 // key as written, which the record holds packed.
 func (ix *index) keyHash(ref uint32) uint32 {
-	return slotHash(ix.model.hash(record(ix.recs.at(ref &^ refBit)).key()))
+	return slotHash(ix.model.hash(ix.rec(ref).key()))
 }
 
-// rehash is keyHash under the write lock, counted: a probe word keeps 15
+// rehash is keyHash under the write lock, counted: a probe word keeps 14
 // bits of a hash, so what moves an entry to another table reads its record
 // again.
 func (ix *index) rehash(ref uint32) uint32 {
@@ -189,43 +323,60 @@ func (ix *index) rehash(ref uint32) uint32 {
 // slot resolves position at to its table and the slot in it, or to nil and
 // its place in the spill.
 func (ix *index) slot(at int) (*table, int) {
-	if at < len(ix.meta) {
+	if at < len(ix.words) {
 		return &ix.table, at
 	}
-	if at -= len(ix.meta); at < len(ix.old.meta) {
+	if at -= len(ix.words); at < len(ix.old.words) {
 		return &ix.old, at
 	}
-	return nil, at - len(ix.old.meta)
+	return nil, at - len(ix.old.words)
 }
 
-// ref is the ref word of the entry at position at.
-func (ix *index) ref(at int) *uint32 {
+// mark is the word that holds the reference bit of the entry at position at.
+func (ix *index) mark(at int) *uint32 {
 	t, i := ix.slot(at)
 	if t == nil {
-		return &ix.spill[i]
+		return &ix.spill[i].word
 	}
-	return &t.refs[i]
+	return &t.words[i]
+}
+
+// refAt is the ref of the entry at position at. The read lock is enough.
+func (ix *index) refAt(at int) uint32 {
+	t, i := ix.slot(at)
+	if t == nil {
+		return ix.spill[i].ref
+	}
+	return t.refOf(i, atomic.LoadUint32(&t.words[i]))
+}
+
+// setRef makes ref the ref of the entry at position at, which keeps its
+// reference bit.
+func (ix *index) setRef(at int, ref uint32) {
+	if t, i := ix.slot(at); t == nil {
+		ix.spill[i].ref = ref
+	} else {
+		t.setRef(i, ref)
+	}
 }
 
 // record returns the record of the entry at position at.
-func (ix *index) record(at int) record {
-	return ix.recs.at(atomic.LoadUint32(ix.ref(at)) &^ refBit)
-}
+func (ix *index) record(at int) record { return ix.rec(ix.refAt(at)) }
 
 // find returns the position and the record of key, packed under the
 // index's model, or -1. One compare against bound picks the table (both,
-// for a hash equal to it). It reads probe words from the key's home on, a
-// record only behind a word that matches in all 16 bits, and stops at the
-// first entry that sorts after the key: a miss reads a record once in a
-// few hundred times.
+// for a hash equal to it). It reads words from the key's home on, a record
+// only behind a word whose 15 probe bits match, and stops at the first
+// entry that sorts after the key: a miss in a stripe of the ledger's
+// population reads a record once in about 300 times.
 func (ix *index) find(h uint32, key []byte) (int, record) {
 	if ix.n == 0 {
-		return -1, nil
+		return -1, record{}
 	}
-	resizing := ix.old.meta != nil
+	resizing := ix.old.words != nil
 	if resizing && h >= ix.bound {
 		if i, rec := ix.findIn(&ix.old, h, key); i >= 0 {
-			return len(ix.meta) + i, rec
+			return len(ix.words) + i, rec
 		}
 	}
 	if !resizing || h <= ix.bound {
@@ -238,7 +389,7 @@ func (ix *index) find(h uint32, key []byte) (int, record) {
 			return at, rec
 		}
 	}
-	return -1, nil
+	return -1, record{}
 }
 
 // floor is the first slot of t that probes read: the old table's front.
@@ -256,13 +407,13 @@ func (ix *index) floor(t *table) int {
 func (ix *index) findIn(t *table, h uint32, key []byte) (int, record) {
 	home, want := t.word(h)
 	for i := max(home, ix.floor(t)); ; i++ {
-		m := t.meta[i]
-		if m == want {
-			if rec := record(ix.recs.at(atomic.LoadUint32(&t.refs[i]) &^ refBit)); rec.hasShortKey(key) || len(key) > maxShortKey && rec.hasKey(key) {
+		m := atomic.LoadUint32(&t.words[i])
+		if m&probeMask == want {
+			if rec := ix.rec(t.refOf(i, m)); rec.hasShortKey(key) || len(key) > maxShortKey && rec.hasKey(key) {
 				return i, rec
 			}
-		} else if d := away(i, m); m == 0 || d < i-home || d == i-home && m > want {
-			return -1, nil // an empty slot, a later home, or the same home and a higher tag
+		} else if d := away(i, m); m == 0 || d < i-home || d == i-home && m&probeMask > want {
+			return -1, record{} // an empty slot, a later home, or the same home and a higher tag
 		}
 	}
 }
@@ -272,33 +423,33 @@ func (ix *index) findIn(t *table, h uint32, key []byte) (int, record) {
 // bit, which is all that can happen to the word. Test first, because a hot
 // key's bit is nearly always set and a load leaves its cache line shared.
 func (ix *index) touch(at int) {
-	if p := ix.ref(at); atomic.LoadUint32(p)&refBit == 0 {
+	if p := ix.mark(at); atomic.LoadUint32(p)&refBit == 0 {
 		atomic.OrUint32(p, refBit)
 	}
 }
 
-// replace makes ref (from recs.alloc, its record written) the record of the
+// replace makes ref (from store, its record written) the record of the
 // entry at position at, whose key it shares, and frees the one of size
 // bytes that was there. The entry keeps its reference bit.
 func (ix *index) replace(at int, ref uint32, size int) {
 	since := ix.rehashed
-	p := ix.ref(at)
-	ix.recs.release(*p&^refBit, size)
-	*p = ref | *p&refBit
+	ix.free(ix.refAt(at), size)
+	ix.setRef(at, ref)
 	ix.step(since)
 }
 
-// insert adds ref (from recs.alloc, its record written), the record of a
-// key of slotHash h that the index lacks. The key starts referenced, as at
-// the head of an LRU list: wherever the hand is, it gets a lap to be read
+// insert adds ref (from store, its record written), the record of a key of
+// slotHash h that the index lacks. The key starts referenced, as at the
+// head of an LRU list: wherever the hand is, it gets a lap to be read
 // again.
 func (ix *index) insert(h, ref uint32) {
 	since := ix.rehashed
 	ix.n++
-	if ix.n*8 > len(ix.meta)*7 {
-		ix.begin(grown(len(ix.meta)))
+	if ix.n*8 > len(ix.words)*7 {
+		ix.begin(ix.grown(len(ix.words)))
 	}
-	if !ix.put(h, ref|refBit) {
+	e := spilled{ref: ref, word: refBit}
+	if !ix.put(h, e) {
 		// No slot within reach. A longer table spreads the homes apart,
 		// unless this one has a whole reach for a tail and a quarter more
 		// slots would make one that remove shrinks again: then this one is
@@ -309,9 +460,9 @@ func (ix *index) insert(h, ref uint32) {
 		// hand leaves one ahead of it), and an eighth leaves it nearly as
 		// crowded. Either way the entry waits in the spill, for good or
 		// until the resize is done and places it.
-		ix.setSpill(append(ix.spill, ref|refBit))
-		size := len(ix.meta)
-		if quarter := tableLen(size + size/4); ix.old.meta == nil && (size < 2*maxTail || ix.n*16 >= quarter*9) {
+		ix.setSpill(append(ix.spill, e))
+		size := len(ix.words)
+		if quarter := tableLen(size+size/4, ix.highWidth()); ix.old.words == nil && (size < 2*maxTail || ix.n*16 >= quarter*9) {
 			ix.begin(quarter)
 		}
 	}
@@ -327,12 +478,12 @@ func (ix *index) insert(h, ref uint32) {
 // before it, so that this one entry (a stripe's first key, say) would be
 // the one taken whenever a lap finds every key marked. It reports false,
 // with nothing moved, where there is no slot within reach.
-func (ix *index) put(h, ref uint32) bool {
+func (ix *index) put(h uint32, e spilled) bool {
 	t, off := &ix.table, 0
-	if ix.old.meta != nil && h >= ix.bound {
-		t, off = &ix.old, len(ix.meta)
+	if ix.old.words != nil && h >= ix.bound {
+		t, off = &ix.old, len(ix.words)
 	}
-	i, end := ix.place(t, h, ref)
+	i, end := ix.place(t, h, e)
 	if i < 0 {
 		return false
 	}
@@ -342,53 +493,53 @@ func (ix *index) put(h, ref uint32) bool {
 	return true
 }
 
-// place puts the ref word of an entry of hash h in t, in hash order (seek),
-// and moves the rest of the run one slot on. It returns the slot and the
-// end of what moved, or -1, with nothing moved, if that would take the
-// entry or one it moves past its reach or into the last slot.
-func (ix *index) place(t *table, h, ref uint32) (i, end int) {
+// place puts e, an entry of hash h, in t, in hash order (seek), and moves
+// the rest of the run one slot on. It returns the slot and the end of what
+// moved, or -1, with nothing moved, if that would take the entry or one it
+// moves past its reach or into the last slot.
+func (ix *index) place(t *table, h uint32, e spilled) (i, end int) {
 	home, w := t.word(h)
 	i = ix.seek(t, h)
-	for end = i; t.meta[end] != 0; end++ {
-		if away(end, t.meta[end]) == reach {
+	for end = i; t.words[end] != 0; end++ {
+		if away(end, t.words[end]) == reach {
 			return -1, 0
 		}
 	}
-	if i-home > reach || end == len(t.meta)-1 {
+	if i-home > reach || end == len(t.words)-1 {
 		return -1, 0
 	}
-	copy(t.meta[i+1:end+1], t.meta[i:end])
-	copy(t.refs[i+1:end+1], t.refs[i:end])
-	t.meta[i], t.refs[i] = w, ref
+	t.shift(i+1, i, end-i)
+	t.set(i, w, e)
 	return i, end
 }
 
-// tail puts the ref word of an entry of hash h, which no entry of t hashes
-// higher than, at the end of its run: in the first empty slot from its
-// home on, with nothing to move and nothing to compare. It returns the
-// slot, or -1 if that is past the entry's reach or the last slot.
-func (t *table) tail(h, ref uint32) int {
+// tail puts e, an entry of hash h, which no entry of t hashes higher than,
+// at the end of its run: in the first empty slot from its home on, with
+// nothing to move and nothing to compare. It returns the slot, or -1 if
+// that is past the entry's reach or the last slot.
+func (t *table) tail(h uint32, e spilled) int {
 	home, w := t.word(h)
 	i := home
-	for t.meta[i] != 0 {
+	for t.words[i] != 0 {
 		i++
 	}
-	if i-home > reach || i == len(t.meta)-1 {
+	if i-home > reach || i == len(t.words)-1 {
 		return -1
 	}
-	t.meta[i], t.refs[i] = w, ref
+	t.set(i, w, e)
 	return i
 }
 
 // setSpill makes spill the spill slice and charges it as allocated.
-func (ix *index) setSpill(spill []uint32) {
+func (ix *index) setSpill(spill []spilled) {
+	const each = 8 // bytes a spilled entry takes
 	if ix.spill != nil {
-		ix.charge -= allocBytes(4 * cap(ix.spill))
+		ix.charge -= allocBytes(each * cap(ix.spill))
 	}
 	if ix.spill = spill; len(spill) == 0 {
 		ix.spill = nil
 	} else {
-		ix.charge += allocBytes(4 * cap(spill))
+		ix.charge += allocBytes(each * cap(spill))
 	}
 }
 
@@ -403,24 +554,24 @@ func (ix *index) setSpill(spill []uint32) {
 func (ix *index) begin(size int) {
 	ix.finish()
 	old := ix.table
-	ix.table = newTable(size)
+	ix.table = newTable(size, ix.highWidth())
 	ix.charge += ix.table.bytes()
-	if old.meta == nil {
+	if old.words == nil {
 		return
 	}
 	ix.old = old
 	// A hand past the last entry has ended its lap, and the next lap starts
 	// at the first: every entry is ahead of it.
 	at := ix.hand
-	for at < len(old.meta) && old.meta[at] == 0 {
+	for at < len(old.words) && old.words[at] == 0 {
 		at++
 	}
-	if at == len(old.meta) && ix.spill == nil {
+	if at == len(old.words) && ix.spill == nil {
 		ix.hand = 0
 	}
 	ix.hand += size // positions in the old table now come after the new one's
 	ix.advance(0)
-	if len(old.meta) < spreadFrom {
+	if len(old.words) < spreadFrom {
 		ix.finish()
 		ix.rebuilt = true
 	}
@@ -489,35 +640,34 @@ func (ix *index) learnShape(w *widths, s shape) shape {
 }
 
 // setModel makes model the index's and re-packs every record under it into
-// a slot of a fresh slab: the old slab goes back to the heap whole, with
-// the slots of the sizes its records no longer have, which no record would
-// take again. Entries keep their places and their reference bits: a slot
-// hash is that of the key as written.
+// a slot of a fresh slab, bare or not as the rule says under it: the old
+// slab goes back to the heap whole, with the slots of the sizes its records
+// no longer have, which no record would take again. Entries keep their
+// places and their reference bits: a slot hash is that of the key as
+// written.
 func (ix *index) setModel(model keyModel) {
-	from, recs := ix.model, ix.recs
+	from, recs, head := ix.model, ix.recs, ix.bareHead()
 	ix.model, ix.recs = model, slab{}
 	var buf, kb keyBuf
 	for at := 0; at < ix.positions(); at++ {
 		if !ix.used(at) {
 			continue
 		}
-		p := ix.ref(at)
-		f := ix.parse(recs.at(*p &^ refBit))
+		ref := ix.refAt(at)
+		f := ix.parse(view(recs.at(ref&^bareRef), ref, head))
 		key := appendPacked(&model, kb[:0], from.appendUnpacked(buf[:0], f.key))
 		st := staged{flags: f.flags, val: f.val, at: f.deadline}
 		if f.flags&flagPMem != 0 {
 			st.ref = f.ref()
 		}
-		ref, rec := ix.recs.alloc(recordLen(key, st))
-		writeRecord(rec, key, st)
+		ix.setRef(at, ix.store(key, st))
 		ix.packed += int64(len(f.key) - len(key))
-		*p = ref | *p&refBit
 	}
 }
 
 // finish moves everything that is left across.
 func (ix *index) finish() {
-	for ix.old.meta != nil {
+	for ix.old.words != nil {
 		ix.migrate(moves)
 	}
 }
@@ -539,21 +689,32 @@ func (ix *index) step(since int) {
 // the spill), and leaves their slots empty (floor), so that an entry costs
 // the same whatever run it is in. It re-hashes as many records: each
 // entry's hash is read while the one before it is the front. The keys are
-// found first and hashed after, because finding a key is a cache miss in a
+// read first and hashed after, because reading a key is a cache miss in a
 // slab that has outgrown the cache, and misses with nothing but one another
-// in the way are served side by side. The hand keeps its place: an entry is
-// behind it if it was, and otherwise the hand is on it or before it, since
-// in hash order nothing lies between.
+// in the way are served side by side. A short key is copied out of its
+// record to read it: a bare record's key is found without a load, its
+// header being the stripe's, and the first load would come in the hash,
+// one miss at a time. The hand keeps its place: an entry is behind it if it was, and
+// otherwise the hand is on it or before it, since in hash order nothing
+// lies between.
 func (ix *index) migrate(k int) {
-	if ix.old.meta == nil {
+	if ix.old.words == nil {
 		return
 	}
 	k = min(k, moves)
 	var keys [moves][]byte
+	var short [moves][maxShortKey]byte
 	n := 0
-	for i := ix.front + 1; n < k && i < len(ix.old.meta); i++ {
-		if ix.old.meta[i] != 0 {
-			keys[n] = record(ix.recs.at(ix.old.refs[i] &^ refBit)).key()
+	for i := ix.front + 1; n < k && i < len(ix.old.words); i++ {
+		if w := ix.old.words[i]; w != 0 {
+			key := ix.rec(ix.old.refOf(i, w)).key()
+			if len(key) <= maxShortKey {
+				for b, c := range key {
+					short[n][b] = c
+				}
+				key = short[n][:len(key)]
+			}
+			keys[n] = key
 			n++
 		}
 	}
@@ -563,12 +724,12 @@ func (ix *index) migrate(k int) {
 	}
 	ix.rehashed += n
 	for j := 0; j < min(k, n+1); j++ {
-		at, ref := len(ix.meta)+ix.front, ix.old.refs[ix.front]
+		at, e := len(ix.words)+ix.front, ix.old.entry(ix.front)
 		ahead := ix.hand <= at
-		i := ix.table.tail(ix.bound, ref)
-		ix.old.meta[ix.front], ix.old.refs[ix.front] = 0, 0
+		i := ix.table.tail(ix.bound, e)
+		ix.old.clear(ix.front)
 		if i < 0 {
-			ix.setSpill(append(ix.spill, ref))
+			ix.setSpill(append(ix.spill, e))
 		} else if ahead {
 			ix.hand = min(ix.hand, i)
 		}
@@ -576,7 +737,7 @@ func (ix *index) migrate(k int) {
 			ix.done() // that was the last
 			return
 		}
-		for ix.old.meta[ix.front] == 0 {
+		for ix.old.words[ix.front] == 0 {
 			ix.front++
 		}
 		ix.bound = hashes[j]
@@ -586,9 +747,9 @@ func (ix *index) migrate(k int) {
 // advance finds the old table's first entry from slot i on and reads its
 // hash into bound, or with none left finishes the resize.
 func (ix *index) advance(i int) {
-	for ; i < len(ix.old.meta); i++ {
-		if ix.old.meta[i] != 0 {
-			ix.front, ix.bound = i, ix.rehash(ix.old.refs[i])
+	for ; i < len(ix.old.words); i++ {
+		if w := ix.old.words[i]; w != 0 {
+			ix.front, ix.bound = i, ix.rehash(ix.old.refOf(i, w))
 			return
 		}
 	}
@@ -598,8 +759,8 @@ func (ix *index) advance(i int) {
 // done ends a resize whose old table is empty: the table goes, and what
 // waited in the spill is placed if the new one has room for it.
 func (ix *index) done() {
-	if ix.hand >= len(ix.meta) {
-		ix.hand = max(len(ix.meta), ix.hand-len(ix.old.meta))
+	if ix.hand >= len(ix.words) {
+		ix.hand = max(len(ix.words), ix.hand-len(ix.old.words))
 	}
 	ix.charge -= ix.old.bytes()
 	ix.old, ix.front, ix.bound = table{}, 0, 0
@@ -610,10 +771,10 @@ func (ix *index) done() {
 	// past the table and ahead of it otherwise.
 	spill := ix.spill
 	ix.setSpill(nil)
-	ix.hand = min(ix.hand, len(ix.meta))
-	for _, ref := range spill {
-		if i, end := ix.place(&ix.table, ix.rehash(ref), ref); i < 0 {
-			ix.setSpill(append(ix.spill, ref))
+	ix.hand = min(ix.hand, len(ix.words))
+	for _, e := range spill {
+		if i, end := ix.place(&ix.table, ix.rehash(e.ref), e); i < 0 {
+			ix.setSpill(append(ix.spill, e))
 		} else if i <= ix.hand && ix.hand <= end {
 			ix.hand++
 		}
@@ -621,8 +782,8 @@ func (ix *index) done() {
 	// A table under two reaches long has less than one for a tail, and what
 	// it could not place ran into its end, not out of reach: honest keys,
 	// which the next length up has room for.
-	if ix.spill != nil && len(ix.meta) < 2*maxTail {
-		ix.begin(grown(len(ix.meta)))
+	if ix.spill != nil && len(ix.words) < 2*maxTail {
+		ix.begin(ix.grown(len(ix.words)))
 	}
 }
 
@@ -632,11 +793,12 @@ func (ix *index) remove(at, size int) {
 	since := ix.rehashed
 	ix.removeAt(at, size)
 	if ix.n == 0 {
-		ix.table, ix.old, ix.spill, ix.hand, ix.charge = table{}, table{}, nil, 0, 0
+		// The slab is empty too, and hands out its lowest addresses again.
+		ix.table, ix.old, ix.spill, ix.hand, ix.charge, ix.wide = table{}, table{}, nil, 0, 0, false
 		return
 	}
-	if ix.n*16 < len(ix.meta)*9 {
-		if shrunk := tableLen(max(minSlots, len(ix.meta)*4/5)); shrunk < len(ix.meta) {
+	if ix.n*16 < len(ix.words)*9 {
+		if shrunk := tableLen(max(minSlots, len(ix.words)*4/5), ix.highWidth()); shrunk < len(ix.words) {
 			ix.begin(shrunk)
 		}
 	}
@@ -646,7 +808,7 @@ func (ix *index) remove(at, size int) {
 // removeAt frees the record of size bytes of the entry at position at and
 // closes the gap. In the spill the last entry fills it.
 func (ix *index) removeAt(at, size int) {
-	ix.recs.release(*ix.ref(at)&^refBit, size)
+	ix.free(ix.refAt(at), size)
 	ix.n--
 	switch t, i := ix.slot(at); {
 	case t == nil:
@@ -654,7 +816,7 @@ func (ix *index) removeAt(at, size int) {
 		ix.spill[i] = ix.spill[last]
 		ix.setSpill(ix.spill[:last])
 	case t == &ix.old:
-		ix.close(t, i, len(ix.meta))
+		ix.close(t, i, len(ix.words))
 		if i == ix.front {
 			ix.advance(i)
 		}
@@ -668,24 +830,23 @@ func (ix *index) removeAt(at, size int) {
 // and the hand with it if it is on that stretch.
 func (ix *index) close(t *table, i, off int) {
 	end := i + 1
-	for m := t.meta[end]; m != 0 && away(end, m) != 0; m = t.meta[end] {
+	for m := t.words[end]; m != 0 && away(end, m) != 0; m = t.words[end] {
 		end++
 	}
-	copy(t.meta[i:], t.meta[i+1:end])
-	copy(t.refs[i:], t.refs[i+1:end])
-	t.meta[end-1], t.refs[end-1] = 0, 0
+	t.shift(i, i+1, end-i-1)
+	t.clear(end - 1)
 	if off+i < ix.hand && ix.hand < off+end {
 		ix.hand--
 	}
 }
 
 // positions is one past the last position an entry can have.
-func (ix *index) positions() int { return len(ix.meta) + len(ix.old.meta) + len(ix.spill) }
+func (ix *index) positions() int { return len(ix.words) + len(ix.old.words) + len(ix.spill) }
 
 // used reports whether position at holds an entry.
 func (ix *index) used(at int) bool {
 	t, i := ix.slot(at)
-	return t == nil || t.meta[i] != 0
+	return t == nil || atomic.LoadUint32(&t.words[i]) != 0
 }
 
 // each calls fn for every record until it returns false.
@@ -709,8 +870,8 @@ func (ix *index) scan(from uint32, limit *int, fn func(rec record)) (next uint32
 	if ix.n == 0 {
 		return 0, true
 	}
-	at, tables := len(ix.meta), len(ix.meta)+len(ix.old.meta)
-	if ix.old.meta != nil && from > ix.bound {
+	at, tables := len(ix.words), len(ix.words)+len(ix.old.words)
+	if ix.old.words != nil && from > ix.bound {
 		at += ix.seek(&ix.old, from)
 	} else {
 		at = ix.seek(&ix.table, from)
@@ -722,8 +883,8 @@ func (ix *index) scan(from uint32, limit *int, fn func(rec record)) (next uint32
 		if *limit <= 0 {
 			// Past the limit, but not in the middle of keys of one hash:
 			// the next call would meet the ones before the stop again.
-			h := ix.keyHash(atomic.LoadUint32(ix.ref(at)))
-			if prev < 0 || h != ix.keyHash(atomic.LoadUint32(ix.ref(prev))) {
+			h := ix.keyHash(ix.refAt(at))
+			if prev < 0 || h != ix.keyHash(ix.refAt(prev)) {
 				return h, false
 			}
 		}
@@ -740,12 +901,12 @@ func (ix *index) scan(from uint32, limit *int, fn func(rec record)) (next uint32
 
 // seek is the slot of t where an entry of hash h goes: behind every entry of
 // a lower home and tag, and of an equal one whose own hash, which it reads
-// (one pair of entries of a home in 512), is lower, and before the rest.
+// (one pair of entries of a home in 256), is lower, and before the rest.
 func (ix *index) seek(t *table, h uint32) int {
 	home, w := t.word(h)
 	i := max(home, ix.floor(t))
-	for m := t.meta[i]; m != 0; m = t.meta[i] {
-		if d := away(i, m); d < i-home || d == i-home && (m > w || m == w && ix.keyHash(atomic.LoadUint32(&t.refs[i])) >= h) {
+	for m := atomic.LoadUint32(&t.words[i]); m != 0; m = atomic.LoadUint32(&t.words[i]) {
+		if d, p := away(i, m), m&probeMask; d < i-home || d == i-home && (p > w || p == w && ix.keyHash(t.refOf(i, m)) >= h) {
 			break
 		}
 		i++
@@ -770,13 +931,12 @@ func (ix *index) clock(look *int, lap int, pinned func(key []byte) bool) (at int
 			continue
 		}
 		*look--
-		p := ix.ref(at)
-		if *p&refBit != 0 {
+		if p := ix.mark(at); *p&refBit != 0 {
 			*p &^= refBit
 			*look = lap
 			continue
 		}
-		f := ix.parse(ix.recs.at(*p))
+		f := ix.parse(ix.record(at))
 		if pinned != nil {
 			ix.unpacked = ix.model.appendUnpacked(ix.unpacked[:0], f.key)
 		}

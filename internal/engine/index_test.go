@@ -81,14 +81,20 @@ type indexModel struct {
 	marks map[string]bool // reference bit, as the operations so far leave it
 }
 
-func (m *indexModel) put(key string, v byte) {
+// put stores v as key's value: in the plain form (a raw value with its
+// length, as the index has no codec), whose record is bare if the key is of
+// the model's shape, or headed, with a deadline, which no record is bare
+// with.
+func (m *indexModel) put(key string, v byte, headed bool) {
 	ix := &m.ix
 	pk := ix.pack(key)
 	h := slotHash(fnv1a(key))
 	at, cur := ix.find(h, pk)
 	st := staged{val: []byte{v}}
-	ref, rec := ix.recs.alloc(recordLen(pk, st))
-	writeRecord(rec, pk, st)
+	if headed {
+		st.flags, st.at = flagTTL, int64(v)+1
+	}
+	ref := ix.store(pk, st)
 	if at >= 0 {
 		ix.replace(at, ref, ix.parse(cur).size)
 	} else {
@@ -177,11 +183,14 @@ func (m *indexModel) check(cleared bool) {
 			m.t.Fatalf("%q is lost", key)
 		}
 		f := ix.parse(rec)
-		if string(f.key) != string(ix.pack(key)) || len(f.val) != 1 || f.val[0] != v || &ix.record(at)[0] != &rec[0] {
+		if string(f.key) != string(ix.pack(key)) || len(f.val) != 1 || f.val[0] != v || !sameRecord(ix.record(at), rec) {
 			m.t.Fatalf("%q resolves to the record of %q, value %v, want %v", key, ix.model.unpackKey(f.key), f.val, v)
 		}
+		if rec.bare != ix.bare(f.key, f.flags) || f.deadline != 0 && f.deadline != int64(v)+1 {
+			m.t.Fatalf("%q: record of flags %#x and deadline %d is bare: %v, under %v", key, f.flags, f.deadline, rec.bare, ix.model)
+		}
 		packed += int64(len(key) - len(f.key))
-		marked := *ix.ref(at)&refBit != 0
+		marked := *ix.mark(at)&refBit != 0
 		if marked != m.marks[key] && !(cleared && !marked) {
 			m.t.Fatalf("%q: reference bit %v, want %v", key, marked, m.marks[key])
 		}
@@ -217,11 +226,15 @@ func (m *indexModel) check(cleared bool) {
 // their full forms until a rebuild widens it, learns it now from every key
 // (count 0 mod 4), or gives it the shape of the op's first key (2 mod 4),
 // in a size from the count that may be too small for some keys of it.
-// After every operation the index is compared with a map: every key found
-// with its own value and its own reference bit and stored in its packed
-// form under the model, no other key found, counts, charge, what packing
-// took off and shape right, both tables in hash order while a resize is
-// under way.
+// Values are plain, so a key of the model's shape has a bare record, except
+// where op byte 240 puts a run of keys with a deadline, headed; op byte 241
+// widens the tables' highs to 2 bytes, in place, whatever the slab's size
+// (the other op bytes under 248 are their op mod 8). After every operation
+// the index is compared with a map: every key found with its own value and
+// its own reference bit, stored in its packed form under the model and bare
+// exactly when the rule says, no other key found, counts, charge, what
+// packing took off and shape right, both tables in hash order while a
+// resize is under way.
 func FuzzIndex(f *testing.F) {
 	grow := []byte{0, 0, 0, 255, 0, 1, 0, 255, 0, 2, 0, 255, 0, 3, 0, 255} // 1024 ordinary keys
 	f.Add(grow)
@@ -236,6 +249,9 @@ func FuzzIndex(f *testing.F) {
 	f.Add(append(append(append([]byte{}, grow...), 1, 0, 0, 255, 1, 1, 0, 12), across...))
 	f.Add([]byte{0, 17, 0, 255, 248, 0, 0, 1, 0, 17, 0x40, 40, 248, 0, 0, 0, 1, 17, 0, 100, 248, 0, 0, 1, 1, 17, 0x60, 60}) // re-models
 	f.Add([]byte{0, 0, 0, 255, 248, 0, 100, 6, 0, 0, 0x40, 50, 248, 0, 0, 0, 1, 0, 0, 20, 248, 17, 0, 2, 1, 0, 0x20, 80})   // shapes
+	// Bare and headed records of one shape, a widening mid-resize, and a
+	// re-model that re-decides every record's form.
+	f.Add(append(append([]byte{}, grow...), 240, 0, 0, 100, 0, 0, 0x40, 9, 248, 0, 0, 2, 241, 0, 0, 0, 240, 0, 0x30, 40, 0, 2, 0, 100, 1, 0, 0x10, 200, 248, 0, 0, 0))
 	shared := sharedHashKeys()
 	name := func(i int) string {
 		switch {
@@ -254,20 +270,23 @@ func FuzzIndex(f *testing.F) {
 			first, count := int(binary.BigEndian.Uint16(ops[1:]))%4608, int(ops[3])
 			cleared := false
 			op := ops[0] % 8
-			if ops[0] >= 248 {
+			switch ops[0] {
+			case 240, 241:
+				op = ops[0] - 240 + 9
+			case 248, 249, 250, 251, 252, 253, 254, 255:
 				op = 8 // the re-model has codes of its own, so the other codes keep their meaning
 			}
 			switch op {
-			case 0:
+			case 0, 9:
 				for i := 0; i <= count; i++ {
-					m.put(name(first+i), ops[3])
+					m.put(name(first+i), ops[3], op == 9)
 				}
 			case 1:
 				for i := 0; i <= count; i++ {
 					m.del(name(first + i))
 				}
 			case 2:
-				m.put(name(first), ops[3])
+				m.put(name(first), ops[3], false)
 			case 3:
 				key := name(first)
 				if at, _ := m.ix.findKey(key); at >= 0 {
@@ -301,6 +320,10 @@ func FuzzIndex(f *testing.F) {
 				default:
 					m.ix.setModel(keyModel{})
 				}
+			case 10:
+				if !m.ix.wide {
+					m.ix.widen()
+				}
 			}
 			m.check(cleared)
 		}
@@ -318,7 +341,7 @@ func TestSpillHoldsWhatNoLengthSeparates(t *testing.T) {
 		e.Set(fmt.Sprintf("k%d", i), []byte("v"))
 	}
 	ix := &e.shards[0].strs
-	size := len(ix.meta)
+	size := len(ix.words)
 	for _, k := range shared {
 		e.Set(k, []byte(k))
 	}
@@ -326,10 +349,10 @@ func TestSpillHoldsWhatNoLengthSeparates(t *testing.T) {
 	if got, want := len(ix.spill), len(shared)-(reach+1); got < want || got > want+4 {
 		t.Fatalf("%d keys of one hash: %d spilled, want %d or a few more", len(shared), got, want)
 	}
-	if len(ix.meta) > 2*size {
-		t.Fatalf("table grew from %d to %d slots for keys no length separates", size, len(ix.meta))
+	if len(ix.words) > 2*size {
+		t.Fatalf("table grew from %d to %d slots for keys no length separates", size, len(ix.words))
 	}
-	if st := e.Stats(); st.IndexBytes != ix.charge || ix.charge <= allocBytes(2*len(ix.meta))+allocBytes(4*len(ix.meta)) {
+	if st := e.Stats(); st.IndexBytes != ix.charge || ix.charge <= allocBytes(2*len(ix.words))+allocBytes(4*len(ix.words)) {
 		t.Fatalf("IndexBytes %d, table and spill charged %d", st.IndexBytes, ix.charge)
 	}
 	if err := checkBooks(e); err != nil {
@@ -396,11 +419,11 @@ func TestSpillHoldsWhatNoLengthSeparates(t *testing.T) {
 		e.Set(k, nil)
 	}
 	ix = &e.shards[0].strs
-	for ix.old.meta != nil {
+	for ix.old.words != nil {
 		e.Set(shared[0], nil)
 	}
-	if got, want := len(ix.spill), len(shared)-(reach+1); got != want || len(ix.meta) > 2*len(shared) {
-		t.Fatalf("%d keys of one hash alone: %d spilled beside %d slots, want %d beside %d at most", len(shared), got, len(ix.meta), want, 2*len(shared))
+	if got, want := len(ix.spill), len(shared)-(reach+1); got != want || len(ix.words) > 2*len(shared) {
+		t.Fatalf("%d keys of one hash alone: %d spilled beside %d slots, want %d beside %d at most", len(shared), got, len(ix.words), want, 2*len(shared))
 	}
 	for _, k := range shared {
 		if err := checkBooks(e); err != nil {
@@ -425,7 +448,7 @@ func TestResizeCarriesTheHand(t *testing.T) {
 	ix := &m.ix
 	key := func(i int) string { return fmt.Sprintf("k%d", i) }
 	for i := 0; i < n; i++ {
-		m.put(key(i), 0)
+		m.put(key(i), 0, false)
 	}
 	asked := map[string]int{}
 	pinAll := func(k []byte) bool { asked[string(k)]++; return true }
@@ -441,11 +464,11 @@ func TestResizeCarriesTheHand(t *testing.T) {
 		}
 	}
 	clear(asked)
-	sizes := map[int]bool{len(ix.meta): true}
+	sizes := map[int]bool{len(ix.words): true}
 	advance(n / 3)
 	for i := n; i < n+n/2; i++ {
-		m.put(key(i), 0)
-		sizes[len(ix.meta)] = true
+		m.put(key(i), 0, false)
+		sizes[len(ix.words)] = true
 	}
 	advance(n / 3)
 	for i := n - 1; i >= 2*n/3; i-- {
@@ -453,7 +476,7 @@ func TestResizeCarriesTheHand(t *testing.T) {
 	}
 	for i := n; i < n+n/2; i++ {
 		m.del(key(i))
-		sizes[len(ix.meta)] = true
+		sizes[len(ix.words)] = true
 	}
 	for !advance(n) {
 	}
@@ -518,43 +541,43 @@ func TestResizeKeepsTheHandsPlace(t *testing.T) {
 				var keys []string
 				add := func() {
 					keys = append(keys, fmt.Sprintf("%x", r.Uint64()))
-					m.put(keys[len(keys)-1], 0)
+					m.put(keys[len(keys)-1], 0, false)
 				}
 				for len(keys) < n {
 					add()
 				}
 				ix := &m.ix
 				if grow {
-					for (ix.n+1)*8 <= len(ix.meta)*7 {
+					for (ix.n+1)*8 <= len(ix.words)*7 {
 						add()
 					}
 				} else {
-					for len(keys) > 1 && (ix.n-1)*16 >= len(ix.meta)*9 {
+					for len(keys) > 1 && (ix.n-1)*16 >= len(ix.words)*9 {
 						m.del(keys[len(keys)-1])
 						keys = keys[:len(keys)-1]
 					}
 				}
-				for ix.positions() != len(ix.meta)+len(ix.spill) { // a resize under way
-					m.put(keys[0], 0)
+				for ix.positions() != len(ix.words)+len(ix.spill) { // a resize under way
+					m.put(keys[0], 0, false)
 				}
 				return m, keys
 			}
 			m, _ := ready()
-			for hand := 0; hand < len(m.ix.meta); hand += every {
+			for hand := 0; hand < len(m.ix.words); hand += every {
 				m, keys := ready()
 				ix := &m.ix
 				ix.hand = hand
-				before, size := behind(ix, keys), len(ix.meta)
+				before, size := behind(ix, keys), len(ix.words)
 				if grow {
-					m.put("a key that is new", 0)
+					m.put("a key that is new", 0, false)
 				} else {
 					m.del(keys[0])
 					delete(before, keys[0])
 				}
-				for ix.positions() != len(ix.meta)+len(ix.spill) {
-					m.put(keys[1], 0)
+				for ix.positions() != len(ix.words)+len(ix.spill) {
+					m.put(keys[1], 0, false)
 				}
-				if len(ix.meta) == size {
+				if len(ix.words) == size {
 					t.Fatalf("round %d (grow %v): the table stayed at %d slots", round, grow, size)
 				}
 				resizes++
@@ -564,7 +587,7 @@ func TestResizeKeepsTheHandsPlace(t *testing.T) {
 						if wrong++; wrong <= 5 {
 							at, _ := ix.findKey(k)
 							t.Errorf("round %d (grow %v), %d to %d slots, hand on slot %d: %q now in slot %d, the hand on %d; behind it before: %v",
-								round, grow, size, len(ix.meta), hand, k, at, ix.hand, was)
+								round, grow, size, len(ix.words), hand, k, at, ix.hand, was)
 						}
 						break
 					}
@@ -595,15 +618,15 @@ func TestResizeIsSpreadOverWrites(t *testing.T) {
 	}
 	worst, small, lengths, resizing := 0, 0, map[int]bool{}, 0
 	write := func(op func()) {
-		before, short := ix.rehashed, len(ix.meta) < spreadFrom
+		before, short := ix.rehashed, len(ix.words) < spreadFrom
 		op()
-		if short || len(ix.meta) < spreadFrom {
+		if short || len(ix.words) < spreadFrom {
 			small = max(small, ix.rehashed-before)
 		} else {
 			worst = max(worst, ix.rehashed-before)
 		}
-		lengths[len(ix.meta)] = true
-		if ix.old.meta != nil {
+		lengths[len(ix.words)] = true
+		if ix.old.words != nil {
 			resizing++
 		}
 	}
@@ -641,7 +664,63 @@ func shapedModel(m keyModel, key string, size int) keyModel {
 // pack is key packed under the index's model, as the engine stores it.
 func (ix *index) pack(key string) []byte { return appendPacked(&ix.model, nil, key) }
 
+// sameRecord reports whether a and b are views of one record.
+func sameRecord(a, b record) bool { return a.bare == b.bare && &a.body[0] == &b.body[0] }
+
 // findKey is find for key as written.
 func (ix *index) findKey(key string) (int, record) {
 	return ix.find(slotHash(fnv1a(key)), ix.pack(key))
+}
+
+// TestRefsRoundTripThroughTables: an entry gives back the ref it was given,
+// with its probe word and reference bit untouched, for refs of every shape
+// its high width holds: page slots and own allocations, bare or not, up to
+// 22 bits of address in a 1-byte high and 30 in a 2-byte one, and a widened
+// table reads every entry as it was. A slab hands out own refs past 16 bits
+// of index.
+func TestRefsRoundTripThroughTables(t *testing.T) {
+	var refs []uint32
+	for _, addr := range []uint32{1, 0xFFFF, 1 << 16, 1<<22 - 1, 1 << 22, addrMask} {
+		for _, tag := range []uint32{0, ownTag, bareRef, ownTag | bareRef} {
+			refs = append(refs, tag|addr)
+		}
+	}
+	narrow := newTable(len(refs), 1)
+	for _, hw := range []int{1, 2} {
+		tb := newTable(len(refs), hw)
+		for i, ref := range refs {
+			if hw == 1 && ref&addrMask >= narrowRef {
+				continue
+			}
+			_, w := tb.word(uint32(i) * 0x9E3779B1)
+			mark := uint32(i%2) * refBit
+			tb.set(i, w, spilled{ref: ref, word: mark})
+			if hw == 1 {
+				narrow.set(i, w, spilled{ref: ref, word: mark})
+			}
+			if e := tb.entry(i); e != (spilled{ref: ref, word: mark}) || tb.words[i]&probeMask != w {
+				t.Fatalf("%d-byte high: ref %#x, mark %#x came back as %#x, %#x under probe word %#x (want %#x)", hw, ref, mark, e.ref, e.word, tb.words[i]&probeMask, w)
+			}
+			tb.setRef(i, ref^1)
+			if e := tb.entry(i); e.ref != ref^1 || e.word != mark || tb.words[i]&probeMask != w {
+				t.Fatalf("%d-byte high: setRef(%#x) read back %#x, mark %#x", hw, ref^1, e.ref, e.word)
+			}
+		}
+	}
+	ix := &index{table: narrow}
+	ix.widen()
+	for i, ref := range refs {
+		if ref&addrMask < narrowRef {
+			if e := ix.table.entry(i); e.ref != ref || e.word != uint32(i%2)*refBit {
+				t.Fatalf("widened: slot %d reads %#x, mark %#x, want %#x", i, e.ref, e.word, ref)
+			}
+		}
+	}
+	if ix.table.hw != 2 || !ix.wide || ix.charge != ix.table.bytes()-narrow.bytes() {
+		t.Fatalf("widened to %d-byte highs (wide %v), charge moved %d, want %d", ix.table.hw, ix.wide, ix.charge, ix.table.bytes()-narrow.bytes())
+	}
+	sl := slab{own: make([][]byte, 1<<16)}
+	if ref, _ := sl.allocOwn(slabLimit + 1); ref != ownTag|1<<16 {
+		t.Fatalf("own allocation %d named %#x", 1<<16, ref)
+	}
 }

@@ -216,7 +216,7 @@ func longestRun(e *Engine) (run, spilled int) {
 	for _, s := range e.shards {
 		ix := &s.strs
 		for _, t := range []*table{&ix.table, &ix.old} {
-			for i, m := range t.meta {
+			for i, m := range t.words {
 				if m != 0 {
 					run = max(run, away(i, m))
 				}
@@ -231,10 +231,12 @@ func longestRun(e *Engine) (run, spilled int) {
 // cost, as a format pin: every stripe learns ledgerModel while its table
 // is short (the largest key at its last one-hold rebuild is about 10.8k,
 // which takes the 2-byte width, and the shape's 3 bytes hold 16 777 215),
-// and 200 000 keys take exactly 5 976 256 bytes, every key 3 bytes packed
+// and 200 000 keys take exactly 5 546 880 bytes, every key 3 bytes packed
 // (its value alone), which is 13 bytes a key less than with keys stored as
-// written, and 1 376 256 of it is index: sixteen tables of 14 336
-// slots, 0.87 full, every resize done by the time the fill ends. At 200k and
+// written, every record bare (22 bytes: key, value length and value; its
+// stripe knows the header byte), and 1 146 880 of it is index: sixteen
+// tables of 14 336 five-byte slots, 0.87 full, every resize done by the
+// time the fill ends. At 200k and
 // 1M keys nothing spills and no entry is within a quarter of the reach of
 // its limit, though the stripe and the slot now come from one fnv1a of the
 // key: the stripe from its low bits, the home from the high bits of its
@@ -263,10 +265,11 @@ func TestLedgerKeyShape(t *testing.T) {
 			if st.PackedBytes != saved {
 				t.Errorf("packing saved %d bytes, want %d", st.PackedBytes, saved)
 			}
-			if got, want := e.MemUsed(), 8_576_256-saved; got != want || got != 5_976_256 {
+			// As written and headed, a record is 1+16+1+18 bytes.
+			if got, want := e.MemUsed(), int64(n*36)+st.IndexBytes-saved-int64(n); got != want || got != 5_546_880 {
 				t.Errorf("MemUsed %d, want %d", got, want)
 			}
-			if st.IndexBytes != 1_376_256 || st.PayloadBytes+st.PackedBytes != int64(n)*(16+18) {
+			if st.IndexBytes != 1_146_880 || st.PayloadBytes+st.PackedBytes != int64(n)*(16+18) {
 				t.Errorf("index %d bytes, payload %d + %d packed away", st.IndexBytes, st.PayloadBytes, st.PackedBytes)
 			}
 		}
@@ -282,10 +285,11 @@ func TestLedgerKeyShape(t *testing.T) {
 // pin: 200 000 k%015d keys with workload.NewKV1 values under PBC trained as
 // the server trains it (Sample(kv1, 500)). A value whose numbers lie inside
 // the sample's ranges compresses to the 13 bytes of PBC's bit field, header
-// bits included, and its record is 17 bytes: the flags-and-length byte, the
-// 3-byte packed key and the value, with no value length. The rest carry an
-// excess past a slot's all-ones code. MemUsed is every record at its slot
-// and the sixteen 14 336-slot tables of TestLedgerKeyShape, to the byte.
+// bits included, and its record is 16 bytes: the 3-byte packed key and the
+// value, with no value length and no header byte, which is its stripe's
+// bareHead. The rest carry an excess past a slot's all-ones code. MemUsed
+// is every record at its slot and the sixteen 14 336-slot tables of
+// TestLedgerKeyShape, to the byte.
 func TestLedgerRecordShape(t *testing.T) {
 	ds := workload.NewKV1()
 	c := compress.NewPBC()
@@ -300,7 +304,7 @@ func TestLedgerRecordShape(t *testing.T) {
 	for _, s := range e.shards {
 		s.strs.each(func(rec record) bool {
 			f := s.strs.parse(rec)
-			if f.flags != flagCompressed || len(f.key) != 3 || f.size != 1+3+len(f.val) {
+			if f.flags != flagCompressed || len(f.key) != 3 || !rec.bare || f.size != 3+len(f.val) {
 				t.Fatalf("record of %q: flags %#x, %d B for a %d B value", s.strs.model.unpackKey(f.key), f.flags, f.size, len(f.val))
 			}
 			sizes[f.size]++
@@ -308,11 +312,11 @@ func TestLedgerRecordShape(t *testing.T) {
 			return true
 		})
 	}
-	if want := map[int]int{17: 193_790, 18: 6_165, 19: 45}; fmt.Sprint(sizes) != fmt.Sprint(want) {
+	if want := map[int]int{16: 193_790, 17: 6_165, 18: 45}; fmt.Sprint(sizes) != fmt.Sprint(want) {
 		t.Errorf("records by size %v, want %v", sizes, want)
 	}
 	st := e.Stats()
-	if st.IndexBytes != 1_376_256 || e.MemUsed() != slots+st.IndexBytes || e.MemUsed() != 4_782_511 {
+	if st.IndexBytes != 1_146_880 || e.MemUsed() != slots+st.IndexBytes || e.MemUsed() != 4_353_135 {
 		t.Errorf("MemUsed %d: %d of records, %d of index", e.MemUsed(), slots, st.IndexBytes)
 	}
 }

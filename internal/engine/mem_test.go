@@ -269,13 +269,18 @@ func TestAllocBytesMatchesRuntime(t *testing.T) {
 // TestChargeMatchesHeap: MemUsed is what the engine's keys occupy, for
 // every kind of key, and not an estimate: over the heap a fill grew (after
 // GC), it is within 15% for strings of three sizes (the largest past the
-// slab limit) and for lists, sets, sorted sets and hashes of 1, 8 and 64
+// slab limit), for lists, sets, sorted sets and hashes of 1, 8 and 64
 // elements of 14 bytes (hash values 12), built through their commands: a
 // list or a set by one command, a sorted set or a hash an element at a
-// time. Each fill grows the heap by some 8 MiB, so that what MemUsed
-// leaves out, the head pages' uncarved tails and the slots the last
-// collection built in each stripe freed on its way up, stays small beside
-// it.
+// time, and for records of either index width and either form. Each fill
+// grows the heap by some 8 MiB, so that what MemUsed leaves out, the head
+// pages' uncarved tails and the slots the last collection built in each
+// stripe freed on its way up, stays small beside it. Sixteen stripes hold
+// half a megabyte of slab each, and their tables keep 1-byte highs; one
+// stripe holding all 8 MiB widens its tables to 2-byte highs. Every
+// string's key is of its stripe's shape, so a raw string in an engine
+// without a codec, or a compressed one in an engine with one, is bare,
+// and a raw one beside a codec keeps its header byte.
 func TestChargeMatchesHeap(t *testing.T) {
 	const fill = 8 << 20
 	elems := make([][]byte, 64)
@@ -307,20 +312,33 @@ func TestChargeMatchesHeap(t *testing.T) {
 		name   string
 		perKey int // bytes a key costs, roughly
 		add    func(e *Engine, key string)
+		opts   Options
+		wide   bool // the stripes' tables take 2-byte highs
+		bare   bool // the records are bare
 	}
 	var cases []fillCase
 	for _, size := range []int{16, 200, 2000} {
 		val := make([]byte, size)
-		cases = append(cases, fillCase{fmt.Sprintf("string/%dB", size), size + 20, func(e *Engine, key string) { e.Set(key, val) }})
+		cases = append(cases, fillCase{name: fmt.Sprintf("string/%dB", size), perKey: size + 20, add: func(e *Engine, key string) { e.Set(key, val) }, bare: true})
 	}
 	for _, k := range kinds {
 		for _, n := range []int{1, 8, 64} {
-			cases = append(cases, fillCase{fmt.Sprintf("%s/%d", k.name, n), 20 + n*k.each, func(e *Engine, key string) { k.add(e, key, n) }})
+			cases = append(cases, fillCase{name: fmt.Sprintf("%s/%d", k.name, n), perKey: 20 + n*k.each, add: func(e *Engine, key string) { k.add(e, key, n) }})
 		}
 	}
+	val, tailed := make([]byte, 200), make([]byte, 40)
+	for i := range val {
+		val[i] = byte(i) | 1
+	}
+	copy(tailed, val[:20]) // 22 bytes compressed
+	cases = append(cases,
+		fillCase{name: "string/200B/one-stripe", perKey: 220, add: func(e *Engine, key string) { e.Set(key, val) }, opts: Options{Shards: 1}, wide: true, bare: true},
+		fillCase{name: "compressed/22B", perKey: 30, add: func(e *Engine, key string) { e.Set(key, tailed) }, opts: Options{Compressor: tailCompressor{}}, bare: true},
+		fillCase{name: "raw-beside-codec/16B", perKey: 36, add: func(e *Engine, key string) { e.Set(key, val[:16]) }, opts: Options{Compressor: tailCompressor{}, CompressMin: 1 << 10}},
+	)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			e := New(Options{})
+			e := New(c.opts)
 			keys := min(200_000, fill/c.perKey)
 			before := heapAfterGC()
 			for i := 0; i < keys; i++ {
@@ -332,6 +350,18 @@ func TestChargeMatchesHeap(t *testing.T) {
 				keys, float64(heap)/float64(keys), float64(e.MemUsed())/float64(keys), ratio)
 			if ratio < 0.85 || ratio > 1.15 {
 				t.Errorf("MemUsed %d over heap growth %d: ratio %.3f outside [0.85, 1.15]", e.MemUsed(), heap, ratio)
+			}
+			for i, s := range e.shards {
+				bare := 0
+				s.strs.each(func(rec record) bool {
+					if rec.bare {
+						bare++
+					}
+					return true
+				})
+				if s.strs.wide != c.wide || (bare == s.strs.n) != c.bare {
+					t.Errorf("stripe %d: 2-byte highs %v, want %v; %d of %d records bare, want all: %v", i, s.strs.wide, c.wide, bare, s.strs.n, c.bare)
+				}
 			}
 			runtime.KeepAlive(e)
 		})

@@ -536,7 +536,8 @@ func (m *model) check() {
 // checkBooks recomputes every stripe's accounts from what it holds (keys
 // unpacked under the stripe's model, and what packing took off them) and
 // verifies that every key is stored in its packed form under that model,
-// that every record is reachable through find, that every
+// that every record is bare exactly when the stripe's rule says so, that
+// every record is reachable through find, that every
 // collection is a canonical blob (so holds an element), that an empty
 // stripe holds neither table nor page, and that the index's and the slab's
 // own invariants hold (checkIndex, checkSlab).
@@ -559,11 +560,14 @@ func checkBooks(e *Engine) error {
 			if string(ix.pack(key)) != string(f.key) {
 				err = fmt.Errorf("%q is stored as %x, which is not its packed form under %v", key, f.key, ix.model)
 			}
-			if at, got := ix.findKey(key); at < 0 || &got[0] != &rec[0] {
+			if at, got := ix.findKey(key); at < 0 || !sameRecord(got, rec) {
 				err = fmt.Errorf("record of %q not reachable from its home slot", key)
 			}
 			if rec.isColl() && checkBlob(f.val) != nil {
 				err = fmt.Errorf("collection %q is not a canonical blob of at least one element", key)
+			}
+			if rec.bare != ix.bare(f.key, f.flags) || rec.bare && rec.head != ix.bareHead() {
+				err = fmt.Errorf("record of %q (flags %#x, %d B key) is bare: %v, under %v", key, f.flags, len(f.key), rec.bare, ix.model)
 			}
 			return err == nil
 		})
@@ -597,21 +601,21 @@ func checkBooks(e *Engine) error {
 // first entry in slot front with hash bound; the count right; and no table
 // at all without an entry.
 func checkIndex(ix *index) error {
-	size := len(ix.meta)
-	resizing := ix.old.meta != nil
+	size := len(ix.words)
+	resizing := ix.old.words != nil
 	if ix.n == 0 {
 		if size != 0 || resizing || ix.spill != nil || ix.charge != 0 {
-			return fmt.Errorf("empty index keeps a %d-slot table, %d old, %d spilled, %d bytes charged", size, len(ix.old.meta), len(ix.spill), ix.charge)
+			return fmt.Errorf("empty index keeps a %d-slot table, %d old, %d spilled, %d bytes charged", size, len(ix.old.words), len(ix.spill), ix.charge)
 		}
 		return nil
 	}
-	charge, shrunk := ix.table.bytes()+ix.old.bytes(), tableLen(max(minSlots, size*4/5))
+	charge, shrunk := ix.table.bytes()+ix.old.bytes(), tableLen(max(minSlots, size*4/5), ix.highWidth())
 	if ix.spill != nil {
-		charge += allocBytes(4 * cap(ix.spill))
+		charge += allocBytes(8 * cap(ix.spill))
 	}
 	switch {
 	case ix.charge != charge:
-		return fmt.Errorf("tables of %d and %d slots and spill of %d charged %d bytes, allocated %d", size, len(ix.old.meta), cap(ix.spill), ix.charge, charge)
+		return fmt.Errorf("tables of %d and %d slots and spill of %d charged %d bytes, allocated %d", size, len(ix.old.words), cap(ix.spill), ix.charge, charge)
 	case ix.n*8 > size*7 || (ix.n*16 < size*9 && shrunk < size && shrunk >= 2*maxTail && ix.spill == nil):
 		// (A table shorter than that may have been tried and found too
 		// short, its tail being under a full reach, and what has spilled
@@ -624,26 +628,34 @@ func checkIndex(ix *index) error {
 	}
 	n := len(ix.spill)
 	for _, t := range []*table{&ix.table, &ix.old} {
-		size := len(t.meta)
-		if t.meta == nil {
+		size := len(t.words)
+		if t.words == nil {
 			continue
 		}
 		switch {
-		case size < minSlots || size != tableLen(size) || len(t.refs) != size || int(t.homes) != size-min(maxTail, size/2):
-			return fmt.Errorf("table of %d slots, %d refs, %d homes", size, len(t.refs), t.homes)
-		case t.meta[size-1] != 0:
+		case size < minSlots || int(t.homes) != size-min(maxTail, size/2):
+			return fmt.Errorf("table of %d slots, %d homes", size, t.homes)
+		case t.hw != ix.highWidth() || len(t.high) != t.hw*size:
+			return fmt.Errorf("table of %d slots with %d bytes of high, %d a slot, in an index of %d", size, len(t.high), t.hw, ix.highWidth())
+		case size != tableLen(size, t.hw) && !(t.hw == 2 && size == tableLen(size, 1)):
+			// A table widened in place keeps the length it was made at.
+			return fmt.Errorf("table of %d slots does not fill its allocations of %d-byte highs", size, t.hw)
+		case t.words[size-1] != 0:
 			return fmt.Errorf("last slot of %d is in use", size)
 		}
 		first, last := true, uint32(0)
-		for i, m := range t.meta {
+		for i, m := range t.words {
 			if m == 0 {
+				if t.refOf(i, 0) != 0 {
+					return fmt.Errorf("empty slot %d of %d keeps a ref", i, size)
+				}
 				continue
 			}
 			n++
-			h := ix.keyHash(t.refs[i])
+			h := ix.keyHash(t.refOf(i, m))
 			home, w := t.word(h)
 			switch {
-			case m != w:
+			case m&probeMask != w:
 				return fmt.Errorf("slot %d of %d: probe word %#x, its key's is %#x", i, size, m, w)
 			case i < home || i-home > reach || away(i, m) != i-home:
 				return fmt.Errorf("slot %d of %d: entry of home %d", i, size, home)
@@ -655,7 +667,7 @@ func checkIndex(ix *index) error {
 				return fmt.Errorf("old table's first entry in slot %d of hash %#x, front %d bound %#x", i, h, ix.front, ix.bound)
 			}
 			for j := max(home, ix.floor(t)); j < i; j++ {
-				if t.meta[j] == 0 {
+				if t.words[j] == 0 {
 					return fmt.Errorf("slot %d of %d: empty slot %d between the entry and its home %d", i, size, j, home)
 				}
 			}
@@ -692,7 +704,7 @@ func TestEngineAgainstModel(t *testing.T) {
 						m.step(phase.shrinking)
 						if i%500 == 499 {
 							m.check()
-							sizes[len(m.e.shards[0].strs.meta)] = true
+							sizes[len(m.e.shards[0].strs.words)] = true
 						}
 					}
 				}
@@ -921,6 +933,85 @@ func TestReadersAcrossSpreadResizes(t *testing.T) {
 	}
 }
 
+// TestReadersAcrossWidening is the -race leg of an index widening its
+// highs: one stripe takes 852-byte values, bare records in page slots,
+// until its slab passes 4 MiB and hands out an address a 1-byte high cannot
+// hold, while readers Get and MGetDetail keys certainly there and find each
+// with its value. The fill is laid out so that the widening comes while a
+// resize is under way, and widens the old table with the new: entries on
+// both sides of the bound keep their slots and their refs.
+func TestReadersAcrossWidening(t *testing.T) {
+	e := New(Options{Shards: 1})
+	ix := &e.shards[0].strs
+	const n = 5500
+	key := func(i int) string { return fmt.Sprintf("key:%06d", i) }
+	// 852 bytes: the 4 865th key widens the tables, mid-resize.
+	val := func(i int) []byte { return bytes.Repeat([]byte(key(i)[4:]), 142) }
+	var alive atomic.Int64 // keys [0, alive) are certainly present
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	read := func(batch bool, seed int64) {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(seed))
+		keys := make([]string, 8)
+		for !stop.Load() {
+			a := alive.Load()
+			if a == 0 {
+				continue
+			}
+			idx := make([]int, len(keys))
+			for j := range keys {
+				idx[j] = int(rng.Int63n(a))
+				keys[j] = key(idx[j])
+			}
+			got := make([][]byte, len(keys))
+			if batch {
+				got, _, _ = e.MGetDetail(keys)
+			} else {
+				got[0], _ = e.Get(keys[0])
+				idx = idx[:1]
+			}
+			for j, i := range idx {
+				if !bytes.Equal(got[j], val(i)) {
+					errs <- fmt.Errorf("%s read %d bytes, not the %d written", keys[j], len(got[j]), len(val(i)))
+					return
+				}
+			}
+		}
+	}
+	wg.Add(2)
+	go read(false, 1)
+	go read(true, 2)
+	widenedAt, midResize := -1, false
+	for i := 0; i < n; i++ {
+		resizing, wide := ix.old.words != nil, ix.wide
+		e.Set(key(i), val(i))
+		if !wide && ix.wide {
+			widenedAt, midResize = i, resizing
+		}
+		alive.Store(int64(i + 1))
+	}
+	stop.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	t.Logf("widened at key %d, a resize under way: %v; %d slab pages, %d table slots", widenedAt, midResize, len(ix.recs.pages), len(ix.words))
+	if widenedAt < 0 || !midResize {
+		t.Fatalf("the fill widened the tables at key %d, a resize under way: %v; want a widening mid-resize", widenedAt, midResize)
+	}
+	for i := 0; i < n; i++ {
+		if got, err := e.Get(key(i)); err != nil || !bytes.Equal(got, val(i)) {
+			t.Fatalf("%s: %d bytes, %v", key(i), len(got), err)
+		}
+	}
+	if err := checkBooks(e); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReadersAcrossRemodels is the -race leg of the key model: with every
 // key on one stripe, a writer inserts keys of 15 digits whose values are
 // i^5, so that rebuild after rebuild finds keys its model does not fit and
@@ -1027,7 +1118,7 @@ func TestSweepFinishesAResize(t *testing.T) {
 	key := func(i int) string { return fmt.Sprintf("key:%06d", i) }
 	val := func(i int) []byte { return []byte(strconv.Itoa(i)) }
 	n := 0
-	for ; n < 20_000 || s.strs.old.meta == nil; n++ {
+	for ; n < 20_000 || s.strs.old.words == nil; n++ {
 		e.Set(key(n), val(n))
 	}
 	rest := s.strs.table.bytes() // the new table alone
@@ -1055,7 +1146,7 @@ func TestSweepFinishesAResize(t *testing.T) {
 	sweeps := 0
 	for ; sweeps <= n/limit+1; sweeps++ {
 		s.mu.RLock()
-		resizing := s.strs.old.meta != nil
+		resizing := s.strs.old.words != nil
 		s.mu.RUnlock()
 		if !resizing {
 			break

@@ -6,18 +6,20 @@ import (
 	"strings"
 	"testing"
 
+	"tierbase/internal/compress"
 	"tierbase/internal/pmem"
 )
 
 // recordRoundTrip writes the record of (key, a vlen-byte value of these
-// flags) and takes it through everything the engine does to one: recordLen
-// is the bytes writeRecord writes and parse reads back, hasKey tells the
-// key from its neighbours, withDeadline moves it to a slot with a TTL and
-// setDeadline rewrites that in place, neither disturbing key or value. A
-// compressed value is tailCompressor's encoding of vlen bytes, which the
-// record measures with the codec's Len: only a raw value in DRAM carries
-// its length.
-func recordRoundTrip(key string, vlen int, flags byte, deadline int64) error {
+// flags), bare (its body alone, its header byte given by the view) or not,
+// and takes it through everything the engine does to one: recordLen is the
+// bytes writeRecord writes, one more than writeBody's, and parse reads
+// back, hasKey tells the key from its neighbours, withDeadline moves it to
+// a slot with its header byte and a TTL and setDeadline rewrites that in
+// place, neither disturbing key or value. A compressed value is
+// tailCompressor's encoding of vlen bytes, which the record measures with
+// the codec's Len: only a raw value in DRAM carries its length.
+func recordRoundTrip(key string, vlen int, flags byte, deadline int64, bare bool) error {
 	st := staged{flags: flags, val: make([]byte, vlen)}
 	for i := range st.val {
 		st.val[i] = byte(i*7+len(key)) | 1
@@ -31,16 +33,21 @@ func recordRoundTrip(key string, vlen int, flags byte, deadline int64) error {
 		want = nil
 	}
 	ix := &index{codec: tailCompressor{}}
-	n := recordLen([]byte(key), st)
-	const slack = 16 // after the record, as in a page: writeRecord must leave it alone
-	buf := bytes.Repeat([]byte{0xA5}, n+8+slack)
-	rec := record(buf[:n])
-	writeRecord(rec, []byte(key), st)
-	rec = buf // a page slot runs past its record: nothing may rely on len(rec)
+	n, ref := recordLen([]byte(key), st), uint32(0)
+	const slack = 16 // after the record, as in a page: writing it must leave that alone
+	buf := bytes.Repeat([]byte{0xA5}, n+9+slack)
+	if bare {
+		n, ref = n-1, bareRef
+		writeBody(buf[:n], []byte(key), st)
+	} else {
+		writeRecord(buf[:n], []byte(key), st)
+	}
+	// A page slot runs past its record: nothing may rely on its length.
+	rec := view(buf, ref, header([]byte(key), flags))
 
-	check := func(what string, r record, size int, flags byte, deadline int64) error {
+	check := func(what string, slot []byte, r record, size int, flags byte, deadline int64) error {
 		f := ix.parse(r)
-		// hasKey, and for a key byte 0 has room for hasShortKey with it.
+		// hasKey, and for a key the header byte has room for hasShortKey with it.
 		agree := true
 		has := func(k string) bool {
 			got := r.hasKey([]byte(k))
@@ -56,9 +63,9 @@ func recordRoundTrip(key string, vlen int, flags byte, deadline int64) error {
 			return fmt.Errorf("%s: key %q, want %q", what, f.key, key)
 		case f.deadline != deadline || r.deadline() != deadline:
 			return fmt.Errorf("%s: deadline %d / %d, want %d", what, f.deadline, r.deadline(), deadline)
-		case lengthed(flags) && f.head+uvarintLen(uint64(len(f.val)))+len(f.val) != size:
+		case lengthed(flags) && r.headLen()+f.head+uvarintLen(uint64(len(f.val)))+len(f.val) != size:
 			return fmt.Errorf("%s: head %d + length + value of %d bytes is not the record's %d", what, f.head, len(f.val), size)
-		case !lengthed(flags) && f.head+len(f.val) != size:
+		case !lengthed(flags) && r.headLen()+f.head+len(f.val) != size:
 			return fmt.Errorf("%s: head %d + value of %d bytes, no length, is not the record's %d", what, f.head, len(f.val), size)
 		case want != nil && !bytes.Equal(f.val, want):
 			return fmt.Errorf("%s: value changed", what)
@@ -73,33 +80,35 @@ func recordRoundTrip(key string, vlen int, flags byte, deadline int64) error {
 		case !agree:
 			return fmt.Errorf("%s: hasShortKey and hasKey disagree about the record of %q", what, key)
 		}
-		for i, b := range r[size:] {
+		for i, b := range slot[size:] {
 			if b != 0xA5 {
 				return fmt.Errorf("%s: byte %d past the record's %d written", what, i, size)
 			}
 		}
 		return nil
 	}
-	if err := check("written", rec, n, flags, 0); err != nil {
+	if err := check("written", buf, rec, n, flags, 0); err != nil {
 		return err
 	}
-	dst := record(bytes.Repeat([]byte{0xA5}, n+8+slack))
-	rec.withDeadline(dst, ix.parse(rec), deadline)
-	if err := check("withDeadline", dst, n+8, flags|flagTTL, deadline); err != nil {
+	size := n - rec.headLen() + 1 + 8 // the header byte, always, and the deadline
+	slot := bytes.Repeat([]byte{0xA5}, size+slack)
+	rec.withDeadline(slot, ix.parse(rec), deadline)
+	dst := view(slot, 0, 0)
+	if err := check("withDeadline", slot, dst, size, flags|flagTTL, deadline); err != nil {
 		return err
 	}
 	dst.setDeadline(deadline ^ 0x5555)
-	if err := check("setDeadline", dst, n+8, flags|flagTTL, deadline^0x5555); err != nil {
+	if err := check("setDeadline", slot, dst, size, flags|flagTTL, deadline^0x5555); err != nil {
 		return err
 	}
 	dst.setDeadline(0) // Persist: the slot stays, the key has no deadline
-	return check("cleared", dst, n+8, flags|flagTTL, 0)
+	return check("cleared", slot, dst, size, flags|flagTTL, 0)
 }
 
-// TestRecordLayout covers both forms of the key length (in byte 0 up to
-// maxShortKey bytes, a uvarint past that, one and two bytes of it), one-
-// and two-byte value lengths, a record past the slab limit, and every
-// combination of flags.
+// TestRecordLayout covers both forms of the key length (in the header
+// byte up to maxShortKey bytes, a uvarint past that, one and two bytes of
+// it), one- and two-byte value lengths, a record past the slab limit, every
+// combination of flags, and each with and without its header byte.
 func TestRecordLayout(t *testing.T) {
 	for _, klen := range []int{0, 1, 14, 15, 16, 30, 31, 32, 127, 128, 300} {
 		key := strings.Repeat("k", klen)
@@ -108,21 +117,38 @@ func TestRecordLayout(t *testing.T) {
 		}
 		for _, vlen := range []int{0, 1, 127, 128, 1100} {
 			for flags := byte(0); flags <= flagCompressed|flagPMem; flags++ {
-				if err := recordRoundTrip(key, vlen, flags, 1<<62+12345); err != nil {
-					t.Errorf("klen %d vlen %d flags %#x: %v", klen, vlen, flags, err)
+				for _, bare := range []bool{false, true} {
+					if err := recordRoundTrip(key, vlen, flags, 1<<62+12345, bare); err != nil {
+						t.Errorf("klen %d vlen %d flags %#x bare %v: %v", klen, vlen, flags, bare, err)
+					}
 				}
 			}
 		}
 	}
 	// What the ledger's hit-read key costs: its key packed (k%015d is 3
-	// bytes under the model its stripes learn: its shape's), its stored
-	// value and one byte; a raw value adds its length.
+	// bytes under the model its stripes learn: its shape's) and its stored
+	// value, with no header byte, as its stripe knows the byte; a raw value,
+	// in an engine with no codec, adds its length. With a codec a raw value
+	// is not the plain form, and keeps its header byte.
 	k := pack(ledgerModel, "k000000000123456")
-	if got := recordLen(k, staged{flags: flagCompressed, val: make([]byte, 13)}); got != 1+3+13 {
-		t.Errorf("a 16 B key with a 13 B compressed value is a %d B record, want 17", got)
-	}
-	if got := recordLen(k, staged{val: make([]byte, 18)}); got != 1+3+1+18 {
-		t.Errorf("a 16 B key with an 18 B raw value is a %d B record, want 23", got)
+	for _, c := range []struct {
+		codec compress.Compressor
+		st    staged
+		want  int
+	}{
+		{tailCompressor{}, staged{flags: flagCompressed, val: make([]byte, 13)}, 3 + 13},
+		{nil, staged{val: make([]byte, 18)}, 3 + 1 + 18},
+		{tailCompressor{}, staged{val: make([]byte, 18)}, 1 + 3 + 1 + 18},
+		{nil, staged{flags: flagTTL, val: make([]byte, 18)}, 1 + 3 + 8 + 1 + 18},
+	} {
+		ix := &index{codec: c.codec, model: ledgerModel}
+		got := recordLen(k, c.st)
+		if ix.bare(k, c.st.flags) {
+			got--
+		}
+		if got != c.want {
+			t.Errorf("a 16 B key with a %d B value of flags %#x (codec %v) is a %d B record, want %d", len(c.st.val), c.st.flags, c.codec != nil, got, c.want)
+		}
 	}
 }
 
@@ -184,21 +210,25 @@ func TestRecordLayoutInEngine(t *testing.T) {
 
 // FuzzRecordHeader feeds the round trip (flags, key length, value length,
 // deadline) tuples: any key length on either side of the header byte's
-// limit, values into the own-allocation range, and every placement of the
+// limit, values into the own-allocation range, every placement of the
 // value: raw with its length, compressed and measured by the stub codec's
-// Len, and a PMem ref, neither with a length.
+// Len, and a PMem ref, neither with a length, and the record with its
+// header byte or bare (flags' top bit), read through a view that takes the
+// byte from outside the slot.
 func FuzzRecordHeader(f *testing.F) {
 	f.Add(byte(0), uint16(14), uint16(18), int64(0))
 	f.Add(byte(flagCompressed), uint16(maxShortKey), uint16(127), int64(1))
 	f.Add(byte(flagPMem), uint16(maxShortKey+1), uint16(128), int64(-1))
 	f.Add(byte(flagCompressed|flagPMem), uint16(16384), uint16(1100), int64(1)<<62)
 	f.Add(byte(0), uint16(0), uint16(0), int64(0x5555))
+	f.Add(byte(0x80|flagCompressed), uint16(3), uint16(13), int64(0)) // the ledger's hit-read record, bare
+	f.Add(byte(0x80), uint16(maxShortKey+1), uint16(300), int64(7))
 	f.Fuzz(func(t *testing.T, flags byte, klen, vlen uint16, deadline int64) {
 		key := strings.Repeat("\xff", int(klen))
 		if klen > 1 {
 			key = key[:klen/2] + string(rune('a'+klen%26)) + key[klen/2+1:]
 		}
-		if err := recordRoundTrip(key, int(vlen), flags&(flagCompressed|flagPMem), deadline); err != nil {
+		if err := recordRoundTrip(key, int(vlen), flags&(flagCompressed|flagPMem), deadline, flags&0x80 != 0); err != nil {
 			t.Fatal(err)
 		}
 	})

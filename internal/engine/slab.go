@@ -18,7 +18,7 @@ const (
 	slabLimit = 1 << 10
 
 	pageBits = 14                   // log2(pageBytes)
-	maxPages = 1<<(30-pageBits) - 1 // page refs stay below refBit (index.go), which no ref sets
+	maxPages = 1<<(30-pageBits) - 1 // page refs stay below bareRef (index.go), which no slab ref sets
 	ownTag   = 1 << 31              // ref of an own allocation: ownTag | index into slab.own
 
 	// ownEntryBytes is what an own allocation costs beside its bytes: its
@@ -124,7 +124,7 @@ func (sl *slab) allocOwn(n int) (ref uint32, buf []byte) {
 		sl.own[i] = buf
 		return ownTag | i, buf
 	}
-	if len(sl.own) == refBit {
+	if len(sl.own) == bareRef {
 		// 2^30 live own allocations in one stripe: 24 GiB of slice headers.
 		panic("engine: stripe record address space exhausted")
 	}
