@@ -215,7 +215,7 @@ func New(opts Options) *Engine {
 		opts:   opts,
 	}
 	for i := range e.shards {
-		e.shards[i] = &shard{strs: index{codec: opts.Compressor}}
+		e.shards[i] = &shard{strs: newIndex(opts.Compressor)}
 	}
 	return e
 }
@@ -930,7 +930,7 @@ func (e *Engine) FlushAll() {
 				return true
 			})
 		}
-		s.strs = index{codec: s.strs.codec}
+		s.strs = newIndex(s.strs.codec)
 		s.memUsed.Store(0)
 		s.payload.Store(0)
 		s.mu.Unlock()

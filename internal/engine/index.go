@@ -97,8 +97,8 @@ type spilled struct{ ref, word uint32 }
 // It holds no table while empty, grows by an eighth when an insert would
 // pass 7/8 full (by a quarter when one finds no slot within reach, insert,
 // or the table is shorter than spreadFrom) and shrinks by a fifth when a
-// delete leaves it under 9/16. A table's length is whatever fills its two
-// allocations (tableLen), which makes the eighth steps 1.125 to 1.27 and
+// delete leaves it under 9/16. A table's length is whatever fills its word
+// array (tableLen), which makes the eighth steps 1.125 to 1.27 and
 // the steps down 0.8 to 0.89, so a population that grew past spreadFrom
 // rests between 0.69 and 0.875 full (0.78 where the step is an exact
 // eighth), and one that shrank at 0.56 or more. A resize is spread over the
@@ -134,6 +134,7 @@ type index struct {
 	recs     slab
 	wide     bool                // the tables have 2-byte highs: the slab has handed out an address past narrowRef
 	codec    compress.Compressor // the engine's, which says where a compressed value ends (parse)
+	head     byte                // bareHead, kept beside the codec and the model it follows from
 
 	// model is what every record's key is packed under (keypack.go). It
 	// changes only in remodel, after a rebuild that runs in one hold
@@ -146,17 +147,25 @@ type index struct {
 	packed int64
 }
 
+// newIndex is an empty index whose values are compressed under codec, nil
+// for none.
+func newIndex(codec compress.Compressor) index {
+	ix := index{codec: codec}
+	ix.head = ix.bareHead()
+	return ix
+}
+
 // slotHash spreads fnv1a of a key as written for the index: a Fibonacci
 // multiply folds every bit into the high ones the home is taken from. (The
 // stripe is picked by the low bits of the same fnv1a.)
 func slotHash(kh uint32) uint32 { return kh * 0x9E3779B1 }
 
-// tableLen is the length of a table of hw-byte highs asked to hold want
-// slots: all that its two allocations have room for once the allocator
-// has rounded them up.
-func tableLen(want, hw int) int {
-	return int(min(allocBytes(4*want)/4, allocBytes(hw*want)/int64(hw)))
-}
+// tableLen is the length of a table asked to hold want slots: all that its
+// word array has room for once the allocator has rounded it up. The high
+// array is charged as allocated and its slack left unused: the finer size
+// classes of small byte arrays would put rungs between the word array's,
+// and a population resting under 7/8 of one would sit past 7/8 of another.
+func tableLen(want int) int { return int(allocBytes(4*want) / 4) }
 
 // highWidth is the bytes of high a table of the index takes a slot.
 func (ix *index) highWidth() int {
@@ -171,9 +180,9 @@ func (ix *index) highWidth() int {
 // eighth steps take over.)
 func (ix *index) grown(size int) int {
 	if size < spreadFrom {
-		return tableLen(max(minSlots, size+size/4), ix.highWidth())
+		return tableLen(max(minSlots, size+size/4))
 	}
-	return tableLen(size+size/8, ix.highWidth())
+	return tableLen(size + size/8)
 }
 
 func newTable(size, hw int) table {
@@ -257,7 +266,7 @@ func away(i int, m uint32) int { return (i - int(m>>homeShift)) & reach }
 
 // rec is the record ref names.
 func (ix *index) rec(ref uint32) record {
-	return view(ix.recs.at(ref&^bareRef), ref, ix.bareHead())
+	return view(ix.recs.at(ref&^bareRef), ref, ix.head)
 }
 
 // alloc returns a slot of n bytes for a record and its ref. A ref whose
@@ -462,7 +471,7 @@ func (ix *index) insert(h, ref uint32) {
 		// until the resize is done and places it.
 		ix.setSpill(append(ix.spill, e))
 		size := len(ix.words)
-		if quarter := tableLen(size+size/4, ix.highWidth()); ix.old.words == nil && (size < 2*maxTail || ix.n*16 >= quarter*9) {
+		if quarter := tableLen(size + size/4); ix.old.words == nil && (size < 2*maxTail || ix.n*16 >= quarter*9) {
 			ix.begin(quarter)
 		}
 	}
@@ -646,8 +655,9 @@ func (ix *index) learnShape(w *widths, s shape) shape {
 // places and their reference bits: a slot hash is that of the key as
 // written.
 func (ix *index) setModel(model keyModel) {
-	from, recs, head := ix.model, ix.recs, ix.bareHead()
+	from, recs, head := ix.model, ix.recs, ix.head
 	ix.model, ix.recs = model, slab{}
+	ix.head = ix.bareHead()
 	var buf, kb keyBuf
 	for at := 0; at < ix.positions(); at++ {
 		if !ix.used(at) {
@@ -798,7 +808,7 @@ func (ix *index) remove(at, size int) {
 		return
 	}
 	if ix.n*16 < len(ix.words)*9 {
-		if shrunk := tableLen(max(minSlots, len(ix.words)*4/5), ix.highWidth()); shrunk < len(ix.words) {
+		if shrunk := tableLen(max(minSlots, len(ix.words)*4/5)); shrunk < len(ix.words) {
 			ix.begin(shrunk)
 		}
 	}

@@ -609,7 +609,7 @@ func checkIndex(ix *index) error {
 		}
 		return nil
 	}
-	charge, shrunk := ix.table.bytes()+ix.old.bytes(), tableLen(max(minSlots, size*4/5), ix.highWidth())
+	charge, shrunk := ix.table.bytes()+ix.old.bytes(), tableLen(max(minSlots, size*4/5))
 	if ix.spill != nil {
 		charge += allocBytes(8 * cap(ix.spill))
 	}
@@ -637,9 +637,8 @@ func checkIndex(ix *index) error {
 			return fmt.Errorf("table of %d slots, %d homes", size, t.homes)
 		case t.hw != ix.highWidth() || len(t.high) != t.hw*size:
 			return fmt.Errorf("table of %d slots with %d bytes of high, %d a slot, in an index of %d", size, len(t.high), t.hw, ix.highWidth())
-		case size != tableLen(size, t.hw) && !(t.hw == 2 && size == tableLen(size, 1)):
-			// A table widened in place keeps the length it was made at.
-			return fmt.Errorf("table of %d slots does not fill its allocations of %d-byte highs", size, t.hw)
+		case size != tableLen(size):
+			return fmt.Errorf("table of %d slots does not fill its word array", size)
 		case t.words[size-1] != 0:
 			return fmt.Errorf("last slot of %d is in use", size)
 		}
