@@ -113,7 +113,6 @@ func main() {
 	flag.DurationVar(&r.KeepaliveInterval, "repl-keepalive", 0, "master->replica ping period (0 = default 1s)")
 	flag.DurationVar(&r.ReadTimeout, "repl-read-timeout", 0, "replication link read bound (0 = default 4x keepalive)")
 	flag.IntVar(&r.ShedBacklog, "shed-backlog", 0, "unacked-op backlog that sheds a laggard replica (0 = default log-cap/2, negative disables)")
-	flag.IntVar(&r.SnapshotChunkBytes, "snapshot-chunk-bytes", 0, "full-sync snapshot bytes buffered per chunk (0 = default 1MiB)")
 
 	o := &opts.Overload
 	flag.IntVar(&o.MaxConns, "max-conns", 0, "client connection cap, excess refused with -MAXCONN (0 = unlimited)")

@@ -167,7 +167,7 @@ func TestTieredMutateAgainstHandRolled(t *testing.T) {
 	}
 	contents := func(s store) (cache, storage map[string]string) {
 		cache, storage = map[string]string{}, map[string]string{}
-		s.eng.ForEachEncodedChunked(0, func(chunk []engine.SnapEntry) bool {
+		s.eng.ForEachEncoded(func(chunk []engine.SnapEntry) bool {
 			for _, p := range chunk {
 				cache[p.Key] = fmt.Sprintf("%v:%q", p.Encoded, p.Val)
 			}

@@ -67,8 +67,7 @@ func TestChaosSlowLinkFullSync(t *testing.T) {
 	startProc(t, "master", filepath.Join(bin, "tierbase-server"),
 		"-addr", masterAddr, "-node-id", "m1",
 		"-repl-log-cap", "8", // force the late replica onto the full-sync path
-		"-repl-write-timeout", "2s", "-repl-keepalive", "100ms",
-		"-snapshot-chunk-bytes", "65536")
+		"-repl-write-timeout", "2s", "-repl-keepalive", "100ms")
 	mc := dialWait(t, masterAddr)
 	dumpInfoOnFailure(t, "master", mc)
 

@@ -695,10 +695,11 @@ func (e *Engine) CollectExpired(limit int) []string {
 		s := e.shards[e.sweepCursor.Load()&e.mask]
 		s.mu.RLock()
 		before := limit
-		pos, end := s.strs.scan(s.sweepPos.Load(), &limit, func(rec record) {
+		pos, end := s.strs.scan(s.sweepPos.Load(), &limit, func(rec record) int {
 			if at := rec.deadline(); at != 0 && now >= at {
 				out = append(out, s.strs.model.unpackKey(rec.key()))
 			}
+			return 1
 		})
 		resizing := s.strs.old.words != nil
 		s.sweepPos.Store(pos)
@@ -857,55 +858,49 @@ type SnapEntry struct {
 	ExpireAt int64 // absolute UnixNano deadline; 0 = no TTL
 }
 
-// ForEachEncodedChunked is the one snapshot iterator, built for
-// replication full-sync snapshots feeding a socket. It visits every live
-// key of every kind: strings yield their decoded value, collections a
-// typed blob (Encode format) with Encoded set, and every key its deadline
-// in ExpireAt. Per stripe it lists the live keys, then fills one chunk at a
-// time under a short read lock, taking each key's value out (value) until
-// maxChunkBytes (<= 0: 1 MiB) of keys and decoded values has piled up, and
-// hands fn the chunk with no lock held. A stalled replica socket inside fn
-// never blocks writers, and buffered memory stays O(chunk) whatever the
-// compression ratio.
-//
-// Keys deleted between the key listing and their chunk are skipped; a
-// key mutated in between yields either value. Callers tolerate both
-// by streaming the op log from a position at or before the walk.
-// Returning false from fn stops the walk.
-func (e *Engine) ForEachEncodedChunked(maxChunkBytes int, fn func(chunk []SnapEntry) bool) error {
-	if maxChunkBytes <= 0 {
-		maxChunkBytes = 1 << 20
-	}
-	for _, s := range e.shards {
-		s.mu.RLock()
-		now := e.now()
-		keys := make([]string, 0, s.strs.n)
-		s.strs.each(func(rec record) bool {
-			if at := rec.deadline(); at == 0 || now < at {
-				keys = append(keys, s.strs.model.unpackKey(rec.key()))
-			}
-			return true
-		})
-		s.mu.RUnlock()
+// snapHoldBytes is what the snapshot walk decodes in one read-lock hold of a
+// stripe, keys and values, give or take the entry that passes it: the size
+// of the buffer a full sync writes a replica's socket through.
+const snapHoldBytes = 64 << 10
 
-		for len(keys) > 0 {
-			var chunk []SnapEntry
+// ForEachEncoded is the one snapshot iterator, built for replication
+// full-sync snapshots feeding a socket. It visits every live key of every
+// kind: strings yield their decoded value, collections a typed blob
+// (Encode format) with Encoded set, and every key its deadline in
+// ExpireAt. Per stripe it scans the index in hash order, one read-lock hold
+// at a time: each takes values out (value) until snapHoldBytes of keys and
+// values has piled up, hands fn its entries with no lock held, and the next
+// resumes from the hash it stopped at. So a writer waits one hold at most,
+// and buffered memory is O(snapHoldBytes) whatever the compression ratio.
+// A lapsed key yields nothing and counts its record's bytes. fn may keep
+// the entries but not chunk, which the next hold reuses.
+//
+// A key live throughout the walk is visited exactly once; one written,
+// deleted or lapsing meanwhile may be visited or not, with either value.
+// Callers tolerate that by streaming the op log from a position at or
+// before the walk. Returning false from fn stops the walk.
+func (e *Engine) ForEachEncoded(fn func(chunk []SnapEntry) bool) error {
+	var chunk []SnapEntry
+	for _, s := range e.shards {
+		for from, end := uint32(0), false; !end; {
 			var err error
+			chunk = chunk[:0]
+			budget := snapHoldBytes
 			s.mu.RLock()
-			for size := 0; len(keys) > 0 && size < maxChunkBytes; keys = keys[1:] {
-				var kb keyBuf
-				en, ok := e.live(s, e.probe(keys[0], roomIn(&kb, keys[0])))
-				if !ok {
-					continue // deleted or lapsed since the key listing
+			from, end = s.strs.scan(from, &budget, func(rec record) int {
+				f := s.strs.parse(rec)
+				if e.lapsed(f.deadline) {
+					return f.size
 				}
-				f := s.strs.parse(en.rec)
-				var val []byte
-				if val, err = e.value(f.stored); err != nil {
-					break
+				val, verr := e.value(f.stored)
+				if verr != nil {
+					err = verr
+					return snapHoldBytes // ends the hold
 				}
-				chunk = append(chunk, SnapEntry{Key: keys[0], Val: val, Encoded: en.rec.isColl(), ExpireAt: f.deadline})
-				size += len(keys[0]) + len(val)
-			}
+				key := s.strs.model.unpackKey(f.key)
+				chunk = append(chunk, SnapEntry{Key: key, Val: val, Encoded: rec.isColl(), ExpireAt: f.deadline})
+				return len(key) + len(val)
+			})
 			s.mu.RUnlock()
 			if err != nil {
 				return err

@@ -434,7 +434,7 @@ func TestSnapshotWalkDecodesStrings(t *testing.T) {
 	e.Set("b", []byte("2"))
 	e.LPush("l", []byte("x"))
 	seen := map[string]string{}
-	err := e.ForEachEncodedChunked(1, func(chunk []SnapEntry) bool {
+	err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
 		for _, p := range chunk {
 			if p.Encoded != (p.Key == "l") {
 				t.Errorf("%s: Encoded %v", p.Key, p.Encoded)
@@ -449,11 +449,11 @@ func TestSnapshotWalkDecodesStrings(t *testing.T) {
 	if len(seen) != 3 || seen["a"] != "1" || seen["b"] != "2" {
 		t.Fatalf("seen: %v", seen)
 	}
-	// Early stop: one-byte chunks hold one entry each.
-	count := 0
-	e.ForEachEncodedChunked(1, func(chunk []SnapEntry) bool { count += len(chunk); return false })
-	if count != 1 {
-		t.Fatalf("early stop visited %d", count)
+	// Early stop: fn sees the first hold's entries and nothing after.
+	calls := 0
+	e.ForEachEncoded(func(chunk []SnapEntry) bool { calls++; return false })
+	if calls != 1 {
+		t.Fatalf("early stop: fn called %d times", calls)
 	}
 }
 

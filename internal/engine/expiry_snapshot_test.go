@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 )
@@ -96,12 +97,25 @@ func TestCollectExpired(t *testing.T) {
 	}
 }
 
-func TestForEachEncodedChunkedCoversEverything(t *testing.T) {
+// checkHold fails t if chunk, one read-lock hold's entries, had piled up
+// snapHoldBytes of keys and values before its last entry.
+func checkHold(t *testing.T, chunk []SnapEntry) {
+	t.Helper()
+	size := 0
+	for _, p := range chunk {
+		size += len(p.Key) + len(p.Val)
+	}
+	if last := chunk[len(chunk)-1]; size-len(last.Key)-len(last.Val) >= snapHoldBytes {
+		t.Errorf("a hold of %d entries decodes to %d bytes, past %d before its last", len(chunk), size, snapHoldBytes)
+	}
+}
+
+func TestForEachEncodedCoversEverything(t *testing.T) {
 	e := New(Options{Shards: 4})
 	want := map[string]string{}
-	for i := 0; i < 200; i++ {
+	for i := 0; i < 1200; i++ { // about 300 KiB a stripe: several holds each
 		k := fmt.Sprintf("k%d", i)
-		v := fmt.Sprintf("value-%d", i)
+		v := fmt.Sprintf("%01024d", i)
 		e.Set(k, []byte(v))
 		want[k] = v
 	}
@@ -109,11 +123,10 @@ func TestForEachEncodedChunkedCoversEverything(t *testing.T) {
 
 	got := map[string]string{}
 	encoded := 0
-	chunks := 0
-	// Tiny chunk budget: forces many chunks, exercising the resume-cursor
-	// path within a shard.
-	err := e.ForEachEncodedChunked(64, func(chunk []SnapEntry) bool {
-		chunks++
+	holds := 0
+	err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
+		holds++
+		checkHold(t, chunk)
 		for _, entry := range chunk {
 			if entry.Encoded {
 				encoded++
@@ -129,8 +142,8 @@ func TestForEachEncodedChunkedCoversEverything(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if chunks < 10 {
-		t.Fatalf("only %d chunks for a 64-byte budget", chunks)
+	if holds < 16 {
+		t.Fatalf("only %d holds for 4 stripes of 300 KiB", holds)
 	}
 	if encoded != 1 {
 		t.Fatalf("encoded entries = %d, want the 1 list", encoded)
@@ -145,14 +158,15 @@ func TestForEachEncodedChunkedCoversEverything(t *testing.T) {
 	}
 }
 
-func TestForEachEncodedChunkedEarlyStop(t *testing.T) {
-	e := New(Options{})
-	for i := 0; i < 100; i++ {
-		e.Set(fmt.Sprintf("k%d", i), []byte("v"))
+func TestForEachEncodedEarlyStop(t *testing.T) {
+	e := New(Options{Shards: 1})
+	for i := 0; i < 400; i++ { // 400 KiB: several holds
+		e.Set(fmt.Sprintf("k%d", i), make([]byte, 1024))
 	}
 	calls := 0
-	err := e.ForEachEncodedChunked(1, func(chunk []SnapEntry) bool {
+	err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
 		calls++
+		checkHold(t, chunk)
 		return calls < 3
 	})
 	if err != nil {
@@ -163,7 +177,7 @@ func TestForEachEncodedChunkedEarlyStop(t *testing.T) {
 	}
 }
 
-func TestForEachEncodedChunkedSkipsExpired(t *testing.T) {
+func TestForEachEncodedSkipsExpired(t *testing.T) {
 	now := time.Unix(100, 0)
 	e := New(Options{Clock: func() time.Time { return now }})
 	e.Set("live", []byte("v"))
@@ -171,7 +185,7 @@ func TestForEachEncodedChunkedSkipsExpired(t *testing.T) {
 	expire(e, "dead", time.Second)
 	now = now.Add(time.Minute)
 	seen := map[string]bool{}
-	if err := e.ForEachEncodedChunked(0, func(chunk []SnapEntry) bool {
+	if err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
 		for _, entry := range chunk {
 			seen[entry.Key] = true
 		}
@@ -184,36 +198,146 @@ func TestForEachEncodedChunkedSkipsExpired(t *testing.T) {
 	}
 }
 
-// TestForEachEncodedChunkedBoundsDecodedBytes: a full-sync chunk is sized
-// by what the replica socket will carry, the decoded values, not by what
-// the engine stores. With a compressor at ratio ~0.02 a chunk sized by
+// TestForEachEncodedBoundsDecodedBytes: a hold of the snapshot walk is
+// sized by what the replica socket will carry, the decoded values, not by
+// what the engine stores. With a compressor at ratio ~0.02 a hold sized by
 // stored bytes would decode to fifty times its budget.
-func TestForEachEncodedChunkedBoundsDecodedBytes(t *testing.T) {
+func TestForEachEncodedBoundsDecodedBytes(t *testing.T) {
 	e := New(Options{Shards: 2, Compressor: tailCompressor{}})
 	rng := rand.New(rand.NewSource(7))
-	const keys, maxChunk = 400, 8 << 10
-	largest := 0
+	const keys = 800 // 400 KiB a stripe decoded
 	for i := 0; i < keys; i++ {
-		k, v := fmt.Sprintf("k%03d", i), zeroTailed(rng, 16, 1000)
-		e.Set(k, v)
-		largest = max(largest, len(k)+len(v))
+		e.Set(fmt.Sprintf("k%03d", i), zeroTailed(rng, 16, 1000))
 	}
 	if stored := e.Stats().PayloadBytes; stored > keys*32 {
 		t.Fatalf("values not stored compressed: %d payload bytes", stored)
 	}
-	seen := 0
-	err := e.ForEachEncodedChunked(maxChunk, func(chunk []SnapEntry) bool {
-		size := 0
-		for _, p := range chunk {
-			size += len(p.Key) + len(p.Val)
-		}
-		if size > maxChunk+largest {
-			t.Errorf("chunk of %d entries decodes to %d bytes, over %d + one entry", len(chunk), size, maxChunk)
-		}
+	seen, holds := 0, 0
+	err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
+		checkHold(t, chunk)
 		seen += len(chunk)
+		holds++
 		return true
 	})
 	if err != nil || seen != keys {
 		t.Fatalf("walk saw %d of %d keys, err %v", seen, keys, err)
+	}
+	if holds < 2*6 {
+		t.Fatalf("%d holds for 2 stripes of 400 KiB decoded", holds)
+	}
+}
+
+// TestSnapshotWalkAcrossWrites: the walk resumes by hash, so the writes
+// between its holds cannot make it skip or repeat a key. Between the holds
+// of a one-stripe walk, fn overwrites and deletes keys it has and has not
+// visited, inserts keys until the index grows, deletes them until it
+// shrinks and, once the keys of one shared hash have been visited, frees
+// room in their reach and finishes a resize, whose end moves spilled ones
+// into the table behind the walk. Every key live throughout is visited
+// exactly once with a value of its own, no key twice, and no key deleted
+// before the walk at all.
+func TestSnapshotWalkAcrossWrites(t *testing.T) {
+	e := New(Options{Shards: 1})
+	ix := &e.shards[0].strs
+	val := func(key string, version int) []byte { return fmt.Appendf(nil, "%s/%d/%01000d", key, version, 0) }
+	for i := 0; i < 100; i++ {
+		k := fmt.Sprintf("gone%d", i)
+		e.Set(k, val(k, 0))
+		e.Del(k)
+	}
+	live := map[string]bool{} // live throughout, as far as the walk has come
+	var steady []string
+	for i := 0; i < 2000; i++ { // about 2 MiB: some 30 holds
+		k := fmt.Sprintf("s%d", i)
+		e.Set(k, val(k, 0))
+		steady, live[k] = append(steady, k), true
+	}
+	shared := sharedHashKeys()
+	for _, k := range shared {
+		e.Set(k, val(k, 0))
+		live[k] = true
+	}
+	inTable := func(key string) bool {
+		var kb keyBuf
+		k, s := e.locate(key, &kb)
+		at := s.lookup(k).at
+		return at >= 0 && at < len(ix.words)+len(ix.old.words)
+	}
+	size := func() int { return len(ix.words) }
+
+	rng := rand.New(rand.NewSource(1))
+	visits := map[string]int{}
+	holds, grew, shrank, moved := 0, false, false, false
+	err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
+		holds++
+		sharedHold := false
+		for _, p := range chunk {
+			if visits[p.Key]++; visits[p.Key] > 1 {
+				t.Fatalf("hold %d: %q visited again", holds, p.Key)
+			}
+			if !strings.HasPrefix(string(p.Val), p.Key+"/") {
+				t.Fatalf("hold %d: %q holds %.20q...", holds, p.Key, p.Val)
+			}
+			sharedHold = sharedHold || p.Key == shared[0]
+		}
+		for i := 0; i < 20; i++ {
+			k := steady[rng.Intn(len(steady))]
+			e.Set(k, val(k, holds))
+		}
+		for i := 0; i < 5; i++ {
+			k := steady[rng.Intn(len(steady))]
+			e.Del(k)
+			delete(live, k)
+		}
+		switch before := size(); holds {
+		case 1:
+			for i := 0; i < 1500; i++ {
+				k := fmt.Sprintf("x%d", i)
+				e.Set(k, []byte(k+"/"))
+			}
+			grew = size() > before
+		case 3:
+			for i := 0; i < 1500; i++ {
+				e.Del(fmt.Sprintf("x%d", i))
+			}
+			shrank = size() < before
+		}
+		if sharedHold {
+			freed := 0
+			for _, k := range shared {
+				if freed < 10 && inTable(k) {
+					e.Del(k)
+					delete(live, k)
+					freed++
+				}
+			}
+			spilled, begun := len(ix.spill), false
+			for i := 0; !begun || ix.old.words != nil; i++ {
+				k := fmt.Sprintf("y%d", i)
+				e.Set(k, []byte(k+"/"))
+				begun = begun || ix.old.words != nil
+			}
+			moved = len(ix.spill) < spilled
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !grew || !shrank || !moved {
+		t.Fatalf("across %d holds: the index grew %v, shrank %v, took spilled keys into its table %v", holds, grew, shrank, moved)
+	}
+	for k := range live {
+		if visits[k] != 1 {
+			t.Errorf("%q, live throughout, visited %d times", k, visits[k])
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if k := fmt.Sprintf("gone%d", i); visits[k] != 0 {
+			t.Errorf("%q, deleted before the walk, visited", k)
+		}
+	}
+	if err := checkBooks(e); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -868,15 +868,16 @@ func (ix *index) each(fn func(rec record) bool) {
 	}
 }
 
-// scan calls fn for up to *limit records (it counts them off; past it only
-// to finish keys of one hash), in hash order from the first whose slot hash
-// is not below from. It returns the
-// hash of the first record it did not visit, to resume from, and whether
-// none was left. A hash, unlike a position, means the same thing at any
-// table length and on either side of a resize under way. What is in the
-// spill goes with the last stretch. Read lock only: it re-hashes one record
-// to say where to resume, uncounted.
-func (ix *index) scan(from uint32, limit *int, fn func(rec record)) (next uint32, end bool) {
+// scan calls fn for records in hash order from the first whose slot hash is
+// not below from, taking what fn returns off *limit until it is spent (past
+// it only to finish keys of one hash), then for the spilled entries whose
+// hashes fall in the stretch it covered. It returns the hash of the first
+// record it did not visit, to resume from, and whether none was left. A
+// hash, unlike a position, means the same thing at any table length, on
+// either side of a resize under way and in the spill, so calls that resume
+// one another meet every entry present throughout exactly once. Read lock
+// only: it re-hashes the record it stops at and every spilled one, uncounted.
+func (ix *index) scan(from uint32, limit *int, fn func(rec record) int) (next uint32, end bool) {
 	if ix.n == 0 {
 		return 0, true
 	}
@@ -886,6 +887,7 @@ func (ix *index) scan(from uint32, limit *int, fn func(rec record)) (next uint32
 	} else {
 		at = ix.seek(&ix.table, from)
 	}
+	end = true
 	for prev := -1; at < tables; at++ {
 		if !ix.used(at) {
 			continue
@@ -895,18 +897,19 @@ func (ix *index) scan(from uint32, limit *int, fn func(rec record)) (next uint32
 			// the next call would meet the ones before the stop again.
 			h := ix.keyHash(ix.refAt(at))
 			if prev < 0 || h != ix.keyHash(ix.refAt(prev)) {
-				return h, false
+				next, end = h, false
+				break
 			}
 		}
-		*limit--
-		fn(ix.record(at))
+		*limit -= fn(ix.record(at))
 		prev = at
 	}
-	for ; at < ix.positions(); at++ {
-		*limit--
-		fn(ix.record(at))
+	for _, e := range ix.spill {
+		if h := ix.keyHash(e.ref); h >= from && (end || h < next) {
+			*limit -= fn(ix.rec(e.ref))
+		}
 	}
-	return 0, true
+	return next, end
 }
 
 // seek is the slot of t where an entry of hash h goes: behind every entry of

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -79,6 +80,12 @@ type indexModel struct {
 	ix    index
 	keys  map[string]byte // value byte
 	marks map[string]bool // reference bit, as the operations so far leave it
+
+	// A lap of scan steps (step): where the next resumes, the keys held
+	// since the lap began (nil between laps), and what the lap has met.
+	cursor uint32
+	steady map[string]bool
+	met    map[string]bool
 }
 
 // put stores v as key's value: in the plain form (a raw value with its
@@ -116,6 +123,7 @@ func (m *indexModel) del(key string) {
 		m.ix.remove(at, f.size)
 		delete(m.keys, key)
 		delete(m.marks, key)
+		delete(m.steady, key)
 	}
 }
 
@@ -135,6 +143,7 @@ func (m *indexModel) evict() {
 			ix.remove(at, f.size)
 			delete(m.keys, key)
 			delete(m.marks, key)
+			delete(m.steady, key)
 			return
 		}
 		if !end {
@@ -154,17 +163,49 @@ func (m *indexModel) sweep(limit int) {
 	seen := map[string]bool{}
 	for pos, end := uint32(0), false; !end; {
 		left := limit
-		pos, end = m.ix.scan(pos, &left, func(rec record) {
+		pos, end = m.ix.scan(pos, &left, func(rec record) int {
 			key := m.ix.model.unpackKey(rec.key())
 			if _, held := m.keys[key]; !held || seen[key] {
 				m.t.Fatalf("scan met %q: held %v, seen before %v", key, held, seen[key])
 			}
 			seen[key] = true
+			return 1
 		})
 	}
 	if len(seen) != len(m.keys) {
 		m.t.Fatalf("scan met %d keys of %d", len(seen), len(m.keys))
 	}
+}
+
+// step takes one scan of up to limit records from where the last stopped.
+// A lap starts at hash 0 with the keys held then. It may meet a key only
+// while the key is held and only once, and when it ends it must have met
+// every key held from its start to its end, whatever the writes between
+// its steps moved.
+func (m *indexModel) step(limit int) {
+	if m.steady == nil {
+		m.steady, m.met = map[string]bool{}, map[string]bool{}
+		for key := range m.keys {
+			m.steady[key] = true
+		}
+	}
+	next, end := m.ix.scan(m.cursor, &limit, func(rec record) int {
+		key := m.ix.model.unpackKey(rec.key())
+		if _, held := m.keys[key]; !held || m.met[key] {
+			m.t.Fatalf("a scan step met %q: held %v, met this lap before %v", key, held, m.met[key])
+		}
+		m.met[key] = true
+		return 1
+	})
+	if m.cursor = next; !end {
+		return
+	}
+	for key := range m.steady {
+		if !m.met[key] {
+			m.t.Fatalf("a lap of scan steps missed %q, held throughout", key)
+		}
+	}
+	m.steady, m.met = nil, nil
 }
 
 // check compares the index with the model key by key and mark by mark, and
@@ -228,8 +269,10 @@ func (m *indexModel) check(cleared bool) {
 // in a size from the count that may be too small for some keys of it.
 // Values are plain, so a key of the model's shape has a bare record, except
 // where op byte 240 puts a run of keys with a deadline, headed; op byte 241
-// widens the tables' highs to 2 bytes, in place, whatever the slab's size
-// (the other op bytes under 248 are their op mod 8). After every operation
+// widens the tables' highs to 2 bytes, in place, whatever the slab's size,
+// and op byte 242 takes one step of a lap of scans that resume where the
+// last stopped, as the snapshot walk's holds do, with writes in between (the
+// other op bytes under 248 are their op mod 8). After every operation
 // the index is compared with a map: every key found with its own value and
 // its own reference bit, stored in its packed form under the model and bare
 // exactly when the rule says, no other key found, counts, charge, what
@@ -252,6 +295,14 @@ func FuzzIndex(f *testing.F) {
 	// Bare and headed records of one shape, a widening mid-resize, and a
 	// re-model that re-decides every record's form.
 	f.Add(append(append([]byte{}, grow...), 240, 0, 0, 100, 0, 0, 0x40, 9, 248, 0, 0, 2, 241, 0, 0, 0, 240, 0, 0x30, 40, 0, 2, 0, 100, 1, 0, 0x10, 200, 248, 0, 0, 0))
+	// A lap of scan steps of 256 meets the keys of the shared hash in its
+	// third step; then ten of those in the table go, and 768 inserts begin
+	// and finish a resize, whose end moves nine spilled ones into the table,
+	// behind the lap, which steps on to its end.
+	steps := bytes.Repeat([]byte{242, 0, 0, 255}, 4)
+	lap := append(append(append([]byte{}, grow...), 0, 16, 0, 199), steps...)
+	lap = append(lap, 1, 16, 0, 9, 0, 4, 0, 255, 0, 5, 0, 255, 0, 6, 0, 255)
+	f.Add(append(lap, steps...))
 	shared := sharedHashKeys()
 	name := func(i int) string {
 		switch {
@@ -271,7 +322,7 @@ func FuzzIndex(f *testing.F) {
 			cleared := false
 			op := ops[0] % 8
 			switch ops[0] {
-			case 240, 241:
+			case 240, 241, 242:
 				op = ops[0] - 240 + 9
 			case 248, 249, 250, 251, 252, 253, 254, 255:
 				op = 8 // the re-model has codes of its own, so the other codes keep their meaning
@@ -324,6 +375,8 @@ func FuzzIndex(f *testing.F) {
 				if !m.ix.wide {
 					m.ix.widen()
 				}
+			case 11:
+				m.step(1 + count)
 			}
 			m.check(cleared)
 		}
@@ -365,8 +418,8 @@ func TestSpillHoldsWhatNoLengthSeparates(t *testing.T) {
 		e.ExpireAt(k, 1) // long lapsed
 	}
 	walked := 0
-	e.ForEachEncodedChunked(0, func(chunk []SnapEntry) bool { walked += len(chunk); return true })
-	if walked != 1000 { // the walk skips lapsed keys: these were all listed and then found lapsed
+	e.ForEachEncoded(func(chunk []SnapEntry) bool { walked += len(chunk); return true })
+	if walked != 1000 { // the walk skips lapsed keys
 		t.Fatalf("walk met %d live keys, want 1000", walked)
 	}
 	if got := sweepExpired(e, 1<<30); got != len(shared) {

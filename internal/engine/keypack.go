@@ -52,7 +52,7 @@ import (
 // hashes a record's key unpacked, on the stack (keyModel.hash). So a
 // re-pack moves no entry. Everything outside the engine sees the key as
 // written; a key leaves a record through unpack: the clock's pinned call,
-// CollectExpired and ForEachEncodedChunked's key listing.
+// CollectExpired and the snapshot walk (ForEachEncoded).
 const (
 	packMark  = 0xFF
 	modelMark = 0xFE

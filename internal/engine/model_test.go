@@ -825,7 +825,7 @@ func oneStripeReadersAndOverwriters(t *testing.T, opts Options) {
 	go func() {
 		defer readers.Done()
 		for !stop.Load() {
-			err := e.ForEachEncodedChunked(512, func(chunk []SnapEntry) bool {
+			err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
 				for _, p := range chunk {
 					var ki int
 					fmt.Sscanf(p.Key, "hot%d", &ki)
@@ -1216,7 +1216,7 @@ func TestPMemReadersAndOverwriters(t *testing.T) {
 		})
 		reader(func() bool {
 			ok := true
-			err := e.ForEachEncodedChunked(0, func(chunk []SnapEntry) bool {
+			err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
 				for _, p := range chunk {
 					if ok = check("walk", p.Key, p.Val, nil); !ok {
 						break
@@ -1362,7 +1362,7 @@ func TestOneStripeDecodeUnderReadLock(t *testing.T) {
 				return true
 			})
 			reader(func(*rand.Rand) bool {
-				err := e.ForEachEncodedChunked(512, func(chunk []SnapEntry) bool {
+				err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
 					for _, p := range chunk {
 						var ki int
 						fmt.Sscanf(p.Key, "hot%d", &ki)

@@ -107,11 +107,6 @@ type ReplicationConfig struct {
 	// within the log window, full sync otherwise) instead of holding
 	// master-side resources. Default LogCap/2; negative disables.
 	ShedBacklog int
-	// SnapshotChunkBytes bounds how many snapshot bytes are materialized
-	// (and buffered) per engine lock acquisition during a full sync;
-	// each chunk is flushed under WriteTimeout before the next is built
-	// (default 1 MiB).
-	SnapshotChunkBytes int
 	// Dialer overrides how a replica dials its master — the
 	// fault-injection seam for the replica side of the link (default
 	// net.DialTimeout on "tcp").
@@ -144,9 +139,6 @@ func (c *Config) normalize() {
 	}
 	if r.ShedBacklog == 0 {
 		r.ShedBacklog = r.LogCap / 2
-	}
-	if r.SnapshotChunkBytes <= 0 {
-		r.SnapshotChunkBytes = 1 << 20
 	}
 	c.Overload.normalize()
 }

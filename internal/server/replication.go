@@ -50,7 +50,7 @@ import (
 //
 // Robustness (see internal/replication/README.md): every frame write to
 // a replica carries a deadline (WriteTimeout), full-sync snapshots
-// stream in bounded chunks (SnapshotChunkBytes) with a flush per chunk,
+// stream in the engine walk's read-lock holds with a flush per hold,
 // an idle link is kept provably alive by master pings answered with
 // replica acks (KeepaliveInterval/ReadTimeout), replicas whose unacked
 // backlog exceeds ShedBacklog are disconnected to re-sync later, and
@@ -404,12 +404,13 @@ func (r *serverRepl) cmdSync(c *conn, args [][]byte) {
 //
 // Robustness: every write toward the replica is bounded by WriteTimeout
 // (a stalled socket errors out instead of blocking the session forever);
-// the snapshot walk materializes at most SnapshotChunkBytes per engine
-// lock acquisition and flushes each chunk before building the next, so a
-// slow link bounds the master's buffering, not its memory; a keepalive
-// ticker pings the replica (and sheds it if its unacked backlog exceeds
-// ShedBacklog); and the ack reader enforces ReadTimeout — with pings
-// answered by acks, a healthy link always has a frame in flight.
+// the snapshot walk (engine.ForEachEncoded) materializes one read-lock
+// hold's entries at a time, about as many bytes as bw buffers, and each is
+// flushed before the next is built, so a slow link bounds the master's
+// buffering, not its memory; a keepalive ticker pings the replica (and
+// sheds it if its unacked backlog exceeds ShedBacklog); and the ack reader
+// enforces ReadTimeout — with pings answered by acks, a healthy link
+// always has a frame in flight.
 func (r *serverRepl) serveReplica(c *conn, after uint64, nodeID string) {
 	nc := c.nc
 	bw := bufio.NewWriterSize(nc, 64<<10)
@@ -455,20 +456,19 @@ func (r *serverRepl) serveReplica(c *conn, after uint64, nodeID string) {
 			return
 		}
 		var werr error
-		ferr := r.s.eng.ForEachEncodedChunked(r.cfg.SnapshotChunkBytes,
-			func(chunk []engine.SnapEntry) bool {
-				for _, e := range chunk {
-					werr = replication.WriteOp(bw, replication.SetOp(e.Key, e.Val, e.Encoded))
-					if werr == nil && e.ExpireAt != 0 {
-						werr = replication.WriteOp(bw, replication.ExpireOp(e.Key, e.ExpireAt))
-					}
-					if werr != nil {
-						return false
-					}
+		ferr := r.s.eng.ForEachEncoded(func(chunk []engine.SnapEntry) bool {
+			for _, e := range chunk {
+				werr = replication.WriteOp(bw, replication.SetOp(e.Key, e.Val, e.Encoded))
+				if werr == nil && e.ExpireAt != 0 {
+					werr = replication.WriteOp(bw, replication.ExpireOp(e.Key, e.ExpireAt))
 				}
-				werr = deadlineFlush()
-				return werr == nil
-			})
+				if werr != nil {
+					return false
+				}
+			}
+			werr = deadlineFlush()
+			return werr == nil
+		})
 		if werr != nil || ferr != nil {
 			return
 		}

@@ -27,7 +27,6 @@ func TestSlowReplicaFullSyncDoesNotStallWrites(t *testing.T) {
 	ms, mc := startMaster(t, func(c *Config) {
 		c.Replication.WriteTimeout = 250 * time.Millisecond
 		c.Replication.KeepaliveInterval = 50 * time.Millisecond
-		c.Replication.SnapshotChunkBytes = 4 << 10
 		c.Replication.LogCap = 8 // force SYNC 0 onto the full-sync path
 		c.WrapConn = func(nc net.Conn) net.Conn {
 			if tc, ok := nc.(*net.TCPConn); ok {
@@ -38,7 +37,8 @@ func TestSlowReplicaFullSyncDoesNotStallWrites(t *testing.T) {
 	})
 
 	// Enough snapshot bytes to overflow the shrunken socket buffers many
-	// times over.
+	// times over: about 19 KiB in each of the 16 stripes, a hold and a
+	// flush each.
 	payload := strings.Repeat("x", 1024)
 	for i := 0; i < 300; i++ {
 		if err := mc.Set(fmt.Sprintf("snap%03d", i), payload); err != nil {
@@ -315,7 +315,6 @@ func TestTornFullSyncStartsOver(t *testing.T) {
 	inj := faults.NewInjector()
 	nm, nmc := startMaster(t, func(c *Config) {
 		c.Replication.NodeID = "m2"
-		c.Replication.SnapshotChunkBytes = 256
 		c.WrapConn = func(nc net.Conn) net.Conn { return faults.WrapConn(nc, inj) }
 	})
 	redialing := make(chan struct{})
@@ -344,14 +343,18 @@ func TestTornFullSyncStartsOver(t *testing.T) {
 	waitFor(t, "replica at the old master's head", func() bool {
 		return infoField(t, rc, "replication", "last_applied_seq") == strconv.Itoa(p)
 	})
-	payload := strings.Repeat("x", 200)
+	// 240 KiB of snapshot in fewer writes than p, spread over the stripes
+	// the keys hash to: a hold and a flush or more each, so the reset lands
+	// between flushes, with the replica's keyspace cleared and part of the
+	// snapshot applied.
+	payload := strings.Repeat("x", 24<<10)
 	for i := 0; i < 10; i++ {
 		if err := nmc.Set(fmt.Sprintf("snap%d", i), payload); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	inj.ResetAfterBytes(1000) // about half of the snapshot
+	inj.ResetAfterBytes(120 << 10) // about half of the snapshot
 	host, port, _ := net.SplitHostPort(nm.Addr())
 	if _, err := rc.Do("REPLICAOF", host, port); err != nil {
 		t.Fatal(err)
@@ -368,10 +371,17 @@ func TestTornFullSyncStartsOver(t *testing.T) {
 	}
 	release.Do(func() { close(resume) })
 
-	waitFor(t, "replica holds the whole snapshot and the counter", func() bool {
-		v, err := rc.Get("counter")
-		return err == nil && v == strconv.Itoa(p-9)
+	// A snapshot ends at the master's head, written out before the redial.
+	head := infoField(t, nmc, "replication", "repl_seq")
+	waitFor(t, "replica through a whole snapshot", func() bool {
+		return infoField(t, rc, "replication", "last_applied_seq") == head
 	})
+	if v, err := rc.Get("counter"); err != nil || v != strconv.Itoa(p-9) {
+		t.Fatalf("counter after the torn full sync: %q, %v", v, err)
+	}
+	if got := infoField(t, rc, "replication", "full_syncs_done"); got != "2" {
+		t.Fatalf("the replica began %s full syncs, want the torn one and the whole one", got)
+	}
 	for i := 0; i < 10; i++ {
 		if v, err := rc.Get(fmt.Sprintf("snap%d", i)); err != nil || v != payload {
 			t.Fatalf("snap%d after the torn full sync: %d bytes, %v", i, len(v), err)
