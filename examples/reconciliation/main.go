@@ -22,7 +22,7 @@ import (
 	"path/filepath"
 
 	"tierbase"
-	"tierbase/internal/trace"
+	"tierbase/internal/workload"
 )
 
 func main() {
@@ -41,21 +41,20 @@ func main() {
 		log.Fatal(err)
 	}
 
-	tr := trace.GenReconciliation(trace.ReconciliationOptions{Ops: 40000})
+	ops := workload.Reconciliation(workload.ReconciliationOptions{Ops: 40000})
 	var lastKey string
-	for _, e := range tr.Entries {
-		switch e.Op {
-		case trace.OpWrite:
-			if err := store.Set(e.Key, e.Val); err != nil {
+	for _, op := range ops {
+		if op.Kind == workload.OpWrite {
+			if err := store.Set(op.Key, op.Value); err != nil {
 				log.Fatal(err)
 			}
-			lastKey = e.Key
-		case trace.OpRead:
-			store.Get(e.Key) // cold keys fall through to the storage tier
+			lastKey = op.Key
+		} else {
+			store.Get(op.Key) // cold keys fall through to the storage tier
 		}
 	}
 	st := store.Stats()
-	fmt.Printf("trace: %d ops over %d ledger entries\n", len(tr.Entries), st.Keys)
+	fmt.Printf("trace: %d ops over %d ledger entries\n", len(ops), st.Keys)
 	fmt.Printf("cache hit rate: %.1f%% (paper reports ~80%% with ~1%% hot data)\n", 100*(1-st.MissRatio))
 	fmt.Printf("cache: %d B DRAM; storage tier: %d B on disk; dirty pending: %d\n",
 		st.CacheMemBytes, st.StorageDiskBytes, st.DirtyEntries)

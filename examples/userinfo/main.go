@@ -13,7 +13,6 @@ import (
 	"log"
 
 	"tierbase"
-	"tierbase/internal/trace"
 	"tierbase/internal/workload"
 )
 
@@ -41,37 +40,24 @@ func main() {
 
 	// Replay a synthetic trace with the published shape (32:1 reads,
 	// zipfian hot users).
-	tr := trace.GenUserInfo(trace.UserInfoOptions{Ops: 60000})
-	serve := func(s *tierbase.Store) {
-		for _, e := range tr.Entries {
-			switch e.Op {
-			case trace.OpWrite:
-				s.Set(e.Key, e.Val)
-			case trace.OpRead:
-				s.Get(e.Key)
-			}
-		}
-	}
+	ops := workload.UserInfo(workload.UserInfoOptions{Ops: 60000})
 	// Seed both stores with the user population, then serve.
-	seeded := map[string]bool{}
-	i := int64(0)
-	for _, e := range tr.Entries {
-		if !seeded[e.Key] {
-			seeded[e.Key] = true
-			rec := e.Val
-			if rec == nil {
-				rec = ds.Record(i)
+	for _, op := range workload.Preload(ops, ds) {
+		store.Set(op.Key, op.Value)
+		raw.Set(op.Key, op.Value)
+	}
+	for _, s := range []*tierbase.Store{store, raw} {
+		for _, op := range ops {
+			if op.Kind == workload.OpWrite {
+				s.Set(op.Key, op.Value)
+			} else {
+				s.Get(op.Key)
 			}
-			store.Set(e.Key, rec)
-			raw.Set(e.Key, rec)
-			i++
 		}
 	}
-	serve(store)
-	serve(raw)
 
 	cs, rs := store.Stats(), raw.Stats()
-	fmt.Printf("users: %d, trace: %d ops (%s)\n", cs.Keys, len(tr.Entries), tr.Name)
+	fmt.Printf("users: %d, trace: %d ops\n", cs.Keys, len(ops))
 	fmt.Printf("raw cache:   %8d B\n", rs.CacheMemBytes)
 	fmt.Printf("pbc cache:   %8d B (%.1f%% of raw)\n",
 		cs.CacheMemBytes, 100*float64(cs.CacheMemBytes)/float64(rs.CacheMemBytes))
@@ -79,7 +65,7 @@ func main() {
 
 	// The space saving halves SC; the cost model tells us whether the
 	// CPU overhead was worth it (space-critical workload: yes).
-	st := tr.Summarize()
-	fmt.Printf("trace: %d reads / %d writes (%.0f:1), mean access interval %.0f ticks\n",
-		st.Reads, st.Writes, float64(st.Reads)/float64(st.Writes), st.MeanAccessIntervalS)
+	st := workload.Summarize(ops)
+	fmt.Printf("trace: %d reads / %d writes (%.0f:1), mean access interval %.0f ops\n",
+		st.Reads, st.Writes, float64(st.Reads)/float64(st.Writes), st.MeanAccessInterval)
 }

@@ -60,7 +60,7 @@ func TestResultString(t *testing.T) {
 
 func TestDriveCountsErrors(t *testing.T) {
 	sys := failingKV{}
-	ops := []workload.Op{{Kind: workload.OpUpdate, Key: "k", Value: []byte("v")}}
+	ops := []workload.Op{{Kind: workload.OpWrite, Key: "k", Value: []byte("v")}}
 	dr := drive(sys, ops, 1)
 	if dr.Errors != 1 {
 		t.Fatalf("errors %d", dr.Errors)
@@ -77,7 +77,7 @@ func TestDriveCountsErrors(t *testing.T) {
 // again, five times at most; the run that counts meets the bounds.
 func TestDriveTimesAFloorOfWholePasses(t *testing.T) {
 	const cost = 50 * time.Microsecond
-	ops := []workload.Op{{Kind: workload.OpRead, Key: "a"}, {Kind: workload.OpUpdate, Key: "b"}}
+	ops := []workload.Op{{Kind: workload.OpRead, Key: "a"}, {Kind: workload.OpWrite, Key: "b"}}
 	var dr driveResult
 	for again := 0; ; again++ {
 		sys := spinKV{cost: cost, calls: new(int), took: new(time.Duration)}

@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 
 	"tierbase/internal/core"
-	"tierbase/internal/trace"
 	"tierbase/internal/workload"
 )
 
@@ -90,40 +89,6 @@ func costMixes(res *Result, dir string, nRecords int64, nOps int, ds workload.Da
 	return nil
 }
 
-// traceOps turns trace entries into the ops drive replays.
-func traceOps(entries []trace.Entry) []workload.Op {
-	ops := make([]workload.Op, 0, len(entries))
-	for _, e := range entries {
-		switch e.Op {
-		case trace.OpRead:
-			ops = append(ops, workload.Op{Kind: workload.OpRead, Key: e.Key})
-		case trace.OpWrite:
-			ops = append(ops, workload.Op{Kind: workload.OpUpdate, Key: e.Key, Value: e.Val})
-		}
-	}
-	return ops
-}
-
-// tracePreload is the snapshot a trace replays against: every key it
-// touches, in order of first touch, with the trace's value or else a
-// record of ds.
-func tracePreload(tr *trace.Trace, ds workload.Dataset) []workload.Op {
-	var preload []workload.Op
-	seen := map[string]bool{}
-	for _, e := range tr.Entries {
-		if seen[e.Key] {
-			continue
-		}
-		seen[e.Key] = true
-		v := e.Val
-		if v == nil {
-			v = ds.Record(int64(len(preload)))
-		}
-		preload = append(preload, workload.Op{Kind: workload.OpInsert, Key: e.Key, Value: v})
-	}
-	return preload
-}
-
 // RunFig12 reproduces Figure 12: replayed case-study costs. Each case
 // measures every system on its trace, the trace's keys preloaded (the
 // sampled data snapshot of §5.3).
@@ -135,16 +100,16 @@ func RunFig12(o RunOpts) (*Result, error) {
 	}
 	for _, c := range []struct {
 		label       string
-		tr          *trace.Trace
+		ops         []workload.Op
 		ds          workload.Dataset
 		ref, dataGB float64 // declared QPS (× tierbase-raw's) and size
 	}{
 		// User Info Service: read-heavy 32:1, zipfian.
-		{"userinfo", trace.GenUserInfo(trace.UserInfoOptions{Ops: o.n(25000)}), workload.NewKV1(), 1, 20},
+		{"userinfo", workload.UserInfo(workload.UserInfoOptions{Ops: o.n(25000)}), workload.NewKV1(), 1, 20},
 		// Capital Reconciliation: 1:1, temporal skew.
-		{"reconciliation", trace.GenReconciliation(trace.ReconciliationOptions{Ops: o.n(25000)}), workload.NewKV2(), 0.2, 10},
+		{"reconciliation", workload.Reconciliation(workload.ReconciliationOptions{Ops: o.n(25000)}), workload.NewKV2(), 0.2, 10},
 	} {
-		pre := tracePreload(c.tr, c.ds)
+		pre := workload.Preload(c.ops, c.ds)
 		expected := logicalBytes(pre)
 		suts, err := measureRows([]row{
 			{"tierbase-raw", cacheInst, 0, &TBConfig{Threads: 1}},
@@ -159,7 +124,7 @@ func RunFig12(o RunOpts) (*Result, error) {
 			{"dragonfly-m", bigInst, 1, nil},
 			{"cassandra", bigInst, 0, nil},
 			{"hbase", bigInst, 0, nil},
-		}, filepath.Join(o.Dir, "fig12", c.label), pre, traceOps(c.tr.Entries), 4)
+		}, filepath.Join(o.Dir, "fig12", c.label), pre, c.ops, 4)
 		if err != nil {
 			return nil, err
 		}
@@ -179,8 +144,8 @@ func RunFig1(o RunOpts) (*Result, error) {
 		ID: "fig1", Title: "Cost comparison in TierBase (normalized)",
 		Header: []string{"config", "SC", "PC", "cost"},
 	}
-	ui := trace.GenUserInfo(trace.UserInfoOptions{Ops: o.n(20000)})
-	pre := tracePreload(ui, workload.NewKV1())
+	ui := workload.UserInfo(workload.UserInfoOptions{Ops: o.n(20000)})
+	pre := workload.Preload(ui, workload.NewKV1())
 	logical := logicalBytes(pre)
 	suts, err := measureRows([]row{
 		{"tierbase-raw", cacheInst, 0, &TBConfig{Threads: 1}},
@@ -188,7 +153,7 @@ func RunFig1(o RunOpts) (*Result, error) {
 		{"tierbase-pbc", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "pbc", TrainOn: workload.NewKV1()}},
 		{"tierbase-wb-5X", cacheInst, 1, &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 5, ExpectedLogicalBytes: logical, RTT: missRTT}},
 		{"tierbase-wt-5X", cacheInst, 0, &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 5, ExpectedLogicalBytes: logical, RTT: missRTT}},
-	}, filepath.Join(o.Dir, "fig1"), pre, traceOps(ui.Entries), 4)
+	}, filepath.Join(o.Dir, "fig1"), pre, ui, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -243,8 +208,8 @@ func RunFig13a(o RunOpts) (*Result, error) {
 func RunFig13b(o RunOpts) (*Result, error) {
 	o.fill()
 	nOps := o.n(20000)
-	ui := trace.GenUserInfo(trace.UserInfoOptions{Ops: nOps})
-	pre := tracePreload(ui, workload.NewKV1())
+	ui := workload.UserInfo(workload.UserInfoOptions{Ops: nOps})
+	pre := workload.Preload(ui, workload.NewKV1())
 	logical := logicalBytes(pre)
 	res := &Result{
 		ID: "fig13b", Title: "Cache-ratio space-performance trade-off",
@@ -255,7 +220,7 @@ func RunFig13b(o RunOpts) (*Result, error) {
 		rows = append(rows, row{fmt.Sprintf("wb-%dX", x), cacheInst, 1,
 			&TBConfig{Threads: 1, Persist: "wb", CacheRatioX: float64(x), ExpectedLogicalBytes: logical, RTT: missRTT}})
 	}
-	suts, err := measureRows(rows, filepath.Join(o.Dir, "fig13b"), pre, traceOps(ui.Entries), 4)
+	suts, err := measureRows(rows, filepath.Join(o.Dir, "fig13b"), pre, ui, 4)
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +230,11 @@ func RunFig13b(o RunOpts) (*Result, error) {
 	}
 	// Theorem 5.1 validation from the empirical MRC: SC_cache is the
 	// in-memory row's space cost, all data in the cache tier.
-	mrc := core.BuildMRC(ui.Keys()).Curve(true)
+	keys := make([]string, len(ui))
+	for i, op := range ui {
+		keys[i] = op.Key
+	}
+	mrc := core.BuildMRC(keys).Curve(true)
 	in := core.TieredInputs{PCCache: 1, PCMiss: 2, SCCache: evals[0].SC}
 	crStar, mrStar, _ := core.OptimalCacheRatio(in, mrc)
 	res.AddNote("Theorem 5.1 on empirical MRC: CR*=%.3f (≈1/%.1fX) with MR*=%.3f", crStar, 1/math.Max(crStar, 1e-9), mrStar)
@@ -304,13 +273,12 @@ func RunTable3(o RunOpts) (*Result, error) {
 		res.AddRow(e.Fast, e.Slow, fmtF(e.IntervalS))
 	}
 	// Observed access interval from the case-1 trace drives the choice.
-	ui := trace.GenUserInfo(trace.UserInfoOptions{Ops: o.n(20000)})
-	st := ui.Summarize()
-	best, err := core.RecommendStorage(core.StandardContainer, measured, recSize, st.MeanAccessIntervalS)
+	interval := workload.Summarize(workload.UserInfo(workload.UserInfoOptions{Ops: o.n(20000)})).MeanAccessInterval
+	best, err := core.RecommendStorage(core.StandardContainer, measured, recSize, interval)
 	if err != nil {
 		return nil, err
 	}
-	res.AddNote("observed mean access interval: %.0f s (trace ticks as seconds); recommended config: %s", st.MeanAccessIntervalS, best.Config)
+	res.AddNote("observed mean access interval: %.0f s (one op a second); recommended config: %s", interval, best.Config)
 	res.AddNote("paper shape: raw→pmem < raw→pbc < pmem→pbc; long intervals favor compression")
 	return res, nil
 }

@@ -158,7 +158,7 @@ func RunTable2(o RunOpts) (*Result, error) {
 			// SET throughput.
 			setOps := make([]workload.Op, nEval)
 			for i, rec := range eval {
-				setOps[i] = workload.Op{Kind: workload.OpUpdate, Key: fmt.Sprintf("key%09d", i), Value: rec}
+				setOps[i] = workload.Op{Kind: workload.OpWrite, Key: fmt.Sprintf("key%09d", i), Value: rec}
 			}
 			target := engine.New(engine.Options{Compressor: c})
 			setDR := drive(engineKV{target}, setOps, 1)

@@ -49,25 +49,6 @@ const (
 	OpFlushAll
 )
 
-// String names the kind.
-func (k OpKind) String() string {
-	switch k {
-	case OpSet:
-		return "set"
-	case OpSetEncoded:
-		return "set-encoded"
-	case OpDel:
-		return "del"
-	case OpExpire:
-		return "expire"
-	case OpPersist:
-		return "persist"
-	case OpFlushAll:
-		return "flushall"
-	}
-	return "unknown"
-}
-
 // Op is one replicated mutation. Ops are immutable once appended: Val
 // must not be modified by any reader.
 type Op struct {

@@ -125,6 +125,49 @@ func TestReopenKeepsKeys(t *testing.T) {
 	}
 }
 
+// TestFlushAllEmptiesTheStorageTier: FLUSHALL on a tiered node, and every
+// full sync to a tiered replica, empties the LSM through
+// cache.LSMStorage.FlushAll, which deletes a page of keys at a time. No
+// key of more than two pages may come back from a reopened stack.
+func TestFlushAllEmptiesTheStorageTier(t *testing.T) {
+	const n = 1300
+	for _, p := range policies[1:] {
+		t.Run(p.String(), func(t *testing.T) {
+			c := Config{Policy: p, Dir: t.TempDir()}
+			st, err := Open(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				if err := st.Set(fmt.Sprintf("k%04d", i), []byte("v")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := st.FlushDirty(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.FlushAll(); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if st, err = Open(c); err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			for i := 0; i < n; i++ {
+				if v, err := st.Get(fmt.Sprintf("k%04d", i)); err != cache.ErrNotFound {
+					t.Fatalf("k%04d after FlushAll and reopen: %q %v", i, v, err)
+				}
+			}
+			if kvs, err := st.DB.Scan(nil, nil, 0); err != nil || len(kvs) != 0 {
+				t.Fatalf("LSM scan after FlushAll and reopen: %d live keys, %v", len(kvs), err)
+			}
+		})
+	}
+}
+
 func TestRefusesWhatItCannotBuild(t *testing.T) {
 	for name, c := range map[string]Config{
 		"tiered without a dir": {Policy: cache.WriteThrough},

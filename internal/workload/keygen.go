@@ -6,6 +6,13 @@
 // machine-generated KV datasets) used for data insertion in place of YCSB's
 // random strings. The load phase inserts every key in index order
 // (Spec.LoadOps) and needs no chooser.
+//
+// It also synthesizes the two production case-study streams of §6.5 from
+// their published statistics (UserInfo, Reconciliation): the
+// representative periods of key-value operations that the sample-based
+// evaluation of §5.3 replays against candidate configurations, over the
+// snapshot Preload builds. Summarize reads a stream's read/write counts
+// and mean per-key access interval.
 package workload
 
 import (

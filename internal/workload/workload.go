@@ -11,23 +11,8 @@ type OpKind uint8
 // Operation kinds.
 const (
 	OpRead OpKind = iota
-	OpUpdate
-	OpInsert
+	OpWrite
 )
-
-// String names the operation kind.
-func (k OpKind) String() string {
-	switch k {
-	case OpRead:
-		return "READ"
-	case OpUpdate:
-		return "UPDATE"
-	case OpInsert:
-		return "INSERT"
-	default:
-		return fmt.Sprintf("OpKind(%d)", uint8(k))
-	}
-}
 
 // Op is a single generated operation.
 type Op struct {
@@ -147,7 +132,7 @@ func NewGenerator(spec Spec, offset int64) *Generator {
 func (s Spec) LoadOps() []Op {
 	ops := make([]Op, s.RecordCount)
 	for i := int64(0); i < s.RecordCount; i++ {
-		ops[i] = Op{Kind: OpInsert, Key: s.Key(i), Value: s.Dataset.Record(i)}
+		ops[i] = Op{Kind: OpWrite, Key: s.Key(i), Value: s.Dataset.Record(i)}
 	}
 	return ops
 }
@@ -158,7 +143,7 @@ func (g *Generator) Next() Op {
 		return Op{Kind: OpRead, Key: g.spec.Key(g.chooser.Next(g.rng))}
 	}
 	i := g.chooser.Next(g.rng)
-	return Op{Kind: OpUpdate, Key: g.spec.Key(i), Value: g.spec.Dataset.Record(i + g.rng.Int63n(1024))}
+	return Op{Kind: OpWrite, Key: g.spec.Key(i), Value: g.spec.Dataset.Record(i + g.rng.Int63n(1024))}
 }
 
 // Ops generates n run-phase operations.

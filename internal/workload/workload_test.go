@@ -115,7 +115,7 @@ func TestLoadOps(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, op := range ops {
-		if op.Kind != OpInsert {
+		if op.Kind != OpWrite {
 			t.Fatalf("load op kind %v", op.Kind)
 		}
 		if len(op.Value) == 0 {
@@ -142,8 +142,7 @@ func TestMixProportions(t *testing.T) {
 	} {
 		g := NewGenerator(tc.spec, 0)
 		ops := g.Ops(20000)
-		st := summarize(ops)
-		frac := float64(st.Reads) / float64(st.Total)
+		frac := float64(Summarize(ops).Reads) / float64(len(ops))
 		if math.Abs(frac-tc.wantReads) > 0.02 {
 			t.Errorf("workload %s: read fraction %.3f, want ~%.2f", tc.name, frac, tc.wantReads)
 		}
@@ -158,8 +157,8 @@ func TestGeneratorKeysInPopulation(t *testing.T) {
 		if !strings.HasPrefix(op.Key, "user") {
 			t.Fatalf("bad key %q", op.Key)
 		}
-		if op.Kind == OpUpdate && len(op.Value) == 0 {
-			t.Fatal("update without value")
+		if op.Kind == OpWrite && len(op.Value) == 0 {
+			t.Fatal("write without value")
 		}
 		if op.Kind == OpRead && op.Value != nil {
 			t.Fatal("read with value")
@@ -182,29 +181,6 @@ func TestGeneratorsWithDistinctOffsetsDiffer(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	ops := []Op{
-		{Kind: OpRead, Key: "a"},
-		{Kind: OpRead, Key: "a"},
-		{Kind: OpUpdate, Key: "b", Value: []byte("xy")},
-		{Kind: OpInsert, Key: "c", Value: []byte("z")},
-	}
-	st := summarize(ops)
-	if st.Total != 4 || st.Reads != 2 || st.Writes != 2 || st.Uniques != 3 || st.Bytes != 3 {
-		t.Fatalf("bad stats: %+v", st)
-	}
-}
-
-func TestOpKindString(t *testing.T) {
-	if OpRead.String() != "READ" || OpUpdate.String() != "UPDATE" ||
-		OpInsert.String() != "INSERT" {
-		t.Fatal("OpKind names wrong")
-	}
-	if OpKind(99).String() == "" {
-		t.Fatal("unknown kind should still render")
-	}
-}
-
 func TestDistributionSelection(t *testing.T) {
 	for _, dist := range []string{"zipfian", "uniform", "latest", "hotspot"} {
 		spec := DefaultSpec(100)
@@ -217,32 +193,4 @@ func TestDistributionSelection(t *testing.T) {
 			}
 		}
 	}
-}
-
-// stats summarizes an operation stream.
-type stats struct {
-	Total   int
-	Reads   int
-	Writes  int
-	Uniques int
-	Bytes   int64
-}
-
-// summarize computes stream statistics.
-func summarize(ops []Op) stats {
-	st := stats{Total: len(ops)}
-	seen := make(map[string]struct{}, len(ops))
-	for _, op := range ops {
-		if op.Kind == OpRead {
-			st.Reads++
-		} else {
-			st.Writes++
-		}
-		if _, ok := seen[op.Key]; !ok {
-			seen[op.Key] = struct{}{}
-			st.Uniques++
-		}
-		st.Bytes += int64(len(op.Value))
-	}
-	return st
 }
