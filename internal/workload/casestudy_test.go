@@ -6,20 +6,26 @@ import (
 	"testing"
 )
 
+// summarizeOps is a stream with k at 0, 2, 5 and other at 1, 3, 4.
+var summarizeOps = []Op{
+	{Kind: OpWrite, Key: "k", Value: []byte("1234")},
+	{Kind: OpRead, Key: "other"},
+	{Kind: OpRead, Key: "k"},
+	{Kind: OpRead, Key: "other"},
+	{Kind: OpRead, Key: "other"},
+	{Kind: OpRead, Key: "k"},
+}
+
 func TestSummarize(t *testing.T) {
-	st := Summarize([]Op{
-		{Kind: OpWrite, Key: "k", Value: []byte("1234")},
-		{Kind: OpRead, Key: "other"},
-		{Kind: OpRead, Key: "k"},
-		{Kind: OpRead, Key: "other"},
-		{Kind: OpRead, Key: "other"},
-		{Kind: OpRead, Key: "k"},
-	})
+	st := Summarize(summarizeOps)
 	if st.Reads != 5 || st.Writes != 1 || st.DistinctKeys != 2 {
 		t.Fatalf("counts: %+v", st)
 	}
-	// k at 0, 2, 5 and other at 1, 3, 4: intervals 2, 3, 2 and 1.
-	if st.MeanAccessInterval != 2 {
+}
+
+func TestSummarizeMeanAccessInterval(t *testing.T) {
+	// Intervals 2, 3 for k and 2, 1 for other.
+	if st := Summarize(summarizeOps); st.MeanAccessInterval != 2 {
 		t.Fatalf("interval %f, want 2", st.MeanAccessInterval)
 	}
 }
