@@ -167,12 +167,9 @@ func TestTieredMutateAgainstHandRolled(t *testing.T) {
 	}
 	contents := func(s store) (cache, storage map[string]string) {
 		cache, storage = map[string]string{}, map[string]string{}
-		s.eng.ForEachEncoded(func(chunk []engine.SnapEntry) bool {
-			for _, p := range chunk {
-				cache[p.Key] = fmt.Sprintf("%v:%q", p.Encoded, p.Val)
-			}
-			return true
-		})
+		s.eng.ForEachEncoded(func(key, val []byte, coll bool, _ int64) {
+			cache[string(key)] = fmt.Sprintf("%v:%q", coll, val)
+		}, func() bool { return true })
 		for k, v := range s.stor.m {
 			storage[k] = string(v)
 		}

@@ -34,6 +34,9 @@ type Compressor interface {
 	Compress(src []byte) []byte
 	// Decompress reverses Compress.
 	Decompress(src []byte) ([]byte, error)
+	// AppendDecompress appends what Decompress returns to dst, so that a
+	// caller decoding many values can reuse one buffer.
+	AppendDecompress(dst, src []byte) ([]byte, error)
 	// Len is the length of the one encoding enc starts with: what follows
 	// it in enc is not read. An encoding whose end only the caller knows
 	// (Raw's, PBC's escape) takes all of enc.
@@ -57,6 +60,9 @@ func (Raw) Compress(src []byte) []byte { return src }
 
 // Decompress implements Compressor.
 func (Raw) Decompress(src []byte) ([]byte, error) { return src, nil }
+
+// AppendDecompress implements Compressor.
+func (Raw) AppendDecompress(dst, src []byte) ([]byte, error) { return append(dst, src...), nil }
 
 // Len implements Compressor: a raw value has no end of its own. The engine
 // never stores one as compressed, since keeping it does not make it

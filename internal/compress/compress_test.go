@@ -41,6 +41,9 @@ func TestRoundTripAllCompressors(t *testing.T) {
 			if !bytes.Equal(got, rec) {
 				t.Fatalf("%s: roundtrip mismatch:\n got %q\nwant %q", c.Name(), got, rec)
 			}
+			if got, err := c.AppendDecompress([]byte("pre"), comp); err != nil || string(got) != "pre"+string(rec) {
+				t.Fatalf("%s: AppendDecompress after \"pre\" = %q (%v)", c.Name(), got, err)
+			}
 			// Every encoding but raw's ends where it says it does.
 			enc, want := comp, len(comp)
 			if c.Name() != "raw" {
@@ -93,6 +96,9 @@ func TestRoundTripArbitraryBytes(t *testing.T) {
 		for _, c := range cs {
 			got, err := c.Decompress(c.Compress(data))
 			if err != nil {
+				return false
+			}
+			if after, err := c.AppendDecompress([]byte("pre"), c.Compress(data)); err != nil || string(after) != "pre"+string(data) {
 				return false
 			}
 			if len(data) == 0 && len(got) == 0 {
@@ -464,6 +470,10 @@ func TestPBCAllocs(t *testing.T) {
 		}
 		if n := testing.AllocsPerRun(200, func() { benchSink, _ = p.Decompress(comp) }); n != 1 {
 			t.Errorf("%s: Decompress allocates %.0f times, want 1", ds.Name(), n)
+		}
+		buf := make([]byte, 0, 2*len(rec))
+		if n := testing.AllocsPerRun(200, func() { buf, _ = p.AppendDecompress(buf[:0], comp) }); n != 0 {
+			t.Errorf("%s: AppendDecompress into a buffer with room allocates %.0f times, want 0", ds.Name(), n)
 		}
 		if n := testing.AllocsPerRun(200, func() { p.Len(comp) }); n != 0 {
 			t.Errorf("%s: Len allocates %.0f times, want 0", ds.Name(), n)

@@ -120,17 +120,20 @@ func (d *Deflate) Len(enc []byte) (int, error) {
 	return n + int(l), nil
 }
 
-// Decompress implements Compressor. The frame must span src exactly.
-func (d *Deflate) Decompress(src []byte) ([]byte, error) {
+// Decompress implements Compressor.
+func (d *Deflate) Decompress(src []byte) ([]byte, error) { return d.AppendDecompress(nil, src) }
+
+// AppendDecompress implements Compressor. The frame must span src exactly.
+func (d *Deflate) AppendDecompress(dst, src []byte) ([]byte, error) {
 	l, n := binary.Uvarint(src)
 	if n <= 0 || l != uint64(len(src)-n) {
 		return nil, fmt.Errorf("%w: bad deflate frame", ErrCorrupt)
 	}
-	return d.inflate(src[n:])
+	return d.inflate(dst, src[n:])
 }
 
-// inflate reverses stream.
-func (d *Deflate) inflate(src []byte) ([]byte, error) {
+// inflate appends what stream made src from to dst.
+func (d *Deflate) inflate(dst, src []byte) ([]byte, error) {
 	d.mu.RLock()
 	dict := d.dict
 	d.mu.RUnlock()
@@ -141,11 +144,11 @@ func (d *Deflate) inflate(src []byte) ([]byte, error) {
 		fr = flate.NewReader(bytes.NewReader(src))
 	}
 	defer fr.Close()
-	out, err := io.ReadAll(fr)
-	if err != nil {
+	out := bytes.NewBuffer(dst)
+	if _, err := out.ReadFrom(fr); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	return out, nil
+	return out.Bytes(), nil
 }
 
 var _ Compressor = (*Deflate)(nil)

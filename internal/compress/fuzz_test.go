@@ -31,8 +31,9 @@ func patternOf(p *PBC, rec []byte) *pattern {
 }
 
 // FuzzPBCRoundTrip: Compress is lossless for any input, whether it matches
-// a pattern cleanly, needs exceptions, or escapes, and a matched record ends
-// where Len says, whatever follows it.
+// a pattern cleanly, needs exceptions, or escapes, AppendDecompress leaves
+// what dst held in front, and a matched record ends where Len says,
+// whatever follows it.
 func FuzzPBCRoundTrip(f *testing.F) {
 	kv1, kv2 := workload.NewKV1().Record(77), workload.NewKV2().Record(77)
 	replace := func(rec []byte, old, new string) []byte {
@@ -66,6 +67,9 @@ func FuzzPBCRoundTrip(f *testing.F) {
 		got, err := p.Decompress(comp)
 		if err != nil || !bytes.Equal(got, src) {
 			t.Fatalf("%q -> % x -> %q (%v)", src, comp, got, err)
+		}
+		if got, err := p.AppendDecompress([]byte("pre"), comp); err != nil || string(got) != "pre"+string(src) {
+			t.Fatalf("%q -> % x -> %q after \"pre\" (%v)", src, comp, got, err)
 		}
 		if IsEscape(comp) && len(comp) != len(src)+1 {
 			t.Fatalf("%q: malformed escape % x", src, comp)

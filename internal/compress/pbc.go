@@ -521,12 +521,15 @@ func appendRaw(dst, text []byte, residual *Deflate) []byte {
 
 // --- decompression ---
 
-// Decompress implements Compressor. Every length it reads is bounded by
-// len(src) or by what the trained slot allows, so its work and its output
-// are bounded by the pattern plus len(src) (times DEFLATE's own 1032:1 for
-// a deflated raw slot).
-func (p *PBC) Decompress(src []byte) ([]byte, error) {
-	out, n, err := p.walk(src, true)
+// Decompress implements Compressor.
+func (p *PBC) Decompress(src []byte) ([]byte, error) { return p.AppendDecompress(nil, src) }
+
+// AppendDecompress implements Compressor. Every length it reads is bounded
+// by len(src) or by what the trained slot allows, so its work and its
+// output are bounded by the pattern plus len(src) (times DEFLATE's own
+// 1032:1 for a deflated raw slot).
+func (p *PBC) AppendDecompress(dst, src []byte) ([]byte, error) {
+	out, n, err := p.walk(dst, src, true)
 	if err == nil && n != len(src) {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrCorrupt)
 	}
@@ -536,21 +539,21 @@ func (p *PBC) Decompress(src []byte) ([]byte, error) {
 // Len implements Compressor: the walk Decompress makes, writing nothing. A
 // matched record ends where its pattern says; an escape takes all of enc.
 func (p *PBC) Len(enc []byte) (int, error) {
-	_, n, err := p.walk(enc, false)
+	_, n, err := p.walk(nil, enc, false)
 	return n, err
 }
 
 // walk reads the one record src starts with and returns its length and,
-// when write is set, its decoded bytes. Without write it reads only what
-// says where the record ends: the header, the bitmap, and the payload of
-// every slot that has one.
-func (p *PBC) walk(src []byte, write bool) (out []byte, pos int, err error) {
+// when write is set, dst with its decoded bytes appended. Without write it
+// reads only what says where the record ends: the header, the bitmap, and
+// the payload of every slot that has one.
+func (p *PBC) walk(dst, src []byte, write bool) (out []byte, pos int, err error) {
 	if len(src) == 0 {
 		return nil, 0, ErrCorrupt
 	}
 	if src[0] == pbcEscape {
 		if write {
-			out = append([]byte(nil), src[1:]...)
+			out = append(dst, src[1:]...)
 		}
 		return out, len(src), nil
 	}
@@ -575,8 +578,11 @@ func (p *PBC) walk(src []byte, write bool) (out []byte, pos int, err error) {
 	bitmap := src[pat.fieldBytes : pat.fieldBytes+bitmapBytes]
 	pos = pat.fieldBytes + bitmapBytes
 
-	if write {
-		out = make([]byte, 0, pat.sizeHint)
+	out = dst
+	if write && cap(dst)-len(dst) < pat.sizeHint {
+		// One allocation, race instrumentation or not: slices.Grow's append
+		// of a make is two under -race.
+		out = append(make([]byte, 0, len(dst)+pat.sizeHint), dst...)
 	}
 	slot := 0
 	for i := range pat.segs {
@@ -649,9 +655,10 @@ func (p *PBC) walk(src []byte, write bool) (out []byte, pos int, err error) {
 				continue
 			}
 			if l&1 != 0 {
-				if body, err = p.residual.inflate(body); err != nil {
+				if out, err = p.residual.inflate(out, body); err != nil {
 					return nil, 0, err
 				}
+				continue
 			}
 			out = append(out, body...)
 		}

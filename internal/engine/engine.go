@@ -425,17 +425,20 @@ func (e *Engine) discard(st staged) {
 // keeps holding s.mu while it looks at them: a raw value is the record's
 // own bytes, not a copy.
 func (e *Engine) view(st stored) ([]byte, error) {
-	data := st.val
+	data, err := e.kept(st)
+	if err != nil || st.flags&flagCompressed == 0 {
+		return data, err
+	}
+	return e.opts.Compressor.Decompress(data)
+}
+
+// kept returns the bytes a record's value is kept as: the record's own, or
+// a PMem value's, read from the Arena.
+func (e *Engine) kept(st stored) ([]byte, error) {
 	if st.flags&flagPMem != 0 {
-		var err error
-		if data, err = e.opts.Arena.Get(st.ref()); err != nil {
-			return nil, err
-		}
+		return e.opts.Arena.Get(st.ref())
 	}
-	if st.flags&flagCompressed != 0 {
-		return e.opts.Compressor.Decompress(data)
-	}
-	return data, nil
+	return st.val, nil
 }
 
 // value is the one way a value leaves the engine: its logical bytes, in a
@@ -850,41 +853,40 @@ func (e *Engine) Len() int {
 	return n
 }
 
-// SnapEntry is one key in a snapshot walk.
-type SnapEntry struct {
-	Key      string
-	Val      []byte
-	Encoded  bool  // Val is a typed collection blob (Encode format)
-	ExpireAt int64 // absolute UnixNano deadline; 0 = no TTL
-}
-
 // snapHoldBytes is what the snapshot walk decodes in one read-lock hold of a
-// stripe, keys and values, give or take the entry that passes it: the size
-// of the buffer a full sync writes a replica's socket through.
+// stripe, keys and values, give or take the entry that passes it: about
+// what a full sync frames before it writes a replica's socket.
 const snapHoldBytes = 64 << 10
 
 // ForEachEncoded is the one snapshot iterator, built for replication
 // full-sync snapshots feeding a socket. It visits every live key of every
 // kind: strings yield their decoded value, collections a typed blob
-// (Encode format) with Encoded set, and every key its deadline in
-// ExpireAt. Per stripe it scans the index in hash order, one read-lock hold
-// at a time: each takes values out (value) until snapHoldBytes of keys and
-// values has piled up, hands fn its entries with no lock held, and the next
-// resumes from the hash it stopped at. So a writer waits one hold at most,
-// and buffered memory is O(snapHoldBytes) whatever the compression ratio.
-// A lapsed key yields nothing and counts its record's bytes. fn may keep
-// the entries but not chunk, which the next hold reuses.
+// (Encode format) with coll set, and every key its deadline in at (0: no
+// TTL). Per stripe it scans the index in hash order, one read-lock hold at
+// a time: each calls entry for every key it meets until snapHoldBytes of
+// keys and values has piled up, then, with no lock held, calls hold, and
+// the next resumes from the hash it stopped at. So a writer waits one hold
+// at most, and what a caller buffers is O(snapHoldBytes) whatever the
+// compression ratio. A lapsed key yields nothing and counts its record's
+// bytes. hold runs only after a hold that met a key.
+//
+// entry runs under the stripe's read lock and must not call the engine.
+// key and val are valid only until it returns: the key is unpacked into
+// one buffer, a raw value is the record's own bytes, and a compressed one
+// is decoded into one buffer reused for the walk, so the walk allocates
+// nothing per key.
 //
 // A key live throughout the walk is visited exactly once; one written,
 // deleted or lapsing meanwhile may be visited or not, with either value.
 // Callers tolerate that by streaming the op log from a position at or
-// before the walk. Returning false from fn stops the walk.
-func (e *Engine) ForEachEncoded(fn func(chunk []SnapEntry) bool) error {
-	var chunk []SnapEntry
+// before the walk. Returning false from hold stops the walk.
+func (e *Engine) ForEachEncoded(entry func(key, val []byte, coll bool, at int64), hold func() bool) error {
+	var kb keyBuf
+	var buf []byte
 	for _, s := range e.shards {
 		for from, end := uint32(0), false; !end; {
 			var err error
-			chunk = chunk[:0]
+			met := false
 			budget := snapHoldBytes
 			s.mu.RLock()
 			from, end = s.strs.scan(from, &budget, func(rec record) int {
@@ -892,20 +894,25 @@ func (e *Engine) ForEachEncoded(fn func(chunk []SnapEntry) bool) error {
 				if e.lapsed(f.deadline) {
 					return f.size
 				}
-				val, verr := e.value(f.stored)
+				val, verr := e.kept(f.stored)
+				if verr == nil && f.flags&flagCompressed != 0 {
+					buf, verr = e.opts.Compressor.AppendDecompress(buf[:0], val)
+					val = buf
+				}
 				if verr != nil {
 					err = verr
 					return snapHoldBytes // ends the hold
 				}
-				key := s.strs.model.unpackKey(f.key)
-				chunk = append(chunk, SnapEntry{Key: key, Val: val, Encoded: rec.isColl(), ExpireAt: f.deadline})
+				key := s.strs.model.appendUnpacked(kb[:0], f.key)
+				entry(key, val, rec.isColl(), f.deadline)
+				met = true
 				return len(key) + len(val)
 			})
 			s.mu.RUnlock()
 			if err != nil {
 				return err
 			}
-			if len(chunk) > 0 && !fn(chunk) {
+			if met && !hold() {
 				return nil
 			}
 		}

@@ -434,7 +434,7 @@ func TestSnapshotWalkDecodesStrings(t *testing.T) {
 	e.Set("b", []byte("2"))
 	e.LPush("l", []byte("x"))
 	seen := map[string]string{}
-	err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
+	err := walkHolds(e, func(chunk []walkedKey) bool {
 		for _, p := range chunk {
 			if p.Encoded != (p.Key == "l") {
 				t.Errorf("%s: Encoded %v", p.Key, p.Encoded)
@@ -451,7 +451,7 @@ func TestSnapshotWalkDecodesStrings(t *testing.T) {
 	}
 	// Early stop: fn sees the first hold's entries and nothing after.
 	calls := 0
-	e.ForEachEncoded(func(chunk []SnapEntry) bool { calls++; return false })
+	walkHolds(e, func(chunk []walkedKey) bool { calls++; return false })
 	if calls != 1 {
 		t.Fatalf("early stop: fn called %d times", calls)
 	}

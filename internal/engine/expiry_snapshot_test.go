@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -97,9 +98,30 @@ func TestCollectExpired(t *testing.T) {
 	}
 }
 
+// walkedKey is one key a snapshot walk met, copied out under the lock.
+type walkedKey struct {
+	Key      string
+	Val      []byte
+	Encoded  bool
+	ExpireAt int64
+}
+
+// walkHolds walks e with ForEachEncoded and hands fn each hold's entries,
+// copied, with no lock held. Returning false from fn stops the walk.
+func walkHolds(e *Engine, fn func(chunk []walkedKey) bool) error {
+	var chunk []walkedKey
+	return e.ForEachEncoded(func(key, val []byte, coll bool, at int64) {
+		chunk = append(chunk, walkedKey{string(key), bytes.Clone(val), coll, at})
+	}, func() bool {
+		ok := fn(chunk)
+		chunk = chunk[:0]
+		return ok
+	})
+}
+
 // checkHold fails t if chunk, one read-lock hold's entries, had piled up
 // snapHoldBytes of keys and values before its last entry.
-func checkHold(t *testing.T, chunk []SnapEntry) {
+func checkHold(t *testing.T, chunk []walkedKey) {
 	t.Helper()
 	size := 0
 	for _, p := range chunk {
@@ -124,7 +146,7 @@ func TestForEachEncodedCoversEverything(t *testing.T) {
 	got := map[string]string{}
 	encoded := 0
 	holds := 0
-	err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
+	err := walkHolds(e, func(chunk []walkedKey) bool {
 		holds++
 		checkHold(t, chunk)
 		for _, entry := range chunk {
@@ -164,7 +186,7 @@ func TestForEachEncodedEarlyStop(t *testing.T) {
 		e.Set(fmt.Sprintf("k%d", i), make([]byte, 1024))
 	}
 	calls := 0
-	err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
+	err := walkHolds(e, func(chunk []walkedKey) bool {
 		calls++
 		checkHold(t, chunk)
 		return calls < 3
@@ -185,7 +207,7 @@ func TestForEachEncodedSkipsExpired(t *testing.T) {
 	expire(e, "dead", time.Second)
 	now = now.Add(time.Minute)
 	seen := map[string]bool{}
-	if err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
+	if err := walkHolds(e, func(chunk []walkedKey) bool {
 		for _, entry := range chunk {
 			seen[entry.Key] = true
 		}
@@ -213,7 +235,7 @@ func TestForEachEncodedBoundsDecodedBytes(t *testing.T) {
 		t.Fatalf("values not stored compressed: %d payload bytes", stored)
 	}
 	seen, holds := 0, 0
-	err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
+	err := walkHolds(e, func(chunk []walkedKey) bool {
 		checkHold(t, chunk)
 		seen += len(chunk)
 		holds++
@@ -268,7 +290,7 @@ func TestSnapshotWalkAcrossWrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	visits := map[string]int{}
 	holds, grew, shrank, moved := 0, false, false, false
-	err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
+	err := walkHolds(e, func(chunk []walkedKey) bool {
 		holds++
 		sharedHold := false
 		for _, p := range chunk {

@@ -418,7 +418,7 @@ func TestSpillHoldsWhatNoLengthSeparates(t *testing.T) {
 		e.ExpireAt(k, 1) // long lapsed
 	}
 	walked := 0
-	e.ForEachEncoded(func(chunk []SnapEntry) bool { walked += len(chunk); return true })
+	walkHolds(e, func(chunk []walkedKey) bool { walked += len(chunk); return true })
 	if walked != 1000 { // the walk skips lapsed keys
 		t.Fatalf("walk met %d live keys, want 1000", walked)
 	}

@@ -825,7 +825,7 @@ func oneStripeReadersAndOverwriters(t *testing.T, opts Options) {
 	go func() {
 		defer readers.Done()
 		for !stop.Load() {
-			err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
+			err := walkHolds(e, func(chunk []walkedKey) bool {
 				for _, p := range chunk {
 					var ki int
 					fmt.Sscanf(p.Key, "hot%d", &ki)
@@ -1216,7 +1216,7 @@ func TestPMemReadersAndOverwriters(t *testing.T) {
 		})
 		reader(func() bool {
 			ok := true
-			err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
+			err := walkHolds(e, func(chunk []walkedKey) bool {
 				for _, p := range chunk {
 					if ok = check("walk", p.Key, p.Val, nil); !ok {
 						break
@@ -1362,16 +1362,12 @@ func TestOneStripeDecodeUnderReadLock(t *testing.T) {
 				return true
 			})
 			reader(func(*rand.Rand) bool {
-				err := e.ForEachEncoded(func(chunk []SnapEntry) bool {
-					for _, p := range chunk {
-						var ki int
-						fmt.Sscanf(p.Key, "hot%d", &ki)
-						if !check("walk", ki, p.Val) {
-							return false
-						}
-					}
-					return true
-				})
+				ok := true
+				err := e.ForEachEncoded(func(key, val []byte, _ bool, _ int64) {
+					var ki int
+					fmt.Sscanf(string(key), "hot%d", &ki)
+					ok = ok && check("walk", ki, val)
+				}, func() bool { return ok })
 				if err != nil {
 					t.Errorf("walk: %v", err)
 				}

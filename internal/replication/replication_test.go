@@ -3,6 +3,7 @@ package replication
 import (
 	"bufio"
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -206,30 +207,59 @@ func TestOpLogConcurrentAppendStream(t *testing.T) {
 	wg.Wait()
 }
 
+// TestFramesArePinned: the append encoders write, byte for byte, the
+// frames the wire has carried since its first version (these bytes are
+// what its earlier bufio writers wrote), so a master and a replica of
+// different builds still read each other. A snapshot entry's frames are
+// the SET and EXPIRE ops' own.
+func TestFramesArePinned(t *testing.T) {
+	const (
+		set    = "6f000007757365723a343205616c696365"
+		setEnc = "6f0001046c69737403ff0102"
+		expire = "6f000307757365723a34321331373030303030303030313233343536373839"
+	)
+	at := int64(1700000000123456789)
+	for _, c := range []struct {
+		name  string
+		frame []byte
+		want  string
+	}{
+		{"FLUSHALL", AppendOp(nil, Op{Kind: OpFlushAll}), "6f00050000"},
+		{"SET", AppendOp(nil, SetOp("user:42", []byte("alice"), false)), set},
+		{"SET entry", AppendEntry(nil, []byte("user:42"), []byte("alice"), false, 0), set},
+		{"SET-ENCODED", AppendOp(nil, SetOp("list", []byte{0xFF, 1, 2}, true)), setEnc},
+		{"SET-ENCODED entry", AppendEntry(nil, []byte("list"), []byte{0xFF, 1, 2}, true, 0), setEnc},
+		{"EXPIRE", AppendOp(nil, ExpireOp("user:42", at)), expire},
+		{"SET entry with a deadline", AppendEntry(nil, []byte("user:42"), []byte("alice"), false, at), set + expire},
+		{"DEL at 2^40", AppendOp(nil, Op{Seq: 1 << 40, Kind: OpDel, Key: "gone"}), "6f8080808080200204676f6e65"},
+		{"empty SET at 300", AppendOp(nil, Op{Seq: 300, Kind: OpSet, Key: "k", Val: []byte{}}), "6fac0200016b00"},
+		{"ping", AppendPing(nil, 5), "7005"},
+		{"ack", AppendAck(nil, 1<<40), "61808080808020"},
+		{"snap-end", AppendSnapEnd(nil, 300), "65ac02"},
+	} {
+		if got := hex.EncodeToString(c.frame); got != c.want {
+			t.Errorf("%s: %s, want %s", c.name, got, c.want)
+		}
+	}
+	// An encoder appends: what dst held stays in front.
+	if got := AppendPing([]byte("xy"), 5); string(got) != "xy\x70\x05" {
+		t.Errorf("AppendPing after \"xy\": %x", got)
+	}
+}
+
 func TestWireRoundTrip(t *testing.T) {
-	var netBuf bytes.Buffer
-	w := bufio.NewWriter(&netBuf)
 	ops := []Op{
 		{Seq: 1, Kind: OpSet, Key: "k1", Val: []byte("v1")},
 		{Seq: 2, Kind: OpDel, Key: "gone"},
 		{Seq: 3, Kind: OpSetEncoded, Key: "list", Val: []byte{0xFF, 0x01, 0x02}},
 	}
-	if err := WriteSnapEnd(w, 3); err != nil {
-		t.Fatal(err)
-	}
+	wire := AppendSnapEnd(nil, 3)
 	for _, op := range ops {
-		if err := WriteOp(w, op); err != nil {
-			t.Fatal(err)
-		}
+		wire = AppendOp(wire, op)
 	}
-	if err := WriteAck(w, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
+	wire = AppendAck(wire, 3)
 
-	r := bufio.NewReader(&netBuf)
+	r := bufio.NewReader(bytes.NewReader(wire))
 	f, err := ReadFrame(r)
 	if err != nil || !f.IsSnapEnd() || f.Seq != 3 {
 		t.Fatalf("snap-end = %+v, err %v", f, err)
@@ -257,13 +287,8 @@ func TestWireRoundTrip(t *testing.T) {
 }
 
 func TestWireTornFrame(t *testing.T) {
-	var netBuf bytes.Buffer
-	w := bufio.NewWriter(&netBuf)
-	if err := WriteOp(w, Op{Seq: 1, Kind: OpSet, Key: "key", Val: []byte("value")}); err != nil {
-		t.Fatal(err)
-	}
-	w.Flush()
-	torn := netBuf.Bytes()[:netBuf.Len()-3]
+	frame := AppendOp(nil, Op{Seq: 1, Kind: OpSet, Key: "key", Val: []byte("value")})
+	torn := frame[:len(frame)-3]
 	if _, err := ReadFrame(bufio.NewReader(bytes.NewReader(torn))); err != io.ErrUnexpectedEOF {
 		t.Fatalf("torn frame err = %v, want io.ErrUnexpectedEOF", err)
 	}

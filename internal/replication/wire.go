@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"strconv"
 )
 
 // Wire framing for the network leg of replication. After the RESP
@@ -49,68 +50,49 @@ type Frame struct {
 	Seq  uint64 // frameAck, framePing, frameSnapEnd
 }
 
-func writeUvarint(w *bufio.Writer, v uint64) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, err := w.Write(buf[:n])
-	return err
+// AppendOp appends op's frame to dst.
+func AppendOp(dst []byte, op Op) []byte { return appendOp(dst, op.Seq, op.Kind, op.Key, op.Val) }
+
+// AppendEntry appends a snapshot's frames for one key: the SET, or the
+// SET-ENCODED of a typed collection blob, storing val at key, then, if at
+// is not 0, the EXPIRE that sets its absolute UnixNano deadline. The
+// frames are SetOp's and ExpireOp's, with Seq 0.
+func AppendEntry(dst, key, val []byte, encoded bool, at int64) []byte {
+	kind := OpSet
+	if encoded {
+		kind = OpSetEncoded
+	}
+	dst = appendOp(dst, 0, kind, key, val)
+	if at == 0 {
+		return dst
+	}
+	var text [20]byte
+	return appendOp(dst, 0, OpExpire, key, strconv.AppendInt(text[:0], at, 10))
 }
 
-func writeBytes(w *bufio.Writer, b []byte) error {
-	if err := writeUvarint(w, uint64(len(b))); err != nil {
-		return err
+// appendOp appends the frame of an op, its key either a string or bytes.
+func appendOp[K string | []byte](dst []byte, seq uint64, kind OpKind, key K, val []byte) []byte {
+	dst = binary.AppendUvarint(append(dst, frameOp), seq)
+	dst = binary.AppendUvarint(append(dst, byte(kind)), uint64(len(key)))
+	dst = append(dst, key...)
+	if kind == OpDel {
+		return dst
 	}
-	_, err := w.Write(b)
-	return err
+	return append(binary.AppendUvarint(dst, uint64(len(val))), val...)
 }
 
-// WriteOp frames one op. The caller flushes.
-func WriteOp(w *bufio.Writer, op Op) error {
-	if err := w.WriteByte(frameOp); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, op.Seq); err != nil {
-		return err
-	}
-	if err := w.WriteByte(byte(op.Kind)); err != nil {
-		return err
-	}
-	if err := writeUvarint(w, uint64(len(op.Key))); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(op.Key); err != nil {
-		return err
-	}
-	if op.Kind == OpDel {
-		return nil
-	}
-	return writeBytes(w, op.Val)
-}
+// AppendAck appends a cumulative acknowledgement.
+func AppendAck(dst []byte, seq uint64) []byte { return appendSeq(dst, frameAck, seq) }
 
-// WriteAck frames a cumulative acknowledgement. The caller flushes.
-func WriteAck(w *bufio.Writer, seq uint64) error {
-	if err := w.WriteByte(frameAck); err != nil {
-		return err
-	}
-	return writeUvarint(w, seq)
-}
+// AppendPing appends a keepalive carrying the master's current log head.
+func AppendPing(dst []byte, seq uint64) []byte { return appendSeq(dst, framePing, seq) }
 
-// WritePing frames a keepalive carrying the master's current log head.
-// The caller flushes.
-func WritePing(w *bufio.Writer, seq uint64) error {
-	if err := w.WriteByte(framePing); err != nil {
-		return err
-	}
-	return writeUvarint(w, seq)
-}
+// AppendSnapEnd appends the frame that closes a full-sync snapshot; the
+// replica resets its op log to seq and streams from there.
+func AppendSnapEnd(dst []byte, seq uint64) []byte { return appendSeq(dst, frameSnapEnd, seq) }
 
-// WriteSnapEnd closes a full-sync snapshot; the replica resets its op
-// log to seq and streams from there.
-func WriteSnapEnd(w *bufio.Writer, seq uint64) error {
-	if err := w.WriteByte(frameSnapEnd); err != nil {
-		return err
-	}
-	return writeUvarint(w, seq)
+func appendSeq(dst []byte, t byte, seq uint64) []byte {
+	return binary.AppendUvarint(append(dst, t), seq)
 }
 
 func readLen(r *bufio.Reader) (int, error) {

@@ -12,10 +12,12 @@ import (
 
 	"tierbase/internal/cache"
 	"tierbase/internal/client"
+	"tierbase/internal/compress"
 	"tierbase/internal/engine"
 	"tierbase/internal/lsm"
 	"tierbase/internal/replication"
 	"tierbase/internal/resp"
+	"tierbase/internal/workload"
 )
 
 // startMaster starts a replication-enabled master node.
@@ -253,6 +255,75 @@ func TestFullSyncKeepsTTL(t *testing.T) {
 	}
 }
 
+// TestFullSyncFromCompressedMaster: a full sync carries logical values, so
+// a master that keeps its values PBC-compressed bootstraps a replica that
+// keeps them raw. The snapshot walk decodes each compressed value into a
+// buffer it reuses for the next, under the stripe's read lock; every value
+// must still reach the replica byte-equal: 2 000 KV1 records (compressed),
+// one under CompressMin (kept raw beside them), a list and a key with a TTL.
+func TestFullSyncFromCompressedMaster(t *testing.T) {
+	ds := workload.NewKV1()
+	pbc := compress.NewPBC()
+	if err := pbc.Train(workload.Sample(ds, 500)); err != nil {
+		t.Fatal(err)
+	}
+	ms, mc := startMaster(t, func(c *Config) {
+		c.Replication.LogCap = 8
+		c.EngineOptions.Compressor = pbc
+	})
+	want := map[string]string{"short": "tiny"}
+	raw := 0
+	for i := 0; i < 2000; i++ {
+		v := string(ds.Record(int64(i)))
+		want[fmt.Sprintf("kv1:%04d", i)] = v
+		raw += len(v)
+	}
+	if err := mc.MSet(want); err != nil {
+		t.Fatal(err)
+	}
+	if stored := ms.eng.Stats().PayloadBytes; stored >= int64(raw) {
+		t.Fatalf("%d payload bytes for %d of values: the master did not compress", stored, raw)
+	}
+	if _, err := mc.Do("LPUSH", "list", "a", "b"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mc.Do("EXPIRE", "kv1:0007", "100"); err != nil {
+		t.Fatal(err)
+	}
+
+	_, rc := startReplicaOf(t, ms, "r1", nil)
+	waitFor(t, "full-sync bootstrap", func() bool {
+		return infoField(t, rc, "replication", "master_link") == "up"
+	})
+	if got := infoField(t, rc, "replication", "full_syncs_done"); got != "1" {
+		t.Fatalf("full_syncs_done = %q", got)
+	}
+	keys := make([]string, 0, len(want))
+	for k := range want {
+		keys = append(keys, k)
+	}
+	for len(keys) > 0 {
+		n := min(len(keys), 500)
+		got, err := rc.MGet(keys[:n]...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys[:n] {
+			if got[k] != want[k] {
+				t.Fatalf("%s on the replica = %q, want %q", k, got[k], want[k])
+			}
+		}
+		keys = keys[n:]
+	}
+	if v, err := rc.Do("LRANGE", "list", "0", "-1"); err != nil || fmt.Sprint(v) != "[b a]" {
+		t.Fatalf("LRANGE list on the replica = %v, %v", v, err)
+	}
+	ttl, err := rc.Do("TTL", "kv1:0007")
+	if n, ok := ttl.(int64); err != nil || !ok || n <= 0 || n > 100 {
+		t.Fatalf("TTL on the replica = %v, %v; want (0, 100]", ttl, err)
+	}
+}
+
 func TestSemiSyncAckGate(t *testing.T) {
 	ms, mc := startMaster(t, func(c *Config) {
 		c.Replication.SemiSyncAcks = 1
@@ -316,7 +387,7 @@ func TestSemiSyncHoldsRepliesNotTheConnection(t *testing.T) {
 		c.Replication.AckTimeout = 10 * time.Second
 		c.Replication.KeepaliveInterval = time.Minute // no ping acks ahead of the ops
 	})
-	_, br, bw := attachFakeReplica(t, ms, "late")
+	nc, br := attachFakeReplica(t, ms, "late")
 	waitFor(t, "replica attached", func() bool {
 		return infoField(t, mc, "replication", "connected_replicas") == "1"
 	})
@@ -340,7 +411,7 @@ func TestSemiSyncHoldsRepliesNotTheConnection(t *testing.T) {
 	go func() {
 		for a := range acks {
 			time.Sleep(time.Until(a.due))
-			if replication.WriteAck(bw, a.seq) != nil || bw.Flush() != nil {
+			if _, err := nc.Write(replication.AppendAck(nil, a.seq)); err != nil {
 				return
 			}
 		}

@@ -13,7 +13,6 @@ import (
 
 	"tierbase/internal/client"
 	"tierbase/internal/cluster"
-	"tierbase/internal/engine"
 	"tierbase/internal/metrics"
 	"tierbase/internal/replication"
 	"tierbase/internal/resp"
@@ -339,7 +338,7 @@ type replSession struct {
 	nc     net.Conn
 	stream *replication.Stream
 	// wmu serializes frame writes: the op-stream loop and the keepalive
-	// ticker share one bufio.Writer.
+	// ticker share one socket and its write deadline.
 	wmu sync.Mutex
 }
 
@@ -402,18 +401,21 @@ func (r *serverRepl) cmdSync(c *conn, args [][]byte) {
 // its key's full resulting state, so replaying the overlap over the
 // (possibly newer) snapshot converges.
 //
+// Every frame is appended to a buffer and the buffer written in one call.
+// The snapshot walk (engine.ForEachEncoded) appends each key's frames
+// straight from the stripe under its read lock, copying nothing else, and
+// the buffer is written after each hold with no lock held, so it holds
+// about one hold's bytes and a slow link bounds the master's buffering,
+// not its memory.
+//
 // Robustness: every write toward the replica is bounded by WriteTimeout
 // (a stalled socket errors out instead of blocking the session forever);
-// the snapshot walk (engine.ForEachEncoded) materializes one read-lock
-// hold's entries at a time, about as many bytes as bw buffers, and each is
-// flushed before the next is built, so a slow link bounds the master's
-// buffering, not its memory; a keepalive ticker pings the replica (and
-// sheds it if its unacked backlog exceeds ShedBacklog); and the ack reader
-// enforces ReadTimeout — with pings answered by acks, a healthy link
-// always has a frame in flight.
+// a keepalive ticker pings the replica (and sheds it if its unacked
+// backlog exceeds ShedBacklog); and the ack reader enforces ReadTimeout —
+// with pings answered by acks, a healthy link always has a frame in
+// flight.
 func (r *serverRepl) serveReplica(c *conn, after uint64, nodeID string) {
 	nc := c.nc
-	bw := bufio.NewWriterSize(nc, 64<<10)
 	wt := r.cfg.WriteTimeout
 
 	var stream *replication.Stream
@@ -436,51 +438,41 @@ func (r *serverRepl) serveReplica(c *conn, after uint64, nodeID string) {
 	}
 	defer stream.Cancel()
 
-	// deadlineFlush bounds one buffered write burst; the stall gauge
-	// records the worst case (the master-side write stall a slow replica
+	// send writes out under WriteTimeout and returns it emptied for reuse,
+	// or nil once a large batch has grown it past 1 MiB; the stall gauge
+	// records the worst write (the master-side write stall a slow replica
 	// link can induce).
-	deadlineFlush := func() error {
+	send := func(out []byte) ([]byte, error) {
 		start := time.Now()
 		nc.SetWriteDeadline(start.Add(wt))
-		err := bw.Flush()
+		_, err := nc.Write(out)
 		r.writeStall.Observe(time.Since(start).Nanoseconds())
-		return err
+		if cap(out) > 1<<20 {
+			return nil, err
+		}
+		return out[:0], err
 	}
 
+	var out []byte
 	if full {
 		r.fullSyncsServed.Add(1)
-		if _, err := bw.Write(resp.AppendSimple(nil, "FULLSYNC")); err != nil {
-			return
-		}
-		if err := replication.WriteOp(bw, replication.Op{Kind: replication.OpFlushAll}); err != nil {
-			return
-		}
+		out = resp.AppendSimple(out, "FULLSYNC")
+		out = replication.AppendOp(out, replication.Op{Kind: replication.OpFlushAll})
 		var werr error
-		ferr := r.s.eng.ForEachEncoded(func(chunk []engine.SnapEntry) bool {
-			for _, e := range chunk {
-				werr = replication.WriteOp(bw, replication.SetOp(e.Key, e.Val, e.Encoded))
-				if werr == nil && e.ExpireAt != 0 {
-					werr = replication.WriteOp(bw, replication.ExpireOp(e.Key, e.ExpireAt))
-				}
-				if werr != nil {
-					return false
-				}
-			}
-			werr = deadlineFlush()
+		ferr := r.s.eng.ForEachEncoded(func(key, val []byte, coll bool, at int64) {
+			out = replication.AppendEntry(out, key, val, coll, at)
+		}, func() bool {
+			out, werr = send(out)
 			return werr == nil
 		})
 		if werr != nil || ferr != nil {
 			return
 		}
-		if err := replication.WriteSnapEnd(bw, snapSeq); err != nil {
-			return
-		}
+		out = replication.AppendSnapEnd(out, snapSeq)
 	} else {
-		if _, err := bw.Write(resp.AppendSimple(nil, "CONTINUE")); err != nil {
-			return
-		}
+		out = resp.AppendSimple(out, "CONTINUE")
 	}
-	if err := deadlineFlush(); err != nil {
+	if out, err = send(out); err != nil {
 		return
 	}
 
@@ -525,6 +517,8 @@ func (r *serverRepl) serveReplica(c *conn, after uint64, nodeID string) {
 		defer close(kaDone)
 		tick := time.NewTicker(r.cfg.KeepaliveInterval)
 		defer tick.Stop()
+		var ping []byte
+		var err error
 		for {
 			select {
 			case <-kaStop:
@@ -542,10 +536,7 @@ func (r *serverRepl) serveReplica(c *conn, after uint64, nodeID string) {
 				}
 			}
 			sess.wmu.Lock()
-			err := replication.WritePing(bw, r.log.Seq())
-			if err == nil {
-				err = deadlineFlush()
-			}
+			ping, err = send(replication.AppendPing(ping, r.log.Seq()))
 			sess.wmu.Unlock()
 			if err != nil {
 				stream.Cancel()
@@ -568,14 +559,11 @@ func (r *serverRepl) serveReplica(c *conn, after uint64, nodeID string) {
 			return
 		}
 		buf = ops
-		sess.wmu.Lock()
 		for _, op := range ops {
-			if err := replication.WriteOp(bw, op); err != nil {
-				sess.wmu.Unlock()
-				return
-			}
+			out = replication.AppendOp(out, op)
 		}
-		err = deadlineFlush()
+		sess.wmu.Lock()
+		out, err = send(out)
 		sess.wmu.Unlock()
 		if err != nil {
 			return
@@ -687,7 +675,6 @@ func (a *replApplier) syncOnce() bool {
 	}
 	rt, wt := r.cfg.ReadTimeout, r.cfg.WriteTimeout
 	br := bufio.NewReaderSize(nc, 64<<10)
-	bw := bufio.NewWriterSize(nc, 64<<10)
 	nc.SetWriteDeadline(time.Now().Add(wt))
 	if _, err := nc.Write(resp.AppendCommand(nil, "SYNC", strconv.FormatUint(r.lastApplied.Load(), 10), r.cfg.NodeID)); err != nil {
 		return false
@@ -709,9 +696,12 @@ func (a *replApplier) syncOnce() bool {
 	default:
 		return false // -ERR (e.g. the target is itself a replica): back off, retry
 	}
+	var frame []byte
 	ack := func(seq uint64) bool {
 		nc.SetWriteDeadline(time.Now().Add(wt))
-		return replication.WriteAck(bw, seq) == nil && bw.Flush() == nil
+		frame = replication.AppendAck(frame[:0], seq)
+		_, err := nc.Write(frame)
+		return err == nil
 	}
 	// attach marks the link up; its ack registers this replica's position
 	// with the master before any new op arrives (semi-sync counts attached

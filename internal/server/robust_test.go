@@ -106,13 +106,12 @@ func TestSlowReplicaFullSyncDoesNotStallWrites(t *testing.T) {
 
 // attachFakeReplica connects to ms as replica id: SYNC 0, read whatever
 // snapshot the master sends, attach with an ack at 0. What the test then
-// does with the op stream on br, and which acks it writes to bw, is its
+// does with the op stream on br, and which acks it writes to nc, is its
 // own business. The connection closes with the test.
-func attachFakeReplica(t *testing.T, ms *Server, id string) (net.Conn, *bufio.Reader, *bufio.Writer) {
+func attachFakeReplica(t *testing.T, ms *Server, id string) (net.Conn, *bufio.Reader) {
 	t.Helper()
 	nc := rawDial(t, ms.Addr())
 	br := bufio.NewReader(nc)
-	bw := bufio.NewWriter(nc)
 	if _, err := nc.Write(resp.AppendCommand(nil, "SYNC", "0", id)); err != nil {
 		t.Fatal(err)
 	}
@@ -133,13 +132,10 @@ func attachFakeReplica(t *testing.T, ms *Server, id string) (net.Conn, *bufio.Re
 	} else if s != "+CONTINUE" {
 		t.Fatalf("handshake status %q", s)
 	}
-	if err := replication.WriteAck(bw, 0); err != nil {
+	if _, err := nc.Write(replication.AppendAck(nil, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return nc, br, bw
+	return nc, br
 }
 
 // TestLaggardReplicaIsShed: a replica that attaches, then reads ops but
@@ -151,7 +147,7 @@ func TestLaggardReplicaIsShed(t *testing.T) {
 		c.Replication.ShedBacklog = 32
 	})
 
-	nc, br, _ := attachFakeReplica(t, ms, "laggard")
+	nc, br := attachFakeReplica(t, ms, "laggard")
 	waitFor(t, "laggard attached", func() bool {
 		return infoField(t, mc, "replication", "connected_replicas") == "1"
 	})
