@@ -4,13 +4,14 @@
 // snapshot, replay operations, measure MaxPerf/MaxSpace, compute costs).
 // A cost figure is one list of rows (row: a label, the instance it is
 // priced on, a replica count, and a TierBase configuration or a baseline's
-// name) measured by one loop, measureRows, which hands each row to
-// measureTB or measureBaseline and then counts its replicas, on DRAM and
-// PMem alike, for every kind of row; pricing is internal/core's
-// (PerCostUnit, SmoothPC/SmoothSC). fig7 and fig8 open their rows the same
-// way and drive each through one set of YCSB phases (runPhases). The
-// harness is also the framework's ConfigEvaluator (Evaluator), which
-// cost-advisor runs on the workload its flags describe.
+// name) measured by one loop, measureRows. It puts every row through one
+// lifecycle, measure (open, load, settle, replay, read the footprint), and
+// then counts its replicas, on DRAM and PMem alike, for every kind of row;
+// pricing is internal/core's (PerCostUnit, SmoothPC/SmoothSC). fig7 and
+// fig8 open their rows the same way (row.open) and drive each through one
+// set of YCSB phases (runPhases). The harness is also the framework's
+// ConfigEvaluator (Evaluator), which cost-advisor runs on the workload its
+// flags describe.
 //
 // Scaling note: the paper's testbed runs Redis-class
 // systems at ~100k QPS/core against 10 GB datasets. This harness runs
@@ -22,21 +23,25 @@
 //
 // What is measured is the shipping stack: every TierBase row is built by
 // internal/stack, the builder tierbase.Open and tierbase-server use, from
-// what the row's name says (compressor, PMem,
-// policy, cache ratio, storage RTT). What the harness adds is its own model
-// of a deployment: an elastic pool per instance, the wal/wal-pmem rows'
-// AOF-style log (baselines.EncodeAOF's records, as redis-aof writes), a
-// per-op CPU cost (fig9) and a row's replicas.
+// what the row's name says (compressor, PMem, policy, cache ratio); every
+// tiered row reaches its storage tier over one round trip, missRTT. What
+// the harness adds is its own model of a deployment: an elastic pool per
+// instance, the wal/wal-pmem rows' AOF-style log (baselines.EncodeAOF's
+// records, as redis-aof writes), a per-op CPU cost (fig9) and a row's
+// replicas.
 //
-// One part of that model departs from the shipping code on purpose. The
-// in-memory part of an op runs on the instance's pool; a tiered row's
-// round trip to its storage tier runs off it, on the caller. That stands in
-// for the paper's non-blocking storage path (§4.1: the event loop stays
-// responsive while a storage write is in flight). tierbase-server runs the
-// whole op on a worker (the embedded Store has no pool and runs it on the
-// caller); measured that way the tiered rows' PC grows several-fold and the
-// cheapest configuration of fig13b moves off wb-5X (ROADMAP, Known gaps). The paper's cost shapes
-// depend on a non-blocking storage path the shipping code does not have.
+// One part of that model departs from the shipping code on purpose. A row
+// without a storage tier runs each op on the instance's pool; a tiered row
+// runs its whole tiered call, engine lookup and storage round trip alike,
+// off the pool on the caller, and the pool runs only the op's CPU cost,
+// which no tiered row sets. That stands in for, and goes further than, the
+// paper's non-blocking storage path (§4.1: the event loop stays responsive
+// while a storage write is in flight). tierbase-server runs the whole op on
+// a worker (the embedded Store has no pool and runs it on the caller);
+// measured that way the tiered rows' PC grows several-fold and the cheapest
+// configuration of fig13b moves off wb-5X (ROADMAP, Known gaps). The
+// paper's cost shapes depend on a non-blocking storage path the shipping
+// code does not have.
 package bench
 
 import (

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"tierbase/internal/baselines"
+	"tierbase/internal/lsm"
 	"tierbase/internal/workload"
 )
 
@@ -136,7 +138,7 @@ func valueShare(ops []workload.Op) float64 {
 	return float64(vals) / float64(logicalBytes(ops))
 }
 
-// TestMeasureOverheadSane: the footprint measureTB reports is physical
+// TestMeasureOverheadSane: the footprint measure reports is physical
 // bytes a logical byte — raw holds its data in DRAM alone at a plausible
 // overhead, every value byte and at most three times the data, and PBC
 // holds fewer DRAM bytes than raw.
@@ -144,7 +146,7 @@ func TestMeasureOverheadSane(t *testing.T) {
 	ds := workload.NewKV1()
 	spec := workload.WorkloadB(200, ds)
 	load, run := spec.LoadOps(), NewOpsMulti(spec, 400, 1)
-	raw, err := measureTB(row{"raw", cacheInst, 0, &TBConfig{Threads: 1}}, t.TempDir(), load, run, 1)
+	raw, err := measure(row{"raw", cacheInst, 0, &TBConfig{Threads: 1}}, t.TempDir(), load, run, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +156,7 @@ func TestMeasureOverheadSane(t *testing.T) {
 	if raw.fp.PMem != 0 || raw.fp.Disk != 0 {
 		t.Fatalf("raw config should use DRAM alone: %+v", raw.fp)
 	}
-	pbc, err := measureTB(row{"pbc", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "pbc", TrainOn: ds}}, t.TempDir(), load, run, 1)
+	pbc, err := measure(row{"pbc", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "pbc", TrainOn: ds}}, t.TempDir(), load, run, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,15 +414,15 @@ func TestRowsAreTheirConfiguration(t *testing.T) {
 	ds := workload.NewKV1()
 	spec := workload.WorkloadB(600, ds)
 	load, run := spec.LoadOps(), NewOpsMulti(spec, 1200, 2)
-	measure := func(name string, cfg TBConfig) costSUT {
+	tb := func(name string, cfg TBConfig) costSUT {
 		t.Helper()
-		sut, err := measureTB(row{name, cacheInst, 0, &cfg}, t.TempDir(), load, run, 2)
+		sut, err := measure(row{name, cacheInst, 0, &cfg}, t.TempDir(), load, run, 2)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		return sut
 	}
-	raw := measure("raw", TBConfig{Threads: 1})
+	raw := tb("raw", TBConfig{Threads: 1})
 	if raw.fp.DRAM < valueShare(load) || raw.fp.DRAM > 3 || raw.fp.PMem != 0 || raw.fp.Disk != 0 || raw.tiered {
 		t.Fatalf("raw: %+v", raw)
 	}
@@ -429,16 +431,16 @@ func TestRowsAreTheirConfiguration(t *testing.T) {
 		"zstd-dict-l1": {Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds},
 		"zstd-l9":      {Threads: 1, Compressor: "zstd-b", CompressLevel: 9, TrainOn: ds},
 	} {
-		if got := measure(name, cfg).fp.DRAM; got >= raw.fp.DRAM {
+		if got := tb(name, cfg).fp.DRAM; got >= raw.fp.DRAM {
 			t.Errorf("%s holds %.3f DRAM bytes a logical byte, raw %.3f", name, got, raw.fp.DRAM)
 		}
 	}
-	if pm := measure("pmem", TBConfig{Threads: 1, PMem: true}); pm.fp.PMem <= 0 {
+	if pm := tb("pmem", TBConfig{Threads: 1, PMem: true}); pm.fp.PMem <= 0 {
 		t.Errorf("pmem row offloads nothing: %+v", pm.fp)
 	}
 	for _, persist := range []string{"wt", "wb"} {
-		sut := measure(persist+"-5X", TBConfig{Threads: 1, Persist: persist, CacheRatioX: 5,
-			ExpectedLogicalBytes: logicalBytes(load), RTT: missRTT})
+		sut := tb(persist+"-5X", TBConfig{Threads: 1, Persist: persist, CacheRatioX: 5,
+			ExpectedLogicalBytes: logicalBytes(load)})
 		if !sut.tiered || sut.mr <= 0 || sut.fp.DRAM >= raw.fp.DRAM || sut.fp.Disk <= 0 {
 			t.Errorf("%s: tiered %v, MR %.3f, DRAM %.3f (raw %.3f), disk %.3f", sut.name,
 				sut.tiered, sut.mr, sut.fp.DRAM, raw.fp.DRAM, sut.fp.Disk)
@@ -494,6 +496,68 @@ func TestReplicasCountOnEveryRowKind(t *testing.T) {
 		if two.DRAM != 2*one.DRAM || two.PMem != 2*one.PMem {
 			t.Errorf("%s with a replica holds DRAM %.4f, PMem %.4f; without, %.4f and %.4f",
 				r.name, two.DRAM, two.PMem, one.DRAM, one.PMem)
+		}
+	}
+}
+
+// TestMeasureRefusesFailedOps: a row whose replay fails ops is refused,
+// with its name and its failed-op count, not priced as the fastest row.
+// An LSM refuses an empty key, so cassandra fails each write of one.
+func TestMeasureRefusesFailedOps(t *testing.T) {
+	spec := workload.WorkloadB(100, workload.NewKV1())
+	load := spec.LoadOps()
+	run := append(NewOpsMulti(spec, 200, 1), workload.Op{Kind: workload.OpWrite, Key: "", Value: []byte("v")},
+		workload.Op{Kind: workload.OpWrite, Key: "", Value: []byte("w")})
+	suts, err := measureRows([]row{{"cassandra", bigInst, 0, nil}}, t.TempDir(), load, run, 1)
+	if err == nil || suts != nil {
+		t.Fatalf("a row that failed ops was priced: %+v", suts)
+	}
+	if want := fmt.Sprintf("cassandra: 2 of %d ops failed", len(run)); err.Error() != want {
+		t.Fatalf("error %q, want %q", err, want)
+	}
+}
+
+// TestSettleBringsStoredRowsToRest: a loaded row that stores to an LSM is
+// at rest once settled: its memtables are flushed, L0 holds fewer tables
+// than either compaction strategy's trigger (4), so compaction has nothing
+// left to pick there, and a write-back cache holds no dirty key.
+func TestSettleBringsStoredRowsToRest(t *testing.T) {
+	spec := workload.WorkloadB(600, workload.NewKV1())
+	load := spec.LoadOps()
+	for _, r := range []row{
+		{"cassandra", bigInst, 0, nil},
+		{"hbase", bigInst, 0, nil},
+		{"tierbase-wb-5X", cacheInst, 1, &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 5, ExpectedLogicalBytes: logicalBytes(load)}},
+	} {
+		sys, err := r.open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range load {
+			if err := sys.Set(op.Key, op.Value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := settle(sys); err != nil {
+			t.Fatal(err)
+		}
+		var db *lsm.DB
+		switch s := sys.(type) {
+		case *TBSystem:
+			if dirty := s.st.Stats().Dirty; dirty != 0 {
+				t.Errorf("%s holds %d dirty keys", r.name, dirty)
+			}
+			db = s.st.DB
+		case *baselines.LSMStore:
+			db = s.DB()
+		}
+		st := db.Stats()
+		if st.MemtableBytes != 0 || st.Immutables != 0 || st.TableCount == 0 || st.LevelFiles[0] >= 4 {
+			t.Errorf("%s: memtable %d B, %d immutables, %d tables, %d in L0", r.name,
+				st.MemtableBytes, st.Immutables, st.TableCount, st.LevelFiles[0])
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

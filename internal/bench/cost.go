@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"tierbase/internal/baselines"
 	"tierbase/internal/core"
+	"tierbase/internal/lsm"
 	"tierbase/internal/workload"
 )
 
@@ -23,15 +23,6 @@ var (
 	bigInst   = core.Instance{Name: "big-4c16g", Cost: 4, CPUCores: 4, MemoryGB: 16, DiskGB: 128}
 	storInst  = core.Instance{Name: "stor-1c4g256d", Cost: 1, CPUCores: 1, MemoryGB: 4, DiskGB: 256}
 )
-
-// missRTT is the injected cache→storage round trip for tiered
-// configurations. It is calibrated to the paper's *relative* miss-penalty
-// regime rather than an absolute network RTT: the paper's cache ops cost
-// ~10µs (≈100 kQPS/core) and its optimized miss path a small multiple of
-// that; our in-process cache ops cost ~2.5µs, so ~15µs keeps
-// PC_miss/PC_cache in the same ≈6-10× band (see the package doc's scaling
-// note).
-const missRTT = 25 * time.Microsecond
 
 // costSUT is one measured system-under-test of a cost experiment: its
 // throughput on its instance and its footprint there.
@@ -73,6 +64,14 @@ type row struct {
 	tb       *TBConfig
 }
 
+// open builds r's system, its persistent files under dir.
+func (r row) open(dir string) (baselines.System, error) {
+	if r.tb == nil {
+		return baselines.Build(r.name, dir)
+	}
+	return BuildTierBase(*r.tb, dir)
+}
+
 // measureRows is §5.3's loop over a figure's rows, in order, each on the
 // same load and replay from workers, persistent ones under dir/<name>. A
 // replica mirrors its primary, so it counts once more on DRAM and on PMem:
@@ -80,13 +79,9 @@ type row struct {
 func measureRows(rows []row, dir string, load, run []workload.Op, workers int) ([]costSUT, error) {
 	suts := make([]costSUT, len(rows))
 	for i, r := range rows {
-		measure := measureBaseline
-		if r.tb != nil {
-			measure = measureTB
-		}
 		s, err := measure(r, filepath.Join(dir, r.name), load, run, workers)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", r.name, err)
+			return nil, err
 		}
 		s.fp.DRAM *= float64(1 + r.replicas)
 		s.fp.PMem *= float64(1 + r.replicas)
@@ -95,12 +90,18 @@ func measureRows(rows []row, dir string, load, run []workload.Op, workers int) (
 	return suts, nil
 }
 
-// measureTB measures one TierBase row: build it, load the snapshot, settle
-// it (dirty keys flushed, the storage tier flushed and compacted, as a
-// snapshot at rest is), replay run over workers, flush what the replay
-// left dirty, and read throughput and footprint.
-func measureTB(r row, dir string, load, run []workload.Op, workers int) (costSUT, error) {
-	sys, err := BuildTierBase(*r.tb, dir)
+// measure is one row's lifecycle: open it, load the snapshot, settle it,
+// replay run over workers and read its throughput and footprint. A
+// write-back row first flushes what the replay left dirty, so its disk
+// holds every write. A row whose replay failed ops is refused, since ops
+// that fail fast would price it as the fastest row.
+func measure(r row, dir string, load, run []workload.Op, workers int) (s costSUT, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("%s: %w", r.name, err)
+		}
+	}()
+	sys, err := r.open(dir)
 	if err != nil {
 		return costSUT{}, err
 	}
@@ -110,61 +111,49 @@ func measureTB(r row, dir string, load, run []workload.Op, workers int) (costSUT
 			return costSUT{}, err
 		}
 	}
-	if err := sys.st.FlushDirty(); err != nil {
+	if err := settle(sys); err != nil {
 		return costSUT{}, err
-	}
-	if db := sys.st.DB; db != nil {
-		db.Flush()
-		db.CompactAll()
 	}
 	dr := drive(sys, run, workers)
-	if err := sys.st.FlushDirty(); err != nil {
-		return costSUT{}, err
+	if dr.Errors > 0 {
+		return costSUT{}, fmt.Errorf("%d of %d ops failed", dr.Errors, len(run))
 	}
+	s = costSUT{name: r.name, inst: r.inst, qps: dr.QPS}
 	logical := float64(logicalBytes(load))
-	return costSUT{
-		name: r.name,
-		inst: r.inst,
-		qps:  dr.QPS,
-		fp: core.Footprint{
-			DRAM: float64(sys.MemBytes()) / logical,
-			PMem: float64(sys.PMemBytes()) / logical,
-			Disk: float64(sys.DiskBytes()) / logical,
-		},
-		tiered: sys.st.DB != nil,
-		mr:     sys.st.MissRatio(),
-	}, nil
+	if tb, ok := sys.(*TBSystem); ok {
+		if err := tb.st.FlushDirty(); err != nil {
+			return costSUT{}, err
+		}
+		s.fp.PMem = float64(tb.st.Engine().Stats().PMemUsed) / logical
+		s.tiered, s.mr = tb.st.DB != nil, tb.st.MissRatio()
+	}
+	s.fp.DRAM = float64(sys.MemBytes()) / logical
+	s.fp.Disk = float64(sys.DiskBytes()) / logical
+	return s, nil
 }
 
-// measureBaseline measures one comparison system the same way; the LSM
-// stores are flushed and compacted after the load, as TierBase's storage
-// tier is.
-func measureBaseline(r row, dir string, load, run []workload.Op, workers int) (costSUT, error) {
-	sys, err := baselines.Build(r.name, dir)
-	if err != nil {
-		return costSUT{}, err
-	}
-	defer sys.Close()
-	for _, op := range load {
-		if err := sys.Set(op.Key, op.Value); err != nil {
-			return costSUT{}, err
+// settle brings a loaded row to rest, as a snapshot at rest is: a
+// write-back cache's dirty keys flushed, then an LSM — TierBase's storage
+// tier or an LSM baseline — flushed and compacted.
+func settle(sys baselines.System) error {
+	var db *lsm.DB
+	switch s := sys.(type) {
+	case *TBSystem:
+		if err := s.st.FlushDirty(); err != nil {
+			return err
 		}
+		db = s.st.DB
+	case *baselines.LSMStore:
+		db = s.DB()
 	}
-	if ls, ok := sys.(*baselines.LSMStore); ok {
-		ls.DB().Flush()
-		ls.DB().CompactAll()
+	if db == nil {
+		return nil
 	}
-	dr := drive(sys, run, workers)
-	logical := float64(logicalBytes(load))
-	return costSUT{
-		name: r.name,
-		inst: r.inst,
-		qps:  dr.QPS,
-		fp: core.Footprint{
-			DRAM: float64(sys.MemBytes()) / logical,
-			Disk: float64(sys.DiskBytes()) / logical,
-		},
-	}, nil
+	if err := db.Flush(); err != nil {
+		return err
+	}
+	db.CompactAll()
+	return nil
 }
 
 // logicalBytes is the key and value bytes ops write.
@@ -201,7 +190,7 @@ func NewEvaluator(spec workload.Spec, ops int, cacheRatio, refQPS float64, dir s
 		{"zstd-d", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds}},
 		{"pbc", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "pbc", TrainOn: ds}},
 		{fmt.Sprintf("wt-%.3gX", x), cacheInst, 0, &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: x,
-			ExpectedLogicalBytes: logicalBytes(load), RTT: missRTT}},
+			ExpectedLogicalBytes: logicalBytes(load)}},
 	}
 	return &Evaluator{refQPS: refQPS, rows: rows, suts: sync.OnceValues(func() (map[string]costSUT, error) {
 		suts, err := measureRows(rows, dir, load, NewOpsMulti(spec, ops, 4), 4)

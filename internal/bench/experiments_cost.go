@@ -54,8 +54,8 @@ func RunFig11(o RunOpts) (*Result, error) {
 	err := costMixes(res, o.Dir, nRecords, o.n(10000), ds, 0.4, []row{
 		{"tierbase-wal", bigInst, 1, &TBConfig{Threads: 1, Persist: "wal"}},
 		{"tierbase-wal-pmem", bigInst, 1, &TBConfig{Threads: 1, Persist: "wal-pmem"}},
-		{"tierbase-wt-10X", cacheInst, 0, &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 10, ExpectedLogicalBytes: expected, RTT: missRTT}},
-		{"tierbase-wb-10X", cacheInst, 1, &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 10, ExpectedLogicalBytes: expected, RTT: missRTT}},
+		{"tierbase-wt-10X", cacheInst, 0, &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 10, ExpectedLogicalBytes: expected}},
+		{"tierbase-wb-10X", cacheInst, 1, &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 10, ExpectedLogicalBytes: expected}},
 		{"redis-aof", bigInst, 1, nil}, // dual replica
 		{"cassandra", bigInst, 0, nil},
 		{"hbase", bigInst, 0, nil},
@@ -116,8 +116,8 @@ func RunFig12(o RunOpts) (*Result, error) {
 			{"tierbase-e", cacheInst, 0, &TBConfig{Threads: 0}},
 			{"tierbase-pmem", pmemInst, 0, &TBConfig{Threads: 1, PMem: true}},
 			{"tierbase-pbc", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "pbc", TrainOn: c.ds}},
-			{"tierbase-wt-4X", cacheInst, 0, &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 4, ExpectedLogicalBytes: expected, RTT: missRTT}},
-			{"tierbase-wb-4X", cacheInst, 1, &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 4, ExpectedLogicalBytes: expected, RTT: missRTT}},
+			{"tierbase-wt-4X", cacheInst, 0, &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 4, ExpectedLogicalBytes: expected}},
+			{"tierbase-wb-4X", cacheInst, 1, &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 4, ExpectedLogicalBytes: expected}},
 			// Dual-replica reliability per §6.5.1.
 			{"redis", cacheInst, 1, nil},
 			{"memcached-m", bigInst, 1, nil},
@@ -151,8 +151,8 @@ func RunFig1(o RunOpts) (*Result, error) {
 		{"tierbase-raw", cacheInst, 0, &TBConfig{Threads: 1}},
 		{"tierbase-pmem", pmemInst, 0, &TBConfig{Threads: 1, PMem: true}},
 		{"tierbase-pbc", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "pbc", TrainOn: workload.NewKV1()}},
-		{"tierbase-wb-5X", cacheInst, 1, &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 5, ExpectedLogicalBytes: logical, RTT: missRTT}},
-		{"tierbase-wt-5X", cacheInst, 0, &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 5, ExpectedLogicalBytes: logical, RTT: missRTT}},
+		{"tierbase-wb-5X", cacheInst, 1, &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 5, ExpectedLogicalBytes: logical}},
+		{"tierbase-wt-5X", cacheInst, 0, &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 5, ExpectedLogicalBytes: logical}},
 	}, filepath.Join(o.Dir, "fig1"), pre, ui, 4)
 	if err != nil {
 		return nil, err
@@ -218,7 +218,7 @@ func RunFig13b(o RunOpts) (*Result, error) {
 	rows := []row{{"in-mem", cacheInst, 0, &TBConfig{Threads: 1}}}
 	for x := 2; x <= 5; x++ {
 		rows = append(rows, row{fmt.Sprintf("wb-%dX", x), cacheInst, 1,
-			&TBConfig{Threads: 1, Persist: "wb", CacheRatioX: float64(x), ExpectedLogicalBytes: logical, RTT: missRTT}})
+			&TBConfig{Threads: 1, Persist: "wb", CacheRatioX: float64(x), ExpectedLogicalBytes: logical}})
 	}
 	suts, err := measureRows(rows, filepath.Join(o.Dir, "fig13b"), pre, ui, 4)
 	if err != nil {

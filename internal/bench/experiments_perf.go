@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tierbase/internal/baselines"
 	"tierbase/internal/compress"
 	"tierbase/internal/engine"
 	"tierbase/internal/workload"
@@ -39,19 +38,13 @@ func RunFig7(o RunOpts) (*Result, error) {
 	return res, nil
 }
 
-// runPhases opens r's system — its TierBase configuration, or the baseline
-// of its name, persistent files under dir — and drives it through YCSB's
-// load phase and then workloads A and B on nRecords Cities records, nOps
-// operations each, from four workers. It adds a row to res for each
-// phase: label, the phase, kqps and p99.
+// runPhases opens r's system, persistent files under dir, and drives it
+// through YCSB's load phase and then workloads A and B on nRecords Cities
+// records, nOps operations each, from four workers. It adds a row to res
+// for each phase: label, the phase, kqps and p99. A phase that failed ops
+// is refused, as measure refuses it.
 func runPhases(res *Result, r row, dir string, nRecords int64, nOps int, label ...string) error {
-	var sys baselines.System
-	var err error
-	if r.tb != nil {
-		sys, err = BuildTierBase(*r.tb, dir)
-	} else {
-		sys, err = baselines.Build(r.name, dir)
-	}
+	sys, err := r.open(dir)
 	if err != nil {
 		return err
 	}
@@ -67,6 +60,9 @@ func runPhases(res *Result, r row, dir string, nRecords int64, nOps int, label .
 		{"B", NewOpsMulti(workload.WorkloadB(nRecords, ds), nOps, 4)},
 	} {
 		dr := drive(sys, ph.ops, 4)
+		if dr.Errors > 0 {
+			return fmt.Errorf("%s: phase %s: %d of %d ops failed", r.name, ph.name, dr.Errors, len(ph.ops))
+		}
 		res.AddRow(slices.Concat(label, []string{ph.name, fmtQPS(dr.QPS), fmtDur(dr.P99)})...)
 	}
 	return nil
@@ -101,8 +97,8 @@ func RunFig8(o RunOpts) (*Result, error) {
 	for _, r := range []row{
 		{name: "wal", tb: &TBConfig{Threads: 1, Persist: "wal"}},
 		{name: "wal-pmem", tb: &TBConfig{Threads: 1, Persist: "wal-pmem"}},
-		{name: "write-back", tb: &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 1, ExpectedLogicalBytes: expected, RTT: missRTT}},
-		{name: "write-through", tb: &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 1, ExpectedLogicalBytes: expected, RTT: missRTT}},
+		{name: "write-back", tb: &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 1, ExpectedLogicalBytes: expected}},
+		{name: "write-through", tb: &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 1, ExpectedLogicalBytes: expected}},
 	} {
 		if err := runPhases(res, r, filepath.Join(o.Dir, "fig8-"+r.name), nRecords, o.n(12000), r.name); err != nil {
 			return nil, err
