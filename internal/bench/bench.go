@@ -171,7 +171,6 @@ type kvOp interface {
 type driveResult struct {
 	QPS    float64
 	P99    time.Duration
-	Mean   time.Duration
 	Errors int
 }
 
@@ -230,7 +229,6 @@ func drive(sys kvOp, ops []workload.Op, workers int) driveResult {
 	return driveResult{
 		QPS:    float64(done.Load()) / time.Since(start).Seconds(),
 		P99:    time.Duration(hist.P99()),
-		Mean:   time.Duration(int64(hist.Mean())),
 		Errors: int(errs.Load()),
 	}
 }

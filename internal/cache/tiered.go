@@ -769,13 +769,12 @@ func (t *Tiered) DirtyBytes() int64 { return t.dirty.bytes.Load() }
 // Policy reports the configured synchronization policy.
 func (t *Tiered) Policy() Policy { return t.opts.Policy }
 
-// MissRatio returns misses/requests (the MR of the cost model).
+// MissRatio returns the share of lookups that missed the cache tier (the
+// MR of the cost model): misses over hits plus misses. Writes are requests
+// but not lookups, so they do not dilute it.
 func (t *Tiered) MissRatio() float64 {
-	r := t.reqs.Load()
-	if r == 0 {
-		return 0
-	}
-	return float64(t.misses.Load()) / float64(r)
+	misses := t.misses.Load()
+	return float64(misses) / float64(max(t.hits.Load()+misses, 1))
 }
 
 // Engine exposes the cache-tier engine (for measurement).

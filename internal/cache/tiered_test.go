@@ -382,6 +382,27 @@ func TestMissPathPopulatesCache(t *testing.T) {
 	}
 }
 
+// TestMissRatioCountsLookups: the MR is misses over lookups. Writes are
+// requests too, but they must not dilute it.
+func TestMissRatioCountsLookups(t *testing.T) {
+	stor := NewMapStorage()
+	stor.Put("cold", []byte("v"))
+	tr := newWT(t, stor)
+	for _, k := range []string{"a", "b", "c", "d"} {
+		if err := tr.Set(k, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr.Get("a")    // hit
+	tr.Get("cold") // miss
+	if st := tr.Stats(); st.Requests != 6 || st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("requests %d hits %d misses %d, want 6 1 1", st.Requests, st.Hits, st.Misses)
+	}
+	if mr := tr.MissRatio(); mr != 0.5 {
+		t.Fatalf("MR %v, want 0.5: 1 miss in 2 lookups", mr)
+	}
+}
+
 func TestCapacityEviction(t *testing.T) {
 	stor := NewMapStorage()
 	eng := engine.New(engine.Options{})

@@ -77,16 +77,14 @@ func (e *Engine) MGetDetail(keys []string) ([][]byte, []bool, error) {
 	}
 	var err error // the first one value returned
 	e.forEachShardGroup(len(keys), func(i int) string { return keys[i] }, func(s *shard, idxs []int, ps []probe) {
-		var hits, misses int64
 		s.mu.RLock()
 		for _, i := range idxs {
 			en, ok := e.live(s, ps[i])
 			if !ok {
-				misses++
 				continue
 			}
 			if en.rec.isColl() {
-				wrongType[i] = true // nil entry, counts as neither
+				wrongType[i] = true // nil entry
 				continue
 			}
 			s.touch(en)
@@ -94,15 +92,8 @@ func (e *Engine) MGetDetail(keys []string) ([][]byte, []bool, error) {
 			if out[i], verr = e.value(s.strs.parse(en.rec).stored); verr != nil && err == nil {
 				err = verr
 			}
-			hits++
 		}
 		s.mu.RUnlock()
-		if hits > 0 {
-			s.hits.Add(hits)
-		}
-		if misses > 0 {
-			s.misses.Add(misses)
-		}
 	})
 	if err != nil {
 		return nil, nil, err
@@ -132,9 +123,9 @@ func (e *Engine) MSet(pairs []KV) error {
 	return nil
 }
 
-// BatchExists reports per-key liveness without bumping hit/miss stats or
-// decoding values — the existence probe behind the tiered DEL count. Each
-// touched stripe is read-locked once.
+// BatchExists reports per-key liveness without decoding values — the
+// existence probe behind the tiered DEL count. Each touched stripe is
+// read-locked once.
 func (e *Engine) BatchExists(keys []string) []bool {
 	out := make([]bool, len(keys))
 	if len(keys) == 0 {
@@ -150,36 +141,21 @@ func (e *Engine) BatchExists(keys []string) []bool {
 	return out
 }
 
-// BatchDel removes keys, returning how many were live. Each touched
-// stripe is write-locked once.
+// BatchDel removes keys, returning how many were live. A duplicate key
+// counts once. Each touched stripe is write-locked once.
 func (e *Engine) BatchDel(keys []string) int {
 	n := 0
-	for _, live := range e.BatchDelDetail(keys) {
-		if live {
-			n++
-		}
-	}
-	return n
-}
-
-// BatchDelDetail removes keys like BatchDel but reports per-key liveness,
-// for callers (the tiered cache's BatchDelete) that must consult the
-// storage tier for exactly the keys the cache no longer held. A duplicate
-// key reports live only at its first position.
-func (e *Engine) BatchDelDetail(keys []string) []bool {
-	existed := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return existed
-	}
 	e.forEachShardGroup(len(keys), func(i int) string { return keys[i] }, func(s *shard, idxs []int, ps []probe) {
 		s.mu.Lock()
 		for _, i := range idxs {
 			if en := s.lookup(ps[i]); en.present() {
-				existed[i] = !e.lapsed(en.expireAt())
+				if !e.lapsed(en.expireAt()) {
+					n++
+				}
 				e.remove(s, en)
 			}
 		}
 		s.mu.Unlock()
 	})
-	return existed
+	return n
 }

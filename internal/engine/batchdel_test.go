@@ -22,26 +22,18 @@ func TestBatchExists(t *testing.T) {
 			t.Fatalf("BatchExists[%d] = %v, want %v", i, got[i], w)
 		}
 	}
-	// Probing must not disturb the data or the hit/miss stats.
-	st := e.Stats()
-	if st.Hits != 0 || st.Misses != 0 {
-		t.Fatalf("existence probe polluted stats: %+v", st)
-	}
+	// Probing must not disturb the data.
 	if v, err := e.Get("a"); err != nil || string(v) != "1" {
 		t.Fatalf("probe mutated data: %q %v", v, err)
 	}
 }
 
-func TestBatchDelDetail(t *testing.T) {
+func TestBatchDelDuplicates(t *testing.T) {
 	e := New(Options{})
 	e.Set("a", []byte("1"))
 	e.Set("b", []byte("2"))
-	existed := e.BatchDelDetail([]string{"a", "nope", "b", "a"})
-	want := []bool{true, false, true, false} // duplicate reports at first position only
-	for i, w := range want {
-		if existed[i] != w {
-			t.Fatalf("BatchDelDetail[%d] = %v, want %v", i, existed[i], w)
-		}
+	if n := e.BatchDel([]string{"a", "nope", "b", "a"}); n != 2 { // a duplicate counts once
+		t.Fatalf("BatchDel = %d, want 2", n)
 	}
 	if e.Len() != 0 {
 		t.Fatalf("%d keys left", e.Len())

@@ -177,9 +177,9 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// shard is one lock stripe: its own index and slab of records and its
-// counters, so hot shards never contend with cold ones (not on the lock,
-// not on the stat cachelines).
+// shard is one lock stripe: its own index, slab of records and byte
+// counts, so hot shards never contend with cold ones (not on the lock,
+// not on a cacheline).
 type shard struct {
 	mu   sync.RWMutex
 	strs index
@@ -188,12 +188,9 @@ type shard struct {
 
 	memUsed atomic.Int64 // DRAM bytes the contents occupy; written under mu
 	payload atomic.Int64 // keys as written and stored values in DRAM; written under mu (PayloadBytes takes strs.packed off)
-	hits    atomic.Int64
-	misses  atomic.Int64
-	expired atomic.Int64
 
 	// A shard is heap-allocated on its own in a size class that is a
-	// multiple of the cacheline, so no two shards' counters share a line.
+	// multiple of the cacheline, so no two shards share a line.
 }
 
 // Engine is the in-memory store.
@@ -499,14 +496,12 @@ func (e *Engine) Get(key string) ([]byte, error) {
 	defer s.mu.RUnlock()
 	en, ok := e.live(s, k)
 	if !ok {
-		s.misses.Add(1)
 		return nil, ErrNotFound
 	}
 	if en.rec.isColl() {
 		return nil, ErrWrongType
 	}
 	s.touch(en)
-	s.hits.Add(1)
 	return e.value(s.strs.parse(en.rec).stored)
 }
 
@@ -664,7 +659,6 @@ func (e *Engine) TakeExpired(key string) bool {
 		return false
 	}
 	e.remove(s, en)
-	s.expired.Add(1)
 	return true
 }
 
@@ -804,9 +798,6 @@ type Stats struct {
 	IndexBytes   int64 // the part of MemBytes that is index tables, as allocated
 	FreeBytes    int64 // slab page bytes holding no record; beside MemBytes, not in it
 	PMemUsed     int64
-	Hits         int64
-	Misses       int64
-	Expired      int64
 }
 
 // Stats returns a snapshot of counters, folded across shards.
@@ -821,9 +812,6 @@ func (e *Engine) Stats() Stats {
 		st.PayloadBytes += s.payload.Load() - s.strs.packed
 		s.mu.RUnlock()
 		st.MemBytes += s.memUsed.Load()
-		st.Hits += s.hits.Load()
-		st.Misses += s.misses.Load()
-		st.Expired += s.expired.Load()
 	}
 	if e.opts.Arena != nil {
 		st.PMemUsed = e.opts.Arena.Used()

@@ -62,7 +62,7 @@ func TestOpsRouteAcrossShards(t *testing.T) {
 				t.Fatalf("shards=%d: get k%d = %q, %v", n, i, v, err)
 			}
 		}
-		if st := e.Stats(); st.Keys != 200 || st.Hits != 200 {
+		if st := e.Stats(); st.Keys != 200 {
 			t.Fatalf("shards=%d: stats %+v", n, st)
 		}
 	}
@@ -80,10 +80,6 @@ func TestMGetBasic(t *testing.T) {
 	}
 	if string(vals[0]) != "1" || vals[1] != nil || string(vals[2]) != "2" {
 		t.Fatalf("vals: %q", vals)
-	}
-	st := e.Stats()
-	if st.Hits != 2 || st.Misses != 1 {
-		t.Fatalf("stats %+v", st)
 	}
 }
 
@@ -237,9 +233,6 @@ func TestCollectExpiredResumesAcrossShards(t *testing.T) {
 	}
 	if total != 400 {
 		t.Fatalf("swept %d, want 400", total)
-	}
-	if st := e.Stats(); st.Expired != 400 {
-		t.Fatalf("expired counter %d", st.Expired)
 	}
 }
 

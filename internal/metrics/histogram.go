@@ -1,7 +1,7 @@
 // Package metrics provides lightweight, allocation-free measurement
-// primitives used throughout TierBase: a log-bucketed latency histogram,
-// throughput meters and a running-maximum gauge. It backs the Monitor
-// component of the architecture (paper §3) and the measurement side of the
+// primitives used throughout TierBase: a log-bucketed latency histogram
+// and a running-maximum gauge. It backs the Monitor component of the
+// architecture (paper §3) and the measurement side of the
 // cost-optimization framework (paper §5.3).
 package metrics
 
@@ -29,7 +29,6 @@ const (
 type Histogram struct {
 	counts [totalBuckets]atomic.Int64
 	total  atomic.Int64
-	sum    atomic.Int64
 	max    atomic.Int64
 }
 
@@ -69,7 +68,6 @@ func (h *Histogram) Record(v int64) {
 	}
 	h.counts[bucketIndex(v)].Add(1)
 	h.total.Add(1)
-	h.sum.Add(v)
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
@@ -81,14 +79,8 @@ func (h *Histogram) Record(v int64) {
 // RecordDuration records a time.Duration in nanoseconds.
 func (h *Histogram) RecordDuration(d time.Duration) { h.Record(int64(d)) }
 
-// Mean returns the arithmetic mean of recorded values, 0 if empty.
-func (h *Histogram) Mean() float64 {
-	n := h.total.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
+// Count returns the number of recorded values.
+func (h *Histogram) Count() int64 { return h.total.Load() }
 
 // Max returns the largest recorded value, 0 if empty.
 func (h *Histogram) Max() int64 {

@@ -11,8 +11,8 @@ import (
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.total.Load() != 0 || h.Mean() != 0 || h.Max() != 0 {
-		t.Fatalf("empty histogram should report zeros: count=%d mean=%v max=%d", h.total.Load(), h.Mean(), h.Max())
+	if h.total.Load() != 0 || h.Max() != 0 {
+		t.Fatalf("empty histogram should report zeros: count=%d max=%d", h.total.Load(), h.Max())
 	}
 	if h.Quantile(0.99) != 0 {
 		t.Fatalf("empty quantile should be 0")
@@ -37,8 +37,8 @@ func TestHistogramSingleValue(t *testing.T) {
 func TestHistogramNegativeClamped(t *testing.T) {
 	h := NewHistogram()
 	h.Record(-5)
-	if h.Max() != 0 || h.Mean() != 0 || h.Quantile(0) != 0 {
-		t.Fatalf("negative values should clamp to 0: max=%d mean=%v p0=%d", h.Max(), h.Mean(), h.Quantile(0))
+	if h.Max() != 0 || h.Quantile(0) != 0 {
+		t.Fatalf("negative values should clamp to 0: max=%d p0=%d", h.Max(), h.Quantile(0))
 	}
 }
 
@@ -58,18 +58,6 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 		if relErr(got, want) > 0.05 {
 			t.Errorf("q=%v: got %d want %d (rel err %.3f)", q, got, want, relErr(got, want))
 		}
-	}
-}
-
-func TestHistogramMeanSum(t *testing.T) {
-	h := NewHistogram()
-	var sum int64
-	for i := int64(1); i <= 100; i++ {
-		h.Record(i)
-		sum += i
-	}
-	if h.Mean() != float64(sum)/100 {
-		t.Fatalf("mean = %f, want %f", h.Mean(), float64(sum)/100)
 	}
 }
 

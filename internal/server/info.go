@@ -172,8 +172,8 @@ var infoTable = []infoRow{
 	{"Tiering", "shard0_misses", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Misses }},
 	{"Tiering", "shard0_evictions", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Evictions }},
 	{"Tiering", "shard0_shared_fetches", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Shared }}, // misses that found their key filled after waiting for its stripe
-	{"Tiering", "shard0_miss_ratio", global, tiered, func(sn *infoSnap, _ int) any {
-		return strconv.FormatFloat(float64(sn.tiered.Misses)/float64(max(sn.tiered.Requests, 1)), 'f', 4, 64)
+	{"Tiering", "shard0_miss_ratio", global, tiered, func(sn *infoSnap, _ int) any { // misses over lookups; writes do not dilute it
+		return strconv.FormatFloat(float64(sn.tiered.Misses)/float64(max(sn.tiered.Hits+sn.tiered.Misses, 1)), 'f', 4, 64)
 	}},
 
 	{"Health", "", header, nil, nil},

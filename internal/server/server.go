@@ -46,10 +46,9 @@ type Server struct {
 	stopCh chan struct{}
 	over   overloadState
 
-	// Latency is the server-side command latency histogram.
+	// Latency is the server-side command latency histogram; its Count is
+	// the commands completed.
 	Latency *metrics.Histogram
-	// Throughput counts completed commands.
-	Throughput *metrics.Meter
 }
 
 // Start listens and serves until Close.
@@ -75,15 +74,14 @@ func Start(opts Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		opts:       opts,
-		ln:         ln,
-		eng:        eng,
-		tiered:     tr,
-		pool:       elastic.NewPool(opts.Pool),
-		conns:      make(map[net.Conn]*conn),
-		stopCh:     make(chan struct{}),
-		Latency:    metrics.NewHistogram(),
-		Throughput: metrics.NewMeter(),
+		opts:    opts,
+		ln:      ln,
+		eng:     eng,
+		tiered:  tr,
+		pool:    elastic.NewPool(opts.Pool),
+		conns:   make(map[net.Conn]*conn),
+		stopCh:  make(chan struct{}),
+		Latency: metrics.NewHistogram(),
 	}
 	if opts.Replication.Enabled() {
 		s.repl = newServerRepl(s, opts.Replication)
@@ -256,7 +254,6 @@ func (s *Server) serveConn(c *conn) {
 		start := time.Now()
 		s.dispatch(c, args)
 		s.Latency.RecordDuration(time.Since(start))
-		s.Throughput.Mark(1)
 		if c.hijack != nil {
 			// A command (SYNC) is taking over the connection: flush any
 			// pending replies, then hand the socket to the hijacker. It

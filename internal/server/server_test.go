@@ -423,8 +423,8 @@ func TestConcurrentClients(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if s.Throughput.Rate() <= 0 {
-		t.Fatal("throughput meter never marked")
+	if n := s.Latency.Count(); n < 4*200*2 {
+		t.Fatalf("latency histogram counted %d commands, want at least %d", n, 4*200*2)
 	}
 	if s.Latency.Max() == 0 {
 		t.Fatal("latency histogram empty")
