@@ -23,25 +23,23 @@
 //
 // What is measured is the shipping stack: every TierBase row is built by
 // internal/stack, the builder tierbase.Open and tierbase-server use, from
-// what the row's name says (compressor, PMem, policy, cache ratio); every
-// tiered row reaches its storage tier over one round trip, missRTT. What
-// the harness adds is its own model of a deployment: an elastic pool per
-// instance, the wal/wal-pmem rows' AOF-style log (baselines.EncodeAOF's
-// records, as redis-aof writes), a per-op CPU cost (fig9) and a row's
-// replicas.
+// what the row's name says (compressor, PMem, policy, cache ratio of the
+// bytes it is loaded with); every tiered row reaches its storage tier over
+// one round trip, missRTT. What the harness adds is its own model of a
+// deployment: an elastic pool per instance without a storage tier, the
+// wal/wal-pmem rows' AOF-style log (baselines.EncodeAOF's records, as
+// redis-aof writes), a per-op CPU cost (fig9) and a row's replicas.
 //
 // One part of that model departs from the shipping code on purpose. A row
 // without a storage tier runs each op on the instance's pool; a tiered row
-// runs its whole tiered call, engine lookup and storage round trip alike,
-// off the pool on the caller, and the pool runs only the op's CPU cost,
-// which no tiered row sets. That stands in for, and goes further than, the
-// paper's non-blocking storage path (§4.1: the event loop stays responsive
-// while a storage write is in flight). tierbase-server runs the whole op on
-// a worker (the embedded Store has no pool and runs it on the caller);
-// measured that way the tiered rows' PC grows several-fold and the cheapest
-// configuration of fig13b moves off wb-5X (ROADMAP, Known gaps). The
-// paper's cost shapes depend on a non-blocking storage path the shipping
-// code does not have.
+// has no pool and runs each op on the caller, engine lookup and storage
+// round trip alike, as the embedded Store does. That stands in for, and
+// goes further than, the paper's non-blocking storage path (§4.1: the event
+// loop stays responsive while a storage write is in flight). tierbase-server
+// runs the whole op on a worker; measured that way the tiered rows' PC
+// grows several-fold and the cheapest configuration of fig13b moves off
+// wb-5X (ROADMAP, Known gaps). The paper's cost shapes depend on a
+// non-blocking storage path the shipping server does not have.
 package bench
 
 import (

@@ -409,7 +409,10 @@ func TestFig9Timeline(t *testing.T) {
 // TestRowsAreTheirConfiguration: each kind of TierBase row runs the
 // configuration its name says — raw holds its data in DRAM at a plausible
 // overhead, compressed rows hold fewer DRAM bytes than raw, PMem rows
-// offload, wt/wb NX rows evict and miss, wal rows write their log.
+// offload, wt/wb NX rows evict and miss, wal rows write their log. A wt/wb
+// NX row's cache budget is 1/X of the bytes it is opened for, with 1.6×
+// headroom, and it has no pool; every other row has a pool and an
+// unbounded cache.
 func TestRowsAreTheirConfiguration(t *testing.T) {
 	ds := workload.NewKV1()
 	spec := workload.WorkloadB(600, ds)
@@ -439,8 +442,7 @@ func TestRowsAreTheirConfiguration(t *testing.T) {
 		t.Errorf("pmem row offloads nothing: %+v", pm.fp)
 	}
 	for _, persist := range []string{"wt", "wb"} {
-		sut := tb(persist+"-5X", TBConfig{Threads: 1, Persist: persist, CacheRatioX: 5,
-			ExpectedLogicalBytes: logicalBytes(load)})
+		sut := tb(persist+"-5X", TBConfig{Threads: 1, Persist: persist, CacheRatioX: 5})
 		if !sut.tiered || sut.mr <= 0 || sut.fp.DRAM >= raw.fp.DRAM || sut.fp.Disk <= 0 {
 			t.Errorf("%s: tiered %v, MR %.3f, DRAM %.3f (raw %.3f), disk %.3f", sut.name,
 				sut.tiered, sut.mr, sut.fp.DRAM, raw.fp.DRAM, sut.fp.Disk)
@@ -449,7 +451,7 @@ func TestRowsAreTheirConfiguration(t *testing.T) {
 	val := ds.Record(1)
 	for _, persist := range []string{"wal", "wal-pmem"} {
 		dir := t.TempDir()
-		sys, err := BuildTierBase(TBConfig{Threads: 1, Persist: persist}, dir)
+		sys, err := BuildTierBase(TBConfig{Threads: 1, Persist: persist}, dir, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -468,6 +470,33 @@ func TestRowsAreTheirConfiguration(t *testing.T) {
 		})
 		if logged < int64(len(val)) {
 			t.Errorf("%s row logged %d bytes for a %d-byte value", persist, logged, len(val))
+		}
+	}
+	logical := logicalBytes(load)
+	for name, cfg := range map[string]TBConfig{
+		"raw":      {Threads: 1},
+		"pbc":      {Threads: 1, Compressor: "pbc", TrainOn: ds},
+		"pmem":     {Threads: 1, PMem: true},
+		"wal":      {Threads: 1, Persist: "wal"},
+		"wal-pmem": {Threads: 1, Persist: "wal-pmem"},
+		"wt-5X":    {Persist: "wt", CacheRatioX: 5},
+		"wb-3X":    {Persist: "wb", CacheRatioX: 3},
+	} {
+		sys, err := row{name, cacheInst, 0, &cfg}.open(t.TempDir(), logical)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		s := sys.(*TBSystem)
+		tiered := cfg.Persist == "wt" || cfg.Persist == "wb"
+		var budget int64
+		if tiered {
+			budget = int64(float64(logical) / cfg.CacheRatioX * 1.6)
+		}
+		if got := s.st.CapacityBytes(); got != budget || (s.pool != nil) == tiered {
+			t.Errorf("%s: cache budget %d B, want %d; pool %v", name, got, budget, s.pool != nil)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -527,9 +556,9 @@ func TestSettleBringsStoredRowsToRest(t *testing.T) {
 	for _, r := range []row{
 		{"cassandra", bigInst, 0, nil},
 		{"hbase", bigInst, 0, nil},
-		{"tierbase-wb-5X", cacheInst, 1, &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 5, ExpectedLogicalBytes: logicalBytes(load)}},
+		{"tierbase-wb-5X", cacheInst, 1, &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 5}},
 	} {
-		sys, err := r.open(t.TempDir())
+		sys, err := r.open(t.TempDir(), logicalBytes(load))
 		if err != nil {
 			t.Fatal(err)
 		}

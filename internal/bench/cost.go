@@ -64,12 +64,13 @@ type row struct {
 	tb       *TBConfig
 }
 
-// open builds r's system, its persistent files under dir.
-func (r row) open(dir string) (baselines.System, error) {
+// open builds r's system, its persistent files under dir, for a load of
+// logical key and value bytes.
+func (r row) open(dir string, logical int64) (baselines.System, error) {
 	if r.tb == nil {
 		return baselines.Build(r.name, dir)
 	}
-	return BuildTierBase(*r.tb, dir)
+	return BuildTierBase(*r.tb, dir, logical)
 }
 
 // measureRows is §5.3's loop over a figure's rows, in order, each on the
@@ -101,7 +102,8 @@ func measure(r row, dir string, load, run []workload.Op, workers int) (s costSUT
 			err = fmt.Errorf("%s: %w", r.name, err)
 		}
 	}()
-	sys, err := r.open(dir)
+	logical := logicalBytes(load)
+	sys, err := r.open(dir, logical)
 	if err != nil {
 		return costSUT{}, err
 	}
@@ -119,16 +121,15 @@ func measure(r row, dir string, load, run []workload.Op, workers int) (s costSUT
 		return costSUT{}, fmt.Errorf("%d of %d ops failed", dr.Errors, len(run))
 	}
 	s = costSUT{name: r.name, inst: r.inst, qps: dr.QPS}
-	logical := float64(logicalBytes(load))
 	if tb, ok := sys.(*TBSystem); ok {
 		if err := tb.st.FlushDirty(); err != nil {
 			return costSUT{}, err
 		}
-		s.fp.PMem = float64(tb.st.Engine().Stats().PMemUsed) / logical
+		s.fp.PMem = float64(tb.st.Engine().Stats().PMemUsed) / float64(logical)
 		s.tiered, s.mr = tb.st.DB != nil, tb.st.MissRatio()
 	}
-	s.fp.DRAM = float64(sys.MemBytes()) / logical
-	s.fp.Disk = float64(sys.DiskBytes()) / logical
+	s.fp.DRAM = float64(sys.MemBytes()) / float64(logical)
+	s.fp.Disk = float64(sys.DiskBytes()) / float64(logical)
 	return s, nil
 }
 
@@ -189,8 +190,7 @@ func NewEvaluator(spec workload.Spec, ops int, cacheRatio, refQPS float64, dir s
 		{"pmem", pmemInst, 0, &TBConfig{Threads: 1, PMem: true}},
 		{"zstd-d", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "zstd-d", CompressLevel: 1, TrainOn: ds}},
 		{"pbc", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "pbc", TrainOn: ds}},
-		{fmt.Sprintf("wt-%.3gX", x), cacheInst, 0, &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: x,
-			ExpectedLogicalBytes: logicalBytes(load)}},
+		{fmt.Sprintf("wt-%.3gX", x), cacheInst, 0, &TBConfig{Persist: "wt", CacheRatioX: x}},
 	}
 	return &Evaluator{refQPS: refQPS, rows: rows, suts: sync.OnceValues(func() (map[string]costSUT, error) {
 		suts, err := measureRows(rows, dir, load, NewOpsMulti(spec, ops, 4), 4)

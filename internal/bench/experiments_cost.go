@@ -46,7 +46,6 @@ func RunFig11(o RunOpts) (*Result, error) {
 	o.fill()
 	nRecords := int64(o.n(3000))
 	ds := workload.NewCities()
-	expected := nRecords * int64(ds.AvgRecordSize()+16)
 	res := &Result{
 		ID: "fig11", Title: "Cost of databases with persistence",
 		Header: []string{"mix", "system", "SpaceCost", "PerformanceCost", "cost"},
@@ -54,8 +53,8 @@ func RunFig11(o RunOpts) (*Result, error) {
 	err := costMixes(res, o.Dir, nRecords, o.n(10000), ds, 0.4, []row{
 		{"tierbase-wal", bigInst, 1, &TBConfig{Threads: 1, Persist: "wal"}},
 		{"tierbase-wal-pmem", bigInst, 1, &TBConfig{Threads: 1, Persist: "wal-pmem"}},
-		{"tierbase-wt-10X", cacheInst, 0, &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 10, ExpectedLogicalBytes: expected}},
-		{"tierbase-wb-10X", cacheInst, 1, &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 10, ExpectedLogicalBytes: expected}},
+		{"tierbase-wt-10X", cacheInst, 0, &TBConfig{Persist: "wt", CacheRatioX: 10}},
+		{"tierbase-wb-10X", cacheInst, 1, &TBConfig{Persist: "wb", CacheRatioX: 10}},
 		{"redis-aof", bigInst, 1, nil}, // dual replica
 		{"cassandra", bigInst, 0, nil},
 		{"hbase", bigInst, 0, nil},
@@ -110,14 +109,13 @@ func RunFig12(o RunOpts) (*Result, error) {
 		{"reconciliation", workload.Reconciliation(workload.ReconciliationOptions{Ops: o.n(25000)}), workload.NewKV2(), 0.2, 10},
 	} {
 		pre := workload.Preload(c.ops, c.ds)
-		expected := logicalBytes(pre)
 		suts, err := measureRows([]row{
 			{"tierbase-raw", cacheInst, 0, &TBConfig{Threads: 1}},
 			{"tierbase-e", cacheInst, 0, &TBConfig{Threads: 0}},
 			{"tierbase-pmem", pmemInst, 0, &TBConfig{Threads: 1, PMem: true}},
 			{"tierbase-pbc", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "pbc", TrainOn: c.ds}},
-			{"tierbase-wt-4X", cacheInst, 0, &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 4, ExpectedLogicalBytes: expected}},
-			{"tierbase-wb-4X", cacheInst, 1, &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 4, ExpectedLogicalBytes: expected}},
+			{"tierbase-wt-4X", cacheInst, 0, &TBConfig{Persist: "wt", CacheRatioX: 4}},
+			{"tierbase-wb-4X", cacheInst, 1, &TBConfig{Persist: "wb", CacheRatioX: 4}},
 			// Dual-replica reliability per §6.5.1.
 			{"redis", cacheInst, 1, nil},
 			{"memcached-m", bigInst, 1, nil},
@@ -146,13 +144,12 @@ func RunFig1(o RunOpts) (*Result, error) {
 	}
 	ui := workload.UserInfo(workload.UserInfoOptions{Ops: o.n(20000)})
 	pre := workload.Preload(ui, workload.NewKV1())
-	logical := logicalBytes(pre)
 	suts, err := measureRows([]row{
 		{"tierbase-raw", cacheInst, 0, &TBConfig{Threads: 1}},
 		{"tierbase-pmem", pmemInst, 0, &TBConfig{Threads: 1, PMem: true}},
 		{"tierbase-pbc", cacheInst, 0, &TBConfig{Threads: 1, Compressor: "pbc", TrainOn: workload.NewKV1()}},
-		{"tierbase-wb-5X", cacheInst, 1, &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 5, ExpectedLogicalBytes: logical}},
-		{"tierbase-wt-5X", cacheInst, 0, &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 5, ExpectedLogicalBytes: logical}},
+		{"tierbase-wb-5X", cacheInst, 1, &TBConfig{Persist: "wb", CacheRatioX: 5}},
+		{"tierbase-wt-5X", cacheInst, 0, &TBConfig{Persist: "wt", CacheRatioX: 5}},
 	}, filepath.Join(o.Dir, "fig1"), pre, ui, 4)
 	if err != nil {
 		return nil, err
@@ -210,15 +207,13 @@ func RunFig13b(o RunOpts) (*Result, error) {
 	nOps := o.n(20000)
 	ui := workload.UserInfo(workload.UserInfoOptions{Ops: nOps})
 	pre := workload.Preload(ui, workload.NewKV1())
-	logical := logicalBytes(pre)
 	res := &Result{
 		ID: "fig13b", Title: "Cache-ratio space-performance trade-off",
 		Header: []string{"config", "SpaceCost", "PerformanceCost", "cost", "MR"},
 	}
 	rows := []row{{"in-mem", cacheInst, 0, &TBConfig{Threads: 1}}}
 	for x := 2; x <= 5; x++ {
-		rows = append(rows, row{fmt.Sprintf("wb-%dX", x), cacheInst, 1,
-			&TBConfig{Threads: 1, Persist: "wb", CacheRatioX: float64(x), ExpectedLogicalBytes: logical}})
+		rows = append(rows, row{fmt.Sprintf("wb-%dX", x), cacheInst, 1, &TBConfig{Persist: "wb", CacheRatioX: float64(x)}})
 	}
 	suts, err := measureRows(rows, filepath.Join(o.Dir, "fig13b"), pre, ui, 4)
 	if err != nil {

@@ -44,21 +44,22 @@ func RunFig7(o RunOpts) (*Result, error) {
 // for each phase: label, the phase, kqps and p99. A phase that failed ops
 // is refused, as measure refuses it.
 func runPhases(res *Result, r row, dir string, nRecords int64, nOps int, label ...string) error {
-	sys, err := r.open(dir)
-	if err != nil {
-		return err
-	}
-	defer sys.Close()
 	ds := workload.NewCities()
 	a := workload.WorkloadA(nRecords, ds)
-	for _, ph := range []struct {
+	phases := []struct {
 		name string
 		ops  []workload.Op
 	}{
 		{"load", a.LoadOps()},
 		{"A", NewOpsMulti(a, nOps, 4)},
 		{"B", NewOpsMulti(workload.WorkloadB(nRecords, ds), nOps, 4)},
-	} {
+	}
+	sys, err := r.open(dir, logicalBytes(phases[0].ops))
+	if err != nil {
+		return err
+	}
+	defer sys.Close()
+	for _, ph := range phases {
 		dr := drive(sys, ph.ops, 4)
 		if dr.Errors > 0 {
 			return fmt.Errorf("%s: phase %s: %d of %d ops failed", r.name, ph.name, dr.Errors, len(ph.ops))
@@ -93,12 +94,11 @@ func RunFig8(o RunOpts) (*Result, error) {
 		Header: []string{"mechanism", "phase", "kqps", "p99_us"},
 	}
 	nRecords := int64(o.n(3000))
-	expected := nRecords * int64(workload.NewCities().AvgRecordSize()+16)
 	for _, r := range []row{
 		{name: "wal", tb: &TBConfig{Threads: 1, Persist: "wal"}},
 		{name: "wal-pmem", tb: &TBConfig{Threads: 1, Persist: "wal-pmem"}},
-		{name: "write-back", tb: &TBConfig{Threads: 1, Persist: "wb", CacheRatioX: 1, ExpectedLogicalBytes: expected}},
-		{name: "write-through", tb: &TBConfig{Threads: 1, Persist: "wt", CacheRatioX: 1, ExpectedLogicalBytes: expected}},
+		{name: "write-back", tb: &TBConfig{Persist: "wb", CacheRatioX: 1}},
+		{name: "write-through", tb: &TBConfig{Persist: "wt", CacheRatioX: 1}},
 	} {
 		if err := runPhases(res, r, filepath.Join(o.Dir, "fig8-"+r.name), nRecords, o.n(12000), r.name); err != nil {
 			return nil, err
@@ -256,7 +256,7 @@ func RunFig9(o RunOpts) (*Result, error) {
 	threads := []int{1, 0, 4}
 	series := make([][]float64, len(threads))
 	for i, n := range threads {
-		sys, err := BuildTierBase(TBConfig{Threads: n, OpCost: opCost}, "")
+		sys, err := BuildTierBase(TBConfig{Threads: n, OpCost: opCost}, "", 0)
 		if err != nil {
 			return nil, err
 		}

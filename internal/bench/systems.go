@@ -18,7 +18,8 @@ import (
 // experiments sweep (§6.4.1 naming: -s/-e/-m threading, -PMem, -Zstd/-PBC,
 // -WAL/-WAL-PMem, -wt-NX/-wb-NX).
 type TBConfig struct {
-	// Threads: 1 = single (-s), 0 = elastic (-e), n>1 = fixed multi (-m).
+	// Threads sizes the pool of a row without a storage tier: 1 = single
+	// (-s), 0 = elastic (-e), n>1 = fixed multi (-m).
 	Threads int
 	// Compressor: "", "pbc", "zstd-d" (deflate-dict), "zstd-b" (deflate).
 	Compressor string
@@ -30,15 +31,13 @@ type TBConfig struct {
 	PMem bool
 	// Persist: "" (pure cache), "wal", "wal-pmem", "wt", "wb".
 	Persist string
-	// CacheRatioX for wt/wb: data-to-cache ratio (e.g. 5 = cache holds
-	// 1/X of the data). 0 = unbounded cache.
+	// CacheRatioX for wt/wb: the cache holds 1/X of the logical bytes the
+	// row is loaded with (e.g. 5). 0 = unbounded cache.
 	CacheRatioX float64
-	// ExpectedLogicalBytes sizes the cache for CacheRatioX.
-	ExpectedLogicalBytes int64
 	// OpCost injects per-operation request-processing CPU cost (command
-	// parsing, dispatch, response encoding at production scale). fig9
-	// uses ~10µs to place single-thread capacity near the paper's
-	// ~100 kQPS/core operating point.
+	// parsing, dispatch, response encoding at production scale) on a row
+	// without a storage tier. fig9 uses ~10µs to place single-thread
+	// capacity near the paper's ~100 kQPS/core operating point.
 	OpCost time.Duration
 }
 
@@ -52,9 +51,10 @@ type TBConfig struct {
 const missRTT = 25 * time.Microsecond
 
 // stackConfig maps a row onto the builder's options; dir hosts the LSM of
-// the wt/wb rows, which reach it over missRTT. The wal rows are cache-only
-// stacks: their log is the harness's own (see BuildTierBase).
-func (cfg TBConfig) stackConfig(dir string) (stack.Config, error) {
+// the wt/wb rows, which reach it over missRTT, and logical is the key and
+// value bytes the row is about to be loaded with. The wal rows are
+// cache-only stacks: their log is the harness's own (see BuildTierBase).
+func (cfg TBConfig) stackConfig(dir string, logical int64) (stack.Config, error) {
 	c := stack.Config{Compression: cfg.Compressor, CompressionLevel: cfg.CompressLevel}
 	if cfg.TrainOn != nil {
 		c.TrainingSamples = workload.Sample(cfg.TrainOn, 500)
@@ -71,10 +71,10 @@ func (cfg TBConfig) stackConfig(dir string) (stack.Config, error) {
 		}
 		c.Dir = filepath.Join(dir, "lsm")
 		c.StorageRTT = missRTT
-		if cfg.CacheRatioX > 0 && cfg.ExpectedLogicalBytes > 0 {
+		if cfg.CacheRatioX > 0 && logical > 0 {
 			// Physical cache budget for 1/X of the data, with engine
 			// overhead headroom.
-			c.CacheBytes = int64(float64(cfg.ExpectedLogicalBytes) / cfg.CacheRatioX * 1.6)
+			c.CacheBytes = int64(float64(logical) / cfg.CacheRatioX * 1.6)
 		}
 	default:
 		return c, fmt.Errorf("bench: unknown persist mode %q", cfg.Persist)
@@ -83,9 +83,9 @@ func (cfg TBConfig) stackConfig(dir string) (stack.Config, error) {
 }
 
 // TBSystem is a TierBase configuration as the harness drives it: the
-// shipping stack (internal/stack) on an elastic pool, plus what is the
-// harness's own — the dispatch model, the wal/wal-pmem rows' log and the
-// per-op CPU cost. It implements baselines.System.
+// shipping stack (internal/stack), plus what is the harness's own — the
+// elastic pool of a row without a storage tier, the wal/wal-pmem rows' log
+// and the per-op CPU cost. It implements baselines.System.
 type TBSystem struct {
 	pool   *elastic.Pool
 	st     *stack.Stack
@@ -93,10 +93,11 @@ type TBSystem struct {
 	opCost time.Duration
 }
 
-// BuildTierBase wires a TierBase configuration. dir is used by persistent
-// modes for the LSM store / WAL files.
-func BuildTierBase(cfg TBConfig, dir string) (*TBSystem, error) {
-	c, err := cfg.stackConfig(dir)
+// BuildTierBase wires a TierBase configuration that is about to be loaded
+// with logical key and value bytes. dir is used by persistent modes for
+// the LSM store / WAL files.
+func BuildTierBase(cfg TBConfig, dir string, logical int64) (*TBSystem, error) {
+	c, err := cfg.stackConfig(dir, logical)
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +110,9 @@ func BuildTierBase(cfg TBConfig, dir string) (*TBSystem, error) {
 		st.Close()
 		return nil, err
 	}
-	s.pool = elastic.NewPool(elastic.PoolOptions{Fixed: cfg.Threads})
+	if st.DB == nil {
+		s.pool = elastic.NewPool(elastic.PoolOptions{Fixed: cfg.Threads})
+	}
 	return s, nil
 }
 
@@ -138,30 +141,24 @@ func openLog(persist, dir string) (appendLog, error) {
 }
 
 // do is the harness's dispatch model (see the package doc). A row without
-// a storage tier runs the whole op on the pool: its CPU cost, the wal rows'
-// log append of rec, and the tiered call. A tiered row runs only its CPU
-// cost on the pool, an empty task for every wt/wb row, and its whole tiered
-// call off it, on the caller: the engine lookup as well as the storage
-// round trip.
+// a storage tier runs the whole op on its pool: its CPU cost, the wal rows'
+// log append of rec, and the stack call. A tiered row has no pool and calls
+// its stack on the caller, as the embedded store does.
 func (s *TBSystem) do(rec []byte, op func() error) error {
-	offPool := s.st.DB != nil
+	if s.pool == nil {
+		return op()
+	}
 	var err error
-	perr := s.pool.SubmitWait(func() {
+	if perr := s.pool.SubmitWait(func() {
 		baselines.Spin(s.opCost)
 		if s.wlog != nil && rec != nil {
 			if err = s.wlog.Append(rec); err != nil {
 				return
 			}
 		}
-		if !offPool {
-			err = op()
-		}
-	})
-	if perr != nil {
-		return perr
-	}
-	if err == nil && offPool {
 		err = op()
+	}); perr != nil {
+		return perr
 	}
 	return err
 }
@@ -198,7 +195,9 @@ func (s *TBSystem) DiskBytes() int64 {
 
 // Close releases all resources.
 func (s *TBSystem) Close() error {
-	s.pool.Stop()
+	if s.pool != nil {
+		s.pool.Stop()
+	}
 	err := s.st.Close()
 	if s.wlog != nil {
 		if werr := s.wlog.Close(); err == nil {
