@@ -21,6 +21,7 @@ import (
 	"tierbase/internal/engine"
 	"tierbase/internal/lsm"
 
+	"tierbase/internal/wal"
 	"tierbase/internal/workload"
 )
 
@@ -76,7 +77,6 @@ func BenchmarkAblationWriteBackBatch(b *testing.B) {
 			tr, err := cache.New(cache.Options{
 				Policy: cache.WriteBack, Engine: engine.New(engine.Options{}),
 				Storage: remote, FlushBatch: batch, FlushInterval: time.Hour,
-				MaxDirty: batch * 4,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -97,7 +97,7 @@ func BenchmarkAblationWriteBackBatch(b *testing.B) {
 // which every table's bloom filter answers without reading a data block.
 // Filters are always built, so there is no filter-off leg to set beside it.
 func BenchmarkAblationBloom(b *testing.B) {
-	db, err := lsm.Open(lsm.Options{Dir: b.TempDir(), DisableWAL: true, MemtableBytes: 64 << 10})
+	db, err := lsm.Open(lsm.Options{Dir: b.TempDir(), WALSyncPolicy: wal.SyncNever, MemtableBytes: 64 << 10})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func BenchmarkAblationMemtable(b *testing.B) {
 		keys[i] = []byte(fmt.Sprintf("key%08d", i*2654435761%4096))
 	}
 	b.Run("skiplist", func(b *testing.B) {
-		db, err := lsm.Open(lsm.Options{Dir: b.TempDir(), DisableWAL: true, MemtableBytes: 1 << 30})
+		db, err := lsm.Open(lsm.Options{Dir: b.TempDir(), WALSyncPolicy: wal.SyncNever, MemtableBytes: 1 << 30})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -260,7 +260,7 @@ func BenchmarkCompressors(b *testing.B) {
 }
 
 func BenchmarkLSMPut(b *testing.B) {
-	db, err := lsm.Open(lsm.Options{Dir: b.TempDir(), DisableWAL: true})
+	db, err := lsm.Open(lsm.Options{Dir: b.TempDir(), WALSyncPolicy: wal.SyncNever})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func BenchmarkLSMPut(b *testing.B) {
 }
 
 func BenchmarkLSMGet(b *testing.B) {
-	db, err := lsm.Open(lsm.Options{Dir: b.TempDir(), DisableWAL: true})
+	db, err := lsm.Open(lsm.Options{Dir: b.TempDir(), WALSyncPolicy: wal.SyncNever})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,17 +1,21 @@
 // Quickstart: an embedded TierBase store in a few lines — basic KV
-// operations, read-modify-write, CAS, TTLs and the data-structure surface.
+// operations, read-modify-write, CAS, TTLs, the data-structure surface and
+// values offloaded to persistent memory.
 package main
 
 import (
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"tierbase"
 )
 
 func main() {
-	store, err := tierbase.Open(tierbase.Options{})
+	// Values of 64 B or more go to a simulated 1 MiB PMem arena (paper
+	// §4.3); smaller ones stay in DRAM.
+	store, err := tierbase.Open(tierbase.Options{PMemBytes: 1 << 20})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,6 +75,11 @@ func main() {
 	name, _ := eng.HGet("user:1", "name")
 	fmt.Printf("user:1 name = %q\n", name)
 
+	// A value large enough for the PMem arena.
+	if err := store.Set("doc:1", []byte(strings.Repeat("tierbase ", 16))); err != nil {
+		log.Fatal(err)
+	}
+
 	st := store.Stats()
-	fmt.Printf("stats: %d keys, %d B cache\n", st.Keys, st.CacheMemBytes)
+	fmt.Printf("stats: %d keys, %d B cache, %d B PMem\n", st.Keys, st.CacheMemBytes, st.PMemBytes)
 }

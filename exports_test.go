@@ -2,10 +2,6 @@ package tierbase
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"io/fs"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -43,49 +39,32 @@ func TestExportsHaveShippingCallers(t *testing.T) {
 	type decl struct{ name, pos string }
 	var decls []decl
 	used := map[string]bool{}
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
+	fset, pkgs := repoSources(t)
+	for _, p := range pkgs {
+		for _, f := range p.files {
+			path := fset.Position(f.Pos()).Filename
+			declared := map[*ast.Ident]bool{}
+			// internal/faults is exempt: its seams exist for the chaos tests
+			// to inject failures with.
+			scanned := (strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "cmd/")) &&
+				!strings.HasPrefix(path, "internal/faults/")
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
+				}
+				declared[fn.Name] = true
+				if scanned && fn.Name.IsExported() {
+					decls = append(decls, decl{fn.Name.Name, fset.Position(fn.Pos()).String()})
+				}
 			}
-			return nil
+			ast.Inspect(f, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok && !declared[id] {
+					used[id.Name] = true
+				}
+				return true
+			})
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		if err != nil {
-			return err
-		}
-		declared := map[*ast.Ident]bool{}
-		// internal/faults is exempt: its seams exist for the chaos tests
-		// to inject failures with.
-		scanned := (strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "cmd/")) &&
-			!strings.HasPrefix(path, "internal/faults/")
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declared[fn.Name] = true
-			if scanned && fn.Name.IsExported() {
-				decls = append(decls, decl{fn.Name.Name, fset.Position(fn.Pos()).String()})
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declared[id] {
-				used[id.Name] = true
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	var unused []string
 	for _, d := range decls {

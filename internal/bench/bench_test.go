@@ -2,6 +2,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -301,18 +302,19 @@ func TestFig1Normalized(t *testing.T) {
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows %d", len(res.Rows))
 	}
-	maxCost := 0.0
-	for _, row := range res.Rows {
-		c, _ := strconv.ParseFloat(row[3], 64)
-		if c < 0 || c > 1.0001 {
-			t.Fatalf("cost not normalized: %v", row)
-		}
-		if c > maxCost {
-			maxCost = c
-		}
+	// The unit is tierbase-raw's SC, and a cost is the larger of its SC
+	// and PC (core.Evaluate).
+	if raw := res.Rows[0]; raw[0] != "tierbase-raw" || raw[1] != fmtF(1) {
+		t.Fatalf("first row %v, want tierbase-raw at SC 1", raw)
 	}
-	if maxCost < 0.999 {
-		t.Fatalf("max normalized cost %.3f != 1", maxCost)
+	for _, row := range res.Rows {
+		var v [3]float64
+		for i := range v {
+			v[i], _ = strconv.ParseFloat(row[1+i], 64)
+		}
+		if v[0] <= 0 || v[1] <= 0 || math.Abs(v[2]-math.Max(v[0], v[1])) > 1e-3 {
+			t.Fatalf("row %v: want positive SC and PC, cost their max", row)
+		}
 	}
 }
 

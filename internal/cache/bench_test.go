@@ -108,7 +108,6 @@ func BenchmarkTieredSetDirtyEvictionScan(b *testing.B) {
 		CacheCapacityBytes: 64 << 10,
 		FlushBatch:         1 << 20, // never reached: dirty set stays put
 		FlushInterval:      time.Hour,
-		MaxDirty:           1 << 20,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -240,8 +239,7 @@ func BenchmarkWBBackpressureSaturated(b *testing.B) {
 		Policy:        WriteBack,
 		Engine:        engine.New(engine.Options{}),
 		Storage:       stor,
-		MaxDirty:      64, // two flush batches: writers block routinely
-		FlushBatch:    32,
+		FlushBatch:    8, // a 64-key dirty budget: writers block routinely
 		FlushInterval: time.Millisecond,
 	})
 	if err != nil {

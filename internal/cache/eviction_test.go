@@ -426,7 +426,7 @@ func TestEvictionPassesAPinnedStripe(t *testing.T) {
 	tr, err := New(Options{
 		Policy: WriteBack, Engine: eng, Storage: NewMapStorage(),
 		CacheCapacityBytes: capacity,
-		FlushInterval:      time.Hour, FlushBatch: 100000, MaxDirty: 100000,
+		FlushInterval:      time.Hour, FlushBatch: 100000,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,19 +13,27 @@ import (
 // tiered store makes — a fill's Get or BatchGet, BatchDelete's existence
 // BatchGet, a write-through commit, a write-back flush, FlushAll's clear —
 // is an op passed to one function, Tiered.store: it gets a bounded
-// retry-with-backoff (2 retries, 5 ms doubling, by default), and a run of
-// consecutive failed calls (3) trips the store into DEGRADED mode, where
-// reads serve from the cache tier only (a fill answers absent instead of
-// stalling on a dead disk, BatchDelete returns ErrDegraded) and writes
-// make one attempt with no retries. One probe per DegradedProbeInterval
-// (500 ms) keeps testing the storage tier; the first success heals the
-// store back to normal. Backoff sleeps run under the caller's RMW stripe
+// retry-with-backoff (storageRetries, doubling from storageRetryBackoff),
+// and degradeAfter consecutive failed attempts (one call that fails every
+// attempt) trip the store into DEGRADED mode, where reads serve from the
+// cache tier only (a fill answers absent instead of stalling on a dead
+// disk, BatchDelete returns ErrDegraded) and writes make one attempt with
+// no retries. One probe per DegradedProbeInterval (500 ms by default)
+// keeps testing the storage tier; the first success heals the store back
+// to normal. Backoff sleeps run under the caller's RMW stripe
 // locks, and on the server under its gate slot.
 
 // ErrDegraded reports a storage read short-circuited because the store
 // is in degraded (cache-only) mode. A fill translates it to "absent";
 // BatchDelete surfaces it, since it cannot count keys it cannot see.
 var ErrDegraded = errors.New("cache: storage degraded, serving cache tier only")
+
+// The retry policy of every storage call.
+const (
+	storageRetries      = 2
+	storageRetryBackoff = 5 * time.Millisecond
+	degradeAfter        = 3
+)
 
 // storageHealth is the health state behind Tiered.store — all atomics,
 // read on every storage call.
@@ -47,8 +55,8 @@ func (h *storageHealth) success() {
 }
 
 // failure records a failed attempt; degradeAfter consecutive failed
-// calls trip degraded mode.
-func (h *storageHealth) failure(degradeAfter int64) {
+// attempts trip degraded mode.
+func (h *storageHealth) failure() {
 	h.errors.Add(1)
 	if h.consecFails.Add(1) >= degradeAfter {
 		if h.degraded.CompareAndSwap(false, true) {
@@ -96,7 +104,7 @@ func (h *storageHealth) snapshot() HealthStats {
 // here, as an op handed the store's Storage. Reads are gated first: a
 // degraded store short-circuits them (cache-only serving) except for the
 // elected probe. A failed attempt is retried after a backoff that doubles
-// from StorageRetryBackoff, up to StorageRetries times. While degraded,
+// from storageRetryBackoff, up to storageRetries times. While degraded,
 // ops fail fast — a single attempt with no retry sleeps — so a dead disk
 // costs one quick error, not retries*backoff per call; the attempt itself
 // still doubles as a recovery signal. The sleeps run under whatever locks
@@ -107,7 +115,7 @@ func (t *Tiered) store(read bool, op func(Storage) error) error {
 		h.degradedOps.Add(1)
 		return ErrDegraded
 	}
-	attempts := t.opts.StorageRetries
+	attempts := storageRetries
 	if h.degraded.Load() {
 		attempts = 0
 	}
@@ -117,11 +125,11 @@ func (t *Tiered) store(read bool, op func(Storage) error) error {
 			h.success()
 			return nil
 		}
-		h.failure(int64(t.opts.DegradeAfter))
+		h.failure()
 		if i >= attempts {
 			return err
 		}
 		h.retries.Add(1)
-		time.Sleep(t.opts.StorageRetryBackoff << i)
+		time.Sleep(storageRetryBackoff << i)
 	}
 }

@@ -62,11 +62,9 @@ func TestRetryStorageRetriesTransientFailure(t *testing.T) {
 	// Fail exactly the first attempt: the retry must succeed.
 	failing := &countingStorage{inner: st, calls: &calls, failFirst: 1}
 	ts, err := New(Options{
-		Policy:              WriteThrough,
-		Engine:              engine.New(engine.Options{}),
-		Storage:             failing,
-		StorageRetries:      2,
-		StorageRetryBackoff: time.Millisecond,
+		Policy:  WriteThrough,
+		Engine:  engine.New(engine.Options{}),
+		Storage: failing,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -206,9 +204,6 @@ func TestStoragePolicyCoversEveryRoute(t *testing.T) {
 			Engine:                engine.New(engine.Options{}),
 			Storage:               &countingStorage{inner: st, calls: calls, failFirst: failFirst},
 			FlushInterval:         time.Hour, // FlushDirty is the only flush
-			StorageRetries:        2,
-			StorageRetryBackoff:   time.Millisecond,
-			DegradeAfter:          1,
 			DegradedProbeInterval: time.Hour,
 		})
 		if err != nil {
@@ -273,8 +268,6 @@ func TestDegradedModeServesCacheOnlyAndHeals(t *testing.T) {
 		Policy:                WriteThrough,
 		Engine:                engine.New(engine.Options{}),
 		Storage:               st,
-		StorageRetries:        0,
-		DegradeAfter:          2,
 		DegradedProbeInterval: 30 * time.Millisecond,
 	})
 	if err != nil {

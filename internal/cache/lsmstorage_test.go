@@ -81,7 +81,7 @@ func TestLSMBatchPutSingleWALAppend(t *testing.T) {
 // MultiGet walk (not a per-key Get loop), and present-empty values
 // round-trip per the Storage contract.
 func TestLSMBatchGetSingleMultiGet(t *testing.T) {
-	db, err := lsm.Open(lsm.Options{Dir: t.TempDir(), DisableWAL: true})
+	db, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSyncPolicy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}

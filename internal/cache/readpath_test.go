@@ -128,7 +128,7 @@ func TestReadPathWork(t *testing.T) {
 			opts := Options{
 				Policy:        policy,
 				Engine:        engine.New(engine.Options{Clock: func() time.Time { return time.Unix(0, nowNs.Load()) }}),
-				FlushInterval: time.Hour, FlushBatch: 1 << 20, MaxDirty: 1 << 20,
+				FlushInterval: time.Hour, FlushBatch: 1 << 20,
 			}
 			var coldVal []byte
 			if policy != CacheOnly {
@@ -213,7 +213,7 @@ func TestFillOrdersWithWrites(t *testing.T) {
 				stor := &parkedGet{Storage: inner, parked: make(chan struct{}), release: make(chan struct{})}
 				tr, err := New(Options{
 					Policy: policy, Engine: engine.New(engine.Options{}), Storage: stor,
-					FlushInterval: time.Hour, FlushBatch: 1 << 20, MaxDirty: 1 << 20,
+					FlushInterval: time.Hour, FlushBatch: 1 << 20,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -456,54 +456,62 @@ func TestUpdateOfCollectionIsWrongType(t *testing.T) {
 // the storage tier holds, whose fill fails — a failing read, or a degraded
 // store — returns the failure and changes nothing. Run as if the key were
 // absent, the op would overwrite the stored value with its own result.
-// Readers still answer absent while degraded.
+// Readers still answer absent while degraded. One call that fails all its
+// attempts degrades a store, so each op runs on a store of its own.
 func TestHoldFailedFillRunsNoOp(t *testing.T) {
 	for _, policy := range []Policy{WriteThrough, WriteBack} {
 		for _, degraded := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%v/degraded=%v", policy, degraded), func(t *testing.T) {
-				st := newFlakyStorage()
-				st.Put("n", []byte("41"))
-				opts := Options{Policy: policy, Engine: engine.New(engine.Options{}), Storage: st,
-					FlushInterval: time.Hour, StorageRetries: -1, DegradeAfter: 100, DegradedProbeInterval: time.Hour}
-				want := errFlaky
-				if degraded {
-					opts.DegradeAfter, want = 1, ErrDegraded
-				}
-				ts, err := New(opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st.failReads.Store(true)
-				if degraded {
-					// The first failed read degrades the store and the
-					// next one spends the probe.
-					ts.Get("trip")
-					ts.Get("probe")
-					if !ts.Health().Degraded {
-						t.Fatalf("not degraded: %+v", ts.Health())
+				for _, op := range []string{"Update", "ExpireAt", "Persist"} {
+					st := newFlakyStorage()
+					st.Put("n", []byte("41"))
+					ts, err := New(Options{Policy: policy, Engine: engine.New(engine.Options{}), Storage: st,
+						FlushInterval: time.Hour, DegradedProbeInterval: time.Hour})
+					if err != nil {
+						t.Fatal(err)
 					}
-				}
-				err = ts.Update("n", func(old []byte, _ bool) []byte { return append(old, '+') })
-				if !errors.Is(err, want) {
-					t.Fatalf("Update over a failed fill = %v, want %v", err, want)
-				}
-				if ts.ExpireAt("n", time.Now().Add(time.Hour).UnixNano()) || ts.Persist("n") {
-					t.Fatal("a TTL change over a failed fill reported the key")
-				}
-				if degraded {
-					if _, err := ts.Get("n"); err != ErrNotFound {
-						t.Fatalf("degraded Get = %v, want absent", err)
+					st.failReads.Store(true)
+					want := errFlaky
+					if degraded {
+						// The first failed read degrades the store and the
+						// next one spends the probe.
+						ts.Get("trip")
+						ts.Get("probe")
+						if !ts.Health().Degraded {
+							t.Fatalf("not degraded: %+v", ts.Health())
+						}
+						want = ErrDegraded
 					}
-					if m, err := ts.BatchGet([]string{"n"}); err != nil || m["n"] != nil {
-						t.Fatalf("degraded BatchGet = %q, %v; want absent", m, err)
+					switch op {
+					case "Update":
+						err := ts.Update("n", func(old []byte, _ bool) []byte { return append(old, '+') })
+						if !errors.Is(err, want) {
+							t.Fatalf("Update over a failed fill = %v, want %v", err, want)
+						}
+					case "ExpireAt":
+						if ts.ExpireAt("n", time.Now().Add(time.Hour).UnixNano()) {
+							t.Fatal("ExpireAt over a failed fill reported the key")
+						}
+					case "Persist":
+						if ts.Persist("n") {
+							t.Fatal("Persist over a failed fill reported the key")
+						}
 					}
-				}
-				st.failReads.Store(false)
-				if err := ts.Close(); err != nil {
-					t.Fatal(err)
-				}
-				if v, ok, _ := st.Get("n"); !ok || string(v) != "41" {
-					t.Fatalf("storage holds %q after the failed op, want 41", v)
+					if degraded {
+						if _, err := ts.Get("n"); err != ErrNotFound {
+							t.Fatalf("degraded Get = %v, want absent", err)
+						}
+						if m, err := ts.BatchGet([]string{"n"}); err != nil || m["n"] != nil {
+							t.Fatalf("degraded BatchGet = %q, %v; want absent", m, err)
+						}
+					}
+					st.failReads.Store(false)
+					if err := ts.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if v, ok, _ := st.Get("n"); !ok || string(v) != "41" {
+						t.Fatalf("%s: storage holds %q after the failed op, want 41", op, v)
+					}
 				}
 			})
 		}

@@ -9,6 +9,7 @@ import (
 
 	"tierbase/internal/engine"
 	"tierbase/internal/lsm"
+	"tierbase/internal/wal"
 )
 
 // Tests for capacity eviction across stripes, the (value, ok) storage
@@ -76,7 +77,7 @@ func TestSharedHandWriteBackChurn(t *testing.T) {
 	tr, err := New(Options{
 		Policy: WriteBack, Engine: eng, Storage: stor,
 		CacheCapacityBytes: capacity,
-		FlushInterval:      time.Millisecond, FlushBatch: 16, MaxDirty: 128,
+		FlushInterval:      time.Millisecond, FlushBatch: 16,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +263,7 @@ func TestEmptyValueColdRoundTrip(t *testing.T) {
 		})
 	})
 	t.Run("write-through-lsm", func(t *testing.T) {
-		db, err := lsm.Open(lsm.Options{Dir: t.TempDir(), DisableWAL: true})
+		db, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSyncPolicy: wal.SyncNever})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,27 +48,19 @@ type Options struct {
 	// bytes land on. This is the knob behind the paper's cache-ratio (NX)
 	// configurations.
 	CacheCapacityBytes int64
-	// FlushBatch is the write-back dirty batch size (default 128).
+	// FlushBatch is the write-back dirty batch size (default 128). The
+	// dirty set's budget is maxDirtyBatches of them: a writer that finds
+	// that many keys dirty waits for the flusher (backpressure).
 	FlushBatch int
 	// FlushInterval is the max time dirty data waits (default 50 ms).
 	FlushInterval time.Duration
-	// MaxDirty triggers backpressure (default 8 * FlushBatch): a writer
-	// that finds this many keys dirty waits for the flusher.
-	MaxDirty int
-
-	// StorageRetries is how many times a failed storage call is retried
-	// before the error surfaces (default 2; negative disables). Retries
-	// back off exponentially from StorageRetryBackoff (default 5 ms).
-	StorageRetries      int
-	StorageRetryBackoff time.Duration
-	// DegradeAfter trips degraded (cache-only) mode after this many
-	// consecutive failed storage calls (default 3). While degraded,
-	// storage reads short-circuit to "absent", writes fail fast without
-	// retry sleeps, and one probe per DegradedProbeInterval (default
-	// 500 ms) tests for recovery. See health.go.
-	DegradeAfter          int
+	// DegradedProbeInterval is how often a degraded store probes its
+	// storage tier for recovery (default 500 ms). See health.go.
 	DegradedProbeInterval time.Duration
 }
+
+// maxDirtyBatches is the dirty set's budget in flush batches.
+const maxDirtyBatches = 8
 
 func (o *Options) fill() {
 	if o.FlushBatch <= 0 {
@@ -76,21 +68,6 @@ func (o *Options) fill() {
 	}
 	if o.FlushInterval <= 0 {
 		o.FlushInterval = 50 * time.Millisecond
-	}
-	if o.MaxDirty <= 0 {
-		o.MaxDirty = 8 * o.FlushBatch
-	}
-	if o.StorageRetries == 0 {
-		o.StorageRetries = 2
-	}
-	if o.StorageRetries < 0 {
-		o.StorageRetries = 0
-	}
-	if o.StorageRetryBackoff <= 0 {
-		o.StorageRetryBackoff = 5 * time.Millisecond
-	}
-	if o.DegradeAfter <= 0 {
-		o.DegradeAfter = 3
 	}
 	if o.DegradedProbeInterval <= 0 {
 		o.DegradedProbeInterval = 500 * time.Millisecond
@@ -199,7 +176,7 @@ func build(opts Options) (*Tiered, error) {
 	t := &Tiered{
 		opts:   opts,
 		eng:    opts.Engine,
-		dirty:  newDirtySet(opts.MaxDirty),
+		dirty:  newDirtySet(maxDirtyBatches * opts.FlushBatch),
 		stopCh: make(chan struct{}),
 	}
 	nsh := opts.Engine.NumShards()

@@ -9,6 +9,7 @@ import (
 
 	"tierbase/internal/engine"
 	"tierbase/internal/lsm"
+	"tierbase/internal/wal"
 )
 
 func newWT(t *testing.T, stor Storage) *Tiered {
@@ -238,11 +239,10 @@ func TestWBBackpressure(t *testing.T) {
 	stor := NewMapStorage()
 	slow := NewRemote(stor, time.Millisecond)
 	tr := newWB(t, slow, func(o *Options) {
-		o.FlushBatch = 4
-		o.MaxDirty = 8
+		o.FlushBatch = 1 // a dirty budget of 8
 		o.FlushInterval = time.Millisecond
 	})
-	// Writing far beyond MaxDirty must not grow dirty unboundedly.
+	// Writing far beyond the budget must not grow dirty unboundedly.
 	for i := 0; i < 200; i++ {
 		if err := tr.Set(fmt.Sprintf("k%03d", i), []byte("v")); err != nil {
 			t.Fatal(err)
@@ -437,7 +437,7 @@ func TestEvictionSkipsDirty(t *testing.T) {
 	tr, err := New(Options{
 		Policy: WriteBack, Engine: eng, Storage: stor,
 		CacheCapacityBytes: 1024,
-		FlushInterval:      time.Hour, FlushBatch: 100000, MaxDirty: 100000,
+		FlushInterval:      time.Hour, FlushBatch: 100000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -485,7 +485,7 @@ func TestPendingDeletesDoNotBlockEviction(t *testing.T) {
 	tr, err := New(Options{
 		Policy: WriteBack, Engine: eng, Storage: NewMapStorage(),
 		CacheCapacityBytes: capacity,
-		FlushInterval:      time.Hour, FlushBatch: 100000, MaxDirty: 100000,
+		FlushInterval:      time.Hour, FlushBatch: 100000,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -532,7 +532,7 @@ func TestCacheOnlyMode(t *testing.T) {
 }
 
 func TestTieredOverLSM(t *testing.T) {
-	db, err := lsm.Open(lsm.Options{Dir: t.TempDir(), DisableWAL: true})
+	db, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSyncPolicy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +558,7 @@ func TestTieredOverLSM(t *testing.T) {
 
 func TestConcurrentMixedTiered(t *testing.T) {
 	stor := NewMapStorage()
-	tr := newWB(t, stor, func(o *Options) { o.MaxDirty = 64; o.FlushBatch = 16 })
+	tr := newWB(t, stor, func(o *Options) { o.FlushBatch = 8 })
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
 		wg.Add(1)

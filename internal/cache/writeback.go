@@ -16,7 +16,7 @@ import (
 //   - Replication of cache: every committed mutation is reported to the
 //     OpSink (commit in tiered.go), which the server streams to replicas;
 //     with semi-sync acks the reply waits for them.
-//   - Managing dirty data: dirty size is bounded (MaxDirty) with
+//   - Managing dirty data: dirty size is bounded (maxDirtyBatches) with
 //     backpressure, and a maximum flush interval bounds staleness.
 //   - Optimizing update: one BatchPut per flush round; multiple updates to
 //     the same key naturally merge in the dirty map.
@@ -40,7 +40,7 @@ type dirtySet struct {
 	room    *sync.Cond // writers wait here while the set is at max
 	entries map[string]*dirtyEntry
 	tombs   int  // entries that are tombstones: dirty keys the cache does not hold
-	max     int  // MaxDirty
+	max     int  // maxDirtyBatches flush batches
 	closed  bool // close ran: nothing more is admitted
 
 	// wake nudges the flusher; it holds one pending nudge, and one is enough.

@@ -320,7 +320,8 @@ func TestWTBatchMixedStress(t *testing.T) {
 	}
 }
 
-// TestWBOneBudgetBackpressure: MaxDirty is one budget for the whole store.
+// TestWBOneBudgetBackpressure: the dirty set has one budget for the whole
+// store.
 // Keys of a single engine stripe may fill all of it without anyone waiting,
 // the write after that waits whichever stripe it is for, and a flush lets it
 // in.
@@ -330,8 +331,7 @@ func TestWBOneBudgetBackpressure(t *testing.T) {
 	eng := engine.New(engine.Options{Shards: 4})
 	tr, err := New(Options{
 		Policy: WriteBack, Engine: eng, Storage: stor,
-		MaxDirty:      8,
-		FlushBatch:    4,
+		FlushBatch:    1, // a dirty budget of 8
 		FlushInterval: time.Millisecond,
 	})
 	if err != nil {
@@ -349,7 +349,7 @@ func TestWBOneBudgetBackpressure(t *testing.T) {
 		}
 	}
 	if st := tr.Stats(); st.Dirty != 8 || st.BackpressureWaits != 0 {
-		t.Fatalf("eight keys of one stripe under MaxDirty 8: %d dirty, %d waits; want 8, 0", st.Dirty, st.BackpressureWaits)
+		t.Fatalf("eight keys of one stripe under a budget of 8: %d dirty, %d waits; want 8, 0", st.Dirty, st.BackpressureWaits)
 	}
 
 	// The ninth key waits, though its own stripe holds nothing dirty.
@@ -381,12 +381,11 @@ func TestWBOneBudgetBackpressure(t *testing.T) {
 
 // TestWBBatchPutBackpressure: a write-back batch waits for room like a
 // single write and is then admitted whole, so the dirty set stays within
-// MaxDirty plus one batch.
+// its budget plus one batch.
 func TestWBBatchPutBackpressure(t *testing.T) {
 	stor := NewMapStorage()
 	tr := newWB(t, stor, func(o *Options) {
-		o.MaxDirty = 8
-		o.FlushBatch = 4
+		o.FlushBatch = 1 // a dirty budget of 8
 		o.FlushInterval = time.Millisecond
 	})
 	for i := 0; i < 200; i += 10 {
@@ -398,7 +397,7 @@ func TestWBBatchPutBackpressure(t *testing.T) {
 			t.Fatal(err)
 		}
 		if d := tr.Stats().Dirty; d > 8+10 {
-			t.Fatalf("dirty set at %d after a batch; want at most MaxDirty 8 + one batch of 10", d)
+			t.Fatalf("dirty set at %d after a batch; want at most the budget of 8 + one batch of 10", d)
 		}
 	}
 }
@@ -411,13 +410,13 @@ func TestWBBatchPutRacingCloseLandsNothing(t *testing.T) {
 	stor.FailPuts.Store(true) // the backlog cannot drain: the batch must wait
 	tr, err := New(Options{
 		Policy: WriteBack, Engine: engine.New(engine.Options{}), Storage: stor,
-		MaxDirty: 4, FlushBatch: 2, FlushInterval: time.Millisecond,
+		FlushBatch: 1, FlushInterval: time.Millisecond, // a dirty budget of 8
 		DegradedProbeInterval: time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 8; i++ {
 		if err := tr.Set(fmt.Sprintf("fill%d", i), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
@@ -453,8 +452,8 @@ func TestWBBatchPutRacingCloseLandsNothing(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if stor.Len() != 4 {
-		t.Fatalf("storage holds %d keys, want the 4 admitted before the close", stor.Len())
+	if stor.Len() != 8 {
+		t.Fatalf("storage holds %d keys, want the 8 admitted before the close", stor.Len())
 	}
 	for k := range batch {
 		if _, ok := tr.dirty.lookup(k); ok {
@@ -540,7 +539,7 @@ func TestDirtyBytesTracksHeap(t *testing.T) {
 	for _, valLen := range []int{16, 128} {
 		tr, err := New(Options{
 			Policy: WriteBack, Engine: engine.New(engine.Options{}), Storage: NewMapStorage(),
-			FlushInterval: time.Hour, FlushBatch: 1 << 30, MaxDirty: 1 << 30,
+			FlushInterval: time.Hour, FlushBatch: 1 << 30,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -656,7 +655,7 @@ func TestWritePathWork(t *testing.T) {
 			opts := Options{
 				Policy:        policy,
 				Engine:        engine.New(engine.Options{Clock: func() time.Time { return time.Unix(0, nowNs.Load()) }}),
-				FlushInterval: time.Hour, FlushBatch: 1 << 20, MaxDirty: 1 << 20,
+				FlushInterval: time.Hour, FlushBatch: 1 << 20,
 			}
 			if policy != CacheOnly {
 				opts.Storage = remote

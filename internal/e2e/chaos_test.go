@@ -357,9 +357,6 @@ func TestChaosDiskErrors(t *testing.T) {
 				Policy:                cache.WriteThrough,
 				Engine:                eng,
 				Storage:               disk,
-				StorageRetries:        1,
-				StorageRetryBackoff:   time.Millisecond,
-				DegradeAfter:          2,
 				DegradedProbeInterval: 50 * time.Millisecond,
 			})
 		},

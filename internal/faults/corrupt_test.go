@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"tierbase/internal/lsm"
+	"tierbase/internal/wal"
 )
 
 // TestCorruptBlockSurfacesTypedError: a bit flipped in an SSTable data
@@ -16,7 +17,7 @@ import (
 // in Stats.BadBlocks, which INFO storage reports.
 func TestCorruptBlockSurfacesTypedError(t *testing.T) {
 	dir := t.TempDir()
-	db, err := lsm.Open(lsm.Options{Dir: dir, DisableWAL: true})
+	db, err := lsm.Open(lsm.Options{Dir: dir, WALSyncPolicy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}

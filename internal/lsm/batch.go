@@ -104,18 +104,16 @@ func (db *DB) Apply(b *Batch) error {
 	mem := db.mem // stable: rotation happens only under commitMu, which we hold
 	db.mu.Unlock()
 
-	if db.wlog != nil {
-		// The encode scratch is guarded by commitMu (held here) and reused
-		// across commits; wal.Append copies the payload out before returning.
-		db.walBuf = encodeBatchRecordInto(db.walBuf[:0], base, b)
-		err := db.wlog.Append(db.walBuf)
-		if cap(db.walBuf) > maxWALScratch {
-			db.walBuf = nil // don't pin a huge batch's buffer forever
-		}
-		if err != nil {
-			// The sequence range is burned but unused; replay tolerates gaps.
-			return err
-		}
+	// The encode scratch is guarded by commitMu (held here) and reused
+	// across commits; wal.Append copies the payload out before returning.
+	db.walBuf = encodeBatchRecordInto(db.walBuf[:0], base, b)
+	err := db.wlog.Append(db.walBuf)
+	if cap(db.walBuf) > maxWALScratch {
+		db.walBuf = nil // don't pin a huge batch's buffer forever
+	}
+	if err != nil {
+		// The sequence range is burned but unused; replay tolerates gaps.
+		return err
 	}
 	for i, op := range b.ops {
 		mem.apply(base+uint64(i), op.kind, op.key, op.val)

@@ -81,7 +81,7 @@ func TestApplyBatchSingleWALAppend(t *testing.T) {
 }
 
 func TestApplyEmptyAndNilBatch(t *testing.T) {
-	db := testDB(t, Options{DisableWAL: true})
+	db := testDB(t, Options{WALSyncPolicy: wal.SyncNever})
 	if err := db.Apply(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestApplyEmptyAndNilBatch(t *testing.T) {
 }
 
 func TestBatchReuseAfterReset(t *testing.T) {
-	db := testDB(t, Options{DisableWAL: true})
+	db := testDB(t, Options{WALSyncPolicy: wal.SyncNever})
 	b := &Batch{}
 	b.Put([]byte("r1"), []byte("v1"))
 	if err := db.Apply(b); err != nil {
@@ -293,16 +293,16 @@ func TestWALSegmentsReclaimedAfterFlush(t *testing.T) {
 }
 
 // TestImmutableBacklogBounded: the rotation backpressure keeps at most
-// MaxImmutables sealed memtables queued.
+// maxImmutables sealed memtables queued.
 func TestImmutableBacklogBounded(t *testing.T) {
-	db := testDB(t, Options{DisableWAL: true, MemtableBytes: 2 << 10, MaxImmutables: 2})
+	db := testDB(t, Options{WALSyncPolicy: wal.SyncNever, MemtableBytes: 2 << 10})
 	val := bytes.Repeat([]byte("b"), 128)
 	for i := 0; i < 500; i++ {
 		if err := db.Put([]byte(fmt.Sprintf("bp%04d", i)), val); err != nil {
 			t.Fatal(err)
 		}
-		if n := db.Stats().Immutables; n > 2 {
-			t.Fatalf("immutable backlog %d exceeds MaxImmutables", n)
+		if n := db.Stats().Immutables; n > maxImmutables {
+			t.Fatalf("immutable backlog %d exceeds maxImmutables", n)
 		}
 	}
 	if err := db.Flush(); err != nil {
@@ -318,7 +318,7 @@ func TestImmutableBacklogBounded(t *testing.T) {
 // TestGetValueIsPrivateCopy: mutating a returned value must never corrupt
 // the store, wherever the hit came from (memtable, L0 table, block cache).
 func TestGetValueIsPrivateCopy(t *testing.T) {
-	db := testDB(t, Options{DisableWAL: true})
+	db := testDB(t, Options{WALSyncPolicy: wal.SyncNever})
 	db.Put([]byte("alias"), []byte("pristine"))
 	v, _ := db.Get([]byte("alias"))
 	copy(v, "XXXXXXXX")

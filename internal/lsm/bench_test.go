@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+
+	"tierbase/internal/wal"
 )
 
 // Storage-tier benchmarks (the CI bench job runs each once per push).
@@ -55,7 +57,7 @@ func fillTables(b *testing.B, db *DB, n, valSize int) {
 func benchKey(i int) string { return fmt.Sprintf("key%08d", i) }
 
 func BenchmarkLSMPut(b *testing.B) {
-	db := benchDB(b, Options{DisableWAL: true, MemtableBytes: 1 << 30})
+	db := benchDB(b, Options{WALSyncPolicy: wal.SyncNever, MemtableBytes: 1 << 30})
 	val := bytes.Repeat([]byte("v"), 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -66,7 +68,7 @@ func BenchmarkLSMPut(b *testing.B) {
 }
 
 func BenchmarkLSMApplyBatch16(b *testing.B) {
-	db := benchDB(b, Options{DisableWAL: true, MemtableBytes: 1 << 30})
+	db := benchDB(b, Options{WALSyncPolicy: wal.SyncNever, MemtableBytes: 1 << 30})
 	val := bytes.Repeat([]byte("v"), 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -101,7 +103,7 @@ func BenchmarkLSMPutParallelWAL(b *testing.B) {
 }
 
 func BenchmarkLSMGetWarm(b *testing.B) {
-	db := benchDB(b, Options{DisableWAL: true})
+	db := benchDB(b, Options{WALSyncPolicy: wal.SyncNever})
 	fillTables(b, db, 10000, 100)
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
@@ -113,7 +115,7 @@ func BenchmarkLSMGetWarm(b *testing.B) {
 }
 
 func BenchmarkLSMGetColdCache(b *testing.B) {
-	db := benchDB(b, Options{DisableWAL: true, BlockCacheBytes: -1})
+	db := benchDB(b, Options{WALSyncPolicy: wal.SyncNever, BlockCacheBytes: -1})
 	fillTables(b, db, 10000, 100)
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
@@ -137,7 +139,7 @@ func adjacentRun(rng *rand.Rand, n int) [][]byte {
 }
 
 func BenchmarkLSMMultiGet16ColdCache(b *testing.B) {
-	db := benchDB(b, Options{DisableWAL: true, BlockCacheBytes: -1})
+	db := benchDB(b, Options{WALSyncPolicy: wal.SyncNever, BlockCacheBytes: -1})
 	fillTables(b, db, 10000, 100)
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
@@ -157,7 +159,7 @@ func BenchmarkLSMMultiGet16ColdCache(b *testing.B) {
 // BenchmarkLSMGet16SeqColdCache is the per-key baseline for MultiGet16:
 // the same 16 adjacent keys issued as sequential Gets.
 func BenchmarkLSMGet16SeqColdCache(b *testing.B) {
-	db := benchDB(b, Options{DisableWAL: true, BlockCacheBytes: -1})
+	db := benchDB(b, Options{WALSyncPolicy: wal.SyncNever, BlockCacheBytes: -1})
 	fillTables(b, db, 10000, 100)
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
@@ -175,7 +177,7 @@ func BenchmarkLSMGet16SeqColdCache(b *testing.B) {
 // reader stalled behind the SSTable build; with the background pipeline a
 // rotation costs readers one pointer swap.
 func BenchmarkLSMGetDuringFlush(b *testing.B) {
-	db := benchDB(b, Options{DisableWAL: true, MemtableBytes: 256 << 10})
+	db := benchDB(b, Options{WALSyncPolicy: wal.SyncNever, MemtableBytes: 256 << 10})
 	fillTables(b, db, 10000, 100)
 	stop := make(chan struct{})
 	done := make(chan struct{})

@@ -186,7 +186,7 @@ func (db *DB) writeTables(it entryIter, dropTombstones bool, target int64) ([]ta
 		if tb == nil {
 			tbNum = db.allocFileNum()
 			var err error
-			if tb, err = newTableBuilder(tableFileName(db.opts.Dir, tbNum), db.opts.BlockBytes); err != nil {
+			if tb, err = newTableBuilder(tableFileName(db.opts.Dir, tbNum), blockBytes); err != nil {
 				return fail(err)
 			}
 		}

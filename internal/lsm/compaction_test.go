@@ -7,13 +7,15 @@ import (
 	"path/filepath"
 	"sort"
 	"testing"
+
+	"tierbase/internal/wal"
 )
 
 // stepOptions make a few hundred KB of 100 B values fill four levels.
 func stepOptions(dir string) Options {
 	return Options{
 		Dir:                 dir,
-		DisableWAL:          true,
+		WALSyncPolicy:       wal.SyncNever,
 		MemtableBytes:       4 << 10,
 		L0CompactionTrigger: 2,
 		BaseLevelBytes:      16 << 10,
@@ -300,7 +302,7 @@ func TestWriteAmplificationCounts(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			db, err := Open(Options{
 				Dir:             t.TempDir(),
-				DisableWAL:      true,
+				WALSyncPolicy:   wal.SyncNever,
 				MemtableBytes:   1 << 20, // no rotation but Flush's
 				TargetFileBytes: 16 << 10,
 				BaseLevelBytes:  64 << 10,
@@ -347,7 +349,7 @@ func TestWriteAmplificationCounts(t *testing.T) {
 // four runs each larger than the target wrote four runs back, L0 never fell
 // below the threshold and the compactor rewrote the same data forever.
 func TestSizeTieredMergeWritesOneRun(t *testing.T) {
-	db := testDB(t, Options{DisableWAL: true, Compaction: SizeTiered, TargetFileBytes: 4 << 10})
+	db := testDB(t, Options{WALSyncPolicy: wal.SyncNever, Compaction: SizeTiered, TargetFileBytes: 4 << 10})
 	for run := 0; run < 4; run++ {
 		for i := 0; i < 200; i++ {
 			if err := db.Put(stepKey(run*200+i), stepVal(i, run)); err != nil {

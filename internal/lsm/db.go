@@ -30,15 +30,12 @@ const (
 type Options struct {
 	Dir                 string
 	MemtableBytes       int64 // flush threshold; default 4 MiB
-	MaxImmutables       int   // sealed-memtable backlog before writers wait; default 2
-	BlockBytes          int   // data block target; default 4 KiB
 	BlockCacheBytes     int64 // default 8 MiB; 0 uses default, -1 disables
 	L0CompactionTrigger int   // default 4
 	BaseLevelBytes      int64 // L1 size limit; default 16 MiB
 	MaxLevels           int   // default 7
 	TargetFileBytes     int64 // compaction output split size; default 2 MiB
 	Compaction          CompactionStyle
-	DisableWAL          bool
 	WALSyncPolicy       wal.SyncPolicy
 	// WALFactory overrides WAL construction (e.g. a fault-injecting or
 	// tracing wrapper around a Log). If nil, a file-backed log in Dir/wal
@@ -46,15 +43,16 @@ type Options struct {
 	WALFactory func(dir string) (wal.Appender, error)
 }
 
+// Fixed shape of the write path: the sealed-memtable backlog before a
+// rotating writer waits, and a table's data block target.
+const (
+	maxImmutables = 2
+	blockBytes    = 4 << 10
+)
+
 func (o *Options) fill() {
 	if o.MemtableBytes <= 0 {
 		o.MemtableBytes = 4 << 20
-	}
-	if o.MaxImmutables <= 0 {
-		o.MaxImmutables = 2
-	}
-	if o.BlockBytes <= 0 {
-		o.BlockBytes = 4 << 10
 	}
 	if o.BlockCacheBytes == 0 {
 		o.BlockCacheBytes = 8 << 20
@@ -195,34 +193,32 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.current = newVersion(man, readers)
 	db.walDir = opts.Dir + "/wal"
-	if !opts.DisableWAL {
-		// Replay records newer than the last flushed sequence. Older
-		// records (from WAL segments not yet reclaimed at crash time) are
-		// already in SSTables and are skipped.
-		if err := wal.Replay(db.walDir, func(p []byte) error {
-			return decodeBatchRecord(p, func(seq uint64, kind entryKind, key, val []byte) error {
-				if seq > db.seq {
-					db.seq = seq
-				}
-				if seq <= man.LastSeq {
-					return nil
-				}
-				db.mem.apply(seq, kind, key, val)
+	// Replay records newer than the last flushed sequence. Older records
+	// (from WAL segments not yet reclaimed at crash time) are already in
+	// SSTables and are skipped.
+	if err := wal.Replay(db.walDir, func(p []byte) error {
+		return decodeBatchRecord(p, func(seq uint64, kind entryKind, key, val []byte) error {
+			if seq > db.seq {
+				db.seq = seq
+			}
+			if seq <= man.LastSeq {
 				return nil
-			})
-		}); err != nil {
-			db.current.unref()
-			return nil, err
-		}
-		if opts.WALFactory != nil {
-			db.wlog, err = opts.WALFactory(db.walDir)
-		} else {
-			db.wlog, err = wal.Open(wal.Options{Dir: db.walDir, Policy: opts.WALSyncPolicy})
-		}
-		if err != nil {
-			db.current.unref()
-			return nil, err
-		}
+			}
+			db.mem.apply(seq, kind, key, val)
+			return nil
+		})
+	}); err != nil {
+		db.current.unref()
+		return nil, err
+	}
+	if opts.WALFactory != nil {
+		db.wlog, err = opts.WALFactory(db.walDir)
+	} else {
+		db.wlog, err = wal.Open(wal.Options{Dir: db.walDir, Policy: opts.WALSyncPolicy})
+	}
+	if err != nil {
+		db.current.unref()
+		return nil, err
 	}
 	go db.flushLoop()
 	go db.compactionLoop()
@@ -458,10 +454,7 @@ func (db *DB) Close() error {
 	<-db.flushDone
 	close(db.compactCh)
 	<-db.compactDone
-	var werr error
-	if db.wlog != nil {
-		werr = db.wlog.Close()
-	}
+	werr := db.wlog.Close()
 	cur.unref()
 	if ferr != nil {
 		return ferr

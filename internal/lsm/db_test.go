@@ -197,8 +197,8 @@ func TestDBCleanReopen(t *testing.T) {
 // lowered), is read the old way, block by block. Either way a write after
 // Open outnumbers every version in the tables and survives a compaction.
 func TestOpenReadsNoTableBlock(t *testing.T) {
-	opts := Options{Dir: t.TempDir(), DisableWAL: true, MemtableBytes: 4 << 10, L0CompactionTrigger: 2,
-		BaseLevelBytes: 16 << 10, TargetFileBytes: 8 << 10, BlockBytes: 512}
+	opts := Options{Dir: t.TempDir(), WALSyncPolicy: wal.SyncNever, MemtableBytes: 4 << 10, L0CompactionTrigger: 2,
+		BaseLevelBytes: 16 << 10, TargetFileBytes: 8 << 10}
 	key := func(i int) []byte { return []byte(fmt.Sprintf("key%04d", i)) }
 	db, err := Open(opts)
 	if err != nil {
@@ -367,7 +367,7 @@ func TestDBSizeTieredCompaction(t *testing.T) {
 func TestDBSizeTieredNewestWins(t *testing.T) {
 	// Regression: after merging old runs, a newer non-merged run must still
 	// take precedence (L0 get must pick by sequence, not file order).
-	db := testDB(t, Options{Compaction: SizeTiered, DisableWAL: true})
+	db := testDB(t, Options{Compaction: SizeTiered, WALSyncPolicy: wal.SyncNever})
 	db.Put([]byte("k"), []byte("v1"))
 	db.Flush()
 	db.Put([]byte("k"), []byte("v2"))
@@ -419,7 +419,7 @@ func TestDBScan(t *testing.T) {
 }
 
 func TestDBScanSeesNewestAcrossLevels(t *testing.T) {
-	db := testDB(t, Options{DisableWAL: true})
+	db := testDB(t, Options{WALSyncPolicy: wal.SyncNever})
 	db.Put([]byte("x"), []byte("old"))
 	db.Flush()
 	db.Put([]byte("x"), []byte("new"))
@@ -450,7 +450,7 @@ func TestDBClosedErrors(t *testing.T) {
 }
 
 func TestDBConcurrentReadWrite(t *testing.T) {
-	db := testDB(t, Options{MemtableBytes: 8 << 10, DisableWAL: true})
+	db := testDB(t, Options{MemtableBytes: 8 << 10, WALSyncPolicy: wal.SyncNever})
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Writer
@@ -511,7 +511,7 @@ func TestDBPropertyMatchesMap(t *testing.T) {
 		// Levels small enough that the ascending phase below overflows L1
 		// and its tables are moved, not merged, into L2.
 		db, err := Open(Options{
-			Dir: dir, MemtableBytes: 1 << 10, DisableWAL: true,
+			Dir: dir, MemtableBytes: 1 << 10, WALSyncPolicy: wal.SyncNever,
 			L0CompactionTrigger: 2, BaseLevelBytes: 4 << 10, TargetFileBytes: 2 << 10,
 		})
 		if err != nil {

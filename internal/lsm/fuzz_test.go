@@ -9,6 +9,8 @@ import (
 	"os"
 	"reflect"
 	"testing"
+
+	"tierbase/internal/wal"
 )
 
 // FuzzManifest hands arbitrary bytes to Open as the MANIFEST.json of a
@@ -92,7 +94,7 @@ func FuzzManifest(f *testing.F) {
 		if err := os.WriteFile(manifestPath(dir), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		db, err := Open(Options{Dir: dir, DisableWAL: true, MaxLevels: 3, L0CompactionTrigger: 2, BaseLevelBytes: 1, BlockBytes: 128})
+		db, err := Open(Options{Dir: dir, WALSyncPolicy: wal.SyncNever, MaxLevels: 3, L0CompactionTrigger: 2, BaseLevelBytes: 1})
 		if err != nil {
 			return
 		}

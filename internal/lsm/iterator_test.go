@@ -5,13 +5,15 @@ import (
 	"fmt"
 	"os"
 	"testing"
+
+	"tierbase/internal/wal"
 )
 
 // corruptTableDB returns a DB whose 2000 keys k0000..k1999 sit in one table
 // with the block cache off, and with one byte flipped in data block bad.
 func corruptTableDB(t *testing.T, bad int) *DB {
 	t.Helper()
-	db := testDB(t, Options{DisableWAL: true, BlockCacheBytes: -1})
+	db := testDB(t, Options{WALSyncPolicy: wal.SyncNever, BlockCacheBytes: -1})
 	b := &Batch{}
 	for i := 0; i < 2000; i++ {
 		k := fmt.Sprintf("k%04d", i)

@@ -43,22 +43,18 @@ func (m *memtable) apply(seq uint64, kind entryKind, key, val []byte) {
 // writer is queued behind commitMu here. Caller holds commitMu (so no
 // concurrent appends race the WAL rotation) and must NOT hold db.mu.
 //
-// Backpressure: when the flusher is MaxImmutables memtables behind, the
+// Backpressure: when the flusher is maxImmutables memtables behind, the
 // rotating writer waits — bounding memory without ever blocking readers
 // (waiting releases db.mu; snapshot reads only take it briefly).
 func (db *DB) rotate() error {
 	// Rotate the WAL first: records of the sealed memtable are wholly in
 	// segments older than the new one.
-	keepSeg := 0
-	if db.wlog != nil {
-		seg, err := db.wlog.Rotate()
-		if err != nil {
-			return err
-		}
-		keepSeg = seg
+	keepSeg, err := db.wlog.Rotate()
+	if err != nil {
+		return err
 	}
 	db.mu.Lock()
-	for len(db.imm) >= db.opts.MaxImmutables && db.flushErr == nil && !db.closed {
+	for len(db.imm) >= maxImmutables && db.flushErr == nil && !db.closed {
 		db.flushCond.Wait()
 	}
 	if db.closed {
@@ -123,11 +119,9 @@ func (db *DB) flushOne() bool {
 		}
 		return false
 	}
-	if db.wlog != nil {
-		// Best-effort space reclamation; replay filters records with
-		// seq <= manifest.LastSeq, so a leftover segment is harmless.
-		_ = db.wlog.RemoveBefore(m.walKeepSeg)
-	}
+	// Best-effort space reclamation; replay filters records with
+	// seq <= manifest.LastSeq, so a leftover segment is harmless.
+	_ = db.wlog.RemoveBefore(m.walKeepSeg)
 	db.triggerCompaction()
 	return true
 }

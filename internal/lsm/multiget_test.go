@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"tierbase/internal/wal"
 )
 
 func mgKeys(keys ...string) [][]byte {
@@ -23,7 +25,7 @@ func mgKeys(keys ...string) [][]byte {
 // keys — must agree with per-key Gets everywhere.
 func TestMultiGetAcrossLocations(t *testing.T) {
 	db := testDB(t, Options{
-		DisableWAL:          true,
+		WALSyncPolicy:       wal.SyncNever,
 		L0CompactionTrigger: 2,
 		MemtableBytes:       1 << 20,
 	})
@@ -83,7 +85,7 @@ func TestMultiGetAcrossLocations(t *testing.T) {
 // TestMultiGetEmptyValuesAndTombstones: present-empty values round-trip
 // with found=true and a non-nil-length-zero distinction from absence.
 func TestMultiGetEmptyValuesAndTombstones(t *testing.T) {
-	db := testDB(t, Options{DisableWAL: true})
+	db := testDB(t, Options{WALSyncPolicy: wal.SyncNever})
 	db.Put([]byte("empty-mem"), []byte{})
 	db.Put([]byte("empty-disk"), []byte{})
 	db.Put([]byte("dead"), []byte("v"))
@@ -116,7 +118,7 @@ func TestMultiGetEmptyValuesAndTombstones(t *testing.T) {
 }
 
 func TestMultiGetDuplicateAndUnsortedKeys(t *testing.T) {
-	db := testDB(t, Options{DisableWAL: true})
+	db := testDB(t, Options{WALSyncPolicy: wal.SyncNever})
 	for i := 0; i < 200; i++ {
 		db.Put([]byte(fmt.Sprintf("dup%03d", i)), []byte(fmt.Sprintf("v%03d", i)))
 	}
@@ -141,12 +143,12 @@ func TestMultiGetDuplicateAndUnsortedKeys(t *testing.T) {
 }
 
 func TestMultiGetEmptyAndClosed(t *testing.T) {
-	db := testDB(t, Options{DisableWAL: true})
+	db := testDB(t, Options{WALSyncPolicy: wal.SyncNever})
 	vals, found, err := db.MultiGet(nil)
 	if err != nil || len(vals) != 0 || len(found) != 0 {
 		t.Fatalf("nil keys: %v %v %v", vals, found, err)
 	}
-	db2, _ := Open(Options{Dir: t.TempDir(), DisableWAL: true})
+	db2, _ := Open(Options{Dir: t.TempDir(), WALSyncPolicy: wal.SyncNever})
 	db2.Close()
 	if _, _, err := db2.MultiGet(mgKeys("x")); err != ErrDBClosed {
 		t.Fatalf("closed: %v", err)
@@ -157,7 +159,7 @@ func TestMultiGetEmptyAndClosed(t *testing.T) {
 // workload with flushes and compactions.
 func TestMultiGetMatchesGetProperty(t *testing.T) {
 	db := testDB(t, Options{
-		DisableWAL:          true,
+		WALSyncPolicy:       wal.SyncNever,
 		MemtableBytes:       4 << 10,
 		L0CompactionTrigger: 2,
 	})
@@ -206,7 +208,7 @@ func TestMultiGetMatchesGetProperty(t *testing.T) {
 func TestConcurrentReadsDuringFlushAndCompaction(t *testing.T) {
 	const l0Trigger = 2
 	db := testDB(t, Options{
-		DisableWAL:          true,
+		WALSyncPolicy:       wal.SyncNever,
 		MemtableBytes:       4 << 10,
 		L0CompactionTrigger: l0Trigger,
 		BaseLevelBytes:      16 << 10,
@@ -360,7 +362,7 @@ func TestConcurrentReadsDuringFlushAndCompaction(t *testing.T) {
 // adjacent keys in one data block of one table cost one block-cache lookup
 // as a MultiGet, where 16 Gets cost 16.
 func TestMultiGetSharesOneBlockDecode(t *testing.T) {
-	db := testDB(t, Options{DisableWAL: true})
+	db := testDB(t, Options{WALSyncPolicy: wal.SyncNever})
 	b := &Batch{}
 	for i := 0; i < 1000; i++ {
 		b.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v"))

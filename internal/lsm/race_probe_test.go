@@ -3,12 +3,14 @@ package lsm
 import (
 	"sync"
 	"testing"
+
+	"tierbase/internal/wal"
 )
 
 // Probe: Scan over the active memtable while the same key is overwritten
 // in place (no rotation: huge MemtableBytes).
 func TestRaceProbeScanVsInPlaceOverwrite(t *testing.T) {
-	db := testDB(t, Options{DisableWAL: true, MemtableBytes: 64 << 20})
+	db := testDB(t, Options{WALSyncPolicy: wal.SyncNever, MemtableBytes: 64 << 20})
 	db.Put([]byte("k"), []byte("v0"))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -141,7 +141,7 @@ var infoTable = []infoRow{
 	{"WritePath", "tiered_shards", global, nil, func(sn *infoSnap, _ int) any { return boolToInt(tiered(sn)) }}, // shards whose policy is not cache-only
 	{"WritePath", "flush_rounds", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Batches }},
 	{"WritePath", "flushed_entries", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Flushed }},
-	{"WritePath", "backpressure_waits", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.BackpressureWaits }}, // writers that found the dirty set at MaxDirty
+	{"WritePath", "backpressure_waits", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.BackpressureWaits }}, // writers that found the dirty set at its budget
 	{"WritePath", "dirty_entries", global, tiered, func(sn *infoSnap, _ int) any { return sn.tiered.Dirty }},
 	{"WritePath", "shard0_policy", global, tiered, func(sn *infoSnap, _ int) any { return sn.s.tiered.Policy() }},
 

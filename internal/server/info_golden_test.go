@@ -14,6 +14,7 @@ import (
 	"tierbase/internal/client"
 	"tierbase/internal/engine"
 	"tierbase/internal/lsm"
+	"tierbase/internal/wal"
 )
 
 var updateInfoGolden = flag.Bool("update", false, "rewrite testdata/info/*.golden from the current renderer")
@@ -150,7 +151,7 @@ func goldenWorkload(t *testing.T, c *client.Client) {
 // lsmNode puts a WAL-less LSM behind the node and reports its stats, the
 // wiring tierbase-server does.
 func lsmNode(t *testing.T, cfg *Config, policy cache.Policy) {
-	db, err := lsm.Open(lsm.Options{Dir: t.TempDir(), DisableWAL: true})
+	db, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSyncPolicy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,14 +51,14 @@ type OverloadConfig struct {
 	// tracked total falls to or below it. 0 = 90% of the high
 	// watermark.
 	LowWatermarkBytes int64
-	// CheckInterval is the watermark sampling period (0 = default
-	// 100ms).
-	CheckInterval time.Duration
 	// DrainTimeout bounds the graceful-drain wait for in-flight client
 	// commands in Shutdown before remaining connections are force
 	// closed (0 = default 10s).
 	DrainTimeout time.Duration
 }
+
+// watermarkCheckInterval is the watermark sampling period.
+const watermarkCheckInterval = 100 * time.Millisecond
 
 // normalize fills defaulted overload fields in place.
 func (o *OverloadConfig) normalize() {
@@ -79,9 +79,6 @@ func (o *OverloadConfig) normalize() {
 	}
 	if o.HighWatermarkBytes > 0 && o.LowWatermarkBytes <= 0 {
 		o.LowWatermarkBytes = o.HighWatermarkBytes / 10 * 9
-	}
-	if o.CheckInterval <= 0 {
-		o.CheckInterval = 100 * time.Millisecond
 	}
 	if o.DrainTimeout <= 0 {
 		o.DrainTimeout = 10 * time.Second
@@ -150,13 +147,13 @@ func (s *Server) memUsage() int64 {
 	return total
 }
 
-// watermarkLoop samples memUsage every CheckInterval and flips the
+// watermarkLoop samples memUsage every watermarkCheckInterval and flips the
 // overloaded flag with hysteresis: set at/above the high watermark,
 // cleared at/below the low one, unchanged in between (so the gate
 // doesn't flap while usage oscillates around one bound).
 func (s *Server) watermarkLoop() {
 	defer s.wg.Done()
-	t := time.NewTicker(s.opts.Overload.CheckInterval)
+	t := time.NewTicker(watermarkCheckInterval)
 	defer t.Stop()
 	for {
 		select {

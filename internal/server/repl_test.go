@@ -17,6 +17,7 @@ import (
 	"tierbase/internal/lsm"
 	"tierbase/internal/replication"
 	"tierbase/internal/resp"
+	"tierbase/internal/wal"
 	"tierbase/internal/workload"
 )
 
@@ -707,7 +708,7 @@ func TestPipelinedMSetsKeepTheirValues(t *testing.T) {
 	}
 	for _, policy := range []cache.Policy{cache.WriteThrough, cache.WriteBack} {
 		t.Run(policy.String(), func(t *testing.T) {
-			db, err := lsm.Open(lsm.Options{Dir: t.TempDir(), DisableWAL: true})
+			db, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSyncPolicy: wal.SyncNever})
 			if err != nil {
 				t.Fatal(err)
 			}

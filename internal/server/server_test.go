@@ -12,6 +12,7 @@ import (
 	"tierbase/internal/client"
 	"tierbase/internal/engine"
 	"tierbase/internal/lsm"
+	"tierbase/internal/wal"
 )
 
 func startTestServer(t *testing.T, opts Config) (*Server, *client.Client) {
@@ -713,7 +714,7 @@ func TestInfoStorageSection(t *testing.T) {
 // zero. coalesced_writes is left out: the ledger still asks for it, and
 // nothing has rendered it since the write-through queues went.
 func TestInfoFieldsTheLedgerReads(t *testing.T) {
-	db, err := lsm.Open(lsm.Options{Dir: t.TempDir(), DisableWAL: true})
+	db, err := lsm.Open(lsm.Options{Dir: t.TempDir(), WALSyncPolicy: wal.SyncNever})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,10 @@
 // behind a simulated network hop) and the cache.Tiered store over them.
 // The embedded store, tierbase-server, the paper-figure harness and the
 // cost advisor all build through it, so each of them runs the stack the
-// others run. Admission is not part of a stack: tierbase-server and the
-// harness each put an elastic pool in front of theirs, and the embedded
-// store calls its stack on the caller's goroutine.
+// others run. Admission is not part of a stack: tierbase-server puts its
+// node's elastic gate in front of its stack, the harness runs a figure row
+// without a storage tier on an elastic pool and calls a tiered row's stack
+// on the caller's goroutine, and so does the embedded store.
 //
 // There are two halves because server.Start builds its node's engine
 // itself: NewEngine gives the options the engine is built from, and

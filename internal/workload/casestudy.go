@@ -65,9 +65,7 @@ func Preload(ops []Op, ds Dataset) []Op {
 // second at peak), zipfian key popularity, KV1-shaped profile values, and
 // a mean per-key access interval near 1000 ops.
 type UserInfoOptions struct {
-	Ops   int   // total operations (default 100k)
-	Users int64 // user population (default Ops/10)
-	Seed  int64
+	Ops int // total operations (default 100k); the user population is Ops/10
 }
 
 // UserInfo synthesizes the User Info Service stream.
@@ -75,15 +73,9 @@ func UserInfo(o UserInfoOptions) []Op {
 	if o.Ops <= 0 {
 		o.Ops = 100_000
 	}
-	if o.Users <= 0 {
-		o.Users = int64(o.Ops / 10)
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	rng := rand.New(rand.NewSource(o.Seed))
+	rng := rand.New(rand.NewSource(1))
 	ds := NewKV1()
-	chooser := NewScrambledZipfian(o.Users, 0.92)
+	chooser := NewScrambledZipfian(int64(o.Ops/10), 0.92)
 	const readsPerWrite = 32
 	ops := make([]Op, o.Ops)
 	for i := range ops {
@@ -101,8 +93,7 @@ func UserInfo(o UserInfoOptions) []Op {
 // cache, while long-term data is occasionally retrieved"; write-through
 // hit rate ~80% with ~1% of data hot).
 type ReconciliationOptions struct {
-	Ops  int // default 100k
-	Seed int64
+	Ops int // default 100k
 }
 
 // Reconciliation synthesizes the Capital Reconciliation stream: channel
@@ -112,10 +103,7 @@ func Reconciliation(o ReconciliationOptions) []Op {
 	if o.Ops <= 0 {
 		o.Ops = 100_000
 	}
-	if o.Seed == 0 {
-		o.Seed = 2
-	}
-	rng := rand.New(rand.NewSource(o.Seed))
+	rng := rand.New(rand.NewSource(2))
 	ds := NewKV2()
 	var written int64
 	latest := NewZipfian(1, 0.99) // offset-from-newest chooser

@@ -1,17 +1,9 @@
 package tierbase
 
 import (
-	"bytes"
-	"encoding/json"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -33,77 +25,15 @@ var statsAllowlist = map[string]string{
 // an atomic Add or Store. The packages are type-checked from source, so a
 // field is matched by its object, not by its name.
 func TestStatsFieldsHaveReaders(t *testing.T) {
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	std := importer.ForCompiler(fset, "source", nil)
-	checked := map[string]*types.Package{}
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if p := checked[path]; p != nil {
-			return p, nil
-		}
-		return std.Import(path)
-	})
+	fset, pkgs := repoSources(t)
 	fields := map[*types.Var]string{} // each Stats field, as pkg.Type.Field
 	read := map[*types.Var]bool{}
-	for _, dir := range []string{".", "benchmark"} {
-		cmd := exec.Command("go", "list", "-deps", "-json", "./...")
-		cmd.Dir = dir
-		out, err := cmd.Output()
-		if err != nil {
-			t.Fatalf("go list in %s: %v", dir, err)
+	for _, p := range pkgs {
+		if strings.HasPrefix(p.path, "tierbase/internal/") {
+			structFields(p, fields, "Stats")
 		}
-		// -deps lists a package after everything it imports.
-		for dec := json.NewDecoder(bytes.NewReader(out)); ; {
-			var lp struct {
-				ImportPath, Dir string
-				GoFiles         []string
-				Standard        bool
-			}
-			if err := dec.Decode(&lp); err == io.EOF {
-				break
-			} else if err != nil {
-				t.Fatal(err)
-			}
-			if lp.Standard || checked[lp.ImportPath] != nil {
-				continue
-			}
-			var files []*ast.File
-			for _, name := range lp.GoFiles {
-				path := filepath.Join(lp.Dir, name)
-				if rel, err := filepath.Rel(wd, path); err == nil {
-					path = rel
-				}
-				f, err := parser.ParseFile(fset, path, nil, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				files = append(files, f)
-			}
-			info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
-			pkg, err := (&types.Config{Importer: imp}).Check(lp.ImportPath, fset, files, info)
-			if err != nil {
-				t.Fatalf("type-check %s: %v", lp.ImportPath, err)
-			}
-			checked[lp.ImportPath] = pkg
-			if strings.HasPrefix(lp.ImportPath, "tierbase/internal/") {
-				for _, name := range pkg.Scope().Names() {
-					tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
-					if !ok || !strings.HasSuffix(name, "Stats") {
-						continue
-					}
-					if st, ok := tn.Type().Underlying().(*types.Struct); ok {
-						for i := 0; i < st.NumFields(); i++ {
-							fields[st.Field(i)] = pkg.Name() + "." + name + "." + st.Field(i).Name()
-						}
-					}
-				}
-			}
-			for _, f := range files {
-				markFieldReads(f, info, read)
-			}
+		for _, f := range p.files {
+			markFieldReads(f, p.info, read)
 		}
 	}
 	var unread []string
@@ -157,7 +87,3 @@ func markFieldReads(f *ast.File, info *types.Info, read map[*types.Var]bool) {
 		return true
 	})
 }
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -78,8 +78,6 @@ type Options struct {
 	// Compression selects a value compressor: "", "pbc", "zstd-d"
 	// (pre-trained dictionary), "zstd-b" (no dictionary).
 	Compression string
-	// CompressionLevel applies to the deflate-based compressors (1-9).
-	CompressionLevel int
 	// TrainingSamples pre-train the compressor (paper §4.2). Required
 	// for "pbc" and "zstd-d" to be effective.
 	TrainingSamples [][]byte
@@ -88,9 +86,6 @@ type Options struct {
 	// to it (paper §4.3). The simulation models PMem's capacity and
 	// latency; it is volatile, so nothing in it outlives the process.
 	PMemBytes int64
-	// StorageRTT injects a disaggregation round-trip latency on storage
-	// tier calls (models the remote hop; default 0).
-	StorageRTT time.Duration
 }
 
 // Store is an embedded TierBase instance. Its methods are safe for
@@ -109,14 +104,12 @@ type Store struct {
 // Open builds a Store from options.
 func Open(opts Options) (*Store, error) {
 	cfg := stack.Config{
-		Policy:           cache.Policy(opts.Policy),
-		Dir:              opts.Dir,
-		CacheBytes:       opts.CacheCapacityBytes,
-		Compression:      opts.Compression,
-		CompressionLevel: opts.CompressionLevel,
-		TrainingSamples:  opts.TrainingSamples,
-		PMemBytes:        opts.PMemBytes,
-		StorageRTT:       opts.StorageRTT,
+		Policy:          cache.Policy(opts.Policy),
+		Dir:             opts.Dir,
+		CacheBytes:      opts.CacheCapacityBytes,
+		Compression:     opts.Compression,
+		TrainingSamples: opts.TrainingSamples,
+		PMemBytes:       opts.PMemBytes,
 	}
 	eo, err := stack.NewEngine(cfg)
 	if err != nil {
