@@ -126,14 +126,14 @@ func TestBatchPutWriteThrough(t *testing.T) {
 }
 
 func TestBatchPutWriteThroughFailureInvalidates(t *testing.T) {
-	stor := NewMapStorage()
+	stor := newFlakyStorage()
 	tr := newTiered(t, WriteThrough, stor)
 	tr.Set("k", []byte("old"))
-	stor.FailPuts.Store(true)
+	stor.failWrites.Store(true)
 	if err := tr.BatchPut(map[string][]byte{"k": []byte("new")}); err == nil {
 		t.Fatal("want error")
 	}
-	stor.FailPuts.Store(false)
+	stor.failWrites.Store(false)
 	// The failed batch must invalidate, not leave the new value cached.
 	v, err := tr.Get("k")
 	if err != nil || string(v) != "old" {

@@ -9,37 +9,30 @@ import (
 // Storage-tier graceful degradation. The storage tier is a network hop
 // away (paper §3's disaggregation), so transient failures — a slow disk,
 // a flapping link, a restarting UCS node — are a matter of when, not if.
-// Rather than surfacing every blip to clients, every storage call the
-// tiered store makes — a fill's Get or BatchGet, BatchDelete's existence
-// BatchGet, a write-through commit, a write-back flush, FlushAll's clear —
-// is an op passed to one function, Tiered.store: it gets a bounded
-// retry-with-backoff (storageRetries, doubling from storageRetryBackoff),
-// and degradeAfter consecutive failed attempts (one call that fails every
-// attempt) trip the store into DEGRADED mode, where reads serve from the
-// cache tier only (a fill answers absent instead of stalling on a dead
-// disk, BatchDelete returns ErrDegraded) and writes make one attempt with
-// no retries. One probe per DegradedProbeInterval (500 ms by default)
-// keeps testing the storage tier; the first success heals the store back
-// to normal. Backoff sleeps run under the caller's RMW stripe
-// locks, and on the server under its gate slot.
+// Every storage call the tiered store makes — a fill's Get or BatchGet,
+// BatchDelete's existence BatchGet, a write-through commit, a write-back
+// flush, FlushAll's clear — is an op passed to one function, Tiered.store,
+// which runs it once: a failed call returns its error to the caller, and
+// nothing sleeps under the caller's RMW stripe locks or the server's gate
+// slot. degradeAfter consecutive failed calls trip the store into DEGRADED
+// mode, where reads serve from the cache tier only (a fill answers absent
+// instead of stalling on a dead disk, BatchDelete returns ErrDegraded) and
+// writes still make their one call. One probe per DegradedProbeInterval
+// (500 ms by default) keeps testing the storage tier; the first success
+// heals the store back to normal.
 
 // ErrDegraded reports a storage read short-circuited because the store
 // is in degraded (cache-only) mode. A fill translates it to "absent";
 // BatchDelete surfaces it, since it cannot count keys it cannot see.
 var ErrDegraded = errors.New("cache: storage degraded, serving cache tier only")
 
-// The retry policy of every storage call.
-const (
-	storageRetries      = 2
-	storageRetryBackoff = 5 * time.Millisecond
-	degradeAfter        = 3
-)
+// degradeAfter consecutive failed storage calls trip degraded mode.
+const degradeAfter = 3
 
 // storageHealth is the health state behind Tiered.store — all atomics,
 // read on every storage call.
 type storageHealth struct {
-	errors      atomic.Int64 // failed storage attempts (each retry counts)
-	retries     atomic.Int64 // retry attempts after a failure
+	errors      atomic.Int64 // failed storage calls
 	degradedOps atomic.Int64 // reads short-circuited while degraded
 	transitions atomic.Int64 // healthy -> degraded trips
 	consecFails atomic.Int64 // consecutive failed calls (resets on success)
@@ -54,8 +47,8 @@ func (h *storageHealth) success() {
 	h.degraded.CompareAndSwap(true, false)
 }
 
-// failure records a failed attempt; degradeAfter consecutive failed
-// attempts trip degraded mode.
+// failure records a failed call; degradeAfter consecutive failed calls
+// trip degraded mode.
 func (h *storageHealth) failure() {
 	h.errors.Add(1)
 	if h.consecFails.Add(1) >= degradeAfter {
@@ -82,7 +75,6 @@ func (h *storageHealth) allowRead(probeInterval time.Duration) bool {
 type HealthStats struct {
 	Degraded         bool
 	StorageErrors    int64
-	StorageRetries   int64
 	DegradedOps      int64
 	DegradedTransit  int64
 	ConsecutiveFails int64
@@ -92,44 +84,29 @@ func (h *storageHealth) snapshot() HealthStats {
 	return HealthStats{
 		Degraded:         h.degraded.Load(),
 		StorageErrors:    h.errors.Load(),
-		StorageRetries:   h.retries.Load(),
 		DegradedOps:      h.degradedOps.Load(),
 		DegradedTransit:  h.transitions.Load(),
 		ConsecutiveFails: h.consecFails.Load(),
 	}
 }
 
-// store runs one storage call, op, under the retry and degradation policy:
-// every call the tiered store makes to its storage tier passes through
-// here, as an op handed the store's Storage. Reads are gated first: a
-// degraded store short-circuits them (cache-only serving) except for the
-// elected probe. A failed attempt is retried after a backoff that doubles
-// from storageRetryBackoff, up to storageRetries times. While degraded,
-// ops fail fast — a single attempt with no retry sleeps — so a dead disk
-// costs one quick error, not retries*backoff per call; the attempt itself
-// still doubles as a recovery signal. The sleeps run under whatever locks
-// the caller holds.
+// store runs one storage call, op, under the degradation policy: every
+// call the tiered store makes to its storage tier passes through here, as
+// an op handed the store's Storage. Reads are gated first: a degraded store
+// short-circuits them (cache-only serving) except for the elected probe.
+// The op runs once; its error, if any, is the caller's, and its outcome
+// feeds the health state (a success heals, degradeAfter failures in a row
+// degrade).
 func (t *Tiered) store(read bool, op func(Storage) error) error {
 	h := &t.health
 	if read && !h.allowRead(t.opts.DegradedProbeInterval) {
 		h.degradedOps.Add(1)
 		return ErrDegraded
 	}
-	attempts := storageRetries
-	if h.degraded.Load() {
-		attempts = 0
-	}
-	for i := 0; ; i++ {
-		err := op(t.opts.Storage)
-		if err == nil {
-			h.success()
-			return nil
-		}
+	if err := op(t.opts.Storage); err != nil {
 		h.failure()
-		if i >= attempts {
-			return err
-		}
-		h.retries.Add(1)
-		time.Sleep(storageRetryBackoff << i)
+		return err
 	}
+	h.success()
+	return nil
 }

@@ -55,28 +55,52 @@ func (f *flakyStorage) BatchPut(entries map[string][]byte) error {
 	return f.MapStorage.BatchPut(entries)
 }
 
-func TestRetryStorageRetriesTransientFailure(t *testing.T) {
-	st := newFlakyStorage()
-	st.Put("cold", []byte("v"))
+// TestDegradedModeCountsCalls: each storage call makes one attempt, and
+// degradeAfter counts failed calls: fewer leave the store healthy, that
+// many in a row degrade it, and one success heals it.
+func TestDegradedModeCountsCalls(t *testing.T) {
 	var calls atomic.Int64
-	// Fail exactly the first attempt: the retry must succeed.
-	failing := &countingStorage{inner: st, calls: &calls, failFirst: 1}
 	ts, err := New(Options{
-		Policy:  WriteThrough,
-		Engine:  engine.New(engine.Options{}),
-		Storage: failing,
+		Policy:                WriteThrough,
+		Engine:                engine.New(engine.Options{}),
+		Storage:               &countingStorage{inner: NewMapStorage(), calls: &calls, failFirst: degradeAfter},
+		DegradedProbeInterval: time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ts.Close()
-	v, err := ts.Get("cold")
-	if err != nil || string(v) != "v" {
-		t.Fatalf("Get after transient failure = %q, %v", v, err)
+	for i := int64(1); i <= degradeAfter; i++ {
+		if _, err := ts.Get(fmt.Sprintf("cold%d", i)); !errors.Is(err, errFlaky) {
+			t.Fatalf("failed call %d = %v, want the injected failure", i, err)
+		}
+		h := ts.Health()
+		if calls.Load() != i || h.StorageErrors != i || h.ConsecutiveFails != i || h.Degraded != (i == degradeAfter) {
+			t.Fatalf("after %d failed calls: %d storage calls, %+v; degraded only after %d", i, calls.Load(), h, degradeAfter)
+		}
 	}
-	h := ts.Health()
-	if h.StorageErrors != 1 || h.StorageRetries != 1 || h.Degraded {
-		t.Fatalf("health after one retried blip: %+v", h)
+	// A write is never gated, so it makes its call; its success heals.
+	if err := ts.Set("w", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if h := ts.Health(); h.Degraded || h.ConsecutiveFails != 0 || h.DegradedTransit != 1 {
+		t.Fatalf("after a successful call: %+v", h)
+	}
+}
+
+// degrade trips ts, whose storage fails every read with errFlaky, into
+// degraded mode with degradeAfter failed reads, then spends the first
+// probe with one more, so reads find no probe due until
+// DegradedProbeInterval passes.
+func degrade(t *testing.T, ts *Tiered) {
+	t.Helper()
+	for i := 0; i <= degradeAfter; i++ {
+		if i == degradeAfter && !ts.Health().Degraded {
+			t.Fatalf("not degraded after %d failed reads: %+v", degradeAfter, ts.Health())
+		}
+		if _, err := ts.Get(fmt.Sprintf("trip%d", i)); !errors.Is(err, errFlaky) {
+			t.Fatalf("failed read %d = %v, want the injected failure", i, err)
+		}
 	}
 }
 
@@ -139,9 +163,10 @@ func (c *countingStorage) FlushAll() error {
 
 // TestStoragePolicyCoversEveryRoute runs each route that calls the storage
 // tier against a store whose first storage call fails, and against a
-// degraded one. A route that called Storage around the retry policy would
-// either surface the injected failure or make a call the degraded store
-// must not.
+// degraded one. The failed call is the route's only one, its error is the
+// caller's and storage is unchanged; run again, the route does what it
+// would have. A route that called Storage around Tiered.store would make a
+// call the degraded store must not, or leave the health state unchanged.
 func TestStoragePolicyCoversEveryRoute(t *testing.T) {
 	// Each route runs over "a" and "b", which storage holds and the cache
 	// tier does not, and renders what it answered.
@@ -150,7 +175,7 @@ func TestStoragePolicyCoversEveryRoute(t *testing.T) {
 		policy Policy
 		read   bool
 		run    func(ts *Tiered) (string, error)
-		want   string // the answer with one injected failure
+		want   string // the answer once storage answers
 		stored string // storage afterwards
 		// degraded is the answer of a read route when the store is degraded.
 		degraded    string
@@ -214,36 +239,44 @@ func TestStoragePolicyCoversEveryRoute(t *testing.T) {
 	}
 	for _, r := range routes {
 		t.Run(r.name+"/one failure", func(t *testing.T) {
-			ts, st, _ := setup(t, r.policy, 1)
-			got, err := r.run(ts)
-			if err != nil || got != r.want {
-				t.Fatalf("answer = %q, %v; want %q", got, err, r.want)
+			ts, st, calls := setup(t, r.policy, 1)
+			if _, err := r.run(ts); calls.Load() != 1 || !errors.Is(err, errFlaky) {
+				t.Fatalf("one injected failure: %d storage calls, %v; want one, the injected failure", calls.Load(), err)
 			}
-			if h := ts.Health(); h.StorageRetries != 1 || h.StorageErrors != 1 || h.Degraded {
+			if h := ts.Health(); h.StorageErrors != 1 || h.ConsecutiveFails != 1 || h.Degraded {
 				t.Fatalf("one injected failure: %+v", h)
 			}
-			var held []string
-			for _, k := range []string{"a", "b", "c", "d"} {
-				if v, ok, _ := st.Get(k); ok {
-					held = append(held, k+"="+string(v))
+			held := func() string {
+				var kv []string
+				for _, k := range []string{"a", "b", "c", "d"} {
+					if v, ok, _ := st.Get(k); ok {
+						kv = append(kv, k+"="+string(v))
+					}
 				}
+				return strings.Join(kv, " ")
 			}
-			if s := strings.Join(held, " "); s != r.stored {
+			if s := held(); s != "a=1 b=2" {
+				t.Fatalf("storage holds %q after a failed call, want it unchanged", s)
+			}
+			var got string
+			var err error
+			if r.policy == WriteBack {
+				// A failed flush leaves its key dirty: the next flush lands
+				// it with no new write.
+				err = ts.FlushDirty()
+			} else {
+				got, err = r.run(ts)
+			}
+			if err != nil || got != r.want {
+				t.Fatalf("answer once storage answers = %q, %v; want %q", got, err, r.want)
+			}
+			if s := held(); s != r.stored {
 				t.Fatalf("storage holds %q, want %q", s, r.stored)
 			}
 		})
 		t.Run(r.name+"/degraded", func(t *testing.T) {
 			ts, _, calls := setup(t, r.policy, 1<<40)
-			// The first failed read degrades the store and the next one
-			// spends the probe; the route then runs with none due.
-			for _, k := range []string{"trip", "probe"} {
-				if _, err := ts.Get(k); !errors.Is(err, errFlaky) {
-					t.Fatalf("Get(%s) = %v, want the injected failure", k, err)
-				}
-			}
-			if !ts.Health().Degraded {
-				t.Fatalf("not degraded: %+v", ts.Health())
-			}
+			degrade(t, ts)
 			before := calls.Load()
 			got, err := r.run(ts)
 			made := calls.Load() - before
@@ -279,15 +312,9 @@ func TestDegradedModeServesCacheOnlyAndHeals(t *testing.T) {
 	}
 
 	st.failReads.Store(true)
-	// Two failing reads trip degraded mode; the raw error surfaces first.
-	for i := 0; i < 2; i++ {
-		if _, err := ts.Get("cold"); !errors.Is(err, errFlaky) {
-			t.Fatalf("pre-degraded Get %d: %v", i, err)
-		}
-	}
-	h := ts.Health()
-	if !h.Degraded || h.DegradedTransit != 1 {
-		t.Fatalf("not degraded after %d fails: %+v", 2, h)
+	degrade(t, ts)
+	if h := ts.Health(); h.DegradedTransit != 1 {
+		t.Fatalf("%d trips for one degradation: %+v", h.DegradedTransit, h)
 	}
 	// Degraded: a cold miss is absent (no storage stall), a cached key
 	// still serves, and the short-circuit is counted.

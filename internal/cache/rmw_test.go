@@ -456,8 +456,8 @@ func TestUpdateOfCollectionIsWrongType(t *testing.T) {
 // the storage tier holds, whose fill fails — a failing read, or a degraded
 // store — returns the failure and changes nothing. Run as if the key were
 // absent, the op would overwrite the stored value with its own result.
-// Readers still answer absent while degraded. One call that fails all its
-// attempts degrades a store, so each op runs on a store of its own.
+// Readers still answer absent while degraded. degradeAfter failed calls
+// degrade a store, so each op runs on a store of its own.
 func TestHoldFailedFillRunsNoOp(t *testing.T) {
 	for _, policy := range []Policy{WriteThrough, WriteBack} {
 		for _, degraded := range []bool{false, true} {
@@ -473,13 +473,7 @@ func TestHoldFailedFillRunsNoOp(t *testing.T) {
 					st.failReads.Store(true)
 					want := errFlaky
 					if degraded {
-						// The first failed read degrades the store and the
-						// next one spends the probe.
-						ts.Get("trip")
-						ts.Get("probe")
-						if !ts.Health().Degraded {
-							t.Fatalf("not degraded: %+v", ts.Health())
-						}
+						degrade(t, ts)
 						want = ErrDegraded
 					}
 					switch op {

@@ -233,7 +233,7 @@ func (r *Remote) pause() {
 	if r.RTT <= 0 {
 		return
 	}
-	// Spin-wait: time.Sleep floors at the kernel tick (>1 ms on coarse
+	// Spin-wait: a sleep floors at the kernel tick (>1 ms on coarse
 	// timers), which would inflate sub-millisecond RTTs by an order of
 	// magnitude and distort every miss-penalty measurement. Yield each
 	// iteration: a network round trip leaves the CPU free, so goroutines
@@ -330,14 +330,10 @@ func (r *Remote) TotalRPCs() int64 {
 type MapStorage struct {
 	mu sync.RWMutex
 	m  map[string][]byte
-	// FailPuts makes writes fail (for write-through failure-path tests).
-	FailPuts atomic.Bool
 }
 
 // NewMapStorage returns an empty MapStorage.
 func NewMapStorage() *MapStorage { return &MapStorage{m: make(map[string][]byte)} }
-
-var errInjectedFailure = errors.New("cache: injected storage failure")
 
 // Get implements Storage.
 func (s *MapStorage) Get(key string) ([]byte, bool, error) {
@@ -352,9 +348,6 @@ func (s *MapStorage) Get(key string) ([]byte, bool, error) {
 
 // Put implements Storage.
 func (s *MapStorage) Put(key string, val []byte) error {
-	if s.FailPuts.Load() {
-		return errInjectedFailure
-	}
 	s.mu.Lock()
 	s.m[key] = append([]byte(nil), val...)
 	s.mu.Unlock()
@@ -363,9 +356,6 @@ func (s *MapStorage) Put(key string, val []byte) error {
 
 // Delete implements Storage.
 func (s *MapStorage) Delete(key string) error {
-	if s.FailPuts.Load() {
-		return errInjectedFailure
-	}
 	s.mu.Lock()
 	delete(s.m, key)
 	s.mu.Unlock()
@@ -387,9 +377,6 @@ func (s *MapStorage) BatchGet(keys []string) (map[string][]byte, error) {
 
 // BatchPut implements Storage.
 func (s *MapStorage) BatchPut(entries map[string][]byte) error {
-	if s.FailPuts.Load() {
-		return errInjectedFailure
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for k, v := range entries {
@@ -404,9 +391,6 @@ func (s *MapStorage) BatchPut(entries map[string][]byte) error {
 
 // BatchDelete implements Storage.
 func (s *MapStorage) BatchDelete(keys []string) error {
-	if s.FailPuts.Load() {
-		return errInjectedFailure
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, k := range keys {
@@ -417,9 +401,6 @@ func (s *MapStorage) BatchDelete(keys []string) error {
 
 // FlushAll implements StorageFlusher.
 func (s *MapStorage) FlushAll() error {
-	if s.FailPuts.Load() {
-		return errInjectedFailure
-	}
 	s.mu.Lock()
 	s.m = make(map[string][]byte)
 	s.mu.Unlock()

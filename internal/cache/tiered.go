@@ -114,7 +114,7 @@ type Tiered struct {
 	// Replication sink (see sink.go); nil when replication is off.
 	sink OpSink
 
-	// Storage-tier health: retry counters and the degraded-mode state
+	// Storage-tier health: failure counters and the degraded-mode state
 	// machine behind store (health.go); zero under CacheOnly.
 	health storageHealth
 
@@ -700,8 +700,8 @@ func (t *Tiered) FlushAll() error {
 	return err
 }
 
-// Health reports storage-tier health (retry/degradation counters); the
-// zero value under CacheOnly, which has no storage tier.
+// Health reports storage-tier health (failure and degradation counters);
+// the zero value under CacheOnly, which has no storage tier.
 func (t *Tiered) Health() HealthStats { return t.health.snapshot() }
 
 // --- stats ---

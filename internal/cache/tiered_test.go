@@ -81,10 +81,10 @@ func TestWTSetReachesStorageSynchronously(t *testing.T) {
 }
 
 func TestWTStorageFailureInvalidatesCache(t *testing.T) {
-	stor := NewMapStorage()
+	stor := newFlakyStorage()
 	tr := newWT(t, stor)
 	tr.Set("k", []byte("v1"))
-	stor.FailPuts.Store(true)
+	stor.failWrites.Store(true)
 	if err := tr.Set("k", []byte("v2")); err == nil {
 		t.Fatal("failed storage write must surface")
 	}
@@ -92,7 +92,7 @@ func TestWTStorageFailureInvalidatesCache(t *testing.T) {
 	if _, err := tr.Engine().Get("k"); err != engine.ErrNotFound {
 		t.Fatalf("cache should be invalidated: %v", err)
 	}
-	stor.FailPuts.Store(false)
+	stor.failWrites.Store(false)
 	v, err := tr.Get("k")
 	if err != nil || string(v) != "v1" {
 		t.Fatalf("refetch: %q %v", v, err)

@@ -326,8 +326,8 @@ func TestWTBatchMixedStress(t *testing.T) {
 // the write after that waits whichever stripe it is for, and a flush lets it
 // in.
 func TestWBOneBudgetBackpressure(t *testing.T) {
-	stor := NewMapStorage()
-	stor.FailPuts.Store(true) // flushes fail: dirty entries cannot drain
+	stor := newFlakyStorage()
+	stor.failWrites.Store(true) // flushes fail: dirty entries cannot drain
 	eng := engine.New(engine.Options{Shards: 4})
 	tr, err := New(Options{
 		Policy: WriteBack, Engine: eng, Storage: stor,
@@ -338,7 +338,7 @@ func TestWBOneBudgetBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		stor.FailPuts.Store(false) // let Close's final flush succeed
+		stor.failWrites.Store(false) // let Close's final flush succeed
 		tr.Close()
 	}()
 
@@ -365,7 +365,7 @@ func TestWBOneBudgetBackpressure(t *testing.T) {
 	}
 
 	// Once storage recovers and a flush round lands, the writer completes.
-	stor.FailPuts.Store(false)
+	stor.failWrites.Store(false)
 	select {
 	case err := <-blocked:
 		if err != nil {
@@ -406,8 +406,8 @@ func TestWBBatchPutBackpressure(t *testing.T) {
 // when the store closes fails with ErrClosed as a whole: none of its keys is
 // in the dirty set, the cache tier or (after the backlog drains) storage.
 func TestWBBatchPutRacingCloseLandsNothing(t *testing.T) {
-	stor := NewMapStorage()
-	stor.FailPuts.Store(true) // the backlog cannot drain: the batch must wait
+	stor := newFlakyStorage()
+	stor.failWrites.Store(true) // the backlog cannot drain: the batch must wait
 	tr, err := New(Options{
 		Policy: WriteBack, Engine: engine.New(engine.Options{}), Storage: stor,
 		FlushBatch: 1, FlushInterval: time.Millisecond, // a dirty budget of 8
@@ -444,7 +444,7 @@ func TestWBBatchPutRacingCloseLandsNothing(t *testing.T) {
 		t.Fatal("Close left the backpressured batch waiting")
 	}
 	// Drain what was admitted before the close, then look for the batch.
-	stor.FailPuts.Store(false)
+	stor.failWrites.Store(false)
 	deadline = time.Now().Add(5 * time.Second)
 	for tr.flushDirty(0) != nil {
 		if time.Now().After(deadline) {

@@ -34,7 +34,7 @@ import (
 // wtCommit makes a write-through commit's one storage call, through store:
 // Put or Delete for one key; for a batch, BatchDelete when every write
 // deletes, else BatchPut of the caller's map (nil values delete). Its
-// arguments are built once, outside the retried op. Raw strings are escaped
+// arguments are built outside the op. Raw strings are escaped
 // so they never collide with typed blobs. On failure every key of ws is
 // invalidated in the cache tier.
 func (t *Tiered) wtCommit(ws []write, entries map[string][]byte) error {

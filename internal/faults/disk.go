@@ -13,16 +13,12 @@ import (
 var ErrInjectedDisk = errors.New("faults: injected disk error")
 
 // diskControls is the shared scripting surface of the Storage and WAL
-// injectors: fail reads and/or writes (toggle or countdown), inject
-// per-op latency, count what happened.
+// injectors: fail reads and/or writes while toggled on, inject per-op
+// latency.
 type diskControls struct {
 	failReads  atomic.Bool
 	failWrites atomic.Bool
-	failNext   atomic.Int64 // fail this many upcoming ops, then auto-clear
 	latency    atomic.Int64 // ns added per op
-
-	ops      atomic.Int64
-	failures atomic.Int64
 }
 
 // FailReads makes read ops fail with ErrInjectedDisk while on.
@@ -31,35 +27,15 @@ func (d *diskControls) FailReads(on bool) { d.failReads.Store(on) }
 // FailWrites makes write ops fail with ErrInjectedDisk while on.
 func (d *diskControls) FailWrites(on bool) { d.failWrites.Store(on) }
 
-// FailNext fails the next n ops of any kind, then auto-clears — the
-// "transient error burst" script.
-func (d *diskControls) FailNext(n int64) { d.failNext.Store(n) }
-
 // SetLatency injects d of latency on every op.
 func (d *diskControls) SetLatency(lat time.Duration) { d.latency.Store(int64(lat)) }
 
-// Ops reports total ops seen; Failures reports how many were failed.
-func (d *diskControls) Ops() int64      { return d.ops.Load() }
-func (d *diskControls) Failures() int64 { return d.failures.Load() }
-
 // gate applies latency and decides one op's fate.
 func (d *diskControls) gate(write bool) error {
-	d.ops.Add(1)
 	if lat := d.latency.Load(); lat > 0 {
 		time.Sleep(time.Duration(lat))
 	}
-	for {
-		n := d.failNext.Load()
-		if n <= 0 {
-			break
-		}
-		if d.failNext.CompareAndSwap(n, n-1) {
-			d.failures.Add(1)
-			return ErrInjectedDisk
-		}
-	}
 	if (write && d.failWrites.Load()) || (!write && d.failReads.Load()) {
-		d.failures.Add(1)
 		return ErrInjectedDisk
 	}
 	return nil

@@ -179,11 +179,8 @@ var infoTable = []infoRow{
 	{"Health", "", header, nil, nil},
 	{"Health", "degraded_shards", global, nil, func(sn *infoSnap, _ int) any { return boolToInt(sn.health.Degraded) }},
 	{"Health", "storage_errors", global, nil, func(sn *infoSnap, _ int) any { return sn.health.StorageErrors }},
-	{"Health", "storage_retries", global, nil, func(sn *infoSnap, _ int) any { return sn.health.StorageRetries }},
 	{"Health", "degraded_ops", global, nil, func(sn *infoSnap, _ int) any { return sn.health.DegradedOps }},
 	{"Health", "degraded_transitions", global, nil, func(sn *infoSnap, _ int) any { return sn.health.DegradedTransit }},
-	{"Health", "shard0_degraded", global, nil, func(sn *infoSnap, _ int) any { return sn.health.Degraded }},
-	{"Health", "shard0_storage_errors", global, nil, func(sn *infoSnap, _ int) any { return sn.health.StorageErrors }},
 	{"Health", "shard0_consecutive_fails", global, nil, func(sn *infoSnap, _ int) any { return sn.health.ConsecutiveFails }},
 
 	{"Overload", "", header, nil, nil},
